@@ -12,7 +12,7 @@ GO ?= go
 # coverage fails CI. Raise it when the real number durably rises.
 COVER_BASELINE ?= 80.0
 
-.PHONY: build test race vet staticcheck fmt-check lint cover bench bench-smoke bench-json bench-memory fuzz-smoke throughput scaling profiles churn ci
+.PHONY: build test race vet staticcheck fmt-check lint harness cover bench bench-smoke bench-json bench-memory fuzz-smoke throughput scaling profiles churn ci
 
 build:
 	$(GO) build ./...
@@ -142,4 +142,13 @@ bench-json:
 bench-memory:
 	$(GO) run ./cmd/gcbench -exp memory
 
-ci: vet staticcheck fmt-check lint race fuzz-smoke bench-smoke bench-json
+# The benchmark harness is a module of its own (benchmark/go.mod) that
+# drives internal/* through their public functions, so `./...` from the
+# root never compiles it: build, smoke-test (all four workloads, both
+# modes, 1/20 scale) and lint it here, so an internal API change that
+# breaks it fails CI instead of the benchmark driver.
+harness:
+	$(GO) test -C benchmark ./...
+	$(GO) run ./cmd/gclint -C benchmark ./...
+
+ci: vet staticcheck fmt-check lint race harness fuzz-smoke bench-smoke bench-json

@@ -32,12 +32,8 @@ func (p *segmentedPolicy) Name() string { return "slru" }
 // UpdateCacheStaInfo promotes entries to the protected segment on any hit.
 // (Corresponds to Figure 2(d)'s updateCacheStaInfo.)
 func (p *segmentedPolicy) UpdateCacheStaInfo(ev *gc.HitEvent) {
-	e := ev.Entry
-	e.Hits++
-	e.LastUsed = ev.Tick
-	e.SavedTests += float64(ev.SavedTests)
-	e.SavedCostNs += ev.SavedCostNs
-	p.hits[e.ID] = true
+	ev.Credit() // the standard utility bookkeeping, ev.N() contributions at once
+	p.hits[ev.Entry.ID] = true
 }
 
 // OnWindowTurn could age the protection map; this policy keeps it sticky.

@@ -66,7 +66,10 @@ type (
 	// Config parameterizes a Cache.
 	Config = core.Config
 	// Result reports one cached query execution, with the Figure 3
-	// quantities (C_M, S, S', C, R, A) and per-stage timings.
+	// quantities (C_M, S, S', C, R, A) and per-stage timings. It is a
+	// read-only view: on an exact hit Answers is the cache's own frozen
+	// answer set (a valid snapshot however the dataset changes later),
+	// so Clone a set before mutating it.
 	Result = core.Result
 	// Snapshot is the Statistics Monitor's cumulative counters.
 	Snapshot = core.Snapshot
@@ -74,7 +77,10 @@ type (
 	Policy = core.Policy
 	// Entry is a cached query visible to policies.
 	Entry = core.Entry
-	// HitEvent describes one entry's contribution to one query.
+	// HitEvent describes one entry's contribution to one query — or, for
+	// exact hits, HitEvent.Count identical contributions folded into one
+	// event. A breaking change for custom policies: credit ev.N() times
+	// and keep the larger LastUsed, which is what ev.Credit() does.
 	HitEvent = core.HitEvent
 	// HitKind classifies hits (exact / sub / super).
 	HitKind = core.HitKind

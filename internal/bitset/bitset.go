@@ -80,10 +80,18 @@ type Set struct {
 // The payload is allocated lazily on first mutation, so New itself costs
 // one small fixed allocation regardless of n.
 func New(n int) *Set {
+	s := Empty(n)
+	return &s
+}
+
+// Empty returns an empty set of capacity n by value, for embedding in a
+// larger allocation (the cache's exact-hit Result carries its empty
+// Excluded/Survivors set this way): New without the heap object.
+func Empty(n int) Set {
 	if n < 0 {
 		panic("bitset: negative capacity")
 	}
-	s := &Set{n: n}
+	s := Set{n: n}
 	if !fits32(n) {
 		s.mode = modeDense // indices would overflow the compact containers
 	}

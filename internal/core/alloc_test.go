@@ -19,10 +19,11 @@ import (
 //
 //	go test -bench 'BenchmarkExecute' -benchmem ./internal/core/
 const (
-	// allocBudgetExactHit covers Execute on a query already cached: one
-	// fingerprint probe, one answers clone, two lazy bitsets, the Result.
-	// Measured ~8 allocs/op.
-	allocBudgetExactHit = 14
+	// allocBudgetExactHit covers Execute on a query already cached: the
+	// probe copies into a stack buffer, crediting is two atomics, the
+	// answer is the published set itself, and the empty sets and the hit
+	// list live inside the Result — the one allocation. Measured 1.
+	allocBudgetExactHit = 2
 	// allocBudgetMiss covers the full miss pipeline — filter, indexed hit
 	// detection, verification, admission. Measured ~77 allocs/op.
 	allocBudgetMiss = 120

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"graphcache/internal/ftv"
@@ -109,6 +110,39 @@ func BenchmarkExecuteExactHit(b *testing.B) {
 			b.Fatal("expected an exact hit")
 		}
 	}
+}
+
+// BenchmarkExecuteExactHitParallel is the exact hit under contention:
+// GOMAXPROCS goroutines issue zipf-skewed exact hits over 64 admitted
+// patterns, so ns/op across -cpu 1,2,4,... shows whether the path scales
+// (no shared line written per hit) rather than only how fast one
+// goroutine runs it.
+func BenchmarkExecuteExactHitParallel(b *testing.B) {
+	const patterns = 64
+	bs := newBenchStreams(b, 200, patterns, nil)
+	if len(bs.misses) < patterns {
+		b.Fatalf("stream generation found %d distinct patterns, want %d", len(bs.misses), patterns)
+	}
+	hot := bs.misses[:patterns]
+	for _, q := range hot { // 64 staged < Capacity 256: all stay cached
+		if _, err := bs.cache.Execute(q, ftv.Subgraph); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var seed atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		zipf := rand.NewZipf(rng, 1.2, 1, patterns-1)
+		for pb.Next() {
+			res, err := bs.cache.Execute(hot[zipf.Uint64()], ftv.Subgraph)
+			if err != nil || !res.ExactHit {
+				b.Errorf("exact=%v err=%v, want an exact hit", res != nil && res.ExactHit, err)
+				return
+			}
+		}
+	})
 }
 
 func BenchmarkExecuteIndexedMiss(b *testing.B) {

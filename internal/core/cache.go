@@ -33,8 +33,9 @@ import (
 // ID order stays monotonic), and the verification-cost EMAs are lock-free
 // CAS cells. The two cross-shard serialization points that remain are
 // policyMu — the replacement policy and the per-entry utility fields it
-// mutates are one shared structure, so hit crediting (counter arithmetic,
-// only on queries that actually hit) and window turns take it — and the
+// mutates are one shared structure, so sub/super hit crediting (counter
+// arithmetic) and window turns take it; an exact hit only bumps its
+// entry's credit cell, folded in later by foldCreditsLocked — and the
 // Serialized escape hatch.
 //
 // Window turns are per-shard: a full shard window turns under policyMu
@@ -123,7 +124,8 @@ type Cache struct {
 
 	// policyMu guards the replacement policy and the mutable per-entry
 	// utility fields it reads and writes (Hits, LastUsed, SavedTests,
-	// SavedCostNs): hit crediting, utility aging, and eviction accounting.
+	// SavedCostNs): sub/super hit crediting, folding exact-hit credit
+	// cells, utility aging, and eviction accounting.
 	// Never held across iso tests or dataset scans. Hierarchy: windowMu →
 	// policyMu → shard locks.
 	//gclint:lock policyMu
@@ -310,15 +312,19 @@ func (c *Cache) ShardStats() []ShardStat {
 // Entries returns the admitted entries in admission order as defensive
 // copies: the Entry structs are snapshots taken under policyMu (so the
 // mutable utility fields are read race-free; admissions and evictions
-// also serialize on policyMu), while Graph, Answers and the signature
-// fields still alias the cache's immutable originals. Intended for
-// demonstrators and tests inspecting cache contents.
+// also serialize on policyMu) after folding pending exact-hit credits;
+// Graph, Answers and the signature fields still alias the cache's
+// immutable originals. Intended for demonstrators and tests inspecting
+// cache contents.
 //
-//gclint:acquires policyMu shard
+//gclint:acquires dsMu policyMu shard
 func (c *Cache) Entries() []*Entry {
+	dsTok := c.dsMu.RLock()
+	defer c.dsMu.RUnlock(dsTok)
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
 	all := c.entriesSnapshot()
+	c.foldCreditsLocked(all)
 	out := make([]*Entry, len(all))
 	for i, e := range all {
 		cp := *e
@@ -327,11 +333,11 @@ func (c *Cache) Entries() []*Entry {
 	return out
 }
 
-// Execute processes one query through the cache. The returned Result owns
-// its bitsets; callers may mutate them freely (mathematically-equal
-// fields may alias one set — see the Result doc comment). Execute is safe
-// to call from any number of goroutines; see the Cache doc comment for
-// what runs in parallel and what serializes.
+// Execute processes one query through the cache. The returned Result is a
+// read-only view: on an exact hit its answer set IS the entry's published
+// (frozen) set, so callers Clone before mutating (see the Result doc
+// comment). Execute is safe to call from any number of goroutines; see
+// the Cache doc comment for what runs in parallel and what serializes.
 //
 //gclint:acquires serialMu dsMu windowMu policyMu shard
 //gclint:pins dataset
@@ -352,8 +358,8 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	view := c.method.View()
 
 	tick := c.tick.Add(1)
-	c.mon.queries.Add(1)
-	n := view.Size()
+	mon := &c.mon.hot[max(dsTok, 0)] // -1: the lock's fallback path took no slot
+	mon.queries.Add(1)
 	// Stage 0: fingerprint only. The exact-match probe consults nothing
 	// else, so the expensive half of the signature (path features, label
 	// vector, feature vector) is deferred until a miss is certain. The
@@ -362,60 +368,19 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 
 	// Stage 1: exact-match fast path — zero dataset tests.
 	t0 := time.Now()
-	if e := c.findExact(q, qt, fp); e != nil {
-		ans := c.reconciledAnswers(e, view)
-		hitTime := time.Since(t0)
-		saved := e.BaseCandidates
-		// Price the savings like the sub/super path does: per-graph cost
-		// estimates over the entry's answer set, the overall mean only for
-		// the remainder of C_M (the candidates that verified negative).
-		// Pricing every saved test at the mean would under-credit entries
-		// whose savings concentrate on expensive graphs, skewing PINC/HD
-		// victim ranking against exactly the entries worth keeping.
-		cost := 0.0
-		inAnswers := 0
-		ans.ForEach(func(gid int) bool {
-			inAnswers++
-			cost += c.estimatedCost(gid)
-			return true
-		})
-		if rem := saved - inAnswers; rem > 0 {
-			cost += float64(rem) * c.estimatedMeanCost()
+	res := c.exactHit(q, qt, fp, view, tick, mon, t0)
+	if res == nil && c.cfg.SharedWindow {
+		if e := c.findSharedPending(q, qt, fp); e != nil {
+			res = c.serveExact(e, view, tick, mon, t0)
 		}
-		ev := &HitEvent{
-			Entry:       e,
-			Kind:        ExactHit,
-			SavedTests:  saved,
-			SavedCostNs: cost,
-			Tick:        tick,
-		}
-		c.policyMu.Lock()
-		c.policy.UpdateCacheStaInfo(ev)
-		c.policyMu.Unlock()
-		c.mon.exactHits.Add(1)
-		c.mon.testsSaved.Add(int64(saved))
-		c.mon.hitNs.Add(hitTime.Nanoseconds())
-		// A = S on an exact hit, so Answers and Sure share one clone, and
-		// the empty Excluded/Survivors sets stay in the lazy all-zero
-		// representation — see the aliasing note on Result.
-		shared := ans.Clone()
-		res := &Result{
-			Answers:        shared,
-			BaseCandidates: saved,
-			Candidates:     0,
-			Tests:          0,
-			Sure:           shared,
-			Excluded:       bitset.New(n),
-			Survivors:      bitset.New(n),
-			Hits:           []HitRef{{EntryID: e.ID, Kind: ExactHit, SavedTests: saved}},
-			ExactHit:       true,
-			HitTime:        hitTime,
-		}
+	}
+	if res != nil {
 		c.selfCheck(q, qt, res)
 		return res, nil
 	}
 	hitTime := time.Since(t0)
 	sig := c.signatureOf(q)
+	n := view.Size()
 
 	// Stage 2: Method M filtering (lock-free: the view's filter index is
 	// immutable). The returned set is freshly built for this query, so the
@@ -539,12 +504,12 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	}
 
 	c.mon.testsExecuted.Add(int64(tests))
-	c.mon.testsSaved.Add(int64(cmCount - tests))
+	mon.testsSaved.Add(int64(cmCount - tests))
 	c.mon.filterNs.Add(filterTime.Nanoseconds())
-	c.mon.hitNs.Add(hitTime.Nanoseconds())
+	mon.hitNs.Add(hitTime.Nanoseconds())
 	c.mon.verifyNs.Add(verifyTime.Nanoseconds())
 
-	res := &Result{
+	res = &Result{
 		Answers:        answers,
 		BaseCandidates: cmCount,
 		Candidates:     tests,
@@ -565,6 +530,88 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// addition log before the entry's answers are next trusted (lazy).
 	c.admit(q, qt, answers.Clone(), cmCount, sig, tick, view.Epoch())
 	return res, nil
+}
+
+// exactHit is the exact-match fast path: probe the owning shard for an
+// entry isomorphic to q and serve it; nil on a miss. The shard read lock
+// of the probe is the only lock it may take — never policyMu.
+//
+//gclint:requires dsMu
+//gclint:acquires shard
+func (c *Cache) exactHit(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint, view ftv.DatasetView, tick int64, mon *hotCounters, t0 time.Time) *Result {
+	e := c.findExact(q, qt, fp)
+	if e == nil {
+		return nil
+	}
+	return c.serveExact(e, view, tick, mon, t0)
+}
+
+// serveExact answers a query from the isomorphic entry e: O(1), one
+// allocation, and the only writes are e's credit cell and the caller's
+// Monitor stripe (doc.go, hot-path discipline). Answers and Sure (A = S)
+// are e's published, frozen set itself.
+//
+//gclint:requires dsMu
+//gclint:nolocks
+func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotCounters, t0 time.Time) *Result {
+	ans := c.reconciledAnswers(e, view)
+	// Tick first (a monotonic max: an older, slower query never rewinds
+	// recency), count second, so a racing fold that sees this hit's count
+	// also sees a lastHit at least as new.
+	for {
+		old := e.ans.lastHit.Load()
+		if tick <= old || e.ans.lastHit.CompareAndSwap(old, tick) {
+			break
+		}
+	}
+	e.ans.pendingExact.Add(1)
+	hitTime := time.Since(t0)
+	saved := e.BaseCandidates
+	mon.exactHits.Add(1)
+	mon.testsSaved.Add(int64(saved))
+	mon.hitNs.Add(hitTime.Nanoseconds())
+	res := &Result{
+		Answers:        ans,
+		BaseCandidates: saved,
+		Sure:           ans,
+		ExactHit:       true,
+		HitTime:        hitTime,
+		empty:          bitset.Empty(view.Size()),
+		hit:            [1]HitRef{{EntryID: e.ID, Kind: ExactHit, SavedTests: saved}},
+	}
+	res.Excluded, res.Survivors, res.Hits = &res.empty, &res.empty, res.hit[:]
+	return res
+}
+
+// foldCreditsLocked drains the entries' exact-hit credit cells into the
+// policy: k > 0 pending hits become ONE event of Count k at the latest
+// hit's tick, priced once (fold points: doc.go). dsMu pins costVal.
+//
+//gclint:requires dsMu policyMu
+func (c *Cache) foldCreditsLocked(entries []*Entry) {
+	for _, e := range entries {
+		if e.ans.pendingExact.Load() == 0 {
+			continue // a load, not a swap: clean entries' lines stay shared
+		}
+		k := int(e.ans.pendingExact.Swap(0))
+		ev := &HitEvent{Entry: e, Kind: ExactHit, SavedTests: e.BaseCandidates, Tick: e.ans.lastHit.Load(), Count: k}
+		// Price the savings like the sub/super path does: per-graph cost
+		// estimates over the entry's answer set, the overall mean only for
+		// the remainder of C_M (the candidates that verified negative).
+		// Pricing every saved test at the mean would under-credit entries
+		// whose savings concentrate on expensive graphs, skewing PINC/HD
+		// victim ranking against exactly the entries worth keeping.
+		inAnswers := 0
+		e.Answers().ForEach(func(gid int) bool {
+			inAnswers++
+			ev.SavedCostNs += c.estimatedCost(gid)
+			return true
+		})
+		if rem := ev.SavedTests - inAnswers; rem > 0 {
+			ev.SavedCostNs += float64(rem) * c.estimatedMeanCost()
+		}
+		c.policy.UpdateCacheStaInfo(ev)
+	}
 }
 
 // hitCredit is one hit's pending policy credit, accumulated lock-free and
@@ -766,6 +813,7 @@ func (c *Cache) recordCosts(costs []costSample) {
 // Config.SharedWindow — and turns the window when full (the Window
 // Manager). The default path touches only the owning shard's lock.
 //
+//gclint:requires dsMu
 //gclint:acquires windowMu policyMu shard
 func (c *Cache) admit(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) {
 	if c.cfg.SharedWindow {
@@ -787,6 +835,7 @@ func (c *Cache) admit(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, bas
 // windowMu, turned whole under every shard lock — the measurable
 // pre-decentralization baseline.
 //
+//gclint:requires dsMu
 //gclint:acquires windowMu policyMu shard
 func (c *Cache) admitShared(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) {
 	c.windowMu.Lock()
@@ -815,6 +864,7 @@ func (c *Cache) admitShared(q *graph.Graph, qt ftv.QueryType, answers *bitset.Se
 // locks), so a racing turn may drain the window first — the re-check
 // under both locks makes that benign.
 //
+//gclint:requires dsMu
 //gclint:acquires policyMu shard
 func (c *Cache) turnShard(sh *shard) {
 	c.policyMu.Lock()
@@ -828,6 +878,20 @@ func (c *Cache) turnShard(sh *shard) {
 	sh.turns.Add(1)
 	c.policy.OnWindowTurn()
 
+	// The cross-shard ranking view is built once and reused by every
+	// eviction pass of this turn: it reflects the published summaries
+	// (stale with respect to this turn's own evictions and admissions),
+	// so victim selection re-checks residency against the live shard.
+	view := c.rankingView()
+	// Fold exact-hit credits before anything ages or ranks: everything the
+	// policy will be shown (the view holds sh.entries; it is nil only with
+	// IndexOff, which ranks the shard alone) plus the entries admitted now.
+	if view != nil {
+		c.foldCreditsLocked(view)
+	} else {
+		c.foldCreditsLocked(sh.entries)
+	}
+	c.foldCreditsLocked(sh.window)
 	for _, e := range sh.entries {
 		e.age(c.cfg.DecayFactor)
 		// True up this entry's byte charge: lazy reconciliation may have
@@ -836,11 +900,6 @@ func (c *Cache) turnShard(sh *shard) {
 		// below honest in LazyReconcile mode.
 		c.rechargeLocked(sh, e)
 	}
-	// The cross-shard ranking view is built once and reused by every
-	// eviction pass of this turn: it reflects the published summaries
-	// (stale with respect to this turn's own evictions and admissions),
-	// so victim selection re-checks residency against the live shard.
-	view := c.rankingView()
 	if excess := int(c.res.entries.Load()) + len(sh.window) - c.cfg.Capacity; excess > 0 {
 		c.evictShardLocked(sh, excess, view)
 	}
@@ -875,7 +934,7 @@ func (c *Cache) turnShard(sh *shard) {
 // windowMu; policyMu is taken for the policy callbacks and utility
 // mutations (hierarchy: windowMu → policyMu → shard locks).
 //
-//gclint:requires windowMu
+//gclint:requires dsMu windowMu
 //gclint:acquires policyMu shard
 func (c *Cache) turnWindowShared() {
 	c.mon.windowTurns.Add(1)
@@ -886,6 +945,8 @@ func (c *Cache) turnWindowShared() {
 	defer c.unlockAll()
 
 	all := c.gatherLocked()
+	c.foldCreditsLocked(all)
+	c.foldCreditsLocked(c.window)
 	for _, e := range all {
 		e.age(c.cfg.DecayFactor)
 		c.rechargeLocked(c.shardFor(e.Fingerprint), e)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -214,9 +215,11 @@ func TestConcurrentPerShardTurns(t *testing.T) {
 // global mutex. The test grabs policyMu — the only cross-shard lock left
 // on the query path — and proves fresh misses still flow end to end
 // (stage 1 exact scan, filtering, hit detection over the published index,
-// verification, admission into the shard window). Only hit crediting and
-// window turns need policyMu, so the queries are distinct (no hits) and
-// the windows stay under their turn threshold.
+// verification, admission into the shard window) — and so does an exact
+// hit, whose crediting is two atomics on the entry, folded into the
+// policy later by a policyMu holder. Only sub/super hit crediting and
+// window turns need policyMu, so the misses are distinct (no sub/super
+// hits) and the windows stay under their turn threshold.
 func TestQueriesProceedUnderHeldPolicyMu(t *testing.T) {
 	dataset := testDataset(63, 20)
 	c := testCache(t, dataset, func(cfg *Config) {
@@ -224,19 +227,27 @@ func TestQueriesProceedUnderHeldPolicyMu(t *testing.T) {
 		cfg.Shards = 4
 		cfg.SelfCheck = false
 	})
+	rng := rand.New(rand.NewSource(64))
+	first := gen.ExtractConnectedSubgraph(rng, dataset[0], 3)
+	if _, err := c.Execute(first, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
 
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
 
 	done := make(chan error, 1)
 	go func() {
-		rng := rand.New(rand.NewSource(64))
-		for i := 0; i < 8; i++ {
+		for i := 1; i < 8; i++ {
 			q := gen.ExtractConnectedSubgraph(rng, dataset[i], 3+i%4)
 			if _, err := c.Execute(q, ftv.Subgraph); err != nil {
 				done <- err
 				return
 			}
+		}
+		if res, err := c.Execute(first, ftv.Subgraph); err != nil || !res.ExactHit {
+			done <- fmt.Errorf("re-issued query: exact=%v err=%v, want an exact hit", res != nil && res.ExactHit, err)
+			return
 		}
 		// Reads that must not need policyMu either.
 		c.Len()

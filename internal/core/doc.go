@@ -47,6 +47,21 @@
 // sharded engine scales (allocations are serialized by the allocator and
 // the GC long before any kernel lock contends). The discipline:
 //
+//   - An exact hit writes only its entry's line, its Monitor stripe and
+//     tick, and allocates only its Result. The probe copies fingerprint
+//     collisions into a stack buffer under the shard read lock (the same
+//     *graph.Graph re-issued skips VF2 on pointer identity). Crediting is
+//     the entry's CREDIT CELL — pendingExact.Add(1) and a monotonic max of
+//     the tick into lastHit — never policyMu, a HitEvent or an O(|A|)
+//     pricing walk. foldCreditsLocked drains the cells into the policy
+//     (one event per entry, priced once, HitEvent.Count = pending hits)
+//     at the FOLD POINTS, every place a policyMu holder reads or ages
+//     utilities: both window turns before aging and ranking, Entries(),
+//     WriteState and WriteStateV2. A sequential stream therefore ranks
+//     LRU/FIFO/POP/PIN exactly as per-hit crediting did; PINC/HD price at
+//     fold time. The answer is the entry's published set itself (Result
+//     is a read-only view, see its comment).
+//
 //   - Per-query scratch comes from sync.Pools, never fresh: execScratch
 //     (candidate-id, cost-sample, verdict and hit-credit slices, cache.go),
 //     featScratch (path-feature counting, features.go) and the VF2 state
@@ -56,8 +71,8 @@
 //
 //   - Bitsets that are mathematically all-zero stay lazy (internal/bitset:
 //     a nil words slice means "all clear"), so the common empty
-//     Excluded/Survivors sets on exact hits cost O(1), not O(dataset).
-//     Set algebra consumes its inputs where ownership allows: Execute
+//     Excluded/Survivors sets cost O(1), not O(dataset). Set algebra
+//     consumes its inputs where ownership allows: Execute
 //     clones a candidate set only when a pruning hit actually forces a
 //     divergent copy, and a Result's mathematically-equal fields alias one
 //     set (see Result).
@@ -72,11 +87,11 @@
 //     allocation-free; racing computations produce identical values and
 //     the loser's copy is garbage, which keeps the memo lock-free.
 //
-//   - What MAY allocate: the Result and its owned sets (they outlive the
-//     call), admission bookkeeping on a miss (the entry, its feature
-//     summary), and slice growth when a candidate set outgrows every
-//     previous query's (the grown scratch is kept by the pool, so growth
-//     amortizes to zero).
+//   - What MAY allocate: the Result and, on a miss, its sets (they
+//     outlive the call), admission bookkeeping on a miss (the entry, its
+//     feature summary), and slice growth when a candidate set outgrows
+//     every previous query's (the grown scratch is kept by the pool, so
+//     growth amortizes to zero).
 //
 //   - Answer sets are adaptive and shared. internal/bitset picks the
 //     smallest of three containers per set (sorted-uint32 sparse, run

@@ -26,9 +26,10 @@ type answerState struct {
 	body  *lazyBody
 }
 
-// answersCell is the atomic holder of an entry's answer state. It lives
-// behind a pointer in Entry so Entry values stay copyable (defensive
-// copies share the cell, like they share the immutable Graph).
+// answersCell is the atomic holder of an entry's answer state (and of
+// its exact-hit credit cell). It lives behind a pointer in Entry so Entry
+// values stay copyable (defensive copies share the cell, like they share
+// the immutable Graph).
 //
 // Publication rules: the set inside a published state is never mutated —
 // maintenance swaps in a freshly built set. Stop-the-world dataset
@@ -45,6 +46,11 @@ type answersCell struct {
 	//
 	//gclint:snapshot answers
 	p atomic.Pointer[answerState]
+
+	// The exact-hit credit cell: serveExact adds one and raises lastHit
+	// to its tick, foldCreditsLocked drains it into one policy event.
+	pendingExact atomic.Int64
+	lastHit      atomic.Int64
 }
 
 // Entry is one cached query: the pattern graph, its exact answer set and

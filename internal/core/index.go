@@ -99,6 +99,9 @@ func (c *Cache) republishAllLocked() {
 //gclint:nolocks
 //gclint:loads summaries
 func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig) (sub, super []*Entry) {
+	// The scan counts in locals and publishes once: per-entry atomic adds
+	// would be hundreds of RMWs on one shared line per query.
+	scanned, fullChecks, indexPruned := 0, 0, 0
 	// Iterate the published per-shard slices directly rather than through
 	// summariesView: the hot path then allocates no per-query parts slice.
 	for _, sh := range c.shards {
@@ -107,7 +110,7 @@ func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig) (sub, super []*Entry) 
 			continue
 		}
 		entries := *p
-		c.mon.hitScanEntries.Add(int64(len(entries)))
+		scanned += len(entries)
 		for i := range entries {
 			ie := &entries[i]
 			if ie.typ != qt {
@@ -117,7 +120,7 @@ func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig) (sub, super []*Entry) 
 			// Sub case q ⊑ h: q's summary must be contained in h's.
 			if sig.fv.ContainedIn(ie.fv) && sig.featBits&^ie.featBits == 0 {
 				pruned = false
-				c.mon.hitFullChecks.Add(1)
+				fullChecks++
 				if sig.labelVec.DominatedBy(ie.e.LabelVec) && sig.features.dominatedBy(ie.e.Features) {
 					sub = append(sub, ie.e)
 					continue
@@ -126,15 +129,18 @@ func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig) (sub, super []*Entry) 
 			// Super case h ⊑ q: h's summary must be contained in q's.
 			if ie.fv.ContainedIn(sig.fv) && ie.featBits&^sig.featBits == 0 {
 				pruned = false
-				c.mon.hitFullChecks.Add(1)
+				fullChecks++
 				if ie.e.LabelVec.DominatedBy(sig.labelVec) && ie.e.Features.dominatedBy(sig.features) {
 					super = append(super, ie.e)
 				}
 			}
 			if pruned {
-				c.mon.hitIndexPruned.Add(1)
+				indexPruned++
 			}
 		}
 	}
+	c.mon.hitScanEntries.Add(int64(scanned))
+	c.mon.hitFullChecks.Add(int64(fullChecks))
+	c.mon.hitIndexPruned.Add(int64(indexPruned))
 	return sub, super
 }

@@ -74,6 +74,7 @@ func (c *Cache) WriteStateV2(w io.Writer) error {
 	defer c.unlockAll()
 
 	all := c.gatherLocked()
+	c.foldCreditsLocked(all) // the utilities written below include every completed hit
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(all)); err != nil {
 		return err

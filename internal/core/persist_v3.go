@@ -257,6 +257,7 @@ func (c *Cache) WriteState(w io.Writer) error {
 	defer c.unlockAll()
 
 	all := c.gatherLocked()
+	c.foldCreditsLocked(all) // the utilities written below include every completed hit
 	index := make([]byte, 0, len(all)*v3IndexLen)
 	var body []byte
 	bodyOff := uint64(v3HeaderLen + len(all)*v3IndexLen)

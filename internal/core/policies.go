@@ -32,14 +32,23 @@ func (p *scorePolicy) Name() string { return p.name }
 // UpdateCacheStaInfo records the contribution on the entry itself — the
 // standard utility bookkeeping shared by the bundled policies.
 func (p *scorePolicy) UpdateCacheStaInfo(ev *HitEvent) {
-	e := ev.Entry
-	e.Hits++
-	e.LastUsed = ev.Tick
-	e.SavedTests += float64(ev.SavedTests)
-	e.SavedCostNs += ev.SavedCostNs
+	ev.Credit()
 	if p.costCV != nil {
-		p.costCV.Add(ev.SavedCostNs)
+		p.costCV.AddN(ev.SavedCostNs, int64(ev.N()))
 	}
+}
+
+// Credit records the event's N contributions in the entry's standard
+// utility fields (Hits, LastUsed as a maximum, SavedTests, SavedCostNs) —
+// the bookkeeping every bundled policy does and a custom one should call.
+func (ev *HitEvent) Credit() {
+	e, k := ev.Entry, ev.N()
+	e.Hits += int64(k)
+	if ev.Tick > e.LastUsed {
+		e.LastUsed = ev.Tick
+	}
+	e.SavedTests += float64(k * ev.SavedTests)
+	e.SavedCostNs += float64(k) * ev.SavedCostNs
 }
 
 func (p *scorePolicy) OnWindowTurn() {}
@@ -182,13 +191,7 @@ func NewRand(seed int64) Policy {
 
 func (p *randPolicy) Name() string { return "rand" }
 
-func (p *randPolicy) UpdateCacheStaInfo(ev *HitEvent) {
-	e := ev.Entry
-	e.Hits++
-	e.LastUsed = ev.Tick
-	e.SavedTests += float64(ev.SavedTests)
-	e.SavedCostNs += ev.SavedCostNs
-}
+func (p *randPolicy) UpdateCacheStaInfo(ev *HitEvent) { ev.Credit() }
 
 func (p *randPolicy) OnWindowTurn() {}
 

@@ -211,3 +211,26 @@ func TestHitKindString(t *testing.T) {
 		t.Error("unknown kind should still render")
 	}
 }
+
+// Every bundled policy credits a HitEvent N() times — a folded exact-hit
+// event stands for Count hits — keeps the newest tick rather than the
+// event's, and treats Count 0 as one contribution.
+func TestBundledPoliciesHonourEventCount(t *testing.T) {
+	for _, name := range PolicyNames() {
+		p, err := NewPolicy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := mkEntry(0, 1, 50, 2, 10, 100)
+		p.UpdateCacheStaInfo(&HitEvent{Entry: e, Kind: ExactHit, SavedTests: 4, SavedCostNs: 2.5, Tick: 40, Count: 3})
+		if e.Hits != 5 || e.SavedTests != 22 || e.SavedCostNs != 107.5 || e.LastUsed != 50 {
+			t.Errorf("%s, Count 3 at an older tick: hits/tests/cost/last = %d/%v/%v/%d, want 5/22/107.5/50",
+				name, e.Hits, e.SavedTests, e.SavedCostNs, e.LastUsed)
+		}
+		p.UpdateCacheStaInfo(&HitEvent{Entry: e, Kind: SubHit, SavedTests: 1, SavedCostNs: 0.5, Tick: 60})
+		if e.Hits != 6 || e.SavedTests != 23 || e.SavedCostNs != 108 || e.LastUsed != 60 {
+			t.Errorf("%s, Count 0: hits/tests/cost/last = %d/%v/%v/%d, want 6/23/108/60",
+				name, e.Hits, e.SavedTests, e.SavedCostNs, e.LastUsed)
+		}
+	}
+}

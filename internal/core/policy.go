@@ -42,8 +42,20 @@ type HitEvent struct {
 	// SavedCostNs estimates the cost of those saved tests from the
 	// per-dataset-graph verification-cost EMAs.
 	SavedCostNs float64
-	// Tick is the query sequence number.
+	// Tick is the query sequence number; on a folded event (see Count)
+	// the entry's LATEST exact hit, which can trail a sub/super tick
+	// already delivered — keep the maximum, do not assign.
 	Tick int64
+	// Count is how many identical contributions the event stands for; 0
+	// means 1 (read it through N). Sub/super hits arrive one by one; exact
+	// hits arrive folded per entry (doc.go, credit cells). SavedTests and
+	// SavedCostNs stay per-contribution.
+	Count int
+}
+
+// N returns the number of contributions the event stands for.
+func (ev *HitEvent) N() int {
+	return max(ev.Count, 1)
 }
 
 // Policy is the replacement-policy extension point, mirroring the abstract
@@ -62,7 +74,11 @@ type HitEvent struct {
 type Policy interface {
 	// Name identifies the policy in reports ("lru", "hd", ...).
 	Name() string
-	// UpdateCacheStaInfo folds one hit contribution into the utilities.
+	// UpdateCacheStaInfo folds ev.N() identical hit contributions into
+	// the utilities; ev.Credit() is the standard bookkeeping. BREAKING
+	// since PR 13: exact hits arrive batched per entry (HitEvent.Count),
+	// so an implementation that does e.Hits++ and e.LastUsed = ev.Tick
+	// still compiles but under-counts and can rewind recency.
 	UpdateCacheStaInfo(ev *HitEvent)
 	// ReplacedContent returns the indices (positions into entries) of the
 	// x entries with least utility, the ones to evict. If x ≥ len(entries)

@@ -40,26 +40,21 @@ func (c *Cache) signatureOf(q *graph.Graph) querySig {
 // Only the owning shard is touched, under one read lock covering both its
 // admitted entries and its pending window (isomorphic graphs share a
 // fingerprint, so a match can live nowhere else), and only long enough to
-// copy the colliding candidates; the confirming iso tests run lock-free
-// over immutable entry fields. With Config.SharedWindow the pending
-// entries live in the global window instead, copied under windowMu. Two
-// identical queries racing each other may therefore both miss and both be
-// staged — benign: exact-match scans return the first isomorphic entry
-// either way.
+// copy the colliding candidates into a stack buffer; the confirming iso
+// tests run lock-free over immutable entry fields. Two identical queries
+// racing each other may both miss and both be staged — benign:
+// exact-match scans return the first isomorphic entry either way.
 //
-//gclint:acquires windowMu shard
+//gclint:acquires shard
 func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint) *Entry {
+	var buf [8]*Entry // fingerprint collisions are rare: no heap on the probe
+	cands := buf[:0]
 	sh := c.shardFor(fp)
 	sh.mu.RLock()
-	var cands []*Entry
-	if byFP := sh.byFP[fp]; len(byFP) > 0 {
-		cands = append(cands, byFP...)
-	}
-	if !c.cfg.SharedWindow {
-		for _, e := range sh.window {
-			if e.Fingerprint == fp {
-				cands = append(cands, e)
-			}
+	cands = append(cands, sh.byFP[fp]...)
+	for _, e := range sh.window { // idle (empty) with Config.SharedWindow
+		if e.Fingerprint == fp {
+			cands = append(cands, e)
 		}
 	}
 	sh.mu.RUnlock()
@@ -68,9 +63,14 @@ func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint
 			return e
 		}
 	}
-	if !c.cfg.SharedWindow {
-		return nil
-	}
+	return nil
+}
+
+// findSharedPending is findExact over the global pending window of the
+// Config.SharedWindow engine, copied under windowMu.
+//
+//gclint:acquires windowMu
+func (c *Cache) findSharedPending(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint) *Entry {
 	c.windowMu.Lock()
 	pending := append([]*Entry(nil), c.window...)
 	c.windowMu.Unlock()
@@ -192,14 +192,14 @@ func rankCandidates(cands []*Entry, largerFirst bool) {
 //gclint:acquires shard
 func (c *Cache) scanSnapshot(qt ftv.QueryType, sig querySig) (sub, super []*Entry) {
 	all := c.entriesSnapshot()
-	c.mon.hitScanEntries.Add(int64(len(all)))
+	fullChecks := 0
 	for _, e := range all {
 		if e.Type != qt {
 			continue
 		}
 		// Sub case q ⊑ h requires q to "fit inside" h.
 		if int(sig.fv.Vertices) <= e.Graph.N() && int(sig.fv.Edges) <= e.Graph.M() {
-			c.mon.hitFullChecks.Add(1)
+			fullChecks++
 			if sig.labelVec.DominatedBy(e.LabelVec) && sig.features.dominatedBy(e.Features) {
 				sub = append(sub, e)
 				continue
@@ -207,12 +207,14 @@ func (c *Cache) scanSnapshot(qt ftv.QueryType, sig querySig) (sub, super []*Entr
 		}
 		// Super case h ⊑ q requires h to fit inside q.
 		if e.Graph.N() <= int(sig.fv.Vertices) && e.Graph.M() <= int(sig.fv.Edges) {
-			c.mon.hitFullChecks.Add(1)
+			fullChecks++
 			if e.LabelVec.DominatedBy(sig.labelVec) && e.Features.dominatedBy(sig.features) {
 				super = append(super, e)
 			}
 		}
 	}
+	c.mon.hitScanEntries.Add(int64(len(all)))
+	c.mon.hitFullChecks.Add(int64(fullChecks))
 	return sub, super
 }
 

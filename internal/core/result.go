@@ -20,12 +20,15 @@ type HitRef struct {
 // Result reports one cached query execution — the quantities The Query
 // Journey visualizes (Figure 3): C_M, H/H', S, S', C, R and A.
 //
-// The Result owns its bitsets; callers may mutate them freely — the cache
-// retains no reference to them. Two fields that are mathematically equal
-// may however alias the same set: on an exact hit Answers and Sure share
-// one set (A = S), and on a miss with no answer-delivering hit Answers
-// and Survivors share one (A = R). Callers that mutate one field must not
-// assume the provably-equal field is an independent copy.
+// A Result is a read-only view: Clone a set before mutating it. On an
+// exact hit Answers (and Sure: A = S) IS the cache entry's published
+// answer set — frozen by the copy-on-write contract, so a held Result
+// stays a valid snapshot across later AddGraph/RemoveGraph calls
+// (maintenance republishes a fresh set), and mutating it would corrupt
+// the cache. Mathematically equal fields alias one set elsewhere too: an
+// exact hit's empty Excluded and Survivors share one set embedded in the
+// Result, and on a miss with no answer-delivering hit Answers and
+// Survivors share one (A = R).
 type Result struct {
 	// Answers is the exact answer set A = R ∪ S (Figure 3(h)).
 	Answers *bitset.Set
@@ -53,6 +56,10 @@ type Result struct {
 	FilterTime time.Duration
 	HitTime    time.Duration
 	VerifyTime time.Duration
+
+	// empty and hit back an exact hit's Excluded/Survivors and Hits.
+	empty bitset.Set
+	hit   [1]HitRef
 }
 
 // SavedTests returns |C_M| − Tests, the dataset sub-iso tests the cache

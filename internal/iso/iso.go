@@ -48,8 +48,14 @@ func SubIso(p, t *graph.Graph) bool {
 // Isomorphic reports whether a and b are isomorphic labelled graphs.
 // A non-induced embedding between graphs of equal vertex and edge count is
 // necessarily a full isomorphism, so one VF2 run suffices after the size
-// pre-checks.
+// pre-checks. A graph is trivially isomorphic to itself: callers that
+// prepare an immutable pattern once and re-issue it (the cache's
+// exact-match probe then compares it against the very graph it admitted)
+// skip the VF2 run on pointer identity.
 func Isomorphic(a, b *graph.Graph) bool {
+	if a == b {
+		return true
+	}
 	if a.N() != b.N() || a.M() != b.M() {
 		return false
 	}

@@ -194,6 +194,9 @@ func TestIsomorphic(t *testing.T) {
 	if !Isomorphic(g, h) {
 		t.Error("permuted graph should be isomorphic")
 	}
+	if !Isomorphic(g, g) {
+		t.Error("a graph should be isomorphic to itself (identity shortcut)")
+	}
 	if Isomorphic(g, pathG(1, 2, 1, 2)) {
 		t.Error("C4 vs P4 should not be isomorphic")
 	}

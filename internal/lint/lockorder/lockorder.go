@@ -1,7 +1,8 @@
 // Package lockorder enforces the declared lock hierarchy: locks may
 // only be acquired in strictly descending //gclint:hierarchy position,
-// //gclint:requires obligations must be satisfied at call sites, and
-// //gclint:nolocks stages may not acquire anything.
+// //gclint:requires obligations must be satisfied at call sites,
+// //gclint:nolocks stages may not acquire anything, and a function's
+// //gclint:acquires list must cover every ranked lock it takes.
 package lockorder
 
 import (
@@ -18,8 +19,9 @@ var Analyzer = &lint.Analyzer{
 	Name: "lockorder",
 	Doc: "check every lock acquisition (direct Lock/RLock or via a " +
 		"//gclint:acquires call) against the declared hierarchy, enforce " +
-		"//gclint:requires at call sites, and forbid acquisition inside " +
-		"//gclint:nolocks stages",
+		"//gclint:requires at call sites, forbid acquisition inside " +
+		"//gclint:nolocks stages, and require a declared //gclint:acquires " +
+		"list to cover every ranked lock the function takes",
 	Run: run,
 }
 
@@ -37,6 +39,14 @@ func run(pass *lint.Pass) error {
 				held[name]++
 			}
 			w.nolocks = pass.Ann.NoLocks[obj]
+			for _, names := range [][]string{pass.Ann.Acquires[obj], pass.Ann.Holds[obj]} {
+				for _, name := range names {
+					if w.declared == nil {
+						w.declared = map[string]bool{}
+					}
+					w.declared[name] = true
+				}
+			}
 			w.walkStmt(fd.Body, held, false)
 		}
 	}
@@ -52,6 +62,11 @@ type walker struct {
 	info    *types.Info
 	ann     *lint.Annotations
 	nolocks bool
+	// declared is the function's own //gclint:acquires + //gclint:holds
+	// list, nil when it carries neither. A declared list is a promise to
+	// callers, so it must cover every ranked lock the body takes —
+	// directly or through an annotated callee.
+	declared map[string]bool
 }
 
 // walkStmt threads the held-set through one statement. inLit suppresses
@@ -290,6 +305,9 @@ func (w *walker) checkAcquire(pos token.Pos, name string, leaf bool, held map[st
 	rank, ranked := w.ann.HierarchyRank(name)
 	if !ranked {
 		return
+	}
+	if w.declared != nil && !w.declared[name] {
+		w.pass.Reportf(pos, "%s %s, which the function's //gclint:acquires list omits", how, name)
 	}
 	for heldName, n := range held {
 		if n == 0 {

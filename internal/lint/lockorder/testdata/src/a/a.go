@@ -168,3 +168,23 @@ func (s *server) waived() {
 	s.outerMu.Lock()
 	s.outerMu.Unlock()
 }
+
+// underDeclared promises callers only the middle lock but also takes
+// inner — directly and again through an annotated helper.
+//
+//gclint:acquires middle
+func (s *server) underDeclared() {
+	s.midMu.Lock()
+	s.midMu.Unlock()
+	s.innerMu.Lock() // want "acquiring inner, which the function's //gclint:acquires list omits"
+	s.innerMu.Unlock()
+	s.touchInner() // want "call to touchInner acquires inner, which the function's //gclint:acquires list omits"
+}
+
+// touchInner briefly takes the inner lock.
+//
+//gclint:acquires inner
+func (s *server) touchInner() {
+	s.innerMu.Lock()
+	s.innerMu.Unlock()
+}

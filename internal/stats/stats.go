@@ -29,6 +29,11 @@ func (a *Agg) Add(x float64) {
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
 	a.sum += x
+	a.extend(x)
+}
+
+// extend widens the extrema to include x.
+func (a *Agg) extend(x float64) {
 	if !a.hasExtrema || x < a.min {
 		a.min = x
 	}
@@ -36,6 +41,22 @@ func (a *Agg) Add(x float64) {
 		a.max = x
 	}
 	a.hasExtrema = true
+}
+
+// AddN records n observations of the same value x in O(1): the Welford
+// merge of this aggregate with an n-fold constant one (whose own m2 is 0),
+// equal to n × Add(x) up to floating-point rounding. n <= 0 is a no-op.
+func (a *Agg) AddN(x float64, n int64) {
+	if n <= 0 {
+		return
+	}
+	total := a.n + n
+	d := x - a.mean
+	a.mean += d * float64(n) / float64(total)
+	a.m2 += d * d * float64(a.n) * float64(n) / float64(total)
+	a.n = total
+	a.sum += x * float64(n)
+	a.extend(x)
 }
 
 // AddDuration records a duration in nanoseconds.

@@ -63,6 +63,39 @@ func TestAggDuration(t *testing.T) {
 	}
 }
 
+// AddN(x, n) must agree with n × Add(x) — same count, extrema and sum,
+// mean and CV to 1e-9 relative — from an empty and from a populated
+// aggregate, and ignore non-positive counts.
+func TestAggAddNMatchesRepeatedAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	relEq := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	for trial := 0; trial < 200; trial++ {
+		var bulk, loop Agg
+		for i := rng.Intn(4); i > 0; i-- { // shared prefix, possibly empty
+			x := rng.NormFloat64() * 1e4
+			bulk.Add(x)
+			loop.Add(x)
+		}
+		for batch := 0; batch < 5; batch++ {
+			x, n := rng.Float64()*1e6, int64(1+rng.Intn(5000))
+			bulk.AddN(x, n)
+			for i := int64(0); i < n; i++ {
+				loop.Add(x)
+			}
+		}
+		bulk.AddN(123, 0)
+		bulk.AddN(123, -3)
+		if bulk.N() != loop.N() || bulk.Min() != loop.Min() || bulk.Max() != loop.Max() {
+			t.Fatalf("trial %d: n/min/max %d/%v/%v, want %d/%v/%v", trial,
+				bulk.N(), bulk.Min(), bulk.Max(), loop.N(), loop.Min(), loop.Max())
+		}
+		if !relEq(bulk.Mean(), loop.Mean()) || !relEq(bulk.CV(), loop.CV()) || !relEq(bulk.Sum(), loop.Sum()) {
+			t.Fatalf("trial %d: mean/cv/sum %v/%v/%v, want %v/%v/%v", trial,
+				bulk.Mean(), bulk.CV(), bulk.Sum(), loop.Mean(), loop.CV(), loop.Sum())
+		}
+	}
+}
+
 // Property: Welford mean/var match the two-pass reference.
 func TestQuickWelford(t *testing.T) {
 	f := func(xs []float64) bool {
