@@ -73,8 +73,8 @@ cover:
 		if (t+0 < b+0) { printf "coverage %.1f%% is below the %.1f%% baseline\n", t, b; exit 1 } \
 		printf "coverage %.1f%% (baseline %.1f%%)\n", t, b }'
 
-# Parallel-throughput comparison: per-shard-window engine vs the
-# shared-window and serialized baselines, swept to GOMAXPROCS workers.
+# Parallel-throughput comparison: the default engine vs the serialized
+# baseline, swept to GOMAXPROCS workers.
 throughput:
 	$(GO) run ./cmd/workloadrun -throughput
 

@@ -148,7 +148,7 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runScaling drives the scaling workload tier through the three engines
+// runScaling drives the scaling workload tier through both engines
 // over the GOMAXPROCS worker sweep — the experiment behind ROADMAP open
 // item 1 ("make parallelism pay"). Pair with -cpuprofile/-memprofile to
 // see where the large tier actually spends its time and allocations.
@@ -170,17 +170,15 @@ func runScaling(stdout io.Writer, seed int64, tier bench.ThroughputTier, workerL
 	}
 	t := stats.NewTable(fmt.Sprintf("EXP-SCALE · %s tier: %d mixed queries over %d graphs (GOMAXPROCS=%d, %d CPUs, %s)",
 		cmp.Tier, cmp.Queries, cmp.DatasetSize, env.GOMAXPROCS, env.NumCPU, env.GoVersion),
-		"workers", "serialized q/s", "shared-window q/s", "per-shard q/s", "speedup", "window speedup")
+		"workers", "serialized q/s", "sharded q/s", "speedup")
 	for i, w := range cmp.WorkerCounts {
 		t.AddRow(w,
 			fmt.Sprintf("%.1f", cmp.Serialized[i].QPS),
-			fmt.Sprintf("%.1f", cmp.SharedWindow[i].QPS),
-			fmt.Sprintf("%.1f", cmp.PerShard[i].QPS),
-			fmt.Sprintf("%.2f×", cmp.SpeedupAt(w)),
-			fmt.Sprintf("%.2f×", cmp.WindowSpeedupAt(w)))
+			fmt.Sprintf("%.1f", cmp.Sharded[i].QPS),
+			fmt.Sprintf("%.2f×", cmp.SpeedupAt(w)))
 	}
 	t.Render(stdout)
-	fmt.Fprintln(stdout, "speedup = per-shard/serialized; window speedup = per-shard/shared-window.")
+	fmt.Fprintln(stdout, "speedup = sharded/serialized.")
 	if env.GOMAXPROCS == 1 {
 		fmt.Fprintln(stdout, "note: GOMAXPROCS=1 — the sweep degenerates to a single point; scaling needs real cores.")
 	}

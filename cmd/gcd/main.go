@@ -76,23 +76,20 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gcd", flag.ContinueOnError)
 	var (
-		addr       = fs.String("addr", ":8081", "listen address (the demo used :8081)")
-		dsPath     = fs.String("dataset", "", "dataset file in the text codec; empty generates molecules")
-		generate   = fs.Int("generate", 100, "generated dataset size when -dataset is empty")
-		seed       = fs.Int64("seed", 2018, "generation seed")
-		policy     = fs.String("policy", "hd", "replacement policy")
-		capacity   = fs.Int("capacity", 50, "cache capacity (entries)")
-		window     = fs.Int("window", 10, "admission window size")
-		ggsxLen    = fs.Int("ggsx", 4, "GGSX path-feature length")
-		workers    = fs.Int("workers", 1, "parallel verification workers per query")
-		shards     = fs.Int("shards", 0, "cache lock shards (0 = default)")
-		serialized = fs.Bool("serialized", false, "serialize all queries behind one lock (pre-sharding baseline)")
-		indexOff   = fs.Bool("index-off", false, "disable the hit-detection feature index (pre-index baseline)")
-		sharedWin  = fs.Bool("shared-window", false, "use one global admission window instead of per-shard windows (pre-decentralization baseline)")
-		lazyRec    = fs.Bool("lazy-reconcile", false, "reconcile cached answers lazily after dataset additions (per-entry epochs) instead of eagerly at mutation time")
-		pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof profiling at /debug/pprof/ (off by default: profiles leak internals, enable only on trusted networks)")
-		statePath  = fs.String("state", "", "cache state file: restored (lazily) at boot, saved on graceful shutdown and POST /api/state/save")
-		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
+		addr      = fs.String("addr", ":8081", "listen address (the demo used :8081)")
+		dsPath    = fs.String("dataset", "", "dataset file in the text codec; empty generates molecules")
+		generate  = fs.Int("generate", 100, "generated dataset size when -dataset is empty")
+		seed      = fs.Int64("seed", 2018, "generation seed")
+		policy    = fs.String("policy", "hd", "replacement policy")
+		capacity  = fs.Int("capacity", 50, "cache capacity (entries)")
+		window    = fs.Int("window", 10, "admission window size")
+		ggsxLen   = fs.Int("ggsx", 4, "GGSX path-feature length")
+		workers   = fs.Int("workers", 1, "parallel verification workers per query")
+		shards    = fs.Int("shards", 0, "cache lock shards (0 = default)")
+		lazyRec   = fs.Bool("lazy-reconcile", false, "reconcile cached answers lazily after dataset additions (per-entry epochs) instead of eagerly at mutation time")
+		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling at /debug/pprof/ (off by default: profiles leak internals, enable only on trusted networks)")
+		statePath = fs.String("state", "", "cache state file: restored (lazily) at boot, saved on graceful shutdown and POST /api/state/save")
+		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -129,9 +126,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.Policy = p
 	cfg.VerifyWorkers = *workers
 	cfg.Shards = *shards
-	cfg.Serialized = *serialized
-	cfg.IndexOff = *indexOff
-	cfg.SharedWindow = *sharedWin
 	cfg.LazyReconcile = *lazyRec
 	cache, err := core.New(method, cfg)
 	if err != nil {

@@ -35,26 +35,26 @@
 // Admitted entries are partitioned across Config.Shards lock shards keyed
 // by graph fingerprint (DefaultShards when zero), and the expensive query
 // stages — Method M filtering, hit-detection iso tests, candidate
-// verification — run without holding any lock. No per-query code path
-// takes a global mutex: each shard owns its own admission window (staged
-// and exact-matched under that shard's lock alone), entry IDs come from
-// an atomic counter, and verification-cost statistics live in lock-free
-// CAS cells. Window turns are per-shard too — a full shard window ages,
-// evicts and admits under the policy mutex plus that one shard's write
-// lock, so queries owned by other shards never block. Capacity stays
-// global (an atomic resident account tells the turning shard how far
-// over budget the cache is; it evicts its own least-useful residents,
-// ranked against the whole cache, to pay it down). The only remaining
-// cross-shard serialization is the policy mutex guarding replacement-
-// policy state and per-entry utilities: hit crediting and window turns —
-// counter arithmetic, never iso tests.
+// verification — run without holding any lock. An exact hit on an
+// admitted entry takes no global mutex: it probes the owning shard under
+// that shard's read lock and credits the entry with two atomics. Every
+// other query takes the window mutex briefly, to compare fingerprints
+// against the pending admission window and, once executed, to append
+// itself to it. Entry IDs come from an atomic counter and
+// verification-cost statistics live in lock-free CAS cells. There is one
+// admission window; when it fills, the turn is stop-the-world — under the
+// policy mutex and every shard write lock it ages utilities, ranks
+// victims over the whole cache, evicts, admits and republishes the
+// feature index — so Config.Capacity holds exactly at every turn. The
+// policy mutex also guards sub/super hit crediting — counter arithmetic,
+// never iso tests.
 //
 // Sub/super hit detection consults a feature index instead of
 // snapshotting the shards: per-shard, copy-on-write arrays of immutable
 // per-entry containment summaries (label/degree feature vectors plus a
 // path-feature bloom), each published through an atomic pointer; a
-// turning shard republishes only its own slice, and readers load the
-// slices lock-free and scan their union. Entries whose summaries cannot
+// window turn republishes them, and readers load the slices lock-free
+// and scan their union. Entries whose summaries cannot
 // contain (or be contained in) the query's are skipped before any
 // dominance merge or iso test — the summaries are necessary conditions
 // for containment, so answers are provably unchanged. Config.IndexOff
@@ -66,12 +66,9 @@
 //	outs := graphcache.QueryAll(cache, reqs, 8)
 //	for so := range graphcache.QueryAllStream(cache, reqs, 8) { ... }
 //
-// Sequential streams are deterministic at any fixed shard count, and
-// answer sets are byte-identical across engines and shard counts.
-// Config.SharedWindow restores the previous engine — one global
-// admission window whose turns stop the world — as a measurable
-// baseline; under it, cache contents are additionally identical to a
-// single-shard cache at any shard count for timing-independent policies
+// Sequential streams are deterministic, and answers, hit classes and
+// cache contents are identical at every shard count — the shards are an
+// implementation detail — for timing-independent policies
 // (LRU, FIFO, POP, PIN). PINC and the default HD rank eviction victims
 // by measured verification cost, so their cache contents can differ
 // between physical runs — a property of those policies, not of the

@@ -93,8 +93,8 @@ type (
 	// StreamOutcome is one QueryAllStream delivery: an Outcome tagged
 	// with its position in the submitted batch.
 	StreamOutcome = core.StreamOutcome
-	// ShardStat is one shard's occupancy snapshot (entries, pending
-	// window, per-shard window turns, resident bytes).
+	// ShardStat is one shard's occupancy snapshot (entries, resident
+	// bytes).
 	ShardStat = core.ShardStat
 	// DatasetInfo is the live dataset's shape: id space, live graphs and
 	// mutation epoch (Cache.DatasetInfo).

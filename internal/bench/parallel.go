@@ -20,12 +20,9 @@ type ThroughputPoint struct {
 	QPS     float64
 }
 
-// ThroughputComparison reports the three engines over the identical mixed
-// workload at each worker count: the serialized single-lock baseline, the
-// lock-striped kernel with the SHARED admission window (every miss
-// funnels into one coordinator-guarded buffer — the PR-2 engine), and the
-// default per-shard-window kernel, where no per-query code path takes a
-// global mutex.
+// ThroughputComparison reports the two engines over the identical mixed
+// workload at each worker count: the serialized single-lock baseline and
+// the default lock-striped kernel.
 type ThroughputComparison struct {
 	// Tier names the workload tier that was run; DatasetSize and Queries
 	// record its realized scale so the JSON artifact is self-describing.
@@ -36,35 +33,17 @@ type ThroughputComparison struct {
 	// Serialized drives a Config{Shards: 1, Serialized: true} cache — the
 	// pre-sharding engine that takes one global lock per query.
 	Serialized []ThroughputPoint
-	// SharedWindow drives the lock-striped engine with
-	// Config.SharedWindow: sharded queries, but one global admission
-	// window whose turns stop the world.
-	SharedWindow []ThroughputPoint
-	// PerShard drives the default engine: per-shard admission windows and
-	// per-shard window turns.
-	PerShard []ThroughputPoint
+	// Sharded drives the default engine.
+	Sharded []ThroughputPoint
 }
 
-// SpeedupAt returns per-shard-window QPS over serialized QPS at the given
-// worker count (>1 means the decentralized engine wins); 0 if the count
-// was not run.
+// SpeedupAt returns default-engine QPS over serialized QPS at the given
+// worker count (>1 means the sharded engine wins); 0 if the count was not
+// run.
 func (t *ThroughputComparison) SpeedupAt(workers int) float64 {
 	for i, w := range t.WorkerCounts {
 		if w == workers && t.Serialized[i].QPS > 0 {
-			return t.PerShard[i].QPS / t.Serialized[i].QPS
-		}
-	}
-	return 0
-}
-
-// WindowSpeedupAt returns per-shard-window QPS over shared-window QPS at
-// the given worker count — the admission-decentralization payoff in
-// isolation (both engines shard the entries; only the window differs); 0
-// if the count was not run.
-func (t *ThroughputComparison) WindowSpeedupAt(workers int) float64 {
-	for i, w := range t.WorkerCounts {
-		if w == workers && t.SharedWindow[i].QPS > 0 {
-			return t.PerShard[i].QPS / t.SharedWindow[i].QPS
+			return t.Sharded[i].QPS / t.Serialized[i].QPS
 		}
 	}
 	return 0
@@ -170,9 +149,8 @@ func ParallelThroughput(seed int64, datasetSize, queries int, workerCounts []int
 	return ParallelThroughputTier(seed, tier, workerCounts)
 }
 
-// ParallelThroughputTier measures end-to-end queries/sec of the
-// per-shard-window engine against the shared-window and serialized
-// baselines on one workload tier. One dataset, one GGSX index and one
+// ParallelThroughputTier measures end-to-end queries/sec of the default
+// engine against the serialized baseline on one workload tier. One dataset, one GGSX index and one
 // mixed subgraph/supergraph workload are generated up front and shared
 // by every run (the filter index is immutable and concurrency-safe);
 // each (engine, workers) cell gets a fresh cache so no run warms
@@ -229,12 +207,10 @@ func ParallelThroughputTier(seed int64, tier ThroughputTier, workerCounts []int)
 	serialCfg := core.DefaultConfig()
 	serialCfg.Shards = 1
 	serialCfg.Serialized = true
-	sharedCfg := core.DefaultConfig()
-	sharedCfg.SharedWindow = true
-	perShardCfg := core.DefaultConfig()
+	shardedCfg := core.DefaultConfig()
 
 	for _, workers := range workerCounts {
-		// The three engines are measured in interleaved, rotating rounds
+		// The two engines are measured in interleaved, rotating rounds
 		// — a fresh cache per run so no run warms another — and each cell
 		// reports its best round, after one unmeasured warmup pass per
 		// engine. Background load drifts on timescales longer than one
@@ -242,11 +218,11 @@ func ParallelThroughputTier(seed int64, tier ThroughputTier, workerCounts []int)
 		// growth), so rotation plus warmup exposes every engine to the
 		// same conditions instead of letting the measurement order decide
 		// comparisons that are within a few percent.
-		var serial, shared, perShard ThroughputPoint
+		var serial, sharded ThroughputPoint
 		cells := []struct {
 			cfg  core.Config
 			best *ThroughputPoint
-		}{{serialCfg, &serial}, {sharedCfg, &shared}, {perShardCfg, &perShard}}
+		}{{serialCfg, &serial}, {shardedCfg, &sharded}}
 		for r := -1; r < tier.Rounds; r++ {
 			for i := range cells {
 				cell := cells[(i+r+len(cells))%len(cells)]
@@ -260,8 +236,7 @@ func ParallelThroughputTier(seed int64, tier ThroughputTier, workerCounts []int)
 			}
 		}
 		cmp.Serialized = append(cmp.Serialized, serial)
-		cmp.SharedWindow = append(cmp.SharedWindow, shared)
-		cmp.PerShard = append(cmp.PerShard, perShard)
+		cmp.Sharded = append(cmp.Sharded, sharded)
 	}
 	return cmp, nil
 }

@@ -10,28 +10,27 @@ import (
 )
 
 // TestParallelThroughputRuns pins the experiment's shape: every requested
-// worker count is measured for all three engines over the same workload,
+// worker count is measured for both engines over the same workload,
 // and every query completes.
 func TestParallelThroughputRuns(t *testing.T) {
 	cmp, err := ParallelThroughput(7, 40, 60, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmp.Serialized) != 2 || len(cmp.SharedWindow) != 2 || len(cmp.PerShard) != 2 {
-		t.Fatalf("points: %d serialized, %d shared-window, %d per-shard, want 2 each",
-			len(cmp.Serialized), len(cmp.SharedWindow), len(cmp.PerShard))
+	if len(cmp.Serialized) != 2 || len(cmp.Sharded) != 2 {
+		t.Fatalf("points: %d serialized, %d sharded, want 2 each", len(cmp.Serialized), len(cmp.Sharded))
 	}
 	for i, w := range cmp.WorkerCounts {
-		for _, p := range []ThroughputPoint{cmp.Serialized[i], cmp.SharedWindow[i], cmp.PerShard[i]} {
+		for _, p := range []ThroughputPoint{cmp.Serialized[i], cmp.Sharded[i]} {
 			if p.Workers != w || p.Queries != 60 || p.QPS <= 0 {
 				t.Errorf("bad point %+v for workers=%d", p, w)
 			}
 		}
 	}
-	if cmp.SpeedupAt(4) <= 0 || cmp.WindowSpeedupAt(4) <= 0 {
-		t.Error("speedups not computed")
+	if cmp.SpeedupAt(4) <= 0 {
+		t.Error("speedup not computed")
 	}
-	if cmp.SpeedupAt(99) != 0 || cmp.WindowSpeedupAt(99) != 0 {
+	if cmp.SpeedupAt(99) != 0 {
 		t.Error("unknown worker count should report 0")
 	}
 }
@@ -52,8 +51,8 @@ func TestShardedScalesPastSerialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	speedup := cmp.SpeedupAt(8)
-	t.Logf("8 workers: serialized %.1f q/s, shared-window %.1f q/s, per-shard %.1f q/s, speedup %.2f× (GOMAXPROCS=%d, race=%v)",
-		cmp.Serialized[0].QPS, cmp.SharedWindow[0].QPS, cmp.PerShard[0].QPS, speedup, runtime.GOMAXPROCS(0), raceEnabled)
+	t.Logf("8 workers: serialized %.1f q/s, sharded %.1f q/s, speedup %.2f× (GOMAXPROCS=%d, race=%v)",
+		cmp.Serialized[0].QPS, cmp.Sharded[0].QPS, speedup, runtime.GOMAXPROCS(0), raceEnabled)
 	if raceEnabled {
 		t.Skip("race detector distorts scheduling; not asserting the 2× scaling gate")
 	}

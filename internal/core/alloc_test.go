@@ -8,9 +8,9 @@ import (
 )
 
 // Allocation-regression budgets for the Execute hot paths (hot-path
-// memory discipline, see doc.go). Each budget is a ceiling with ~50%
-// headroom over the measured steady state, so the cheap regressions this
-// PR removed — an O(n) bitset clone or a per-query scratch slice costs
+// memory discipline, see doc.go). Each budget is a ceiling a little over
+// the measured steady state (the miss paths: +10%), so the cheap
+// regressions — an O(n) bitset clone or a per-query scratch slice costs
 // tens of allocations per call — trip the test, while workload-dependent
 // jitter (pool refills after a GC, slice growth on an unusually large
 // candidate set) does not.
@@ -25,11 +25,11 @@ const (
 	// list live inside the Result — the one allocation. Measured 1.
 	allocBudgetExactHit = 2
 	// allocBudgetMiss covers the full miss pipeline — filter, indexed hit
-	// detection, verification, admission. Measured ~77 allocs/op.
-	allocBudgetMiss = 120
+	// detection, verification, admission. Measured 83 allocs/op.
+	allocBudgetMiss = 91
 	// allocBudgetSubSuperHit covers a miss that collects a sub-case hit
-	// and runs the S/S' algebra. Measured ~84 allocs/op.
-	allocBudgetSubSuperHit = 130
+	// and runs the S/S' algebra. Measured 91 allocs/op.
+	allocBudgetSubSuperHit = 100
 )
 
 // measureExecuteAllocs runs one query per AllocsPerRun iteration,

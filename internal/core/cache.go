@@ -25,57 +25,46 @@ import (
 // they operate on the immutable dataset, on immutable entry fields (Graph,
 // Answers, signatures) and on the lock-free published feature index.
 //
-// There is no global coordinator mutex on the per-query path. Each shard
-// owns its own admission window: admit stages the entry in the owning
-// shard under that shard's lock, and findExact consults only the owning
-// shard's admitted entries and pending window. Entry IDs come from an
-// atomic counter (claimed under the owning shard's lock, so each shard's
-// ID order stays monotonic), and the verification-cost EMAs are lock-free
-// CAS cells. The two cross-shard serialization points that remain are
-// policyMu — the replacement policy and the per-entry utility fields it
-// mutates are one shared structure, so sub/super hit crediting (counter
-// arithmetic) and window turns take it; an exact hit only bumps its
-// entry's credit cell, folded in later by foldCreditsLocked — and the
-// Serialized escape hatch.
+// An exact hit on an admitted entry takes no global mutex: the probe reads
+// the owning shard under its read lock and the crediting is the entry's
+// credit cell, folded in later by foldCreditsLocked. Every other query
+// takes windowMu twice, briefly: once to compare fingerprints against the
+// pending window after the shard probe found nothing, and once — at the
+// end of a path that already cost a filter run and a verification — to
+// append the executed query to the window. Entry IDs come from an atomic
+// counter claimed under windowMu, and the verification-cost EMAs are
+// lock-free CAS cells. policyMu guards the replacement policy and the
+// per-entry utility fields it mutates, so sub/super hit crediting (counter
+// arithmetic) and window turns take it.
 //
-// Window turns are per-shard: a full shard window turns under policyMu
-// plus that single shard's write lock, aging and evicting only the
-// turning shard's residents (capacity itself stays global, tracked in an
-// atomic resident account), then republishing only that shard's
-// copy-on-write slice of the feature index — hit detection reads the
-// union of the per-shard slices, so no other shard blocks or rebuilds
-// (see index.go for the publication rules). The lock hierarchy is
-// dsMu → windowMu → policyMu → shard locks; reverse nestings never
-// occur. dsMu is the dataset RWMutex: queries hold its read side for
-// their whole run (pinning one dataset snapshot; queries never serialize
-// against each other on it), live dataset mutations
+// There is one admission window (the paper's Window Manager). When it
+// fills, the staging goroutine turns it stop-the-world: under windowMu,
+// policyMu and every shard write lock it folds credits, ages utilities,
+// ranks victims over the whole cache, evicts, admits the window and
+// republishes every shard's copy-on-write slice of the feature index (see
+// index.go for the publication rules). Capacity is strict at every turn.
+// The lock hierarchy is dsMu → windowMu → policyMu → shard locks; reverse
+// nestings never occur. dsMu is the dataset RWMutex: queries hold its read
+// side for their whole run (pinning one dataset snapshot; queries never
+// serialize against each other on it), live dataset mutations
 // (AddGraph/RemoveGraph, see mutate.go) hold the write side while they
 // patch cached answer sets. Operational counters (Monitor) are atomics
-// and bypass locks entirely.
-//
-// Config.SharedWindow restores the previous admission engine as the
-// measurable baseline (like Serialized and IndexOff): one global window
-// guarded by windowMu, turned under policyMu plus every shard write lock
-// with global capacity accounting.
+// and bypass locks entirely. Behaviour on many cores is unmeasured: the
+// committed runs are from two-CPU machines.
 //
 // # Determinism
 //
-// A graph's fingerprint pins it to one shard, so for a sequential query
-// stream the per-shard admission order — and hence every answer set — is
-// deterministic at any fixed shard count. Per-shard and shared-window
-// engines stage and turn at different moments, so they may classify
-// sub/super hits differently and age different cache contents, but both
-// always return byte-identical, exact answer sets
-// (equivalence_test.go). With SharedWindow set, entries gathered across
-// shards are globally ID-ordered, so cache contents are additionally
-// identical to a single-shard cache at any shard count; at Shards: 1 the
-// two window engines coincide exactly. Those guarantees are exact for
-// timing-independent policies (LRU, FIFO, POP, PIN); PINC and the default
-// HD rank victims by measured verification nanoseconds, so their eviction
-// choices can vary between physical runs — any two runs, independent of
-// sharding. Under concurrent submission admission order (and hence
-// eviction choices) depends on goroutine scheduling, but every individual
-// answer set remains exact.
+// Shards are an implementation detail of the kernel, never visible in its
+// semantics: the window is global and ID-ordered, and a turn ranks the
+// ID-ordered gather of every shard, so for a sequential query stream the
+// answers, hit classes, entry IDs, utilities and cache contents are
+// deterministic and identical at every shard count
+// (equivalence_test.go). That is exact for timing-independent policies
+// (LRU, FIFO, POP, PIN); PINC and the default HD rank victims by measured
+// verification nanoseconds, so their eviction choices can vary between
+// physical runs — any two runs, independent of sharding. Under concurrent
+// submission admission order (and hence eviction choices) depends on
+// goroutine scheduling, but every individual answer set remains exact.
 //
 // The lock hierarchy is machine-checked: the directive below and the
 // //gclint: annotations on fields and functions drive the gclint
@@ -89,10 +78,6 @@ type Cache struct {
 	policy Policy
 
 	shards []*shard
-	// shardWindow is the per-shard admission-window size:
-	// ceil(Window/Shards), at least 1, so the total pending admissions
-	// stay close to the configured W regardless of the shard count.
-	shardWindow int
 
 	// serialMu is taken for the whole of Execute when cfg.Serialized is
 	// set — the pre-sharding engine's behavior, kept as the measurable
@@ -115,9 +100,10 @@ type Cache struct {
 	//gclint:lock dsMu
 	dsMu dsLock
 
-	// windowMu guards the shared admission window — only used with
-	// Config.SharedWindow; the per-shard engine stages in shard.window
-	// under the shard lock instead.
+	// windowMu guards the admission window: executed queries are appended
+	// under it and the goroutine whose append fills the window turns it
+	// before unlocking. Held for an append or a fingerprint comparison per
+	// pending entry, except by that turn.
 	//gclint:lock windowMu
 	windowMu sync.Mutex
 	window   []*Entry
@@ -131,8 +117,7 @@ type Cache struct {
 	//gclint:lock policyMu
 	policyMu sync.Mutex
 
-	// nextID assigns entry IDs. Claimed under the owning shard's lock
-	// (per-shard windows) or windowMu (shared window), so each window's
+	// nextID assigns entry IDs. Claimed under windowMu, so the window's
 	// staging order is ascending in ID.
 	nextID atomic.Int64
 
@@ -148,10 +133,9 @@ type Cache struct {
 	costVal   []atomic.Uint64
 	globalVal atomic.Uint64
 
-	// res tracks cache-wide resident entries/bytes atomically, letting a
-	// turning shard enforce the global capacity and memory budget without
-	// other shards' locks (see residency). res covers static entry bytes
-	// only; the shared answer-set bytes live in pool's account.
+	// res tracks cache-wide resident entries/bytes atomically (see
+	// residency). res covers static entry bytes only; the shared
+	// answer-set bytes live in pool's account.
 	res residency
 
 	// pool interns answer sets across entries (see intern.go): identical
@@ -193,10 +177,6 @@ func New(method *ftv.Method, cfg Config) (*Cache, error) {
 	}
 	c.pool = newInternPool()
 	c.shards = newShards(cfg.Shards, &c.res, c.pool)
-	c.shardWindow = (cfg.Window + cfg.Shards - 1) / cfg.Shards
-	if c.shardWindow < 1 {
-		c.shardWindow = 1
-	}
 	return c, nil
 }
 
@@ -219,37 +199,26 @@ func (c *Cache) PolicyName() string { return c.policy.Name() }
 // Shards returns the number of lock shards the cache was built with.
 func (c *Cache) Shards() int { return len(c.shards) }
 
-// newID claims the next entry ID. Callers hold the owning shard's lock
-// (per-shard windows) or windowMu (shared window), which keeps each
+// newID claims the next entry ID. Callers hold windowMu, which keeps the
 // window's staging order ascending in ID.
 func (c *Cache) newID() int {
 	return int(c.nextID.Add(1) - 1)
 }
 
-// Len returns the number of admitted entries (excluding the windows). It
+// Len returns the number of admitted entries (excluding the window). It
 // reads the atomic residency account — every shard insert and removal
 // maintains it — instead of walking the shards under their locks.
 func (c *Cache) Len() int {
 	return int(c.res.entries.Load())
 }
 
-// WindowLen returns the number of entries pending admission across all
-// admission windows.
+// WindowLen returns the number of entries pending admission.
 //
-//gclint:acquires windowMu shard
+//gclint:acquires windowMu
 func (c *Cache) WindowLen() int {
-	if c.cfg.SharedWindow {
-		c.windowMu.Lock()
-		defer c.windowMu.Unlock()
-		return len(c.window)
-	}
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		n += len(sh.window)
-		sh.mu.RUnlock()
-	}
-	return n
+	c.windowMu.Lock()
+	defer c.windowMu.Unlock()
+	return len(c.window)
 }
 
 // Bytes returns the estimated resident size of admitted entries: the
@@ -276,17 +245,12 @@ func (c *Cache) Stats() Snapshot {
 	return s
 }
 
-// ShardStat is one shard's occupancy snapshot: resident entries, pending
-// admissions in the shard's window, per-shard window turns and resident
-// bytes. Bytes covers the shard's static entry footprints only — answer
-// bytes are pooled cache-wide (Snapshot.AnswerBytes). Turns stays 0 in
-// shared-window mode, where turns are global and counted only by the
-// Monitor's aggregate WindowTurns.
+// ShardStat is one shard's occupancy snapshot: resident entries and
+// resident bytes. Bytes covers the shard's static entry footprints only —
+// answer bytes are pooled cache-wide (Snapshot.AnswerBytes).
 type ShardStat struct {
-	Entries   int
-	WindowLen int
-	Turns     int64
-	Bytes     int
+	Entries int
+	Bytes   int
 }
 
 // ShardStats reports each shard's occupancy in shard order. Each shard is
@@ -298,12 +262,7 @@ func (c *Cache) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(c.shards))
 	for i, sh := range c.shards {
 		sh.mu.RLock()
-		out[i] = ShardStat{
-			Entries:   len(sh.entries),
-			WindowLen: len(sh.window),
-			Turns:     sh.turns.Load(),
-			Bytes:     sh.memBytes,
-		}
+		out[i] = ShardStat{Entries: len(sh.entries), Bytes: sh.memBytes}
 		sh.mu.RUnlock()
 	}
 	return out
@@ -368,13 +327,7 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 
 	// Stage 1: exact-match fast path — zero dataset tests.
 	t0 := time.Now()
-	res := c.exactHit(q, qt, fp, view, tick, mon, t0)
-	if res == nil && c.cfg.SharedWindow {
-		if e := c.findSharedPending(q, qt, fp); e != nil {
-			res = c.serveExact(e, view, tick, mon, t0)
-		}
-	}
-	if res != nil {
+	if res := c.exactHit(q, qt, fp, view, tick, mon, t0); res != nil {
 		c.selfCheck(q, qt, res)
 		return res, nil
 	}
@@ -509,7 +462,7 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	mon.hitNs.Add(hitTime.Nanoseconds())
 	c.mon.verifyNs.Add(verifyTime.Nanoseconds())
 
-	res = &Result{
+	res := &Result{
 		Answers:        answers,
 		BaseCandidates: cmCount,
 		Candidates:     tests,
@@ -532,12 +485,13 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	return res, nil
 }
 
-// exactHit is the exact-match fast path: probe the owning shard for an
-// entry isomorphic to q and serve it; nil on a miss. The shard read lock
-// of the probe is the only lock it may take — never policyMu.
+// exactHit is the exact-match fast path: probe the owning shard, then the
+// pending window, for an entry isomorphic to q and serve it; nil on a
+// miss. The probe's two short locks are the only ones it may take — never
+// policyMu.
 //
 //gclint:requires dsMu
-//gclint:acquires shard
+//gclint:acquires windowMu shard
 func (c *Cache) exactHit(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint, view ftv.DatasetView, tick int64, mon *hotCounters, t0 time.Time) *Result {
 	e := c.findExact(q, qt, fp)
 	if e == nil {
@@ -808,135 +762,33 @@ func (c *Cache) recordCosts(costs []costSample) {
 	}
 }
 
-// admit stages the executed query for admission — in the owning shard's
-// window by default, or in the single shared window with
-// Config.SharedWindow — and turns the window when full (the Window
-// Manager). The default path touches only the owning shard's lock.
+// admit stages the executed query in the admission window and, when that
+// fills it, turns the window before unlocking (the Window Manager).
 //
 //gclint:requires dsMu
 //gclint:acquires windowMu policyMu shard
 func (c *Cache) admit(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) {
-	if c.cfg.SharedWindow {
-		c.admitShared(q, qt, answers, baseCandidates, sig, tick, epoch)
-		return
-	}
-	sh := c.shardFor(sig.fp)
-	sh.mu.Lock()
-	e := entryFromSig(c.newID(), q, qt, answers, baseCandidates, sig, tick, epoch)
-	sh.stageLocked(e)
-	full := len(sh.window) >= c.shardWindow
-	sh.mu.Unlock()
-	if full {
-		c.turnShard(sh)
-	}
-}
-
-// admitShared is the SharedWindow staging path: one global buffer under
-// windowMu, turned whole under every shard lock — the measurable
-// pre-decentralization baseline.
-//
-//gclint:requires dsMu
-//gclint:acquires windowMu policyMu shard
-func (c *Cache) admitShared(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) {
 	c.windowMu.Lock()
 	defer c.windowMu.Unlock()
 	e := entryFromSig(c.newID(), q, qt, answers, baseCandidates, sig, tick, epoch)
 	c.window = append(c.window, e)
 	if len(c.window) >= c.cfg.Window {
-		c.turnWindowShared()
+		c.turnWindow()
 	}
 }
 
-// turnShard ages utilities, makes room and admits one shard's pending
-// window. Victims are selected among the shard's RESIDENT entries before
-// admission — the newly executed queries always get in, displacing the
-// least-useful cached graphs (Figure 2(c)); evicting after admission
-// would instead throw away the newcomers, whose utilities are necessarily
-// still zero. Capacity is enforced globally through the resident account
-// (exact here: only policyMu holders admit or evict), but victims come
-// only from the turning shard — capacity flows to the shards receiving
-// traffic, and if this shard alone cannot pay the excess down the
-// overshoot is cleared by the next turns of the shards that can. Aging,
-// eviction accounting and the policy callbacks run under policyMu; the
-// structural mutation holds only this shard's write lock, so queries
-// owned by other shards proceed untouched. The staging path releases the
-// shard lock before calling turnShard (hierarchy: policyMu → shard
-// locks), so a racing turn may drain the window first — the re-check
-// under both locks makes that benign.
-//
-//gclint:requires dsMu
-//gclint:acquires policyMu shard
-func (c *Cache) turnShard(sh *shard) {
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if len(sh.window) < c.shardWindow {
-		return // another goroutine turned this shard first
-	}
-	c.mon.windowTurns.Add(1)
-	sh.turns.Add(1)
-	c.policy.OnWindowTurn()
-
-	// The cross-shard ranking view is built once and reused by every
-	// eviction pass of this turn: it reflects the published summaries
-	// (stale with respect to this turn's own evictions and admissions),
-	// so victim selection re-checks residency against the live shard.
-	view := c.rankingView()
-	// Fold exact-hit credits before anything ages or ranks: everything the
-	// policy will be shown (the view holds sh.entries; it is nil only with
-	// IndexOff, which ranks the shard alone) plus the entries admitted now.
-	if view != nil {
-		c.foldCreditsLocked(view)
-	} else {
-		c.foldCreditsLocked(sh.entries)
-	}
-	c.foldCreditsLocked(sh.window)
-	for _, e := range sh.entries {
-		e.age(c.cfg.DecayFactor)
-		// True up this entry's byte charge: lazy reconciliation may have
-		// grown its answer set on the query path, where no account can be
-		// touched. O(1) per entry; keeps the memory-budget enforcement
-		// below honest in LazyReconcile mode.
-		c.rechargeLocked(sh, e)
-	}
-	if excess := int(c.res.entries.Load()) + len(sh.window) - c.cfg.Capacity; excess > 0 {
-		c.evictShardLocked(sh, excess, view)
-	}
-	for _, e := range sh.window {
-		sh.insertLocked(e)
-		c.mon.admissions.Add(1)
-	}
-	sh.resetWindowLocked()
-
-	// A window larger than the remaining capacity can still overflow.
-	if excess := int(c.res.entries.Load()) - c.cfg.Capacity; excess > 0 {
-		c.evictShardLocked(sh, excess, view)
-	}
-	for c.cfg.MemoryBudget > 0 && int(c.res.bytes.Load()+c.pool.bytes.Load()) > c.cfg.MemoryBudget && len(sh.entries) > 1 {
-		c.evictShardLocked(sh, 1, view)
-	}
-
-	// Republish this shard's slice of the feature index before the shard
-	// lock drops, so queries never observe an index ahead of or behind
-	// the admitted entries. O(this shard) — the other shards' published
-	// slices remain valid as-is.
-	c.republishShardLocked(sh)
-
-	// Window boundaries are where the addition log gets compacted: every
-	// entry this turn admitted or evicted moved the minimum entry epoch,
-	// so recompute it and drop the records everyone has passed.
-	c.compactAdditions(sh)
-}
-
-// turnWindowShared is the SharedWindow turn: age, evict and admit the
-// global window atomically under every shard write lock. Caller holds
-// windowMu; policyMu is taken for the policy callbacks and utility
-// mutations (hierarchy: windowMu → policyMu → shard locks).
+// turnWindow ages utilities, makes room and admits the pending window,
+// atomically under every shard write lock. Victims are selected among the
+// RESIDENT entries before admission — the newly executed queries always
+// get in, displacing the least-useful cached graphs (Figure 2(c));
+// evicting after admission would instead throw away the newcomers, whose
+// utilities are necessarily still zero. Caller holds windowMu; policyMu is
+// taken for the policy callbacks and utility mutations (hierarchy:
+// windowMu → policyMu → shard locks).
 //
 //gclint:requires dsMu windowMu
 //gclint:acquires policyMu shard
-func (c *Cache) turnWindowShared() {
+func (c *Cache) turnWindow() {
 	c.mon.windowTurns.Add(1)
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
@@ -945,10 +797,15 @@ func (c *Cache) turnWindowShared() {
 	defer c.unlockAll()
 
 	all := c.gatherLocked()
+	// Fold exact-hit credits before anything ages or ranks.
 	c.foldCreditsLocked(all)
 	c.foldCreditsLocked(c.window)
 	for _, e := range all {
 		e.age(c.cfg.DecayFactor)
+		// True up this entry's byte charge: lazy reconciliation may have
+		// grown its answer set on the query path, where no account can be
+		// touched. O(1) per entry; keeps the memory-budget enforcement
+		// below honest in LazyReconcile mode.
 		c.rechargeLocked(c.shardFor(e.Fingerprint), e)
 	}
 	if excess := len(all) + len(c.window) - c.cfg.Capacity; excess > 0 {
@@ -965,7 +822,7 @@ func (c *Cache) turnWindowShared() {
 	if excess := len(all) - c.cfg.Capacity; excess > 0 {
 		all = c.evictLocked(all, excess)
 	}
-	for c.cfg.MemoryBudget > 0 && c.memBytesLocked()+int(c.pool.bytes.Load()) > c.cfg.MemoryBudget && len(all) > 1 {
+	for c.cfg.MemoryBudget > 0 && c.Bytes() > c.cfg.MemoryBudget && len(all) > 1 {
 		all = c.evictLocked(all, 1)
 	}
 
@@ -973,20 +830,9 @@ func (c *Cache) turnWindowShared() {
 	// never observe an index ahead of or behind the admitted entries.
 	c.republishAllLocked()
 
-	// Shared-window turns hold the full hierarchy, so the compaction floor
-	// sees every entry directly.
+	// Window boundaries are where the addition log gets compacted: every
+	// entry this turn admitted or evicted moved the minimum entry epoch.
 	c.compactAdditionsLocked()
-}
-
-// memBytesLocked sums shard byte accounts. Caller holds all shard locks.
-//
-//gclint:requires shard
-func (c *Cache) memBytesLocked() int {
-	b := 0
-	for _, sh := range c.shards {
-		b += sh.memBytes
-	}
-	return b
 }
 
 // chooseVictims returns x distinct, in-range positions into the
@@ -1034,113 +880,10 @@ func (c *Cache) chooseVictims(all []*Entry, x int) []int {
 	return victims
 }
 
-// rankingView flattens the published per-shard summaries into the
-// cross-shard ranking input for eviction. Nil with IndexOff (no
-// published view). Caller holds policyMu.
-//
-//gclint:requires policyMu
-func (c *Cache) rankingView() []*Entry {
-	if c.cfg.IndexOff {
-		return nil
-	}
-	var view []*Entry
-	for _, part := range c.summariesView() {
-		for i := range part {
-			view = append(view, part[i].e)
-		}
-	}
-	return view
-}
-
-// evictShardLocked removes x policy-chosen victims from sh's residents.
-// Caller holds policyMu and sh's write lock; view is the caller's
-// rankingView (built once per turn and reused across eviction passes).
-//
-// The ranking context is global even though the victims are local: the
-// policy ranks the full admitted set off the published feature index,
-// and the x worst-ranked entries OWNED BY THIS SHARD are evicted. For
-// score policies whose utilities are per-entry (LRU, FIFO, POP, PIN,
-// PINC) this equals ranking the shard alone; for HD — whose score
-// normalizes against the min/max utilities of the slice it is shown —
-// it keeps victim choice consistent with what the shared-window engine
-// would pick among these entries. The view can be stale with respect to
-// the current turn (entries it already evicted, newcomers it admitted —
-// republish happens once at the end), so selection admits only entries
-// still resident in sh; with IndexOff (nil view) the ranking falls back
-// to the shard's own entries.
-//
-//gclint:requires policyMu shard
-func (c *Cache) evictShardLocked(sh *shard, x int, view []*Entry) {
-	if x <= 0 || len(sh.entries) == 0 {
-		return
-	}
-	if x > len(sh.entries) {
-		x = len(sh.entries)
-	}
-	es := make([]*Entry, 0, x)
-	if len(view) <= len(sh.entries) {
-		// No published view (IndexOff) or this shard is the whole cache:
-		// rank the shard alone.
-		victims := c.chooseVictims(sh.entries, x)
-		// Resolve positions to entries before the first removal shifts
-		// the slice underneath them.
-		for _, p := range victims {
-			es = append(es, sh.entries[p])
-		}
-	} else {
-		// Ask for progressively deeper prefixes of the global ranking
-		// until x of this shard's entries appear in it. ReplacedContent
-		// returns the k least-useful positions, so doubling k walks down
-		// the ranking; k = len(view) contains every entry, hence always
-		// enough. Start at x×shards — with fingerprint-uniform residency
-		// that prefix is expected to hold x of ours, so one ranking call
-		// usually suffices.
-		for k := x * len(c.shards); ; k *= 2 {
-			if k > len(view) {
-				k = len(view)
-			}
-			es = es[:0]
-			for _, p := range c.chooseVictims(view, k) {
-				if e := view[p]; sh.containsLocked(e) {
-					es = append(es, e)
-					if len(es) == x {
-						break
-					}
-				}
-			}
-			if len(es) == x || k == len(view) {
-				break
-			}
-		}
-		if len(es) < x {
-			// The view predates this turn's admissions, so an overflowing
-			// window can leave a shortfall: fill it ranking the shard's
-			// remainder.
-			chosen := make(map[*Entry]bool, len(es))
-			for _, e := range es {
-				chosen[e] = true
-			}
-			rest := make([]*Entry, 0, len(sh.entries))
-			for _, e := range sh.entries {
-				if !chosen[e] {
-					rest = append(rest, e)
-				}
-			}
-			for _, p := range c.chooseVictims(rest, x-len(es)) {
-				es = append(es, rest[p])
-			}
-		}
-	}
-	for _, e := range es {
-		sh.removeLocked(e)
-		c.mon.evictions.Add(1)
-	}
-}
-
 // evictLocked removes x entries chosen by the policy from the ID-ordered
 // slice all (the canonical cross-shard view) and from their owning shards,
 // returning the surviving slice. Caller holds policyMu and all shard
-// write locks (the SharedWindow turn and state restores).
+// write locks (window turns and state restores).
 //
 //gclint:requires policyMu shard
 func (c *Cache) evictLocked(all []*Entry, x int) []*Entry {

@@ -338,29 +338,12 @@ func TestWindowAdmissionBoundary(t *testing.T) {
 }
 
 // The atomic residency account must track the true resident entry/byte
-// totals exactly through per-shard turns — including turns whose second
-// eviction pass or memory-budget loop runs against a stale ranking view
-// (regression: stale victims once double-decremented the account), and
-// through warm-cache state restores (regression: ReadState once cleared
+// totals exactly through window turns — including turns whose second
+// eviction pass runs (regression: stale victims once double-decremented
+// the account), and through warm-cache state restores (regression: ReadState once cleared
 // the shards without resetting the account, double-counting forever).
 func TestResidencyAccountingStaysExact(t *testing.T) {
 	dataset := testDataset(23, 25)
-	check := func(c *Cache, at string) {
-		t.Helper()
-		if got, want := int(c.res.entries.Load()), c.Len(); got != want {
-			t.Fatalf("%s: residency account says %d entries, %d resident", at, got, want)
-		}
-		entries, memBytes := shardWalk(c)
-		if entries != c.Len() {
-			t.Fatalf("%s: shard walk %d entries, Len() %d", at, entries, c.Len())
-		}
-		if got := int(c.res.bytes.Load()); got != memBytes {
-			t.Fatalf("%s: residency account says %d bytes, shard walk %d", at, got, memBytes)
-		}
-		if got, want := c.Bytes(), memBytes+internWalk(c); got != want {
-			t.Fatalf("%s: Bytes() %d, shard walk + pool %d", at, got, want)
-		}
-	}
 	for _, shards := range []int{1, 4, 8} {
 		c := testCache(t, dataset, func(cfg *Config) {
 			cfg.Capacity = 3 // tiny: every turn double-evicts
@@ -374,7 +357,7 @@ func TestResidencyAccountingStaysExact(t *testing.T) {
 			if _, err := c.Execute(q, ftv.Subgraph); err != nil {
 				t.Fatal(err)
 			}
-			check(c, fmt.Sprintf("shards=%d query %d", shards, i))
+			checkResidency(t, c, fmt.Sprintf("shards=%d query %d", shards, i))
 		}
 		// Warm-cache restore: the account must be rebuilt, not added to.
 		var buf bytes.Buffer
@@ -384,14 +367,14 @@ func TestResidencyAccountingStaysExact(t *testing.T) {
 		if err := c.ReadState(&buf); err != nil {
 			t.Fatal(err)
 		}
-		check(c, fmt.Sprintf("shards=%d after warm restore", shards))
+		checkResidency(t, c, fmt.Sprintf("shards=%d after warm restore", shards))
 		// And the account must still steer eviction correctly afterwards.
 		for i := 0; i < 10; i++ {
 			q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 4+i%4)
 			if _, err := c.Execute(q, ftv.Subgraph); err != nil {
 				t.Fatal(err)
 			}
-			check(c, fmt.Sprintf("shards=%d post-restore query %d", shards, i))
+			checkResidency(t, c, fmt.Sprintf("shards=%d post-restore query %d", shards, i))
 		}
 	}
 }

@@ -94,8 +94,12 @@ func runChurnOps(ops []byte, shards int, lazy bool) (err error) {
 				return fmt.Errorf("op %d: remove %d: %w", i, gid, err)
 			}
 		}
-		// Structural invariants after every op: the log never outgrows
-		// the mutation history, and eager mode drains it at each add.
+		// Structural invariants after every op: capacity is strict, the log
+		// never outgrows the mutation history, and eager mode drains it at
+		// each add.
+		if c.Len() > cfg.Capacity {
+			return fmt.Errorf("op %d: %d entries resident, capacity %d", i, c.Len(), cfg.Capacity)
+		}
 		snap := c.Stats()
 		if int64(snap.AdditionLogLen) > snap.DatasetAdds {
 			return fmt.Errorf("op %d: addition log %d exceeds %d adds", i, snap.AdditionLogLen, snap.DatasetAdds)

@@ -119,48 +119,34 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	if snap.Queries != int64(len(w.Queries)) {
 		t.Errorf("monitor queries = %d, want %d", snap.Queries, len(w.Queries))
 	}
-	// Capacity plus the transient per-shard overshoot bound (a turning
-	// shard evicts only its own residents; see Config.Capacity).
-	if bound := 12 + c.Shards()*c.shardWindow; c.Len() >= bound {
-		t.Errorf("capacity bound exceeded: %d entries resident, bound %d", c.Len(), bound)
+	if c.Len() > 12 {
+		t.Errorf("capacity exceeded: %d entries resident, capacity 12", c.Len())
 	}
 }
 
-// TestConcurrentPerShardTurns is the decentralized Window Manager's race
-// gauntlet: single-entry shard windows make EVERY miss a window turn, so
-// with many goroutines spraying distinct queries across 8 shards, turns
-// on different shards constantly overlap with each other (they serialize
-// only on policyMu, never on each other's shard locks) and with queries
-// reading the per-shard index slices mid-republish. Run under -race this
-// exercises every lock transition of the per-shard engine; answers must
-// stay exact throughout, and the turns must actually have been spread
-// across shards.
-func TestConcurrentPerShardTurns(t *testing.T) {
+// TestConcurrentWindowTurns is the Window Manager's race gauntlet: at
+// Window 1 every admission is a stop-the-world turn, so eight goroutines
+// of misses turn the window constantly while exact probes, ShardStats,
+// Entries and a dataset writer race them. SelfCheck verifies every answer
+// against the uncached method inside the query's own dataset snapshot.
+func TestConcurrentWindowTurns(t *testing.T) {
+	const capacity = 10 // tiny: every turn also evicts
 	dataset := testDataset(61, 30)
+	extra := testDataset(65, 6)
 	c := testCache(t, dataset, func(cfg *Config) {
-		cfg.Capacity = 10 // tiny: every turn also evicts
-		cfg.Window = 8    // ceil(8/8) = 1: a turn per admitted miss
-		cfg.Shards = 8
-		cfg.SelfCheck = false // checked explicitly below, off the hot path
+		cfg.Capacity = capacity
+		cfg.Window = 1
+		cfg.Shards = 4
 	})
-	if c.shardWindow != 1 {
-		t.Fatalf("shardWindow = %d, want 1", c.shardWindow)
-	}
-
 	w, err := gen.NewWorkload(rand.New(rand.NewSource(62)), dataset, gen.WorkloadConfig{
-		Size: 500, Mixed: true, PoolSize: 120, // wide pool: misses dominate
-		ZipfS: 1.1, ChainFrac: 0.5, ChainLen: 3, MinEdges: 3, MaxEdges: 10,
+		Size: 320, Mixed: true, PoolSize: 320, // every pattern issued once: misses dominate
+		ChainFrac: 0.5, ChainLen: 3, MinEdges: 3, MaxEdges: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const workers = 12
-	type outcome struct {
-		q   gen.Query
-		res *Result
-	}
-	outcomes := make(chan outcome, len(w.Queries))
+	const workers = 8
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -168,58 +154,71 @@ func TestConcurrentPerShardTurns(t *testing.T) {
 			defer wg.Done()
 			for i := g; i < len(w.Queries); i += workers {
 				q := w.Queries[i]
-				res, err := c.Execute(q.G, q.Type)
-				if err != nil {
+				if _, err := c.Execute(q.G, q.Type); err != nil {
 					t.Errorf("worker %d query %d: %v", g, i, err)
 					return
 				}
-				outcomes <- outcome{q, res}
-				if i%7 == 0 {
-					c.ShardStats() // read per-shard occupancy mid-churn
+				switch i % 3 {
+				case 0:
+					// Exact probe of a query admitted moments ago (or already
+					// evicted again — either is fine, both race the turns).
+					p := w.Queries[max(i-workers, 0)]
+					if _, err := c.Execute(p.G, p.Type); err != nil {
+						t.Errorf("worker %d probe %d: %v", g, i, err)
+						return
+					}
+				case 1:
+					c.ShardStats()
+				case 2:
+					for _, e := range c.Entries() {
+						_ = e.Answers().Count()
+					}
 				}
 			}
 		}(g)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, g := range extra {
+			gid, err := c.AddGraph(g)
+			if err != nil {
+				t.Errorf("AddGraph: %v", err)
+				return
+			}
+			if err := c.RemoveGraph(gid - len(extra)); err != nil {
+				t.Errorf("RemoveGraph: %v", err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
-	close(outcomes)
 
-	for o := range outcomes {
-		base := c.Method().Run(o.q.G, o.q.Type)
-		if !base.Answers.Equal(o.res.Answers) {
-			t.Fatalf("concurrent answer diverges from base for %s query %v", o.q.Type, o.q.G)
-		}
+	if c.Len() > capacity {
+		t.Errorf("capacity exceeded: %d entries resident, capacity %d", c.Len(), capacity)
 	}
-	turned := 0
-	var total int64
-	for _, st := range c.ShardStats() {
-		if st.Turns > 0 {
-			turned++
-		}
-		total += st.Turns
+	snap := c.Stats()
+	if snap.WindowTurns != snap.Admissions || snap.WindowTurns == 0 {
+		t.Errorf("%d window turns, %d admissions: want one turn per admission", snap.WindowTurns, snap.Admissions)
 	}
-	if turned < 2 {
-		t.Fatalf("only %d shard(s) ever turned: per-shard turns not exercised", turned)
+	if snap.Evictions == 0 || snap.DatasetAdds != int64(len(extra)) {
+		t.Errorf("workload too tame: %d evictions, %d dataset adds", snap.Evictions, snap.DatasetAdds)
 	}
-	if got := c.Stats().WindowTurns; got != total {
-		t.Errorf("aggregate WindowTurns %d != sum of per-shard turns %d", got, total)
+	if c.WindowLen() != 0 {
+		t.Errorf("%d entries still pending at Window 1", c.WindowLen())
 	}
-	// Capacity plus the transient per-shard overshoot bound (a turning
-	// shard evicts only its own residents; see Config.Capacity).
-	if bound := 10 + c.Shards()*c.shardWindow; c.Len() >= bound {
-		t.Errorf("capacity bound exceeded after drain: %d entries resident, bound %d", c.Len(), bound)
-	}
+	checkResidency(t, c, "after the run")
 }
 
-// TestQueriesProceedUnderHeldPolicyMu pins the tentpole property of the
-// per-shard admission engine: neither findExact nor admit takes any
-// global mutex. The test grabs policyMu — the only cross-shard lock left
-// on the query path — and proves fresh misses still flow end to end
-// (stage 1 exact scan, filtering, hit detection over the published index,
-// verification, admission into the shard window) — and so does an exact
-// hit, whose crediting is two atomics on the entry, folded into the
-// policy later by a policyMu holder. Only sub/super hit crediting and
-// window turns need policyMu, so the misses are distinct (no sub/super
-// hits) and the windows stay under their turn threshold.
+// TestQueriesProceedUnderHeldPolicyMu pins that neither the exact probe
+// nor staging takes policyMu (staging needs windowMu only). The test grabs
+// policyMu and proves fresh misses still flow end to end (stage 1 exact
+// scan, filtering, hit detection over the published index, verification,
+// staging in the window) — and so does an exact hit, whose crediting is
+// two atomics on the entry, folded into the policy later by a policyMu
+// holder. Only sub/super hit crediting and window turns need policyMu, so
+// the misses are distinct (no sub/super hits) and the window stays under
+// its turn threshold.
 func TestQueriesProceedUnderHeldPolicyMu(t *testing.T) {
 	dataset := testDataset(63, 20)
 	c := testCache(t, dataset, func(cfg *Config) {
@@ -263,7 +262,7 @@ func TestQueriesProceedUnderHeldPolicyMu(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("queries blocked while policyMu was held: a per-query path acquires the global mutex")
+		t.Fatal("queries blocked while policyMu was held: a per-query path acquires it")
 	}
 	if got := c.WindowLen(); got != 8 {
 		t.Errorf("staged %d entries, want 8", got)

@@ -9,13 +9,8 @@ import (
 // Config parameterizes a Cache. The zero value is unusable; start from
 // DefaultConfig.
 type Config struct {
-	// Capacity is the maximum number of cached queries (the demo uses 50).
-	// With per-shard admission windows (the default), a turning shard
-	// evicts only its own residents, so the resident count can transiently
-	// overshoot Capacity when admissions land in shards with little to
-	// evict — by fewer than Shards×⌈Window/Shards⌉ entries, paid down as
-	// the loaded shards turn. SharedWindow (and Shards: 1) enforce the
-	// bound exactly at every turn.
+	// Capacity is the maximum number of cached queries (the demo uses 50),
+	// enforced exactly at every window turn.
 	Capacity int
 	// Window is the admission-window size W: executed queries are buffered
 	// and admitted in batches of Window (the demo workload size is 10).
@@ -40,30 +35,18 @@ type Config struct {
 	VerifyWorkers int
 	// Shards is the number of lock shards admitted entries are partitioned
 	// across by graph fingerprint. 0 selects DefaultShards; 1 yields a
-	// single-shard cache. Sequential query streams produce identical
-	// answer sets at any shard count, and are fully deterministic at any
-	// fixed shard count; with SharedWindow set, cache contents too are
-	// shard-count-independent.
+	// single-shard cache. Sequential query streams are deterministic, and
+	// their answers, hit classes and cache contents are identical at every
+	// shard count.
 	Shards int
 	// Serialized, when set, takes one global exclusive lock for the whole
 	// of each Execute call — the pre-sharding engine's behavior. It is the
 	// measurable baseline for the parallel-throughput benchmarks and the
 	// reference configuration for the sharded-equivalence tests.
 	Serialized bool
-	// SharedWindow, when set, restores the shared admission engine: one
-	// global admission window behind a coordinator mutex, turned
-	// stop-the-world under every shard lock. By default each shard owns
-	// its own admission window of ceil(Window/Shards) entries, turned
-	// under only that shard's lock (plus the policy mutex); Capacity and
-	// MemoryBudget stay global (tracked in an atomic resident account),
-	// but a turning shard evicts only its own residents — so no per-query
-	// path takes any global mutex. The two engines stage, turn and rank
-	// eviction victims at different moments and scopes, so they can cache
-	// different entries, but sequential streams return byte-identical
-	// answer sets either way (and at Shards: 1 the engines coincide
-	// exactly). The shared engine is the measurable baseline for the
-	// window-decentralization comparison, alongside Serialized and
-	// IndexOff.
+	// SharedWindow has no effect: the single admission window it used to
+	// select is the only engine. The field stays declared because the
+	// benchmark harness assigns it; nothing reads it.
 	SharedWindow bool
 	// IndexOff disables the global cache-entry feature index: hit
 	// detection falls back to scanning an ID-ordered snapshot of every

@@ -105,7 +105,7 @@ func TestExactHitCreditsPerGraphCosts(t *testing.T) {
 	}
 }
 
-// admittedPatterns builds a cache whose shard windows admit at once and
+// admittedPatterns builds a cache whose window admits at once and
 // executes n distinct patterns on it, so each is an admitted entry that
 // every later issue exact-hits. Nothing is admitted afterwards, so no
 // window turn — and no aging — happens behind the tests' backs.

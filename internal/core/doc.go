@@ -32,10 +32,15 @@
 //
 // # Management
 //
-// Executed queries enter an admission window (Window Manager); at window
-// boundaries they are admitted into the cache and, if the cache exceeds
-// its capacity, a replacement Policy selects victims (LRU, POP, PIN, PINC,
-// HD, and pluggable custom policies per Figure 2(d)). A Statistics
+// Executed queries enter the one admission window (Window Manager); at
+// window boundaries they are admitted into the cache together and, if the
+// cache would exceed its capacity, a replacement Policy selects victims
+// ranked over the whole cache (LRU, POP, PIN, PINC, HD, and pluggable
+// custom policies per Figure 2(d)). A miss appends to the window under
+// windowMu — one short global mutex at the end of a path that already
+// paid for a filter run and a verification — and the append that fills
+// the window turns it stop-the-world; an exact hit on an admitted entry
+// takes no global mutex (see the Cache type for the locking discipline). A Statistics
 // Monitor/Manager tracks per-query and per-entry utilities, including the
 // number of sub-iso tests each cached entry saved (PIN) and their measured
 // cost (PINC).
@@ -56,7 +61,7 @@
 //     pricing walk. foldCreditsLocked drains the cells into the policy
 //     (one event per entry, priced once, HitEvent.Count = pending hits)
 //     at the FOLD POINTS, every place a policyMu holder reads or ages
-//     utilities: both window turns before aging and ranking, Entries(),
+//     utilities: the window turn before aging and ranking, Entries(),
 //     WriteState and WriteStateV2. A sequential stream therefore ranks
 //     LRU/FIFO/POP/PIN exactly as per-hit crediting did; PINC/HD price at
 //     fold time. The answer is the entry's published set itself (Result
@@ -174,7 +179,7 @@
 //     Fault-in reads the segment, verifies ansSum, decodes, applies
 //     drops, Compact()s, and publishes by CAS — fully lock-free, with
 //     cross-entry dedup via the source's checksum-keyed map (interning
-//     refcounts true up at the owning shard's next rechargeLocked).
+//     refcounts true up at the next rechargeLocked).
 //   - Restored entries are stamped with the CURRENT dataset epoch
 //     (sound for the addition log by the dsSize check, exactly as in
 //     v2); a pending entry's epoch holds the log-compaction floor down

@@ -7,77 +7,124 @@ import (
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
+	"graphcache/internal/graph"
 )
 
 // The sharding equivalence property: driven sequentially over the same
-// workload with the SHARED admission window, a sharded cache must be
-// indistinguishable from the serialized single-shard engine —
-// byte-identical answer sets, identical hit/miss classifications,
-// identical admission/eviction decisions — regardless of the shard count.
-// This is what licenses the lock-striping refactor: the shards are an
-// implementation detail of the kernel, never visible in its semantics.
-// (The default per-shard windows deliberately relax the cache-contents
-// part of this contract; TestPerShardWindowEquivalence pins what they
-// preserve.)
+// workload, a sharded cache must be indistinguishable from the serialized
+// single-shard engine — byte-identical answer sets, identical hit/miss
+// classifications, identical admission/eviction decisions — regardless of
+// the shard count. This is what licenses the lock-striping: the shards
+// are an implementation detail of the kernel, never visible in its
+// semantics.
 //
 // Policies here are restricted to timing-independent ones (PIN, LRU,
 // FIFO, POP): PINC/HD rank victims by measured verification nanoseconds,
 // which legitimately differ between two physical runs even of the very
 // same engine.
 func TestShardedEquivalentToSerialized(t *testing.T) {
+	w := equivalenceWorkload(t, 52, 150, 30)
+	build := func(policy string, indexOff bool) func(shards int, serialized bool) *Cache {
+		return func(shards int, serialized bool) *Cache {
+			return equivalenceCache(t, w.dataset, policy, 5, func(cfg *Config) {
+				cfg.Shards = shards
+				cfg.Serialized = serialized
+				cfg.IndexOff = indexOff
+			})
+		}
+	}
 	for _, policy := range []string{"pin", "lru", "fifo", "pop"} {
 		for _, shards := range []int{2, 8, 32} {
 			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
-				checkShardedEquivalence(t, policy, shards, false)
+				b := build(policy, false)
+				checkIndistinguishable(t, w.queries, b(1, true), b(shards, false))
 			})
 		}
 	}
 	// The IndexOff baseline scan must be just as shard-count-independent.
 	for _, shards := range []int{2, 8, 32} {
 		t.Run(fmt.Sprintf("pin/shards=%d/indexOff", shards), func(t *testing.T) {
-			checkShardedEquivalence(t, "pin", shards, true)
+			b := build("pin", true)
+			checkIndistinguishable(t, w.queries, b(1, true), b(shards, false))
 		})
 	}
 }
 
-func checkShardedEquivalence(t *testing.T, policy string, shards int, indexOff bool) {
+// Shard-count independence of the default engine itself (no Serialized
+// reference): answers, hit classes, entry IDs, utilities and counters are
+// identical at 1, 4 and 32 shards.
+func TestShardCountIndependence(t *testing.T) {
+	w := equivalenceWorkload(t, 53, 150, 40)
+	for _, policy := range []string{"pin", "lru", "fifo", "pop"} {
+		for _, shards := range []int{4, 32} {
+			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
+				build := func(n int) *Cache {
+					return equivalenceCache(t, w.dataset, policy, 6, func(cfg *Config) { cfg.Shards = n })
+				}
+				checkIndistinguishable(t, w.queries, build(1), build(shards))
+			})
+		}
+	}
+}
+
+// Config.SharedWindow is declared only for the frozen benchmark harness:
+// a cache built with it set must behave exactly like one built without.
+func TestSharedWindowFieldHasNoEffect(t *testing.T) {
+	w := equivalenceWorkload(t, 52, 150, 30)
+	build := func(set bool) *Cache {
+		return equivalenceCache(t, w.dataset, "pin", 5, func(cfg *Config) { cfg.SharedWindow = set })
+	}
+	checkIndistinguishable(t, w.queries, build(false), build(true))
+}
+
+type equivalenceInput struct {
+	dataset []*graph.Graph
+	queries []gen.Query
+}
+
+// equivalenceWorkload is the suite's mixed, zipf-skewed, chain-heavy
+// stream: exact, sub and super hits all occur.
+func equivalenceWorkload(t *testing.T, seed int64, size, pool int) equivalenceInput {
 	t.Helper()
 	dataset := testDataset(51, 40)
-	w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), dataset, gen.WorkloadConfig{
-		Size: 150, Mixed: true, PoolSize: 30,
+	w, err := gen.NewWorkload(rand.New(rand.NewSource(seed)), dataset, gen.WorkloadConfig{
+		Size: size, Mixed: true, PoolSize: pool,
 		ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return equivalenceInput{dataset, w.Queries}
+}
 
-	build := func(shardCount int, serialized bool) *Cache {
-		p, err := NewPolicy(policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		method := ftv.NewGGSXMethod(dataset, 3)
-		cfg := DefaultConfig()
-		cfg.Capacity = 20 // small: plenty of window turns and evictions
-		cfg.Window = 5
-		cfg.Policy = p
-		cfg.Shards = shardCount
-		cfg.Serialized = serialized
-		cfg.IndexOff = indexOff
-		cfg.SharedWindow = true // the engine this contract is about
-		return MustNew(method, cfg)
+// equivalenceCache builds a small cache (plenty of window turns and
+// evictions) over its own method instance.
+func equivalenceCache(t *testing.T, dataset []*graph.Graph, policy string, window int, mutate func(*Config)) *Cache {
+	t.Helper()
+	p, err := NewPolicy(policy)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial := build(1, true)
-	sharded := build(shards, false)
+	cfg := DefaultConfig()
+	cfg.Capacity = 20
+	cfg.Window = window
+	cfg.Policy = p
+	mutate(&cfg)
+	return MustNew(ftv.NewGGSXMethod(dataset, 3), cfg)
+}
 
-	for i, q := range w.Queries {
-		rs, err := serial.Execute(q.G, q.Type)
+// checkIndistinguishable drives both caches through the stream in
+// lock-step and fails on any observable difference.
+func checkIndistinguishable(t *testing.T, queries []gen.Query, ref, other *Cache) {
+	t.Helper()
+	for i, q := range queries {
+		rs, err := ref.Execute(q.G, q.Type)
 		if err != nil {
-			t.Fatalf("serial query %d: %v", i, err)
+			t.Fatalf("reference query %d: %v", i, err)
 		}
-		rp, err := sharded.Execute(q.G, q.Type)
+		rp, err := other.Execute(q.G, q.Type)
 		if err != nil {
-			t.Fatalf("sharded query %d: %v", i, err)
+			t.Fatalf("query %d: %v", i, err)
 		}
 		// Byte-identical results…
 		if !rs.Answers.Equal(rp.Answers) {
@@ -104,7 +151,7 @@ func checkShardedEquivalence(t *testing.T, policy string, shards int, indexOff b
 	}
 
 	// Final cache contents must match entry for entry.
-	es, ep := serial.Entries(), sharded.Entries()
+	es, ep := ref.Entries(), other.Entries()
 	if len(es) != len(ep) {
 		t.Fatalf("resident entries diverge: %d vs %d", len(es), len(ep))
 	}
@@ -119,16 +166,16 @@ func checkShardedEquivalence(t *testing.T, policy string, shards int, indexOff b
 			t.Fatalf("entry %d: utilities diverge", i)
 		}
 	}
-	if serial.Len() != sharded.Len() || serial.Bytes() != sharded.Bytes() || serial.WindowLen() != sharded.WindowLen() {
+	if ref.Len() != other.Len() || ref.Bytes() != other.Bytes() || ref.WindowLen() != other.WindowLen() {
 		t.Fatal("resident accounting diverges")
 	}
 
 	// Every count in the monitor must agree (times are physical, exempt).
-	ss, sp := serial.Stats(), sharded.Stats()
+	ss, sp := ref.Stats(), other.Stats()
 	ss.FilterTime, ss.HitTime, ss.VerifyTime = 0, 0, 0
 	sp.FilterTime, sp.HitTime, sp.VerifyTime = 0, 0, 0
 	if ss != sp {
-		t.Fatalf("monitor counters diverge:\nserial  %+v\nsharded %+v", ss, sp)
+		t.Fatalf("monitor counters diverge:\nreference %+v\nother     %+v", ss, sp)
 	}
 	if ss.Evictions == 0 || ss.WindowTurns == 0 {
 		t.Error("workload too tame: no evictions/window turns exercised")
@@ -147,37 +194,18 @@ func checkShardedEquivalence(t *testing.T, policy string, shards int, indexOff b
 // work: fewer dominance merges, no more q↔h iso tests, and a non-zero
 // index-pruned count.
 func TestIndexedEquivalentToUnindexed(t *testing.T) {
-	dataset := testDataset(51, 40)
-	w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), dataset, gen.WorkloadConfig{
-		Size: 150, Mixed: true, PoolSize: 30,
-		ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	method := ftv.NewGGSXMethod(dataset, 3)
+	w := equivalenceWorkload(t, 52, 150, 30)
 	build := func(shards int, indexOff bool) *Cache {
-		p, err := NewPolicy("pin") // timing-independent: runs are reproducible
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Capacity = 20
-		cfg.Window = 5
-		cfg.Policy = p
-		cfg.Shards = shards
-		cfg.IndexOff = indexOff
-		// Shared window: cache contents are then identical at every shard
-		// count, so the indexed-vs-unindexed work accounting compares the
-		// same admitted sets (per-shard windows cache different entries at
-		// different shard counts, which would confound the comparison).
-		cfg.SharedWindow = true
-		return MustNew(method, cfg)
+		// pin is timing-independent: runs are reproducible
+		return equivalenceCache(t, w.dataset, "pin", 5, func(cfg *Config) {
+			cfg.Shards = shards
+			cfg.IndexOff = indexOff
+		})
 	}
 
 	baseline := build(1, true)
 	var baseAnswers []string
-	for i, q := range w.Queries {
+	for i, q := range w.queries {
 		res, err := baseline.Execute(q.G, q.Type)
 		if err != nil {
 			t.Fatalf("baseline query %d: %v", i, err)
@@ -189,7 +217,7 @@ func TestIndexedEquivalentToUnindexed(t *testing.T) {
 	for _, shards := range []int{1, 2, 8, 32} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			indexed := build(shards, false)
-			for i, q := range w.Queries {
+			for i, q := range w.queries {
 				res, err := indexed.Execute(q.G, q.Type)
 				if err != nil {
 					t.Fatalf("indexed query %d: %v", i, err)
@@ -211,153 +239,5 @@ func TestIndexedEquivalentToUnindexed(t *testing.T) {
 					is.HitDetectionTests, bs.HitDetectionTests)
 			}
 		})
-	}
-}
-
-// The per-shard window equivalence property: the default decentralized
-// admission engine must return answer sets byte-identical to the shared-
-// window engine's for sequential streams at every shard count — the two
-// engines stage and turn at different moments (so hit classifications and
-// cache contents legitimately differ), but a graph's fingerprint pins it
-// to one shard, making per-shard admission deterministic, and hits only
-// ever shrink verification work, never change answers. At Shards: 1 the
-// two engines coincide exactly: one shard's window IS the shared window,
-// so the full strict contract (contents, counters) must hold there too.
-func TestPerShardWindowEquivalence(t *testing.T) {
-	dataset := testDataset(51, 40)
-	w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), dataset, gen.WorkloadConfig{
-		Size: 150, Mixed: true, PoolSize: 30,
-		ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	method := ftv.NewGGSXMethod(dataset, 3)
-	build := func(shards int, sharedWindow bool) *Cache {
-		p, err := NewPolicy("pin") // timing-independent: runs are reproducible
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Capacity = 20
-		cfg.Window = 5
-		cfg.Policy = p
-		cfg.Shards = shards
-		cfg.SharedWindow = sharedWindow
-		return MustNew(method, cfg)
-	}
-
-	baseline := build(1, true)
-	var baseAnswers []string
-	for i, q := range w.Queries {
-		res, err := baseline.Execute(q.G, q.Type)
-		if err != nil {
-			t.Fatalf("baseline query %d: %v", i, err)
-		}
-		baseAnswers = append(baseAnswers, res.Answers.String())
-	}
-
-	for _, shards := range []int{1, 2, 8, 32} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			perShard := build(shards, false)
-			for i, q := range w.Queries {
-				res, err := perShard.Execute(q.G, q.Type)
-				if err != nil {
-					t.Fatalf("per-shard query %d: %v", i, err)
-				}
-				if got := res.Answers.String(); got != baseAnswers[i] {
-					t.Fatalf("query %d: per-shard answers %s, shared-window %s", i, got, baseAnswers[i])
-				}
-			}
-			turns := int64(0)
-			for _, st := range perShard.ShardStats() {
-				turns += st.Turns
-			}
-			if turns == 0 {
-				t.Error("no per-shard window turns fired: workload too tame")
-			}
-			if got := perShard.Stats().WindowTurns; got != turns {
-				t.Errorf("aggregate WindowTurns %d != sum of per-shard turns %d", got, turns)
-			}
-			if shards == 1 {
-				// One shard's window IS the shared window: the engines must
-				// coincide entry for entry, counter for counter.
-				eb, ep := baseline.Entries(), perShard.Entries()
-				if len(eb) != len(ep) {
-					t.Fatalf("resident entries diverge at 1 shard: %d vs %d", len(eb), len(ep))
-				}
-				for i := range eb {
-					if eb[i].ID != ep[i].ID || !eb[i].Answers().Equal(ep[i].Answers()) {
-						t.Fatalf("entry %d diverges at 1 shard", i)
-					}
-					if eb[i].Hits != ep[i].Hits || eb[i].SavedTests != ep[i].SavedTests {
-						t.Fatalf("entry %d: utilities diverge at 1 shard", i)
-					}
-				}
-				sb, sp := baseline.Stats(), perShard.Stats()
-				sb.FilterTime, sb.HitTime, sb.VerifyTime = 0, 0, 0
-				sp.FilterTime, sp.HitTime, sp.VerifyTime = 0, 0, 0
-				if sb != sp {
-					t.Fatalf("monitor counters diverge at 1 shard:\nshared    %+v\nper-shard %+v", sb, sp)
-				}
-			}
-		})
-	}
-}
-
-// TestDeterministicAtFixedShardCount pins the determinism the per-shard
-// engine DOES promise: two sequential runs of the same stream at the same
-// shard count are indistinguishable — answers, hit classifications, cache
-// contents and counters.
-func TestDeterministicAtFixedShardCount(t *testing.T) {
-	dataset := testDataset(51, 40)
-	w, err := gen.NewWorkload(rand.New(rand.NewSource(53)), dataset, gen.WorkloadConfig{
-		Size: 120, Mixed: true, PoolSize: 25,
-		ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	method := ftv.NewGGSXMethod(dataset, 3)
-	build := func() *Cache {
-		p, err := NewPolicy("pin")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Capacity = 20
-		cfg.Window = 6
-		cfg.Policy = p
-		cfg.Shards = 8
-		return MustNew(method, cfg)
-	}
-	a, b := build(), build()
-	for i, q := range w.Queries {
-		ra, err := a.Execute(q.G, q.Type)
-		if err != nil {
-			t.Fatalf("run A query %d: %v", i, err)
-		}
-		rb, err := b.Execute(q.G, q.Type)
-		if err != nil {
-			t.Fatalf("run B query %d: %v", i, err)
-		}
-		if !ra.Answers.Equal(rb.Answers) || ra.ExactHit != rb.ExactHit || len(ra.Hits) != len(rb.Hits) {
-			t.Fatalf("query %d: runs diverge", i)
-		}
-	}
-	ea, eb := a.Entries(), b.Entries()
-	if len(ea) != len(eb) {
-		t.Fatalf("resident entries diverge: %d vs %d", len(ea), len(eb))
-	}
-	for i := range ea {
-		if ea[i].ID != eb[i].ID || !ea[i].Answers().Equal(eb[i].Answers()) {
-			t.Fatalf("entry %d diverges between runs", i)
-		}
-	}
-	sa, sb := a.Stats(), b.Stats()
-	sa.FilterTime, sa.HitTime, sa.VerifyTime = 0, 0, 0
-	sb.FilterTime, sb.HitTime, sb.VerifyTime = 0, 0, 0
-	if sa != sb {
-		t.Fatalf("monitor counters diverge:\nA %+v\nB %+v", sa, sb)
 	}
 }

@@ -14,13 +14,11 @@ import (
 //
 // # Publication rules
 //
-// Writers never mutate a published slice. Each shard's slice is replaced
-// whole — under policyMu plus that shard's write lock — whenever the
-// shard's admitted set changes: a per-shard window turn, a SharedWindow
-// turn, a state restore. The turning shard republishes only ITS slice
-// (O(shard), not O(cache)); the global index a reader sees is simply the
-// union of the per-shard slices, so the republish is visible the moment
-// the single atomic store lands, and no other shard blocks or rebuilds.
+// Writers never mutate a published slice. Every shard's slice is replaced
+// whole by republishAllLocked — under policyMu plus every shard write
+// lock — whenever the admitted set changes: a window turn or a state
+// restore. The global index a reader sees is the union of the per-shard
+// slices.
 //
 // Readers load each shard's pointer once per query and work on those
 // point-in-time arrays; an entry evicted after the load stays sound to
@@ -28,12 +26,10 @@ import (
 // shard-snapshot path. Scan order is shard-major rather than global ID
 // order, which changes NOTHING downstream: every consumer is a function
 // of the candidate SET — benefit ranking orders candidates by (answer
-// count, entry ID) and eviction ranking is the policy's own sort — so
-// detection stays deterministic at any fixed shard count, and identical
-// to the serialized single-shard engine's under SharedWindow (where the
-// admitted sets coincide). For a sequential stream the union always
-// exactly mirrors the admitted entries: admitted sets change only inside
-// policyMu, and every mutation republishes before its locks drop.
+// count, entry ID) — so detection is deterministic and identical at every
+// shard count. For a sequential stream the union always exactly mirrors
+// the admitted entries: admitted sets change only inside policyMu, and
+// every mutation republishes before its locks drop.
 type indexEntry struct {
 	typ      ftv.QueryType
 	featBits uint64
@@ -41,43 +37,10 @@ type indexEntry struct {
 	e        *Entry
 }
 
-// summariesView returns the published summary slices, one per non-empty
-// shard — the lock-free global view of the admitted entries. Exact under
-// policyMu (turns and restores serialize there and republish before
-// unlocking); a point-in-time union under concurrent reads.
-//
-//gclint:nolocks
-//gclint:loads summaries
-func (c *Cache) summariesView() [][]indexEntry {
-	parts := make([][]indexEntry, 0, len(c.shards))
-	for _, sh := range c.shards {
-		if p := sh.summaries.Load(); p != nil && len(*p) > 0 {
-			parts = append(parts, *p)
-		}
-	}
-	return parts
-}
-
-// republishShardLocked replaces sh's published summary slice with a fresh
-// copy of its admitted entries. Caller holds policyMu and sh's write
-// lock. With Config.IndexOff nothing is built — the escape hatch runs
-// pure snapshot scans.
-//
-//gclint:requires policyMu shard
-func (c *Cache) republishShardLocked(sh *shard) {
-	if c.cfg.IndexOff {
-		return
-	}
-	s := make([]indexEntry, len(sh.entries))
-	for i, e := range sh.entries {
-		s[i] = indexEntry{typ: e.Type, featBits: e.FeatureBits, fv: e.FV, e: e}
-	}
-	sh.summaries.Store(&s)
-}
-
-// republishAllLocked refreshes every shard's summary slice — the
-// stop-the-world republish used by SharedWindow turns and state restores.
-// Caller holds policyMu and every shard write lock.
+// republishAllLocked replaces every shard's published summary slice with
+// a fresh copy of its admitted entries. Caller holds policyMu and every
+// shard write lock. With Config.IndexOff nothing is built — the escape
+// hatch runs pure snapshot scans.
 //
 //gclint:requires policyMu shard
 func (c *Cache) republishAllLocked() {
@@ -85,7 +48,11 @@ func (c *Cache) republishAllLocked() {
 		return
 	}
 	for _, sh := range c.shards {
-		c.republishShardLocked(sh)
+		s := make([]indexEntry, len(sh.entries))
+		for i, e := range sh.entries {
+			s[i] = indexEntry{typ: e.Type, featBits: e.FeatureBits, fv: e.FV, e: e}
+		}
+		sh.summaries.Store(&s)
 	}
 }
 
@@ -102,8 +69,8 @@ func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig) (sub, super []*Entry) 
 	// The scan counts in locals and publishes once: per-entry atomic adds
 	// would be hundreds of RMWs on one shared line per query.
 	scanned, fullChecks, indexPruned := 0, 0, 0
-	// Iterate the published per-shard slices directly rather than through
-	// summariesView: the hot path then allocates no per-query parts slice.
+	// Iterate the published per-shard slices directly: the hot path then
+	// allocates no per-query parts slice.
 	for _, sh := range c.shards {
 		p := sh.summaries.Load()
 		if p == nil || len(*p) == 0 {

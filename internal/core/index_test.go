@@ -21,6 +21,18 @@ func driveQueries(t *testing.T, c *Cache, seed int64, n int) {
 	}
 }
 
+// summariesView returns the published summary slices, one per non-empty
+// shard.
+func (c *Cache) summariesView() [][]indexEntry {
+	parts := make([][]indexEntry, 0, len(c.shards))
+	for _, sh := range c.shards {
+		if p := sh.summaries.Load(); p != nil && len(*p) > 0 {
+			parts = append(parts, *p)
+		}
+	}
+	return parts
+}
+
 // The published index — the union of the per-shard summary slices — must
 // mirror the admitted entries exactly after every sequential query: the
 // same entry set, each shard's slice ID-ordered, each summary agreeing

@@ -140,15 +140,12 @@ func (c *Cache) RemoveGraph(gid int) error {
 }
 
 // withAllEntriesLocked runs fn (when non-nil) over every admitted entry
-// (with its owning shard) and every window-pending entry (shard
-// nil-checked via resBytes being uncharged — fn receives the owning shard
-// only for admitted entries, nil for window entries, whose bytes are
-// charged at insertion). It takes the full lock hierarchy below dsMu;
-// caller holds dsMu exclusively. Before the locks drop it performs the
-// stop-the-world maintenance duties every such pass owes: the per-shard
-// window epoch floors are recomputed (fn may have raised pending entries'
-// epochs) and the addition log is compacted up to the minimum entry
-// epoch.
+// (with its owning shard) and every window-pending entry (fn receives the
+// owning shard only for admitted entries, nil for window entries, whose
+// bytes are charged at insertion). It takes the full lock hierarchy below
+// dsMu; caller holds dsMu exclusively. Before the locks drop it compacts
+// the addition log up to the minimum entry epoch, as every stop-the-world
+// pass owes.
 //
 //gclint:acquires windowMu policyMu shard
 func (c *Cache) withAllEntriesLocked(fn func(sh *shard, e *Entry)) {
@@ -163,16 +160,10 @@ func (c *Cache) withAllEntriesLocked(fn func(sh *shard, e *Entry)) {
 			for _, e := range sh.entries {
 				fn(sh, e)
 			}
-			for _, e := range sh.window {
-				fn(nil, e)
-			}
 		}
 		for _, e := range c.window {
 			fn(nil, e)
 		}
-	}
-	for _, sh := range c.shards {
-		sh.refreshWindowFloorLocked()
 	}
 	c.compactAdditionsLocked()
 }
@@ -188,10 +179,10 @@ func (c *Cache) withAllEntriesLocked(fn func(sh *shard, e *Entry)) {
 // can only be conservative by the time the compaction lands.
 
 // compactAdditionsLocked compacts with the full hierarchy held (the
-// stop-the-world passes: dataset mutations, shared-window turns, state
-// restores), reading every window directly.
+// stop-the-world passes: dataset mutations, window turns, state
+// restores), reading the window directly.
 //
-//gclint:requires policyMu shard
+//gclint:requires windowMu policyMu shard
 func (c *Cache) compactAdditionsLocked() {
 	if c.method.AdditionLogLen() == 0 {
 		return
@@ -206,55 +197,10 @@ func (c *Cache) compactAdditionsLocked() {
 		for _, e := range sh.entries {
 			lower(e)
 		}
-		for _, e := range sh.window {
-			lower(e)
-		}
 	}
 	for _, e := range c.window {
 		lower(e)
 	}
-	c.compactTo(floor)
-}
-
-// compactAdditions is the per-shard window-turn variant: caller holds
-// policyMu and only the TURNING shard's write lock. The other shards'
-// admitted slices are safe to read — every structural shard mutation
-// (insertLocked/removeLocked callers: turns, restores, stop-the-world
-// passes) happens under policyMu, which the caller holds — and their
-// pending windows are summarized by the atomic windowFloor instead of
-// taking their locks (taking them here would break the fixed lockAll
-// acquisition order). A staging that races the floor read is benign: the
-// stager holds dsMu's read side, under which the dataset epoch cannot
-// advance, so its entry carries the CURRENT epoch and only ever needs
-// records above it — records this compaction, whose floor cannot exceed
-// the current epoch's records, never drops.
-//
-//gclint:requires policyMu shard
-func (c *Cache) compactAdditions(turning *shard) {
-	if c.method.AdditionLogLen() == 0 {
-		return
-	}
-	floor := int64(math.MaxInt64)
-	for _, sh := range c.shards {
-		for _, e := range sh.entries {
-			if ep := e.DatasetEpoch(); ep < floor {
-				floor = ep
-			}
-		}
-		if sh == turning {
-			// Just drained under our lock; scanned directly for the rare
-			// concurrent re-stage between the drain and this point.
-			for _, e := range sh.window {
-				if ep := e.DatasetEpoch(); ep < floor {
-					floor = ep
-				}
-			}
-		} else if f := sh.windowFloor.Load(); f < floor {
-			floor = f
-		}
-	}
-	// The shared window is unused in per-shard mode (per-shard turns only
-	// happen there), so c.window needs no scan.
 	c.compactTo(floor)
 }
 
@@ -344,8 +290,8 @@ func (c *Cache) rechargeLocked(sh *shard, e *Entry) {
 // read side of dsMu: racing reconcilers of the same entry compute
 // identical states, so the last published one wins benignly. Byte
 // accounts are deliberately NOT touched here (no shard lock is held);
-// they are trued up at the owning shard's next window turn and at
-// every stop-the-world maintenance pass (rechargeLocked).
+// they are trued up at the next window turn and at every stop-the-world
+// maintenance pass (rechargeLocked).
 //
 //gclint:requires dsMu
 //gclint:nolocks

@@ -336,10 +336,9 @@ parse:
 // replaceEntries installs entries as the cache's entire content — the
 // shared commit phase of every restore. Stop-the-world: the full
 // hierarchy windowMu → policyMu → every shard write lock, so no query
-// observes a half-replaced cache and both window engines' pending buffers
-// are cleared. Caller holds the read side of dsMu (the entries' answer
-// sets must stay exact for the pinned dataset snapshot through the
-// install).
+// observes a half-replaced cache and the pending window is cleared.
+// Caller holds the read side of dsMu (the entries' answer sets must stay
+// exact for the pinned dataset snapshot through the install).
 //
 //gclint:acquires windowMu policyMu shard
 func (c *Cache) replaceEntries(entries []*Entry) {
@@ -353,7 +352,6 @@ func (c *Cache) replaceEntries(entries []*Entry) {
 		sh.entries = sh.entries[:0]
 		sh.byFP = make(map[graph.Fingerprint][]*Entry)
 		sh.memBytes = 0
-		sh.resetWindowLocked()
 	}
 	// The shards were cleared directly, bypassing removeLocked: reset the
 	// residency account to match before insertLocked re-adds the restored

@@ -37,45 +37,44 @@ func (c *Cache) signatureOf(q *graph.Graph) querySig {
 // with the same query type, or nil. Fingerprint equality pre-filters;
 // VF2 confirms (fingerprints can collide, never the reverse).
 //
-// Only the owning shard is touched, under one read lock covering both its
-// admitted entries and its pending window (isomorphic graphs share a
-// fingerprint, so a match can live nowhere else), and only long enough to
-// copy the colliding candidates into a stack buffer; the confirming iso
-// tests run lock-free over immutable entry fields. Two identical queries
-// racing each other may both miss and both be staged — benign:
-// exact-match scans return the first isomorphic entry either way.
+// The owning shard is probed first (isomorphic graphs share a fingerprint,
+// so an admitted match can live nowhere else), under its read lock and
+// only long enough to copy the colliding candidates into a stack buffer;
+// the confirming iso tests run lock-free over immutable entry fields. Only
+// when that finds nothing are the window's fingerprint matches copied out
+// under windowMu — the two locks are never nested, and a hit on an
+// admitted entry never touches windowMu. Two identical queries racing each
+// other may both miss and both be staged — benign: exact-match scans
+// return the first isomorphic entry either way.
 //
-//gclint:acquires shard
+//gclint:acquires windowMu shard
 func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint) *Entry {
 	var buf [8]*Entry // fingerprint collisions are rare: no heap on the probe
-	cands := buf[:0]
 	sh := c.shardFor(fp)
 	sh.mu.RLock()
-	cands = append(cands, sh.byFP[fp]...)
-	for _, e := range sh.window { // idle (empty) with Config.SharedWindow
+	cands := append(buf[:0], sh.byFP[fp]...)
+	sh.mu.RUnlock()
+	if e := firstIsomorphic(q, qt, cands); e != nil {
+		return e
+	}
+	cands = cands[:0]
+	c.windowMu.Lock()
+	for _, e := range c.window {
 		if e.Fingerprint == fp {
 			cands = append(cands, e)
 		}
 	}
-	sh.mu.RUnlock()
-	for _, e := range cands {
-		if e.Type == qt && iso.Isomorphic(q, e.Graph) {
-			return e
-		}
-	}
-	return nil
+	c.windowMu.Unlock()
+	return firstIsomorphic(q, qt, cands)
 }
 
-// findSharedPending is findExact over the global pending window of the
-// Config.SharedWindow engine, copied under windowMu.
+// firstIsomorphic returns the first of cands with q's type that is
+// isomorphic to q, or nil.
 //
-//gclint:acquires windowMu
-func (c *Cache) findSharedPending(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint) *Entry {
-	c.windowMu.Lock()
-	pending := append([]*Entry(nil), c.window...)
-	c.windowMu.Unlock()
-	for _, e := range pending {
-		if e.Type == qt && e.Fingerprint == fp && iso.Isomorphic(q, e.Graph) {
+//gclint:nolocks
+func firstIsomorphic(q *graph.Graph, qt ftv.QueryType, cands []*Entry) *Entry {
+	for _, e := range cands {
+		if e.Type == qt && iso.Isomorphic(q, e.Graph) {
 			return e
 		}
 	}

@@ -52,10 +52,7 @@ func TestQuickCacheEqualsBase(t *testing.T) {
 				return false
 			}
 		}
-		// Per-shard turns evict only their own residents, so the count may
-		// transiently overshoot Capacity by less than Shards×shardWindow
-		// (see Config.Capacity); the bound below is the provable one.
-		return c.Len() < cfg.Capacity+c.Shards()*c.shardWindow
+		return c.Len() <= cfg.Capacity
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)

@@ -43,6 +43,26 @@ func internWalk(c *Cache) int {
 	return b
 }
 
+// checkResidency fails unless the atomic residency account, the intern
+// pool's account and the per-shard structures agree.
+func checkResidency(t *testing.T, c *Cache, when string) {
+	t.Helper()
+	entries, memBytes := shardWalk(c)
+	if got := c.Len(); got != entries {
+		t.Fatalf("%s: Len() %d, shard walk %d", when, got, entries)
+	}
+	if got := int(c.res.bytes.Load()); got != memBytes {
+		t.Fatalf("%s: residency account %d bytes, shard walk %d", when, got, memBytes)
+	}
+	poolBytes := internWalk(c)
+	if got := int(c.pool.bytes.Load()); got != poolBytes {
+		t.Fatalf("%s: pool account %d bytes, distinct interned sets hold %d", when, got, poolBytes)
+	}
+	if got, want := c.Bytes(), memBytes+poolBytes; got != want {
+		t.Fatalf("%s: Bytes() %d, shard walk + pool %d", when, got, want)
+	}
+}
+
 // TestResidencyAccountAgreement asserts that the atomic residency account
 // (now backing Cache.Len and, with the intern pool's account, Cache.Bytes)
 // and the per-shard structures agree after window turns, evictions, state
@@ -50,23 +70,6 @@ func internWalk(c *Cache) int {
 // modes — with answer sets migrating containers (Compact at admission,
 // clone-and-compact on removals) and interning across entries throughout.
 func TestResidencyAccountAgreement(t *testing.T) {
-	check := func(t *testing.T, c *Cache, when string) {
-		t.Helper()
-		entries, memBytes := shardWalk(c)
-		if got := c.Len(); got != entries {
-			t.Fatalf("%s: Len() %d, shard walk %d", when, got, entries)
-		}
-		if got := int(c.res.bytes.Load()); got != memBytes {
-			t.Fatalf("%s: residency account %d bytes, shard walk %d", when, got, memBytes)
-		}
-		poolBytes := internWalk(c)
-		if got := int(c.pool.bytes.Load()); got != poolBytes {
-			t.Fatalf("%s: pool account %d bytes, distinct interned sets hold %d", when, got, poolBytes)
-		}
-		if got, want := c.Bytes(), memBytes+poolBytes; got != want {
-			t.Fatalf("%s: Bytes() %d, shard walk + pool %d", when, got, want)
-		}
-	}
 	for _, lazy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
 			dataset := testDataset(41, 24)
@@ -90,13 +93,13 @@ func TestResidencyAccountAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i%17 == 0 {
-					check(t, c, fmt.Sprintf("after query %d", i))
+					checkResidency(t, c, fmt.Sprintf("after query %d", i))
 				}
 			}
 			if c.Stats().Evictions == 0 || c.Stats().WindowTurns == 0 {
 				t.Fatal("workload too tame: no evictions or turns")
 			}
-			check(t, c, "after workload")
+			checkResidency(t, c, "after workload")
 
 			// Dataset mutations: additions grow answer sets (and, eagerly,
 			// the byte accounts); removals clear bits.
@@ -104,12 +107,12 @@ func TestResidencyAccountAgreement(t *testing.T) {
 				if _, err := c.AddGraph(g); err != nil {
 					t.Fatal(err)
 				}
-				check(t, c, fmt.Sprintf("after add %d", i))
+				checkResidency(t, c, fmt.Sprintf("after add %d", i))
 			}
 			if err := c.RemoveGraph(0); err != nil {
 				t.Fatal(err)
 			}
-			check(t, c, "after remove")
+			checkResidency(t, c, "after remove")
 			// RemoveGraph trues every entry up against the pool under the
 			// full hierarchy, so the accounts must now equal the TRUE
 			// resident footprint — static bytes per entry plus each
@@ -137,7 +140,7 @@ func TestResidencyAccountAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			check(t, c, "after reconciling hits")
+			checkResidency(t, c, "after reconciling hits")
 
 			// Save/restore resets and rebuilds both views.
 			var buf bytes.Buffer
@@ -147,7 +150,7 @@ func TestResidencyAccountAgreement(t *testing.T) {
 			if err := c.ReadState(&buf); err != nil {
 				t.Fatal(err)
 			}
-			check(t, c, "after restore")
+			checkResidency(t, c, "after restore")
 			if c.Len() == 0 {
 				t.Fatal("restore left the cache empty")
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,24 +9,18 @@ import (
 )
 
 // DefaultShards is the shard count selected when Config.Shards is zero.
-// Four shards balance the two forces the per-shard window engine trades
-// off: more shards shrink lock contention, but they also shrink each
-// shard's admission window and eviction victim pool, degrading
-// replacement quality toward per-shard FIFO (a 50-entry cache split 16
-// ways leaves the policy ~3 candidates to rank). Per-query critical
-// sections are tiny — an append and a map-lookup copy — so four stripes
-// comfortably serve the 8-worker benchmarks; raise Config.Shards on
-// machines with more cores than that.
+// The count changes no answer, hit class or cache content — only how many
+// stripes the exact probe's read lock and the index slices are spread
+// over. The per-query critical section is a map-lookup copy, so four
+// stripes comfortably serve the 8-worker benchmarks; raise Config.Shards
+// on machines with more cores than that.
 const DefaultShards = 4
 
 // residency is the cache-wide resident-entry account: entry and byte
-// counts maintained atomically by every shard insert/remove, so a turning
-// shard can enforce the GLOBAL capacity and memory budget while holding
-// only its own lock. Turns serialize on policyMu — the only context that
-// admits or evicts — so the counts a turn reads are exact, not racy
-// approximations. bytes covers the entries' static footprints only;
-// answer-set bytes live in the intern pool's account, charged once per
-// canonical set (Cache.Bytes sums the two).
+// counts maintained atomically by every shard insert/remove, so Len and
+// Bytes read them without any shard lock. bytes covers the entries'
+// static footprints only; answer-set bytes live in the intern pool's
+// account, charged once per canonical set (Cache.Bytes sums the two).
 type residency struct {
 	entries atomic.Int64
 	bytes   atomic.Int64
@@ -39,17 +32,8 @@ type residency struct {
 // ascending ID (admission order) — the invariant that keeps candidate
 // enumeration, the feature-index merge and replacement-policy input
 // deterministic at any shard count.
-//
-// Each shard also owns its own admission window (the per-shard Window
-// Manager): executed queries are staged in window under mu and admitted
-// by turnShard when it fills. Capacity stays global — the resident
-// account tells a turning shard how far over budget the whole cache is,
-// and it evicts from its own residents to pay the excess down — so
-// capacity flows to the shards that actually receive traffic instead of
-// being split into fixed quotas. With Config.SharedWindow the per-shard
-// window sits idle and the Cache-level shared window is used instead.
 type shard struct {
-	// mu guards entries/byFP/memBytes/window. Innermost rung of the
+	// mu guards entries/byFP/memBytes. Innermost rung of the
 	// hierarchy; every shard lock shares the rank, and lockAll's
 	// index-ordered sweep is the only multi-shard acquisition.
 	//gclint:lock shard
@@ -67,32 +51,10 @@ type shard struct {
 	// cross-shard acquire/release under any shard lock.
 	pool *internPool
 
-	// window is this shard's pending-admission buffer (per-shard mode
-	// only). Guarded by mu; staged in ascending-ID order because IDs are
-	// claimed under mu.
-	window []*Entry
-
-	// turns counts this shard's window turns (atomic: read by ShardStats
-	// without the shard lock).
-	turns atomic.Int64
-
-	// windowFloor is the minimum dataset epoch among this shard's pending
-	// window entries, math.MaxInt64 while the window is empty. Written
-	// under mu (staging lowers it, draining resets it); read atomically by
-	// OTHER shards' turns when they compute the addition-log compaction
-	// floor without taking this shard's lock. A staging that races such a
-	// read is safe to miss: the stager holds dsMu's read side, so its
-	// entry carries the CURRENT dataset epoch and can never need a record
-	// the racing compaction might drop (see compactAdditions).
-	windowFloor atomic.Int64
-
 	// summaries is this shard's published slice of the feature index:
 	// an immutable, ID-ordered array of containment summaries for the
 	// shard's admitted entries. Replaced (never mutated) under policyMu
-	// plus this shard's write lock; read lock-free by mergeIndex, which
-	// runs under policyMu — so a concurrent turn of ANOTHER shard can
-	// fold this shard's latest summaries into the global index without
-	// touching this shard's lock.
+	// plus this shard's write lock; read lock-free by scanIndex.
 	//
 	//gclint:snapshot summaries
 	summaries atomic.Pointer[[]indexEntry]
@@ -102,45 +64,8 @@ func newShards(n int, res *residency, pool *internPool) []*shard {
 	ss := make([]*shard, n)
 	for i := range ss {
 		ss[i] = &shard{byFP: make(map[graph.Fingerprint][]*Entry), res: res, pool: pool}
-		ss[i].windowFloor.Store(math.MaxInt64)
 	}
 	return ss
-}
-
-// stageLocked appends e to the shard's pending window, keeping the
-// window's epoch floor current. Caller holds the shard write lock.
-//
-//gclint:requires shard
-func (sh *shard) stageLocked(e *Entry) {
-	sh.window = append(sh.window, e)
-	if ep := e.DatasetEpoch(); ep < sh.windowFloor.Load() {
-		sh.windowFloor.Store(ep)
-	}
-}
-
-// resetWindowLocked empties the shard's pending window and lifts its
-// epoch floor. Caller holds the shard write lock (turns, state restores).
-//
-//gclint:requires shard
-func (sh *shard) resetWindowLocked() {
-	sh.window = sh.window[:0]
-	sh.windowFloor.Store(math.MaxInt64)
-}
-
-// refreshWindowFloorLocked recomputes the floor from the pending entries —
-// used by the stop-the-world passes after eager reconciliation raises
-// window entries' epochs, so the floor stays tight. Caller holds the
-// shard write lock.
-//
-//gclint:requires shard
-func (sh *shard) refreshWindowFloorLocked() {
-	floor := int64(math.MaxInt64)
-	for _, e := range sh.window {
-		if ep := e.DatasetEpoch(); ep < floor {
-			floor = ep
-		}
-	}
-	sh.windowFloor.Store(floor)
 }
 
 // shardFor maps a fingerprint to its owning shard.
@@ -150,8 +75,9 @@ func (c *Cache) shardFor(fp graph.Fingerprint) *shard {
 
 // insertLocked admits e into the shard. Caller holds the shard write lock.
 // Admissions arrive in ascending-ID order (IDs are claimed monotonically
-// under the lock that stages the entry, and entries only ever move from a
-// window into a shard), so appending preserves the sorted-by-ID invariant.
+// under windowMu, which stages the entry, and entries only ever move from
+// the window into a shard), so appending preserves the sorted-by-ID
+// invariant.
 //
 //gclint:requires shard
 //gclint:acquires internMu
@@ -181,18 +107,6 @@ func (sh *shard) insertLocked(e *Entry) {
 	sh.memBytes += e.resBytes
 	sh.res.entries.Add(1)
 	sh.res.bytes.Add(int64(e.resBytes))
-}
-
-// containsLocked reports whether e is currently resident in the shard
-// (located by binary search on the ID-sorted entries, confirmed by
-// pointer identity). Caller holds the shard lock, read or write.
-//
-//gclint:requires shard
-func (sh *shard) containsLocked(e *Entry) bool {
-	i := sort.Search(len(sh.entries), func(i int) bool {
-		return sh.entries[i].ID >= e.ID
-	})
-	return i < len(sh.entries) && sh.entries[i] == e
 }
 
 // removeLocked evicts e from the shard, preserving the order of the
@@ -239,8 +153,8 @@ func (sh *shard) removeLocked(e *Entry) {
 }
 
 // lockAll / unlockAll acquire every shard write lock in index order. Only
-// the stop-the-world paths use them — SharedWindow turns and state
-// save/restore; the lock hierarchy is windowMu → policyMu → shard locks,
+// the stop-the-world paths use them — window turns, dataset mutations and
+// state save/restore; the lock hierarchy is windowMu → policyMu → shard locks,
 // and reverse nestings never occur, so the fixed acquisition order is
 // deadlock-free.
 //

@@ -146,13 +146,8 @@ type statsResponse struct {
 	CacheBytes        int     `json:"cacheBytes"`
 	Shards            int     `json:"shards"`
 	Policy            string  `json:"policy"`
-	// WindowPending is the total number of entries staged for admission.
-	// ShardWindows and ShardTurns break occupancy and window turns down
-	// per shard (turns stay zero per shard in shared-window mode, where
-	// only the aggregate windowTurns counts).
-	WindowPending int     `json:"windowPending"`
-	ShardWindows  []int   `json:"shardWindows"`
-	ShardTurns    []int64 `json:"shardTurns"`
+	// WindowPending is the number of entries staged for admission.
+	WindowPending int `json:"windowPending"`
 	// DatasetSize is the number of live (queryable) dataset graphs;
 	// DatasetIDSpace additionally counts tombstoned ids. Epoch counts
 	// dataset mutations; DatasetAdds/DatasetRemoves split them and
@@ -188,23 +183,6 @@ type statsResponse struct {
 func (s *Server) statsResponse() statsResponse {
 	snap := s.cache.Stats()
 	ds := s.cache.DatasetInfo()
-	shardStats := s.cache.ShardStats()
-	windows := make([]int, len(shardStats))
-	turns := make([]int64, len(shardStats))
-	pending := 0
-	for i, st := range shardStats {
-		windows[i] = st.WindowLen
-		turns[i] = st.Turns
-		pending += st.WindowLen
-	}
-	if pending == 0 {
-		// Shared-window caches stage outside the shards (their per-shard
-		// windows stay empty); fall back to the cache-level count so the
-		// field is meaningful in both engines. In per-shard mode the sum
-		// above keeps windowPending consistent with shardWindows even
-		// under concurrent traffic.
-		pending = s.cache.WindowLen()
-	}
 	return statsResponse{
 		Queries:           snap.Queries,
 		ExactHits:         snap.ExactHits,
@@ -226,9 +204,7 @@ func (s *Server) statsResponse() statsResponse {
 		CacheBytes:        s.cache.Bytes(),
 		Shards:            s.cache.Shards(),
 		Policy:            s.cache.PolicyName(),
-		WindowPending:     pending,
-		ShardWindows:      windows,
-		ShardTurns:        turns,
+		WindowPending:     s.cache.WindowLen(),
 		DatasetSize:       ds.Live,
 		DatasetIDSpace:    ds.Size,
 		Epoch:             ds.Epoch,
