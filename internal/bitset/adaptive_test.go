@@ -451,3 +451,39 @@ func TestRemoveGraphPattern(t *testing.T) {
 		t.Fatalf("near-full mask should stay in the run container, mode=%d", grown.mode)
 	}
 }
+
+// TestFromWords checks the word-buffer constructor against bit-by-bit
+// construction at populations on both sides of the sparse break-even, that
+// it copies (the caller's buffer stays the caller's), and that bits beyond
+// the capacity are a programming error.
+func TestFromWords(t *testing.T) {
+	const n = 4100 // 65 words, the last one partial
+	rng := rand.New(rand.NewSource(7))
+	for _, population := range []int{0, 1, sparseMax(n) / 2, sparseMax(n)/2 + 1, n / 3, n} {
+		words := make([]uint64, 70) // longer than the capacity needs: the rest is ignored
+		want := New(n)
+		for _, i := range rng.Perm(n)[:population] {
+			words[i/wordBits] |= 1 << (i % wordBits)
+			want.Add(i)
+		}
+		got := FromWords(n, words)
+		if !got.Equal(want) || got.Len() != n {
+			t.Fatalf("population %d: FromWords differs from bit-by-bit construction", population)
+		}
+		if wantSparse := population*2 <= sparseMax(n); (got.mode == modeSparse) != wantSparse {
+			t.Fatalf("population %d: container mode %d", population, got.mode)
+		}
+		clear(words)
+		if got.Count() != population {
+			t.Fatalf("population %d: the set kept the caller's buffer", population)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a bit beyond the capacity must panic")
+		}
+	}()
+	words := make([]uint64, 65)
+	words[64] = 1 << (n % wordBits)
+	FromWords(n, words)
+}

@@ -42,6 +42,7 @@ package bitset
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -116,6 +117,31 @@ func FromIndices(n int, idx []int) *Set {
 	}
 	for _, i := range idx {
 		s.Add(i)
+	}
+	return s
+}
+
+// FromWords returns a set of capacity n with exactly the bits of words set:
+// bit i%64 of words[i/64] is bit i, and no bit at or beyond n may be set.
+// The words are read, never kept, so a caller can run word-parallel loops
+// over a pooled buffer and publish the result with one payload
+// allocation — sparse at or below the shrinkDense break-even, dense above.
+func FromWords(n int, words []uint64) *Set {
+	s := New(n)
+	words = words[:(n+wordBits-1)/wordBits]
+	if n%wordBits != 0 && words[len(words)-1]>>(uint(n)%wordBits) != 0 {
+		panic(fmt.Sprintf("bitset: FromWords has bits beyond capacity %d", n))
+	}
+	count := 0
+	for _, w := range words {
+		count += bits.OnesCount64(w)
+	}
+	if count == 0 {
+		return s
+	}
+	s.mode, s.words = modeDense, words // borrowed: shrinkDense only reads them
+	if s.shrinkDense(count); s.mode == modeDense {
+		s.words = slices.Clone(words)
 	}
 	return s
 }

@@ -225,14 +225,3 @@ func BenchmarkGGSXBuild(b *testing.B) {
 		ftv.NewGGSX(dataset, 4)
 	}
 }
-
-func BenchmarkGGSXFilter(b *testing.B) {
-	dataset := molecules(21, 200)
-	gg := ftv.NewGGSX(dataset, 4)
-	rng := rand.New(rand.NewSource(22))
-	q := gen.ExtractConnectedSubgraph(rng, dataset[0], 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gg.Candidates(q, ftv.Subgraph)
-	}
-}

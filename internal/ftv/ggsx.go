@@ -2,7 +2,8 @@ package ftv
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"sync"
 
 	"graphcache/internal/bitset"
 	"graphcache/internal/graph"
@@ -17,25 +18,54 @@ import (
 // count_q(f) ≤ count_G(f) for every path feature f is necessary for
 // q ⊑ G (and dually for supergraph queries). Both dataset and query paths
 // are enumerated as directed traversals, so the counting convention
-// cancels out.
+// cancels out. The layout only changes how that per-feature predicate is
+// evaluated, never the predicate: candidate sets are bit-identical
+// whichever way a node is encoded.
 //
-// The trie stores a node per distinct label-sequence prefix; postings are
-// (graph id, count) pairs sorted by id. A per-graph forward index of
-// (node id, count) pairs supports the supergraph direction.
+// Layout. The trie has a node per distinct label-sequence prefix. A node's
+// postings — (graph id, count) for every graph containing the feature —
+// are held in whichever of two encodings is smaller:
+//
+//   - list: the pairs sorted by gid, 8 bytes each;
+//   - bitmap (countSlices): the counts bit-sliced, one []uint64 per binary
+//     digit and ⌈(largest gid+1)/64⌉ words each, so "count ≥ c" is a few
+//     word operations per 64 graphs, ANDed straight into the query's
+//     candidate words. (One bitmap per distinct count would answer with a
+//     single AND, but molecule paths reach counts of 250 over 100 distinct
+//     values: bits.Len(250) = 8 slices beat the list, 100 bitmaps do not.)
+//
+// Both sizes depend on the node's contents alone, so an index grown by
+// WithGraph has exactly the layout, and IndexBytes, of one built from
+// scratch. The rule is internal/bitset's container rule; nobody sets it.
+//
+// A supergraph query asks whether q dominates every feature of G, which is
+// per graph: forward holds each graph's (node, count) row and blooms a
+// 64-bit summary of the row's node ids, so the query skips every graph
+// with a feature bit it lacks and checks the rows of the few that remain
+// against a dense per-query count array.
+//
+// Copy-on-write. WithGraph writes nothing reachable from the receiver. It
+// copies the trie nodes the new graph's paths touch: a touched list is
+// copied whole; a touched bitmap node copies the slices the new count has
+// a one in (all of them when the gid starts a new word) and shares the
+// rest; a node the insert takes across the size rule is re-encoded. A
+// published countSlices is immutable (cowpublish checks it), and a
+// snapshot taken before an insert never sees the new gid.
 type GGSX struct {
 	maxLen  int
 	n       int
 	root    *trieNode
-	nodes   []*trieNode // by node id
-	forward [][]nodeCount
+	nodes   []*trieNode   // by node id
+	forward [][]nodeCount // by gid: the graph's features, in first-visit order
+	blooms  []uint64      // by gid: OR of featureBit over the forward row
 	bytes   int
 }
 
 type trieNode struct {
 	id       int32
 	children map[trieKey]*trieNode
-	postings []posting // sorted by gid
-	minCount int32     // smallest per-graph count (supergraph fast reject helper)
+	postings []posting    // list encoding, sorted by gid; nil under the bitmap encoding
+	slices   *countSlices // bitmap encoding; nil under the list encoding
 }
 
 // trieKey is one trie step: the edge label leading to the vertex (0 for
@@ -57,6 +87,246 @@ type nodeCount struct {
 	count int32
 }
 
+// countSlices is the bitmap encoding of a node's postings: bit g of
+// slice[b] is binary digit b of count_g, and a graph without the feature
+// has no bit in any slice. Every slice has wordsFor(largest gid) words.
+//
+//gclint:cow
+type countSlices struct {
+	slice  [][]uint64
+	graphs int // postings encoded
+}
+
+// wordsFor is the number of 64-bit words a bitmap needs to hold bit gid.
+func wordsFor(gid int32) int { return int(gid)>>6 + 1 }
+
+// bitmapSmaller is the size rule: slices of the given word count against
+// one 8-byte word per posting.
+func bitmapSmaller(slices, words, postings int) bool { return slices*words < postings }
+
+// encodeSlices returns the bitmap encoding of a non-empty posting list,
+// or nil when the list is no larger.
+func encodeSlices(ps []posting) *countSlices {
+	var maxCount int32
+	for _, p := range ps {
+		maxCount = max(maxCount, p.count)
+	}
+	s, w := bits.Len32(uint32(maxCount)), wordsFor(ps[len(ps)-1].gid)
+	if !bitmapSmaller(s, w, len(ps)) {
+		return nil
+	}
+	slice := make([][]uint64, s)
+	for b := range slice {
+		slice[b] = make([]uint64, w) // one array each: an insert replaces them one by one
+	}
+	for _, p := range ps {
+		for c := uint32(p.count); c != 0; c &= c - 1 {
+			slice[bits.TrailingZeros32(c)][p.gid>>6] |= 1 << (p.gid & 63)
+		}
+	}
+	return &countSlices{slice, len(ps)}
+}
+
+// postings decodes the bitmap encoding back into the sorted list.
+func (cs *countSlices) postings() []posting {
+	out := make([]posting, 0, cs.graphs)
+	for i := range cs.slice[0] {
+		var present uint64
+		for _, sl := range cs.slice {
+			present |= sl[i]
+		}
+		for ; present != 0; present &= present - 1 {
+			bit := bits.TrailingZeros64(present)
+			var c int32
+			for b, sl := range cs.slice {
+				c |= int32(sl[i]>>bit&1) << b
+			}
+			out = append(out, posting{int32(i<<6 + bit), c})
+		}
+	}
+	return out
+}
+
+// with returns the encoding of cs's postings plus (gid, c), for a gid above
+// every encoded one. A slice is copied only when c has a one in its digit
+// or gid needs a longer word array; the others are shared with cs.
+func (cs *countSlices) with(gid, c int32) *countSlices {
+	w := wordsFor(gid)
+	slice := make([][]uint64, max(len(cs.slice), bits.Len32(uint32(c))))
+	for b := range slice {
+		var old []uint64
+		if b < len(cs.slice) {
+			old = cs.slice[b]
+		}
+		if c>>b&1 == 0 && len(old) == w {
+			slice[b] = old
+			continue
+		}
+		grown := make([]uint64, w)
+		copy(grown, old)
+		grown[gid>>6] |= uint64(c>>b&1) << (gid & 63)
+		slice[b] = grown
+	}
+	return &countSlices{slice, cs.graphs + 1}
+}
+
+// andAtLeast intersects acc with the graphs whose count is ≥ c (c ≥ 1) and
+// reports whether any bit of acc survives. Per word it compares all 64
+// counts with c at once, most significant digit first: gt collects the
+// graphs already decided greater, eq those still equal on every digit seen.
+//
+//gclint:noalloc
+func (cs *countSlices) andAtLeast(acc []uint64, c int32) bool {
+	if c>>len(cs.slice) != 0 {
+		return false // c has more digits than any stored count
+	}
+	w := len(cs.slice[0])
+	var alive uint64
+	for i, a := range acc[:w] {
+		if a == 0 {
+			continue
+		}
+		gt, eq := uint64(0), ^uint64(0)
+		for b := len(cs.slice) - 1; b >= 0; b-- {
+			if digit := cs.slice[b][i]; c>>b&1 != 0 {
+				eq &= digit
+			} else {
+				gt |= eq & digit
+				eq &^= digit
+			}
+		}
+		a &= gt | eq
+		acc[i] = a
+		alive |= a
+	}
+	clear(acc[w:])
+	return alive != 0
+}
+
+// andPostings is andAtLeast for the list encoding: ps is sorted by gid, so
+// one pass rewrites acc word by word, clearing the words no posting reaches.
+//
+//gclint:noalloc
+func andPostings(acc []uint64, ps []posting, c int32) bool {
+	var alive uint64
+	next := 0 // first word of acc not yet rewritten
+	for k := 0; k < len(ps); {
+		wi := int(ps[k].gid >> 6)
+		var keep uint64
+		for ; k < len(ps) && int(ps[k].gid>>6) == wi; k++ {
+			if ps[k].count >= c {
+				keep |= 1 << (ps[k].gid & 63)
+			}
+		}
+		clear(acc[next:wi])
+		acc[wi] &= keep
+		alive |= acc[wi]
+		next = wi + 1
+	}
+	clear(acc[next:])
+	return alive != 0
+}
+
+// featureBit maps a trie node id to its bit of the per-graph bloom word.
+func featureBit(id int32) uint64 { return 1 << (uint32(id) * 0x9E3779B1 >> 26) }
+
+// dominated reports whether counts covers every (node, count) of the row.
+//
+//gclint:noalloc
+func dominated(row []nodeCount, counts []int32) bool {
+	for _, nc := range row {
+		if counts[nc.node] < nc.count {
+			return false
+		}
+	}
+	return true
+}
+
+// pathWalk enumerates the directed simple paths of a graph with ≤ maxLen
+// edges (following out-edges, which covers both directions for undirected
+// graphs) down a trie, counting occurrences per trie node in a dense
+// array. step picks the trie discipline: create nodes (build), copy them
+// on write (WithGraph), or only look them up (queries). Walks are pooled:
+// between uses counts is all zero and inPath all false.
+type pathWalk struct {
+	g       *graph.Graph
+	maxLen  int
+	step    func(nd *trieNode, k trieKey) *trieNode // nil: the trie has no such path
+	missing bool                                    // step returned nil at least once
+	counts  []int32                                 // by node id
+	touched []int32                                 // ids with counts[id] > 0, in first-visit order
+	inPath  []bool
+	words   []uint64 // candidate words of the query in flight
+}
+
+var walkPool = sync.Pool{New: func() any { return new(pathWalk) }}
+
+// newWalk takes a walk from the pool and runs it over g from root, over a
+// trie of the given node count.
+func newWalk(g *graph.Graph, maxLen, nodes int, root *trieNode, step func(*trieNode, trieKey) *trieNode) *pathWalk {
+	w := walkPool.Get().(*pathWalk)
+	w.g, w.maxLen, w.step = g, maxLen, step
+	if len(w.counts) < nodes {
+		w.counts = make([]int32, nodes)
+	}
+	if len(w.inPath) < g.N() {
+		w.inPath = make([]bool, g.N())
+	}
+	for v := 0; v < g.N(); v++ {
+		w.visit(root, trieKey{0, g.Label(v)}, v, 0)
+	}
+	return w
+}
+
+// visit steps from node along k into vertex v, which ends a path of the
+// given number of edges, counts it and extends it.
+func (w *pathWalk) visit(node *trieNode, k trieKey, v, edges int) {
+	child := w.step(node, k)
+	if child == nil {
+		w.missing = true
+		return
+	}
+	for int(child.id) >= len(w.counts) { // a node created by this walk
+		w.counts = append(w.counts, 0)
+	}
+	if w.counts[child.id] == 0 {
+		w.touched = append(w.touched, child.id)
+	}
+	w.counts[child.id]++
+	if edges == w.maxLen {
+		return
+	}
+	w.inPath[v] = true
+	for _, u := range w.g.OutNeighbors(v) {
+		if !w.inPath[u] {
+			w.visit(child, trieKey{w.g.EdgeLabel(v, int(u)), w.g.Label(int(u))}, int(u), edges+1)
+		}
+	}
+	w.inPath[v] = false
+}
+
+// row returns the walked graph's forward row and bloom word.
+func (w *pathWalk) row() (row []nodeCount, bloom uint64) {
+	row = make([]nodeCount, len(w.touched))
+	for i, id := range w.touched {
+		row[i] = nodeCount{id, w.counts[id]}
+		bloom |= featureBit(id)
+	}
+	return row, bloom
+}
+
+// release zeroes what the walk counted and returns it to the pool.
+func (w *pathWalk) release() {
+	for _, id := range w.touched {
+		w.counts[id] = 0
+	}
+	w.touched, w.missing, w.g, w.step = w.touched[:0], false, nil, nil
+	walkPool.Put(w)
+}
+
+// lookupChild is the query-side step: unseen paths are reported, not created.
+func lookupChild(nd *trieNode, k trieKey) *trieNode { return nd.children[k] }
+
 // NewGGSX builds the index over the dataset, indexing label paths with up
 // to maxLen edges (maxLen+1 vertices). maxLen is the "feature size" knob
 // of experiment EXP-II; GraphGrepSX's customary default is 4.
@@ -69,65 +339,27 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 		n:       len(dataset),
 		root:    &trieNode{id: -1, children: make(map[trieKey]*trieNode)},
 		forward: make([][]nodeCount, len(dataset)),
+		blooms:  make([]uint64, len(dataset)),
 	}
 	for gid, g := range dataset {
 		if g == nil { // tombstoned id: indexed as empty
 			continue
 		}
-		counts := x.countPaths(g)
-		fwd := make([]nodeCount, 0, len(counts))
-		for node, c := range counts {
-			x.nodes[node].postings = append(x.nodes[node].postings, posting{int32(gid), c})
-			fwd = append(fwd, nodeCount{node, c})
+		w := newWalk(g, maxLen, len(x.nodes), x.root, x.child)
+		x.forward[gid], x.blooms[gid] = w.row()
+		w.release()
+		for _, nc := range x.forward[gid] { // gids ascend, so every list stays sorted
+			nd := x.nodes[nc.node]
+			nd.postings = append(nd.postings, posting{int32(gid), nc.count})
 		}
-		sort.Slice(fwd, func(i, j int) bool { return fwd[i].node < fwd[j].node })
-		x.forward[gid] = fwd
 	}
-	// Postings were appended in increasing gid order already (dataset loop),
-	// but sort defensively and compute summary stats.
 	for _, nd := range x.nodes {
-		sort.Slice(nd.postings, func(i, j int) bool { return nd.postings[i].gid < nd.postings[j].gid })
-		nd.minCount = 1 << 30
-		for _, p := range nd.postings {
-			if p.count < nd.minCount {
-				nd.minCount = p.count
-			}
+		if cs := encodeSlices(nd.postings); cs != nil {
+			nd.slices, nd.postings = cs, nil
 		}
 	}
 	x.bytes = x.computeBytes()
 	return x
-}
-
-// countPaths enumerates all directed simple paths of g with ≤ maxLen edges
-// (following out-edges, which covers both directions for undirected
-// graphs) and returns occurrence counts keyed by trie node id, creating
-// trie nodes on demand.
-func (x *GGSX) countPaths(g *graph.Graph) map[int32]int32 {
-	counts := make(map[int32]int32)
-	inPath := make([]bool, g.N())
-	// extend grows a path currently ending at v with `edges` edges.
-	var extend func(v int, node *trieNode, edges int)
-	extend = func(v int, node *trieNode, edges int) {
-		if edges == x.maxLen {
-			return
-		}
-		inPath[v] = true
-		for _, w := range g.OutNeighbors(v) {
-			if inPath[w] {
-				continue
-			}
-			child := x.child(node, trieKey{g.EdgeLabel(v, int(w)), g.Label(int(w))})
-			counts[child.id]++
-			extend(int(w), child, edges+1)
-		}
-		inPath[v] = false
-	}
-	for v := 0; v < g.N(); v++ {
-		child := x.child(x.root, trieKey{0, g.Label(v)})
-		counts[child.id]++
-		extend(v, child, 0)
-	}
-	return counts
 }
 
 // child returns the child of nd for the key, creating it if needed.
@@ -141,57 +373,12 @@ func (x *GGSX) child(nd *trieNode, k trieKey) *trieNode {
 	return c
 }
 
-// queryCounts enumerates the query's path features against the existing
-// trie. Paths absent from the trie are reported via the missing flag
-// (meaningful for subgraph queries: no dataset graph contains them).
-// Nodes are NOT created for unseen query paths.
-func (x *GGSX) queryCounts(q *graph.Graph) (counts map[int32]int32, missing bool) {
-	counts = make(map[int32]int32)
-	inPath := make([]bool, q.N())
-	var extend func(v int, node *trieNode, edges int)
-	extend = func(v int, node *trieNode, edges int) {
-		if edges == x.maxLen {
-			return
-		}
-		inPath[v] = true
-		for _, w := range q.OutNeighbors(v) {
-			if inPath[w] {
-				continue
-			}
-			child, ok := node.children[trieKey{q.EdgeLabel(v, int(w)), q.Label(int(w))}]
-			if !ok {
-				missing = true
-				continue
-			}
-			counts[child.id]++
-			extend(int(w), child, edges+1)
-		}
-		inPath[v] = false
-	}
-	for v := 0; v < q.N(); v++ {
-		child, ok := x.root.children[trieKey{0, q.Label(v)}]
-		if !ok {
-			missing = true
-			continue
-		}
-		counts[child.id]++
-		extend(v, child, 0)
-	}
-	return counts, missing
-}
-
 // WithGraph implements InsertableFilter: an incremental, copy-on-write
-// trie insert. Only g's own label paths are enumerated (the same walk
-// NewGGSX does for one dataset graph — O(graph)); every trie node the
-// walk touches is replaced by a private copy carrying the new posting,
-// and every untouched node, posting list and child map is shared with
-// the receiver, which is never modified. The per-touched-node copy keeps
-// old snapshots exact forever: a reader holding the receiver never
-// observes the new gid.
-//
-// Cost: O(paths(g)) feature enumeration plus, per touched node, one flat
-// posting-list copy (the new gid is the largest, so the append preserves
-// the sort order) — no other dataset graph is ever revisited, whereas
+// trie insert. Only g's own label paths are enumerated (the walk NewGGSX
+// does for one dataset graph — O(graph)); every trie node the walk touches
+// is replaced by a private copy carrying the new posting, and every
+// untouched node, encoding and child map is shared with the receiver (the
+// GGSX comment has the rules). No other dataset graph is revisited, where
 // the factory rebuild re-enumerates the paths of the whole dataset.
 func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 	if gid < x.n {
@@ -202,40 +389,51 @@ func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 		n:       gid + 1,
 		nodes:   make([]*trieNode, len(x.nodes)),
 		forward: make([][]nodeCount, gid+1),
-		bytes:   x.bytes,
+		blooms:  make([]uint64, gid+1),
+		// Positions [x.n, gid) are implicit tombstones: indexed as empty,
+		// but still charged the per-graph overhead computeBytes counts.
+		bytes: x.bytes + perGraphBytes*(gid+1-x.n),
 	}
 	copy(x2.nodes, x.nodes)
 	copy(x2.forward, x.forward)
-	// Positions [x.n, gid) are implicit tombstones: indexed as empty, but
-	// still charged the empty forward-row overhead computeBytes counts.
-	x2.bytes += 24 * (gid - x.n)
+	copy(x2.blooms, x.blooms)
 
 	// The root is always touched (every vertex starts a path); its private
 	// copy initially shares the child map, cloned only if g introduces a
 	// new first-step feature.
-	x2.root = &trieNode{id: -1, children: x.root.children, minCount: x.root.minCount}
-	ins := &ggsxInserter{
-		x2:   x2,
-		priv: map[int32]*trieNode{-1: x2.root},
+	x2.root = &trieNode{id: -1, children: x.root.children}
+	ins := &ggsxInserter{x2: x2, priv: map[int32]*trieNode{-1: x2.root}, ownMap: map[int32]bool{}}
+	w := newWalk(g, x.maxLen, len(x.nodes), x2.root, ins.step)
+	row, bloom := w.row()
+	w.release()
+	for _, nc := range row {
+		nd := ins.priv[nc.node] // every counted node was stepped into, hence private
+		x2.bytes -= nd.payloadBytes()
+		nd.addPosting(int32(gid), nc.count)
+		x2.bytes += nd.payloadBytes()
 	}
-
-	counts := ins.insertPaths(g)
-	fwd := make([]nodeCount, 0, len(counts))
-	for node, c := range counts {
-		nd := ins.priv[node] // every counted node was stepped into, hence private
-		// Full slice expression: the append reallocates instead of
-		// scribbling over a posting array the receiver still exposes.
-		nd.postings = append(nd.postings[:len(nd.postings):len(nd.postings)], posting{int32(gid), c})
-		if c < nd.minCount {
-			nd.minCount = c
-		}
-		x2.bytes += 8
-		fwd = append(fwd, nodeCount{node, c})
-	}
-	sort.Slice(fwd, func(i, j int) bool { return fwd[i].node < fwd[j].node })
-	x2.forward[gid] = fwd
-	x2.bytes += 24 + 8*len(fwd)
+	x2.forward[gid], x2.blooms[gid] = row, bloom
+	x2.bytes += 8 * len(row)
 	return x2
+}
+
+// addPosting records (gid, c) on a private node, gid above every posted
+// one, and leaves the node in the encoding the size rule picks for its
+// new contents.
+func (nd *trieNode) addPosting(gid, c int32) {
+	if nd.slices != nil {
+		nd.slices = nd.slices.with(gid, c)
+		if cs := nd.slices; !bitmapSmaller(len(cs.slice), len(cs.slice[0]), cs.graphs) {
+			nd.postings, nd.slices = cs.postings(), nil
+		}
+		return
+	}
+	// Full slice expression: the append reallocates instead of scribbling
+	// over a posting array the receiver still exposes.
+	nd.postings = append(nd.postings[:len(nd.postings):len(nd.postings)], posting{gid, c})
+	if cs := encodeSlices(nd.postings); cs != nil {
+		nd.slices, nd.postings = cs, nil
+	}
 }
 
 // ggsxInserter carries the copy-on-write state of one WithGraph call:
@@ -257,7 +455,7 @@ func (ins *ggsxInserter) step(nd *trieNode, k trieKey) *trieNode {
 		if p, ok := ins.priv[c.id]; ok {
 			return p
 		}
-		p := &trieNode{id: c.id, children: c.children, postings: c.postings, minCount: c.minCount}
+		p := &trieNode{id: c.id, children: c.children, postings: c.postings, slices: c.slices}
 		ins.priv[c.id] = p
 		ins.x2.nodes[c.id] = p
 		ins.ownChildren(nd)[k] = p
@@ -265,11 +463,10 @@ func (ins *ggsxInserter) step(nd *trieNode, k trieKey) *trieNode {
 	}
 	c := &trieNode{id: int32(len(ins.x2.nodes)), children: make(map[trieKey]*trieNode)}
 	ins.priv[c.id] = c
-	ins.setOwn(c.id)
+	ins.ownMap[c.id] = true
 	ins.x2.nodes = append(ins.x2.nodes, c)
 	ins.ownChildren(nd)[k] = c
-	ins.x2.bytes += 64 + 16 // node struct + the parent's new map entry
-	c.minCount = 1 << 30    // no postings yet; the insert loop lowers it
+	ins.x2.bytes += nodeBytes + childBytes // node struct + the parent's new map entry
 	return c
 }
 
@@ -282,46 +479,9 @@ func (ins *ggsxInserter) ownChildren(nd *trieNode) map[trieKey]*trieNode {
 			m[k] = v
 		}
 		nd.children = m
-		ins.setOwn(nd.id)
+		ins.ownMap[nd.id] = true
 	}
 	return nd.children
-}
-
-func (ins *ggsxInserter) setOwn(id int32) {
-	if ins.ownMap == nil {
-		ins.ownMap = make(map[int32]bool)
-	}
-	ins.ownMap[id] = true
-}
-
-// insertPaths is countPaths against the copy-on-write trie: identical
-// path enumeration, but descending from the private root through private
-// copies so the new postings never touch shared nodes.
-func (ins *ggsxInserter) insertPaths(g *graph.Graph) map[int32]int32 {
-	counts := make(map[int32]int32)
-	inPath := make([]bool, g.N())
-	var extend func(v int, node *trieNode, edges int)
-	extend = func(v int, node *trieNode, edges int) {
-		if edges == ins.x2.maxLen {
-			return
-		}
-		inPath[v] = true
-		for _, w := range g.OutNeighbors(v) {
-			if inPath[w] {
-				continue
-			}
-			child := ins.step(node, trieKey{g.EdgeLabel(v, int(w)), g.Label(int(w))})
-			counts[child.id]++
-			extend(int(w), child, edges+1)
-		}
-		inPath[v] = false
-	}
-	for v := 0; v < g.N(); v++ {
-		child := ins.step(ins.x2.root, trieKey{0, g.Label(v)})
-		counts[child.id]++
-		extend(v, child, 0)
-	}
-	return counts
 }
 
 // Name implements Filter.
@@ -336,89 +496,79 @@ func (x *GGSX) NodeCount() int { return len(x.nodes) }
 // IndexBytes implements Filter.
 func (x *GGSX) IndexBytes() int { return x.bytes }
 
-func (x *GGSX) computeBytes() int {
-	b := 0
-	for _, nd := range x.nodes {
-		b += 64                    // node struct + map header
-		b += 16 * len(nd.children) // map entries
-		b += 8 * len(nd.postings)  // postings
+// The byte model of IndexBytes: per trie node its struct and map header,
+// per child a map entry, per graph its forward-row header and bloom word;
+// postings and forward entries are 8 bytes each, bitmap words 8.
+const (
+	nodeBytes     = 64
+	childBytes    = 16
+	perGraphBytes = 24 + 8
+)
+
+// payloadBytes is the size of the node's postings in their encoding.
+func (nd *trieNode) payloadBytes() int {
+	if nd.slices != nil {
+		return 8 * len(nd.slices.slice) * len(nd.slices.slice[0])
 	}
-	for _, fwd := range x.forward {
-		b += 24 + 8*len(fwd)
+	return 8 * len(nd.postings)
+}
+
+func (x *GGSX) computeBytes() int {
+	b := childBytes * len(x.root.children)
+	for _, nd := range x.nodes {
+		b += nodeBytes + childBytes*len(nd.children) + nd.payloadBytes()
+	}
+	for _, row := range x.forward {
+		b += perGraphBytes + 8*len(row)
 	}
 	return b
 }
 
-// Candidates implements Filter.
+// Candidates implements Filter. Subgraph: G is a candidate iff
+// count_G(f) ≥ count_q(f) for every query feature f — one AND per feature
+// into the candidate words, in any order. Supergraph: iff count_G(f) ≤
+// count_q(f) for every feature f of G — the bloom word rules out a graph
+// owning a feature the query lacks, the forward row decides the rest.
 func (x *GGSX) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
-	switch qt {
-	case Supergraph:
-		return x.supergraphCandidates(q)
-	default:
-		return x.subgraphCandidates(q)
+	w := newWalk(q, x.maxLen, len(x.nodes), x.root, lookupChild)
+	defer w.release()
+	if nw := (x.n + 63) / 64; cap(w.words) < nw {
+		w.words = make([]uint64, nw)
+	} else {
+		w.words = w.words[:nw]
 	}
-}
-
-// subgraphCandidates: G is a candidate iff count_G(f) ≥ count_q(f) for all
-// query features f. Implemented as intersection over posting lists,
-// cheapest feature first.
-func (x *GGSX) subgraphCandidates(q *graph.Graph) *bitset.Set {
-	qc, missing := x.queryCounts(q)
-	if missing {
+	if qt == Supergraph { // paths the trie lacks are fine here
+		var qbloom uint64
+		for _, id := range w.touched {
+			qbloom |= featureBit(id)
+		}
+		clear(w.words)
+		for gid, bloom := range x.blooms {
+			if bloom&^qbloom == 0 && dominated(x.forward[gid], w.counts) {
+				w.words[gid>>6] |= 1 << (gid & 63)
+			}
+		}
+		return bitset.FromWords(x.n, w.words)
+	}
+	if w.missing {
 		return bitset.New(x.n) // some query path occurs in no dataset graph
 	}
-	if len(qc) == 0 {
+	if len(w.touched) == 0 {
 		return bitset.NewFull(x.n) // empty query matches everything
 	}
-	// Order features by posting-list length so the working set shrinks fast.
-	feats := make([]nodeCount, 0, len(qc))
-	for node, c := range qc {
-		feats = append(feats, nodeCount{node, c})
+	for i := range w.words {
+		w.words[i] = ^uint64(0) // bits ≥ n fall to the first feature: no encoding holds them
 	}
-	sort.Slice(feats, func(i, j int) bool {
-		return len(x.nodes[feats[i].node].postings) < len(x.nodes[feats[j].node].postings)
-	})
-
-	out := bitset.New(x.n)
-	first := x.nodes[feats[0].node].postings
-	for _, p := range first {
-		if p.count >= feats[0].count {
-			out.Add(int(p.gid))
+	for _, id := range w.touched {
+		var alive bool
+		if nd := x.nodes[id]; nd.slices != nil {
+			alive = nd.slices.andAtLeast(w.words, w.counts[id])
+		} else {
+			alive = andPostings(w.words, nd.postings, w.counts[id])
+		}
+		if !alive {
+			return bitset.New(x.n)
 		}
 	}
-	scratch := bitset.New(x.n)
-	for _, f := range feats[1:] {
-		if out.Empty() {
-			return out
-		}
-		nd := x.nodes[f.node]
-		if nd.minCount >= f.count && len(nd.postings) == x.n {
-			continue // every graph qualifies; skip the intersection
-		}
-		scratch.Clear()
-		for _, p := range nd.postings {
-			if p.count >= f.count {
-				scratch.Add(int(p.gid))
-			}
-		}
-		out.And(scratch)
-	}
-	return out
-}
-
-// supergraphCandidates: G is a candidate iff count_G(f) ≤ count_q(f) for
-// all of G's features f, checked against the per-graph forward index.
-func (x *GGSX) supergraphCandidates(q *graph.Graph) *bitset.Set {
-	qc, _ := x.queryCounts(q) // missing paths are fine here
-	out := bitset.New(x.n)
-graphs:
-	for gid, fwd := range x.forward {
-		for _, nc := range fwd {
-			if qc[nc.node] < nc.count {
-				continue graphs
-			}
-		}
-		out.Add(gid)
-	}
-	return out
+	return bitset.FromWords(x.n, w.words)
 }

@@ -27,7 +27,10 @@ func insertableBuilders() map[string]func([]*graph.Graph) ftv.Filter {
 // tombstones in the dataset slice), the incremental filter's candidate
 // sets — masked by the live ids exactly like DatasetView.Candidates does
 // — are byte-identical to a filter rebuilt from scratch over the final
-// dataset, for a spread of queries in both directions.
+// dataset, for a spread of queries in both directions. The index itself is
+// the same too: IndexBytes equals that of a build over every graph ever
+// indexed (a tombstone removes nothing from a filter, so that build keeps
+// the graphs the dataset slice has since dropped).
 func TestWithGraphEquivalentToRebuild(t *testing.T) {
 	base := molecules(31, 10)
 	extra := molecules(32, 6)
@@ -44,6 +47,7 @@ func TestWithGraphEquivalentToRebuild(t *testing.T) {
 	for name, build := range insertableBuilders() {
 		t.Run(name, func(t *testing.T) {
 			dataset := append([]*graph.Graph(nil), base...)
+			indexed := append([]*graph.Graph(nil), base...)
 			incr := build(dataset)
 			step := func(what string) {
 				t.Helper()
@@ -61,6 +65,9 @@ func TestWithGraphEquivalentToRebuild(t *testing.T) {
 						}
 					}
 				}
+				if got, want := incr.IndexBytes(), build(indexed).IndexBytes(); got != want {
+					t.Fatalf("%s: incremental IndexBytes %d, from-scratch build %d", what, got, want)
+				}
 			}
 			step("initial")
 			for i, g := range extra {
@@ -70,6 +77,7 @@ func TestWithGraphEquivalentToRebuild(t *testing.T) {
 				}
 				gid := len(dataset)
 				dataset = append(dataset, g)
+				indexed = append(indexed, g)
 				incr = ins.WithGraph(gid, g)
 				// Interleave a tombstone so the insert path is exercised
 				// over datasets with holes (the filter keeps its postings;
