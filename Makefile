@@ -108,9 +108,11 @@ churn:
 
 # Short native-fuzzing smoke passes: the persistence v2 parser, the
 # adaptive-bitset differential target (random op sequences vs a naive
-# []bool reference, across every container mix) and the GGSX layout
-# oracle (build + WithGraph chains vs brute-force path counts; seeds
-# only, no committed corpus). The committed corpora
+# []bool reference, across every container mix), the GGSX layout
+# oracle (build + WithGraph chains vs brute-force path counts) and the
+# matcher oracle (VF2 / Ullmann / brute-force enumeration over all four
+# graph kinds); the last two have seeds only, no committed corpus. The
+# committed corpora
 # under internal/core/testdata/fuzz and internal/bitset/testdata/fuzz
 # replay in every plain `go test`; this target additionally mutates for a
 # few seconds per target so CI keeps probing fresh inputs.
@@ -121,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzBitsetOps$$' -fuzz '^FuzzBitsetOps$$' -fuzztime $(FUZZTIME) ./internal/bitset/
 	$(GO) test -run '^FuzzParseAnnotation$$' -fuzz '^FuzzParseAnnotation$$' -fuzztime $(FUZZTIME) ./internal/lint/
 	$(GO) test -run '^FuzzGGSXCandidates$$' -fuzz '^FuzzGGSXCandidates$$' -fuzztime $(FUZZTIME) ./internal/ftv/
+	$(GO) test -run '^FuzzVF2$$' -fuzz '^FuzzVF2$$' -fuzztime $(FUZZTIME) ./internal/iso/
 
 # Perf-trajectory artifact: throughput (full GOMAXPROCS worker sweep),
 # large-tier scaling and churn results as JSON, stamped with the runtime

@@ -87,7 +87,7 @@
 //     slices on the hot path; AppendIndices reuses caller buffers.
 //
 //   - Immutable graphs memoize their derived summaries (label-degree
-//     lists, VF2 visit order, label vector, WL fingerprint) behind atomic
+//     lists, VF2 match plan, label vector, WL fingerprint) behind atomic
 //     pointers (internal/graph), so repeated probes of the same graph are
 //     allocation-free; racing computations produce identical values and
 //     the loser's copy is garbage, which keeps the memo lock-free.

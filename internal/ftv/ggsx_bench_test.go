@@ -9,6 +9,7 @@ import (
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
+	"graphcache/internal/iso"
 )
 
 // benchIndex is the benchmark harness's Method M: gen.Molecules(2018, 5000)
@@ -77,5 +78,42 @@ func BenchmarkGGSXWithGraph(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f = f.(ftv.InsertableFilter).WithGraph(gid, adds[i%len(adds)])
 		gid++
+	}
+}
+
+// BenchmarkVerifyCandidates is the verification stage on its own: every
+// (pattern, target) pair Method M hands VF2 for the first 200 pool
+// queries of each direction, precomputed so that one iteration is one
+// sub-iso test. ns/op is therefore ns per test; recursions/test and
+// checks/test are iso.Stats averaged over the iterations.
+func BenchmarkVerifyCandidates(b *testing.B) {
+	bi := benchIndex()
+	for _, qt := range []ftv.QueryType{ftv.Subgraph, ftv.Supergraph} {
+		b.Run(qt.String(), func(b *testing.B) {
+			var pairs [][2]*graph.Graph
+			queries := bi.pool[qt][:200]
+			for _, q := range queries {
+				bi.index.Candidates(q, qt).ForEach(func(gid int) bool {
+					if qt == ftv.Subgraph {
+						pairs = append(pairs, [2]*graph.Graph{q, bi.dataset[gid]})
+					} else {
+						pairs = append(pairs, [2]*graph.Graph{bi.dataset[gid], q})
+					}
+					return true
+				})
+			}
+			b.Logf("%d queries, %.0f tests/query", len(queries), float64(len(pairs))/float64(len(queries)))
+			var rec, checks int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pr := pairs[i%len(pairs)]
+				_, st := iso.VF2(pr[0], pr[1], iso.Options{})
+				rec += st.Recursions
+				checks += st.Candidates
+			}
+			b.ReportMetric(float64(rec)/float64(b.N), "recursions/test")
+			b.ReportMetric(float64(checks)/float64(b.N), "checks/test")
+		})
 	}
 }

@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder assembles a Graph. A zero Builder is not usable; construct with
@@ -75,25 +75,34 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, b.errs[0]
 	}
 	n := len(b.labels)
-	adj := make([][]int32, n)
-	var radj [][]int32
+	// Adjacency lists are carved, exactly sized, out of one backing array
+	// per direction: deg counts first, then each list is filled and sorted.
+	deg := make([]int32, 2*n)
+	for e := range b.edges {
+		deg[e[0]]++
+		deg[n+int(e[1])]++
+	}
+	var adj, radj [][]int32
 	if b.directed {
-		radj = make([][]int32, n)
-		for e := range b.edges {
-			adj[e[0]] = append(adj[e[0]], e[1])
-			radj[e[1]] = append(radj[e[1]], e[0])
-		}
-		for v := 0; v < n; v++ {
-			sortInt32s(adj[v])
-			sortInt32s(radj[v])
-		}
+		adj, radj = carveAdj(deg[:n]), carveAdj(deg[n:])
 	} else {
-		for e := range b.edges {
-			adj[e[0]] = append(adj[e[0]], e[1])
+		for v := 0; v < n; v++ {
+			deg[v] += deg[n+v]
+		}
+		adj = carveAdj(deg[:n])
+	}
+	for e := range b.edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		if b.directed {
+			radj[e[1]] = append(radj[e[1]], e[0])
+		} else {
 			adj[e[1]] = append(adj[e[1]], e[0])
 		}
-		for v := 0; v < n; v++ {
-			sortInt32s(adj[v])
+	}
+	for v := 0; v < n; v++ {
+		slices.Sort(adj[v])
+		if b.directed {
+			slices.Sort(radj[v])
 		}
 	}
 	labels := make([]Label, n)
@@ -118,8 +127,21 @@ func (b *Builder) Build() (*Graph, error) {
 	}, nil
 }
 
-func sortInt32s(a []int32) {
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+// carveAdj returns one empty list per vertex with capacity deg[v], all
+// sharing a single backing array of exactly sum(deg) entries.
+func carveAdj(deg []int32) [][]int32 {
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	flat := make([]int32, total)
+	lists := make([][]int32, len(deg))
+	off := 0
+	for v, d := range deg {
+		lists[v] = flat[off : off : off+int(d)]
+		off += int(d)
+	}
+	return lists
 }
 
 // MustBuild is Build that panics on error, for tests and generators whose

@@ -67,8 +67,27 @@ func (g *Graph) HasEdge(u, v int) bool {
 		// Undirected: search the shorter list.
 		a, v = g.adj[v], u
 	}
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= int32(v) })
-	return i < len(a) && a[i] == int32(v)
+	return contains(a, int32(v))
+}
+
+// contains reports whether the ascending list a holds v: a binary search
+// down to 8 entries, then a linear scan, which is all the short lists of
+// sparse graphs ever get. Closure-free: it is the matcher's edge probe.
+func contains(a []int32, v int32) bool {
+	for len(a) > 8 {
+		h := len(a) / 2
+		if a[h] <= v {
+			a = a[h:]
+		} else {
+			a = a[:h]
+		}
+	}
+	for _, w := range a {
+		if w >= v {
+			return w == v
+		}
+	}
+	return false
 }
 
 // Edges returns all edges in lexicographic order, freshly allocated:

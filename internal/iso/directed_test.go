@@ -7,52 +7,6 @@ import (
 	"graphcache/internal/graph"
 )
 
-// bruteSubIsoGeneral is the reference matcher extended to directed graphs
-// and edge labels: try every injective mapping, checking arcs in both
-// directions with label equality.
-func bruteSubIsoGeneral(p, t *graph.Graph) bool {
-	if p.N() > t.N() || p.Directed() != t.Directed() {
-		return false
-	}
-	mapping := make([]int, p.N())
-	used := make([]bool, t.N())
-	edgeOK := func(pu, pv, tu, tv int) bool {
-		if !p.HasEdge(pu, pv) {
-			return true
-		}
-		return t.HasEdge(tu, tv) && p.EdgeLabel(pu, pv) == t.EdgeLabel(tu, tv)
-	}
-	var rec func(pu int) bool
-	rec = func(pu int) bool {
-		if pu == p.N() {
-			return true
-		}
-		for tv := 0; tv < t.N(); tv++ {
-			if used[tv] || p.Label(pu) != t.Label(tv) {
-				continue
-			}
-			ok := true
-			for pv := 0; pv < pu; pv++ {
-				if !edgeOK(pu, pv, tv, mapping[pv]) || !edgeOK(pv, pu, mapping[pv], tv) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			mapping[pu] = tv
-			used[tv] = true
-			if rec(pu + 1) {
-				return true
-			}
-			used[tv] = false
-		}
-		return false
-	}
-	return rec(0)
-}
-
 func randomDigraph(rng *rand.Rand, n, vlabels, elabels int, pArc float64) *graph.Graph {
 	b := graph.NewBuilder(n).Directed()
 	for v := 0; v < n; v++ {
@@ -162,7 +116,7 @@ func TestDirectedVF2AgreesWithBruteForce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		p := randomDigraph(rng, 2+rng.Intn(3), 2, 2, 0.4)
 		tg := randomDigraph(rng, 3+rng.Intn(4), 2, 2, 0.4)
-		want := bruteSubIsoGeneral(p, tg)
+		want := bruteCount(p, tg) > 0
 		if got := SubIso(p, tg); got != want {
 			t.Fatalf("trial %d: VF2 = %v, brute = %v\np edges=%v\nt edges=%v",
 				trial, got, want, p.Edges(), tg.Edges())
@@ -178,7 +132,7 @@ func TestEdgeLabelledVF2AgreesWithBruteForce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		p := randomEdgeLabelled(rng, 2+rng.Intn(3), 2, 2, 0.5)
 		tg := randomEdgeLabelled(rng, 3+rng.Intn(4), 2, 2, 0.5)
-		want := bruteSubIsoGeneral(p, tg)
+		want := bruteCount(p, tg) > 0
 		if got := SubIso(p, tg); got != want {
 			t.Fatalf("trial %d: VF2 = %v, brute = %v", trial, got, want)
 		}

@@ -1,19 +1,26 @@
-// Package iso implements subgraph-isomorphism testing for undirected
-// vertex-labelled graphs — the Verifier of GraphCache's Method M and the
-// engine behind sub/super cache-hit detection.
+// Package iso implements subgraph-isomorphism testing for vertex-labelled
+// graphs — undirected or directed, with or without edge labels — the
+// Verifier of GraphCache's Method M and the engine behind sub/super
+// cache-hit detection.
 //
 // Two engines are provided:
 //
 //   - VF2 (Cordella et al., TPAMI 2004): the default verifier, implementing
-//     non-induced subgraph isomorphism with connectivity-aware ordering and
-//     one-step lookahead pruning.
+//     non-induced subgraph isomorphism with one-step lookahead pruning. It
+//     searches along the pattern's match plan (graph.MatchPlan): rooted at a
+//     vertex of the pattern's rarest label, grown connected, with the
+//     anchor each step draws its candidates from fixed once per pattern, so
+//     the inner loop is adjacency probes and nothing else. One matcher
+//     serves all four graph kinds.
 //   - Ullmann (1976): the classic candidate-matrix algorithm with bitset
 //     refinement, kept as an independent baseline and cross-check.
 //
 // Semantics: SubIso(p, t) == true iff there is an injective mapping
-// f: V(p) → V(t) with label(v) == label(f(v)) for every vertex and
-// {f(u), f(v)} ∈ E(t) for every {u, v} ∈ E(p). Edges of t outside the image
-// are allowed (non-induced matching), matching the paper's setting.
+// f: V(p) → V(t) with label(v) == label(f(v)) for every vertex and, for
+// every edge (arc, when directed) uv of p, f(u)f(v) an edge of t with the
+// same edge label. Edges of t outside the image are allowed (non-induced
+// matching), matching the paper's setting. Graphs of different
+// directedness never match.
 package iso
 
 import (
@@ -24,7 +31,9 @@ import (
 type Stats struct {
 	// Recursions is the number of search-tree nodes expanded.
 	Recursions int64
-	// Candidates is the number of (pattern, target) pair feasibility checks.
+	// Candidates is the number of (pattern, target) vertex pairs put to the
+	// feasibility rules; VF2 does not count the pairs its label and
+	// injectivity screen drops first.
 	Candidates int64
 	// Aborted is true when the search hit Options.MaxRecursions before
 	// finding an answer; the boolean result is then false and unreliable.
@@ -73,6 +82,8 @@ func Isomorphic(a, b *graph.Graph) bool {
 // graphs' memo caches (graph.LabelDegrees), so repeated probes against
 // the same graphs — the common case when verifying a candidate list —
 // allocate nothing here.
+//
+//gclint:noalloc
 func quickReject(p, t *graph.Graph) bool {
 	if p.Directed() != t.Directed() {
 		return true // mixed-directedness matching is undefined; no match
@@ -80,19 +91,21 @@ func quickReject(p, t *graph.Graph) bool {
 	if p.N() > t.N() || p.M() > t.M() {
 		return true
 	}
-	pd := p.LabelDegrees()
-	td := t.LabelDegrees()
-	for l, pds := range pd {
-		tds, ok := td[l]
-		if !ok || len(tds) < len(pds) {
-			return true
-		}
-		// Both sorted descending: k-th largest pattern degree must fit
-		// under k-th largest target degree.
-		for i, d := range pds {
-			if tds[i] < d {
-				return true
+	// Merge-walk the two label-sorted summaries: inside a label run both
+	// are sorted descending, so the k-th largest pattern degree must fit
+	// under the k-th largest target degree of that label.
+	pd, td := p.LabelDegrees(), t.LabelDegrees()
+	j := 0
+	for i, e := range pd {
+		if i > 0 && pd[i-1].Label == e.Label {
+			j++
+		} else {
+			for j < len(td) && td[j].Label < e.Label {
+				j++
 			}
+		}
+		if j >= len(td) || td[j].Label != e.Label || td[j].Degree < e.Degree {
+			return true
 		}
 	}
 	return false

@@ -7,45 +7,6 @@ import (
 	"graphcache/internal/graph"
 )
 
-// bruteSubIso is a reference implementation: try every injective mapping.
-// Only usable for tiny patterns.
-func bruteSubIso(p, t *graph.Graph) bool {
-	if p.N() > t.N() {
-		return false
-	}
-	mapping := make([]int, p.N())
-	used := make([]bool, t.N())
-	var rec func(pu int) bool
-	rec = func(pu int) bool {
-		if pu == p.N() {
-			return true
-		}
-		for tv := 0; tv < t.N(); tv++ {
-			if used[tv] || p.Label(pu) != t.Label(tv) {
-				continue
-			}
-			ok := true
-			for _, pn := range p.Neighbors(pu) {
-				if int(pn) < pu && !t.HasEdge(tv, mapping[pn]) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			mapping[pu] = tv
-			used[tv] = true
-			if rec(pu + 1) {
-				return true
-			}
-			used[tv] = false
-		}
-		return false
-	}
-	return rec(0)
-}
-
 func tri(a, b, c graph.Label) *graph.Graph {
 	return graph.MustNew([]graph.Label{a, b, c}, [][2]int{{0, 1}, {1, 2}, {0, 2}})
 }
@@ -97,7 +58,7 @@ func TestSubIsoBasics(t *testing.T) {
 			if got, _ := Ullmann(c.p, c.t, Options{}); got != c.want {
 				t.Errorf("Ullmann = %v, want %v", got, c.want)
 			}
-			if got := bruteSubIso(c.p, c.t); got != c.want {
+			if got := bruteCount(c.p, c.t) > 0; got != c.want {
 				t.Errorf("brute = %v, want %v (test oracle broken)", got, c.want)
 			}
 		})
@@ -210,7 +171,7 @@ func TestVF2AgreesWithBruteForce(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		p := randomGraph(rng, 2+rng.Intn(4), 2, 0.5)
 		tg := randomGraph(rng, 3+rng.Intn(5), 2, 0.5)
-		want := bruteSubIso(p, tg)
+		want := bruteCount(p, tg) > 0
 		if got := SubIso(p, tg); got != want {
 			t.Fatalf("trial %d: VF2 = %v, brute = %v\np=%v edges=%v labels=%v\nt=%v edges=%v labels=%v",
 				trial, got, want, p, p.Edges(), p.Labels(), tg, tg.Edges(), tg.Labels())

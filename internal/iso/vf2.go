@@ -10,8 +10,8 @@ import (
 // invocations. Cache hit detection and candidate verification run VF2
 // once per candidate graph, so without pooling every probe pays three
 // O(n) allocations; with it a steady-state matcher invocation allocates
-// nothing. The visit order is not pooled — it comes from the pattern's
-// memo cache (graph.VisitOrder) and is shared read-only.
+// nothing. The plan is not pooled — it comes from the pattern's memo
+// cache (graph.MatchPlan) and is shared read-only.
 var statePool = sync.Pool{New: func() any { return new(vf2State) }}
 
 // acquireState returns a ready-to-run matcher state for p ⊑ t with all
@@ -19,10 +19,12 @@ var statePool = sync.Pool{New: func() any { return new(vf2State) }}
 func acquireState(p, t *graph.Graph) *vf2State {
 	m := statePool.Get().(*vf2State)
 	m.p, m.t = p, t
-	m.order = p.VisitOrder()
+	m.plan = p.MatchPlan()
+	m.elabels = p.HasEdgeLabels() || t.HasEdgeLabels()
 	m.pCore = resetCore(m.pCore, p.N())
 	m.tCore = resetCore(m.tCore, t.N())
 	m.opts = Options{}
+	m.st = Stats{}
 	m.aborted = false
 	m.capture = false
 	m.count = false
@@ -35,7 +37,7 @@ func acquireState(p, t *graph.Graph) *vf2State {
 // graphs) and returns the state to the pool.
 func releaseState(m *vf2State) {
 	m.p, m.t = nil, nil
-	m.order = nil
+	m.plan = nil
 	statePool.Put(m)
 }
 
@@ -57,18 +59,17 @@ func resetCore(s []int32, n int) []int32 {
 // together with search statistics. opts bounds the search; on an aborted
 // search the boolean is false and Stats.Aborted is set.
 func VF2(p, t *graph.Graph, opts Options) (bool, Stats) {
-	var st Stats
 	if p.N() == 0 {
-		return true, st // the empty pattern embeds everywhere
+		return true, Stats{} // the empty pattern embeds everywhere
 	}
 	if quickReject(p, t) {
-		return false, st
+		return false, Stats{}
 	}
 	m := acquireState(p, t)
 	m.opts = opts
-	ok := m.match(0, &st)
+	ok := m.match(0) && !m.aborted
+	st := m.st
 	st.Aborted = m.aborted
-	ok = ok && !m.aborted
 	releaseState(m)
 	return ok, st
 }
@@ -84,8 +85,7 @@ func FindEmbedding(p, t *graph.Graph) []int {
 	}
 	m := acquireState(p, t)
 	m.capture = true
-	var st Stats
-	if !m.match(0, &st) {
+	if !m.match(0) {
 		releaseState(m)
 		return nil
 	}
@@ -110,8 +110,7 @@ func CountEmbeddings(p, t *graph.Graph, limit int) int {
 	m := acquireState(p, t)
 	m.count = true
 	m.limit = limit
-	var st Stats
-	m.match(0, &st)
+	m.match(0)
 	found := m.found
 	releaseState(m)
 	return found
@@ -119,10 +118,12 @@ func CountEmbeddings(p, t *graph.Graph, limit int) int {
 
 type vf2State struct {
 	p, t    *graph.Graph
-	order   []int
+	plan    []graph.PlanStep
 	pCore   []int32 // pattern vertex -> target vertex or -1
 	tCore   []int32 // target vertex -> pattern vertex or -1
+	elabels bool    // either graph carries edge labels
 	opts    Options
+	st      Stats
 	aborted bool
 
 	capture bool // stop at first match, keep mapping
@@ -131,159 +132,138 @@ type vf2State struct {
 	found   int
 }
 
-// match extends the partial mapping at the given depth in the visit order.
-// It returns true when the search can stop (a match was found in decision
+// match extends the partial mapping at the given depth of the plan. It
+// returns true when the search can stop (a match was found in decision
 // mode, or the enumeration limit was reached in counting mode).
-func (m *vf2State) match(depth int, st *Stats) bool {
-	if depth == len(m.order) {
+//
+//gclint:noalloc
+func (m *vf2State) match(depth int) bool {
+	if depth == len(m.plan) {
 		if m.count {
 			m.found++
 			return m.limit > 0 && m.found >= m.limit
 		}
 		return true
 	}
-	st.Recursions++
-	if m.opts.MaxRecursions > 0 && st.Recursions > m.opts.MaxRecursions {
+	m.st.Recursions++
+	if m.opts.MaxRecursions > 0 && m.st.Recursions > m.opts.MaxRecursions {
 		m.aborted = true
 		return false
 	}
-
-	pu := m.order[depth]
-
-	// Candidate targets: if pu has an already-matched neighbor, only the
-	// correspondingly-adjacent vertices of that neighbor's image qualify;
-	// otherwise all unmatched target vertices (first vertex of a
-	// component). For directed patterns the anchor direction matters:
-	// anchoring on an out-neighbor pn (pu→pn) restricts candidates to
-	// in-neighbors of pn's image, and vice versa.
-	var (
-		anchorImage int32 = -1
-		anchorOut         = false // true: pu→anchor, so tv must be in-neighbor of image
-	)
-	for _, pn := range m.p.OutNeighbors(pu) {
-		if m.pCore[pn] >= 0 {
-			anchorImage, anchorOut = m.pCore[pn], true
-			break
+	// Candidates for step.V: at the first vertex of a component every
+	// target vertex; otherwise the correspondingly-adjacent vertices of
+	// the anchor's image (see graph.PlanStep for the direction). Either
+	// way screened by label and injectivity before the feasibility rules.
+	step := m.plan[depth]
+	label, tLabels := m.p.Label(int(step.V)), m.t.Labels()
+	var cands []int32
+	n := len(tLabels)
+	if step.Anchor >= 0 {
+		img := int(m.pCore[step.Anchor>>1])
+		cands = m.t.OutNeighbors(img)
+		if step.Anchor&1 != 0 {
+			cands = m.t.InNeighbors(img)
 		}
+		n = len(cands)
 	}
-	if anchorImage < 0 && m.p.Directed() {
-		for _, pn := range m.p.InNeighbors(pu) {
-			if m.pCore[pn] >= 0 {
-				anchorImage = m.pCore[pn]
-				break
-			}
+	for i := 0; i < n; i++ {
+		tv := int32(i)
+		if step.Anchor >= 0 {
+			tv = cands[i]
 		}
-	}
-
-	try := func(tv int32) bool {
-		st.Candidates++
-		if m.tCore[tv] >= 0 {
-			return false
+		if tLabels[tv] != label || m.tCore[tv] >= 0 {
+			continue
 		}
-		if !m.feasible(pu, tv) {
-			return false
+		m.st.Candidates++
+		if !m.feasible(step, tv) {
+			continue
 		}
-		m.pCore[pu] = tv
-		m.tCore[tv] = int32(pu)
-		done := m.match(depth+1, st)
+		m.pCore[step.V] = tv
+		m.tCore[tv] = step.V
+		done := m.match(depth + 1)
 		if done && m.capture {
 			return true // keep the completed mapping intact
 		}
-		m.pCore[pu] = -1
+		m.pCore[step.V] = -1
 		m.tCore[tv] = -1
-		return done
-	}
-
-	if anchorImage >= 0 {
-		cands := m.t.InNeighbors(int(anchorImage))
-		if !anchorOut {
-			cands = m.t.OutNeighbors(int(anchorImage))
-		}
-		for _, tv := range cands {
-			if try(tv) {
-				return true
-			}
-			if m.aborted {
-				return false
-			}
-		}
-		return false
-	}
-	for tv := int32(0); tv < int32(m.t.N()); tv++ {
-		if try(tv) {
-			return true
-		}
-		if m.aborted {
-			return false
+		if done || m.aborted {
+			return done
 		}
 	}
 	return false
 }
 
-// feasible applies the VF2 feasibility rules for non-induced matching:
-// label equality, degree sufficiency, consistency (direction- and
-// edge-label-aware) with all matched pattern neighbors, and a one-step
-// lookahead comparing unmatched-neighbor counts per direction.
-func (m *vf2State) feasible(pu int, tv int32) bool {
-	if m.p.Label(pu) != m.t.Label(int(tv)) {
-		return false
-	}
-	if m.t.OutDegree(int(tv)) < m.p.OutDegree(pu) || m.t.InDegree(int(tv)) < m.p.InDegree(pu) {
+// feasible applies the VF2 feasibility rules for non-induced matching to
+// a label-screened, unmatched tv: degree sufficiency, consistency
+// (direction- and edge-label-aware) with all matched pattern neighbors,
+// and a one-step lookahead comparing unmatched-neighbor counts per
+// direction. The anchor arc exists by construction of the candidate
+// list, so only its edge label is tested.
+//
+//gclint:noalloc
+func (m *vf2State) feasible(step graph.PlanStep, tv int32) bool {
+	pu := int(step.V)
+	pOut, tOut := m.p.OutNeighbors(pu), m.t.OutNeighbors(int(tv))
+	if len(tOut) < len(pOut) || m.t.InDegree(int(tv)) < m.p.InDegree(pu) {
 		return false
 	}
 	// Every matched out-neighbor pn of pu (edge pu→pn) must map to an
 	// out-neighbor of tv with a matching edge label; dually for
-	// in-neighbors. For undirected graphs Out==In, so only the first loop
-	// constrains (the second repeats it harmlessly only when directed).
-	pendingOut := 0
-	for _, pn := range m.p.OutNeighbors(pu) {
-		if img := m.pCore[pn]; img >= 0 {
-			if !m.t.HasEdge(int(tv), int(img)) {
-				return false
-			}
-			if m.p.EdgeLabel(pu, int(pn)) != m.t.EdgeLabel(int(tv), int(img)) {
-				return false
-			}
-		} else {
-			pendingOut++
+	// in-neighbors. For undirected graphs Out==In, so one loop suffices.
+	// The anchor arc needs no probe in the direction the candidates came
+	// from (-1 at a component root: no neighbour is the anchor).
+	anchor, anchorOut := step.Anchor>>1, step.Anchor&1 != 0
+	pending := 0
+	for _, pn := range pOut {
+		img := m.pCore[pn]
+		if img < 0 {
+			pending++
+			continue
 		}
-	}
-	pendingIn := 0
-	if m.p.Directed() {
-		for _, pn := range m.p.InNeighbors(pu) {
-			if img := m.pCore[pn]; img >= 0 {
-				if !m.t.HasEdge(int(img), int(tv)) {
-					return false
-				}
-				if m.p.EdgeLabel(int(pn), pu) != m.t.EdgeLabel(int(img), int(tv)) {
-					return false
-				}
-			} else {
-				pendingIn++
-			}
+		if !(pn == anchor && anchorOut) && !m.t.HasEdge(int(tv), int(img)) {
+			return false
+		}
+		if m.elabels && m.p.EdgeLabel(pu, int(pn)) != m.t.EdgeLabel(int(tv), int(img)) {
+			return false
 		}
 	}
 	// Lookahead: tv needs at least as many unmatched out-/in-neighbors as
 	// pu has pending in each direction.
-	availOut := 0
-	for _, tn := range m.t.OutNeighbors(int(tv)) {
-		if m.tCore[tn] < 0 {
-			availOut++
-		}
-	}
-	if availOut < pendingOut {
+	if !m.available(tOut, pending) {
 		return false
 	}
-	if m.p.Directed() {
-		availIn := 0
-		for _, tn := range m.t.InNeighbors(int(tv)) {
-			if m.tCore[tn] < 0 {
-				availIn++
-			}
+	if !m.p.Directed() {
+		return true
+	}
+	pending = 0
+	for _, pn := range m.p.InNeighbors(pu) {
+		img := m.pCore[pn]
+		if img < 0 {
+			pending++
+			continue
 		}
-		if availIn < pendingIn {
+		if !(pn == anchor && !anchorOut) && !m.t.HasEdge(int(img), int(tv)) {
+			return false
+		}
+		if m.elabels && m.p.EdgeLabel(int(pn), pu) != m.t.EdgeLabel(int(img), int(tv)) {
 			return false
 		}
 	}
-	return true
+	return m.available(m.t.InNeighbors(int(tv)), pending)
+}
+
+// available reports whether at least need of the target vertices in
+// list are still unmatched.
+//
+//gclint:noalloc
+func (m *vf2State) available(list []int32, need int) bool {
+	for _, tn := range list {
+		if need <= 0 {
+			break
+		}
+		if m.tCore[tn] < 0 {
+			need--
+		}
+	}
+	return need <= 0
 }
