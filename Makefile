@@ -3,7 +3,9 @@
 # and hot-path contract analyzers (`lint`, see cmd/gclint), plus the
 # full test suite under the race detector (the concurrency stress and
 # equivalence tests in internal/core and internal/server only earn
-# their keep with -race armed) and the bench smoke gate.
+# their keep with -race armed), the benchmark harness's own smoke test
+# (`harness`) and a short fuzzing pass (`fuzz-smoke`). Performance is
+# measured by `bash benchmark/run.sh` (BENCHMARK.json), not here.
 
 GO ?= go
 
@@ -12,7 +14,7 @@ GO ?= go
 # coverage fails CI. Raise it when the real number durably rises.
 COVER_BASELINE ?= 80.0
 
-.PHONY: build test race vet staticcheck fmt-check lint harness cover bench bench-smoke bench-json bench-memory fuzz-smoke throughput scaling profiles churn ci
+.PHONY: build test race vet staticcheck fmt-check lint lint-waivers harness cover fuzz-smoke profiles ci
 
 build:
 	$(GO) build ./...
@@ -73,38 +75,17 @@ cover:
 		if (t+0 < b+0) { printf "coverage %.1f%% is below the %.1f%% baseline\n", t, b; exit 1 } \
 		printf "coverage %.1f%% (baseline %.1f%%)\n", t, b }'
 
-# Parallel-throughput comparison: the default engine vs the serialized
-# baseline, swept to GOMAXPROCS workers.
-throughput:
-	$(GO) run ./cmd/workloadrun -throughput
-
-# Scaling tier: 10k graphs, 10k zipf-skewed mixed queries, full
-# GOMAXPROCS worker sweep (~2 min of wall-clock per core by design).
-scaling:
-	$(GO) run ./cmd/workloadrun -throughput -scale large
-
-# pprof artifacts: CPU + heap profiles of the scaling-tier run, uploaded
-# by CI so hot-path regressions are diagnosable from the artifacts alone.
-# Inspect with `go tool pprof profiles/scaling_cpu.pprof`.
+# pprof on demand: CPU + heap profiles of the kernel's two expensive
+# query paths (an indexed miss and a sub/super hit), from the stock
+# benchmark runner. Inspect with
+# `go tool pprof profiles/core.test profiles/core_cpu.pprof`; a live
+# daemon serves the same through `gcd -pprof`.
 PROFILE_DIR ?= profiles
 profiles:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) run ./cmd/gcbench -exp scaling \
-		-cpuprofile $(PROFILE_DIR)/scaling_cpu.pprof -memprofile $(PROFILE_DIR)/scaling_mem.pprof
-
-bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/bench/
-
-# Tiny throughput run that additionally compares indexed vs unindexed hit
-# detection and fails unless the feature index strictly reduced work
-# (fewer dominance merges, no extra cache-side iso tests, pruning active).
-bench-smoke:
-	$(GO) run ./cmd/workloadrun -throughput -throughput-dataset 100 -throughput-queries 200 -workers 1,2 -assert-index
-
-# Live-mutation comparison: exact cache maintenance vs dropping the cache
-# at every dataset mutation (incremental index inserts vs full rebuilds).
-churn:
-	$(GO) run ./cmd/workloadrun -churn -assert-churn
+	$(GO) test -run '^$$' -bench 'BenchmarkExecute(IndexedMiss|SubSuperHit)' \
+		-cpuprofile $(PROFILE_DIR)/core_cpu.pprof -memprofile $(PROFILE_DIR)/core_mem.pprof \
+		-o $(PROFILE_DIR)/core.test ./internal/core/
 
 # Short native-fuzzing smoke passes: the persistence v2 parser, the
 # adaptive-bitset differential target (random op sequences vs a naive
@@ -125,29 +106,6 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzGGSXCandidates$$' -fuzz '^FuzzGGSXCandidates$$' -fuzztime $(FUZZTIME) ./internal/ftv/
 	$(GO) test -run '^FuzzVF2$$' -fuzz '^FuzzVF2$$' -fuzztime $(FUZZTIME) ./internal/iso/
 
-# Perf-trajectory artifact: throughput (full GOMAXPROCS worker sweep),
-# large-tier scaling and churn results as JSON, stamped with the runtime
-# environment (GOMAXPROCS, CPU count, Go version) and uploaded by CI per
-# PR (BENCH_pr4.json and BENCH_pr5.json seed the file set; the scaling
-# and env sections start with BENCH_pr6.json). No -workers flag: the
-# sweep derives from GOMAXPROCS so the artifact reflects the hardware.
-# The default output is a gitignored scratch path so `make ci` never
-# clobbers the committed BENCH_pr*.json history; CI overrides BENCH_JSON
-# to name its uploaded artifact, and cutting a new committed snapshot is
-# an explicit `make bench-json BENCH_JSON=BENCH_prN.json`.
-BENCH_JSON ?= bench_scratch.json
-bench-json:
-	$(GO) run ./cmd/workloadrun -bench-json $(BENCH_JSON) -assert-churn \
-		-throughput-dataset 120 -throughput-queries 300 \
-		-churn-dataset 120 -churn-queries 300 -churn-mutations 10
-
-# Answer-set memory ledger: bytes/entry under the adaptive containers +
-# interning vs the dense-equivalent baseline, on the default AND large
-# tiers (the large row is the ISSUE-8 ≥40%-reduction acceptance surface).
-# The same numbers land in the bench-json artifact's memory section.
-bench-memory:
-	$(GO) run ./cmd/gcbench -exp memory
-
 # The benchmark harness is a module of its own (benchmark/go.mod) that
 # drives internal/* through their public functions, so `./...` from the
 # root never compiles it: build, smoke-test (all four workloads, both
@@ -157,4 +115,4 @@ harness:
 	$(GO) test -C benchmark ./...
 	$(GO) run ./cmd/gclint -C benchmark ./...
 
-ci: vet staticcheck fmt-check lint race harness fuzz-smoke bench-smoke bench-json
+ci: vet staticcheck fmt-check lint race harness fuzz-smoke

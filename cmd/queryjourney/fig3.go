@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -44,7 +44,8 @@ type Fig3Result struct {
 // hits. Deterministic in seed.
 func RunFig3(seed int64) (*Fig3Result, error) {
 	rng := rand.New(rand.NewSource(seed))
-	dataset := DemoDataset(seed)
+	// The demo deployment's dataset: 100 AIDS-like molecules.
+	dataset := gen.Molecules(rand.New(rand.NewSource(seed)), 100, gen.DefaultMoleculeConfig())
 	method := ftv.NewGGSXMethod(dataset, 3)
 
 	cfg := core.DefaultConfig()
@@ -86,7 +87,7 @@ func RunFig3(seed int64) (*Fig3Result, error) {
 		}
 	}
 	if probe == nil {
-		return nil, fmt.Errorf("bench: no suitable probe found for seed %d", seed)
+		return nil, fmt.Errorf("no suitable probe found for seed %d", seed)
 	}
 	// Super-case suppliers: nearly-probe-sized sub-patterns, picked for
 	// selectivity — the smaller their answer sets, the more candidates
@@ -115,7 +116,7 @@ func RunFig3(seed int64) (*Fig3Result, error) {
 	// Warm the cache with 50 executed queries: the 4 relatives plus 46
 	// fillers drawn from the dataset at large. Fillers isomorphic to the
 	// probe are skipped — the journey demonstrates sub/super hits, not the
-	// (separately benched) exact-match path.
+	// exact-match path.
 	warm := []*graph.Graph{big}
 	warm = append(warm, smalls...)
 	for len(warm) < 50 {
@@ -138,7 +139,7 @@ func RunFig3(seed int64) (*Fig3Result, error) {
 		return nil, err
 	}
 	if res.ExactHit {
-		return nil, fmt.Errorf("bench: probe collided with a warm query (seed %d); use another seed", seed)
+		return nil, fmt.Errorf("probe collided with a warm query (seed %d); use another seed", seed)
 	}
 	return &Fig3Result{
 		CachedQueries: c.Len(),

@@ -12,7 +12,6 @@ import (
 	"os"
 	"strings"
 
-	"graphcache/internal/bench"
 	"graphcache/internal/viz"
 )
 
@@ -35,7 +34,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	res, err := bench.RunFig3(*seed)
+	res, err := RunFig3(*seed)
 	if err != nil {
 		return err
 	}

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,126 +20,21 @@ func TestRunWorkloadSmoke(t *testing.T) {
 	}
 }
 
-// Smoke: throughput mode with the index assertion — the bench-smoke CI
-// gate — must pass on a tiny mixed workload.
-func TestRunThroughputWithIndexAssertion(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-throughput", "-throughput-dataset", "30", "-throughput-queries", "60",
-		"-workers", "1,2", "-assert-index",
-	}, &out)
-	if err != nil {
-		t.Fatalf("%v\noutput:\n%s", err, out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"Parallel throughput", "Hit-detection index", "index assertion passed"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-workers", "0", "-throughput"}, &out); err == nil {
-		t.Error("bad worker count accepted")
+	if err := run([]string{"-size", "many"}, &out); err == nil {
+		t.Error("bad workload size accepted")
 	}
-	if err := run([]string{"-assert-index"}, &out); err == nil {
-		t.Error("-assert-index without -throughput accepted")
+	if err := run([]string{"-policy", "nosuch"}, &out); err == nil {
+		t.Error("unknown policy accepted")
 	}
-	if err := run([]string{"-assert-churn"}, &out); err == nil {
-		t.Error("-assert-churn without -churn accepted")
+	if err := run([]string{"-size", "2", "-policies", "lru,nosuch"}, &out); err == nil {
+		t.Error("unknown policy in the replacement comparison accepted")
 	}
-	if err := run([]string{"-churn", "-assert-index"}, &out); err == nil {
-		t.Error("-assert-index with -churn silently accepted")
-	}
-	if err := run([]string{"-bench-json", "x.json", "-throughput"}, &out); err == nil {
-		t.Error("-bench-json combined with -throughput accepted")
-	}
-}
-
-// Smoke: churn mode with the maintenance assertion — the bench-json CI
-// artifact's core comparison — must pass on a tiny stream.
-func TestRunChurnWithAssertion(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-churn", "-churn-dataset", "60", "-churn-queries", "120",
-		"-churn-mutations", "6", "-assert-churn",
-	}, &out)
-	if err != nil {
-		t.Fatalf("%v\noutput:\n%s", err, out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"Live dataset churn", "maintained", "drop+rebuild", "byte-identical"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-// Smoke: -bench-json writes a parseable artifact with both sections.
-func TestRunBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out bytes.Buffer
-	// -scale large with explicit tiny size overrides keeps the test fast:
-	// the scaling section reuses the (downsized) large-tier run instead
-	// of measuring the full 10k×10k workload.
-	err := run([]string{
-		"-bench-json", path, "-scale", "large",
-		"-throughput-dataset", "30", "-throughput-queries", "60", "-workers", "1",
-		"-churn-dataset", "60", "-churn-queries", "120", "-churn-mutations", "6",
-	}, &out)
-	if err != nil {
-		t.Fatalf("%v\noutput:\n%s", err, out.String())
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Env struct {
-			GOMAXPROCS int
-			NumCPU     int
-			GoVersion  string
-		} `json:"env"`
-		Workers    []int `json:"workers"`
-		Throughput struct {
-			WorkerCounts []int `json:"WorkerCounts"`
-		} `json:"throughput"`
-		Scaling struct {
-			Tier         string
-			WorkerCounts []int `json:"WorkerCounts"`
-		} `json:"scaling"`
-		Churn struct {
-			Queries   int `json:"Queries"`
-			Mutations int `json:"Mutations"`
-		} `json:"churn"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("bad JSON artifact: %v\n%s", err, raw)
-	}
-	if len(report.Throughput.WorkerCounts) != 1 || report.Churn.Queries != 120 || report.Churn.Mutations == 0 {
-		t.Fatalf("artifact content wrong:\n%s", raw)
-	}
-	if report.Env.GOMAXPROCS < 1 || report.Env.NumCPU < 1 || report.Env.GoVersion == "" {
-		t.Fatalf("artifact must record the runtime environment:\n%s", raw)
-	}
-	if len(report.Workers) != 1 || report.Workers[0] != 1 {
-		t.Fatalf("artifact must record the worker sweep:\n%s", raw)
-	}
-	if report.Scaling.Tier != "large" || len(report.Scaling.WorkerCounts) != 1 {
-		t.Fatalf("artifact must include the scaling section:\n%s", raw)
-	}
-}
-
-// An empty -workers list means "sweep up to GOMAXPROCS"; the sweep is
-// derived, never empty.
-func TestParseWorkersEmptyMeansAuto(t *testing.T) {
-	ws, err := parseWorkers("")
-	if err != nil || ws != nil {
-		t.Fatalf("parseWorkers(\"\") = %v, %v; want nil, nil", ws, err)
-	}
-	if ws, err = parseWorkers(" 2, 4 "); err != nil || len(ws) != 2 || ws[0] != 2 || ws[1] != 4 {
-		t.Fatalf("parseWorkers(\" 2, 4 \") = %v, %v", ws, err)
+	// The measuring modes live in benchmark/ now; their flags are gone,
+	// not ignored.
+	err := run([]string{"-throughput"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-throughput: got %v, want an undefined-flag error", err)
 	}
 }

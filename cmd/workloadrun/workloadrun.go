@@ -1,12 +1,23 @@
-package bench
+package main
 
 import (
+	"math/rand"
 	"sort"
 
 	"graphcache/internal/core"
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
+	"graphcache/internal/graph"
 )
+
+// newRand returns a seeded generator (all demo randomness is explicit).
+func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// DemoDataset generates the demo deployment's dataset shape: 100 AIDS-like
+// molecules (the paper bundles 100 graphs of the AIDS dataset).
+func DemoDataset(seed int64) []*graph.Graph {
+	return gen.Molecules(newRand(seed), 100, gen.DefaultMoleculeConfig())
+}
 
 // WorkloadStep is one row of The Workload Run (Figure 2(b)): per executed
 // query, its hits and the hit percentage over the cached graphs.
@@ -97,7 +108,6 @@ func RunWorkload(seed int64, workloadSize int, policy string) ([]WorkloadStep, *
 type ReplacementResult struct {
 	Policy  string
 	Evicted []int // entry IDs chosen as victims
-	Kept    int
 }
 
 // RunReplacement reproduces Figure 2(c): the cache is filled with exactly
@@ -195,7 +205,7 @@ func RunReplacement(seed int64, policies []string) ([]ReplacementResult, error) 
 			}
 		}
 		sort.Ints(evicted)
-		out = append(out, ReplacementResult{Policy: pname, Evicted: evicted, Kept: len(after)})
+		out = append(out, ReplacementResult{Policy: pname, Evicted: evicted})
 	}
 	return out, nil
 }

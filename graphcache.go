@@ -161,16 +161,12 @@ func NewStarMethod(dataset []*Graph, maxLeaves int) *Method {
 }
 
 // NewGGSXFilter, NewStarFilter, NewLabelFilter and NewNoFilter expose the
-// bundled filters for custom Method M assembly; RebuildOnly strips a
-// filter's InsertableFilter capability, forcing AddGraph down the full
-// factory-rebuild path (the measurable baseline for the incremental-
-// insert comparison).
+// bundled filters for custom Method M assembly.
 var (
 	NewGGSXFilter  = ftv.NewGGSX
 	NewStarFilter  = ftv.NewStarFilter
 	NewLabelFilter = ftv.NewLabelFilter
 	NewNoFilter    = ftv.NewNoFilter
-	RebuildOnly    = ftv.RebuildOnly
 )
 
 // NewSIMethod builds a filterless Method M — a plain subgraph-isomorphism

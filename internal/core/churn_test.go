@@ -11,25 +11,32 @@ import (
 	"graphcache/internal/graph"
 )
 
-// churnStream drives a mixed query/mutation stream through the cache with
-// SelfCheck armed (every answer is cross-checked byte-identical against
-// the uncached method), mutating the dataset every `every` queries:
-// alternating additions (fresh molecules from the same generator family,
-// so they land in cached answer sets) and removals (a pseudo-random live
-// gid). It returns the number of mutations applied.
-func churnStream(t *testing.T, c *Cache, queries []gen.Query, extra []*graph.Graph, every int, afterMutation func(i int)) int {
+// churnStream drives a mixed query/mutation stream through the cache
+// cur() names at each step (the drop-and-rebuild strategy swaps in a cold
+// one from afterMutation), with SelfCheck armed (every answer is
+// cross-checked byte-identical against the uncached method), mutating the
+// dataset every `every` queries. The stream is add-heavy, as a dataset
+// that mostly grows is: two additions (fresh molecules from the same
+// generator family, so they land in cached answer sets) for every removal
+// (a pseudo-random live gid). It returns the number of mutations applied
+// and every query's answer set, rendered.
+func churnStream(t *testing.T, cur func() *Cache, queries []gen.Query, extra []*graph.Graph, every int, afterMutation func(i int)) (int, []string) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	mutations := 0
 	nextExtra := 0
+	answers := make([]string, 0, len(queries))
 	for i, q := range queries {
-		if _, err := c.Execute(q.G, q.Type); err != nil {
+		c := cur()
+		res, err := c.Execute(q.G, q.Type)
+		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
+		answers = append(answers, res.Answers.String())
 		if (i+1)%every != 0 {
 			continue
 		}
-		if mutations%2 == 0 && nextExtra < len(extra) {
+		if mutations%3 != 2 && nextExtra < len(extra) {
 			if _, err := c.AddGraph(extra[nextExtra]); err != nil {
 				t.Fatalf("add after query %d: %v", i, err)
 			}
@@ -54,7 +61,61 @@ func churnStream(t *testing.T, c *Cache, queries []gen.Query, extra []*graph.Gra
 			afterMutation(i)
 		}
 	}
-	return mutations
+	return mutations, answers
+}
+
+// TestMaintainedCacheBeatsDropAndRebuild is the reason the cache is
+// maintained at all: over one add-heavy stream, keeping every cached
+// answer set exact across mutations (query-time tests plus the
+// maintenance tests additions cost) must be strictly cheaper than the
+// only other sound strategy, an empty cache after every mutation — with
+// byte-identical answers, query by query. Test counts, not wall time.
+func TestMaintainedCacheBeatsDropAndRebuild(t *testing.T) {
+	dataset := testDataset(51, 60)
+	extra := testDataset(77, 8)
+	w, err := gen.NewWorkload(rand.New(rand.NewSource(54)), dataset, gen.WorkloadConfig{
+		Size: 160, Mixed: true, PoolSize: 50,
+		ZipfS: 1.2, ChainFrac: 0.5, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig() // nil Policy: every cache gets its own HD
+	cfg.SelfCheck = true
+	cfg.Shards = 1 // sequential comparison: deterministic contents
+
+	maintained := MustNew(ftv.NewGGSXMethod(dataset, 3), cfg)
+	mutations, want := churnStream(t, func() *Cache { return maintained }, w.Queries, extra, 16, nil)
+	if mutations < 6 {
+		t.Fatalf("stream too tame: only %d mutations", mutations)
+	}
+	snap := maintained.Stats()
+	if snap.MaintenanceTests == 0 {
+		t.Error("no maintenance tests recorded: additions never reconciled")
+	}
+	maintainedBill := snap.TestsExecuted + snap.MaintenanceTests
+
+	// The cold caches share one method, whose dataset therefore mutates
+	// exactly as the maintained one's does; a dropped cache's own
+	// mutation-time work is not billed to it.
+	method := ftv.NewGGSXMethod(dataset, 3)
+	cold := MustNew(method, cfg)
+	var rebuildBill int64
+	_, got := churnStream(t, func() *Cache { return cold }, w.Queries, extra, 16, func(int) {
+		rebuildBill += cold.Stats().TestsExecuted
+		cold = MustNew(method, cfg)
+	})
+	rebuildBill += cold.Stats().TestsExecuted
+
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("query %d: maintained %s, drop-and-rebuild %s", i, want[i], got[i])
+		}
+	}
+	if maintainedBill >= rebuildBill {
+		t.Fatalf("maintained cache did not win: %d sub-iso tests (%d query + %d maintenance) vs %d for drop-and-rebuild",
+			maintainedBill, snap.TestsExecuted, snap.MaintenanceTests, rebuildBill)
+	}
 }
 
 // TestChurnEquivalence is the churn acceptance property: a mixed
@@ -86,7 +147,7 @@ func TestChurnEquivalence(t *testing.T) {
 				})
 				method := c.Method()
 
-				mutations := churnStream(t, c, w.Queries, extra, 9, func(i int) {
+				mutations, _ := churnStream(t, func() *Cache { return c }, w.Queries, extra, 9, func(i int) {
 					if lazy {
 						return // entries reconcile at hit time; validated below
 					}

@@ -123,8 +123,8 @@
 // and alloc_test.go pins hard per-path budgets via testing.AllocsPerRun
 // — a returning O(n) clone fails CI, not a profile nobody reads.
 // FuzzBitsetOps (internal/bitset) differentially fuzzes every container
-// mix against a naive reference, and `gcbench -exp memory` tracks
-// bytes/entry against the dense-equivalent baseline.
+// mix against a naive reference, and the benchmark harness's
+// core.bytes_per_entry metric tracks resident bytes per cached query.
 //
 // # Snapshot persistence: the GCS3 binary format
 //

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
+
+	"graphcache/internal/ftv"
+	"graphcache/internal/gen"
+	"graphcache/internal/graph"
 )
 
 // mkEntry builds a bare entry with the given utility stats.
@@ -232,5 +237,81 @@ func TestBundledPoliciesHonourEventCount(t *testing.T) {
 			t.Errorf("%s, Count 0: hits/tests/cost/last = %d/%v/%v/%d, want 6/23/108/60",
 				name, e.Hits, e.SavedTests, e.SavedCostNs, e.LastUsed)
 		}
+	}
+}
+
+// TestPolicyCompetitionShape is the paper's EXP-I take-away (§3.1.I) on
+// sub-iso test counts: over four workload classes that each favour a
+// different utility signal, no policy ever adds dataset tests to the
+// uncached method's bill, and HD's bill is within 10% of the best
+// policy's on every class.
+func TestPolicyCompetitionShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long experiment")
+	}
+	molecules := func(seed int64) []*graph.Graph {
+		return gen.Molecules(rand.New(rand.NewSource(seed)), 200, gen.DefaultMoleculeConfig())
+	}
+	// Two molecule size classes: verification against the large ones costs
+	// an order of magnitude more, which separates PIN from PINC.
+	skewRng := rand.New(rand.NewSource(10))
+	small := gen.Molecules(skewRng, 120, gen.MoleculeConfig{MinV: 12, MaxV: 20, RingFrac: 0.08, MaxDegree: 4, Labels: 12})
+	large := gen.Molecules(skewRng, 80, gen.MoleculeConfig{MinV: 70, MaxV: 110, RingFrac: 0.08, MaxDegree: 4, Labels: 12})
+
+	classes := []struct {
+		name             string
+		dataset          []*graph.Graph
+		zipfS, chainFrac float64
+		maxEdges         int
+	}{
+		{"zipf-chain", molecules(7), 1.2, 0.6, 14},                               // popularity + containment: PIN's home turf
+		{"uniform-chain", molecules(8), 0, 0.7, 14},                              // containment without skew: LRU suffers
+		{"zipf-flat", molecules(9), 1.4, 0, 14},                                  // repeats without containment: POP/LRU do fine
+		{"costskew-chain", gen.AssignIDs(append(small, large...)), 1.2, 0.5, 10}, // saved tests differ wildly in price: PINC's home turf
+	}
+	for _, class := range classes {
+		t.Run(class.name, func(t *testing.T) {
+			// The pool is 3× the capacity below, so replacement decisions
+			// matter (a pool that fits saturates every policy alike).
+			w, err := gen.NewWorkload(rand.New(rand.NewSource(107)), class.dataset, gen.WorkloadConfig{
+				Size: 300, Type: ftv.Subgraph, PoolSize: 150,
+				ZipfS: class.zipfS, ChainFrac: class.chainFrac, ChainLen: 3, MinEdges: 3, MaxEdges: class.maxEdges,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			method := ftv.NewGGSXMethod(class.dataset, 3)
+			var uncached int64
+			for _, q := range w.Queries {
+				uncached += int64(method.Run(q.G, q.Type).Tests)
+			}
+			bills := map[string]int64{}
+			best := uncached
+			for _, name := range []string{"lru", "pop", "pin", "pinc", "hd"} {
+				policy, err := NewPolicy(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultConfig()
+				cfg.Shards = 1 // sequential: contents independent of sharding
+				cfg.Capacity = 50
+				cfg.Window = 10
+				cfg.Policy = policy
+				c := MustNew(method, cfg)
+				for _, q := range w.Queries {
+					if _, err := c.Execute(q.G, q.Type); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bills[name] = c.Stats().TestsExecuted
+				if bills[name] > uncached {
+					t.Errorf("%s: %d dataset tests, uncached method %d", name, bills[name], uncached)
+				}
+				best = min(best, bills[name])
+			}
+			if hd := bills["hd"]; float64(best) < 0.9*float64(hd) {
+				t.Errorf("HD's bill %d not within 10%% of the best %d (all: %v)", hd, best, bills)
+			}
+		})
 	}
 }

@@ -82,15 +82,6 @@ type InsertableFilter interface {
 	WithGraph(gid int, g *graph.Graph) Filter
 }
 
-// RebuildOnly wraps a filter so it no longer advertises the
-// InsertableFilter capability, forcing Method.AddGraph down the full
-// FilterFactory rebuild path. It is the measurable baseline for the
-// incremental-insert comparison (benchmarks and tests); Candidates,
-// Name and IndexBytes delegate unchanged.
-func RebuildOnly(f Filter) Filter { return rebuildOnly{f} }
-
-type rebuildOnly struct{ Filter }
-
 // LabelFilter prunes by vertex count, edge count and label-multiset
 // dominance. It needs only O(1) state per dataset graph.
 type LabelFilter struct {

@@ -119,6 +119,30 @@ func TestGGSXLongerPathsPruneMore(t *testing.T) {
 	}
 }
 
+// TestFeatureSizeShape is the paper's EXP-II-A trade (§3.1.II): one more
+// edge of feature length buys pruning with index space. L+1 indexes every
+// path L does, so its candidates are a subset on every query, not only
+// fewer in total.
+func TestFeatureSizeShape(t *testing.T) {
+	dataset := gen.Molecules(rand.New(rand.NewSource(11)), 300, gen.DefaultMoleculeConfig())
+	w, err := gen.NewWorkload(rand.New(rand.NewSource(18)), dataset, gen.WorkloadConfig{
+		Size: 150, Type: ftv.Subgraph, PoolSize: 150, ChainLen: 2, MinEdges: 4, MaxEdges: 12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, bigger := ftv.NewGGSX(dataset, 3), ftv.NewGGSX(dataset, 4)
+	if bigger.IndexBytes() <= base.IndexBytes() {
+		t.Errorf("L=4 index (%d B) not larger than L=3 (%d B)", bigger.IndexBytes(), base.IndexBytes())
+	}
+	for i, q := range w.Queries {
+		cb, cg := base.Candidates(q.G, q.Type), bigger.Candidates(q.G, q.Type)
+		if !cg.SubsetOf(cb) {
+			t.Fatalf("query %d: L=4 candidates %v not a subset of L=3's %v", i, cg, cb)
+		}
+	}
+}
+
 func TestGGSXMissingFeatureShortCircuit(t *testing.T) {
 	dataset := molecules(7, 10)
 	gg := ftv.NewGGSX(dataset, 3)
@@ -145,7 +169,10 @@ func TestMethodRunExactness(t *testing.T) {
 		ftv.NewGGSXMethod(dataset, 3),
 		ftv.NewMethod("label/vf2", dataset, ftv.NewLabelFilter(dataset), nil),
 		ftv.NewMethod("none/vf2", dataset, ftv.NewNoFilter(len(dataset)), nil),
-		ftv.NewMethod("ggsx/ullmann", dataset, ftv.NewGGSX(dataset, 3), ftv.UllmannVerifier),
+		ftv.NewMethod("ggsx/ullmann", dataset, ftv.NewGGSX(dataset, 3), func(pattern, target *graph.Graph) bool {
+			ok, _ := iso.Ullmann(pattern, target, iso.Options{})
+			return ok
+		}),
 	}
 	sampler := gen.NewAIDSLabelSampler(8)
 	for trial := 0; trial < 15; trial++ {

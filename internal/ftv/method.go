@@ -20,12 +20,6 @@ type VerifierFunc func(pattern, target *graph.Graph) bool
 // VF2Verifier is the default verifier.
 func VF2Verifier(pattern, target *graph.Graph) bool { return iso.SubIso(pattern, target) }
 
-// UllmannVerifier is the alternative baseline verifier.
-func UllmannVerifier(pattern, target *graph.Graph) bool {
-	ok, _ := iso.Ullmann(pattern, target, iso.Options{})
-	return ok
-}
-
 // FilterFactory builds a Filter over a dataset slice. Tombstoned positions
 // are nil and must be tolerated (indexed as empty — the bundled filters
 // all do); a Method constructed with a factory supports AddGraph, which
@@ -81,12 +75,9 @@ type Method struct {
 	// filter: an incremental InsertableFilter.WithGraph insert (O(graph))
 	// versus a full FilterFactory rebuild (O(dataset)). All bundled
 	// filters are insertable, so rebuilds only happen for custom
-	// factory-built filters without the capability. filterMaintainNs
-	// accumulates the wall time of exactly that step — insert or rebuild,
-	// nothing else — so the two strategies compare over identical work.
-	filterInserts    atomic.Int64
-	filterRebuilds   atomic.Int64
-	filterMaintainNs atomic.Int64
+	// factory-built filters without the capability.
+	filterInserts  atomic.Int64
+	filterRebuilds atomic.Int64
 }
 
 // methodState is one immutable dataset snapshot. All fields are read-only
@@ -241,7 +232,6 @@ func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 	copy(dataset, old.dataset)
 	dataset[gid] = g
 	var filter Filter
-	tf := time.Now()
 	if ins, ok := old.filter.(InsertableFilter); ok {
 		filter = ins.WithGraph(gid, g)
 		m.filterInserts.Add(1)
@@ -249,7 +239,6 @@ func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 		filter = m.factory(dataset)
 		m.filterRebuilds.Add(1)
 	}
-	m.filterMaintainNs.Add(time.Since(tf).Nanoseconds())
 	live := old.live.Grown(gid + 1)
 	live.Add(gid)
 	epoch := old.epoch + 1
@@ -274,11 +263,6 @@ func (m *Method) FilterInserts() int64 { return m.filterInserts.Load() }
 // FilterRebuilds returns how many AddGraph calls fell back to a full
 // FilterFactory rebuild (the filter did not support incremental inserts).
 func (m *Method) FilterRebuilds() int64 { return m.filterRebuilds.Load() }
-
-// FilterMaintainNs returns the cumulative wall time AddGraph spent
-// maintaining the filter (the insert or rebuild step alone — no dataset
-// copying, no cache-layer reconciliation), in nanoseconds.
-func (m *Method) FilterMaintainNs() int64 { return m.filterMaintainNs.Load() }
 
 // AdditionLogLen returns the current length of the addition log — the
 // records not yet dropped by CompactAdditions.

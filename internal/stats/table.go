@@ -6,9 +6,8 @@ import (
 	"strings"
 )
 
-// Table renders fixed-width console tables for the experiment harness;
-// every table/figure reproduction prints through it so EXPERIMENTS.md and
-// gcbench output share one format.
+// Table renders fixed-width console tables; the demo commands' reports
+// print through it.
 type Table struct {
 	title   string
 	headers []string
