@@ -76,14 +76,16 @@ cover:
 		printf "coverage %.1f%% (baseline %.1f%%)\n", t, b }'
 
 # pprof on demand: CPU + heap profiles of the kernel's two expensive
-# query paths (an indexed miss and a sub/super hit), from the stock
-# benchmark runner. Inspect with
-# `go tool pprof profiles/core.test profiles/core_cpu.pprof`; a live
-# daemon serves the same through `gcd -pprof`.
+# query paths (an indexed miss and a sub/super hit) and of its two
+# stop-the-world passes (a dataset add and remove on a warm cache, a
+# window turn), from the stock benchmark runner. Inspect with
+# `go tool pprof profiles/core.test profiles/core_cpu.pprof` (narrow with
+# `-focus 'AddGraph|turnWindow'`); a live daemon serves the same through
+# `gcd -pprof`.
 PROFILE_DIR ?= profiles
 profiles:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'BenchmarkExecute(IndexedMiss|SubSuperHit)' \
+	$(GO) test -run '^$$' -bench 'Benchmark(Execute(IndexedMiss|SubSuperHit)|(Add|Remove)GraphWarm|WindowTurn)$$' \
 		-cpuprofile $(PROFILE_DIR)/core_cpu.pprof -memprofile $(PROFILE_DIR)/core_mem.pprof \
 		-o $(PROFILE_DIR)/core.test ./internal/core/
 

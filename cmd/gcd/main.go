@@ -185,7 +185,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		handler = mux
 		fmt.Fprintln(stdout, "gcd: pprof profiling exposed at /debug/pprof/")
 	}
-	srv := &http.Server{Handler: handler}
+	srv := newHTTPServer(handler)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -220,6 +220,25 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		snap := cache.Stats()
 		fmt.Fprintf(stdout, "gcd: served %d queries (%d exact hits), bye\n", snap.Queries, snap.ExactHits)
 		return nil
+	}
+}
+
+// A client may take this long to send its request headers, and a
+// keep-alive connection may sit idle this long, before the server closes
+// it: connections pile up exactly when a slow mutation stalls the queries
+// in front of them, and without a bound a stalled or abandoned client
+// holds its goroutine and descriptor forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer returns the daemon's http.Server for handler.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

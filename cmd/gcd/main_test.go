@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
@@ -157,5 +158,46 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-dataset", "/does/not/exist"}, &out); err == nil {
 		t.Error("missing dataset file accepted")
+	}
+}
+
+// The daemon's http.Server bounds how long a client may dribble its
+// request headers and how long an idle keep-alive connection lives: a
+// connection that sends half a request line and stalls is closed by the
+// server, not held forever.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("timeouts not set: ReadHeaderTimeout %v, IdleTimeout %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	// Same construction, the production bound shortened so the test does
+	// not sit out ten seconds.
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /api/st")); err != nil {
+		t.Fatal(err)
+	}
+	// A bounded wait, far past the server's: if the read below returns
+	// because of it the server never hung up.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server still holds a connection that sent half a request line after %v", time.Since(start))
 	}
 }

@@ -485,70 +485,60 @@ func (s *Set) Bytes() int {
 	}
 }
 
-// FNV-1a parameters for Fingerprint.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// fnv64 folds an 8-byte value into an FNV-1a state.
-func fnv64(h, v uint64) uint64 {
-	for k := 0; k < 8; k++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
+// ElemHash is the fixed 64-bit hash of bit index i that Fingerprint sums:
+// the splitmix64 finalizer, so neighbouring indices land far apart and no
+// index hashes to zero. Callers that add or remove bit i from a set whose
+// fingerprint they hold keep it current by adding or subtracting
+// ElemHash(i) instead of rehashing the set.
+//
+//gclint:noalloc
+//gclint:deterministic
+func ElemHash(i int) uint64 {
+	z := uint64(i) + 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
-// Fingerprint returns a 64-bit content hash of the set: FNV-1a over the
-// capacity and the boundaries of every maximal run of set bits. It is
-// container-independent — Equal sets fingerprint identically whatever
-// their current representation — and costs O(runs) for the run container.
-// The interning pool keys its buckets on it; collisions are resolved by
-// Equal, so the hash only needs to be well-distributed, not perfect.
+// Fingerprint returns a 64-bit content hash of the set: the wrapping sum
+// of ElemHash over the set bits (0 for the empty set). The sum is
+// commutative and sees neither the capacity nor the container, so three
+// identities hold for any set S and bit i:
+//
+//	fp(S ∪ {i}) = fp(S) + ElemHash(i)   (i ∉ S)
+//	fp(S ∖ {i}) = fp(S) − ElemHash(i)   (i ∈ S)
+//	fp(S.Grown(n)) = fp(S)
+//
+// which is what lets the cache maintain an answer set's fingerprint
+// through dataset additions and removals without touching the set. The
+// price is that a from-scratch hash is O(|S|), not O(runs): ~5 µs for a
+// 5 000-bit answer set, paid once on the query path that spent ≥ 100 µs
+// producing it. Equal sets fingerprint identically; sets that differ only
+// in capacity do too, and unequal sets may collide — the interning pool
+// keys its buckets on the fingerprint and resolves every match with Equal,
+// so the hash only needs to be well-distributed, never perfect.
 //
 //gclint:noalloc
 //gclint:deterministic
 func (s *Set) Fingerprint() uint64 {
-	h := fnv64(fnvOffset, uint64(s.n))
+	var h uint64
 	switch s.mode {
 	case modeSparse:
-		i := 0
-		for i < len(s.sparse) {
-			j := i + 1
-			for j < len(s.sparse) && s.sparse[j] == s.sparse[j-1]+1 {
-				j++
-			}
-			h = fnv64(h, uint64(s.sparse[i]))
-			h = fnv64(h, uint64(s.sparse[j-1])+1)
-			i = j
+		for _, v := range s.sparse {
+			h += ElemHash(int(v))
 		}
 	case modeRun:
 		for _, r := range s.runs {
-			h = fnv64(h, uint64(r.start))
-			h = fnv64(h, uint64(r.end))
-		}
-	default:
-		start, prev := -1, -2
-		for wi, w := range s.words {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				v := wi*wordBits + b
-				if v != prev+1 {
-					if start >= 0 {
-						h = fnv64(h, uint64(start))
-						h = fnv64(h, uint64(prev)+1)
-					}
-					start = v
-				}
-				prev = v
-				w &= w - 1
+			for v := r.start; v < r.end; v++ {
+				h += ElemHash(int(v))
 			}
 		}
-		if start >= 0 {
-			h = fnv64(h, uint64(start))
-			h = fnv64(h, uint64(prev)+1)
+	default:
+		for wi, w := range s.words {
+			for w != 0 {
+				h += ElemHash(wi*wordBits + bits.TrailingZeros64(w))
+				w &= w - 1
+			}
 		}
 	}
 	return h

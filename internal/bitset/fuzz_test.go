@@ -8,9 +8,9 @@ import (
 
 // FuzzBitsetOps drives a random operation sequence against two adaptive
 // sets and a deliberately naive []bool reference implementation, checking
-// after every step that Indices, Count, Contains, SubsetOf, Equal and the
-// counting ops agree — whatever container mix the sequence has migrated
-// the sets into. The byte stream encodes (capacity, then op+operand
+// after every step that Indices, Count, Contains, SubsetOf, Equal, the
+// counting ops and the incrementally maintained Fingerprint agree —
+// whatever container mix the sequence has migrated the sets into. The byte stream encodes (capacity, then op+operand
 // pairs), so the corpus doubles as a library of migration scenarios:
 // sparse→dense upgrades, run splits, fused-And downgrades, Compact
 // round-trips and cross-container binary ops.
@@ -62,6 +62,18 @@ func (r *refBits) subsetOf(o *refBits) bool {
 		}
 	}
 	return true
+}
+
+// fingerprint is the spec of Set.Fingerprint: the wrapping sum of
+// ElemHash over the set bits.
+func (r *refBits) fingerprint() uint64 {
+	var h uint64
+	for i, b := range r.bits {
+		if b {
+			h += ElemHash(i)
+		}
+	}
+	return h
 }
 
 func (r *refBits) interCount(o *refBits) int {
@@ -121,21 +133,37 @@ func fuzzOps(t *testing.T, data []byte) {
 	n := 1 + int(data[0])<<2 // capacities 1..1021 cross word and threshold edges
 	a, b := New(n), New(n)
 	ra, rb := newRef(n), newRef(n)
+	// fa and fb are a's and b's fingerprints kept current the way the
+	// cache keeps them: ±ElemHash on single-bit changes, untouched by
+	// Clone and Compact, rehashed only after whole-set algebra.
+	var fa, fb uint64
 	data = data[1:]
 	for step := 0; step+1 < len(data); step += 2 {
 		op, arg := data[step], int(data[step+1])
 		i := arg * n / 256 // scale the operand byte into [0, n)
 		switch op % 12 {
 		case 0:
+			if !ra.bits[i] {
+				fa += ElemHash(i)
+			}
 			a.Add(i)
 			ra.bits[i] = true
 		case 1:
+			if ra.bits[i] {
+				fa -= ElemHash(i)
+			}
 			a.Remove(i)
 			ra.bits[i] = false
 		case 2:
+			if !rb.bits[i] {
+				fb += ElemHash(i)
+			}
 			b.Add(i)
 			rb.bits[i] = true
 		case 3:
+			if rb.bits[i] {
+				fb -= ElemHash(i)
+			}
 			b.Remove(i)
 			rb.bits[i] = false
 		case 4:
@@ -143,24 +171,29 @@ func fuzzOps(t *testing.T, data []byte) {
 			for k := range ra.bits {
 				ra.bits[k] = ra.bits[k] && rb.bits[k]
 			}
+			fa = ra.fingerprint()
 		case 5:
 			a.AndNot(b)
 			for k := range ra.bits {
 				ra.bits[k] = ra.bits[k] && !rb.bits[k]
 			}
+			fa = ra.fingerprint()
 		case 6:
 			a.Or(b)
 			for k := range ra.bits {
 				ra.bits[k] = ra.bits[k] || rb.bits[k]
 			}
+			fa = ra.fingerprint()
 		case 7:
 			a.Clear()
 			ra = newRef(n)
+			fa = 0
 		case 8:
 			a.SetAll()
 			for k := range ra.bits {
 				ra.bits[k] = true
 			}
+			fa = ra.fingerprint()
 		case 9:
 			a = a.Clone()
 			ra = ra.clone()
@@ -169,6 +202,11 @@ func fuzzOps(t *testing.T, data []byte) {
 		case 11:
 			a, b = b, a
 			ra, rb = rb, ra
+			fa, fb = fb, fa
+		}
+		if a.Fingerprint() != fa || b.Fingerprint() != fb {
+			t.Fatalf("step %d: maintained fingerprints %x,%x; from scratch %x,%x (modes %d,%d)",
+				step, fa, fb, a.Fingerprint(), b.Fingerprint(), a.mode, b.mode)
 		}
 		checkAgainstRef(t, step, a, ra)
 		checkAgainstRef(t, step, b, rb)
@@ -194,9 +232,15 @@ func fuzzOps(t *testing.T, data []byte) {
 	// Growth must preserve every bit position under any container.
 	g := a.Grown(n + 17)
 	rg := ra.grown(n + 17)
+	if g.Fingerprint() != fa {
+		t.Fatalf("Grown moved the fingerprint: %x != %x", g.Fingerprint(), fa)
+	}
 	g.Add(n + 3)
 	rg.bits[n+3] = true
 	checkAgainstRef(t, -1, g, rg)
+	if g.Fingerprint() != fa+ElemHash(n+3) {
+		t.Fatal("fingerprint of a grown set did not follow its added bit")
+	}
 }
 
 func FuzzBitsetOps(f *testing.F) {

@@ -183,3 +183,96 @@ func BenchmarkExecuteMissSerialized(b *testing.B) {
 		}
 	}
 }
+
+// The off-path layers: what a live dataset mutation and a window turn
+// cost on a full cache at the benchmark harness's size (Capacity 1 000).
+// Both stop the world, so their ns/op is time no query proceeds.
+//
+//	go test -run '^$' -bench 'Warm|WindowTurn' -benchmem ./internal/core/
+
+// newWarmBench returns a full Capacity-1000 cache over 2 000 molecules
+// with its unused miss stream, plus spare molecules to add.
+func newWarmBench(b *testing.B, window int) (*benchStreams, []*graph.Graph) {
+	b.Helper()
+	bs := newBenchStreams(b, 2000, 2048, func(cfg *Config) {
+		cfg.Capacity = 1000
+		cfg.Window = window
+	})
+	for bs.cache.Len() < 1000 {
+		if len(bs.misses) == 0 {
+			b.Fatal("miss stream ran out before the cache filled")
+		}
+		if _, err := bs.cache.Execute(bs.misses[0], ftv.Subgraph); err != nil {
+			b.Fatal(err)
+		}
+		bs.misses = bs.misses[1:]
+	}
+	spare := gen.Molecules(rand.New(rand.NewSource(98)), 256, gen.DefaultMoleculeConfig())
+	return bs, spare
+}
+
+// BenchmarkAddGraphWarm is one eager AddGraph: a COW filter insert, then
+// one containment test, one Grown and one intern true-up per entry.
+func BenchmarkAddGraphWarm(b *testing.B) {
+	bs, spare := newWarmBench(b, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bs.cache.AddGraph(spare[i%len(spare)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRemoveGraphWarm is one RemoveGraph of a graph some entries
+// answer with. When the live ids run out the dataset is restocked with
+// the timer stopped.
+func BenchmarkRemoveGraphWarm(b *testing.B) {
+	bs, spare := newWarmBench(b, 10)
+	live := make([]int, bs.cache.DatasetInfo().Size)
+	for i := range live {
+		live[i] = i
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(live) == 1 { // the dataset keeps one live graph
+			b.StopTimer()
+			for _, g := range spare {
+				gid, err := bs.cache.AddGraph(g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				live = append(live, gid)
+			}
+			b.StartTimer()
+		}
+		gid := live[len(live)-1]
+		live = live[:len(live)-1]
+		if err := bs.cache.RemoveGraph(gid); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWindowTurn is one turn of a ten-entry window on the full
+// cache: fold, age, true up, choose and evict ten victims among 1 000,
+// admit ten, republish the index. The misses that stage the window run
+// with the timer stopped.
+func BenchmarkWindowTurn(b *testing.B) {
+	bs, _ := newWarmBench(b, 11) // never fills on its own at ten pending
+	c, next := bs.cache, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for c.WindowLen() < 10 {
+			if _, err := c.Execute(bs.misses[next%len(bs.misses)], ftv.Subgraph); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		b.StartTimer()
+		turnNow(c)
+	}
+}

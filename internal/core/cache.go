@@ -40,9 +40,10 @@ import (
 // There is one admission window (the paper's Window Manager). When it
 // fills, the staging goroutine turns it stop-the-world: under windowMu,
 // policyMu and every shard write lock it folds credits, ages utilities,
-// ranks victims over the whole cache, evicts, admits the window and
-// republishes every shard's copy-on-write slice of the feature index (see
-// index.go for the publication rules). Capacity is strict at every turn.
+// selects the lowest-ranked victims over the whole cache (without sorting
+// it), evicts, admits the window and republishes every shard's
+// copy-on-write slice of the feature index (see index.go for the
+// publication rules). Capacity is strict at every turn.
 // The lock hierarchy is dsMu → windowMu → policyMu → shard locks; reverse
 // nestings never occur. dsMu is the dataset RWMutex: queries hold its read
 // side for their whole run (pinning one dataset snapshot; queries never
@@ -137,6 +138,10 @@ type Cache struct {
 	// residency). res covers static entry bytes only; the shared
 	// answer-set bytes live in pool's account.
 	res residency
+
+	// victim is evictLocked's reusable mark-per-position scratch, all
+	// false between evictions. Guarded by policyMu.
+	victim []bool
 
 	// pool interns answer sets across entries (see intern.go): identical
 	// published sets collapse onto one canonical allocation, charged once.
@@ -480,8 +485,10 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// Stage 6: admission via the window manager. The entry carries the
 	// view's epoch: its answers are exact for that dataset state, and any
 	// later mutation either patches it (eager) or is reconciled from the
-	// addition log before the entry's answers are next trusted (lazy).
-	c.admit(q, qt, answers.Clone(), cmCount, sig, tick, view.Epoch())
+	// addition log before the entry's answers are next trusted (lazy). It
+	// is built — answers cloned, compacted and hashed — before admit takes
+	// any lock.
+	c.admit(c.entryFromSig(q, qt, answers.Clone(), cmCount, sig, tick, view.Epoch()))
 	return res, nil
 }
 
@@ -762,15 +769,16 @@ func (c *Cache) recordCosts(costs []costSample) {
 	}
 }
 
-// admit stages the executed query in the admission window and, when that
-// fills it, turns the window before unlocking (the Window Manager).
+// admit stages the executed query's entry in the admission window, giving
+// it its ID, and, when that fills the window, turns it before unlocking
+// (the Window Manager).
 //
 //gclint:requires dsMu
 //gclint:acquires windowMu policyMu shard
-func (c *Cache) admit(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) {
+func (c *Cache) admit(e *Entry) {
 	c.windowMu.Lock()
 	defer c.windowMu.Unlock()
-	e := entryFromSig(c.newID(), q, qt, answers, baseCandidates, sig, tick, epoch)
+	e.ID = c.newID()
 	c.window = append(c.window, e)
 	if len(c.window) >= c.cfg.Window {
 		c.turnWindow()
@@ -790,6 +798,7 @@ func (c *Cache) admit(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, bas
 //gclint:acquires policyMu shard
 func (c *Cache) turnWindow() {
 	c.mon.windowTurns.Add(1)
+	defer c.mon.endTurn(time.Now())
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
 	c.policy.OnWindowTurn()
@@ -804,8 +813,9 @@ func (c *Cache) turnWindow() {
 		e.age(c.cfg.DecayFactor)
 		// True up this entry's byte charge: lazy reconciliation may have
 		// grown its answer set on the query path, where no account can be
-		// touched. O(1) per entry; keeps the memory-budget enforcement
-		// below honest in LazyReconcile mode.
+		// touched. A pointer compare for the entries whose set did not
+		// change; keeps the memory-budget enforcement below honest in
+		// LazyReconcile mode.
 		c.rechargeLocked(c.shardFor(e.Fingerprint), e)
 	}
 	if excess := len(all) + len(c.window) - c.cfg.Capacity; excess > 0 {
@@ -835,30 +845,33 @@ func (c *Cache) turnWindow() {
 	c.compactAdditionsLocked()
 }
 
-// chooseVictims returns x distinct, in-range positions into the
-// ID-ordered slice all, as selected by the policy. The policy's returned
+// markVictims marks x distinct positions of the ID-ordered slice all in
+// c.victim, as selected by the policy, and returns the marks (len(all) of
+// them; the caller clears what it consumes). The policy's returned
 // positions are sanitized defensively against buggy custom policies
 // (duplicates or out-of-range indices are dropped; a shortfall is filled
 // FIFO). Caller holds policyMu.
 //
 //gclint:requires policyMu
-func (c *Cache) chooseVictims(all []*Entry, x int) []int {
+func (c *Cache) markVictims(all []*Entry, x int) []bool {
 	if x > len(all) {
 		x = len(all)
 	}
-	pos := c.policy.ReplacedContent(all, x)
-	seen := make(map[int]bool, len(pos))
-	var victims []int
-	for _, p := range pos {
-		if p >= 0 && p < len(all) && !seen[p] {
-			seen[p] = true
-			victims = append(victims, p)
-			if len(victims) == x {
-				break
-			}
+	if cap(c.victim) < len(all) {
+		c.victim = make([]bool, len(all))
+	}
+	marks := c.victim[:len(all)]
+	n := 0
+	for _, p := range c.policy.ReplacedContent(all, x) {
+		if n == x {
+			break
+		}
+		if p >= 0 && p < len(all) && !marks[p] {
+			marks[p] = true
+			n++
 		}
 	}
-	if len(victims) < x {
+	if n < x {
 		// Fill the shortfall oldest-first.
 		order := make([]int, len(all))
 		for i := range order {
@@ -868,16 +881,16 @@ func (c *Cache) chooseVictims(all []*Entry, x int) []int {
 			return all[order[a]].InsertedAt < all[order[b]].InsertedAt
 		})
 		for _, p := range order {
-			if !seen[p] {
-				seen[p] = true
-				victims = append(victims, p)
-				if len(victims) == x {
-					break
-				}
+			if n == x {
+				break
+			}
+			if !marks[p] {
+				marks[p] = true
+				n++
 			}
 		}
 	}
-	return victims
+	return marks
 }
 
 // evictLocked removes x entries chosen by the policy from the ID-ordered
@@ -890,14 +903,11 @@ func (c *Cache) evictLocked(all []*Entry, x int) []*Entry {
 	if x <= 0 || len(all) == 0 {
 		return all
 	}
-	victims := c.chooseVictims(all, x)
-	evictSet := make(map[int]bool, len(victims))
-	for _, p := range victims {
-		evictSet[p] = true
-	}
+	marks := c.markVictims(all, x)
 	kept := all[:0]
 	for i, e := range all {
-		if evictSet[i] {
+		if marks[i] {
+			marks[i] = false
 			c.shardFor(e.Fingerprint).removeLocked(e)
 			c.mon.evictions.Add(1)
 			continue

@@ -94,11 +94,15 @@ func runChurnOps(ops []byte, shards int, lazy bool) (err error) {
 				return fmt.Errorf("op %d: remove %d: %w", i, gid, err)
 			}
 		}
-		// Structural invariants after every op: capacity is strict, the log
-		// never outgrows the mutation history, and eager mode drains it at
-		// each add.
+		// Structural invariants after every op: capacity is strict, every
+		// carried fingerprint is still its set's hash, the log never
+		// outgrows the mutation history, and eager mode drains it at each
+		// add.
 		if c.Len() > cfg.Capacity {
 			return fmt.Errorf("op %d: %d entries resident, capacity %d", i, c.Len(), cfg.Capacity)
+		}
+		if err := fingerprintDrift(c); err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
 		}
 		snap := c.Stats()
 		if int64(snap.AdditionLogLen) > snap.DatasetAdds {

@@ -112,6 +112,27 @@
 //     entries acquire a refcounted canonical keyed by content
 //     fingerprint, the residency account charges each canonical once,
 //     and the pool's leaf mutex is the only lock the sharing costs.
+//
+//   - A set is hashed once, by the goroutine that built it, outside
+//     every lock; the fingerprint travels in answerState. The hash
+//     (bitset.Set.Fingerprint) is a wrapping sum of per-bit hashes, blind
+//     to capacity and container, so everything that later changes the
+//     set derives the new fingerprint from the old: a dataset add that
+//     verifies adds bitset.ElemHash(gid), a removal subtracts it, Grown
+//     and Compact leave it alone. Execute hashes the set it admits
+//     before admit takes windowMu, restores hash what they decoded,
+//     fault-in hashes on the faulting query (Monitor.hashSet is the
+//     only caller of Fingerprint in the kernel and counts each one in
+//     Snapshot.SetRehashes); the intern pool takes the
+//     fingerprint as an argument and entries remember their pool node.
+//     That is what keeps the two stop-the-world passes — window turns
+//     and dataset mutations — proportional to what changed rather than
+//     to what is cached: neither hashes, sorts or copies the resident
+//     set (TestMutationHashesOnlyTheDelta; the turn selects its victims
+//     with a bounded heap and merges the ID-sorted shards). Equal still
+//     decides every pool match, so a wrong fingerprint could only cost
+//     sharing, never an answer — and fingerprintDrift in the churn
+//     suites checks every carried value against a from-scratch hash.
 //     Persistence round-trips compact: the binary v3 snapshot stores
 //     each set's native container encoding verbatim (bitset
 //     AppendBinary/FromBinary), while the legacy v2 text format stores
@@ -177,9 +198,9 @@
 //     a drops list — the ids tombstoned since the snapshot was written
 //     (dsSize equality proves no ADDS happened; ids are never reused).
 //     Fault-in reads the segment, verifies ansSum, decodes, applies
-//     drops, Compact()s, and publishes by CAS — fully lock-free, with
-//     cross-entry dedup via the source's checksum-keyed map (interning
-//     refcounts true up at the next rechargeLocked).
+//     drops, Compact()s, hashes, and publishes by CAS — fully lock-free,
+//     with cross-entry dedup via the source's checksum-keyed map
+//     (interning refcounts true up at the next rechargeLocked).
 //   - Restored entries are stamped with the CURRENT dataset epoch
 //     (sound for the addition log by the dsSize check, exactly as in
 //     v2); a pending entry's epoch holds the log-compaction floor down

@@ -19,9 +19,16 @@ import (
 // a deferred materialization of the same logical snapshot, published
 // through the ordinary CAS discipline (see persist.go).
 //
+// fp is set.Fingerprint(), carried so that no holder of a lock ever has
+// to compute it: whoever builds a materialized state supplies it, either
+// by hashing a set it just produced (outside every lock) or by adjusting
+// the previous state's fp by ±bitset.ElemHash for the bits it changed. A
+// pending state carries none; fault-in hashes the decoded set.
+//
 //gclint:cow
 type answerState struct {
 	set   *bitset.Set
+	fp    uint64
 	epoch int64
 	body  *lazyBody
 }
@@ -102,13 +109,13 @@ type Entry struct {
 	// share it. Guarded by the owning shard's lock.
 	resBytes int
 
-	// interned is the canonical answer set the intern pool holds one
-	// reference for on this entry's behalf; nil until admission. It can
-	// trail the published set (lazy reconciliation swaps sets on the
-	// query path without touching the pool) and is trued up by
-	// rechargeLocked at window turns and stop-the-world passes. Guarded
-	// by the owning shard's lock, like resBytes.
-	interned *bitset.Set
+	// interned is the pool node of the canonical answer set the intern
+	// pool holds one reference for on this entry's behalf; nil until
+	// admission. Its set can trail the published one (lazy reconciliation
+	// swaps sets on the query path without touching the pool) and is
+	// trued up by rechargeLocked at window turns and stop-the-world
+	// passes. Guarded by the owning shard's lock, like resBytes.
+	interned *internNode
 
 	// InsertedAt and LastUsed are query ticks (LRU/FIFO state).
 	InsertedAt int64
@@ -168,46 +175,47 @@ func (e *Entry) loadAnswers() *answerState {
 	return st
 }
 
-// setAnswers publishes a new answer state. The set must not be mutated
-// after the call.
-func (e *Entry) setAnswers(set *bitset.Set, epoch int64) {
-	e.ans.p.Store(&answerState{set: set, epoch: epoch})
+// setAnswers publishes a new answer state; fp must be set.Fingerprint().
+// The set must not be mutated after the call.
+func (e *Entry) setAnswers(set *bitset.Set, fp uint64, epoch int64) {
+	e.ans.p.Store(&answerState{set: set, fp: fp, epoch: epoch})
 }
 
-// swapAnswers republishes (set, epoch) only if the entry's answer state
-// is still old, reporting whether the swap landed. The interning true-up
-// swaps a freshly acquired canonical in with it: a plain store could
-// overwrite — and epoch-regress — a state a racing lazy reconciler
-// published after old was read, which would let the entry skip addition
-// records the log has already compacted away.
-func (e *Entry) swapAnswers(old *answerState, set *bitset.Set, epoch int64) bool {
-	return e.ans.p.CompareAndSwap(old, &answerState{set: set, epoch: epoch})
+// swapCanonical republishes old with its set replaced by the Equal
+// canonical the pool returned, only if the entry's answer state is still
+// old, reporting whether the swap landed. A plain store could overwrite —
+// and epoch-regress — a state a racing lazy reconciler published after old
+// was read, which would let the entry skip addition records the log has
+// already compacted away.
+func (e *Entry) swapCanonical(old *answerState, canonical *bitset.Set) bool {
+	return e.ans.p.CompareAndSwap(old, &answerState{set: canonical, fp: old.fp, epoch: old.epoch})
 }
 
 // entryFromSig builds an Entry from a precomputed query signature — the
 // single construction site for cache entries, shared by admission and
 // state restores so the signature-derived fields (fingerprint, vectors,
 // feature summaries) can never drift between the two paths. epoch stamps
-// the dataset state the answers were computed against.
-func entryFromSig(id int, q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) *Entry {
-	e := entryShell(id, q, qt, baseCandidates, sig, tick)
+// the dataset state the answers were computed against. The ID is assigned
+// when the entry is staged (admit) or installed (replaceEntries). Callers
+// hold no lock: this is where an answer set is compacted and hashed.
+func (c *Cache) entryFromSig(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) *Entry {
+	e := entryShell(q, qt, baseCandidates, sig, tick)
 	// The set is owned here (every caller passes a fresh or cloned set)
 	// and about to be published read-only for the entry's lifetime, so
 	// pay the one-off re-encode into its smallest container now: sparse
 	// for small answer sets, run for near-full ones, dense in between.
 	answers.Compact()
-	e.setAnswers(answers, epoch)
+	e.setAnswers(answers, c.mon.hashSet(answers), epoch)
 	return e
 }
 
 // entryShell builds an Entry with every signature-derived field populated
-// but NO answer state published yet. The two construction paths finish it
-// differently: entryFromSig publishes a materialized set, the lazy
-// restore publishes a pending body (persist.go). Callers must publish
-// exactly one state before the entry escapes.
-func entryShell(id int, q *graph.Graph, qt ftv.QueryType, baseCandidates int, sig querySig, tick int64) *Entry {
+// but NO answer state published and no ID yet. The two construction paths
+// finish it differently: entryFromSig publishes a materialized set, the
+// lazy restore publishes a pending body (persist.go). Callers must
+// publish exactly one state before the entry escapes.
+func entryShell(q *graph.Graph, qt ftv.QueryType, baseCandidates int, sig querySig, tick int64) *Entry {
 	e := &Entry{
-		ID:             id,
 		Graph:          q,
 		Type:           qt,
 		ans:            &answersCell{},

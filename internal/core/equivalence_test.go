@@ -172,8 +172,10 @@ func checkIndistinguishable(t *testing.T, queries []gen.Query, ref, other *Cache
 
 	// Every count in the monitor must agree (times are physical, exempt).
 	ss, sp := ref.Stats(), other.Stats()
-	ss.FilterTime, ss.HitTime, ss.VerifyTime = 0, 0, 0
-	sp.FilterTime, sp.HitTime, sp.VerifyTime = 0, 0, 0
+	for _, s := range []*Snapshot{&ss, &sp} {
+		s.FilterTime, s.HitTime, s.VerifyTime = 0, 0, 0
+		s.WindowTurnNs, s.MutationWaitNs, s.MutationHoldNs = 0, 0, 0
+	}
 	if ss != sp {
 		t.Fatalf("monitor counters diverge:\nreference %+v\nother     %+v", ss, sp)
 	}

@@ -26,6 +26,15 @@ import (
 // bypasses the pool — reconciledAnswers is //gclint:nolocks — so freshly
 // patched sets ride uninterned until the next window turn or
 // stop-the-world pass, exactly like their byte accounting always has.
+//
+// The pool hashes nothing. Every caller runs under shard locks, most of
+// them under the whole hierarchy with the world stopped, so acquire takes
+// the fingerprint the published answerState carries (bitset.Set.Fingerprint:
+// hashed once by the goroutine that built the set, then maintained by
+// ±ElemHash through mutations) and release takes the node acquire
+// returned. The fingerprint sees neither capacity nor container, so the
+// sets of one logical answer at two dataset sizes share a bucket; Equal
+// decides every match, which keeps the hash a pure performance device.
 
 // internPool is a fingerprint-keyed, refcounted pool of canonical answer
 // sets. Buckets resolve fingerprint collisions by content equality.
@@ -49,9 +58,11 @@ type internPool struct {
 	misses atomic.Int64
 }
 
-// internNode is one canonical set and the number of entries publishing it.
+// internNode is one canonical set, the fingerprint it is bucketed under
+// and the number of entries publishing it.
 type internNode struct {
 	set  *bitset.Set
+	fp   uint64
 	refs int
 }
 
@@ -59,60 +70,61 @@ func newInternPool() *internPool {
 	return &internPool{m: make(map[uint64][]*internNode)}
 }
 
-// acquire interns set: if an equal set is already pooled, its refcount
-// grows and the pooled canonical is returned (the caller should publish
-// that one and let set become garbage); otherwise set itself becomes a
-// canonical with one reference. The caller must treat set as immutable
-// from this point — it may already be, or now become, shared.
+// acquire interns set, whose fingerprint is fp: if an equal set is already
+// pooled, its refcount grows and that node is returned (the caller should
+// publish node.set and let set become garbage); otherwise set itself
+// becomes a canonical with one reference. The caller must treat set as
+// immutable from this point — it may already be, or now become, shared.
 //
 //gclint:acquires internMu
-func (p *internPool) acquire(set *bitset.Set) *bitset.Set {
-	fp := set.Fingerprint()
+func (p *internPool) acquire(set *bitset.Set, fp uint64) *internNode {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, nd := range p.m[fp] {
 		if nd.set == set || nd.set.Equal(set) {
 			nd.refs++
 			p.hits.Add(1)
-			return nd.set
+			return nd
 		}
 	}
-	p.m[fp] = append(p.m[fp], &internNode{set: set, refs: 1})
+	nd := &internNode{set: set, fp: fp, refs: 1}
+	p.m[fp] = append(p.m[fp], nd)
 	p.misses.Add(1)
 	p.bytes.Add(int64(set.Bytes()))
-	return set
+	return nd
 }
 
-// release drops one reference to a canonical set previously returned by
-// acquire, removing it from the pool (and its bytes from the account)
-// when the last reference goes. A nil set and an unknown pointer are
-// no-ops, so release can never unbalance the account.
+// release drops one reference to a node previously returned by acquire,
+// removing it from the pool (and its bytes from the account) when the
+// last reference goes. A nil node, a drained node and a node orphaned by
+// reset are no-ops on the account, so release can never unbalance it.
 //
 //gclint:acquires internMu
-func (p *internPool) release(set *bitset.Set) {
-	if set == nil {
+func (p *internPool) release(nd *internNode) {
+	if nd == nil {
 		return
 	}
-	fp := set.Fingerprint()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	bucket := p.m[fp]
-	for i, nd := range bucket {
-		if nd.set != set {
+	if nd.refs == 0 {
+		return
+	}
+	if nd.refs--; nd.refs > 0 {
+		return
+	}
+	bucket := p.m[nd.fp]
+	for i, x := range bucket {
+		if x != nd {
 			continue // a fingerprint twin, not our canonical
-		}
-		nd.refs--
-		if nd.refs > 0 {
-			return
 		}
 		bucket[i] = bucket[len(bucket)-1]
 		bucket[len(bucket)-1] = nil
 		if bucket = bucket[:len(bucket)-1]; len(bucket) == 0 {
-			delete(p.m, fp)
+			delete(p.m, nd.fp)
 		} else {
-			p.m[fp] = bucket
+			p.m[nd.fp] = bucket
 		}
-		p.bytes.Add(int64(-set.Bytes()))
+		p.bytes.Add(int64(-nd.set.Bytes()))
 		return
 	}
 }

@@ -10,7 +10,8 @@ import (
 
 // TestInternPoolRefcount exercises the pool's lifecycle directly: equal
 // sets collapse onto one canonical charged once, references count down to
-// removal, and nil/unknown releases can never unbalance the account.
+// removal, and nil/drained/orphaned releases can never unbalance the
+// account.
 func TestInternPoolRefcount(t *testing.T) {
 	p := newInternPool()
 	mk := func(bits ...int) *bitset.Set {
@@ -21,12 +22,14 @@ func TestInternPoolRefcount(t *testing.T) {
 		s.Compact()
 		return s
 	}
+	acquire := func(s *bitset.Set) *internNode { return p.acquire(s, s.Fingerprint()) }
 	a, b, other := mk(3, 40), mk(3, 40), mk(7)
 
-	if got := p.acquire(a); got != a {
-		t.Fatalf("first acquire returned %p, want the set itself %p", got, a)
+	na := acquire(a)
+	if na.set != a {
+		t.Fatalf("first acquire returned %p, want the set itself %p", na.set, a)
 	}
-	if got := p.acquire(b); got != a {
+	if got := acquire(b); got != na {
 		t.Fatal("equal-content acquire did not collapse onto the pooled canonical")
 	}
 	if h, m := p.hits.Load(), p.misses.Load(); h != 1 || m != 1 {
@@ -35,18 +38,19 @@ func TestInternPoolRefcount(t *testing.T) {
 	if got := int(p.bytes.Load()); got != a.Bytes() {
 		t.Fatalf("shared set charged %d bytes, want once = %d", got, a.Bytes())
 	}
-	if got := p.acquire(other); got != other {
+	nother := acquire(other)
+	if nother.set != other {
 		t.Fatal("distinct set interned onto an unequal canonical")
 	}
 	if got := p.distinctSets(); got != 2 {
 		t.Fatalf("distinctSets = %d, want 2", got)
 	}
 
-	p.release(a) // refs 2→1: stays pooled
+	p.release(na) // refs 2→1: stays pooled
 	if got := p.distinctSets(); got != 2 {
 		t.Fatalf("released to 1 ref but distinctSets = %d", got)
 	}
-	p.release(a) // refs 1→0: evicted from the pool
+	p.release(na) // refs 1→0: evicted from the pool
 	if got := p.distinctSets(); got != 1 {
 		t.Fatalf("last release left distinctSets = %d, want 1", got)
 	}
@@ -54,13 +58,61 @@ func TestInternPoolRefcount(t *testing.T) {
 		t.Fatalf("account %d bytes after last release, want %d", got, other.Bytes())
 	}
 	p.release(nil) // no-op
-	p.release(a)   // unknown pointer: no-op
+	p.release(na)  // drained node: no-op
 	if got := int(p.bytes.Load()); got != other.Bytes() {
-		t.Fatal("nil/unknown release moved the byte account")
+		t.Fatal("nil/drained release moved the byte account")
 	}
-	p.release(other)
+	p.release(nother)
 	if p.distinctSets() != 0 || p.bytes.Load() != 0 {
 		t.Fatalf("drained pool holds %d sets / %d bytes", p.distinctSets(), p.bytes.Load())
+	}
+
+	// A node orphaned by reset (a restore clears the shards without
+	// releasing) must not debit the fresh account when it finally drains.
+	orphan := acquire(a)
+	p.reset()
+	fresh := acquire(other)
+	p.release(orphan)
+	if got := int(p.bytes.Load()); got != other.Bytes() || p.distinctSets() != 1 {
+		t.Fatalf("orphan release left %d bytes / %d sets, want %d / 1", got, p.distinctSets(), other.Bytes())
+	}
+	p.release(fresh)
+}
+
+// TestInternPoolCapacityTwins: the fingerprint sees no capacity (a Grown
+// set keeps its fingerprint), so the same bits at two dataset sizes land
+// in ONE bucket — and must stay two canonicals, kept apart by Equal, with
+// the byte account exact once both are released. This is the transient
+// every dataset add creates for every resident answer set.
+func TestInternPoolCapacityTwins(t *testing.T) {
+	p := newInternPool()
+	small := bitset.FromIndices(100, []int{3, 40, 41})
+	big := small.Grown(101)
+	if small.Fingerprint() != big.Fingerprint() {
+		t.Fatal("Grown changed the fingerprint")
+	}
+	ns, nb := p.acquire(small, small.Fingerprint()), p.acquire(big, big.Fingerprint())
+	if ns == nb || ns.set != small || nb.set != big {
+		t.Fatal("sets differing only in capacity were interned onto one canonical")
+	}
+	if len(p.m) != 1 || p.distinctSets() != 2 {
+		t.Fatalf("want one bucket holding two canonicals, got %d buckets / %d sets", len(p.m), p.distinctSets())
+	}
+	if got, want := int(p.bytes.Load()), small.Bytes()+big.Bytes(); got != want {
+		t.Fatalf("account %d bytes, want both twins = %d", got, want)
+	}
+	// An Equal third set finds its twin among the two.
+	if got := p.acquire(big.Clone(), big.Fingerprint()); got != nb {
+		t.Fatal("equal set did not collapse onto its same-capacity twin")
+	}
+	p.release(nb)
+	p.release(ns) // releasing one twin must leave the other bucketed
+	if p.distinctSets() != 1 || int(p.bytes.Load()) != big.Bytes() {
+		t.Fatalf("after releasing the small twin: %d sets / %d bytes", p.distinctSets(), p.bytes.Load())
+	}
+	p.release(nb)
+	if len(p.m) != 0 || p.bytes.Load() != 0 {
+		t.Fatalf("drained pool holds %d buckets / %d bytes", len(p.m), p.bytes.Load())
 	}
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"sync/atomic"
 	"time"
+
+	"graphcache/internal/bitset"
 )
 
 // Monitor is the Statistics Monitor/Manager: cumulative operational
@@ -36,9 +38,28 @@ type Monitor struct {
 	logCompactions    atomic.Int64 // addition-log compactions that dropped ≥1 record
 	logRecordsDropped atomic.Int64 // addition records dropped by compaction
 	stateBodyFaults   atomic.Int64 // lazy-restore answer bodies faulted in from the snapshot file
+	setRehashes       atomic.Int64 // answer sets hashed from scratch (hashSet)
 	filterNs          atomic.Int64
 	verifyNs          atomic.Int64
+	windowTurnNs      atomic.Int64 // inside turnWindow
+	mutationWaitNs    atomic.Int64 // AddGraph/RemoveGraph waiting for dsMu's write side
+	mutationHoldNs    atomic.Int64 // AddGraph/RemoveGraph holding it
 }
+
+// hashSet returns set.Fingerprint(), counting the from-scratch hash
+// (Snapshot.SetRehashes). It is the only way the kernel hashes an answer
+// set, and its callers hold no lock: a set is hashed once, by the
+// goroutine that built it, and from then on the fingerprint travels with
+// the published state (answerState.fp).
+//
+//gclint:nolocks
+func (m *Monitor) hashSet(set *bitset.Set) uint64 {
+	m.setRehashes.Add(1)
+	return set.Fingerprint()
+}
+
+// endTurn closes the clock pair a window turn opened.
+func (m *Monitor) endTurn(start time.Time) { m.windowTurnNs.Add(int64(time.Since(start))) }
 
 // hotCounters is one stripe, padded to two cache lines so no two stripes'
 // counters share a line at any alignment.
@@ -103,8 +124,24 @@ type Snapshot struct {
 	// file after a lazy restore (RestoreStateLazy): 0 right after restore,
 	// rising as queries first touch each restored entry's answers.
 	StateBodyFaults int64
+	// SetRehashes counts answer sets hashed from scratch for the intern
+	// pool: one per admitted query, restored entry and faulted-in body,
+	// always by the goroutine that built the set and outside every lock.
+	// Dataset mutations, window turns and lazy reconciliation add nothing
+	// to it — they derive the new fingerprint from the old one.
+	SetRehashes int64
 	// FilterTime, HitTime and VerifyTime split where query time went.
 	FilterTime, HitTime, VerifyTime time.Duration
+	// The stopped world, in nanoseconds. WindowTurnNs is the time spent
+	// inside window turns (windowMu → policyMu → every shard write lock:
+	// no admission, no sub/super crediting and no exact probe proceeds).
+	// MutationWaitNs is how long AddGraph/RemoveGraph waited for dsMu's
+	// write side — the drain of in-flight queries, during which new
+	// queries already queue behind the writer — and MutationHoldNs how
+	// long they then held it. One clock pair per turn or mutation; the
+	// query path reads no clock for these. Divide by WindowTurns or by
+	// DatasetAdds + DatasetRemoves for a mean.
+	WindowTurnNs, MutationWaitNs, MutationHoldNs int64
 }
 
 // Snapshot returns a copy of the current counters.
@@ -139,6 +176,10 @@ func (m *Monitor) Snapshot() Snapshot {
 		LogCompactions:    m.logCompactions.Load(),
 		LogRecordsDropped: m.logRecordsDropped.Load(),
 		StateBodyFaults:   m.stateBodyFaults.Load(),
+		SetRehashes:       m.setRehashes.Load(),
+		WindowTurnNs:      m.windowTurnNs.Load(),
+		MutationWaitNs:    m.mutationWaitNs.Load(),
+		MutationHoldNs:    m.mutationHoldNs.Load(),
 		FilterTime:        time.Duration(m.filterNs.Load()),
 		HitTime:           time.Duration(hitNs),
 		VerifyTime:        time.Duration(m.verifyNs.Load()),

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sync/atomic"
+	"time"
 
 	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
@@ -41,6 +42,15 @@ import (
 // the query's dataset snapshot — the SelfCheck oracle and the churn
 // equivalence suite assert byte-identical answers to the uncached method
 // after every mutation.
+//
+// What a mutation costs: it stops the world (the drain of dsMu's write
+// side, then the whole hierarchy), so the work under the locks is kept
+// proportional to what changed, never to what is cached. Per entry an
+// eager add is one containment test, one Grown and two intern-pool map
+// operations; a remove touches only the entries that contained the gid.
+// No answer set is rehashed: the new fingerprint is the old one ±
+// bitset.ElemHash(gid) (answerState.fp). Snapshot.MutationWaitNs and
+// MutationHoldNs time the drain and the hold.
 
 // AddGraph appends g to the live dataset under a fresh stable id and
 // maintains the cached state exactly: the verification-cost EMA array and
@@ -51,23 +61,14 @@ import (
 //
 //gclint:acquires dsMu windowMu policyMu shard
 func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
-	c.dsMu.Lock()
-	defer c.dsMu.Unlock()
+	held := c.lockDataset()
+	defer c.unlockDataset(held)
 	gid, err := c.method.AddGraph(g)
 	if err != nil {
 		return 0, err
 	}
 	view := c.method.View()
-
-	// Grow the per-graph cost-EMA array. Cells are copied value-by-value
-	// (atomic.Uint64 must not be moved with copy/append); in-flight CAS
-	// updates cannot race this — every reader and writer of costVal runs
-	// under the read side of dsMu.
-	grown := make([]atomic.Uint64, view.Size())
-	for i := range c.costVal {
-		grown[i].Store(c.costVal[i].Load())
-	}
-	c.costVal = grown
+	c.growCostCells(view.Size())
 	c.mon.datasetAdds.Add(1)
 
 	if c.cfg.LazyReconcile {
@@ -98,8 +99,8 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 //
 //gclint:acquires dsMu windowMu policyMu shard
 func (c *Cache) RemoveGraph(gid int) error {
-	c.dsMu.Lock()
-	defer c.dsMu.Unlock()
+	held := c.lockDataset()
+	defer c.unlockDataset(held)
 	if err := c.method.RemoveGraph(gid); err != nil {
 		return err
 	}
@@ -129,7 +130,7 @@ func (c *Cache) RemoveGraph(gid int) error {
 			// The epoch is NOT advanced: entry epochs track the addition
 			// log only (removals apply to every entry right here), so an
 			// unchanged epoch cannot skip a pending addition record.
-			e.setAnswers(s, st.epoch)
+			e.setAnswers(s, st.fp-bitset.ElemHash(gid), st.epoch)
 		}
 		// Every removal-affected entry just published a fresh set; true
 		// up its interning (removal survivors often collapse onto each
@@ -137,6 +138,43 @@ func (c *Cache) RemoveGraph(gid int) error {
 		c.rechargeLocked(sh, e)
 	})
 	return nil
+}
+
+// lockDataset takes dsMu's write side for a mutation and returns when it
+// was granted, recording how long the drain of in-flight readers took;
+// unlockDataset records how long the world stayed stopped.
+//
+//gclint:holds dsMu
+func (c *Cache) lockDataset() time.Time {
+	t0 := time.Now()
+	c.dsMu.Lock()
+	held := time.Now()
+	c.mon.mutationWaitNs.Add(int64(held.Sub(t0)))
+	return held
+}
+
+//gclint:releases dsMu
+func (c *Cache) unlockDataset(held time.Time) {
+	c.mon.mutationHoldNs.Add(int64(time.Since(held)))
+	c.dsMu.Unlock()
+}
+
+// growCostCells extends the per-graph cost-EMA array to n cells; caller
+// holds dsMu exclusively. Cells must not move while shared (every reader
+// and CAS writer of costVal runs under the read side of dsMu), and must be
+// copied value by value when they do move, so the backing array doubles:
+// an add reslices, and only one add in O(log n) allocates and copies.
+// Cells past len are zero, which reads as "no estimate yet".
+func (c *Cache) growCostCells(n int) {
+	if n <= cap(c.costVal) {
+		c.costVal = c.costVal[:n]
+		return
+	}
+	grown := make([]atomic.Uint64, n, 2*n)
+	for i := range c.costVal {
+		grown[i].Store(c.costVal[i].Load())
+	}
+	c.costVal = grown
 }
 
 // withAllEntriesLocked runs fn (when non-nil) over every admitted entry
@@ -238,8 +276,8 @@ func (c *Cache) reconcileEntryLocked(sh *shard, e *Entry, view ftv.DatasetView) 
 	if st.epoch >= view.Epoch() && st.set.Len() == view.Size() {
 		return
 	}
-	set := c.patchedAnswers(e, st, view)
-	e.setAnswers(set, view.Epoch())
+	set, fp := c.patchedAnswers(e, st, view)
+	e.setAnswers(set, fp, view.Epoch())
 	c.rechargeLocked(sh, e)
 }
 
@@ -250,7 +288,10 @@ func (c *Cache) reconcileEntryLocked(sh *shard, e *Entry, view ftv.DatasetView) 
 // never drifts, so truing up means re-interning: acquire a canonical for
 // the currently published set — collapsing it onto an equal pooled set
 // when one exists — and release the previously interned one; the pool's
-// byte account moves with the references. The republish is a CAS so a
+// byte account moves with the references. Nothing is hashed: the state
+// carries its set's fingerprint and the entry its pool node, so a true-up
+// is two map operations, and none when the set did not change. The
+// republish is a CAS so a
 // racing query-path reconciler can never be regressed to an older epoch
 // (which could skip compacted addition records); losing the race keeps
 // the new reference and leaves the swap to the next true-up. Caller
@@ -272,15 +313,15 @@ func (c *Cache) rechargeLocked(sh *shard, e *Entry) {
 		// after the fault.
 		return
 	}
-	if e.interned == st.set {
+	if e.interned != nil && e.interned.set == st.set {
 		return
 	}
-	canonical := sh.pool.acquire(st.set)
-	if canonical != st.set {
-		e.swapAnswers(st, canonical, st.epoch)
+	node := sh.pool.acquire(st.set, st.fp)
+	if node.set != st.set {
+		e.swapCanonical(st, node.set)
 	}
 	sh.pool.release(e.interned)
-	e.interned = canonical
+	e.interned = node
 }
 
 // reconciledAnswers returns e's answer set brought to the query view's
@@ -301,8 +342,8 @@ func (c *Cache) reconciledAnswers(e *Entry, view ftv.DatasetView) *bitset.Set {
 	if st.epoch >= view.Epoch() && st.set.Len() == view.Size() {
 		return st.set
 	}
-	set := c.patchedAnswers(e, st, view)
-	e.setAnswers(set, view.Epoch())
+	set, fp := c.patchedAnswers(e, st, view)
+	e.setAnswers(set, fp, view.Epoch())
 	return set
 }
 
@@ -310,17 +351,20 @@ func (c *Cache) reconciledAnswers(e *Entry, view ftv.DatasetView) *bitset.Set {
 // state st: grown to the view's id space, with each logged addition since
 // st.epoch verified for containment (tombstoned additions are skipped —
 // their bits were never set in st and must stay clear). Removal bits need
-// no handling: removals clear them from every entry at mutation time.
-func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) *bitset.Set {
+// no handling: removals clear them from every entry at mutation time. The
+// second result is the patched set's fingerprint, derived from st.fp:
+// Grown preserves it and each addition that verifies (a gid st.set cannot
+// hold — it was added after st.epoch) contributes its ElemHash.
+func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) (*bitset.Set, uint64) {
 	recs := view.AddsSince(st.epoch)
-	set := st.set
+	set, fp := st.set, st.fp
 	switch {
 	case set.Len() != view.Size():
 		set = set.Grown(view.Size())
 	case len(recs) > 0:
 		set = set.Clone()
 	default:
-		return set // removals-only delta: the set is already exact
+		return set, fp // removals-only delta: the set is already exact
 	}
 	for _, r := range recs {
 		if view.Graph(r.GID) == nil {
@@ -329,9 +373,10 @@ func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) 
 		c.mon.maintenanceTests.Add(1)
 		if view.VerifyCandidate(e.Graph, r.GID, e.Type) {
 			set.Add(r.GID)
+			fp += bitset.ElemHash(r.GID)
 		}
 	}
-	return set
+	return set, fp
 }
 
 // DatasetInfo is a snapshot of the live dataset's shape.

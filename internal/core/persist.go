@@ -322,7 +322,7 @@ parse:
 		// are never reused, so the remaining bits are still exact, and the
 		// restored entries are stamped with the current epoch.
 		answers.And(view.Live())
-		e := entryFromSig(0, gs[0], it.qt, answers, it.baseCandidates, c.signatureOf(gs[0]), 0, view.Epoch())
+		e := c.entryFromSig(gs[0], it.qt, answers, it.baseCandidates, c.signatureOf(gs[0]), 0, view.Epoch())
 		e.Hits = it.hits
 		e.SavedTests = it.savedTests
 		e.SavedCostNs = it.savedCost

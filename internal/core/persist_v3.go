@@ -221,11 +221,14 @@ func (b *lazyBody) materialize() *bitset.Set {
 func (e *Entry) faultAnswers(st *answerState) *answerState {
 	for {
 		b := st.body
-		next := &answerState{set: b.materialize(), epoch: st.epoch}
+		// src.mon is set before any body is published (readStateV3). The
+		// set is hashed here, on the faulting goroutine: the true-up that
+		// later interns it runs under the full hierarchy and must not.
+		mon := b.src.mon
+		set := b.materialize()
+		next := &answerState{set: set, fp: mon.hashSet(set), epoch: st.epoch}
 		if e.ans.p.CompareAndSwap(st, next) {
-			if b.src.mon != nil {
-				b.src.mon.stateBodyFaults.Add(1)
-			}
+			mon.stateBodyFaults.Add(1)
 			return next
 		}
 		st = e.ans.p.Load()
@@ -482,7 +485,7 @@ func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
 		ansOff := entryOff + graphLen
 		var e *Entry
 		if lazy {
-			e = entryShell(0, gs[0], ftv.QueryType(qt), int(bc), sig, 0)
+			e = entryShell(gs[0], ftv.QueryType(qt), int(bc), sig, 0)
 			e.ans.p.Store(&answerState{epoch: view.Epoch(), body: &lazyBody{
 				src:    src,
 				off:    int64(ansOff),
@@ -510,7 +513,7 @@ func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
 				return v3Error("entry %d: answer capacity %d, want %d", i, set.Len(), dsSize)
 			}
 			set.And(view.Live())
-			e = entryFromSig(0, gs[0], ftv.QueryType(qt), set, int(bc), sig, 0, view.Epoch())
+			e = c.entryFromSig(gs[0], ftv.QueryType(qt), set, int(bc), sig, 0, view.Epoch())
 		}
 		e.Hits = hits
 		e.SavedTests = savedTests

@@ -243,6 +243,8 @@ func TestV3LazyRestoreSurvivesMutations(t *testing.T) {
 	if err := eager.ReadState(bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
+	checkResidency(t, lazy, "after lazy restore")
+	checkResidency(t, eager, "after eager restore")
 
 	// Tombstone an id that appears in some restored answer set — BEFORE
 	// that entry's body ever faults in.
@@ -270,6 +272,7 @@ func TestV3LazyRestoreSurvivesMutations(t *testing.T) {
 	if _, err := eager.AddGraph(added); err != nil {
 		t.Fatal(err)
 	}
+	checkResidency(t, lazy, "lazy restore, after mutations")
 
 	le, ee := lazy.Entries(), eager.Entries()
 	if len(le) != len(ee) {
@@ -291,6 +294,12 @@ func TestV3LazyRestoreSurvivesMutations(t *testing.T) {
 			t.Fatalf("entry %d: tombstoned id %d still answered", i, victim)
 		}
 	}
+	// Every body has faulted in by now (hashed by the faulting query) and
+	// the next mutation trues every entry up against the pool.
+	if err := lazy.RemoveGraph((victim + 1) % 40); err != nil {
+		t.Fatal(err)
+	}
+	checkResidency(t, lazy, "lazy restore, after fault-in and true-up")
 }
 
 // Tombstones that predate the snapshot are carried into a lazy restore as

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"graphcache/internal/stats"
 )
@@ -53,7 +52,12 @@ func (ev *HitEvent) Credit() {
 
 func (p *scorePolicy) OnWindowTurn() {}
 
-// ReplacedContent returns the x lowest-scoring entry positions.
+// ReplacedContent returns the x lowest-scoring entry positions in
+// ascending (score, LastUsed, ID) order — exactly the first x of a full
+// sort under that total order. It scores each entry once and keeps the x
+// smallest seen so far in a bounded max-heap, so choosing ten victims
+// among a thousand entries costs a thousand score evaluations and a few
+// dozen sift steps instead of a comparison sort of the whole cache.
 //
 //gclint:deterministic
 func (p *scorePolicy) ReplacedContent(entries []*Entry, x int) []int {
@@ -64,6 +68,38 @@ func (p *scorePolicy) ReplacedContent(entries []*Entry, x int) []int {
 		}
 		return out
 	}
+	if x <= 0 {
+		return nil
+	}
+	ctx := p.contextFor(entries)
+
+	// heap[0] is the worst-ranked (largest) of the x best seen so far.
+	heap := make([]rankKey, 0, x)
+	for i, e := range entries {
+		k := rankKey{score: p.score(e, ctx), lastUsed: e.LastUsed, id: e.ID, pos: i}
+		switch {
+		case len(heap) < x:
+			heap = append(heap, k)
+			siftUp(heap, len(heap)-1)
+		case k.before(heap[0]):
+			heap[0] = k
+			siftDown(heap, 0)
+		}
+	}
+	// Pop the largest to the back until the heap is an ascending run.
+	out := make([]int, x)
+	for n := x - 1; n >= 0; n-- {
+		out[n] = heap[0].pos
+		heap[0] = heap[n]
+		heap = heap[:n]
+		siftDown(heap, 0)
+	}
+	return out
+}
+
+// contextFor computes the normalization state the score functions share
+// for one ranking of entries.
+func (p *scorePolicy) contextFor(entries []*Entry) *scoreContext {
 	ctx := &scoreContext{
 		minTests: inf(), maxTests: -inf(),
 		minCost: inf(), maxCost: -inf(),
@@ -78,23 +114,57 @@ func (p *scorePolicy) ReplacedContent(entries []*Entry, x int) []int {
 		cv := p.costCV.CV()
 		ctx.costWeight = cv / (1 + cv) // ∈ [0,1): more dispersion ⇒ more cost awareness
 	}
+	return ctx
+}
 
-	idx := make([]int, len(entries))
-	for i := range idx {
-		idx[i] = i
+// rankKey is one entry's eviction rank: score first, ties broken by
+// LastUsed then ID (unique, so the order is total). pos is the entry's
+// position in the slice being ranked.
+type rankKey struct {
+	score    float64
+	lastUsed int64
+	id, pos  int
+}
+
+// before reports whether a is evicted ahead of b.
+func (a rankKey) before(b rankKey) bool {
+	if a.score != b.score {
+		return a.score < b.score
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ea, eb := entries[idx[a]], entries[idx[b]]
-		sa, sb := p.score(ea, ctx), p.score(eb, ctx)
-		if sa != sb {
-			return sa < sb
+	if a.lastUsed != b.lastUsed {
+		return a.lastUsed < b.lastUsed
+	}
+	return a.id < b.id
+}
+
+// siftUp and siftDown restore the max-heap property — no parent ranks
+// before its child — after position i changed.
+func siftUp(h []rankKey, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[parent].before(h[i]) {
+			return
 		}
-		if ea.LastUsed != eb.LastUsed {
-			return ea.LastUsed < eb.LastUsed
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func siftDown(h []rankKey, i int) {
+	for {
+		big := i
+		if l := 2*i + 1; l < len(h) && h[big].before(h[l]) {
+			big = l
 		}
-		return ea.ID < eb.ID
-	})
-	return idx[:x]
+		if r := 2*i + 2; r < len(h) && h[big].before(h[r]) {
+			big = r
+		}
+		if big == i {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
 }
 
 func inf() float64 { return 1e308 }

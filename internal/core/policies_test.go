@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"graphcache/internal/ftv"
@@ -124,6 +126,67 @@ func TestHDCostWeightAdapts(t *testing.T) {
 	got := idsAt(entries, hd.ReplacedContent(entries, 1))
 	if got[0] != 0 {
 		t.Errorf("HD with dispersed costs evicted %v, want [0] (cheap savings)", got)
+	}
+}
+
+// fullSortVictims is the victim selection ReplacedContent used to be: a
+// comparison sort of every position under (score, LastUsed, ID), first x
+// taken. Kept here as the oracle for the bounded selection that replaced
+// it.
+func fullSortVictims(p *scorePolicy, entries []*Entry, x int) []int {
+	idx := make([]int, len(entries))
+	for i := range idx {
+		idx[i] = i
+	}
+	if x >= len(entries) {
+		return idx // everything goes: no ranking needed
+	}
+	ctx := p.contextFor(entries)
+	sort.Slice(idx, func(a, b int) bool {
+		ea, eb := entries[idx[a]], entries[idx[b]]
+		sa, sb := p.score(ea, ctx), p.score(eb, ctx)
+		if sa != sb {
+			return sa < sb
+		}
+		if ea.LastUsed != eb.LastUsed {
+			return ea.LastUsed < eb.LastUsed
+		}
+		return ea.ID < eb.ID
+	})
+	return idx[:x]
+}
+
+// TestVictimSelectionMatchesFullSort: for every score policy, on random
+// utilities drawn from a handful of values (so score ties and LastUsed
+// ties are the common case and the ID tiebreak decides), the bounded
+// selection returns the same positions in the same order as the full
+// sort, from no victims to all of them.
+func TestVictimSelectionMatchesFullSort(t *testing.T) {
+	const n = 301
+	for _, name := range []string{"lru", "fifo", "pop", "pin", "pinc", "hd"} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pol, err := NewPolicy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := pol.(*scorePolicy)
+			entries := make([]*Entry, n)
+			for i, id := range rng.Perm(n) {
+				entries[i] = mkEntry(id, int64(rng.Intn(4)), int64(rng.Intn(5)), int64(rng.Intn(3)),
+					float64(rng.Intn(3)), 1000*float64(rng.Intn(3)))
+			}
+			// Give HD a non-trivial cost weight to blend with.
+			for i := 0; i < 20; i++ {
+				p.UpdateCacheStaInfo(&HitEvent{Entry: mkEntry(-1, 0, 0, 0, 0, 0), Kind: SubHit, SavedTests: 1, SavedCostNs: float64(rng.Intn(5000))})
+			}
+			for _, x := range []int{0, 1, 10, n / 2, n - 1, n} {
+				got, want := p.ReplacedContent(entries, x), fullSortVictims(p, entries, x)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s seed %d x=%d:\n selected  %v\n full sort %v", name, seed, x, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -16,7 +16,8 @@ func rankEntry(id int, count int) *Entry {
 	for i := range idx {
 		idx[i] = i
 	}
-	e.setAnswers(bitset.FromIndices(count+1, idx), 0)
+	set := bitset.FromIndices(count+1, idx)
+	e.setAnswers(set, set.Fingerprint(), 0)
 	return e
 }
 
@@ -82,7 +83,7 @@ func TestRankCandidatesConcurrentSwap(t *testing.T) {
 		defer wg.Done()
 		for k := 0; !stop.Load(); k++ {
 			e := cands[k%n]
-			e.setAnswers(bitset.FromIndices(16, []int{k % 16}), int64(k))
+			e.setAnswers(bitset.FromIndices(16, []int{k % 16}), bitset.ElemHash(k%16), int64(k))
 		}
 	}()
 	for trial := 0; trial < 50; trial++ {

@@ -28,14 +28,14 @@ func shardWalk(c *Cache) (entries, memBytes int) {
 // counted once. The pool only retains sets with live references, so this
 // walk must reproduce pool.bytes exactly.
 func internWalk(c *Cache) int {
-	seen := make(map[*bitset.Set]bool)
+	seen := make(map[*internNode]bool)
 	b := 0
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 		for _, e := range sh.entries {
 			if e.interned != nil && !seen[e.interned] {
 				seen[e.interned] = true
-				b += e.interned.Bytes()
+				b += e.interned.set.Bytes()
 			}
 		}
 		sh.mu.RUnlock()
@@ -43,8 +43,44 @@ func internWalk(c *Cache) int {
 	return b
 }
 
+// fingerprintDrift returns an error unless every materialized answer
+// state — admitted or window-pending — carries its set's from-scratch
+// Fingerprint(), and every admitted entry's pool node is bucketed under
+// the fingerprint of the set it holds. This is what lets mutations and
+// window turns derive fingerprints instead of computing them: one drifted
+// ±ElemHash would silently split or merge pool buckets. Pending lazy
+// bodies carry no fingerprint and are skipped (never faulted by the
+// check).
+func fingerprintDrift(c *Cache) (err error) {
+	check := func(e *Entry) {
+		st := e.answers()
+		if err != nil || st.body != nil {
+			return
+		}
+		if want := st.set.Fingerprint(); st.fp != want {
+			err = fmt.Errorf("entry %d carries fingerprint %x, its set hashes to %x", e.ID, st.fp, want)
+		} else if nd := e.interned; nd != nil && nd.fp != nd.set.Fingerprint() {
+			err = fmt.Errorf("entry %d interned under %x, the canonical hashes to %x", e.ID, nd.fp, nd.set.Fingerprint())
+		}
+	}
+	c.windowMu.Lock()
+	for _, e := range c.window {
+		check(e)
+	}
+	c.windowMu.Unlock()
+	for _, sh := range c.shards {
+		sh.mu.RLock()
+		for _, e := range sh.entries {
+			check(e)
+		}
+		sh.mu.RUnlock()
+	}
+	return err
+}
+
 // checkResidency fails unless the atomic residency account, the intern
-// pool's account and the per-shard structures agree.
+// pool's account and the per-shard structures agree, and every carried
+// fingerprint is true (fingerprintDrift).
 func checkResidency(t *testing.T, c *Cache, when string) {
 	t.Helper()
 	entries, memBytes := shardWalk(c)
@@ -60,6 +96,9 @@ func checkResidency(t *testing.T, c *Cache, when string) {
 	}
 	if got, want := c.Bytes(), memBytes+poolBytes; got != want {
 		t.Fatalf("%s: Bytes() %d, shard walk + pool %d", when, got, want)
+	}
+	if err := fingerprintDrift(c); err != nil {
+		t.Fatalf("%s: %v", when, err)
 	}
 }
 

@@ -92,11 +92,10 @@ func (sh *shard) insertLocked(e *Entry) {
 	// reference is held either way).
 	st := e.answers()
 	if st.body == nil {
-		canonical := sh.pool.acquire(st.set)
-		if canonical != st.set {
-			e.swapAnswers(st, canonical, st.epoch)
+		e.interned = sh.pool.acquire(st.set, st.fp)
+		if e.interned.set != st.set {
+			e.swapCanonical(st, e.interned.set)
 		}
-		e.interned = canonical
 	}
 	// A pending lazy body (state restore, persist.go) has nothing resident
 	// to intern: e.interned stays nil (released as a no-op on eviction) and
@@ -178,15 +177,49 @@ func (c *Cache) unlockAll() {
 //
 //gclint:requires shard
 func (c *Cache) gatherLocked() []*Entry {
-	total := 0
+	parts := make([][]*Entry, 0, len(c.shards))
 	for _, sh := range c.shards {
-		total += len(sh.entries)
+		if len(sh.entries) > 0 {
+			parts = append(parts, sh.entries)
+		}
+	}
+	return mergeByID(parts)
+}
+
+// mergeByID merges ID-sorted, non-empty entry slices into one fresh
+// ID-sorted slice. It consumes parts (the slice of slices, not the
+// entries they share with their shards). Each step scans the parts' next
+// IDs, kept side by side in heads, for the smallest: O(entries × parts)
+// integer compares over one small array, which at the shard counts a
+// cache has beats a comparison sort's closure call per compare several
+// times over.
+func mergeByID(parts [][]*Entry) []*Entry {
+	total := 0
+	heads := make([]int, len(parts))
+	for i, p := range parts {
+		total += len(p)
+		heads[i] = p[0].ID
 	}
 	all := make([]*Entry, 0, total)
-	for _, sh := range c.shards {
-		all = append(all, sh.entries...)
+	for len(parts) > 1 {
+		m := 0
+		for i, id := range heads {
+			if id < heads[m] {
+				m = i
+			}
+		}
+		all = append(all, parts[m][0])
+		if parts[m] = parts[m][1:]; len(parts[m]) > 0 {
+			heads[m] = parts[m][0].ID
+			continue
+		}
+		last := len(parts) - 1
+		parts[m], heads[m] = parts[last], heads[last]
+		parts, heads = parts[:last], heads[:last]
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	if len(parts) == 1 {
+		all = append(all, parts[0]...)
+	}
 	return all
 }
 
@@ -195,26 +228,27 @@ func (c *Cache) gatherLocked() []*Entry {
 // snapshot remain safe to read: their graphs and answer sets are immutable
 // and still correct with respect to the immutable dataset.
 //
-// An empty cache returns nil without allocating or sorting, and a snapshot
-// that drained from a single shard (or a single-shard cache) skips the
-// sort — each shard is already ID-sorted. Indexed hit detection bypasses
-// this entirely (it reads the published feature index); the remaining
-// callers are Entries() and the IndexOff baseline scan.
+// An empty cache returns nil without allocating, and a snapshot that
+// drained from a single shard (or a single-shard cache) is that shard's
+// copy as is — each shard is already ID-sorted. Indexed hit detection
+// bypasses this entirely (it reads the published feature index); the
+// remaining callers are Entries() and the IndexOff baseline scan.
 //
 //gclint:acquires shard
 func (c *Cache) entriesSnapshot() []*Entry {
-	var all []*Entry
-	populated := 0
+	var parts [][]*Entry
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 		if len(sh.entries) > 0 {
-			populated++
-			all = append(all, sh.entries...)
+			parts = append(parts, append([]*Entry(nil), sh.entries...))
 		}
 		sh.mu.RUnlock()
 	}
-	if populated > 1 {
-		sort.Slice(all, func(i, j int) bool { return all[i].ID < all[j].ID })
+	switch len(parts) {
+	case 0:
+		return nil
+	case 1:
+		return parts[0]
 	}
-	return all
+	return mergeByID(parts)
 }

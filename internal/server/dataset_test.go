@@ -124,14 +124,17 @@ func mustJSON(v any) string {
 // /api/stats exposes the incremental-insert counters and the addition-log
 // length, and they move with dataset mutations — additions are counted as
 // filter inserts (never rebuilds: the bundled GGSX filter is insertable)
-// and the eager-mode compaction keeps the log drained.
+// and the eager-mode compaction keeps the log drained. It also exposes the
+// stopped-world clocks, which a mutation moves without rehashing any
+// cached answer set.
 func TestStatsReportFilterMaintenance(t *testing.T) {
 	srv, _ := testServer(t)
 	rng := rand.New(rand.NewSource(17))
 	extra := gen.Molecules(rng, 2, gen.MoleculeConfig{MinV: 10, MaxV: 14, RingFrac: 0.1, MaxDegree: 4, Labels: 6})
 
 	_, stats := doJSON(t, srv, http.MethodGet, "/api/stats", "")
-	for _, field := range []string{"filterInserts", "filterRebuilds", "additionLogLen", "logCompactions"} {
+	for _, field := range []string{"filterInserts", "filterRebuilds", "additionLogLen", "logCompactions",
+		"windowTurnNs", "mutationWaitNs", "mutationHoldNs", "setRehashes"} {
 		if _, ok := stats[field]; !ok {
 			t.Fatalf("/api/stats is missing %q: %s", field, mustJSON(stats))
 		}
@@ -157,5 +160,8 @@ func TestStatsReportFilterMaintenance(t *testing.T) {
 	}
 	if stats["logCompactions"].(float64) == 0 {
 		t.Fatalf("no compaction recorded after additions: %s", mustJSON(stats))
+	}
+	if stats["mutationHoldNs"].(float64) == 0 || stats["setRehashes"].(float64) != 0 {
+		t.Fatalf("two adds must be timed and must hash nothing: %s", mustJSON(stats))
 	}
 }

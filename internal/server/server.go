@@ -178,6 +178,17 @@ type statsResponse struct {
 	// file after a lazy state restore (0 when the cache booted cold or
 	// restored eagerly).
 	StateBodyFaults int64 `json:"stateBodyFaults"`
+	// The stopped world, cumulative nanoseconds: inside window turns,
+	// waiting for in-flight queries to drain before a dataset mutation,
+	// and holding the dataset exclusively during one. Divide by
+	// windowTurns or datasetAdds + datasetRemoves for a mean.
+	WindowTurnNs   int64 `json:"windowTurnNs"`
+	MutationWaitNs int64 `json:"mutationWaitNs"`
+	MutationHoldNs int64 `json:"mutationHoldNs"`
+	// SetRehashes counts answer sets hashed from scratch (one per
+	// admitted query, restored entry or faulted-in body); mutations and
+	// window turns never add to it.
+	SetRehashes int64 `json:"setRehashes"`
 }
 
 func (s *Server) statsResponse() statsResponse {
@@ -219,6 +230,10 @@ func (s *Server) statsResponse() statsResponse {
 		InternHits:        snap.InternHits,
 		InternMisses:      snap.InternMisses,
 		StateBodyFaults:   snap.StateBodyFaults,
+		WindowTurnNs:      snap.WindowTurnNs,
+		MutationWaitNs:    snap.MutationWaitNs,
+		MutationHoldNs:    snap.MutationHoldNs,
+		SetRehashes:       snap.SetRehashes,
 	}
 }
 
