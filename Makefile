@@ -78,27 +78,33 @@ cover:
 # pprof on demand: CPU + heap profiles of the kernel's two expensive
 # query paths (an indexed miss and a sub/super hit) and of its two
 # stop-the-world passes (a dataset add and remove on a warm cache, a
-# window turn), from the stock benchmark runner. Inspect with
+# window turn), and a CPU profile of the daemon's handler on an exact hit
+# and on a miss (decode, parse, probe, encode — no transport), from the
+# stock benchmark runner. Inspect with
 # `go tool pprof profiles/core.test profiles/core_cpu.pprof` (narrow with
-# `-focus 'AddGraph|turnWindow'`); a live daemon serves the same through
-# `gcd -pprof`.
+# `-focus 'AddGraph|turnWindow'`) or
+# `go tool pprof profiles/server.test profiles/server_cpu.pprof`; a live
+# daemon serves the same through `gcd -pprof`.
 PROFILE_DIR ?= profiles
 profiles:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'Benchmark(Execute(IndexedMiss|SubSuperHit)|(Add|Remove)GraphWarm|WindowTurn)$$' \
 		-cpuprofile $(PROFILE_DIR)/core_cpu.pprof -memprofile $(PROFILE_DIR)/core_mem.pprof \
 		-o $(PROFILE_DIR)/core.test ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkHandleQuery(Exact|Miss)$$' -benchmem \
+		-cpuprofile $(PROFILE_DIR)/server_cpu.pprof -o $(PROFILE_DIR)/server.test ./internal/server/
 
 # Short native-fuzzing smoke passes: the persistence v2 parser, the
 # adaptive-bitset differential target (random op sequences vs a naive
 # []bool reference, across every container mix), the GGSX layout
-# oracle (build + WithGraph chains vs brute-force path counts) and the
+# oracle (build + WithGraph chains vs brute-force path counts), the
 # matcher oracle (VF2 / Ullmann / brute-force enumeration over all four
-# graph kinds); the last two have seeds only, no committed corpus. The
-# committed corpora
-# under internal/core/testdata/fuzz and internal/bitset/testdata/fuzz
-# replay in every plain `go test`; this target additionally mutates for a
-# few seconds per target so CI keeps probing fresh inputs.
+# graph kinds) and the graph text parser (never panics; what it accepts
+# survives WriteAll and a second parse); the last three have seeds only,
+# no committed corpus. The committed corpora under
+# internal/core/testdata/fuzz and internal/bitset/testdata/fuzz replay in
+# every plain `go test`; this target additionally mutates for a few
+# seconds per target so CI keeps probing fresh inputs.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^FuzzReadState$$' -fuzz '^FuzzReadState$$' -fuzztime $(FUZZTIME) ./internal/core/
@@ -107,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzParseAnnotation$$' -fuzz '^FuzzParseAnnotation$$' -fuzztime $(FUZZTIME) ./internal/lint/
 	$(GO) test -run '^FuzzGGSXCandidates$$' -fuzz '^FuzzGGSXCandidates$$' -fuzztime $(FUZZTIME) ./internal/ftv/
 	$(GO) test -run '^FuzzVF2$$' -fuzz '^FuzzVF2$$' -fuzztime $(FUZZTIME) ./internal/iso/
+	$(GO) test -run '^FuzzReadAll$$' -fuzz '^FuzzReadAll$$' -fuzztime $(FUZZTIME) ./internal/graph/
 
 # The benchmark harness is a module of its own (benchmark/go.mod) that
 # drives internal/* through their public functions, so `./...` from the

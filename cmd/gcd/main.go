@@ -223,13 +223,20 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 }
 
-// A client may take this long to send its request headers, and a
-// keep-alive connection may sit idle this long, before the server closes
-// it: connections pile up exactly when a slow mutation stalls the queries
-// in front of them, and without a bound a stalled or abandoned client
-// holds its goroutine and descriptor forever.
+// A client may take this long to send its request headers and this long
+// to send the whole request, body included, and a keep-alive connection
+// may sit idle this long, before the server closes it: connections pile up
+// exactly when a slow mutation stalls the queries in front of them, and
+// without a bound a stalled or abandoned client — one that sends its
+// headers and then trickles an 8 MB body, say — holds its goroutine and
+// descriptor forever. net/http leaves the read deadline armed while the
+// handler runs, so readTimeout also bounds a request end to end: a streamed
+// batch still running when it passes has its context cancelled — a minute
+// is far past any request the daemon serves (a 256-query batch takes tens
+// of milliseconds).
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
 	idleTimeout       = 120 * time.Second
 )
 
@@ -238,6 +245,7 @@ func newHTTPServer(handler http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       idleTimeout,
 	}
 }

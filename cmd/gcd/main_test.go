@@ -162,42 +162,56 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 }
 
 // The daemon's http.Server bounds how long a client may dribble its
-// request headers and how long an idle keep-alive connection lives: a
-// connection that sends half a request line and stalls is closed by the
-// server, not held forever.
+// request headers, how long it may take over the whole request and how
+// long an idle keep-alive connection lives: a connection that sends half
+// a request line and stalls, or all its headers and then a body that never
+// completes, is closed by the server, not held forever.
 func TestHTTPServerTimeouts(t *testing.T) {
-	srv := newHTTPServer(http.NotFoundHandler())
-	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
-		t.Fatalf("timeouts not set: ReadHeaderTimeout %v, IdleTimeout %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	drain := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.Copy(io.Discard, r.Body) })
+	if srv := newHTTPServer(drain); srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout < srv.ReadHeaderTimeout || srv.IdleTimeout <= 0 {
+		t.Fatalf("timeouts not set: ReadHeaderTimeout %v, ReadTimeout %v, IdleTimeout %v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
 	}
-	// Same construction, the production bound shortened so the test does
-	// not sit out ten seconds.
-	srv.ReadHeaderTimeout = 100 * time.Millisecond
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	defer func() {
-		srv.Close()
-		<-done
-	}()
+	for _, tc := range []struct {
+		name, sent string
+		shorten    func(*http.Server)
+	}{
+		{"half a request line", "GET /api/st",
+			func(srv *http.Server) { srv.ReadHeaderTimeout = 100 * time.Millisecond }},
+		{"headers, then a body that stalls", "POST /api/query HTTP/1.1\r\nHost: gcd\r\nContent-Length: 8000000\r\n\r\n{\"graph\":",
+			func(srv *http.Server) { srv.ReadTimeout = 100 * time.Millisecond }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Same construction, one production bound shortened so the
+			// test does not sit it out.
+			srv := newHTTPServer(drain)
+			tc.shorten(srv)
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(ln) }()
+			defer func() {
+				srv.Close()
+				<-done
+			}()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("GET /api/st")); err != nil {
-		t.Fatal(err)
-	}
-	// A bounded wait, far past the server's: if the read below returns
-	// because of it the server never hung up.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	start := time.Now()
-	_, err = io.ReadAll(conn)
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatalf("server still holds a connection that sent half a request line after %v", time.Since(start))
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte(tc.sent)); err != nil {
+				t.Fatal(err)
+			}
+			// A bounded wait, far past the server's: if the read below
+			// returns because of it the server never hung up.
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			start := time.Now()
+			_, err = io.ReadAll(conn)
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("server still holds the connection %v after the client stalled", time.Since(start))
+			}
+		})
 	}
 }

@@ -69,12 +69,15 @@ func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint
 }
 
 // firstIsomorphic returns the first of cands with q's type that is
-// isomorphic to q, or nil.
+// isomorphic to q, or nil. Isomorphism is symmetric, so the cached
+// pattern is matched into q and not q into it: the matcher searches along
+// its first argument's memoized plan, which an entry that has been hit
+// before already carries and a q fresh off the wire would have to build.
 //
 //gclint:nolocks
 func firstIsomorphic(q *graph.Graph, qt ftv.QueryType, cands []*Entry) *Entry {
 	for _, e := range cands {
-		if e.Type == qt && iso.Isomorphic(q, e.Graph) {
+		if e.Type == qt && iso.Isomorphic(e.Graph, q) {
 			return e
 		}
 	}

@@ -2,15 +2,18 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 )
 
 // Builder assembles a Graph. A zero Builder is not usable; construct with
 // NewBuilder. Builders are single-goroutine objects.
 type Builder struct {
-	id       int
-	labels   []Label
-	edges    map[[2]int32]struct{}
+	id     int
+	labels []Label
+	// edges holds every AddEdge as u<<32|v (u < v when undirected), in
+	// call order and with repeats; Build sorts and dedups it in place.
+	edges    []uint64
 	elabels  map[edgeKey]Label
 	directed bool
 	errs     []error
@@ -19,11 +22,7 @@ type Builder struct {
 // NewBuilder returns a builder for a graph with n vertices, all initially
 // labelled 0, with no edges and id -1.
 func NewBuilder(n int) *Builder {
-	return &Builder{
-		id:     -1,
-		labels: make([]Label, n),
-		edges:  make(map[[2]int32]struct{}),
-	}
+	return &Builder{id: -1, labels: make([]Label, n)}
 }
 
 // SetID sets the graph id recorded in the built graph.
@@ -65,7 +64,7 @@ func (b *Builder) AddEdge(u, v int) *Builder {
 	if !b.directed && u > v {
 		u, v = v, u
 	}
-	b.edges[[2]int32{int32(u), int32(v)}] = struct{}{}
+	b.edges = append(b.edges, uint64(u)<<32|uint64(v))
 	return b
 }
 
@@ -75,12 +74,18 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, b.errs[0]
 	}
 	n := len(b.labels)
+	slices.Sort(b.edges)
+	b.edges = slices.Compact(b.edges)
 	// Adjacency lists are carved, exactly sized, out of one backing array
-	// per direction: deg counts first, then each list is filled and sorted.
+	// per direction: deg counts first, then each list is filled. The edges
+	// are in (u, v) order, so every list comes out ascending: a vertex's
+	// in-neighbours arrive by ascending u, and an undirected vertex x gets
+	// its smaller neighbours from the edges (u, x), all of which precede
+	// the edges (x, v) that bring the larger ones.
 	deg := make([]int32, 2*n)
-	for e := range b.edges {
-		deg[e[0]]++
-		deg[n+int(e[1])]++
+	for _, e := range b.edges {
+		deg[e>>32]++
+		deg[n+int(uint32(e))]++
 	}
 	var adj, radj [][]int32
 	if b.directed {
@@ -91,31 +96,20 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		adj = carveAdj(deg[:n])
 	}
-	for e := range b.edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
+	for _, e := range b.edges {
+		u, v := int32(e>>32), int32(uint32(e))
+		adj[u] = append(adj[u], v)
 		if b.directed {
-			radj[e[1]] = append(radj[e[1]], e[0])
+			radj[v] = append(radj[v], u)
 		} else {
-			adj[e[1]] = append(adj[e[1]], e[0])
-		}
-	}
-	for v := 0; v < n; v++ {
-		slices.Sort(adj[v])
-		if b.directed {
-			slices.Sort(radj[v])
+			adj[v] = append(adj[v], u)
 		}
 	}
 	labels := make([]Label, n)
 	copy(labels, b.labels)
-	var elabels map[edgeKey]Label
-	if len(b.elabels) > 0 {
-		elabels = make(map[edgeKey]Label, len(b.elabels))
-		for k, l := range b.elabels {
-			if _, ok := b.edges[[2]int32{k.u, k.v}]; ok {
-				elabels[k] = l
-			}
-		}
-	}
+	// Only AddLabeledEdge writes elabels, after its AddEdge succeeded, so
+	// every key is an edge.
+	elabels := maps.Clone(b.elabels)
 	return &Graph{
 		id:       b.id,
 		labels:   labels,

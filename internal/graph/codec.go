@@ -2,10 +2,12 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Text codec for graph datasets in the gSpan-style transaction format used
@@ -63,24 +65,25 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("graph: parse error at line %d: %s", e.Line, e.Msg)
 }
 
-// ReadAll parses all graphs from r in the text format.
+// ReadAll parses all graphs from r in the text format. It reads r to the
+// end once and tokenises the bytes where they lie: a daemon parses one
+// small pattern per request, so the parser owns no per-call line buffer and
+// builds no per-line strings.
 func ReadAll(r io.Reader) ([]*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-
-	type edgeRec struct {
-		u, v     int
-		label    Label
-		hasLabel bool
+	// io.Copy lets a reader that holds its bytes already (strings.Reader,
+	// bytes.Reader) hand them over in one exactly sized write.
+	var input bytes.Buffer
+	if _, err := io.Copy(&input, r); err != nil {
+		return nil, err
 	}
+	data := input.Bytes()
 	var (
-		out      []*Graph
-		labels   []Label
-		edges    []edgeRec
-		gid      int
-		directed bool
-		open     bool
-		line     int
+		out  []*Graph
+		open bool
+		line int
+		// One builder serves every graph of the input: vertex lines append
+		// to its labels, Build copies what the graph keeps, finish rewinds.
+		b = Builder{labels: make([]Label, 0, 16), edges: make([]uint64, 0, 16)}
 	)
 	fail := func(msg string, args ...any) error {
 		return &ParseError{line, fmt.Sprintf(msg, args...)}
@@ -89,101 +92,129 @@ func ReadAll(r io.Reader) ([]*Graph, error) {
 		if !open {
 			return nil
 		}
-		b := NewBuilder(len(labels)).SetID(gid).SetLabels(labels)
-		if directed {
-			b.Directed()
-		}
-		for _, e := range edges {
-			if e.hasLabel {
-				b.AddLabeledEdge(e.u, e.v, e.label)
-			} else {
-				b.AddEdge(e.u, e.v)
-			}
-		}
 		g, err := b.Build()
 		if err != nil {
 			return &ParseError{line, err.Error()}
 		}
 		out = append(out, g)
-		labels, edges, open, directed = nil, nil, false, false
+		b = Builder{labels: b.labels[:0], edges: b.edges[:0]}
+		open = false
 		return nil
 	}
 
-	for sc.Scan() {
+	for len(data) > 0 {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "//") {
+		var text []byte
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			text, data = data[:i], data[i+1:]
+		} else {
+			text, data = data, nil
+		}
+		text = bytes.TrimSpace(text)
+		if len(text) == 0 || bytes.HasPrefix(text, []byte("//")) {
 			continue
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
+		var fields [4][]byte // no directive takes more
+		n := splitFields(text, fields[:])
+		switch string(fields[0]) {
 		case "t":
 			if err := finish(); err != nil {
 				return nil, err
 			}
-			if (len(fields) != 3 && len(fields) != 4) || fields[1] != "#" {
+			if (n != 3 && n != 4) || string(fields[1]) != "#" {
 				return nil, fail("want %q, got %q", "t # <id> [directed]", text)
 			}
-			if len(fields) == 4 {
-				if fields[3] != "directed" {
+			if n == 4 {
+				if string(fields[3]) != "directed" {
 					return nil, fail("unknown graph flag %q", fields[3])
 				}
-				directed = true
+				b.directed = true
 			}
-			id, err := strconv.Atoi(fields[2])
+			id, err := strconv.Atoi(string(fields[2]))
 			if err != nil {
 				return nil, fail("bad graph id %q", fields[2])
 			}
-			gid, open = id, true
+			b.id, open = id, true
 		case "v":
 			if !open {
 				return nil, fail("vertex line before any 't' line")
 			}
-			if len(fields) != 3 {
+			if n != 3 {
 				return nil, fail("want %q, got %q", "v <id> <label>", text)
 			}
-			vid, err1 := strconv.Atoi(fields[1])
-			lab, err2 := strconv.Atoi(fields[2])
+			vid, err1 := strconv.Atoi(string(fields[1]))
+			lab, err2 := strconv.Atoi(string(fields[2]))
 			if err1 != nil || err2 != nil || lab < 0 || lab > 0xFFFF {
 				return nil, fail("bad vertex line %q", text)
 			}
-			if vid != len(labels) {
-				return nil, fail("vertex ids must be consecutive from 0; got %d, want %d", vid, len(labels))
+			if vid != len(b.labels) {
+				return nil, fail("vertex ids must be consecutive from 0; got %d, want %d", vid, len(b.labels))
 			}
-			labels = append(labels, Label(lab))
+			b.labels = append(b.labels, Label(lab))
 		case "e":
 			if !open {
 				return nil, fail("edge line before any 't' line")
 			}
-			if len(fields) != 3 && len(fields) != 4 {
+			if n != 3 && n != 4 {
 				return nil, fail("want %q, got %q", "e <u> <v> [label]", text)
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
+			u, err1 := strconv.Atoi(string(fields[1]))
+			v, err2 := strconv.Atoi(string(fields[2]))
 			if err1 != nil || err2 != nil {
 				return nil, fail("bad edge line %q", text)
 			}
-			if u < 0 || u >= len(labels) || v < 0 || v >= len(labels) {
+			if u < 0 || u >= len(b.labels) || v < 0 || v >= len(b.labels) {
 				return nil, fail("edge {%d,%d} references undeclared vertex", u, v)
 			}
-			rec := edgeRec{u: u, v: v}
-			if len(fields) == 4 {
-				el, err := strconv.Atoi(fields[3])
-				if err != nil || el < 0 || el > 0xFFFF {
-					return nil, fail("bad edge label %q", fields[3])
-				}
-				rec.label, rec.hasLabel = Label(el), true
+			if n == 3 {
+				b.AddEdge(u, v)
+				break
 			}
-			edges = append(edges, rec)
+			el, err := strconv.Atoi(string(fields[3]))
+			if err != nil || el < 0 || el > 0xFFFF {
+				return nil, fail("bad edge label %q", fields[3])
+			}
+			b.AddLabeledEdge(u, v, Label(el))
 		default:
 			return nil, fail("unknown directive %q", fields[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if err := finish(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// splitFields is strings.Fields over a byte slice, without the slice it
+// allocates: it stores the leading fields of s in dst and returns how many
+// fields s has, which may be more than dst holds. Like strings.Fields it
+// takes the ASCII blanks in its stride and asks unicode.IsSpace about the
+// rest.
+func splitFields(s []byte, dst [][]byte) int {
+	n, start := 0, -1 // start of the field being scanned, -1 between fields
+	for i := 0; i < len(s); {
+		c, size := rune(s[i]), 1
+		if c >= utf8.RuneSelf {
+			c, size = utf8.DecodeRune(s[i:])
+		}
+		if c == ' ' || ('\t' <= c && c <= '\r') || (c >= utf8.RuneSelf && unicode.IsSpace(c)) {
+			if start >= 0 {
+				if n < len(dst) {
+					dst[n] = s[start:i]
+				}
+				n++
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		if n < len(dst) {
+			dst[n] = s[start:]
+		}
+		n++
+	}
+	return n
 }

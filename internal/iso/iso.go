@@ -57,18 +57,19 @@ func SubIso(p, t *graph.Graph) bool {
 // Isomorphic reports whether a and b are isomorphic labelled graphs.
 // A non-induced embedding between graphs of equal vertex and edge count is
 // necessarily a full isomorphism, so one VF2 run suffices after the size
-// pre-checks. A graph is trivially isomorphic to itself: callers that
-// prepare an immutable pattern once and re-issue it (the cache's
-// exact-match probe then compares it against the very graph it admitted)
-// skip the VF2 run on pointer identity.
+// pre-checks (VF2's own quickReject compares the label multisets, and the
+// degrees under each label besides). A graph is trivially isomorphic to
+// itself: callers that prepare an immutable pattern once and re-issue it
+// (the cache's exact-match probe then compares it against the very graph
+// it admitted) skip the VF2 run on pointer identity. The search runs along
+// a's match plan and needs only b's label-degree summary, so a caller
+// holding one graph it has matched before and one it has not passes the
+// former first.
 func Isomorphic(a, b *graph.Graph) bool {
 	if a == b {
 		return true
 	}
 	if a.N() != b.N() || a.M() != b.M() {
-		return false
-	}
-	if !graph.LabelVectorOf(a).DominatedBy(graph.LabelVectorOf(b)) {
 		return false
 	}
 	return SubIso(a, b)

@@ -251,3 +251,71 @@ func FuzzVF2(f *testing.F) {
 		checkPair(t, p, tg)
 	})
 }
+
+// relabelled returns g with vertex v renamed perm[v] and, when bump is a
+// vertex, that vertex's label changed: an isomorphic copy, or a near miss
+// of the same size.
+func relabelled(g *graph.Graph, perm []int, bump int) *graph.Graph {
+	b := graph.NewBuilder(g.N())
+	if g.Directed() {
+		b.Directed()
+	}
+	for v := 0; v < g.N(); v++ {
+		l := g.Label(v)
+		if v == bump {
+			l++
+		}
+		b.SetLabel(perm[v], l)
+	}
+	for _, e := range g.Edges() {
+		if g.HasEdgeLabels() {
+			b.AddLabeledEdge(perm[e[0]], perm[e[1]], g.EdgeLabel(e[0], e[1]))
+		} else {
+			b.AddEdge(perm[e[0]], perm[e[1]])
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestIsomorphicSymmetric: the cache's exact probe matches the cached
+// pattern into the query, not the query into it, so Isomorphic must give
+// one answer in both argument orders — the brute-force one — on graphs
+// nobody has matched before, over all four kinds.
+func TestIsomorphicSymmetric(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var iso, near int
+	for trial := 0; trial < 2000; trial++ {
+		data := make([]byte, 60)
+		rng.Read(data)
+		s := &byteSrc{b: data}
+		directed, elabelled := trial&1 != 0, trial&2 != 0
+		g := decodeGraph(s, directed, elabelled, 6)
+		others := []*graph.Graph{
+			relabelled(g, rng.Perm(g.N()), -1),
+			decodeGraph(s, directed, elabelled, 6),
+		}
+		if g.N() > 0 {
+			others = append(others, relabelled(g, rng.Perm(g.N()), rng.Intn(g.N())))
+		}
+		for i, h := range others {
+			want := g.N() == h.N() && g.M() == h.M() && bruteCount(g, h) > 0
+			// Fresh copies each way: the second call must not ride on
+			// summaries the first one memoized.
+			if ab, ba := Isomorphic(g.WithID(1), h.WithID(2)), Isomorphic(h.WithID(3), g.WithID(4)); ab != want || ba != want {
+				var sb strings.Builder
+				graph.WriteGraph(&sb, g)
+				graph.WriteGraph(&sb, h)
+				t.Fatalf("trial %d: Isomorphic(g, h) = %v, Isomorphic(h, g) = %v, brute force says %v\n%s", trial, ab, ba, want, sb.String())
+			}
+			if want {
+				iso++
+			} else if i == 2 {
+				near++
+			}
+		}
+	}
+	t.Logf("%d isomorphic pairs, %d near misses", iso, near)
+	if iso < 2000 || near < 500 {
+		t.Error("the generator no longer covers both outcomes")
+	}
+}

@@ -4,6 +4,33 @@
 // the same information — query execution with the Query Journey
 // quantities, cache contents, operational statistics, and graph
 // visualizations — as a JSON API plus a minimal HTML status page.
+//
+// # Reply format of the query endpoints
+//
+// POST /api/query and POST /api/query/batch reply in encoding/json's
+// indented layout followed by a newline: no prefix, two-space indent, a
+// space after each colon, one answer id per line, an empty list as [];
+// each NDJSON line of ?stream=1 is its compact layout. The
+// layout is part of the contract and byte-stable: clients tell a reply's
+// class by scanning for `"exactHit": true` and `"hits": []` instead of
+// decoding ten kilobytes of ids (the benchmark harness does), so a change
+// of indent, key order or spacing is a breaking change, to be made
+// together with those clients. The bytes come from a hand-written encoder
+// (encode.go) that walks the answer bitsets straight into a buffer; the
+// structs encoding/json used to marshal survive as the oracle of
+// encode_test.go, which holds the encoder to encoding/json byte for byte.
+// The other endpoints are cold and marshal through writeJSON.
+//
+// # Pooled buffers
+//
+// A request body is read into a pooled buffer and a query reply is encoded
+// into one. The rule that makes this safe: nothing may refer to a pooled
+// buffer's bytes once it is back in the pool. json.Unmarshal copies every
+// string it decodes, http.ResponseWriter.Write may not retain its
+// argument, and a handler returns its buffer only after that Write has
+// returned. Code that would keep a slice of a body or of a reply — an
+// error quoting the body, a json.RawMessage field, a write queued for
+// later — must copy first.
 package server
 
 // The server is context-strict: handlers thread r.Context() into the
@@ -107,11 +134,32 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// writeEncoded sends a query reply the encoder built, with its length (a
+// reply past net/http's 2 KB sniffing buffer would go out chunked
+// otherwise), and returns the buffer to the pool.
+func (s *Server) writeEncoded(w http.ResponseWriter, e *encoder) {
+	e.b = append(e.b, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(e.b)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(e.b); err != nil {
+		s.logf("server: writing response: %v", err)
+	}
+	putBuffer(e.buffer)
+}
+
 // decodeBody decodes a JSON request body capped at maxBodyBytes,
-// distinguishing an oversized body (413) from malformed JSON (400). It
-// writes the error response itself and reports whether decoding succeeded.
+// distinguishing an oversized body (413) from malformed JSON (400); bytes
+// after the JSON value are malformed. It writes the error response itself
+// and reports whether decoding succeeded.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	err := buf.readFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(buf.b, v)
+	}
 	if err == nil {
 		return true
 	}
@@ -287,23 +335,6 @@ type queryRequest struct {
 	Type string `json:"type"`
 }
 
-type queryResponse struct {
-	Answers        []int       `json:"answers"`
-	Sure           []int       `json:"sure"`
-	Excluded       []int       `json:"excluded"`
-	Tests          int         `json:"tests"`
-	BaseCandidates int         `json:"baseCandidates"`
-	TestSpeedup    float64     `json:"testSpeedup"`
-	ExactHit       bool        `json:"exactHit"`
-	Hits           []hitDetail `json:"hits"`
-}
-
-type hitDetail struct {
-	Entry      int    `json:"entry"`
-	Kind       string `json:"kind"`
-	SavedTests int    `json:"savedTests"`
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -323,50 +354,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "execute: %v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, toQueryResponse(res))
-}
-
-// toQueryResponse projects a kernel Result into the JSON shape.
-func toQueryResponse(res *core.Result) queryResponse {
-	resp := queryResponse{
-		Answers:        res.Answers.Indices(),
-		Sure:           res.Sure.Indices(),
-		Excluded:       res.Excluded.Indices(),
-		Tests:          res.Tests,
-		BaseCandidates: res.BaseCandidates,
-		TestSpeedup:    res.TestSpeedup(),
-		ExactHit:       res.ExactHit,
-		Hits:           make([]hitDetail, 0, len(res.Hits)),
-	}
-	for _, h := range res.Hits {
-		resp.Hits = append(resp.Hits, hitDetail{Entry: h.EntryID, Kind: h.Kind.String(), SavedTests: h.SavedTests})
-	}
-	return resp
+	e := encoder{buffer: getBuffer(), indent: true}
+	e.result(res)
+	s.writeEncoded(w, &e)
 }
 
 // batchRequest is the POST /api/query/batch payload: a list of queries
-// processed through the cache's worker pool in one round trip. With
-// ?stream=1 the response is NDJSON — one batchItem per line, written and
-// flushed as each query completes — instead of a single buffered
-// batchResponse.
+// processed through the cache's worker pool in one round trip. The reply
+// is {"results": [...], "workers": n}, each result an object with the
+// query's "index" and either its "result" or, when that query failed (the
+// rest of the batch still completes), its "error". With ?stream=1 the
+// reply is NDJSON — one such object per line, written and flushed as each
+// query completes.
 type batchRequest struct {
 	Queries []queryRequest `json:"queries"`
 	// Workers sizes the worker pool; 0 defaults to 4, capped at
 	// maxBatchWorkers.
 	Workers int `json:"workers"`
-}
-
-// batchItem is one per-query outcome; Error is set instead of the result
-// fields when that query failed (the rest of the batch still completes).
-type batchItem struct {
-	Index int            `json:"index"`
-	Error string         `json:"error,omitempty"`
-	Query *queryResponse `json:"result,omitempty"`
-}
-
-type batchResponse struct {
-	Results []batchItem `json:"results"`
-	Workers int         `json:"workers"`
 }
 
 // parseQuery decodes one queryRequest into a pattern graph and semantics.
@@ -415,14 +419,13 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Malformed queries are rejected positionally without aborting the
 	// batch; only the well-formed remainder reaches the cache.
-	items := make([]batchItem, len(req.Queries))
+	outcomes := make([]outcome, len(req.Queries))
 	reqs := make([]core.Request, 0, len(req.Queries))
 	slots := make([]int, 0, len(req.Queries))
 	for i, q := range req.Queries {
-		items[i].Index = i
 		g, qt, err := parseQuery(q)
 		if err != nil {
-			items[i].Error = err.Error()
+			outcomes[i].err = err.Error()
 			continue
 		}
 		reqs = append(reqs, core.Request{Graph: g, Type: qt})
@@ -430,20 +433,23 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if streamRequested(r) {
-		s.streamBatch(w, r, items, reqs, slots, workers)
+		s.streamBatch(w, r, outcomes, reqs, slots, workers)
 		return
 	}
 
 	for j, out := range s.cache.ExecuteAll(reqs, workers) {
-		i := slots[j]
-		if out.Err != nil {
-			items[i].Error = out.Err.Error()
-			continue
-		}
-		resp := toQueryResponse(out.Result)
-		items[i].Query = &resp
+		outcomes[slots[j]] = outcomeOf(out.Result, out.Err)
 	}
-	s.writeJSON(w, http.StatusOK, batchResponse{Results: items, Workers: workers})
+	e := encoder{buffer: getBuffer(), indent: true}
+	e.batch(outcomes, workers)
+	s.writeEncoded(w, &e)
+}
+
+func outcomeOf(res *core.Result, err error) outcome {
+	if err != nil {
+		return outcome{err: err.Error()}
+	}
+	return outcome{res: res}
 }
 
 // streamRequested reports whether the batch caller asked for the NDJSON
@@ -460,21 +466,25 @@ func streamRequested(r *http.Request) bool {
 // batch, each outcome is written as one NDJSON line — and flushed — the
 // moment its query finishes, so clients see the first answers while the
 // tail of the batch is still verifying. Malformed queries (already marked
-// in items) are emitted first; cache outcomes follow in completion order,
+// in outcomes) are emitted first; cache outcomes follow in completion order,
 // each tagged with its request index. The batch runs under the request
 // context: when the client disconnects (or a write fails, which cancels
 // the same context at the next flush), the kernel stops dispatching the
 // remaining queries — only the in-flight ones run to completion — instead
 // of verifying a whole batch nobody will read.
-func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, items []batchItem, reqs []core.Request, slots []int, workers int) {
+func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, outcomes []outcome, reqs []core.Request, slots []int, workers int) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Batch-Workers", strconv.Itoa(workers))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(item batchItem) bool {
-		if err := enc.Encode(item); err != nil {
-			s.logf("server: streaming batch item %d: %v", item.Index, err)
+	e := encoder{buffer: getBuffer()}
+	defer putBuffer(e.buffer)
+	emit := func(index int, o outcome) bool {
+		e.b = e.b[:0]
+		e.item(index, o)
+		e.b = append(e.b, '\n')
+		if _, err := w.Write(e.b); err != nil {
+			s.logf("server: streaming batch item %d: %v", index, err)
 			return false
 		}
 		if flusher != nil {
@@ -482,23 +492,16 @@ func (s *Server) streamBatch(w http.ResponseWriter, r *http.Request, items []bat
 		}
 		return true
 	}
-	for _, item := range items {
-		if item.Error == "" {
+	for i, o := range outcomes {
+		if o.err == "" {
 			continue // reaches the cache; emitted on completion below
 		}
-		if !emit(item) {
+		if !emit(i, o) {
 			return
 		}
 	}
 	for so := range s.cache.ExecuteAllStreamContext(r.Context(), reqs, workers) {
-		item := batchItem{Index: slots[so.Index]}
-		if so.Err != nil {
-			item.Error = so.Err.Error()
-		} else {
-			resp := toQueryResponse(so.Result)
-			item.Query = &resp
-		}
-		if !emit(item) {
+		if !emit(slots[so.Index], outcomeOf(so.Result, so.Err)) {
 			return
 		}
 	}

@@ -100,6 +100,14 @@ func TestQueryEndpointErrors(t *testing.T) {
 		{"no graph", `{"graph":""}`, http.StatusBadRequest},
 		{"two graphs", `{"graph":"t # 0\nv 0 1\nt # 1\nv 0 1\n"}`, http.StatusBadRequest},
 		{"bad type", `{"graph":"t # 0\nv 0 1\n","type":"sideways"}`, http.StatusBadRequest},
+		// Bytes after the JSON value: json.Decoder stopped at the value
+		// and served the query.
+		{"trailing garbage", `{"graph":"t # 0\nv 0 1\n"} garbage`, http.StatusBadRequest},
+		{"second value", `{"graph":"t # 0\nv 0 1\n"}{"graph":"t # 0\nv 0 1\n"}`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest},
+		// Too large is not malformed, wherever the limit falls in the JSON.
+		{"oversized body", `{"graph":"` + strings.Repeat("x", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized by trailing blanks", `{"graph":"t # 0\nv 0 1\n"}` + strings.Repeat(" ", maxBodyBytes), http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -111,6 +119,10 @@ func TestQueryEndpointErrors(t *testing.T) {
 				t.Error("error body missing")
 			}
 		})
+	}
+	// Trailing blanks are not garbage.
+	if rec, out := postQuery(t, srv, `{"graph":"t # 0\nv 0 1\n"}`+" \r\n\t"); rec.Code != http.StatusOK {
+		t.Errorf("trailing blanks: status %d (%v)", rec.Code, out)
 	}
 	// Method not allowed.
 	req := httptest.NewRequest(http.MethodGet, "/api/query", nil)
