@@ -78,12 +78,15 @@ cover:
 # pprof on demand: CPU + heap profiles of the kernel's two expensive
 # query paths (an indexed miss and a sub/super hit) and of its two
 # stop-the-world passes (a dataset add and remove on a warm cache, a
-# window turn), and a CPU profile of the daemon's handler on an exact hit
-# and on a miss (decode, parse, probe, encode — no transport), from the
+# window turn), a CPU profile of the daemon's handler on an exact hit
+# and on a miss (decode, parse, probe, encode — no transport), and one of
+# the verification stage alone (a bound subgraph query and one-shot VF2
+# over Method M's candidates on the 5 000-molecule index), from the
 # stock benchmark runner. Inspect with
 # `go tool pprof profiles/core.test profiles/core_cpu.pprof` (narrow with
-# `-focus 'AddGraph|turnWindow'`) or
-# `go tool pprof profiles/server.test profiles/server_cpu.pprof`; a live
+# `-focus 'AddGraph|turnWindow'`),
+# `go tool pprof profiles/server.test profiles/server_cpu.pprof` or
+# `go tool pprof profiles/ftv.test profiles/verify_cpu.pprof`; a live
 # daemon serves the same through `gcd -pprof`.
 PROFILE_DIR ?= profiles
 profiles:
@@ -93,6 +96,8 @@ profiles:
 		-o $(PROFILE_DIR)/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkHandleQuery(Exact|Miss)$$' -benchmem \
 		-cpuprofile $(PROFILE_DIR)/server_cpu.pprof -o $(PROFILE_DIR)/server.test ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCandidates$$' -benchtime 1000000x \
+		-cpuprofile $(PROFILE_DIR)/verify_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 
 # Short native-fuzzing smoke passes: the persistence v2 parser, the
 # adaptive-bitset differential target (random op sequences vs a naive

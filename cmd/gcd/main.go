@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		capacity  = fs.Int("capacity", 50, "cache capacity (entries)")
 		window    = fs.Int("window", 10, "admission window size")
 		ggsxLen   = fs.Int("ggsx", 4, "GGSX path-feature length")
-		workers   = fs.Int("workers", 1, "parallel verification workers per query")
 		shards    = fs.Int("shards", 0, "cache lock shards (0 = default)")
 		lazyRec   = fs.Bool("lazy-reconcile", false, "reconcile cached answers lazily after dataset additions (per-entry epochs) instead of eagerly at mutation time")
 		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling at /debug/pprof/ (off by default: profiles leak internals, enable only on trusted networks)")
@@ -124,7 +123,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.Capacity = *capacity
 	cfg.Window = *window
 	cfg.Policy = p
-	cfg.VerifyWorkers = *workers
 	cfg.Shards = *shards
 	cfg.LazyReconcile = *lazyRec
 	cache, err := core.New(method, cfg)

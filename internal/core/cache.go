@@ -585,16 +585,15 @@ type hitCredit struct {
 }
 
 // execScratch holds the per-query working buffers of Execute's miss path:
-// candidate id lists, verification cost samples and verdicts, and pending
-// hit credits. Nothing in it escapes the query (results are built from
-// fresh or lazily-empty sets), so the buffers recycle through a pool —
-// one warmed-up scratch per concurrently executing query (hot-path memory
+// candidate id lists, verification cost samples and pending hit credits.
+// Nothing in it escapes the query (results are built from fresh or
+// lazily-empty sets), so the buffers recycle through a pool — one
+// warmed-up scratch per concurrently executing query (hot-path memory
 // discipline, see doc.go).
 type execScratch struct {
-	ids      []int
-	costs    []costSample
-	verdicts []verdict
-	credits  []hitCredit
+	ids     []int
+	costs   []costSample
+	credits []hitCredit
 }
 
 var execScratchPool = sync.Pool{New: func() any { return new(execScratch) }}
@@ -676,15 +675,15 @@ type costSample struct {
 	dur time.Duration
 }
 
-// verify runs the sub-iso tests over the candidate set, sequentially or
-// with a bounded worker pool, against the query's dataset view. It holds
-// no locks; measured costs are returned for the caller to fold into the
-// EMA cells.
+// verify runs the sub-iso tests over the candidate set against the
+// query's dataset view, the query bound once for all of them. It holds no
+// locks; measured costs are returned for the caller to fold into the EMA
+// cells. The clock is read once per test: one test's end is the next
+// one's start.
 //
 //gclint:nolocks
 func (c *Cache) verify(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, cand *bitset.Set, sc *execScratch) (*bitset.Set, []costSample) {
-	n := view.Size()
-	out := bitset.New(n)
+	out := bitset.New(view.Size())
 	sc.ids = cand.AppendIndices(sc.ids[:0])
 	ids := sc.ids
 	if len(ids) == 0 {
@@ -694,66 +693,20 @@ func (c *Cache) verify(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, c
 		sc.costs = make([]costSample, 0, len(ids))
 	}
 	costs := sc.costs[:0]
-	if c.cfg.VerifyWorkers < 2 || len(ids) < 4 {
-		for _, gid := range ids {
-			t0 := time.Now()
-			ok := view.VerifyCandidate(q, gid, qt)
-			costs = append(costs, costSample{gid, time.Since(t0)})
-			if ok {
-				out.Add(gid)
-			}
-		}
-		sc.costs = costs
-		return out, costs
-	}
-
-	workers := c.cfg.VerifyWorkers
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if cap(sc.verdicts) < len(ids) {
-		sc.verdicts = make([]verdict, len(ids))
-	}
-	results := sc.verdicts[:len(ids)]
-	var wg sync.WaitGroup
-	chunk := (len(ids) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				gid := ids[i]
-				t0 := time.Now()
-				ok := view.VerifyCandidate(q, gid, qt)
-				results[i] = verdict{gid, ok, time.Since(t0)}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	for _, v := range results {
-		costs = append(costs, costSample{v.gid, v.dur})
-		if v.ok {
-			out.Add(v.gid)
+	bound := view.Bind(q, qt)
+	last := time.Now()
+	for _, gid := range ids {
+		ok := bound.Verify(gid)
+		now := time.Now()
+		costs = append(costs, costSample{gid, now.Sub(last)})
+		last = now
+		if ok {
+			out.Add(gid)
 		}
 	}
+	bound.Release()
 	sc.costs = costs
 	return out, costs
-}
-
-// verdict is one parallel verification outcome, indexed by candidate
-// position.
-type verdict struct {
-	gid int
-	ok  bool
-	dur time.Duration
 }
 
 // recordCosts folds measured verification costs into the EMA cells —

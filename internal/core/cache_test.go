@@ -457,27 +457,6 @@ func TestHostilePolicySanitized(t *testing.T) {
 	}
 }
 
-func TestParallelVerificationMatchesSequential(t *testing.T) {
-	dataset := testDataset(23, 40)
-	seqC := testCache(t, dataset, func(cfg *Config) { cfg.VerifyWorkers = 1 })
-	parC := testCache(t, dataset, func(cfg *Config) { cfg.VerifyWorkers = 4 })
-	rng := rand.New(rand.NewSource(24))
-	for i := 0; i < 30; i++ {
-		q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 3+i%8)
-		a, err := seqC.Execute(q, ftv.Subgraph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parC.Execute(q, ftv.Subgraph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Answers.Equal(b.Answers) {
-			t.Fatalf("query %d: parallel answers diverge", i)
-		}
-	}
-}
-
 func TestMonitorLedgerConsistency(t *testing.T) {
 	dataset := testDataset(25, 30)
 	c := testCache(t, dataset, nil)

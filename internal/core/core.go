@@ -28,11 +28,6 @@ type Config struct {
 	// unlimited. An aborted test is treated as "no hit" (sound: hits only
 	// ever shrink work, never correctness).
 	HitIsoBudget int64
-	// VerifyWorkers is the number of goroutines verifying candidates
-	// WITHIN one query; values < 2 mean sequential verification. This is
-	// intra-query parallelism, orthogonal to the inter-query concurrency
-	// the shards provide.
-	VerifyWorkers int
 	// Shards is the number of lock shards admitted entries are partitioned
 	// across by graph fingerprint. 0 selects DefaultShards; 1 yields a
 	// single-shard cache. Sequential query streams are deterministic, and

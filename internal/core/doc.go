@@ -68,9 +68,10 @@
 //     is a read-only view, see its comment).
 //
 //   - Per-query scratch comes from sync.Pools, never fresh: execScratch
-//     (candidate-id, cost-sample, verdict and hit-credit slices, cache.go),
-//     featScratch (path-feature counting, features.go) and the VF2 state
-//     pool (internal/iso). Pooled objects are reset — never zero-filled by
+//     (candidate-id, cost-sample and hit-credit slices, cache.go),
+//     featScratch (path-feature counting, features.go) and the VF2 matcher
+//     pool (internal/iso; verify binds one matcher per subgraph query and
+//     runs every candidate through it). Pooled objects are reset — never zero-filled by
 //     reallocation — and anything referencing caller data is nil'd before
 //     Put so the pool never pins graphs alive.
 //

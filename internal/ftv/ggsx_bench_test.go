@@ -84,17 +84,31 @@ func BenchmarkGGSXWithGraph(b *testing.B) {
 // BenchmarkVerifyCandidates is the verification stage on its own: every
 // (pattern, target) pair Method M hands VF2 for the first 200 pool
 // queries of each direction, precomputed so that one iteration is one
-// sub-iso test. ns/op is therefore ns per test; recursions/test and
-// checks/test are iso.Stats averaged over the iterations.
+// sub-iso test, run the way the kernel runs it — a subgraph query bound
+// once and matched against each of its candidates, a supergraph query
+// through one-shot VF2 — plus the subgraph pairs through one-shot VF2,
+// which is what binding saves. ns/op is therefore ns per test;
+// recursions/test and checks/test are iso.Stats averaged over the
+// iterations, recursions/match and recursions/miss the same split by
+// verdict. The counts are deterministic: if one moves, the plan order or a
+// pruning rule changed.
 func BenchmarkVerifyCandidates(b *testing.B) {
 	bi := benchIndex()
-	for _, qt := range []ftv.QueryType{ftv.Subgraph, ftv.Supergraph} {
-		b.Run(qt.String(), func(b *testing.B) {
+	for _, mode := range []struct {
+		name  string
+		qt    ftv.QueryType
+		bound bool
+	}{
+		{"subgraph", ftv.Subgraph, true},
+		{"subgraph-oneshot", ftv.Subgraph, false},
+		{"supergraph", ftv.Supergraph, false},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
 			var pairs [][2]*graph.Graph
-			queries := bi.pool[qt][:200]
+			queries := bi.pool[mode.qt][:200]
 			for _, q := range queries {
-				bi.index.Candidates(q, qt).ForEach(func(gid int) bool {
-					if qt == ftv.Subgraph {
+				bi.index.Candidates(q, mode.qt).ForEach(func(gid int) bool {
+					if mode.qt == ftv.Subgraph {
 						pairs = append(pairs, [2]*graph.Graph{q, bi.dataset[gid]})
 					} else {
 						pairs = append(pairs, [2]*graph.Graph{bi.dataset[gid], q})
@@ -103,17 +117,40 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 				})
 			}
 			b.Logf("%d queries, %.0f tests/query", len(queries), float64(len(pairs))/float64(len(queries)))
-			var rec, checks int64
+			var rec, checks, matches, matchRec int64
+			var m *iso.Matcher
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pr := pairs[i%len(pairs)]
-				_, st := iso.VF2(pr[0], pr[1], iso.Options{})
+				var ok bool
+				var st iso.Stats
+				if mode.bound {
+					if i%len(pairs) == 0 || pr[0] != pairs[i%len(pairs)-1][0] {
+						if m != nil {
+							m.Release()
+						}
+						m = iso.Bind(pr[0], iso.Options{})
+					}
+					ok, st = m.Match(pr[1])
+				} else {
+					ok, st = iso.VF2(pr[0], pr[1], iso.Options{})
+				}
 				rec += st.Recursions
 				checks += st.Candidates
+				if ok {
+					matches++
+					matchRec += st.Recursions
+				}
+			}
+			b.StopTimer()
+			if m != nil {
+				m.Release()
 			}
 			b.ReportMetric(float64(rec)/float64(b.N), "recursions/test")
 			b.ReportMetric(float64(checks)/float64(b.N), "checks/test")
+			b.ReportMetric(float64(matchRec)/float64(max(matches, 1)), "recursions/match")
+			b.ReportMetric(float64(rec-matchRec)/float64(max(int64(b.N)-matches, 1)), "recursions/miss")
 		})
 	}
 }

@@ -54,7 +54,7 @@ type FilterFactory func(dataset []*graph.Graph) Filter
 // accessors re-snapshot per call.
 type Method struct {
 	name    string
-	verify  VerifierFunc
+	verify  VerifierFunc  // nil: VF2
 	factory FilterFactory // nil: static filter, AddGraph unsupported
 
 	// mu serializes mutators; readers go through the atomic state pointer
@@ -108,7 +108,7 @@ type AddRecord struct {
 // AddGraph (no filter factory); use NewDynamicMethod for a fully mutable
 // dataset.
 func NewMethod(name string, dataset []*graph.Graph, filter Filter, verify VerifierFunc) *Method {
-	m := &Method{name: name, verify: defaultVerify(verify)}
+	m := &Method{name: name, verify: verify}
 	m.state.Store(initialState(dataset, filter))
 	return m
 }
@@ -116,16 +116,9 @@ func NewMethod(name string, dataset []*graph.Graph, filter Filter, verify Verifi
 // NewDynamicMethod assembles a method whose dataset takes live mutations:
 // the filter is built — and on every AddGraph rebuilt — by the factory.
 func NewDynamicMethod(name string, dataset []*graph.Graph, factory FilterFactory, verify VerifierFunc) *Method {
-	m := &Method{name: name, verify: defaultVerify(verify), factory: factory}
+	m := &Method{name: name, verify: verify, factory: factory}
 	m.state.Store(initialState(dataset, factory(dataset)))
 	return m
-}
-
-func defaultVerify(v VerifierFunc) VerifierFunc {
-	if v == nil {
-		return VF2Verifier
-	}
-	return v
 }
 
 func initialState(dataset []*graph.Graph, filter Filter) *methodState {
@@ -405,10 +398,62 @@ func (v DatasetView) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool
 	if g == nil {
 		return false
 	}
+	pattern, target := q, g
 	if qt == Supergraph {
-		return v.verify(g, q)
+		pattern, target = g, q
 	}
-	return v.verify(q, g)
+	if v.verify == nil {
+		return iso.SubIso(pattern, target)
+	}
+	return v.verify(pattern, target)
+}
+
+// BoundQuery is one query bound to a dataset view for the verification
+// stage: what a test needs of the query is set up once, not once per
+// candidate. A subgraph query under the default verifier holds a VF2
+// matcher with the query as its pattern — Method M's filter has already
+// chosen the candidates, so VF2's own label-degree screen is skipped; any
+// other query (a supergraph query, whose pattern changes with every
+// candidate, or a Method with a custom VerifierFunc) tests through
+// VerifyCandidate. A BoundQuery is a single-goroutine object; Release it
+// when the stage is done.
+type BoundQuery struct {
+	view    DatasetView
+	q       *graph.Graph
+	qt      QueryType
+	matcher *iso.Matcher
+}
+
+// Bind binds q for verification against the view's graphs.
+func (v DatasetView) Bind(q *graph.Graph, qt QueryType) BoundQuery {
+	b := BoundQuery{view: v, q: q, qt: qt}
+	if qt == Subgraph && v.verify == nil {
+		b.matcher = iso.Bind(q, iso.Options{})
+	}
+	return b
+}
+
+// Verify is VerifyCandidate for the bound query.
+//
+//gclint:noalloc
+func (b *BoundQuery) Verify(gid int) bool {
+	if b.matcher == nil {
+		return b.view.VerifyCandidate(b.q, gid, b.qt)
+	}
+	g := b.view.s.dataset[gid]
+	if g == nil {
+		return false
+	}
+	ok, _ := b.matcher.Match(g)
+	return ok
+}
+
+// Release returns the bound matcher, if any, to its pool.
+func (b *BoundQuery) Release() {
+	if b.matcher != nil {
+		b.matcher.Release()
+		b.matcher = nil
+	}
 }
 
 // Result reports one query execution.

@@ -12,11 +12,10 @@ import (
 
 // allocBudgetReadAll covers ReadAll of one 12-vertex, 12-edge pattern,
 // the size the daemon parses on every request: the reader, the input
-// buffer and its bytes, the builder's two scratch slices, Build's five
-// (degree counts, two adjacency arrays, labels, the Graph) and the result
-// slice. Measured 11 and 1.1 KB; the bufio.Scanner parser took 72 and
-// 68.8 KB.
-const allocBudgetReadAll = 12
+// buffer and its bytes, the builder's two scratch slices, Build's two (the
+// Graph and its block) and the result slice. Measured 8; the bufio.Scanner
+// parser took 72 and 68.8 KB.
+const allocBudgetReadAll = 9
 
 func TestReadAllAllocBudget(t *testing.T) {
 	text := patternText(12)

@@ -76,66 +76,54 @@ func (b *Builder) Build() (*Graph, error) {
 	n := len(b.labels)
 	slices.Sort(b.edges)
 	b.edges = slices.Compact(b.edges)
-	// Adjacency lists are carved, exactly sized, out of one backing array
-	// per direction: deg counts first, then each list is filled. The edges
-	// are in (u, v) order, so every list comes out ascending: a vertex's
-	// in-neighbours arrive by ascending u, and an undirected vertex x gets
-	// its smaller neighbours from the edges (u, x), all of which precede
-	// the edges (x, v) that bring the larger ones.
-	deg := make([]int32, 2*n)
-	for _, e := range b.edges {
-		deg[e>>32]++
-		deg[n+int(uint32(e))]++
-	}
-	var adj, radj [][]int32
+	rows := n
 	if b.directed {
-		adj, radj = carveAdj(deg[:n]), carveAdj(deg[n:])
-	} else {
-		for v := 0; v < n; v++ {
-			deg[v] += deg[n+v]
-		}
-		adj = carveAdj(deg[:n])
+		rows = 2 * n
+	}
+	c := newBlock(n, rows, 2*len(b.edges))
+	copy(c.Labels, b.labels)
+	// Rows are sized, then filled, in place. The first pass leaves each
+	// row's length in Off[row+1] and the running sum turns that into the
+	// row's start in Off[row]; the fill pass advances Off[row] past every
+	// entry it writes, so it ends as the row's end, which is the next
+	// row's start, and one shift puts the starts back. An arc u→v is an
+	// entry of out-row u and of in-row In+v, an undirected edge of rows u
+	// and v. The edges are in (u, v) order, so every row comes out
+	// ascending: an in-row's entries arrive by ascending u, and an
+	// undirected vertex x gets its smaller neighbours from the edges
+	// (u, x), all of which precede the edges (x, v) that bring the larger
+	// ones.
+	off, in := c.Off, c.In
+	for _, e := range b.edges {
+		off[e>>32+1]++
+		off[in+int(uint32(e))+1]++
+	}
+	start := int32(0)
+	for r := 0; r < rows; r++ {
+		start, off[r] = start+off[r+1], start
 	}
 	for _, e := range b.edges {
 		u, v := int32(e>>32), int32(uint32(e))
-		adj[u] = append(adj[u], v)
-		if b.directed {
-			radj[v] = append(radj[v], u)
-		} else {
-			adj[v] = append(adj[v], u)
-		}
+		c.Nbr[off[u]] = v
+		off[u]++
+		c.Nbr[off[in+int(v)]] = u
+		off[in+int(v)]++
 	}
-	labels := make([]Label, n)
-	copy(labels, b.labels)
+	copy(off[1:], off[:rows])
+	off[0] = 0
+	for r := range c.Sig {
+		c.Sig[r] = signature(c.Row(r), c.Labels)
+	}
 	// Only AddLabeledEdge writes elabels, after its AddEdge succeeded, so
 	// every key is an edge.
 	elabels := maps.Clone(b.elabels)
 	return &Graph{
 		id:       b.id,
-		labels:   labels,
-		adj:      adj,
-		radj:     radj,
+		c:        c,
 		elabels:  elabels,
 		directed: b.directed,
 		m:        len(b.edges),
 	}, nil
-}
-
-// carveAdj returns one empty list per vertex with capacity deg[v], all
-// sharing a single backing array of exactly sum(deg) entries.
-func carveAdj(deg []int32) [][]int32 {
-	total := 0
-	for _, d := range deg {
-		total += int(d)
-	}
-	flat := make([]int32, total)
-	lists := make([][]int32, len(deg))
-	off := 0
-	for v, d := range deg {
-		lists[v] = flat[off : off : off+int(d)]
-		off += int(d)
-	}
-	return lists
 }
 
 // MustBuild is Build that panics on error, for tests and generators whose

@@ -7,11 +7,12 @@ import "fmt"
 // carries that generalization through the Graph type. Undirected,
 // vertex-labelled graphs remain the default and pay nothing for it.
 //
-// Representation: for directed graphs, adj holds out-neighbors and radj
-// in-neighbors (radj is nil for undirected graphs). Edge labels live in a
-// side map keyed by the canonical endpoint pair — (u, v) as stored for
-// directed edges, (min, max) for undirected ones; a nil map means
-// "no edge labels" and EdgeLabel reports 0 for every edge.
+// Representation: a directed graph's block holds a second set of rows for
+// the in-neighbors (see CSR; an undirected graph's in-rows are its
+// out-rows). Edge labels live in a side map keyed by the canonical
+// endpoint pair — (u, v) as stored for directed edges, (min, max) for
+// undirected ones; a nil map means "no edge labels" and EdgeLabel reports
+// 0 for every edge.
 
 type edgeKey struct{ u, v int32 }
 
@@ -41,27 +42,17 @@ func (g *Graph) EdgeLabel(u, v int) Label {
 // OutNeighbors returns the vertices reachable from v by one edge: the
 // out-neighbors of a directed graph, all neighbors of an undirected one.
 // Callers must not modify the slice.
-func (g *Graph) OutNeighbors(v int) []int32 { return g.adj[v] }
+func (g *Graph) OutNeighbors(v int) []int32 { return g.c.Row(v) }
 
 // InNeighbors returns the vertices with an edge into v. For undirected
 // graphs this equals OutNeighbors.
-func (g *Graph) InNeighbors(v int) []int32 {
-	if !g.directed {
-		return g.adj[v]
-	}
-	return g.radj[v]
-}
+func (g *Graph) InNeighbors(v int) []int32 { return g.c.Row(g.c.In + v) }
 
 // OutDegree returns len(OutNeighbors(v)).
-func (g *Graph) OutDegree(v int) int { return len(g.adj[v]) }
+func (g *Graph) OutDegree(v int) int { return g.Degree(v) }
 
 // InDegree returns len(InNeighbors(v)).
-func (g *Graph) InDegree(v int) int {
-	if !g.directed {
-		return len(g.adj[v])
-	}
-	return len(g.radj[v])
-}
+func (g *Graph) InDegree(v int) int { return g.Degree(g.c.In + v) }
 
 // EdgeLabelCounts returns occurrences per edge label (absent for graphs
 // without edge labels).

@@ -5,6 +5,15 @@
 // Graphs are immutable after construction (see Builder); all query-side
 // components (iso, ftv, core) rely on that immutability to share graphs
 // freely across goroutines without locks.
+//
+// # Layout
+//
+// A graph is a small header and one block (see CSR and newBlock): the
+// labels, a neighbour-label signature per vertex, CSR row offsets and the
+// neighbour lists end to end, in one allocation, because a sub-iso test
+// against a dataset graph costs about what fetching the graph costs.
+// The accessors (Neighbors, OutNeighbors, InNeighbors, HasEdge, ...) hide
+// the layout; the matcher alone reads the raw arrays, through Graph.CSR.
 package graph
 
 import (
@@ -19,13 +28,10 @@ type Label uint16
 // Graph is a vertex-labelled simple graph — undirected by default, with
 // optional directedness and edge labels (see directed.go). Vertices are
 // the integers [0, N()). Adjacency lists are sorted ascending, enabling
-// binary-search edge tests. For directed graphs adj holds out-neighbors
-// and radj in-neighbors; for undirected graphs radj is nil.
+// binary-search edge tests; they live in the graph's CSR block.
 type Graph struct {
 	id       int
-	labels   []Label
-	adj      [][]int32
-	radj     [][]int32
+	c        CSR
 	elabels  map[edgeKey]Label
 	directed bool
 	m        int
@@ -41,39 +47,43 @@ type Graph struct {
 func (g *Graph) ID() int { return g.id }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.labels) }
+func (g *Graph) N() int { return len(g.c.Labels) }
 
 // M returns the number of (undirected) edges.
 func (g *Graph) M() int { return g.m }
 
 // Label returns the label of vertex v.
-func (g *Graph) Label(v int) Label { return g.labels[v] }
+func (g *Graph) Label(v int) Label { return g.c.Labels[v] }
 
 // Labels returns the label slice. Callers must not modify it.
-func (g *Graph) Labels() []Label { return g.labels }
+func (g *Graph) Labels() []Label { return g.c.Labels }
+
+// CSR returns the graph's raw arrays, for the matcher. Callers must not
+// modify them.
+func (g *Graph) CSR() CSR { return g.c }
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return int(g.c.Off[v+1] - g.c.Off[v]) }
 
 // Neighbors returns the sorted neighbor list of v. Callers must not
 // modify it.
-func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
+func (g *Graph) Neighbors(v int) []int32 { return g.c.Row(v) }
 
 // HasEdge reports whether {u, v} is an edge — for directed graphs, whether
 // the arc u→v exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	a := g.adj[u]
-	if !g.directed && len(g.adj[v]) < len(a) {
+	a := g.c.Row(u)
+	if !g.directed && g.Degree(v) < len(a) {
 		// Undirected: search the shorter list.
-		a, v = g.adj[v], u
+		a, v = g.c.Row(v), u
 	}
-	return contains(a, int32(v))
+	return Contains(a, int32(v))
 }
 
-// contains reports whether the ascending list a holds v: a binary search
+// Contains reports whether the ascending list a holds v: a binary search
 // down to 8 entries, then a linear scan, which is all the short lists of
 // sparse graphs ever get. Closure-free: it is the matcher's edge probe.
-func contains(a []int32, v int32) bool {
+func Contains(a []int32, v int32) bool {
 	for len(a) > 8 {
 		h := len(a) / 2
 		if a[h] <= v {
@@ -95,8 +105,8 @@ func contains(a []int32, v int32) bool {
 // directed ones.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.m)
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.c.Row(u) {
 			if g.directed || int32(u) < v {
 				out = append(out, [2]int{u, int(v)})
 			}
@@ -108,7 +118,7 @@ func (g *Graph) Edges() [][2]int {
 // LabelCounts returns a map from label to its number of occurrences.
 func (g *Graph) LabelCounts() map[Label]int {
 	c := make(map[Label]int, 8)
-	for _, l := range g.labels {
+	for _, l := range g.c.Labels {
 		c[l]++
 	}
 	return c
@@ -117,7 +127,7 @@ func (g *Graph) LabelCounts() map[Label]int {
 // MaxLabel returns the largest label value present, or 0 for an empty graph.
 func (g *Graph) MaxLabel() Label {
 	var max Label
-	for _, l := range g.labels {
+	for _, l := range g.c.Labels {
 		if l > max {
 			max = l
 		}
@@ -136,17 +146,11 @@ func (g *Graph) DegreeSequence() []int {
 }
 
 // Bytes estimates the heap footprint of the graph in bytes, used by the
-// cache's memory accounting.
+// cache's memory accounting: the header, the block (8 B of signature and
+// 4 B of offset per row, 4 B per neighbour entry, 2 B per label) and the
+// edge-label map.
 func (g *Graph) Bytes() int {
-	b := 64 + 2*len(g.labels)
-	for _, a := range g.adj {
-		b += 24 + 4*len(a)
-	}
-	for _, a := range g.radj {
-		b += 24 + 4*len(a)
-	}
-	b += 16 * len(g.elabels)
-	return b
+	return 64 + g.c.blockBytes() + 16*len(g.elabels)
 }
 
 // String returns a short human-readable summary such as "g17(V=12,E=13)".
@@ -160,9 +164,7 @@ func (g *Graph) String() string {
 func (g *Graph) WithID(id int) *Graph {
 	c := &Graph{
 		id:       id,
-		labels:   g.labels,
-		adj:      g.adj,
-		radj:     g.radj,
+		c:        g.c,
 		elabels:  g.elabels,
 		directed: g.directed,
 		m:        g.m,
@@ -185,7 +187,7 @@ func (g *Graph) IsConnected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.adj[v] {
+		for _, w := range g.c.Row(int(v)) {
 			if !seen[w] {
 				seen[w] = true
 				count++
@@ -220,7 +222,7 @@ func (g *Graph) ConnectedComponents() [][]int {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, int(v))
-			for _, w := range g.adj[v] {
+			for _, w := range g.c.Row(int(v)) {
 				if !seen[w] {
 					seen[w] = true
 					stack = append(stack, w)
@@ -261,7 +263,7 @@ func (g *Graph) InducedSubgraph(verts []int) (*Graph, error) {
 		b.SetLabel(i, g.Label(v))
 	}
 	for i, v := range verts {
-		for _, w := range g.adj[v] {
+		for _, w := range g.c.Row(v) {
 			j, ok := remap[int(w)]
 			if !ok || (!g.directed && i >= j) {
 				continue

@@ -57,7 +57,7 @@ func (g *Graph) wlFingerprint(rounds int) Fingerprint {
 	n := g.N()
 	colors := make([]uint64, n)
 	for v := 0; v < n; v++ {
-		colors[v] = uint64(g.labels[v]) + 1
+		colors[v] = uint64(g.c.Labels[v]) + 1
 	}
 	next := make([]uint64, n)
 	neigh := make([]uint64, 0, 16)
@@ -65,12 +65,12 @@ func (g *Graph) wlFingerprint(rounds int) Fingerprint {
 	for r := 0; r < rounds; r++ {
 		for v := 0; v < n; v++ {
 			neigh = neigh[:0]
-			for _, w := range g.adj[v] {
+			for _, w := range g.OutNeighbors(v) {
 				e := colors[w]*mix ^ uint64(g.EdgeLabel(v, int(w)))<<1
 				neigh = append(neigh, e)
 			}
 			if g.directed {
-				for _, w := range g.radj[v] {
+				for _, w := range g.InNeighbors(v) {
 					e := colors[w]*mix ^ uint64(g.EdgeLabel(int(w), v))<<1 ^ 1<<63
 					neigh = append(neigh, e)
 				}

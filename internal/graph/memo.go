@@ -40,8 +40,8 @@ func (g *Graph) LabelDegrees() []LabelDegree {
 		return *m
 	}
 	ld := make([]LabelDegree, g.N())
-	for v, l := range g.labels {
-		ld[v] = LabelDegree{l, int32(len(g.adj[v]))}
+	for v, l := range g.c.Labels {
+		ld[v] = LabelDegree{l, int32(g.Degree(v))}
 	}
 	slices.SortFunc(ld, func(a, b LabelDegree) int {
 		if a.Label != b.Label {
@@ -90,7 +90,7 @@ func (g *Graph) MatchPlan() []PlanStep {
 		for j < n && ld[j].Label == ld[i].Label {
 			j++
 		}
-		for v, l := range g.labels {
+		for v, l := range g.c.Labels {
 			if l == ld[i].Label {
 				rare[v] = int32(j - i)
 			}
@@ -132,7 +132,7 @@ func (g *Graph) MatchPlan() []PlanStep {
 		conn[best] = -1
 		touch(g.InNeighbors(best), int32(best)<<1|1) // arcs w→best
 		if g.directed {
-			touch(g.adj[best], int32(best)<<1) // arcs best→w
+			touch(g.OutNeighbors(best), int32(best)<<1) // arcs best→w
 		}
 	}
 	g.memoPlan.Store(&plan)

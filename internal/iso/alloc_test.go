@@ -37,6 +37,39 @@ func TestVF2AllocBudget(t *testing.T) {
 	}
 }
 
+// TestBoundMatchAllocBudget: binding a pattern whose plan is memoized
+// takes a matcher from the pool and allocates nothing, and neither does
+// any test through it once its core slice has seen the largest target —
+// targets nobody has matched before included: a test reads the block
+// Build made and needs no summary of the target.
+func TestBoundMatchAllocBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	p := randomGraph(rng, 6, 3, 0.4)
+	p.MatchPlan()
+	var targets []*graph.Graph
+	for i := 0; i < 32; i++ {
+		targets = append(targets, randomGraph(rng, 10+rng.Intn(40), 3, 0.15))
+	}
+	m := Bind(p, Options{})
+	m.Match(randomGraph(rng, 50, 3, 0.15))
+	i := 0
+	if got := testing.AllocsPerRun(500, func() {
+		m.Match(targets[i%len(targets)])
+		i++
+	}); got != 0 {
+		t.Errorf("a bound test allocates %.1f/op, budget 0", got)
+	}
+	m.Release()
+	if got := testing.AllocsPerRun(500, func() {
+		m := Bind(p, Options{MaxRecursions: 4})
+		m.Match(targets[i%len(targets)])
+		m.Release()
+		i++
+	}); got != 0 {
+		t.Errorf("bind, test, release allocates %.1f/op, budget 0", got)
+	}
+}
+
 // TestSummaryAllocBudget: what a graph nobody has matched yet pays on its
 // first test. LabelDegrees is one slice and its published header; the plan
 // adds its steps, their header and one scratch array — one fewer than the

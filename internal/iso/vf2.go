@@ -6,118 +6,23 @@ import (
 	"graphcache/internal/graph"
 )
 
-// statePool recycles vf2State values (and their core slices) across
-// invocations. Cache hit detection and candidate verification run VF2
-// once per candidate graph, so without pooling every probe pays three
-// O(n) allocations; with it a steady-state matcher invocation allocates
-// nothing. The plan is not pooled — it comes from the pattern's memo
-// cache (graph.MatchPlan) and is shared read-only.
-var statePool = sync.Pool{New: func() any { return new(vf2State) }}
+// matcherPool recycles Matcher values (and their core slices) across
+// bindings, so a steady-state test allocates nothing. Every pooled matcher
+// has both core slices at -1 over their whole capacity: a search undoes
+// each assignment on its way out, so nothing is ever cleared between
+// targets or between patterns. The plan is not pooled — it comes from the
+// pattern's memo cache (graph.MatchPlan) and is shared read-only.
+var matcherPool = sync.Pool{New: func() any { return new(Matcher) }}
 
-// acquireState returns a ready-to-run matcher state for p ⊑ t with all
-// flags cleared and both core arrays reset to -1.
-func acquireState(p, t *graph.Graph) *vf2State {
-	m := statePool.Get().(*vf2State)
-	m.p, m.t = p, t
-	m.plan = p.MatchPlan()
-	m.elabels = p.HasEdgeLabels() || t.HasEdgeLabels()
-	m.pCore = resetCore(m.pCore, p.N())
-	m.tCore = resetCore(m.tCore, t.N())
-	m.opts = Options{}
-	m.st = Stats{}
-	m.aborted = false
-	m.capture = false
-	m.count = false
-	m.limit = 0
-	m.found = 0
-	return m
-}
-
-// releaseState drops the graph references (so pooled states never pin
-// graphs) and returns the state to the pool.
-func releaseState(m *vf2State) {
-	m.p, m.t = nil, nil
-	m.plan = nil
-	statePool.Put(m)
-}
-
-// resetCore returns s resized to n with every slot set to -1, reusing the
-// backing array when capacity allows.
-func resetCore(s []int32, n int) []int32 {
-	if cap(s) < n {
-		s = make([]int32, n)
-	} else {
-		s = s[:n]
-	}
-	for i := range s {
-		s[i] = -1
-	}
-	return s
-}
-
-// VF2 runs the VF2 subgraph-isomorphism search and reports whether p ⊑ t,
-// together with search statistics. opts bounds the search; on an aborted
-// search the boolean is false and Stats.Aborted is set.
-func VF2(p, t *graph.Graph, opts Options) (bool, Stats) {
-	if p.N() == 0 {
-		return true, Stats{} // the empty pattern embeds everywhere
-	}
-	if quickReject(p, t) {
-		return false, Stats{}
-	}
-	m := acquireState(p, t)
-	m.opts = opts
-	ok := m.match(0) && !m.aborted
-	st := m.st
-	st.Aborted = m.aborted
-	releaseState(m)
-	return ok, st
-}
-
-// FindEmbedding returns one embedding of p into t as a mapping from pattern
-// vertex to target vertex, or nil if none exists.
-func FindEmbedding(p, t *graph.Graph) []int {
-	if p.N() == 0 {
-		return []int{}
-	}
-	if quickReject(p, t) {
-		return nil
-	}
-	m := acquireState(p, t)
-	m.capture = true
-	if !m.match(0) {
-		releaseState(m)
-		return nil
-	}
-	out := make([]int, p.N())
-	for i, v := range m.pCore {
-		out[i] = int(v)
-	}
-	releaseState(m)
-	return out
-}
-
-// CountEmbeddings counts embeddings of p into t, stopping at limit
-// (limit <= 0 counts all). Symmetric pattern automorphisms are counted
-// separately, as is standard.
-func CountEmbeddings(p, t *graph.Graph, limit int) int {
-	if p.N() == 0 {
-		return 1
-	}
-	if quickReject(p, t) {
-		return 0
-	}
-	m := acquireState(p, t)
-	m.count = true
-	m.limit = limit
-	m.match(0)
-	found := m.found
-	releaseState(m)
-	return found
-}
-
-type vf2State struct {
-	p, t    *graph.Graph
+// Matcher is the VF2 search state with a pattern bound to it: the plan,
+// the pattern's arrays and both core slices are set up once by Bind, and
+// each Match pays only for its own target. Cache hit detection and the
+// one-shot entry points bind, match once and release; the verification
+// stage of a subgraph query binds the query and matches it against every
+// candidate. A Matcher is a single-goroutine object.
+type Matcher struct {
+	pg, tg  *graph.Graph // for the edge-label maps only
+	p, t    graph.CSR
 	plan    []graph.PlanStep
 	pCore   []int32 // pattern vertex -> target vertex or -1
 	tCore   []int32 // target vertex -> pattern vertex or -1
@@ -132,12 +37,133 @@ type vf2State struct {
 	found   int
 }
 
+// Bind returns a matcher for pattern p, every search bounded by opts.
+// Release it when done.
+func Bind(p *graph.Graph, opts Options) *Matcher {
+	m := matcherPool.Get().(*Matcher)
+	m.pg, m.p = p, p.CSR()
+	m.plan = p.MatchPlan()
+	m.pCore = growCore(m.pCore, p.N())
+	m.opts = opts
+	return m
+}
+
+// Release returns the matcher to the pool, dropping its graph references
+// so pooled matchers never pin graphs.
+func (m *Matcher) Release() {
+	*m = Matcher{pCore: m.pCore, tCore: m.tCore}
+	matcherPool.Put(m)
+}
+
+// growCore returns s at length n. A slice that has to grow is replaced by
+// one filled with -1; one that does not already holds -1 everywhere.
+func growCore(s []int32, n int) []int32 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	s = make([]int32, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
+}
+
+// Match reports whether the bound pattern is subgraph-isomorphic to t,
+// with the statistics of this one search. On an aborted search the boolean
+// is false and Stats.Aborted is set. Only directedness and size are
+// screened first: the caller is expected to have filtered its targets.
+//
+//gclint:noalloc
+func (m *Matcher) Match(t *graph.Graph) (bool, Stats) {
+	if len(m.plan) == 0 {
+		return true, Stats{} // the empty pattern embeds everywhere
+	}
+	if m.pg.Directed() != t.Directed() || m.pg.N() > t.N() || m.pg.M() > t.M() {
+		return false, Stats{}
+	}
+	m.setTarget(t)
+	ok := m.match(0) && !m.aborted
+	st := m.st
+	st.Aborted = m.aborted
+	return ok, st
+}
+
+// setTarget points the matcher at t for one search.
+//
+//gclint:noalloc
+func (m *Matcher) setTarget(t *graph.Graph) {
+	m.tg, m.t = t, t.CSR()
+	m.elabels = m.pg.HasEdgeLabels() || t.HasEdgeLabels()
+	m.tCore = growCore(m.tCore, t.N())
+	m.st = Stats{}
+	m.aborted = false
+}
+
+// VF2 runs the VF2 subgraph-isomorphism search and reports whether p ⊑ t,
+// together with search statistics. opts bounds the search; on an aborted
+// search the boolean is false and Stats.Aborted is set.
+func VF2(p, t *graph.Graph, opts Options) (bool, Stats) {
+	if p.N() == 0 {
+		return true, Stats{} // the empty pattern embeds everywhere
+	}
+	if quickReject(p, t) {
+		return false, Stats{}
+	}
+	m := Bind(p, opts)
+	ok, st := m.Match(t)
+	m.Release()
+	return ok, st
+}
+
+// FindEmbedding returns one embedding of p into t as a mapping from pattern
+// vertex to target vertex, or nil if none exists.
+func FindEmbedding(p, t *graph.Graph) []int {
+	if p.N() == 0 {
+		return []int{}
+	}
+	if quickReject(p, t) {
+		return nil
+	}
+	m := Bind(p, Options{})
+	defer m.Release()
+	m.setTarget(t)
+	m.capture = true
+	if !m.match(0) {
+		return nil
+	}
+	out := make([]int, p.N())
+	for i, v := range m.pCore {
+		out[i] = int(v)
+		m.pCore[i], m.tCore[v] = -1, -1 // what a search that keeps nothing undoes itself
+	}
+	return out
+}
+
+// CountEmbeddings counts embeddings of p into t, stopping at limit
+// (limit <= 0 counts all). Symmetric pattern automorphisms are counted
+// separately, as is standard.
+func CountEmbeddings(p, t *graph.Graph, limit int) int {
+	if p.N() == 0 {
+		return 1
+	}
+	if quickReject(p, t) {
+		return 0
+	}
+	m := Bind(p, Options{})
+	defer m.Release()
+	m.setTarget(t)
+	m.count = true
+	m.limit = limit
+	m.match(0)
+	return m.found
+}
+
 // match extends the partial mapping at the given depth of the plan. It
 // returns true when the search can stop (a match was found in decision
 // mode, or the enumeration limit was reached in counting mode).
 //
 //gclint:noalloc
-func (m *vf2State) match(depth int) bool {
+func (m *Matcher) match(depth int) bool {
 	if depth == len(m.plan) {
 		if m.count {
 			m.found++
@@ -153,17 +179,20 @@ func (m *vf2State) match(depth int) bool {
 	// Candidates for step.V: at the first vertex of a component every
 	// target vertex; otherwise the correspondingly-adjacent vertices of
 	// the anchor's image (see graph.PlanStep for the direction). Either
-	// way screened by label and injectivity before the feasibility rules.
+	// way screened by label and injectivity before the feasibility rules,
+	// the first of which — tv's neighbourhood must carry the labels pu's
+	// does — is cheap enough to sit here, ahead of the call.
 	step := m.plan[depth]
-	label, tLabels := m.p.Label(int(step.V)), m.t.Labels()
+	label, sig := m.p.Labels[step.V], m.p.Sig[step.V]
+	tLabels, tSig := m.t.Labels, m.t.Sig
 	var cands []int32
 	n := len(tLabels)
 	if step.Anchor >= 0 {
-		img := int(m.pCore[step.Anchor>>1])
-		cands = m.t.OutNeighbors(img)
+		row := int(m.pCore[step.Anchor>>1])
 		if step.Anchor&1 != 0 {
-			cands = m.t.InNeighbors(img)
+			row += m.t.In
 		}
+		cands = m.t.Nbr[m.t.Off[row]:m.t.Off[row+1]]
 		n = len(cands)
 	}
 	for i := 0; i < n; i++ {
@@ -175,7 +204,7 @@ func (m *vf2State) match(depth int) bool {
 			continue
 		}
 		m.st.Candidates++
-		if !m.feasible(step, tv) {
+		if !graph.SigDominates(tSig[tv], sig) || !m.feasible(step, tv) {
 			continue
 		}
 		m.pCore[step.V] = tv
@@ -193,18 +222,19 @@ func (m *vf2State) match(depth int) bool {
 	return false
 }
 
-// feasible applies the VF2 feasibility rules for non-induced matching to
-// a label-screened, unmatched tv: degree sufficiency, consistency
-// (direction- and edge-label-aware) with all matched pattern neighbors,
-// and a one-step lookahead comparing unmatched-neighbor counts per
-// direction. The anchor arc exists by construction of the candidate
-// list, so only its edge label is tested.
+// feasible applies the rest of the VF2 feasibility rules for non-induced
+// matching to a label- and signature-screened, unmatched tv: degree
+// sufficiency, consistency (direction- and edge-label-aware) with all
+// matched pattern neighbors, and a one-step lookahead comparing
+// unmatched-neighbor counts per direction. The anchor arc exists by
+// construction of the candidate list, so only its edge label is tested.
 //
 //gclint:noalloc
-func (m *vf2State) feasible(step graph.PlanStep, tv int32) bool {
+func (m *Matcher) feasible(step graph.PlanStep, tv int32) bool {
+	p, t := &m.p, &m.t
 	pu := int(step.V)
-	pOut, tOut := m.p.OutNeighbors(pu), m.t.OutNeighbors(int(tv))
-	if len(tOut) < len(pOut) || m.t.InDegree(int(tv)) < m.p.InDegree(pu) {
+	pOut, tOut := p.Nbr[p.Off[pu]:p.Off[pu+1]], t.Nbr[t.Off[tv]:t.Off[tv+1]]
+	if len(tOut) < len(pOut) {
 		return false
 	}
 	// Every matched out-neighbor pn of pu (edge pu→pn) must map to an
@@ -220,10 +250,10 @@ func (m *vf2State) feasible(step graph.PlanStep, tv int32) bool {
 			pending++
 			continue
 		}
-		if !(pn == anchor && anchorOut) && !m.t.HasEdge(int(tv), int(img)) {
+		if !(pn == anchor && anchorOut) && !graph.Contains(tOut, img) {
 			return false
 		}
-		if m.elabels && m.p.EdgeLabel(pu, int(pn)) != m.t.EdgeLabel(int(tv), int(img)) {
+		if m.elabels && m.pg.EdgeLabel(pu, int(pn)) != m.tg.EdgeLabel(int(tv), int(img)) {
 			return false
 		}
 	}
@@ -232,31 +262,35 @@ func (m *vf2State) feasible(step graph.PlanStep, tv int32) bool {
 	if !m.available(tOut, pending) {
 		return false
 	}
-	if !m.p.Directed() {
-		return true
+	if p.In == 0 {
+		return true // undirected: the in-rows are the out-rows
+	}
+	pIn, tIn := p.Row(p.In+pu), t.Row(t.In+int(tv))
+	if len(tIn) < len(pIn) || !graph.SigDominates(t.Sig[t.In+int(tv)], p.Sig[p.In+pu]) {
+		return false
 	}
 	pending = 0
-	for _, pn := range m.p.InNeighbors(pu) {
+	for _, pn := range pIn {
 		img := m.pCore[pn]
 		if img < 0 {
 			pending++
 			continue
 		}
-		if !(pn == anchor && !anchorOut) && !m.t.HasEdge(int(img), int(tv)) {
+		if !(pn == anchor && !anchorOut) && !graph.Contains(tIn, img) {
 			return false
 		}
-		if m.elabels && m.p.EdgeLabel(int(pn), pu) != m.t.EdgeLabel(int(img), int(tv)) {
+		if m.elabels && m.pg.EdgeLabel(int(pn), pu) != m.tg.EdgeLabel(int(img), int(tv)) {
 			return false
 		}
 	}
-	return m.available(m.t.InNeighbors(int(tv)), pending)
+	return m.available(tIn, pending)
 }
 
 // available reports whether at least need of the target vertices in
 // list are still unmatched.
 //
 //gclint:noalloc
-func (m *vf2State) available(list []int32, need int) bool {
+func (m *Matcher) available(list []int32, need int) bool {
 	for _, tn := range list {
 		if need <= 0 {
 			break

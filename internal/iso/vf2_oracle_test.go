@@ -14,7 +14,10 @@ import (
 // label-preserving mapping, with Ullmann as a third opinion, over all four
 // graph kinds (undirected / directed × plain / edge-labelled). The pairs
 // come out of a byte string, so the seeded test and FuzzVF2 run one
-// routine over one decoder.
+// routine over one decoder. Half the pairs are tiny random graphs; the
+// other half (decodeHubPair) are built around a hub vertex to reach what
+// tiny graphs cannot: the saturation and the bucket collisions of the
+// neighbour-label signature (graph.SigDominates).
 
 // byteSrc hands out the bytes of a fuzz input one at a time, then zeros.
 type byteSrc struct {
@@ -63,15 +66,106 @@ func decodeGraph(s *byteSrc, directed, elabelled bool, maxN int) *graph.Graph {
 	return b.MustBuild()
 }
 
-// decodePair reads the graph kind from the first byte, then a pattern of
-// up to 5 vertices and a target of up to 7, so p larger than t occurs.
+// decodePair reads the graph kind and the generator from the first byte,
+// then either a hub pair or a pattern of up to 5 vertices and a target of
+// up to 7, so p larger than t occurs.
 func decodePair(data []byte) (p, t *graph.Graph) {
 	s := &byteSrc{b: data}
 	kind := s.next()
 	directed, elabelled := kind&1 != 0, kind&2 != 0
+	if kind&4 != 0 {
+		return decodeHubPair(s, directed, elabelled)
+	}
 	p = decodeGraph(s, directed, elabelled, 5)
 	t = decodeGraph(s, directed, elabelled, 7)
 	return p, t
+}
+
+// hubLabels are the labels of a hub pair: four that share signature
+// bucket 0, taken seven times in eight, and two that share bucket 1. Even
+// vertices draw from the first row and odd ones from the second, so no
+// label takes more than half the vertices and the embeddings of a star
+// stay countable.
+var hubLabels = [2][8]graph.Label{{0, 32, 0, 32, 0, 32, 32, 1}, {16, 48, 16, 48, 16, 48, 48, 17}}
+
+// decodeHubPair reads a target of 11–13 vertices whose vertex 0 is joined
+// to nearly all of the others (either way round, when directed,
+// so in- and out-neighbourhoods differ) with a few edges among the rest,
+// then a pattern cut out of it — most vertices, most of the edges between
+// them — and spoilt in one of three ways or not at all: one vertex
+// relabelled inside its bucket, which the signature cannot see; one more
+// leaf on vertex 0 than the target may have, which a saturated counter
+// cannot see either; one arc reversed or one edge relabelled.
+func decodeHubPair(s *byteSrc, directed, elabelled bool) (p, t *graph.Graph) {
+	n := 11 + s.next()%3
+	type arc struct {
+		u, v int
+		l    graph.Label
+	}
+	labels := make([]graph.Label, n)
+	var arcs []arc
+	add := func(u, v, x int) {
+		if directed && x>>3&1 != 0 {
+			u, v = v, u
+		}
+		arcs = append(arcs, arc{u, v, graph.Label(x >> 5 % 3)})
+	}
+	for v := 0; v < n; v++ {
+		x := s.next()
+		labels[v] = hubLabels[v&1][x%8]
+		if v > 0 && x>>3%16 != 0 {
+			add(0, v, s.next())
+		}
+	}
+	for u := 1; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if x := s.next(); x%8 == 1 {
+				add(u, v, x)
+			}
+		}
+	}
+	build := func(labels []graph.Label, arcs []arc) *graph.Graph {
+		b := graph.NewBuilder(len(labels)).SetLabels(labels)
+		if directed {
+			b.Directed()
+		}
+		for _, a := range arcs {
+			if elabelled {
+				b.AddLabeledEdge(a.u, a.v, a.l)
+			} else {
+				b.AddEdge(a.u, a.v)
+			}
+		}
+		return b.MustBuild()
+	}
+	t = build(labels, arcs)
+
+	keep := make([]int, n) // target vertex -> pattern vertex or -1
+	var pLabels []graph.Label
+	for v := range keep {
+		keep[v] = -1
+		if x := s.next(); x%8 != 1 {
+			keep[v] = len(pLabels)
+			pLabels = append(pLabels, labels[v])
+		}
+	}
+	var pArcs []arc
+	for _, a := range arcs {
+		if x := s.next(); keep[a.u] >= 0 && keep[a.v] >= 0 && x%16 != 1 {
+			pArcs = append(pArcs, arc{keep[a.u], keep[a.v], a.l})
+		}
+	}
+	switch x := s.next(); {
+	case x%4 == 1 && len(pLabels) > 0:
+		pLabels[x>>2%len(pLabels)] ^= 16
+	case x%4 == 2 && keep[0] >= 0:
+		pLabels = append(pLabels, hubLabels[x>>2&1][0])
+		pArcs = append(pArcs, arc{keep[0], len(pLabels) - 1, 0})
+	case x%4 == 3 && len(pArcs) > 0:
+		a := &pArcs[x>>2%len(pArcs)]
+		a.u, a.v, a.l = a.v, a.u, (a.l+1)%3
+	}
+	return build(pLabels, pArcs), t
 }
 
 // isEmbedding reports whether f maps p into t injectively, preserving
@@ -127,6 +221,46 @@ func bruteCount(p, t *graph.Graph) int {
 	return rec(0)
 }
 
+// prunedCount counts what bruteCount counts, fast enough for the hub
+// pairs: it assigns pattern vertices in id order and drops a prefix as
+// soon as a label or an arc between two assigned vertices fails.
+func prunedCount(p, t *graph.Graph) int {
+	if p.Directed() != t.Directed() {
+		return 0
+	}
+	f := make([]int, p.N())
+	used := make([]bool, t.N())
+	arcsHold := func(u int) bool {
+		for _, w := range p.OutNeighbors(u) {
+			if int(w) < u && (!t.HasEdge(f[u], f[w]) || p.EdgeLabel(u, int(w)) != t.EdgeLabel(f[u], f[w])) {
+				return false
+			}
+		}
+		for _, w := range p.InNeighbors(u) {
+			if int(w) < u && (!t.HasEdge(f[w], f[u]) || p.EdgeLabel(int(w), u) != t.EdgeLabel(f[w], f[u])) {
+				return false
+			}
+		}
+		return true
+	}
+	var rec func(u int) int
+	rec = func(u int) int {
+		if u == p.N() {
+			return 1
+		}
+		total := 0
+		for tv := 0; tv < t.N(); tv++ {
+			if f[u] = tv; !used[tv] && p.Label(u) == t.Label(tv) && arcsHold(u) {
+				used[tv] = true
+				total += rec(u + 1)
+				used[tv] = false
+			}
+		}
+		return total
+	}
+	return rec(0)
+}
+
 // refQuickReject is quickReject's predicate computed from scratch: sizes,
 // then per label the k-th largest pattern degree against the k-th largest
 // target degree.
@@ -170,7 +304,12 @@ func checkPair(tb testing.TB, p, t *graph.Graph) int {
 		graph.WriteGraph(&sb, t)
 		return sb.String()
 	}
-	want := bruteCount(p, t)
+	want := prunedCount(p, t)
+	if t.N() <= 7 {
+		if brute := bruteCount(p, t); brute != want {
+			tb.Fatalf("the two references disagree: pruned %d, brute force %d\n%s", want, brute, describe())
+		}
+	}
 
 	if got, ref := quickReject(p, t), refQuickReject(p, t); got != ref || (got && want > 0) {
 		tb.Fatalf("quickReject = %v, reference %v, brute force counts %d embeddings\n%s", got, ref, want, describe())
@@ -206,18 +345,48 @@ func checkPair(tb testing.TB, p, t *graph.Graph) int {
 	return want
 }
 
+// bucketStats reads off a graph what the signature has to survive: the
+// most neighbours any row has in one bucket, whether some row holds two
+// different labels in one bucket, and whether some vertex's in-row and
+// out-row have different signatures.
+func bucketStats(g *graph.Graph) (most int, collides, lopsided bool) {
+	c := g.CSR()
+	for r := range c.Sig {
+		var count [16]int
+		var first [16]graph.Label
+		for _, w := range c.Row(r) {
+			b := c.Labels[w] & 15
+			if count[b] > 0 && first[b] != c.Labels[w] {
+				collides = true
+			}
+			count[b]++
+			first[b] = c.Labels[w]
+			most = max(most, count[b])
+		}
+	}
+	for v := 0; v < c.In; v++ {
+		lopsided = lopsided || c.Sig[v] != c.Sig[c.In+v]
+	}
+	return most, collides, lopsided
+}
+
 func TestVF2Oracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	var kinds [4]int
+	var kinds [8]int
 	var positive, pBigger, disconnected, trivial int
+	// Hub pairs, by what they put the signature through; [0] counts the
+	// pairs with an embedding, [1] those without.
+	var saturated, pSaturated, collide, lopsided, elabelled [2]int
 	for trial := 0; trial < 4000; trial++ {
-		data := make([]byte, 80)
+		data := make([]byte, 140)
 		rng.Read(data)
-		data[0] = byte(trial) // every kind equally often
+		data[0] = byte(trial) // every kind and both generators equally often
 		p, tg := decodePair(data)
-		kinds[trial%4]++
+		kinds[trial%8]++
+		miss := 1
 		if checkPair(t, p, tg) > 0 {
 			positive++
+			miss = 0
 		}
 		if p.N() > tg.N() {
 			pBigger++
@@ -228,11 +397,39 @@ func TestVF2Oracle(t *testing.T) {
 		if p.N() <= 1 {
 			trivial++
 		}
+		if trial&4 == 0 {
+			continue
+		}
+		pMost, pCollides, pLop := bucketStats(p)
+		tMost, tCollides, tLop := bucketStats(tg)
+		if tMost > 7 {
+			saturated[miss]++
+		}
+		if pMost > 7 {
+			pSaturated[miss]++
+		}
+		if pCollides && tCollides {
+			collide[miss]++
+		}
+		if pLop && tLop {
+			lopsided[miss]++
+		}
+		if p.HasEdgeLabels() && tg.HasEdgeLabels() {
+			elabelled[miss]++
+		}
 	}
 	t.Logf("kinds %v: %d positive, %d with p larger than t, %d disconnected patterns, %d of ≤ 1 vertex",
 		kinds, positive, pBigger, disconnected, trivial)
+	t.Logf("hub pairs [embeds, does not]: %v with > 7 neighbours in a bucket of the target, %v of the pattern too, "+
+		"%v with two labels in one bucket, %v directed with in- and out-signatures apart, %v edge-labelled",
+		saturated, pSaturated, collide, lopsided, elabelled)
 	if positive < 400 || pBigger < 100 || disconnected < 100 || trivial < 100 {
 		t.Error("the generator no longer covers every case the oracle is for")
+	}
+	for _, c := range [][2]int{saturated, pSaturated, collide, lopsided, elabelled} {
+		if c[0] < 50 || c[1] < 50 {
+			t.Error("the hub generator no longer reaches every edge of the signature on both outcomes")
+		}
 	}
 }
 
@@ -241,9 +438,10 @@ func FuzzVF2(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 2, 0, 0, 0, 0, 0, 0, 4, 0, 2})
 	f.Add([]byte{3, 4, 2, 1, 0, 1, 0, 1, 4, 9, 0, 5, 8, 1, 0, 4, 6, 2, 1})
 	rng := rand.New(rand.NewSource(18))
-	for i := 0; i < 8; i++ {
-		data := make([]byte, 80)
+	for i := 0; i < 16; i++ {
+		data := make([]byte, 140)
 		rng.Read(data)
+		data[0] = byte(i) // both generators, every kind
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -12,13 +12,14 @@ import (
 // random there).
 
 // allocBudgetExactHitRequest covers one POST /api/query that exact-hits,
-// through ServeHTTP with the transport left out (see replay). Measured 30
-// and 2.6 KB: 6 in json.Unmarshal (its state, the two strings, the
-// request struct), 2 around the body (MaxBytesReader, strings.Reader), 10
-// in graph.ReadAll, 4 for the fresh graph's fingerprint, 2 for its
-// label-degree summary, 1 Result, 3 for the two reply headers, and none
-// per answer id. The encoding/json handler took 107 and 72 KB.
-const allocBudgetExactHitRequest = 33
+// through ServeHTTP with the transport left out (see replay). Measured 27:
+// 6 in json.Unmarshal (its state, the two strings, the request struct), 2
+// around the body (MaxBytesReader, strings.Reader), 7 in graph.ReadAll
+// (Build makes the Graph and its one block), 4 for the fresh graph's
+// fingerprint, 2 for its label-degree summary, 1 Result, 3 for the two
+// reply headers, and none per answer id. The encoding/json handler took
+// 107 and 72 KB.
+const allocBudgetExactHitRequest = 30
 
 func TestExactHitRequestAllocBudget(t *testing.T) {
 	r, exact, _ := newReplay(t, 0)
