@@ -14,7 +14,7 @@ GO ?= go
 # coverage fails CI. Raise it when the real number durably rises.
 COVER_BASELINE ?= 80.0
 
-.PHONY: build test race vet staticcheck fmt-check lint lint-waivers harness cover fuzz-smoke profiles ci
+.PHONY: build test race vet staticcheck fmt-check lint lint-waivers harness cover fuzz-smoke profiles loc ci
 
 build:
 	$(GO) build ./...
@@ -108,17 +108,26 @@ profiles:
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCandidates$$' -benchtime 1000000x \
 		-cpuprofile $(PROFILE_DIR)/verify_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 
+# loc prints the size of the program: lines of non-test Go outside
+# benchmark/ and testdata, per package directory and in total — the one
+# number a simplicity change quotes before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.*' -print0 \
+		| xargs -0 awk '{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++ } END { for (d in n) printf "%7d %s\n", n[d], d }' \
+		| sort -k2 | awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
+
 # Short native-fuzzing smoke passes: the persistence v2 parser, the
 # adaptive-bitset differential target (random op sequences vs a naive
 # []bool reference, across every container mix), the GGSX layout
 # oracle (build + WithGraph chains vs brute-force path counts), the
-# matcher oracle (VF2 / Ullmann / brute-force enumeration over all four
-# graph kinds) and the graph text parser (never panics; what it accepts
-# survives WriteAll and a second parse); the last three have seeds only,
-# no committed corpus. The committed corpora under
-# internal/core/testdata/fuzz and internal/bitset/testdata/fuzz replay in
-# every plain `go test`; this target additionally mutates for a few
-# seconds per target so CI keeps probing fresh inputs.
+# matcher oracle (VF2 against brute-force enumeration, with a test-only
+# Ullmann as second opinion, over all four graph kinds) and the graph
+# text parser (never panics; what it accepts survives WriteAll and a
+# second parse); the last three have seeds only, no committed corpus.
+# The committed corpora under internal/core/testdata/fuzz and
+# internal/bitset/testdata/fuzz replay in every plain `go test`; this
+# target additionally mutates for a few seconds per target so CI keeps
+# probing fresh inputs.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^FuzzReadState$$' -fuzz '^FuzzReadState$$' -fuzztime $(FUZZTIME) ./internal/core/

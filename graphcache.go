@@ -148,17 +148,10 @@ func NewLabelMethod(dataset []*Graph) *Method {
 	return ftv.NewMethod("label/vf2", dataset, ftv.NewLabelFilter(dataset), nil)
 }
 
-// NewStarMethod builds a tree-feature Method M: star subtrees with up to
-// maxLeaves leaves (the "tree" member of the paper's feature families).
-func NewStarMethod(dataset []*Graph, maxLeaves int) *Method {
-	return ftv.NewMethod("stars/vf2", dataset, ftv.NewStarFilter(dataset, maxLeaves), nil)
-}
-
-// NewGGSXFilter, NewStarFilter, NewLabelFilter and NewNoFilter expose the
-// bundled filters for custom Method M assembly.
+// NewGGSXFilter, NewLabelFilter and NewNoFilter expose the bundled
+// filters for custom Method M assembly.
 var (
 	NewGGSXFilter  = ftv.NewGGSX
-	NewStarFilter  = ftv.NewStarFilter
 	NewLabelFilter = ftv.NewLabelFilter
 	NewNoFilter    = ftv.NewNoFilter
 )

@@ -127,6 +127,13 @@ type Cache struct {
 	costVal   []atomic.Uint64
 	globalVal atomic.Uint64
 
+	// addSums holds the containment summary of every graph AddGraph
+	// appended whose addition record a reconciler may still read, keyed by
+	// gid: patchedAnswers screens each entry with it before testing.
+	// Mutations write and prune it under dsMu's write side; reconcilers
+	// read it under the read side.
+	addSums map[int]summary
+
 	// res tracks cache-wide resident entries/bytes atomically (see
 	// residency). res covers static entry bytes only; the shared
 	// answer-set bytes live in pool's account.
@@ -172,6 +179,7 @@ func New(method *ftv.Method, cfg Config) (*Cache, error) {
 		cfg:     cfg,
 		policy:  cfg.Policy,
 		costVal: make([]atomic.Uint64, method.DatasetSize()),
+		addSums: map[int]summary{},
 	}
 	c.pool = newInternPool()
 	c.shards = newShards(cfg.Shards, &c.res, c.pool)

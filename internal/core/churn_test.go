@@ -147,9 +147,16 @@ func TestChurnEquivalence(t *testing.T) {
 				})
 				method := c.Method()
 
+				// Entries the eager adds had to reconcile, summed over adds: the
+				// summary screen must leave fewer of them to an iso test.
+				var adds, entryAdds int64
 				mutations, _ := churnStream(t, func() *Cache { return c }, w.Queries, extra, 9, func(i int) {
 					if lazy {
 						return // entries reconcile at hit time; validated below
+					}
+					if n := c.Stats().DatasetAdds; n > adds {
+						adds = n
+						entryAdds += int64(c.Len() + c.WindowLen())
 					}
 					// Eager mode: every admitted entry must be byte-exact
 					// against the mutated dataset the moment the mutation
@@ -191,6 +198,12 @@ func TestChurnEquivalence(t *testing.T) {
 					// The hit path must have paid reconciliation work.
 					if c.Stats().MaintenanceTests == 0 && c.Stats().DatasetAdds > 0 {
 						t.Error("lazy mode: no maintenance tests recorded despite additions")
+					}
+				} else {
+					tests := c.Stats().MaintenanceTests
+					t.Logf("eager adds: %d maintenance tests for %d entries × adds", tests, entryAdds)
+					if tests == 0 || tests >= entryAdds {
+						t.Error("want some maintenance tests, and fewer than entries × adds")
 					}
 				}
 				// The addition log stays bounded under the mixed stream:

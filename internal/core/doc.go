@@ -91,11 +91,11 @@
 //     callback-based (ForEachAnd/ForEachAndNot) — no materialized index
 //     slices on the hot path; AppendIndices reuses caller buffers.
 //
-//   - Immutable graphs memoize their derived summaries (label-degree
-//     lists, VF2 match plan, WL fingerprint) behind atomic pointers
-//     (internal/graph), so repeated probes of the same graph are
-//     allocation-free; racing computations produce identical values and
-//     the loser's copy is garbage, which keeps the memo lock-free.
+//   - Immutable graphs memoize their derived summaries (VF2 match plan,
+//     WL fingerprint) behind atomic pointers (internal/graph), so
+//     repeated probes of the same graph are allocation-free; racing
+//     computations produce identical values and the loser's copy is
+//     garbage, which keeps the memo lock-free.
 //
 //   - What MAY allocate: the Result and, on a miss, its sets (they
 //     outlive the call), admission bookkeeping on a miss (the entry, its

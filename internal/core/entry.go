@@ -231,6 +231,11 @@ func entryShell(q *graph.Graph, qt ftv.QueryType, baseCandidates int, sig queryS
 	return e
 }
 
+// summary returns the entry's containment summary.
+func (e *Entry) summary() summary {
+	return summary{fv: e.FV, featBits: e.FeatureBits, features: e.Features}
+}
+
 // Bytes estimates the entry's logical resident size: the immutable
 // static part plus the current answer set. O(1). This is the entry's
 // standalone footprint; the residency account charges staticBytes per

@@ -33,10 +33,9 @@ import (
 // sets change only inside policyMu, and every mutation republishes before
 // its locks drop.
 type indexEntry struct {
-	typ      ftv.QueryType
-	featBits uint64
-	fv       ftv.FeatureVector
-	e        *Entry
+	typ ftv.QueryType
+	summary
+	e *Entry
 }
 
 // republishAllLocked replaces every shard's published summary slice with
@@ -48,18 +47,18 @@ func (c *Cache) republishAllLocked() {
 	for _, sh := range c.shards {
 		s := make([]indexEntry, len(sh.entries))
 		for i, e := range sh.entries {
-			s[i] = indexEntry{typ: e.Type, featBits: e.FeatureBits, fv: e.FV, e: e}
+			s[i] = indexEntry{typ: e.Type, summary: e.summary(), e: e}
 		}
 		sh.summaries.Store(&s)
 	}
 }
 
 // scanIndex collects sub/super hit candidates from the published
-// per-shard summaries. The summary checks (size, label bloom,
-// label-degree bloom, degree tail, path-feature bloom) are necessary
-// conditions for the corresponding containment, so a summary rejection
-// safely skips the path-feature dominance merge; entries rejected in both
-// directions without a merge are counted as index-pruned.
+// per-shard summaries, screened by summary.embedsIn in each direction.
+// Its cheap stage (size, label bloom, label-degree bloom, degree tail,
+// path-feature bloom) refutes most entries before the path-feature
+// dominance merge runs; entries refuted in both directions without a
+// merge are counted as index-pruned.
 //
 //gclint:nolocks
 //gclint:loads summaries
@@ -81,21 +80,21 @@ func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig) (sub, super []*Entry) 
 			if ie.typ != qt {
 				continue
 			}
-			pruned := true
-			// Sub case q ⊑ h: q's summary must be contained in h's.
-			if sig.fv.ContainedIn(ie.fv) && sig.featBits&^ie.featBits == 0 {
-				pruned = false
+			// Sub case q ⊑ h.
+			ok, merged := sig.embedsIn(&ie.summary)
+			if merged {
 				fullChecks++
-				if sig.features.dominatedBy(ie.e.Features) {
-					sub = append(sub, ie.e)
-					continue
-				}
 			}
-			// Super case h ⊑ q: h's summary must be contained in q's.
-			if ie.fv.ContainedIn(sig.fv) && ie.featBits&^sig.featBits == 0 {
+			if ok {
+				sub = append(sub, ie.e)
+				continue
+			}
+			pruned := !merged
+			// Super case h ⊑ q.
+			if ok, merged := ie.embedsIn(&sig.summary); merged {
 				pruned = false
 				fullChecks++
-				if ie.e.Features.dominatedBy(sig.features) {
+				if ok {
 					super = append(super, ie.e)
 				}
 			}

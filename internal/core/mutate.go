@@ -46,8 +46,10 @@ import (
 // What a mutation costs: it stops the world (the drain of dsMu's write
 // side, then the whole hierarchy), so the work under the locks is kept
 // proportional to what changed, never to what is cached. Per entry an
-// eager add is one containment test, one Grown and two intern-pool map
-// operations; a remove touches only the entries that contained the gid.
+// eager add is one Grown, two intern-pool map operations and a screen of
+// the entry's summary against the added graph's (computed once per add),
+// which refutes most entries; only the rest pay a containment test. A
+// remove touches only the entries that contained the gid.
 // No answer set is rehashed: the new fingerprint is the old one ±
 // bitset.ElemHash(gid) (answerState.fp). Snapshot.MutationWaitNs and
 // MutationHoldNs time the drain and the hold.
@@ -70,6 +72,7 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 	view := c.method.View()
 	c.growCostCells(view.Size())
 	c.mon.datasetAdds.Add(1)
+	c.addSums[gid] = summarize(g)
 
 	if c.cfg.LazyReconcile {
 		// Nothing to reconcile now, but the stop-the-world maintenance
@@ -183,7 +186,7 @@ func (c *Cache) growCostCells(n int) {
 // bytes are charged at insertion). It takes the full lock hierarchy below
 // dsMu; caller holds dsMu exclusively. Before the locks drop it compacts
 // the addition log up to the minimum entry epoch, as every stop-the-world
-// pass owes.
+// pass owes, and prunes the added-graph summaries to what is left.
 //
 //gclint:acquires windowMu policyMu shard
 func (c *Cache) withAllEntriesLocked(fn func(sh *shard, e *Entry)) {
@@ -204,6 +207,24 @@ func (c *Cache) withAllEntriesLocked(fn func(sh *shard, e *Entry)) {
 		}
 	}
 	c.compactAdditionsLocked()
+	c.pruneAddSums()
+}
+
+// pruneAddSums drops the summaries no reconciler can read again: of
+// graphs since removed and of additions compaction dropped from the log
+// (gids ascend along the log, so those are the gids below its first
+// record's). Caller holds dsMu exclusively.
+func (c *Cache) pruneAddSums() {
+	if len(c.addSums) == 0 {
+		return
+	}
+	view := c.method.View()
+	recs := view.AddsSince(0)
+	for gid := range c.addSums {
+		if len(recs) == 0 || gid < recs[0].GID || view.Graph(gid) == nil {
+			delete(c.addSums, gid)
+		}
+	}
 }
 
 // Addition-log compaction. The method's addition log lets a stale entry
@@ -350,8 +371,11 @@ func (c *Cache) reconciledAnswers(e *Entry, view ftv.DatasetView) *bitset.Set {
 // patchedAnswers computes e's answer set at the view's epoch from the
 // state st: grown to the view's id space, with each logged addition since
 // st.epoch verified for containment (tombstoned additions are skipped —
-// their bits were never set in st and must stay clear). Removal bits need
-// no handling: removals clear them from every entry at mutation time. The
+// their bits were never set in st and must stay clear). An addition whose
+// summary the cache holds is tested only if the entry's summary admits
+// the containment; one added to the Method behind the cache's back has
+// none and is always tested. Removal bits need no handling: removals
+// clear them from every entry at mutation time. The
 // second result is the patched set's fingerprint, derived from st.fp:
 // Grown preserves it and each addition that verifies (a gid st.set cannot
 // hold — it was added after st.epoch) contributes its ElemHash.
@@ -366,9 +390,19 @@ func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) 
 	default:
 		return set, fp // removals-only delta: the set is already exact
 	}
+	es := e.summary()
 	for _, r := range recs {
 		if view.Graph(r.GID) == nil {
 			continue // added then removed before this entry caught up
+		}
+		if gs, ok := c.addSums[r.GID]; ok {
+			pattern, target := &es, &gs
+			if e.Type == ftv.Supergraph {
+				pattern, target = target, pattern
+			}
+			if may, _ := pattern.embedsIn(target); !may {
+				continue
+			}
 		}
 		c.mon.maintenanceTests.Add(1)
 		if view.VerifyCandidate(e.Graph, r.GID, e.Type) {

@@ -8,13 +8,42 @@ import (
 	"graphcache/internal/iso"
 )
 
+// summary is a graph's containment summary: the fixed-size
+// ftv.FeatureVector, a 64-bit bloom of its path-feature hashes, and the
+// path features themselves. Entries carry their admitted pattern's (Entry
+// FV, FeatureBits, Features), the query signature carries q's, and a
+// dataset addition computes the added graph's once (Cache.AddGraph).
+type summary struct {
+	fv       ftv.FeatureVector
+	featBits uint64
+	features featureVec
+}
+
+// summarize computes g's containment summary.
+func summarize(g *graph.Graph) summary {
+	features := pathFeatures(g, featureLen)
+	return summary{fv: ftv.ExtractFeatures(g), featBits: features.bits(), features: features}
+}
+
+// embedsIn is the cache's one screen in front of a containment test: it
+// reports whether s's graph may be subgraph-isomorphic to o's — a
+// necessary condition, never a sufficient one. The fixed-size vector and
+// the bloom go first; merged reports whether they passed and the
+// path-feature dominance merge ran.
+//
+//gclint:noalloc
+func (s *summary) embedsIn(o *summary) (ok, merged bool) {
+	if !s.fv.ContainedIn(o.fv) || s.featBits&^o.featBits != 0 {
+		return false, false
+	}
+	return s.features.dominatedBy(o.features), true
+}
+
 // querySig bundles the per-query signatures computed once and reused by
 // exact-match detection and sub/super candidate pre-filtering.
 type querySig struct {
-	fp       graph.Fingerprint
-	features featureVec
-	fv       ftv.FeatureVector
-	featBits uint64
+	fp graph.Fingerprint
+	summary
 }
 
 // signatureOf computes the full query signature. The WL fingerprint is
@@ -22,13 +51,7 @@ type querySig struct {
 // for the exact-match probe, the full signature only after an exact miss
 // — never recomputes it here.
 func signatureOf(q *graph.Graph) querySig {
-	features := pathFeatures(q, featureLen)
-	return querySig{
-		fp:       q.WLFingerprint(3),
-		features: features,
-		fv:       ftv.ExtractFeatures(q),
-		featBits: features.bits(),
-	}
+	return querySig{fp: q.WLFingerprint(3), summary: summarize(q)}
 }
 
 // findExact returns a cached (or window-pending) entry isomorphic to q
@@ -173,21 +196,26 @@ func rankCandidates(cands []*Entry, largerFirst bool) {
 
 // confirmHits runs the budgeted VF2 confirmations over the ranked
 // candidate lists, returning the accepted hits and the number of q↔h iso
-// tests spent.
+// tests spent. q is bound once for its "q ⊑ h" probes, as the verification
+// stage binds it for its candidates.
 //
 //gclint:nolocks
 func (c *Cache) confirmHits(q *graph.Graph, subCand, superCand []*Entry) (sub, super []*Entry, isoTests int) {
 	opts := iso.Options{MaxRecursions: c.cfg.HitIsoBudget}
 	attempts := 0
-	for _, e := range subCand {
-		if len(sub) >= c.cfg.MaxSubHits || attempts >= 2*c.cfg.MaxSubHits {
-			break
+	if len(subCand) > 0 && c.cfg.MaxSubHits > 0 {
+		m := iso.Bind(q, opts)
+		for _, e := range subCand {
+			if len(sub) >= c.cfg.MaxSubHits || attempts >= 2*c.cfg.MaxSubHits {
+				break
+			}
+			attempts++
+			isoTests++
+			if ok, _ := m.Match(e.Graph); ok {
+				sub = append(sub, e)
+			}
 		}
-		attempts++
-		isoTests++
-		if ok, _ := iso.VF2(q, e.Graph, opts); ok {
-			sub = append(sub, e)
-		}
+		m.Release()
 	}
 	attempts = 0
 	for _, e := range superCand {

@@ -9,6 +9,7 @@ import (
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
+	"graphcache/internal/iso"
 )
 
 // Property: for arbitrary query sequences drawn from seeds, the cache's
@@ -136,46 +137,53 @@ func TestQuickFeatureDominanceOrder(t *testing.T) {
 	}
 }
 
-// Property, over all four graph kinds (undirected / directed × plain /
-// edge-labelled): path-feature dominance implies label-multiset dominance,
-// because every vertex's label is a length-0 path feature counted once per
-// vertex. Hit detection relies on it to skip a label-vector merge. Half
-// the pairs cut the pattern out of the target, so the premise holds often.
+// quickPair draws a (pattern, target) pair of one of the four graph kinds
+// (undirected / directed × plain / edge-labelled, kind's low bits) from
+// seed, over three labels. When kind&4 is set the pattern is cut out of
+// the target, so containment premises hold often.
+func quickPair(seed int64, kind uint8) (p, tg *graph.Graph, err error) {
+	r := rand.New(rand.NewSource(seed))
+	directed, elabelled := kind&1 != 0, kind&2 != 0
+	random := func(n int) *graph.Graph {
+		b := graph.NewBuilder(n)
+		if directed {
+			b.Directed()
+		}
+		for v := 0; v < n; v++ {
+			b.SetLabel(v, graph.Label(r.Intn(3)))
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u == v || (!directed && u > v) || r.Intn(3) != 0 {
+					continue
+				}
+				if elabelled {
+					b.AddLabeledEdge(u, v, graph.Label(r.Intn(3)))
+				} else {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		return b.MustBuild()
+	}
+	tg = random(1 + r.Intn(8))
+	p = random(1 + r.Intn(5))
+	if kind&4 != 0 {
+		p, err = tg.InducedSubgraph(r.Perm(tg.N())[:1+r.Intn(tg.N())])
+	}
+	return p, tg, err
+}
+
+// Property, over all four graph kinds: path-feature dominance implies
+// label-multiset dominance, because every vertex's label is a length-0
+// path feature counted once per vertex. Hit detection relies on it to skip
+// a label-vector merge.
 func TestQuickPathFeaturesImplyLabelDominance(t *testing.T) {
 	var premises, pairs int
 	f := func(seed int64, kind uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		directed, elabelled := kind&1 != 0, kind&2 != 0
-		random := func(n int) *graph.Graph {
-			b := graph.NewBuilder(n)
-			if directed {
-				b.Directed()
-			}
-			for v := 0; v < n; v++ {
-				b.SetLabel(v, graph.Label(r.Intn(3)))
-			}
-			for u := 0; u < n; u++ {
-				for v := 0; v < n; v++ {
-					if u == v || (!directed && u > v) || r.Intn(3) != 0 {
-						continue
-					}
-					if elabelled {
-						b.AddLabeledEdge(u, v, graph.Label(r.Intn(3)))
-					} else {
-						b.AddEdge(u, v)
-					}
-				}
-			}
-			return b.MustBuild()
-		}
-		tg := random(1 + r.Intn(8))
-		p := random(1 + r.Intn(5))
-		if kind&4 != 0 {
-			sub, err := tg.InducedSubgraph(r.Perm(tg.N())[:1+r.Intn(tg.N())])
-			if err != nil {
-				return false
-			}
-			p = sub
+		p, tg, err := quickPair(seed, kind)
+		if err != nil {
+			return false
 		}
 		pairs++
 		if !pathFeatures(p, featureLen).dominatedBy(pathFeatures(tg, featureLen)) {
@@ -190,6 +198,34 @@ func TestQuickPathFeaturesImplyLabelDominance(t *testing.T) {
 	t.Logf("%d of %d pairs had dominated path features", premises, pairs)
 	if premises < pairs/4 || premises == pairs {
 		t.Errorf("the premise held for %d of %d pairs: the generator no longer tests the implication", premises, pairs)
+	}
+}
+
+// Property, over all four graph kinds: the containment screen is sound —
+// p ⊑ t implies summary.embedsIn accepts (p's summary, t's summary). Hit
+// detection and the add path both skip the iso test on its refusal.
+func TestQuickSummaryScreenSound(t *testing.T) {
+	var premises, pairs int
+	f := func(seed int64, kind uint8) bool {
+		p, tg, err := quickPair(seed, kind)
+		if err != nil {
+			return false
+		}
+		pairs++
+		if !iso.SubIso(p, tg) {
+			return true
+		}
+		premises++
+		ps, ts := summarize(p), summarize(tg)
+		ok, _ := ps.embedsIn(&ts)
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d pairs were contained", premises, pairs)
+	if premises < pairs/4 || premises == pairs {
+		t.Errorf("containment held for %d of %d pairs: the generator no longer tests the implication", premises, pairs)
 	}
 }
 

@@ -39,9 +39,6 @@ func TestDynamicMethodMutations(t *testing.T) {
 		"label": func(ds []*graph.Graph) *ftv.Method {
 			return ftv.NewMethod("label/vf2", ds, ftv.NewLabelFilter(ds), nil)
 		},
-		"stars": func(ds []*graph.Graph) *ftv.Method {
-			return ftv.NewMethod("stars/vf2", ds, ftv.NewStarFilter(ds, 3), nil)
-		},
 	}
 	queries := make([]*graph.Graph, 6)
 	rng := rand.New(rand.NewSource(9))
@@ -166,7 +163,6 @@ func TestFiltersTolerateNilGraphs(t *testing.T) {
 	methods := []*ftv.Method{
 		ftv.NewMethod("ggsx", ds, ftv.NewGGSX(ds, 3), nil),
 		ftv.NewMethod("label", ds, ftv.NewLabelFilter(ds), nil),
-		ftv.NewMethod("stars", ds, ftv.NewStarFilter(ds, 3), nil),
 		ftv.NewMethod("none", ds, ftv.NewNoFilter(len(ds)), nil),
 	}
 	for _, m := range methods {

@@ -72,11 +72,10 @@ type Filter interface {
 // the O(dataset) re-enumeration of every existing graph's features a
 // rebuild pays. The COW bookkeeping additionally costs at worst a flat,
 // pointer-sized copy of the index skeleton (GGSX clones its node-pointer
-// array and, per touched node, its list or bitmap slices; StarFilter
-// clones its inverted map shallowly, sharing every untouched posting
-// list) — memcpy-class work, orders of magnitude below re-extraction. All
-// bundled filters implement InsertableFilter; a Method whose filter does
-// not refuses AddGraph.
+// array and, per touched node, its list or bitmap slices; LabelFilter
+// copies its per-graph rows) — memcpy-class work, orders of magnitude
+// below re-extraction. All bundled filters implement InsertableFilter; a
+// Method whose filter does not refuses AddGraph.
 type InsertableFilter interface {
 	Filter
 	WithGraph(gid int, g *graph.Graph) Filter

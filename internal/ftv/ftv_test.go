@@ -165,13 +165,15 @@ func TestGGSXEmptyQuery(t *testing.T) {
 func TestMethodRunExactness(t *testing.T) {
 	dataset := molecules(9, 30)
 	rng := rand.New(rand.NewSource(10))
+	// A plugged-in verifier: every test of its method must go through it.
+	custom, tests := 0, 0
 	methods := []*ftv.Method{
 		ftv.NewGGSXMethod(dataset, 3),
 		ftv.NewMethod("label/vf2", dataset, ftv.NewLabelFilter(dataset), nil),
 		ftv.NewMethod("none/vf2", dataset, ftv.NewNoFilter(len(dataset)), nil),
-		ftv.NewMethod("ggsx/ullmann", dataset, ftv.NewGGSX(dataset, 3), func(pattern, target *graph.Graph) bool {
-			ok, _ := iso.Ullmann(pattern, target, iso.Options{})
-			return ok
+		ftv.NewMethod("ggsx/custom", dataset, ftv.NewGGSX(dataset, 3), func(pattern, target *graph.Graph) bool {
+			custom++
+			return iso.SubIso(pattern, target)
 		}),
 	}
 	sampler := gen.NewAIDSLabelSampler(8)
@@ -180,14 +182,21 @@ func TestMethodRunExactness(t *testing.T) {
 		super := gen.Augment(rng, dataset[rng.Intn(len(dataset))], 2, 1, sampler)
 		wantSub := exactAnswers(dataset, sub, ftv.Subgraph)
 		wantSuper := exactAnswers(dataset, super, ftv.Supergraph)
-		for _, m := range methods {
-			if got := m.Run(sub, ftv.Subgraph); !got.Answers.Equal(wantSub) {
-				t.Fatalf("%s: subgraph answers %v, want %v", m.Name(), got.Answers, wantSub)
+		for i, m := range methods {
+			gotSub, gotSuper := m.Run(sub, ftv.Subgraph), m.Run(super, ftv.Supergraph)
+			if !gotSub.Answers.Equal(wantSub) {
+				t.Fatalf("%s: subgraph answers %v, want %v", m.Name(), gotSub.Answers, wantSub)
 			}
-			if got := m.Run(super, ftv.Supergraph); !got.Answers.Equal(wantSuper) {
-				t.Fatalf("%s: supergraph answers %v, want %v", m.Name(), got.Answers, wantSuper)
+			if !gotSuper.Answers.Equal(wantSuper) {
+				t.Fatalf("%s: supergraph answers %v, want %v", m.Name(), gotSuper.Answers, wantSuper)
+			}
+			if i == len(methods)-1 {
+				tests += gotSub.Tests + gotSuper.Tests
 			}
 		}
+	}
+	if custom == 0 || custom != tests {
+		t.Errorf("the custom verifier ran %d times for %d tests", custom, tests)
 	}
 }
 

@@ -18,7 +18,6 @@ func insertableBuilders() map[string]func([]*graph.Graph) ftv.Filter {
 	return map[string]func([]*graph.Graph) ftv.Filter{
 		"ggsx":  func(ds []*graph.Graph) ftv.Filter { return ftv.NewGGSX(ds, 3) },
 		"label": func(ds []*graph.Graph) ftv.Filter { return ftv.NewLabelFilter(ds) },
-		"stars": func(ds []*graph.Graph) ftv.Filter { return ftv.NewStarFilter(ds, 3) },
 		"none":  func(ds []*graph.Graph) ftv.Filter { return ftv.NewNoFilter(len(ds)) },
 	}
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // VerifierFunc decides whether pattern is subgraph-isomorphic to target.
-// The default is VF2; Ullmann or any custom engine can be plugged in
-// (the paper's "pluggable cache" extends down to Method M components).
+// The default is VF2; any custom engine can be plugged in (the paper's
+// "pluggable cache" extends down to Method M components).
 type VerifierFunc func(pattern, target *graph.Graph) bool
 
 // VF2Verifier is the default verifier.
@@ -368,12 +368,10 @@ func (v DatasetView) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool
 // BoundQuery is one query bound to a dataset view for the verification
 // stage: what a test needs of the query is set up once, not once per
 // candidate. A subgraph query under the default verifier holds a VF2
-// matcher with the query as its pattern — Method M's filter has already
-// chosen the candidates, so VF2's own label-degree screen is skipped; any
-// other query (a supergraph query, whose pattern changes with every
-// candidate, or a Method with a custom VerifierFunc) tests through
-// VerifyCandidate. A BoundQuery is a single-goroutine object; Release it
-// when the stage is done.
+// matcher with the query as its pattern; any other query (a supergraph
+// query, whose pattern changes with every candidate, or a Method with a
+// custom VerifierFunc) tests through VerifyCandidate. A BoundQuery is a
+// single-goroutine object; Release it when the stage is done.
 type BoundQuery struct {
 	view    DatasetView
 	q       *graph.Graph

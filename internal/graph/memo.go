@@ -8,12 +8,11 @@ import (
 // Memoized derived summaries.
 //
 // Graphs are immutable after Build, so summaries that depend only on the
-// structure — the per-label degree sequences, the matcher's plan, the
-// WL fingerprint — can be computed once and shared by every reader. The
-// subgraph-isomorphism hot path recomputed these on every invocation,
-// which made them the dominant allocation sites of query execution; the
-// memoized accessors below make every invocation after the first
-// allocation-free.
+// structure — the matcher's plan, the WL fingerprint — can be computed
+// once and shared by every reader. The subgraph-isomorphism hot path
+// recomputed these on every invocation, which made them the dominant
+// allocation sites of query execution; the memoized accessors below make
+// every invocation after the first allocation-free.
 //
 // Each summary sits behind its own atomic pointer so a dataset graph that
 // is only ever a verification *target* never pays for the pattern-side
@@ -21,36 +20,6 @@ import (
 // summary; the values are identical and the loser's copy is garbage, so
 // no further synchronization is needed. Callers must treat every returned
 // slice and map as read-only.
-
-// LabelDegree is one vertex's (label, degree) pair in LabelDegrees.
-type LabelDegree struct {
-	Label  Label
-	Degree int32
-}
-
-// LabelDegrees returns every vertex's (label, degree) pair as one flat
-// slice sorted by label ascending and, inside each label run, by degree
-// descending. The result is memoized on the graph; callers must not
-// modify it.
-//
-//gclint:loads memoLabelDeg
-func (g *Graph) LabelDegrees() []LabelDegree {
-	if m := g.memoLabelDeg.Load(); m != nil {
-		return *m
-	}
-	ld := make([]LabelDegree, g.N())
-	for v, l := range g.c.Labels {
-		ld[v] = LabelDegree{l, int32(g.Degree(v))}
-	}
-	slices.SortFunc(ld, func(a, b LabelDegree) int {
-		if a.Label != b.Label {
-			return int(a.Label) - int(b.Label)
-		}
-		return int(b.Degree) - int(a.Degree)
-	})
-	g.memoLabelDeg.Store(&ld)
-	return ld
-}
 
 // PlanStep is one depth of a MatchPlan: the pattern vertex V matched
 // there and its anchor, the earliest-ordered neighbour of V. Anchor is -1
@@ -78,23 +47,20 @@ func (g *Graph) MatchPlan() []PlanStep {
 	}
 	n := g.N()
 	plan := make([]PlanStep, 0, n)
-	// One scratch array, three columns per vertex: conn, the number of
+	// One scratch array, four columns per vertex: conn, the number of
 	// ordered neighbours, -1 once ordered itself; anchor, as in PlanStep;
-	// rare, the size of the vertex's label run in LabelDegrees.
-	scratch := make([]int32, 3*n)
-	conn, anchor, rare := scratch[:n], scratch[n:2*n], scratch[2*n:]
-	ld := g.LabelDegrees()
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && ld[j].Label == ld[i].Label {
-			j++
-		}
-		for v, l := range g.c.Labels {
-			if l == ld[i].Label {
-				rare[v] = int32(j - i)
-			}
-		}
-		i = j
+	// rare, the number of vertices sharing the vertex's label, counted
+	// by binary search in sorted, the labels in ascending order.
+	scratch := make([]int32, 4*n)
+	conn, anchor, rare, sorted := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:]
+	for v, l := range g.c.Labels {
+		sorted[v] = int32(l)
+	}
+	slices.Sort(sorted)
+	for v, l := range g.c.Labels {
+		lo, _ := slices.BinarySearch(sorted, int32(l))
+		hi, _ := slices.BinarySearch(sorted, int32(l)+1)
+		rare[v] = int32(hi - lo)
 	}
 	before := func(v, b int) bool {
 		if conn[v] != conn[b] {
@@ -138,13 +104,11 @@ func (g *Graph) MatchPlan() []PlanStep {
 	return plan
 }
 
-// memoSet is the triple of lazily-computed summary slots embedded in
+// memoSet is the pair of lazily-computed summary slots embedded in
 // Graph. It is excluded from WithID's shallow copy semantics manually:
 // atomic values must not be copied, so WithID re-shares the already
 // computed pointers instead of copying the struct.
 type memoSet struct {
-	//gclint:snapshot memoLabelDeg
-	memoLabelDeg atomic.Pointer[[]LabelDegree]
 	//gclint:snapshot memoPlan
 	memoPlan atomic.Pointer[[]PlanStep]
 	//gclint:snapshot memoFP
@@ -163,11 +127,9 @@ type fpMemo struct {
 // when the receiver describes the same structure as src (labels and
 // adjacency shared), as in WithID.
 //
-//gclint:loads memoLabelDeg src
 //gclint:loads memoPlan src
 //gclint:loads memoFP src
 func (m *memoSet) shareFrom(src *memoSet) {
-	m.memoLabelDeg.Store(src.memoLabelDeg.Load())
 	m.memoPlan.Store(src.memoPlan.Load())
 	m.memoFP.Store(src.memoFP.Load())
 }

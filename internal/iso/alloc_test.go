@@ -71,19 +71,15 @@ func TestBoundMatchAllocBudget(t *testing.T) {
 }
 
 // TestSummaryAllocBudget: what a graph nobody has matched yet pays on its
-// first test. LabelDegrees is one slice and its published header; the plan
-// adds its steps, their header and one scratch array — one fewer than the
-// four VisitOrder took for the order it replaced.
+// first test: the plan's steps, their header and one scratch array — one
+// fewer than the four VisitOrder took for the order it replaced. The target
+// pays nothing.
 func TestSummaryAllocBudget(t *testing.T) {
 	base := randomGraph(rand.New(rand.NewSource(4)), 12, 3, 0.2)
 	fresh := testing.AllocsPerRun(200, func() { base.WithID(0) })
-	withDeg := testing.AllocsPerRun(200, func() { base.WithID(0).LabelDegrees() })
 	withPlan := testing.AllocsPerRun(200, func() { base.WithID(0).MatchPlan() })
-	t.Logf("fresh graph: LabelDegrees %.0f allocs, MatchPlan %.0f more", withDeg-fresh, withPlan-withDeg)
-	if withDeg-fresh > 3 {
-		t.Errorf("LabelDegrees allocates %.0f on a fresh graph, budget 3", withDeg-fresh)
-	}
-	if withPlan-withDeg > 4 {
-		t.Errorf("MatchPlan allocates %.0f on a fresh graph, budget 4", withPlan-withDeg)
+	t.Logf("fresh graph: MatchPlan %.0f allocs", withPlan-fresh)
+	if withPlan-fresh > 3 {
+		t.Errorf("MatchPlan allocates %.0f on a fresh graph, budget 3", withPlan-fresh)
 	}
 }

@@ -109,6 +109,20 @@ func TestMixedDirectednessRejected(t *testing.T) {
 	if Isomorphic(und, dir) {
 		t.Error("mixed directedness must not be isomorphic")
 	}
+	// CountEmbeddings screens without Match: an undirected edge would map
+	// onto either arc of a directed 2-cycle, a directed arc onto an edge.
+	cycle := graph.NewBuilder(2).Directed().SetLabels([]graph.Label{1, 1}).AddEdge(0, 1).AddEdge(1, 0).MustBuild()
+	for _, pair := range [][2]*graph.Graph{{und, dir}, {dir, und}, {und, cycle}, {cycle, und}} {
+		if n := CountEmbeddings(pair[0], pair[1], 0); n != 0 {
+			t.Errorf("CountEmbeddings across directedness = %d, want 0", n)
+		}
+	}
+	// A pattern larger than its target in vertices or in edges.
+	for _, pair := range [][2]*graph.Graph{{pathG(1, 1, 1), und}, {tri(1, 1, 1), pathG(1, 1, 1)}} {
+		if n := CountEmbeddings(pair[0], pair[1], 0); n != 0 {
+			t.Errorf("CountEmbeddings of a larger pattern = %d, want 0", n)
+		}
+	}
 }
 
 func TestDirectedVF2AgreesWithBruteForce(t *testing.T) {

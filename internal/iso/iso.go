@@ -3,26 +3,24 @@
 // Verifier of GraphCache's Method M and the engine behind sub/super
 // cache-hit detection.
 //
-// Two engines are provided:
-//
-//   - VF2 (Cordella et al., TPAMI 2004): the default verifier, implementing
-//     non-induced subgraph isomorphism with one-step lookahead pruning. It
-//     searches along the pattern's match plan (graph.MatchPlan): rooted at a
-//     vertex of the pattern's rarest label, grown connected, with the
-//     anchor each step draws its candidates from fixed once per pattern, so
-//     the inner loop is adjacency probes and nothing else. A target vertex
-//     is tried only if its neighbourhood carries at least the labels the
-//     pattern vertex's does (graph.SigDominates, one word compare per
-//     direction — STwig's star test, applied per candidate vertex), which
-//     halves the search on molecule data. One search routine, Matcher.match,
-//     serves all four graph kinds and every entry point: VF2 and
-//     CountEmbeddings bind a pattern, match one target and release; a
-//     caller with one pattern and many targets (the verification stage of a
-//     subgraph query) keeps the Matcher from Bind and pays per target only
-//     for the search. Both graphs are read through their graph.CSR arrays,
-//     copied into the matcher, never through *graph.Graph.
-//   - Ullmann (1976): the classic candidate-matrix algorithm with bitset
-//     refinement, kept as an independent baseline and cross-check.
+// The engine is VF2 (Cordella et al., TPAMI 2004), implementing non-induced
+// subgraph isomorphism with one-step lookahead pruning. It searches along
+// the pattern's match plan (graph.MatchPlan): rooted at a vertex of the
+// pattern's rarest label, grown connected, with the anchor each step draws
+// its candidates from fixed once per pattern, so the inner loop is
+// adjacency probes and nothing else. A target vertex is tried only if its
+// neighbourhood carries at least the labels the pattern vertex's does
+// (graph.SigDominates, one word compare per direction — STwig's star test,
+// applied per candidate vertex), which halves the search on molecule data.
+// That is the matcher's only screen besides directedness and size: the
+// callers screen their pairs first (Method M's filter, the cache's
+// path-feature summaries). One search routine, Matcher.match, serves all
+// four graph kinds and every entry point: VF2 and CountEmbeddings bind a
+// pattern, match one target and release; a caller with one pattern and
+// many targets (the verification stage of a subgraph query) keeps the
+// Matcher from Bind and pays per target only for the search. Both graphs
+// are read through their graph.CSR arrays, copied into the matcher, never
+// through *graph.Graph.
 //
 // Semantics: SubIso(p, t) == true iff there is an injective mapping
 // f: V(p) → V(t) with label(v) == label(f(v)) for every vertex and, for
@@ -66,14 +64,12 @@ func SubIso(p, t *graph.Graph) bool {
 // Isomorphic reports whether a and b are isomorphic labelled graphs.
 // A non-induced embedding between graphs of equal vertex and edge count is
 // necessarily a full isomorphism, so one VF2 run suffices after the size
-// pre-checks (VF2's own quickReject compares the label multisets, and the
-// degrees under each label besides). A graph is trivially isomorphic to
-// itself: callers that prepare an immutable pattern once and re-issue it
-// (the cache's exact-match probe then compares it against the very graph
-// it admitted) skip the VF2 run on pointer identity. The search runs along
-// a's match plan and needs only b's label-degree summary, so a caller
-// holding one graph it has matched before and one it has not passes the
-// former first.
+// check. A graph is trivially isomorphic to itself: callers that prepare
+// an immutable pattern once and re-issue it (the cache's exact-match probe
+// then compares it against the very graph it admitted) skip the VF2 run on
+// pointer identity. The search runs along a's match plan and needs nothing
+// computed of b, so a caller holding one graph it has matched before and
+// one it has not passes the former first.
 func Isomorphic(a, b *graph.Graph) bool {
 	if a == b {
 		return true
@@ -82,43 +78,4 @@ func Isomorphic(a, b *graph.Graph) bool {
 		return false
 	}
 	return SubIso(a, b)
-}
-
-// quickReject applies cheap necessary conditions for p ⊑ t: matching
-// directedness, size, label multiset dominance, and per-label
-// sorted-degree dominance (each pattern vertex must map to a
-// same-labelled target vertex of at least its degree, injectively, which
-// sorted sequences must permit). Both degree summaries come from the
-// graphs' memo caches (graph.LabelDegrees), so repeated probes against
-// the same graphs allocate nothing here. It belongs where nothing has
-// filtered the pair yet — the cache's q↔h probes, SubIso — and the one-shot
-// entry points run it; Matcher.Match does not: after Method M's filter it
-// rejected 0.34 % of candidates at a sixth of a test's cost.
-//
-//gclint:noalloc
-func quickReject(p, t *graph.Graph) bool {
-	if p.Directed() != t.Directed() {
-		return true // mixed-directedness matching is undefined; no match
-	}
-	if p.N() > t.N() || p.M() > t.M() {
-		return true
-	}
-	// Merge-walk the two label-sorted summaries: inside a label run both
-	// are sorted descending, so the k-th largest pattern degree must fit
-	// under the k-th largest target degree of that label.
-	pd, td := p.LabelDegrees(), t.LabelDegrees()
-	j := 0
-	for i, e := range pd {
-		if i > 0 && pd[i-1].Label == e.Label {
-			j++
-		} else {
-			for j < len(td) && td[j].Label < e.Label {
-				j++
-			}
-		}
-		if j >= len(td) || td[j].Label != e.Label || td[j].Degree < e.Degree {
-			return true
-		}
-	}
-	return false
 }

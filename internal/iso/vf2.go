@@ -102,12 +102,6 @@ func (m *Matcher) setTarget(t *graph.Graph) {
 // together with search statistics. opts bounds the search; on an aborted
 // search the boolean is false and Stats.Aborted is set.
 func VF2(p, t *graph.Graph, opts Options) (bool, Stats) {
-	if p.N() == 0 {
-		return true, Stats{} // the empty pattern embeds everywhere
-	}
-	if quickReject(p, t) {
-		return false, Stats{}
-	}
 	m := Bind(p, opts)
 	ok, st := m.Match(t)
 	m.Release()
@@ -121,7 +115,7 @@ func CountEmbeddings(p, t *graph.Graph, limit int) int {
 	if p.N() == 0 {
 		return 1
 	}
-	if quickReject(p, t) {
+	if p.Directed() != t.Directed() || p.N() > t.N() || p.M() > t.M() {
 		return 0
 	}
 	m := Bind(p, Options{})
