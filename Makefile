@@ -1,6 +1,6 @@
 # GraphCache build/test entry points. `make ci` is what every PR must
-# pass: vet + staticcheck + gofmt (`fmt-check`) + the gclint concurrency
-# and hot-path contract analyzers (`lint`, see cmd/gclint), plus the
+# pass: vet + staticcheck + gofmt (`fmt-check`) + the four gclint
+# concurrency-contract analyzers (`lint`, see cmd/gclint), plus the
 # full test suite under the race detector (the concurrency stress and
 # equivalence tests in internal/core and internal/server only earn
 # their keep with -race armed), the benchmark harness's own smoke test
@@ -53,13 +53,13 @@ fmt-check:
 	fi
 
 # lint runs the repo's own static analyzers (lockorder, cowpublish,
-# leaflock, noalloc, snapshotonce, determinism, ctxflow) over every
-# package; any finding fails the build. -timings prints the shared
-# load/typecheck cost plus per-analyzer wall time to stderr, so a slow
-# analyzer is visible the moment it lands. The annotation grammar is
-# documented in internal/lint and internal/core/doc.go.
+# snapshotonce, ctxflow) over every package; any finding fails the
+# build. They check the concurrency contracts no test can observe
+# reliably; zero allocations and deterministic output are pinned by
+# runtime tests instead. The annotation grammar is documented in
+# internal/lint and internal/core/doc.go.
 lint:
-	$(GO) run ./cmd/gclint -timings ./...
+	$(GO) run ./cmd/gclint ./...
 
 # lint-waivers prints the inventory of every //gclint:ignore in the tree
 # with its mandatory reason — the audit surface CI uploads as an artifact

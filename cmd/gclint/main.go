@@ -1,12 +1,12 @@
-// Command gclint is the repo's concurrency/hot-path contract checker:
-// a multichecker running the lockorder, cowpublish, leaflock, noalloc,
-// snapshotonce, determinism and ctxflow analyzers (internal/lint/...)
-// over the module. `make lint` invokes it as `gclint ./...`; any
-// finding is a build error.
+// Command gclint is the repo's concurrency contract checker: a
+// multichecker running the lockorder, cowpublish, snapshotonce and
+// ctxflow analyzers (internal/lint/...) over the module — the contracts
+// only static analysis can check. `make lint` invokes it as
+// `gclint ./...`; any finding is a build error.
 //
 // Usage:
 //
-//	gclint [-C dir] [-json] [-waivers] [-timings] [packages]
+//	gclint [-C dir] [-json] [-waivers] [packages]
 //
 // Packages default to ./... resolved in -C (default the current
 // directory). The module is loaded and type-checked exactly once and
@@ -18,9 +18,6 @@
 //   - -waivers switches to inventory mode: instead of linting, list
 //     every //gclint:ignore directive with its mandatory reason (text,
 //     or JSON with -json) so waiver growth stays reviewable.
-//   - -timings appends per-analyzer wall time plus the one-time
-//     load/type-check cost, so lint-cost regressions show up in CI
-//     logs next to the findings.
 package main
 
 import (
@@ -36,10 +33,7 @@ import (
 	"graphcache/internal/lint"
 	"graphcache/internal/lint/cowpublish"
 	"graphcache/internal/lint/ctxflow"
-	"graphcache/internal/lint/determinism"
-	"graphcache/internal/lint/leaflock"
 	"graphcache/internal/lint/lockorder"
-	"graphcache/internal/lint/noalloc"
 	"graphcache/internal/lint/snapshotonce"
 )
 
@@ -47,10 +41,7 @@ import (
 var analyzers = []*lint.Analyzer{
 	lockorder.Analyzer,
 	cowpublish.Analyzer,
-	leaflock.Analyzer,
-	noalloc.Analyzer,
 	snapshotonce.Analyzer,
-	determinism.Analyzer,
 	ctxflow.Analyzer,
 }
 
@@ -93,9 +84,8 @@ func run(args []string, stdout io.Writer) error {
 	dir := fs.String("C", ".", "directory to resolve package patterns in")
 	asJSON := fs.Bool("json", false, "emit structured JSON instead of text")
 	waivers := fs.Bool("waivers", false, "inventory //gclint:ignore directives instead of linting")
-	timings := fs.Bool("timings", false, "report per-analyzer wall time")
 	fs.Usage = func() {
-		fmt.Fprintf(stdout, "usage: gclint [-C dir] [-json] [-waivers] [-timings] [packages]\n\n"+
+		fmt.Fprintf(stdout, "usage: gclint [-C dir] [-json] [-waivers] [packages]\n\n"+
 			"Runs the gclint analyzer suite (%s) over the packages\n"+
 			"(default ./...). Any finding fails the run.\n\n", analyzerNames())
 		fs.PrintDefaults()
@@ -108,11 +98,11 @@ func run(args []string, stdout io.Writer) error {
 		patterns = []string{"./..."}
 	}
 
-	prog, loadTime, err := lint.LoadModuleTimed(*dir, patterns...)
+	prog, err := lint.LoadModule(*dir, patterns...)
 	if err != nil {
 		return err
 	}
-	diags, ann, analyzerTimes, err := lint.RunTimed(prog, analyzers)
+	diags, ann, err := lint.Run(prog, analyzers)
 	if err != nil {
 		return err
 	}
@@ -179,13 +169,6 @@ func run(args []string, stdout io.Writer) error {
 		for _, d := range diags {
 			pos := prog.Position(d.Pos)
 			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relativize(pos.Filename), pos.Line, pos.Column, d.Analyzer, d.Message)
-		}
-	}
-
-	if *timings {
-		fmt.Fprintf(os.Stderr, "gclint: load+typecheck %v\n", loadTime)
-		for _, t := range analyzerTimes {
-			fmt.Fprintf(os.Stderr, "gclint: %-12s %v\n", t.Name, t.Duration)
 		}
 	}
 

@@ -148,24 +148,34 @@ func torn(b *box) int {
 	}
 }
 
-// TestRunDeterminismViolation: an unordered map range inside a
-// //gclint:deterministic function must fail the lint run, including when
-// the range sits in a transitively-reached helper.
-func TestRunDeterminismViolation(t *testing.T) {
+// TestRunLeafViolation: calling an acquires-annotated function inside a
+// leaf lock's critical section must fail the lint run, naming the leaf.
+func TestRunLeafViolation(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"scratch.go": `package scratch
 
-//gclint:deterministic
-func Sum(m map[string]int) int {
-	return helper(m)
+import "sync"
+
+//gclint:hierarchy outer
+
+type kernel struct {
+	//gclint:lock outer
+	outerMu sync.Mutex
+	//gclint:lock pool
+	//gclint:leaf
+	poolMu sync.Mutex
 }
 
-func helper(m map[string]int) int {
-	t := 0
-	for _, v := range m {
-		t += v
-	}
-	return t
+//gclint:acquires outer
+func (k *kernel) touch() {
+	k.outerMu.Lock()
+	k.outerMu.Unlock()
+}
+
+func (k *kernel) nested() {
+	k.poolMu.Lock()
+	defer k.poolMu.Unlock()
+	k.touch()
 }
 `,
 	})
@@ -174,10 +184,8 @@ func helper(m map[string]int) int {
 	if !errors.Is(err, errFindings) {
 		t.Fatalf("expected findings, got %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "determinism") ||
-		!strings.Contains(out.String(), "range over map (no sorted-key idiom)") ||
-		!strings.Contains(out.String(), "reachable from //gclint:deterministic Sum") {
-		t.Fatalf("missing transitive determinism finding:\n%s", out.String())
+	if !strings.Contains(out.String(), "lockorder") || !strings.Contains(out.String(), "call to touch acquires outer while leaf lock pool is held") {
+		t.Fatalf("missing leaf finding:\n%s", out.String())
 	}
 }
 

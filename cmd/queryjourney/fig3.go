@@ -148,7 +148,7 @@ func RunFig3(seed int64) (*Fig3Result, error) {
 		CM:            res.BaseCandidates,
 		S:             res.Sure.Count(),
 		SPrime:        res.Excluded.Count(),
-		C:             res.Candidates,
+		C:             res.Tests,
 		R:             res.Survivors.Count(),
 		A:             res.Answers.Count(),
 		TestSpeedup:   res.TestSpeedup(),

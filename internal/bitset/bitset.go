@@ -289,8 +289,6 @@ func (s *Set) removeRun(v uint32) {
 }
 
 // Contains reports whether bit i is set.
-//
-//gclint:noalloc
 func (s *Set) Contains(i int) bool {
 	s.check(i)
 	switch s.mode {
@@ -309,8 +307,6 @@ func (s *Set) Contains(i int) bool {
 }
 
 // Count returns the number of set bits.
-//
-//gclint:noalloc
 func (s *Set) Count() int {
 	switch s.mode {
 	case modeSparse:
@@ -331,8 +327,6 @@ func (s *Set) Count() int {
 }
 
 // Empty reports whether no bit is set.
-//
-//gclint:noalloc
 func (s *Set) Empty() bool {
 	switch s.mode {
 	case modeSparse:
@@ -490,9 +484,6 @@ func (s *Set) Bytes() int {
 // index hashes to zero. Callers that add or remove bit i from a set whose
 // fingerprint they hold keep it current by adding or subtracting
 // ElemHash(i) instead of rehashing the set.
-//
-//gclint:noalloc
-//gclint:deterministic
 func ElemHash(i int) uint64 {
 	z := uint64(i) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -517,9 +508,6 @@ func ElemHash(i int) uint64 {
 // in capacity do too, and unequal sets may collide — the interning pool
 // keys its buckets on the fingerprint and resolves every match with Equal,
 // so the hash only needs to be well-distributed, never perfect.
-//
-//gclint:noalloc
-//gclint:deterministic
 func (s *Set) Fingerprint() uint64 {
 	var h uint64
 	switch s.mode {

@@ -162,8 +162,6 @@ func (s *Set) Compact() {
 
 // shape returns the population and the number of maximal runs of set
 // bits in one pass over the active container.
-//
-//gclint:noalloc
 func (s *Set) shape() (count, nruns int) {
 	switch s.mode {
 	case modeSparse:
@@ -194,8 +192,6 @@ func (s *Set) shape() (count, nruns int) {
 }
 
 // searchU32 returns the first index j with a[j] >= v (len(a) if none).
-//
-//gclint:noalloc
 func searchU32(a []uint32, v uint32) int {
 	lo, hi := 0, len(a)
 	for lo < hi {
@@ -211,8 +207,6 @@ func searchU32(a []uint32, v uint32) int {
 
 // searchRuns returns the first span index j with rs[j].end > v (len(rs)
 // if none) — the only span that could contain v.
-//
-//gclint:noalloc
 func searchRuns(rs []span, v uint32) int {
 	lo, hi := 0, len(rs)
 	for lo < hi {

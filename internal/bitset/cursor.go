@@ -4,9 +4,10 @@ import "math/bits"
 
 // Ascending iteration and membership probing that work over any
 // container without allocating: cursor and prober are plain struct
-// values the caller keeps on its stack, so the //gclint:noalloc read
-// paths (ForEachAnd, SubsetOf, the counting ops) can dispatch across
-// container pairs through them instead of materializing a dense copy.
+// values the caller keeps on its stack, so the allocation-free read
+// paths (ForEachAnd, SubsetOf, the counting ops; alloc_test.go) can
+// dispatch across container pairs through them instead of materializing
+// a dense copy.
 
 // cursor yields the set bits of one Set in ascending order.
 type cursor struct {

@@ -12,8 +12,6 @@ import "math/bits"
 // quickEmpty reports emptiness without scanning dense words: a nil word
 // slice is the lazy all-clear dense set; a materialized-but-zero dense
 // set answers false, which only costs the fast path, never correctness.
-//
-//gclint:noalloc
 func (s *Set) quickEmpty() bool {
 	switch s.mode {
 	case modeSparse:
@@ -28,8 +26,6 @@ func (s *Set) quickEmpty() bool {
 // isFull reports whether the set is the single full span [0, n). Dense
 // all-ones sets answer false — only the canonical run form is detected,
 // which is what NewFull and SetAll produce.
-//
-//gclint:noalloc
 func (s *Set) isFull() bool {
 	return s.mode == modeRun && len(s.runs) == 1 &&
 		s.runs[0].start == 0 && int(s.runs[0].end) == s.n
@@ -38,8 +34,6 @@ func (s *Set) isFull() bool {
 // iterRank orders containers by iteration cost: the compact containers
 // visit only set bits, dense scans every word. Symmetric operations
 // iterate the lower-ranked operand and probe the other.
-//
-//gclint:noalloc
 func iterRank(s *Set) int {
 	switch s.mode {
 	case modeSparse:
@@ -282,8 +276,6 @@ func mergeU32(a, b []uint32) []uint32 {
 }
 
 // IntersectionCount returns |s ∩ o| without allocating.
-//
-//gclint:noalloc
 func (s *Set) IntersectionCount(o *Set) int {
 	s.sameCap(o)
 	if s.mode == modeDense && o.mode == modeDense {
@@ -313,8 +305,6 @@ func (s *Set) IntersectionCount(o *Set) int {
 }
 
 // DifferenceCount returns |s \ o| without allocating.
-//
-//gclint:noalloc
 func (s *Set) DifferenceCount(o *Set) int {
 	s.sameCap(o)
 	if s.mode == modeDense && o.mode == modeDense {
@@ -343,8 +333,6 @@ func (s *Set) DifferenceCount(o *Set) int {
 }
 
 // SubsetOf reports whether every bit of s is also set in o.
-//
-//gclint:noalloc
 func (s *Set) SubsetOf(o *Set) bool {
 	s.sameCap(o)
 	if o.isFull() {
@@ -377,8 +365,6 @@ func (s *Set) SubsetOf(o *Set) bool {
 
 // Equal reports whether s and o have identical capacity and bits,
 // whatever containers currently hold them.
-//
-//gclint:noalloc
 func (s *Set) Equal(o *Set) bool {
 	if s.n != o.n {
 		return false
@@ -417,8 +403,6 @@ func (s *Set) Equal(o *Set) bool {
 
 // ForEach calls fn for every set bit in ascending order. If fn returns
 // false iteration stops early.
-//
-//gclint:noalloc
 func (s *Set) ForEach(fn func(i int) bool) {
 	switch s.mode {
 	case modeSparse:
@@ -451,8 +435,6 @@ func (s *Set) ForEach(fn func(i int) bool) {
 // ForEachAnd calls fn for every bit set in both s and o (s ∩ o) in
 // ascending order, without allocating an intermediate set. If fn returns
 // false iteration stops early.
-//
-//gclint:noalloc
 func (s *Set) ForEachAnd(o *Set, fn func(i int) bool) {
 	s.sameCap(o)
 	if s.mode == modeDense && o.mode == modeDense {
@@ -488,8 +470,6 @@ func (s *Set) ForEachAnd(o *Set, fn func(i int) bool) {
 // ForEachAndNot calls fn for every bit set in s but not in o (s \ o) in
 // ascending order, without allocating an intermediate set. If fn returns
 // false iteration stops early.
-//
-//gclint:noalloc
 func (s *Set) ForEachAndNot(o *Set, fn func(i int) bool) {
 	s.sameCap(o)
 	if s.mode == modeDense && o.mode == modeDense {

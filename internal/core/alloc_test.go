@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"graphcache/internal/ftv"
@@ -92,5 +93,33 @@ func TestSubSuperHitAllocBudget(t *testing.T) {
 	t.Logf("sub/super hit: %.1f allocs/op (budget %d)", got, allocBudgetSubSuperHit)
 	if got > allocBudgetSubSuperHit {
 		t.Errorf("sub/super-hit path allocates %.1f/op, budget %d", got, allocBudgetSubSuperHit)
+	}
+}
+
+// TestHelperAllocBudget: the helpers the miss path runs per candidate or
+// per entry allocate nothing — the cost cells read and written around
+// verification, and the containment screen in front of every q↔h test.
+func TestHelperAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is distorted under the race detector")
+	}
+	c := &Cache{costVal: make([]atomic.Uint64, 3)}
+	costs := []costSample{{gid: 1, dur: 500}, {gid: 2, dur: 700}}
+	s := summarize(testDataset(1, 1)[0])
+	same := s
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"estimatedMeanCost", func() { c.estimatedMeanCost() }},
+		{"estimatedCost", func() { c.estimatedCost(0); c.estimatedCost(1) }},
+		{"emaAdd", func() { emaAdd(&c.globalVal, globalCostAlpha, 300) }},
+		{"recordCosts", func() { c.recordCosts(costs) }},
+		{"embedsIn", func() { s.embedsIn(&same) }}, // passes the vector and the bloom: runs dominatedBy
+	}
+	for _, tc := range cases {
+		if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
+			t.Errorf("%s allocates %.1f/op, budget 0", tc.name, got)
+		}
 	}
 }

@@ -464,7 +464,6 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	res := &Result{
 		Answers:        answers,
 		BaseCandidates: cmCount,
-		Candidates:     tests,
 		Tests:          tests,
 		Sure:           sure,
 		Excluded:       excluded,
@@ -622,7 +621,6 @@ func (c *Cache) creditHit(h *Entry, kind HitKind, savedTests int, savedCost floa
 // estimatedCost reads one graph's cost estimate from its lock-free cell.
 //
 //gclint:nolocks
-//gclint:noalloc
 func (c *Cache) estimatedCost(gid int) float64 {
 	if bits := c.costVal[gid].Load(); bits != 0 {
 		return math.Float64frombits(bits)
@@ -634,7 +632,6 @@ func (c *Cache) estimatedCost(gid int) float64 {
 // cell.
 //
 //gclint:nolocks
-//gclint:noalloc
 func (c *Cache) estimatedMeanCost() float64 {
 	if bits := c.globalVal.Load(); bits != 0 {
 		return math.Float64frombits(bits)
@@ -649,7 +646,6 @@ func (c *Cache) estimatedMeanCost() float64 {
 // estimates the coordinator-locked engine did.
 //
 //gclint:nolocks
-//gclint:noalloc
 func emaAdd(cell *atomic.Uint64, alpha, x float64) {
 	for {
 		old := cell.Load()
@@ -707,7 +703,6 @@ func (c *Cache) verify(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, c
 // entirely lock-free (CAS per sample).
 //
 //gclint:nolocks
-//gclint:noalloc
 func (c *Cache) recordCosts(costs []costSample) {
 	for _, s := range costs {
 		ns := float64(s.dur.Nanoseconds())

@@ -107,7 +107,7 @@
 //     smallest of three containers per set (sorted-uint32 sparse, run
 //     spans, dense words) with automatic migration at container-local
 //     thresholds; the read paths dispatch per container pair through
-//     stack cursor structs, staying //gclint:noalloc. The container
+//     stack cursor structs and allocate nothing. The container
 //     rules: only the OWNER of an unpublished set may mutate or
 //     Compact() it — entryFromSig and RemoveGraph's clone do, right
 //     before publication; a published set is frozen in whatever
@@ -147,7 +147,10 @@
 // The regression fences: BenchmarkExecute* (bench_test.go) report
 // allocs/op for the exact-hit, indexed-miss and sub/super-hit classes,
 // and alloc_test.go pins hard per-path budgets via testing.AllocsPerRun
-// — a returning O(n) clone fails CI, not a profile nobody reads.
+// — a returning O(n) clone fails CI, not a profile nobody reads. The
+// helpers those paths call that must allocate nothing at all (cost
+// cells, summary screens, bitset reads, VF2, GGSX's count merges) are
+// held to a budget of zero by table tests in their own packages.
 // FuzzBitsetOps (internal/bitset) differentially fuzzes every container
 // mix against a naive reference, and the benchmark harness's
 // core.bytes_per_entry metric tracks resident bytes per cached query.
@@ -226,8 +229,8 @@
 //
 // # Machine-checked contracts: the gclint annotation grammar
 //
-// The locking discipline and the hot-path memory discipline above are
-// not prose-only: `make lint` runs the repo's own analyzers
+// The locking and publication discipline above is not prose-only:
+// `make lint` runs the repo's own analyzers
 // (cmd/gclint, internal/lint) over every package, driven by `//gclint:`
 // comment directives on the declarations themselves. The grammar, by
 // example (the example lines are indented so they read as code, not as
@@ -241,7 +244,6 @@
 //	//gclint:holds shard       (func acquires these and LEAVES them held — lockAll)
 //	//gclint:releases shard    (func releases caller-held locks — unlockAll)
 //	//gclint:nolocks           (func must not acquire any lock, directly or via callees)
-//	//gclint:noalloc           (func must not contain allocating constructs)
 //	//gclint:cow               (type: copy-on-write; published values are immutable)
 //	//gclint:cowview           (func returns a published COW value; callers must not write it)
 //	//gclint:mutates           (method writes its receiver; illegal on published COW values)
@@ -252,24 +254,24 @@
 //	                            cell instance; loads in loops are torn snapshots)
 //	//gclint:view dataset      (type: values are pinned views of the named cell;
 //	                            functions receiving one must not re-load the cell)
-//	//gclint:deterministic     (func output must be a deterministic function of its
-//	                            inputs, transitively: no unordered map ranges
-//	                            without a sorted-key idiom, no time/rand, no
-//	                            goroutine spawns, no multi-case selects)
 //	//gclint:ctxstrict         (package: context.Background/TODO are diagnostics
 //	                            everywhere in the package)
 //	//gclint:ignore lockorder -- reason   (waive one finding on this or the next line)
 //
-// Seven analyzers consume these: lockorder (hierarchy violations, unmet
-// requires, acquisition inside nolocks), cowpublish (writes through
-// cowview/atomic.Pointer-published values, mutates-calls on them),
-// leaflock (any acquisition while a leaf lock is held), noalloc,
-// snapshotonce (torn snapshots: a cell loaded twice, in a loop, or fresh
-// where a caller already pinned a view), determinism (nondeterminism
-// reachable from //gclint:deterministic roots through the call graph) and
-// ctxflow (handlers that receive a context and then discard it, or that
-// call the context-less sibling of a *Context API pair). Findings are
-// build failures; every waiver needs a reason after `--`.
+// Four analyzers consume these, each checking a contract no test
+// observes reliably: lockorder (hierarchy violations, unmet requires,
+// acquisition inside nolocks, anything acquired while a leaf lock is
+// held), cowpublish (writes through cowview/atomic.Pointer-published
+// values, mutates-calls on them), snapshotonce (torn snapshots: a cell
+// loaded twice, in a loop, or fresh where a caller already pinned a
+// view) and ctxflow (handlers that receive a context and then discard
+// it, or that call the context-less sibling of a *Context API pair).
+// Findings are build failures; every waiver needs a reason after `--`.
+// Zero allocations and deterministic output are properties of what the
+// code does at run time, so runtime tests pin them: the alloc_test.go
+// budgets, and the persistence, victim-selection and ranking tests
+// (TestV2V3Equivalence, TestVictimSelectionMatchesFullSort,
+// TestRankCandidatesDeterministic, TestShardCountIndependence).
 package core
 
 // The kernel is context-strict: root contexts must not be minted inside

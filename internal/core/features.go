@@ -141,9 +141,6 @@ func (v featureVec) bits() uint64 {
 // dominatedBy reports whether every feature of v occurs in o with at least
 // the same count — necessary for v's graph to embed into o's graph.
 // Both vectors are hash-sorted, so this is a linear merge.
-//
-//gclint:noalloc
-//gclint:deterministic
 func (v featureVec) dominatedBy(o featureVec) bool {
 	j := 0
 	for _, fc := range v {

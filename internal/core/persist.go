@@ -63,7 +63,6 @@ const stateVersionV2 = 2
 //
 //gclint:acquires dsMu policyMu shard
 //gclint:pins dataset
-//gclint:deterministic
 func (c *Cache) WriteStateV2(w io.Writer) error {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)

@@ -249,7 +249,6 @@ func (e *Entry) faultAnswers(st *answerState) *answerState {
 //
 //gclint:acquires dsMu policyMu shard
 //gclint:pins dataset
-//gclint:deterministic
 func (c *Cache) WriteState(w io.Writer) error {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)

@@ -58,8 +58,6 @@ func (p *scorePolicy) OnWindowTurn() {}
 // smallest seen so far in a bounded max-heap, so choosing ten victims
 // among a thousand entries costs a thousand score evaluations and a few
 // dozen sift steps instead of a comparison sort of the whole cache.
-//
-//gclint:deterministic
 func (p *scorePolicy) ReplacedContent(entries []*Entry, x int) []int {
 	if x >= len(entries) {
 		out := make([]int, len(entries))

@@ -30,8 +30,6 @@ func summarize(g *graph.Graph) summary {
 // necessary condition, never a sufficient one. The fixed-size vector and
 // the bloom go first; merged reports whether they passed and the
 // path-feature dominance merge ran.
-//
-//gclint:noalloc
 func (s *summary) embedsIn(o *summary) (ok, merged bool) {
 	if !s.fv.ContainedIn(o.fv) || s.featBits&^o.featBits != 0 {
 		return false, false
@@ -170,7 +168,6 @@ type rankedCandidate struct {
 // the candidate set" contract — besides costing one O(set) count per
 // comparison instead of per entry.
 //
-//gclint:deterministic
 //gclint:loads answers cands
 func rankCandidates(cands []*Entry, largerFirst bool) {
 	if len(cands) < 2 {

@@ -47,7 +47,7 @@ func TestQuickCacheEqualsBase(t *testing.T) {
 			if !res.Answers.Equal(method.Run(q.G, q.Type).Answers) {
 				return false
 			}
-			if res.Tests > res.BaseCandidates || res.Tests != res.Candidates {
+			if res.Tests > res.BaseCandidates {
 				return false
 			}
 			if res.Sure.IntersectionCount(res.Excluded) != 0 {

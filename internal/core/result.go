@@ -35,10 +35,9 @@ type Result struct {
 	// BaseCandidates is |C_M|, Method M's candidate count (Figure 3(b)) —
 	// the number of sub-iso tests the base method would run.
 	BaseCandidates int
-	// Candidates is |C| after cache pruning (Figure 3(f)).
-	Candidates int
-	// Tests is the number of dataset sub-iso tests actually executed
-	// (equals Candidates unless the query was an exact hit).
+	// Tests is |C|, the candidates left after cache pruning (Figure
+	// 3(f)): every one of them is verified, so it is also the number of
+	// dataset sub-iso tests executed — 0 on an exact hit.
 	Tests int
 	// Sure is S: graphs known to be answers without testing (Figure 3(c)).
 	Sure *bitset.Set

@@ -12,8 +12,8 @@ import (
 // The count changes no answer, hit class or cache content — only how many
 // stripes the exact probe's read lock and the index slices are spread
 // over. The per-query critical section is a map-lookup copy, so four
-// stripes comfortably serve the 8-worker benchmarks; raise Config.Shards
-// on machines with more cores than that.
+// stripes suffice for the benchmark harness's one client per CPU on a
+// small machine; raise Config.Shards on machines with many more cores.
 const DefaultShards = 4
 
 // residency is the cache-wide resident-entry account: entry and byte

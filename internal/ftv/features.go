@@ -74,8 +74,6 @@ func ExtractFeatures(g *graph.Graph) FeatureVector {
 // ContainedIn reports whether v's graph can possibly be subgraph-isomorphic
 // to o's graph — a necessary condition, never sufficient. The zero
 // FeatureVector (the empty graph) is contained in everything.
-//
-//gclint:noalloc
 func (v FeatureVector) ContainedIn(o FeatureVector) bool {
 	if v.Vertices > o.Vertices || v.Edges > o.Edges {
 		return false

@@ -174,8 +174,6 @@ func (cs *countSlices) with(gid, c int32) *countSlices {
 // reports whether any bit of acc survives. Per word it compares all 64
 // counts with c at once, most significant digit first: gt collects the
 // graphs already decided greater, eq those still equal on every digit seen.
-//
-//gclint:noalloc
 func (cs *countSlices) andAtLeast(acc []uint64, c int32) bool {
 	if c>>len(cs.slice) != 0 {
 		return false // c has more digits than any stored count
@@ -205,8 +203,6 @@ func (cs *countSlices) andAtLeast(acc []uint64, c int32) bool {
 
 // andPostings is andAtLeast for the list encoding: ps is sorted by gid, so
 // one pass rewrites acc word by word, clearing the words no posting reaches.
-//
-//gclint:noalloc
 func andPostings(acc []uint64, ps []posting, c int32) bool {
 	var alive uint64
 	next := 0 // first word of acc not yet rewritten
@@ -231,8 +227,6 @@ func andPostings(acc []uint64, ps []posting, c int32) bool {
 func featureBit(id int32) uint64 { return 1 << (uint32(id) * 0x9E3779B1 >> 26) }
 
 // dominated reports whether counts covers every (node, count) of the row.
-//
-//gclint:noalloc
 func dominated(row []nodeCount, counts []int32) bool {
 	for _, nc := range row {
 		if counts[nc.node] < nc.count {

@@ -389,8 +389,6 @@ func (v DatasetView) Bind(q *graph.Graph, qt QueryType) BoundQuery {
 }
 
 // Verify is VerifyCandidate for the bound query.
-//
-//gclint:noalloc
 func (b *BoundQuery) Verify(gid int) bool {
 	if b.matcher == nil {
 		return b.view.VerifyCandidate(b.q, gid, b.qt)

@@ -30,3 +30,18 @@ func TestReadAllAllocBudget(t *testing.T) {
 		t.Errorf("ReadAll allocates %.1f/op, budget %d — a per-line string or a per-call line buffer crept back in", got, allocBudgetReadAll)
 	}
 }
+
+// TestDominatedByAllocBudget: the label-vector dominance merge allocates
+// nothing, whether it accepts or refutes.
+func TestDominatedByAllocBudget(t *testing.T) {
+	small := LabelVectorOf(path(1, 1, 2))
+	big := LabelVectorOf(MustNew([]Label{1, 1, 1, 2, 3}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}))
+	for _, tc := range []struct {
+		name string
+		v, o LabelVector
+	}{{"dominated", small, big}, {"refuted", big, small}, {"self", big, big}} {
+		if got := testing.AllocsPerRun(100, func() { tc.v.DominatedBy(tc.o) }); got != 0 {
+			t.Errorf("DominatedBy (%s) allocates %.1f/op, budget 0", tc.name, got)
+		}
+	}
+}

@@ -43,7 +43,6 @@ func fnvMix64(h, v uint64) uint64 {
 // refinement only once.
 //
 //gclint:loads memoFP
-//gclint:deterministic
 func (g *Graph) WLFingerprint(rounds int) Fingerprint {
 	if m := g.memoFP.Load(); m != nil && m.rounds == rounds {
 		return m.fp
@@ -124,9 +123,6 @@ func LabelVectorOf(g *Graph) LabelVector {
 // DominatedBy reports whether every label occurs in o at least as many
 // times as in v — a necessary condition for the graph of v to be
 // subgraph-isomorphic to the graph of o.
-//
-//gclint:noalloc
-//gclint:deterministic
 func (v LabelVector) DominatedBy(o LabelVector) bool {
 	j := 0
 	for _, lc := range v {

@@ -71,8 +71,6 @@ func growCore(s []int32, n int) []int32 {
 // with the statistics of this one search. On an aborted search the boolean
 // is false and Stats.Aborted is set. Only directedness and size are
 // screened first: the caller is expected to have filtered its targets.
-//
-//gclint:noalloc
 func (m *Matcher) Match(t *graph.Graph) (bool, Stats) {
 	if len(m.plan) == 0 {
 		return true, Stats{} // the empty pattern embeds everywhere
@@ -88,8 +86,6 @@ func (m *Matcher) Match(t *graph.Graph) (bool, Stats) {
 }
 
 // setTarget points the matcher at t for one search.
-//
-//gclint:noalloc
 func (m *Matcher) setTarget(t *graph.Graph) {
 	m.tg, m.t = t, t.CSR()
 	m.elabels = m.pg.HasEdgeLabels() || t.HasEdgeLabels()
@@ -130,8 +126,6 @@ func CountEmbeddings(p, t *graph.Graph, limit int) int {
 // match extends the partial mapping at the given depth of the plan. It
 // returns true when the search can stop (a match was found in decision
 // mode, or the enumeration limit was reached in counting mode).
-//
-//gclint:noalloc
 func (m *Matcher) match(depth int) bool {
 	if depth == len(m.plan) {
 		if m.count {
@@ -194,8 +188,6 @@ func (m *Matcher) match(depth int) bool {
 // matched pattern neighbors, and a one-step lookahead comparing
 // unmatched-neighbor counts per direction. The anchor arc exists by
 // construction of the candidate list, so only its edge label is tested.
-//
-//gclint:noalloc
 func (m *Matcher) feasible(step graph.PlanStep, tv int32) bool {
 	p, t := &m.p, &m.t
 	pu := int(step.V)
@@ -254,8 +246,6 @@ func (m *Matcher) feasible(step graph.PlanStep, tv int32) bool {
 
 // available reports whether at least need of the target vertices in
 // list are still unmatched.
-//
-//gclint:noalloc
 func (m *Matcher) available(list []int32, need int) bool {
 	for _, tn := range list {
 		if need <= 0 {

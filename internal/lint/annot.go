@@ -69,8 +69,6 @@ type Annotations struct {
 	Releases map[types.Object][]string
 	// NoLocks marks no-lock stage functions.
 	NoLocks map[types.Object]bool
-	// NoAlloc marks zero-allocation hot-path functions.
-	NoAlloc map[types.Object]bool
 	// Cow marks COW-published types; CowView marks functions returning
 	// views of COW-published state; Mutates marks receiver-mutating
 	// methods.
@@ -92,9 +90,6 @@ type Annotations struct {
 	// view of: a function holding a parameter of that type must not
 	// re-load the cell.
 	Views map[types.Object]string
-	// Deterministic marks functions whose output must be a deterministic
-	// function of their inputs, transitively (determinism analyzer).
-	Deterministic map[types.Object]bool
 	// CtxStrict is the set of package paths declaring //gclint:ctxstrict:
 	// context.Background/TODO are diagnostics there (ctxflow analyzer).
 	CtxStrict map[string]bool
@@ -152,19 +147,6 @@ func (a *Annotations) ignored(fset *token.FileSet, d Diagnostic) bool {
 }
 
 const directivePrefix = "//gclint:"
-
-// knownDirectives guards against typos: an unknown //gclint: directive
-// is itself an error, so a misspelled annotation can never silently
-// disable a check.
-var knownDirectives = map[string]bool{
-	"hierarchy": true, "lock": true, "leaf": true,
-	"acquires": true, "requires": true, "holds": true,
-	"releases": true, "nolocks": true,
-	"noalloc": true, "cow": true, "cowview": true,
-	"mutates": true, "ignore": true,
-	"snapshot": true, "loads": true, "pins": true, "view": true,
-	"deterministic": true, "ctxstrict": true,
-}
 
 // directive is one parsed //gclint: comment line.
 type directive struct {
@@ -245,7 +227,6 @@ func CollectAnnotations(prog *Program) (*Annotations, []Diagnostic) {
 		Holds:         map[types.Object][]string{},
 		Releases:      map[types.Object][]string{},
 		NoLocks:       map[types.Object]bool{},
-		NoAlloc:       map[types.Object]bool{},
 		Cow:           map[types.Object]bool{},
 		CowView:       map[types.Object]bool{},
 		Mutates:       map[types.Object]bool{},
@@ -254,7 +235,6 @@ func CollectAnnotations(prog *Program) (*Annotations, []Diagnostic) {
 		Loads:         map[types.Object][]LoadFact{},
 		Pins:          map[types.Object][]string{},
 		Views:         map[types.Object]string{},
-		Deterministic: map[types.Object]bool{},
 		CtxStrict:     map[string]bool{},
 		ignores:       map[string]map[int][]string{},
 	}
@@ -362,8 +342,8 @@ func (a *Annotations) collectFile(prog *Program, pkgPath string, f *ast.File, er
 					continue
 				}
 				a.CtxStrict[pkgPath] = true
-			case "lock", "leaf", "acquires", "requires", "holds", "releases", "nolocks", "noalloc", "cow", "cowview", "mutates",
-				"snapshot", "loads", "pins", "view", "deterministic":
+			case "lock", "leaf", "acquires", "requires", "holds", "releases", "nolocks", "cow", "cowview", "mutates",
+				"snapshot", "loads", "pins", "view":
 				// Attached directives are handled in the declaration pass
 				// above; one that floats free of any declaration is dead
 				// annotation and gets flagged here.
@@ -371,6 +351,8 @@ func (a *Annotations) collectFile(prog *Program, pkgPath string, f *ast.File, er
 					errf(dir.pos, "//gclint:%s is not attached to a declaration", dir.name)
 				}
 			default:
+				// The typo guard: a misspelled or retired directive is itself
+				// an error, so it can never silently disable a check.
 				errf(dir.pos, "unknown directive //gclint:%s", dir.name)
 			}
 		}
@@ -397,7 +379,7 @@ func (a *Annotations) applyFuncDirectives(obj types.Object, dirs []directive, er
 			case "releases":
 				a.Releases[obj] = append(a.Releases[obj], names...)
 			}
-		case "nolocks", "noalloc", "cowview", "mutates", "deterministic":
+		case "nolocks", "cowview", "mutates":
 			if obj == nil {
 				errf(dir.pos, "//gclint:%s must be attached to a function declaration", dir.name)
 				continue
@@ -405,14 +387,10 @@ func (a *Annotations) applyFuncDirectives(obj types.Object, dirs []directive, er
 			switch dir.name {
 			case "nolocks":
 				a.NoLocks[obj] = true
-			case "noalloc":
-				a.NoAlloc[obj] = true
 			case "cowview":
 				a.CowView[obj] = true
 			case "mutates":
 				a.Mutates[obj] = true
-			case "deterministic":
-				a.Deterministic[obj] = true
 			}
 		case "loads":
 			cell, param, err := parseLoadsArgs(dir.args)
@@ -462,8 +440,8 @@ func (a *Annotations) applyTypeDirectives(obj types.Object, dirs []directive, er
 				continue
 			}
 			a.Views[obj] = cell
-		case "lock", "leaf", "acquires", "requires", "holds", "releases", "nolocks", "noalloc", "cowview", "mutates",
-			"snapshot", "loads", "pins", "deterministic":
+		case "lock", "leaf", "acquires", "requires", "holds", "releases", "nolocks", "cowview", "mutates",
+			"snapshot", "loads", "pins":
 			errf(dir.pos, "//gclint:%s cannot be attached to a type", dir.name)
 		default:
 			// Handled by the whole-file comments pass.
@@ -510,8 +488,8 @@ func (a *Annotations) applyLockDirectives(info *types.Info, names []*ast.Ident, 
 			}
 			a.Snapshots[obj] = &SnapshotInfo{Name: name}
 			a.snapshotNames[name] = true
-		case "acquires", "requires", "holds", "releases", "nolocks", "noalloc", "cow", "cowview", "mutates",
-			"loads", "pins", "view", "deterministic":
+		case "acquires", "requires", "holds", "releases", "nolocks", "cow", "cowview", "mutates",
+			"loads", "pins", "view":
 			errf(dir.pos, "//gclint:%s cannot be attached to a lock declaration", dir.name)
 		default:
 			// Handled by the whole-file comments pass.

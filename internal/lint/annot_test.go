@@ -20,6 +20,8 @@ func TestGrammarErrors(t *testing.T) {
 		`lock "gamma" is neither in the //gclint:hierarchy nor marked //gclint:leaf`,
 		`hierarchy lock "beta" has no //gclint:lock declaration`,
 		"unknown directive //gclint:bogus",
+		"unknown directive //gclint:noalloc",
+		"unknown directive //gclint:deterministic",
 		`//gclint:acquires references undeclared lock "delta"`,
 		"//gclint:ignore needs a reason",
 		"//gclint:requires is not attached to a declaration",

@@ -21,12 +21,12 @@ import (
 //     space-free fields.
 func FuzzParseAnnotation(f *testing.F) {
 	seeds := []string{
-		"//gclint:hierarchy serialMu dsMu windowMu policyMu shard",
+		"//gclint:hierarchy dsMu windowMu policyMu shard",
 		"//gclint:lock policyMu",
 		"//gclint:leaf",
 		"//gclint:acquires windowMu shard",
 		"//gclint:ignore lockorder -- reason with -- inner dashes",
-		"//gclint:ignore lockorder,noalloc -- two analyzers",
+		"//gclint:ignore lockorder,ctxflow -- two analyzers",
 		"//gclint:ignore -- missing names",
 		"//gclint:ignore lockorder --",
 		"//gclint:snapshot answers",
@@ -35,7 +35,7 @@ func FuzzParseAnnotation(f *testing.F) {
 		"//gclint:loads a b c",
 		"//gclint:pins dataset",
 		"//gclint:view dataset",
-		"//gclint:deterministic",
+		"//gclint:nolocks",
 		"//gclint:ctxstrict",
 		"//gclint:",
 		"//gclint:  ",

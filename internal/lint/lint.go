@@ -6,8 +6,12 @@
 // go/ast + go/types directly and loads type information through the go
 // toolchain's own export data (see load.go).
 //
-// The analyzers it hosts enforce the kernel's hand-documented invariants
-// at build time, driven by a small comment-annotation grammar:
+// The analyzers it hosts enforce the kernel's concurrency invariants at
+// build time — the ones no test observes reliably: the lock order,
+// copy-on-write publication, one snapshot per operation and context
+// propagation. Output-level contracts (zero allocations, deterministic
+// output) are pinned by runtime tests instead. A small comment-annotation
+// grammar drives them:
 //
 //	//gclint:hierarchy L1 L2 ... Ln
 //	    Declares the lock hierarchy, outermost first. At most one
@@ -20,8 +24,9 @@
 //	    named lock must either appear in the hierarchy or be marked leaf.
 //	//gclint:leaf
 //	    On a //gclint:lock declaration: the lock may be acquired under any
-//	    other lock, but NOTHING may be acquired while it is held
-//	    (enforced by the leaflock analyzer).
+//	    other lock, but NOTHING may be acquired while it is held, nor
+//	    may an acquires/holds function or a requires function naming
+//	    another lock be called.
 //	//gclint:acquires <lock> [<lock>...]
 //	    On a function: it internally acquires (and releases) the named
 //	    locks. Call sites are checked against the hierarchy exactly like
@@ -43,11 +48,6 @@
 //	    On a function: a no-lock stage (filtering, iso testing,
 //	    verification). Any lock acquisition — direct, or via a call to an
 //	    acquires-annotated function — is a build error.
-//	//gclint:noalloc
-//	    On a function: hot-path allocation budget is zero; allocation-
-//	    introducing constructs (make/new, composite literals, growing
-//	    append, string concatenation, capturing closures, interface
-//	    boxing) are build errors. See the noalloc analyzer.
 //	//gclint:cow
 //	    On a type: values are copy-on-write published state — immutable
 //	    after publication. Writes through them are build errors
@@ -58,6 +58,10 @@
 //	//gclint:mutates
 //	    On a method: it mutates its receiver. Calling it on a
 //	    COW-published value is a build error.
+//	//gclint:snapshot, //gclint:loads, //gclint:pins, //gclint:view
+//	    Snapshot cells and their operation scopes (snapshotonce).
+//	//gclint:ctxstrict
+//	    On a package: context.Background/TODO are build errors (ctxflow).
 //	//gclint:ignore <analyzer>[,<analyzer>...] -- <reason>
 //	    Waives findings of the named analyzers on the comment's line and
 //	    the line below it. The reason is mandatory; a bare ignore is
@@ -77,7 +81,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"time"
 )
 
 // Analyzer is one named check over a loaded Program.
@@ -122,15 +125,12 @@ type Diagnostic struct {
 }
 
 // Program is a fully type-checked set of module-local packages sharing
-// one FileSet and one merged types.Info, in dependency order. It also
-// owns the lazily built whole-program caches (call graph, analyzer
-// facts) so one load serves every analyzer — see callgraph.go.
+// one FileSet and one merged types.Info, in dependency order, so one
+// load serves every analyzer.
 type Program struct {
 	Fset     *token.FileSet
 	Info     *types.Info
 	Packages []*Package
-
-	factState
 }
 
 // Package is one parsed, type-checked module-local package.
@@ -145,43 +145,23 @@ func (prog *Program) Position(pos token.Pos) token.Position {
 	return prog.Fset.Position(pos)
 }
 
-// AnalyzerTiming is one analyzer's wall-clock cost over the whole
-// program — the per-analyzer budget `gclint` prints so CI regressions
-// in lint cost are visible, not just lint findings.
-type AnalyzerTiming struct {
-	Name     string
-	Duration time.Duration
-}
-
 // Run collects annotations, runs every analyzer over every package, and
-// returns the surviving findings (waivers applied) sorted by position.
-// Annotation-grammar errors (unknown directives, reasonless ignores,
-// undeclared lock names) are returned as diagnostics of the pseudo
-// analyzer "gclint" and are never waivable.
-func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, _, err := RunTimed(prog, analyzers)
-	return diags, err
-}
-
-// RunTimed is Run, additionally returning the program-wide annotation
-// fact base (waiver inventory included) and per-analyzer wall times.
-// The program is loaded and annotated exactly once; every analyzer
-// works off the shared Program, its types.Info, and its lazily built
-// call graph.
-func RunTimed(prog *Program, analyzers []*Analyzer) ([]Diagnostic, *Annotations, []AnalyzerTiming, error) {
+// returns the surviving findings (waivers applied) sorted by position,
+// together with the annotation fact base (the waiver inventory reads
+// it). Annotation-grammar errors (unknown directives, reasonless
+// ignores, undeclared lock names) are returned as diagnostics of the
+// pseudo analyzer "gclint" and are never waivable.
+func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, *Annotations, error) {
 	ann, annDiags := CollectAnnotations(prog)
 	var diags []Diagnostic
 	collect := func(d Diagnostic) { diags = append(diags, d) }
-	timings := make([]AnalyzerTiming, 0, len(analyzers))
 	for _, a := range analyzers {
-		start := time.Now()
 		for _, pkg := range prog.Packages {
 			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, Ann: ann, report: collect}
 			if err := a.Run(pass); err != nil {
-				return nil, nil, nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+				return nil, nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-		timings = append(timings, AnalyzerTiming{Name: a.Name, Duration: time.Since(start)})
 	}
 	kept := annDiags
 	for _, d := range diags {
@@ -199,5 +179,5 @@ func RunTimed(prog *Program, analyzers []*Analyzer) ([]Diagnostic, *Annotations,
 		}
 		return kept[i].Message < kept[j].Message
 	})
-	return kept, ann, timings, nil
+	return kept, ann, nil
 }

@@ -34,7 +34,7 @@ func Run(t *testing.T, dir string, analyzers []*lint.Analyzer, pkg string) {
 	if err != nil {
 		t.Fatalf("loading testdata package %s: %v", pkg, err)
 	}
-	diags, err := lint.Run(prog, analyzers)
+	diags, _, err := lint.Run(prog, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}

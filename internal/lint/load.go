@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"time"
 )
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -29,15 +28,6 @@ type listedPackage struct {
 	Imports    []string
 	Incomplete bool
 	Error      *struct{ Err string }
-}
-
-// LoadModuleTimed is LoadModule, additionally reporting how long the
-// one shared load+typecheck took so `gclint -timings` can show it next
-// to the per-analyzer costs.
-func LoadModuleTimed(dir string, patterns ...string) (*Program, time.Duration, error) {
-	start := time.Now()
-	prog, err := LoadModule(dir, patterns...)
-	return prog, time.Since(start), err
 }
 
 // LoadModule type-checks the packages matched by patterns (and their

@@ -1,8 +1,11 @@
 // Package lockorder enforces the declared lock hierarchy: locks may
 // only be acquired in strictly descending //gclint:hierarchy position,
 // //gclint:requires obligations must be satisfied at call sites,
-// //gclint:nolocks stages may not acquire anything, and a function's
-// //gclint:acquires list must cover every ranked lock it takes.
+// //gclint:nolocks stages may not acquire anything, a function's
+// //gclint:acquires list must cover every ranked lock it takes, and a
+// //gclint:leaf lock's critical section is terminal: while one is held,
+// nothing is acquired — directly or through an acquires, holds or
+// requires call.
 package lockorder
 
 import (
@@ -20,8 +23,9 @@ var Analyzer = &lint.Analyzer{
 	Doc: "check every lock acquisition (direct Lock/RLock or via a " +
 		"//gclint:acquires call) against the declared hierarchy, enforce " +
 		"//gclint:requires at call sites, forbid acquisition inside " +
-		"//gclint:nolocks stages, and require a declared //gclint:acquires " +
-		"list to cover every ranked lock the function takes",
+		"//gclint:nolocks stages and under held //gclint:leaf locks, and " +
+		"require a declared //gclint:acquires list to cover every ranked " +
+		"lock the function takes",
 	Run: run,
 }
 
@@ -238,10 +242,13 @@ func (w *walker) handleCallWith(call *ast.CallExpr, held, calleeHeld map[string]
 			if w.nolocks {
 				w.pass.Reportf(call.Pos(), "lock acquisition in //gclint:nolocks function")
 			}
+			if leaf := w.heldLeaf(held); leaf != "" {
+				w.pass.Reportf(call.Pos(), "lock acquisition while leaf lock %s is held", leaf)
+			}
 			if ev.Lock == nil {
 				return
 			}
-			w.checkAcquire(call.Pos(), ev.Lock.Name, ev.Lock.Leaf, held, "acquiring")
+			w.checkAcquire(call.Pos(), ev.Lock.Name, held, "acquiring")
 			held[ev.Lock.Name]++
 		case lint.ReleaseOp:
 			if ev.Lock != nil && held[ev.Lock.Name] > 0 {
@@ -256,28 +263,12 @@ func (w *walker) handleCallWith(call *ast.CallExpr, held, calleeHeld map[string]
 		return
 	}
 	for _, name := range w.ann.Acquires[callee] {
-		if w.nolocks {
-			w.pass.Reportf(call.Pos(), "call to %s acquires %s inside //gclint:nolocks function", callee.Name(), name)
-			continue
-		}
-		leaf := false
-		if li := w.ann.LockByName(name); li != nil {
-			leaf = li.Leaf
-		}
-		w.checkAcquire(call.Pos(), name, leaf, calleeHeld, "call to "+callee.Name()+" acquires")
+		w.checkCallee(call.Pos(), callee, name, calleeHeld)
 	}
 	// A //gclint:holds callee checks like an acquisition but leaves the
 	// lock in the caller's held-set; //gclint:releases removes it.
 	for _, name := range w.ann.Holds[callee] {
-		if w.nolocks {
-			w.pass.Reportf(call.Pos(), "call to %s acquires %s inside //gclint:nolocks function", callee.Name(), name)
-			continue
-		}
-		leaf := false
-		if li := w.ann.LockByName(name); li != nil {
-			leaf = li.Leaf
-		}
-		w.checkAcquire(call.Pos(), name, leaf, calleeHeld, "call to "+callee.Name()+" acquires")
+		w.checkCallee(call.Pos(), callee, name, calleeHeld)
 		calleeHeld[name]++
 	}
 	for _, name := range w.ann.Releases[callee] {
@@ -285,23 +276,49 @@ func (w *walker) handleCallWith(call *ast.CallExpr, held, calleeHeld map[string]
 			calleeHeld[name]--
 		}
 	}
-	if !inLit {
-		for _, name := range w.ann.Requires[callee] {
-			if calleeHeld[name] == 0 {
-				w.pass.Reportf(call.Pos(), "call to %s requires %s, which is not held here", callee.Name(), name)
-			}
+	leaf := w.heldLeaf(calleeHeld)
+	for _, name := range w.ann.Requires[callee] {
+		if leaf != "" && name != leaf {
+			w.pass.Reportf(call.Pos(), "call to %s (requires %s) while leaf lock %s is held", callee.Name(), name, leaf)
+		}
+		if !inLit && calleeHeld[name] == 0 {
+			w.pass.Reportf(call.Pos(), "call to %s requires %s, which is not held here", callee.Name(), name)
 		}
 	}
 }
 
-// checkAcquire reports hierarchy violations: a ranked lock may only be
-// taken while every held ranked lock sits strictly outward (lower
-// hierarchy index) of it. Leaf locks are acquirable under anything;
-// what happens UNDER them is the leaflock analyzer's concern.
-func (w *walker) checkAcquire(pos token.Pos, name string, leaf bool, held map[string]int, how string) {
-	if leaf {
+// checkCallee checks one lock that a call's callee acquires against the
+// caller's context: a nolocks stage, a held leaf, the hierarchy.
+func (w *walker) checkCallee(pos token.Pos, callee types.Object, name string, held map[string]int) {
+	how := "call to " + callee.Name() + " acquires"
+	if w.nolocks {
+		w.pass.Reportf(pos, "%s %s inside //gclint:nolocks function", how, name)
 		return
 	}
+	if leaf := w.heldLeaf(held); leaf != "" {
+		w.pass.Reportf(pos, "%s %s while leaf lock %s is held", how, name, leaf)
+	}
+	w.checkAcquire(pos, name, held, how)
+}
+
+// heldLeaf returns a held //gclint:leaf lock, "" when none is — the
+// smallest name, so a finding reads the same on every run.
+func (w *walker) heldLeaf(held map[string]int) string {
+	leaf := ""
+	for name, n := range held {
+		if li := w.ann.LockByName(name); n > 0 && li != nil && li.Leaf && (leaf == "" || name < leaf) {
+			leaf = name
+		}
+	}
+	return leaf
+}
+
+// checkAcquire reports hierarchy violations: a ranked lock may only be
+// taken while every held ranked lock sits strictly outward (lower
+// hierarchy index) of it. Leaf locks are unranked, so they are
+// acquirable under anything; what happens UNDER them is heldLeaf's
+// concern.
+func (w *walker) checkAcquire(pos token.Pos, name string, held map[string]int, how string) {
 	rank, ranked := w.ann.HierarchyRank(name)
 	if !ranked {
 		return

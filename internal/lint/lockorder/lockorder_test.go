@@ -11,3 +11,9 @@ import (
 func TestLockOrder(t *testing.T) {
 	linttest.Run(t, ".", []*lint.Analyzer{lockorder.Analyzer}, "a")
 }
+
+// TestLeafLock runs the leaf rule's cases: package b declares its own
+// hierarchy, so it loads on its own.
+func TestLeafLock(t *testing.T) {
+	linttest.Run(t, ".", []*lint.Analyzer{lockorder.Analyzer}, "b")
+}

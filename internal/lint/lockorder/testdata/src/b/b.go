@@ -1,4 +1,4 @@
-// Package b exercises the leaflock analyzer: a leaf lock's critical
+// Package b exercises lockorder's leaf rule: a leaf lock's critical
 // section must be terminal — no direct acquisitions and no calls into
 // lock-acquiring or lock-requiring helpers while it is held.
 package b
@@ -15,6 +15,8 @@ type thing struct {
 	//gclint:lock tiny
 	//gclint:leaf
 	mu sync.Mutex
+	// plain carries no annotation; acquiring it under the leaf still counts.
+	plain sync.Mutex
 }
 
 // lockBig briefly takes the ranked lock.
@@ -56,6 +58,29 @@ func (t *thing) underLeaf() {
 	t.lockBig() // want "call to lockBig acquires big while leaf lock tiny is held"
 }
 
+// needsBig must run under the ranked lock.
+//
+//gclint:requires big
+func (t *thing) needsBig() {}
+
+// badRequires calls a helper that requires another lock from inside the
+// leaf section.
+func (t *thing) badRequires() {
+	t.bigMu.Lock()
+	defer t.bigMu.Unlock()
+	t.mu.Lock()
+	t.needsBig() // want "call to needsBig \\(requires big\\) while leaf lock tiny is held"
+	t.mu.Unlock()
+}
+
+// badPlain takes an unannotated mutex inside the leaf section.
+func (t *thing) badPlain() {
+	t.mu.Lock()
+	t.plain.Lock() // want "lock acquisition while leaf lock tiny is held"
+	t.plain.Unlock()
+	t.mu.Unlock()
+}
+
 // sequenced releases the leaf before touching the ranked lock.
 func (t *thing) sequenced() {
 	t.mu.Lock()
@@ -67,7 +92,7 @@ func (t *thing) sequenced() {
 func (t *thing) waived() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	//gclint:ignore leaflock -- harness check: waivers must suppress the line below
+	//gclint:ignore lockorder -- harness check: waivers must suppress the line below
 	t.bigMu.Lock()
 	t.bigMu.Unlock()
 }

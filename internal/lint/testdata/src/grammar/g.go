@@ -72,3 +72,15 @@ type viewGhost struct{}
 
 // argful above: ctxstrict takes no arguments.
 func argful() {}
+
+// retiredNoalloc carries a directive whose analyzer is gone: runtime
+// alloc budgets pin the contract now.
+//
+//gclint:noalloc
+func retiredNoalloc() {}
+
+// retiredDeterministic carries a directive whose analyzer is gone:
+// runtime tests on outputs pin the contract now.
+//
+//gclint:deterministic
+func retiredDeterministic() {}
