@@ -1,11 +1,14 @@
-# GraphCache build/test entry points. `make ci` is what every PR must
-# pass: vet + staticcheck + gofmt (`fmt-check`) + the four gclint
-# concurrency-contract analyzers (`lint`, see cmd/gclint), plus the
-# full test suite under the race detector (the concurrency stress and
+# GraphCache build/test entry points. `make ci` runs the gates CI runs,
+# so it passes locally exactly when CI would: vet + staticcheck + gofmt
+# (`fmt-check`) + the four gclint concurrency-contract analyzers (`lint`,
+# see cmd/gclint) and the capped waiver inventory (`lint-waivers`), plus
+# the full test suite under the race detector (the concurrency stress and
 # equivalence tests in internal/core and internal/server only earn
 # their keep with -race armed), the benchmark harness's own smoke test
-# (`harness`) and a short fuzzing pass (`fuzz-smoke`). Performance is
-# measured by `bash benchmark/run.sh` (BENCHMARK.json), not here.
+# (`harness`), the coverage floor (`cover`) and a short fuzzing pass
+# (`fuzz-smoke`). CI additionally uploads `make profiles` as an artifact.
+# Performance is measured by `bash benchmark/run.sh` (BENCHMARK.json),
+# not here.
 
 GO ?= go
 
@@ -147,4 +150,4 @@ harness:
 	$(GO) test -C benchmark ./...
 	$(GO) run ./cmd/gclint -C benchmark ./...
 
-ci: vet staticcheck fmt-check lint race harness fuzz-smoke
+ci: vet staticcheck fmt-check lint lint-waivers race harness cover fuzz-smoke

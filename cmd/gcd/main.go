@@ -13,8 +13,8 @@
 //	GET  /debug/pprof/          live CPU/heap/goroutine profiles (only with -pprof)
 //
 // Requests are served concurrently: net/http spawns a goroutine per
-// connection and the sharded cache kernel processes the in-flight queries
-// in parallel. SIGINT/SIGTERM trigger a graceful shutdown that drains
+// connection and the cache kernel processes the in-flight queries in
+// parallel. SIGINT/SIGTERM trigger a graceful shutdown that drains
 // in-flight requests before exiting.
 //
 // With -state <path> the cache is persistent: a snapshot at that path is
@@ -26,7 +26,7 @@
 // Usage:
 //
 //	gcd -addr :8081 -dataset aids.txt -state aids.gcstate
-//	gcd -addr :8081 -generate 1000 -policy hd -capacity 100 -shards 8
+//	gcd -addr :8081 -generate 1000 -policy hd -capacity 100
 package main
 
 import (
@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		capacity  = fs.Int("capacity", 50, "cache capacity (entries)")
 		window    = fs.Int("window", 10, "admission window size")
 		ggsxLen   = fs.Int("ggsx", 4, "GGSX path-feature length")
-		shards    = fs.Int("shards", 0, "cache lock shards (0 = default)")
 		lazyRec   = fs.Bool("lazy-reconcile", false, "reconcile cached answers lazily after dataset additions (per-entry epochs) instead of eagerly at mutation time")
 		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling at /debug/pprof/ (off by default: profiles leak internals, enable only on trusted networks)")
 		statePath = fs.String("state", "", "cache state file: restored (lazily) at boot, saved on graceful shutdown and POST /api/state/save")
@@ -123,7 +122,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.Capacity = *capacity
 	cfg.Window = *window
 	cfg.Policy = p
-	cfg.Shards = *shards
 	cfg.LazyReconcile = *lazyRec
 	cache, err := core.New(method, cfg)
 	if err != nil {
@@ -160,8 +158,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "gcd: %d dataset graphs, method %s, policy %s, cache %d/%d window, %d shards\n",
-		len(dataset), method.Name(), p.Name(), *capacity, *window, cache.Shards())
+	fmt.Fprintf(stdout, "gcd: %d dataset graphs, method %s, policy %s, cache %d/%d window\n",
+		len(dataset), method.Name(), p.Name(), *capacity, *window)
 	fmt.Fprintf(stdout, "gcd: listening on %s\n", ln.Addr())
 
 	api := server.New(cache)

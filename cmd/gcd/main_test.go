@@ -105,7 +105,7 @@ func TestDaemonBootQueryShutdown(t *testing.T) {
 	if got, ok := stats["queries"].(float64); !ok || got != 1 {
 		t.Errorf("stats queries = %v, want 1", stats["queries"])
 	}
-	for _, key := range []string{"hitIndexPruned", "hitFullChecks", "hitScanEntries", "windowTurns", "shards"} {
+	for _, key := range []string{"hitIndexPruned", "hitFullChecks", "hitScanEntries", "windowTurns"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("stats missing %q:\n%s", key, sb)
 		}

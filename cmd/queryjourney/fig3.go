@@ -49,7 +49,6 @@ func RunFig3(seed int64) (*Fig3Result, error) {
 	method := ftv.NewGGSXMethod(dataset, 3)
 
 	cfg := core.DefaultConfig()
-	cfg.Shards = 1 // sequential reproduction: independent of sharding and window engine
 	cfg.Capacity = 50
 	cfg.Window = 10
 	cfg.SelfCheck = true

@@ -42,7 +42,6 @@ func RunWorkload(seed int64, workloadSize int, policy string) ([]WorkloadStep, *
 		return nil, nil, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.Shards = 1 // sequential reproduction: independent of sharding and window engine
 	cfg.Capacity = 50
 	cfg.Window = 10
 	cfg.Policy = p
@@ -138,7 +137,6 @@ func RunReplacement(seed int64, policies []string) ([]ReplacementResult, error) 
 			return nil, err
 		}
 		cfg := core.DefaultConfig()
-		cfg.Shards = 1 // sequential reproduction: independent of sharding and window engine
 		cfg.Capacity = 50
 		cfg.Window = 10
 		cfg.Policy = p

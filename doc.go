@@ -32,29 +32,26 @@
 // # Concurrency
 //
 // A Cache is safe for any number of goroutines calling Execute at once.
-// Admitted entries are partitioned across Config.Shards lock shards keyed
-// by graph fingerprint (DefaultShards when zero), and the expensive query
-// stages — Method M filtering, hit-detection iso tests, candidate
-// verification — run without holding any lock. An exact hit on an
-// admitted entry takes no global mutex: it probes the owning shard under
-// that shard's read lock and credits the entry with two atomics. Every
-// other query takes the window mutex briefly, to compare fingerprints
-// against the pending admission window and, once executed, to append
-// itself to it. Entry IDs come from an atomic counter and
-// verification-cost statistics live in lock-free CAS cells. There is one
-// admission window; when it fills, the turn is stop-the-world — under the
-// policy mutex and every shard write lock it ages utilities, ranks
-// victims over the whole cache, evicts, admits and republishes the
-// feature index — so Config.Capacity holds exactly at every turn. The
-// policy mutex also guards sub/super hit crediting — counter arithmetic,
-// never iso tests.
+// Admitted entries are published to readers as one immutable view — a
+// fingerprint table plus a feature index — behind an atomic pointer, and
+// the expensive query stages — Method M filtering, hit-detection iso
+// tests, candidate verification — run without holding any lock. An exact
+// hit on an admitted entry takes no lock at all: it probes the published
+// fingerprint table and credits the entry with two atomics. Every other
+// query takes the window mutex briefly, to compare fingerprints against
+// the pending admission window and, once executed, to append itself to
+// it. Entry IDs come from an atomic counter and verification-cost
+// statistics live in lock-free CAS cells. There is one admission window;
+// when it fills, the turn is stop-the-world — under the policy mutex it
+// ages utilities, ranks victims over the whole cache, evicts, admits and
+// publishes a fresh view — so Config.Capacity holds exactly at every
+// turn. The policy mutex also guards sub/super hit crediting — counter
+// arithmetic, never iso tests.
 //
-// Sub/super hit detection consults a feature index instead of
-// snapshotting the shards: per-shard, copy-on-write arrays of immutable
-// per-entry containment summaries (label/degree feature vectors plus a
-// path-feature bloom), each published through an atomic pointer; a
-// window turn republishes them, and readers load the slices lock-free
-// and scan their union. Entries whose summaries cannot
+// Sub/super hit detection consults the view's feature index: an
+// ID-ordered array of immutable per-entry containment summaries
+// (label/degree feature vectors plus a path-feature bloom) that readers
+// load once and scan lock-free. Entries whose summaries cannot
 // contain (or be contained in) the query's are skipped before any
 // dominance merge or iso test — the summaries are necessary conditions
 // for containment, so answers are provably unchanged. QueryAll drives a
@@ -68,13 +65,11 @@
 //	outs := graphcache.QueryAll(cache, reqs, 8)
 //	for so := range graphcache.QueryAllStream(cache, reqs, 8) { ... }
 //
-// Sequential streams are deterministic, and answers, hit classes and
-// cache contents are identical at every shard count — the shards are an
-// implementation detail — for timing-independent policies
-// (LRU, FIFO, POP, PIN). PINC and the default HD rank eviction victims
-// by measured verification cost, so their cache contents can differ
-// between physical runs — a property of those policies, not of the
-// sharding. Concurrent submission keeps every answer set exact but makes
+// Sequential streams are deterministic — answers, hit classes and cache
+// contents — for timing-independent policies (LRU, FIFO, POP, PIN). PINC
+// and the default HD rank eviction victims by measured verification cost,
+// so their cache contents can differ between physical runs. Concurrent
+// submission keeps every answer set exact but makes
 // admission order scheduling-dependent; QueryAll with one worker runs a
 // batch in submission order. Config.Serialized, SharedWindow and IndexOff
 // have no effect: they are declared only for the benchmark harness.

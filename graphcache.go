@@ -89,16 +89,10 @@ type (
 	// StreamOutcome is one QueryAllStream delivery: an Outcome tagged
 	// with its position in the submitted batch.
 	StreamOutcome = core.StreamOutcome
-	// ShardStat is one shard's occupancy snapshot (entries, resident
-	// bytes).
-	ShardStat = core.ShardStat
 	// DatasetInfo is the live dataset's shape: id space, live graphs and
 	// mutation epoch (Cache.DatasetInfo).
 	DatasetInfo = core.DatasetInfo
 )
-
-// DefaultShards is the lock-shard count selected when Config.Shards is 0.
-const DefaultShards = core.DefaultShards
 
 // Hit kinds.
 const (
@@ -175,10 +169,9 @@ func NewMethod(name string, dataset []*Graph, filter Filter, verify VerifierFunc
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewCache builds a cache over the method. The cache is safe for
-// concurrent use: entries are partitioned across Config.Shards lock
-// shards and the expensive query stages run without holding any lock, so
-// many goroutines can call Execute at once (see QueryAll for a bundled
-// worker pool).
+// concurrent use: exact hits and the expensive query stages run without
+// holding any lock, so many goroutines can call Execute at once (see
+// QueryAll for a bundled worker pool).
 func NewCache(method *Method, cfg Config) (*Cache, error) { return core.New(method, cfg) }
 
 // QueryAll processes a batch of queries through the cache with a pool of

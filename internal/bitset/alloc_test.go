@@ -47,9 +47,24 @@ func TestReadPathsAllocBudget(t *testing.T) {
 	for i := 0; i < n; i += 3 {
 		idx = append(idx, i)
 	}
-	for _, s := range []*Set{FromIndices(n, idx), New(n)} {
-		if got := testing.AllocsPerRun(10, s.Compact); got != 0 {
-			t.Errorf("Compact of a %d-bit set in its smallest container allocates %.1f/op, budget 0", s.Count(), got)
+	block := make([]int, 900)
+	for i := range block {
+		block[i] = i
+	}
+	// AllocsPerRun's warm-up call moves each set into its smallest
+	// container: dense, sparse, run and the empty form.
+	for _, c := range []struct {
+		s    *Set
+		mode uint8
+	}{
+		{FromIndices(n, idx), modeDense},
+		{FromIndices(n, []int{5, 300, 700}), modeSparse},
+		{FromIndices(n, block), modeRun},
+		{New(n), modeSparse},
+	} {
+		if got := testing.AllocsPerRun(10, c.s.Compact); got != 0 || c.s.mode != c.mode {
+			t.Errorf("Compact of a %d-bit set in its smallest container (mode %d, want %d) allocates %.1f/op, budget 0",
+				c.s.Count(), c.s.mode, c.mode, got)
 		}
 	}
 	lazy := New(n)

@@ -52,10 +52,11 @@ func (s *Set) toDense() {
 // toSparse re-encodes a dense or run set holding count bits as sparse.
 // The caller guarantees count is the exact population.
 func (s *Set) toSparse(count int) {
+	if s.mode == modeSparse {
+		return
+	}
 	out := make([]uint32, 0, count)
 	switch s.mode {
-	case modeSparse:
-		return
 	case modeRun:
 		for _, r := range s.runs {
 			for v := r.start; v < r.end; v++ {
@@ -80,10 +81,11 @@ func (s *Set) toSparse(count int) {
 // run container. The caller guarantees nruns > 0 and within runMax-ish
 // bounds it considers acceptable (Compact computes it exactly).
 func (s *Set) toRun(nruns int) {
+	if s.mode == modeRun {
+		return
+	}
 	out := make([]span, 0, nruns)
 	switch s.mode {
-	case modeRun:
-		return
 	case modeSparse:
 		for _, v := range s.sparse {
 			if k := len(out); k > 0 && out[k-1].end == v {

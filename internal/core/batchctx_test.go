@@ -31,7 +31,6 @@ func gateCache(t *testing.T, verify ftv.VerifierFunc) (*Cache, []Request) {
 	dataset := []*graph.Graph{gateStar(9)}
 	method := ftv.NewMethod("gated/vf2", dataset, ftv.NewNoFilter(len(dataset)), verify)
 	cfg := DefaultConfig()
-	cfg.Shards = 1
 	c := MustNew(method, cfg)
 	reqs := make([]Request, 8)
 	for i := range reqs {

@@ -18,33 +18,33 @@ import (
 //
 // # Locking discipline
 //
-// Admitted entries are partitioned across Config.Shards lock-striped
-// shards by graph fingerprint; each shard carries its own RWMutex. The
-// expensive stages of a query — Method M filtering, hit-detection iso
-// tests and candidate verification — run without holding any lock at all:
-// they operate on the immutable dataset, on immutable entry fields (Graph,
-// Answers, signatures) and on the lock-free published feature index.
+// Admitted entries live in one ID-ordered resident list guarded by
+// policyMu, and are published to readers as one immutable view (index.go):
+// the feature index plus a fingerprint table. The expensive stages of a
+// query — Method M filtering, hit-detection iso tests and candidate
+// verification — run without holding any lock at all: they operate on the
+// immutable dataset, on immutable entry fields (Graph, Answers,
+// signatures) and on that view.
 //
-// An exact hit on an admitted entry takes no global mutex: the probe reads
-// the owning shard under its read lock and the crediting is the entry's
-// credit cell, folded in later by foldCreditsLocked. Every other query
-// takes windowMu twice, briefly: once to compare fingerprints against the
-// pending window after the shard probe found nothing, and once — at the
-// end of a path that already cost a filter run and a verification — to
-// append the executed query to the window. Entry IDs come from an atomic
-// counter claimed under windowMu, and the verification-cost EMAs are
-// lock-free CAS cells. policyMu guards the replacement policy and the
-// per-entry utility fields it mutates, so sub/super hit crediting (counter
-// arithmetic) and window turns take it.
+// An exact hit on an admitted entry takes no lock: the probe reads the
+// published fingerprint table and the crediting is the entry's credit
+// cell, folded in later by foldCreditsLocked. Every other query takes
+// windowMu twice, briefly: once to compare fingerprints against the
+// pending window after the published probe found nothing, and once — at
+// the end of a path that already cost a filter run and a verification —
+// to append the executed query to the window. Entry IDs come from an
+// atomic counter claimed under windowMu, and the verification-cost EMAs
+// are lock-free CAS cells. policyMu guards the resident list, the
+// replacement policy and the per-entry utility fields it mutates, so
+// sub/super hit crediting (counter arithmetic) and window turns take it.
 //
 // There is one admission window (the paper's Window Manager). When it
-// fills, the staging goroutine turns it stop-the-world: under windowMu,
-// policyMu and every shard write lock it folds credits, ages utilities,
-// selects the lowest-ranked victims over the whole cache (without sorting
-// it), evicts, admits the window and republishes every shard's
-// copy-on-write slice of the feature index (see index.go for the
-// publication rules). Capacity is strict at every turn.
-// The lock hierarchy is dsMu → windowMu → policyMu → shard locks; reverse
+// fills, the staging goroutine turns it stop-the-world: under windowMu and
+// policyMu it folds credits, ages utilities, selects the lowest-ranked
+// victims over the whole cache (without sorting it), evicts, admits the
+// window and publishes a fresh view (see index.go for the publication
+// rules). Capacity is strict at every turn.
+// The lock hierarchy is dsMu → windowMu → policyMu; reverse
 // nestings never occur. dsMu is the dataset RWMutex: queries hold its read
 // side for their whole run (pinning one dataset snapshot; queries never
 // serialize against each other on it), live dataset mutations
@@ -55,30 +55,37 @@ import (
 //
 // # Determinism
 //
-// Shards are an implementation detail of the kernel, never visible in its
-// semantics: the window is global and ID-ordered, and a turn ranks the
-// ID-ordered gather of every shard, so for a sequential query stream the
-// answers, hit classes, entry IDs, utilities and cache contents are
-// deterministic and identical at every shard count
-// (equivalence_test.go). That is exact for timing-independent policies
-// (LRU, FIFO, POP, PIN); PINC and the default HD rank victims by measured
-// verification nanoseconds, so their eviction choices can vary between
-// physical runs — any two runs, independent of sharding. Under concurrent
-// submission admission order (and hence eviction choices) depends on
-// goroutine scheduling, but every individual answer set remains exact.
+// The window and the resident list are ID-ordered and a turn ranks the
+// resident list, so for a sequential query stream the answers, hit
+// classes, entry IDs, utilities and cache contents are deterministic.
+// That is exact for timing-independent policies (LRU, FIFO, POP, PIN);
+// PINC and the default HD rank victims by measured verification
+// nanoseconds, so their eviction choices can vary between physical runs.
+// Under concurrent submission admission order (and hence eviction
+// choices) depends on goroutine scheduling, but every individual answer
+// set remains exact.
 //
 // The lock hierarchy is machine-checked: the directive below and the
 // //gclint: annotations on fields and functions drive the gclint
 // analyzers (internal/lint), which fail the build on reverse nestings,
 // unmet lock preconditions, and writes to published COW state.
 //
-//gclint:hierarchy dsMu windowMu policyMu shard
+//gclint:hierarchy dsMu windowMu policyMu
 type Cache struct {
 	method *ftv.Method
 	cfg    Config
 	policy Policy
 
-	shards []*shard
+	// entries is the resident list: every admitted entry, in ascending ID
+	// (admission) order — the order the policy ranks and the view
+	// publishes. Guarded by policyMu.
+	entries []*Entry
+
+	// published is the readers' view of entries: immutable, replaced
+	// whole by republishLocked, loaded once per probe or scan.
+	//
+	//gclint:snapshot summaries
+	published atomic.Pointer[resident]
 
 	// dsMu orders queries against live dataset mutations: Execute (and the
 	// state save/restore paths) hold the read side for their whole
@@ -90,7 +97,7 @@ type Cache struct {
 	// it — dsLock stripes the reader count across padded per-slot
 	// counters, so the read fast path touches no shared cache line (see
 	// dslock.go). The outermost rung of the lock hierarchy:
-	// dsMu → windowMu → policyMu → shard locks.
+	// dsMu → windowMu → policyMu.
 	//gclint:lock dsMu
 	dsMu dsLock
 
@@ -102,12 +109,11 @@ type Cache struct {
 	windowMu sync.Mutex
 	window   []*Entry
 
-	// policyMu guards the replacement policy and the mutable per-entry
-	// utility fields it reads and writes (Hits, LastUsed, SavedTests,
-	// SavedCostNs): sub/super hit crediting, folding exact-hit credit
-	// cells, utility aging, and eviction accounting.
-	// Never held across iso tests or dataset scans. Hierarchy: windowMu →
-	// policyMu → shard locks.
+	// policyMu guards the resident list, the replacement policy and the
+	// mutable per-entry utility fields it reads and writes (Hits,
+	// LastUsed, SavedTests, SavedCostNs): sub/super hit crediting, folding
+	// exact-hit credit cells, utility aging, admission and eviction.
+	// Never held across iso tests or dataset scans. The innermost rung.
 	//gclint:lock policyMu
 	policyMu sync.Mutex
 
@@ -145,11 +151,21 @@ type Cache struct {
 
 	// pool interns answer sets across entries (see intern.go): identical
 	// published sets collapse onto one canonical allocation, charged once.
-	// Its mutex is a leaf — acquired under shard locks, never the reverse —
+	// Its mutex is a leaf — acquired under policyMu, never the reverse —
 	// so it sits outside the checked hierarchy.
 	pool *internPool
 
 	mon Monitor
+}
+
+// residency is the resident-entry account: entry and byte counts
+// maintained atomically by every admission and eviction, so Len and Bytes
+// read them without a lock. bytes covers the entries' static footprints
+// only; answer-set bytes live in the intern pool's account, charged once
+// per canonical set (Cache.Bytes sums the two).
+type residency struct {
+	entries atomic.Int64
+	bytes   atomic.Int64
 }
 
 // defaultCostNs seeds cost estimates before any verification ran.
@@ -171,18 +187,15 @@ func New(method *ftv.Method, cfg Config) (*Cache, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = NewHD()
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = DefaultShards
-	}
 	c := &Cache{
 		method:  method,
 		cfg:     cfg,
 		policy:  cfg.Policy,
 		costVal: make([]atomic.Uint64, method.DatasetSize()),
 		addSums: map[int]summary{},
+		pool:    newInternPool(),
 	}
-	c.pool = newInternPool()
-	c.shards = newShards(cfg.Shards, &c.res, c.pool)
+	c.published.Store(&resident{})
 	return c, nil
 }
 
@@ -202,9 +215,6 @@ func (c *Cache) Method() *ftv.Method { return c.method }
 // PolicyName returns the active replacement policy's name.
 func (c *Cache) PolicyName() string { return c.policy.Name() }
 
-// Shards returns the number of lock shards the cache was built with.
-func (c *Cache) Shards() int { return len(c.shards) }
-
 // newID claims the next entry ID. Callers hold windowMu, which keeps the
 // window's staging order ascending in ID.
 func (c *Cache) newID() int {
@@ -212,8 +222,7 @@ func (c *Cache) newID() int {
 }
 
 // Len returns the number of admitted entries (excluding the window). It
-// reads the atomic residency account — every shard insert and removal
-// maintains it — instead of walking the shards under their locks.
+// reads the atomic residency account instead of taking policyMu.
 func (c *Cache) Len() int {
 	return int(c.res.entries.Load())
 }
@@ -228,8 +237,8 @@ func (c *Cache) WindowLen() int {
 }
 
 // Bytes returns the estimated resident size of admitted entries: the
-// static footprints from the atomic residency account (the same totals
-// the per-shard memBytes fields sum to — asserted by
+// static footprints from the atomic residency account (the same total a
+// walk of the resident list sums to — asserted by
 // TestResidencyAccountAgreement) plus the interned answer sets, each
 // charged once however many entries share it.
 func (c *Cache) Bytes() int {
@@ -248,29 +257,6 @@ func (c *Cache) Stats() Snapshot {
 	return s
 }
 
-// ShardStat is one shard's occupancy snapshot: resident entries and
-// resident bytes. Bytes covers the shard's static entry footprints only —
-// answer bytes are pooled cache-wide (Snapshot.AnswerBytes).
-type ShardStat struct {
-	Entries int
-	Bytes   int
-}
-
-// ShardStats reports each shard's occupancy in shard order. Each shard is
-// read under its own read lock; the set is approximate under concurrent
-// load, exactly like the Monitor counters.
-//
-//gclint:acquires shard
-func (c *Cache) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.RLock()
-		out[i] = ShardStat{Entries: len(sh.entries), Bytes: sh.memBytes}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
 // Entries returns the admitted entries in admission order as defensive
 // copies: the Entry structs are snapshots taken under policyMu (so the
 // mutable utility fields are read race-free; admissions and evictions
@@ -279,16 +265,15 @@ func (c *Cache) ShardStats() []ShardStat {
 // immutable originals. Intended for demonstrators and tests inspecting
 // cache contents.
 //
-//gclint:acquires dsMu policyMu shard
+//gclint:acquires dsMu policyMu
 func (c *Cache) Entries() []*Entry {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
-	all := c.entriesSnapshot()
-	c.foldCreditsLocked(all)
-	out := make([]*Entry, len(all))
-	for i, e := range all {
+	c.foldCreditsLocked(c.entries)
+	out := make([]*Entry, len(c.entries))
+	for i, e := range c.entries {
 		cp := *e
 		out[i] = &cp
 	}
@@ -301,7 +286,7 @@ func (c *Cache) Entries() []*Entry {
 // comment). Execute is safe to call from any number of goroutines; see
 // the Cache doc comment for what runs in parallel and what serializes.
 //
-//gclint:acquires dsMu windowMu policyMu shard
+//gclint:acquires dsMu windowMu policyMu
 //gclint:pins dataset
 func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	if q == nil {
@@ -485,13 +470,13 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	return res, nil
 }
 
-// exactHit is the exact-match fast path: probe the owning shard, then the
-// pending window, for an entry isomorphic to q and serve it; nil on a
-// miss. The probe's two short locks are the only ones it may take — never
+// exactHit is the exact-match fast path: probe the published view, then
+// the pending window, for an entry isomorphic to q and serve it; nil on a
+// miss. The window's short lock is the only one it may take — never
 // policyMu.
 //
 //gclint:requires dsMu
-//gclint:acquires windowMu shard
+//gclint:acquires windowMu
 func (c *Cache) exactHit(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint, view ftv.DatasetView, tick int64, mon *hotCounters, t0 time.Time) *Result {
 	e := c.findExact(q, qt, fp)
 	if e == nil {
@@ -716,7 +701,7 @@ func (c *Cache) recordCosts(costs []costSample) {
 // (the Window Manager).
 //
 //gclint:requires dsMu
-//gclint:acquires windowMu policyMu shard
+//gclint:acquires windowMu policyMu
 func (c *Cache) admit(e *Entry) {
 	c.windowMu.Lock()
 	defer c.windowMu.Unlock()
@@ -727,60 +712,55 @@ func (c *Cache) admit(e *Entry) {
 	}
 }
 
-// turnWindow ages utilities, makes room and admits the pending window,
-// atomically under every shard write lock. Victims are selected among the
-// RESIDENT entries before admission — the newly executed queries always
-// get in, displacing the least-useful cached graphs (Figure 2(c));
-// evicting after admission would instead throw away the newcomers, whose
-// utilities are necessarily still zero. Caller holds windowMu; policyMu is
-// taken for the policy callbacks and utility mutations (hierarchy:
-// windowMu → policyMu → shard locks).
+// turnWindow ages utilities, makes room and admits the pending window.
+// Victims are selected among the RESIDENT entries before admission — the
+// newly executed queries always get in, displacing the least-useful cached
+// graphs (Figure 2(c)); evicting after admission would instead throw away
+// the newcomers, whose utilities are necessarily still zero. Caller holds
+// windowMu; policyMu is taken for the resident list, the policy callbacks
+// and utility mutations.
 //
 //gclint:requires dsMu windowMu
-//gclint:acquires policyMu shard
+//gclint:acquires policyMu
 func (c *Cache) turnWindow() {
 	c.mon.windowTurns.Add(1)
 	defer c.mon.endTurn(time.Now())
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
 	c.policy.OnWindowTurn()
-	c.lockAll()
-	defer c.unlockAll()
 
-	all := c.gatherLocked()
 	// Fold exact-hit credits before anything ages or ranks.
-	c.foldCreditsLocked(all)
+	c.foldCreditsLocked(c.entries)
 	c.foldCreditsLocked(c.window)
-	for _, e := range all {
+	for _, e := range c.entries {
 		e.age(decayFactor)
-		// True up this entry's byte charge: lazy reconciliation may have
+		// True up this entry's interning: lazy reconciliation may have
 		// grown its answer set on the query path, where no account can be
 		// touched. A pointer compare for the entries whose set did not
 		// change; keeps the memory-budget enforcement below honest in
 		// LazyReconcile mode.
-		c.rechargeLocked(c.shardFor(e.Fingerprint), e)
+		c.rechargeLocked(e)
 	}
-	if excess := len(all) + len(c.window) - c.cfg.Capacity; excess > 0 {
-		all = c.evictLocked(all, excess)
+	if excess := len(c.entries) + len(c.window) - c.cfg.Capacity; excess > 0 {
+		c.evictLocked(excess)
 	}
 	for _, e := range c.window {
-		c.shardFor(e.Fingerprint).insertLocked(e)
-		all = append(all, e) // window IDs exceed all admitted IDs: stays sorted
+		c.insertLocked(e)
 		c.mon.admissions.Add(1)
 	}
 	c.window = c.window[:0]
 
 	// A window larger than the whole capacity can still overflow.
-	if excess := len(all) - c.cfg.Capacity; excess > 0 {
-		all = c.evictLocked(all, excess)
+	if excess := len(c.entries) - c.cfg.Capacity; excess > 0 {
+		c.evictLocked(excess)
 	}
-	for c.cfg.MemoryBudget > 0 && c.Bytes() > c.cfg.MemoryBudget && len(all) > 1 {
-		all = c.evictLocked(all, 1)
+	for c.cfg.MemoryBudget > 0 && c.Bytes() > c.cfg.MemoryBudget && len(c.entries) > 1 {
+		c.evictLocked(1)
 	}
 
-	// Republish the feature index before the shard locks drop, so queries
-	// never observe an index ahead of or behind the admitted entries.
-	c.republishAllLocked()
+	// Publish before the locks drop: the next query of a sequential stream
+	// sees exactly the admitted entries.
+	c.republishLocked()
 
 	// Window boundaries are where the addition log gets compacted: every
 	// entry this turn admitted or evicted moved the minimum entry epoch.
@@ -835,32 +815,61 @@ func (c *Cache) markVictims(all []*Entry, x int) []bool {
 	return marks
 }
 
-// evictLocked removes x entries chosen by the policy from the ID-ordered
-// slice all (the canonical cross-shard view) and from their owning shards,
-// returning the surviving slice. Caller holds policyMu and all shard
-// write locks (window turns and state restores).
+// insertLocked appends e to the resident list and charges it. Admissions
+// arrive in ascending-ID order (IDs are claimed monotonically under
+// windowMu, which stages the entry), so appending keeps the list sorted.
 //
-//gclint:requires policyMu shard
-func (c *Cache) evictLocked(all []*Entry, x int) []*Entry {
-	if x <= 0 || len(all) == 0 {
-		return all
+//gclint:requires policyMu
+//gclint:acquires internMu
+func (c *Cache) insertLocked(e *Entry) {
+	c.entries = append(c.entries, e)
+	// Intern the answer set: an entry admitting a set another entry
+	// already publishes collapses onto that canonical allocation. The
+	// republish is a CAS because a query that found this entry while it
+	// was window-pending can be lazily reconciling it right now — losing
+	// that race just defers the swap to the next true-up (the pool
+	// reference is held either way). A pending lazy body (state restore,
+	// persist.go) has nothing resident to intern: e.interned stays nil
+	// until the first true-up after fault-in.
+	if st := e.answers(); st.body == nil {
+		e.interned = c.pool.acquire(st.set, st.fp)
+		if e.interned.set != st.set {
+			e.swapCanonical(st, e.interned.set)
+		}
 	}
-	marks := c.markVictims(all, x)
-	kept := all[:0]
-	for i, e := range all {
-		if marks[i] {
-			marks[i] = false
-			c.shardFor(e.Fingerprint).removeLocked(e)
-			c.mon.evictions.Add(1)
+	// The entry's own charge is its static footprint; the shared answer
+	// bytes are charged once by the pool.
+	c.res.entries.Add(1)
+	c.res.bytes.Add(int64(e.staticBytes))
+}
+
+// evictLocked removes x entries chosen by the policy from the resident
+// list in one in-place pass, releasing each victim's canonical answer set
+// and charge. Caller holds policyMu (window turns and state restores).
+//
+//gclint:requires policyMu
+//gclint:acquires internMu
+func (c *Cache) evictLocked(x int) {
+	if x <= 0 || len(c.entries) == 0 {
+		return
+	}
+	marks := c.markVictims(c.entries, x)
+	kept := c.entries[:0]
+	for i, e := range c.entries {
+		if !marks[i] {
+			kept = append(kept, e)
 			continue
 		}
-		kept = append(kept, e)
+		marks[i] = false
+		c.res.entries.Add(-1)
+		c.res.bytes.Add(int64(-e.staticBytes))
+		c.pool.release(e.interned)
+		e.interned = nil
+		c.mon.evictions.Add(1)
 	}
 	// Zero the tail so evicted entries are collectable.
-	for i := len(kept); i < len(all); i++ {
-		all[i] = nil
-	}
-	return kept
+	clear(c.entries[len(kept):])
+	c.entries = kept
 }
 
 // selfCheck cross-validates a result against the uncached method when

@@ -41,7 +41,8 @@ func TestConfigValidation(t *testing.T) {
 		{Capacity: 1, Window: 0},
 		{Capacity: 1, Window: 1, MaxSubHits: -1},
 		{Capacity: 1, Window: 1, MaxSuperHits: -1},
-		{Capacity: 1, Window: 1, Shards: -1},
+		{Capacity: 1, Window: 1, HitIsoBudget: -1},
+		{Capacity: 1, Window: 1, MemoryBudget: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(method, cfg); err == nil {
@@ -304,10 +305,8 @@ func TestSuperCaseHitPrunes(t *testing.T) {
 
 func TestWindowAdmissionBoundary(t *testing.T) {
 	dataset := testDataset(15, 20)
-	// One shard: its admission window IS the configured W, so the classic
-	// boundary semantics (stage W-1, admit all at W) hold exactly. At
-	// higher shard counts the default engine splits W across the shards.
-	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 5; cfg.Shards = 1 })
+	// Stage W-1, admit all at W.
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 5 })
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 4; i++ {
 		q := gen.ExtractConnectedSubgraph(rng, dataset[i], 4+i)
@@ -337,41 +336,38 @@ func TestWindowAdmissionBoundary(t *testing.T) {
 // totals exactly through window turns — including turns whose second
 // eviction pass runs (regression: stale victims once double-decremented
 // the account), and through warm-cache state restores (regression: ReadState once cleared
-// the shards without resetting the account, double-counting forever).
+// the resident list without resetting the account, double-counting forever).
 func TestResidencyAccountingStaysExact(t *testing.T) {
 	dataset := testDataset(23, 25)
-	for _, shards := range []int{1, 4, 8} {
-		c := testCache(t, dataset, func(cfg *Config) {
-			cfg.Capacity = 3 // tiny: every turn double-evicts
-			cfg.Window = 8
-			cfg.Shards = shards
-			cfg.SelfCheck = false
-		})
-		rng := rand.New(rand.NewSource(24))
-		for i := 0; i < 30; i++ {
-			q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 3+i%5)
-			if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-				t.Fatal(err)
-			}
-			checkResidency(t, c, fmt.Sprintf("shards=%d query %d", shards, i))
-		}
-		// Warm-cache restore: the account must be rebuilt, not added to.
-		var buf bytes.Buffer
-		if err := c.WriteState(&buf); err != nil {
+	c := testCache(t, dataset, func(cfg *Config) {
+		cfg.Capacity = 3 // tiny: every turn double-evicts
+		cfg.Window = 8
+		cfg.SelfCheck = false
+	})
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 30; i++ {
+		q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 3+i%5)
+		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.ReadState(&buf); err != nil {
+		checkResidency(t, c, fmt.Sprintf("query %d", i))
+	}
+	// Warm-cache restore: the account must be rebuilt, not added to.
+	var buf bytes.Buffer
+	if err := c.WriteState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkResidency(t, c, "after warm restore")
+	// And the account must still steer eviction correctly afterwards.
+	for i := 0; i < 10; i++ {
+		q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 4+i%4)
+		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
 			t.Fatal(err)
 		}
-		checkResidency(t, c, fmt.Sprintf("shards=%d after warm restore", shards))
-		// And the account must still steer eviction correctly afterwards.
-		for i := 0; i < 10; i++ {
-			q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 4+i%4)
-			if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-				t.Fatal(err)
-			}
-			checkResidency(t, c, fmt.Sprintf("shards=%d post-restore query %d", shards, i))
-		}
+		checkResidency(t, c, fmt.Sprintf("post-restore query %d", i))
 	}
 }
 
@@ -399,15 +395,11 @@ func TestCapacityEviction(t *testing.T) {
 
 func TestMemoryBudgetEviction(t *testing.T) {
 	dataset := testDataset(19, 20)
-	// One shard: the strict budget bound then holds after every turn.
-	// With more shards the budget is still global, but a turning shard
-	// evicts only its own residents (keeping at least one), so the bound
-	// is enforced only as the busy shards turn.
+	// The budget bound holds strictly after every turn.
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Capacity = 100
 		cfg.Window = 2
 		cfg.MemoryBudget = 4096
-		cfg.Shards = 1
 	})
 	rng := rand.New(rand.NewSource(20))
 	for i := 0; i < 16; i++ {
@@ -581,15 +573,12 @@ func TestDifferentPoliciesEvictDifferently(t *testing.T) {
 	// compare the surviving entry sets; at least one pair must differ.
 	dataset := testDataset(35, 30)
 	run := func(p Policy) map[graph.Fingerprint]bool {
-		// One shard: the policy then ranks the full resident set at each
-		// turn — the canonical Figure 2(c) comparison. With more shards
-		// victims are ranked within the turning shard only, which blurs
-		// the inter-policy differences this test asserts.
+		// The policy ranks the full resident set at each turn — the
+		// canonical Figure 2(c) comparison.
 		c := testCache(t, dataset, func(cfg *Config) {
 			cfg.Capacity = 8
 			cfg.Window = 4
 			cfg.Policy = p
-			cfg.Shards = 1
 		})
 		rng := rand.New(rand.NewSource(36)) // same workload for all policies
 		w, err := gen.NewWorkload(rng, dataset, gen.WorkloadConfig{

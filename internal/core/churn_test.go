@@ -82,7 +82,6 @@ func TestMaintainedCacheBeatsDropAndRebuild(t *testing.T) {
 	}
 	cfg := DefaultConfig() // nil Policy: every cache gets its own HD
 	cfg.SelfCheck = true
-	cfg.Shards = 1 // sequential comparison: deterministic contents
 
 	maintained := MustNew(ftv.NewGGSXMethod(dataset, 3), cfg)
 	mutations, want := churnStream(t, func() *Cache { return maintained }, w.Queries, extra, 16, nil)
@@ -123,16 +122,16 @@ func TestMaintainedCacheBeatsDropAndRebuild(t *testing.T) {
 // Method.Run after every mutation — SelfCheck cross-checks every executed
 // query, and after each mutation every admitted entry's answer set is
 // asserted equal to a fresh uncached run of its pattern (eager mode) or
-// revalidated through the hit path (lazy mode). Exercised at shards
-// {1, 4, 32} in both reconciliation modes; `go test -race` arms the
-// race detector over the same paths.
+// revalidated through the hit path (lazy mode). Exercised over three
+// workload seeds (shardsSeed) in both reconciliation modes; `go test
+// -race` arms the race detector over the same paths.
 func TestChurnEquivalence(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		for _, shards := range []int{1, 4, 32} {
 			t.Run(fmt.Sprintf("lazy=%v/shards=%d", lazy, shards), func(t *testing.T) {
 				dataset := testDataset(51, 30)
 				extra := testDataset(77, 8)
-				w, err := gen.NewWorkload(rand.New(rand.NewSource(52)), dataset, gen.WorkloadConfig{
+				w, err := gen.NewWorkload(rand.New(rand.NewSource(shardsSeed(51, shards))), dataset, gen.WorkloadConfig{
 					Size: 90, Mixed: true, PoolSize: 24,
 					ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
 				})
@@ -142,7 +141,6 @@ func TestChurnEquivalence(t *testing.T) {
 				c := testCache(t, dataset, func(cfg *Config) {
 					cfg.Capacity = 16
 					cfg.Window = 4
-					cfg.Shards = shards
 					cfg.LazyReconcile = lazy
 				})
 				method := c.Method()
@@ -226,8 +224,8 @@ func TestChurnEquivalence(t *testing.T) {
 }
 
 // TestChurnDeterministic pins that a sequential churn stream is
-// deterministic at a fixed shard count: two runs produce identical
-// answers, identical cache contents and identical dataset shapes.
+// deterministic: two runs produce identical answers, identical cache
+// contents and identical dataset shapes.
 func TestChurnDeterministic(t *testing.T) {
 	run := func() (*Cache, []string) {
 		dataset := testDataset(51, 30)
@@ -247,7 +245,6 @@ func TestChurnDeterministic(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Capacity = 16
 		cfg.Window = 4
-		cfg.Shards = 4
 		cfg.Policy = p
 		c := MustNew(method, cfg)
 		var answers []string
@@ -318,7 +315,6 @@ func TestConcurrentChurn(t *testing.T) {
 			c := testCache(t, dataset, func(cfg *Config) {
 				cfg.Capacity = 12
 				cfg.Window = 3
-				cfg.Shards = 4
 				cfg.LazyReconcile = lazy
 			})
 
@@ -384,7 +380,6 @@ func TestRemoveGraphClearsAnswerBits(t *testing.T) {
 	dataset := testDataset(71, 12)
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Window = 1 // admit immediately
-		cfg.Shards = 1
 	})
 	// A pattern extracted from graph 0 is guaranteed to answer with 0.
 	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(3)), dataset[0], 4)
@@ -432,7 +427,6 @@ func TestAddGraphExtendsAnswers(t *testing.T) {
 			dataset := testDataset(81, 10)
 			c := testCache(t, dataset, func(cfg *Config) {
 				cfg.Window = 1
-				cfg.Shards = 1
 				cfg.LazyReconcile = lazy
 			})
 			q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(4)), dataset[2], 4)

@@ -52,7 +52,7 @@ var churnOpsPool = churnOpPool()
 // the first correctness violation (SelfCheck panics are recovered into
 // errors so the shrinker can replay candidate op strings), or nil when
 // the whole interleaving stayed exact.
-func runChurnOps(ops []byte, shards int, lazy bool) (err error) {
+func runChurnOps(ops []byte, lazy bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("kernel panic: %v", r)
@@ -62,7 +62,6 @@ func runChurnOps(ops []byte, shards int, lazy bool) (err error) {
 	cfg := DefaultConfig()
 	cfg.Capacity = 8
 	cfg.Window = 2
-	cfg.Shards = shards
 	cfg.LazyReconcile = lazy
 	cfg.SelfCheck = true
 	c := MustNew(method, cfg)
@@ -167,20 +166,20 @@ func shrinkOps(ops []byte, fails func([]byte) bool) []byte {
 }
 
 // TestQuickChurnInterleavings is the churn fuzzer: seeded testing/quick
-// op strings at shards {1, 4, 32} in both reconciliation modes, every
-// answer cross-checked byte-identical against the uncached method by
-// SelfCheck. A failure is shrunk to a minimal op string before being
+// op strings under three seeds (shardsSeed) in both reconciliation modes,
+// every answer cross-checked byte-identical against the uncached method
+// by SelfCheck. A failure is shrunk to a minimal op string before being
 // reported, so the log line is a replayable reproducer.
 func TestQuickChurnInterleavings(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		for _, shards := range []int{1, 4, 32} {
 			t.Run(fmt.Sprintf("lazy=%v/shards=%d", lazy, shards), func(t *testing.T) {
-				seed := int64(151 + shards)
+				seed := shardsSeed(151, shards)
 				if lazy {
 					seed += 1000
 				}
 				prop := func(raw []byte) bool {
-					return runChurnOps(clampOps(raw), shards, lazy) == nil
+					return runChurnOps(clampOps(raw), lazy) == nil
 				}
 				qc := &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(seed))}
 				err := quick.Check(prop, qc)
@@ -192,9 +191,9 @@ func TestQuickChurnInterleavings(t *testing.T) {
 					t.Fatal(err)
 				}
 				ops := clampOps(ce.In[0].([]byte))
-				min := shrinkOps(ops, func(o []byte) bool { return runChurnOps(o, shards, lazy) != nil })
-				t.Fatalf("churn interleaving #%d failed; minimal reproducer ops=%v (shards=%d lazy=%v): %v",
-					ce.Count, min, shards, lazy, runChurnOps(min, shards, lazy))
+				min := shrinkOps(ops, func(o []byte) bool { return runChurnOps(o, lazy) != nil })
+				t.Fatalf("churn interleaving #%d failed; minimal reproducer ops=%v (lazy=%v): %v",
+					ce.Count, min, lazy, runChurnOps(min, lazy))
 			})
 		}
 	}

@@ -22,7 +22,6 @@ func TestEagerAdditionsKeepLogEmpty(t *testing.T) {
 	extra := testDataset(102, 5)
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Window = 2
-		cfg.Shards = 4
 	})
 	rng := rand.New(rand.NewSource(103))
 	for i, g := range extra {
@@ -53,7 +52,6 @@ func TestLazyCompactionWaitsForColdestEntry(t *testing.T) {
 	extra := testDataset(112, 4)
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Window = 1 // admit (and turn) on every query
-		cfg.Shards = 1
 		cfg.LazyReconcile = true
 	})
 	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(113)), dataset[0], 4)
@@ -107,7 +105,6 @@ func TestAdditionLogBoundedUnderSustainedAdds(t *testing.T) {
 			stream := testDataset(122, 30)
 			c := testCache(t, dataset, func(cfg *Config) {
 				cfg.Window = 2
-				cfg.Shards = 1
 				cfg.LazyReconcile = lazy
 			})
 			rng := rand.New(rand.NewSource(123))
@@ -173,7 +170,6 @@ func TestRestoreAfterCompactionCannotSkipRecords(t *testing.T) {
 	extra := testDataset(132, 3)
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Window = 1
-		cfg.Shards = 1
 		cfg.LazyReconcile = true
 	})
 	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(133)), dataset[1], 4)
@@ -219,7 +215,6 @@ func TestRestoreAfterCompactionCannotSkipRecords(t *testing.T) {
 	// LATER addition is reconciled through the intact log tail.
 	c2 := testCache(t, testDataset(131, 10), func(cfg *Config) {
 		cfg.Window = 1
-		cfg.Shards = 1
 		cfg.LazyReconcile = true
 	})
 	if _, err := c2.Execute(q, ftv.Subgraph); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
+	"graphcache/internal/graph"
 )
 
 // TestConcurrentMixedTraffic hammers one cache from many goroutines with
@@ -19,8 +21,8 @@ import (
 // churn constantly), batch submission, stat/entry/byte reads and state
 // snapshots — and then cross-checks every answer against the uncached
 // method. Run under -race this is the kernel's data-race gauntlet: every
-// lock transition in the sharded engine gets exercised while window turns
-// and evictions rearrange the shards underfoot.
+// lock transition gets exercised while window turns and evictions
+// rearrange the resident list and republish its view underfoot.
 func TestConcurrentMixedTraffic(t *testing.T) {
 	dataset := testDataset(71, 30)
 	c := testCache(t, dataset, func(cfg *Config) {
@@ -127,7 +129,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 
 // TestConcurrentWindowTurns is the Window Manager's race gauntlet: at
 // Window 1 every admission is a stop-the-world turn, so eight goroutines
-// of misses turn the window constantly while exact probes, ShardStats,
+// of misses turn the window constantly while exact probes, Len and Bytes,
 // Entries and a dataset writer race them. SelfCheck verifies every answer
 // against the uncached method inside the query's own dataset snapshot.
 func TestConcurrentWindowTurns(t *testing.T) {
@@ -137,7 +139,6 @@ func TestConcurrentWindowTurns(t *testing.T) {
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Capacity = capacity
 		cfg.Window = 1
-		cfg.Shards = 4
 	})
 	w, err := gen.NewWorkload(rand.New(rand.NewSource(62)), dataset, gen.WorkloadConfig{
 		Size: 320, Mixed: true, PoolSize: 320, // every pattern issued once: misses dominate
@@ -169,7 +170,8 @@ func TestConcurrentWindowTurns(t *testing.T) {
 						return
 					}
 				case 1:
-					c.ShardStats()
+					c.Len()
+					c.Bytes()
 				case 2:
 					for _, e := range c.Entries() {
 						_ = e.Answers().Count()
@@ -224,7 +226,6 @@ func TestQueriesProceedUnderHeldPolicyMu(t *testing.T) {
 	dataset := testDataset(63, 20)
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Window = 64 // far above the 8 queries below: no turn needed
-		cfg.Shards = 4
 		cfg.SelfCheck = false
 	})
 	rng := rand.New(rand.NewSource(64))
@@ -254,7 +255,6 @@ func TestQueriesProceedUnderHeldPolicyMu(t *testing.T) {
 		c.Bytes()
 		c.WindowLen()
 		c.Stats()
-		c.ShardStats()
 		done <- nil
 	}()
 	select {
@@ -267,6 +267,50 @@ func TestQueriesProceedUnderHeldPolicyMu(t *testing.T) {
 	}
 	if got := c.WindowLen(); got != 8 {
 		t.Errorf("staged %d entries, want 8", got)
+	}
+}
+
+// TestExactProbeTakesNoLock pins the lock-free exact probe: once a window
+// turn has admitted an entry, re-issuing its query (as a fresh, isomorphic
+// graph) is an exact hit even while both windowMu and policyMu are held —
+// the probe reads the published view, and serving the hit writes only the
+// entry's credit cell.
+func TestExactProbeTakesNoLock(t *testing.T) {
+	dataset := testDataset(66, 20)
+	c := testCache(t, dataset, func(cfg *Config) {
+		cfg.Window = 1 // the first query's append turns the window
+		cfg.SelfCheck = false
+	})
+	pattern := func() *graph.Graph {
+		return gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(67)), dataset[0], 4)
+	}
+	if _, err := c.Execute(pattern(), ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 1 || c.WindowLen() != 0 {
+		t.Fatalf("%d admitted, %d pending: want the turn to admit the query", c.Len(), c.WindowLen())
+	}
+
+	c.windowMu.Lock()
+	defer c.windowMu.Unlock()
+	c.policyMu.Lock()
+	defer c.policyMu.Unlock()
+
+	done := make(chan error, 1)
+	go func() {
+		res, err := c.Execute(pattern(), ftv.Subgraph)
+		if err == nil && !res.ExactHit {
+			err = errors.New("re-issued query was not an exact hit")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("exact hit blocked while windowMu and policyMu were held: the probe takes a lock")
 	}
 }
 

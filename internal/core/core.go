@@ -33,12 +33,6 @@ type Config struct {
 	// unlimited. An aborted test is treated as "no hit" (sound: hits only
 	// ever shrink work, never correctness).
 	HitIsoBudget int64
-	// Shards is the number of lock shards admitted entries are partitioned
-	// across by graph fingerprint. 0 selects DefaultShards; 1 yields a
-	// single-shard cache. Sequential query streams are deterministic, and
-	// their answers, hit classes and cache contents are identical at every
-	// shard count.
-	Shards int
 	// Serialized, SharedWindow and IndexOff have no effect: nothing reads
 	// them. They stay declared only because the benchmark harness assigns
 	// them in its serialized, shared_window and index_off sweep rows.
@@ -89,8 +83,11 @@ func (c *Config) validate(method *ftv.Method) error {
 	if c.MaxSubHits < 0 || c.MaxSuperHits < 0 {
 		return fmt.Errorf("core: hit budgets must be non-negative")
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: shard count must be non-negative, got %d", c.Shards)
+	if c.HitIsoBudget < 0 {
+		return fmt.Errorf("core: hit iso budget must be non-negative (0 = unlimited), got %d", c.HitIsoBudget)
+	}
+	if c.MemoryBudget < 0 {
+		return fmt.Errorf("core: memory budget must be non-negative (0 = off), got %d", c.MemoryBudget)
 	}
 	return nil
 }

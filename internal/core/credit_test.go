@@ -42,7 +42,6 @@ func TestExactHitCreditsPerGraphCosts(t *testing.T) {
 	rec := &recordingPolicy{}
 	cfg := DefaultConfig()
 	cfg.Window = 1 // admit immediately
-	cfg.Shards = 1
 	cfg.Policy = rec
 	c := MustNew(method, cfg)
 

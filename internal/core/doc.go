@@ -40,8 +40,8 @@
 // windowMu — one short global mutex at the end of a path that already
 // paid for a filter run and a verification — and the append that fills
 // the window turns it stop-the-world; an exact hit on an admitted entry
-// takes no global mutex. The lock hierarchy is dsMu → windowMu → policyMu
-// → shard (see the Cache type for the locking discipline). A Statistics
+// takes no lock at all. The lock hierarchy is dsMu → windowMu → policyMu
+// (see the Cache type for the locking discipline). A Statistics
 // Monitor/Manager tracks per-query and per-entry utilities, including the
 // number of sub-iso tests each cached entry saved (PIN) and their measured
 // cost (PINC).
@@ -53,23 +53,24 @@
 //
 // Execute is the kernel's hot path; at throughput-benchmark rates its
 // allocation count, not its instruction count, decides how far the
-// sharded engine scales (allocations are serialized by the allocator and
+// engine scales (allocations are serialized by the allocator and
 // the GC long before any kernel lock contends). The discipline:
 //
 //   - An exact hit writes only its entry's line, its Monitor stripe and
-//     tick, and allocates only its Result. The probe copies fingerprint
-//     collisions into a stack buffer under the shard read lock (the same
-//     *graph.Graph re-issued skips VF2 on pointer identity). Crediting is
-//     the entry's CREDIT CELL — pendingExact.Add(1) and a monotonic max of
-//     the tick into lastHit — never policyMu, a HitEvent or an O(|A|)
-//     pricing walk. foldCreditsLocked drains the cells into the policy
-//     (one event per entry, priced once, HitEvent.Count = pending hits)
-//     at the FOLD POINTS, every place a policyMu holder reads or ages
-//     utilities: the window turn before aging and ranking, Entries(),
-//     WriteState and WriteStateV2. A sequential stream therefore ranks
-//     LRU/FIFO/POP/PIN exactly as per-hit crediting did; PINC/HD price at
-//     fold time. The answer is the entry's published set itself (Result
-//     is a read-only view, see its comment).
+//     tick, and allocates only its Result. The probe loads the
+//     published view once and walks the fingerprint's chain, taking no
+//     lock (the same *graph.Graph re-issued skips VF2 on pointer
+//     identity). Crediting is the entry's CREDIT CELL —
+//     pendingExact.Add(1) and a monotonic max of the tick into lastHit
+//     — never policyMu, a HitEvent or an O(|A|) pricing walk.
+//     foldCreditsLocked drains the cells into the policy (one event per
+//     entry, priced once, HitEvent.Count = pending hits) at the FOLD
+//     POINTS, every place a policyMu holder reads or ages utilities:
+//     the window turn before aging and ranking, Entries(), WriteState
+//     and WriteStateV2. A sequential stream therefore ranks
+//     LRU/FIFO/POP/PIN exactly as per-hit crediting did; PINC/HD price
+//     at fold time. The answer is the entry's published set itself
+//     (Result is a read-only view, see its comment).
 //
 //   - Per-query scratch comes from sync.Pools, never fresh: execScratch
 //     (candidate-id, cost-sample and hit-credit slices, cache.go),
@@ -134,7 +135,7 @@
 //     and dataset mutations — proportional to what changed rather than
 //     to what is cached: neither hashes, sorts or copies the resident
 //     set (TestMutationHashesOnlyTheDelta; the turn selects its victims
-//     with a bounded heap and merges the ID-sorted shards). Equal still
+//     with a bounded heap over the ID-ordered resident list). Equal still
 //     decides every pool match, so a wrong fingerprint could only cost
 //     sharing, never an answer — and fingerprintDrift in the churn
 //     suites checks every carried value against a from-scratch hash.
@@ -236,13 +237,13 @@
 // example (the example lines are indented so they read as code, not as
 // live directives):
 //
-//	//gclint:hierarchy dsMu windowMu policyMu shard  (on Cache: the lock order)
+//	//gclint:hierarchy dsMu windowMu policyMu  (on Cache: the lock order)
 //	//gclint:lock policyMu     (on a field: this is lock "policyMu" in the hierarchy)
 //	//gclint:leaf              (with lock: rank-exempt, but nothing may be acquired under it)
-//	//gclint:acquires windowMu shard   (func acquires and releases these internally)
-//	//gclint:requires policyMu shard   (func must be called with these held)
-//	//gclint:holds shard       (func acquires these and LEAVES them held — lockAll)
-//	//gclint:releases shard    (func releases caller-held locks — unlockAll)
+//	//gclint:acquires windowMu policyMu  (func acquires and releases these internally)
+//	//gclint:requires policyMu  (func must be called with these held)
+//	//gclint:holds dsMu         (func acquires these and LEAVES them held — lockDataset)
+//	//gclint:releases dsMu      (func releases caller-held locks — unlockDataset)
 //	//gclint:nolocks           (func must not acquire any lock, directly or via callees)
 //	//gclint:cow               (type: copy-on-write; published values are immutable)
 //	//gclint:cowview           (func returns a published COW value; callers must not write it)
@@ -271,7 +272,7 @@
 // code does at run time, so runtime tests pin them: the alloc_test.go
 // budgets, and the persistence, victim-selection and ranking tests
 // (TestV2V3Equivalence, TestVictimSelectionMatchesFullSort,
-// TestRankCandidatesDeterministic, TestShardCountIndependence).
+// TestRankCandidatesDeterministic, TestChurnDeterministic).
 package core
 
 // The kernel is context-strict: root contexts must not be minted inside

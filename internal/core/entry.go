@@ -98,21 +98,17 @@ type Entry struct {
 	// staticBytes is the size of everything but the answer set — graph,
 	// signatures, struct overhead — computed once at construction so
 	// Bytes() is O(1) and can be re-evaluated cheaply whenever the answer
-	// set is swapped. Immutable.
+	// set is swapped. It is also the entry's whole charge to the
+	// residency account: answer bytes are charged once per canonical set
+	// by the intern pool, however many entries share it. Immutable.
 	staticBytes int
-
-	// resBytes is the entry's size as charged to the residency account at
-	// admission: the static footprint only — answer bytes are charged
-	// once per canonical set by the intern pool, however many entries
-	// share it. Guarded by the owning shard's lock.
-	resBytes int
 
 	// interned is the pool node of the canonical answer set the intern
 	// pool holds one reference for on this entry's behalf; nil until
 	// admission. Its set can trail the published one (lazy reconciliation
 	// swaps sets on the query path without touching the pool) and is
 	// trued up by rechargeLocked at window turns and stop-the-world
-	// passes. Guarded by the owning shard's lock, like resBytes.
+	// passes. Guarded by policyMu.
 	interned *internNode
 
 	// InsertedAt and LastUsed are query ticks (LRU/FIFO state).
@@ -148,8 +144,8 @@ func (e *Entry) DatasetEpoch() int64 { return e.ans.p.Load().epoch }
 
 // answers returns the entry's (set, epoch) pair as one consistent load.
 // The state may be PENDING (set nil, body non-nil) on a lazily restored
-// entry: maintenance paths that must not trigger snapshot I/O (shard
-// insertion, intern true-up, byte accounting) use this accessor and
+// entry: maintenance paths that must not trigger snapshot I/O
+// (admission, intern true-up, byte accounting) use this accessor and
 // handle pending states explicitly; everything needing the bits goes
 // through loadAnswers.
 //

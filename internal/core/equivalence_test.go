@@ -10,68 +10,46 @@ import (
 	"graphcache/internal/graph"
 )
 
-// The sharding equivalence property: driven sequentially over the same
-// workload, a sharded cache must be indistinguishable from a single-shard
-// one — byte-identical answer sets, identical hit/miss classifications,
-// identical admission/eviction decisions — regardless of the shard count.
-// This is what licenses the lock-striping: the shards are an
-// implementation detail of the kernel, never visible in its semantics.
-// The single-shard reference sets Config.Serialized and the /indexOff
-// rows set Config.IndexOff on the sharded side: both fields are inert,
-// and this keeps them so at every shard count (TestShardCountIndependence
-// is the same property with neither set).
-//
-// Policies here are restricted to timing-independent ones (PIN, LRU,
-// FIFO, POP): PINC/HD rank victims by measured verification nanoseconds,
-// which legitimately differ between two physical runs even of the very
-// same engine.
-func TestShardedEquivalentToSerialized(t *testing.T) {
-	w := equivalenceWorkload(t, 52, 150, 30)
-	build := func(policy string, indexOff bool) func(shards int, serialized bool) *Cache {
-		return func(shards int, serialized bool) *Cache {
-			return equivalenceCache(t, w.dataset, policy, 5, func(cfg *Config) {
-				cfg.Shards = shards
-				cfg.Serialized = serialized
-				cfg.IndexOff = indexOff
-			})
-		}
-	}
-	for _, policy := range []string{"pin", "lru", "fifo", "pop"} {
-		for _, shards := range []int{2, 8, 32} {
-			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
-				b := build(policy, false)
-				checkIndistinguishable(t, w.queries, b(1, true), b(shards, false))
-			})
-		}
-	}
-	for _, shards := range []int{2, 8, 32} {
-		t.Run(fmt.Sprintf("pin/shards=%d/indexOff", shards), func(t *testing.T) {
-			b := build("pin", true)
-			checkIndistinguishable(t, w.queries, b(1, true), b(shards, false))
-		})
-	}
-}
+// Cases named shards=N keep the names they had when the resident set was
+// partitioned into N shards. With one resident set, N picks the case's
+// workload seed instead (shardsSeed), so each case drives its own stream
+// through the same kernel.
+func shardsSeed(base int64, shards int) int64 { return base + int64(shards) }
 
-// Shard-count independence of the default engine itself (no inert field
-// set): answers, hit classes, entry IDs, utilities and counters are
-// identical at 1, 4 and 32 shards.
-func TestShardCountIndependence(t *testing.T) {
-	w := equivalenceWorkload(t, 53, 150, 40)
-	for _, policy := range []string{"pin", "lru", "fifo", "pop"} {
-		for _, shards := range []int{4, 32} {
-			t.Run(fmt.Sprintf("%s/shards=%d", policy, shards), func(t *testing.T) {
-				build := func(n int) *Cache {
-					return equivalenceCache(t, w.dataset, policy, 6, func(cfg *Config) { cfg.Shards = n })
-				}
-				checkIndistinguishable(t, w.queries, build(1), build(shards))
-			})
+// Driven sequentially over the same workload, the default cache must be
+// indistinguishable from one with Config.Serialized set — byte-identical
+// answer sets, identical hit/miss classifications, identical
+// admission/eviction decisions — under every timing-independent policy
+// (PIN, LRU, FIFO, POP: PINC/HD rank victims by measured verification
+// nanoseconds, which legitimately differ between two physical runs even
+// of the very same engine). The /indexOff rows set Config.IndexOff on the
+// compared side, so both inert fields are pinned against each other.
+func TestShardedEquivalentToSerialized(t *testing.T) {
+	for _, indexOff := range []bool{false, true} {
+		policies := []string{"pin", "lru", "fifo", "pop"}
+		suffix := ""
+		if indexOff {
+			policies, suffix = []string{"pin"}, "/indexOff"
+		}
+		for _, policy := range policies {
+			for _, shards := range []int{2, 8, 32} {
+				t.Run(fmt.Sprintf("%s/shards=%d%s", policy, shards, suffix), func(t *testing.T) {
+					w := equivalenceWorkload(t, shardsSeed(60, shards), 150, 30)
+					ref := equivalenceCache(t, w.dataset, policy, 5, func(cfg *Config) { cfg.Serialized = true })
+					other := equivalenceCache(t, w.dataset, policy, 5, func(cfg *Config) { cfg.IndexOff = indexOff })
+					checkIndistinguishable(t, w.queries, ref, other)
+				})
+			}
 		}
 	}
 }
 
 // Config.Serialized, SharedWindow and IndexOff are declared only for the
 // benchmark harness: a cache built with any one of them set must behave
-// exactly like one built with none.
+// exactly like one built with none. The policy is timing-independent
+// (PIN): PINC/HD rank victims by measured verification nanoseconds, which
+// legitimately differ between two physical runs even of the very same
+// engine.
 func TestSharedWindowFieldHasNoEffect(t *testing.T) {
 	w := equivalenceWorkload(t, 52, 150, 30)
 	for _, field := range []struct {

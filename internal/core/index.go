@@ -2,108 +2,112 @@ package core
 
 import (
 	"graphcache/internal/ftv"
+	"graphcache/internal/graph"
 )
 
-// The cache-entry feature index: per-shard, copy-on-write arrays of
-// per-entry containment summaries published through atomic pointers
-// (shard.summaries). Hit detection reads them entirely lock-free — no
-// shard locks, no snapshot allocation, no per-query sort — and uses the
-// summaries (ftv.FeatureVector plus a path-feature bloom) to discard
-// entries that cannot possibly be sub- or super-hit candidates before the
-// path-feature dominance merge runs. That merge is the last filter before
-// the q↔h iso tests, and it subsumes label-multiset dominance: every
-// vertex's label is a length-0 path feature, counted once per vertex.
+// The published resident view: an immutable, ID-ordered array of
+// per-entry containment summaries (the cache-entry feature index) plus a
+// fingerprint table over it, stored in one atomic pointer
+// (Cache.published). The exact probe and hit detection read it entirely
+// lock-free — no lock, no snapshot allocation, no per-query sort. The
+// probe walks one fingerprint chain; detection uses the summaries
+// (ftv.FeatureVector plus a path-feature bloom) to discard entries that
+// cannot possibly be sub- or super-hit candidates before the path-feature
+// dominance merge runs. That merge is the last filter before the q↔h iso
+// tests, and it subsumes label-multiset dominance: every vertex's label is
+// a length-0 path feature, counted once per vertex.
 //
 // # Publication rules
 //
-// Writers never mutate a published slice. Every shard's slice is replaced
-// whole by republishAllLocked — under policyMu plus every shard write
-// lock — whenever the admitted set changes: a window turn or a state
-// restore. The global index a reader sees is the union of the per-shard
-// slices.
-//
-// Readers load each shard's pointer once per query and work on those
-// point-in-time arrays; an entry evicted after the load stays sound to
-// use (its graph, answer set and summary are immutable). Scan order is
-// shard-major rather than global ID order, which changes NOTHING
-// downstream: every consumer is a function of the candidate SET — benefit
-// ranking orders candidates by (answer count, entry ID) — so detection is
-// deterministic and identical at every shard count. For a sequential
-// stream the union always exactly mirrors the admitted entries: admitted
-// sets change only inside policyMu, and every mutation republishes before
-// its locks drop.
+// Writers never mutate a published view. It is replaced whole by
+// republishLocked — under policyMu — whenever the resident list changes:
+// a window turn or a state restore. Readers load the pointer once per
+// probe or scan and work on that point-in-time view; an entry evicted
+// after the load stays sound to use (its graph, answer set and summary are
+// immutable). For a sequential stream the view always exactly mirrors the
+// resident list: it changes only inside policyMu, and every change
+// republishes before the lock drops.
+type resident struct {
+	index []indexEntry
+	// byFP maps a fingerprint to the position in index of its lowest-ID
+	// entry; indexEntry.next chains the rest.
+	byFP map[graph.Fingerprint]int32
+}
+
+// indexEntry is one admitted entry in the published view.
 type indexEntry struct {
 	typ ftv.QueryType
 	summary
 	e *Entry
+	// next is the position of the next entry with the same fingerprint,
+	// in ascending ID order; -1 ends the chain.
+	next int32
 }
 
-// republishAllLocked replaces every shard's published summary slice with
-// a fresh copy of its admitted entries. Caller holds policyMu and every
-// shard write lock.
+// republishLocked publishes a fresh view of the resident list, built in
+// one pass: walking it backwards leaves each fingerprint mapped to its
+// lowest-ID position with the chain ascending from there.
 //
-//gclint:requires policyMu shard
-func (c *Cache) republishAllLocked() {
-	for _, sh := range c.shards {
-		s := make([]indexEntry, len(sh.entries))
-		for i, e := range sh.entries {
-			s[i] = indexEntry{typ: e.Type, summary: e.summary(), e: e}
-		}
-		sh.summaries.Store(&s)
+//gclint:requires policyMu
+func (c *Cache) republishLocked() {
+	r := &resident{
+		index: make([]indexEntry, len(c.entries)),
+		byFP:  make(map[graph.Fingerprint]int32, len(c.entries)),
 	}
+	for i := len(c.entries) - 1; i >= 0; i-- {
+		e := c.entries[i]
+		next, ok := r.byFP[e.Fingerprint]
+		if !ok {
+			next = -1
+		}
+		r.index[i] = indexEntry{typ: e.Type, summary: e.summary(), e: e, next: next}
+		r.byFP[e.Fingerprint] = int32(i)
+	}
+	c.published.Store(r)
 }
 
 // scanIndex collects sub/super hit candidates from the published
-// per-shard summaries, screened by summary.embedsIn in each direction.
-// Its cheap stage (size, label bloom, label-degree bloom, degree tail,
-// path-feature bloom) refutes most entries before the path-feature
-// dominance merge runs; entries refuted in both directions without a
-// merge are counted as index-pruned.
+// summaries, screened by summary.embedsIn in each direction. Its cheap
+// stage (size, label bloom, label-degree bloom, degree tail, path-feature
+// bloom) refutes most entries before the path-feature dominance merge
+// runs; entries refuted in both directions without a merge are counted as
+// index-pruned.
 //
 //gclint:nolocks
 //gclint:loads summaries
 func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig) (sub, super []*Entry) {
 	// The scan counts in locals and publishes once: per-entry atomic adds
 	// would be hundreds of RMWs on one shared line per query.
-	scanned, fullChecks, indexPruned := 0, 0, 0
-	// Iterate the published per-shard slices directly: the hot path then
-	// allocates no per-query parts slice.
-	for _, sh := range c.shards {
-		p := sh.summaries.Load()
-		if p == nil || len(*p) == 0 {
+	fullChecks, indexPruned := 0, 0
+	entries := c.published.Load().index
+	for i := range entries {
+		ie := &entries[i]
+		if ie.typ != qt {
 			continue
 		}
-		entries := *p
-		scanned += len(entries)
-		for i := range entries {
-			ie := &entries[i]
-			if ie.typ != qt {
-				continue
-			}
-			// Sub case q ⊑ h.
-			ok, merged := sig.embedsIn(&ie.summary)
-			if merged {
-				fullChecks++
-			}
+		// Sub case q ⊑ h.
+		ok, merged := sig.embedsIn(&ie.summary)
+		if merged {
+			fullChecks++
+		}
+		if ok {
+			sub = append(sub, ie.e)
+			continue
+		}
+		pruned := !merged
+		// Super case h ⊑ q.
+		if ok, merged := ie.embedsIn(&sig.summary); merged {
+			pruned = false
+			fullChecks++
 			if ok {
-				sub = append(sub, ie.e)
-				continue
-			}
-			pruned := !merged
-			// Super case h ⊑ q.
-			if ok, merged := ie.embedsIn(&sig.summary); merged {
-				pruned = false
-				fullChecks++
-				if ok {
-					super = append(super, ie.e)
-				}
-			}
-			if pruned {
-				indexPruned++
+				super = append(super, ie.e)
 			}
 		}
+		if pruned {
+			indexPruned++
+		}
 	}
-	c.mon.hitScanEntries.Add(int64(scanned))
+	c.mon.hitScanEntries.Add(int64(len(entries)))
 	c.mon.hitFullChecks.Add(int64(fullChecks))
 	c.mon.hitIndexPruned.Add(int64(indexPruned))
 	return sub, super

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphcache/internal/ftv"
@@ -23,22 +24,12 @@ func driveQueries(t *testing.T, c *Cache, seed int64, n int) {
 	}
 }
 
-// summariesView returns the published summary slices, one per non-empty
-// shard.
-func (c *Cache) summariesView() [][]indexEntry {
-	parts := make([][]indexEntry, 0, len(c.shards))
-	for _, sh := range c.shards {
-		if p := sh.summaries.Load(); p != nil && len(*p) > 0 {
-			parts = append(parts, *p)
-		}
-	}
-	return parts
-}
-
-// The published index — the union of the per-shard summary slices — must
-// mirror the admitted entries exactly after every sequential query: the
-// same entry set, each shard's slice ID-ordered, each summary agreeing
-// with its entry.
+// The published view must mirror the resident list exactly after every
+// sequential query: the same entries in the same (ID) order, each summary
+// agreeing with its entry, and every entry reachable from byFP along its
+// fingerprint's chain, in ascending ID order, where the exact probe finds
+// it. Every third query is also issued with the other query type, so
+// isomorphic entries share a fingerprint and chains grow past one.
 func TestIndexMirrorsAdmittedEntries(t *testing.T) {
 	dataset := testDataset(91, 20)
 	cfg := DefaultConfig()
@@ -46,44 +37,59 @@ func TestIndexMirrorsAdmittedEntries(t *testing.T) {
 	cfg.Window = 3
 	c := MustNew(ftv.NewGGSXMethod(dataset, 3), cfg)
 
+	longest := 0
 	check := func() {
-		byID := map[int]indexEntry{}
-		for _, part := range c.summariesView() {
-			for i, ie := range part {
-				if i > 0 && ie.e.ID <= part[i-1].e.ID {
-					t.Fatalf("shard summary slice not ID-ordered at %d", i)
-				}
-				if _, dup := byID[ie.e.ID]; dup {
-					t.Fatalf("entry %d published by two shards", ie.e.ID)
-				}
-				byID[ie.e.ID] = ie
-			}
-		}
+		r := c.published.Load()
 		entries := c.Entries()
-		if len(byID) != len(entries) {
-			t.Fatalf("index has %d entries, cache %d", len(byID), len(entries))
+		if len(r.index) != len(entries) {
+			t.Fatalf("index has %d entries, cache %d", len(r.index), len(entries))
 		}
-		for _, e := range entries {
-			ie, ok := byID[e.ID]
-			if !ok {
-				t.Fatalf("admitted entry %d missing from the index", e.ID)
+		for i, e := range entries {
+			ie := r.index[i]
+			if ie.e.ID != e.ID {
+				t.Fatalf("index position %d holds entry %d, the resident list entry %d", i, ie.e.ID, e.ID)
 			}
-			if ie.fv != e.FV || ie.featBits != e.FeatureBits {
+			if ie.typ != e.Type || ie.fv != e.FV || ie.featBits != e.FeatureBits {
 				t.Fatalf("entry %d: index summary diverges from entry", e.ID)
 			}
 		}
+		chained := 0
+		for fp, head := range r.byFP {
+			n, prev := 0, -1
+			for i := head; i >= 0; i = r.index[i].next {
+				e := r.index[i].e
+				if e.Fingerprint != fp || e.ID <= prev {
+					t.Fatalf("entry %d misplaced on the chain of %x", e.ID, fp)
+				}
+				if got := c.findExact(e.Graph, e.Type, fp); got != e {
+					t.Fatalf("exact probe for entry %d (position %d on its chain) found %v", e.ID, n, got)
+				}
+				n, prev = n+1, e.ID
+			}
+			chained += n
+			longest = max(longest, n)
+		}
+		if chained != len(r.index) {
+			t.Fatalf("%d of %d entries reachable through byFP", chained, len(r.index))
+		}
 	}
-	check() // empty cache: empty (nil) index
+	check() // empty cache: empty index
 	rng := rand.New(rand.NewSource(92))
 	for i := 0; i < 30; i++ {
 		q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 3+i%5)
-		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-			t.Fatal(err)
+		types := []ftv.QueryType{ftv.Subgraph}
+		if i%3 == 0 {
+			types = append(types, ftv.Supergraph)
 		}
-		check()
+		for _, qt := range types {
+			if _, err := c.Execute(q, qt); err != nil {
+				t.Fatal(err)
+			}
+			check()
+		}
 	}
-	if c.Stats().Evictions == 0 {
-		t.Fatal("workload too tame: no evictions exercised")
+	if c.Stats().Evictions == 0 || longest < 2 {
+		t.Fatalf("workload too tame: %d evictions, longest chain %d", c.Stats().Evictions, longest)
 	}
 }
 
@@ -117,53 +123,60 @@ func TestEntrySummariesPopulated(t *testing.T) {
 // drop provable non-hits. An entry contained both ways is isomorphic to
 // q: the scan lists it once, as a sub candidate, and the exact probe
 // serves it before detection runs. SelfCheck holds every answer to the
-// uncached method on the way.
+// uncached method on the way. Exercised over five workload seeds
+// (shardsSeed).
 func TestIndexedEquivalentToUnindexed(t *testing.T) {
-	w := equivalenceWorkload(t, 52, 150, 30)
 	for _, shards := range []int{1, 2, 4, 8, 32} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			c := equivalenceCache(t, w.dataset, "pin", 5, func(cfg *Config) {
-				cfg.Shards = shards
-				cfg.SelfCheck = true
-			})
-			var subs, supers int
-			for i, q := range w.queries {
-				sub, super := c.scanIndex(q.Type, signatureOf(q.G))
-				listed := func(list []*Entry, h *Entry) bool {
-					for _, e := range list {
-						if e == h {
-							return true
-						}
-					}
-					return false
-				}
-				for _, h := range c.entriesSnapshot() {
-					if h.Type != q.Type {
-						continue
-					}
-					if ok, _ := iso.VF2(q.G, h.Graph, iso.Options{}); ok {
-						subs++
-						if !listed(sub, h) {
-							t.Fatalf("query %d: entry %d contains q but is missing from the sub list", i, h.ID)
-						}
-					} else if ok, _ := iso.VF2(h.Graph, q.G, iso.Options{}); ok {
-						supers++
-						if !listed(super, h) {
-							t.Fatalf("query %d: entry %d is contained in q but missing from the super list", i, h.ID)
-						}
-					}
-				}
-				if _, err := c.Execute(q.G, q.Type); err != nil {
-					t.Fatalf("query %d: %v", i, err)
-				}
-			}
-			if subs == 0 || supers == 0 {
-				t.Fatalf("workload too tame: %d sub and %d super containments checked", subs, supers)
-			}
-			if c.Stats().HitIndexPruned == 0 {
-				t.Error("index pruned nothing: summaries never fired")
-			}
+			checkIndexedEquivalentToUnindexed(t, shardsSeed(51, shards))
 		})
+	}
+}
+
+func checkIndexedEquivalentToUnindexed(t *testing.T, seed int64) {
+	w := equivalenceWorkload(t, seed, 150, 30)
+	c := equivalenceCache(t, w.dataset, "pin", 5, func(cfg *Config) {
+		cfg.SelfCheck = true
+	})
+	var subs, supers int
+	for i, q := range w.queries {
+		sub, super := c.scanIndex(q.Type, signatureOf(q.G))
+		listed := func(list []*Entry, h *Entry) bool {
+			for _, e := range list {
+				if e == h {
+					return true
+				}
+			}
+			return false
+		}
+		c.policyMu.Lock()
+		resident := slices.Clone(c.entries)
+		c.policyMu.Unlock()
+		for _, h := range resident {
+			if h.Type != q.Type {
+				continue
+			}
+			if ok, _ := iso.VF2(q.G, h.Graph, iso.Options{}); ok {
+				subs++
+				if !listed(sub, h) {
+					t.Fatalf("query %d: entry %d contains q but is missing from the sub list", i, h.ID)
+				}
+			} else if ok, _ := iso.VF2(h.Graph, q.G, iso.Options{}); ok {
+				supers++
+				if !listed(super, h) {
+					t.Fatalf("query %d: entry %d is contained in q but missing from the super list", i, h.ID)
+				}
+			}
+		}
+		if _, err := c.Execute(q.G, q.Type); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	if subs == 0 || supers == 0 {
+		t.Fatalf("workload too tame: %d sub and %d super containments checked", subs, supers)
+	}
+	if c.Stats().HitIndexPruned == 0 {
+		t.Error("index pruned nothing: summaries never fired")
 	}
 }
 

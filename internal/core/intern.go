@@ -19,15 +19,15 @@ import (
 // canonical set once, no matter how many entries publish it.
 //
 // Lifecycle: a set is acquired when its entry is admitted
-// (shard.insertLocked) and whenever a maintenance pass notices the entry
+// (Cache.insertLocked) and whenever a maintenance pass notices the entry
 // published a new set (rechargeLocked, the true-up point); it is released
-// when the entry is evicted (shard.removeLocked) or trued up onto a
+// when the entry is evicted (Cache.evictLocked) or trued up onto a
 // different set. Lazy reconciliation on the query path deliberately
 // bypasses the pool — reconciledAnswers is //gclint:nolocks — so freshly
 // patched sets ride uninterned until the next window turn or
 // stop-the-world pass, exactly like their byte accounting always has.
 //
-// The pool hashes nothing. Every caller runs under shard locks, most of
+// The pool hashes nothing. Every caller runs under policyMu, most of
 // them under the whole hierarchy with the world stopped, so acquire takes
 // the fingerprint the published answerState carries (bitset.Set.Fingerprint:
 // hashed once by the goroutine that built the set, then maintained by
@@ -40,7 +40,7 @@ import (
 // sets. Buckets resolve fingerprint collisions by content equality.
 type internPool struct {
 	// mu guards m and the node refcounts. A leaf: acquire/release run
-	// under arbitrary shard locks, and nothing is acquired inside the
+	// under policyMu, and nothing is acquired inside the
 	// critical section (bucket scans call only pure bitset reads).
 	//gclint:lock internMu
 	//gclint:leaf
@@ -129,10 +129,10 @@ func (p *internPool) release(nd *internNode) {
 	}
 }
 
-// reset empties the pool — the state-restore path, which clears every
-// shard wholesale and re-interns the restored entries from scratch. The
-// hit/miss counters survive (they are lifetime telemetry, like the
-// Monitor's).
+// reset empties the pool — the state-restore path, which drops the
+// resident list wholesale and re-interns the restored entries from
+// scratch. The hit/miss counters survive (they are lifetime telemetry,
+// like the Monitor's).
 //
 //gclint:acquires internMu
 func (p *internPool) reset() {

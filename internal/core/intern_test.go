@@ -67,7 +67,7 @@ func TestInternPoolRefcount(t *testing.T) {
 		t.Fatalf("drained pool holds %d sets / %d bytes", p.distinctSets(), p.bytes.Load())
 	}
 
-	// A node orphaned by reset (a restore clears the shards without
+	// A node orphaned by reset (a restore drops the resident list without
 	// releasing) must not debit the fresh account when it finally drains.
 	orphan := acquire(a)
 	p.reset()

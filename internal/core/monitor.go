@@ -128,8 +128,9 @@ type Snapshot struct {
 	// FilterTime, HitTime and VerifyTime split where query time went.
 	FilterTime, HitTime, VerifyTime time.Duration
 	// The stopped world, in nanoseconds. WindowTurnNs is the time spent
-	// inside window turns (windowMu → policyMu → every shard write lock:
-	// no admission, no sub/super crediting and no exact probe proceeds).
+	// inside window turns (windowMu → policyMu: no admission, no
+	// sub/super crediting and no window probe proceeds; exact hits on
+	// admitted entries do).
 	// MutationWaitNs is how long AddGraph/RemoveGraph waited for dsMu's
 	// write side — the drain of in-flight queries, during which new
 	// queries already queue behind the writer — and MutationHoldNs how

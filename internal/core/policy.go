@@ -83,6 +83,7 @@ type Policy interface {
 	// ReplacedContent returns the indices (positions into entries) of the
 	// x entries with least utility, the ones to evict. If x ≥ len(entries)
 	// all indices are returned. The returned indices are distinct.
+	// entries is the cache's own resident list: read it, never modify it.
 	ReplacedContent(entries []*Entry, x int) []int
 	// OnWindowTurn notifies the policy of an admission-window boundary.
 	OnWindowTurn()

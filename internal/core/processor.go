@@ -56,27 +56,26 @@ func signatureOf(q *graph.Graph) querySig {
 // with the same query type, or nil. Fingerprint equality pre-filters;
 // VF2 confirms (fingerprints can collide, never the reverse).
 //
-// The owning shard is probed first (isomorphic graphs share a fingerprint,
-// so an admitted match can live nowhere else), under its read lock and
-// only long enough to copy the colliding candidates into a stack buffer;
-// the confirming iso tests run lock-free over immutable entry fields. Only
-// when that finds nothing are the window's fingerprint matches copied out
-// under windowMu — the two locks are never nested, and a hit on an
-// admitted entry never touches windowMu. Two identical queries racing each
-// other may both miss and both be staged — benign: exact-match scans
-// return the first isomorphic entry either way.
+// The admitted entries are probed first, with no lock: one load of the
+// published view, then its fingerprint chain in ascending ID order, the
+// confirming iso tests running over immutable entry fields. Only when that
+// finds nothing are the window's fingerprint matches copied out under
+// windowMu, so a hit on an admitted entry never touches a lock. Two
+// identical queries racing each other, or a probe racing the turn that
+// admits its match, may miss and stage a duplicate — benign: exact-match
+// scans return the first isomorphic entry either way.
 //
-//gclint:acquires windowMu shard
+//gclint:acquires windowMu
+//gclint:loads summaries
 func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint) *Entry {
-	var buf [8]*Entry // fingerprint collisions are rare: no heap on the probe
-	sh := c.shardFor(fp)
-	sh.mu.RLock()
-	cands := append(buf[:0], sh.byFP[fp]...)
-	sh.mu.RUnlock()
-	if e := firstIsomorphic(q, qt, cands); e != nil {
-		return e
+	r := c.published.Load()
+	for i, ok := r.byFP[fp]; ok && i >= 0; i = r.index[i].next {
+		if ie := &r.index[i]; ie.typ == qt && iso.Isomorphic(ie.e.Graph, q) {
+			return ie.e
+		}
 	}
-	cands = cands[:0]
+	var buf [8]*Entry // fingerprint collisions are rare: no heap on the probe
+	cands := buf[:0]
 	c.windowMu.Lock()
 	for _, e := range c.window {
 		if e.Fingerprint == fp {
@@ -116,7 +115,7 @@ type hitSet struct {
 // detectHits finds the sub/super hits among the admitted entries of the
 // query's type. Candidates come from the lock-free published index: only
 // entries whose containment summaries are compatible with the query's
-// reach the path-feature dominance merge, and no shard lock, snapshot
+// reach the path-feature dominance merge, and no lock, snapshot
 // allocation or sort happens at all (see index.go). They are then ranked
 // by expected benefit and confirmed with budgeted VF2 runs: per direction
 // at most 2× the hit budget of attempts and at most the budget of accepted
@@ -126,7 +125,7 @@ type hitSet struct {
 // immutable after admission, and a concurrently evicted entry still
 // yields sound savings (its answer set remains exact over the immutable
 // dataset). The benefit ranking breaks ties by ID, so detection is
-// deterministic and independent of the shard count.
+// deterministic.
 //
 //gclint:nolocks
 func (c *Cache) detectHits(q *graph.Graph, qt ftv.QueryType, sig querySig) hitSet {
@@ -141,8 +140,7 @@ func (c *Cache) detectHits(q *graph.Graph, qt ftv.QueryType, sig querySig) hitSe
 	// answer-delivering hits, larger answer sets save more tests; for
 	// pruning hits, smaller answer sets exclude more candidates. Ties are
 	// broken by entry ID: the order is then a function of the candidate
-	// SET alone, which keeps detection independent of the index's
-	// shard-major scan order.
+	// SET alone.
 	answersDeliverIsSub := qt == ftv.Subgraph
 	rankCandidates(subCand, answersDeliverIsSub)
 	rankCandidates(superCand, !answersDeliverIsSub)

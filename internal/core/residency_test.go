@@ -4,43 +4,31 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphcache/internal/bitset"
 	"graphcache/internal/gen"
 )
 
-// shardWalk sums resident entries and bytes the slow way — walking every
-// shard under its read lock — the view Len/Bytes used to compute before
-// they switched to the atomic residency account.
-func shardWalk(c *Cache) (entries, memBytes int) {
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		entries += len(sh.entries)
-		memBytes += sh.memBytes
-		sh.mu.RUnlock()
-	}
-	return entries, memBytes
-}
-
-// internWalk recomputes the intern pool's byte account the slow way: the
-// distinct canonical sets the resident entries hold references on, each
-// counted once. The pool only retains sets with live references, so this
-// walk must reproduce pool.bytes exactly.
-func internWalk(c *Cache) int {
+// residentWalk returns the resident list and sums its static bytes the
+// slow way — the charge the residency account must equal — and the intern
+// pool's byte account the slow way: the distinct canonical sets the
+// resident entries hold references on, each counted once. The pool only
+// retains sets with live references, so the second sum must reproduce
+// pool.bytes exactly.
+func residentWalk(c *Cache) (entries []*Entry, static, interned int) {
+	c.policyMu.Lock()
+	defer c.policyMu.Unlock()
 	seen := make(map[*internNode]bool)
-	b := 0
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if e.interned != nil && !seen[e.interned] {
-				seen[e.interned] = true
-				b += e.interned.set.Bytes()
-			}
+	for _, e := range c.entries {
+		static += e.staticBytes
+		if e.interned != nil && !seen[e.interned] {
+			seen[e.interned] = true
+			interned += e.interned.set.Bytes()
 		}
-		sh.mu.RUnlock()
 	}
-	return b
+	return slices.Clone(c.entries), static, interned
 }
 
 // fingerprintDrift returns an error unless every materialized answer
@@ -64,38 +52,39 @@ func fingerprintDrift(c *Cache) (err error) {
 		}
 	}
 	c.windowMu.Lock()
-	for _, e := range c.window {
-		check(e)
-	}
-	c.windowMu.Unlock()
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		for _, e := range sh.entries {
+	defer c.windowMu.Unlock()
+	c.policyMu.Lock()
+	defer c.policyMu.Unlock()
+	for _, list := range [][]*Entry{c.window, c.entries} {
+		for _, e := range list {
 			check(e)
 		}
-		sh.mu.RUnlock()
 	}
 	return err
 }
 
 // checkResidency fails unless the atomic residency account, the intern
-// pool's account and the per-shard structures agree, and every carried
-// fingerprint is true (fingerprintDrift).
+// pool's account and the resident list agree, the list is ID-ordered, and
+// every carried fingerprint is true (fingerprintDrift).
 func checkResidency(t *testing.T, c *Cache, when string) {
 	t.Helper()
-	entries, memBytes := shardWalk(c)
-	if got := c.Len(); got != entries {
-		t.Fatalf("%s: Len() %d, shard walk %d", when, got, entries)
+	entries, static, poolBytes := residentWalk(c)
+	if got := c.Len(); got != len(entries) {
+		t.Fatalf("%s: Len() %d, resident list %d", when, got, len(entries))
 	}
-	if got := int(c.res.bytes.Load()); got != memBytes {
-		t.Fatalf("%s: residency account %d bytes, shard walk %d", when, got, memBytes)
+	for i := 1; i < len(entries); i++ {
+		if entries[i].ID <= entries[i-1].ID {
+			t.Fatalf("%s: resident list not ID-ordered at %d", when, i)
+		}
 	}
-	poolBytes := internWalk(c)
+	if got := int(c.res.bytes.Load()); got != static {
+		t.Fatalf("%s: residency account %d bytes, resident walk %d", when, got, static)
+	}
 	if got := int(c.pool.bytes.Load()); got != poolBytes {
 		t.Fatalf("%s: pool account %d bytes, distinct interned sets hold %d", when, got, poolBytes)
 	}
-	if got, want := c.Bytes(), memBytes+poolBytes; got != want {
-		t.Fatalf("%s: Bytes() %d, shard walk + pool %d", when, got, want)
+	if got, want := c.Bytes(), static+poolBytes; got != want {
+		t.Fatalf("%s: Bytes() %d, resident walk + pool %d", when, got, want)
 	}
 	if err := fingerprintDrift(c); err != nil {
 		t.Fatalf("%s: %v", when, err)
@@ -104,7 +93,7 @@ func checkResidency(t *testing.T, c *Cache, when string) {
 
 // TestResidencyAccountAgreement asserts that the atomic residency account
 // (now backing Cache.Len and, with the intern pool's account, Cache.Bytes)
-// and the per-shard structures agree after window turns, evictions, state
+// and the resident list agree after window turns, evictions, state
 // save/restore cycles and live dataset mutations in both reconciliation
 // modes — with answer sets migrating containers (Compact at admission,
 // clone-and-compact on removals) and interning across entries throughout.
@@ -123,7 +112,6 @@ func TestResidencyAccountAgreement(t *testing.T) {
 			c := testCache(t, dataset, func(cfg *Config) {
 				cfg.Capacity = 12 // small: forces turns and evictions
 				cfg.Window = 4
-				cfg.Shards = 4
 				cfg.LazyReconcile = lazy
 				cfg.SelfCheck = false
 			})

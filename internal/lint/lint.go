@@ -38,11 +38,11 @@
 //	    whose true lock context is the callee's).
 //	//gclint:holds <lock> [<lock>...]
 //	    On a function: it acquires the named locks and LEAVES them held
-//	    on return (lockAll). Call sites are checked like acquisitions and
-//	    the locks join the caller's held-set.
+//	    on return (lockDataset). Call sites are checked like
+//	    acquisitions and the locks join the caller's held-set.
 //	//gclint:releases <lock> [<lock>...]
 //	    On a function: it releases the named locks the caller holds
-//	    (unlockAll) — the //gclint:holds counterpart. A deferred call
+//	    (unlockDataset) — the //gclint:holds counterpart. A deferred call
 //	    keeps the locks held to function end, like a deferred Unlock.
 //	//gclint:nolocks
 //	    On a function: a no-lock stage (filtering, iso testing,

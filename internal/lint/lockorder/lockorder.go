@@ -134,7 +134,7 @@ func (w *walker) walkStmt(s ast.Stmt, held map[string]int, inLit bool) {
 		// the walk's perspective: skip the release, still walk the
 		// receiver chain and arguments (evaluated at defer time). The
 		// same goes for a deferred call to a pure //gclint:releases
-		// function (defer c.unlockAll()).
+		// function (defer c.unlockDataset(held)).
 		if ev, ok := lint.ClassifyLockCall(w.info, w.ann, s.Call); ok && ev.Op == lint.ReleaseOp {
 			w.walkCallParts(s.Call, held, inLit)
 			return

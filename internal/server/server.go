@@ -67,7 +67,7 @@ const (
 )
 
 // Server wires a cache and its live dataset into an http.Handler.
-// Handlers are served concurrently by net/http; the sharded cache kernel
+// Handlers are served concurrently by net/http; the cache kernel
 // processes the resulting in-flight queries in parallel. Dataset reads go
 // through the cache's method view, so graphs added or removed at runtime
 // (POST /api/dataset/graphs, DELETE /api/dataset/graphs/{id}) are visible
@@ -192,7 +192,6 @@ type statsResponse struct {
 	WindowTurns       int64   `json:"windowTurns"`
 	CachedEntries     int     `json:"cachedEntries"`
 	CacheBytes        int     `json:"cacheBytes"`
-	Shards            int     `json:"shards"`
 	Policy            string  `json:"policy"`
 	// WindowPending is the number of entries staged for admission.
 	WindowPending int `json:"windowPending"`
@@ -257,7 +256,6 @@ func (s *Server) statsResponse() statsResponse {
 		WindowTurns:       snap.WindowTurns,
 		CachedEntries:     s.cache.Len(),
 		CacheBytes:        s.cache.Bytes(),
-		Shards:            s.cache.Shards(),
 		Policy:            s.cache.PolicyName(),
 		WindowPending:     s.cache.WindowLen(),
 		DatasetSize:       ds.Live,

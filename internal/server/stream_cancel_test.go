@@ -108,9 +108,7 @@ func newGatedBatch(t *testing.T) *gatedBatch {
 	}
 	dataset := []*graph.Graph{star(9)}
 	method := ftv.NewMethod("gated/vf2", dataset, ftv.NewNoFilter(len(dataset)), verify)
-	cfg := core.DefaultConfig()
-	cfg.Shards = 1
-	b.ts = httptest.NewServer(New(core.MustNew(method, cfg)))
+	b.ts = httptest.NewServer(New(core.MustNew(method, core.DefaultConfig())))
 	// On a failed test, release the verifiers before Close waits for the
 	// handler.
 	t.Cleanup(func() {
