@@ -113,11 +113,17 @@ profiles:
 
 # loc prints the size of the program: lines of non-test Go outside
 # benchmark/ and testdata, per package directory and in total — the one
-# number a simplicity change quotes before and after.
+# number a simplicity change quotes before and after — followed by the
+# distance to ROADMAP's two size targets.
+LOC_TARGET_CORE := 3500
+LOC_TARGET_TOTAL := 14000
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' ! -path './.*' -print0 \
 		| xargs -0 awk '{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++ } END { for (d in n) printf "%7d %s\n", n[d], d }' \
-		| sort -k2 | awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
+		| sort -k2 | awk -v tc=$(LOC_TARGET_CORE) -v tt=$(LOC_TARGET_TOTAL) \
+			'{ print; t += $$1 } $$2 == "./internal/core" { c = $$1 } \
+			END { printf "%7d total\n", t; \
+				printf "targets: internal/core %d toward %d (%+d), total %d toward %d (%+d)\n", c, tc, c - tc, t, tt, t - tt }'
 
 # Short native-fuzzing smoke passes: the persistence v2 parser, the
 # adaptive-bitset differential target (random op sequences vs a naive

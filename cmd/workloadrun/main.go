@@ -58,16 +58,6 @@ func run(args []string, stdout io.Writer) error {
 	snap := c.Stats()
 	fmt.Fprintf(stdout, "\ncumulative: %d tests executed, %d saved → speedup %.2f; %d cached graphs, %s resident\n",
 		snap.TestsExecuted, snap.TestsSaved, snap.TestSpeedup(), c.Len(), stats.FormatBytes(c.Bytes()))
-	answerPerEntry := 0.0
-	if n := c.Len(); n > 0 {
-		answerPerEntry = float64(snap.AnswerBytes) / float64(n)
-	}
-	internRate := 0.0
-	if total := snap.InternHits + snap.InternMisses; total > 0 {
-		internRate = float64(snap.InternHits) / float64(total)
-	}
-	fmt.Fprintf(stdout, "answer sets: %s pooled (%.1f bytes/entry), intern hit rate %.2f\n",
-		stats.FormatBytes(int(snap.AnswerBytes)), answerPerEntry, internRate)
 
 	if *policies == "none" {
 		return nil

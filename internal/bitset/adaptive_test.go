@@ -3,7 +3,6 @@ package bitset
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 // Tests for the adaptive container machinery: the lazy empty
@@ -158,91 +157,6 @@ func TestCompactPicksSmallestContainer(t *testing.T) {
 	}
 	if mid.Count() != before {
 		t.Fatal("Compact changed the population")
-	}
-}
-
-func TestFingerprintContainerIndependent(t *testing.T) {
-	const n = 300
-	mk := func() []*Set {
-		a := FromIndices(n, []int{0, 1, 2, 3, 64, 65, 150})
-		b := a.Clone()
-		b.toDense()
-		c := a.Clone()
-		c.Compact() // 3 runs × 8 B < 7 idx × 4 B? 24 < 28: run container
-		return []*Set{a, b, c}
-	}
-	sets := mk()
-	fp := sets[0].Fingerprint()
-	for i, s := range sets {
-		if got := s.Fingerprint(); got != fp {
-			t.Fatalf("set %d fingerprint %x != %x", i, got, fp)
-		}
-		if !s.Equal(sets[0]) {
-			t.Fatalf("set %d not Equal after conversion", i)
-		}
-	}
-	other := FromIndices(n, []int{0, 1, 2, 3, 64, 65, 151})
-	if other.Fingerprint() == fp {
-		t.Fatal("different contents should fingerprint differently")
-	}
-	if New(n).Fingerprint() == NewFull(n).Fingerprint() {
-		t.Fatal("empty and full should fingerprint differently")
-	}
-	// Capacity does not feed the fingerprint (Grown must preserve it); the
-	// intern pool keeps such twins apart by Equal.
-	if a, b := New(100), New(101); a.Fingerprint() != b.Fingerprint() || a.Equal(b) {
-		t.Fatal("sets differing only in capacity must fingerprint alike and compare unequal")
-	}
-}
-
-// TestQuickFingerprintIncremental is the contract the cache's delta
-// maintenance rests on: starting from a random set in every container,
-// a fingerprint kept current by ±ElemHash through random Add / Remove /
-// Grown / Compact chains equals Fingerprint() from scratch at every step,
-// and an Equal set rebuilt from the indices agrees.
-func TestQuickFingerprintIncremental(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(600)
-		var idx []int
-		for i, density := 0, rng.Float64(); i < n; i++ {
-			if rng.Float64() < density*density { // skew toward sparse, reach near-full
-				idx = append(idx, i)
-			}
-		}
-		for _, s := range mixes(n, idx...) {
-			fp := s.Fingerprint()
-			for step := 0; step < 40; step++ {
-				switch i := rng.Intn(s.Len()); rng.Intn(4) {
-				case 0:
-					if !s.Contains(i) {
-						fp += ElemHash(i)
-					}
-					s.Add(i)
-				case 1:
-					if s.Contains(i) {
-						fp -= ElemHash(i)
-					}
-					s.Remove(i)
-				case 2:
-					s = s.Grown(s.Len() + rng.Intn(70))
-				case 3:
-					s.Compact()
-				}
-				if s.Fingerprint() != fp {
-					t.Logf("seed %d step %d: incremental %x, from scratch %x (mode %d)", seed, step, fp, s.Fingerprint(), s.mode)
-					return false
-				}
-			}
-			twin := FromIndices(s.Len(), s.Indices())
-			if !twin.Equal(s) || twin.Fingerprint() != fp {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -29,7 +29,7 @@
 // downgrade to sparse when an And/AndNot leaves them far below it (the
 // population count is fused into the word loop, so the check is free).
 // Compact re-encodes a set in its smallest container — publication points
-// (entry admission, interning, persistence restore) call it so long-lived
+// (entry admission, removals, persistence restore) call it so long-lived
 // sets always pay the minimal footprint. Every binary operation is
 // specialized per container pair: sparse∧sparse costs O(min population),
 // dense∧dense stays word-parallel, and a full-run operand short-circuits.
@@ -477,59 +477,6 @@ func (s *Set) Bytes() int {
 	default:
 		return 8*len(s.words) + 24
 	}
-}
-
-// ElemHash is the fixed 64-bit hash of bit index i that Fingerprint sums:
-// the splitmix64 finalizer, so neighbouring indices land far apart and no
-// index hashes to zero. Callers that add or remove bit i from a set whose
-// fingerprint they hold keep it current by adding or subtracting
-// ElemHash(i) instead of rehashing the set.
-func ElemHash(i int) uint64 {
-	z := uint64(i) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Fingerprint returns a 64-bit content hash of the set: the wrapping sum
-// of ElemHash over the set bits (0 for the empty set). The sum is
-// commutative and sees neither the capacity nor the container, so three
-// identities hold for any set S and bit i:
-//
-//	fp(S ∪ {i}) = fp(S) + ElemHash(i)   (i ∉ S)
-//	fp(S ∖ {i}) = fp(S) − ElemHash(i)   (i ∈ S)
-//	fp(S.Grown(n)) = fp(S)
-//
-// which is what lets the cache maintain an answer set's fingerprint
-// through dataset additions and removals without touching the set. The
-// price is that a from-scratch hash is O(|S|), not O(runs): ~5 µs for a
-// 5 000-bit answer set, paid once on the query path that spent ≥ 100 µs
-// producing it. Equal sets fingerprint identically; sets that differ only
-// in capacity do too, and unequal sets may collide — the interning pool
-// keys its buckets on the fingerprint and resolves every match with Equal,
-// so the hash only needs to be well-distributed, never perfect.
-func (s *Set) Fingerprint() uint64 {
-	var h uint64
-	switch s.mode {
-	case modeSparse:
-		for _, v := range s.sparse {
-			h += ElemHash(int(v))
-		}
-	case modeRun:
-		for _, r := range s.runs {
-			for v := r.start; v < r.end; v++ {
-				h += ElemHash(int(v))
-			}
-		}
-	default:
-		for wi, w := range s.words {
-			for w != 0 {
-				h += ElemHash(wi*wordBits + bits.TrailingZeros64(w))
-				w &= w - 1
-			}
-		}
-	}
-	return h
 }
 
 // String renders the set as a compact index list, e.g. "{1, 4, 7}".

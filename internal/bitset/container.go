@@ -135,7 +135,7 @@ func (s *Set) normRuns() {
 // Compact re-encodes the set in its smallest container: whichever of
 // sparse (4 B/bit), run (8 B/span) or dense (8 B/word) costs the fewest
 // payload bytes for the current contents. Publication points — entry
-// admission, the interning pool, persistence restore — call it so every
+// admission, removals, persistence restore — call it so every
 // long-lived set pays the minimal footprint; scratch sets skip it and
 // keep their mutation-friendly container. Contents are unchanged.
 //

@@ -141,28 +141,21 @@ type Cache struct {
 	addSums map[int]summary
 
 	// res tracks cache-wide resident entries/bytes atomically (see
-	// residency). res covers static entry bytes only; the shared
-	// answer-set bytes live in pool's account.
+	// residency).
 	res residency
 
 	// victim is evictLocked's reusable mark-per-position scratch, all
 	// false between evictions. Guarded by policyMu.
 	victim []bool
 
-	// pool interns answer sets across entries (see intern.go): identical
-	// published sets collapse onto one canonical allocation, charged once.
-	// Its mutex is a leaf — acquired under policyMu, never the reverse —
-	// so it sits outside the checked hierarchy.
-	pool *internPool
-
 	mon Monitor
 }
 
 // residency is the resident-entry account: entry and byte counts
 // maintained atomically by every admission and eviction, so Len and Bytes
-// read them without a lock. bytes covers the entries' static footprints
-// only; answer-set bytes live in the intern pool's account, charged once
-// per canonical set (Cache.Bytes sums the two).
+// read them without a lock. bytes is the sum of the resident entries'
+// charged footprints (Entry.charged): Σ Entry.Bytes() at every window
+// turn and stop-the-world pass, which true the charges up.
 type residency struct {
 	entries atomic.Int64
 	bytes   atomic.Int64
@@ -193,7 +186,6 @@ func New(method *ftv.Method, cfg Config) (*Cache, error) {
 		policy:  cfg.Policy,
 		costVal: make([]atomic.Uint64, method.DatasetSize()),
 		addSums: map[int]summary{},
-		pool:    newInternPool(),
 	}
 	c.published.Store(&resident{})
 	return c, nil
@@ -236,24 +228,20 @@ func (c *Cache) WindowLen() int {
 	return len(c.window)
 }
 
-// Bytes returns the estimated resident size of admitted entries: the
-// static footprints from the atomic residency account (the same total a
-// walk of the resident list sums to — asserted by
-// TestResidencyAccountAgreement) plus the interned answer sets, each
-// charged once however many entries share it.
+// Bytes returns the estimated resident size of admitted entries from the
+// atomic residency account: Σ Entry.Bytes() over the resident list as of
+// the last window turn or stop-the-world pass (asserted by
+// TestResidencyAccountAgreement).
 func (c *Cache) Bytes() int {
-	return int(c.res.bytes.Load() + c.pool.bytes.Load())
+	return int(c.res.bytes.Load())
 }
 
 // Stats returns a snapshot of the operational counters, supplemented
 // with the current addition-log length (it lives on the method, which
-// outlives any one cache) and the intern pool's account.
+// outlives any one cache).
 func (c *Cache) Stats() Snapshot {
 	s := c.mon.Snapshot()
 	s.AdditionLogLen = c.method.AdditionLogLen()
-	s.AnswerBytes = c.pool.bytes.Load()
-	s.InternHits = c.pool.hits.Load()
-	s.InternMisses = c.pool.misses.Load()
 	return s
 }
 
@@ -464,9 +452,9 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// view's epoch: its answers are exact for that dataset state, and any
 	// later mutation either patches it (eager) or is reconciled from the
 	// addition log before the entry's answers are next trusted (lazy). It
-	// is built — answers cloned, compacted and hashed — before admit takes
-	// any lock.
-	c.admit(c.entryFromSig(q, qt, answers.Clone(), cmCount, sig, tick, view.Epoch()))
+	// is built — answers cloned and compacted — before admit takes any
+	// lock.
+	c.admit(entryFromSig(q, qt, answers.Clone(), cmCount, sig, tick, view.Epoch()))
 	return res, nil
 }
 
@@ -734,11 +722,10 @@ func (c *Cache) turnWindow() {
 	c.foldCreditsLocked(c.window)
 	for _, e := range c.entries {
 		e.age(decayFactor)
-		// True up this entry's interning: lazy reconciliation may have
-		// grown its answer set on the query path, where no account can be
-		// touched. A pointer compare for the entries whose set did not
-		// change; keeps the memory-budget enforcement below honest in
-		// LazyReconcile mode.
+		// True up this entry's charge: lazy reconciliation and fault-in
+		// may have swapped its answer set on the query path, where the
+		// account is not touched. Keeps the memory-budget enforcement
+		// below honest.
 		c.rechargeLocked(e)
 	}
 	if excess := len(c.entries) + len(c.window) - c.cfg.Capacity; excess > 0 {
@@ -749,14 +736,8 @@ func (c *Cache) turnWindow() {
 		c.mon.admissions.Add(1)
 	}
 	c.window = c.window[:0]
-
 	// A window larger than the whole capacity can still overflow.
-	if excess := len(c.entries) - c.cfg.Capacity; excess > 0 {
-		c.evictLocked(excess)
-	}
-	for c.cfg.MemoryBudget > 0 && c.Bytes() > c.cfg.MemoryBudget && len(c.entries) > 1 {
-		c.evictLocked(1)
-	}
+	c.enforceLimitsLocked()
 
 	// Publish before the locks drop: the next query of a sequential stream
 	// sees exactly the admitted entries.
@@ -815,40 +796,38 @@ func (c *Cache) markVictims(all []*Entry, x int) []bool {
 	return marks
 }
 
-// insertLocked appends e to the resident list and charges it. Admissions
-// arrive in ascending-ID order (IDs are claimed monotonically under
-// windowMu, which stages the entry), so appending keeps the list sorted.
+// enforceLimitsLocked evicts until the resident list fits Capacity and,
+// when set, MemoryBudget — keeping at least one entry. Window turns and
+// restores call it after admitting.
 //
 //gclint:requires policyMu
-//gclint:acquires internMu
+func (c *Cache) enforceLimitsLocked() {
+	if excess := len(c.entries) - c.cfg.Capacity; excess > 0 {
+		c.evictLocked(excess)
+	}
+	for c.cfg.MemoryBudget > 0 && c.Bytes() > c.cfg.MemoryBudget && len(c.entries) > 1 {
+		c.evictLocked(1)
+	}
+}
+
+// insertLocked appends e to the resident list and charges its Bytes().
+// Admissions arrive in ascending-ID order (IDs are claimed monotonically
+// under windowMu, which stages the entry), so appending keeps the list
+// sorted.
+//
+//gclint:requires policyMu
 func (c *Cache) insertLocked(e *Entry) {
 	c.entries = append(c.entries, e)
-	// Intern the answer set: an entry admitting a set another entry
-	// already publishes collapses onto that canonical allocation. The
-	// republish is a CAS because a query that found this entry while it
-	// was window-pending can be lazily reconciling it right now — losing
-	// that race just defers the swap to the next true-up (the pool
-	// reference is held either way). A pending lazy body (state restore,
-	// persist.go) has nothing resident to intern: e.interned stays nil
-	// until the first true-up after fault-in.
-	if st := e.answers(); st.body == nil {
-		e.interned = c.pool.acquire(st.set, st.fp)
-		if e.interned.set != st.set {
-			e.swapCanonical(st, e.interned.set)
-		}
-	}
-	// The entry's own charge is its static footprint; the shared answer
-	// bytes are charged once by the pool.
+	e.charged = e.Bytes()
 	c.res.entries.Add(1)
-	c.res.bytes.Add(int64(e.staticBytes))
+	c.res.bytes.Add(int64(e.charged))
 }
 
 // evictLocked removes x entries chosen by the policy from the resident
-// list in one in-place pass, releasing each victim's canonical answer set
-// and charge. Caller holds policyMu (window turns and state restores).
+// list in one in-place pass, refunding each victim's charge. Caller holds
+// policyMu (window turns and state restores).
 //
 //gclint:requires policyMu
-//gclint:acquires internMu
 func (c *Cache) evictLocked(x int) {
 	if x <= 0 || len(c.entries) == 0 {
 		return
@@ -862,9 +841,7 @@ func (c *Cache) evictLocked(x int) {
 		}
 		marks[i] = false
 		c.res.entries.Add(-1)
-		c.res.bytes.Add(int64(-e.staticBytes))
-		c.pool.release(e.interned)
-		e.interned = nil
+		c.res.bytes.Add(int64(-e.charged))
 		c.mon.evictions.Add(1)
 	}
 	// Zero the tail so evicted entries are collectable.

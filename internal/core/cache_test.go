@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
@@ -701,18 +700,10 @@ func TestBytesAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Recompute the ledger from scratch: static bytes per entry plus each
-	// distinct answer set once — interning can collapse equal sets across
-	// entries, so summing Entry.Bytes would overcount the shared ones.
+	// Recompute the ledger from scratch: each entry charges its own bytes.
 	want := 0
-	seen := make(map[*bitset.Set]bool)
 	for _, e := range c.Entries() {
-		a := e.Answers()
-		want += e.Bytes() - a.Bytes()
-		if !seen[a] {
-			seen[a] = true
-			want += a.Bytes()
-		}
+		want += e.Bytes()
 	}
 	if got := c.Bytes(); got != want {
 		t.Errorf("bytes ledger %d != recomputed %d", got, want)

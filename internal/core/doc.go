@@ -41,7 +41,8 @@
 // paid for a filter run and a verification — and the append that fills
 // the window turns it stop-the-world; an exact hit on an admitted entry
 // takes no lock at all. The lock hierarchy is dsMu → windowMu → policyMu
-// (see the Cache type for the locking discipline). A Statistics
+// (see the Cache type for the locking discipline); the only other lock
+// a query meets is the method's leaf mutex (ftv.Method). A Statistics
 // Monitor/Manager tracks per-query and per-entry utilities, including the
 // number of sub-iso tests each cached entry saved (PIN) and their measured
 // cost (PINC).
@@ -104,7 +105,7 @@
 //     every previous query's (the grown scratch is kept by the pool, so
 //     growth amortizes to zero).
 //
-//   - Answer sets are adaptive and shared. internal/bitset picks the
+//   - Answer sets are adaptive, one per entry. internal/bitset picks the
 //     smallest of three containers per set (sorted-uint32 sparse, run
 //     spans, dense words) with automatic migration at container-local
 //     thresholds; the read paths dispatch per container pair through
@@ -114,31 +115,17 @@
 //     before publication; a published set is frozen in whatever
 //     container it had (concurrent readers dispatch on its mode tag, so
 //     migration on a shared set is a data race by construction).
-//     Identical published sets are then interned cache-wide (intern.go):
-//     entries acquire a refcounted canonical keyed by content
-//     fingerprint, the residency account charges each canonical once,
-//     and the pool's leaf mutex is the only lock the sharing costs.
+//     Sets are not shared across entries: each entry charges its own
+//     Bytes() to the residency account (Entry.charged, trued up by
+//     rechargeLocked at every window turn and stop-the-world pass), so
+//     Cache.Bytes is Σ Entry.Bytes() at those points.
 //
-//   - A set is hashed once, by the goroutine that built it, outside
-//     every lock; the fingerprint travels in answerState. The hash
-//     (bitset.Set.Fingerprint) is a wrapping sum of per-bit hashes, blind
-//     to capacity and container, so everything that later changes the
-//     set derives the new fingerprint from the old: a dataset add that
-//     verifies adds bitset.ElemHash(gid), a removal subtracts it, Grown
-//     and Compact leave it alone. Execute hashes the set it admits
-//     before admit takes windowMu, restores hash what they decoded,
-//     fault-in hashes on the faulting query (Monitor.hashSet is the
-//     only caller of Fingerprint in the kernel and counts each one in
-//     Snapshot.SetRehashes); the intern pool takes the
-//     fingerprint as an argument and entries remember their pool node.
-//     That is what keeps the two stop-the-world passes — window turns
-//     and dataset mutations — proportional to what changed rather than
-//     to what is cached: neither hashes, sorts or copies the resident
-//     set (TestMutationHashesOnlyTheDelta; the turn selects its victims
-//     with a bounded heap over the ID-ordered resident list). Equal still
-//     decides every pool match, so a wrong fingerprint could only cost
-//     sharing, never an answer — and fingerprintDrift in the churn
-//     suites checks every carried value against a from-scratch hash.
+//   - The two stop-the-world passes — window turns and dataset
+//     mutations — stay proportional to what changed rather than to what
+//     is cached: neither sorts or copies the resident set (a removal
+//     clones only the sets holding the gid; the turn selects its victims
+//     with a bounded heap over the ID-ordered resident list), and a
+//     charge true-up is one O(1) Bytes() per entry.
 //     Persistence round-trips compact: the binary v3 snapshot stores
 //     each set's native container encoding verbatim (bitset
 //     AppendBinary/FromBinary), while the legacy v2 text format stores
@@ -207,9 +194,10 @@
 //     a drops list — the ids tombstoned since the snapshot was written
 //     (dsSize equality proves no ADDS happened; ids are never reused).
 //     Fault-in reads the segment, verifies ansSum, decodes, applies
-//     drops, Compact()s, hashes, and publishes by CAS — fully lock-free,
-//     with cross-entry dedup via the source's checksum-keyed map
-//     (interning refcounts true up at the next rechargeLocked).
+//     drops, Compact()s and publishes by CAS — fully lock-free. Until
+//     then the entry is charged its body's length, so MemoryBudget sees
+//     the answers from the restore on (replaceEntries enforces it); the
+//     charge follows the decoded set at the next rechargeLocked.
 //   - Restored entries are stamped with the CURRENT dataset epoch
 //     (sound for the addition log by the dsSize check, exactly as in
 //     v2); a pending entry's epoch holds the log-compaction floor down
@@ -239,7 +227,8 @@
 //
 //	//gclint:hierarchy dsMu windowMu policyMu  (on Cache: the lock order)
 //	//gclint:lock policyMu     (on a field: this is lock "policyMu" in the hierarchy)
-//	//gclint:leaf              (with lock: rank-exempt, but nothing may be acquired under it)
+//	//gclint:leaf              (with lock: rank-exempt, but nothing may be acquired under it;
+//	                            the tree's one leaf is ftv.Method's mutex)
 //	//gclint:acquires windowMu policyMu  (func acquires and releases these internally)
 //	//gclint:requires policyMu  (func must be called with these held)
 //	//gclint:holds dsMu         (func acquires these and LEAVES them held — lockDataset)

@@ -19,16 +19,9 @@ import (
 // a deferred materialization of the same logical snapshot, published
 // through the ordinary CAS discipline (see persist.go).
 //
-// fp is set.Fingerprint(), carried so that no holder of a lock ever has
-// to compute it: whoever builds a materialized state supplies it, either
-// by hashing a set it just produced (outside every lock) or by adjusting
-// the previous state's fp by ±bitset.ElemHash for the bits it changed. A
-// pending state carries none; fault-in hashes the decoded set.
-//
 //gclint:cow
 type answerState struct {
 	set   *bitset.Set
-	fp    uint64
 	epoch int64
 	body  *lazyBody
 }
@@ -98,18 +91,15 @@ type Entry struct {
 	// staticBytes is the size of everything but the answer set — graph,
 	// signatures, struct overhead — computed once at construction so
 	// Bytes() is O(1) and can be re-evaluated cheaply whenever the answer
-	// set is swapped. It is also the entry's whole charge to the
-	// residency account: answer bytes are charged once per canonical set
-	// by the intern pool, however many entries share it. Immutable.
+	// set is swapped. Immutable.
 	staticBytes int
 
-	// interned is the pool node of the canonical answer set the intern
-	// pool holds one reference for on this entry's behalf; nil until
-	// admission. Its set can trail the published one (lazy reconciliation
-	// swaps sets on the query path without touching the pool) and is
-	// trued up by rechargeLocked at window turns and stop-the-world
-	// passes. Guarded by policyMu.
-	interned *internNode
+	// charged is the Bytes() the residency account holds for this entry:
+	// set at admission, trued up by rechargeLocked at window turns and
+	// stop-the-world passes (lazy reconciliation and fault-in swap sets on
+	// the query path, where the account is not touched). Guarded by
+	// policyMu.
+	charged int
 
 	// InsertedAt and LastUsed are query ticks (LRU/FIFO state).
 	InsertedAt int64
@@ -145,7 +135,7 @@ func (e *Entry) DatasetEpoch() int64 { return e.ans.p.Load().epoch }
 // answers returns the entry's (set, epoch) pair as one consistent load.
 // The state may be PENDING (set nil, body non-nil) on a lazily restored
 // entry: maintenance paths that must not trigger snapshot I/O
-// (admission, intern true-up, byte accounting) use this accessor and
+// (admission, byte accounting) use this accessor and
 // handle pending states explicitly; everything needing the bits goes
 // through loadAnswers.
 //
@@ -169,20 +159,10 @@ func (e *Entry) loadAnswers() *answerState {
 	return st
 }
 
-// setAnswers publishes a new answer state; fp must be set.Fingerprint().
-// The set must not be mutated after the call.
-func (e *Entry) setAnswers(set *bitset.Set, fp uint64, epoch int64) {
-	e.ans.p.Store(&answerState{set: set, fp: fp, epoch: epoch})
-}
-
-// swapCanonical republishes old with its set replaced by the Equal
-// canonical the pool returned, only if the entry's answer state is still
-// old, reporting whether the swap landed. A plain store could overwrite —
-// and epoch-regress — a state a racing lazy reconciler published after old
-// was read, which would let the entry skip addition records the log has
-// already compacted away.
-func (e *Entry) swapCanonical(old *answerState, canonical *bitset.Set) bool {
-	return e.ans.p.CompareAndSwap(old, &answerState{set: canonical, fp: old.fp, epoch: old.epoch})
+// setAnswers publishes a new answer state. The set must not be mutated
+// after the call.
+func (e *Entry) setAnswers(set *bitset.Set, epoch int64) {
+	e.ans.p.Store(&answerState{set: set, epoch: epoch})
 }
 
 // entryFromSig builds an Entry from a precomputed query signature — the
@@ -192,15 +172,15 @@ func (e *Entry) swapCanonical(old *answerState, canonical *bitset.Set) bool {
 // epoch stamps the dataset state the answers were computed against. The
 // ID is assigned when the entry is staged (admit) or installed
 // (replaceEntries). Callers hold no lock: this is where an answer set is
-// compacted and hashed.
-func (c *Cache) entryFromSig(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) *Entry {
+// compacted.
+func entryFromSig(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) *Entry {
 	e := entryShell(q, qt, baseCandidates, sig, tick)
 	// The set is owned here (every caller passes a fresh or cloned set)
 	// and about to be published read-only for the entry's lifetime, so
 	// pay the one-off re-encode into its smallest container now: sparse
 	// for small answer sets, run for near-full ones, dense in between.
 	answers.Compact()
-	e.setAnswers(answers, c.mon.hashSet(answers), epoch)
+	e.setAnswers(answers, epoch)
 	return e
 }
 
@@ -233,10 +213,8 @@ func (e *Entry) summary() summary {
 }
 
 // Bytes estimates the entry's logical resident size: the immutable
-// static part plus the current answer set. O(1). This is the entry's
-// standalone footprint; the residency account charges staticBytes per
-// entry plus each interned answer set once (see internPool), so summing
-// Bytes over entries overstates a cache with cross-entry sharing.
+// static part plus the current answer set. O(1). It is what the entry
+// charges to the residency account (Cache.Bytes).
 func (e *Entry) Bytes() int {
 	st := e.answers()
 	if st.body != nil {

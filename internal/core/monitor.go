@@ -3,8 +3,6 @@ package core
 import (
 	"sync/atomic"
 	"time"
-
-	"graphcache/internal/bitset"
 )
 
 // Monitor is the Statistics Monitor/Manager: cumulative operational
@@ -38,24 +36,11 @@ type Monitor struct {
 	logCompactions    atomic.Int64 // addition-log compactions that dropped ≥1 record
 	logRecordsDropped atomic.Int64 // addition records dropped by compaction
 	stateBodyFaults   atomic.Int64 // lazy-restore answer bodies faulted in from the snapshot file
-	setRehashes       atomic.Int64 // answer sets hashed from scratch (hashSet)
 	filterNs          atomic.Int64
 	verifyNs          atomic.Int64
 	windowTurnNs      atomic.Int64 // inside turnWindow
 	mutationWaitNs    atomic.Int64 // AddGraph/RemoveGraph waiting for dsMu's write side
 	mutationHoldNs    atomic.Int64 // AddGraph/RemoveGraph holding it
-}
-
-// hashSet returns set.Fingerprint(), counting the from-scratch hash
-// (Snapshot.SetRehashes). It is the only way the kernel hashes an answer
-// set, and its callers hold no lock: a set is hashed once, by the
-// goroutine that built it, and from then on the fingerprint travels with
-// the published state (answerState.fp).
-//
-//gclint:nolocks
-func (m *Monitor) hashSet(set *bitset.Set) uint64 {
-	m.setRehashes.Add(1)
-	return set.Fingerprint()
 }
 
 // endTurn closes the clock pair a window turn opened.
@@ -101,12 +86,10 @@ type Snapshot struct {
 	// cached answer sets after additions (eagerly at mutation time or
 	// lazily at hit time) — the maintenance side of the churn ledger.
 	DatasetAdds, DatasetRemoves, MaintenanceTests int64
-	// AnswerBytes is the intern pool's account: total bytes of the
-	// distinct canonical answer sets, each charged once however many
-	// entries share it. InternHits counts admissions/true-ups that reused
-	// an already-pooled set; InternMisses counts the ones that inserted a
-	// new canonical. All three read from the cache's pool, not the Monitor.
-	AnswerBytes              int64
+	// InternHits and InternMisses are always zero: answer sets are never
+	// shared across entries. They stay declared only because the
+	// benchmark harness reads them (benchmark/run.go:361) until ROADMAP
+	// item 1 re-bases it, like Config's three inert fields.
 	InternHits, InternMisses int64
 	// AdditionLogLen is the method's current addition-log length;
 	// LogCompactions counts the compactions that dropped at least one
@@ -119,12 +102,6 @@ type Snapshot struct {
 	// file after a lazy restore (RestoreStateLazy): 0 right after restore,
 	// rising as queries first touch each restored entry's answers.
 	StateBodyFaults int64
-	// SetRehashes counts answer sets hashed from scratch for the intern
-	// pool: one per admitted query, restored entry and faulted-in body,
-	// always by the goroutine that built the set and outside every lock.
-	// Dataset mutations, window turns and lazy reconciliation add nothing
-	// to it — they derive the new fingerprint from the old one.
-	SetRehashes int64
 	// FilterTime, HitTime and VerifyTime split where query time went.
 	FilterTime, HitTime, VerifyTime time.Duration
 	// The stopped world, in nanoseconds. WindowTurnNs is the time spent
@@ -172,7 +149,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		LogCompactions:    m.logCompactions.Load(),
 		LogRecordsDropped: m.logRecordsDropped.Load(),
 		StateBodyFaults:   m.stateBodyFaults.Load(),
-		SetRehashes:       m.setRehashes.Load(),
 		WindowTurnNs:      m.windowTurnNs.Load(),
 		MutationWaitNs:    m.mutationWaitNs.Load(),
 		MutationHoldNs:    m.mutationHoldNs.Load(),

@@ -46,13 +46,11 @@ import (
 // What a mutation costs: it stops the world (the drain of dsMu's write
 // side, then the whole hierarchy), so the work under the locks is kept
 // proportional to what changed, never to what is cached. Per entry an
-// eager add is one Grown, two intern-pool map operations and a screen of
-// the entry's summary against the added graph's (computed once per add),
-// which refutes most entries; only the rest pay a containment test. A
-// remove touches only the entries that contained the gid.
-// No answer set is rehashed: the new fingerprint is the old one ±
-// bitset.ElemHash(gid) (answerState.fp). Snapshot.MutationWaitNs and
-// MutationHoldNs time the drain and the hold.
+// eager add is one Grown, a charge true-up and a screen of the entry's
+// summary against the added graph's (computed once per add), which
+// refutes most entries; only the rest pay a containment test. A remove
+// clones only the entries that contained the gid. Snapshot.MutationWaitNs
+// and MutationHoldNs time the drain and the hold.
 
 // AddGraph appends g to the live dataset under a fresh stable id and
 // maintains the cached state exactly: the verification-cost EMA array and
@@ -133,7 +131,7 @@ func (c *Cache) RemoveGraph(gid int) error {
 			// The epoch is NOT advanced: entry epochs track the addition
 			// log only (removals apply to every entry right here), so an
 			// unchanged epoch cannot skip a pending addition record.
-			e.setAnswers(s, st.fp-bitset.ElemHash(gid), st.epoch)
+			e.setAnswers(s, st.epoch)
 		}
 	})
 	return nil
@@ -177,13 +175,13 @@ func (c *Cache) growCostCells(n int) {
 }
 
 // withAllEntriesLocked runs fn (when non-nil) over every admitted and
-// every window-pending entry, then trues up each admitted entry's
-// interning: fn may have published a fresh set, and removal survivors
-// often collapse onto each other's canonical sets (window entries are
-// interned at admission). It takes the full lock hierarchy below dsMu;
-// caller holds dsMu exclusively. Before the locks drop it compacts the
-// addition log up to the minimum entry epoch, as every stop-the-world
-// pass owes, and prunes the added-graph summaries to what is left.
+// every window-pending entry, and trues up each admitted entry's charge:
+// fn may have published a fresh set, and so may lazy reconciliation since
+// the last pass (window entries are charged at admission). It takes the
+// full lock hierarchy below dsMu; caller holds dsMu exclusively. Before
+// the locks drop it compacts the addition log up to the minimum entry
+// epoch, as every stop-the-world pass owes, and prunes the added-graph
+// summaries to what is left.
 //
 //gclint:acquires windowMu policyMu
 func (c *Cache) withAllEntriesLocked(fn func(e *Entry)) {
@@ -191,11 +189,13 @@ func (c *Cache) withAllEntriesLocked(fn func(e *Entry)) {
 	defer c.windowMu.Unlock()
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
-	if fn != nil {
-		for _, e := range c.entries {
+	for _, e := range c.entries {
+		if fn != nil {
 			fn(e)
-			c.rechargeLocked(e)
 		}
+		c.rechargeLocked(e)
+	}
+	if fn != nil {
 		for _, e := range c.window {
 			fn(e)
 		}
@@ -266,7 +266,7 @@ func (c *Cache) compactTo(floor int64) {
 
 // reconcileEntryLocked brings one entry to the view's epoch by verifying
 // the delta additions. Caller holds dsMu exclusively plus the full lock
-// hierarchy, and trues up the entry's interning afterwards.
+// hierarchy, and trues up the entry's charge afterwards.
 func (c *Cache) reconcileEntryLocked(e *Entry, view ftv.DatasetView) {
 	st := e.answers()
 	if st.body != nil {
@@ -280,48 +280,21 @@ func (c *Cache) reconcileEntryLocked(e *Entry, view ftv.DatasetView) {
 	if st.epoch >= view.Epoch() && st.set.Len() == view.Size() {
 		return
 	}
-	set, fp := c.patchedAnswers(e, st, view)
-	e.setAnswers(set, fp, view.Epoch())
+	e.setAnswers(c.patchedAnswers(e, st, view), view.Epoch())
 }
 
-// rechargeLocked trues up the residency charge for an entry whose answer
-// set may have been swapped since the last pass (lazy reconciliation
-// publishes fresh sets on the query path, where neither the pool nor any
-// account can be touched). Entries charge their static footprint, which
-// never drifts, so truing up means re-interning: acquire a canonical for
-// the currently published set — collapsing it onto an equal pooled set
-// when one exists — and release the previously interned one; the pool's
-// byte account moves with the references. Nothing is hashed: the state
-// carries its set's fingerprint and the entry its pool node, so a true-up
-// is two map operations, and none when the set did not change. The
-// republish is a CAS so a
-// racing query-path reconciler can never be regressed to an older epoch
-// (which could skip compacted addition records); losing the race keeps
-// the new reference and leaves the swap to the next true-up. Called only
-// on admitted entries (window entries are interned at admission, not
-// before); caller holds policyMu.
+// rechargeLocked trues up the residency charge of an admitted entry whose
+// answer set may have been swapped since the last pass (lazy
+// reconciliation and fault-in publish fresh sets on the query path, where
+// the account is not touched): the account moves by the difference
+// between the entry's Bytes() and its charge. Caller holds policyMu.
 //
 //gclint:requires policyMu
-//gclint:acquires internMu
-//gclint:loads answers e
 func (c *Cache) rechargeLocked(e *Entry) {
-	st := e.answers()
-	if st.body != nil {
-		// Pending lazy body: nothing resident to intern yet. The fault-in
-		// path shares decoded sets through the snapshot source's dedup
-		// registry; pool references catch up here on the first true-up
-		// after the fault.
-		return
+	if b := e.Bytes(); b != e.charged {
+		c.res.bytes.Add(int64(b - e.charged))
+		e.charged = b
 	}
-	if e.interned != nil && e.interned.set == st.set {
-		return
-	}
-	node := c.pool.acquire(st.set, st.fp)
-	if node.set != st.set {
-		e.swapCanonical(st, node.set)
-	}
-	c.pool.release(e.interned)
-	e.interned = node
 }
 
 // reconciledAnswers returns e's answer set brought to the query view's
@@ -329,9 +302,9 @@ func (c *Cache) rechargeLocked(e *Entry) {
 // lazy-reconciliation read path; in eager mode entries are already
 // current, making this a single atomic load). It runs lock-free under the
 // read side of dsMu: racing reconcilers of the same entry compute
-// identical states, so the last published one wins benignly. Byte
-// accounts are deliberately NOT touched here (policyMu is not held);
-// they are trued up at the next window turn and at every stop-the-world
+// identical states, so the last published one wins benignly. The byte
+// account is deliberately NOT touched here (policyMu is not held); it is
+// trued up at the next window turn and at every stop-the-world
 // maintenance pass (rechargeLocked).
 //
 //gclint:requires dsMu
@@ -342,8 +315,8 @@ func (c *Cache) reconciledAnswers(e *Entry, view ftv.DatasetView) *bitset.Set {
 	if st.epoch >= view.Epoch() && st.set.Len() == view.Size() {
 		return st.set
 	}
-	set, fp := c.patchedAnswers(e, st, view)
-	e.setAnswers(set, fp, view.Epoch())
+	set := c.patchedAnswers(e, st, view)
+	e.setAnswers(set, view.Epoch())
 	return set
 }
 
@@ -354,20 +327,17 @@ func (c *Cache) reconciledAnswers(e *Entry, view ftv.DatasetView) *bitset.Set {
 // summary the cache holds is tested only if the entry's summary admits
 // the containment; one added to the Method behind the cache's back has
 // none and is always tested. Removal bits need no handling: removals
-// clear them from every entry at mutation time. The
-// second result is the patched set's fingerprint, derived from st.fp:
-// Grown preserves it and each addition that verifies (a gid st.set cannot
-// hold — it was added after st.epoch) contributes its ElemHash.
-func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) (*bitset.Set, uint64) {
+// clear them from every entry at mutation time.
+func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) *bitset.Set {
 	recs := view.AddsSince(st.epoch)
-	set, fp := st.set, st.fp
+	set := st.set
 	switch {
 	case set.Len() != view.Size():
 		set = set.Grown(view.Size())
 	case len(recs) > 0:
 		set = set.Clone()
 	default:
-		return set, fp // removals-only delta: the set is already exact
+		return set // removals-only delta: the set is already exact
 	}
 	es := e.summary()
 	for _, r := range recs {
@@ -386,10 +356,9 @@ func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) 
 		c.mon.maintenanceTests.Add(1)
 		if view.VerifyCandidate(e.Graph, r.GID, e.Type) {
 			set.Add(r.GID)
-			fp += bitset.ElemHash(r.GID)
 		}
 	}
-	return set, fp
+	return set
 }
 
 // DatasetInfo is a snapshot of the live dataset's shape.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -50,20 +51,29 @@ import (
 const stateVersionV2 = 2
 
 // WriteStateV2 serializes the cache's admitted entries to w in the
-// legacy text format. It takes the read side of the dataset mutex (the
-// recorded answer ids must belong to one dataset snapshot) plus policyMu
-// (the resident list and the utility fields it records are mutated under
-// it), so the written state is one consistent snapshot even under
-// concurrent queries. Entries stale with respect to dataset additions
-// (LazyReconcile) are reconciled before serialization — the on-disk
-// format carries no epochs, so what it stores must be exact at the
-// header's dataset size. Every write is error-checked, and the graph
-// codec writes through the same buffered writer as the state lines —
-// exactly one writer touches w, so no flush ordering can interleave.
+// legacy text format. The state is formatted in memory under the read
+// side of the dataset mutex (the recorded answer ids must belong to one
+// dataset snapshot) plus policyMu (the resident list and the utility
+// fields it records are mutated under it), so it is one consistent
+// snapshot even under concurrent queries; w is written only after both
+// are released, so a slow writer stalls no query. Entries stale with
+// respect to dataset additions (LazyReconcile) are reconciled before
+// serialization — the on-disk format carries no epochs, so what it stores
+// must be exact at the header's dataset size.
+func (c *Cache) WriteStateV2(w io.Writer) error {
+	var buf bytes.Buffer
+	if err := c.formatStateV2(&buf); err != nil {
+		return err
+	}
+	_, err := buf.WriteTo(w)
+	return err
+}
+
+// formatStateV2 formats the v2 state into buf under the locks.
 //
 //gclint:acquires dsMu policyMu
 //gclint:pins dataset
-func (c *Cache) WriteStateV2(w io.Writer) error {
+func (c *Cache) formatStateV2(buf *bytes.Buffer) error {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
@@ -71,35 +81,22 @@ func (c *Cache) WriteStateV2(w io.Writer) error {
 	defer c.policyMu.Unlock()
 
 	c.foldCreditsLocked(c.entries) // the utilities written below include every completed hit
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(c.entries)); err != nil {
-		return err
-	}
+	fmt.Fprintf(buf, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(c.entries))
 	for _, e := range c.entries {
-		if _, err := fmt.Fprintf(bw, "entry %d %d %d %d %d %g %g\n",
-			e.Type, e.Graph.N(), e.Graph.M(), e.BaseCandidates, e.Hits, e.SavedTests, e.SavedCostNs); err != nil {
-			return err
-		}
+		fmt.Fprintf(buf, "entry %d %d %d %d %d %g %g\n",
+			e.Type, e.Graph.N(), e.Graph.M(), e.BaseCandidates, e.Hits, e.SavedTests, e.SavedCostNs)
 		ids := c.reconciledAnswers(e, view).Indices()
-		if _, err := fmt.Fprintf(bw, "answers %d", len(ids)); err != nil {
-			return err
-		}
+		fmt.Fprintf(buf, "answers %d", len(ids))
 		for _, id := range ids {
-			if _, err := fmt.Fprintf(bw, " %d", id); err != nil {
-				return err
-			}
+			fmt.Fprintf(buf, " %d", id)
 		}
-		if _, err := fmt.Fprintln(bw); err != nil {
-			return err
-		}
-		if err := graph.WriteGraph(bw, e.Graph); err != nil {
+		buf.WriteByte('\n')
+		if err := graph.WriteGraph(buf, e.Graph); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintln(bw, "end"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	buf.WriteString("end\n")
+	return nil
 }
 
 // stateError builds a line-numbered restore error.
@@ -318,7 +315,7 @@ parse:
 		// are never reused, so the remaining bits are still exact, and the
 		// restored entries are stamped with the current epoch.
 		answers.And(view.Live())
-		e := c.entryFromSig(gs[0], it.qt, answers, it.baseCandidates, signatureOf(gs[0]), 0, view.Epoch())
+		e := entryFromSig(gs[0], it.qt, answers, it.baseCandidates, signatureOf(gs[0]), 0, view.Epoch())
 		e.Hits = it.hits
 		e.SavedTests = it.savedTests
 		e.SavedCostNs = it.savedCost
@@ -348,9 +345,6 @@ func (c *Cache) replaceEntries(entries []*Entry) {
 	c.entries = nil
 	c.res.entries.Store(0)
 	c.res.bytes.Store(0)
-	// The intern pool's references died with the cleared entries; empty it
-	// so the restored entries re-intern from scratch (insertLocked below).
-	c.pool.reset()
 	c.window = c.window[:0]
 	tick := c.tick.Load()
 	for _, e := range entries {
@@ -359,9 +353,7 @@ func (c *Cache) replaceEntries(entries []*Entry) {
 		e.LastUsed = tick
 		c.insertLocked(e)
 	}
-	if excess := len(c.entries) - c.cfg.Capacity; excess > 0 {
-		c.evictLocked(excess)
-	}
+	c.enforceLimitsLocked()
 	c.republishLocked()
 	// Restored entries are stamped with the current epoch (additions are
 	// impossible since the state was written — the id space would have

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
@@ -76,9 +75,8 @@ import (
 // checksum, decode, publish through the cell's CAS — the same
 // epoch-stamped publish discipline lazy reconciliation uses, and equally
 // lock-free, so fault-in is legal on the //gclint:nolocks query path.
-// Decoded sets dedup through the source's registry (keyed by checksum,
-// confirmed by Equal), applying the interning idea at fault-in time; the
-// pool's counted references catch up at the next true-up
+// Each entry decodes its own set. Until then the entry is charged its
+// body's length; the charge follows the decoded set at the next true-up
 // (rechargeLocked), exactly like lazily reconciled sets do.
 //
 // Dataset mutations between restore and fault-in stay exact: removals
@@ -111,20 +109,15 @@ func fnv1a(data []byte) uint64 {
 
 // stateSource is one open snapshot backing a restore: the random-access
 // reader (an mmap.File for RestoreStateLazy, an in-memory buffer for
-// ReadState), plus the fault-in dedup registry and the Monitor the fault
-// counter reports to. For a lazy restore the source must stay open for
-// the cache's lifetime — Close only after the cache is done (or after a
-// later WriteState materialized everything).
+// ReadState), plus the Monitor the fault counter reports to. For a lazy
+// restore the source must stay open for the cache's lifetime — Close
+// only after the cache is done (or after a later WriteState materialized
+// everything).
 type stateSource struct {
 	r      io.ReaderAt
 	size   int64
 	closer io.Closer
 	mon    *Monitor
-
-	// dedup collapses equal decoded answer bodies across entries at
-	// fault-in time, keyed by (checksum, length) and confirmed by Equal.
-	// sync.Map, not a mutex: fault-in runs on the lock-free query path.
-	dedup sync.Map
 }
 
 // Close releases the backing reader (a no-op for in-memory sources).
@@ -137,12 +130,6 @@ func (s *stateSource) Close() error {
 
 func newMemStateSource(data []byte) *stateSource {
 	return &stateSource{r: bytes.NewReader(data), size: int64(len(data))}
-}
-
-// bodyKey keys the fault-in dedup registry.
-type bodyKey struct {
-	sum    uint64
-	length int64
 }
 
 // lazyBody locates one entry's still-on-disk answer set. Immutable after
@@ -191,15 +178,6 @@ func (b *lazyBody) materialize() *bitset.Set {
 		panic(fmt.Sprintf("core: lazy state body at offset %d: capacity %d, want %d", b.off, set.Len(), b.cap))
 	}
 	if len(b.drops) == 0 {
-		// Share one decoded allocation across entries with equal bodies —
-		// interning at fault-in time. The checksum keys the registry; Equal
-		// confirms (FNV is not collision-free), falling back to the private
-		// copy on the astronomically unlikely mismatch.
-		if prev, loaded := b.src.dedup.LoadOrStore(bodyKey{b.sum, b.length}, set); loaded {
-			if ps := prev.(*bitset.Set); ps.Equal(set) {
-				return ps
-			}
-		}
 		return set
 	}
 	for _, gid := range b.drops {
@@ -220,15 +198,10 @@ func (b *lazyBody) materialize() *bitset.Set {
 // superseded pending state and the retry sees the new drop list).
 func (e *Entry) faultAnswers(st *answerState) *answerState {
 	for {
-		b := st.body
-		// src.mon is set before any body is published (readStateV3). The
-		// set is hashed here, on the faulting goroutine: the true-up that
-		// later interns it runs under the full hierarchy and must not.
-		mon := b.src.mon
-		set := b.materialize()
-		next := &answerState{set: set, fp: mon.hashSet(set), epoch: st.epoch}
+		next := &answerState{set: st.body.materialize(), epoch: st.epoch}
 		if e.ans.p.CompareAndSwap(st, next) {
-			mon.stateBodyFaults.Add(1)
+			// src.mon is set before any body is published (readStateV3).
+			st.body.src.mon.stateBodyFaults.Add(1)
 			return next
 		}
 		st = e.ans.p.Load()
@@ -239,17 +212,34 @@ func (e *Entry) faultAnswers(st *answerState) *answerState {
 }
 
 // WriteState serializes the cache's admitted entries to w in the binary
-// v3 format. Locking and consistency match WriteStateV2: the read side
-// of the dataset mutex plus policyMu, entries
-// reconciled to the pinned view before serialization (on a lazily
+// v3 format. Locking and consistency match WriteStateV2: header, index
+// and body are built in memory under the read side of the dataset mutex
+// plus policyMu, entries reconciled to the pinned view (on a lazily
 // restored cache this faults every remaining body in — the new snapshot
-// must not depend on the old backing file). Answer sets are written in
-// their native containers, so save→restore preserves the adaptive
-// compression byte-for-byte.
+// must not depend on the old backing file), and w is written only after
+// both locks are released. Answer sets are written in their native
+// containers, so save→restore preserves the adaptive compression
+// byte-for-byte.
+func (c *Cache) WriteState(w io.Writer) error {
+	secs, err := c.encodeStateV3()
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	for _, sec := range secs {
+		if _, err := bw.Write(sec); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// encodeStateV3 builds the v3 header, index and body sections under the
+// locks.
 //
 //gclint:acquires dsMu policyMu
 //gclint:pins dataset
-func (c *Cache) WriteState(w io.Writer) error {
+func (c *Cache) encodeStateV3() ([3][]byte, error) {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
@@ -266,7 +256,7 @@ func (c *Cache) WriteState(w io.Writer) error {
 		set := c.reconciledAnswers(e, view)
 		gbuf.Reset()
 		if err := graph.WriteGraph(&gbuf, e.Graph); err != nil {
-			return err
+			return [3][]byte{}, err
 		}
 		gb := gbuf.Bytes()
 		entryOff := bodyOff + uint64(len(body))
@@ -299,14 +289,7 @@ func (c *Cache) WriteState(w io.Writer) error {
 	hdr = binary.LittleEndian.AppendUint64(hdr, bodyOff+uint64(len(body)))
 	hdr = binary.LittleEndian.AppendUint64(hdr, fnv1a(index))
 	hdr = binary.LittleEndian.AppendUint64(hdr, fnv1a(hdr))
-
-	bw := bufio.NewWriter(w)
-	for _, sec := range [][]byte{hdr, index, body} {
-		if _, err := bw.Write(sec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return [3][]byte{hdr, index, body}, nil
 }
 
 // RestoreStateLazy restores a v3 snapshot from path in lazy mode: the
@@ -510,7 +493,7 @@ func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
 				return v3Error("entry %d: answer capacity %d, want %d", i, set.Len(), dsSize)
 			}
 			set.And(view.Live())
-			e = c.entryFromSig(gs[0], ftv.QueryType(qt), set, int(bc), sig, 0, view.Epoch())
+			e = entryFromSig(gs[0], ftv.QueryType(qt), set, int(bc), sig, 0, view.Epoch())
 		}
 		e.Hits = hits
 		e.SavedTests = savedTests

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
@@ -405,5 +408,95 @@ func TestV3LazyFaultOnCorruptedBodyPanics(t *testing.T) {
 	}()
 	for _, e := range lazy.Entries() {
 		e.Answers()
+	}
+}
+
+// blockingWriter blocks every Write until release is closed, signalling
+// started on the first.
+type blockingWriter struct {
+	started, release chan struct{}
+	once             sync.Once
+	buf              bytes.Buffer
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return w.buf.Write(p)
+}
+
+// TestSnapshotWriterHoldsNoLock: both snapshot writers build the state
+// under the locks and write it after releasing them, so a writer stalled
+// inside its io.Writer stalls no query. While it blocks, a credited
+// sub/super hit (policyMu) and a window's worth of misses (a turn) must
+// complete; once released, the snapshot restores the entries resident
+// when it was taken.
+func TestSnapshotWriterHoldsNoLock(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(*Cache, io.Writer) error
+	}{{"v3", (*Cache).WriteState}, {"v2", (*Cache).WriteStateV2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const window = 4
+			dataset := testDataset(821, 30)
+			c := testCache(t, dataset, func(cfg *Config) { cfg.Window = window })
+			rng := rand.New(rand.NewSource(822))
+			patterns := distinctPatterns(t, rng, dataset, 2*window)
+			big := gen.ExtractConnectedSubgraph(rng, dataset[0], 10)
+			for _, q := range append(patterns[:window-1:window-1], big) {
+				if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resident := c.Len()
+			if resident != window {
+				t.Fatalf("%d entries admitted, want %d", resident, window)
+			}
+			small := gen.ExtractConnectedSubgraph(rng, big, 2)
+
+			w := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
+			saved := make(chan error, 1)
+			go func() { saved <- tc.write(c, w) }()
+			<-w.started
+
+			done := make(chan error, 1)
+			go func() {
+				res, err := c.Execute(small, ftv.Subgraph)
+				if err == nil && (res.ExactHit || len(res.Hits) == 0) {
+					err = fmt.Errorf("setup: the pattern of %v was no sub/super hit", small)
+				}
+				turns := c.Stats().WindowTurns
+				for _, q := range patterns[window-1:] {
+					if err == nil {
+						_, err = c.Execute(q, ftv.Subgraph)
+					}
+				}
+				if err == nil && c.Stats().WindowTurns == turns {
+					err = fmt.Errorf("setup: %d misses turned no window", len(patterns)-window+1)
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				close(w.release)
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				close(w.release)
+				<-done
+				t.Fatal("queries wedged behind a snapshot writer blocked in its io.Writer")
+			}
+			if err := <-saved; err != nil {
+				t.Fatal(err)
+			}
+			restored := MustNew(c.Method(), DefaultConfig())
+			if err := restored.ReadState(&w.buf); err != nil {
+				t.Fatal(err)
+			}
+			if restored.Len() != resident {
+				t.Fatalf("snapshot restored %d entries, %d were resident when it was taken", restored.Len(), resident)
+			}
+		})
 	}
 }

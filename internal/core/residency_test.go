@@ -4,99 +4,53 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"graphcache/internal/bitset"
 	"graphcache/internal/gen"
 )
 
-// residentWalk returns the resident list and sums its static bytes the
-// slow way — the charge the residency account must equal — and the intern
-// pool's byte account the slow way: the distinct canonical sets the
-// resident entries hold references on, each counted once. The pool only
-// retains sets with live references, so the second sum must reproduce
-// pool.bytes exactly.
-func residentWalk(c *Cache) (entries []*Entry, static, interned int) {
+// residencyDrift returns an error unless the residency account agrees
+// with the resident list: Len is its length, the list is ID-ordered and
+// Bytes is Σ Entry.Bytes() over it. The sum is owed at the points that
+// true charges up — window turns, stop-the-world passes and restores —
+// not between them, where lazy reconciliation and fault-in swap sets on
+// the query path. Reading Bytes never faults a pending body in.
+func residencyDrift(c *Cache) error {
 	c.policyMu.Lock()
 	defer c.policyMu.Unlock()
-	seen := make(map[*internNode]bool)
-	for _, e := range c.entries {
-		static += e.staticBytes
-		if e.interned != nil && !seen[e.interned] {
-			seen[e.interned] = true
-			interned += e.interned.set.Bytes()
-		}
+	if got := c.Len(); got != len(c.entries) {
+		return fmt.Errorf("Len() %d, resident list %d", got, len(c.entries))
 	}
-	return slices.Clone(c.entries), static, interned
+	sum := 0
+	for i, e := range c.entries {
+		if i > 0 && e.ID <= c.entries[i-1].ID {
+			return fmt.Errorf("resident list not ID-ordered at %d", i)
+		}
+		sum += e.Bytes()
+	}
+	if got := c.Bytes(); got != sum {
+		return fmt.Errorf("Bytes() %d, Σ Entry.Bytes() %d", got, sum)
+	}
+	return nil
 }
 
-// fingerprintDrift returns an error unless every materialized answer
-// state — admitted or window-pending — carries its set's from-scratch
-// Fingerprint(), and every admitted entry's pool node is bucketed under
-// the fingerprint of the set it holds. This is what lets mutations and
-// window turns derive fingerprints instead of computing them: one drifted
-// ±ElemHash would silently split or merge pool buckets. Pending lazy
-// bodies carry no fingerprint and are skipped (never faulted by the
-// check).
-func fingerprintDrift(c *Cache) (err error) {
-	check := func(e *Entry) {
-		st := e.answers()
-		if err != nil || st.body != nil {
-			return
-		}
-		if want := st.set.Fingerprint(); st.fp != want {
-			err = fmt.Errorf("entry %d carries fingerprint %x, its set hashes to %x", e.ID, st.fp, want)
-		} else if nd := e.interned; nd != nil && nd.fp != nd.set.Fingerprint() {
-			err = fmt.Errorf("entry %d interned under %x, the canonical hashes to %x", e.ID, nd.fp, nd.set.Fingerprint())
-		}
-	}
-	c.windowMu.Lock()
-	defer c.windowMu.Unlock()
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
-	for _, list := range [][]*Entry{c.window, c.entries} {
-		for _, e := range list {
-			check(e)
-		}
-	}
-	return err
-}
-
-// checkResidency fails unless the atomic residency account, the intern
-// pool's account and the resident list agree, the list is ID-ordered, and
-// every carried fingerprint is true (fingerprintDrift).
+// checkResidency fails the test on residencyDrift.
 func checkResidency(t *testing.T, c *Cache, when string) {
 	t.Helper()
-	entries, static, poolBytes := residentWalk(c)
-	if got := c.Len(); got != len(entries) {
-		t.Fatalf("%s: Len() %d, resident list %d", when, got, len(entries))
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].ID <= entries[i-1].ID {
-			t.Fatalf("%s: resident list not ID-ordered at %d", when, i)
-		}
-	}
-	if got := int(c.res.bytes.Load()); got != static {
-		t.Fatalf("%s: residency account %d bytes, resident walk %d", when, got, static)
-	}
-	if got := int(c.pool.bytes.Load()); got != poolBytes {
-		t.Fatalf("%s: pool account %d bytes, distinct interned sets hold %d", when, got, poolBytes)
-	}
-	if got, want := c.Bytes(), static+poolBytes; got != want {
-		t.Fatalf("%s: Bytes() %d, resident walk + pool %d", when, got, want)
-	}
-	if err := fingerprintDrift(c); err != nil {
+	if err := residencyDrift(c); err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
 }
 
 // TestResidencyAccountAgreement asserts that the atomic residency account
-// (now backing Cache.Len and, with the intern pool's account, Cache.Bytes)
-// and the resident list agree after window turns, evictions, state
-// save/restore cycles and live dataset mutations in both reconciliation
-// modes — with answer sets migrating containers (Compact at admission,
-// clone-and-compact on removals) and interning across entries throughout.
+// (backing Cache.Len and Cache.Bytes) equals Σ Entry.Bytes() over the
+// resident list after window turns, evictions, live dataset mutations,
+// eager and lazy state restores — right after a lazy restore, before any
+// body faults in, too — in both reconciliation modes, with answer sets
+// migrating containers throughout (Compact at admission, clone-and-compact
+// on removals).
 func TestResidencyAccountAgreement(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
@@ -128,8 +82,8 @@ func TestResidencyAccountAgreement(t *testing.T) {
 			}
 			checkResidency(t, c, "after workload")
 
-			// Dataset mutations: additions grow answer sets (and, eagerly,
-			// the byte accounts); removals clear bits.
+			// Dataset mutations: additions grow answer sets (eagerly, or at
+			// the next hit); removals clear bits.
 			for i, g := range extra {
 				if _, err := c.AddGraph(g); err != nil {
 					t.Fatal(err)
@@ -140,38 +94,23 @@ func TestResidencyAccountAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkResidency(t, c, "after remove")
-			// RemoveGraph trues every entry up against the pool under the
-			// full hierarchy, so the accounts must now equal the TRUE
-			// resident footprint — static bytes per entry plus each
-			// distinct published answer set once (summing Entry.Bytes
-			// would double-count sets interning has collapsed) — in lazy
-			// mode too, where earlier hit-path swaps bypassed the pool
-			// until this pass.
-			trueBytes := 0
-			seen := make(map[*bitset.Set]bool)
-			for _, e := range c.Entries() {
-				a := e.Answers()
-				trueBytes += e.Bytes() - a.Bytes()
-				if !seen[a] {
-					seen[a] = true
-					trueBytes += a.Bytes()
-				}
-			}
-			if got := c.Bytes(); got != trueBytes {
-				t.Fatalf("after remove: Bytes() %d, true footprint %d", got, trueBytes)
-			}
-			// Touch entries so lazy reconciliation swaps answer sets, then
-			// re-check the accounts still agree.
+			// Touch entries so lazy reconciliation swaps answer sets on the
+			// query path; the next turn trues the charges up.
 			for _, e := range c.Entries() {
 				if _, err := c.Execute(e.Graph, e.Type); err != nil {
 					t.Fatal(err)
 				}
 			}
-			checkResidency(t, c, "after reconciling hits")
+			turnNow(c)
+			checkResidency(t, c, "after reconciling hits and a turn")
 
-			// Save/restore resets and rebuilds both views.
+			// Save/restore resets and rebuilds the account.
 			var buf bytes.Buffer
 			if err := c.WriteState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "state.gcs3")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.ReadState(&buf); err != nil {
@@ -181,6 +120,59 @@ func TestResidencyAccountAgreement(t *testing.T) {
 			if c.Len() == 0 {
 				t.Fatal("restore left the cache empty")
 			}
+
+			// A lazy restore charges each pending body by its length.
+			faults := c.Stats().StateBodyFaults
+			closer, err := c.RestoreStateLazy(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closer.Close()
+			checkResidency(t, c, "after lazy restore")
+			if got := c.Stats().StateBodyFaults; got != faults {
+				t.Fatalf("checking the account faulted %d bodies in", got-faults)
+			}
+			for _, e := range c.Entries() {
+				if _, err := c.Execute(e.Graph, e.Type); err != nil {
+					t.Fatal(err)
+				}
+			}
+			turnNow(c)
+			checkResidency(t, c, "after fault-in and a turn")
 		})
+	}
+}
+
+// TestLazyRestoreEnforcesMemoryBudget: a lazy restore into a cache whose
+// MemoryBudget is below the snapshot's footprint evicts down to the budget
+// before any body faults in, charging each pending body by its length.
+func TestLazyRestoreEnforcesMemoryBudget(t *testing.T) {
+	src, _ := warmCache(t, 811)
+	path := filepath.Join(t.TempDir(), "state.gcs3")
+	if err := os.WriteFile(path, v3State(t, src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	budget := src.Bytes() / 2
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	cfg.MemoryBudget = budget
+	c := MustNew(src.Method(), cfg)
+	closer, err := c.RestoreStateLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if c.Stats().StateBodyFaults != 0 {
+		t.Fatal("restore faulted bodies in")
+	}
+	checkResidency(t, c, "after lazy restore")
+	if got := c.Bytes(); got > budget {
+		t.Fatalf("Bytes() %d after lazy restore, budget %d", got, budget)
+	}
+	if c.Len() == 0 || c.Len() >= src.Len() {
+		t.Fatalf("%d of %d entries restored: the budget should evict some, not all", c.Len(), src.Len())
+	}
+	if c.Stats().StateBodyFaults != 0 {
+		t.Fatal("enforcing the budget faulted bodies in")
 	}
 }

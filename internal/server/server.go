@@ -209,14 +209,6 @@ type statsResponse struct {
 	// LogCompactions counts the compactions bounding it.
 	AdditionLogLen int   `json:"additionLogLen"`
 	LogCompactions int64 `json:"logCompactions"`
-	// AnswerBytes is the intern pool's account — the distinct canonical
-	// answer sets, each charged once however many entries share it
-	// (cacheBytes = static entry bytes + answerBytes). InternHits and
-	// InternMisses count pool acquisitions that reused vs inserted a
-	// canonical set.
-	AnswerBytes  int64 `json:"answerBytes"`
-	InternHits   int64 `json:"internHits"`
-	InternMisses int64 `json:"internMisses"`
 	// StateBodyFaults counts answer bodies faulted in from the snapshot
 	// file after a lazy state restore (0 when the cache booted cold or
 	// restored eagerly).
@@ -228,10 +220,6 @@ type statsResponse struct {
 	WindowTurnNs   int64 `json:"windowTurnNs"`
 	MutationWaitNs int64 `json:"mutationWaitNs"`
 	MutationHoldNs int64 `json:"mutationHoldNs"`
-	// SetRehashes counts answer sets hashed from scratch (one per
-	// admitted query, restored entry or faulted-in body); mutations and
-	// window turns never add to it.
-	SetRehashes int64 `json:"setRehashes"`
 }
 
 func (s *Server) statsResponse() statsResponse {
@@ -266,14 +254,10 @@ func (s *Server) statsResponse() statsResponse {
 		MaintenanceTests:  snap.MaintenanceTests,
 		AdditionLogLen:    snap.AdditionLogLen,
 		LogCompactions:    snap.LogCompactions,
-		AnswerBytes:       snap.AnswerBytes,
-		InternHits:        snap.InternHits,
-		InternMisses:      snap.InternMisses,
 		StateBodyFaults:   snap.StateBodyFaults,
 		WindowTurnNs:      snap.WindowTurnNs,
 		MutationWaitNs:    snap.MutationWaitNs,
 		MutationHoldNs:    snap.MutationHoldNs,
-		SetRehashes:       snap.SetRehashes,
 	}
 }
 
