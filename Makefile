@@ -4,7 +4,8 @@
 # see cmd/gclint) and the capped waiver inventory (`lint-waivers`), plus
 # the full test suite under the race detector (the concurrency stress and
 # equivalence tests in internal/core and internal/server only earn
-# their keep with -race armed), the benchmark harness's own smoke test
+# their keep with -race armed) and its lock-sensitive core repeated ten
+# times (`race-stress`), the benchmark harness's own smoke test
 # (`harness`), the coverage floor (`cover`) and a short fuzzing pass
 # (`fuzz-smoke`). CI additionally uploads `make profiles` as an artifact.
 # Performance is measured by `bash benchmark/run.sh` (BENCHMARK.json),
@@ -17,7 +18,7 @@ GO ?= go
 # coverage fails CI. Raise it when the real number durably rises.
 COVER_BASELINE ?= 80.0
 
-.PHONY: build test race vet staticcheck fmt-check lint lint-waivers harness cover fuzz-smoke profiles loc ci
+.PHONY: build test race race-stress vet staticcheck fmt-check lint lint-waivers harness cover fuzz-smoke profiles loc ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +28,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-stress repeats the kernel's lock-sensitive tests under the race
+# detector — the concurrency gauntlets, the lock-free exact probe held
+# against a taken mu, and the snapshot writers blocked outside the locks
+# — so every lock change pays for many interleavings, not one.
+race-stress:
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock' ./internal/core
 
 vet:
 	$(GO) vet ./...
@@ -156,4 +164,4 @@ harness:
 	$(GO) test -C benchmark ./...
 	$(GO) run ./cmd/gclint -C benchmark ./...
 
-ci: vet staticcheck fmt-check lint lint-waivers race harness cover fuzz-smoke
+ci: vet staticcheck fmt-check lint lint-waivers race race-stress harness cover fuzz-smoke

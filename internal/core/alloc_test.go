@@ -26,14 +26,14 @@ const (
 	// list live inside the Result — the one allocation. Measured 1.
 	allocBudgetExactHit = 2
 	// allocBudgetMiss covers the full miss pipeline — filter, indexed hit
-	// detection, verification, admission. Measured 35 allocs/op (37 while
+	// detection, verification, admission. Measured 31 allocs/op (37 while
 	// VF2 built a label-degree summary of every fresh query, 42 while hit
 	// detection also built a label vector).
-	allocBudgetMiss = 39
+	allocBudgetMiss = 34
 	// allocBudgetSubSuperHit covers a miss that collects a sub-case hit
-	// and runs the S/S' algebra. Measured 57 allocs/op (59 with the
+	// and runs the S/S' algebra. Measured 53 allocs/op (59 with the
 	// label-degree summary, 64 with the label vector too).
-	allocBudgetSubSuperHit = 63
+	allocBudgetSubSuperHit = 58
 )
 
 // measureExecuteAllocs runs one query per AllocsPerRun iteration,

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,9 +17,9 @@ import (
 //
 // # Locking discipline
 //
-// Admitted entries live in one ID-ordered resident list guarded by
-// policyMu, and are published to readers as one immutable view (index.go):
-// the feature index plus a fingerprint table. The expensive stages of a
+// Admitted entries live in one ID-ordered resident list guarded by mu,
+// and are published to readers as one immutable view (index.go): the
+// feature index plus a fingerprint table. The expensive stages of a
 // query — Method M filtering, hit-detection iso tests and candidate
 // verification — run without holding any lock at all: they operate on the
 // immutable dataset, on immutable entry fields (Graph, Answers,
@@ -28,30 +27,29 @@ import (
 //
 // An exact hit on an admitted entry takes no lock: the probe reads the
 // published fingerprint table and the crediting is the entry's credit
-// cell, folded in later by foldCreditsLocked. Every other query takes
-// windowMu twice, briefly: once to compare fingerprints against the
-// pending window after the published probe found nothing, and once — at
-// the end of a path that already cost a filter run and a verification —
-// to append the executed query to the window. Entry IDs come from an
-// atomic counter claimed under windowMu, and the verification-cost EMAs
-// are lock-free CAS cells. policyMu guards the resident list, the
-// replacement policy and the per-entry utility fields it mutates, so
-// sub/super hit crediting (counter arithmetic) and window turns take it.
+// cell, folded in later by foldCreditsLocked. Every other query takes mu
+// briefly: to compare fingerprints against the pending window after the
+// published probe found nothing, to credit its sub/super hits (counter
+// arithmetic), and — at the end of a path that already cost a filter run
+// and a verification — to append the executed query to the window under
+// a freshly claimed entry ID. The verification-cost EMAs are lock-free
+// CAS cells. mu guards the window, ID allocation, the resident list, the
+// replacement policy and the per-entry utility fields the policy mutates.
 //
 // There is one admission window (the paper's Window Manager). When it
-// fills, the staging goroutine turns it stop-the-world: under windowMu and
-// policyMu it folds credits, ages utilities, selects the lowest-ranked
-// victims over the whole cache (without sorting it), evicts, admits the
-// window and publishes a fresh view (see index.go for the publication
-// rules). Capacity is strict at every turn.
-// The lock hierarchy is dsMu → windowMu → policyMu; reverse
-// nestings never occur. dsMu is the dataset RWMutex: queries hold its read
-// side for their whole run (pinning one dataset snapshot; queries never
-// serialize against each other on it), live dataset mutations
-// (AddGraph/RemoveGraph, see mutate.go) hold the write side while they
-// patch cached answer sets. Operational counters (Monitor) are atomics
-// and bypass locks entirely. Behaviour on many cores is unmeasured: the
-// committed runs are from two-CPU machines.
+// fills, the staging goroutine turns it stop-the-world: under mu it folds
+// credits, ages utilities, selects the lowest-ranked victims over the
+// whole cache (without sorting it), evicts, admits the window and
+// publishes a fresh view (see index.go for the publication rules).
+// Capacity is strict at every turn.
+// The lock hierarchy is dsMu → mu; the reverse nesting never occurs.
+// dsMu is the dataset RWMutex: queries hold its read side for their
+// whole run (pinning one dataset snapshot; queries never serialize
+// against each other on it), live dataset mutations (AddGraph/RemoveGraph,
+// see mutate.go) hold the write side while they patch cached answer
+// sets. Operational counters (Monitor) are atomics and bypass locks
+// entirely. Behaviour on many cores is unmeasured: the committed runs are
+// from two-CPU machines.
 //
 // # Determinism
 //
@@ -70,7 +68,7 @@ import (
 // analyzers (internal/lint), which fail the build on reverse nestings,
 // unmet lock preconditions, and writes to published COW state.
 //
-//gclint:hierarchy dsMu windowMu policyMu
+//gclint:hierarchy dsMu mu
 type Cache struct {
 	method *ftv.Method
 	cfg    Config
@@ -78,7 +76,7 @@ type Cache struct {
 
 	// entries is the resident list: every admitted entry, in ascending ID
 	// (admission) order — the order the policy ranks and the view
-	// publishes. Guarded by policyMu.
+	// publishes. Guarded by mu.
 	entries []*Entry
 
 	// published is the readers' view of entries: immutable, replaced
@@ -96,30 +94,27 @@ type Cache struct {
 	// half-maintained cache. Queries never serialize against each other on
 	// it — dsLock stripes the reader count across padded per-slot
 	// counters, so the read fast path touches no shared cache line (see
-	// dslock.go). The outermost rung of the lock hierarchy:
-	// dsMu → windowMu → policyMu.
+	// dslock.go). The outer rung of the lock hierarchy: dsMu → mu.
 	//gclint:lock dsMu
 	dsMu dsLock
 
-	// windowMu guards the admission window: executed queries are appended
-	// under it and the goroutine whose append fills the window turns it
-	// before unlocking. Held for an append or a fingerprint comparison per
-	// pending entry, except by that turn.
-	//gclint:lock windowMu
-	windowMu sync.Mutex
-	window   []*Entry
+	// mu is the cache's lock. It guards the admission window, ID
+	// allocation, the resident list, the replacement policy and the
+	// mutable per-entry utility fields the policy reads and writes (Hits,
+	// LastUsed, SavedTests, SavedCostNs): the window probe, staging,
+	// sub/super hit crediting, window turns (folding exact-hit credit
+	// cells, utility aging, admission and eviction), Entries, snapshot
+	// encoding and restores. Held for an append, a fingerprint comparison
+	// per pending entry or counter arithmetic per hit, except by a turn or
+	// a stop-the-world pass; never across iso tests, dataset scans or a
+	// snapshot's writes.
+	//gclint:lock mu
+	mu     sync.Mutex
+	window []*Entry
 
-	// policyMu guards the resident list, the replacement policy and the
-	// mutable per-entry utility fields it reads and writes (Hits,
-	// LastUsed, SavedTests, SavedCostNs): sub/super hit crediting, folding
-	// exact-hit credit cells, utility aging, admission and eviction.
-	// Never held across iso tests or dataset scans. The innermost rung.
-	//gclint:lock policyMu
-	policyMu sync.Mutex
-
-	// nextID assigns entry IDs. Claimed under windowMu, so the window's
-	// staging order is ascending in ID.
-	nextID atomic.Int64
+	// nextID is the next entry ID. Claimed under mu as an entry is staged,
+	// so the window's staging order is ascending in ID.
+	nextID int
 
 	// tick is the global query sequence number (atomic: assigned at query
 	// start, before any lock).
@@ -145,7 +140,7 @@ type Cache struct {
 	res residency
 
 	// victim is evictLocked's reusable mark-per-position scratch, all
-	// false between evictions. Guarded by policyMu.
+	// false between evictions. Guarded by mu.
 	victim []bool
 
 	mon Monitor
@@ -207,24 +202,18 @@ func (c *Cache) Method() *ftv.Method { return c.method }
 // PolicyName returns the active replacement policy's name.
 func (c *Cache) PolicyName() string { return c.policy.Name() }
 
-// newID claims the next entry ID. Callers hold windowMu, which keeps the
-// window's staging order ascending in ID.
-func (c *Cache) newID() int {
-	return int(c.nextID.Add(1) - 1)
-}
-
 // Len returns the number of admitted entries (excluding the window). It
-// reads the atomic residency account instead of taking policyMu.
+// reads the atomic residency account instead of taking mu.
 func (c *Cache) Len() int {
 	return int(c.res.entries.Load())
 }
 
 // WindowLen returns the number of entries pending admission.
 //
-//gclint:acquires windowMu
+//gclint:acquires mu
 func (c *Cache) WindowLen() int {
-	c.windowMu.Lock()
-	defer c.windowMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return len(c.window)
 }
 
@@ -246,19 +235,19 @@ func (c *Cache) Stats() Snapshot {
 }
 
 // Entries returns the admitted entries in admission order as defensive
-// copies: the Entry structs are snapshots taken under policyMu (so the
-// mutable utility fields are read race-free; admissions and evictions
-// also serialize on policyMu) after folding pending exact-hit credits;
-// Graph, Answers and the signature fields still alias the cache's
-// immutable originals. Intended for demonstrators and tests inspecting
-// cache contents.
+// copies: the Entry structs are snapshots taken under mu (so the mutable
+// utility fields are read race-free; admissions and evictions also
+// serialize on mu) after folding pending exact-hit credits; Graph,
+// Answers and the signature fields still alias the cache's immutable
+// originals. Intended for demonstrators and tests inspecting cache
+// contents.
 //
-//gclint:acquires dsMu policyMu
+//gclint:acquires dsMu mu
 func (c *Cache) Entries() []*Entry {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.foldCreditsLocked(c.entries)
 	out := make([]*Entry, len(c.entries))
 	for i, e := range c.entries {
@@ -274,7 +263,7 @@ func (c *Cache) Entries() []*Entry {
 // comment). Execute is safe to call from any number of goroutines; see
 // the Cache doc comment for what runs in parallel and what serializes.
 //
-//gclint:acquires dsMu windowMu policyMu
+//gclint:acquires dsMu mu
 //gclint:pins dataset
 func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	if q == nil {
@@ -299,7 +288,8 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 
 	// Stage 1: exact-match fast path — zero dataset tests.
 	t0 := time.Now()
-	if res := c.exactHit(q, qt, fp, view, tick, mon, t0); res != nil {
+	if e := c.findExact(q, qt, fp); e != nil {
+		res := c.serveExact(e, view, tick, mon, t0)
 		c.selfCheck(q, qt, res)
 		return res, nil
 	}
@@ -335,7 +325,7 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	}
 
 	// Saved-test sets and their cost estimates are computed lock-free (the
-	// cost cells are atomic); only the policy updates run under policyMu,
+	// cost cells are atomic); only the policy updates run under mu,
 	// keeping the critical section to counter arithmetic per hit. The
 	// saved-set intersections/differences iterate word-parallel over the
 	// operands directly (ForEachAnd/ForEachAndNot) — no intermediate set
@@ -380,11 +370,11 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	sc.credits = credits
 	var hits []HitRef
 	if len(credits) > 0 {
-		c.policyMu.Lock()
+		c.mu.Lock()
 		for _, cr := range credits {
 			c.creditHit(cr.h, cr.kind, cr.saved, cr.cost, tick, &hits)
 		}
-		c.policyMu.Unlock()
+		c.mu.Unlock()
 	}
 	// S′ = C_M \ (C_M ∩ ⋂ A(h′)) — provably empty (and kept lazy) when no
 	// pruning hit narrowed the candidates.
@@ -458,21 +448,6 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	return res, nil
 }
 
-// exactHit is the exact-match fast path: probe the published view, then
-// the pending window, for an entry isomorphic to q and serve it; nil on a
-// miss. The window's short lock is the only one it may take — never
-// policyMu.
-//
-//gclint:requires dsMu
-//gclint:acquires windowMu
-func (c *Cache) exactHit(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint, view ftv.DatasetView, tick int64, mon *hotCounters, t0 time.Time) *Result {
-	e := c.findExact(q, qt, fp)
-	if e == nil {
-		return nil
-	}
-	return c.serveExact(e, view, tick, mon, t0)
-}
-
 // serveExact answers a query from the isomorphic entry e: O(1), one
 // allocation, and the only writes are e's credit cell and the caller's
 // Monitor stripe (doc.go, hot-path discipline). Answers and Sure (A = S)
@@ -514,7 +489,7 @@ func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotC
 // policy: k > 0 pending hits become ONE event of Count k at the latest
 // hit's tick, priced once (fold points: doc.go). dsMu pins costVal.
 //
-//gclint:requires dsMu policyMu
+//gclint:requires dsMu mu
 func (c *Cache) foldCreditsLocked(entries []*Entry) {
 	for _, e := range entries {
 		if e.ans.pendingExact.Load() == 0 {
@@ -542,7 +517,7 @@ func (c *Cache) foldCreditsLocked(entries []*Entry) {
 }
 
 // hitCredit is one hit's pending policy credit, accumulated lock-free and
-// applied in a single policyMu section.
+// applied in a single mu section.
 type hitCredit struct {
 	h     *Entry
 	kind  HitKind
@@ -576,9 +551,9 @@ func putExecScratch(sc *execScratch) {
 }
 
 // creditHit updates policy utilities and the result's hit list. Caller
-// holds policyMu.
+// holds mu.
 //
-//gclint:requires policyMu
+//gclint:requires mu
 func (c *Cache) creditHit(h *Entry, kind HitKind, savedTests int, savedCost float64, tick int64, hits *[]HitRef) {
 	ev := &HitEvent{
 		Entry:       h,
@@ -689,11 +664,12 @@ func (c *Cache) recordCosts(costs []costSample) {
 // (the Window Manager).
 //
 //gclint:requires dsMu
-//gclint:acquires windowMu policyMu
+//gclint:acquires mu
 func (c *Cache) admit(e *Entry) {
-	c.windowMu.Lock()
-	defer c.windowMu.Unlock()
-	e.ID = c.newID()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.ID = c.nextID
+	c.nextID++
 	c.window = append(c.window, e)
 	if len(c.window) >= c.cfg.Window {
 		c.turnWindow()
@@ -705,16 +681,12 @@ func (c *Cache) admit(e *Entry) {
 // newly executed queries always get in, displacing the least-useful cached
 // graphs (Figure 2(c)); evicting after admission would instead throw away
 // the newcomers, whose utilities are necessarily still zero. Caller holds
-// windowMu; policyMu is taken for the resident list, the policy callbacks
-// and utility mutations.
+// mu, under which it staged the entry that filled the window.
 //
-//gclint:requires dsMu windowMu
-//gclint:acquires policyMu
+//gclint:requires dsMu mu
 func (c *Cache) turnWindow() {
 	c.mon.windowTurns.Add(1)
 	defer c.mon.endTurn(time.Now())
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
 	c.policy.OnWindowTurn()
 
 	// Fold exact-hit credits before anything ages or ranks.
@@ -739,7 +711,7 @@ func (c *Cache) turnWindow() {
 	// A window larger than the whole capacity can still overflow.
 	c.enforceLimitsLocked()
 
-	// Publish before the locks drop: the next query of a sequential stream
+	// Publish before mu drops: the next query of a sequential stream
 	// sees exactly the admitted entries.
 	c.republishLocked()
 
@@ -753,9 +725,9 @@ func (c *Cache) turnWindow() {
 // them; the caller clears what it consumes). The policy's returned
 // positions are sanitized defensively against buggy custom policies
 // (duplicates or out-of-range indices are dropped; a shortfall is filled
-// FIFO). Caller holds policyMu.
+// oldest-admitted first, which is ID order). Caller holds mu.
 //
-//gclint:requires policyMu
+//gclint:requires mu
 func (c *Cache) markVictims(all []*Entry, x int) []bool {
 	if x > len(all) {
 		x = len(all)
@@ -774,23 +746,10 @@ func (c *Cache) markVictims(all []*Entry, x int) []bool {
 			n++
 		}
 	}
-	if n < x {
-		// Fill the shortfall oldest-first.
-		order := make([]int, len(all))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return all[order[a]].InsertedAt < all[order[b]].InsertedAt
-		})
-		for _, p := range order {
-			if n == x {
-				break
-			}
-			if !marks[p] {
-				marks[p] = true
-				n++
-			}
+	for p := 0; n < x; p++ {
+		if !marks[p] {
+			marks[p] = true
+			n++
 		}
 	}
 	return marks
@@ -800,7 +759,7 @@ func (c *Cache) markVictims(all []*Entry, x int) []bool {
 // when set, MemoryBudget — keeping at least one entry. Window turns and
 // restores call it after admitting.
 //
-//gclint:requires policyMu
+//gclint:requires mu
 func (c *Cache) enforceLimitsLocked() {
 	if excess := len(c.entries) - c.cfg.Capacity; excess > 0 {
 		c.evictLocked(excess)
@@ -812,10 +771,9 @@ func (c *Cache) enforceLimitsLocked() {
 
 // insertLocked appends e to the resident list and charges its Bytes().
 // Admissions arrive in ascending-ID order (IDs are claimed monotonically
-// under windowMu, which stages the entry), so appending keeps the list
-// sorted.
+// under mu as the entry is staged), so appending keeps the list sorted.
 //
-//gclint:requires policyMu
+//gclint:requires mu
 func (c *Cache) insertLocked(e *Entry) {
 	c.entries = append(c.entries, e)
 	e.charged = e.Bytes()
@@ -825,9 +783,9 @@ func (c *Cache) insertLocked(e *Entry) {
 
 // evictLocked removes x entries chosen by the policy from the resident
 // list in one in-place pass, refunding each victim's charge. Caller holds
-// policyMu (window turns and state restores).
+// mu (window turns and state restores).
 //
-//gclint:requires policyMu
+//gclint:requires mu
 func (c *Cache) evictLocked(x int) {
 	if x <= 0 || len(c.entries) == 0 {
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphcache/internal/ftv"
@@ -441,6 +442,19 @@ func TestHostilePolicySanitized(t *testing.T) {
 	}
 	if c.Len() > 4 {
 		t.Fatalf("hostile policy broke capacity: %d", c.Len())
+	}
+	// The policy names position 0 and nothing else valid, so every other
+	// victim fills its shortfall oldest-admitted first: the survivors are
+	// the highest IDs staged before the pending window.
+	entries := c.Entries()
+	top := c.nextID - c.WindowLen()
+	var got, want []int
+	for i, e := range entries {
+		got = append(got, e.ID)
+		want = append(want, top-len(entries)+i)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("resident IDs %v, want %v: a shortfall is filled oldest-admitted first", got, want)
 	}
 }
 

@@ -37,12 +37,12 @@
 // cache would exceed its capacity, a replacement Policy selects victims
 // ranked over the whole cache (LRU, POP, PIN, PINC, HD, and pluggable
 // custom policies per Figure 2(d)). A miss appends to the window under
-// windowMu — one short global mutex at the end of a path that already
-// paid for a filter run and a verification — and the append that fills
-// the window turns it stop-the-world; an exact hit on an admitted entry
-// takes no lock at all. The lock hierarchy is dsMu → windowMu → policyMu
-// (see the Cache type for the locking discipline); the only other lock
-// a query meets is the method's leaf mutex (ftv.Method). A Statistics
+// mu — the cache's one short mutex, taken at the end of a path that
+// already paid for a filter run and a verification — and the append that
+// fills the window turns it stop-the-world; an exact hit on an admitted
+// entry takes no lock at all. The lock hierarchy is dsMu → mu (see the
+// Cache type for the locking discipline); the only other lock a query
+// meets is the method's leaf mutex (ftv.Method). A Statistics
 // Monitor/Manager tracks per-query and per-entry utilities, including the
 // number of sub-iso tests each cached entry saved (PIN) and their measured
 // cost (PINC).
@@ -63,10 +63,10 @@
 //     lock (the same *graph.Graph re-issued skips VF2 on pointer
 //     identity). Crediting is the entry's CREDIT CELL —
 //     pendingExact.Add(1) and a monotonic max of the tick into lastHit
-//     — never policyMu, a HitEvent or an O(|A|) pricing walk.
+//     — never mu, a HitEvent or an O(|A|) pricing walk.
 //     foldCreditsLocked drains the cells into the policy (one event per
 //     entry, priced once, HitEvent.Count = pending hits) at the FOLD
-//     POINTS, every place a policyMu holder reads or ages utilities:
+//     POINTS, every place a mu holder reads or ages utilities:
 //     the window turn before aging and ranking, Entries(), WriteState
 //     and WriteStateV2. A sequential stream therefore ranks
 //     LRU/FIFO/POP/PIN exactly as per-hit crediting did; PINC/HD price
@@ -203,7 +203,7 @@
 //     v2); a pending entry's epoch holds the log-compaction floor down
 //     until it faults or is evicted.
 //   - RemoveGraph on a pending entry appends to the drops list via a
-//     COW lazyBody clone published under the full lock hierarchy; a
+//     COW lazyBody clone published under dsMu's write side and mu; a
 //     racing lock-free fault loses the CAS and retries against the new
 //     body. Eviction of a pending entry just drops the cell — no I/O.
 //   - Body corruption discovered at fault time PANICS (the restore
@@ -225,14 +225,12 @@
 // example (the example lines are indented so they read as code, not as
 // live directives):
 //
-//	//gclint:hierarchy dsMu windowMu policyMu  (on Cache: the lock order)
-//	//gclint:lock policyMu     (on a field: this is lock "policyMu" in the hierarchy)
+//	//gclint:hierarchy dsMu mu (on Cache: the lock order)
+//	//gclint:lock mu           (on a field: this is lock "mu" in the hierarchy)
 //	//gclint:leaf              (with lock: rank-exempt, but nothing may be acquired under it;
 //	                            the tree's one leaf is ftv.Method's mutex)
-//	//gclint:acquires windowMu policyMu  (func acquires and releases these internally)
-//	//gclint:requires policyMu  (func must be called with these held)
-//	//gclint:holds dsMu         (func acquires these and LEAVES them held — lockDataset)
-//	//gclint:releases dsMu      (func releases caller-held locks — unlockDataset)
+//	//gclint:acquires dsMu mu  (func acquires and releases these internally)
+//	//gclint:requires mu       (func must be called with these held)
 //	//gclint:nolocks           (func must not acquire any lock, directly or via callees)
 //	//gclint:cow               (type: copy-on-write; published values are immutable)
 //	//gclint:cowview           (func returns a published COW value; callers must not write it)

@@ -33,11 +33,11 @@ type answerState struct {
 //
 // Publication rules: the set inside a published state is never mutated —
 // maintenance swaps in a freshly built set. Stop-the-world dataset
-// mutations (Cache.AddGraph eager mode, Cache.RemoveGraph) swap under the
-// full lock hierarchy with no queries in flight; lazy reconciliation swaps
-// from the query path, where racing reconcilers of the same entry compute
-// identical states (verification is deterministic), so last-write-wins is
-// benign.
+// mutations (Cache.AddGraph eager mode, Cache.RemoveGraph) swap under
+// dsMu's write side and mu with no queries in flight; lazy
+// reconciliation swaps from the query path, where racing reconcilers of
+// the same entry compute identical states (verification is
+// deterministic), so last-write-wins is benign.
 type answersCell struct {
 	// p publishes the (set, epoch) pair whole. Readers needing both
 	// fields consistent must pin ONE load (the answers accessor), never
@@ -97,8 +97,7 @@ type Entry struct {
 	// charged is the Bytes() the residency account holds for this entry:
 	// set at admission, trued up by rechargeLocked at window turns and
 	// stop-the-world passes (lazy reconciliation and fault-in swap sets on
-	// the query path, where the account is not touched). Guarded by
-	// policyMu.
+	// the query path, where the account is not touched). Guarded by mu.
 	charged int
 
 	// InsertedAt and LastUsed are query ticks (LRU/FIFO state).

@@ -20,13 +20,13 @@ import (
 // # Publication rules
 //
 // Writers never mutate a published view. It is replaced whole by
-// republishLocked — under policyMu — whenever the resident list changes:
-// a window turn or a state restore. Readers load the pointer once per
-// probe or scan and work on that point-in-time view; an entry evicted
-// after the load stays sound to use (its graph, answer set and summary are
+// republishLocked — under mu — whenever the resident list changes: a
+// window turn or a state restore. Readers load the pointer once per probe
+// or scan and work on that point-in-time view; an entry evicted after the
+// load stays sound to use (its graph, answer set and summary are
 // immutable). For a sequential stream the view always exactly mirrors the
-// resident list: it changes only inside policyMu, and every change
-// republishes before the lock drops.
+// resident list: it changes only inside mu, and every change republishes
+// before the lock drops.
 type resident struct {
 	index []indexEntry
 	// byFP maps a fingerprint to the position in index of its lowest-ID
@@ -48,7 +48,7 @@ type indexEntry struct {
 // one pass: walking it backwards leaves each fingerprint mapped to its
 // lowest-ID position with the chain ascending from there.
 //
-//gclint:requires policyMu
+//gclint:requires mu
 func (c *Cache) republishLocked() {
 	r := &resident{
 		index: make([]indexEntry, len(c.entries)),

@@ -149,9 +149,9 @@ func checkIndexedEquivalentToUnindexed(t *testing.T, seed int64) {
 			}
 			return false
 		}
-		c.policyMu.Lock()
+		c.mu.Lock()
 		resident := slices.Clone(c.entries)
-		c.policyMu.Unlock()
+		c.mu.Unlock()
 		for _, h := range resident {
 			if h.Type != q.Type {
 				continue

@@ -46,6 +46,13 @@ type Monitor struct {
 // endTurn closes the clock pair a window turn opened.
 func (m *Monitor) endTurn(start time.Time) { m.windowTurnNs.Add(int64(time.Since(start))) }
 
+// endMutation closes the clock pair a dataset mutation opened: it asked
+// for dsMu's write side at start and got it at held.
+func (m *Monitor) endMutation(start, held time.Time) {
+	m.mutationWaitNs.Add(int64(held.Sub(start)))
+	m.mutationHoldNs.Add(int64(time.Since(held)))
+}
+
 // hotCounters is one stripe, padded to two cache lines so no two stripes'
 // counters share a line at any alignment.
 type hotCounters struct {
@@ -105,9 +112,9 @@ type Snapshot struct {
 	// FilterTime, HitTime and VerifyTime split where query time went.
 	FilterTime, HitTime, VerifyTime time.Duration
 	// The stopped world, in nanoseconds. WindowTurnNs is the time spent
-	// inside window turns (windowMu → policyMu: no admission, no
-	// sub/super crediting and no window probe proceeds; exact hits on
-	// admitted entries do).
+	// inside window turns (under mu: no admission, no sub/super
+	// crediting and no window probe proceeds; exact hits on admitted
+	// entries do).
 	// MutationWaitNs is how long AddGraph/RemoveGraph waited for dsMu's
 	// write side — the drain of in-flight queries, during which new
 	// queries already queue behind the writer — and MutationHoldNs how

@@ -22,8 +22,8 @@ import (
 //     so mutations see a quiescent cache and queries never see a
 //     half-maintained one.
 //
-//   - REMOVALS are always stop-the-world and cheap: under the full lock
-//     hierarchy the tombstoned gid's bit is cleared from every admitted
+//   - REMOVALS are always stop-the-world and cheap: under dsMu's write
+//     side and mu the tombstoned gid's bit is cleared from every admitted
 //     and window entry's answer set (a clone-and-clear pointer swap per
 //     affected entry — no iso tests), and the method masks the gid out of
 //     every future candidate set. Ids are never reused.
@@ -44,13 +44,13 @@ import (
 // after every mutation.
 //
 // What a mutation costs: it stops the world (the drain of dsMu's write
-// side, then the whole hierarchy), so the work under the locks is kept
-// proportional to what changed, never to what is cached. Per entry an
-// eager add is one Grown, a charge true-up and a screen of the entry's
-// summary against the added graph's (computed once per add), which
-// refutes most entries; only the rest pay a containment test. A remove
-// clones only the entries that contained the gid. Snapshot.MutationWaitNs
-// and MutationHoldNs time the drain and the hold.
+// side, then mu), so the work under the locks is kept proportional to
+// what changed, never to what is cached. Per entry an eager add is one
+// Grown, a charge true-up and a screen of the entry's summary against
+// the added graph's (computed once per add), which refutes most entries;
+// only the rest pay a containment test. A remove clones only the entries
+// that contained the gid. Snapshot.MutationWaitNs and MutationHoldNs
+// time the drain and the hold (Monitor.endMutation).
 
 // AddGraph appends g to the live dataset under a fresh stable id and
 // maintains the cached state exactly: the verification-cost EMA array and
@@ -59,10 +59,12 @@ import (
 // It returns the new graph's id. The method's filter must support
 // AddGraph (an ftv.InsertableFilter, as every bundled filter is).
 //
-//gclint:acquires dsMu windowMu policyMu
+//gclint:acquires dsMu mu
 func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
-	held := c.lockDataset()
-	defer c.unlockDataset(held)
+	start := time.Now()
+	c.dsMu.Lock()
+	defer c.dsMu.Unlock()
+	defer c.mon.endMutation(start, time.Now())
 	gid, err := c.method.AddGraph(g)
 	if err != nil {
 		return 0, err
@@ -82,8 +84,8 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 		return gid, nil
 	}
 	// Eager reconciliation: verify the new graph against every admitted
-	// and window entry now, under the full hierarchy (no queries are in
-	// flight — dsMu is held exclusively — so the swaps are unobservable).
+	// and window entry now, under mu (no queries are in flight — dsMu is
+	// held exclusively — so the swaps are unobservable).
 	// Every entry leaves at the new epoch, so the trailing compaction
 	// drains the whole log: in eager mode it never holds a record past
 	// the mutation that appended it.
@@ -98,10 +100,12 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 // path (no iso tests; a pointer swap per affected entry). The id is never
 // reused, so all other answer-set positions stay valid as-is.
 //
-//gclint:acquires dsMu windowMu policyMu
+//gclint:acquires dsMu mu
 func (c *Cache) RemoveGraph(gid int) error {
-	held := c.lockDataset()
-	defer c.unlockDataset(held)
+	start := time.Now()
+	c.dsMu.Lock()
+	defer c.dsMu.Unlock()
+	defer c.mon.endMutation(start, time.Now())
 	if err := c.method.RemoveGraph(gid); err != nil {
 		return err
 	}
@@ -137,25 +141,6 @@ func (c *Cache) RemoveGraph(gid int) error {
 	return nil
 }
 
-// lockDataset takes dsMu's write side for a mutation and returns when it
-// was granted, recording how long the drain of in-flight readers took;
-// unlockDataset records how long the world stayed stopped.
-//
-//gclint:holds dsMu
-func (c *Cache) lockDataset() time.Time {
-	t0 := time.Now()
-	c.dsMu.Lock()
-	held := time.Now()
-	c.mon.mutationWaitNs.Add(int64(held.Sub(t0)))
-	return held
-}
-
-//gclint:releases dsMu
-func (c *Cache) unlockDataset(held time.Time) {
-	c.mon.mutationHoldNs.Add(int64(time.Since(held)))
-	c.dsMu.Unlock()
-}
-
 // growCostCells extends the per-graph cost-EMA array to n cells; caller
 // holds dsMu exclusively. Cells must not move while shared (every reader
 // and CAS writer of costVal runs under the read side of dsMu), and must be
@@ -177,18 +162,15 @@ func (c *Cache) growCostCells(n int) {
 // withAllEntriesLocked runs fn (when non-nil) over every admitted and
 // every window-pending entry, and trues up each admitted entry's charge:
 // fn may have published a fresh set, and so may lazy reconciliation since
-// the last pass (window entries are charged at admission). It takes the
-// full lock hierarchy below dsMu; caller holds dsMu exclusively. Before
-// the locks drop it compacts the addition log up to the minimum entry
-// epoch, as every stop-the-world pass owes, and prunes the added-graph
-// summaries to what is left.
+// the last pass (window entries are charged at admission). It takes mu;
+// caller holds dsMu exclusively. Before mu drops it compacts the addition
+// log up to the minimum entry epoch, as every stop-the-world pass owes,
+// and prunes the added-graph summaries to what is left.
 //
-//gclint:acquires windowMu policyMu
+//gclint:acquires mu
 func (c *Cache) withAllEntriesLocked(fn func(e *Entry)) {
-	c.windowMu.Lock()
-	defer c.windowMu.Unlock()
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, e := range c.entries {
 		if fn != nil {
 			fn(e)
@@ -231,11 +213,11 @@ func (c *Cache) pruneAddSums() {
 // current epoch), and entry epochs only ever rise, so a computed floor
 // can only be conservative by the time the compaction lands.
 
-// compactAdditionsLocked compacts with the full hierarchy held (the
-// stop-the-world passes: dataset mutations, window turns, state
-// restores), reading the window directly.
+// compactAdditionsLocked compacts with mu held (the stop-the-world
+// passes: dataset mutations, window turns, state restores), reading the
+// window directly.
 //
-//gclint:requires windowMu policyMu
+//gclint:requires mu
 func (c *Cache) compactAdditionsLocked() {
 	if c.method.AdditionLogLen() == 0 {
 		return
@@ -265,8 +247,8 @@ func (c *Cache) compactTo(floor int64) {
 }
 
 // reconcileEntryLocked brings one entry to the view's epoch by verifying
-// the delta additions. Caller holds dsMu exclusively plus the full lock
-// hierarchy, and trues up the entry's charge afterwards.
+// the delta additions. Caller holds dsMu exclusively plus mu, and trues
+// up the entry's charge afterwards.
 func (c *Cache) reconcileEntryLocked(e *Entry, view ftv.DatasetView) {
 	st := e.answers()
 	if st.body != nil {
@@ -287,9 +269,9 @@ func (c *Cache) reconcileEntryLocked(e *Entry, view ftv.DatasetView) {
 // answer set may have been swapped since the last pass (lazy
 // reconciliation and fault-in publish fresh sets on the query path, where
 // the account is not touched): the account moves by the difference
-// between the entry's Bytes() and its charge. Caller holds policyMu.
+// between the entry's Bytes() and its charge. Caller holds mu.
 //
-//gclint:requires policyMu
+//gclint:requires mu
 func (c *Cache) rechargeLocked(e *Entry) {
 	if b := e.Bytes(); b != e.charged {
 		c.res.bytes.Add(int64(b - e.charged))
@@ -303,7 +285,7 @@ func (c *Cache) rechargeLocked(e *Entry) {
 // current, making this a single atomic load). It runs lock-free under the
 // read side of dsMu: racing reconcilers of the same entry compute
 // identical states, so the last published one wins benignly. The byte
-// account is deliberately NOT touched here (policyMu is not held); it is
+// account is deliberately NOT touched here (mu is not held); it is
 // trued up at the next window turn and at every stop-the-world
 // maintenance pass (rechargeLocked).
 //

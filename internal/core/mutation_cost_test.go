@@ -37,9 +37,9 @@ func distinctPatterns(tb testing.TB, rng *rand.Rand, dataset []*graph.Graph, n i
 // turnNow turns the window as the append that fills it would.
 func turnNow(c *Cache) {
 	tok := c.dsMu.RLock()
-	c.windowMu.Lock()
+	c.mu.Lock()
 	c.turnWindow()
-	c.windowMu.Unlock()
+	c.mu.Unlock()
 	c.dsMu.RUnlock(tok)
 }
 

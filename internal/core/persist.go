@@ -53,13 +53,13 @@ const stateVersionV2 = 2
 // WriteStateV2 serializes the cache's admitted entries to w in the
 // legacy text format. The state is formatted in memory under the read
 // side of the dataset mutex (the recorded answer ids must belong to one
-// dataset snapshot) plus policyMu (the resident list and the utility
-// fields it records are mutated under it), so it is one consistent
-// snapshot even under concurrent queries; w is written only after both
-// are released, so a slow writer stalls no query. Entries stale with
-// respect to dataset additions (LazyReconcile) are reconciled before
-// serialization — the on-disk format carries no epochs, so what it stores
-// must be exact at the header's dataset size.
+// dataset snapshot) plus mu (the resident list and the utility fields it
+// records are mutated under it), so it is one consistent snapshot even
+// under concurrent queries; w is written only after both are released,
+// so a slow writer stalls no query. Entries stale with respect to dataset
+// additions (LazyReconcile) are reconciled before serialization — the
+// on-disk format carries no epochs, so what it stores must be exact at
+// the header's dataset size.
 func (c *Cache) WriteStateV2(w io.Writer) error {
 	var buf bytes.Buffer
 	if err := c.formatStateV2(&buf); err != nil {
@@ -71,14 +71,14 @@ func (c *Cache) WriteStateV2(w io.Writer) error {
 
 // formatStateV2 formats the v2 state into buf under the locks.
 //
-//gclint:acquires dsMu policyMu
+//gclint:acquires dsMu mu
 //gclint:pins dataset
 func (c *Cache) formatStateV2(buf *bytes.Buffer) error {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 
 	c.foldCreditsLocked(c.entries) // the utilities written below include every completed hit
 	fmt.Fprintf(buf, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(c.entries))
@@ -131,12 +131,12 @@ func (c *Cache) ReadState(r io.Reader) error {
 
 // readStateV2 parses and restores the v2 text format.
 //
-//gclint:acquires dsMu windowMu policyMu
+//gclint:acquires dsMu mu
 //gclint:pins dataset
 func (c *Cache) readStateV2(br *bufio.Reader) error {
 	// The read side of the dataset mutex pins the dataset for the whole
 	// restore (mutations are excluded; concurrent queries are not — they
-	// are fenced by the lock hierarchy below, exactly like before).
+	// are fenced by mu in replaceEntries).
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
@@ -327,18 +327,16 @@ parse:
 }
 
 // replaceEntries installs entries as the cache's entire content — the
-// shared commit phase of every restore. Stop-the-world: windowMu →
-// policyMu, so no admission interleaves, the pending window is cleared,
-// and queries see the old view until the new one is published. Caller
-// holds the read side of dsMu (the entries' answer sets must stay exact
-// for the pinned dataset snapshot through the install).
+// shared commit phase of every restore. Stop-the-world under mu, so no
+// admission interleaves, the pending window is cleared, and queries see
+// the old view until the new one is published. Caller holds the read
+// side of dsMu (the entries' answer sets must stay exact for the pinned
+// dataset snapshot through the install).
 //
-//gclint:acquires windowMu policyMu
+//gclint:acquires mu
 func (c *Cache) replaceEntries(entries []*Entry) {
-	c.windowMu.Lock()
-	defer c.windowMu.Unlock()
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	// The resident list is dropped whole, bypassing evictLocked: reset the
 	// residency account to match before insertLocked re-adds the restored
 	// entries (a warm-cache restore would otherwise double-count forever).
@@ -348,7 +346,8 @@ func (c *Cache) replaceEntries(entries []*Entry) {
 	c.window = c.window[:0]
 	tick := c.tick.Load()
 	for _, e := range entries {
-		e.ID = c.newID()
+		e.ID = c.nextID
+		c.nextID++
 		e.InsertedAt = tick
 		e.LastUsed = tick
 		c.insertLocked(e)

@@ -214,7 +214,7 @@ func (e *Entry) faultAnswers(st *answerState) *answerState {
 // WriteState serializes the cache's admitted entries to w in the binary
 // v3 format. Locking and consistency match WriteStateV2: header, index
 // and body are built in memory under the read side of the dataset mutex
-// plus policyMu, entries reconciled to the pinned view (on a lazily
+// plus mu, entries reconciled to the pinned view (on a lazily
 // restored cache this faults every remaining body in — the new snapshot
 // must not depend on the old backing file), and w is written only after
 // both locks are released. Answer sets are written in their native
@@ -237,14 +237,14 @@ func (c *Cache) WriteState(w io.Writer) error {
 // encodeStateV3 builds the v3 header, index and body sections under the
 // locks.
 //
-//gclint:acquires dsMu policyMu
+//gclint:acquires dsMu mu
 //gclint:pins dataset
 func (c *Cache) encodeStateV3() ([3][]byte, error) {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 
 	all := c.entries
 	c.foldCreditsLocked(all) // the utilities written below include every completed hit
@@ -335,7 +335,7 @@ func readFullAt(r io.ReaderAt, p []byte, off int64, what string) error {
 // nothing is installed until the whole snapshot — in lazy mode: header,
 // index and every graph blob — verified.
 //
-//gclint:acquires dsMu windowMu policyMu
+//gclint:acquires dsMu mu
 //gclint:pins dataset
 func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
 	dsTok := c.dsMu.RLock()

@@ -428,7 +428,7 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 // TestSnapshotWriterHoldsNoLock: both snapshot writers build the state
 // under the locks and write it after releasing them, so a writer stalled
 // inside its io.Writer stalls no query. While it blocks, a credited
-// sub/super hit (policyMu) and a window's worth of misses (a turn) must
+// sub/super hit (mu) and a window's worth of misses (a turn) must
 // complete; once released, the snapshot restores the entries resident
 // when it was taken.
 func TestSnapshotWriterHoldsNoLock(t *testing.T) {

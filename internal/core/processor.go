@@ -59,13 +59,13 @@ func signatureOf(q *graph.Graph) querySig {
 // The admitted entries are probed first, with no lock: one load of the
 // published view, then its fingerprint chain in ascending ID order, the
 // confirming iso tests running over immutable entry fields. Only when that
-// finds nothing are the window's fingerprint matches copied out under
-// windowMu, so a hit on an admitted entry never touches a lock. Two
-// identical queries racing each other, or a probe racing the turn that
-// admits its match, may miss and stage a duplicate — benign: exact-match
-// scans return the first isomorphic entry either way.
+// finds nothing are the window's fingerprint matches copied out under mu,
+// so a hit on an admitted entry never touches a lock. Two identical
+// queries racing each other, or a probe racing the turn that admits its
+// match, may miss and stage a duplicate — benign: exact-match scans
+// return the first isomorphic entry either way.
 //
-//gclint:acquires windowMu
+//gclint:acquires mu
 //gclint:loads summaries
 func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint) *Entry {
 	r := c.published.Load()
@@ -76,13 +76,13 @@ func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint
 	}
 	var buf [8]*Entry // fingerprint collisions are rare: no heap on the probe
 	cands := buf[:0]
-	c.windowMu.Lock()
+	c.mu.Lock()
 	for _, e := range c.window {
 		if e.Fingerprint == fp {
 			cands = append(cands, e)
 		}
 	}
-	c.windowMu.Unlock()
+	c.mu.Unlock()
 	return firstIsomorphic(q, qt, cands)
 }
 

@@ -18,8 +18,8 @@ import (
 // not between them, where lazy reconciliation and fault-in swap sets on
 // the query path. Reading Bytes never faults a pending body in.
 func residencyDrift(c *Cache) error {
-	c.policyMu.Lock()
-	defer c.policyMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if got := c.Len(); got != len(c.entries) {
 		return fmt.Errorf("Len() %d, resident list %d", got, len(c.entries))
 	}

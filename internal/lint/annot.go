@@ -60,13 +60,9 @@ type Annotations struct {
 	// lockNames is every declared lock name (hierarchy validation).
 	lockNames map[string]bool
 
-	// Acquires/Requires map function objects to lock names. Holds marks
-	// functions that acquire locks and LEAVE them held on return;
-	// Releases marks their unlocking counterparts.
+	// Acquires/Requires map function objects to lock names.
 	Acquires map[types.Object][]string
 	Requires map[types.Object][]string
-	Holds    map[types.Object][]string
-	Releases map[types.Object][]string
 	// NoLocks marks no-lock stage functions.
 	NoLocks map[types.Object]bool
 	// Cow marks COW-published types; CowView marks functions returning
@@ -224,8 +220,6 @@ func CollectAnnotations(prog *Program) (*Annotations, []Diagnostic) {
 		lockNames:     map[string]bool{},
 		Acquires:      map[types.Object][]string{},
 		Requires:      map[types.Object][]string{},
-		Holds:         map[types.Object][]string{},
-		Releases:      map[types.Object][]string{},
 		NoLocks:       map[types.Object]bool{},
 		Cow:           map[types.Object]bool{},
 		CowView:       map[types.Object]bool{},
@@ -342,7 +336,7 @@ func (a *Annotations) collectFile(prog *Program, pkgPath string, f *ast.File, er
 					continue
 				}
 				a.CtxStrict[pkgPath] = true
-			case "lock", "leaf", "acquires", "requires", "holds", "releases", "nolocks", "cow", "cowview", "mutates",
+			case "lock", "leaf", "acquires", "requires", "nolocks", "cow", "cowview", "mutates",
 				"snapshot", "loads", "pins", "view":
 				// Attached directives are handled in the declaration pass
 				// above; one that floats free of any declaration is dead
@@ -363,21 +357,16 @@ func (a *Annotations) collectFile(prog *Program, pkgPath string, f *ast.File, er
 func (a *Annotations) applyFuncDirectives(obj types.Object, dirs []directive, errf func(token.Pos, string, ...any)) {
 	for _, dir := range dirs {
 		switch dir.name {
-		case "acquires", "requires", "holds", "releases":
+		case "acquires", "requires":
 			names := strings.Fields(dir.args)
 			if obj == nil || len(names) == 0 {
 				errf(dir.pos, "//gclint:%s needs lock names and a function declaration", dir.name)
 				continue
 			}
-			switch dir.name {
-			case "acquires":
+			if dir.name == "acquires" {
 				a.Acquires[obj] = append(a.Acquires[obj], names...)
-			case "requires":
+			} else {
 				a.Requires[obj] = append(a.Requires[obj], names...)
-			case "holds":
-				a.Holds[obj] = append(a.Holds[obj], names...)
-			case "releases":
-				a.Releases[obj] = append(a.Releases[obj], names...)
 			}
 		case "nolocks", "cowview", "mutates":
 			if obj == nil {
@@ -440,7 +429,7 @@ func (a *Annotations) applyTypeDirectives(obj types.Object, dirs []directive, er
 				continue
 			}
 			a.Views[obj] = cell
-		case "lock", "leaf", "acquires", "requires", "holds", "releases", "nolocks", "cowview", "mutates",
+		case "lock", "leaf", "acquires", "requires", "nolocks", "cowview", "mutates",
 			"snapshot", "loads", "pins":
 			errf(dir.pos, "//gclint:%s cannot be attached to a type", dir.name)
 		default:
@@ -488,7 +477,7 @@ func (a *Annotations) applyLockDirectives(info *types.Info, names []*ast.Ident, 
 			}
 			a.Snapshots[obj] = &SnapshotInfo{Name: name}
 			a.snapshotNames[name] = true
-		case "acquires", "requires", "holds", "releases", "nolocks", "cow", "cowview", "mutates",
+		case "acquires", "requires", "nolocks", "cow", "cowview", "mutates",
 			"loads", "pins", "view":
 			errf(dir.pos, "//gclint:%s cannot be attached to a lock declaration", dir.name)
 		default:
@@ -525,8 +514,6 @@ func (a *Annotations) validate(errf func(token.Pos, string, ...any)) {
 	}
 	check(a.Acquires, "acquires")
 	check(a.Requires, "requires")
-	check(a.Holds, "holds")
-	check(a.Releases, "releases")
 
 	for obj, facts := range a.Loads {
 		for _, f := range facts {

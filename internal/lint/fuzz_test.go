@@ -21,10 +21,10 @@ import (
 //     space-free fields.
 func FuzzParseAnnotation(f *testing.F) {
 	seeds := []string{
-		"//gclint:hierarchy dsMu windowMu policyMu",
-		"//gclint:lock policyMu",
+		"//gclint:hierarchy dsMu mu",
+		"//gclint:lock mu",
 		"//gclint:leaf",
-		"//gclint:acquires windowMu policyMu",
+		"//gclint:acquires dsMu mu",
 		"//gclint:ignore lockorder -- reason with -- inner dashes",
 		"//gclint:ignore lockorder,ctxflow -- two analyzers",
 		"//gclint:ignore -- missing names",

@@ -25,8 +25,8 @@
 //	//gclint:leaf
 //	    On a //gclint:lock declaration: the lock may be acquired under any
 //	    other lock, but NOTHING may be acquired while it is held, nor
-//	    may an acquires/holds function or a requires function naming
-//	    another lock be called.
+//	    may an acquires function or a requires function naming another
+//	    lock be called.
 //	//gclint:acquires <lock> [<lock>...]
 //	    On a function: it internally acquires (and releases) the named
 //	    locks. Call sites are checked against the hierarchy exactly like
@@ -36,14 +36,6 @@
 //	    the function's own held-set; call sites missing the lock are
 //	    reported (except inside function literals passed as callbacks,
 //	    whose true lock context is the callee's).
-//	//gclint:holds <lock> [<lock>...]
-//	    On a function: it acquires the named locks and LEAVES them held
-//	    on return (lockDataset). Call sites are checked like
-//	    acquisitions and the locks join the caller's held-set.
-//	//gclint:releases <lock> [<lock>...]
-//	    On a function: it releases the named locks the caller holds
-//	    (unlockDataset) — the //gclint:holds counterpart. A deferred call
-//	    keeps the locks held to function end, like a deferred Unlock.
 //	//gclint:nolocks
 //	    On a function: a no-lock stage (filtering, iso testing,
 //	    verification). Any lock acquisition — direct, or via a call to an

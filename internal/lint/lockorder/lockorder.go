@@ -4,8 +4,8 @@
 // //gclint:nolocks stages may not acquire anything, a function's
 // //gclint:acquires list must cover every ranked lock it takes, and a
 // //gclint:leaf lock's critical section is terminal: while one is held,
-// nothing is acquired — directly or through an acquires, holds or
-// requires call.
+// nothing is acquired — directly or through an acquires or requires
+// call.
 package lockorder
 
 import (
@@ -43,13 +43,11 @@ func run(pass *lint.Pass) error {
 				held[name]++
 			}
 			w.nolocks = pass.Ann.NoLocks[obj]
-			for _, names := range [][]string{pass.Ann.Acquires[obj], pass.Ann.Holds[obj]} {
-				for _, name := range names {
-					if w.declared == nil {
-						w.declared = map[string]bool{}
-					}
-					w.declared[name] = true
+			for _, name := range pass.Ann.Acquires[obj] {
+				if w.declared == nil {
+					w.declared = map[string]bool{}
 				}
+				w.declared[name] = true
 			}
 			w.walkStmt(fd.Body, held, false)
 		}
@@ -66,10 +64,10 @@ type walker struct {
 	info    *types.Info
 	ann     *lint.Annotations
 	nolocks bool
-	// declared is the function's own //gclint:acquires + //gclint:holds
-	// list, nil when it carries neither. A declared list is a promise to
-	// callers, so it must cover every ranked lock the body takes —
-	// directly or through an annotated callee.
+	// declared is the function's own //gclint:acquires list, nil when it
+	// carries none. A declared list is a promise to callers, so it must
+	// cover every ranked lock the body takes — directly or through an
+	// annotated callee.
 	declared map[string]bool
 }
 
@@ -132,15 +130,8 @@ func (w *walker) walkStmt(s ast.Stmt, held map[string]int, inLit bool) {
 	case *ast.DeferStmt:
 		// A deferred Unlock keeps the lock held until function end from
 		// the walk's perspective: skip the release, still walk the
-		// receiver chain and arguments (evaluated at defer time). The
-		// same goes for a deferred call to a pure //gclint:releases
-		// function (defer c.unlockDataset(held)).
+		// receiver chain and arguments (evaluated at defer time).
 		if ev, ok := lint.ClassifyLockCall(w.info, w.ann, s.Call); ok && ev.Op == lint.ReleaseOp {
-			w.walkCallParts(s.Call, held, inLit)
-			return
-		}
-		if callee := lint.CalleeObject(w.info, s.Call); callee != nil &&
-			len(w.ann.Releases[callee]) > 0 && len(w.ann.Acquires[callee]) == 0 && len(w.ann.Holds[callee]) == 0 {
 			w.walkCallParts(s.Call, held, inLit)
 			return
 		}
@@ -264,17 +255,6 @@ func (w *walker) handleCallWith(call *ast.CallExpr, held, calleeHeld map[string]
 	}
 	for _, name := range w.ann.Acquires[callee] {
 		w.checkCallee(call.Pos(), callee, name, calleeHeld)
-	}
-	// A //gclint:holds callee checks like an acquisition but leaves the
-	// lock in the caller's held-set; //gclint:releases removes it.
-	for _, name := range w.ann.Holds[callee] {
-		w.checkCallee(call.Pos(), callee, name, calleeHeld)
-		calleeHeld[name]++
-	}
-	for _, name := range w.ann.Releases[callee] {
-		if calleeHeld[name] > 0 {
-			calleeHeld[name]--
-		}
 	}
 	leaf := w.heldLeaf(calleeHeld)
 	for _, name := range w.ann.Requires[callee] {

@@ -90,54 +90,6 @@ func (s *server) stage() {
 	s.touchMiddle() // want "call to touchMiddle acquires middle inside //gclint:nolocks function"
 }
 
-// lockPair acquires the middle lock and leaves it held for the caller.
-//
-//gclint:holds middle
-func (s *server) lockPair() {
-	s.midMu.Lock()
-}
-
-// unlockPair releases the middle lock lockPair left held.
-//
-//gclint:releases middle
-func (s *server) unlockPair() {
-	s.midMu.Unlock()
-}
-
-// viaPair holds middle across the pair; inner nests correctly under it,
-// and after the release outer is acquirable again.
-func (s *server) viaPair() {
-	s.lockPair()
-	s.innerMu.Lock()
-	s.innerMu.Unlock()
-	s.unlockPair()
-	s.outerMu.Lock()
-	s.outerMu.Unlock()
-}
-
-// deferPair releases via defer: middle stays held to function end.
-func (s *server) deferPair() {
-	s.lockPair()
-	defer s.unlockPair()
-	s.needsMiddle()
-}
-
-// needsMiddle must run under the middle lock.
-//
-//gclint:requires middle
-func (s *server) needsMiddle() {}
-
-// badPair calls the holds helper in reverse hierarchy order, and the
-// held lock persists past the call: outer is still blocked after it.
-func (s *server) badPair() {
-	s.innerMu.Lock()
-	s.lockPair()     // want "call to lockPair acquires middle while inner is held"
-	s.outerMu.Lock() // want "acquiring outer while middle is held" "acquiring outer while inner is held"
-	s.outerMu.Unlock()
-	s.unlockPair()
-	s.innerMu.Unlock()
-}
-
 // earlyOut releases and returns inside a branch; the fall-through path
 // still holds the lock, so the requires call is fine.
 func (s *server) earlyOut(c bool) {

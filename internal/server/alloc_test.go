@@ -20,7 +20,7 @@ import (
 // id. The encoding/json handler took 107 and 72 KB; a label-degree
 // summary of the fresh graph took 2 more until the matcher stopped
 // asking for one.
-const allocBudgetExactHitRequest = 28
+const allocBudgetExactHitRequest = 27
 
 func TestExactHitRequestAllocBudget(t *testing.T) {
 	r, exact, _ := newReplay(t, 0)
