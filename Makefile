@@ -1,7 +1,8 @@
 # GraphCache build/test entry points. `make ci` runs the gates CI runs,
 # so it passes locally exactly when CI would: vet + staticcheck + gofmt
 # (`fmt-check`) + the four gclint concurrency-contract analyzers (`lint`,
-# see cmd/gclint) and the capped waiver inventory (`lint-waivers`), plus
+# see cmd/gclint), the capped waiver inventory (`lint-waivers`) and the
+# capped kernel panic inventory (`panics`), plus
 # the full test suite under the race detector (the concurrency stress and
 # equivalence tests in internal/core and internal/server only earn
 # their keep with -race armed) and its lock-sensitive core repeated ten
@@ -18,7 +19,7 @@ GO ?= go
 # coverage fails CI. Raise it when the real number durably rises.
 COVER_BASELINE ?= 80.0
 
-.PHONY: build test race race-stress vet staticcheck fmt-check lint lint-waivers harness cover fuzz-smoke profiles loc ci
+.PHONY: build test race race-stress vet staticcheck fmt-check lint lint-waivers panics harness cover fuzz-smoke profiles loc ci
 
 build:
 	$(GO) build ./...
@@ -84,6 +85,22 @@ lint-waivers:
 	n=$$(echo "$$out" | sed -n 's/^gclint: \([0-9]*\) waiver(s)$$/\1/p'); \
 	if [ -z "$$n" ] || [ "$$n" -gt $(WAIVER_CEILING) ]; then \
 		echo "gclint: $$n waiver(s) exceed the committed ceiling of $(WAIVER_CEILING)"; exit 1; \
+	fi
+
+# panics lists every panic( call in the kernel's non-test files — each one
+# a way a query, a mutation or a restore can take the daemon down instead
+# of degrading to a miss — and fails when there are more than
+# PANIC_CEILING. The two left are MustNew's and SelfCheck's. The ceiling
+# only ever comes down: lower it when a panic goes (ROADMAP items 2 and 13
+# take it to 1), never raise it to let one in.
+PANIC_CEILING := 2
+panics:
+	@out=$$(grep -n 'panic(' $$(ls internal/core/*.go | grep -v '_test\.go$$')); \
+	echo "$$out"; \
+	n=$$(echo "$$out" | grep -c 'panic('); \
+	echo "internal/core: $$n panic call(s)"; \
+	if [ "$$n" -gt $(PANIC_CEILING) ]; then \
+		echo "internal/core: $$n panic call(s) exceed the committed ceiling of $(PANIC_CEILING)"; exit 1; \
 	fi
 
 # Full-suite coverage with a floor: fails when total statement coverage
@@ -164,4 +181,4 @@ harness:
 	$(GO) test -C benchmark ./...
 	$(GO) run ./cmd/gclint -C benchmark ./...
 
-ci: vet staticcheck fmt-check lint lint-waivers race race-stress harness cover fuzz-smoke
+ci: vet staticcheck fmt-check lint lint-waivers panics race race-stress harness cover fuzz-smoke

@@ -18,8 +18,8 @@
 // in-flight requests before exiting.
 //
 // With -state <path> the cache is persistent: a snapshot at that path is
-// restored lazily at boot (a missing file is a cold start; a corrupt file
-// is logged and skipped, the daemon starts with an empty cache) and the
+// restored at boot (a missing file is a cold start; a corrupt file is
+// logged and skipped, the daemon starts with an empty cache) and the
 // cache is saved back — atomically, via temp file + rename — on graceful
 // shutdown or on demand through POST /api/state/save.
 //
@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ggsxLen   = fs.Int("ggsx", 4, "GGSX path-feature length")
 		lazyRec   = fs.Bool("lazy-reconcile", false, "reconcile cached answers lazily after dataset additions (per-entry epochs) instead of eagerly at mutation time")
 		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling at /debug/pprof/ (off by default: profiles leak internals, enable only on trusted networks)")
-		statePath = fs.String("state", "", "cache state file: restored (lazily) at boot, saved on graceful shutdown and POST /api/state/save")
+		statePath = fs.String("state", "", "cache state file: restored at boot, saved on graceful shutdown and POST /api/state/save")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -128,29 +128,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Restore persisted state before accepting traffic. Lazy mode: the
-	// snapshot's index and graphs load now, answer bodies fault in from the
-	// (mmapped) file as queries touch them — so the handle must stay open
-	// for the cache's lifetime. A missing file is a cold start; a corrupt
-	// or mismatched file must never take the daemon down, it just starts
-	// empty.
-	var stateHandle io.Closer
+	// Restore persisted state before accepting traffic. A missing file is a
+	// cold start; a corrupt or mismatched file (either format: ReadState
+	// sniffs it) must never take the daemon down, it just starts empty.
 	if *statePath != "" {
-		switch closer, err := cache.RestoreStateLazy(*statePath); {
+		switch err := restoreState(cache, *statePath); {
 		case err == nil:
-			stateHandle = closer
-			fmt.Fprintf(stdout, "gcd: restored %d cached queries from %s (lazy)\n", cache.Len(), *statePath)
+			fmt.Fprintf(stdout, "gcd: restored %d cached queries from %s\n", cache.Len(), *statePath)
 		case os.IsNotExist(err):
 			fmt.Fprintf(stdout, "gcd: no state file at %s, starting cold\n", *statePath)
 		default:
-			// Not a v3 snapshot (or a damaged one). Fall back to an eager
-			// restore, which also reads the legacy v2 text format; if that
-			// fails too, the file is corrupt — start empty, never crash.
-			if v2err := restoreEager(cache, *statePath); v2err == nil {
-				fmt.Fprintf(stdout, "gcd: restored %d cached queries from %s\n", cache.Len(), *statePath)
-			} else {
-				fmt.Fprintf(stdout, "gcd: ignoring state file %s: %v\n", *statePath, err)
-			}
+			fmt.Fprintf(stdout, "gcd: ignoring state file %s: %v\n", *statePath, err)
 		}
 	}
 
@@ -199,19 +187,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			return err
 		}
-		// Save AFTER the drain (no in-flight mutations) and BEFORE closing
-		// the restore handle: serializing a lazily restored cache faults the
-		// remaining answer bodies in from the old snapshot file.
+		// Save AFTER the drain: no in-flight mutations.
 		if *statePath != "" {
 			if err := saveState(cache, *statePath); err != nil {
 				return fmt.Errorf("saving state: %w", err)
 			}
 			fmt.Fprintf(stdout, "gcd: saved %d cached queries to %s\n", cache.Len(), *statePath)
-		}
-		if stateHandle != nil {
-			if err := stateHandle.Close(); err != nil {
-				return fmt.Errorf("closing state file: %w", err)
-			}
 		}
 		snap := cache.Stats()
 		fmt.Fprintf(stdout, "gcd: served %d queries (%d exact hits), bye\n", snap.Queries, snap.ExactHits)
@@ -246,14 +227,9 @@ func newHTTPServer(handler http.Handler) *http.Server {
 	}
 }
 
-// saveState persists the cache atomically: serialize to a temp file in the
-// destination directory, then rename over the target — a crash mid-save
-// leaves the previous snapshot intact, and a reader never sees a partial
-// file. Concurrent saves (shutdown racing POST /api/state/save) are safe:
-// each writes its own temp file and the cache serializes the snapshots.
-// restoreEager reads a state file through the format-sniffing eager path
-// (v3 binary or legacy v2 text).
-func restoreEager(c *core.Cache, path string) error {
+// restoreState restores the state file at path (v3 binary or legacy v2
+// text; ReadState sniffs the format).
+func restoreState(c *core.Cache, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -262,6 +238,11 @@ func restoreEager(c *core.Cache, path string) error {
 	return c.ReadState(f)
 }
 
+// saveState persists the cache atomically: serialize to a temp file in the
+// destination directory, then rename over the target — a crash mid-save
+// leaves the previous snapshot intact, and a reader never sees a partial
+// file. Concurrent saves (shutdown racing POST /api/state/save) are safe:
+// each writes its own temp file and the cache serializes the snapshots.
 func saveState(c *core.Cache, path string) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".gcstate-*")

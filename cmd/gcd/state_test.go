@@ -59,9 +59,8 @@ func getStats(t *testing.T, base string) map[string]any {
 }
 
 // Full persistence lifecycle: cold boot with -state, warm the cache, save
-// on graceful shutdown; reboot restores the entries lazily (no answer
-// bodies faulted until a query needs them) and the restored entries
-// answer with exact hits.
+// on graceful shutdown; reboot restores the entries and a restored entry
+// answers with an exact hit.
 func TestDaemonStateSaveRestore(t *testing.T) {
 	statePath := filepath.Join(t.TempDir(), "cache.gcstate")
 
@@ -91,21 +90,12 @@ func TestDaemonStateSaveRestore(t *testing.T) {
 	if !strings.Contains(out.String(), "restored") {
 		t.Fatalf("second boot did not restore:\n%s", out.String())
 	}
-	stats := getStats(t, base)
-	if got := stats["cachedEntries"].(float64); got != warmEntries {
+	if got := getStats(t, base)["cachedEntries"].(float64); got != warmEntries {
 		t.Fatalf("restored %v entries, want %v", got, warmEntries)
 	}
-	// Lazy restore: booting and serving stats reads no answer bodies.
-	if got := stats["stateBodyFaults"].(float64); got != 0 {
-		t.Fatalf("boot faulted %v answer bodies before any query", got)
-	}
-	// A warmed query answers from cache, faulting its body in.
-	out2 := postStateQuery(t, base, stateQueries[0])
-	if !out2["exactHit"].(bool) {
+	// A warmed query answers from cache.
+	if out := postStateQuery(t, base, stateQueries[0]); !out["exactHit"].(bool) {
 		t.Error("restored entry did not produce an exact hit")
-	}
-	if got := getStats(t, base)["stateBodyFaults"].(float64); got == 0 {
-		t.Error("exact hit on a restored entry faulted no answer body")
 	}
 }
 
@@ -146,22 +136,26 @@ func TestDaemonStateSaveEndpoint(t *testing.T) {
 }
 
 // A corrupt (or foreign) state file must never take the daemon down: it
-// boots with an empty cache and says why.
+// boots with an empty cache and says why, naming the error of the parser
+// the file's format selects.
 func TestDaemonCorruptStateFileIgnored(t *testing.T) {
-	for name, contents := range map[string]string{
-		"junk":        "not a state file at all",
-		"bad-binary":  "GCS3" + strings.Repeat("\x00", 80),
-		"bad-text-v2": "gcstate 2 30 1\nentry 0 extra junk\n",
+	for name, tc := range map[string]struct{ contents, why string }{
+		"junk":        {"not a state file at all", "state line"},
+		"bad-binary":  {"GCS3" + strings.Repeat("\x00", 80), "state v3"},
+		"bad-text-v2": {"gcstate 2 30 1\nentry 0 extra junk\n", "state line"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			statePath := filepath.Join(t.TempDir(), "cache.gcstate")
-			if err := os.WriteFile(statePath, []byte(contents), 0o644); err != nil {
+			if err := os.WriteFile(statePath, []byte(tc.contents), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			base, out, shutdown := bootDaemon(t, "-state", statePath)
 			defer shutdown()
 			if !strings.Contains(out.String(), "ignoring state file") {
 				t.Errorf("no corrupt-state banner:\n%s", out.String())
+			}
+			if !strings.Contains(out.String(), tc.why) {
+				t.Errorf("corrupt-state banner does not carry the %q error:\n%s", tc.why, out.String())
 			}
 			stats := getStats(t, base)
 			if got := stats["cachedEntries"].(float64); got != 0 {

@@ -199,16 +199,12 @@ func SaveState(c *Cache, w io.Writer) error { return c.WriteState(w) }
 
 // LoadState restores a snapshot (either the binary GCS3 format or the
 // legacy v2 text format — the header is sniffed) into the cache,
-// replacing its contents. Restores are all-or-nothing: any corruption is
-// rejected with an error and the cache is left untouched.
+// replacing its contents. There is one restore mode: every graph and
+// answer set is read, verified and decoded before the restore returns,
+// and it is all-or-nothing — any corruption is rejected with an error and
+// the cache is left untouched, so a file that restores cannot fail a
+// later query.
 func LoadState(c *Cache, r io.Reader) error { return c.ReadState(r) }
-
-// LoadStateLazy restores a GCS3 snapshot file in lazy mode: the entry
-// index and query graphs load eagerly (hit detection is immediately
-// warm), answer sets stay on disk — mmapped where supported — and fault
-// in as queries first touch each entry. The returned closer owns the
-// backing file and must stay open for the cache's lifetime.
-func LoadStateLazy(c *Cache, path string) (io.Closer, error) { return c.RestoreStateLazy(path) }
 
 // Bundled replacement policies.
 var (

@@ -694,9 +694,9 @@ func (c *Cache) turnWindow() {
 	c.foldCreditsLocked(c.window)
 	for _, e := range c.entries {
 		e.age(decayFactor)
-		// True up this entry's charge: lazy reconciliation and fault-in
-		// may have swapped its answer set on the query path, where the
-		// account is not touched. Keeps the memory-budget enforcement
+		// True up this entry's charge: lazy reconciliation may have
+		// swapped its answer set on the query path, where the account is
+		// not touched. Keeps the memory-budget enforcement
 		// below honest.
 		c.rechargeLocked(e)
 	}

@@ -145,10 +145,10 @@
 //
 // # Snapshot persistence: the GCS3 binary format
 //
-// WriteState serializes the cache in state format v3 ("GCS3"), a binary,
-// mmap-friendly layout; ReadState sniffs the magic and dispatches to the
-// v3 reader or falls through to the legacy v2 text parser (WriteStateV2
-// still produces v2). All integers are little-endian; every checksum is
+// WriteState serializes the cache in the binary state format v3
+// ("GCS3"); ReadState sniffs the magic and dispatches to the v3 reader or
+// falls through to the legacy v2 text parser (WriteStateV2 still
+// produces v2). All integers are little-endian; every checksum is
 // FNV-1a 64. The layout (offsets in bytes):
 //
 //	header, 64 B:  magic "GCS3" [0,4)   version=3 u32 [4,8)
@@ -180,41 +180,12 @@
 // never trusted from disk. A snapshot from a differently-sized dataset
 // is refused (dsSize must equal the current view's id-space size).
 //
-// # Lazy restore
-//
-// RestoreStateLazy mmaps the file (internal/mmap; ReadAt fallback where
-// unsupported) and restores eagerly EXCEPT the answer bodies: the
-// header, index and graph segments are read and fully validated up
-// front, so admission, the feature index, and exact/sub/super hit
-// detection work immediately, while each entry's answer set faults in
-// on its first Answers() call. The rules that keep this exact:
-//
-//   - An unfaulted entry's answer cell holds a pending answerState whose
-//     lazyBody records (source, offset, length, checksum, capacity) plus
-//     a drops list — the ids tombstoned since the snapshot was written
-//     (dsSize equality proves no ADDS happened; ids are never reused).
-//     Fault-in reads the segment, verifies ansSum, decodes, applies
-//     drops, Compact()s and publishes by CAS — fully lock-free. Until
-//     then the entry is charged its body's length, so MemoryBudget sees
-//     the answers from the restore on (replaceEntries enforces it); the
-//     charge follows the decoded set at the next rechargeLocked.
-//   - Restored entries are stamped with the CURRENT dataset epoch
-//     (sound for the addition log by the dsSize check, exactly as in
-//     v2); a pending entry's epoch holds the log-compaction floor down
-//     until it faults or is evicted.
-//   - RemoveGraph on a pending entry appends to the drops list via a
-//     COW lazyBody clone published under dsMu's write side and mu; a
-//     racing lock-free fault loses the CAS and retries against the new
-//     body. Eviction of a pending entry just drops the cell — no I/O.
-//   - Body corruption discovered at fault time PANICS (the restore
-//     validated the index, so a failing ansSum means the file changed
-//     underneath the mapping — there is no caller to return an error
-//     to, and serving wrong answers would violate the SelfCheck
-//     contract). Whole-file corruption is still rejected error-wise at
-//     restore time, all-or-nothing.
-//   - The returned io.Closer owns the mapping: Close() after the cache
-//     is done faulting (for gcd: save first, then close). Monitor
-//     counter StateBodyFaults observes fault-in traffic (/api/stats).
+// There is one restore mode. Every graph and answer set is read,
+// verified and decoded before replaceEntries installs anything, and the
+// restored entries are stamped with the current dataset epoch (sound for
+// the addition log by the dsSize check). A file that restores therefore
+// cannot fail a later query; a bad one is rejected at restore time with
+// an error.
 //
 // # Machine-checked contracts: the gclint annotation grammar
 //

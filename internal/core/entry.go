@@ -12,18 +12,10 @@ import (
 // is exact with respect to the dataset as of the epoch. Published whole
 // through answersCell so readers always see a matching pair.
 //
-// A state with a non-nil body is PENDING: its bits still live in the
-// snapshot file of a lazy restore (set is nil) and fault in on first
-// loadAnswers. The pair (body, epoch) carries the same exactness
-// contract — the decoded set is exact as of epoch — so fault-in is just
-// a deferred materialization of the same logical snapshot, published
-// through the ordinary CAS discipline (see persist.go).
-//
 //gclint:cow
 type answerState struct {
 	set   *bitset.Set
 	epoch int64
-	body  *lazyBody
 }
 
 // answersCell is the atomic holder of an entry's answer state (and of
@@ -96,8 +88,8 @@ type Entry struct {
 
 	// charged is the Bytes() the residency account holds for this entry:
 	// set at admission, trued up by rechargeLocked at window turns and
-	// stop-the-world passes (lazy reconciliation and fault-in swap sets on
-	// the query path, where the account is not touched). Guarded by mu.
+	// stop-the-world passes (lazy reconciliation swaps sets on the query
+	// path, where the account is not touched). Guarded by mu.
 	charged int
 
 	// InsertedAt and LastUsed are query ticks (LRU/FIFO state).
@@ -115,13 +107,11 @@ type Entry struct {
 
 // Answers returns the entry's current answer set — exact with respect to
 // the dataset as of DatasetEpoch. The returned set is immutable; the cache
-// replaces it whole when dataset mutations are reconciled. On an entry
-// restored lazily the first call faults the set in from the snapshot
-// file (see persist.go).
+// replaces it whole when dataset mutations are reconciled.
 //
 //gclint:cowview
 //gclint:loads answers
-func (e *Entry) Answers() *bitset.Set { return e.loadAnswers().set }
+func (e *Entry) Answers() *bitset.Set { return e.answers().set }
 
 // DatasetEpoch returns the dataset epoch the entry's answers are exact up
 // to. An entry whose epoch trails the method's is stale only with respect
@@ -132,31 +122,10 @@ func (e *Entry) Answers() *bitset.Set { return e.loadAnswers().set }
 func (e *Entry) DatasetEpoch() int64 { return e.ans.p.Load().epoch }
 
 // answers returns the entry's (set, epoch) pair as one consistent load.
-// The state may be PENDING (set nil, body non-nil) on a lazily restored
-// entry: maintenance paths that must not trigger snapshot I/O
-// (admission, byte accounting) use this accessor and
-// handle pending states explicitly; everything needing the bits goes
-// through loadAnswers.
 //
 //gclint:cowview
 //gclint:loads answers
 func (e *Entry) answers() *answerState { return e.ans.p.Load() }
-
-// loadAnswers returns the entry's (set, epoch) pair as one consistent
-// load, faulting the set in from the snapshot file first when the entry
-// was restored lazily. Lock-free: fault-in publishes through the same
-// CAS discipline lazy reconciliation uses, so it is safe on the query
-// path (reconciledAnswers is //gclint:nolocks).
-//
-//gclint:cowview
-//gclint:loads answers
-func (e *Entry) loadAnswers() *answerState {
-	st := e.ans.p.Load()
-	if st.body != nil {
-		st = e.faultAnswers(st)
-	}
-	return st
-}
 
 // setAnswers publishes a new answer state. The set must not be mutated
 // after the call.
@@ -173,22 +142,6 @@ func (e *Entry) setAnswers(set *bitset.Set, epoch int64) {
 // (replaceEntries). Callers hold no lock: this is where an answer set is
 // compacted.
 func entryFromSig(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) *Entry {
-	e := entryShell(q, qt, baseCandidates, sig, tick)
-	// The set is owned here (every caller passes a fresh or cloned set)
-	// and about to be published read-only for the entry's lifetime, so
-	// pay the one-off re-encode into its smallest container now: sparse
-	// for small answer sets, run for near-full ones, dense in between.
-	answers.Compact()
-	e.setAnswers(answers, epoch)
-	return e
-}
-
-// entryShell builds an Entry with every signature-derived field populated
-// but NO answer state published and no ID yet. The two construction paths
-// finish it differently: entryFromSig publishes a materialized set, the
-// lazy restore publishes a pending body (persist.go). Callers must
-// publish exactly one state before the entry escapes.
-func entryShell(q *graph.Graph, qt ftv.QueryType, baseCandidates int, sig querySig, tick int64) *Entry {
 	e := &Entry{
 		Graph:          q,
 		Type:           qt,
@@ -203,6 +156,12 @@ func entryShell(q *graph.Graph, qt ftv.QueryType, baseCandidates int, sig queryS
 	}
 	e.staticBytes = 224 + // struct (incl. feature summary) + bookkeeping
 		q.Bytes() + 12*len(e.Features)
+	// The set is owned here (every caller passes a fresh or cloned set)
+	// and about to be published read-only for the entry's lifetime, so
+	// pay the one-off re-encode into its smallest container now: sparse
+	// for small answer sets, run for near-full ones, dense in between.
+	answers.Compact()
+	e.setAnswers(answers, epoch)
 	return e
 }
 
@@ -214,16 +173,7 @@ func (e *Entry) summary() summary {
 // Bytes estimates the entry's logical resident size: the immutable
 // static part plus the current answer set. O(1). It is what the entry
 // charges to the residency account (Cache.Bytes).
-func (e *Entry) Bytes() int {
-	st := e.answers()
-	if st.body != nil {
-		// Pending body: estimate by its on-disk encoded length (the binary
-		// container encoding mirrors the in-memory payload) rather than
-		// faulting it in just to size it.
-		return e.staticBytes + int(st.body.length)
-	}
-	return e.staticBytes + st.set.Bytes()
-}
+func (e *Entry) Bytes() int { return e.staticBytes + e.Answers().Bytes() }
 
 // age decays the adaptive utilities by factor.
 func (e *Entry) age(factor float64) {

@@ -35,7 +35,6 @@ type Monitor struct {
 	maintenanceTests  atomic.Int64 // iso tests spent reconciling answer sets after additions
 	logCompactions    atomic.Int64 // addition-log compactions that dropped ≥1 record
 	logRecordsDropped atomic.Int64 // addition records dropped by compaction
-	stateBodyFaults   atomic.Int64 // lazy-restore answer bodies faulted in from the snapshot file
 	filterNs          atomic.Int64
 	verifyNs          atomic.Int64
 	windowTurnNs      atomic.Int64 // inside turnWindow
@@ -105,10 +104,6 @@ type Snapshot struct {
 	// and leave once every resident entry has passed them.
 	AdditionLogLen                    int
 	LogCompactions, LogRecordsDropped int64
-	// StateBodyFaults counts answer bodies faulted in from the snapshot
-	// file after a lazy restore (RestoreStateLazy): 0 right after restore,
-	// rising as queries first touch each restored entry's answers.
-	StateBodyFaults int64
 	// FilterTime, HitTime and VerifyTime split where query time went.
 	FilterTime, HitTime, VerifyTime time.Duration
 	// The stopped world, in nanoseconds. WindowTurnNs is the time spent
@@ -155,7 +150,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		MaintenanceTests:  m.maintenanceTests.Load(),
 		LogCompactions:    m.logCompactions.Load(),
 		LogRecordsDropped: m.logRecordsDropped.Load(),
-		StateBodyFaults:   m.stateBodyFaults.Load(),
 		WindowTurnNs:      m.windowTurnNs.Load(),
 		MutationWaitNs:    m.mutationWaitNs.Load(),
 		MutationHoldNs:    m.mutationHoldNs.Load(),

@@ -112,19 +112,6 @@ func (c *Cache) RemoveGraph(gid int) error {
 	c.mon.datasetRemoves.Add(1)
 	c.withAllEntriesLocked(func(e *Entry) {
 		st := e.answers()
-		if st.body != nil {
-			// Lazily restored entry whose bits still live in the snapshot
-			// file: record the tombstone in the fault-in drop list instead
-			// of reading the body just to clear one bit. A NEW pending
-			// state is published (the old one is immutable), so a fault-in
-			// racing this pass — they take no locks — fails its CAS against
-			// the superseded state and retries against this one, applying
-			// the drop.
-			if gid < st.body.cap {
-				e.ans.p.Store(&answerState{epoch: st.epoch, body: st.body.withDrop(gid)})
-			}
-			return
-		}
 		if gid < st.set.Len() && st.set.Contains(gid) {
 			s := st.set.Clone()
 			s.Remove(gid)
@@ -251,14 +238,6 @@ func (c *Cache) compactTo(floor int64) {
 // up the entry's charge afterwards.
 func (c *Cache) reconcileEntryLocked(e *Entry, view ftv.DatasetView) {
 	st := e.answers()
-	if st.body != nil {
-		// Pending lazy body: leave it on disk at its old epoch. The entry
-		// reconciles like any lazily-maintained one — the read path patches
-		// the faulted set from the addition log — and the unchanged epoch
-		// keeps the needed records alive (compaction floors read
-		// DatasetEpoch, which never faults).
-		return
-	}
 	if st.epoch >= view.Epoch() && st.set.Len() == view.Size() {
 		return
 	}
@@ -267,8 +246,8 @@ func (c *Cache) reconcileEntryLocked(e *Entry, view ftv.DatasetView) {
 
 // rechargeLocked trues up the residency charge of an admitted entry whose
 // answer set may have been swapped since the last pass (lazy
-// reconciliation and fault-in publish fresh sets on the query path, where
-// the account is not touched): the account moves by the difference
+// reconciliation publishes fresh sets on the query path, where the
+// account is not touched): the account moves by the difference
 // between the entry's Bytes() and its charge. Caller holds mu.
 //
 //gclint:requires mu
@@ -293,7 +272,7 @@ func (c *Cache) rechargeLocked(e *Entry) {
 //gclint:nolocks
 //gclint:loads answers e
 func (c *Cache) reconciledAnswers(e *Entry, view ftv.DatasetView) *bitset.Set {
-	st := e.loadAnswers()
+	st := e.answers()
 	if st.epoch >= view.Epoch() && st.set.Len() == view.Size() {
 		return st.set
 	}

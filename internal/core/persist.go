@@ -23,11 +23,9 @@ import (
 // Two formats exist. WriteState writes the current binary v3 format
 // ("GCS3", persist_v3.go): fixed header, fixed-size per-entry index
 // records, checksummed variable bodies holding each graph plus its
-// answer set in the set's native container encoding — and restores can
-// be LAZY, faulting answer bodies in on first use (RestoreStateLazy).
-// WriteStateV2 keeps the line-oriented text format below; ReadState
-// sniffs the leading magic and accepts either, so v2 files keep
-// restoring.
+// answer set in the set's native container encoding. WriteStateV2 keeps
+// the line-oriented text format below; ReadState sniffs the leading magic
+// and accepts either, so v2 files keep restoring.
 //
 // Format v2 (line-oriented, versioned):
 //
@@ -113,10 +111,12 @@ func stateError(line int, format string, args ...any) error {
 // Restores are all-or-nothing: the entire stream is parsed and validated —
 // entry counts, per-graph vertex/edge counts, answer-id ranges and
 // ordering, checksums and section bounds in v3, the end trailer in v2 —
-// before the first lock is taken, so a truncated or corrupt state file
-// fails with a descriptive error and leaves the cache exactly as it was
-// (empty, when the load happens at boot). On success the feature index is
-// rebuilt before the locks drop.
+// before mu is taken to install the entries, so a truncated or corrupt
+// state file fails with a descriptive error and leaves the cache exactly
+// as it was (empty, when the load happens at boot). The read side of dsMu
+// is held through the whole parse: it pins the dataset the answer ids
+// refer to, so mutations wait for the restore while queries do not. On
+// success the feature index is rebuilt before the locks drop.
 func (c *Cache) ReadState(r io.Reader) error {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(len(stateMagicV3)); err == nil && string(magic) == stateMagicV3 {
@@ -124,7 +124,7 @@ func (c *Cache) ReadState(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("core: reading state: %w", err)
 		}
-		return c.readStateV3(newMemStateSource(data), false)
+		return c.readStateV3(data)
 	}
 	return c.readStateV2(br)
 }

@@ -7,21 +7,21 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
 	"graphcache/internal/graph"
-	"graphcache/internal/mmap"
 )
 
-// State format v3 ("GCS3"): the binary, mmap-friendly snapshot format.
+// State format v3 ("GCS3"): the binary snapshot format.
 //
 // The v2 text format rewrites and re-parses every entry on save/restore;
 // at production cache sizes the restart cost is dominated by that
 // serialization, not by queries (ROADMAP open item 2). GCS3 splits the
 // snapshot into a fixed-size header, a fixed-size per-entry INDEX section
-// and a variable BODY section, so a restore can consume the index — and
-// everything hit detection needs — without touching the bodies at all:
+// and a variable BODY section, so every record is addressable without
+// parsing the ones before it:
 //
 //	header (64 bytes, little-endian):
 //	  [0,4)    magic "GCS3"
@@ -61,33 +61,9 @@ import (
 // record offsets must tile the body section exactly to the recorded file
 // size, and each graph and answer blob carries its own checksum — a
 // single flipped or truncated byte anywhere fails the restore with a
-// descriptive error and leaves the cache untouched.
-//
-// # Lazy restore
-//
-// RestoreStateLazy reads the header, index and graph blobs eagerly — the
-// signatures, feature summaries and hit index are rebuilt from the
-// graphs, never trusted from disk, so admission, feature-index rebuild
-// and hit detection work immediately — but leaves every ANSWER body in
-// the file (mmapped on Unix via internal/mmap, plain pread elsewhere).
-// An entry's answer state is published as a PENDING body (answerState
-// with set nil); the first loadAnswers faults the body in: read, verify
-// checksum, decode, publish through the cell's CAS — the same
-// epoch-stamped publish discipline lazy reconciliation uses, and equally
-// lock-free, so fault-in is legal on the //gclint:nolocks query path.
-// Each entry decodes its own set. Until then the entry is charged its
-// body's length; the charge follows the decoded set at the next true-up
-// (rechargeLocked), exactly like lazily reconciled sets do.
-//
-// Dataset mutations between restore and fault-in stay exact: removals
-// append the tombstoned id to the pending state's drop list (applied
-// after decode), and additions are reconciled from the addition log on
-// the read path — the pending epoch holds the log's compaction floor
-// down until the entry faults in. A body that fails verification at
-// fault-in time panics: the restore-time validation accepted the file,
-// so the backing file was corrupted or truncated AFTER restore, and no
-// exact answer can be produced (the kernel never returns approximate
-// answers — the same contract as the SelfCheck panic).
+// descriptive error and leaves the cache untouched. Every byte is
+// verified before the restore installs anything, so a file that restores
+// can never fail a later query.
 
 const (
 	stateMagicV3   = "GCS3"
@@ -107,117 +83,11 @@ func fnv1a(data []byte) uint64 {
 	return h
 }
 
-// stateSource is one open snapshot backing a restore: the random-access
-// reader (an mmap.File for RestoreStateLazy, an in-memory buffer for
-// ReadState), plus the Monitor the fault counter reports to. For a lazy
-// restore the source must stay open for the cache's lifetime — Close
-// only after the cache is done (or after a later WriteState materialized
-// everything).
-type stateSource struct {
-	r      io.ReaderAt
-	size   int64
-	closer io.Closer
-	mon    *Monitor
-}
-
-// Close releases the backing reader (a no-op for in-memory sources).
-func (s *stateSource) Close() error {
-	if s.closer != nil {
-		return s.closer.Close()
-	}
-	return nil
-}
-
-func newMemStateSource(data []byte) *stateSource {
-	return &stateSource{r: bytes.NewReader(data), size: int64(len(data))}
-}
-
-// lazyBody locates one entry's still-on-disk answer set. Immutable after
-// publication (a removal publishes a fresh lazyBody via withDrop — see
-// RemoveGraph); the whole struct is part of the COW answerState.
-type lazyBody struct {
-	src    *stateSource
-	off    int64
-	length int64
-	sum    uint64
-	// cap is the answer set's capacity: the dataset size at write time
-	// (== at restore time; growth since restore is reconciled from the
-	// addition log after fault-in, like any stale entry).
-	cap int
-	// drops are ids tombstoned AFTER the snapshot was written (at restore
-	// time: the complement of the live mask; afterwards: appended by
-	// RemoveGraph), cleared from the decoded set at fault-in.
-	drops []int
-}
-
-// withDrop returns a copy of b with gid appended to the drop list. The
-// receiver is never mutated — it may be published.
-func (b *lazyBody) withDrop(gid int) *lazyBody {
-	nb := *b
-	nb.drops = append(append([]int(nil), b.drops...), gid)
-	return &nb
-}
-
-// materialize reads, verifies and decodes the body into an owned set,
-// with drops applied. Panics on verification failure: restore validated
-// this file, so a mismatch means the backing file changed underneath a
-// live lazy cache — no exact answer exists (see the package comment).
-func (b *lazyBody) materialize() *bitset.Set {
-	buf := make([]byte, b.length)
-	if _, err := b.src.r.ReadAt(buf, b.off); err != nil {
-		panic(fmt.Sprintf("core: lazy state body at offset %d: %v (snapshot file truncated since restore?)", b.off, err))
-	}
-	if got := fnv1a(buf); got != b.sum {
-		panic(fmt.Sprintf("core: lazy state body at offset %d: checksum mismatch (snapshot file corrupted since restore)", b.off))
-	}
-	set, n, err := bitset.FromBinary(buf)
-	if err != nil || n != len(buf) {
-		panic(fmt.Sprintf("core: lazy state body at offset %d: %v", b.off, err))
-	}
-	if set.Len() != b.cap {
-		panic(fmt.Sprintf("core: lazy state body at offset %d: capacity %d, want %d", b.off, set.Len(), b.cap))
-	}
-	if len(b.drops) == 0 {
-		return set
-	}
-	for _, gid := range b.drops {
-		if gid < set.Len() {
-			set.Remove(gid)
-		}
-	}
-	// The drop-adjusted set is owned until published; re-encode it into
-	// its smallest container like every publication point does.
-	set.Compact()
-	return set
-}
-
-// faultAnswers materializes a pending answer state and publishes it
-// through the cell's CAS, returning the resulting state. Lock-free; safe
-// to race with other faulters (first publish wins, the loser re-reads)
-// and with RemoveGraph's drop-list republish (the CAS fails against the
-// superseded pending state and the retry sees the new drop list).
-func (e *Entry) faultAnswers(st *answerState) *answerState {
-	for {
-		next := &answerState{set: st.body.materialize(), epoch: st.epoch}
-		if e.ans.p.CompareAndSwap(st, next) {
-			// src.mon is set before any body is published (readStateV3).
-			st.body.src.mon.stateBodyFaults.Add(1)
-			return next
-		}
-		st = e.ans.p.Load()
-		if st.body == nil {
-			return st
-		}
-	}
-}
-
 // WriteState serializes the cache's admitted entries to w in the binary
 // v3 format. Locking and consistency match WriteStateV2: header, index
 // and body are built in memory under the read side of the dataset mutex
-// plus mu, entries reconciled to the pinned view (on a lazily
-// restored cache this faults every remaining body in — the new snapshot
-// must not depend on the old backing file), and w is written only after
-// both locks are released. Answer sets are written in their native
+// plus mu, entries reconciled to the pinned view, and w is written only
+// after both locks are released. Answer sets are written in their native
 // containers, so save→restore preserves the adaptive compression
 // byte-for-byte.
 func (c *Cache) WriteState(w io.Writer) error {
@@ -292,24 +162,20 @@ func (c *Cache) encodeStateV3() ([3][]byte, error) {
 	return [3][]byte{hdr, index, body}, nil
 }
 
-// RestoreStateLazy restores a v3 snapshot from path in lazy mode: the
-// header, index and graphs load now (hit detection is immediately live),
-// answer bodies fault in on first access. The returned closer owns the
-// backing file (mmapped where the platform supports it) and must stay
-// open for the cache's lifetime; closing it while unfaulted entries
-// remain makes their first access panic. The restore itself is
-// all-or-nothing, like ReadState.
+// RestoreStateLazy restores the snapshot file at path. Despite its name
+// the restore is eager and all-or-nothing, exactly ReadState, and the
+// returned closer is a no-op: the method stays only because the
+// benchmark harness calls it, and goes with ROADMAP item 1.
 func (c *Cache) RestoreStateLazy(path string) (io.Closer, error) {
-	f, err := mmap.Open(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	src := &stateSource{r: f, size: f.Size(), closer: f}
-	if err := c.readStateV3(src, true); err != nil {
-		f.Close()
+	defer f.Close()
+	if err := c.ReadState(f); err != nil {
 		return nil, err
 	}
-	return src, nil
+	return io.NopCloser(nil), nil
 }
 
 // v3Error builds a restore error for the binary format.
@@ -317,35 +183,21 @@ func v3Error(format string, args ...any) error {
 	return fmt.Errorf("core: state v3: %s", fmt.Sprintf(format, args...))
 }
 
-// readFullAt reads exactly len(p) bytes at off, mapping a short read to
-// a truncation error.
-func readFullAt(r io.ReaderAt, p []byte, off int64, what string) error {
-	n, err := r.ReadAt(p, off)
-	if n < len(p) {
-		if err == nil || err == io.EOF {
-			return v3Error("%s truncated: %d of %d bytes at offset %d", what, n, len(p), off)
-		}
-		return v3Error("reading %s at offset %d: %v", what, off, err)
-	}
-	return nil
-}
-
-// readStateV3 parses and restores a v3 snapshot from src, eagerly or
-// lazily. Validation mirrors the writer exactly (see the format comment);
-// nothing is installed until the whole snapshot — in lazy mode: header,
-// index and every graph blob — verified.
+// readStateV3 parses and restores a v3 snapshot held whole in data.
+// Validation mirrors the writer exactly (see the format comment); nothing
+// is installed until every section, graph and answer set verified.
 //
 //gclint:acquires dsMu mu
 //gclint:pins dataset
-func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
+func (c *Cache) readStateV3(data []byte) error {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
 
-	hdr := make([]byte, v3HeaderLen)
-	if err := readFullAt(src.r, hdr, 0, "header"); err != nil {
-		return err
+	if len(data) < v3HeaderLen {
+		return v3Error("header truncated: %d of %d bytes", len(data), v3HeaderLen)
 	}
+	hdr := data[:v3HeaderLen]
 	if string(hdr[:4]) != stateMagicV3 {
 		return v3Error("bad magic %q", hdr[:4])
 	}
@@ -364,37 +216,20 @@ func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
 		return v3Error("state is for a %d-graph dataset, cache has %d", dsSize64, view.Size())
 	}
 	dsSize := int(dsSize64)
-	if fileSize != uint64(src.size) {
-		return v3Error("file size %d, header declares %d", src.size, fileSize)
+	// From here on every slice is in bounds: the data is exactly fileSize
+	// bytes, the index ends at bodyOff ≤ fileSize, and each record's body
+	// is checked against fileSize before it is sliced.
+	if fileSize != uint64(len(data)) {
+		return v3Error("file size %d, header declares %d", len(data), fileSize)
 	}
 	if entryCount > (fileSize-v3HeaderLen)/v3IndexLen+1 ||
 		bodyOff != v3HeaderLen+entryCount*v3IndexLen || bodyOff > fileSize {
 		return v3Error("section geometry: %d entries, body at %d, file size %d", entryCount, bodyOff, fileSize)
 	}
-
-	idx := make([]byte, bodyOff-v3HeaderLen)
-	if err := readFullAt(src.r, idx, v3HeaderLen, "index"); err != nil {
-		return err
-	}
+	idx := data[v3HeaderLen:bodyOff]
 	if fnv1a(idx) != indexSum {
 		return v3Error("index checksum mismatch")
 	}
-
-	// Ids tombstoned since the snapshot was written must be masked out of
-	// every restored set. Eager restores mask with the live set directly;
-	// lazy restores carry the tombstones as a drop list applied at
-	// fault-in (the live mask's capacity grows with later additions, but
-	// the drop list stays valid forever).
-	var drops []int
-	if lazy && view.LiveCount() != view.Size() {
-		live := view.Live()
-		for i := 0; i < dsSize; i++ {
-			if !live.Contains(i) {
-				drops = append(drops, i)
-			}
-		}
-	}
-	src.mon = &c.mon
 
 	entries := make([]*Entry, 0, entryCount)
 	expectOff := bodyOff
@@ -436,10 +271,7 @@ func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
 		}
 		expectOff += graphLen + ansLen
 
-		gb := make([]byte, graphLen)
-		if err := readFullAt(src.r, gb, int64(entryOff), fmt.Sprintf("entry %d graph", i)); err != nil {
-			return err
-		}
+		gb := data[entryOff : entryOff+graphLen]
 		if fnv1a(gb) != graphSum {
 			return v3Error("entry %d: graph checksum mismatch", i)
 		}
@@ -462,39 +294,23 @@ func (c *Cache) readStateV3(src *stateSource, lazy bool) error {
 			return v3Error("entry %d: feature vector mismatch between index and graph", i)
 		}
 
-		ansOff := entryOff + graphLen
-		var e *Entry
-		if lazy {
-			e = entryShell(gs[0], ftv.QueryType(qt), int(bc), sig, 0)
-			e.ans.p.Store(&answerState{epoch: view.Epoch(), body: &lazyBody{
-				src:    src,
-				off:    int64(ansOff),
-				length: int64(ansLen),
-				sum:    ansSum,
-				cap:    dsSize,
-				drops:  drops,
-			}})
-		} else {
-			ab := make([]byte, ansLen)
-			if err := readFullAt(src.r, ab, int64(ansOff), fmt.Sprintf("entry %d answers", i)); err != nil {
-				return err
-			}
-			if fnv1a(ab) != ansSum {
-				return v3Error("entry %d: answer checksum mismatch", i)
-			}
-			set, n, err := bitset.FromBinary(ab)
-			if err != nil {
-				return v3Error("entry %d: answers: %v", i, err)
-			}
-			if n != len(ab) {
-				return v3Error("entry %d: answers: %d trailing bytes", i, len(ab)-n)
-			}
-			if set.Len() != dsSize {
-				return v3Error("entry %d: answer capacity %d, want %d", i, set.Len(), dsSize)
-			}
-			set.And(view.Live())
-			e = entryFromSig(gs[0], ftv.QueryType(qt), set, int(bc), sig, 0, view.Epoch())
+		ab := data[entryOff+graphLen : expectOff]
+		if fnv1a(ab) != ansSum {
+			return v3Error("entry %d: answer checksum mismatch", i)
 		}
+		set, n, err := bitset.FromBinary(ab)
+		if err != nil {
+			return v3Error("entry %d: answers: %v", i, err)
+		}
+		if n != len(ab) {
+			return v3Error("entry %d: answers: %d trailing bytes", i, len(ab)-n)
+		}
+		if set.Len() != dsSize {
+			return v3Error("entry %d: answer capacity %d, want %d", i, set.Len(), dsSize)
+		}
+		// Ids tombstoned since the snapshot was written are masked out.
+		set.And(view.Live())
+		e := entryFromSig(gs[0], ftv.QueryType(qt), set, int(bc), sig, 0, view.Epoch())
 		e.Hits = hits
 		e.SavedTests = savedTests
 		e.SavedCostNs = savedCost

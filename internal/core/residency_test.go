@@ -15,8 +15,8 @@ import (
 // with the resident list: Len is its length, the list is ID-ordered and
 // Bytes is Σ Entry.Bytes() over it. The sum is owed at the points that
 // true charges up — window turns, stop-the-world passes and restores —
-// not between them, where lazy reconciliation and fault-in swap sets on
-// the query path. Reading Bytes never faults a pending body in.
+// not between them, where lazy reconciliation swaps sets on the query
+// path.
 func residencyDrift(c *Cache) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -46,9 +46,8 @@ func checkResidency(t *testing.T, c *Cache, when string) {
 
 // TestResidencyAccountAgreement asserts that the atomic residency account
 // (backing Cache.Len and Cache.Bytes) equals Σ Entry.Bytes() over the
-// resident list after window turns, evictions, live dataset mutations,
-// eager and lazy state restores — right after a lazy restore, before any
-// body faults in, too — in both reconciliation modes, with answer sets
+// resident list after window turns, evictions, live dataset mutations
+// and a state restore, in both reconciliation modes, with answer sets
 // migrating containers throughout (Compact at admission, clone-and-compact
 // on removals).
 func TestResidencyAccountAgreement(t *testing.T) {
@@ -109,10 +108,6 @@ func TestResidencyAccountAgreement(t *testing.T) {
 			if err := c.WriteState(&buf); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(t.TempDir(), "state.gcs3")
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
 			if err := c.ReadState(&buf); err != nil {
 				t.Fatal(err)
 			}
@@ -120,32 +115,14 @@ func TestResidencyAccountAgreement(t *testing.T) {
 			if c.Len() == 0 {
 				t.Fatal("restore left the cache empty")
 			}
-
-			// A lazy restore charges each pending body by its length.
-			faults := c.Stats().StateBodyFaults
-			closer, err := c.RestoreStateLazy(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer closer.Close()
-			checkResidency(t, c, "after lazy restore")
-			if got := c.Stats().StateBodyFaults; got != faults {
-				t.Fatalf("checking the account faulted %d bodies in", got-faults)
-			}
-			for _, e := range c.Entries() {
-				if _, err := c.Execute(e.Graph, e.Type); err != nil {
-					t.Fatal(err)
-				}
-			}
-			turnNow(c)
-			checkResidency(t, c, "after fault-in and a turn")
 		})
 	}
 }
 
-// TestLazyRestoreEnforcesMemoryBudget: a lazy restore into a cache whose
-// MemoryBudget is below the snapshot's footprint evicts down to the budget
-// before any body faults in, charging each pending body by its length.
+// TestLazyRestoreEnforcesMemoryBudget: a restore into a cache whose
+// MemoryBudget is half the snapshot's footprint evicts down to the
+// budget, keeping some entries but not all. The restore goes through the
+// file wrapper RestoreStateLazy, which despite its name is eager.
 func TestLazyRestoreEnforcesMemoryBudget(t *testing.T) {
 	src, _ := warmCache(t, 811)
 	path := filepath.Join(t.TempDir(), "state.gcs3")
@@ -162,17 +139,11 @@ func TestLazyRestoreEnforcesMemoryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	if c.Stats().StateBodyFaults != 0 {
-		t.Fatal("restore faulted bodies in")
-	}
-	checkResidency(t, c, "after lazy restore")
+	checkResidency(t, c, "after restore")
 	if got := c.Bytes(); got > budget {
-		t.Fatalf("Bytes() %d after lazy restore, budget %d", got, budget)
+		t.Fatalf("Bytes() %d after restore, budget %d", got, budget)
 	}
 	if c.Len() == 0 || c.Len() >= src.Len() {
 		t.Fatalf("%d of %d entries restored: the budget should evict some, not all", c.Len(), src.Len())
-	}
-	if c.Stats().StateBodyFaults != 0 {
-		t.Fatal("enforcing the budget faulted bodies in")
 	}
 }

@@ -209,10 +209,6 @@ type statsResponse struct {
 	// LogCompactions counts the compactions bounding it.
 	AdditionLogLen int   `json:"additionLogLen"`
 	LogCompactions int64 `json:"logCompactions"`
-	// StateBodyFaults counts answer bodies faulted in from the snapshot
-	// file after a lazy state restore (0 when the cache booted cold or
-	// restored eagerly).
-	StateBodyFaults int64 `json:"stateBodyFaults"`
 	// The stopped world, cumulative nanoseconds: inside window turns,
 	// waiting for in-flight queries to drain before a dataset mutation,
 	// and holding the dataset exclusively during one. Divide by
@@ -254,7 +250,6 @@ func (s *Server) statsResponse() statsResponse {
 		MaintenanceTests:  snap.MaintenanceTests,
 		AdditionLogLen:    snap.AdditionLogLen,
 		LogCompactions:    snap.LogCompactions,
-		StateBodyFaults:   snap.StateBodyFaults,
 		WindowTurnNs:      snap.WindowTurnNs,
 		MutationWaitNs:    snap.MutationWaitNs,
 		MutationHoldNs:    snap.MutationHoldNs,

@@ -51,18 +51,3 @@ func TestStateSaveEndpoint(t *testing.T) {
 		t.Fatalf("failing save hides the cause: %s", rec.Body.String())
 	}
 }
-
-// The stats payload exposes the lazy-restore fault counter so operators
-// can watch a restored cache warm up.
-func TestStatsExposeStateBodyFaults(t *testing.T) {
-	srv, _ := testServer(t)
-	req := httptest.NewRequest(http.MethodGet, "/api/stats", nil)
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stats status %d", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), `"stateBodyFaults": 0`) {
-		t.Fatalf("stats missing stateBodyFaults:\n%s", rec.Body.String())
-	}
-}
