@@ -32,10 +32,11 @@ race:
 
 # race-stress repeats the kernel's lock-sensitive tests under the race
 # detector — the concurrency gauntlets, the lock-free exact probe held
-# against a taken mu, and the snapshot writers blocked outside the locks
-# — so every lock change pays for many interleavings, not one.
+# against a taken mu, the snapshot writers blocked outside the locks, and
+# reconciliation kept out from under mu — so every lock change pays for
+# many interleavings, not one.
 race-stress:
-	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock' ./internal/core
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu' ./internal/core
 
 vet:
 	$(GO) vet ./...

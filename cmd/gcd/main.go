@@ -84,7 +84,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		capacity  = fs.Int("capacity", 50, "cache capacity (entries)")
 		window    = fs.Int("window", 10, "admission window size")
 		ggsxLen   = fs.Int("ggsx", 4, "GGSX path-feature length")
-		lazyRec   = fs.Bool("lazy-reconcile", false, "reconcile cached answers lazily after dataset additions (per-entry epochs) instead of eagerly at mutation time")
 		pprofOn   = fs.Bool("pprof", false, "expose net/http/pprof profiling at /debug/pprof/ (off by default: profiles leak internals, enable only on trusted networks)")
 		statePath = fs.String("state", "", "cache state file: restored at boot, saved on graceful shutdown and POST /api/state/save")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
@@ -122,7 +121,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	cfg.Capacity = *capacity
 	cfg.Window = *window
 	cfg.Policy = p
-	cfg.LazyReconcile = *lazyRec
 	cache, err := core.New(method, cfg)
 	if err != nil {
 		return err

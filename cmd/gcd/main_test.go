@@ -159,6 +159,15 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-dataset", "/does/not/exist"}, &out); err == nil {
 		t.Error("missing dataset file accepted")
 	}
+	// Additions always reconcile when an entry is next read; the flag that
+	// chose between that and reconciling at mutation time is gone. The
+	// context is already done, so a daemon that accepted the flag would
+	// boot and shut straight down instead of serving.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := run(done, []string{"-addr", "127.0.0.1:0", "-generate", "5", "-lazy-reconcile"}, &out); err == nil {
+		t.Error("-lazy-reconcile accepted")
+	}
 }
 
 // The daemon's http.Server bounds how long a client may dribble its

@@ -91,11 +91,12 @@
 //     from every admitted and window entry's answer set (a pointer swap
 //     per entry, no iso tests) and the id is masked out of all future
 //     candidate sets.
-//   - Additions verify the new graph against each cached entry — eagerly
-//     at mutation time by default, or lazily (Config.LazyReconcile) where
-//     entries carry a dataset epoch and a hit on a stale entry verifies
-//     only the delta graphs recorded in the addition log before its
-//     answers are trusted.
+//   - Additions verify the new graph against each cached entry when the
+//     entry is next read, never at mutation time: entries carry a dataset
+//     epoch, and a hit on a stale entry verifies only the graphs added
+//     since before its answers are trusted.
+//     Entries and the snapshot writers reconcile every resident entry
+//     first, before they take the cache lock.
 //   - Additions are O(graph), not O(dataset): AddGraph patches the filter
 //     index through a copy-on-write per-touched-node insert
 //     (InsertableFilter, which every bundled filter implements) — only the
@@ -106,9 +107,8 @@
 //   - The addition log is self-compacting: the kernel tracks the minimum
 //     dataset epoch across all resident and pending entries and, at
 //     window turns and every stop-the-world pass, drops the records every
-//     entry has already passed. In eager mode the log drains at each
-//     mutation; in lazy mode it holds exactly the records the coldest
-//     entry still needs — bounded state under unbounded churn.
+//     entry has already passed, so the log holds exactly the records the
+//     coldest entry still needs — bounded state under unbounded churn.
 //
 // Per-graph cost statistics and per-query bitsets grow with the dataset;
 // the HTTP layer surfaces mutations as POST /api/dataset/graphs and

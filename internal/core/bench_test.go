@@ -194,8 +194,9 @@ func newWarmBench(b *testing.B, window int) (*benchStreams, []*graph.Graph) {
 	return bs, spare
 }
 
-// BenchmarkAddGraphWarm is one eager AddGraph: a COW filter insert, then
-// one containment test, one Grown and one intern true-up per entry.
+// BenchmarkAddGraphWarm is one AddGraph on a warm cache: a COW filter
+// insert, then an epoch read and a charge true-up per entry (the
+// containment tests wait for each entry's next read).
 func BenchmarkAddGraphWarm(b *testing.B) {
 	bs, spare := newWarmBench(b, 10)
 	b.ReportAllocs()

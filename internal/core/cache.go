@@ -239,18 +239,24 @@ func (c *Cache) Stats() Snapshot {
 // utility fields are read race-free; admissions and evictions also
 // serialize on mu) after folding pending exact-hit credits; Graph,
 // Answers and the signature fields still alias the cache's immutable
-// originals. Intended for demonstrators and tests inspecting cache
+// originals. Every answer set is first reconciled to the current dataset
+// (reconcileResident, before mu), so Answers is exact for the dataset as
+// of the call. Intended for demonstrators and tests inspecting cache
 // contents.
 //
 //gclint:acquires dsMu mu
+//gclint:pins dataset
 func (c *Cache) Entries() []*Entry {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
+	view := c.method.View()
+	c.reconcileResident(view)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.foldCreditsLocked(c.entries)
 	out := make([]*Entry, len(c.entries))
 	for i, e := range c.entries {
+		c.reconciledAnswers(e, view) // a load, unless a turn admitted e since the pass
 		cp := *e
 		out[i] = &cp
 	}
@@ -439,11 +445,10 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	c.selfCheck(q, qt, res)
 
 	// Stage 6: admission via the window manager. The entry carries the
-	// view's epoch: its answers are exact for that dataset state, and any
-	// later mutation either patches it (eager) or is reconciled from the
-	// addition log before the entry's answers are next trusted (lazy). It
-	// is built — answers cloned and compacted — before admit takes any
-	// lock.
+	// view's epoch: its answers are exact for that dataset state, a later
+	// removal clears its bit at mutation time, and a later addition is
+	// reconciled before the entry's answers are next trusted. It is built —
+	// answers cloned and compacted — before admit takes any lock.
 	c.admit(entryFromSig(q, qt, answers.Clone(), cmCount, sig, tick, view.Epoch()))
 	return res, nil
 }

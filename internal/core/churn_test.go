@@ -120,106 +120,90 @@ func TestMaintainedCacheBeatsDropAndRebuild(t *testing.T) {
 // TestChurnEquivalence is the churn acceptance property: a mixed
 // add/remove/query stream yields answers byte-identical to the uncached
 // Method.Run after every mutation — SelfCheck cross-checks every executed
-// query, and after each mutation every admitted entry's answer set is
-// asserted equal to a fresh uncached run of its pattern (eager mode) or
-// revalidated through the hit path (lazy mode). Exercised over three
-// workload seeds (shardsSeed) in both reconciliation modes; `go test
-// -race` arms the race detector over the same paths.
+// query, and after each mutation every admitted entry's answer set, as
+// Entries reconciles it, is asserted equal to a fresh uncached run of its
+// pattern, then revalidated through the hit path at the end. Exercised
+// over three workload seeds (shardsSeed); the case names keep the ids
+// they had when additions could also reconcile at mutation time. `go
+// test -race` arms the race detector over the same paths.
 func TestChurnEquivalence(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		for _, shards := range []int{1, 4, 32} {
-			t.Run(fmt.Sprintf("lazy=%v/shards=%d", lazy, shards), func(t *testing.T) {
-				dataset := testDataset(51, 30)
-				extra := testDataset(77, 8)
-				w, err := gen.NewWorkload(rand.New(rand.NewSource(shardsSeed(51, shards))), dataset, gen.WorkloadConfig{
-					Size: 90, Mixed: true, PoolSize: 24,
-					ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-				})
+	for _, shards := range []int{1, 4, 32} {
+		t.Run(fmt.Sprintf("lazy=true/shards=%d", shards), func(t *testing.T) {
+			dataset := testDataset(51, 30)
+			extra := testDataset(77, 8)
+			w, err := gen.NewWorkload(rand.New(rand.NewSource(shardsSeed(51, shards))), dataset, gen.WorkloadConfig{
+				Size: 90, Mixed: true, PoolSize: 24,
+				ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := testCache(t, dataset, func(cfg *Config) {
+				cfg.Capacity = 16
+				cfg.Window = 4
+			})
+			method := c.Method()
+
+			// Entries cached when an add landed, summed over adds: each
+			// (entry, add) pair is tested at most once, when the entry is
+			// next read, and the summary screen must leave fewer of them
+			// to an iso test.
+			var adds, entryAdds int64
+			mutations, _ := churnStream(t, func() *Cache { return c }, w.Queries, extra, 9, func(i int) {
+				if n := c.Stats().DatasetAdds; n > adds {
+					adds = n
+					entryAdds += int64(c.Len() + c.WindowLen())
+				}
+				// Every admitted entry must be byte-exact against the
+				// mutated dataset the moment the mutation returns.
+				for _, e := range c.Entries() {
+					want := method.Run(e.Graph, e.Type).Answers
+					if !e.Answers().Equal(want) {
+						t.Fatalf("after mutation at query %d: entry %d answers %v, uncached %v",
+							i, e.ID, e.Answers(), want)
+					}
+				}
+			})
+			if mutations < 6 {
+				t.Fatalf("stream too tame: only %d mutations", mutations)
+			}
+			info := c.DatasetInfo()
+			if info.Epoch != int64(mutations) {
+				t.Fatalf("epoch %d after %d mutations", info.Epoch, mutations)
+			}
+
+			// Re-execute every admitted entry's pattern: exact hits must
+			// re-verify byte-identical (SelfCheck panics on any
+			// mismatch).
+			for _, e := range c.Entries() {
+				res, err := c.Execute(e.Graph, e.Type)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := testCache(t, dataset, func(cfg *Config) {
-					cfg.Capacity = 16
-					cfg.Window = 4
-					cfg.LazyReconcile = lazy
-				})
-				method := c.Method()
-
-				// Entries the eager adds had to reconcile, summed over adds: the
-				// summary screen must leave fewer of them to an iso test.
-				var adds, entryAdds int64
-				mutations, _ := churnStream(t, func() *Cache { return c }, w.Queries, extra, 9, func(i int) {
-					if lazy {
-						return // entries reconcile at hit time; validated below
-					}
-					if n := c.Stats().DatasetAdds; n > adds {
-						adds = n
-						entryAdds += int64(c.Len() + c.WindowLen())
-					}
-					// Eager mode: every admitted entry must be byte-exact
-					// against the mutated dataset the moment the mutation
-					// returns — and with every entry current, compaction
-					// keeps the addition log empty across mutations.
-					if logLen := c.Stats().AdditionLogLen; logLen != 0 {
-						t.Fatalf("after mutation at query %d: %d addition records survive in eager mode", i, logLen)
-					}
-					for _, e := range c.Entries() {
-						want := method.Run(e.Graph, e.Type).Answers
-						if !e.Answers().Equal(want) {
-							t.Fatalf("after mutation at query %d: entry %d answers %v, uncached %v",
-								i, e.ID, e.Answers(), want)
-						}
-					}
-				})
-				if mutations < 6 {
-					t.Fatalf("stream too tame: only %d mutations", mutations)
+				want := method.Run(e.Graph, e.Type).Answers
+				if !res.Answers.Equal(want) {
+					t.Fatalf("entry %d: answers diverge after churn", e.ID)
 				}
-				info := c.DatasetInfo()
-				if info.Epoch != int64(mutations) {
-					t.Fatalf("epoch %d after %d mutations", info.Epoch, mutations)
-				}
-
-				// Re-execute every admitted entry's pattern: exact hits must
-				// reconcile (lazy) and re-verify byte-identical (SelfCheck
-				// panics on any mismatch).
-				for _, e := range c.Entries() {
-					res, err := c.Execute(e.Graph, e.Type)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := method.Run(e.Graph, e.Type).Answers
-					if !res.Answers.Equal(want) {
-						t.Fatalf("entry %d: answers diverge after churn", e.ID)
-					}
-				}
-				if lazy {
-					// The hit path must have paid reconciliation work.
-					if c.Stats().MaintenanceTests == 0 && c.Stats().DatasetAdds > 0 {
-						t.Error("lazy mode: no maintenance tests recorded despite additions")
-					}
-				} else {
-					tests := c.Stats().MaintenanceTests
-					t.Logf("eager adds: %d maintenance tests for %d entries × adds", tests, entryAdds)
-					if tests == 0 || tests >= entryAdds {
-						t.Error("want some maintenance tests, and fewer than entries × adds")
-					}
-				}
-				// The addition log stays bounded under the mixed stream:
-				// eager mode drains it at every mutation (asserted above);
-				// lazy mode must show compaction actually reclaiming
-				// records — the stream's hits reconcile entries and its
-				// mutations/turns compact behind them, so a silently
-				// broken compaction would leave every record resident.
-				snap := c.Stats()
-				if lazy && snap.DatasetAdds > 0 && snap.LogRecordsDropped == 0 {
-					t.Fatalf("lazy mode: none of the %d addition records were ever compacted away", snap.DatasetAdds)
-				}
-				if int64(snap.AdditionLogLen)+snap.LogRecordsDropped != snap.DatasetAdds {
-					t.Fatalf("log ledger out of balance: %d resident + %d dropped != %d adds",
-						snap.AdditionLogLen, snap.LogRecordsDropped, snap.DatasetAdds)
-				}
-			})
-		}
+			}
+			tests := c.Stats().MaintenanceTests
+			t.Logf("%d maintenance tests for %d entries × adds", tests, entryAdds)
+			if tests == 0 || tests >= entryAdds {
+				t.Error("want some maintenance tests, and fewer than entries × adds")
+			}
+			// The addition log stays bounded under the mixed stream:
+			// compaction must actually reclaim records — the reads
+			// reconcile entries and the mutations/turns compact behind
+			// them, so a silently broken compaction would leave every
+			// record resident.
+			snap := c.Stats()
+			if snap.DatasetAdds > 0 && snap.LogRecordsDropped == 0 {
+				t.Fatalf("none of the %d addition records were ever compacted away", snap.DatasetAdds)
+			}
+			if int64(snap.AdditionLogLen)+snap.LogRecordsDropped != snap.DatasetAdds {
+				t.Fatalf("log ledger out of balance: %d resident + %d dropped != %d adds",
+					snap.AdditionLogLen, snap.LogRecordsDropped, snap.DatasetAdds)
+			}
+		})
 	}
 }
 
@@ -299,77 +283,75 @@ func TestChurnDeterministic(t *testing.T) {
 // TestConcurrentChurn is the -race gauntlet for live mutations: worker
 // goroutines stream queries (each cross-checked by SelfCheck against the
 // dataset snapshot it ran under) while a mutator goroutine interleaves
-// additions and removals. Runs in both reconciliation modes.
+// additions and removals. The one case keeps the id it had when additions
+// could also reconcile at mutation time.
 func TestConcurrentChurn(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
-			dataset := testDataset(61, 24)
-			extra := testDataset(88, 10)
-			w, err := gen.NewWorkload(rand.New(rand.NewSource(62)), dataset, gen.WorkloadConfig{
-				Size: 40, Mixed: true, PoolSize: 16,
-				ZipfS: 1.2, ChainFrac: 0.5, ChainLen: 3, MinEdges: 3, MaxEdges: 10,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := testCache(t, dataset, func(cfg *Config) {
-				cfg.Capacity = 12
-				cfg.Window = 3
-				cfg.LazyReconcile = lazy
-			})
+	t.Run("lazy=true", func(t *testing.T) {
+		dataset := testDataset(61, 24)
+		extra := testDataset(88, 10)
+		w, err := gen.NewWorkload(rand.New(rand.NewSource(62)), dataset, gen.WorkloadConfig{
+			Size: 40, Mixed: true, PoolSize: 16,
+			ZipfS: 1.2, ChainFrac: 0.5, ChainLen: 3, MinEdges: 3, MaxEdges: 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := testCache(t, dataset, func(cfg *Config) {
+			cfg.Capacity = 12
+			cfg.Window = 3
+		})
 
-			const workers = 4
-			var wg sync.WaitGroup
-			for wkr := 0; wkr < workers; wkr++ {
-				wg.Add(1)
-				go func(wkr int) {
-					defer wg.Done()
-					for i, q := range w.Queries {
-						if _, err := c.Execute(q.G, q.Type); err != nil {
-							t.Errorf("worker %d query %d: %v", wkr, i, err)
-							return
-						}
-					}
-				}(wkr)
-			}
+		const workers = 4
+		var wg sync.WaitGroup
+		for wkr := 0; wkr < workers; wkr++ {
 			wg.Add(1)
-			go func() {
+			go func(wkr int) {
 				defer wg.Done()
-				rng := rand.New(rand.NewSource(63))
-				for m := 0; m < 12; m++ {
-					if m%2 == 0 {
-						if _, err := c.AddGraph(extra[m/2]); err != nil {
-							t.Errorf("concurrent add %d: %v", m, err)
-							return
-						}
-						continue
-					}
-					info := c.DatasetInfo()
-					view := c.Method().View()
-					gid := rng.Intn(info.Size)
-					for view.Graph(gid) == nil {
-						gid = (gid + 1) % info.Size
-					}
-					if err := c.RemoveGraph(gid); err != nil {
-						t.Errorf("concurrent remove %d: %v", gid, err)
+				for i, q := range w.Queries {
+					if _, err := c.Execute(q.G, q.Type); err != nil {
+						t.Errorf("worker %d query %d: %v", wkr, i, err)
 						return
 					}
 				}
-			}()
-			wg.Wait()
-
-			// Post-churn: every admitted entry revalidates byte-identical.
-			for _, e := range c.Entries() {
-				res, err := c.Execute(e.Graph, e.Type)
-				if err != nil {
-					t.Fatal(err)
+			}(wkr)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(63))
+			for m := 0; m < 12; m++ {
+				if m%2 == 0 {
+					if _, err := c.AddGraph(extra[m/2]); err != nil {
+						t.Errorf("concurrent add %d: %v", m, err)
+						return
+					}
+					continue
 				}
-				if want := c.Method().Run(e.Graph, e.Type).Answers; !res.Answers.Equal(want) {
-					t.Fatalf("entry %d: answers diverge after concurrent churn", e.ID)
+				info := c.DatasetInfo()
+				view := c.Method().View()
+				gid := rng.Intn(info.Size)
+				for view.Graph(gid) == nil {
+					gid = (gid + 1) % info.Size
+				}
+				if err := c.RemoveGraph(gid); err != nil {
+					t.Errorf("concurrent remove %d: %v", gid, err)
+					return
 				}
 			}
-		})
-	}
+		}()
+		wg.Wait()
+
+		// Post-churn: every admitted entry revalidates byte-identical.
+		for _, e := range c.Entries() {
+			res, err := c.Execute(e.Graph, e.Type)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.Method().Run(e.Graph, e.Type).Answers; !res.Answers.Equal(want) {
+				t.Fatalf("entry %d: answers diverge after concurrent churn", e.ID)
+			}
+		}
+	})
 }
 
 // TestRemoveGraphClearsAnswerBits pins the stop-the-world removal rule:
@@ -419,51 +401,55 @@ func TestRemoveGraphClearsAnswerBits(t *testing.T) {
 
 // TestAddGraphExtendsAnswers pins the addition rule: after AddGraph, a
 // cached entry whose pattern is contained in the new graph answers with
-// the new gid — immediately in eager mode, at the next hit in lazy mode —
-// and per-query bitsets grow with the dataset.
+// the new gid — in Entries, which reconciles every resident entry, and at
+// the next hit — and per-query bitsets grow with the dataset. The one case
+// keeps the id it had when additions could also reconcile at mutation
+// time.
 func TestAddGraphExtendsAnswers(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
-			dataset := testDataset(81, 10)
-			c := testCache(t, dataset, func(cfg *Config) {
-				cfg.Window = 1
-				cfg.LazyReconcile = lazy
-			})
-			q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(4)), dataset[2], 4)
-			if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-				t.Fatal(err)
-			}
-			// Re-adding a copy of graph 2 guarantees the pattern embeds in
-			// the new graph too.
-			gid, err := c.AddGraph(dataset[2])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gid != len(dataset) {
-				t.Fatalf("new gid %d, want %d", gid, len(dataset))
-			}
-			if !lazy {
-				for _, e := range c.Entries() {
-					if e.Graph == q && !e.Answers().Contains(gid) {
-						t.Fatal("eager mode: entry not reconciled at mutation time")
-					}
+	t.Run("lazy=true", func(t *testing.T) {
+		dataset := testDataset(81, 10)
+		c := testCache(t, dataset, func(cfg *Config) {
+			cfg.Window = 1
+		})
+		q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(4)), dataset[2], 4)
+		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+			t.Fatal(err)
+		}
+		// Re-adding a copy of graph 2 guarantees the pattern embeds in
+		// the new graph too.
+		gid, err := c.AddGraph(dataset[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gid != len(dataset) {
+			t.Fatalf("new gid %d, want %d", gid, len(dataset))
+		}
+		found := false
+		for _, e := range c.Entries() {
+			if e.Graph == q {
+				found = true
+				if !e.Answers().Contains(gid) {
+					t.Fatal("Entries returned an entry not reconciled to the added graph")
 				}
 			}
-			res, err := c.Execute(q, ftv.Subgraph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.ExactHit {
-				t.Fatal("expected an exact hit")
-			}
-			if res.Answers.Len() != len(dataset)+1 {
-				t.Fatalf("answer bitset capacity %d, want %d", res.Answers.Len(), len(dataset)+1)
-			}
-			if !res.Answers.Contains(gid) {
-				t.Fatal("added graph missing from reconciled answers")
-			}
-		})
-	}
+		}
+		if !found {
+			t.Fatal("the query's entry is not resident")
+		}
+		res, err := c.Execute(q, ftv.Subgraph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.ExactHit {
+			t.Fatal("expected an exact hit")
+		}
+		if res.Answers.Len() != len(dataset)+1 {
+			t.Fatalf("answer bitset capacity %d, want %d", res.Answers.Len(), len(dataset)+1)
+		}
+		if !res.Answers.Contains(gid) {
+			t.Fatal("added graph missing from reconciled answers")
+		}
+	})
 }
 
 // staticFilter hides the wrapped filter's WithGraph, so a Method over it

@@ -52,7 +52,7 @@ var churnOpsPool = churnOpPool()
 // the first correctness violation (SelfCheck panics are recovered into
 // errors so the shrinker can replay candidate op strings), or nil when
 // the whole interleaving stayed exact.
-func runChurnOps(ops []byte, lazy bool) (err error) {
+func runChurnOps(ops []byte) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("kernel panic: %v", r)
@@ -62,7 +62,6 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 	cfg := DefaultConfig()
 	cfg.Capacity = 8
 	cfg.Window = 2
-	cfg.LazyReconcile = lazy
 	cfg.SelfCheck = true
 	c := MustNew(method, cfg)
 
@@ -94,14 +93,13 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 			}
 		}
 		// Structural invariants after every op: capacity is strict, the
-		// residency account is exact wherever it is owed (lazy queries
-		// swap sets on the query path until the next pass), the log never
-		// outgrows the mutation history, and eager mode drains it at each
-		// add.
+		// residency account is exact wherever it is owed (after a
+		// mutation's pass: queries swap sets outside mu until the next
+		// one), and the log never outgrows the mutation history.
 		if c.Len() > cfg.Capacity {
 			return fmt.Errorf("op %d: %d entries resident, capacity %d", i, c.Len(), cfg.Capacity)
 		}
-		if !lazy || op%4 >= 2 {
+		if op%4 >= 2 {
 			if err := residencyDrift(c); err != nil {
 				return fmt.Errorf("op %d: %w", i, err)
 			}
@@ -110,14 +108,11 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 		if int64(snap.AdditionLogLen) > snap.DatasetAdds {
 			return fmt.Errorf("op %d: addition log %d exceeds %d adds", i, snap.AdditionLogLen, snap.DatasetAdds)
 		}
-		if !lazy && snap.AdditionLogLen != 0 {
-			return fmt.Errorf("op %d: eager mode left %d addition records", i, snap.AdditionLogLen)
-		}
 	}
 
 	// Endgame: every admitted entry re-executes byte-identical to the
-	// uncached method over the final dataset (exact hits reconcile any
-	// remaining lazy staleness on the way).
+	// uncached method over the final dataset (Entries and the exact hits
+	// reconcile any remaining staleness on the way).
 	for _, e := range c.Entries() {
 		res, err := c.Execute(e.Graph, e.Type)
 		if err != nil {
@@ -169,36 +164,34 @@ func shrinkOps(ops []byte, fails func([]byte) bool) []byte {
 }
 
 // TestQuickChurnInterleavings is the churn fuzzer: seeded testing/quick
-// op strings under three seeds (shardsSeed) in both reconciliation modes,
-// every answer cross-checked byte-identical against the uncached method
-// by SelfCheck. A failure is shrunk to a minimal op string before being
-// reported, so the log line is a replayable reproducer.
+// op strings, every answer cross-checked byte-identical against the
+// uncached method by SelfCheck. Each case runs two seeds (shardsSeed, and
+// that plus 1000); the case names keep the ids they had when additions
+// could also reconcile at mutation time. A failure is shrunk to a minimal
+// op string before being reported, so the log line is a replayable
+// reproducer.
 func TestQuickChurnInterleavings(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		for _, shards := range []int{1, 4, 32} {
-			t.Run(fmt.Sprintf("lazy=%v/shards=%d", lazy, shards), func(t *testing.T) {
-				seed := shardsSeed(151, shards)
-				if lazy {
-					seed += 1000
-				}
+	for _, shards := range []int{1, 4, 32} {
+		t.Run(fmt.Sprintf("lazy=true/shards=%d", shards), func(t *testing.T) {
+			for _, seed := range []int64{shardsSeed(151, shards), shardsSeed(151, shards) + 1000} {
 				prop := func(raw []byte) bool {
-					return runChurnOps(clampOps(raw), lazy) == nil
+					return runChurnOps(clampOps(raw)) == nil
 				}
 				qc := &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(seed))}
 				err := quick.Check(prop, qc)
 				if err == nil {
-					return
+					continue
 				}
 				ce, ok := err.(*quick.CheckError)
 				if !ok {
 					t.Fatal(err)
 				}
 				ops := clampOps(ce.In[0].([]byte))
-				min := shrinkOps(ops, func(o []byte) bool { return runChurnOps(o, lazy) != nil })
-				t.Fatalf("churn interleaving #%d failed; minimal reproducer ops=%v (lazy=%v): %v",
-					ce.Count, min, lazy, runChurnOps(min, lazy))
-			})
-		}
+				min := shrinkOps(ops, func(o []byte) bool { return runChurnOps(o) != nil })
+				t.Fatalf("seed %d: churn interleaving #%d failed; minimal reproducer ops=%v: %v",
+					seed, ce.Count, min, runChurnOps(min))
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,47 +11,14 @@ import (
 	"graphcache/internal/graph"
 )
 
-// TestEagerAdditionsKeepLogEmpty pins the eager-mode compaction rule:
-// every AddGraph reconciles every entry to the new epoch inside the same
-// stop-the-world pass, so the trailing compaction drains the log before
-// the mutation returns — the addition log never holds a record across
-// two mutations.
-func TestEagerAdditionsKeepLogEmpty(t *testing.T) {
-	dataset := testDataset(101, 12)
-	extra := testDataset(102, 5)
-	c := testCache(t, dataset, func(cfg *Config) {
-		cfg.Window = 2
-	})
-	rng := rand.New(rand.NewSource(103))
-	for i, g := range extra {
-		q := gen.ExtractConnectedSubgraph(rng, dataset[i], 4)
-		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.AddGraph(g); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Stats().AdditionLogLen; got != 0 {
-			t.Fatalf("eager mode: %d addition records survive mutation %d", got, i)
-		}
-	}
-	snap := c.Stats()
-	if snap.LogCompactions == 0 || snap.LogRecordsDropped != int64(len(extra)) {
-		t.Fatalf("compactions %d dropped %d records, want >0 / %d",
-			snap.LogCompactions, snap.LogRecordsDropped, len(extra))
-	}
-}
-
-// TestLazyCompactionWaitsForColdestEntry pins the compaction floor rule
-// in lazy mode: the log keeps every record the coldest (stalest) entry
-// still needs, and drops them the moment that entry reconciles — never
-// earlier.
+// TestLazyCompactionWaitsForColdestEntry pins the compaction floor rule:
+// the log keeps every record the coldest (stalest) entry still needs, and
+// drops them the moment that entry reconciles — never earlier.
 func TestLazyCompactionWaitsForColdestEntry(t *testing.T) {
 	dataset := testDataset(111, 10)
 	extra := testDataset(112, 4)
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Window = 1 // admit (and turn) on every query
-		cfg.LazyReconcile = true
 	})
 	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(113)), dataset[0], 4)
 	if _, err := c.Execute(q, ftv.Subgraph); err != nil { // entry at epoch 0
@@ -93,60 +59,92 @@ func TestLazyCompactionWaitsForColdestEntry(t *testing.T) {
 }
 
 // TestAdditionLogBoundedUnderSustainedAdds is the boundedness acceptance
-// property: a sustained add/query stream in lazy mode keeps the log at
-// O(1) — every round's queries reconcile the resident entries, so the
-// floor tracks the epoch and compaction (at window turns and at the
-// mutations' stop-the-world passes) continuously drains the tail. In
-// eager mode the same stream keeps the log at exactly zero.
+// property: a sustained add/query stream keeps the log at O(1) — every
+// round's queries reconcile the resident entries, so the floor tracks the
+// epoch and compaction (at window turns and at the mutations'
+// stop-the-world passes) continuously drains the tail. The one case keeps
+// the id it had when additions could also reconcile at mutation time.
 func TestAdditionLogBoundedUnderSustainedAdds(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
-			dataset := testDataset(121, 12)
-			stream := testDataset(122, 30)
-			c := testCache(t, dataset, func(cfg *Config) {
-				cfg.Window = 2
-				cfg.LazyReconcile = lazy
-			})
-			rng := rand.New(rand.NewSource(123))
-			pool := make([]*queryCase, 3)
-			for i := range pool {
-				pool[i] = &queryCase{g: gen.ExtractConnectedSubgraph(rng, dataset[i], 4), qt: ftv.Subgraph}
+	t.Run("lazy=true", func(t *testing.T) {
+		dataset := testDataset(121, 12)
+		stream := testDataset(122, 30)
+		c := testCache(t, dataset, func(cfg *Config) {
+			cfg.Window = 2
+		})
+		rng := rand.New(rand.NewSource(123))
+		pool := make([]*queryCase, 3)
+		for i := range pool {
+			pool[i] = &queryCase{g: gen.ExtractConnectedSubgraph(rng, dataset[i], 4), qt: ftv.Subgraph}
+		}
+		maxLog := 0
+		for round, g := range stream {
+			if _, err := c.AddGraph(g); err != nil {
+				t.Fatal(err)
 			}
-			maxLog := 0
-			for round, g := range stream {
-				if _, err := c.AddGraph(g); err != nil {
+			// Touch every pool pattern: first executions admit, later
+			// ones exact-hit and reconcile, and the window (size 2)
+			// turns at least once per round.
+			for _, p := range pool {
+				if _, err := c.Execute(p.g, p.qt); err != nil {
 					t.Fatal(err)
 				}
-				// Touch every pool pattern: first executions admit, later
-				// ones exact-hit and reconcile, and the window (size 2)
-				// turns at least once per round.
-				for _, p := range pool {
-					if _, err := c.Execute(p.g, p.qt); err != nil {
-						t.Fatal(err)
-					}
-				}
-				logLen := c.Stats().AdditionLogLen
-				if logLen > maxLog {
-					maxLog = logLen
-				}
-				if !lazy && logLen != 0 {
-					t.Fatalf("eager round %d: log length %d, want 0", round, logLen)
-				}
-				if lazy && round > 2 && logLen > 4 {
-					t.Fatalf("lazy round %d: log length %d — compaction is not keeping up", round, logLen)
-				}
 			}
-			snap := c.Stats()
-			if snap.DatasetAdds != int64(len(stream)) {
-				t.Fatalf("adds %d, want %d", snap.DatasetAdds, len(stream))
+			logLen := c.Stats().AdditionLogLen
+			if logLen > maxLog {
+				maxLog = logLen
 			}
-			if maxLog >= len(stream)/2 {
-				t.Fatalf("max log length %d over %d adds: unbounded growth", maxLog, len(stream))
+			if round > 2 && logLen > 4 {
+				t.Fatalf("round %d: log length %d — compaction is not keeping up", round, logLen)
 			}
-			if snap.LogCompactions == 0 {
-				t.Fatal("no compaction ever fired")
-			}
-		})
+		}
+		snap := c.Stats()
+		if snap.DatasetAdds != int64(len(stream)) {
+			t.Fatalf("adds %d, want %d", snap.DatasetAdds, len(stream))
+		}
+		if maxLog >= len(stream)/2 {
+			t.Fatalf("max log length %d over %d adds: unbounded growth", maxLog, len(stream))
+		}
+		if snap.LogCompactions == 0 {
+			t.Fatal("no compaction ever fired")
+		}
+	})
+}
+
+// TestSiblingCompactionKeepsAnswersExact: two caches over one method. The
+// first one's entry goes stale across three additions, then a turn of the
+// second compacts the shared addition log to its own entries' floor. The
+// stale entry must still reconcile all three additions.
+func TestSiblingCompactionKeepsAnswersExact(t *testing.T) {
+	dataset := testDataset(141, 10)
+	a := testCache(t, dataset, func(cfg *Config) {
+		cfg.Window = 1
+		cfg.SelfCheck = false // checked below, as an error rather than a panic
+	})
+	rng := rand.New(rand.NewSource(142))
+	q := gen.ExtractConnectedSubgraph(rng, dataset[2], 4)
+	if _, err := a.Execute(q, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := a.AddGraph(dataset[2]); err != nil { // q embeds in every copy
+			t.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Window = 1
+	b := MustNew(a.Method(), cfg)
+	if _, err := b.Execute(gen.ExtractConnectedSubgraph(rng, dataset[5], 4), ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Method().AdditionLogLen(); n != 0 {
+		t.Fatalf("%d addition records survive the second cache's turn; the scenario did not arm", n)
+	}
+	res, err := a.Execute(q, ftv.Subgraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := a.Method().Run(q, ftv.Subgraph).Answers; !res.ExactHit || !res.Answers.Equal(want) {
+		t.Fatalf("exact=%v, answers %v; uncached %v", res.ExactHit, res.Answers, want)
 	}
 }
 
@@ -170,7 +168,6 @@ func TestRestoreAfterCompactionCannotSkipRecords(t *testing.T) {
 	extra := testDataset(132, 3)
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Window = 1
-		cfg.LazyReconcile = true
 	})
 	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(133)), dataset[1], 4)
 	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
@@ -215,7 +212,6 @@ func TestRestoreAfterCompactionCannotSkipRecords(t *testing.T) {
 	// LATER addition is reconciled through the intact log tail.
 	c2 := testCache(t, testDataset(131, 10), func(cfg *Config) {
 		cfg.Window = 1
-		cfg.LazyReconcile = true
 	})
 	if _, err := c2.Execute(q, ftv.Subgraph); err != nil {
 		t.Fatal(err)

@@ -7,12 +7,14 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
+	"graphcache/internal/iso"
 )
 
 // TestConcurrentMixedTraffic hammers one cache from many goroutines with
@@ -209,6 +211,7 @@ func TestConcurrentWindowTurns(t *testing.T) {
 	if c.WindowLen() != 0 {
 		t.Errorf("%d entries still pending at Window 1", c.WindowLen())
 	}
+	turnNow(c) // a trailing hit or Entries read may have reconciled a set since the last turn
 	checkResidency(t, c, "after the run")
 }
 
@@ -254,6 +257,60 @@ func TestExactProbeTakesNoLock(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("exact hit or a Len/Bytes/Stats read blocked while mu was held: it takes a lock")
+	}
+}
+
+// TestReconciliationHoldsNoMu: the readers that need every entry current
+// — WriteState, WriteStateV2 and Entries — reconcile stale entries before
+// they take mu, so no maintenance test runs while every miss is blocked.
+// The method's verifier counts the tests it is called for with mu held.
+func TestReconciliationHoldsNoMu(t *testing.T) {
+	dataset := testDataset(76, 12)
+	var c *Cache
+	var underMu atomic.Int64
+	verify := func(pattern, target *graph.Graph) bool {
+		if c.mu.TryLock() {
+			c.mu.Unlock()
+		} else {
+			underMu.Add(1)
+		}
+		return iso.SubIso(pattern, target)
+	}
+	cfg := DefaultConfig()
+	cfg.Window = 1 // every query is admitted by its own turn
+	cfg.SelfCheck = true
+	c = MustNew(ftv.NewMethod("ggsx/counting", dataset, ftv.NewGGSX(dataset, 3), verify), cfg)
+	rng := rand.New(rand.NewSource(77))
+	for i := 0; i < 6; i++ {
+		if _, err := c.Execute(gen.ExtractConnectedSubgraph(rng, dataset[i], 4), ftv.Subgraph); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range []struct {
+		name string
+		read func() error
+	}{
+		{"WriteState", func() error { return c.WriteState(io.Discard) }},
+		{"WriteStateV2", func() error { return c.WriteStateV2(io.Discard) }},
+		{"Entries", func() error { c.Entries(); return nil }},
+	} {
+		// Copies of two patterns' source graphs: those entries pass their
+		// screens, so the read has containment tests to run.
+		for _, g := range dataset[2*i : 2*i+2] {
+			if _, err := c.AddGraph(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := c.Stats().MaintenanceTests
+		if err := r.read(); err != nil {
+			t.Fatal(err)
+		}
+		if c.Stats().MaintenanceTests == before {
+			t.Fatalf("%s ran no maintenance test: nothing was stale", r.name)
+		}
+		if n := underMu.Load(); n > 0 {
+			t.Fatalf("%s: %d maintenance tests ran with mu held", r.name, n)
+		}
 	}
 }
 

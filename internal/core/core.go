@@ -33,21 +33,12 @@ type Config struct {
 	// unlimited. An aborted test is treated as "no hit" (sound: hits only
 	// ever shrink work, never correctness).
 	HitIsoBudget int64
-	// Serialized, SharedWindow and IndexOff have no effect: nothing reads
-	// them. They stay declared only because the benchmark harness assigns
-	// them in its serialized, shared_window and index_off sweep rows.
-	Serialized, SharedWindow, IndexOff bool
-	// LazyReconcile defers answer-set maintenance for dataset ADDITIONS:
-	// instead of verifying the new graph against every cached entry at
-	// AddGraph time (the eager default), entries keep a per-entry dataset
-	// epoch and a hit on a stale entry verifies only the graphs added
-	// since that epoch (the method's addition log) before its answers are
-	// trusted. Reconciliation cost then lands on the queries that actually
-	// touch an entry — better under high churn with skewed hit patterns —
-	// at the price of per-hit latency jitter. Removals are always applied
-	// eagerly (clearing a bit needs no iso test). Answers are exact in
-	// both modes.
-	LazyReconcile bool
+	// Serialized, SharedWindow, IndexOff and LazyReconcile have no effect:
+	// nothing reads them (dataset additions always reconcile when an entry
+	// is next read, see mutate.go). They stay declared only because the
+	// benchmark harness assigns them in its serialized, shared_window,
+	// index_off and lazy_reconcile sweep rows.
+	Serialized, SharedWindow, IndexOff, LazyReconcile bool
 	// MemoryBudget, when positive, caps the estimated resident bytes of
 	// cached entries (graphs + answer sets); eviction triggers on overflow
 	// even below Capacity.

@@ -24,11 +24,11 @@ type answerState struct {
 // the immutable Graph).
 //
 // Publication rules: the set inside a published state is never mutated —
-// maintenance swaps in a freshly built set. Stop-the-world dataset
-// mutations (Cache.AddGraph eager mode, Cache.RemoveGraph) swap under
-// dsMu's write side and mu with no queries in flight; lazy
-// reconciliation swaps from the query path, where racing reconcilers of
-// the same entry compute identical states (verification is
+// maintenance swaps in a freshly built set. Removals (Cache.RemoveGraph)
+// swap under dsMu's write side and mu with no queries in flight;
+// reconciliation of additions swaps under dsMu's read side — on the query
+// path, in Entries and in the snapshot writers — where racing reconcilers
+// of the same entry compute identical states (verification is
 // deterministic), so last-write-wins is benign.
 type answersCell struct {
 	// p publishes the (set, epoch) pair whole. Readers needing both
@@ -88,8 +88,8 @@ type Entry struct {
 
 	// charged is the Bytes() the residency account holds for this entry:
 	// set at admission, trued up by rechargeLocked at window turns and
-	// stop-the-world passes (lazy reconciliation swaps sets on the query
-	// path, where the account is not touched). Guarded by mu.
+	// stop-the-world passes (reconciliation swaps sets outside mu, where
+	// the account is not touched). Guarded by mu.
 	charged int
 
 	// InsertedAt and LastUsed are query ticks (LRU/FIFO state).

@@ -89,8 +89,9 @@ type Snapshot struct {
 	Admissions, Evictions, WindowTurns int64
 	// DatasetAdds / DatasetRemoves count live dataset mutations;
 	// MaintenanceTests counts the containment tests spent reconciling
-	// cached answer sets after additions (eagerly at mutation time or
-	// lazily at hit time) — the maintenance side of the churn ledger.
+	// cached answer sets after additions (when a stale entry is next read:
+	// at a hit, in Entries or in a snapshot save) — the maintenance side
+	// of the churn ledger.
 	DatasetAdds, DatasetRemoves, MaintenanceTests int64
 	// InternHits and InternMisses are always zero: answer sets are never
 	// shared across entries. They stay declared only because the

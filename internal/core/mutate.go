@@ -29,35 +29,36 @@ import (
 //     every future candidate set. Ids are never reused.
 //
 //   - ADDITIONS must decide, per cached entry, whether the new graph
-//     belongs in its answer set — one containment test per entry. Eager
-//     mode (the default) runs those tests at mutation time, bringing
-//     every entry to the new epoch before any query runs again. Lazy mode
-//     (Config.LazyReconcile) defers them: entries keep their epoch, and a
-//     hit on a stale entry verifies exactly the delta graphs recorded in
-//     the method's addition log before its answers are trusted — paid by
-//     the queries that actually touch the entry, never by ones that
-//     don't.
+//     belongs in its answer set — one containment test per entry. The
+//     tests are deferred: entries keep their epoch, and a read of a stale
+//     entry verifies exactly the graphs added since — the ids above its
+//     set's length — before its answers are trusted (reconciledAnswers):
+//     a screen of the entry's summary against each added graph's
+//     (computed once per add) refutes most, and only the rest pay a
+//     containment test. A hit pays for the entries it touches; Entries
+//     and the snapshot writers, which need every entry current, reconcile
+//     the resident list first (reconcileResident). None of it runs under
+//     mu, except for an entry a concurrent turn admits between that pass
+//     and the reader's mu.
 //
-// Either way every individual answer set returned by Execute is exact for
-// the query's dataset snapshot — the SelfCheck oracle and the churn
+// Every individual answer set returned by Execute is exact for the
+// query's dataset snapshot — the SelfCheck oracle and the churn
 // equivalence suite assert byte-identical answers to the uncached method
 // after every mutation.
 //
 // What a mutation costs: it stops the world (the drain of dsMu's write
 // side, then mu), so the work under the locks is kept proportional to
-// what changed, never to what is cached. Per entry an eager add is one
-// Grown, a charge true-up and a screen of the entry's summary against
-// the added graph's (computed once per add), which refutes most entries;
-// only the rest pay a containment test. A remove clones only the entries
-// that contained the gid. Snapshot.MutationWaitNs and MutationHoldNs
-// time the drain and the hold (Monitor.endMutation).
+// what changed, never to what is cached. An add is an epoch read and a
+// charge true-up per entry, and no containment test; a remove clones
+// only the entries that contained the gid. Snapshot.MutationWaitNs and
+// MutationHoldNs time the drain and the hold (Monitor.endMutation).
 
 // AddGraph appends g to the live dataset under a fresh stable id and
 // maintains the cached state exactly: the verification-cost EMA array and
-// all future per-query bitsets grow with the dataset, and cached answer
-// sets are reconciled eagerly (default) or lazily (Config.LazyReconcile).
-// It returns the new graph's id. The method's filter must support
-// AddGraph (an ftv.InsertableFilter, as every bundled filter is).
+// all future per-query bitsets grow with the dataset, and every cached
+// answer set reconciles the new graph when it is next read. It returns
+// the new graph's id. The method's filter must support AddGraph (an
+// ftv.InsertableFilter, as every bundled filter is).
 //
 //gclint:acquires dsMu mu
 func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
@@ -69,29 +70,15 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	view := c.method.View()
-	c.growCostCells(view.Size())
+	c.growCostCells(c.method.View().Size())
 	c.mon.datasetAdds.Add(1)
 	c.addSums[gid] = summarize(g)
-
-	if c.cfg.LazyReconcile {
-		// Nothing to reconcile now, but the stop-the-world maintenance
-		// pass (with a nil fn) still recomputes the compaction floor and
-		// drops the addition records every entry has already passed — an
-		// O(entries) epoch scan, no iso tests — so the log stays bounded
-		// by the staleness of the coldest entry, not by the add count.
-		c.withAllEntriesLocked(nil)
-		return gid, nil
-	}
-	// Eager reconciliation: verify the new graph against every admitted
-	// and window entry now, under mu (no queries are in flight — dsMu is
-	// held exclusively — so the swaps are unobservable).
-	// Every entry leaves at the new epoch, so the trailing compaction
-	// drains the whole log: in eager mode it never holds a record past
-	// the mutation that appended it.
-	c.withAllEntriesLocked(func(e *Entry) {
-		c.reconcileEntryLocked(e, view)
-	})
+	// Nothing to reconcile now, but the stop-the-world pass (with a nil
+	// fn) still trues up the charges, recomputes the compaction floor and
+	// drops the addition records every entry has already passed — an
+	// O(entries) epoch scan, no iso tests — so the log stays bounded by
+	// the staleness of the coldest entry, not by the add count.
+	c.withAllEntriesLocked(nil)
 	return gid, nil
 }
 
@@ -148,8 +135,8 @@ func (c *Cache) growCostCells(n int) {
 
 // withAllEntriesLocked runs fn (when non-nil) over every admitted and
 // every window-pending entry, and trues up each admitted entry's charge:
-// fn may have published a fresh set, and so may lazy reconciliation since
-// the last pass (window entries are charged at admission). It takes mu;
+// fn may have published a fresh set, and so may reconciliation since the
+// last pass (window entries are charged at admission). It takes mu;
 // caller holds dsMu exclusively. Before mu drops it compacts the addition
 // log up to the minimum entry epoch, as every stop-the-world pass owes,
 // and prunes the added-graph summaries to what is left.
@@ -202,7 +189,9 @@ func (c *Cache) pruneAddSums() {
 
 // compactAdditionsLocked compacts with mu held (the stop-the-world
 // passes: dataset mutations, window turns, state restores), reading the
-// window directly.
+// window directly. Entries reconcile only when read, so after an add the
+// log keeps every record the stalest entry has not yet passed; it drains
+// only when every entry is current or the cache is empty.
 //
 //gclint:requires mu
 func (c *Cache) compactAdditionsLocked() {
@@ -233,22 +222,11 @@ func (c *Cache) compactTo(floor int64) {
 	}
 }
 
-// reconcileEntryLocked brings one entry to the view's epoch by verifying
-// the delta additions. Caller holds dsMu exclusively plus mu, and trues
-// up the entry's charge afterwards.
-func (c *Cache) reconcileEntryLocked(e *Entry, view ftv.DatasetView) {
-	st := e.answers()
-	if st.epoch >= view.Epoch() && st.set.Len() == view.Size() {
-		return
-	}
-	e.setAnswers(c.patchedAnswers(e, st, view), view.Epoch())
-}
-
 // rechargeLocked trues up the residency charge of an admitted entry whose
-// answer set may have been swapped since the last pass (lazy
-// reconciliation publishes fresh sets on the query path, where the
-// account is not touched): the account moves by the difference
-// between the entry's Bytes() and its charge. Caller holds mu.
+// answer set may have been swapped since the last pass (reconciliation
+// publishes fresh sets outside mu, where the account is not touched): the
+// account moves by the difference between the entry's Bytes() and its
+// charge. Caller holds mu.
 //
 //gclint:requires mu
 func (c *Cache) rechargeLocked(e *Entry) {
@@ -258,15 +236,14 @@ func (c *Cache) rechargeLocked(e *Entry) {
 	}
 }
 
-// reconciledAnswers returns e's answer set brought to the query view's
-// epoch, verifying only the graphs added since the entry's epoch (the
-// lazy-reconciliation read path; in eager mode entries are already
-// current, making this a single atomic load). It runs lock-free under the
-// read side of dsMu: racing reconcilers of the same entry compute
-// identical states, so the last published one wins benignly. The byte
-// account is deliberately NOT touched here (mu is not held); it is
-// trued up at the next window turn and at every stop-the-world
-// maintenance pass (rechargeLocked).
+// reconciledAnswers returns e's answer set brought to the view's epoch,
+// verifying only the graphs added since the entry's epoch; for a current
+// entry it is a single atomic load. It runs lock-free under the read side
+// of dsMu: racing reconcilers of the same entry compute identical states,
+// so the last published one wins benignly. The byte account is
+// deliberately NOT touched here (mu is not held); it is trued up at the
+// next window turn and at every stop-the-world maintenance pass
+// (rechargeLocked).
 //
 //gclint:requires dsMu
 //gclint:nolocks
@@ -281,31 +258,48 @@ func (c *Cache) reconciledAnswers(e *Entry, view ftv.DatasetView) *bitset.Set {
 	return set
 }
 
-// patchedAnswers computes e's answer set at the view's epoch from the
-// state st: grown to the view's id space, with each logged addition since
-// st.epoch verified for containment (tombstoned additions are skipped —
-// their bits were never set in st and must stay clear). An addition whose
-// summary the cache holds is tested only if the entry's summary admits
-// the containment; one added to the Method behind the cache's back has
-// none and is always tested. Removal bits need no handling: removals
-// clear them from every entry at mutation time.
-func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) *bitset.Set {
-	recs := view.AddsSince(st.epoch)
-	set := st.set
-	switch {
-	case set.Len() != view.Size():
-		set = set.Grown(view.Size())
-	case len(recs) > 0:
-		set = set.Clone()
-	default:
-		return set // removals-only delta: the set is already exact
+// reconcileResident brings every entry of the published view to the
+// view's epoch: "reconcile all now", for the readers that need every
+// entry current (Entries, WriteState, WriteStateV2). They call it before
+// they take mu, so its containment tests block no miss. An entry that a
+// concurrent turn admits after this pass still reconciles in the
+// reader's own reconciledAnswers call, under mu.
+//
+//gclint:requires dsMu
+//gclint:nolocks
+//gclint:loads summaries
+func (c *Cache) reconcileResident(view ftv.DatasetView) {
+	index := c.published.Load().index
+	for i := range index {
+		c.reconciledAnswers(index[i].e, view)
 	}
+}
+
+// patchedAnswers computes e's answer set at the view's epoch from the
+// state st: grown to the view's id space, with each graph added since
+// verified for containment. Every addition appends one id, so those are
+// the ids from st.set.Len() up. They are read from the id space, not
+// from the method's addition log: another cache over the same method
+// compacts that log to its own entries' floor, and may already have
+// dropped records this entry still needs. Tombstoned additions are
+// skipped — their bits were never set in st and must stay clear. An
+// addition whose summary the cache holds is tested only if the entry's
+// summary admits the containment; one added to the Method behind the
+// cache's back, or pruned with its record, has none and is always tested.
+// Removal bits need no handling: removals clear them from every entry at
+// mutation time.
+func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) *bitset.Set {
+	from := st.set.Len()
+	if from == view.Size() {
+		return st.set // removals-only delta: the set is already exact
+	}
+	set := st.set.Grown(view.Size())
 	es := e.summary()
-	for _, r := range recs {
-		if view.Graph(r.GID) == nil {
+	for gid := from; gid < view.Size(); gid++ {
+		if view.Graph(gid) == nil {
 			continue // added then removed before this entry caught up
 		}
-		if gs, ok := c.addSums[r.GID]; ok {
+		if gs, ok := c.addSums[gid]; ok {
 			pattern, target := &es, &gs
 			if e.Type == ftv.Supergraph {
 				pattern, target = target, pattern
@@ -315,8 +309,8 @@ func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) 
 			}
 		}
 		c.mon.maintenanceTests.Add(1)
-		if view.VerifyCandidate(e.Graph, r.GID, e.Type) {
-			set.Add(r.GID)
+		if view.VerifyCandidate(e.Graph, gid, e.Type) {
+			set.Add(gid)
 		}
 	}
 	return set

@@ -55,9 +55,9 @@ const stateVersionV2 = 2
 // records are mutated under it), so it is one consistent snapshot even
 // under concurrent queries; w is written only after both are released,
 // so a slow writer stalls no query. Entries stale with respect to dataset
-// additions (LazyReconcile) are reconciled before serialization — the
-// on-disk format carries no epochs, so what it stores must be exact at
-// the header's dataset size.
+// additions are reconciled first, before mu is taken, so their
+// containment tests block no miss — the on-disk format carries no epochs,
+// so what it stores must be exact at the header's dataset size.
 func (c *Cache) WriteStateV2(w io.Writer) error {
 	var buf bytes.Buffer
 	if err := c.formatStateV2(&buf); err != nil {
@@ -75,6 +75,7 @@ func (c *Cache) formatStateV2(buf *bytes.Buffer) error {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
+	c.reconcileResident(view)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 

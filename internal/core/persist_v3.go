@@ -84,10 +84,10 @@ func fnv1a(data []byte) uint64 {
 }
 
 // WriteState serializes the cache's admitted entries to w in the binary
-// v3 format. Locking and consistency match WriteStateV2: header, index
-// and body are built in memory under the read side of the dataset mutex
-// plus mu, entries reconciled to the pinned view, and w is written only
-// after both locks are released. Answer sets are written in their native
+// v3 format. Locking and consistency match WriteStateV2: entries are
+// reconciled to the pinned view before mu is taken, header, index and
+// body are built in memory under the read side of the dataset mutex plus
+// mu, and w is written only after both locks are released. Answer sets are written in their native
 // containers, so save→restore preserves the adaptive compression
 // byte-for-byte.
 func (c *Cache) WriteState(w io.Writer) error {
@@ -113,6 +113,7 @@ func (c *Cache) encodeStateV3() ([3][]byte, error) {
 	dsTok := c.dsMu.RLock()
 	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
+	c.reconcileResident(view)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 

@@ -495,7 +495,7 @@ type datasetMutationResponse struct {
 
 // handleDatasetGraphs serves POST /api/dataset/graphs: append a graph to
 // the live dataset. Cached answer sets are maintained exactly by the
-// kernel (eagerly or lazily per its configuration).
+// kernel: each reconciles the new graph when it is next read.
 func (s *Server) handleDatasetGraphs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
