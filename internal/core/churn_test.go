@@ -117,93 +117,114 @@ func TestMaintainedCacheBeatsDropAndRebuild(t *testing.T) {
 	}
 }
 
+// reconcileModes are the two ways the churn suites pay for additions,
+// named by the case ids they had when eager reconciliation was a Config
+// mode. lazy=true leaves each stale entry to reconcile when a query next
+// reads it. lazy=false calls reconcileNow after every add: eager
+// reconciliation as a method call, so the suites drive both the hit path
+// and the lock-free pass over the resident list.
+var reconcileModes = []bool{false, true}
+
+// reconcileNow reconciles every admitted entry to the current dataset
+// (Entries runs reconcileResident) and returns an error unless each
+// answer set equals a fresh uncached run of its pattern. The caller must
+// be the only mutator, so that no mutation lands between the two reads.
+func reconcileNow(c *Cache) error {
+	for _, e := range c.Entries() {
+		if want := c.Method().Run(e.Graph, e.Type).Answers; !e.Answers().Equal(want) {
+			return fmt.Errorf("entry %d answers %v, uncached %v", e.ID, e.Answers(), want)
+		}
+	}
+	return nil
+}
+
 // TestChurnEquivalence is the churn acceptance property: a mixed
 // add/remove/query stream yields answers byte-identical to the uncached
 // Method.Run after every mutation — SelfCheck cross-checks every executed
-// query, and after each mutation every admitted entry's answer set, as
-// Entries reconciles it, is asserted equal to a fresh uncached run of its
-// pattern, then revalidated through the hit path at the end. Exercised
-// over three workload seeds (shardsSeed); the case names keep the ids
-// they had when additions could also reconcile at mutation time. `go
-// test -race` arms the race detector over the same paths.
+// query; with lazy=false every admitted entry's answer set, as Entries
+// reconciles it, is asserted equal to a fresh uncached run of its pattern
+// after each mutation; and at the end every entry revalidates through the
+// hit path. Exercised over three workload seeds (shardsSeed) in both
+// reconcileModes; `go test -race` arms the race detector over the same
+// paths.
 func TestChurnEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 4, 32} {
-		t.Run(fmt.Sprintf("lazy=true/shards=%d", shards), func(t *testing.T) {
-			dataset := testDataset(51, 30)
-			extra := testDataset(77, 8)
-			w, err := gen.NewWorkload(rand.New(rand.NewSource(shardsSeed(51, shards))), dataset, gen.WorkloadConfig{
-				Size: 90, Mixed: true, PoolSize: 24,
-				ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := testCache(t, dataset, func(cfg *Config) {
-				cfg.Capacity = 16
-				cfg.Window = 4
-			})
-			method := c.Method()
-
-			// Entries cached when an add landed, summed over adds: each
-			// (entry, add) pair is tested at most once, when the entry is
-			// next read, and the summary screen must leave fewer of them
-			// to an iso test.
-			var adds, entryAdds int64
-			mutations, _ := churnStream(t, func() *Cache { return c }, w.Queries, extra, 9, func(i int) {
-				if n := c.Stats().DatasetAdds; n > adds {
-					adds = n
-					entryAdds += int64(c.Len() + c.WindowLen())
-				}
-				// Every admitted entry must be byte-exact against the
-				// mutated dataset the moment the mutation returns.
-				for _, e := range c.Entries() {
-					want := method.Run(e.Graph, e.Type).Answers
-					if !e.Answers().Equal(want) {
-						t.Fatalf("after mutation at query %d: entry %d answers %v, uncached %v",
-							i, e.ID, e.Answers(), want)
-					}
-				}
-			})
-			if mutations < 6 {
-				t.Fatalf("stream too tame: only %d mutations", mutations)
-			}
-			info := c.DatasetInfo()
-			if info.Epoch != int64(mutations) {
-				t.Fatalf("epoch %d after %d mutations", info.Epoch, mutations)
-			}
-
-			// Re-execute every admitted entry's pattern: exact hits must
-			// re-verify byte-identical (SelfCheck panics on any
-			// mismatch).
-			for _, e := range c.Entries() {
-				res, err := c.Execute(e.Graph, e.Type)
+	for _, lazy := range reconcileModes {
+		for _, shards := range []int{1, 4, 32} {
+			t.Run(fmt.Sprintf("lazy=%v/shards=%d", lazy, shards), func(t *testing.T) {
+				dataset := testDataset(51, 30)
+				extra := testDataset(77, 8)
+				w, err := gen.NewWorkload(rand.New(rand.NewSource(shardsSeed(51, shards))), dataset, gen.WorkloadConfig{
+					Size: 90, Mixed: true, PoolSize: 24,
+					ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := method.Run(e.Graph, e.Type).Answers
-				if !res.Answers.Equal(want) {
-					t.Fatalf("entry %d: answers diverge after churn", e.ID)
+				c := testCache(t, dataset, func(cfg *Config) {
+					cfg.Capacity = 16
+					cfg.Window = 4
+				})
+				method := c.Method()
+
+				// Entries cached when an add landed, summed over adds: each
+				// (entry, add) pair is tested at most once, and the summary
+				// screen must leave fewer of them to an iso test.
+				var adds, entryAdds int64
+				mutations, _ := churnStream(t, func() *Cache { return c }, w.Queries, extra, 9, func(i int) {
+					if n := c.Stats().DatasetAdds; n > adds {
+						adds = n
+						entryAdds += int64(c.Len() + c.WindowLen())
+					}
+					if lazy {
+						return // entries reconcile when next read; validated below
+					}
+					// Every admitted entry must be byte-exact against the
+					// mutated dataset the moment the mutation returns.
+					if err := reconcileNow(c); err != nil {
+						t.Fatalf("after mutation at query %d: %v", i, err)
+					}
+				})
+				if mutations < 6 {
+					t.Fatalf("stream too tame: only %d mutations", mutations)
 				}
-			}
-			tests := c.Stats().MaintenanceTests
-			t.Logf("%d maintenance tests for %d entries × adds", tests, entryAdds)
-			if tests == 0 || tests >= entryAdds {
-				t.Error("want some maintenance tests, and fewer than entries × adds")
-			}
-			// The addition log stays bounded under the mixed stream:
-			// compaction must actually reclaim records — the reads
-			// reconcile entries and the mutations/turns compact behind
-			// them, so a silently broken compaction would leave every
-			// record resident.
-			snap := c.Stats()
-			if snap.DatasetAdds > 0 && snap.LogRecordsDropped == 0 {
-				t.Fatalf("none of the %d addition records were ever compacted away", snap.DatasetAdds)
-			}
-			if int64(snap.AdditionLogLen)+snap.LogRecordsDropped != snap.DatasetAdds {
-				t.Fatalf("log ledger out of balance: %d resident + %d dropped != %d adds",
-					snap.AdditionLogLen, snap.LogRecordsDropped, snap.DatasetAdds)
-			}
-		})
+				info := c.DatasetInfo()
+				if info.Epoch != int64(mutations) {
+					t.Fatalf("epoch %d after %d mutations", info.Epoch, mutations)
+				}
+
+				// Re-execute every admitted entry's pattern: exact hits must
+				// re-verify byte-identical (SelfCheck panics on any
+				// mismatch).
+				for _, e := range c.Entries() {
+					res, err := c.Execute(e.Graph, e.Type)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := method.Run(e.Graph, e.Type).Answers
+					if !res.Answers.Equal(want) {
+						t.Fatalf("entry %d: answers diverge after churn", e.ID)
+					}
+				}
+				tests := c.Stats().MaintenanceTests
+				t.Logf("%d maintenance tests for %d entries × adds", tests, entryAdds)
+				if tests == 0 || tests >= entryAdds {
+					t.Error("want some maintenance tests, and fewer than entries × adds")
+				}
+				// The addition log stays bounded under the mixed stream:
+				// compaction must actually reclaim records — the reads
+				// reconcile entries and the mutations/turns compact behind
+				// them, so a silently broken compaction would leave every
+				// record resident.
+				snap := c.Stats()
+				if snap.DatasetAdds > 0 && snap.LogRecordsDropped == 0 {
+					t.Fatalf("none of the %d addition records were ever compacted away", snap.DatasetAdds)
+				}
+				if int64(snap.AdditionLogLen)+snap.LogRecordsDropped != snap.DatasetAdds {
+					t.Fatalf("log ledger out of balance: %d resident + %d dropped != %d adds",
+						snap.AdditionLogLen, snap.LogRecordsDropped, snap.DatasetAdds)
+				}
+			})
+		}
 	}
 }
 
@@ -283,75 +304,84 @@ func TestChurnDeterministic(t *testing.T) {
 // TestConcurrentChurn is the -race gauntlet for live mutations: worker
 // goroutines stream queries (each cross-checked by SelfCheck against the
 // dataset snapshot it ran under) while a mutator goroutine interleaves
-// additions and removals. The one case keeps the id it had when additions
-// could also reconcile at mutation time.
+// additions and removals. Runs in both reconcileModes; with lazy=false the
+// mutator reconciles every entry after each add, racing the workers' hits
+// and window turns.
 func TestConcurrentChurn(t *testing.T) {
-	t.Run("lazy=true", func(t *testing.T) {
-		dataset := testDataset(61, 24)
-		extra := testDataset(88, 10)
-		w, err := gen.NewWorkload(rand.New(rand.NewSource(62)), dataset, gen.WorkloadConfig{
-			Size: 40, Mixed: true, PoolSize: 16,
-			ZipfS: 1.2, ChainFrac: 0.5, ChainLen: 3, MinEdges: 3, MaxEdges: 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := testCache(t, dataset, func(cfg *Config) {
-			cfg.Capacity = 12
-			cfg.Window = 3
-		})
-
-		const workers = 4
-		var wg sync.WaitGroup
-		for wkr := 0; wkr < workers; wkr++ {
-			wg.Add(1)
-			go func(wkr int) {
-				defer wg.Done()
-				for i, q := range w.Queries {
-					if _, err := c.Execute(q.G, q.Type); err != nil {
-						t.Errorf("worker %d query %d: %v", wkr, i, err)
-						return
-					}
-				}
-			}(wkr)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(63))
-			for m := 0; m < 12; m++ {
-				if m%2 == 0 {
-					if _, err := c.AddGraph(extra[m/2]); err != nil {
-						t.Errorf("concurrent add %d: %v", m, err)
-						return
-					}
-					continue
-				}
-				info := c.DatasetInfo()
-				view := c.Method().View()
-				gid := rng.Intn(info.Size)
-				for view.Graph(gid) == nil {
-					gid = (gid + 1) % info.Size
-				}
-				if err := c.RemoveGraph(gid); err != nil {
-					t.Errorf("concurrent remove %d: %v", gid, err)
-					return
-				}
-			}
-		}()
-		wg.Wait()
-
-		// Post-churn: every admitted entry revalidates byte-identical.
-		for _, e := range c.Entries() {
-			res, err := c.Execute(e.Graph, e.Type)
+	for _, lazy := range reconcileModes {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
+			dataset := testDataset(61, 24)
+			extra := testDataset(88, 10)
+			w, err := gen.NewWorkload(rand.New(rand.NewSource(62)), dataset, gen.WorkloadConfig{
+				Size: 40, Mixed: true, PoolSize: 16,
+				ZipfS: 1.2, ChainFrac: 0.5, ChainLen: 3, MinEdges: 3, MaxEdges: 10,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := c.Method().Run(e.Graph, e.Type).Answers; !res.Answers.Equal(want) {
-				t.Fatalf("entry %d: answers diverge after concurrent churn", e.ID)
+			c := testCache(t, dataset, func(cfg *Config) {
+				cfg.Capacity = 12
+				cfg.Window = 3
+			})
+
+			const workers = 4
+			var wg sync.WaitGroup
+			for wkr := 0; wkr < workers; wkr++ {
+				wg.Add(1)
+				go func(wkr int) {
+					defer wg.Done()
+					for i, q := range w.Queries {
+						if _, err := c.Execute(q.G, q.Type); err != nil {
+							t.Errorf("worker %d query %d: %v", wkr, i, err)
+							return
+						}
+					}
+				}(wkr)
 			}
-		}
-	})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(63))
+				for m := 0; m < 12; m++ {
+					if m%2 == 0 {
+						if _, err := c.AddGraph(extra[m/2]); err != nil {
+							t.Errorf("concurrent add %d: %v", m, err)
+							return
+						}
+						if !lazy {
+							if err := reconcileNow(c); err != nil {
+								t.Errorf("after concurrent add %d: %v", m, err)
+								return
+							}
+						}
+						continue
+					}
+					info := c.DatasetInfo()
+					view := c.Method().View()
+					gid := rng.Intn(info.Size)
+					for view.Graph(gid) == nil {
+						gid = (gid + 1) % info.Size
+					}
+					if err := c.RemoveGraph(gid); err != nil {
+						t.Errorf("concurrent remove %d: %v", gid, err)
+						return
+					}
+				}
+			}()
+			wg.Wait()
+
+			// Post-churn: every admitted entry revalidates byte-identical.
+			for _, e := range c.Entries() {
+				res, err := c.Execute(e.Graph, e.Type)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := c.Method().Run(e.Graph, e.Type).Answers; !res.Answers.Equal(want) {
+					t.Fatalf("entry %d: answers diverge after concurrent churn", e.ID)
+				}
+			}
+		})
+	}
 }
 
 // TestRemoveGraphClearsAnswerBits pins the stop-the-world removal rule:
@@ -399,57 +429,79 @@ func TestRemoveGraphClearsAnswerBits(t *testing.T) {
 	}
 }
 
-// TestAddGraphExtendsAnswers pins the addition rule: after AddGraph, a
-// cached entry whose pattern is contained in the new graph answers with
-// the new gid — in Entries, which reconciles every resident entry, and at
-// the next hit — and per-query bitsets grow with the dataset. The one case
-// keeps the id it had when additions could also reconcile at mutation
-// time.
+// TestAddGraphExtendsAnswers pins the addition rule: AddGraph itself
+// runs no containment test, and afterwards a cached entry whose pattern is
+// contained in the new graph answers with the new gid, and per-query
+// bitsets grow with the dataset. With lazy=false Entries reconciles the
+// entry before the hit, which then runs no test; with lazy=true the hit
+// pays the test and Entries finds the entry current.
 func TestAddGraphExtendsAnswers(t *testing.T) {
-	t.Run("lazy=true", func(t *testing.T) {
-		dataset := testDataset(81, 10)
-		c := testCache(t, dataset, func(cfg *Config) {
-			cfg.Window = 1
-		})
-		q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(4)), dataset[2], 4)
-		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-			t.Fatal(err)
-		}
-		// Re-adding a copy of graph 2 guarantees the pattern embeds in
-		// the new graph too.
-		gid, err := c.AddGraph(dataset[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gid != len(dataset) {
-			t.Fatalf("new gid %d, want %d", gid, len(dataset))
-		}
-		found := false
-		for _, e := range c.Entries() {
-			if e.Graph == q {
-				found = true
-				if !e.Answers().Contains(gid) {
-					t.Fatal("Entries returned an entry not reconciled to the added graph")
+	for _, lazy := range reconcileModes {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
+			dataset := testDataset(81, 10)
+			c := testCache(t, dataset, func(cfg *Config) {
+				cfg.Window = 1
+			})
+			q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(4)), dataset[2], 4)
+			if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+				t.Fatal(err)
+			}
+			tests := c.Stats().MaintenanceTests
+			// Re-adding a copy of graph 2 guarantees the pattern embeds in
+			// the new graph too.
+			gid, err := c.AddGraph(dataset[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gid != len(dataset) {
+				t.Fatalf("new gid %d, want %d", gid, len(dataset))
+			}
+			if got := c.Stats().MaintenanceTests; got != tests {
+				t.Fatalf("AddGraph ran %d maintenance tests, want none", got-tests)
+			}
+			entriesReconciled := func() {
+				t.Helper()
+				found := false
+				for _, e := range c.Entries() {
+					if e.Graph == q {
+						found = true
+						if !e.Answers().Contains(gid) {
+							t.Fatal("Entries returned an entry not reconciled to the added graph")
+						}
+					}
+				}
+				if !found {
+					t.Fatal("the query's entry is not resident")
 				}
 			}
-		}
-		if !found {
-			t.Fatal("the query's entry is not resident")
-		}
-		res, err := c.Execute(q, ftv.Subgraph)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.ExactHit {
-			t.Fatal("expected an exact hit")
-		}
-		if res.Answers.Len() != len(dataset)+1 {
-			t.Fatalf("answer bitset capacity %d, want %d", res.Answers.Len(), len(dataset)+1)
-		}
-		if !res.Answers.Contains(gid) {
-			t.Fatal("added graph missing from reconciled answers")
-		}
-	})
+			if !lazy {
+				entriesReconciled()
+			}
+			beforeHit := c.Stats().MaintenanceTests
+			res, err := c.Execute(q, ftv.Subgraph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.ExactHit {
+				t.Fatal("expected an exact hit")
+			}
+			if res.Answers.Len() != len(dataset)+1 {
+				t.Fatalf("answer bitset capacity %d, want %d", res.Answers.Len(), len(dataset)+1)
+			}
+			if !res.Answers.Contains(gid) {
+				t.Fatal("added graph missing from reconciled answers")
+			}
+			hitTests := c.Stats().MaintenanceTests - beforeHit
+			if lazy {
+				if hitTests == 0 {
+					t.Fatal("the hit on a stale entry ran no maintenance test")
+				}
+				entriesReconciled()
+			} else if hitTests != 0 {
+				t.Fatalf("the hit on an entry Entries reconciled ran %d maintenance tests", hitTests)
+			}
+		})
+	}
 }
 
 // staticFilter hides the wrapped filter's WithGraph, so a Method over it

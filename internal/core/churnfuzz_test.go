@@ -51,8 +51,9 @@ var churnOpsPool = churnOpPool()
 // or remove (3); the remaining bits pick the pattern/victim. It returns
 // the first correctness violation (SelfCheck panics are recovered into
 // errors so the shrinker can replay candidate op strings), or nil when
-// the whole interleaving stayed exact.
-func runChurnOps(ops []byte) (err error) {
+// the whole interleaving stayed exact. With lazy false every add is
+// followed, after the invariant checks, by reconcileNow.
+func runChurnOps(ops []byte, lazy bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("kernel panic: %v", r)
@@ -107,6 +108,11 @@ func runChurnOps(ops []byte) (err error) {
 		snap := c.Stats()
 		if int64(snap.AdditionLogLen) > snap.DatasetAdds {
 			return fmt.Errorf("op %d: addition log %d exceeds %d adds", i, snap.AdditionLogLen, snap.DatasetAdds)
+		}
+		if !lazy && op%4 == 2 {
+			if err := reconcileNow(c); err != nil {
+				return fmt.Errorf("op %d: %w", i, err)
+			}
 		}
 	}
 
@@ -164,34 +170,36 @@ func shrinkOps(ops []byte, fails func([]byte) bool) []byte {
 }
 
 // TestQuickChurnInterleavings is the churn fuzzer: seeded testing/quick
-// op strings, every answer cross-checked byte-identical against the
-// uncached method by SelfCheck. Each case runs two seeds (shardsSeed, and
-// that plus 1000); the case names keep the ids they had when additions
-// could also reconcile at mutation time. A failure is shrunk to a minimal
-// op string before being reported, so the log line is a replayable
-// reproducer.
+// op strings under three seeds (shardsSeed) in both reconcileModes, every
+// answer cross-checked byte-identical against the uncached method by
+// SelfCheck. A failure is shrunk to a minimal op string before being
+// reported, so the log line is a replayable reproducer.
 func TestQuickChurnInterleavings(t *testing.T) {
-	for _, shards := range []int{1, 4, 32} {
-		t.Run(fmt.Sprintf("lazy=true/shards=%d", shards), func(t *testing.T) {
-			for _, seed := range []int64{shardsSeed(151, shards), shardsSeed(151, shards) + 1000} {
+	for _, lazy := range reconcileModes {
+		for _, shards := range []int{1, 4, 32} {
+			t.Run(fmt.Sprintf("lazy=%v/shards=%d", lazy, shards), func(t *testing.T) {
+				seed := shardsSeed(151, shards)
+				if lazy {
+					seed += 1000
+				}
 				prop := func(raw []byte) bool {
-					return runChurnOps(clampOps(raw)) == nil
+					return runChurnOps(clampOps(raw), lazy) == nil
 				}
 				qc := &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(seed))}
 				err := quick.Check(prop, qc)
 				if err == nil {
-					continue
+					return
 				}
 				ce, ok := err.(*quick.CheckError)
 				if !ok {
 					t.Fatal(err)
 				}
 				ops := clampOps(ce.In[0].([]byte))
-				min := shrinkOps(ops, func(o []byte) bool { return runChurnOps(o) != nil })
-				t.Fatalf("seed %d: churn interleaving #%d failed; minimal reproducer ops=%v: %v",
-					seed, ce.Count, min, runChurnOps(min))
-			}
-		})
+				min := shrinkOps(ops, func(o []byte) bool { return runChurnOps(o, lazy) != nil })
+				t.Fatalf("churn interleaving #%d failed; minimal reproducer ops=%v (lazy=%v): %v",
+					ce.Count, min, lazy, runChurnOps(min, lazy))
+			})
+		}
 	}
 }
 

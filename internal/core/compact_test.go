@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -62,52 +63,60 @@ func TestLazyCompactionWaitsForColdestEntry(t *testing.T) {
 // property: a sustained add/query stream keeps the log at O(1) — every
 // round's queries reconcile the resident entries, so the floor tracks the
 // epoch and compaction (at window turns and at the mutations'
-// stop-the-world passes) continuously drains the tail. The one case keeps
-// the id it had when additions could also reconcile at mutation time.
+// stop-the-world passes) continuously drains the tail. Runs in both
+// reconcileModes: with lazy=false each add is followed by reconcileNow
+// before the round's queries.
 func TestAdditionLogBoundedUnderSustainedAdds(t *testing.T) {
-	t.Run("lazy=true", func(t *testing.T) {
-		dataset := testDataset(121, 12)
-		stream := testDataset(122, 30)
-		c := testCache(t, dataset, func(cfg *Config) {
-			cfg.Window = 2
-		})
-		rng := rand.New(rand.NewSource(123))
-		pool := make([]*queryCase, 3)
-		for i := range pool {
-			pool[i] = &queryCase{g: gen.ExtractConnectedSubgraph(rng, dataset[i], 4), qt: ftv.Subgraph}
-		}
-		maxLog := 0
-		for round, g := range stream {
-			if _, err := c.AddGraph(g); err != nil {
-				t.Fatal(err)
+	for _, lazy := range reconcileModes {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
+			dataset := testDataset(121, 12)
+			stream := testDataset(122, 30)
+			c := testCache(t, dataset, func(cfg *Config) {
+				cfg.Window = 2
+			})
+			rng := rand.New(rand.NewSource(123))
+			pool := make([]*queryCase, 3)
+			for i := range pool {
+				pool[i] = &queryCase{g: gen.ExtractConnectedSubgraph(rng, dataset[i], 4), qt: ftv.Subgraph}
 			}
-			// Touch every pool pattern: first executions admit, later
-			// ones exact-hit and reconcile, and the window (size 2)
-			// turns at least once per round.
-			for _, p := range pool {
-				if _, err := c.Execute(p.g, p.qt); err != nil {
+			maxLog := 0
+			for round, g := range stream {
+				if _, err := c.AddGraph(g); err != nil {
 					t.Fatal(err)
 				}
+				if !lazy {
+					if err := reconcileNow(c); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+				}
+				// Touch every pool pattern: first executions admit, later
+				// ones exact-hit and reconcile, and the window (size 2)
+				// turns at least once per round.
+				for _, p := range pool {
+					if _, err := c.Execute(p.g, p.qt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				logLen := c.Stats().AdditionLogLen
+				if logLen > maxLog {
+					maxLog = logLen
+				}
+				if round > 2 && logLen > 4 {
+					t.Fatalf("round %d: log length %d — compaction is not keeping up", round, logLen)
+				}
 			}
-			logLen := c.Stats().AdditionLogLen
-			if logLen > maxLog {
-				maxLog = logLen
+			snap := c.Stats()
+			if snap.DatasetAdds != int64(len(stream)) {
+				t.Fatalf("adds %d, want %d", snap.DatasetAdds, len(stream))
 			}
-			if round > 2 && logLen > 4 {
-				t.Fatalf("round %d: log length %d — compaction is not keeping up", round, logLen)
+			if maxLog >= len(stream)/2 {
+				t.Fatalf("max log length %d over %d adds: unbounded growth", maxLog, len(stream))
 			}
-		}
-		snap := c.Stats()
-		if snap.DatasetAdds != int64(len(stream)) {
-			t.Fatalf("adds %d, want %d", snap.DatasetAdds, len(stream))
-		}
-		if maxLog >= len(stream)/2 {
-			t.Fatalf("max log length %d over %d adds: unbounded growth", maxLog, len(stream))
-		}
-		if snap.LogCompactions == 0 {
-			t.Fatal("no compaction ever fired")
-		}
-	})
+			if snap.LogCompactions == 0 {
+				t.Fatal("no compaction ever fired")
+			}
+		})
+	}
 }
 
 // TestSiblingCompactionKeepsAnswersExact: two caches over one method. The

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -45,75 +46,89 @@ func turnNow(c *Cache) {
 // TestStopTheWorldPassesKeepResidency: on a warm 200-entry cache, 20
 // add/remove pairs with a forced window turn after each, then 20 turns
 // driven by queries, are all counted and timed, and the residency account
-// equals Σ Entry.Bytes() after each phase. The one case keeps the id it
-// had when additions could also reconcile at mutation time.
+// equals Σ Entry.Bytes() after each phase. In both reconcileModes: with
+// lazy=true the mutation phase runs no maintenance test; with lazy=false
+// reconcileNow after each add runs them, so the saving is not skipped
+// work.
 func TestStopTheWorldPassesKeepResidency(t *testing.T) {
-	t.Run("lazy=true", func(t *testing.T) {
-		dataset := testDataset(171, 60)
-		extra := testDataset(172, 20)
-		rng := rand.New(rand.NewSource(173))
-		patterns := distinctPatterns(t, rng, dataset, 420)
-		c := testCache(t, dataset, func(cfg *Config) {
-			cfg.Capacity = 200
-			cfg.Window = 10
-		})
-		next := 0
-		miss := func() {
-			if _, err := c.Execute(patterns[next], ftv.Subgraph); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}
-		for c.Len() < 200 {
-			miss()
-		}
-		checkResidency(t, c, "warm")
-
-		before := c.Stats()
-		for i, g := range extra {
-			gid, err := c.AddGraph(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Alternate between removing the graph just added and an
-			// original one, so removals hit both many and few entries.
-			if i%2 == 0 {
-				gid = i
-			}
-			if err := c.RemoveGraph(gid); err != nil {
-				t.Fatal(err)
-			}
-			turnNow(c)
-		}
-		after := c.Stats()
-		if after.DatasetAdds-before.DatasetAdds != 20 || after.DatasetRemoves-before.DatasetRemoves != 20 ||
-			after.WindowTurns-before.WindowTurns != 20 {
-			t.Fatalf("drove %d adds, %d removes, %d turns; want 20 each",
-				after.DatasetAdds-before.DatasetAdds, after.DatasetRemoves-before.DatasetRemoves, after.WindowTurns-before.WindowTurns)
-		}
-		if after.MutationHoldNs == before.MutationHoldNs || after.WindowTurnNs == before.WindowTurnNs {
-			t.Fatal("the stopped world was not timed")
-		}
-		checkResidency(t, c, "after mutations")
-
-		// Query-driven turns, with exact hits (which reconcile) between
-		// them.
-		before = c.Stats()
-		for c.Stats().WindowTurns-before.WindowTurns < 20 {
-			miss()
-			if next%7 == 0 {
-				if _, err := c.Execute(patterns[next-1], ftv.Subgraph); err != nil {
+	for _, lazy := range reconcileModes {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
+			dataset := testDataset(171, 60)
+			extra := testDataset(172, 20)
+			rng := rand.New(rand.NewSource(173))
+			patterns := distinctPatterns(t, rng, dataset, 420)
+			c := testCache(t, dataset, func(cfg *Config) {
+				cfg.Capacity = 200
+				cfg.Window = 10
+			})
+			next := 0
+			miss := func() {
+				if _, err := c.Execute(patterns[next], ftv.Subgraph); err != nil {
 					t.Fatal(err)
 				}
+				next++
 			}
-		}
-		after = c.Stats()
-		if after.ExactHits == before.ExactHits || after.Evictions == before.Evictions {
-			t.Fatal("workload too tame: no exact hit or no eviction")
-		}
-		turnNow(c) // a trailing exact hit may have swapped a set since the last turn
-		checkResidency(t, c, "after turns")
-	})
+			for c.Len() < 200 {
+				miss()
+			}
+			checkResidency(t, c, "warm")
+
+			before := c.Stats()
+			for i, g := range extra {
+				gid, err := c.AddGraph(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !lazy {
+					if err := reconcileNow(c); err != nil {
+						t.Fatalf("after add %d: %v", i, err)
+					}
+				}
+				// Alternate between removing the graph just added and an
+				// original one, so removals hit both many and few entries.
+				if i%2 == 0 {
+					gid = i
+				}
+				if err := c.RemoveGraph(gid); err != nil {
+					t.Fatal(err)
+				}
+				turnNow(c)
+			}
+			after := c.Stats()
+			if after.DatasetAdds-before.DatasetAdds != 20 || after.DatasetRemoves-before.DatasetRemoves != 20 ||
+				after.WindowTurns-before.WindowTurns != 20 {
+				t.Fatalf("drove %d adds, %d removes, %d turns; want 20 each",
+					after.DatasetAdds-before.DatasetAdds, after.DatasetRemoves-before.DatasetRemoves, after.WindowTurns-before.WindowTurns)
+			}
+			if tests := after.MaintenanceTests - before.MaintenanceTests; lazy && tests != 0 {
+				t.Fatalf("mutations and turns ran %d maintenance tests, want none", tests)
+			} else if !lazy && tests == 0 {
+				t.Fatal("reconciling after each add ran no maintenance test: the saving must not be skipped work")
+			}
+			if after.MutationHoldNs == before.MutationHoldNs || after.WindowTurnNs == before.WindowTurnNs {
+				t.Fatal("the stopped world was not timed")
+			}
+			checkResidency(t, c, "after mutations")
+
+			// Query-driven turns, with exact hits (which reconcile) between
+			// them.
+			before = c.Stats()
+			for c.Stats().WindowTurns-before.WindowTurns < 20 {
+				miss()
+				if next%7 == 0 {
+					if _, err := c.Execute(patterns[next-1], ftv.Subgraph); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			after = c.Stats()
+			if after.ExactHits == before.ExactHits || after.Evictions == before.Evictions {
+				t.Fatal("workload too tame: no exact hit or no eviction")
+			}
+			turnNow(c) // a trailing exact hit may have swapped a set since the last turn
+			checkResidency(t, c, "after turns")
+		})
+	}
 }
 
 // TestCostCellsSurviveGrowth: the per-graph cost cells keep their

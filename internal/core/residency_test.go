@@ -47,74 +47,82 @@ func checkResidency(t *testing.T, c *Cache, when string) {
 // TestResidencyAccountAgreement asserts that the atomic residency account
 // (backing Cache.Len and Cache.Bytes) equals Σ Entry.Bytes() over the
 // resident list after window turns, evictions, live dataset mutations
-// and a state restore, with answer sets migrating containers throughout
-// (Compact at admission, clone-and-compact on removals). The one case
-// keeps the id it had when additions could also reconcile at mutation
-// time.
+// and a state restore, in both reconcileModes, with answer sets migrating
+// containers throughout (Compact at admission, clone-and-compact on
+// removals). With lazy=false each add is followed by reconcileNow, whose
+// swapped sets the next mutation's pass must true up.
 func TestResidencyAccountAgreement(t *testing.T) {
-	t.Run("lazy=true", func(t *testing.T) {
-		dataset := testDataset(41, 24)
-		extra := testDataset(42, 4)
-		w, err := gen.NewWorkload(rand.New(rand.NewSource(43)), dataset, gen.WorkloadConfig{
-			Size: 80, Mixed: true, PoolSize: 30,
-			ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := testCache(t, dataset, func(cfg *Config) {
-			cfg.Capacity = 12 // small: forces turns and evictions
-			cfg.Window = 4
-			cfg.SelfCheck = false
-		})
-		for i, q := range w.Queries {
-			if _, err := c.Execute(q.G, q.Type); err != nil {
+	for _, lazy := range reconcileModes {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
+			dataset := testDataset(41, 24)
+			extra := testDataset(42, 4)
+			w, err := gen.NewWorkload(rand.New(rand.NewSource(43)), dataset, gen.WorkloadConfig{
+				Size: 80, Mixed: true, PoolSize: 30,
+				ZipfS: 1.2, ChainFrac: 0.6, ChainLen: 3, MinEdges: 3, MaxEdges: 11,
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if i%17 == 0 {
-				checkResidency(t, c, fmt.Sprintf("after query %d", i))
+			c := testCache(t, dataset, func(cfg *Config) {
+				cfg.Capacity = 12 // small: forces turns and evictions
+				cfg.Window = 4
+				cfg.SelfCheck = false
+			})
+			for i, q := range w.Queries {
+				if _, err := c.Execute(q.G, q.Type); err != nil {
+					t.Fatal(err)
+				}
+				if i%17 == 0 {
+					checkResidency(t, c, fmt.Sprintf("after query %d", i))
+				}
 			}
-		}
-		if c.Stats().Evictions == 0 || c.Stats().WindowTurns == 0 {
-			t.Fatal("workload too tame: no evictions or turns")
-		}
-		checkResidency(t, c, "after workload")
+			if c.Stats().Evictions == 0 || c.Stats().WindowTurns == 0 {
+				t.Fatal("workload too tame: no evictions or turns")
+			}
+			checkResidency(t, c, "after workload")
 
-		// Dataset mutations: additions grow answer sets when an entry is
-		// next read; removals clear bits.
-		for i, g := range extra {
-			if _, err := c.AddGraph(g); err != nil {
+			// Dataset mutations: additions grow answer sets when an entry
+			// is read (or right away, by reconcileNow); removals clear
+			// bits.
+			for i, g := range extra {
+				if _, err := c.AddGraph(g); err != nil {
+					t.Fatal(err)
+				}
+				checkResidency(t, c, fmt.Sprintf("after add %d", i))
+				if !lazy {
+					if err := reconcileNow(c); err != nil {
+						t.Fatalf("after add %d: %v", i, err)
+					}
+				}
+			}
+			if err := c.RemoveGraph(0); err != nil {
 				t.Fatal(err)
 			}
-			checkResidency(t, c, fmt.Sprintf("after add %d", i))
-		}
-		if err := c.RemoveGraph(0); err != nil {
-			t.Fatal(err)
-		}
-		checkResidency(t, c, "after remove")
-		// Touch entries so reconciliation swaps answer sets outside mu;
-		// the next turn trues the charges up.
-		for _, e := range c.Entries() {
-			if _, err := c.Execute(e.Graph, e.Type); err != nil {
-				t.Fatal(err)
+			checkResidency(t, c, "after remove")
+			// Touch entries so reconciliation swaps answer sets outside mu;
+			// the next turn trues the charges up.
+			for _, e := range c.Entries() {
+				if _, err := c.Execute(e.Graph, e.Type); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		turnNow(c)
-		checkResidency(t, c, "after reconciling hits and a turn")
+			turnNow(c)
+			checkResidency(t, c, "after reconciling hits and a turn")
 
-		// Save/restore resets and rebuilds the account.
-		var buf bytes.Buffer
-		if err := c.WriteState(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.ReadState(&buf); err != nil {
-			t.Fatal(err)
-		}
-		checkResidency(t, c, "after restore")
-		if c.Len() == 0 {
-			t.Fatal("restore left the cache empty")
-		}
-	})
+			// Save/restore resets and rebuilds the account.
+			var buf bytes.Buffer
+			if err := c.WriteState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ReadState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			checkResidency(t, c, "after restore")
+			if c.Len() == 0 {
+				t.Fatal("restore left the cache empty")
+			}
+		})
+	}
 }
 
 // TestLazyRestoreEnforcesMemoryBudget: a restore into a cache whose
