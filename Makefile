@@ -113,8 +113,9 @@ cover:
 		if (t+0 < b+0) { printf "coverage %.1f%% is below the %.1f%% baseline\n", t, b; exit 1 } \
 		printf "coverage %.1f%% (baseline %.1f%%)\n", t, b }'
 
-# pprof on demand: CPU + heap profiles of the kernel's two expensive
-# query paths (an indexed miss and a sub/super hit) and of its two
+# pprof on demand: CPU + heap profiles of the kernel's three query
+# classes (an exact hit, single and parallel, an indexed miss and a
+# sub/super hit) and of its two
 # stop-the-world passes (a dataset add and remove on a warm cache, a
 # window turn), a CPU profile of the daemon's handler on an exact hit
 # and on a miss (decode, parse, probe, encode — no transport), and one of
@@ -129,7 +130,7 @@ cover:
 PROFILE_DIR ?= profiles
 profiles:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'Benchmark(Execute(IndexedMiss|SubSuperHit)|(Add|Remove)GraphWarm|WindowTurn)$$' \
+	$(GO) test -run '^$$' -bench 'Benchmark(Execute(ExactHit(Parallel)?|IndexedMiss|SubSuperHit)|(Add|Remove)GraphWarm|WindowTurn)$$' \
 		-cpuprofile $(PROFILE_DIR)/core_cpu.pprof -memprofile $(PROFILE_DIR)/core_mem.pprof \
 		-o $(PROFILE_DIR)/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkHandleQuery(Exact|Miss)$$' -benchmem \

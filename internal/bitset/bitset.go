@@ -14,7 +14,7 @@
 //   - sparse: a sorted []uint32 of set indices. The zero value and New
 //     produce an empty sparse set with a nil payload, so an all-zero set
 //     costs O(1) at any capacity — this keeps the empty Excluded/Survivors
-//     sets on the cache's exact-hit fast path free. Ascending Add (the
+//     sets the cache shares across its Results small. Ascending Add (the
 //     order verification and posting-list construction emit) appends in
 //     O(1); past the density threshold the set migrates to dense.
 //   - dense: the classic []uint64 word array, with word-parallel binary
@@ -81,18 +81,10 @@ type Set struct {
 // The payload is allocated lazily on first mutation, so New itself costs
 // one small fixed allocation regardless of n.
 func New(n int) *Set {
-	s := Empty(n)
-	return &s
-}
-
-// Empty returns an empty set of capacity n by value, for embedding in a
-// larger allocation (the cache's exact-hit Result carries its empty
-// Excluded/Survivors set this way): New without the heap object.
-func Empty(n int) Set {
 	if n < 0 {
 		panic("bitset: negative capacity")
 	}
-	s := Set{n: n}
+	s := &Set{n: n}
 	if !fits32(n) {
 		s.mode = modeDense // indices would overflow the compact containers
 	}

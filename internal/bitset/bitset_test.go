@@ -16,24 +16,6 @@ func TestNewEmpty(t *testing.T) {
 	}
 }
 
-// Empty is New by value: an embeddable empty set that behaves like any
-// other operand and grows its payload on first mutation.
-func TestEmptyByValue(t *testing.T) {
-	e := Empty(130)
-	if e.Len() != 130 || !e.Empty() || !e.Equal(New(130)) {
-		t.Fatalf("Empty(130) = len %d, empty %v", e.Len(), e.Empty())
-	}
-	full := NewFull(130)
-	full.And(&e)
-	if !full.Empty() {
-		t.Error("And with the embedded empty set left bits behind")
-	}
-	e.Add(129)
-	if !e.Contains(129) || e.Count() != 1 {
-		t.Error("an Empty value must accept mutation like a New set")
-	}
-}
-
 func TestAddRemoveContains(t *testing.T) {
 	s := New(100)
 	for _, i := range []int{0, 1, 63, 64, 65, 99} {

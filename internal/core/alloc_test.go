@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/graph"
@@ -21,9 +22,12 @@ import (
 //	go test -bench 'BenchmarkExecute' -benchmem ./internal/core/
 const (
 	// allocBudgetExactHit covers Execute on a query already cached: the
-	// probe copies into a stack buffer, crediting is two atomics, the
-	// answer is the published set itself, and the empty sets and the hit
-	// list live inside the Result — the one allocation. Measured 1.
+	// probe copies into a stack buffer, crediting is two atomics, no clock
+	// is read, the answer is the published set itself, the empty sets are
+	// the cache's shared one, and the hit list lives inside the Result —
+	// the one allocation, ≤ 128 B (TestResultFitsItsSizeClass). Measured
+	// 1; the budget's second covers the shared empty set's rebuild after
+	// the dataset grew.
 	allocBudgetExactHit = 2
 	// allocBudgetMiss covers the full miss pipeline — filter, indexed hit
 	// detection, verification, admission. Measured 31 allocs/op (37 while
@@ -75,6 +79,16 @@ func TestExactHitAllocBudget(t *testing.T) {
 	t.Logf("exact hit: %.1f allocs/op (budget %d)", got, allocBudgetExactHit)
 	if got > allocBudgetExactHit {
 		t.Errorf("exact-hit path allocates %.1f/op, budget %d — an O(n) copy crept back in", got, allocBudgetExactHit)
+	}
+}
+
+// TestResultFitsItsSizeClass: the exact hit's one allocation is its
+// Result, which the allocator rounds up to a size class. 128 B is a
+// class and the next is 144 B, so a field that pushes Result past 128 B
+// costs every exact hit the bigger class.
+func TestResultFitsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Result{}); got > 128 {
+		t.Errorf("Result is %d B, want ≤ 128 (the exact hit's size class)", got)
 	}
 }
 

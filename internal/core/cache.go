@@ -143,6 +143,10 @@ type Cache struct {
 	// false between evictions. Guarded by mu.
 	victim []bool
 
+	// empty is the frozen empty set exact hits return as Excluded and
+	// Survivors, and unpruned misses as Excluded (see emptySet).
+	empty atomic.Pointer[bitset.Set]
+
 	mon Monitor
 }
 
@@ -292,32 +296,34 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// is memoized on the immutable query graph.
 	fp := q.WLFingerprint(3)
 
-	// Stage 1: exact-match fast path — zero dataset tests.
-	t0 := time.Now()
+	// Stage 1: exact-match fast path — zero dataset tests and no clock
+	// read: all it costs is cache overhead, which a clock pair would
+	// dominate. A caller that wants its latency times the call.
 	if e := c.findExact(q, qt, fp); e != nil {
-		res := c.serveExact(e, view, tick, mon, t0)
+		res := c.serveExact(e, view, tick, mon)
 		c.selfCheck(q, qt, res)
 		return res, nil
 	}
-	hitTime := time.Since(t0)
 	sig := signatureOf(q)
 	n := view.Size()
+
+	// From here on the wall clock is read once: every stage boundary is an
+	// offset from start, which reads only the monotonic clock.
+	start := time.Now()
 
 	// Stage 2: Method M filtering (lock-free: the view's filter index is
 	// immutable). The returned set is freshly built for this query, so the
 	// algebra below may consume it in place once its count is captured.
-	tf := time.Now()
 	cm := view.Candidates(q, qt)
-	filterTime := time.Since(tf)
+	filterTime := time.Since(start)
 	cmCount := cm.Count()
 
 	// Stage 3: sub/super hit detection over a point-in-time snapshot of
 	// the cache. The iso tests run without any lock; entries evicted
 	// mid-detection stay sound (their answer sets remain exact over the
 	// immutable dataset).
-	th := time.Now()
 	hs := c.detectHits(q, qt, sig)
-	hitTime += time.Since(th)
+	hitTime := time.Since(start) - filterTime
 	c.mon.hitDetectIso.Add(int64(hs.isoTests))
 
 	// Stage 4: candidate algebra. Which direction delivers guaranteed
@@ -382,14 +388,14 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 		}
 		c.mu.Unlock()
 	}
-	// S′ = C_M \ (C_M ∩ ⋂ A(h′)) — provably empty (and kept lazy) when no
-	// pruning hit narrowed the candidates.
+	// S′ = C_M \ (C_M ∩ ⋂ A(h′)) — provably empty (the shared empty set)
+	// when no pruning hit narrowed the candidates.
 	var excluded *bitset.Set
 	if candPruned != cm {
 		excluded = cm.Clone()
 		excluded.AndNot(candPruned)
 	} else {
-		excluded = bitset.New(n)
+		excluded = c.emptySet(n)
 	}
 
 	// C = (C_M ∩ ⋂ A(h')) \ S, consuming candPruned in place (when it
@@ -409,10 +415,8 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 
 	// Stage 5: verification of the reduced candidate set (lock-free; cost
 	// samples fold into the EMA cells with CAS, no lock either).
-	tv := time.Now()
 	tests := cand.Count()
-	survivors, costs := c.verify(view, q, qt, cand, sc)
-	verifyTime := time.Since(tv)
+	survivors, costs, verifyTime := c.verify(view, q, qt, cand, sc, start)
 	c.recordCosts(costs)
 
 	// A = R ∪ S. When no answer-delivering hit contributed (sure is
@@ -427,7 +431,7 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	c.mon.testsExecuted.Add(int64(tests))
 	mon.testsSaved.Add(int64(cmCount - tests))
 	c.mon.filterNs.Add(filterTime.Nanoseconds())
-	mon.hitNs.Add(hitTime.Nanoseconds())
+	c.mon.hitNs.Add(hitTime.Nanoseconds())
 	c.mon.verifyNs.Add(verifyTime.Nanoseconds())
 
 	res := &Result{
@@ -453,14 +457,15 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	return res, nil
 }
 
-// serveExact answers a query from the isomorphic entry e: O(1), one
-// allocation, and the only writes are e's credit cell and the caller's
-// Monitor stripe (doc.go, hot-path discipline). Answers and Sure (A = S)
-// are e's published, frozen set itself.
+// serveExact answers a query from the isomorphic entry e: O(1), no clock
+// read, one allocation, and the only writes are e's credit cell and the
+// caller's Monitor stripe (doc.go, hot-path discipline). Answers and Sure
+// (A = S) are e's published, frozen set itself; Excluded and Survivors
+// the cache's shared empty set.
 //
 //gclint:requires dsMu
 //gclint:nolocks
-func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotCounters, t0 time.Time) *Result {
+func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotCounters) *Result {
 	ans := c.reconciledAnswers(e, view)
 	// Tick first (a monotonic max: an older, slower query never rewinds
 	// recency), count second, so a racing fold that sees this hit's count
@@ -472,22 +477,35 @@ func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotC
 		}
 	}
 	e.ans.pendingExact.Add(1)
-	hitTime := time.Since(t0)
 	saved := e.BaseCandidates
 	mon.exactHits.Add(1)
 	mon.testsSaved.Add(int64(saved))
-	mon.hitNs.Add(hitTime.Nanoseconds())
+	empty := c.emptySet(view.Size())
 	res := &Result{
 		Answers:        ans,
 		BaseCandidates: saved,
 		Sure:           ans,
+		Excluded:       empty,
+		Survivors:      empty,
 		ExactHit:       true,
-		HitTime:        hitTime,
-		empty:          bitset.Empty(view.Size()),
 		hit:            [1]HitRef{{EntryID: e.ID, Kind: ExactHit, SavedTests: saved}},
 	}
-	res.Excluded, res.Survivors, res.Hits = &res.empty, &res.empty, res.hit[:]
+	res.Hits = res.hit[:]
 	return res
+}
+
+// emptySet returns the cache's frozen empty set of capacity n, rebuilding
+// the memo when the dataset's size moved. Racing rebuilds store equal
+// sets, and every caller gets a set of its own view's size.
+//
+//gclint:nolocks
+func (c *Cache) emptySet(n int) *bitset.Set {
+	if s := c.empty.Load(); s != nil && s.Len() == n {
+		return s
+	}
+	s := bitset.New(n)
+	c.empty.Store(s)
+	return s
 }
 
 // foldCreditsLocked drains the entries' exact-hit credit cells into the
@@ -621,27 +639,31 @@ type costSample struct {
 // verify runs the sub-iso tests over the candidate set against the
 // query's dataset view, the query bound once for all of them. It holds no
 // locks; measured costs are returned for the caller to fold into the EMA
-// cells. The clock is read once per test: one test's end is the next
-// one's start.
+// cells, with the stage's time. The clock is read as an offset from the
+// query's start once per test plus once before the first (after binding,
+// so no sample carries the bind): one test's end is the next one's start,
+// and the last test's end closes the stage. An empty candidate set reads
+// no clock and takes no time.
 //
 //gclint:nolocks
-func (c *Cache) verify(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, cand *bitset.Set, sc *execScratch) (*bitset.Set, []costSample) {
+func (c *Cache) verify(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, cand *bitset.Set, sc *execScratch, start time.Time) (*bitset.Set, []costSample, time.Duration) {
 	out := bitset.New(view.Size())
 	sc.ids = cand.AppendIndices(sc.ids[:0])
 	ids := sc.ids
 	if len(ids) == 0 {
-		return out, nil
+		return out, nil, 0
 	}
 	if cap(sc.costs) < len(ids) {
 		sc.costs = make([]costSample, 0, len(ids))
 	}
 	costs := sc.costs[:0]
 	bound := view.Bind(q, qt)
-	last := time.Now()
+	first := time.Since(start)
+	last := first
 	for _, gid := range ids {
 		ok := bound.Verify(gid)
-		now := time.Now()
-		costs = append(costs, costSample{gid, now.Sub(last)})
+		now := time.Since(start)
+		costs = append(costs, costSample{gid, now - last})
 		last = now
 		if ok {
 			out.Add(gid)
@@ -649,7 +671,7 @@ func (c *Cache) verify(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, c
 	}
 	bound.Release()
 	sc.costs = costs
-	return out, costs
+	return out, costs, last - first
 }
 
 // recordCosts folds measured verification costs into the EMA cells —

@@ -47,8 +47,9 @@
 // number of sub-iso tests each cached entry saved (PIN) and their measured
 // cost (PINC).
 //
-// Config.Serialized, SharedWindow and IndexOff have no effect; they stay
-// declared only because the benchmark harness assigns them.
+// Config.Serialized, SharedWindow, IndexOff and LazyReconcile have no
+// effect; they stay declared only because the benchmark harness assigns
+// them.
 //
 // # Hot-path memory discipline
 //
@@ -58,9 +59,11 @@
 // the GC long before any kernel lock contends). The discipline:
 //
 //   - An exact hit writes only its entry's line, its Monitor stripe and
-//     tick, and allocates only its Result. The probe loads the
-//     published view once and walks the fingerprint's chain, taking no
-//     lock (the same *graph.Graph re-issued skips VF2 on pointer
+//     tick, reads no clock, and allocates only its Result (one ≤ 128-B
+//     object: the hit list lives inside it, and its empty Excluded and
+//     Survivors are the cache's shared frozen empty set). The probe loads
+//     the published view once and walks the fingerprint's chain, taking
+//     no lock (the same *graph.Graph re-issued skips VF2 on pointer
 //     identity). Crediting is the entry's CREDIT CELL —
 //     pendingExact.Add(1) and a monotonic max of the tick into lastHit
 //     — never mu, a HitEvent or an O(|A|) pricing walk.
@@ -82,8 +85,10 @@
 //     Put so the pool never pins graphs alive.
 //
 //   - Bitsets that are mathematically all-zero stay lazy (internal/bitset:
-//     a nil words slice means "all clear"), so the common empty
-//     Excluded/Survivors sets cost O(1), not O(dataset). Set algebra
+//     a nil words slice means "all clear"), so an empty set costs O(1),
+//     not O(dataset); the provably empty Excluded/Survivors sets are not
+//     even built per query but are one frozen set per dataset size,
+//     memoized on the Cache (emptySet). Set algebra
 //     consumes its inputs where ownership allows: Execute
 //     clones a candidate set only when a pruning hit actually forces a
 //     divergent copy, and a Result's mathematically-equal fields alias one

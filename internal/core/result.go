@@ -25,10 +25,11 @@ type HitRef struct {
 // answer set — frozen by the copy-on-write contract, so a held Result
 // stays a valid snapshot across later AddGraph/RemoveGraph calls
 // (maintenance republishes a fresh set), and mutating it would corrupt
-// the cache. Mathematically equal fields alias one set elsewhere too: an
-// exact hit's empty Excluded and Survivors share one set embedded in the
-// Result, and on a miss with no answer-delivering hit Answers and
-// Survivors share one (A = R).
+// the cache. Mathematically equal fields alias one set elsewhere too:
+// every empty Excluded and Survivors an exact hit returns, and the empty
+// Excluded of a miss no pruning hit narrowed, is one frozen empty set the
+// cache shares per dataset size; on a miss with no answer-delivering hit
+// Answers and Survivors share one (A = R).
 type Result struct {
 	// Answers is the exact answer set A = R ∪ S (Figure 3(h)).
 	Answers *bitset.Set
@@ -51,14 +52,15 @@ type Result struct {
 	ExactHit bool
 
 	// FilterTime, HitTime and VerifyTime split the query's processing
-	// cost: Method M filtering, cache-hit detection, verification.
+	// cost: Method M filtering, sub/super hit detection, verification.
+	// All three are 0 on an exact hit, which reads no clock: a caller
+	// that wants its latency times the call.
 	FilterTime time.Duration
 	HitTime    time.Duration
 	VerifyTime time.Duration
 
-	// empty and hit back an exact hit's Excluded/Survivors and Hits.
-	empty bitset.Set
-	hit   [1]HitRef
+	// hit backs an exact hit's Hits.
+	hit [1]HitRef
 }
 
 // SavedTests returns |C_M| − Tests, the dataset sub-iso tests the cache
@@ -75,7 +77,7 @@ func (r *Result) TestSpeedup() float64 {
 	return float64(r.BaseCandidates) / float64(r.Tests)
 }
 
-// TotalTime sums the three processing stages.
+// TotalTime sums the three processing stages: 0 on an exact hit.
 func (r *Result) TotalTime() time.Duration {
 	return r.FilterTime + r.HitTime + r.VerifyTime
 }
