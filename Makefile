@@ -114,8 +114,8 @@ cover:
 		printf "coverage %.1f%% (baseline %.1f%%)\n", t, b }'
 
 # pprof on demand: CPU + heap profiles of the kernel's three query
-# classes (an exact hit, single and parallel, an indexed miss and a
-# sub/super hit) and of its two
+# classes (an exact hit, single and parallel, an indexed miss, a
+# sub/super hit and a miss exploiting a dozen hits) and of its two
 # stop-the-world passes (a dataset add and remove on a warm cache, a
 # window turn), a CPU profile of the daemon's handler on an exact hit
 # and on a miss (decode, parse, probe, encode — no transport), and one of
@@ -130,7 +130,7 @@ cover:
 PROFILE_DIR ?= profiles
 profiles:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'Benchmark(Execute(ExactHit(Parallel)?|IndexedMiss|SubSuperHit)|(Add|Remove)GraphWarm|WindowTurn)$$' \
+	$(GO) test -run '^$$' -bench 'Benchmark(Execute(ExactHit(Parallel)?|IndexedMiss|SubSuperHit|ManyHits)|(Add|Remove)GraphWarm|WindowTurn)$$' \
 		-cpuprofile $(PROFILE_DIR)/core_cpu.pprof -memprofile $(PROFILE_DIR)/core_mem.pprof \
 		-o $(PROFILE_DIR)/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkHandleQuery(Exact|Miss)$$' -benchmem \

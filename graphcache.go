@@ -76,7 +76,8 @@ type (
 	// HitEvent describes one entry's contribution to one query — or, for
 	// exact hits, HitEvent.Count identical contributions folded into one
 	// event. A breaking change for custom policies: credit ev.N() times
-	// and keep the larger LastUsed, which is what ev.Credit() does.
+	// and keep the larger LastUsed, which is what ev.Credit() does. An
+	// event is valid only during UpdateCacheStaInfo: never retain it.
 	HitEvent = core.HitEvent
 	// HitKind classifies hits (exact / sub / super).
 	HitKind = core.HitKind
@@ -165,7 +166,9 @@ func NewMethod(name string, dataset []*Graph, filter Filter, verify VerifierFunc
 }
 
 // DefaultConfig mirrors the paper's demo deployment (capacity 50, window
-// 10, HD replacement).
+// 10, HD replacement) and exploits up to 16 sub and 16 super hits per
+// query — 4 each when Method M left it fewer than 128 candidates (see
+// Config.MaxSubHits).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewCache builds a cache over the method. The cache is safe for

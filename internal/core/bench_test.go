@@ -167,6 +167,76 @@ func BenchmarkExecuteSubSuperHit(b *testing.B) {
 	}
 }
 
+// newManyHitStream returns a cache over 1 000 molecules holding 240
+// admitted patterns of 12–18 vertices, and up to streamLen pairwise
+// non-isomorphic patterns of 4–7 vertices, each with at least
+// largeQueryCandidates candidates: every query may exploit the full hit
+// budget, and the cached patterns that contain it, and the smaller ones
+// among its predecessors that it contains, give it a dozen hits on
+// average.
+func newManyHitStream(tb testing.TB, streamLen int) (*Cache, []*graph.Graph) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(97))
+	dataset := gen.Molecules(rng, 1000, gen.DefaultMoleculeConfig())
+	method := ftv.NewGGSXMethod(dataset, 3)
+	cfg := DefaultConfig()
+	cfg.Capacity = 256
+	cfg.Window = 16
+	c, err := New(method, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seen := map[graph.Fingerprint]bool{}
+	distinct := func(g *graph.Graph) bool {
+		fp := g.WLFingerprint(3)
+		if seen[fp] {
+			return false
+		}
+		seen[fp] = true
+		return true
+	}
+	for i := 0; i < 240; i++ {
+		g := gen.ExtractConnectedSubgraph(rng, dataset[rng.Intn(len(dataset))], 12+rng.Intn(7))
+		if !distinct(g) {
+			continue
+		}
+		if _, err := c.Execute(g, ftv.Subgraph); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	view := method.View()
+	var stream []*graph.Graph
+	for i := 0; len(stream) < streamLen && i < 64*streamLen; i++ {
+		g := gen.ExtractConnectedSubgraph(rng, dataset[rng.Intn(len(dataset))], 4+rng.Intn(4))
+		if view.Candidates(g, ftv.Subgraph).Count() >= largeQueryCandidates && distinct(g) {
+			stream = append(stream, g)
+		}
+	}
+	if len(stream) == 0 {
+		tb.Fatal("many-hit stream generation produced no patterns")
+	}
+	return c, stream
+}
+
+// BenchmarkExecuteManyHits is a miss that exploits many sub and super
+// hits (hits/op, a dozen until the stream wraps into exact hits): the
+// per-hit work — ranking, q↔h probes, crediting, the S/S′ algebra — at
+// the full hit budget.
+func BenchmarkExecuteManyHits(b *testing.B) {
+	c, stream := newManyHitStream(b, 2048)
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.Execute(stream[i%len(stream)], ftv.Subgraph)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hits += res.SubHitCount() + res.SuperHitCount()
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}
+
 // The off-path layers: what a live dataset mutation and a window turn
 // cost on a full cache at the benchmark harness's size (Capacity 1 000).
 // Both stop the world, so their ns/op is time no query proceeds.

@@ -318,11 +318,14 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	filterTime := time.Since(start)
 	cmCount := cm.Count()
 
+	sc := getExecScratch()
+	defer putExecScratch(sc)
+
 	// Stage 3: sub/super hit detection over a point-in-time snapshot of
-	// the cache. The iso tests run without any lock; entries evicted
-	// mid-detection stay sound (their answer sets remain exact over the
-	// immutable dataset).
-	hs := c.detectHits(q, qt, sig)
+	// the cache, budgeted by cmCount. The iso tests run without any lock;
+	// entries evicted mid-detection stay sound (their answer sets remain
+	// exact over the immutable dataset).
+	hs := c.detectHits(q, qt, sig, cmCount, sc)
 	hitTime := time.Since(start) - filterTime
 	c.mon.hitDetectIso.Add(int64(hs.isoTests))
 
@@ -342,8 +345,7 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// saved-set intersections/differences iterate word-parallel over the
 	// operands directly (ForEachAnd/ForEachAndNot) — no intermediate set
 	// is materialized per hit.
-	sc := getExecScratch()
-	defer putExecScratch(sc)
+	//
 	// A hit's answers must first be brought to the query's dataset epoch:
 	// stale sets miss graphs added since the entry was last reconciled,
 	// which would silently shrink S (lost savings — sound) but also
@@ -382,9 +384,11 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	sc.credits = credits
 	var hits []HitRef
 	if len(credits) > 0 {
+		hits = make([]HitRef, len(credits))
 		c.mu.Lock()
-		for _, cr := range credits {
-			c.creditHit(cr.h, cr.kind, cr.saved, cr.cost, tick, &hits)
+		for i, cr := range credits {
+			c.creditHit(&sc.ev, cr, tick)
+			hits[i] = HitRef{EntryID: cr.h.ID, Kind: cr.kind, SavedTests: cr.saved}
 		}
 		c.mu.Unlock()
 	}
@@ -549,15 +553,19 @@ type hitCredit struct {
 }
 
 // execScratch holds the per-query working buffers of Execute's miss path:
-// candidate id lists, verification cost samples and pending hit credits.
-// Nothing in it escapes the query (results are built from fresh or
-// lazily-empty sets), so the buffers recycle through a pool — one
-// warmed-up scratch per concurrently executing query (hot-path memory
-// discipline, see doc.go).
+// hit candidates (accepted hits are prefixes of them), their ranking,
+// pending hit credits and the one HitEvent they are delivered in,
+// candidate id lists and verification cost samples. Nothing in it escapes
+// the query (results are built from fresh or lazily-empty sets), so the
+// buffers recycle through a pool — one warmed-up scratch per concurrently
+// executing query (hot-path memory discipline, see doc.go).
 type execScratch struct {
-	ids     []int
-	costs   []costSample
-	credits []hitCredit
+	sub, super []*Entry
+	ranked     []rankedCandidate
+	credits    []hitCredit
+	ev         HitEvent
+	ids        []int
+	costs      []costSample
 }
 
 var execScratchPool = sync.Pool{New: func() any { return new(execScratch) }}
@@ -566,27 +574,22 @@ func getExecScratch() *execScratch { return execScratchPool.Get().(*execScratch)
 
 func putExecScratch(sc *execScratch) {
 	// Drop entry pointers so a pooled scratch never pins evicted entries.
-	for i := range sc.credits {
-		sc.credits[i].h = nil
-	}
-	sc.credits = sc.credits[:0]
+	clear(sc.sub)
+	clear(sc.super)
+	clear(sc.credits)
+	sc.sub, sc.super, sc.credits = sc.sub[:0], sc.super[:0], sc.credits[:0]
+	sc.ev = HitEvent{}
 	execScratchPool.Put(sc)
 }
 
-// creditHit updates policy utilities and the result's hit list. Caller
-// holds mu.
+// creditHit delivers one sub/super hit's credit to the policy in ev, the
+// query's one reused event (a policy must not retain it, see
+// Policy.UpdateCacheStaInfo). Caller holds mu.
 //
 //gclint:requires mu
-func (c *Cache) creditHit(h *Entry, kind HitKind, savedTests int, savedCost float64, tick int64, hits *[]HitRef) {
-	ev := &HitEvent{
-		Entry:       h,
-		Kind:        kind,
-		SavedTests:  savedTests,
-		SavedCostNs: savedCost,
-		Tick:        tick,
-	}
+func (c *Cache) creditHit(ev *HitEvent, cr hitCredit, tick int64) {
+	*ev = HitEvent{Entry: cr.h, Kind: cr.kind, SavedTests: cr.saved, SavedCostNs: cr.cost, Tick: tick}
 	c.policy.UpdateCacheStaInfo(ev)
-	*hits = append(*hits, HitRef{EntryID: h.ID, Kind: kind, SavedTests: savedTests})
 }
 
 // estimatedCost reads one graph's cost estimate from its lock-free cell.

@@ -506,6 +506,70 @@ func TestHitBudgetsHonored(t *testing.T) {
 	}
 }
 
+// executeUnderSupergraphs runs, under DefaultConfig over 1 000
+// molecules, a subgraph query whose candidate count is large (≥
+// largeQueryCandidates) or not, after caching twenty dataset graphs that
+// contain it: every one is a confirmable sub hit. mutate, if not nil,
+// adjusts the config.
+func executeUnderSupergraphs(t *testing.T, large bool, mutate func(*Config)) *Result {
+	t.Helper()
+	dataset := testDataset(41, 1000)
+	c := testCache(t, dataset, mutate)
+	view := c.Method().View()
+	rng := rand.New(rand.NewSource(42))
+	for try := 0; try < 10000; try++ {
+		q := gen.ExtractConnectedSubgraph(rng, dataset[rng.Intn(len(dataset))], 4+rng.Intn(5))
+		if n := view.Candidates(q, ftv.Subgraph).Count(); (n >= largeQueryCandidates) != large {
+			continue
+		}
+		answers := c.Method().Run(q, ftv.Subgraph).Answers.Indices()
+		if len(answers) < 20 {
+			continue
+		}
+		for _, gid := range answers[:20] { // two full windows: all admitted
+			if _, err := c.Execute(dataset[gid], ftv.Subgraph); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.Len() != 20 {
+			t.Fatalf("%d entries admitted, want 20", c.Len())
+		}
+		res, err := c.Execute(q, ftv.Subgraph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	t.Fatalf("no query with large=%v and 20 answers found", large)
+	return nil
+}
+
+// TestLargeQueryHitBudget: a query with ≥ largeQueryCandidates
+// candidates exploits more than smallQueryHitCap sub hits when more are
+// confirmable.
+func TestLargeQueryHitBudget(t *testing.T) {
+	res := executeUnderSupergraphs(t, true, nil)
+	t.Logf("%d candidates: %d sub hits, %d tests", res.BaseCandidates, res.SubHitCount(), res.Tests)
+	if res.SubHitCount() <= smallQueryHitCap {
+		t.Errorf("%d sub hits with %d candidates and 20 cached supergraphs, want > %d",
+			res.SubHitCount(), res.BaseCandidates, smallQueryHitCap)
+	}
+}
+
+// TestSmallQueryHitBudget: a query with fewer candidates keeps the small
+// cap per direction, however many hits are confirmable.
+func TestSmallQueryHitBudget(t *testing.T) {
+	res := executeUnderSupergraphs(t, false, nil)
+	t.Logf("%d candidates: %d sub hits, %d tests", res.BaseCandidates, res.SubHitCount(), res.Tests)
+	if res.SubHitCount() == 0 {
+		t.Fatal("no sub hit among 20 cached supergraphs")
+	}
+	if res.SubHitCount() > smallQueryHitCap || res.SuperHitCount() > smallQueryHitCap {
+		t.Errorf("sub=%d super=%d hits with %d candidates, want ≤ %d per direction",
+			res.SubHitCount(), res.SuperHitCount(), res.BaseCandidates, smallQueryHitCap)
+	}
+}
+
 func TestZeroHitBudgetsDisableHits(t *testing.T) {
 	dataset := testDataset(29, 20)
 	c := testCache(t, dataset, func(cfg *Config) {

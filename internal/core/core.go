@@ -26,8 +26,14 @@ type Config struct {
 	// Policy is the replacement policy. Nil defaults to HD, the paper's
 	// "when in doubt" recommendation.
 	Policy Policy
-	// MaxSubHits and MaxSuperHits bound how many hits of each kind are
-	// exploited per query, so hit-detection cost cannot swamp its benefit.
+	// MaxSubHits and MaxSuperHits are per-direction ceilings on the hits
+	// a query exploits; 0 disables detection in that direction. Only a
+	// query Method M left at least largeQueryCandidates candidates may
+	// reach them: any other query stops at min(ceiling,
+	// smallQueryHitCap). A q↔h probe costs about four dataset tests and
+	// only about a third confirm, so an accepted hit costs some twelve
+	// tests of probing, and hits beyond the small cap cannot pay that
+	// back on a smaller candidate set.
 	MaxSubHits, MaxSuperHits int
 	// HitIsoBudget caps VF2 recursions per q↔h containment test; 0 means
 	// unlimited. An aborted test is treated as "no hit" (sound: hits only
@@ -48,15 +54,24 @@ type Config struct {
 	SelfCheck bool
 }
 
+// largeQueryCandidates and smallQueryHitCap gate the hit budgets (see
+// Config.MaxSubHits): a query with fewer candidates exploits at most
+// smallQueryHitCap hits per direction.
+const (
+	largeQueryCandidates = 128
+	smallQueryHitCap     = 4
+)
+
 // DefaultConfig mirrors the demo deployment: a 50-entry cache, a 10-query
-// admission window, HD replacement.
+// admission window, HD replacement, and up to 16 sub and 16 super hits
+// per query (4 each below 128 candidates).
 func DefaultConfig() Config {
 	return Config{
 		Capacity:     50,
 		Window:       10,
 		Policy:       nil, // NewHD() at construction, avoiding shared state
-		MaxSubHits:   4,
-		MaxSuperHits: 4,
+		MaxSubHits:   16,
+		MaxSuperHits: 16,
 		HitIsoBudget: 20000,
 	}
 }

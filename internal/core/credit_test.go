@@ -12,14 +12,15 @@ import (
 	"graphcache/internal/graph"
 )
 
-// recordingPolicy captures every hit event so tests can assert the exact
-// savings the kernel credits. Eviction falls back to FIFO positions.
+// recordingPolicy captures a copy of every hit event (the event itself is
+// valid only during the call) so tests can assert the exact savings the
+// kernel credits. Eviction falls back to FIFO positions.
 type recordingPolicy struct {
-	events []*HitEvent
+	events []HitEvent
 }
 
 func (p *recordingPolicy) Name() string                    { return "recording" }
-func (p *recordingPolicy) UpdateCacheStaInfo(ev *HitEvent) { p.events = append(p.events, ev) }
+func (p *recordingPolicy) UpdateCacheStaInfo(ev *HitEvent) { p.events = append(p.events, *ev) }
 func (p *recordingPolicy) OnWindowTurn()                   {}
 func (p *recordingPolicy) ReplacedContent(entries []*Entry, x int) []int {
 	out := make([]int, 0, x)
@@ -79,9 +80,9 @@ func TestExactHitCreditsPerGraphCosts(t *testing.T) {
 	}
 	c.Entries()
 	var ev *HitEvent
-	for _, e := range rec.events {
+	for i, e := range rec.events {
 		if e.Kind == ExactHit {
-			ev = e
+			ev = &rec.events[i]
 		}
 	}
 	if ev == nil {
@@ -101,6 +102,28 @@ func TestExactHitCreditsPerGraphCosts(t *testing.T) {
 	// The old formula — every saved test at the mean — must not survive.
 	if old := float64(saved) * mean; math.Abs(ev.SavedCostNs-old) < 1e-3 {
 		t.Fatalf("credited cost %.0f ns still equals the flat-mean pricing", ev.SavedCostNs)
+	}
+}
+
+// TestSubSuperHitEventsMatchHits: a query's sub/super hits reach the
+// policy one event per hit, in the Result's hit order and with the
+// Result's savings, although the cache delivers them all in one reused
+// event.
+func TestSubSuperHitEventsMatchHits(t *testing.T) {
+	rec := &recordingPolicy{}
+	res := executeUnderSupergraphs(t, true, func(cfg *Config) { cfg.Policy = rec })
+	if len(res.Hits) <= smallQueryHitCap || len(rec.events) < len(res.Hits) {
+		t.Fatalf("%d hits, %d events recorded: want > %d hits, an event each", len(res.Hits), len(rec.events), smallQueryHitCap)
+	}
+	events := rec.events[len(rec.events)-len(res.Hits):]
+	for i, h := range res.Hits {
+		ev := events[i]
+		if ev.Entry == nil || ev.Entry.ID != h.EntryID || ev.Kind != h.Kind || ev.SavedTests != h.SavedTests || ev.N() != 1 {
+			t.Fatalf("event %d: kind %v saved %d n %d, want the hit %+v", i, ev.Kind, ev.SavedTests, ev.N(), h)
+		}
+		if ev.Tick != events[0].Tick {
+			t.Fatalf("event %d at tick %d, want the query's tick %d", i, ev.Tick, events[0].Tick)
+		}
 	}
 }
 

@@ -76,8 +76,18 @@
 //     at fold time. The answer is the entry's published set itself
 //     (Result is a read-only view, see its comment).
 //
+//   - A sub/super hit adds no allocation: its candidate and accepted
+//     lists and the ranking live in execScratch (an accepted list is a
+//     prefix of its candidate list), the ranking sorts with
+//     slices.SortFunc, all of a query's hits are delivered to the policy
+//     in one reused HitEvent (valid only during UpdateCacheStaInfo), and
+//     the Result's hit list is sized once. No allocation scales with
+//     the number of hits (TestManyHitAllocBudget holds a stream of
+//     dozen-hit queries to the sub/super budget).
+//
 //   - Per-query scratch comes from sync.Pools, never fresh: execScratch
-//     (candidate-id, cost-sample and hit-credit slices, cache.go),
+//     (hit-candidate, ranking, hit-credit, candidate-id and cost-sample
+//     slices and the hit event, cache.go),
 //     featScratch (path-feature counting, features.go) and the VF2 matcher
 //     pool (internal/iso; verify binds one matcher per subgraph query and
 //     runs every candidate through it). Pooled objects are reset — never zero-filled by

@@ -71,11 +71,12 @@ func (c *Cache) republishLocked() {
 // stage (size, label bloom, label-degree bloom, degree tail, path-feature
 // bloom) refutes most entries before the path-feature dominance merge
 // runs; entries refuted in both directions without a merge are counted as
-// index-pruned.
+// index-pruned. The candidates are appended to sub and super (the
+// caller's reused buffers), which are returned.
 //
 //gclint:nolocks
 //gclint:loads summaries
-func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig) (sub, super []*Entry) {
+func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig, sub, super []*Entry) ([]*Entry, []*Entry) {
 	// The scan counts in locals and publishes once: per-entry atomic adds
 	// would be hundreds of RMWs on one shared line per query.
 	fullChecks, indexPruned := 0, 0

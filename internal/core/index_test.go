@@ -140,7 +140,7 @@ func checkIndexedEquivalentToUnindexed(t *testing.T, seed int64) {
 	})
 	var subs, supers int
 	for i, q := range w.queries {
-		sub, super := c.scanIndex(q.Type, signatureOf(q.G))
+		sub, super := c.scanIndex(q.Type, signatureOf(q.G), nil, nil)
 		listed := func(list []*Entry, h *Entry) bool {
 			for _, e := range list {
 				if e == h {

@@ -29,7 +29,10 @@ func (k HitKind) String() string {
 
 // HitEvent describes one cached entry's contribution to one query,
 // delivered to the policy's UpdateCacheStaInfo — the paper's
-// "upon the contribution in accelerating other queries".
+// "upon the contribution in accelerating other queries". An event is
+// valid only during that call: the cache reuses one event for all of a
+// query's sub/super hits, so a policy copies the fields it needs and
+// never retains the pointer.
 type HitEvent struct {
 	// Entry is the contributing cached query.
 	Entry *Entry
@@ -78,7 +81,9 @@ type Policy interface {
 	// the utilities; ev.Credit() is the standard bookkeeping. BREAKING
 	// since PR 13: exact hits arrive batched per entry (HitEvent.Count),
 	// so an implementation that does e.Hits++ and e.LastUsed = ev.Tick
-	// still compiles but under-counts and can rewind recency.
+	// still compiles but under-counts and can rewind recency. ev is
+	// valid only during the call (it is reused for the query's next
+	// hit): copy what must outlive it, never keep ev itself.
 	UpdateCacheStaInfo(ev *HitEvent)
 	// ReplacedContent returns the indices (positions into entries) of the
 	// x entries with least utility, the ones to evict. If x ≥ len(entries)

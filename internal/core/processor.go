@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/graph"
@@ -119,7 +120,10 @@ type hitSet struct {
 // allocation or sort happens at all (see index.go). They are then ranked
 // by expected benefit and confirmed with budgeted VF2 runs: per direction
 // at most 2× the hit budget of attempts and at most the budget of accepted
-// hits.
+// hits. The budget is the Config ceiling when Method M left the query
+// cmCount ≥ largeQueryCandidates candidates, else at most
+// smallQueryHitCap. The candidate lists and the accepted hits live in
+// sc's buffers.
 //
 // The iso tests run without holding any lock: the consulted fields are
 // immutable after admission, and a concurrently evicted entry still
@@ -128,12 +132,16 @@ type hitSet struct {
 // deterministic.
 //
 //gclint:nolocks
-func (c *Cache) detectHits(q *graph.Graph, qt ftv.QueryType, sig querySig) hitSet {
+func (c *Cache) detectHits(q *graph.Graph, qt ftv.QueryType, sig querySig, cmCount int, sc *execScratch) hitSet {
 	var hs hitSet
-	if c.cfg.MaxSubHits == 0 && c.cfg.MaxSuperHits == 0 {
+	maxSub, maxSuper := c.cfg.MaxSubHits, c.cfg.MaxSuperHits
+	if maxSub == 0 && maxSuper == 0 {
 		return hs
 	}
-	subCand, superCand := c.scanIndex(qt, sig)
+	if cmCount < largeQueryCandidates {
+		maxSub, maxSuper = min(maxSub, smallQueryHitCap), min(maxSuper, smallQueryHitCap)
+	}
+	sc.sub, sc.super = c.scanIndex(qt, sig, sc.sub[:0], sc.super[:0])
 
 	// Benefit ranking. Which direction delivers answers vs pruning depends
 	// on the query type, but the proxy is the same either way: for
@@ -142,10 +150,10 @@ func (c *Cache) detectHits(q *graph.Graph, qt ftv.QueryType, sig querySig) hitSe
 	// broken by entry ID: the order is then a function of the candidate
 	// SET alone.
 	answersDeliverIsSub := qt == ftv.Subgraph
-	rankCandidates(subCand, answersDeliverIsSub)
-	rankCandidates(superCand, !answersDeliverIsSub)
+	sc.ranked = rankCandidates(sc.sub, answersDeliverIsSub, sc.ranked)
+	sc.ranked = rankCandidates(sc.super, !answersDeliverIsSub, sc.ranked)
 
-	hs.sub, hs.super, hs.isoTests = c.confirmHits(q, subCand, superCand)
+	hs.sub, hs.super, hs.isoTests = c.confirmHits(q, sc.sub, sc.super, maxSub, maxSuper)
 	return hs
 }
 
@@ -161,47 +169,53 @@ type rankedCandidate struct {
 // entry-ID tie-breaks. Each entry's answer count is snapshotted exactly
 // once before sorting: a comparator that reloads the answer cell per
 // comparison can observe a concurrent lazy reconciliation mid-sort,
-// making the ordering inconsistent (sort.Slice's result is then
-// unspecified) and breaking the "ranking is a deterministic function of
-// the candidate set" contract — besides costing one O(set) count per
-// comparison instead of per entry.
+// making the ordering inconsistent and breaking the "ranking is a
+// deterministic function of the candidate set" contract — besides
+// costing one O(set) count per comparison instead of per entry. The
+// counts are staged in buf, which is returned (grown if it had to be,
+// cleared of entry pointers) for the next call.
 //
 //gclint:loads answers cands
-func rankCandidates(cands []*Entry, largerFirst bool) {
+func rankCandidates(cands []*Entry, largerFirst bool, buf []rankedCandidate) []rankedCandidate {
 	if len(cands) < 2 {
-		return
+		return buf
 	}
-	rs := make([]rankedCandidate, len(cands))
-	for i, e := range cands {
-		rs[i] = rankedCandidate{e: e, count: e.Answers().Count()}
+	rs := buf[:0]
+	for _, e := range cands {
+		rs = append(rs, rankedCandidate{e: e, count: e.Answers().Count()})
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].count != rs[j].count {
+	slices.SortFunc(rs, func(a, b rankedCandidate) int {
+		if a.count != b.count {
 			if largerFirst {
-				return rs[i].count > rs[j].count
+				return cmp.Compare(b.count, a.count)
 			}
-			return rs[i].count < rs[j].count
+			return cmp.Compare(a.count, b.count)
 		}
-		return rs[i].e.ID < rs[j].e.ID
+		return cmp.Compare(a.e.ID, b.e.ID)
 	})
 	for i, r := range rs {
 		cands[i] = r.e
 	}
+	clear(rs)
+	return rs[:0]
 }
 
 // confirmHits runs the budgeted VF2 confirmations over the ranked
-// candidate lists, returning the accepted hits and the number of q↔h iso
-// tests spent. q is bound once for its "q ⊑ h" probes, as the verification
-// stage binds it for its candidates.
+// candidate lists, at most maxSub sub and maxSuper super hits, returning
+// the accepted hits and the number of q↔h iso tests spent. Each accepted
+// list is a prefix of its candidate list, compacted in place. q is bound
+// once for its "q ⊑ h" probes, as the verification stage binds it for its
+// candidates.
 //
 //gclint:nolocks
-func (c *Cache) confirmHits(q *graph.Graph, subCand, superCand []*Entry) (sub, super []*Entry, isoTests int) {
+func (c *Cache) confirmHits(q *graph.Graph, subCand, superCand []*Entry, maxSub, maxSuper int) (sub, super []*Entry, isoTests int) {
 	opts := iso.Options{MaxRecursions: c.cfg.HitIsoBudget}
+	sub, super = subCand[:0], superCand[:0]
 	attempts := 0
-	if len(subCand) > 0 && c.cfg.MaxSubHits > 0 {
+	if len(subCand) > 0 && maxSub > 0 {
 		m := iso.Bind(q, opts)
 		for _, e := range subCand {
-			if len(sub) >= c.cfg.MaxSubHits || attempts >= 2*c.cfg.MaxSubHits {
+			if len(sub) >= maxSub || attempts >= 2*maxSub {
 				break
 			}
 			attempts++
@@ -214,7 +228,7 @@ func (c *Cache) confirmHits(q *graph.Graph, subCand, superCand []*Entry) (sub, s
 	}
 	attempts = 0
 	for _, e := range superCand {
-		if len(super) >= c.cfg.MaxSuperHits || attempts >= 2*c.cfg.MaxSuperHits {
+		if len(super) >= maxSuper || attempts >= 2*maxSuper {
 			break
 		}
 		attempts++

@@ -41,7 +41,7 @@ func TestRankCandidatesDeterministic(t *testing.T) {
 		}{{true, wantLarger}, {false, wantSmaller}} {
 			cands := build()
 			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-			rankCandidates(cands, tc.largerFirst)
+			rankCandidates(cands, tc.largerFirst, nil)
 			for i, e := range cands {
 				if e.ID != tc.want[i] {
 					t.Fatalf("trial %d largerFirst=%v: got order %v at %d, want %v",
@@ -87,7 +87,7 @@ func TestRankCandidatesConcurrentSwap(t *testing.T) {
 	}()
 	for trial := 0; trial < 50; trial++ {
 		work := append([]*Entry(nil), cands...)
-		rankCandidates(work, trial%2 == 0)
+		rankCandidates(work, trial%2 == 0, nil)
 		seen := map[int]bool{}
 		for _, e := range work {
 			if e == nil {
