@@ -92,9 +92,10 @@
 //     per entry, no iso tests) and the id is masked out of all future
 //     candidate sets.
 //   - Additions verify the new graph against each cached entry when the
-//     entry is next read, never at mutation time: entries carry a dataset
-//     epoch, and a hit on a stale entry verifies only the graphs added
-//     since before its answers are trusted.
+//     entry is next read, never at mutation time: every addition appends
+//     one id, so a hit on an entry whose answer set is shorter than the
+//     id space verifies only the ids past it before its answers are
+//     trusted.
 //     Entries and the snapshot writers reconcile every resident entry
 //     first, before they take the cache lock.
 //   - Additions are O(graph), not O(dataset): AddGraph patches the filter
@@ -104,17 +105,16 @@
 //     shared with the previous snapshot, and old snapshots keep answering
 //     for their own epoch. A method whose custom filter lacks the
 //     capability refuses AddGraph.
-//   - The addition log is self-compacting: the kernel tracks the minimum
-//     dataset epoch across all resident and pending entries and, at
-//     window turns and every stop-the-world pass, drops the records every
-//     entry has already passed, so the log holds exactly the records the
-//     coldest entry still needs — bounded state under unbounded churn.
+//   - Additions keep no log: the kernel holds one containment summary per
+//     added graph for its screen and, at every mutation, drops those
+//     below the shortest answer set any resident or pending entry still
+//     has — bounded state under unbounded churn.
 //
 // Per-graph cost statistics and per-query bitsets grow with the dataset;
 // the HTTP layer surfaces mutations as POST /api/dataset/graphs and
 // DELETE /api/dataset/graphs/{id}, and /api/stats reports the maintenance
-// ledger (datasetAdds, datasetRemoves, maintenanceTests, additionLogLen,
-// logCompactions). Bundled methods are all mutation-capable.
+// ledger (datasetAdds, datasetRemoves, maintenanceTests). Bundled methods
+// are all mutation-capable.
 //
 // # Extending
 //

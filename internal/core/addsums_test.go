@@ -12,32 +12,33 @@ import (
 	"graphcache/internal/graph"
 )
 
-// TestLazyCompactionWaitsForColdestEntry pins the compaction floor rule:
-// the log keeps every record the coldest (stalest) entry still needs, and
-// drops them the moment that entry reconciles — never earlier.
-func TestLazyCompactionWaitsForColdestEntry(t *testing.T) {
+// TestAddSumsWaitForColdestEntry pins the pruning floor rule: the cache
+// keeps the summary of every added graph the coldest (stalest) entry has
+// yet to test, and drops them at the first mutation after that entry
+// reconciles — never earlier.
+func TestAddSumsWaitForColdestEntry(t *testing.T) {
 	dataset := testDataset(111, 10)
 	extra := testDataset(112, 4)
 	c := testCache(t, dataset, func(cfg *Config) {
 		cfg.Window = 1 // admit (and turn) on every query
 	})
 	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(113)), dataset[0], 4)
-	if _, err := c.Execute(q, ftv.Subgraph); err != nil { // entry at epoch 0
+	if _, err := c.Execute(q, ftv.Subgraph); err != nil { // entry over 10 ids
 		t.Fatal(err)
 	}
 
-	// Three lazy additions: the epoch-0 entry pins all three records
-	// through every compaction opportunity.
+	// Three lazy additions: the entry, sized to the first 10 ids, pins
+	// all three summaries through every prune.
 	for i := 0; i < 3; i++ {
 		if _, err := c.AddGraph(extra[i]); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Stats().AdditionLogLen; got != i+1 {
-			t.Fatalf("after lazy add %d: log length %d, want %d (stale entry must pin the log)", i, got, i+1)
+		if got := len(c.addSums); got != i+1 {
+			t.Fatalf("after lazy add %d: %d summaries, want %d (stale entry must pin them)", i, got, i+1)
 		}
 	}
 
-	// An exact hit reconciles the entry to the current epoch (epoch 3)...
+	// An exact hit reconciles the entry to the current id space...
 	res, err := c.Execute(q, ftv.Subgraph)
 	if err != nil {
 		t.Fatal(err)
@@ -45,27 +46,23 @@ func TestLazyCompactionWaitsForColdestEntry(t *testing.T) {
 	if !res.ExactHit {
 		t.Fatal("expected an exact hit on the stale entry")
 	}
-	// ...so the next mutation's compaction drops everything the entry
-	// passed: the three old records go, only the new mutation's survives.
+	// ...so the next mutation's prune drops everything the entry passed:
+	// the three old summaries go, only the new addition's survives.
 	if _, err := c.AddGraph(extra[3]); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Stats()
-	if snap.AdditionLogLen != 1 {
-		t.Fatalf("log length after reconciliation + add: %d, want 1", snap.AdditionLogLen)
-	}
-	if snap.LogRecordsDropped != 3 {
-		t.Fatalf("records dropped %d, want 3", snap.LogRecordsDropped)
+	if got := len(c.addSums); got != 1 {
+		t.Fatalf("%d summaries after reconciliation + add, want 1", got)
 	}
 }
 
 // TestAdditionLogBoundedUnderSustainedAdds is the boundedness acceptance
-// property: a sustained add/query stream keeps the log at O(1) — every
+// property for the cache's per-addition records, the added-graph
+// summaries: a sustained add/query stream keeps them at O(1) — every
 // round's queries reconcile the resident entries, so the floor tracks the
-// epoch and compaction (at window turns and at the mutations'
-// stop-the-world passes) continuously drains the tail. Runs in both
-// reconcileModes: with lazy=false each add is followed by reconcileNow
-// before the round's queries.
+// id space and the mutations' stop-the-world passes continuously prune
+// the tail. Runs in both reconcileModes: with lazy=false each add is
+// followed by reconcileNow before the round's queries.
 func TestAdditionLogBoundedUnderSustainedAdds(t *testing.T) {
 	for _, lazy := range reconcileModes {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
@@ -79,7 +76,7 @@ func TestAdditionLogBoundedUnderSustainedAdds(t *testing.T) {
 			for i := range pool {
 				pool[i] = &queryCase{g: gen.ExtractConnectedSubgraph(rng, dataset[i], 4), qt: ftv.Subgraph}
 			}
-			maxLog := 0
+			maxSums := 0
 			for round, g := range stream {
 				if _, err := c.AddGraph(g); err != nil {
 					t.Fatal(err)
@@ -97,33 +94,32 @@ func TestAdditionLogBoundedUnderSustainedAdds(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				logLen := c.Stats().AdditionLogLen
-				if logLen > maxLog {
-					maxLog = logLen
-				}
-				if round > 2 && logLen > 4 {
-					t.Fatalf("round %d: log length %d — compaction is not keeping up", round, logLen)
+				n := len(c.addSums)
+				maxSums = max(maxSums, n)
+				if round > 2 && n > 4 {
+					t.Fatalf("round %d: %d summaries — pruning is not keeping up", round, n)
 				}
 			}
 			snap := c.Stats()
 			if snap.DatasetAdds != int64(len(stream)) {
 				t.Fatalf("adds %d, want %d", snap.DatasetAdds, len(stream))
 			}
-			if maxLog >= len(stream)/2 {
-				t.Fatalf("max log length %d over %d adds: unbounded growth", maxLog, len(stream))
+			if maxSums >= len(stream)/2 {
+				t.Fatalf("max %d summaries over %d adds: unbounded growth", maxSums, len(stream))
 			}
-			if snap.LogCompactions == 0 {
-				t.Fatal("no compaction ever fired")
+			if len(c.addSums) == len(stream) {
+				t.Fatal("no summary was ever pruned")
 			}
 		})
 	}
 }
 
-// TestSiblingCompactionKeepsAnswersExact: two caches over one method. The
-// first one's entry goes stale across three additions, then a turn of the
-// second compacts the shared addition log to its own entries' floor. The
-// stale entry must still reconcile all three additions.
-func TestSiblingCompactionKeepsAnswersExact(t *testing.T) {
+// TestSiblingCacheKeepsAnswersExact: two caches over one method. The
+// first one's entry goes stale across three of its own additions, then a
+// second cache over the same method turns its window and adds a graph
+// the first has no summary of. The stale entry must still reconcile all
+// four additions.
+func TestSiblingCacheKeepsAnswersExact(t *testing.T) {
 	dataset := testDataset(141, 10)
 	a := testCache(t, dataset, func(cfg *Config) {
 		cfg.Window = 1
@@ -145,14 +141,18 @@ func TestSiblingCompactionKeepsAnswersExact(t *testing.T) {
 	if _, err := b.Execute(gen.ExtractConnectedSubgraph(rng, dataset[5], 4), ftv.Subgraph); err != nil {
 		t.Fatal(err)
 	}
-	if n := a.Method().AdditionLogLen(); n != 0 {
-		t.Fatalf("%d addition records survive the second cache's turn; the scenario did not arm", n)
+	gid, err := b.AddGraph(dataset[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := a.addSums[gid]; ok {
+		t.Fatal("the first cache holds a summary of the second cache's addition; the scenario did not arm")
 	}
 	res, err := a.Execute(q, ftv.Subgraph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := a.Method().Run(q, ftv.Subgraph).Answers; !res.ExactHit || !res.Answers.Equal(want) {
+	if want := a.Method().Run(q, ftv.Subgraph).Answers; !res.ExactHit || !res.Answers.Equal(want) || !want.Contains(gid) {
 		t.Fatalf("exact=%v, answers %v; uncached %v", res.ExactHit, res.Answers, want)
 	}
 }
@@ -163,16 +163,17 @@ type queryCase struct {
 	qt ftv.QueryType
 }
 
-// TestRestoreAfterCompactionCannotSkipRecords is the compaction ×
-// persistence regression: the v2 state format carries no epochs, so
-// ReadState stamps restored entries with the CURRENT epoch. That stamp is
-// only sound because additions since the write are impossible to restore
-// across — they grow the id space, and a size mismatch is refused — so a
-// compacted log can never hide a record a restored entry still needed.
-// The test pins both directions: a restore across additions (and hence
-// across their compacted records) is refused, and a same-size restore
-// stamps entries that reconcile future additions exactly.
-func TestRestoreAfterCompactionCannotSkipRecords(t *testing.T) {
+// TestRestoreAcrossAdditionsRefused is the additions × persistence
+// regression: a snapshot records answer sets over the id space it was
+// written at, and ReadState restores them as exact over the current one.
+// That is only sound because additions since the write are impossible to
+// restore across — they grow the id space, and a size mismatch is
+// refused — so a restored entry can never skip an addition. The test pins
+// both directions: a restore across additions (after the entry that
+// passed them reconciled and the summaries were pruned) is refused, and a
+// same-size restore yields entries that reconcile future additions
+// exactly.
+func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 	dataset := testDataset(131, 10)
 	extra := testDataset(132, 3)
 	c := testCache(t, dataset, func(cfg *Config) {
@@ -188,8 +189,8 @@ func TestRestoreAfterCompactionCannotSkipRecords(t *testing.T) {
 	}
 
 	// Mutate past the written state: two additions, then reconcile the
-	// resident entry (exact hit) so the next mutation's compaction drops
-	// their records.
+	// resident entry (exact hit) so the next mutation prunes their
+	// summaries.
 	for i := 0; i < 2; i++ {
 		if _, err := c.AddGraph(extra[i]); err != nil {
 			t.Fatal(err)
@@ -201,13 +202,14 @@ func TestRestoreAfterCompactionCannotSkipRecords(t *testing.T) {
 	if _, err := c.AddGraph(extra[2]); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().LogRecordsDropped == 0 {
-		t.Fatal("compaction never dropped the reconciled records; the regression scenario did not arm")
+	if len(c.addSums) != 1 {
+		t.Fatalf("%d summaries survive the prune, want 1; the regression scenario did not arm", len(c.addSums))
 	}
 
-	// The state predates the additions whose records were compacted away:
-	// restoring it would stamp its entries with the current epoch and
-	// silently skip those additions forever. The size check must refuse it.
+	// The state predates the additions whose summaries were pruned:
+	// restoring it would pass its sets off as exact over the grown id
+	// space and silently skip those additions forever. The size check must
+	// refuse it.
 	err := c.ReadState(bytes.NewReader(state.Bytes()))
 	if err == nil {
 		t.Fatal("ReadState accepted a state file from before compacted additions")
@@ -216,9 +218,9 @@ func TestRestoreAfterCompactionCannotSkipRecords(t *testing.T) {
 		t.Fatalf("refusal should blame the dataset size, got: %v", err)
 	}
 
-	// Same-size restores (removals only since the write) stay exact: the
-	// current-epoch stamp skips nothing because nothing was added, and a
-	// LATER addition is reconciled through the intact log tail.
+	// Same-size restores (removals only since the write) stay exact:
+	// nothing was added, and a LATER addition is reconciled from the id
+	// space.
 	c2 := testCache(t, testDataset(131, 10), func(cfg *Config) {
 		cfg.Window = 1
 	})
@@ -235,10 +237,10 @@ func TestRestoreAfterCompactionCannotSkipRecords(t *testing.T) {
 	if err := c2.ReadState(bytes.NewReader(state2.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	epoch := c2.Method().Epoch()
+	size := c2.Method().DatasetSize()
 	for _, e := range c2.Entries() {
-		if e.DatasetEpoch() != epoch {
-			t.Fatalf("restored entry %d stamped epoch %d, want current %d", e.ID, e.DatasetEpoch(), epoch)
+		if e.Answers().Len() != size {
+			t.Fatalf("restored entry %d sized to %d ids, want %d", e.ID, e.Answers().Len(), size)
 		}
 	}
 	if _, err := c2.AddGraph(dataset[1]); err != nil { // q embeds in it by construction

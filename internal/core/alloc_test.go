@@ -30,19 +30,22 @@ const (
 	// the dataset grew.
 	allocBudgetExactHit = 2
 	// allocBudgetMiss covers the full miss pipeline — filter, indexed hit
-	// detection, verification, admission. Measured 23 allocs/op (31 while
-	// the hit candidates were appended to fresh slices and ranked with
-	// sort.Slice, 37 while VF2 built a label-degree summary of every fresh
-	// query, 42 while hit detection also built a label vector).
-	allocBudgetMiss = 26
+	// detection, verification, admission. Measured 22 allocs/op (23 while
+	// an entry published its set inside a separately allocated
+	// (set, epoch) pair, 31 while the hit candidates were appended to
+	// fresh slices and ranked with sort.Slice, 37 while VF2 built a
+	// label-degree summary of every fresh query, 42 while hit detection
+	// also built a label vector).
+	allocBudgetMiss = 25
 	// allocBudgetSubSuperHit covers a miss that collects sub/super hits
 	// and runs the S/S' algebra: the 120-molecule stream's few hits and
-	// the many-hit stream's dozen (TestManyHitAllocBudget). Measured 28
-	// and 33 allocs/op; no allocation is per hit. It was 53 on the first
+	// the many-hit stream's dozen (TestManyHitAllocBudget). Measured 27
+	// and 32 allocs/op (28 and 33 while an entry's set was published inside
+	// a (set, epoch) pair); no allocation is per hit. It was 53 on the first
 	// stream while every hit allocated its HitEvent and the candidate and
 	// hit lists grew per query (59 with the label-degree summary, 64 with
 	// the label vector too), when the budget was 58.
-	allocBudgetSubSuperHit = 37
+	allocBudgetSubSuperHit = 36
 )
 
 // measureExecuteAllocs runs one query per AllocsPerRun iteration,

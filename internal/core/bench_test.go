@@ -265,7 +265,7 @@ func newWarmBench(b *testing.B, window int) (*benchStreams, []*graph.Graph) {
 }
 
 // BenchmarkAddGraphWarm is one AddGraph on a warm cache: a COW filter
-// insert, then an epoch read and a charge true-up per entry (the
+// insert, then a charge true-up per entry and a summary prune (the
 // containment tests wait for each entry's next read).
 func BenchmarkAddGraphWarm(b *testing.B) {
 	bs, spare := newWarmBench(b, 10)

@@ -129,8 +129,8 @@ type Cache struct {
 	globalVal atomic.Uint64
 
 	// addSums holds the containment summary of every graph AddGraph
-	// appended whose addition record a reconciler may still read, keyed by
-	// gid: patchedAnswers screens each entry with it before testing.
+	// appended that a reconciler may still test, keyed by gid:
+	// patchedAnswers screens each entry with it before testing.
 	// Mutations write and prune it under dsMu's write side; reconcilers
 	// read it under the read side.
 	addSums map[int]summary
@@ -229,14 +229,8 @@ func (c *Cache) Bytes() int {
 	return int(c.res.bytes.Load())
 }
 
-// Stats returns a snapshot of the operational counters, supplemented
-// with the current addition-log length (it lives on the method, which
-// outlives any one cache).
-func (c *Cache) Stats() Snapshot {
-	s := c.mon.Snapshot()
-	s.AdditionLogLen = c.method.AdditionLogLen()
-	return s
-}
+// Stats returns a snapshot of the operational counters.
+func (c *Cache) Stats() Snapshot { return c.mon.Snapshot() }
 
 // Entries returns the admitted entries in admission order as defensive
 // copies: the Entry structs are snapshots taken under mu (so the mutable
@@ -346,7 +340,7 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// operands directly (ForEachAnd/ForEachAndNot) — no intermediate set
 	// is materialized per hit.
 	//
-	// A hit's answers must first be brought to the query's dataset epoch:
+	// A hit's answers must first be brought to the query's id space:
 	// stale sets miss graphs added since the entry was last reconciled,
 	// which would silently shrink S (lost savings — sound) but also
 	// wrongly exclude candidates via S′ (lost answers — unsound).
@@ -452,12 +446,12 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	}
 	c.selfCheck(q, qt, res)
 
-	// Stage 6: admission via the window manager. The entry carries the
-	// view's epoch: its answers are exact for that dataset state, a later
-	// removal clears its bit at mutation time, and a later addition is
-	// reconciled before the entry's answers are next trusted. It is built —
-	// answers cloned and compacted — before admit takes any lock.
-	c.admit(entryFromSig(q, qt, answers.Clone(), cmCount, sig, tick, view.Epoch()))
+	// Stage 6: admission via the window manager. The entry's answers are
+	// exact over the view's id space: a later removal clears its bit at
+	// mutation time, and a later addition is reconciled before the entry's
+	// answers are next trusted. It is built — answers cloned and
+	// compacted — before admit takes any lock.
+	c.admit(entryFromSig(q, qt, answers.Clone(), cmCount, sig, tick))
 	return res, nil
 }
 
@@ -744,10 +738,6 @@ func (c *Cache) turnWindow() {
 	// Publish before mu drops: the next query of a sequential stream
 	// sees exactly the admitted entries.
 	c.republishLocked()
-
-	// Window boundaries are where the addition log gets compacted: every
-	// entry this turn admitted or evicted moved the minimum entry epoch.
-	c.compactAdditionsLocked()
 }
 
 // markVictims marks x distinct positions of the ID-ordered slice all in

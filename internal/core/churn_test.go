@@ -210,18 +210,12 @@ func TestChurnEquivalence(t *testing.T) {
 				if tests == 0 || tests >= entryAdds {
 					t.Error("want some maintenance tests, and fewer than entries × adds")
 				}
-				// The addition log stays bounded under the mixed stream:
-				// compaction must actually reclaim records — the reads
-				// reconcile entries and the mutations/turns compact behind
-				// them, so a silently broken compaction would leave every
-				// record resident.
-				snap := c.Stats()
-				if snap.DatasetAdds > 0 && snap.LogRecordsDropped == 0 {
-					t.Fatalf("none of the %d addition records were ever compacted away", snap.DatasetAdds)
-				}
-				if int64(snap.AdditionLogLen)+snap.LogRecordsDropped != snap.DatasetAdds {
-					t.Fatalf("log ledger out of balance: %d resident + %d dropped != %d adds",
-						snap.AdditionLogLen, snap.LogRecordsDropped, snap.DatasetAdds)
+				// The added-graph summaries stay bounded under the mixed
+				// stream: the reads reconcile entries and the mutations
+				// prune the summaries behind them, so a silently broken
+				// prune would keep one per addition.
+				if adds := c.Stats().DatasetAdds; int64(len(c.addSums)) >= adds {
+					t.Fatalf("%d added-graph summaries after %d adds: none was ever pruned", len(c.addSums), adds)
 				}
 			})
 		}
@@ -426,6 +420,47 @@ func TestRemoveGraphClearsAnswerBits(t *testing.T) {
 	}
 	if err := c.RemoveGraph(len(dataset) + 5); err == nil {
 		t.Error("out-of-range removal should error")
+	}
+}
+
+// TestRemovalLeavesCurrentAnswersPublished pins the reconciliation fast
+// path: a removal of a graph outside an entry's answers changes neither
+// its set nor the id space the set is exact over, so the next read of the
+// entry publishes nothing.
+func TestRemovalLeavesCurrentAnswersPublished(t *testing.T) {
+	dataset := testDataset(71, 12)
+	c := testCache(t, dataset, func(cfg *Config) {
+		cfg.Window = 1 // admit immediately
+	})
+	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(3)), dataset[0], 4)
+	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	entries := c.Entries()
+	if len(entries) != 1 {
+		t.Fatalf("%d entries resident, want 1", len(entries))
+	}
+	e := entries[0]
+	before := e.ans.p.Load()
+	gid := 0
+	for gid < len(dataset) && e.Answers().Contains(gid) {
+		gid++
+	}
+	if gid == len(dataset) {
+		t.Fatal("the pattern answers every graph; the scenario did not arm")
+	}
+	if err := c.RemoveGraph(gid); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Execute(q, ftv.Subgraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ExactHit {
+		t.Fatal("expected an exact hit")
+	}
+	if e.ans.p.Load() != before {
+		t.Fatalf("removing graph %d, outside the answers, republished the entry's set", gid)
 	}
 }
 

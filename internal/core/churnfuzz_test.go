@@ -96,7 +96,7 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 		// Structural invariants after every op: capacity is strict, the
 		// residency account is exact wherever it is owed (after a
 		// mutation's pass: queries swap sets outside mu until the next
-		// one), and the log never outgrows the mutation history.
+		// one), and the added-graph summaries never outgrow the additions.
 		if c.Len() > cfg.Capacity {
 			return fmt.Errorf("op %d: %d entries resident, capacity %d", i, c.Len(), cfg.Capacity)
 		}
@@ -105,9 +105,8 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 				return fmt.Errorf("op %d: %w", i, err)
 			}
 		}
-		snap := c.Stats()
-		if int64(snap.AdditionLogLen) > snap.DatasetAdds {
-			return fmt.Errorf("op %d: addition log %d exceeds %d adds", i, snap.AdditionLogLen, snap.DatasetAdds)
+		if adds := c.Stats().DatasetAdds; int64(len(c.addSums)) > adds {
+			return fmt.Errorf("op %d: %d added-graph summaries exceed %d adds", i, len(c.addSums), adds)
 		}
 		if !lazy && op%4 == 2 {
 			if err := reconcileNow(c); err != nil {

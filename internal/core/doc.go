@@ -197,8 +197,9 @@
 //
 // There is one restore mode. Every graph and answer set is read,
 // verified and decoded before replaceEntries installs anything, and the
-// restored entries are stamped with the current dataset epoch (sound for
-// the addition log by the dsSize check). A file that restores therefore
+// restored answer sets are exact over the current id space (sound
+// because additions grow it, and the dsSize check refuses a snapshot
+// from before any). A file that restores therefore
 // cannot fail a later query; a bad one is rejected at restore time with
 // an error.
 //

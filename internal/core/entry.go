@@ -8,36 +8,25 @@ import (
 	"graphcache/internal/graph"
 )
 
-// answerState is one immutable (answer set, dataset epoch) pair: the set
-// is exact with respect to the dataset as of the epoch. Published whole
-// through answersCell so readers always see a matching pair.
-//
-//gclint:cow
-type answerState struct {
-	set   *bitset.Set
-	epoch int64
-}
-
-// answersCell is the atomic holder of an entry's answer state (and of
-// its exact-hit credit cell). It lives behind a pointer in Entry so Entry
+// answersCell is the atomic holder of an entry's answer set (and of its
+// exact-hit credit cell). It lives behind a pointer in Entry so Entry
 // values stay copyable (defensive copies share the cell, like they share
 // the immutable Graph).
 //
-// Publication rules: the set inside a published state is never mutated —
-// maintenance swaps in a freshly built set. Removals (Cache.RemoveGraph)
-// swap under dsMu's write side and mu with no queries in flight;
-// reconciliation of additions swaps under dsMu's read side — on the query
-// path, in Entries and in the snapshot writers — where racing reconcilers
-// of the same entry compute identical states (verification is
-// deterministic), so last-write-wins is benign.
+// Publication rules: a published set is never mutated — maintenance swaps
+// in a freshly built set. Removals (Cache.RemoveGraph) swap under dsMu's
+// write side and mu with no queries in flight; reconciliation of
+// additions swaps under dsMu's read side — on the query path, in Entries
+// and in the snapshot writers — where racing reconcilers of the same
+// entry compute identical sets (verification is deterministic), so
+// last-write-wins is benign.
 type answersCell struct {
-	// p publishes the (set, epoch) pair whole. Readers needing both
-	// fields consistent must pin ONE load (the answers accessor), never
-	// pair Answers with DatasetEpoch across two loads (enforced by the
-	// snapshotonce analyzer).
+	// p publishes the answer set. Its length is the id space the set is
+	// exact for: a set shorter than the dataset's id space has additions
+	// to reconcile.
 	//
 	//gclint:snapshot answers
-	p atomic.Pointer[answerState]
+	p atomic.Pointer[bitset.Set]
 
 	// The exact-hit credit cell: serveExact adds one and raises lastHit
 	// to its tick, foldCreditsLocked drains it into one policy event.
@@ -57,9 +46,8 @@ type Entry struct {
 	// Type is the query semantics the answers correspond to.
 	Type ftv.QueryType
 
-	// ans holds the entry's exact answer set over dataset positions,
-	// stamped with the dataset epoch it is exact up to. Read it through
-	// Answers/DatasetEpoch.
+	// ans holds the entry's exact answer set over dataset positions. Read
+	// it through Answers.
 	ans *answersCell
 
 	// Fingerprint and Features index the entry for hit detection:
@@ -105,43 +93,28 @@ type Entry struct {
 	SavedCostNs float64
 }
 
-// Answers returns the entry's current answer set — exact with respect to
-// the dataset as of DatasetEpoch. The returned set is immutable; the cache
-// replaces it whole when dataset mutations are reconciled.
+// Answers returns the entry's current answer set — exact over the ids
+// below its Len. The set is stale only with respect to graphs ADDED since
+// (removals are always applied stop-the-world), and the cache verifies
+// exactly those ids before trusting it. The returned set is immutable;
+// the cache replaces it whole when dataset mutations are reconciled.
 //
 //gclint:cowview
 //gclint:loads answers
-func (e *Entry) Answers() *bitset.Set { return e.answers().set }
+func (e *Entry) Answers() *bitset.Set { return e.ans.p.Load() }
 
-// DatasetEpoch returns the dataset epoch the entry's answers are exact up
-// to. An entry whose epoch trails the method's is stale only with respect
-// to graphs ADDED since (removals are always applied stop-the-world); the
-// cache verifies exactly that delta before trusting the answers.
-//
-//gclint:loads answers
-func (e *Entry) DatasetEpoch() int64 { return e.ans.p.Load().epoch }
-
-// answers returns the entry's (set, epoch) pair as one consistent load.
-//
-//gclint:cowview
-//gclint:loads answers
-func (e *Entry) answers() *answerState { return e.ans.p.Load() }
-
-// setAnswers publishes a new answer state. The set must not be mutated
+// setAnswers publishes a new answer set. The set must not be mutated
 // after the call.
-func (e *Entry) setAnswers(set *bitset.Set, epoch int64) {
-	e.ans.p.Store(&answerState{set: set, epoch: epoch})
-}
+func (e *Entry) setAnswers(set *bitset.Set) { e.ans.p.Store(set) }
 
 // entryFromSig builds an Entry from a precomputed query signature — the
 // single construction site for cache entries, shared by admission and
 // state restores so the signature-derived fields (fingerprint, path
-// features, feature summaries) can never drift between the two paths.
-// epoch stamps the dataset state the answers were computed against. The
+// features, feature summaries) can never drift between the two paths. The
 // ID is assigned when the entry is staged (admit) or installed
 // (replaceEntries). Callers hold no lock: this is where an answer set is
 // compacted.
-func entryFromSig(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick, epoch int64) *Entry {
+func entryFromSig(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick int64) *Entry {
 	e := &Entry{
 		Graph:          q,
 		Type:           qt,
@@ -161,7 +134,7 @@ func entryFromSig(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCan
 	// pay the one-off re-encode into its smallest container now: sparse
 	// for small answer sets, run for near-full ones, dense in between.
 	answers.Compact()
-	e.setAnswers(answers, epoch)
+	e.setAnswers(answers)
 	return e
 }
 

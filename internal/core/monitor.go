@@ -17,30 +17,28 @@ import (
 // slots, so concurrent hits write different cache lines (hot-exact, two
 // clients: +17 % q/s, 19 of 20 alternating runs); Snapshot sums them.
 type Monitor struct {
-	hot               [dsLockSlots]hotCounters
-	subHitQueries     atomic.Int64 // queries with ≥1 sub-case hit
-	superHitQueries   atomic.Int64 // queries with ≥1 super-case hit
-	subHits           atomic.Int64 // total hit contributions
-	superHits         atomic.Int64
-	testsExecuted     atomic.Int64
-	hitDetectIso      atomic.Int64 // iso tests against cached queries
-	hitScanEntries    atomic.Int64 // entries examined during hit detection
-	hitFullChecks     atomic.Int64 // label/path dominance merges run
-	hitIndexPruned    atomic.Int64 // entries the feature index rejected outright
-	admissions        atomic.Int64
-	evictions         atomic.Int64
-	windowTurns       atomic.Int64
-	datasetAdds       atomic.Int64 // live dataset graphs added
-	datasetRemoves    atomic.Int64 // live dataset graphs tombstoned
-	maintenanceTests  atomic.Int64 // iso tests spent reconciling answer sets after additions
-	logCompactions    atomic.Int64 // addition-log compactions that dropped ≥1 record
-	logRecordsDropped atomic.Int64 // addition records dropped by compaction
-	filterNs          atomic.Int64
-	hitNs             atomic.Int64 // sub/super hit detection; exact hits read no clock
-	verifyNs          atomic.Int64
-	windowTurnNs      atomic.Int64 // inside turnWindow
-	mutationWaitNs    atomic.Int64 // AddGraph/RemoveGraph waiting for dsMu's write side
-	mutationHoldNs    atomic.Int64 // AddGraph/RemoveGraph holding it
+	hot              [dsLockSlots]hotCounters
+	subHitQueries    atomic.Int64 // queries with ≥1 sub-case hit
+	superHitQueries  atomic.Int64 // queries with ≥1 super-case hit
+	subHits          atomic.Int64 // total hit contributions
+	superHits        atomic.Int64
+	testsExecuted    atomic.Int64
+	hitDetectIso     atomic.Int64 // iso tests against cached queries
+	hitScanEntries   atomic.Int64 // entries examined during hit detection
+	hitFullChecks    atomic.Int64 // label/path dominance merges run
+	hitIndexPruned   atomic.Int64 // entries the feature index rejected outright
+	admissions       atomic.Int64
+	evictions        atomic.Int64
+	windowTurns      atomic.Int64
+	datasetAdds      atomic.Int64 // live dataset graphs added
+	datasetRemoves   atomic.Int64 // live dataset graphs tombstoned
+	maintenanceTests atomic.Int64 // iso tests spent reconciling answer sets after additions
+	filterNs         atomic.Int64
+	hitNs            atomic.Int64 // sub/super hit detection; exact hits read no clock
+	verifyNs         atomic.Int64
+	windowTurnNs     atomic.Int64 // inside turnWindow
+	mutationWaitNs   atomic.Int64 // AddGraph/RemoveGraph waiting for dsMu's write side
+	mutationHoldNs   atomic.Int64 // AddGraph/RemoveGraph holding it
 }
 
 // endTurn closes the clock pair a window turn opened.
@@ -98,13 +96,6 @@ type Snapshot struct {
 	// benchmark harness reads them (benchmark/run.go:361) until ROADMAP
 	// item 1 re-bases it, like Config's three inert fields.
 	InternHits, InternMisses int64
-	// AdditionLogLen is the method's current addition-log length;
-	// LogCompactions counts the compactions that dropped at least one
-	// record and LogRecordsDropped the records they reclaimed. Together
-	// they show the log staying bounded: records enter with DatasetAdds
-	// and leave once every resident entry has passed them.
-	AdditionLogLen                    int
-	LogCompactions, LogRecordsDropped int64
 	// FilterTime, HitTime and VerifyTime split where the time of the
 	// non-exact queries went (Result's three stage times, summed). An
 	// exact hit reads no clock and adds nothing to any of them.
@@ -150,8 +141,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		DatasetAdds:       m.datasetAdds.Load(),
 		DatasetRemoves:    m.datasetRemoves.Load(),
 		MaintenanceTests:  m.maintenanceTests.Load(),
-		LogCompactions:    m.logCompactions.Load(),
-		LogRecordsDropped: m.logRecordsDropped.Load(),
 		WindowTurnNs:      m.windowTurnNs.Load(),
 		MutationWaitNs:    m.mutationWaitNs.Load(),
 		MutationHoldNs:    m.mutationHoldNs.Load(),

@@ -30,16 +30,17 @@ import (
 //
 //   - ADDITIONS must decide, per cached entry, whether the new graph
 //     belongs in its answer set — one containment test per entry. The
-//     tests are deferred: entries keep their epoch, and a read of a stale
-//     entry verifies exactly the graphs added since — the ids above its
-//     set's length — before its answers are trusted (reconciledAnswers):
-//     a screen of the entry's summary against each added graph's
-//     (computed once per add) refutes most, and only the rest pay a
-//     containment test. A hit pays for the entries it touches; Entries
-//     and the snapshot writers, which need every entry current, reconcile
-//     the resident list first (reconcileResident). None of it runs under
-//     mu, except for an entry a concurrent turn admits between that pass
-//     and the reader's mu.
+//     tests are deferred: every addition appends one id, so an entry's
+//     set is exact over the ids below its length, and a read of an entry
+//     whose set is shorter than the id space verifies exactly the ids
+//     above it before its answers are trusted (reconciledAnswers): a
+//     screen of the entry's summary against each added graph's (computed
+//     once per add) refutes most, and only the rest pay a containment
+//     test. A hit pays for the entries it touches; Entries and the
+//     snapshot writers, which need every entry current, reconcile the
+//     resident list first (reconcileResident). None of it runs under mu,
+//     except for an entry a concurrent turn admits between that pass and
+//     the reader's mu.
 //
 // Every individual answer set returned by Execute is exact for the
 // query's dataset snapshot — the SelfCheck oracle and the churn
@@ -48,10 +49,10 @@ import (
 //
 // What a mutation costs: it stops the world (the drain of dsMu's write
 // side, then mu), so the work under the locks is kept proportional to
-// what changed, never to what is cached. An add is an epoch read and a
-// charge true-up per entry, and no containment test; a remove clones
-// only the entries that contained the gid. Snapshot.MutationWaitNs and
-// MutationHoldNs time the drain and the hold (Monitor.endMutation).
+// what changed, never to what is cached. An add is a charge true-up per
+// entry, and no containment test; a remove clones only the entries that
+// contained the gid. Snapshot.MutationWaitNs and MutationHoldNs time the
+// drain and the hold (Monitor.endMutation).
 
 // AddGraph appends g to the live dataset under a fresh stable id and
 // maintains the cached state exactly: the verification-cost EMA array and
@@ -74,10 +75,9 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 	c.mon.datasetAdds.Add(1)
 	c.addSums[gid] = summarize(g)
 	// Nothing to reconcile now, but the stop-the-world pass (with a nil
-	// fn) still trues up the charges, recomputes the compaction floor and
-	// drops the addition records every entry has already passed — an
-	// O(entries) epoch scan, no iso tests — so the log stays bounded by
-	// the staleness of the coldest entry, not by the add count.
+	// fn) still trues up the charges and drops the summaries every entry
+	// has already passed — an O(entries) scan, no iso tests — so they stay
+	// bounded by the staleness of the coldest entry, not by the add count.
 	c.withAllEntriesLocked(nil)
 	return gid, nil
 }
@@ -98,18 +98,15 @@ func (c *Cache) RemoveGraph(gid int) error {
 	}
 	c.mon.datasetRemoves.Add(1)
 	c.withAllEntriesLocked(func(e *Entry) {
-		st := e.answers()
-		if gid < st.set.Len() && st.set.Contains(gid) {
-			s := st.set.Clone()
+		set := e.Answers()
+		if gid < set.Len() && set.Contains(gid) {
+			s := set.Clone()
 			s.Remove(gid)
 			// The clone is owned until published: re-encode it into its
 			// smallest container (removals are where near-full sets shed
 			// dense words for run spans) before it becomes immutable.
 			s.Compact()
-			// The epoch is NOT advanced: entry epochs track the addition
-			// log only (removals apply to every entry right here), so an
-			// unchanged epoch cannot skip a pending addition record.
-			e.setAnswers(s, st.epoch)
+			e.setAnswers(s)
 		}
 	})
 	return nil
@@ -137,9 +134,8 @@ func (c *Cache) growCostCells(n int) {
 // every window-pending entry, and trues up each admitted entry's charge:
 // fn may have published a fresh set, and so may reconciliation since the
 // last pass (window entries are charged at admission). It takes mu;
-// caller holds dsMu exclusively. Before mu drops it compacts the addition
-// log up to the minimum entry epoch, as every stop-the-world pass owes,
-// and prunes the added-graph summaries to what is left.
+// caller holds dsMu exclusively. Before mu drops it prunes the
+// added-graph summaries to what a reconciler can still read.
 //
 //gclint:acquires mu
 func (c *Cache) withAllEntriesLocked(fn func(e *Entry)) {
@@ -156,69 +152,32 @@ func (c *Cache) withAllEntriesLocked(fn func(e *Entry)) {
 			fn(e)
 		}
 	}
-	c.compactAdditionsLocked()
 	c.pruneAddSums()
 }
 
 // pruneAddSums drops the summaries no reconciler can read again: of
-// graphs since removed and of additions compaction dropped from the log
-// (gids ascend along the log, so those are the gids below its first
-// record's). Caller holds dsMu exclusively.
+// graphs since removed, and of graphs below every entry's answer-set
+// length. A reconciler tests only the ids at or above its set's length,
+// every entry is admitted or in the window (no query is in flight), and
+// an entry admitted later is sized to the id space it ran over. Caller
+// holds dsMu exclusively and mu.
+//
+//gclint:requires mu
 func (c *Cache) pruneAddSums() {
 	if len(c.addSums) == 0 {
 		return
 	}
-	view := c.method.View()
-	recs := view.AddsSince(0)
-	for gid := range c.addSums {
-		if len(recs) == 0 || gid < recs[0].GID || view.Graph(gid) == nil {
-			delete(c.addSums, gid)
-		}
-	}
-}
-
-// Addition-log compaction. The method's addition log lets a stale entry
-// reconcile by verifying only the graphs added since its epoch; once
-// EVERY outstanding epoch-stamped answer set has passed a record, that
-// record can never be consulted again and is dropped. The floor is the
-// minimum dataset epoch across all admitted and window-pending entries —
-// entries are the only holders of long-lived epochs (query-local views
-// die with their query, and ReadState stamps restored entries with the
-// current epoch), and entry epochs only ever rise, so a computed floor
-// can only be conservative by the time the compaction lands.
-
-// compactAdditionsLocked compacts with mu held (the stop-the-world
-// passes: dataset mutations, window turns, state restores), reading the
-// window directly. Entries reconcile only when read, so after an add the
-// log keeps every record the stalest entry has not yet passed; it drains
-// only when every entry is current or the cache is empty.
-//
-//gclint:requires mu
-func (c *Cache) compactAdditionsLocked() {
-	if c.method.AdditionLogLen() == 0 {
-		return
-	}
-	floor := int64(math.MaxInt64)
+	floor := math.MaxInt
 	for _, list := range [][]*Entry{c.entries, c.window} {
 		for _, e := range list {
-			floor = min(floor, e.DatasetEpoch())
+			floor = min(floor, e.Answers().Len())
 		}
 	}
-	c.compactTo(floor)
-}
-
-// compactTo drops the addition records at or below floor, counting the
-// compaction. A floor of 0 can drop nothing (records start at epoch 1);
-// MaxInt64 — an empty cache — drains the whole log, which is safe: every
-// future entry is stamped with at least the current epoch and only ever
-// reconciles records above it.
-func (c *Cache) compactTo(floor int64) {
-	if floor <= 0 {
-		return
-	}
-	if dropped := c.method.CompactAdditions(floor); dropped > 0 {
-		c.mon.logCompactions.Add(1)
-		c.mon.logRecordsDropped.Add(int64(dropped))
+	view := c.method.View()
+	for gid := range c.addSums {
+		if gid < floor || view.Graph(gid) == nil {
+			delete(c.addSums, gid)
+		}
 	}
 }
 
@@ -236,11 +195,11 @@ func (c *Cache) rechargeLocked(e *Entry) {
 	}
 }
 
-// reconciledAnswers returns e's answer set brought to the view's epoch,
-// verifying only the graphs added since the entry's epoch; for a current
-// entry it is a single atomic load. It runs lock-free under the read side
-// of dsMu: racing reconcilers of the same entry compute identical states,
-// so the last published one wins benignly. The byte account is
+// reconciledAnswers returns e's answer set brought to the view's id
+// space, verifying only the graphs added since the set was sized; for a
+// current entry it is a single atomic load. It runs lock-free under the
+// read side of dsMu: racing reconcilers of the same entry compute
+// identical sets, so the last published one wins benignly. The byte account is
 // deliberately NOT touched here (mu is not held); it is trued up at the
 // next window turn and at every stop-the-world maintenance pass
 // (rechargeLocked).
@@ -249,17 +208,17 @@ func (c *Cache) rechargeLocked(e *Entry) {
 //gclint:nolocks
 //gclint:loads answers e
 func (c *Cache) reconciledAnswers(e *Entry, view ftv.DatasetView) *bitset.Set {
-	st := e.answers()
-	if st.epoch >= view.Epoch() && st.set.Len() == view.Size() {
-		return st.set
+	set := e.Answers()
+	if set.Len() == view.Size() {
+		return set // removals are applied at mutation time: nothing to do
 	}
-	set := c.patchedAnswers(e, st, view)
-	e.setAnswers(set, view.Epoch())
+	set = c.patchedAnswers(e, set, view)
+	e.setAnswers(set)
 	return set
 }
 
 // reconcileResident brings every entry of the published view to the
-// view's epoch: "reconcile all now", for the readers that need every
+// view's id space: "reconcile all now", for the readers that need every
 // entry current (Entries, WriteState, WriteStateV2). They call it before
 // they take mu, so its containment tests block no miss. An entry that a
 // concurrent turn admits after this pass still reconciles in the
@@ -275,25 +234,19 @@ func (c *Cache) reconcileResident(view ftv.DatasetView) {
 	}
 }
 
-// patchedAnswers computes e's answer set at the view's epoch from the
-// state st: grown to the view's id space, with each graph added since
+// patchedAnswers computes e's answer set over the view's id space from
+// old, a set exact over a shorter one: grown, with each graph added since
 // verified for containment. Every addition appends one id, so those are
-// the ids from st.set.Len() up. They are read from the id space, not
-// from the method's addition log: another cache over the same method
-// compacts that log to its own entries' floor, and may already have
-// dropped records this entry still needs. Tombstoned additions are
-// skipped — their bits were never set in st and must stay clear. An
-// addition whose summary the cache holds is tested only if the entry's
-// summary admits the containment; one added to the Method behind the
-// cache's back, or pruned with its record, has none and is always tested.
-// Removal bits need no handling: removals clear them from every entry at
-// mutation time.
-func (c *Cache) patchedAnswers(e *Entry, st *answerState, view ftv.DatasetView) *bitset.Set {
-	from := st.set.Len()
-	if from == view.Size() {
-		return st.set // removals-only delta: the set is already exact
-	}
-	set := st.set.Grown(view.Size())
+// the ids from old.Len() up. Tombstoned additions are skipped — their
+// bits were never set in old and must stay clear. An addition whose
+// summary the cache holds is tested only if the entry's summary admits
+// the containment; one added to the Method behind the cache's back (by
+// another cache over it, say) has none and is always tested. Removal bits
+// need no handling: removals clear them from every entry at mutation
+// time.
+func (c *Cache) patchedAnswers(e *Entry, old *bitset.Set, view ftv.DatasetView) *bitset.Set {
+	from := old.Len()
+	set := old.Grown(view.Size())
 	es := e.summary()
 	for gid := from; gid < view.Size(); gid++ {
 		if view.Graph(gid) == nil {

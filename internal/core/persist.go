@@ -56,8 +56,8 @@ const stateVersionV2 = 2
 // under concurrent queries; w is written only after both are released,
 // so a slow writer stalls no query. Entries stale with respect to dataset
 // additions are reconciled first, before mu is taken, so their
-// containment tests block no miss — the on-disk format carries no epochs,
-// so what it stores must be exact at the header's dataset size.
+// containment tests block no miss — what the file stores must be exact at
+// the header's dataset size.
 func (c *Cache) WriteStateV2(w io.Writer) error {
 	var buf bytes.Buffer
 	if err := c.formatStateV2(&buf); err != nil {
@@ -313,10 +313,9 @@ parse:
 		}
 		answers := bitset.FromIndices(dsSize, it.answers)
 		// Ids tombstoned since the state was written are masked out: ids
-		// are never reused, so the remaining bits are still exact, and the
-		// restored entries are stamped with the current epoch.
+		// are never reused, so the remaining bits are still exact.
 		answers.And(view.Live())
-		e := entryFromSig(gs[0], it.qt, answers, it.baseCandidates, signatureOf(gs[0]), 0, view.Epoch())
+		e := entryFromSig(gs[0], it.qt, answers, it.baseCandidates, signatureOf(gs[0]), 0)
 		e.Hits = it.hits
 		e.SavedTests = it.savedTests
 		e.SavedCostNs = it.savedCost
@@ -355,10 +354,4 @@ func (c *Cache) replaceEntries(entries []*Entry) {
 	}
 	c.enforceLimitsLocked()
 	c.republishLocked()
-	// Restored entries are stamped with the current epoch (additions are
-	// impossible since the state was written — the id space would have
-	// grown, and a size mismatch is refused above — so the stamp can skip
-	// nothing), which usually lifts the compaction floor: a restore is a
-	// stop-the-world pass like any other.
-	c.compactAdditionsLocked()
 }

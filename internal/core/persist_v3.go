@@ -311,7 +311,7 @@ func (c *Cache) readStateV3(data []byte) error {
 		}
 		// Ids tombstoned since the snapshot was written are masked out.
 		set.And(view.Live())
-		e := entryFromSig(gs[0], ftv.QueryType(qt), set, int(bc), sig, 0, view.Epoch())
+		e := entryFromSig(gs[0], ftv.QueryType(qt), set, int(bc), sig, 0)
 		e.Hits = hits
 		e.SavedTests = savedTests
 		e.SavedCostNs = savedCost

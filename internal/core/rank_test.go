@@ -16,7 +16,7 @@ func rankEntry(id int, count int) *Entry {
 	for i := range idx {
 		idx[i] = i
 	}
-	e.setAnswers(bitset.FromIndices(count+1, idx), 0)
+	e.setAnswers(bitset.FromIndices(count+1, idx))
 	return e
 }
 
@@ -82,7 +82,7 @@ func TestRankCandidatesConcurrentSwap(t *testing.T) {
 		defer wg.Done()
 		for k := 0; !stop.Load(); k++ {
 			e := cands[k%n]
-			e.setAnswers(bitset.FromIndices(16, []int{k % 16}), int64(k))
+			e.setAnswers(bitset.FromIndices(16, []int{k % 16}))
 		}
 	}()
 	for trial := 0; trial < 50; trial++ {

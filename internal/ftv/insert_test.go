@@ -179,62 +179,8 @@ func TestAddGraphUsesIncrementalInsert(t *testing.T) {
 	if _, err := static.AddGraph(extra[0]); err == nil {
 		t.Fatal("a method over a non-insertable filter accepted AddGraph")
 	}
-	if static.Epoch() != 0 || static.DatasetSize() != len(base) || static.AdditionLogLen() != 0 {
-		t.Fatalf("refused AddGraph changed the snapshot: epoch %d, size %d, log %d",
-			static.Epoch(), static.DatasetSize(), static.AdditionLogLen())
-	}
-}
-
-// TestCompactAdditions pins the log-compaction contract: records at or
-// below the floor disappear, records above survive, the epoch and
-// dataset are untouched, and snapshots taken before the compaction keep
-// the full log.
-func TestCompactAdditions(t *testing.T) {
-	base := molecules(61, 6)
-	extra := molecules(62, 4)
-	m := ftv.NewGGSXMethod(base, 3)
-	for _, g := range extra {
-		if _, err := m.AddGraph(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.RemoveGraph(1); err != nil { // removals never enter the log
-		t.Fatal(err)
-	}
-	if got := m.AdditionLogLen(); got != len(extra) {
-		t.Fatalf("log length %d, want %d", got, len(extra))
-	}
-	pre := m.View()
-
-	if dropped := m.CompactAdditions(2); dropped != 2 {
-		t.Fatalf("CompactAdditions(2) dropped %d records, want 2", dropped)
-	}
-	if got := m.AdditionLogLen(); got != len(extra)-2 {
-		t.Fatalf("log length after compaction %d, want %d", got, len(extra)-2)
-	}
-	if m.Epoch() != int64(len(extra))+1 {
-		t.Fatalf("compaction changed the epoch: %d", m.Epoch())
-	}
-	v := m.View()
-	if got := v.AddsSince(0); len(got) != len(extra)-2 || got[0].Epoch != 3 {
-		t.Fatalf("AddsSince(0) after compaction = %v", got)
-	}
-	if got := v.AddsSince(2); len(got) != len(extra)-2 {
-		t.Fatalf("AddsSince(2) after compaction = %v", got)
-	}
-	// The pre-compaction snapshot still reports the full delta.
-	if got := pre.AddsSince(0); len(got) != len(extra) {
-		t.Fatalf("pre-compaction view lost records: %v", got)
-	}
-
-	// Idempotent below the floor; MaxInt-style floors drain the log.
-	if dropped := m.CompactAdditions(2); dropped != 0 {
-		t.Fatalf("second CompactAdditions(2) dropped %d", dropped)
-	}
-	if dropped := m.CompactAdditions(m.Epoch()); dropped != len(extra)-2 {
-		t.Fatalf("CompactAdditions(epoch) dropped %d, want %d", dropped, len(extra)-2)
-	}
-	if got := m.AdditionLogLen(); got != 0 {
-		t.Fatalf("log not drained: %d records left", got)
+	if static.Epoch() != 0 || static.DatasetSize() != len(base) {
+		t.Fatalf("refused AddGraph changed the snapshot: epoch %d, size %d",
+			static.Epoch(), static.DatasetSize())
 	}
 }

@@ -205,10 +205,6 @@ type statsResponse struct {
 	DatasetAdds      int64 `json:"datasetAdds"`
 	DatasetRemoves   int64 `json:"datasetRemoves"`
 	MaintenanceTests int64 `json:"maintenanceTests"`
-	// AdditionLogLen is the current reconciliation-log length and
-	// LogCompactions counts the compactions bounding it.
-	AdditionLogLen int   `json:"additionLogLen"`
-	LogCompactions int64 `json:"logCompactions"`
 	// The stopped world, cumulative nanoseconds: inside window turns,
 	// waiting for in-flight queries to drain before a dataset mutation,
 	// and holding the dataset exclusively during one. Divide by
@@ -248,8 +244,6 @@ func (s *Server) statsResponse() statsResponse {
 		DatasetAdds:       snap.DatasetAdds,
 		DatasetRemoves:    snap.DatasetRemoves,
 		MaintenanceTests:  snap.MaintenanceTests,
-		AdditionLogLen:    snap.AdditionLogLen,
-		LogCompactions:    snap.LogCompactions,
 		WindowTurnNs:      snap.WindowTurnNs,
 		MutationWaitNs:    snap.MutationWaitNs,
 		MutationHoldNs:    snap.MutationHoldNs,
@@ -623,8 +617,6 @@ var indexTmpl = template.Must(template.New("index").Parse(`<!DOCTYPE html>
 <li>dataset: {{.DatasetSize}} live graphs (epoch {{.Epoch}},
 {{.DatasetAdds}} added / {{.DatasetRemoves}} removed,
 {{.MaintenanceTests}} maintenance tests)</li>
-<li>addition log: {{.AdditionLogLen}} records ({{.LogCompactions}}
-compactions)</li>
 </ul>
 <p>API: GET /api/stats · GET /api/entries · POST /api/query
 · POST /api/query/batch (add ?stream=1 for NDJSON streaming)
