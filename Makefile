@@ -32,11 +32,12 @@ race:
 
 # race-stress repeats the kernel's lock-sensitive tests under the race
 # detector — the concurrency gauntlets, the lock-free exact probe held
-# against a taken mu, the snapshot writers blocked outside the locks, and
-# reconciliation kept out from under mu — so every lock change pays for
-# many interleavings, not one.
+# against a taken mu, the snapshot writers blocked outside the locks,
+# reconciliation kept out from under mu, and views of Method M read while
+# a writer chains copy-on-write inserts behind them — so every lock or
+# sharing change pays for many interleavings, not one.
 race-stress:
-	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu' ./internal/core
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu' ./internal/core ./internal/ftv
 
 vet:
 	$(GO) vet ./...
@@ -118,14 +119,16 @@ cover:
 # sub/super hit and a miss exploiting a dozen hits) and of its two
 # stop-the-world passes (a dataset add and remove on a warm cache, a
 # window turn), a CPU profile of the daemon's handler on an exact hit
-# and on a miss (decode, parse, probe, encode — no transport), and one of
+# and on a miss (decode, parse, probe, encode — no transport), one of
 # the verification stage alone (a bound subgraph query and one-shot VF2
-# over Method M's candidates on the 5 000-molecule index), from the
-# stock benchmark runner. Inspect with
+# over Method M's candidates on the 5 000-molecule index) and one of the
+# filter's copy-on-write insert on that index, from the stock benchmark
+# runner. Inspect with
 # `go tool pprof profiles/core.test profiles/core_cpu.pprof` (narrow with
 # `-focus 'AddGraph|turnWindow'`),
-# `go tool pprof profiles/server.test profiles/server_cpu.pprof` or
-# `go tool pprof profiles/ftv.test profiles/verify_cpu.pprof`; a live
+# `go tool pprof profiles/server.test profiles/server_cpu.pprof`,
+# `go tool pprof profiles/ftv.test profiles/verify_cpu.pprof` or
+# `go tool pprof profiles/ftv.test profiles/insert_cpu.pprof`; a live
 # daemon serves the same through `gcd -pprof`.
 PROFILE_DIR ?= profiles
 profiles:
@@ -137,6 +140,8 @@ profiles:
 		-cpuprofile $(PROFILE_DIR)/server_cpu.pprof -o $(PROFILE_DIR)/server.test ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCandidates$$' -benchtime 1000000x \
 		-cpuprofile $(PROFILE_DIR)/verify_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
+	$(GO) test -run '^$$' -bench 'BenchmarkGGSXWithGraph$$' -benchtime 4000x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/insert_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 
 # loc prints the size of the program: lines of non-test Go outside
 # benchmark/ and testdata, per package directory and in total — the one

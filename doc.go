@@ -98,13 +98,15 @@
 //     trusted.
 //     Entries and the snapshot writers reconcile every resident entry
 //     first, before they take the cache lock.
-//   - Additions are O(graph), not O(dataset): AddGraph patches the filter
-//     index through a copy-on-write per-touched-node insert
-//     (InsertableFilter, which every bundled filter implements) — only the
-//     new graph's features are enumerated, untouched index structure is
-//     shared with the previous snapshot, and old snapshots keep answering
-//     for their own epoch. A method whose custom filter lacks the
-//     capability refuses AddGraph.
+//   - An addition copies what it inserts: AddGraph patches the filter
+//     index through a copy-on-write insert (InsertableFilter, which every
+//     bundled filter implements). Under GGSX it enumerates the new graph's
+//     paths, copies the trie nodes they touch (of a bitmap node, each
+//     digit slice the new count sets, ⌈n/64⌉ words) and, of each per-graph
+//     array — the filter's rows and blooms, the method's graphs — one
+//     256-entry chunk plus the directory. Everything else is shared with
+//     the previous snapshot, which keeps answering for its own epoch. A
+//     method whose custom filter lacks the capability refuses AddGraph.
 //   - Additions keep no log: the kernel holds one containment summary per
 //     added graph for its screen and, at every mutation, drops those
 //     below the shortest answer set any resident or pending entry still

@@ -34,8 +34,10 @@ type (
 	// VerifierFunc tests pattern ⊑ target.
 	VerifierFunc = ftv.VerifierFunc
 	// InsertableFilter is the incremental-maintenance capability: a
-	// method takes AddGraph exactly when its filter implements it, in
-	// O(graph) via copy-on-write inserts. All bundled filters do.
+	// method takes AddGraph exactly when its filter implements it, through
+	// a copy-on-write insert that, under GGSX, copies only the trie nodes
+	// the new graph's paths touch and one chunk of each per-graph array.
+	// All bundled filters do.
 	InsertableFilter = ftv.InsertableFilter
 	// DatasetView is one immutable snapshot of a method's live dataset.
 	DatasetView = ftv.DatasetView

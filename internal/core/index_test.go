@@ -14,10 +14,10 @@ import (
 // driveQueries pushes n extracted-subgraph queries through the cache.
 func driveQueries(t *testing.T, c *Cache, seed int64, n int) {
 	t.Helper()
-	dataset := c.Method().Dataset()
+	v := c.Method().View()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 3+i%5)
+		q := gen.ExtractConnectedSubgraph(rng, v.Graph(i%v.Size()), 3+i%5)
 		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
 			t.Fatal(err)
 		}

@@ -42,9 +42,9 @@ func fuzzStateCache() *Cache {
 func validFuzzState(tb testing.TB) []byte {
 	c := fuzzStateCache()
 	rng := rand.New(rand.NewSource(162))
-	dataset := c.Method().Dataset()
+	v := c.Method().View()
 	for i := 0; i < 3; i++ {
-		q := gen.ExtractConnectedSubgraph(rng, dataset[i], 4)
+		q := gen.ExtractConnectedSubgraph(rng, v.Graph(i), 4)
 		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
 			tb.Fatal(err)
 		}

@@ -1,0 +1,217 @@
+package ftv
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"unsafe"
+
+	"graphcache/internal/graph"
+)
+
+// oracleDataset draws n oracleGraphs of the given kind.
+func oracleDataset(rng *rand.Rand, n, kind int) []*graph.Graph {
+	ds := make([]*graph.Graph, n)
+	for i := range ds {
+		ds[i] = oracleGraph(rng, kind)
+	}
+	return ds
+}
+
+// The stamp lives in the padding after id; a second word would cost every
+// node of every index 16 bytes.
+func TestTrieNodeIs48Bytes(t *testing.T) {
+	if s := unsafe.Sizeof(trieNode{}); s != 48 {
+		t.Errorf("trieNode is %d bytes, want 48", s)
+	}
+}
+
+// TestInsertSharesUntouchedChunks pins what a mutation copies: after
+// GGSX.WithGraph, Method.AddGraph and Method.RemoveGraph, every chunk of
+// the per-graph arrays but the one written is the receiver's, and after
+// WithGraph every trie node the new graph's paths miss is the receiver's
+// while every node they touch is a copy.
+func TestInsertSharesUntouchedChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	ds := oracleDataset(rng, 600, 0) // three chunks
+	g := oracleGraph(rng, 0)
+
+	x := NewGGSX(ds, 3)
+	x2 := x.WithGraph(len(ds), g).(*GGSX)
+	sharesAllChunksBut(t, "WithGraph forward", x.forward, x2.forward, len(ds))
+	sharesAllChunksBut(t, "WithGraph blooms", x.blooms, x2.blooms, len(ds))
+	touched := make(map[int32]bool)
+	for _, nc := range x2.forward.At(len(ds)) {
+		touched[nc.node] = true
+	}
+	var sharedUnderCopy int
+	var walk func(old map[trieKey]*trieNode, nd *trieNode)
+	walk = func(old map[trieKey]*trieNode, nd *trieNode) {
+		for k, c := range nd.children {
+			o := old[k]
+			switch {
+			case touched[c.id] && c == o:
+				t.Errorf("node %d lies on g's paths but is the receiver's", c.id)
+			case !touched[c.id] && c != o:
+				t.Errorf("node %d lies off g's paths but was copied", c.id)
+			case !touched[c.id]:
+				sharedUnderCopy++
+			}
+			if touched[c.id] { // below a node off the paths all is the receiver's
+				var oldKids map[trieKey]*trieNode
+				if o != nil {
+					oldKids = o.children
+				}
+				walk(oldKids, c)
+			}
+		}
+	}
+	walk(x.root.children, x2.root)
+	if len(touched) == 0 || sharedUnderCopy == 0 {
+		t.Fatalf("vacuous: %d nodes touched, %d shared below a copy", len(touched), sharedUnderCopy)
+	}
+
+	m := NewGGSXMethod(ds, 3)
+	s0 := m.state.Load()
+	gid, err := m.AddGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1 := m.state.Load()
+	sharesAllChunksBut(t, "AddGraph dataset", s0.dataset, s1.dataset, gid)
+	if err := m.RemoveGraph(300); err != nil {
+		t.Fatal(err)
+	}
+	s2 := m.state.Load()
+	sharesAllChunksBut(t, "RemoveGraph dataset", s1.dataset, s2.dataset, 300)
+	if s2.filter != s1.filter {
+		t.Error("RemoveGraph replaced the filter")
+	}
+}
+
+// viewAnswers prints, per query and direction, the view's candidates and
+// the candidates VerifyCandidate accepts.
+func viewAnswers(v DatasetView, queries []*graph.Graph) string {
+	var out []byte
+	for _, q := range queries {
+		for _, qt := range []QueryType{Subgraph, Supergraph} {
+			c := v.Candidates(q, qt)
+			var accepted []int
+			c.ForEach(func(gid int) bool {
+				if v.VerifyCandidate(q, gid, qt) {
+					accepted = append(accepted, gid)
+				}
+				return true
+			})
+			out = fmt.Appendf(out, "%v %v\n", c, accepted)
+		}
+	}
+	return string(out)
+}
+
+// TestConcurrentAddKeepsViews holds readers pinned to older views against
+// a writer chaining AddGraph and RemoveGraph on the same Method: every
+// view answers as it did before the writer started, however the inserts
+// copy and share trie nodes and chunks behind it. Under -race it also
+// checks that an insert reads, and never writes, what a published view
+// holds.
+func TestConcurrentAddKeepsViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	ds := oracleDataset(rng, 300, 0)
+	adds := oracleDataset(rng, 200, 0)
+	queries := oracleDataset(rng, 4, 0)
+	for i := 0; i < 4; i++ {
+		src := ds[rng.Intn(len(ds))]
+		q, _ := src.InducedSubgraph(rng.Perm(src.N())[:1+rng.Intn(src.N())])
+		queries = append(queries, q)
+	}
+
+	m := NewGGSXMethod(ds, 3)
+	views := []DatasetView{m.View()}
+	for i, g := range adds[:6] {
+		if _, err := m.AddGraph(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RemoveGraph(i); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			views = append(views, m.View())
+		}
+	}
+	want := make([]string, len(views))
+	for i, v := range views {
+		want[i] = viewAnswers(v, queries)
+	}
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for i, v := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rounds := 0; rounds < 2 || !done.Load(); rounds++ {
+				if got := viewAnswers(v, queries); got != want[i] {
+					t.Errorf("view %d (epoch %d) answered differently under the writer:\n%s\nwant\n%s", i, v.Epoch(), got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	for _, g := range adds[6:] {
+		gid, err := m.AddGraph(g)
+		if err == nil && gid%3 == 0 {
+			err = m.RemoveGraph(gid / 3) // never removed before: the first six adds removed 0–5
+		}
+		if err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+
+	v := m.View()
+	final := make([]*graph.Graph, v.Size())
+	for gid := range final {
+		final[gid] = v.Graph(gid)
+	}
+	if got, want := viewAnswers(v, queries), viewAnswers(NewGGSXMethod(final, 3).View(), queries); got != want {
+		t.Errorf("the chained Method answers\n%s\na rebuild over its dataset\n%s", got, want)
+	}
+}
+
+// TestInsertAfterStampWrap: when the insert stamp wraps to the build's,
+// WithGraph copies the trie instead of writing nodes the receiver holds.
+func TestInsertAfterStampWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	ds := oracleDataset(rng, 40, 0)
+	x := NewGGSX(ds, 3)
+	x.gen = math.MaxUint32 - 1 // the next insert's stamp wraps to 0, the build's
+	dump := func(x *GGSX) string {
+		var out []byte
+		for _, nd := range nodesByID(x) {
+			ps := nd.postings
+			if nd.slices != nil {
+				ps = nd.slices.postings()
+			}
+			out = fmt.Appendf(out, "%d %v\n", len(nd.children), ps)
+		}
+		return string(out)
+	}
+	before := dump(x)
+	grown := append(ds, ds[0]) // every path of ds[0] is in the trie
+	x2 := x.WithGraph(len(ds), ds[0]).(*GGSX)
+	if dump(x) != before {
+		t.Fatal("an insert across the stamp wrap wrote the receiver's nodes")
+	}
+	if rebuilt := NewGGSX(grown, 3); dump(x2) != dump(rebuilt) || x2.IndexBytes() != rebuilt.IndexBytes() {
+		t.Fatal("the insert across the stamp wrap differs from a rebuild")
+	}
+	if x3 := x2.WithGraph(len(grown), ds[1]).(*GGSX); x3.gen != 4 {
+		t.Fatalf("stamps after the wrap: %d, %d; want 2, 4", x2.gen, x3.gen)
+	}
+}

@@ -51,7 +51,11 @@ func TestDynamicMethodMutations(t *testing.T) {
 			m := build(base)
 			check := func(when string) {
 				t.Helper()
-				ds := m.Dataset()
+				v := m.View()
+				ds := make([]*graph.Graph, v.Size())
+				for i := range ds {
+					ds[i] = v.Graph(i)
+				}
 				for qi, q := range queries {
 					for _, qt := range []ftv.QueryType{ftv.Subgraph, ftv.Supergraph} {
 						got := m.Run(q, qt).Answers.Indices()

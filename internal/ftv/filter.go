@@ -68,14 +68,12 @@ type Filter interface {
 // gid must be ≥ the filter's current dataset size (additions only ever
 // append — ids are never reused); positions between the old size and gid
 // are indexed as tombstones. Method.AddGraph takes this path, and only
-// this one: the expensive work — feature extraction — is O(graph), never
-// the O(dataset) re-enumeration of every existing graph's features a
-// rebuild pays. The COW bookkeeping additionally costs at worst a flat,
-// pointer-sized copy of the index skeleton (GGSX clones its node-pointer
-// array and, per touched node, its list or bitmap slices; LabelFilter
-// copies its per-graph rows) — memcpy-class work, orders of magnitude
-// below re-extraction. All bundled filters implement InsertableFilter; a
-// Method whose filter does not refuses AddGraph.
+// this one: feature extraction covers g alone, never the re-enumeration
+// of every existing graph's features a rebuild pays. GGSX copies only
+// what g touches — its trie nodes and one chunk of each per-graph array
+// (the GGSX comment has the rules); LabelFilter copies its per-graph rows,
+// a flat O(dataset) memcpy. All bundled filters implement
+// InsertableFilter; a Method whose filter does not refuses AddGraph.
 type InsertableFilter interface {
 	Filter
 	WithGraph(gid int, g *graph.Graph) Filter

@@ -2,6 +2,7 @@ package ftv
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"sync"
 
@@ -45,24 +46,35 @@ import (
 // against a dense per-query count array.
 //
 // Copy-on-write. WithGraph writes nothing reachable from the receiver. It
-// copies the trie nodes the new graph's paths touch: a touched list is
-// copied whole; a touched bitmap node copies the slices the new count has
-// a one in (all of them when the gid starts a new word) and shares the
-// rest; a node the insert takes across the size rule is re-encoded. A
-// published countSlices is immutable (cowpublish checks it), and a
-// snapshot taken before an insert never sees the new gid.
+// enumerates the new graph's paths and copies the trie nodes they touch: a
+// touched list is copied whole; a touched bitmap node copies the slices
+// the new count has a one in (all of them when the gid starts a new word,
+// ⌈n/64⌉ words each) and shares the rest; a node the insert takes across
+// the size rule is re-encoded; a touched node's child map is cloned when
+// a child of it is copied or created. Each index has its own even gen,
+// two above its receiver's, and stamps the nodes it copies or creates
+// with it, so the walk tells a node it already copied from one it shares
+// by the stamp alone. The per-graph forward rows and blooms are chunked
+// arrays: the insert copies their directories and the one chunk its gid
+// lands in. Nothing else is copied, and no other graph's paths are
+// revisited. A published countSlices or chunk is immutable (cowpublish
+// checks both), and a snapshot taken before an insert never sees the new
+// gid.
 type GGSX struct {
 	maxLen  int
 	n       int
 	root    *trieNode
-	nodes   []*trieNode   // by node id
-	forward [][]nodeCount // by gid: the graph's features, in first-visit order
-	blooms  []uint64      // by gid: OR of featureBit over the forward row
+	nodes   int                  // trie nodes, excluding the root
+	gen     uint32               // even stamp of the insert that made this index; 0 for a build
+	forward chunked[[]nodeCount] // by gid: the graph's features, in first-visit order
+	blooms  chunked[uint64]      // by gid: OR of featureBit over the forward row
 	bytes   int
 }
 
+// trieNode is 48 bytes: stamp fills the padding after id.
 type trieNode struct {
 	id       int32
+	stamp    uint32 // gen of the index that made this node, |1 once it owns its child map
 	children map[trieKey]*trieNode
 	postings []posting    // list encoding, sorted by gid; nil under the bitmap encoding
 	slices   *countSlices // bitmap encoding; nil under the list encoding
@@ -239,16 +251,17 @@ func dominated(row []nodeCount, counts []int32) bool {
 // pathWalk enumerates the directed simple paths of a graph with ≤ maxLen
 // edges (following out-edges, which covers both directions for undirected
 // graphs) down a trie, counting occurrences per trie node in a dense
-// array. step picks the trie discipline: create nodes (build), copy them
-// on write (WithGraph), or only look them up (queries). Walks are pooled:
-// between uses counts is all zero and inPath all false.
+// array. step picks the trie discipline: create and copy nodes (GGSX.step,
+// for a build and for WithGraph), or only look them up (queries). Walks
+// are pooled: between uses counts is all zero, inPath all false and
+// touched empty.
 type pathWalk struct {
 	g       *graph.Graph
 	maxLen  int
 	step    func(nd *trieNode, k trieKey) *trieNode // nil: the trie has no such path
 	missing bool                                    // step returned nil at least once
 	counts  []int32                                 // by node id
-	touched []int32                                 // ids with counts[id] > 0, in first-visit order
+	touched []*trieNode                             // nodes with counts[id] > 0, in first-visit order
 	inPath  []bool
 	words   []uint64 // candidate words of the query in flight
 }
@@ -284,7 +297,7 @@ func (w *pathWalk) visit(node *trieNode, k trieKey, v, edges int) {
 		w.counts = append(w.counts, 0)
 	}
 	if w.counts[child.id] == 0 {
-		w.touched = append(w.touched, child.id)
+		w.touched = append(w.touched, child)
 	}
 	w.counts[child.id]++
 	if edges == w.maxLen {
@@ -302,18 +315,19 @@ func (w *pathWalk) visit(node *trieNode, k trieKey, v, edges int) {
 // row returns the walked graph's forward row and bloom word.
 func (w *pathWalk) row() (row []nodeCount, bloom uint64) {
 	row = make([]nodeCount, len(w.touched))
-	for i, id := range w.touched {
-		row[i] = nodeCount{id, w.counts[id]}
-		bloom |= featureBit(id)
+	for i, nd := range w.touched {
+		row[i] = nodeCount{nd.id, w.counts[nd.id]}
+		bloom |= featureBit(nd.id)
 	}
 	return row, bloom
 }
 
 // release zeroes what the walk counted and returns it to the pool.
 func (w *pathWalk) release() {
-	for _, id := range w.touched {
-		w.counts[id] = 0
+	for _, nd := range w.touched {
+		w.counts[nd.id] = 0
 	}
+	clear(w.touched) // the pool must not keep an index's nodes alive
 	w.touched, w.missing, w.g, w.step = w.touched[:0], false, nil, nil
 	walkPool.Put(w)
 }
@@ -329,91 +343,124 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 		maxLen = 0
 	}
 	x := &GGSX{
-		maxLen:  maxLen,
-		n:       len(dataset),
-		root:    &trieNode{id: -1, children: make(map[trieKey]*trieNode)},
-		forward: make([][]nodeCount, len(dataset)),
-		blooms:  make([]uint64, len(dataset)),
+		maxLen: maxLen,
+		n:      len(dataset),
+		root:   &trieNode{id: -1, stamp: 1, children: make(map[trieKey]*trieNode)},
 	}
+	forward := make([][]nodeCount, len(dataset))
+	blooms := make([]uint64, len(dataset))
 	for gid, g := range dataset {
 		if g == nil { // tombstoned id: indexed as empty
 			continue
 		}
-		w := newWalk(g, maxLen, len(x.nodes), x.root, x.child)
-		x.forward[gid], x.blooms[gid] = w.row()
-		w.release()
-		for _, nc := range x.forward[gid] { // gids ascend, so every list stays sorted
-			nd := x.nodes[nc.node]
-			nd.postings = append(nd.postings, posting{int32(gid), nc.count})
+		w := newWalk(g, maxLen, x.nodes, x.root, x.step)
+		forward[gid], blooms[gid] = w.row()
+		for _, nd := range w.touched { // gids ascend, so every list stays sorted
+			nd.postings = append(nd.postings, posting{int32(gid), w.counts[nd.id]})
 		}
+		w.release()
 	}
-	for _, nd := range x.nodes {
+	x.bytes = childBytes * len(x.root.children)
+	x.root.each(func(nd *trieNode) {
 		if cs := encodeSlices(nd.postings); cs != nil {
 			nd.slices, nd.postings = cs, nil
 		}
+		x.bytes += nodeBytes + childBytes*len(nd.children) + nd.payloadBytes()
+	})
+	for _, row := range forward {
+		x.bytes += perGraphBytes + 8*len(row)
 	}
-	x.bytes = x.computeBytes()
+	x.forward, x.blooms = chunkedOf(forward), chunkedOf(blooms)
 	return x
 }
 
-// child returns the child of nd for the key, creating it if needed.
-func (x *GGSX) child(nd *trieNode, k trieKey) *trieNode {
-	if c, ok := nd.children[k]; ok {
+// each calls fn on every node below nd.
+func (nd *trieNode) each(fn func(*trieNode)) {
+	for _, c := range nd.children {
+		fn(c)
+		c.each(fn)
+	}
+}
+
+// clone returns a copy of the trie below nd with every node stamped 0.
+// Postings and encodings are shared: inserts replace them, never write them.
+func (nd *trieNode) clone() *trieNode {
+	c := &trieNode{id: nd.id, children: make(map[trieKey]*trieNode, len(nd.children)), postings: nd.postings, slices: nd.slices}
+	for k, child := range nd.children {
+		c.children[k] = child.clone()
+	}
+	return c
+}
+
+// step is the writing trie step of a build and of WithGraph: it descends
+// from nd, a node of x's own (stamped x.gen), to x's own child along k. A
+// child stamped by an older index is copied, sharing its postings and
+// child map until they are written; a missing one is created. nd's child
+// map is cloned before its first write, unless nd already owns it (the
+// low bit of its stamp).
+func (x *GGSX) step(nd *trieNode, k trieKey) *trieNode {
+	c, ok := nd.children[k]
+	if ok && c.stamp&^1 == x.gen {
 		return c
 	}
-	c := &trieNode{id: int32(len(x.nodes)), children: make(map[trieKey]*trieNode)}
+	if ok {
+		c = &trieNode{id: c.id, stamp: x.gen, children: c.children, postings: c.postings, slices: c.slices}
+	} else {
+		c = &trieNode{id: int32(x.nodes), stamp: x.gen | 1, children: make(map[trieKey]*trieNode)}
+		x.nodes++
+		x.bytes += nodeBytes + childBytes // node struct + the parent's new map entry
+	}
+	if nd.stamp&1 == 0 {
+		nd.children, nd.stamp = maps.Clone(nd.children), nd.stamp|1
+	}
 	nd.children[k] = c
-	x.nodes = append(x.nodes, c)
 	return c
 }
 
 // WithGraph implements InsertableFilter: an incremental, copy-on-write
-// trie insert. Only g's own label paths are enumerated (the walk NewGGSX
-// does for one dataset graph — O(graph)); every trie node the walk touches
-// is replaced by a private copy carrying the new posting, and every
-// untouched node, encoding and child map is shared with the receiver (the
-// GGSX comment has the rules). No other dataset graph is revisited, where
-// the factory rebuild re-enumerates the paths of the whole dataset.
+// trie insert. It enumerates g's own label paths (the walk NewGGSX does
+// for one dataset graph), copies the trie nodes they touch and adds the
+// new posting to each, and writes g's forward row and bloom into one
+// chunk each; every untouched node, encoding, child map and chunk is
+// shared with the receiver (the GGSX comment has the rules). No other
+// dataset graph is revisited, where the factory rebuild re-enumerates the
+// paths of the whole dataset.
 func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 	if gid < x.n {
 		panic(fmt.Sprintf("ftv: GGSX.WithGraph gid %d is inside the indexed id space [0,%d) — additions only append", gid, x.n))
 	}
 	x2 := &GGSX{
-		maxLen:  x.maxLen,
-		n:       gid + 1,
-		nodes:   make([]*trieNode, len(x.nodes)),
-		forward: make([][]nodeCount, gid+1),
-		blooms:  make([]uint64, gid+1),
+		maxLen: x.maxLen,
+		n:      gid + 1,
+		nodes:  x.nodes,
+		gen:    x.gen + 2,
 		// Positions [x.n, gid) are implicit tombstones: indexed as empty,
-		// but still charged the per-graph overhead computeBytes counts.
+		// but still charged the per-graph overhead a build counts.
 		bytes: x.bytes + perGraphBytes*(gid+1-x.n),
 	}
-	copy(x2.nodes, x.nodes)
-	copy(x2.forward, x.forward)
-	copy(x2.blooms, x.blooms)
-
-	// The root is always touched (every vertex starts a path); its private
-	// copy initially shares the child map, cloned only if g introduces a
-	// new first-step feature.
-	x2.root = &trieNode{id: -1, children: x.root.children}
-	ins := &ggsxInserter{x2: x2, priv: map[int32]*trieNode{-1: x2.root}, ownMap: map[int32]bool{}}
-	w := newWalk(g, x.maxLen, len(x.nodes), x2.root, ins.step)
+	root := x.root
+	if x2.gen == 0 { // 2^31 inserts wrapped the stamp: restart from a copy no old stamp reaches
+		root, x2.gen = root.clone(), 2
+	}
+	// Every vertex starts a path, so x2 always has a root of its own; it
+	// shares the receiver's child map until the first step clones it.
+	x2.root = &trieNode{id: -1, stamp: x2.gen, children: root.children}
+	w := newWalk(g, x.maxLen, x.nodes, x2.root, x2.step)
 	row, bloom := w.row()
-	w.release()
-	for _, nc := range row {
-		nd := ins.priv[nc.node] // every counted node was stepped into, hence private
+	for _, nd := range w.touched { // every counted node was stepped into, hence x2's own
 		x2.bytes -= nd.payloadBytes()
-		nd.addPosting(int32(gid), nc.count)
+		nd.addPosting(int32(gid), w.counts[nd.id])
 		x2.bytes += nd.payloadBytes()
 	}
-	x2.forward[gid], x2.blooms[gid] = row, bloom
+	w.release()
+	x2.forward, x2.blooms = x.forward.With(gid, row), x.blooms.With(gid, bloom)
 	x2.bytes += 8 * len(row)
 	return x2
 }
 
-// addPosting records (gid, c) on a private node, gid above every posted
-// one, and leaves the node in the encoding the size rule picks for its
-// new contents.
+// addPosting records (gid, c) on a node of the inserting index's own, gid
+// above every posted one, and leaves the node in the encoding the size
+// rule picks for its new contents.
 func (nd *trieNode) addPosting(gid, c int32) {
 	if nd.slices != nil {
 		nd.slices = nd.slices.with(gid, c)
@@ -430,54 +477,6 @@ func (nd *trieNode) addPosting(gid, c int32) {
 	}
 }
 
-// ggsxInserter carries the copy-on-write state of one WithGraph call:
-// priv maps node ids (-1 for the root) to their private copies, ownMap
-// marks private nodes whose child map has already been cloned (maps,
-// unlike slices, cannot be shared once written).
-type ggsxInserter struct {
-	x2     *GGSX
-	priv   map[int32]*trieNode
-	ownMap map[int32]bool
-}
-
-// step descends from the PRIVATE node nd along key k, returning a private
-// child: an existing shared child is copied (sharing its postings and
-// child map until they are written), a missing one is created fresh —
-// mirroring what NewGGSX's child() would have built.
-func (ins *ggsxInserter) step(nd *trieNode, k trieKey) *trieNode {
-	if c, ok := nd.children[k]; ok {
-		if p, ok := ins.priv[c.id]; ok {
-			return p
-		}
-		p := &trieNode{id: c.id, children: c.children, postings: c.postings, slices: c.slices}
-		ins.priv[c.id] = p
-		ins.x2.nodes[c.id] = p
-		ins.ownChildren(nd)[k] = p
-		return p
-	}
-	c := &trieNode{id: int32(len(ins.x2.nodes)), children: make(map[trieKey]*trieNode)}
-	ins.priv[c.id] = c
-	ins.ownMap[c.id] = true
-	ins.x2.nodes = append(ins.x2.nodes, c)
-	ins.ownChildren(nd)[k] = c
-	ins.x2.bytes += nodeBytes + childBytes // node struct + the parent's new map entry
-	return c
-}
-
-// ownChildren returns nd's child map, cloning it first if it is still
-// shared with the receiver. Caller is about to write into it.
-func (ins *ggsxInserter) ownChildren(nd *trieNode) map[trieKey]*trieNode {
-	if !ins.ownMap[nd.id] {
-		m := make(map[trieKey]*trieNode, len(nd.children)+1)
-		for k, v := range nd.children {
-			m[k] = v
-		}
-		nd.children = m
-		ins.ownMap[nd.id] = true
-	}
-	return nd.children
-}
-
 // Name implements Filter.
 func (x *GGSX) Name() string { return "ggsx" }
 
@@ -485,7 +484,7 @@ func (x *GGSX) Name() string { return "ggsx" }
 func (x *GGSX) MaxLen() int { return x.maxLen }
 
 // NodeCount returns the number of trie nodes (distinct features).
-func (x *GGSX) NodeCount() int { return len(x.nodes) }
+func (x *GGSX) NodeCount() int { return x.nodes }
 
 // IndexBytes implements Filter.
 func (x *GGSX) IndexBytes() int { return x.bytes }
@@ -507,24 +506,13 @@ func (nd *trieNode) payloadBytes() int {
 	return 8 * len(nd.postings)
 }
 
-func (x *GGSX) computeBytes() int {
-	b := childBytes * len(x.root.children)
-	for _, nd := range x.nodes {
-		b += nodeBytes + childBytes*len(nd.children) + nd.payloadBytes()
-	}
-	for _, row := range x.forward {
-		b += perGraphBytes + 8*len(row)
-	}
-	return b
-}
-
 // Candidates implements Filter. Subgraph: G is a candidate iff
 // count_G(f) ≥ count_q(f) for every query feature f — one AND per feature
 // into the candidate words, in any order. Supergraph: iff count_G(f) ≤
 // count_q(f) for every feature f of G — the bloom word rules out a graph
 // owning a feature the query lacks, the forward row decides the rest.
 func (x *GGSX) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
-	w := newWalk(q, x.maxLen, len(x.nodes), x.root, lookupChild)
+	w := newWalk(q, x.maxLen, x.nodes, x.root, lookupChild)
 	defer w.release()
 	if nw := (x.n + 63) / 64; cap(w.words) < nw {
 		w.words = make([]uint64, nw)
@@ -533,13 +521,17 @@ func (x *GGSX) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
 	}
 	if qt == Supergraph { // paths the trie lacks are fine here
 		var qbloom uint64
-		for _, id := range w.touched {
-			qbloom |= featureBit(id)
+		for _, nd := range w.touched {
+			qbloom |= featureBit(nd.id)
 		}
 		clear(w.words)
-		for gid, bloom := range x.blooms {
-			if bloom&^qbloom == 0 && dominated(x.forward[gid], w.counts) {
-				w.words[gid>>6] |= 1 << (gid & 63)
+		for k, blooms := range x.blooms.dir { // chunk by chunk: no per-gid directory lookup
+			rows, base := x.forward.dir[k], k<<chunkBits
+			for j := range min(chunkLen, x.n-base) {
+				if blooms[j]&^qbloom == 0 && dominated(rows[j], w.counts) {
+					gid := base + j
+					w.words[gid>>6] |= 1 << (gid & 63)
+				}
 			}
 		}
 		return bitset.FromWords(x.n, w.words)
@@ -553,12 +545,12 @@ func (x *GGSX) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
 	for i := range w.words {
 		w.words[i] = ^uint64(0) // bits ≥ n fall to the first feature: no encoding holds them
 	}
-	for _, id := range w.touched {
+	for _, nd := range w.touched {
 		var alive bool
-		if nd := x.nodes[id]; nd.slices != nil {
-			alive = nd.slices.andAtLeast(w.words, w.counts[id])
+		if nd.slices != nil {
+			alive = nd.slices.andAtLeast(w.words, w.counts[nd.id])
 		} else {
-			alive = andPostings(w.words, nd.postings, w.counts[id])
+			alive = andPostings(w.words, nd.postings, w.counts[nd.id])
 		}
 		if !alive {
 			return bitset.New(x.n)

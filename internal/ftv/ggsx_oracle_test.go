@@ -100,9 +100,10 @@ type layoutEvents struct {
 }
 
 func (ev *layoutEvents) observe(before, after *GGSX) {
-	ev.newNode = ev.newNode || len(after.nodes) > len(before.nodes)
-	for id, old := range before.nodes {
-		nd := after.nodes[id]
+	ev.newNode = ev.newNode || after.nodes > before.nodes
+	afterNodes := nodesByID(after)
+	for id, old := range nodesByID(before) {
+		nd := afterNodes[id]
 		switch {
 		case nd == old:
 		case old.slices == nil && nd.slices != nil:
@@ -114,6 +115,13 @@ func (ev *layoutEvents) observe(before, after *GGSX) {
 			ev.newWord = ev.newWord || len(nd.slices.slice[0]) > len(old.slices.slice[0])
 		}
 	}
+}
+
+// nodesByID returns x's trie nodes, the root excluded, indexed by node id.
+func nodesByID(x *GGSX) []*trieNode {
+	nodes := make([]*trieNode, x.nodes)
+	x.root.each(func(nd *trieNode) { nodes[nd.id] = nd })
+	return nodes
 }
 
 // runGGSXOracle builds an index over base graphs of the given kind (every
@@ -198,17 +206,18 @@ func runGGSXOracle(t *testing.T, seed int64, kind, base, inserts int) layoutEven
 	// The grown index is the index a build over the same graphs produces:
 	// same node ids, same encoding per node, same postings, same bytes.
 	grown, rebuilt := chain[len(chain)-1], NewGGSX(dataset, maxLen)
-	if grown.IndexBytes() != rebuilt.IndexBytes() || len(grown.nodes) != len(rebuilt.nodes) {
+	if grown.IndexBytes() != rebuilt.IndexBytes() || grown.nodes != rebuilt.nodes {
 		t.Fatalf("seed %d kind %d: grown index %d B / %d nodes, rebuilt %d B / %d nodes",
-			seed, kind, grown.IndexBytes(), len(grown.nodes), rebuilt.IndexBytes(), len(rebuilt.nodes))
+			seed, kind, grown.IndexBytes(), grown.nodes, rebuilt.IndexBytes(), rebuilt.nodes)
 	}
-	for id, nd := range grown.nodes {
-		a, b := nd.postings, rebuilt.nodes[id].postings
-		if (nd.slices != nil) != (rebuilt.nodes[id].slices != nil) {
+	rebuiltNodes := nodesByID(rebuilt)
+	for id, nd := range nodesByID(grown) {
+		a, b := nd.postings, rebuiltNodes[id].postings
+		if (nd.slices != nil) != (rebuiltNodes[id].slices != nil) {
 			t.Fatalf("seed %d kind %d: node %d encoded differently by insert and build", seed, kind, id)
 		}
 		if nd.slices != nil {
-			a, b = nd.slices.postings(), rebuilt.nodes[id].slices.postings()
+			a, b = nd.slices.postings(), rebuiltNodes[id].slices.postings()
 		}
 		if fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("seed %d kind %d: node %d postings %v after inserts, %v rebuilt", seed, kind, id, a, b)

@@ -28,17 +28,20 @@ func VF2Verifier(pattern, target *graph.Graph) bool { return iso.SubIso(pattern,
 //
 // A Method takes live mutations: AddGraph appends a graph under a fresh,
 // stable id, and RemoveGraph tombstones an id without ever reusing it.
-// The whole dataset state — graph slice, filter, live-id set and epoch —
-// lives in one immutable snapshot behind an atomic pointer: mutators
-// build a new snapshot (copy-on-write) and publish it with a single
-// store, so readers never lock and never observe a half-applied mutation.
-// Every mutation bumps the epoch. Every addition appends one id, so a
-// holder of an answer set sized to an older id space reconciles it by
-// verifying the ids past the set's length. Removals keep the old filter
-// (its postings for the dead id are masked by the live set — exact,
-// because Candidates intersects with live); additions patch the filter
-// incrementally, so AddGraph needs a filter that is an InsertableFilter
-// (every bundled filter is).
+// The whole dataset state — graphs, filter, live-id set and epoch — lives
+// in one immutable snapshot behind an atomic pointer: mutators build a new
+// snapshot and publish it with a single store, so readers never lock and
+// never observe a half-applied mutation. The new snapshot shares what the
+// mutation leaves alone: the graphs are a chunked copy-on-write array, so
+// a mutation copies its directory and the one 256-graph chunk it writes,
+// and the live-id set is copied (a span per run of live ids, ⌈n/64⌉
+// words at most). Every mutation bumps the epoch. Every addition appends
+// one id, so a holder of an answer set sized to an older id space
+// reconciles it by verifying the ids past the set's length. Removals keep
+// the old filter (its postings for the dead id are masked by the live set
+// — exact, because Candidates intersects with live); additions patch the
+// filter incrementally, so AddGraph needs a filter that is an
+// InsertableFilter (every bundled filter is).
 //
 // Readers that need a consistent multi-call view (size, candidates,
 // verification) must take one View and use it throughout; the plain Method
@@ -67,7 +70,7 @@ type Method struct {
 //
 //gclint:cow
 type methodState struct {
-	dataset   []*graph.Graph // by stable gid; tombstones are nil
+	dataset   chunked[*graph.Graph] // by stable gid; tombstones are nil
 	filter    Filter
 	live      *bitset.Set // gids not tombstoned; capacity == len(dataset)
 	liveCount int
@@ -98,7 +101,7 @@ func initialState(dataset []*graph.Graph, filter Filter) *methodState {
 	// its smallest container up front.
 	live.Compact()
 	return &methodState{
-		dataset:   dataset,
+		dataset:   chunkedOf(dataset),
 		filter:    filter,
 		live:      live,
 		liveCount: liveCount,
@@ -116,18 +119,11 @@ func (m *Method) Name() string { return m.name }
 //gclint:loads dataset
 func (m *Method) View() DatasetView { return DatasetView{s: m.state.Load(), verify: m.verify} }
 
-// Dataset returns the current dataset slice (tombstoned positions are
-// nil). Callers must not modify it.
-//
-//gclint:cowview
-//gclint:loads dataset
-func (m *Method) Dataset() []*graph.Graph { return m.state.Load().dataset }
-
 // DatasetSize returns the dataset's id space — the number of positions,
 // including tombstones, hence the capacity answer bitsets are sized to.
 //
 //gclint:loads dataset
-func (m *Method) DatasetSize() int { return len(m.state.Load().dataset) }
+func (m *Method) DatasetSize() int { return m.state.Load().dataset.Len() }
 
 // LiveCount returns the number of non-tombstoned dataset graphs.
 //
@@ -162,10 +158,14 @@ func (m *Method) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool {
 }
 
 // AddGraph appends g to the dataset under a fresh, stable id (the next
-// slice position — tombstoned ids are never reused) and publishes a new
+// position — tombstoned ids are never reused) and publishes a new
 // snapshot whose filter covers the grown dataset, patched through
-// InsertableFilter.WithGraph in O(graph). It returns the new graph's id,
-// or an error when the method's filter is not an InsertableFilter.
+// InsertableFilter.WithGraph. Under GGSX that enumerates g's paths and
+// copies the trie nodes they touch (of a bitmap node, each digit slice
+// g's count sets, ⌈n/64⌉ words), and the per-graph arrays of the filter
+// and of the method copy one chunk plus their directory each. It returns
+// the new graph's id, or an error when the method's filter is not an
+// InsertableFilter.
 //
 //gclint:acquires methodMu
 //gclint:pins dataset
@@ -180,15 +180,12 @@ func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("ftv: method %q cannot take AddGraph: its %s filter is not an InsertableFilter", m.name, old.filter.Name())
 	}
-	gid := len(old.dataset)
-	dataset := make([]*graph.Graph, gid+1)
-	copy(dataset, old.dataset)
-	dataset[gid] = g
+	gid := old.dataset.Len()
 	filter := ins.WithGraph(gid, g)
 	live := old.live.Grown(gid + 1)
 	live.Add(gid)
 	m.state.Store(&methodState{
-		dataset:   dataset,
+		dataset:   old.dataset.With(gid, g),
 		filter:    filter,
 		live:      live,
 		liveCount: old.liveCount + 1,
@@ -201,7 +198,8 @@ func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 // (answer-set positions remain stable) but the graph leaves the live set,
 // so it can never again appear in a candidate or answer set. The filter is
 // kept as-is — its postings for the dead id are masked by the live set —
-// making removals O(dataset) copying with no index rebuild.
+// so a removal copies one chunk of the graph array, its directory and the
+// live-id set, and rebuilds no index.
 //
 //gclint:acquires methodMu
 //gclint:pins dataset
@@ -209,19 +207,16 @@ func (m *Method) RemoveGraph(gid int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := m.state.Load()
-	if gid < 0 || gid >= len(old.dataset) {
-		return fmt.Errorf("ftv: no dataset graph %d (id space [0,%d))", gid, len(old.dataset))
+	if gid < 0 || gid >= old.dataset.Len() {
+		return fmt.Errorf("ftv: no dataset graph %d (id space [0,%d))", gid, old.dataset.Len())
 	}
-	if old.dataset[gid] == nil {
+	if old.dataset.At(gid) == nil {
 		return fmt.Errorf("ftv: dataset graph %d is already removed", gid)
 	}
-	dataset := make([]*graph.Graph, len(old.dataset))
-	copy(dataset, old.dataset)
-	dataset[gid] = nil
 	live := old.live.Clone()
 	live.Remove(gid)
 	m.state.Store(&methodState{
-		dataset:   dataset,
+		dataset:   old.dataset.With(gid, nil),
 		filter:    old.filter,
 		live:      live,
 		liveCount: old.liveCount - 1,
@@ -243,7 +238,7 @@ type DatasetView struct {
 
 // Size returns the id space (positions including tombstones) — the
 // capacity candidate and answer bitsets are sized to.
-func (v DatasetView) Size() int { return len(v.s.dataset) }
+func (v DatasetView) Size() int { return v.s.dataset.Len() }
 
 // LiveCount returns the number of non-tombstoned graphs.
 func (v DatasetView) LiveCount() int { return v.s.liveCount }
@@ -252,7 +247,7 @@ func (v DatasetView) LiveCount() int { return v.s.liveCount }
 func (v DatasetView) Epoch() int64 { return v.s.epoch }
 
 // Graph returns dataset graph gid, or nil if tombstoned.
-func (v DatasetView) Graph(gid int) *graph.Graph { return v.s.dataset[gid] }
+func (v DatasetView) Graph(gid int) *graph.Graph { return v.s.dataset.At(gid) }
 
 // Live returns the live-id set. Callers must treat it as read-only.
 //
@@ -272,7 +267,7 @@ func (v DatasetView) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
 // VerifyCandidate runs one sub-iso test between the query and dataset
 // graph gid, oriented by query type. Tombstoned gids report false.
 func (v DatasetView) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool {
-	g := v.s.dataset[gid]
+	g := v.s.dataset.At(gid)
 	if g == nil {
 		return false
 	}
@@ -314,7 +309,7 @@ func (b *BoundQuery) Verify(gid int) bool {
 	if b.matcher == nil {
 		return b.view.VerifyCandidate(b.q, gid, b.qt)
 	}
-	g := b.view.s.dataset[gid]
+	g := b.view.s.dataset.At(gid)
 	if g == nil {
 		return false
 	}
@@ -379,7 +374,8 @@ func (m *Method) Run(q *graph.Graph, qt QueryType) *Result {
 
 // NewGGSXMethod is a convenience constructor for the demo deployment's
 // Method M: GGSX filtering with VF2 verification. AddGraph patches the
-// GGSX trie through a copy-on-write incremental insert (O(graph)).
+// GGSX trie through a copy-on-write insert that copies only the nodes the
+// new graph's paths touch and one chunk of each per-graph array.
 func NewGGSXMethod(dataset []*graph.Graph, maxLen int) *Method {
 	return NewMethod(fmt.Sprintf("ggsx-L%d/vf2", maxLen), dataset, NewGGSX(dataset, maxLen), nil)
 }
