@@ -33,11 +33,13 @@ race:
 # race-stress repeats the kernel's lock-sensitive tests under the race
 # detector — the concurrency gauntlets, the lock-free exact probe held
 # against a taken mu, the snapshot writers blocked outside the locks,
-# reconciliation kept out from under mu, and views of Method M read while
-# a writer chains copy-on-write inserts behind them — so every lock or
-# sharing change pays for many interleavings, not one.
+# reconciliation kept out from under mu, mutations that wait for no query
+# and take no cache lock, a stale-view reader meeting an entry brought past
+# its view, and views of Method M read while a writer chains copy-on-write
+# inserts behind them — so every lock or sharing change pays for many
+# interleavings, not one.
 race-stress:
-	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu' ./internal/core ./internal/ftv
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry' ./internal/core ./internal/ftv
 
 vet:
 	$(GO) vet ./...

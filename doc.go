@@ -85,19 +85,20 @@
 //
 //   - Each query runs against one immutable dataset snapshot (an epoch-
 //     tagged, copy-on-write state behind an atomic pointer in the ftv
-//     layer); queries share a read lock, mutations take the write side,
-//     so no query ever observes a half-maintained cache.
-//   - Removals are stop-the-world and cheap: the gid's bit is cleared
-//     from every admitted and window entry's answer set (a pointer swap
-//     per entry, no iso tests) and the id is masked out of all future
-//     candidate sets.
-//   - Additions verify the new graph against each cached entry when the
-//     entry is next read, never at mutation time: every addition appends
-//     one id, so a hit on an entry whose answer set is shorter than the
-//     id space verifies only the ids past it before its answers are
-//     trusted.
-//     Entries and the snapshot writers reconcile every resident entry
-//     first, before they take the cache lock.
+//     layer), loaded once at its start. A mutation publishes the next
+//     snapshot and returns: it takes no cache lock and waits for no
+//     query.
+//   - Each cached answer set names the epoch it is exact for. A query
+//     on a later snapshot brings the entry forward before trusting it:
+//     it masks out the graphs removed since (no iso test) and verifies
+//     the graphs added since — every addition appends one id, so those
+//     are the ids past the set's length. A query on an earlier snapshot
+//     than the entry's treats the entry as absent.
+//   - Every window turn masks the pending removals of all cached
+//     entries, so the memory account is exact at every turn.
+//   - Because the maintenance keys on the snapshot, not on the caller,
+//     answers stay exact when the Method is mutated behind the cache's
+//     back: by another cache over the same Method, or directly.
 //   - An addition copies what it inserts: AddGraph patches the filter
 //     index through a copy-on-write insert (InsertableFilter, which every
 //     bundled filter implements). Under GGSX it enumerates the new graph's
@@ -108,7 +109,7 @@
 //     the previous snapshot, which keeps answering for its own epoch. A
 //     method whose custom filter lacks the capability refuses AddGraph.
 //   - Additions keep no log: the kernel holds one containment summary per
-//     added graph for its screen and, at every mutation, drops those
+//     added graph for its screen and, at every window turn, drops those
 //     below the shortest answer set any resident or pending entry still
 //     has — bounded state under unbounded churn.
 //

@@ -162,7 +162,8 @@ func NewSIMethod(dataset []*Graph) *Method {
 // NewMethod assembles a custom Method M from a filter built over dataset
 // and a verifier (nil verifier means VF2). Cache.RemoveGraph always works;
 // Cache.AddGraph works when the filter implements InsertableFilter, and
-// either way every cached answer set is maintained exactly.
+// either way every cached answer set is maintained exactly — also when the
+// Method is mutated directly or through another cache over it.
 func NewMethod(name string, dataset []*Graph, filter Filter, verify VerifierFunc) *Method {
 	return ftv.NewMethod(name, dataset, filter, verify)
 }

@@ -14,8 +14,8 @@ import (
 
 // TestAddSumsWaitForColdestEntry pins the pruning floor rule: the cache
 // keeps the summary of every added graph the coldest (stalest) entry has
-// yet to test, and drops them at the first mutation after that entry
-// reconciles — never earlier.
+// yet to test, and drops them at the first window turn after that entry
+// reconciles — never earlier, and never at a mutation.
 func TestAddSumsWaitForColdestEntry(t *testing.T) {
 	dataset := testDataset(111, 10)
 	extra := testDataset(112, 4)
@@ -33,7 +33,8 @@ func TestAddSumsWaitForColdestEntry(t *testing.T) {
 		if _, err := c.AddGraph(extra[i]); err != nil {
 			t.Fatal(err)
 		}
-		if got := len(c.addSums); got != i+1 {
+		turnNow(c)
+		if got := addSumsLen(c); got != i+1 {
 			t.Fatalf("after lazy add %d: %d summaries, want %d (stale entry must pin them)", i, got, i+1)
 		}
 	}
@@ -46,24 +47,30 @@ func TestAddSumsWaitForColdestEntry(t *testing.T) {
 	if !res.ExactHit {
 		t.Fatal("expected an exact hit on the stale entry")
 	}
-	// ...so the next mutation's prune drops everything the entry passed:
-	// the three old summaries go, only the new addition's survives.
+	// ...but a mutation prunes nothing...
 	if _, err := c.AddGraph(extra[3]); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(c.addSums); got != 1 {
-		t.Fatalf("%d summaries after reconciliation + add, want 1", got)
+	if got := addSumsLen(c); got != 4 {
+		t.Fatalf("%d summaries after reconciliation + add, want 4", got)
+	}
+	// ...and the next turn's prune drops everything the entry passed:
+	// the three old summaries go, only the new addition's survives.
+	turnNow(c)
+	if got := addSumsLen(c); got != 1 {
+		t.Fatalf("%d summaries after reconciliation + add + turn, want 1", got)
 	}
 }
 
-// TestAdditionLogBoundedUnderSustainedAdds is the boundedness acceptance
+// TestAddSumsBoundedUnderSustainedAdds is the boundedness acceptance
 // property for the cache's per-addition records, the added-graph
 // summaries: a sustained add/query stream keeps them at O(1) — every
 // round's queries reconcile the resident entries, so the floor tracks the
-// id space and the mutations' stop-the-world passes continuously prune
-// the tail. Runs in both reconcileModes: with lazy=false each add is
-// followed by reconcileNow before the round's queries.
-func TestAdditionLogBoundedUnderSustainedAdds(t *testing.T) {
+// id space and the window turns continuously prune the tail. Each round
+// ends with one turn, which a stream's misses would bring. Runs in both
+// reconcileModes: with lazy=false each add is followed by reconcileNow
+// before the round's queries.
+func TestAddSumsBoundedUnderSustainedAdds(t *testing.T) {
 	for _, lazy := range reconcileModes {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
 			dataset := testDataset(121, 12)
@@ -87,14 +94,14 @@ func TestAdditionLogBoundedUnderSustainedAdds(t *testing.T) {
 					}
 				}
 				// Touch every pool pattern: first executions admit, later
-				// ones exact-hit and reconcile, and the window (size 2)
-				// turns at least once per round.
+				// ones exact-hit and reconcile; then turn the window.
 				for _, p := range pool {
 					if _, err := c.Execute(p.g, p.qt); err != nil {
 						t.Fatal(err)
 					}
 				}
-				n := len(c.addSums)
+				turnNow(c)
+				n := addSumsLen(c)
 				maxSums = max(maxSums, n)
 				if round > 2 && n > 4 {
 					t.Fatalf("round %d: %d summaries — pruning is not keeping up", round, n)
@@ -107,7 +114,7 @@ func TestAdditionLogBoundedUnderSustainedAdds(t *testing.T) {
 			if maxSums >= len(stream)/2 {
 				t.Fatalf("max %d summaries over %d adds: unbounded growth", maxSums, len(stream))
 			}
-			if len(c.addSums) == len(stream) {
+			if addSumsLen(c) == len(stream) {
 				t.Fatal("no summary was ever pruned")
 			}
 		})
@@ -145,7 +152,7 @@ func TestSiblingCacheKeepsAnswersExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := a.addSums[gid]; ok {
+	if _, ok := (*a.addSums.Load())[gid]; ok {
 		t.Fatal("the first cache holds a summary of the second cache's addition; the scenario did not arm")
 	}
 	res, err := a.Execute(q, ftv.Subgraph)
@@ -156,6 +163,114 @@ func TestSiblingCacheKeepsAnswersExact(t *testing.T) {
 		t.Fatalf("exact=%v, answers %v; uncached %v", res.ExactHit, res.Answers, want)
 	}
 }
+
+// foreignMutators are the two ways a Method shared with a cache changes
+// behind that cache's back: through a sibling cache over the same method,
+// and through the Method's own API.
+var foreignMutators = []struct {
+	name   string
+	add    func(c *Cache, g *graph.Graph) (int, error)
+	remove func(c *Cache, gid int) error
+}{
+	{"sibling",
+		func(c *Cache, g *graph.Graph) (int, error) { return MustNew(c.Method(), DefaultConfig()).AddGraph(g) },
+		func(c *Cache, gid int) error { return MustNew(c.Method(), DefaultConfig()).RemoveGraph(gid) }},
+	{"method",
+		func(c *Cache, g *graph.Graph) (int, error) { return c.Method().AddGraph(g) },
+		func(c *Cache, gid int) error { return c.Method().RemoveGraph(gid) }},
+}
+
+// exactOrErr executes q on c, reporting a panic or answers that differ
+// from the uncached method as an error.
+func exactOrErr(c *Cache, q *graph.Graph) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	if res, err = c.Execute(q, ftv.Subgraph); err != nil {
+		return nil, err
+	}
+	if want := c.Method().Run(q, ftv.Subgraph).Answers; !res.Answers.Equal(want) {
+		return nil, fmt.Errorf("answers %v, uncached %v", res.Answers, want)
+	}
+	return res, nil
+}
+
+// TestForeignRemovalLeavesNoAnswer: a graph removed from the shared
+// Method by a sibling cache, or through the Method itself, appears in
+// none of this cache's answers — not in a sub hit's guaranteed answers,
+// not in an exact hit's, not in a miss's.
+func TestForeignRemovalLeavesNoAnswer(t *testing.T) {
+	for _, m := range foreignMutators {
+		t.Run(m.name, func(t *testing.T) {
+			dataset := testDataset(161, 10)
+			c := testCache(t, dataset, func(cfg *Config) {
+				cfg.Window = 1
+				cfg.SelfCheck = false // checked by exactOrErr, as an error rather than a panic
+			})
+			rng := rand.New(rand.NewSource(162))
+			q := gen.ExtractConnectedSubgraph(rng, dataset[2], 5)
+			if _, err := exactOrErr(c, q); err != nil { // the entry answers with graph 2
+				t.Fatal(err)
+			}
+			if err := m.remove(c, 2); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []struct {
+				kind string
+				q    *graph.Graph
+				ok   func(*Result) bool
+			}{
+				{"sub hit", gen.ExtractConnectedSubgraph(rng, q, 3), func(r *Result) bool { return !r.Sure.Empty() }},
+				{"exact hit", q, func(r *Result) bool { return r.ExactHit }},
+				{"miss", gen.ExtractConnectedSubgraph(rng, dataset[5], 4), func(r *Result) bool { return len(r.Hits) == 0 }},
+			} {
+				res, err := exactOrErr(c, k.q)
+				if err != nil {
+					t.Fatalf("%s: %v", k.kind, err)
+				}
+				if !k.ok(res) {
+					t.Fatalf("%s: hits %v; the scenario did not arm", k.kind, res.Hits)
+				}
+			}
+		})
+	}
+}
+
+// TestForeignAdditionReachesMiss: a miss whose candidates include a graph
+// added to the shared Method by a sibling cache, or through the Method
+// itself, verifies and prices it like any other graph — exact answers, no
+// panic.
+func TestForeignAdditionReachesMiss(t *testing.T) {
+	for _, m := range foreignMutators {
+		t.Run(m.name, func(t *testing.T) {
+			dataset := testDataset(163, 10)
+			c := testCache(t, dataset, func(cfg *Config) {
+				cfg.Window = 1
+				cfg.SelfCheck = false
+			})
+			rng := rand.New(rand.NewSource(164))
+			if _, err := exactOrErr(c, gen.ExtractConnectedSubgraph(rng, dataset[7], 4)); err != nil {
+				t.Fatal(err)
+			}
+			gid, err := m.add(c, dataset[3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := exactOrErr(c, gen.ExtractConnectedSubgraph(rng, dataset[3], 4)) // embeds in the copy
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ExactHit || !res.Answers.Contains(gid) {
+				t.Fatalf("exact=%v answers %v: want a miss answering with the added graph %d", res.ExactHit, res.Answers, gid)
+			}
+		})
+	}
+}
+
+// addSumsLen is the number of added-graph summaries c holds.
+func addSumsLen(c *Cache) int { return len(*c.addSums.Load()) }
 
 // queryCase pairs a pattern with its semantics for reuse across rounds.
 type queryCase struct {
@@ -189,8 +304,7 @@ func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 	}
 
 	// Mutate past the written state: two additions, then reconcile the
-	// resident entry (exact hit) so the next mutation prunes their
-	// summaries.
+	// resident entry (exact hit) so the next turn prunes their summaries.
 	for i := 0; i < 2; i++ {
 		if _, err := c.AddGraph(extra[i]); err != nil {
 			t.Fatal(err)
@@ -202,8 +316,9 @@ func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 	if _, err := c.AddGraph(extra[2]); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.addSums) != 1 {
-		t.Fatalf("%d summaries survive the prune, want 1; the regression scenario did not arm", len(c.addSums))
+	turnNow(c)
+	if addSumsLen(c) != 1 {
+		t.Fatalf("%d summaries survive the prune, want 1; the regression scenario did not arm", addSumsLen(c))
 	}
 
 	// The state predates the additions whose summaries were pruned:

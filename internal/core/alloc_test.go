@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -157,7 +156,7 @@ func TestHelperAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is distorted under the race detector")
 	}
-	c := &Cache{costVal: make([]atomic.Uint64, 3), policy: NewHD()}
+	c := &Cache{policy: NewHD()}
 	costs := []costSample{{gid: 1, dur: 500}, {gid: 2, dur: 700}}
 	s := summarize(testDataset(1, 1)[0])
 	same := s
@@ -177,7 +176,7 @@ func TestHelperAllocBudget(t *testing.T) {
 		{"emaAdd", func() { emaAdd(&c.globalVal, globalCostAlpha, 300) }},
 		{"recordCosts", func() { c.recordCosts(costs) }},
 		{"embedsIn", func() { s.embedsIn(&same) }}, // passes the vector and the bloom: runs dominatedBy
-		{"rankCandidates", func() { ranked = rankCandidates(cands, true, ranked) }},
+		{"rankCandidates", func() { ranked = rankCandidates(rankView, cands, true, ranked) }},
 		{"creditHit", func() {
 			c.mu.Lock()
 			c.creditHit(&ev, credit, 7)

@@ -42,14 +42,15 @@ import (
 // whole cache (without sorting it), evicts, admits the window and
 // publishes a fresh view (see index.go for the publication rules).
 // Capacity is strict at every turn.
-// The lock hierarchy is dsMu → mu; the reverse nesting never occurs.
-// dsMu is the dataset RWMutex: queries hold its read side for their
-// whole run (pinning one dataset snapshot; queries never serialize
-// against each other on it), live dataset mutations (AddGraph/RemoveGraph,
-// see mutate.go) hold the write side while they patch cached answer
-// sets. Operational counters (Monitor) are atomics and bypass locks
-// entirely. Behaviour on many cores is unmeasured: the committed runs are
-// from two-CPU machines.
+//
+// mu is the cache's one lock; the only other lock a query or a mutation
+// meets is the method's leaf mutex (ftv.Method). A query pins its dataset
+// with one Method.View load, and live dataset mutations
+// (AddGraph/RemoveGraph, see mutate.go) take no cache lock and wait for
+// no query: each entry's answers name the dataset epoch they are exact
+// for, and a reader brings them forward to its own view. Operational
+// counters (Monitor) are atomics and bypass locks entirely. Behaviour on
+// many cores is unmeasured: the committed runs are from two-CPU machines.
 //
 // # Determinism
 //
@@ -68,7 +69,7 @@ import (
 // analyzers (internal/lint), which fail the build on reverse nestings,
 // unmet lock preconditions, and writes to published COW state.
 //
-//gclint:hierarchy dsMu mu
+//gclint:hierarchy mu
 type Cache struct {
 	method *ftv.Method
 	cfg    Config
@@ -85,19 +86,6 @@ type Cache struct {
 	//gclint:snapshot summaries
 	published atomic.Pointer[resident]
 
-	// dsMu orders queries against live dataset mutations: Execute (and the
-	// state save/restore paths) hold the read side for their whole
-	// duration, so every query runs against ONE dataset snapshot and its
-	// answer is exact for that snapshot; AddGraph/RemoveGraph take the
-	// write side, which both drains all in-flight queries before the
-	// mutation patches cached state and guarantees no query observes a
-	// half-maintained cache. Queries never serialize against each other on
-	// it — dsLock stripes the reader count across padded per-slot
-	// counters, so the read fast path touches no shared cache line (see
-	// dslock.go). The outer rung of the lock hierarchy: dsMu → mu.
-	//gclint:lock dsMu
-	dsMu dsLock
-
 	// mu is the cache's lock. It guards the admission window, ID
 	// allocation, the resident list, the replacement policy and the
 	// mutable per-entry utility fields the policy reads and writes (Hits,
@@ -105,9 +93,8 @@ type Cache struct {
 	// sub/super hit crediting, window turns (folding exact-hit credit
 	// cells, utility aging, admission and eviction), Entries, snapshot
 	// encoding and restores. Held for an append, a fingerprint comparison
-	// per pending entry or counter arithmetic per hit, except by a turn or
-	// a stop-the-world pass; never across iso tests, dataset scans or a
-	// snapshot's writes.
+	// per pending entry or counter arithmetic per hit, except by a turn;
+	// never across iso tests, dataset scans or a snapshot's writes.
 	//gclint:lock mu
 	mu     sync.Mutex
 	window []*Entry
@@ -117,23 +104,27 @@ type Cache struct {
 	nextID int
 
 	// tick is the global query sequence number (atomic: assigned at query
-	// start, before any lock).
+	// start, before any lock). Every query writes it, so the padding keeps
+	// it off the cache lines of the fields every query only reads
+	// (method, cfg, published).
+	_    [56]byte
 	tick atomic.Int64
+	_    [56]byte
 
-	// costVal and globalVal are lock-free EMA cells tracking per-dataset-
+	// costs and globalVal are lock-free EMA cells tracking per-dataset-
 	// graph (and overall) verification cost in float64 ns, stored as bits
 	// (0 bits = no estimate yet). Updates are CAS loops; reads are single
 	// atomic loads, so neither hit crediting nor cost recording takes any
 	// lock.
-	costVal   []atomic.Uint64
+	costs     costCells
 	globalVal atomic.Uint64
 
-	// addSums holds the containment summary of every graph AddGraph
-	// appended that a reconciler may still test, keyed by gid:
-	// patchedAnswers screens each entry with it before testing.
-	// Mutations write and prune it under dsMu's write side; reconcilers
-	// read it under the read side.
-	addSums map[int]summary
+	// addSums publishes the containment summary of every graph AddGraph
+	// appended that a reader may still test, keyed by gid:
+	// patchedAnswers screens each entry with it before testing. The map
+	// is immutable once published: AddGraph and the turn's prune publish
+	// edited copies (editAddSums), readers load it without a lock.
+	addSums atomic.Pointer[map[int]summary]
 
 	// res tracks cache-wide resident entries/bytes atomically (see
 	// residency).
@@ -154,7 +145,7 @@ type Cache struct {
 // maintained atomically by every admission and eviction, so Len and Bytes
 // read them without a lock. bytes is the sum of the resident entries'
 // charged footprints (Entry.charged): Σ Entry.Bytes() at every window
-// turn and stop-the-world pass, which true the charges up.
+// turn, which trues the charges up, and restore.
 type residency struct {
 	entries atomic.Int64
 	bytes   atomic.Int64
@@ -179,13 +170,8 @@ func New(method *ftv.Method, cfg Config) (*Cache, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = NewHD()
 	}
-	c := &Cache{
-		method:  method,
-		cfg:     cfg,
-		policy:  cfg.Policy,
-		costVal: make([]atomic.Uint64, method.DatasetSize()),
-		addSums: map[int]summary{},
-	}
+	c := &Cache{method: method, cfg: cfg, policy: cfg.Policy}
+	c.addSums.Store(&map[int]summary{})
 	c.published.Store(&resident{})
 	return c, nil
 }
@@ -223,7 +209,7 @@ func (c *Cache) WindowLen() int {
 
 // Bytes returns the estimated resident size of admitted entries from the
 // atomic residency account: Σ Entry.Bytes() over the resident list as of
-// the last window turn or stop-the-world pass (asserted by
+// the last window turn or restore (asserted by
 // TestResidencyAccountAgreement).
 func (c *Cache) Bytes() int {
 	return int(c.res.bytes.Load())
@@ -237,16 +223,14 @@ func (c *Cache) Stats() Snapshot { return c.mon.Snapshot() }
 // utility fields are read race-free; admissions and evictions also
 // serialize on mu) after folding pending exact-hit credits; Graph,
 // Answers and the signature fields still alias the cache's immutable
-// originals. Every answer set is first reconciled to the current dataset
-// (reconcileResident, before mu), so Answers is exact for the dataset as
-// of the call. Intended for demonstrators and tests inspecting cache
-// contents.
+// originals. Every answer set is first brought forward to the current
+// dataset (reconcileResident, before mu), so Answers is exact for the
+// dataset as of the call. Intended for demonstrators and tests
+// inspecting cache contents.
 //
-//gclint:acquires dsMu mu
+//gclint:acquires mu
 //gclint:pins dataset
 func (c *Cache) Entries() []*Entry {
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
 	c.reconcileResident(view)
 	c.mu.Lock()
@@ -254,7 +238,7 @@ func (c *Cache) Entries() []*Entry {
 	c.foldCreditsLocked(c.entries)
 	out := make([]*Entry, len(c.entries))
 	for i, e := range c.entries {
-		c.reconciledAnswers(e, view) // a load, unless a turn admitted e since the pass
+		c.answersFor(e, view) // a load, unless a turn admitted e since the pass
 		cp := *e
 		out[i] = &cp
 	}
@@ -267,22 +251,23 @@ func (c *Cache) Entries() []*Entry {
 // comment). Execute is safe to call from any number of goroutines; see
 // the Cache doc comment for what runs in parallel and what serializes.
 //
-//gclint:acquires dsMu mu
+//gclint:acquires mu
 //gclint:pins dataset
 func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	if q == nil {
 		return nil, fmt.Errorf("core: nil query graph")
 	}
-	// The read side of the dataset mutex pins one dataset snapshot for the
-	// whole query: filtering, hit reconciliation, verification, self-check
-	// and admission all see the same epoch. Queries share the read side
-	// freely; only AddGraph/RemoveGraph take the write side.
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
-	view := c.method.View()
+	// One view for the whole query: filtering, hit reconciliation,
+	// verification, self-check and admission all see the same epoch.
+	return c.execute(c.method.View(), q, qt)
+}
 
+// execute is Execute on a pinned dataset view.
+//
+//gclint:acquires mu
+func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	tick := c.tick.Add(1)
-	mon := &c.mon.hot[max(dsTok, 0)] // -1: the lock's fallback path took no slot
+	mon := &c.mon.hot[readSlot()]
 	mon.queries.Add(1)
 	// Stage 0: fingerprint only. The exact-match probe consults nothing
 	// else, so the expensive half of the signature (path features, feature
@@ -294,9 +279,10 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// read: all it costs is cache overhead, which a clock pair would
 	// dominate. A caller that wants its latency times the call.
 	if e := c.findExact(q, qt, fp); e != nil {
-		res := c.serveExact(e, view, tick, mon)
-		c.selfCheck(q, qt, res)
-		return res, nil
+		if res := c.serveExact(e, view, tick, mon); res != nil {
+			c.selfCheck(view, q, qt, res)
+			return res, nil
+		}
 	}
 	sig := signatureOf(q)
 	n := view.Size()
@@ -319,7 +305,7 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// the cache, budgeted by cmCount. The iso tests run without any lock;
 	// entries evicted mid-detection stay sound (their answer sets remain
 	// exact over the immutable dataset).
-	hs := c.detectHits(q, qt, sig, cmCount, sc)
+	hs := c.detectHits(view, q, qt, sig, cmCount, sc)
 	hitTime := time.Since(start) - filterTime
 	c.mon.hitDetectIso.Add(int64(hs.isoTests))
 
@@ -340,14 +326,18 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// operands directly (ForEachAnd/ForEachAndNot) — no intermediate set
 	// is materialized per hit.
 	//
-	// A hit's answers must first be brought to the query's id space:
-	// stale sets miss graphs added since the entry was last reconciled,
-	// which would silently shrink S (lost savings — sound) but also
-	// wrongly exclude candidates via S′ (lost answers — unsound).
+	// A hit's answers must first be brought to the query's view: stale
+	// sets miss graphs added since the entry was last reconciled, which
+	// would silently shrink S (lost savings — sound) but also wrongly
+	// exclude candidates via S′ (lost answers — unsound). A hit already
+	// brought past the view is dropped, for the same reason.
 	credits := sc.credits[:0]
 	sure := bitset.New(n)
 	for _, h := range answerHits {
-		ha := c.reconciledAnswers(h, view)
+		ha := c.answersFor(h, view)
+		if ha == nil {
+			continue
+		}
 		saved, cost := 0, 0.0
 		ha.ForEachAnd(cm, func(gid int) bool {
 			saved++
@@ -362,7 +352,10 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	// cmCount already captured.
 	candPruned := cm
 	for _, h := range pruneHits {
-		ha := c.reconciledAnswers(h, view)
+		ha := c.answersFor(h, view)
+		if ha == nil {
+			continue
+		}
 		saved, cost := 0, 0.0
 		cm.ForEachAndNot(ha, func(gid int) bool {
 			saved++
@@ -402,13 +395,21 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	cand := candPruned
 	cand.AndNot(sure)
 
-	if len(hs.sub) > 0 {
-		c.mon.subHitQueries.Add(1)
-		c.mon.subHits.Add(int64(len(hs.sub)))
+	var subs, supers int64
+	for _, cr := range credits {
+		if cr.kind == SubHit {
+			subs++
+		} else {
+			supers++
+		}
 	}
-	if len(hs.super) > 0 {
+	if subs > 0 {
+		c.mon.subHitQueries.Add(1)
+		c.mon.subHits.Add(subs)
+	}
+	if supers > 0 {
 		c.mon.superHitQueries.Add(1)
-		c.mon.superHits.Add(int64(len(hs.super)))
+		c.mon.superHits.Add(supers)
 	}
 
 	// Stage 5: verification of the reduced candidate set (lock-free; cost
@@ -444,14 +445,13 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 		HitTime:        hitTime,
 		VerifyTime:     verifyTime,
 	}
-	c.selfCheck(q, qt, res)
+	c.selfCheck(view, q, qt, res)
 
 	// Stage 6: admission via the window manager. The entry's answers are
-	// exact over the view's id space: a later removal clears its bit at
-	// mutation time, and a later addition is reconciled before the entry's
-	// answers are next trusted. It is built — answers cloned and
-	// compacted — before admit takes any lock.
-	c.admit(entryFromSig(q, qt, answers.Clone(), cmCount, sig, tick))
+	// exact for the view's epoch, and a later reader or turn brings them
+	// forward. It is built — answers cloned and compacted — before admit
+	// takes any lock.
+	c.admit(entryFromSig(q, qt, answers.Clone(), view, cmCount, sig, tick), view)
 	return res, nil
 }
 
@@ -459,12 +459,15 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 // read, one allocation, and the only writes are e's credit cell and the
 // caller's Monitor stripe (doc.go, hot-path discipline). Answers and Sure
 // (A = S) are e's published, frozen set itself; Excluded and Survivors
-// the cache's shared empty set.
+// the cache's shared empty set. It returns nil, and credits nothing, when
+// a newer reader has brought e past the view.
 //
-//gclint:requires dsMu
 //gclint:nolocks
 func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotCounters) *Result {
-	ans := c.reconciledAnswers(e, view)
+	ans := c.answersFor(e, view)
+	if ans == nil {
+		return nil
+	}
 	// Tick first (a monotonic max: an older, slower query never rewinds
 	// recency), count second, so a racing fold that sees this hit's count
 	// also sees a lastHit at least as new.
@@ -508,9 +511,9 @@ func (c *Cache) emptySet(n int) *bitset.Set {
 
 // foldCreditsLocked drains the entries' exact-hit credit cells into the
 // policy: k > 0 pending hits become ONE event of Count k at the latest
-// hit's tick, priced once (fold points: doc.go). dsMu pins costVal.
+// hit's tick, priced once (fold points: doc.go).
 //
-//gclint:requires dsMu mu
+//gclint:requires mu
 func (c *Cache) foldCreditsLocked(entries []*Entry) {
 	for _, e := range entries {
 		if e.ans.pendingExact.Load() == 0 {
@@ -590,10 +593,54 @@ func (c *Cache) creditHit(ev *HitEvent, cr hitCredit, tick int64) {
 //
 //gclint:nolocks
 func (c *Cache) estimatedCost(gid int) float64 {
-	if bits := c.costVal[gid].Load(); bits != 0 {
+	if bits := c.costs.load(gid); bits != 0 {
 		return math.Float64frombits(bits)
 	}
 	return c.estimatedMeanCost()
+}
+
+// costCells is the per-graph cost-EMA array, indexed by gid and read for
+// any gid a view produces, including graphs another cache added to the
+// shared Method. The cells live in fixed-size chunks that never move, so
+// no growth loses a concurrent CAS; the chunk directory is copy-on-write
+// behind one atomic pointer and grows, without a lock, on the first write
+// past its end.
+type costCells struct {
+	dir atomic.Pointer[[]*costChunk]
+}
+
+const costChunkBits = 8
+
+type costChunk [1 << costChunkBits]atomic.Uint64
+
+// load reads gid's cell; a cell never written reads 0 (no estimate).
+func (cc *costCells) load(gid int) uint64 {
+	if d := cc.dir.Load(); d != nil && gid>>costChunkBits < len(*d) {
+		return (*d)[gid>>costChunkBits][gid&(1<<costChunkBits-1)].Load()
+	}
+	return 0
+}
+
+// cell returns gid's cell, growing the directory to cover it. Racing
+// growers retry until one directory lands; the losers' chunks are garbage
+// before anyone wrote them.
+func (cc *costCells) cell(gid int) *atomic.Uint64 {
+	k := gid >> costChunkBits
+	for {
+		old := cc.dir.Load()
+		var d []*costChunk
+		if old != nil {
+			d = *old
+		}
+		if k < len(d) {
+			return &d[k][gid&(1<<costChunkBits-1)]
+		}
+		grown := append(make([]*costChunk, 0, k+1), d...)
+		for len(grown) <= k {
+			grown = append(grown, new(costChunk))
+		}
+		cc.dir.CompareAndSwap(old, &grown)
+	}
 }
 
 // estimatedMeanCost reads the overall cost estimate from its lock-free
@@ -678,25 +725,24 @@ func (c *Cache) verify(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, c
 func (c *Cache) recordCosts(costs []costSample) {
 	for _, s := range costs {
 		ns := float64(s.dur.Nanoseconds())
-		emaAdd(&c.costVal[s.gid], costAlpha, ns)
+		emaAdd(c.costs.cell(s.gid), costAlpha, ns)
 		emaAdd(&c.globalVal, globalCostAlpha, ns)
 	}
 }
 
 // admit stages the executed query's entry in the admission window, giving
-// it its ID, and, when that fills the window, turns it before unlocking
-// (the Window Manager).
+// it its ID, and, when that fills the window, turns it over the query's
+// view before unlocking (the Window Manager).
 //
-//gclint:requires dsMu
 //gclint:acquires mu
-func (c *Cache) admit(e *Entry) {
+func (c *Cache) admit(e *Entry, view ftv.DatasetView) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.ID = c.nextID
 	c.nextID++
 	c.window = append(c.window, e)
 	if len(c.window) >= c.cfg.Window {
-		c.turnWindow()
+		c.turnWindow(view)
 	}
 }
 
@@ -705,23 +751,29 @@ func (c *Cache) admit(e *Entry) {
 // newly executed queries always get in, displacing the least-useful cached
 // graphs (Figure 2(c)); evicting after admission would instead throw away
 // the newcomers, whose utilities are necessarily still zero. Caller holds
-// mu, under which it staged the entry that filled the window.
+// mu, under which it staged the entry that filled the window. Removals
+// up to the view are masked from every entry first, so the credits are
+// priced, and the charges trued up, over sets without them.
 //
-//gclint:requires dsMu mu
-func (c *Cache) turnWindow() {
+//gclint:requires mu
+func (c *Cache) turnWindow(view ftv.DatasetView) {
 	c.mon.windowTurns.Add(1)
 	defer c.mon.endTurn(time.Now())
 	c.policy.OnWindowTurn()
 
+	for _, list := range [][]*Entry{c.entries, c.window} {
+		for _, e := range list {
+			c.maskRemovalsLocked(e, view)
+		}
+	}
 	// Fold exact-hit credits before anything ages or ranks.
 	c.foldCreditsLocked(c.entries)
 	c.foldCreditsLocked(c.window)
 	for _, e := range c.entries {
 		e.age(decayFactor)
-		// True up this entry's charge: lazy reconciliation may have
-		// swapped its answer set on the query path, where the account is
-		// not touched. Keeps the memory-budget enforcement
-		// below honest.
+		// True up this entry's charge: readers may have swapped its
+		// answer set on the query path, where the account is not
+		// touched. Keeps the memory-budget enforcement below honest.
 		c.rechargeLocked(e)
 	}
 	if excess := len(c.entries) + len(c.window) - c.cfg.Capacity; excess > 0 {
@@ -734,6 +786,7 @@ func (c *Cache) turnWindow() {
 	c.window = c.window[:0]
 	// A window larger than the whole capacity can still overflow.
 	c.enforceLimitsLocked()
+	c.pruneAddSums(view)
 
 	// Publish before mu drops: the next query of a sequential stream
 	// sees exactly the admitted entries.
@@ -827,13 +880,14 @@ func (c *Cache) evictLocked(x int) {
 	c.entries = kept
 }
 
-// selfCheck cross-validates a result against the uncached method when
-// enabled; any mismatch is a kernel bug, hence the panic.
-func (c *Cache) selfCheck(q *graph.Graph, qt ftv.QueryType, res *Result) {
+// selfCheck cross-validates a result against the uncached method on the
+// query's view when enabled; any mismatch is a kernel bug, hence the
+// panic.
+func (c *Cache) selfCheck(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, res *Result) {
 	if !c.cfg.SelfCheck {
 		return
 	}
-	base := c.method.Run(q, qt)
+	base := view.Run(q, qt)
 	if !base.Answers.Equal(res.Answers) {
 		panic(fmt.Sprintf("core: self-check failed for %s query %v: cache %v, base %v",
 			qt, q, res.Answers, base.Answers))

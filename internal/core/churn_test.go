@@ -211,11 +211,11 @@ func TestChurnEquivalence(t *testing.T) {
 					t.Error("want some maintenance tests, and fewer than entries × adds")
 				}
 				// The added-graph summaries stay bounded under the mixed
-				// stream: the reads reconcile entries and the mutations
-				// prune the summaries behind them, so a silently broken
-				// prune would keep one per addition.
-				if adds := c.Stats().DatasetAdds; int64(len(c.addSums)) >= adds {
-					t.Fatalf("%d added-graph summaries after %d adds: none was ever pruned", len(c.addSums), adds)
+				// stream: the reads reconcile entries and the turns prune
+				// the summaries behind them, so a silently broken prune
+				// would keep one per addition.
+				if adds := c.Stats().DatasetAdds; int64(addSumsLen(c)) >= adds {
+					t.Fatalf("%d added-graph summaries after %d adds: none was ever pruned", addSumsLen(c), adds)
 				}
 			})
 		}
@@ -378,10 +378,10 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 }
 
-// TestRemoveGraphClearsAnswerBits pins the stop-the-world removal rule:
-// the tombstoned gid's bit disappears from every cached answer set the
-// moment RemoveGraph returns, and an exact hit on the affected entry
-// serves the patched answers.
+// TestRemoveGraphClearsAnswerBits pins the removal rule: once
+// RemoveGraph returns, the tombstoned gid's bit is gone from every answer
+// set a reader of the new dataset sees — Entries and an exact hit on the
+// affected entry both serve the masked answers.
 func TestRemoveGraphClearsAnswerBits(t *testing.T) {
 	dataset := testDataset(71, 12)
 	c := testCache(t, dataset, func(cfg *Config) {
@@ -423,10 +423,10 @@ func TestRemoveGraphClearsAnswerBits(t *testing.T) {
 	}
 }
 
-// TestRemovalLeavesCurrentAnswersPublished pins the reconciliation fast
-// path: a removal of a graph outside an entry's answers changes neither
-// its set nor the id space the set is exact over, so the next read of the
-// entry publishes nothing.
+// TestRemovalLeavesCurrentAnswersPublished pins the masking fast path: a
+// removal of a graph outside an entry's answers changes neither its set
+// nor the id space the set is exact over, so the next read of the entry
+// copies no set and leaves the published set in place.
 func TestRemovalLeavesCurrentAnswersPublished(t *testing.T) {
 	dataset := testDataset(71, 12)
 	c := testCache(t, dataset, func(cfg *Config) {
@@ -441,7 +441,7 @@ func TestRemovalLeavesCurrentAnswersPublished(t *testing.T) {
 		t.Fatalf("%d entries resident, want 1", len(entries))
 	}
 	e := entries[0]
-	before := e.ans.p.Load()
+	before := e.Answers()
 	gid := 0
 	for gid < len(dataset) && e.Answers().Contains(gid) {
 		gid++
@@ -459,8 +459,8 @@ func TestRemovalLeavesCurrentAnswersPublished(t *testing.T) {
 	if !res.ExactHit {
 		t.Fatal("expected an exact hit")
 	}
-	if e.ans.p.Load() != before {
-		t.Fatalf("removing graph %d, outside the answers, republished the entry's set", gid)
+	if e.Answers() != before || res.Answers != before {
+		t.Fatalf("removing graph %d, outside the answers, copied the entry's set", gid)
 	}
 }
 

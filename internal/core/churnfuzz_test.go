@@ -68,6 +68,7 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 
 	nextExtra := 0
 	for i, op := range ops {
+		turns := c.Stats().WindowTurns
 		switch op % 4 {
 		case 0, 1:
 			q := churnOpsPool[int(op/4)%len(churnOpsPool)]
@@ -94,19 +95,19 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 			}
 		}
 		// Structural invariants after every op: capacity is strict, the
-		// residency account is exact wherever it is owed (after a
-		// mutation's pass: queries swap sets outside mu until the next
-		// one), and the added-graph summaries never outgrow the additions.
+		// residency account is exact wherever it is owed (after a turn:
+		// queries swap sets outside mu until the next one), and the
+		// added-graph summaries never outgrow the additions.
 		if c.Len() > cfg.Capacity {
 			return fmt.Errorf("op %d: %d entries resident, capacity %d", i, c.Len(), cfg.Capacity)
 		}
-		if op%4 >= 2 {
+		if c.Stats().WindowTurns != turns {
 			if err := residencyDrift(c); err != nil {
 				return fmt.Errorf("op %d: %w", i, err)
 			}
 		}
-		if adds := c.Stats().DatasetAdds; int64(len(c.addSums)) > adds {
-			return fmt.Errorf("op %d: %d added-graph summaries exceed %d adds", i, len(c.addSums), adds)
+		if adds := c.Stats().DatasetAdds; int64(addSumsLen(c)) > adds {
+			return fmt.Errorf("op %d: %d added-graph summaries exceed %d adds", i, addSumsLen(c), adds)
 		}
 		if !lazy && op%4 == 2 {
 			if err := reconcileNow(c); err != nil {

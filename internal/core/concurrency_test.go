@@ -385,3 +385,137 @@ func TestExecuteAllSequentialFallback(t *testing.T) {
 		t.Error("valid queries missing results")
 	}
 }
+
+// TestMutationWaitsForNoQuery: a miss blocked in the middle of its
+// verification holds up neither AddGraph nor RemoveGraph, and once
+// released still answers exactly for the dataset view it pinned.
+func TestMutationWaitsForNoQuery(t *testing.T) {
+	dataset := testDataset(158, 12)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	verify := func(pattern, target *graph.Graph) bool {
+		if armed.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+		return iso.SubIso(pattern, target)
+	}
+	cfg := DefaultConfig()
+	cfg.SelfCheck = true
+	c := MustNew(ftv.NewMethod("ggsx/blocking", dataset, ftv.NewGGSX(dataset, 3), verify), cfg)
+	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(159)), dataset[2], 4)
+	before := c.Method().View()
+
+	armed.Store(true)
+	type outcome struct {
+		res *Result
+		err error
+	}
+	queried := make(chan outcome, 1)
+	go func() {
+		res, err := c.Execute(q, ftv.Subgraph)
+		queried <- outcome{res, err}
+	}()
+	<-entered
+	mutated := make(chan error, 1)
+	go func() {
+		_, err := c.AddGraph(dataset[2])
+		if err == nil {
+			err = c.RemoveGraph(2)
+		}
+		mutated <- err
+	}()
+	select {
+	case err := <-mutated:
+		close(release)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("AddGraph or RemoveGraph waited for a query in flight")
+	}
+	out := <-queried
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if want := before.Run(q, ftv.Subgraph).Answers; !out.res.Answers.Equal(want) || !want.Contains(2) {
+		t.Fatalf("answers %v, want %v: exact for the view the query pinned", out.res.Answers, want)
+	}
+}
+
+// TestMutationTakesNoCacheLock: with mu held, AddGraph and RemoveGraph
+// still complete.
+func TestMutationTakesNoCacheLock(t *testing.T) {
+	dataset := testDataset(156, 12)
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
+	if _, err := c.Execute(gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(157)), dataset[0], 4), ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+
+	c.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		gid, err := c.AddGraph(dataset[0])
+		if err == nil {
+			err = c.RemoveGraph(gid)
+		}
+		if err == nil {
+			err = c.RemoveGraph(1)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		c.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		c.mu.Unlock()
+		t.Fatal("a mutation blocked while mu was held: it takes the cache lock")
+	}
+}
+
+// TestStaleViewReaderSkipsAheadEntry: a reader whose view predates a
+// removal meets an entry that a newer reader has already brought past
+// that view — as its exact match, and as a pruning hit — and still
+// answers exactly for its own view, treating the entry as absent.
+func TestStaleViewReaderSkipsAheadEntry(t *testing.T) {
+	dataset := testDataset(151, 12)
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
+	rng := rand.New(rand.NewSource(152))
+	const g = 3
+	big := gen.ExtractConnectedSubgraph(rng, dataset[g], 7)
+	small := gen.ExtractConnectedSubgraph(rng, big, 3)
+	if _, err := c.Execute(small, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	e := c.Entries()[0]
+	old := c.Method().View()
+	if err := c.RemoveGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Execute(small, ftv.Subgraph) // the newer reader
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ExactHit || e.ans.p.Load().epoch != old.Epoch()+1 {
+		t.Fatal("the newer reader did not bring the entry past the old view; the scenario did not arm")
+	}
+
+	for _, q := range []*graph.Graph{small, big} {
+		res, err := c.execute(old, q, ftv.Subgraph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := old.Run(q, ftv.Subgraph).Answers; !res.Answers.Equal(want) || !want.Contains(g) {
+			t.Fatalf("stale reader answers %v, want %v", res.Answers, want)
+		}
+		for _, h := range res.Hits {
+			if h.EntryID == e.ID {
+				t.Fatalf("stale reader used the entry ahead of its view as a %v hit", h.Kind)
+			}
+		}
+	}
+}

@@ -60,7 +60,7 @@ func TestExactHitCreditsPerGraphCosts(t *testing.T) {
 	// overall mean is cheap (1e3 ns).
 	const expensive, mean = 1e6, 1e3
 	for _, gid := range answers {
-		c.costVal[gid].Store(math.Float64bits(expensive))
+		c.costs.cell(gid).Store(math.Float64bits(expensive))
 	}
 	c.globalVal.Store(math.Float64bits(mean))
 

@@ -40,9 +40,12 @@
 // mu — the cache's one short mutex, taken at the end of a path that
 // already paid for a filter run and a verification — and the append that
 // fills the window turns it stop-the-world; an exact hit on an admitted
-// entry takes no lock at all. The lock hierarchy is dsMu → mu (see the
+// entry takes no lock at all. The lock hierarchy is mu alone (see the
 // Cache type for the locking discipline); the only other lock a query
-// meets is the method's leaf mutex (ftv.Method). A Statistics
+// or a dataset mutation meets is the method's leaf mutex (ftv.Method).
+// A mutation waits for no query: each entry's answers name the dataset
+// epoch they are exact for, and readers bring them forward (mutate.go).
+// A Statistics
 // Monitor/Manager tracks per-query and per-entry utilities, including the
 // number of sub-iso tests each cached entry saved (PIN) and their measured
 // cost (PINC).
@@ -126,21 +129,22 @@
 //     thresholds; the read paths dispatch per container pair through
 //     stack cursor structs and allocate nothing. The container
 //     rules: only the OWNER of an unpublished set may mutate or
-//     Compact() it — entryFromSig and RemoveGraph's clone do, right
+//     Compact() it — entryFromSig and withoutRemoved's clone do, right
 //     before publication; a published set is frozen in whatever
 //     container it had (concurrent readers dispatch on its mode tag, so
 //     migration on a shared set is a data race by construction).
 //     Sets are not shared across entries: each entry charges its own
 //     Bytes() to the residency account (Entry.charged, trued up by
-//     rechargeLocked at every window turn and stop-the-world pass), so
-//     Cache.Bytes is Σ Entry.Bytes() at those points.
+//     rechargeLocked at every window turn), so Cache.Bytes is
+//     Σ Entry.Bytes() at every turn.
 //
-//   - The two stop-the-world passes — window turns and dataset
-//     mutations — stay proportional to what changed rather than to what
-//     is cached: neither sorts or copies the resident set (a removal
-//     clones only the sets holding the gid; the turn selects its victims
-//     with a bounded heap over the ID-ordered resident list), and a
-//     charge true-up is one O(1) Bytes() per entry.
+//   - The one stop-the-world pass, the window turn, neither sorts nor
+//     copies the resident set: it masks pending removals by cloning only
+//     the sets that hold a removed graph (an entry with no removal since
+//     its epoch costs one comparison), selects its victims with a
+//     bounded heap over the ID-ordered resident list, and trues up a
+//     charge with one O(1) Bytes() per entry. A dataset mutation stops
+//     nothing at all.
 //     Persistence round-trips compact: the binary v3 snapshot stores
 //     each set's native container encoding verbatim (bitset
 //     AppendBinary/FromBinary), while the legacy v2 text format stores
@@ -212,11 +216,11 @@
 // example (the example lines are indented so they read as code, not as
 // live directives):
 //
-//	//gclint:hierarchy dsMu mu (on Cache: the lock order)
+//	//gclint:hierarchy mu      (on Cache: the lock order, outermost first)
 //	//gclint:lock mu           (on a field: this is lock "mu" in the hierarchy)
 //	//gclint:leaf              (with lock: rank-exempt, but nothing may be acquired under it;
 //	                            the tree's one leaf is ftv.Method's mutex)
-//	//gclint:acquires dsMu mu  (func acquires and releases these internally)
+//	//gclint:acquires mu       (func acquires and releases these internally)
 //	//gclint:requires mu       (func must be called with these held)
 //	//gclint:nolocks           (func must not acquire any lock, directly or via callees)
 //	//gclint:cow               (type: copy-on-write; published values are immutable)

@@ -13,25 +13,42 @@ import (
 // values stay copyable (defensive copies share the cell, like they share
 // the immutable Graph).
 //
-// Publication rules: a published set is never mutated — maintenance swaps
-// in a freshly built set. Removals (Cache.RemoveGraph) swap under dsMu's
-// write side and mu with no queries in flight; reconciliation of
-// additions swaps under dsMu's read side — on the query path, in Entries
-// and in the snapshot writers — where racing reconcilers of the same
-// entry compute identical sets (verification is deterministic), so
-// last-write-wins is benign.
+// Publication rules: a published answers value and its set are never
+// mutated — a reader that brings an entry forward to its view, and a
+// window turn that masks an entry's removals, build a fresh value and
+// publish it with a compare-and-swap against the one they started from.
+// No mutation and no query waits for another: a swap that loses to a
+// concurrent one is dropped, and the loser still answers from the set it
+// built, which is exact for its own view. Epochs only move forward, since
+// nobody publishes over a value newer than the one it read.
 type answersCell struct {
-	// p publishes the answer set. Its length is the id space the set is
-	// exact for: a set shorter than the dataset's id space has additions
-	// to reconcile.
-	//
 	//gclint:snapshot answers
-	p atomic.Pointer[bitset.Set]
+	p atomic.Pointer[answersAt]
 
 	// The exact-hit credit cell: serveExact adds one and raises lastHit
 	// to its tick, foldCreditsLocked drains it into one policy event.
 	pendingExact atomic.Int64
 	lastHit      atomic.Int64
+}
+
+// answersAt is one published answer set and the dataset epoch it is exact
+// for: set holds the answers among the graphs live at that epoch, over
+// the ids below set.Len(). Ids from set.Len() up were appended since the
+// set was sized and are untested (a turn masks an entry's removals
+// without testing its additions). removals is the epoch's removal count
+// (ftv.DatasetView.Removals). A reader on a view past epoch masks the
+// view's removals from that count on and tests the ids from set.Len()
+// up; a reader on a view before epoch cannot use the set at all, since
+// it may lack graphs that view still holds live.
+type answersAt struct {
+	set      *bitset.Set
+	epoch    int64
+	removals int
+}
+
+// at tags set as exact for the view.
+func at(set *bitset.Set, view ftv.DatasetView) answersAt {
+	return answersAt{set, view.Epoch(), view.Removals()}
 }
 
 // Entry is one cached query: the pattern graph, its exact answer set and
@@ -75,9 +92,9 @@ type Entry struct {
 	staticBytes int
 
 	// charged is the Bytes() the residency account holds for this entry:
-	// set at admission, trued up by rechargeLocked at window turns and
-	// stop-the-world passes (reconciliation swaps sets outside mu, where
-	// the account is not touched). Guarded by mu.
+	// set at admission, trued up by rechargeLocked at window turns
+	// (readers swap sets outside mu, where the account is not touched).
+	// Guarded by mu.
 	charged int
 
 	// InsertedAt and LastUsed are query ticks (LRU/FIFO state).
@@ -93,28 +110,22 @@ type Entry struct {
 	SavedCostNs float64
 }
 
-// Answers returns the entry's current answer set — exact over the ids
-// below its Len. The set is stale only with respect to graphs ADDED since
-// (removals are always applied stop-the-world), and the cache verifies
-// exactly those ids before trusting it. The returned set is immutable;
-// the cache replaces it whole when dataset mutations are reconciled.
+// Answers returns the entry's current answer set (see answersAt for the
+// epoch it is exact for). The returned set is immutable; the cache
+// replaces it whole as it brings the entry forward.
 //
 //gclint:cowview
 //gclint:loads answers
-func (e *Entry) Answers() *bitset.Set { return e.ans.p.Load() }
-
-// setAnswers publishes a new answer set. The set must not be mutated
-// after the call.
-func (e *Entry) setAnswers(set *bitset.Set) { e.ans.p.Store(set) }
+func (e *Entry) Answers() *bitset.Set { return e.ans.p.Load().set }
 
 // entryFromSig builds an Entry from a precomputed query signature — the
 // single construction site for cache entries, shared by admission and
 // state restores so the signature-derived fields (fingerprint, path
 // features, feature summaries) can never drift between the two paths. The
 // ID is assigned when the entry is staged (admit) or installed
-// (replaceEntries). Callers hold no lock: this is where an answer set is
-// compacted.
-func entryFromSig(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCandidates int, sig querySig, tick int64) *Entry {
+// (replaceEntries). The answers are exact for the view. Callers hold no
+// lock: this is where an answer set is compacted.
+func entryFromSig(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.DatasetView, baseCandidates int, sig querySig, tick int64) *Entry {
 	e := &Entry{
 		Graph:          q,
 		Type:           qt,
@@ -133,8 +144,9 @@ func entryFromSig(q *graph.Graph, qt ftv.QueryType, answers *bitset.Set, baseCan
 	// and about to be published read-only for the entry's lifetime, so
 	// pay the one-off re-encode into its smallest container now: sparse
 	// for small answer sets, run for near-full ones, dense in between.
-	answers.Compact()
-	e.setAnswers(answers)
+	set.Compact()
+	first := at(set, view)
+	e.ans.p.Store(&first)
 	return e
 }
 

@@ -164,7 +164,7 @@ func checkIndistinguishable(t *testing.T, queries []gen.Query, ref, other *Cache
 	ss, sp := ref.Stats(), other.Stats()
 	for _, s := range []*Snapshot{&ss, &sp} {
 		s.FilterTime, s.HitTime, s.VerifyTime = 0, 0, 0
-		s.WindowTurnNs, s.MutationWaitNs, s.MutationHoldNs = 0, 0, 0
+		s.WindowTurnNs, s.MutationHoldNs = 0, 0
 	}
 	if ss != sp {
 		t.Fatalf("monitor counters diverge:\nreference %+v\nother     %+v", ss, sp)

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Monitor is the Statistics Monitor/Manager: cumulative operational
@@ -13,11 +14,12 @@ import (
 // (each counter is individually consistent, the set is approximate under
 // concurrent load — exact once in-flight queries drain).
 //
-// The three counters an exact hit bumps are striped like dsLock's reader
-// slots, so concurrent hits write different cache lines (hot-exact, two
-// clients: +17 % q/s, 19 of 20 alternating runs); Snapshot sums them.
+// The three counters every query bumps are striped across padded slots
+// picked by readSlot, so concurrent exact hits write different cache
+// lines (hot-exact, two clients: +17 % q/s, 19 of 20 alternating runs);
+// Snapshot sums them.
 type Monitor struct {
-	hot              [dsLockSlots]hotCounters
+	hot              [monitorSlots]hotCounters
 	subHitQueries    atomic.Int64 // queries with ≥1 sub-case hit
 	superHitQueries  atomic.Int64 // queries with ≥1 super-case hit
 	subHits          atomic.Int64 // total hit contributions
@@ -37,19 +39,25 @@ type Monitor struct {
 	hitNs            atomic.Int64 // sub/super hit detection; exact hits read no clock
 	verifyNs         atomic.Int64
 	windowTurnNs     atomic.Int64 // inside turnWindow
-	mutationWaitNs   atomic.Int64 // AddGraph/RemoveGraph waiting for dsMu's write side
-	mutationHoldNs   atomic.Int64 // AddGraph/RemoveGraph holding it
+	mutationHoldNs   atomic.Int64 // inside AddGraph/RemoveGraph
+}
+
+const monitorSlots = 16
+
+// readSlot picks a Monitor stripe from the calling goroutine's stack
+// address. Goroutine stacks are allocated at least 2KiB apart, so bits 11
+// and up differ between goroutines while staying stable within one —
+// cheap, allocation-free, and spread across slots.
+func readSlot() int {
+	var probe byte
+	return int((uintptr(unsafe.Pointer(&probe)) >> 11) % monitorSlots)
 }
 
 // endTurn closes the clock pair a window turn opened.
 func (m *Monitor) endTurn(start time.Time) { m.windowTurnNs.Add(int64(time.Since(start))) }
 
-// endMutation closes the clock pair a dataset mutation opened: it asked
-// for dsMu's write side at start and got it at held.
-func (m *Monitor) endMutation(start, held time.Time) {
-	m.mutationWaitNs.Add(int64(held.Sub(start)))
-	m.mutationHoldNs.Add(int64(time.Since(held)))
-}
+// endMutation closes the clock pair a dataset mutation opened.
+func (m *Monitor) endMutation(start time.Time) { m.mutationHoldNs.Add(int64(time.Since(start))) }
 
 // hotCounters is one stripe, padded to two cache lines so no two stripes'
 // counters share a line at any alignment.
@@ -100,17 +108,14 @@ type Snapshot struct {
 	// non-exact queries went (Result's three stage times, summed). An
 	// exact hit reads no clock and adds nothing to any of them.
 	FilterTime, HitTime, VerifyTime time.Duration
-	// The stopped world, in nanoseconds. WindowTurnNs is the time spent
-	// inside window turns (under mu: no admission, no sub/super
-	// crediting and no window probe proceeds; exact hits on admitted
-	// entries do).
-	// MutationWaitNs is how long AddGraph/RemoveGraph waited for dsMu's
-	// write side — the drain of in-flight queries, during which new
-	// queries already queue behind the writer — and MutationHoldNs how
-	// long they then held it. One clock pair per turn or mutation; the
-	// query path reads no clock for these. Divide by WindowTurns or by
+	// WindowTurnNs is the time spent inside window turns, in
+	// nanoseconds (under mu: no admission, no sub/super crediting and no
+	// window probe proceeds; exact hits on admitted entries do).
+	// MutationHoldNs is the time spent inside AddGraph/RemoveGraph calls,
+	// which stop no query. One clock pair per turn or mutation; the query
+	// path reads no clock for these. Divide by WindowTurns or by
 	// DatasetAdds + DatasetRemoves for a mean.
-	WindowTurnNs, MutationWaitNs, MutationHoldNs int64
+	WindowTurnNs, MutationHoldNs int64
 }
 
 // Snapshot returns a copy of the current counters.
@@ -142,7 +147,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		DatasetRemoves:    m.datasetRemoves.Load(),
 		MaintenanceTests:  m.maintenanceTests.Load(),
 		WindowTurnNs:      m.windowTurnNs.Load(),
-		MutationWaitNs:    m.mutationWaitNs.Load(),
 		MutationHoldNs:    m.mutationHoldNs.Load(),
 		FilterTime:        time.Duration(m.filterNs.Load()),
 		HitTime:           time.Duration(m.hitNs.Load()),

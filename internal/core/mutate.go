@@ -1,8 +1,8 @@
 package core
 
 import (
+	"maps"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"graphcache/internal/bitset"
@@ -14,157 +14,95 @@ import (
 //
 // The cache's correctness argument rests on answer sets being exact over
 // the dataset; when the dataset itself changes, the cached answer sets are
-// materialized views that must be maintained. The rules:
+// materialized views that must be maintained. A mutation stops nothing:
+// AddGraph and RemoveGraph are the Method's own copy-on-write mutation
+// (one new dataset view per mutation, ftv.Method) plus, for an addition,
+// publishing the added graph's containment summary. They take no cache
+// lock and wait for no query. Readers do the maintenance:
 //
-//   - Queries and mutations serialize through dsMu: every query holds the
-//     read side for its whole run (one dataset snapshot per query, shared
-//     freely between queries); AddGraph/RemoveGraph hold the write side,
-//     so mutations see a quiescent cache and queries never see a
-//     half-maintained one.
+//   - A query pins one dataset view (its one Method.View load) and runs
+//     against it throughout, so its answer is exact for that view.
 //
-//   - REMOVALS are always stop-the-world and cheap: under dsMu's write
-//     side and mu the tombstoned gid's bit is cleared from every admitted
-//     and window entry's answer set (a clone-and-clear pointer swap per
-//     affected entry — no iso tests), and the method masks the gid out of
-//     every future candidate set. Ids are never reused.
+//   - Each entry's answers name the dataset epoch they are exact for
+//     (answersAt, entry.go). A reader on a view at that epoch uses the set
+//     as it is. A reader on a later view brings the entry forward
+//     (answersFor): it masks out the graphs tombstoned since, tests the
+//     ids appended since and publishes the result. A screen of the
+//     entry's summary against each added graph's (computed once per add)
+//     refutes most of those tests; a graph added to the Method behind the
+//     cache's back (by another cache over it, say) has no summary and is
+//     always tested. A reader on an earlier view, meeting an entry a
+//     newer reader has already brought past it, treats the entry as
+//     absent: an exact hit falls through to the miss path, a sub/super
+//     hit is dropped, a snapshot writer leaves the entry out.
 //
-//   - ADDITIONS must decide, per cached entry, whether the new graph
-//     belongs in its answer set — one containment test per entry. The
-//     tests are deferred: every addition appends one id, so an entry's
-//     set is exact over the ids below its length, and a read of an entry
-//     whose set is shorter than the id space verifies exactly the ids
-//     above it before its answers are trusted (reconciledAnswers): a
-//     screen of the entry's summary against each added graph's (computed
-//     once per add) refutes most, and only the rest pay a containment
-//     test. A hit pays for the entries it touches; Entries and the
-//     snapshot writers, which need every entry current, reconcile the
-//     resident list first (reconcileResident). None of it runs under mu,
-//     except for an entry a concurrent turn admits between that pass and
-//     the reader's mu.
+//   - Every window turn masks the pending removals of every resident and
+//     window entry, with no containment test, then trues up the charges,
+//     so the residency account and MemoryBudget are exact at every turn.
+//     It also prunes the added-graph summaries no entry will read again.
 //
-// Every individual answer set returned by Execute is exact for the
-// query's dataset snapshot — the SelfCheck oracle and the churn
-// equivalence suite assert byte-identical answers to the uncached method
-// after every mutation.
+// Entries and the snapshot writers need every entry current: they bring
+// the resident list forward before they take mu (reconcileResident), so
+// their containment tests block no miss.
 //
-// What a mutation costs: it stops the world (the drain of dsMu's write
-// side, then mu), so the work under the locks is kept proportional to
-// what changed, never to what is cached. An add is a charge true-up per
-// entry, and no containment test; a remove clones only the entries that
-// contained the gid. Snapshot.MutationWaitNs and MutationHoldNs time the
-// drain and the hold (Monitor.endMutation).
+// Every answer set returned by Execute is exact for the query's view —
+// the SelfCheck oracle and the churn suites assert byte-identical answers
+// to the uncached method after every mutation, including mutations made
+// through another cache or through the Method itself.
+// Snapshot.MutationHoldNs times the mutation calls.
 
 // AddGraph appends g to the live dataset under a fresh stable id and
-// maintains the cached state exactly: the verification-cost EMA array and
-// all future per-query bitsets grow with the dataset, and every cached
-// answer set reconciles the new graph when it is next read. It returns
-// the new graph's id. The method's filter must support AddGraph (an
+// returns the id. Every cached answer set takes the new graph in when it
+// is next read. The method's filter must support AddGraph (an
 // ftv.InsertableFilter, as every bundled filter is).
-//
-//gclint:acquires dsMu mu
 func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
-	start := time.Now()
-	c.dsMu.Lock()
-	defer c.dsMu.Unlock()
-	defer c.mon.endMutation(start, time.Now())
+	defer c.mon.endMutation(time.Now())
 	gid, err := c.method.AddGraph(g)
 	if err != nil {
 		return 0, err
 	}
-	c.growCostCells(c.method.View().Size())
 	c.mon.datasetAdds.Add(1)
-	c.addSums[gid] = summarize(g)
-	// Nothing to reconcile now, but the stop-the-world pass (with a nil
-	// fn) still trues up the charges and drops the summaries every entry
-	// has already passed — an O(entries) scan, no iso tests — so they stay
-	// bounded by the staleness of the coldest entry, not by the add count.
-	c.withAllEntriesLocked(nil)
+	sum := summarize(g)
+	c.editAddSums(func(m map[int]summary) { m[gid] = sum })
 	return gid, nil
 }
 
-// RemoveGraph tombstones dataset graph gid and clears its bit from every
-// admitted and window entry's answer set — the stop-the-world maintenance
-// path (no iso tests; a pointer swap per affected entry). The id is never
-// reused, so all other answer-set positions stay valid as-is.
-//
-//gclint:acquires dsMu mu
+// RemoveGraph tombstones dataset graph gid. The id is never reused, so
+// every other answer-set position stays valid; a cached set drops the
+// graph when it is next read or at the next window turn.
 func (c *Cache) RemoveGraph(gid int) error {
-	start := time.Now()
-	c.dsMu.Lock()
-	defer c.dsMu.Unlock()
-	defer c.mon.endMutation(start, time.Now())
+	defer c.mon.endMutation(time.Now())
 	if err := c.method.RemoveGraph(gid); err != nil {
 		return err
 	}
 	c.mon.datasetRemoves.Add(1)
-	c.withAllEntriesLocked(func(e *Entry) {
-		set := e.Answers()
-		if gid < set.Len() && set.Contains(gid) {
-			s := set.Clone()
-			s.Remove(gid)
-			// The clone is owned until published: re-encode it into its
-			// smallest container (removals are where near-full sets shed
-			// dense words for run spans) before it becomes immutable.
-			s.Compact()
-			e.setAnswers(s)
-		}
-	})
 	return nil
 }
 
-// growCostCells extends the per-graph cost-EMA array to n cells; caller
-// holds dsMu exclusively. Cells must not move while shared (every reader
-// and CAS writer of costVal runs under the read side of dsMu), and must be
-// copied value by value when they do move, so the backing array doubles:
-// an add reslices, and only one add in O(log n) allocates and copies.
-// Cells past len are zero, which reads as "no estimate yet".
-func (c *Cache) growCostCells(n int) {
-	if n <= cap(c.costVal) {
-		c.costVal = c.costVal[:n]
-		return
-	}
-	grown := make([]atomic.Uint64, n, 2*n)
-	for i := range c.costVal {
-		grown[i].Store(c.costVal[i].Load())
-	}
-	c.costVal = grown
-}
-
-// withAllEntriesLocked runs fn (when non-nil) over every admitted and
-// every window-pending entry, and trues up each admitted entry's charge:
-// fn may have published a fresh set, and so may reconciliation since the
-// last pass (window entries are charged at admission). It takes mu;
-// caller holds dsMu exclusively. Before mu drops it prunes the
-// added-graph summaries to what a reconciler can still read.
-//
-//gclint:acquires mu
-func (c *Cache) withAllEntriesLocked(fn func(e *Entry)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, e := range c.entries {
-		if fn != nil {
-			fn(e)
-		}
-		c.rechargeLocked(e)
-	}
-	if fn != nil {
-		for _, e := range c.window {
-			fn(e)
+// editAddSums publishes an edited copy of the added-graph summaries.
+// AddGraph and a turn's prune may race, so it retries until its swap
+// lands on the map it copied.
+func (c *Cache) editAddSums(edit func(map[int]summary)) {
+	for {
+		old := c.addSums.Load()
+		m := maps.Clone(*old)
+		edit(m)
+		if c.addSums.CompareAndSwap(old, &m) {
+			return
 		}
 	}
-	c.pruneAddSums()
 }
 
-// pruneAddSums drops the summaries no reconciler can read again: of
-// graphs since removed, and of graphs below every entry's answer-set
-// length. A reconciler tests only the ids at or above its set's length,
-// every entry is admitted or in the window (no query is in flight), and
-// an entry admitted later is sized to the id space it ran over. Caller
-// holds dsMu exclusively and mu.
+// pruneAddSums drops the summaries no resident or window entry will read
+// again: of graphs the view has tombstoned, and of graphs below every
+// such entry's answer-set length (a reader tests only the ids from its
+// set's length up, and an entry admitted later is sized to its query's
+// view). A query still holding an entry evicted before the prune runs its
+// test unscreened. Caller holds mu.
 //
 //gclint:requires mu
-func (c *Cache) pruneAddSums() {
-	if len(c.addSums) == 0 {
+func (c *Cache) pruneAddSums(view ftv.DatasetView) {
+	if len(*c.addSums.Load()) == 0 {
 		return
 	}
 	floor := math.MaxInt
@@ -173,19 +111,32 @@ func (c *Cache) pruneAddSums() {
 			floor = min(floor, e.Answers().Len())
 		}
 	}
-	view := c.method.View()
-	for gid := range c.addSums {
-		if gid < floor || view.Graph(gid) == nil {
-			delete(c.addSums, gid)
-		}
+	c.editAddSums(func(m map[int]summary) {
+		maps.DeleteFunc(m, func(gid int, _ summary) bool {
+			return gid < floor || gid < view.Size() && view.Graph(gid) == nil
+		})
+	})
+}
+
+// maskRemovalsLocked brings e's answers forward to the view's removals
+// when any landed since e's epoch: the turn's maintenance, no
+// containment test, ids appended since left untested. An entry at or
+// past the view's epoch has none to take. Caller holds mu (a turn).
+//
+//gclint:requires mu
+//gclint:loads answers e
+func (c *Cache) maskRemovalsLocked(e *Entry, view ftv.DatasetView) {
+	if a := e.ans.p.Load(); a.removals < view.Removals() {
+		next := at(withoutRemoved(a.set, view, a.removals), view)
+		e.ans.p.CompareAndSwap(a, &next)
 	}
 }
 
 // rechargeLocked trues up the residency charge of an admitted entry whose
-// answer set may have been swapped since the last pass (reconciliation
-// publishes fresh sets outside mu, where the account is not touched): the
-// account moves by the difference between the entry's Bytes() and its
-// charge. Caller holds mu.
+// answer set may have been swapped since the last turn (readers publish
+// fresh sets outside mu, where the account is not touched): the account
+// moves by the difference between the entry's Bytes() and its charge.
+// Caller holds mu.
 //
 //gclint:requires mu
 func (c *Cache) rechargeLocked(e *Entry) {
@@ -195,43 +146,83 @@ func (c *Cache) rechargeLocked(e *Entry) {
 	}
 }
 
-// reconciledAnswers returns e's answer set brought to the view's id
-// space, verifying only the graphs added since the set was sized; for a
-// current entry it is a single atomic load. It runs lock-free under the
-// read side of dsMu: racing reconcilers of the same entry compute
-// identical sets, so the last published one wins benignly. The byte account is
-// deliberately NOT touched here (mu is not held); it is trued up at the
-// next window turn and at every stop-the-world maintenance pass
-// (rechargeLocked).
+// answersFor returns e's answer set exact for the view: one atomic load
+// for an entry at the view's epoch; for one behind it, the set brought
+// forward (removals masked, then additions tested) and published; nil for
+// one a newer reader has already brought past the view. Racing readers
+// of one view compute identical sets, so whichever swap lands is right.
+// The byte account is not touched here (mu is not held); the next turn
+// trues it up.
 //
-//gclint:requires dsMu
 //gclint:nolocks
 //gclint:loads answers e
-func (c *Cache) reconciledAnswers(e *Entry, view ftv.DatasetView) *bitset.Set {
-	set := e.Answers()
-	if set.Len() == view.Size() {
-		return set // removals are applied at mutation time: nothing to do
+func (c *Cache) answersFor(e *Entry, view ftv.DatasetView) *bitset.Set {
+	a := e.ans.p.Load()
+	if a.epoch == view.Epoch() && a.set.Len() == view.Size() {
+		return a.set
 	}
-	set = c.patchedAnswers(e, set, view)
-	e.setAnswers(set)
+	if a.epoch > view.Epoch() {
+		return nil
+	}
+	set := withoutRemoved(a.set, view, a.removals)
+	if set.Len() < view.Size() {
+		set = c.patchedAnswers(e, set, view)
+	}
+	next := at(set, view)
+	e.ans.p.CompareAndSwap(a, &next)
 	return set
 }
 
-// reconcileResident brings every entry of the published view to the
-// view's id space: "reconcile all now", for the readers that need every
+// liveCount is the number of graphs in e's answers that the view holds
+// live: what its answer set will count once masked to the view's removals
+// (hit ranking compares entries by it).
+//
+//gclint:loads answers e
+func liveCount(e *Entry, view ftv.DatasetView) int {
+	a := e.ans.p.Load()
+	n := a.set.Count()
+	for i := a.removals; i < view.Removals(); i++ {
+		if gid := view.Removed(i); gid < a.set.Len() && a.set.Contains(gid) {
+			n--
+		}
+	}
+	return n
+}
+
+// reconcileResident brings every entry of the published view forward to
+// the dataset view: "reconcile all now", for the readers that need every
 // entry current (Entries, WriteState, WriteStateV2). They call it before
 // they take mu, so its containment tests block no miss. An entry that a
-// concurrent turn admits after this pass still reconciles in the
-// reader's own reconciledAnswers call, under mu.
+// concurrent turn admits after this pass is brought forward by the
+// reader's own answersFor call, under mu.
 //
-//gclint:requires dsMu
 //gclint:nolocks
 //gclint:loads summaries
 func (c *Cache) reconcileResident(view ftv.DatasetView) {
 	index := c.published.Load().index
 	for i := range index {
-		c.reconciledAnswers(index[i].e, view)
+		c.answersFor(index[i].e, view)
 	}
+}
+
+// withoutRemoved returns set without the graphs the view removed from
+// its from-th removal on: set itself when it holds none of them, else a
+// copy re-encoded into its smallest container before it is published
+// (removals are where near-full sets shed dense words for run spans).
+func withoutRemoved(set *bitset.Set, view ftv.DatasetView, from int) *bitset.Set {
+	out := set
+	for i := from; i < view.Removals(); i++ {
+		if gid := view.Removed(i); gid < set.Len() && set.Contains(gid) {
+			if out == set {
+				out = set.Clone()
+			}
+			out.Remove(gid)
+		}
+	}
+	if out != set {
+		out.Compact()
+	}
+	return out
 }
 
 // patchedAnswers computes e's answer set over the view's id space from
@@ -240,19 +231,17 @@ func (c *Cache) reconcileResident(view ftv.DatasetView) {
 // the ids from old.Len() up. Tombstoned additions are skipped — their
 // bits were never set in old and must stay clear. An addition whose
 // summary the cache holds is tested only if the entry's summary admits
-// the containment; one added to the Method behind the cache's back (by
-// another cache over it, say) has none and is always tested. Removal bits
-// need no handling: removals clear them from every entry at mutation
-// time.
+// the containment; one without is always tested.
 func (c *Cache) patchedAnswers(e *Entry, old *bitset.Set, view ftv.DatasetView) *bitset.Set {
 	from := old.Len()
 	set := old.Grown(view.Size())
 	es := e.summary()
+	sums := *c.addSums.Load()
 	for gid := from; gid < view.Size(); gid++ {
 		if view.Graph(gid) == nil {
 			continue // added then removed before this entry caught up
 		}
-		if gs, ok := c.addSums[gid]; ok {
+		if gs, ok := sums[gid]; ok {
 			pattern, target := &es, &gs
 			if e.Type == ftv.Supergraph {
 				pattern, target = target, pattern

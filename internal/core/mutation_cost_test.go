@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"graphcache/internal/ftv"
@@ -12,8 +11,8 @@ import (
 	"graphcache/internal/graph"
 )
 
-// The stop-the-world passes do work proportional to what changed, never
-// to what is cached (mutate.go), and leave the residency account exact.
+// Mutations stop nothing, and the window turns that mask their removals
+// leave the residency account exact (mutate.go).
 
 // distinctPatterns extracts n pairwise non-isomorphic (by WL fingerprint)
 // patterns from the dataset, so executing them in order is n misses.
@@ -34,23 +33,23 @@ func distinctPatterns(tb testing.TB, rng *rand.Rand, dataset []*graph.Graph, n i
 	return out
 }
 
-// turnNow turns the window as the append that fills it would.
+// turnNow turns the window over the current dataset, as the append that
+// fills it would.
 func turnNow(c *Cache) {
-	tok := c.dsMu.RLock()
+	view := c.method.View()
 	c.mu.Lock()
-	c.turnWindow()
+	c.turnWindow(view)
 	c.mu.Unlock()
-	c.dsMu.RUnlock(tok)
 }
 
-// TestStopTheWorldPassesKeepResidency: on a warm 200-entry cache, 20
-// add/remove pairs with a forced window turn after each, then 20 turns
-// driven by queries, are all counted and timed, and the residency account
-// equals Σ Entry.Bytes() after each phase. In both reconcileModes: with
-// lazy=true the mutation phase runs no maintenance test; with lazy=false
-// reconcileNow after each add runs them, so the saving is not skipped
-// work.
-func TestStopTheWorldPassesKeepResidency(t *testing.T) {
+// TestMutationsKeepResidency: on a warm 200-entry cache, 20 add/remove
+// pairs with a forced window turn after each, then 20 turns driven by
+// queries, are all counted and timed, and the residency account equals
+// Σ Entry.Bytes() after each phase. In both reconcileModes: with
+// lazy=true the mutation phase runs no maintenance test (the turns mask
+// removals without one); with lazy=false reconcileNow after each add
+// runs them, so the saving is not skipped work.
+func TestMutationsKeepResidency(t *testing.T) {
 	for _, lazy := range reconcileModes {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
 			dataset := testDataset(171, 60)
@@ -106,7 +105,7 @@ func TestStopTheWorldPassesKeepResidency(t *testing.T) {
 				t.Fatal("reconciling after each add ran no maintenance test: the saving must not be skipped work")
 			}
 			if after.MutationHoldNs == before.MutationHoldNs || after.WindowTurnNs == before.WindowTurnNs {
-				t.Fatal("the stopped world was not timed")
+				t.Fatal("the mutations or the turns were not timed")
 			}
 			checkResidency(t, c, "after mutations")
 
@@ -132,46 +131,44 @@ func TestStopTheWorldPassesKeepResidency(t *testing.T) {
 }
 
 // TestCostCellsSurviveGrowth: the per-graph cost cells keep their
-// estimates across every regrowth, new cells read as "no estimate", and
-// 1 000 consecutive adds allocate O(log) backing arrays, not one each.
+// estimates, and their addresses, across every growth of the chunk
+// directory; a cell past its end, such as a graph just added, reads as
+// "no estimate"; and 1 000 adds grow it by whole chunks.
 func TestCostCellsSurviveGrowth(t *testing.T) {
 	dataset := testDataset(181, 12)
 	c := testCache(t, dataset, func(cfg *Config) { cfg.SelfCheck = false })
 	for gid := range dataset {
-		c.costVal[gid].Store(math.Float64bits(1000 + float64(gid)))
+		c.costs.cell(gid).Store(math.Float64bits(1000 + float64(gid)))
 	}
+	first := c.costs.cell(0)
 	tiny := graph.NewBuilder(2).SetLabels([]graph.Label{1, 2}).AddEdge(0, 1).MustBuild()
-	arrays := 0
-	var last *atomic.Uint64
 	for i := 0; i < 1000; i++ {
 		gid, err := c.AddGraph(tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(c.costVal) != gid+1 {
-			t.Fatalf("add %d: %d cost cells for %d graphs", i, len(c.costVal), gid+1)
-		}
-		if first := &c.costVal[0]; first != last {
-			arrays++
-			last = first
-			// A growth step: every estimate must read the same after it.
-			for g := range dataset {
-				if got := c.estimatedCost(g); got != 1000+float64(g) {
-					t.Fatalf("add %d: estimate of graph %d moved to %v", i, g, got)
-				}
-			}
-		}
 		if got := c.estimatedCost(gid); got != c.estimatedMeanCost() {
 			t.Fatalf("add %d: fresh cell %d reads %v, want the mean", i, gid, got)
 		}
+		if i%2 == 0 {
+			c.costs.cell(gid) // grow as a verification of the new graph would
+		}
 		if i == 500 {
-			c.costVal[gid].Store(math.Float64bits(77)) // must survive later steps
+			c.costs.cell(gid).Store(math.Float64bits(77)) // must survive later steps
+		}
+		if c.costs.cell(0) != first {
+			t.Fatalf("add %d: cell 0 moved", i)
+		}
+		for g := range dataset {
+			if got := c.estimatedCost(g); got != 1000+float64(g) {
+				t.Fatalf("add %d: estimate of graph %d moved to %v", i, g, got)
+			}
 		}
 	}
 	if got := c.estimatedCost(len(dataset) + 500); got != 77 {
 		t.Fatalf("estimate written mid-run reads %v after further growth", got)
 	}
-	if arrays > 10 { // 12 → 1 012 cells by doubling: 7 arrays
-		t.Fatalf("1000 adds allocated %d backing arrays; want O(log)", arrays)
+	if got, want := len(*c.costs.dir.Load()), (len(dataset)+1000+255)/256; got != want {
+		t.Fatalf("%d chunks for %d graphs, want %d", got, len(dataset)+1000, want)
 	}
 }

@@ -49,15 +49,15 @@ import (
 const stateVersionV2 = 2
 
 // WriteStateV2 serializes the cache's admitted entries to w in the
-// legacy text format. The state is formatted in memory under the read
-// side of the dataset mutex (the recorded answer ids must belong to one
-// dataset snapshot) plus mu (the resident list and the utility fields it
+// legacy text format. The state is formatted in memory over one pinned
+// dataset view (the recorded answer ids must belong to one dataset
+// snapshot) under mu (the resident list and the utility fields it
 // records are mutated under it), so it is one consistent snapshot even
-// under concurrent queries; w is written only after both are released,
-// so a slow writer stalls no query. Entries stale with respect to dataset
-// additions are reconciled first, before mu is taken, so their
-// containment tests block no miss — what the file stores must be exact at
-// the header's dataset size.
+// under concurrent queries; w is written only after mu is released, so a
+// slow writer stalls no query. Stale entries are brought forward to the
+// view first, before mu is taken, so their containment tests block no
+// miss — what the file stores must be exact at the header's dataset
+// size. An entry a newer reader brought past the view is left out.
 func (c *Cache) WriteStateV2(w io.Writer) error {
 	var buf bytes.Buffer
 	if err := c.formatStateV2(&buf); err != nil {
@@ -67,24 +67,22 @@ func (c *Cache) WriteStateV2(w io.Writer) error {
 	return err
 }
 
-// formatStateV2 formats the v2 state into buf under the locks.
+// formatStateV2 formats the v2 state into buf under mu.
 //
-//gclint:acquires dsMu mu
+//gclint:acquires mu
 //gclint:pins dataset
 func (c *Cache) formatStateV2(buf *bytes.Buffer) error {
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
 	c.reconcileResident(view)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	c.foldCreditsLocked(c.entries) // the utilities written below include every completed hit
-	fmt.Fprintf(buf, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(c.entries))
-	for _, e := range c.entries {
+	entries, sets := c.snapshotLocked(view)
+	fmt.Fprintf(buf, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(entries))
+	for i, e := range entries {
 		fmt.Fprintf(buf, "entry %d %d %d %d %d %g %g\n",
 			e.Type, e.Graph.N(), e.Graph.M(), e.BaseCandidates, e.Hits, e.SavedTests, e.SavedCostNs)
-		ids := c.reconciledAnswers(e, view).Indices()
+		ids := sets[i].Indices()
 		fmt.Fprintf(buf, "answers %d", len(ids))
 		for _, id := range ids {
 			fmt.Fprintf(buf, " %d", id)
@@ -96,6 +94,25 @@ func (c *Cache) formatStateV2(buf *bytes.Buffer) error {
 	}
 	buf.WriteString("end\n")
 	return nil
+}
+
+// snapshotLocked folds the pending exact-hit credits, so the utilities a
+// snapshot records include every completed hit, and pairs each resident
+// entry with its answers for the view, leaving out an entry a newer
+// reader has brought past it. Caller holds mu.
+//
+//gclint:requires mu
+func (c *Cache) snapshotLocked(view ftv.DatasetView) ([]*Entry, []*bitset.Set) {
+	c.foldCreditsLocked(c.entries)
+	entries := make([]*Entry, 0, len(c.entries))
+	sets := make([]*bitset.Set, 0, len(c.entries))
+	for _, e := range c.entries {
+		if set := c.answersFor(e, view); set != nil {
+			entries = append(entries, e)
+			sets = append(sets, set)
+		}
+	}
+	return entries, sets
 }
 
 // stateError builds a line-numbered restore error.
@@ -114,10 +131,11 @@ func stateError(line int, format string, args ...any) error {
 // ordering, checksums and section bounds in v3, the end trailer in v2 —
 // before mu is taken to install the entries, so a truncated or corrupt
 // state file fails with a descriptive error and leaves the cache exactly
-// as it was (empty, when the load happens at boot). The read side of dsMu
-// is held through the whole parse: it pins the dataset the answer ids
-// refer to, so mutations wait for the restore while queries do not. On
-// success the feature index is rebuilt before the locks drop.
+// as it was (empty, when the load happens at boot). One dataset view is
+// pinned through the whole parse: the answer ids refer to it, and the
+// restored sets are exact for its epoch, so a mutation landing meanwhile
+// is brought in by the entries' next readers. On success the feature
+// index is rebuilt before mu drops.
 func (c *Cache) ReadState(r io.Reader) error {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(len(stateMagicV3)); err == nil && string(magic) == stateMagicV3 {
@@ -132,14 +150,9 @@ func (c *Cache) ReadState(r io.Reader) error {
 
 // readStateV2 parses and restores the v2 text format.
 //
-//gclint:acquires dsMu mu
+//gclint:acquires mu
 //gclint:pins dataset
 func (c *Cache) readStateV2(br *bufio.Reader) error {
-	// The read side of the dataset mutex pins the dataset for the whole
-	// restore (mutations are excluded; concurrent queries are not — they
-	// are fenced by mu in replaceEntries).
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
 	lineNo := 1
 	header, err := br.ReadString('\n')
@@ -315,7 +328,7 @@ parse:
 		// Ids tombstoned since the state was written are masked out: ids
 		// are never reused, so the remaining bits are still exact.
 		answers.And(view.Live())
-		e := entryFromSig(gs[0], it.qt, answers, it.baseCandidates, signatureOf(gs[0]), 0)
+		e := entryFromSig(gs[0], it.qt, answers, view, it.baseCandidates, signatureOf(gs[0]), 0)
 		e.Hits = it.hits
 		e.SavedTests = it.savedTests
 		e.SavedCostNs = it.savedCost
@@ -329,9 +342,7 @@ parse:
 // replaceEntries installs entries as the cache's entire content — the
 // shared commit phase of every restore. Stop-the-world under mu, so no
 // admission interleaves, the pending window is cleared, and queries see
-// the old view until the new one is published. Caller holds the read
-// side of dsMu (the entries' answer sets must stay exact for the pinned
-// dataset snapshot through the install).
+// the old view until the new one is published.
 //
 //gclint:acquires mu
 func (c *Cache) replaceEntries(entries []*Entry) {

@@ -85,9 +85,9 @@ func fnv1a(data []byte) uint64 {
 
 // WriteState serializes the cache's admitted entries to w in the binary
 // v3 format. Locking and consistency match WriteStateV2: entries are
-// reconciled to the pinned view before mu is taken, header, index and
-// body are built in memory under the read side of the dataset mutex plus
-// mu, and w is written only after both locks are released. Answer sets are written in their native
+// brought forward to the pinned view before mu is taken, header, index
+// and body are built in memory under mu, and w is written only after mu
+// is released. Answer sets are written in their native
 // containers, so save→restore preserves the adaptive compression
 // byte-for-byte.
 func (c *Cache) WriteState(w io.Writer) error {
@@ -104,27 +104,23 @@ func (c *Cache) WriteState(w io.Writer) error {
 	return bw.Flush()
 }
 
-// encodeStateV3 builds the v3 header, index and body sections under the
-// locks.
+// encodeStateV3 builds the v3 header, index and body sections under mu.
 //
-//gclint:acquires dsMu mu
+//gclint:acquires mu
 //gclint:pins dataset
 func (c *Cache) encodeStateV3() ([3][]byte, error) {
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
 	c.reconcileResident(view)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	all := c.entries
-	c.foldCreditsLocked(all) // the utilities written below include every completed hit
+	all, sets := c.snapshotLocked(view)
 	index := make([]byte, 0, len(all)*v3IndexLen)
 	var body []byte
 	bodyOff := uint64(v3HeaderLen + len(all)*v3IndexLen)
 	var gbuf bytes.Buffer
-	for _, e := range all {
-		set := c.reconciledAnswers(e, view)
+	for i, e := range all {
+		set := sets[i]
 		gbuf.Reset()
 		if err := graph.WriteGraph(&gbuf, e.Graph); err != nil {
 			return [3][]byte{}, err
@@ -188,11 +184,9 @@ func v3Error(format string, args ...any) error {
 // Validation mirrors the writer exactly (see the format comment); nothing
 // is installed until every section, graph and answer set verified.
 //
-//gclint:acquires dsMu mu
+//gclint:acquires mu
 //gclint:pins dataset
 func (c *Cache) readStateV3(data []byte) error {
-	dsTok := c.dsMu.RLock()
-	defer c.dsMu.RUnlock(dsTok)
 	view := c.method.View()
 
 	if len(data) < v3HeaderLen {
@@ -311,7 +305,7 @@ func (c *Cache) readStateV3(data []byte) error {
 		}
 		// Ids tombstoned since the snapshot was written are masked out.
 		set.And(view.Live())
-		e := entryFromSig(gs[0], ftv.QueryType(qt), set, int(bc), sig, 0)
+		e := entryFromSig(gs[0], ftv.QueryType(qt), set, view, int(bc), sig, 0)
 		e.Hits = hits
 		e.SavedTests = savedTests
 		e.SavedCostNs = savedCost

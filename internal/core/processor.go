@@ -132,7 +132,7 @@ type hitSet struct {
 // deterministic.
 //
 //gclint:nolocks
-func (c *Cache) detectHits(q *graph.Graph, qt ftv.QueryType, sig querySig, cmCount int, sc *execScratch) hitSet {
+func (c *Cache) detectHits(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, sig querySig, cmCount int, sc *execScratch) hitSet {
 	var hs hitSet
 	maxSub, maxSuper := c.cfg.MaxSubHits, c.cfg.MaxSuperHits
 	if maxSub == 0 && maxSuper == 0 {
@@ -150,25 +150,25 @@ func (c *Cache) detectHits(q *graph.Graph, qt ftv.QueryType, sig querySig, cmCou
 	// broken by entry ID: the order is then a function of the candidate
 	// SET alone.
 	answersDeliverIsSub := qt == ftv.Subgraph
-	sc.ranked = rankCandidates(sc.sub, answersDeliverIsSub, sc.ranked)
-	sc.ranked = rankCandidates(sc.super, !answersDeliverIsSub, sc.ranked)
+	sc.ranked = rankCandidates(view, sc.sub, answersDeliverIsSub, sc.ranked)
+	sc.ranked = rankCandidates(view, sc.super, !answersDeliverIsSub, sc.ranked)
 
 	hs.sub, hs.super, hs.isoTests = c.confirmHits(q, sc.sub, sc.super, maxSub, maxSuper)
 	return hs
 }
 
-// rankedCandidate pairs a hit candidate with its answer count sampled
-// once, before the sort starts.
+// rankedCandidate pairs a hit candidate with its live answer count
+// (liveCount) sampled once, before the sort starts.
 type rankedCandidate struct {
 	e     *Entry
 	count int
 }
 
 // rankCandidates orders a hit-candidate list in place by expected
-// benefit — answer count, largerFirst choosing the direction — with
-// entry-ID tie-breaks. Each entry's answer count is snapshotted exactly
-// once before sorting: a comparator that reloads the answer cell per
-// comparison can observe a concurrent lazy reconciliation mid-sort,
+// benefit — the answers the view holds live, largerFirst choosing the
+// direction — with entry-ID tie-breaks. Each entry's count is snapshotted
+// exactly once before sorting: a comparator that reloads the answer cell
+// per comparison can observe a concurrent reader's swap mid-sort,
 // making the ordering inconsistent and breaking the "ranking is a
 // deterministic function of the candidate set" contract — besides
 // costing one O(set) count per comparison instead of per entry. The
@@ -176,13 +176,13 @@ type rankedCandidate struct {
 // cleared of entry pointers) for the next call.
 //
 //gclint:loads answers cands
-func rankCandidates(cands []*Entry, largerFirst bool, buf []rankedCandidate) []rankedCandidate {
+func rankCandidates(view ftv.DatasetView, cands []*Entry, largerFirst bool, buf []rankedCandidate) []rankedCandidate {
 	if len(cands) < 2 {
 		return buf
 	}
 	rs := buf[:0]
 	for _, e := range cands {
-		rs = append(rs, rankedCandidate{e: e, count: e.Answers().Count()})
+		rs = append(rs, rankedCandidate{e: e, count: liveCount(e, view)})
 	}
 	slices.SortFunc(rs, func(a, b rankedCandidate) int {
 		if a.count != b.count {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"graphcache/internal/bitset"
+	"graphcache/internal/ftv"
 )
 
 // rankEntry builds a bare entry whose answer set has exactly count bits.
@@ -16,9 +17,13 @@ func rankEntry(id int, count int) *Entry {
 	for i := range idx {
 		idx[i] = i
 	}
-	e.setAnswers(bitset.FromIndices(count+1, idx))
+	e.ans.p.Store(&answersAt{set: bitset.FromIndices(count+1, idx)})
 	return e
 }
+
+// rankView is a dataset view with no removal in its history: a bare
+// entry's live answer count is its set's count.
+var rankView = ftv.NewMethod("label/vf2", nil, ftv.NewLabelFilter(nil), nil).View()
 
 // TestRankCandidatesDeterministic is the regression test for the
 // detectHits ranking extraction: the order must be a pure function of the
@@ -41,7 +46,7 @@ func TestRankCandidatesDeterministic(t *testing.T) {
 		}{{true, wantLarger}, {false, wantSmaller}} {
 			cands := build()
 			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-			rankCandidates(cands, tc.largerFirst, nil)
+			rankCandidates(rankView, cands, tc.largerFirst, nil)
 			for i, e := range cands {
 				if e.ID != tc.want[i] {
 					t.Fatalf("trial %d largerFirst=%v: got order %v at %d, want %v",
@@ -82,12 +87,12 @@ func TestRankCandidatesConcurrentSwap(t *testing.T) {
 		defer wg.Done()
 		for k := 0; !stop.Load(); k++ {
 			e := cands[k%n]
-			e.setAnswers(bitset.FromIndices(16, []int{k % 16}))
+			e.ans.p.Store(&answersAt{set: bitset.FromIndices(16, []int{k % 16})})
 		}
 	}()
 	for trial := 0; trial < 50; trial++ {
 		work := append([]*Entry(nil), cands...)
-		rankCandidates(work, trial%2 == 0, nil)
+		rankCandidates(rankView, work, trial%2 == 0, nil)
 		seen := map[int]bool{}
 		for _, e := range work {
 			if e == nil {

@@ -14,9 +14,8 @@ import (
 // residencyDrift returns an error unless the residency account agrees
 // with the resident list: Len is its length, the list is ID-ordered and
 // Bytes is Σ Entry.Bytes() over it. The sum is owed at the points that
-// true charges up — window turns, stop-the-world passes and restores —
-// not between them, where lazy reconciliation swaps sets on the query
-// path.
+// true charges up — window turns and restores — not between them, where
+// readers swap sets on the query path.
 func residencyDrift(c *Cache) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -49,8 +48,9 @@ func checkResidency(t *testing.T, c *Cache, when string) {
 // resident list after window turns, evictions, live dataset mutations
 // and a state restore, in both reconcileModes, with answer sets migrating
 // containers throughout (Compact at admission, clone-and-compact on
-// removals). With lazy=false each add is followed by reconcileNow, whose
-// swapped sets the next mutation's pass must true up.
+// removals). A mutation swaps no set, so the account stays exact across
+// it. With lazy=false each add is followed by reconcileNow, whose swapped
+// sets the turn after it trues up.
 func TestResidencyAccountAgreement(t *testing.T) {
 	for _, lazy := range reconcileModes {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
@@ -83,7 +83,7 @@ func TestResidencyAccountAgreement(t *testing.T) {
 
 			// Dataset mutations: additions grow answer sets when an entry
 			// is read (or right away, by reconcileNow); removals clear
-			// bits.
+			// bits when it is read or at the next turn.
 			for i, g := range extra {
 				if _, err := c.AddGraph(g); err != nil {
 					t.Fatal(err)
@@ -93,6 +93,7 @@ func TestResidencyAccountAgreement(t *testing.T) {
 					if err := reconcileNow(c); err != nil {
 						t.Fatalf("after add %d: %v", i, err)
 					}
+					turnNow(c)
 				}
 			}
 			if err := c.RemoveGraph(0); err != nil {
@@ -125,11 +126,11 @@ func TestResidencyAccountAgreement(t *testing.T) {
 	}
 }
 
-// TestLazyRestoreEnforcesMemoryBudget: a restore into a cache whose
+// TestRestoreEnforcesMemoryBudget: a restore into a cache whose
 // MemoryBudget is half the snapshot's footprint evicts down to the
 // budget, keeping some entries but not all. The restore goes through the
 // file wrapper RestoreStateLazy, which despite its name is eager.
-func TestLazyRestoreEnforcesMemoryBudget(t *testing.T) {
+func TestRestoreEnforcesMemoryBudget(t *testing.T) {
 	src, _ := warmCache(t, 811)
 	path := filepath.Join(t.TempDir(), "state.gcs3")
 	if err := os.WriteFile(path, v3State(t, src), 0o644); err != nil {

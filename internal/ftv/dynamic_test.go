@@ -135,8 +135,8 @@ func TestViewSnapshotIsolation(t *testing.T) {
 	}
 
 	// The old view is frozen: same size, same candidates, epoch 0.
-	if old.Epoch() != 0 || old.Size() != len(base) {
-		t.Fatalf("old view mutated: epoch %d size %d", old.Epoch(), old.Size())
+	if old.Epoch() != 0 || old.Size() != len(base) || old.Removals() != 0 {
+		t.Fatalf("old view mutated: epoch %d size %d removals %d", old.Epoch(), old.Size(), old.Removals())
 	}
 	again := old.Candidates(q, ftv.Subgraph).Indices()
 	if len(again) != len(oldCands) {
@@ -145,8 +145,9 @@ func TestViewSnapshotIsolation(t *testing.T) {
 
 	// The new view reflects both mutations; the addition took the next id.
 	now := m.View()
-	if now.Epoch() != 2 || now.Graph(0) != nil || now.Graph(len(base)) == nil || now.Size() != len(base)+1 {
-		t.Fatalf("new view wrong: epoch %d size %d", now.Epoch(), now.Size())
+	if now.Epoch() != 2 || now.Graph(0) != nil || now.Graph(len(base)) == nil || now.Size() != len(base)+1 ||
+		now.Removals() != 1 || now.Removed(0) != 0 {
+		t.Fatalf("new view wrong: epoch %d size %d removals %d", now.Epoch(), now.Size(), now.Removals())
 	}
 }
 

@@ -37,7 +37,9 @@ func VF2Verifier(pattern, target *graph.Graph) bool { return iso.SubIso(pattern,
 // and the live-id set is copied (a span per run of live ids, ⌈n/64⌉
 // words at most). Every mutation bumps the epoch. Every addition appends
 // one id, so a holder of an answer set sized to an older id space
-// reconciles it by verifying the ids past the set's length. Removals keep
+// reconciles it by verifying the ids past the set's length; removals are
+// listed in order (Removals, Removed, one more chunked array), so it
+// drops exactly the graphs removed since its own snapshot. Removals keep
 // the old filter (its postings for the dead id are masked by the live set
 // — exact, because Candidates intersects with live); additions patch the
 // filter incrementally, so AddGraph needs a filter that is an
@@ -53,7 +55,7 @@ type Method struct {
 	// mu serializes mutators; readers go through the atomic state pointer
 	// and never take it. It is a leaf lock: nothing is acquired under it,
 	// so callers may hold locks of their own (the cache kernel mutates the
-	// method under its dataset lock, never under its cache lock).
+	// method holding none).
 	//gclint:lock methodMu
 	//gclint:leaf
 	mu sync.Mutex
@@ -75,6 +77,7 @@ type methodState struct {
 	live      *bitset.Set // gids not tombstoned; capacity == len(dataset)
 	liveCount int
 	epoch     int64
+	removed   chunked[int] // the tombstoned ids in removal order
 }
 
 // NewMethod assembles a method from a filter built over dataset. Dataset
@@ -190,6 +193,7 @@ func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 		live:      live,
 		liveCount: old.liveCount + 1,
 		epoch:     old.epoch + 1,
+		removed:   old.removed,
 	})
 	return gid, nil
 }
@@ -221,6 +225,7 @@ func (m *Method) RemoveGraph(gid int) error {
 		live:      live,
 		liveCount: old.liveCount - 1,
 		epoch:     old.epoch + 1,
+		removed:   old.removed.With(old.removed.Len(), gid),
 	})
 	return nil
 }
@@ -245,6 +250,15 @@ func (v DatasetView) LiveCount() int { return v.s.liveCount }
 
 // Epoch returns the snapshot's dataset epoch.
 func (v DatasetView) Epoch() int64 { return v.s.epoch }
+
+// Removals returns how many graphs the snapshot's history removed, and
+// Removed(i) the i-th of them, oldest first: a set exact for a snapshot
+// with r removals is exact for this one's once it drops Removed(r) up to
+// Removed(Removals()-1) and takes in the ids appended since.
+func (v DatasetView) Removals() int { return v.s.removed.Len() }
+
+// Removed returns the i-th removed id, 0 ≤ i < Removals.
+func (v DatasetView) Removed(i int) int { return v.s.removed.At(i) }
 
 // Graph returns dataset graph gid, or nil if tombstoned.
 func (v DatasetView) Graph(gid int) *graph.Graph { return v.s.dataset.At(gid) }
@@ -347,8 +361,11 @@ func (r *Result) TotalTime() time.Duration { return r.FilterTime + r.VerifyTime 
 // one consistent snapshot of the dataset.
 //
 //gclint:pins dataset
-func (m *Method) Run(q *graph.Graph, qt QueryType) *Result {
-	v := m.View()
+func (m *Method) Run(q *graph.Graph, qt QueryType) *Result { return m.View().Run(q, qt) }
+
+// Run executes the query with plain filter-then-verify (no cache) over
+// the view.
+func (v DatasetView) Run(q *graph.Graph, qt QueryType) *Result {
 	t0 := time.Now()
 	cands := v.Candidates(q, qt)
 	filterTime := time.Since(t0)

@@ -21,10 +21,10 @@ import (
 //     space-free fields.
 func FuzzParseAnnotation(f *testing.F) {
 	seeds := []string{
-		"//gclint:hierarchy dsMu mu",
+		"//gclint:hierarchy outerMu mu",
 		"//gclint:lock mu",
 		"//gclint:leaf",
-		"//gclint:acquires dsMu mu",
+		"//gclint:acquires outerMu mu",
 		"//gclint:ignore lockorder -- reason with -- inner dashes",
 		"//gclint:ignore lockorder,ctxflow -- two analyzers",
 		"//gclint:ignore -- missing names",

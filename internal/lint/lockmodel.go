@@ -61,7 +61,7 @@ func ClassifyLockCall(info *types.Info, ann *Annotations, call *ast.CallExpr) (L
 }
 
 // lockTargetObject resolves the declaration object of a lock expression
-// like c.dsMu, sh.mu, c.shards[i].mu or a package-level var.
+// like c.mu, sh.mu, c.shards[i].mu or a package-level var.
 func lockTargetObject(info *types.Info, expr ast.Expr) types.Object {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.Ident:

@@ -5,10 +5,10 @@
 // instance varies with the loop variable, and never at all when the
 // function already holds a caller-pinned view parameter
 // (//gclint:view). Re-deriving published state mid-operation is exactly
-// the torn-snapshot bug class the dsMu read-side discipline exists to
-// prevent: two loads of the same atomic.Pointer can observe different
-// epochs, and an answer set reconciled against one epoch must never be
-// interpreted under another.
+// the torn-snapshot bug class a pinned dataset view exists to prevent:
+// two loads of the same atomic.Pointer can observe different epochs, and
+// an answer set reconciled against one epoch must never be interpreted
+// under another.
 //
 // Three rules, in order of application per load event:
 //

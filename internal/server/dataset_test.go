@@ -168,8 +168,8 @@ func TestStatsReportFilterMaintenance(t *testing.T) {
 	extra := gen.Molecules(rng, 2, gen.MoleculeConfig{MinV: 10, MaxV: 14, RingFrac: 0.1, MaxDegree: 4, Labels: 6})
 
 	// The key set is pinned whole: the filter insert/rebuild counters,
-	// the answer-sharing counters and the addition-log ledger are gone,
-	// and none comes back unannounced.
+	// the answer-sharing counters, the addition-log ledger and the
+	// mutation drain timer are gone, and none comes back unannounced.
 	_, stats := doJSON(t, srv, http.MethodGet, "/api/stats", "")
 	want := []string{"queries", "exactHits", "subHitQueries", "superHitQueries",
 		"subHits", "superHits", "testsExecuted", "testsSaved", "testSpeedup",
@@ -177,7 +177,7 @@ func TestStatsReportFilterMaintenance(t *testing.T) {
 		"admissions", "evictions", "windowTurns", "cachedEntries", "cacheBytes",
 		"policy", "windowPending", "datasetSize", "datasetIdSpace", "epoch",
 		"datasetAdds", "datasetRemoves", "maintenanceTests",
-		"windowTurnNs", "mutationWaitNs", "mutationHoldNs"}
+		"windowTurnNs", "mutationHoldNs"}
 	slices.Sort(want)
 	if got := slices.Sorted(maps.Keys(stats)); !slices.Equal(got, want) {
 		t.Fatalf("/api/stats keys %v, want %v", got, want)

@@ -205,12 +205,10 @@ type statsResponse struct {
 	DatasetAdds      int64 `json:"datasetAdds"`
 	DatasetRemoves   int64 `json:"datasetRemoves"`
 	MaintenanceTests int64 `json:"maintenanceTests"`
-	// The stopped world, cumulative nanoseconds: inside window turns,
-	// waiting for in-flight queries to drain before a dataset mutation,
-	// and holding the dataset exclusively during one. Divide by
-	// windowTurns or datasetAdds + datasetRemoves for a mean.
+	// Cumulative nanoseconds inside window turns and inside dataset
+	// mutations. Divide by windowTurns or datasetAdds + datasetRemoves
+	// for a mean.
 	WindowTurnNs   int64 `json:"windowTurnNs"`
-	MutationWaitNs int64 `json:"mutationWaitNs"`
 	MutationHoldNs int64 `json:"mutationHoldNs"`
 }
 
@@ -245,7 +243,6 @@ func (s *Server) statsResponse() statsResponse {
 		DatasetRemoves:    snap.DatasetRemoves,
 		MaintenanceTests:  snap.MaintenanceTests,
 		WindowTurnNs:      snap.WindowTurnNs,
-		MutationWaitNs:    snap.MutationWaitNs,
 		MutationHoldNs:    snap.MutationHoldNs,
 	}
 }
