@@ -39,7 +39,7 @@ race:
 # inserts behind them — so every lock or sharing change pays for many
 # interleavings, not one.
 race-stress:
-	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry' ./internal/core ./internal/ftv
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|SnapshotWritesEntryAheadOfItsView' ./internal/core ./internal/ftv
 
 vet:
 	$(GO) vet ./...

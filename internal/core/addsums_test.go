@@ -14,8 +14,8 @@ import (
 
 // TestAddSumsWaitForColdestEntry pins the pruning floor rule: the cache
 // keeps the summary of every added graph the coldest (stalest) entry has
-// yet to test, and drops them at the first window turn after that entry
-// reconciles — never earlier, and never at a mutation.
+// yet to test, through every addition's and turn's prune, and drops them
+// at the first addition after that entry reconciles — never earlier.
 func TestAddSumsWaitForColdestEntry(t *testing.T) {
 	dataset := testDataset(111, 10)
 	extra := testDataset(112, 4)
@@ -47,18 +47,13 @@ func TestAddSumsWaitForColdestEntry(t *testing.T) {
 	if !res.ExactHit {
 		t.Fatal("expected an exact hit on the stale entry")
 	}
-	// ...but a mutation prunes nothing...
+	// ...so the next addition's prune drops everything the entry passed:
+	// the three old summaries go, only the new addition's survives.
 	if _, err := c.AddGraph(extra[3]); err != nil {
 		t.Fatal(err)
 	}
-	if got := addSumsLen(c); got != 4 {
-		t.Fatalf("%d summaries after reconciliation + add, want 4", got)
-	}
-	// ...and the next turn's prune drops everything the entry passed:
-	// the three old summaries go, only the new addition's survives.
-	turnNow(c)
 	if got := addSumsLen(c); got != 1 {
-		t.Fatalf("%d summaries after reconciliation + add + turn, want 1", got)
+		t.Fatalf("%d summaries after reconciliation + add, want 1", got)
 	}
 }
 
@@ -66,8 +61,8 @@ func TestAddSumsWaitForColdestEntry(t *testing.T) {
 // property for the cache's per-addition records, the added-graph
 // summaries: a sustained add/query stream keeps them at O(1) — every
 // round's queries reconcile the resident entries, so the floor tracks the
-// id space and the window turns continuously prune the tail. Each round
-// ends with one turn, which a stream's misses would bring. Runs in both
+// id space and each addition prunes the tail, though after round 0 every
+// query exact-hits and the window never turns. Runs in both
 // reconcileModes: with lazy=false each add is followed by reconcileNow
 // before the round's queries.
 func TestAddSumsBoundedUnderSustainedAdds(t *testing.T) {
@@ -94,13 +89,12 @@ func TestAddSumsBoundedUnderSustainedAdds(t *testing.T) {
 					}
 				}
 				// Touch every pool pattern: first executions admit, later
-				// ones exact-hit and reconcile; then turn the window.
+				// ones exact-hit and reconcile.
 				for _, p := range pool {
 					if _, err := c.Execute(p.g, p.qt); err != nil {
 						t.Fatal(err)
 					}
 				}
-				turnNow(c)
 				n := addSumsLen(c)
 				maxSums = max(maxSums, n)
 				if round > 2 && n > 4 {
@@ -304,7 +298,8 @@ func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 	}
 
 	// Mutate past the written state: two additions, then reconcile the
-	// resident entry (exact hit) so the next turn prunes their summaries.
+	// resident entry (exact hit) so the next addition prunes their
+	// summaries.
 	for i := 0; i < 2; i++ {
 		if _, err := c.AddGraph(extra[i]); err != nil {
 			t.Fatal(err)
@@ -316,7 +311,6 @@ func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 	if _, err := c.AddGraph(extra[2]); err != nil {
 		t.Fatal(err)
 	}
-	turnNow(c)
 	if addSumsLen(c) != 1 {
 		t.Fatalf("%d summaries survive the prune, want 1; the regression scenario did not arm", addSumsLen(c))
 	}

@@ -47,7 +47,7 @@ import (
 // meets is the method's leaf mutex (ftv.Method). A query pins its dataset
 // with one Method.View load, and live dataset mutations
 // (AddGraph/RemoveGraph, see mutate.go) take no cache lock and wait for
-// no query: each entry's answers name the dataset epoch they are exact
+// no query: each entry's answers name the dataset history they are exact
 // for, and a reader brings them forward to its own view. Operational
 // counters (Monitor) are atomics and bypass locks entirely. Behaviour on
 // many cores is unmeasured: the committed runs are from two-CPU machines.
@@ -122,8 +122,8 @@ type Cache struct {
 	// addSums publishes the containment summary of every graph AddGraph
 	// appended that a reader may still test, keyed by gid:
 	// patchedAnswers screens each entry with it before testing. The map
-	// is immutable once published: AddGraph and the turn's prune publish
-	// edited copies (editAddSums), readers load it without a lock.
+	// is immutable once published: AddGraph and each turn publish pruned
+	// copies (editAddSums, pruneAddSums), readers load it without a lock.
 	addSums atomic.Pointer[map[int]summary]
 
 	// res tracks cache-wide resident entries/bytes atomically (see
@@ -448,7 +448,7 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 	c.selfCheck(view, q, qt, res)
 
 	// Stage 6: admission via the window manager. The entry's answers are
-	// exact for the view's epoch, and a later reader or turn brings them
+	// exact for the view, and a later reader or turn brings them
 	// forward. It is built — answers cloned and compacted — before admit
 	// takes any lock.
 	c.admit(entryFromSig(q, qt, answers.Clone(), view, cmCount, sig, tick), view)
@@ -786,11 +786,13 @@ func (c *Cache) turnWindow(view ftv.DatasetView) {
 	c.window = c.window[:0]
 	// A window larger than the whole capacity can still overflow.
 	c.enforceLimitsLocked()
-	c.pruneAddSums(view)
 
 	// Publish before mu drops: the next query of a sequential stream
 	// sees exactly the admitted entries.
 	c.republishLocked()
+	if len(*c.addSums.Load()) > 0 {
+		c.editAddSums(func(m map[int]summary) { c.pruneAddSums(m, view) })
+	}
 }
 
 // markVictims marks x distinct positions of the ID-ordered slice all in

@@ -211,9 +211,9 @@ func TestChurnEquivalence(t *testing.T) {
 					t.Error("want some maintenance tests, and fewer than entries × adds")
 				}
 				// The added-graph summaries stay bounded under the mixed
-				// stream: the reads reconcile entries and the turns prune
-				// the summaries behind them, so a silently broken prune
-				// would keep one per addition.
+				// stream: the reads reconcile entries and the additions and
+				// turns prune the summaries behind them, so a silently
+				// broken prune would keep one per addition.
 				if adds := c.Stats().DatasetAdds; int64(addSumsLen(c)) >= adds {
 					t.Fatalf("%d added-graph summaries after %d adds: none was ever pruned", addSumsLen(c), adds)
 				}

@@ -68,7 +68,6 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 
 	nextExtra := 0
 	for i, op := range ops {
-		turns := c.Stats().WindowTurns
 		switch op % 4 {
 		case 0, 1:
 			q := churnOpsPool[int(op/4)%len(churnOpsPool)]
@@ -96,12 +95,14 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 		}
 		// Structural invariants after every op: capacity is strict, the
 		// residency account is exact wherever it is owed (after a turn:
-		// queries swap sets outside mu until the next one), and the
-		// added-graph summaries never outgrow the additions.
+		// queries swap sets outside mu until the next one, so each
+		// mutation is followed by one), and the added-graph summaries
+		// never outgrow the additions.
 		if c.Len() > cfg.Capacity {
 			return fmt.Errorf("op %d: %d entries resident, capacity %d", i, c.Len(), cfg.Capacity)
 		}
-		if c.Stats().WindowTurns != turns {
+		if op%4 >= 2 {
+			turnNow(c)
 			if err := residencyDrift(c); err != nil {
 				return fmt.Errorf("op %d: %w", i, err)
 			}

@@ -500,7 +500,7 @@ func TestStaleViewReaderSkipsAheadEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.ExactHit || e.ans.p.Load().epoch != old.Epoch()+1 {
+	if !res.ExactHit || e.ans.p.Load().removals != old.Removals()+1 {
 		t.Fatal("the newer reader did not bring the entry past the old view; the scenario did not arm")
 	}
 
@@ -517,5 +517,94 @@ func TestStaleViewReaderSkipsAheadEntry(t *testing.T) {
 				t.Fatalf("stale reader used the entry ahead of its view as a %v hit", h.Kind)
 			}
 		}
+	}
+}
+
+// TestTurnMaskServesOlderView: a window turn over a newer view masks an
+// entry's removals without testing the additions since, and a reader
+// whose view has those removals but not the additions still exact-hits
+// the entry: the masked set is exact for its view.
+func TestTurnMaskServesOlderView(t *testing.T) {
+	dataset := testDataset(158, 12)
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
+	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(159)), dataset[4], 4)
+	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	e := c.Entries()[0]
+	if err := c.RemoveGraph(4); err != nil {
+		t.Fatal(err)
+	}
+	old := c.Method().View()
+	if _, err := c.AddGraph(dataset[4]); err != nil {
+		t.Fatal(err)
+	}
+	turnNow(c)
+	if a := e.ans.p.Load(); a.removals != old.Removals() || a.set.Len() != old.Size() {
+		t.Fatal("the turn did not mask the entry's removal alone; the scenario did not arm")
+	}
+	res, err := c.execute(old, q, ftv.Subgraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := old.Run(q, ftv.Subgraph).Answers; !res.ExactHit || !res.Answers.Equal(want) {
+		t.Fatalf("exact=%v answers %v, want an exact hit answering %v", res.ExactHit, res.Answers, want)
+	}
+}
+
+// TestSnapshotWritesEntryAheadOfItsView: a snapshot writer pins its view,
+// and before it takes mu an addition lands and an exact hit brings the
+// resident entry past that view. The writer still writes the entry: it
+// retries on the newer view.
+func TestSnapshotWritesEntryAheadOfItsView(t *testing.T) {
+	dataset := testDataset(165, 12)
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
+	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(166)), dataset[5], 4)
+	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	e := c.Entries()[0]
+	// A removal puts the entry behind, so the writer's pass over the
+	// resident entries republishes it once the writer has pinned its view.
+	if err := c.RemoveGraph(0); err != nil {
+		t.Fatal(err)
+	}
+	stale := e.ans.p.Load()
+
+	c.mu.Lock()
+	var state bytes.Buffer
+	written := make(chan error, 1)
+	go func() { written <- c.WriteState(&state) }()
+	for deadline := time.Now().Add(10 * time.Second); e.ans.p.Load() == stale; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			c.mu.Unlock()
+			t.Fatal("the writer never brought the entry forward to its view")
+		}
+	}
+	if _, err := c.AddGraph(dataset[5]); err != nil {
+		c.mu.Unlock()
+		t.Fatal(err)
+	}
+	res, err := c.Execute(q, ftv.Subgraph) // brings the entry past the writer's view
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ExactHit || e.Answers().Len() != c.DatasetInfo().Size {
+		t.Fatal("the exact hit did not bring the entry past the writer's view; the scenario did not arm")
+	}
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+
+	r := MustNew(c.Method(), DefaultConfig())
+	if err := r.ReadState(&state); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 1 {
+		t.Fatalf("the snapshot holds %d entries, want the resident 1", r.Len())
+	}
+	if got := r.Entries()[0].Answers(); !got.Equal(e.Answers()) {
+		t.Fatalf("restored answers %v, want %v", got, e.Answers())
 	}
 }

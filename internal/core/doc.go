@@ -44,7 +44,7 @@
 // Cache type for the locking discipline); the only other lock a query
 // or a dataset mutation meets is the method's leaf mutex (ftv.Method).
 // A mutation waits for no query: each entry's answers name the dataset
-// epoch they are exact for, and readers bring them forward (mutate.go).
+// history they are exact for, and readers bring them forward (mutate.go).
 // A Statistics
 // Monitor/Manager tracks per-query and per-entry utilities, including the
 // number of sub-iso tests each cached entry saved (PIN) and their measured
@@ -141,7 +141,7 @@
 //   - The one stop-the-world pass, the window turn, neither sorts nor
 //     copies the resident set: it masks pending removals by cloning only
 //     the sets that hold a removed graph (an entry with no removal since
-//     its epoch costs one comparison), selects its victims with a
+//     its set was published costs one comparison), selects its victims with a
 //     bounded heap over the ID-ordered resident list, and trues up a
 //     charge with one O(1) Bytes() per entry. A dataset mutation stops
 //     nothing at all.

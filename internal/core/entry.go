@@ -19,8 +19,9 @@ import (
 // publish it with a compare-and-swap against the one they started from.
 // No mutation and no query waits for another: a swap that loses to a
 // concurrent one is dropped, and the loser still answers from the set it
-// built, which is exact for its own view. Epochs only move forward, since
-// nobody publishes over a value newer than the one it read.
+// built, which is exact for its own view. A value's length and removal
+// count only grow, since nobody publishes over a value other than the
+// one it read.
 type answersCell struct {
 	//gclint:snapshot answers
 	p atomic.Pointer[answersAt]
@@ -31,24 +32,21 @@ type answersCell struct {
 	lastHit      atomic.Int64
 }
 
-// answersAt is one published answer set and the dataset epoch it is exact
-// for: set holds the answers among the graphs live at that epoch, over
-// the ids below set.Len(). Ids from set.Len() up were appended since the
-// set was sized and are untested (a turn masks an entry's removals
-// without testing its additions). removals is the epoch's removal count
-// (ftv.DatasetView.Removals). A reader on a view past epoch masks the
-// view's removals from that count on and tests the ids from set.Len()
-// up; a reader on a view before epoch cannot use the set at all, since
-// it may lack graphs that view still holds live.
+// answersAt is one published answer set and the dataset history it is
+// exact for: the answers among the ids below set.Len() with the first
+// removals removals (ftv.DatasetView.Removals) applied. Each mutation
+// raises a view's Size or its Removals, so a reader whose view has at
+// least as many of both masks the removals since and tests the ids from
+// set.Len() up (a turn masks removals alone, so set.Len() may trail);
+// a reader whose view has fewer of either cannot use the set.
 type answersAt struct {
 	set      *bitset.Set
-	epoch    int64
 	removals int
 }
 
-// at tags set as exact for the view.
+// at tags set as exact for the view's removals.
 func at(set *bitset.Set, view ftv.DatasetView) answersAt {
-	return answersAt{set, view.Epoch(), view.Removals()}
+	return answersAt{set, view.Removals()}
 }
 
 // Entry is one cached query: the pattern graph, its exact answer set and
@@ -111,7 +109,7 @@ type Entry struct {
 }
 
 // Answers returns the entry's current answer set (see answersAt for the
-// epoch it is exact for). The returned set is immutable; the cache
+// dataset history it is exact for). The returned set is immutable; the cache
 // replaces it whole as it brings the entry forward.
 //
 //gclint:cowview

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"maps"
 	"math"
 	"time"
@@ -23,9 +24,10 @@ import (
 //   - A query pins one dataset view (its one Method.View load) and runs
 //     against it throughout, so its answer is exact for that view.
 //
-//   - Each entry's answers name the dataset epoch they are exact for
-//     (answersAt, entry.go). A reader on a view at that epoch uses the set
-//     as it is. A reader on a later view brings the entry forward
+//   - Each entry's answers name the dataset history they are exact for:
+//     an id-space length and a removal count (answersAt, entry.go). A
+//     reader on a view of that size and removal count uses the set as it
+//     is. A reader on a later view brings the entry forward
 //     (answersFor): it masks out the graphs tombstoned since, tests the
 //     ids appended since and publishes the result. A screen of the
 //     entry's summary against each added graph's (computed once per add)
@@ -34,12 +36,14 @@ import (
 //     always tested. A reader on an earlier view, meeting an entry a
 //     newer reader has already brought past it, treats the entry as
 //     absent: an exact hit falls through to the miss path, a sub/super
-//     hit is dropped, a snapshot writer leaves the entry out.
+//     hit is dropped, a snapshot writer starts over on a newer view.
 //
 //   - Every window turn masks the pending removals of every resident and
 //     window entry, with no containment test, then trues up the charges,
 //     so the residency account and MemoryBudget are exact at every turn.
-//     It also prunes the added-graph summaries no entry will read again.
+//
+//   - Every addition and every turn prunes the added-graph summaries no
+//     published entry will read again (pruneAddSums).
 //
 // Entries and the snapshot writers need every entry current: they bring
 // the resident list forward before they take mu (reconcileResident), so
@@ -63,7 +67,11 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 	}
 	c.mon.datasetAdds.Add(1)
 	sum := summarize(g)
-	c.editAddSums(func(m map[int]summary) { m[gid] = sum })
+	view := c.method.View()
+	c.editAddSums(func(m map[int]summary) {
+		c.pruneAddSums(m, view)
+		m[gid] = sum
+	})
 	return gid, nil
 }
 
@@ -80,8 +88,8 @@ func (c *Cache) RemoveGraph(gid int) error {
 }
 
 // editAddSums publishes an edited copy of the added-graph summaries.
-// AddGraph and a turn's prune may race, so it retries until its swap
-// lands on the map it copied.
+// AddGraphs and turns may race, so it retries until its swap lands on
+// the map it copied.
 func (c *Cache) editAddSums(edit func(map[int]summary)) {
 	for {
 		old := c.addSums.Load()
@@ -93,35 +101,29 @@ func (c *Cache) editAddSums(edit func(map[int]summary)) {
 	}
 }
 
-// pruneAddSums drops the summaries no resident or window entry will read
-// again: of graphs the view has tombstoned, and of graphs below every
-// such entry's answer-set length (a reader tests only the ids from its
-// set's length up, and an entry admitted later is sized to its query's
-// view). A query still holding an entry evicted before the prune runs its
-// test unscreened. Caller holds mu.
+// pruneAddSums drops from m the summaries of graphs the view tombstoned
+// and of graphs below every published entry's answer-set length (readers
+// test only the ids from their set's length up). It takes no lock, so
+// every AddGraph prunes, as does every turn. An entry the floor missed (a
+// window entry, or one an in-flight query holds after its eviction)
+// tests those graphs unscreened: a prune costs tests, never an answer.
 //
-//gclint:requires mu
-func (c *Cache) pruneAddSums(view ftv.DatasetView) {
-	if len(*c.addSums.Load()) == 0 {
-		return
-	}
+//gclint:loads summaries
+func (c *Cache) pruneAddSums(m map[int]summary, view ftv.DatasetView) {
 	floor := math.MaxInt
-	for _, list := range [][]*Entry{c.entries, c.window} {
-		for _, e := range list {
-			floor = min(floor, e.Answers().Len())
-		}
+	for _, ie := range c.published.Load().index {
+		floor = min(floor, ie.e.Answers().Len())
 	}
-	c.editAddSums(func(m map[int]summary) {
-		maps.DeleteFunc(m, func(gid int, _ summary) bool {
-			return gid < floor || gid < view.Size() && view.Graph(gid) == nil
-		})
+	maps.DeleteFunc(m, func(gid int, _ summary) bool {
+		return gid < floor || gid < view.Size() && view.Graph(gid) == nil
 	})
 }
 
 // maskRemovalsLocked brings e's answers forward to the view's removals
-// when any landed since e's epoch: the turn's maintenance, no
-// containment test, ids appended since left untested. An entry at or
-// past the view's epoch has none to take. Caller holds mu (a turn).
+// when any landed since e's set was published: the turn's maintenance,
+// no containment test, ids appended since left untested. An entry at or
+// past the view's removal count has none to take. Caller holds mu (a
+// turn).
 //
 //gclint:requires mu
 //gclint:loads answers e
@@ -147,21 +149,21 @@ func (c *Cache) rechargeLocked(e *Entry) {
 }
 
 // answersFor returns e's answer set exact for the view: one atomic load
-// for an entry at the view's epoch; for one behind it, the set brought
-// forward (removals masked, then additions tested) and published; nil for
-// one a newer reader has already brought past the view. Racing readers
-// of one view compute identical sets, so whichever swap lands is right.
-// The byte account is not touched here (mu is not held); the next turn
-// trues it up.
+// for an entry at the view's size and removals; for one behind the view,
+// the set brought forward (removals masked, then additions tested) and
+// published; nil for one a newer reader has already brought past the
+// view (answersAt). Racing readers of one view compute identical sets,
+// so whichever swap lands is right. The byte account is not touched here
+// (mu is not held); the next turn trues it up.
 //
 //gclint:nolocks
 //gclint:loads answers e
 func (c *Cache) answersFor(e *Entry, view ftv.DatasetView) *bitset.Set {
 	a := e.ans.p.Load()
-	if a.epoch == view.Epoch() && a.set.Len() == view.Size() {
+	if a.set.Len() == view.Size() && a.removals == view.Removals() {
 		return a.set
 	}
-	if a.epoch > view.Epoch() {
+	if a.set.Len() > view.Size() || a.removals > view.Removals() {
 		return nil
 	}
 	set := withoutRemoved(a.set, view, a.removals)
@@ -181,10 +183,8 @@ func (c *Cache) answersFor(e *Entry, view ftv.DatasetView) *bitset.Set {
 func liveCount(e *Entry, view ftv.DatasetView) int {
 	a := e.ans.p.Load()
 	n := a.set.Count()
-	for i := a.removals; i < view.Removals(); i++ {
-		if gid := view.Removed(i); gid < a.set.Len() && a.set.Contains(gid) {
-			n--
-		}
+	for range removedFrom(a.set, view, a.removals) {
+		n--
 	}
 	return n
 }
@@ -211,18 +211,28 @@ func (c *Cache) reconcileResident(view ftv.DatasetView) {
 // (removals are where near-full sets shed dense words for run spans).
 func withoutRemoved(set *bitset.Set, view ftv.DatasetView, from int) *bitset.Set {
 	out := set
-	for i := from; i < view.Removals(); i++ {
-		if gid := view.Removed(i); gid < set.Len() && set.Contains(gid) {
-			if out == set {
-				out = set.Clone()
-			}
-			out.Remove(gid)
+	for gid := range removedFrom(set, view, from) {
+		if out == set {
+			out = set.Clone()
 		}
+		out.Remove(gid)
 	}
 	if out != set {
 		out.Compact()
 	}
 	return out
+}
+
+// removedFrom yields the graphs in set that the view removed from its
+// from-th removal on.
+func removedFrom(set *bitset.Set, view ftv.DatasetView, from int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for i := from; i < view.Removals(); i++ {
+			if gid := view.Removed(i); gid < set.Len() && set.Contains(gid) && !yield(gid) {
+				return
+			}
+		}
+	}
 }
 
 // patchedAnswers computes e's answer set over the view's id space from

@@ -53,66 +53,75 @@ const stateVersionV2 = 2
 // dataset view (the recorded answer ids must belong to one dataset
 // snapshot) under mu (the resident list and the utility fields it
 // records are mutated under it), so it is one consistent snapshot even
-// under concurrent queries; w is written only after mu is released, so a
-// slow writer stalls no query. Stale entries are brought forward to the
-// view first, before mu is taken, so their containment tests block no
-// miss — what the file stores must be exact at the header's dataset
-// size. An entry a newer reader brought past the view is left out.
+// under concurrent queries and mutations (snapshotState); w is written
+// only after mu is released, so a slow writer stalls no query.
+//
+//gclint:acquires mu
 func (c *Cache) WriteStateV2(w io.Writer) error {
 	var buf bytes.Buffer
-	if err := c.formatStateV2(&buf); err != nil {
+	err := c.snapshotState(func(view ftv.DatasetView, entries []*Entry, sets []*bitset.Set) error {
+		fmt.Fprintf(&buf, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(entries))
+		for i, e := range entries {
+			fmt.Fprintf(&buf, "entry %d %d %d %d %d %g %g\n",
+				e.Type, e.Graph.N(), e.Graph.M(), e.BaseCandidates, e.Hits, e.SavedTests, e.SavedCostNs)
+			ids := sets[i].Indices()
+			fmt.Fprintf(&buf, "answers %d", len(ids))
+			for _, id := range ids {
+				fmt.Fprintf(&buf, " %d", id)
+			}
+			buf.WriteByte('\n')
+			if err := graph.WriteGraph(&buf, e.Graph); err != nil {
+				return err
+			}
+		}
+		buf.WriteString("end\n")
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	_, err := buf.WriteTo(w)
+	_, err = buf.WriteTo(w)
 	return err
 }
 
-// formatStateV2 formats the v2 state into buf under mu.
+// snapshotState calls format under mu with the resident entries paired
+// with their answer sets, all exact for one dataset view, and returns
+// its error. The pending exact-hit credits are folded before format
+// runs, so the utilities it records include every completed hit. Each
+// attempt pins the newest view and brings the entries forward to it
+// before mu is taken (reconcileResident), so its containment tests block
+// no miss. An entry that a newer reader brought past the view meanwhile
+// has no set exact for it: the attempt is dropped and repeated on a
+// newer view, so no entry is left out. A retry needs a mutation that
+// landed during the attempt before it.
+//
+//gclint:acquires mu
+func (c *Cache) snapshotState(format func(view ftv.DatasetView, entries []*Entry, sets []*bitset.Set) error) error {
+	for {
+		if done, err := c.trySnapshot(format); done {
+			return err
+		}
+	}
+}
+
+// trySnapshot is one attempt of snapshotState. It reports false, without
+// calling format, when some entry is ahead of the view it pinned.
 //
 //gclint:acquires mu
 //gclint:pins dataset
-func (c *Cache) formatStateV2(buf *bytes.Buffer) error {
+func (c *Cache) trySnapshot(format func(view ftv.DatasetView, entries []*Entry, sets []*bitset.Set) error) (bool, error) {
 	view := c.method.View()
 	c.reconcileResident(view)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-
-	entries, sets := c.snapshotLocked(view)
-	fmt.Fprintf(buf, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(entries))
-	for i, e := range entries {
-		fmt.Fprintf(buf, "entry %d %d %d %d %d %g %g\n",
-			e.Type, e.Graph.N(), e.Graph.M(), e.BaseCandidates, e.Hits, e.SavedTests, e.SavedCostNs)
-		ids := sets[i].Indices()
-		fmt.Fprintf(buf, "answers %d", len(ids))
-		for _, id := range ids {
-			fmt.Fprintf(buf, " %d", id)
-		}
-		buf.WriteByte('\n')
-		if err := graph.WriteGraph(buf, e.Graph); err != nil {
-			return err
+	sets := make([]*bitset.Set, len(c.entries))
+	for i, e := range c.entries {
+		if sets[i] = c.answersFor(e, view); sets[i] == nil {
+			return false, nil
 		}
 	}
-	buf.WriteString("end\n")
-	return nil
-}
-
-// snapshotLocked folds the pending exact-hit credits, so the utilities a
-// snapshot records include every completed hit, and pairs each resident
-// entry with its answers for the view, leaving out an entry a newer
-// reader has brought past it. Caller holds mu.
-//
-//gclint:requires mu
-func (c *Cache) snapshotLocked(view ftv.DatasetView) ([]*Entry, []*bitset.Set) {
 	c.foldCreditsLocked(c.entries)
-	entries := make([]*Entry, 0, len(c.entries))
-	sets := make([]*bitset.Set, 0, len(c.entries))
-	for _, e := range c.entries {
-		if set := c.answersFor(e, view); set != nil {
-			entries = append(entries, e)
-			sets = append(sets, set)
-		}
-	}
-	return entries, sets
+	return true, format(view, c.entries, sets)
 }
 
 // stateError builds a line-numbered restore error.
@@ -133,7 +142,7 @@ func stateError(line int, format string, args ...any) error {
 // state file fails with a descriptive error and leaves the cache exactly
 // as it was (empty, when the load happens at boot). One dataset view is
 // pinned through the whole parse: the answer ids refer to it, and the
-// restored sets are exact for its epoch, so a mutation landing meanwhile
+// restored sets are exact for it, so a mutation landing meanwhile
 // is brought in by the entries' next readers. On success the feature
 // index is rebuilt before mu drops.
 func (c *Cache) ReadState(r io.Reader) error {

@@ -84,14 +84,19 @@ func fnv1a(data []byte) uint64 {
 }
 
 // WriteState serializes the cache's admitted entries to w in the binary
-// v3 format. Locking and consistency match WriteStateV2: entries are
-// brought forward to the pinned view before mu is taken, header, index
-// and body are built in memory under mu, and w is written only after mu
-// is released. Answer sets are written in their native
-// containers, so save→restore preserves the adaptive compression
-// byte-for-byte.
+// v3 format. Locking and consistency match WriteStateV2: header, index
+// and body are built in memory under mu over one pinned view
+// (snapshotState), and w is written only after mu is released. Answer
+// sets are written in their native containers, so save→restore
+// preserves the adaptive compression byte-for-byte.
+//
+//gclint:acquires mu
 func (c *Cache) WriteState(w io.Writer) error {
-	secs, err := c.encodeStateV3()
+	var secs [3][]byte
+	err := c.snapshotState(func(view ftv.DatasetView, all []*Entry, sets []*bitset.Set) (err error) {
+		secs, err = formatStateV3(view, all, sets)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -104,17 +109,9 @@ func (c *Cache) WriteState(w io.Writer) error {
 	return bw.Flush()
 }
 
-// encodeStateV3 builds the v3 header, index and body sections under mu.
-//
-//gclint:acquires mu
-//gclint:pins dataset
-func (c *Cache) encodeStateV3() ([3][]byte, error) {
-	view := c.method.View()
-	c.reconcileResident(view)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	all, sets := c.snapshotLocked(view)
+// formatStateV3 lays out the v3 sections of the entries, whose answers
+// are exact for the view.
+func formatStateV3(view ftv.DatasetView, all []*Entry, sets []*bitset.Set) ([3][]byte, error) {
 	index := make([]byte, 0, len(all)*v3IndexLen)
 	var body []byte
 	bodyOff := uint64(v3HeaderLen + len(all)*v3IndexLen)
