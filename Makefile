@@ -32,14 +32,16 @@ race:
 
 # race-stress repeats the kernel's lock-sensitive tests under the race
 # detector — the concurrency gauntlets, the lock-free exact probe held
-# against a taken mu, the snapshot writers blocked outside the locks,
+# against a taken mu, the exact hit's shared Result (published by racing
+# first hits, never served across a mutation or to an older view), the
+# snapshot writers blocked outside the locks,
 # reconciliation kept out from under mu, mutations that wait for no query
 # and take no cache lock, a stale-view reader meeting an entry brought past
 # its view, and views of Method M read while a writer chains copy-on-write
 # inserts behind them — so every lock or sharing change pays for many
 # interleavings, not one.
 race-stress:
-	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|SnapshotWritesEntryAheadOfItsView' ./internal/core ./internal/ftv
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|SnapshotWritesEntryAheadOfItsView|ExactMemo' ./internal/core ./internal/ftv
 
 vet:
 	$(GO) vet ./...
@@ -118,20 +120,23 @@ cover:
 
 # pprof on demand: CPU + heap profiles of the kernel's three query
 # classes (an exact hit, single and parallel, an indexed miss, a
-# sub/super hit and a miss exploiting a dozen hits) and of its two
-# stop-the-world passes (a dataset add and remove on a warm cache, a
-# window turn), a CPU profile of the daemon's handler on an exact hit
-# and on a miss (decode, parse, probe, encode — no transport), one of
-# the verification stage alone (a bound subgraph query and one-shot VF2
-# over Method M's candidates on the 5 000-molecule index) and one of the
-# filter's copy-on-write insert on that index, from the stock benchmark
-# runner. Inspect with
+# sub/super hit and a miss exploiting a dozen hits), of a dataset add and
+# remove on a warm cache (each the Method's copy-on-write mutation, no
+# pass over the entries) and of a window turn (the one stop-the-world
+# pass), a CPU profile of the daemon's handler on an exact hit and on a
+# miss (decode, parse, probe, encode — no transport), one of the
+# verification stage alone (a bound subgraph query and one-shot VF2 over
+# Method M's candidates on the 5 000-molecule index) and CPU + heap
+# profiles of the filter's copy-on-write insert on that index, from the
+# stock benchmark runner. Inspect with
 # `go tool pprof profiles/core.test profiles/core_cpu.pprof` (narrow with
 # `-focus 'AddGraph|turnWindow'`),
 # `go tool pprof profiles/server.test profiles/server_cpu.pprof`,
-# `go tool pprof profiles/ftv.test profiles/verify_cpu.pprof` or
-# `go tool pprof profiles/ftv.test profiles/insert_cpu.pprof`; a live
-# daemon serves the same through `gcd -pprof`.
+# `go tool pprof profiles/ftv.test profiles/verify_cpu.pprof`,
+# `go tool pprof profiles/ftv.test profiles/insert_cpu.pprof` or, for the
+# bytes an insert allocates,
+# `go tool pprof -sample_index=alloc_space profiles/ftv.test profiles/insert_mem.pprof`;
+# a live daemon serves the same through `gcd -pprof`.
 PROFILE_DIR ?= profiles
 profiles:
 	mkdir -p $(PROFILE_DIR)
@@ -143,7 +148,8 @@ profiles:
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCandidates$$' -benchtime 1000000x \
 		-cpuprofile $(PROFILE_DIR)/verify_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 	$(GO) test -run '^$$' -bench 'BenchmarkGGSXWithGraph$$' -benchtime 4000x -benchmem \
-		-cpuprofile $(PROFILE_DIR)/insert_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
+		-cpuprofile $(PROFILE_DIR)/insert_cpu.pprof -memprofile $(PROFILE_DIR)/insert_mem.pprof \
+		-o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 
 # loc prints the size of the program: lines of non-test Go outside
 # benchmark/ and testdata, per package directory and in total — the one

@@ -36,17 +36,18 @@
 // fingerprint table plus a feature index — behind an atomic pointer, and
 // the expensive query stages — Method M filtering, hit-detection iso
 // tests, candidate verification — run without holding any lock. An exact
-// hit on an admitted entry takes no lock at all: it probes the published
-// fingerprint table and credits the entry with two atomics. Every other
-// query takes the window mutex briefly, to compare fingerprints against
-// the pending admission window and, once executed, to append itself to
-// it. Entry IDs come from an atomic counter and verification-cost
-// statistics live in lock-free CAS cells. There is one admission window;
-// when it fills, the turn is stop-the-world — under the policy mutex it
-// ages utilities, ranks victims over the whole cache, evicts, admits and
-// publishes a fresh view — so Config.Capacity holds exactly at every
-// turn. The policy mutex also guards sub/super hit crediting — counter
-// arithmetic, never iso tests.
+// hit on an admitted entry takes no lock and allocates nothing: it probes
+// the published fingerprint table, credits the entry with two atomics and
+// returns the Result the entry's answer state shares with every hit on
+// it. Every other query takes the cache's one mutex briefly, to compare
+// fingerprints against the pending admission window and, once executed,
+// to append itself to it. The same mutex guards entry IDs (a plain
+// counter), sub/super hit crediting — counter arithmetic, never iso
+// tests — and the one admission window: when it fills, the turn ages
+// utilities, ranks victims over the whole cache, evicts, admits and
+// publishes a fresh view, so Config.Capacity holds exactly at every turn.
+// Verification-cost statistics live in lock-free CAS cells, and a dataset
+// mutation takes no cache lock and waits for no query.
 //
 // Sub/super hit detection consults the view's feature index: an
 // ID-ordered array of immutable per-entry containment summaries
@@ -102,8 +103,9 @@
 //   - An addition copies what it inserts: AddGraph patches the filter
 //     index through a copy-on-write insert (InsertableFilter, which every
 //     bundled filter implements). Under GGSX it enumerates the new graph's
-//     paths, copies the trie nodes they touch (of a bitmap node, each
-//     digit slice the new count sets, ⌈n/64⌉ words) and, of each per-graph
+//     paths, copies the trie nodes they touch (of a bitmap node, one
+//     64-byte block per digit the new count sets; of a list, its last
+//     block; plus their directories) and, of each per-graph
 //     array — the filter's rows and blooms, the method's graphs — one
 //     256-entry chunk plus the directory. Everything else is shared with
 //     the previous snapshot, which keeps answering for its own epoch. A

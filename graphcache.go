@@ -65,9 +65,10 @@ type (
 	Config = core.Config
 	// Result reports one cached query execution, with the Figure 3
 	// quantities (C_M, S, S', C, R, A) and per-stage timings. It is a
-	// read-only view: on an exact hit Answers is the cache's own frozen
-	// answer set (a valid snapshot however the dataset changes later),
-	// so Clone a set before mutating it.
+	// read-only view: an exact hit's Result is shared by every exact hit
+	// on the same cached answers, and its Answers is the cache's own
+	// frozen answer set (a valid snapshot however the dataset changes
+	// later), so Clone a set before mutating it and never write a field.
 	Result = core.Result
 	// Snapshot is the Statistics Monitor's cumulative counters.
 	Snapshot = core.Snapshot

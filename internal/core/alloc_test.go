@@ -22,12 +22,11 @@ import (
 const (
 	// allocBudgetExactHit covers Execute on a query already cached: the
 	// probe copies into a stack buffer, crediting is two atomics, no clock
-	// is read, the answer is the published set itself, the empty sets are
-	// the cache's shared one, and the hit list lives inside the Result —
-	// the one allocation, ≤ 128 B (TestResultFitsItsSizeClass). Measured
-	// 1; the budget's second covers the shared empty set's rebuild after
-	// the dataset grew.
-	allocBudgetExactHit = 2
+	// is read, and the Result is the one the entry's answer state shares
+	// with every hit on it (answersAt.exact). Measured 0; the 1 covers the
+	// first hit per state, which builds that Result (≤ 128 B,
+	// TestResultFitsItsSizeClass). It was 1 while every hit built its own.
+	allocBudgetExactHit = 1
 	// allocBudgetMiss covers the full miss pipeline — filter, indexed hit
 	// detection, verification, admission. Measured 22 allocs/op (23 while
 	// an entry published its set inside a separately allocated
@@ -89,10 +88,11 @@ func TestExactHitAllocBudget(t *testing.T) {
 	}
 }
 
-// TestResultFitsItsSizeClass: the exact hit's one allocation is its
-// Result, which the allocator rounds up to a size class. 128 B is a
-// class and the next is 144 B, so a field that pushes Result past 128 B
-// costs every exact hit the bigger class.
+// TestResultFitsItsSizeClass: the first exact hit on an answer state
+// allocates the Result every later hit shares, which the allocator
+// rounds up to a size class. 128 B is a class and the next is 144 B, so
+// a field that pushes Result past 128 B costs every state the bigger
+// class.
 func TestResultFitsItsSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(Result{}); got > 128 {
 		t.Errorf("Result is %d B, want ≤ 128 (the exact hit's size class)", got)

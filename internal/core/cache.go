@@ -246,7 +246,8 @@ func (c *Cache) Entries() []*Entry {
 }
 
 // Execute processes one query through the cache. The returned Result is a
-// read-only view: on an exact hit its answer set IS the entry's published
+// read-only view: an exact hit's Result is shared with every other hit on
+// the entry's answer state, and its answer set IS the entry's published
 // (frozen) set, so callers Clone before mutating (see the Result doc
 // comment). Execute is safe to call from any number of goroutines; see
 // the Cache doc comment for what runs in parallel and what serializes.
@@ -456,16 +457,24 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 }
 
 // serveExact answers a query from the isomorphic entry e: O(1), no clock
-// read, one allocation, and the only writes are e's credit cell and the
-// caller's Monitor stripe (doc.go, hot-path discipline). Answers and Sure
-// (A = S) are e's published, frozen set itself; Excluded and Survivors
-// the cache's shared empty set. It returns nil, and credits nothing, when
-// a newer reader has brought e past the view.
+// read, and the only writes are e's credit cell and the caller's Monitor
+// stripe (doc.go, hot-path discipline). Answers and Sure (A = S) are e's
+// published, frozen set itself; Excluded and Survivors the cache's shared
+// empty set. A hit on a state current for the view returns the state's
+// shared Result (answersAt.exact), which the first such hit builds, so
+// it allocates nothing after that. It returns nil, and credits nothing,
+// when a newer reader has brought e past the view.
 //
 //gclint:nolocks
+//gclint:loads answers e
 func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotCounters) *Result {
-	ans := c.answersFor(e, view)
-	if ans == nil {
+	a := e.ans.p.Load()
+	current := a.current(view)
+	var res *Result
+	ans := a.set
+	if current {
+		res = a.exact.Load()
+	} else if ans = c.answersFor(e, view); ans == nil {
 		return nil
 	}
 	// Tick first (a monotonic max: an older, slower query never rewinds
@@ -481,8 +490,11 @@ func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotC
 	saved := e.BaseCandidates
 	mon.exactHits.Add(1)
 	mon.testsSaved.Add(int64(saved))
-	empty := c.emptySet(view.Size())
-	res := &Result{
+	if res != nil {
+		return res
+	}
+	empty := c.emptySet(ans.Len())
+	res = &Result{
 		Answers:        ans,
 		BaseCandidates: saved,
 		Sure:           ans,
@@ -492,6 +504,9 @@ func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotC
 		hit:            [1]HitRef{{EntryID: e.ID, Kind: ExactHit, SavedTests: saved}},
 	}
 	res.Hits = res.hit[:]
+	if current {
+		a.exact.CompareAndSwap(nil, res)
+	}
 	return res
 }
 

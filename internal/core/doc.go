@@ -62,9 +62,11 @@
 // the GC long before any kernel lock contends). The discipline:
 //
 //   - An exact hit writes only its entry's line, its Monitor stripe and
-//     tick, reads no clock, and allocates only its Result (one ≤ 128-B
-//     object: the hit list lives inside it, and its empty Excluded and
-//     Survivors are the cache's shared frozen empty set). The probe loads
+//     tick, reads no clock, and allocates nothing: its Result (the hit
+//     list inside it, its empty Excluded and Survivors the cache's shared
+//     frozen empty set) belongs to the entry's published answer state
+//     (answersAt.exact), built by the first hit on a state current for
+//     its view and shared, read-only, by every later one. The probe loads
 //     the published view once and walks the fingerprint's chain, taking
 //     no lock (the same *graph.Graph re-issued skips VF2 on pointer
 //     identity). Crediting is the entry's CREDIT CELL —

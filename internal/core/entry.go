@@ -14,9 +14,10 @@ import (
 // the immutable Graph).
 //
 // Publication rules: a published answers value and its set are never
-// mutated — a reader that brings an entry forward to its view, and a
-// window turn that masks an entry's removals, build a fresh value and
-// publish it with a compare-and-swap against the one they started from.
+// mutated, but for the value's exact-hit Result, which is set once from
+// nil. A reader that brings an entry forward to its view, and a window
+// turn that masks an entry's removals, build a fresh value and publish
+// it with a compare-and-swap against the one they started from.
 // No mutation and no query waits for another: a swap that loses to a
 // concurrent one is dropped, and the loser still answers from the set it
 // built, which is exact for its own view. A value's length and removal
@@ -39,14 +40,27 @@ type answersCell struct {
 // least as many of both masks the removals since and tests the ids from
 // set.Len() up (a turn masks removals alone, so set.Len() may trail);
 // a reader whose view has fewer of either cannot use the set.
+//
+// exact is the exact-hit Result for a view the state is current for
+// (current): a pure function of the state, built by the first such hit
+// and shared, read-only, by every later one, so a steady-state hit
+// allocates nothing. A state is replaced, never edited, so a hit on a
+// newer state never meets an older state's Result.
 type answersAt struct {
 	set      *bitset.Set
 	removals int
+	exact    atomic.Pointer[Result]
 }
 
 // at tags set as exact for the view's removals.
-func at(set *bitset.Set, view ftv.DatasetView) answersAt {
-	return answersAt{set, view.Removals()}
+func at(set *bitset.Set, view ftv.DatasetView) *answersAt {
+	return &answersAt{set: set, removals: view.Removals()}
+}
+
+// current reports whether a is exact for the view as it stands: no
+// addition to test and no removal to mask.
+func (a *answersAt) current(view ftv.DatasetView) bool {
+	return a.set.Len() == view.Size() && a.removals == view.Removals()
 }
 
 // Entry is one cached query: the pattern graph, its exact answer set and
@@ -143,8 +157,7 @@ func entryFromSig(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.Da
 	// pay the one-off re-encode into its smallest container now: sparse
 	// for small answer sets, run for near-full ones, dense in between.
 	set.Compact()
-	first := at(set, view)
-	e.ans.p.Store(&first)
+	e.ans.p.Store(at(set, view))
 	return e
 }
 

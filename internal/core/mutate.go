@@ -129,8 +129,7 @@ func (c *Cache) pruneAddSums(m map[int]summary, view ftv.DatasetView) {
 //gclint:loads answers e
 func (c *Cache) maskRemovalsLocked(e *Entry, view ftv.DatasetView) {
 	if a := e.ans.p.Load(); a.removals < view.Removals() {
-		next := at(withoutRemoved(a.set, view, a.removals), view)
-		e.ans.p.CompareAndSwap(a, &next)
+		e.ans.p.CompareAndSwap(a, at(withoutRemoved(a.set, view, a.removals), view))
 	}
 }
 
@@ -160,7 +159,7 @@ func (c *Cache) rechargeLocked(e *Entry) {
 //gclint:loads answers e
 func (c *Cache) answersFor(e *Entry, view ftv.DatasetView) *bitset.Set {
 	a := e.ans.p.Load()
-	if a.set.Len() == view.Size() && a.removals == view.Removals() {
+	if a.current(view) {
 		return a.set
 	}
 	if a.set.Len() > view.Size() || a.removals > view.Removals() {
@@ -170,8 +169,7 @@ func (c *Cache) answersFor(e *Entry, view ftv.DatasetView) *bitset.Set {
 	if set.Len() < view.Size() {
 		set = c.patchedAnswers(e, set, view)
 	}
-	next := at(set, view)
-	e.ans.p.CompareAndSwap(a, &next)
+	e.ans.p.CompareAndSwap(a, at(set, view))
 	return set
 }
 

@@ -20,11 +20,14 @@ type HitRef struct {
 // Result reports one cached query execution — the quantities The Query
 // Journey visualizes (Figure 3): C_M, H/H', S, S', C, R and A.
 //
-// A Result is a read-only view: Clone a set before mutating it. On an
-// exact hit Answers (and Sure: A = S) IS the cache entry's published
-// answer set — frozen by the copy-on-write contract, so a held Result
-// stays a valid snapshot across later AddGraph/RemoveGraph calls
-// (maintenance republishes a fresh set), and mutating it would corrupt
+// A Result is a read-only view: Clone a set before mutating it. An exact
+// hit's Result is shared: every exact hit on one answer state of an entry
+// returns the same *Result, so writing any of its fields would change the
+// answer of every later hit. Its Answers (and Sure: A = S) IS the cache
+// entry's published answer set — frozen by the copy-on-write contract,
+// so a held Result stays a valid snapshot across later
+// AddGraph/RemoveGraph calls (maintenance republishes a fresh set, and
+// hits on it get a Result of their own), and mutating it would corrupt
 // the cache. Mathematically equal fields alias one set elsewhere too:
 // every empty Excluded and Survivors an exact hit returns, and the empty
 // Excluded of a miss no pruning hit narrowed, is one frozen empty set the

@@ -3,6 +3,7 @@ package ftv
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -89,6 +90,104 @@ func TestInsertSharesUntouchedChunks(t *testing.T) {
 	sharesAllChunksBut(t, "RemoveGraph dataset", s1.dataset, s2.dataset, 300)
 	if s2.filter != s1.filter {
 		t.Error("RemoveGraph replaced the filter")
+	}
+}
+
+// TestInsertCopiesOneBlockPerSetDigit pins what an insert copies inside
+// the trie nodes it touches: a bitmap node gets one fresh block per digit
+// the new count has a one in, the block the gid lands in, and every other
+// block of its directory is the receiver's at the same place, or the
+// shared zero block where the receiver had none (growth); a list node
+// gets one fresh last block and shares every block before it.
+func TestInsertCopiesOneBlockPerSetDigit(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	ds := oracleDataset(rng, 600, 0) // two 512-graph blocks
+	x := NewGGSX(ds, 3)
+	var bitmaps, multiDigit, grown, lists int
+	for i, gid := range []int{600, 601, 1100} { // 1100 starts a third block
+		x2 := x.WithGraph(gid, ds[i]).(*GGSX)
+		before, after := nodesByID(x), nodesByID(x2)
+		for _, nc := range x2.forward.At(gid) {
+			if int(nc.node) >= len(before) {
+				continue // created by the insert
+			}
+			old, nd := before[nc.node], after[nc.node]
+			switch {
+			case old.slices != nil && nd.slices != nil:
+				bitmaps++
+				growth := checkBlocksCopied(t, nc.node, old.slices, nd.slices, int32(gid), nc.count)
+				if growth > 0 {
+					grown++
+				}
+				if bits.OnesCount32(uint32(nc.count)) > 1 {
+					multiDigit++
+				}
+			case old.slices == nil && nd.slices == nil:
+				lists++
+				o, l := old.postings, nd.postings
+				for k := range len(l) - 1 {
+					if l[k] != o[k] {
+						t.Errorf("node %d: list block %d of %d copied", nc.node, k, len(l))
+					}
+				}
+				k := len(l) - 1
+				if shared := k < len(o) && l[k] == o[k]; shared || len(l)-len(o) > 1 {
+					t.Errorf("node %d: list of %d blocks after an insert into %d, last shared %v", nc.node, len(l), len(o), shared)
+				}
+			}
+		}
+		x = x2
+	}
+	if zeroBlock != (block{}) {
+		t.Fatalf("the shared zero block was written: %x", zeroBlock)
+	}
+	if bitmaps == 0 || multiDigit == 0 || grown == 0 || lists == 0 {
+		t.Fatalf("vacuous: %d bitmap nodes (%d counts with two ones or more, %d grown), %d list nodes", bitmaps, multiDigit, grown, lists)
+	}
+}
+
+// checkBlocksCopied checks nd, old plus (gid, c), block by block against
+// old and returns the growth: the places old had no block for.
+func checkBlocksCopied(t *testing.T, id int32, old, nd *countSlices, gid, c int32) (growth int) {
+	t.Helper()
+	fresh := 0
+	for b, dir := range nd.slice {
+		var was []*block
+		if b < len(old.slice) {
+			was = old.slice[b]
+		}
+		if c>>b&1 == 0 && len(dir) == len(was) && &dir[0] != &was[0] {
+			t.Errorf("node %d: digit %d has no one and no growth, but a directory of its own", id, b)
+		}
+		for k, blk := range dir {
+			want := &zeroBlock
+			if k < len(was) {
+				want = was[k]
+			} else {
+				growth++
+			}
+			if k == int(gid>>blockBits) && c>>b&1 != 0 {
+				fresh++
+				if blk == want || blk == &zeroBlock {
+					t.Errorf("node %d: digit %d of block %d takes gid %d's bit but is shared", id, b, k, gid)
+				}
+			} else if blk != want {
+				t.Errorf("node %d: digit %d of block %d copied, count %d", id, b, k, c)
+			}
+		}
+	}
+	if want := bits.OnesCount32(uint32(c)); fresh != want {
+		t.Errorf("node %d: %d fresh blocks for count %d, want %d", id, fresh, c, want)
+	}
+	return growth
+}
+
+// TestGGSXCandidatesMatchReferenceAcrossBlocks runs the layout oracle on
+// a dataset whose inserts cross the 512-graph block boundary of the
+// bitmap encoding.
+func TestGGSXCandidatesMatchReferenceAcrossBlocks(t *testing.T) {
+	for kind := range 2 {
+		runGGSXOracle(t, int64(110+kind), kind, 500, 30)
 	}
 }
 

@@ -2,8 +2,10 @@ package ftv
 
 import (
 	"fmt"
+	"iter"
 	"maps"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"graphcache/internal/bitset"
@@ -27,13 +29,16 @@ import (
 // postings — (graph id, count) for every graph containing the feature —
 // are held in whichever of two encodings is smaller:
 //
-//   - list: the pairs sorted by gid, 8 bytes each;
-//   - bitmap (countSlices): the counts bit-sliced, one []uint64 per binary
+//   - list (postingList): the pairs sorted by gid, 8 bytes each;
+//   - bitmap (countSlices): the counts bit-sliced, one bitmap per binary
 //     digit and ⌈(largest gid+1)/64⌉ words each, so "count ≥ c" is a few
 //     word operations per 64 graphs, ANDed straight into the query's
 //     candidate words. (One bitmap per distinct count would answer with a
 //     single AND, but molecule paths reach counts of 250 over 100 distinct
 //     values: bits.Len(250) = 8 slices beat the list, 100 bitmaps do not.)
+//
+// Both encodings are held in 64-byte blocks behind a directory — eight
+// postings, or 512 graphs of one digit — the unit an insert copies.
 //
 // Both sizes depend on the node's contents alone, so an index grown by
 // WithGraph has exactly the layout, and IndexBytes, of one built from
@@ -47,19 +52,23 @@ import (
 //
 // Copy-on-write. WithGraph writes nothing reachable from the receiver. It
 // enumerates the new graph's paths and copies the trie nodes they touch: a
-// touched list is copied whole; a touched bitmap node copies the slices
-// the new count has a one in (all of them when the gid starts a new word,
-// ⌈n/64⌉ words each) and shares the rest; a node the insert takes across
-// the size rule is re-encoded; a touched node's child map is cloned when
-// a child of it is copied or created. Each index has its own even gen,
-// two above its receiver's, and stamps the nodes it copies or creates
-// with it, so the walk tells a node it already copied from one it shares
-// by the stamp alone. The per-graph forward rows and blooms are chunked
-// arrays: the insert copies their directories and the one chunk its gid
-// lands in. Nothing else is copied, and no other graph's paths are
-// revisited. A published countSlices or chunk is immutable (cowpublish
-// checks both), and a snapshot taken before an insert never sees the new
-// gid.
+// touched list gets a new directory and a copy of its last block (or a new
+// block when that one is full); a touched bitmap node gets a new
+// directory that shares every block but one copy per digit the new count
+// has a one in, the block the gid lands in (a gid past the last block
+// lengthens every digit with the one shared zero block, which nothing
+// writes); a node the insert takes across the size rule is re-encoded; a
+// touched node's child map is cloned when a child of it is copied or
+// created. So an insert copies a few 64-byte blocks per touched node, not
+// ⌈n/64⌉ words per digit or 8 bytes per posting. Each index has its own
+// even gen, two above its receiver's, and stamps the nodes it copies or
+// creates with it, so the walk tells a node it already copied from one it
+// shares by the stamp alone. The per-graph forward rows and blooms are
+// chunked arrays: the insert copies their directories and the one chunk
+// its gid lands in. Nothing else is copied, and no other graph's paths are
+// revisited. A published postingList, countSlices or chunk is immutable
+// (cowpublish checks all three), and a snapshot taken before an insert
+// never sees the new gid.
 type GGSX struct {
 	maxLen  int
 	n       int
@@ -76,7 +85,7 @@ type trieNode struct {
 	id       int32
 	stamp    uint32 // gen of the index that made this node, |1 once it owns its child map
 	children map[trieKey]*trieNode
-	postings []posting    // list encoding, sorted by gid; nil under the bitmap encoding
+	postings postingList  // list encoding; nil under the bitmap encoding
 	slices   *countSlices // bitmap encoding; nil under the list encoding
 }
 
@@ -99,106 +108,249 @@ type nodeCount struct {
 	count int32
 }
 
+// postingList is the list encoding of a node's postings: sorted by gid,
+// eight to a block. Every block but the last is full; the last block's
+// unused slots have count 0, which no posting has. Blocks and the
+// directory are never written once published: an insert builds new ones.
+//
+//gclint:cow
+type postingList []*[8]posting
+
+// listOf returns a copy of ps as a list, in one array of blocks.
+func listOf(ps []posting) postingList {
+	blocks, l := make([][8]posting, (len(ps)+7)>>3), make(postingList, (len(ps)+7)>>3)
+	for k := range l {
+		copy(blocks[k][:], ps[k<<3:])
+		l[k] = &blocks[k]
+	}
+	return l
+}
+
+// Len returns the number of postings.
+func (l postingList) Len() int {
+	if len(l) == 0 {
+		return 0
+	}
+	return (len(l)-1)<<3 + l.tail()
+}
+
+// tail is the number of postings in the last block of a non-empty list.
+func (l postingList) tail() int {
+	last := l[len(l)-1]
+	n := 0
+	for n < 8 && last[n].count != 0 {
+		n++
+	}
+	return n
+}
+
+// with returns the list plus p, for a gid above every posted one: a new
+// directory and a copy of the last block, or a new block when it is full.
+// The receiver is not written.
+func (l postingList) with(p posting) postingList {
+	n, t := len(l), 8
+	if n > 0 {
+		t = l.tail()
+	}
+	blk := new([8]posting)
+	if t < 8 {
+		n--
+		*blk = *l[n]
+	} else {
+		t = 0
+	}
+	blk[t] = p
+	out := make(postingList, n+1)
+	copy(out, l[:n])
+	out[n] = blk
+	return out
+}
+
+// all yields the postings in gid order.
+func (l postingList) all() iter.Seq[posting] {
+	return func(yield func(posting) bool) {
+		for _, blk := range l {
+			for _, p := range blk {
+				if p.count == 0 || !yield(p) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// String prints the postings as a []posting would print.
+func (l postingList) String() string { return fmt.Sprint(slices.Collect(l.all())) }
+
 // countSlices is the bitmap encoding of a node's postings: bit g of
-// slice[b] is binary digit b of count_g, and a graph without the feature
-// has no bit in any slice. Every slice has wordsFor(largest gid) words.
+// digit b is binary digit b of count_g, and a graph without the feature
+// has no bit in any digit. Digit b is slice[b], a directory of 64-byte
+// blocks of 512 graphs: graph g is bit g&63 of word g>>6&7 of block
+// g>>9. Every digit has words = wordsFor(largest gid) words in
+// ⌈words/8⌉ blocks, and the words past words in the last block are
+// zero. Neither a directory nor a block is written once published: an
+// insert builds new ones.
 //
 //gclint:cow
 type countSlices struct {
-	slice  [][]uint64
-	graphs int // postings encoded
+	slice  [][]*block // by digit
+	words  int        // wordsFor(largest gid): what the size rule counts
+	graphs int        // postings encoded
 }
+
+// block is 512 graphs of one digit: the unit an insert copies.
+type block = [8]uint64
+
+// blockBits is log2 of the graphs per block.
+const blockBits = 9
+
+// zeroBlock is every block a growth adds: shared by every digit of every
+// index, and never written (an insert copies a block before setting a bit).
+var zeroBlock block
 
 // wordsFor is the number of 64-bit words a bitmap needs to hold bit gid.
 func wordsFor(gid int32) int { return int(gid)>>6 + 1 }
 
-// bitmapSmaller is the size rule: slices of the given word count against
+// blocksFor is the number of blocks that hold the given number of words.
+func blocksFor(words int) int { return (words + 7) >> 3 }
+
+// bitmapSmaller is the size rule: digits of the given word count against
 // one 8-byte word per posting.
-func bitmapSmaller(slices, words, postings int) bool { return slices*words < postings }
+func bitmapSmaller(digits, words, postings int) bool { return digits*words < postings }
 
 // encodeSlices returns the bitmap encoding of a non-empty posting list,
 // or nil when the list is no larger.
-func encodeSlices(ps []posting) *countSlices {
-	var maxCount int32
-	for _, p := range ps {
-		maxCount = max(maxCount, p.count)
+func encodeSlices(ps iter.Seq[posting]) *countSlices {
+	var maxCount, last int32
+	n := 0
+	for p := range ps {
+		maxCount, last = max(maxCount, p.count), p.gid
+		n++
 	}
-	s, w := bits.Len32(uint32(maxCount)), wordsFor(ps[len(ps)-1].gid)
-	if !bitmapSmaller(s, w, len(ps)) {
+	s, w := bits.Len32(uint32(maxCount)), wordsFor(last)
+	if !bitmapSmaller(s, w, n) {
 		return nil
 	}
-	slice := make([][]uint64, s)
-	for b := range slice {
-		slice[b] = make([]uint64, w) // one array each: an insert replaces them one by one
-	}
-	for _, p := range ps {
+	// One array of directory entries for all digits, and one of the blocks
+	// that hold a bit; the rest are zeroBlock (high digits are sparse). An
+	// insert replaces blocks and directories, never writes them.
+	nb := blocksFor(w)
+	dirs, used := make([]*block, s*nb), 0
+	for p := range ps {
 		for c := uint32(p.count); c != 0; c &= c - 1 {
-			slice[bits.TrailingZeros32(c)][p.gid>>6] |= 1 << (p.gid & 63)
+			if i := bits.TrailingZeros32(c)*nb + int(p.gid>>blockBits); dirs[i] == nil {
+				dirs[i] = &zeroBlock // marks the block used, until it has its own below
+				used++
+			}
 		}
 	}
-	return &countSlices{slice, len(ps)}
+	blocks, j := make([]block, used), 0
+	for i, d := range dirs {
+		if d == nil {
+			dirs[i] = &zeroBlock
+			continue
+		}
+		dirs[i] = &blocks[j]
+		j++
+	}
+	slice := make([][]*block, s)
+	for b := range slice {
+		slice[b] = dirs[b*nb : (b+1)*nb : (b+1)*nb]
+	}
+	for p := range ps {
+		for c := uint32(p.count); c != 0; c &= c - 1 {
+			slice[bits.TrailingZeros32(c)][p.gid>>blockBits][p.gid>>6&7] |= 1 << (p.gid & 63)
+		}
+	}
+	return &countSlices{slice, w, n}
 }
 
-// postings decodes the bitmap encoding back into the sorted list.
-func (cs *countSlices) postings() []posting {
+// postings decodes the bitmap encoding back into the list encoding.
+func (cs *countSlices) postings() postingList {
 	out := make([]posting, 0, cs.graphs)
-	for i := range cs.slice[0] {
+	for i := range cs.words {
+		k, j := i>>3, i&7
 		var present uint64
-		for _, sl := range cs.slice {
-			present |= sl[i]
+		for _, dir := range cs.slice {
+			present |= dir[k][j]
 		}
 		for ; present != 0; present &= present - 1 {
 			bit := bits.TrailingZeros64(present)
 			var c int32
-			for b, sl := range cs.slice {
-				c |= int32(sl[i]>>bit&1) << b
+			for b, dir := range cs.slice {
+				c |= int32(dir[k][j]>>bit&1) << b
 			}
 			out = append(out, posting{int32(i<<6 + bit), c})
 		}
 	}
-	return out
+	return listOf(out)
 }
 
 // with returns the encoding of cs's postings plus (gid, c), for a gid above
-// every encoded one. A slice is copied only when c has a one in its digit
-// or gid needs a longer word array; the others are shared with cs.
+// every encoded one. A digit c has a zero in is shared with cs unless gid
+// needs more blocks; a digit c has a one in gets a new directory and a
+// copy of the one block gid lands in. Blocks a growth adds are zeroBlock.
 func (cs *countSlices) with(gid, c int32) *countSlices {
 	w := wordsFor(gid)
-	slice := make([][]uint64, max(len(cs.slice), bits.Len32(uint32(c))))
+	nb, k := blocksFor(w), gid>>blockBits
+	slice := make([][]*block, max(len(cs.slice), bits.Len32(uint32(c))))
 	for b := range slice {
-		var old []uint64
+		var old []*block
 		if b < len(cs.slice) {
 			old = cs.slice[b]
 		}
-		if c>>b&1 == 0 && len(old) == w {
+		one := c>>b&1 != 0
+		if !one && len(old) == nb {
 			slice[b] = old
 			continue
 		}
-		grown := make([]uint64, w)
-		copy(grown, old)
-		grown[gid>>6] |= uint64(c>>b&1) << (gid & 63)
-		slice[b] = grown
+		dir := make([]*block, nb)
+		copy(dir, old)
+		for i := len(old); i < nb; i++ {
+			dir[i] = &zeroBlock
+		}
+		if one {
+			blk := new(block)
+			*blk = *dir[k]
+			blk[gid>>6&7] |= 1 << (gid & 63)
+			dir[k] = blk
+		}
+		slice[b] = dir
 	}
-	return &countSlices{slice, cs.graphs + 1}
+	return &countSlices{slice, w, cs.graphs + 1}
 }
 
 // andAtLeast intersects acc with the graphs whose count is ≥ c (c ≥ 1) and
-// reports whether any bit of acc survives. Per word it compares all 64
-// counts with c at once, most significant digit first: gt collects the
-// graphs already decided greater, eq those still equal on every digit seen.
+// reports whether any bit of acc survives.
 func (cs *countSlices) andAtLeast(acc []uint64, c int32) bool {
 	if c>>len(cs.slice) != 0 {
 		return false // c has more digits than any stored count
 	}
-	w := len(cs.slice[0])
 	var alive uint64
-	for i, a := range acc[:w] {
+	var digits [32]*block // block k of each digit
+	for i := 0; i < cs.words; i += 8 {
+		for b, dir := range cs.slice {
+			digits[b&31] = dir[i>>3]
+		}
+		alive |= andAtLeastBlock(acc[i:min(i+8, cs.words)], digits[:len(cs.slice)], c)
+	}
+	clear(acc[cs.words:])
+	return alive != 0
+}
+
+// andAtLeastBlock is andAtLeast on the ≤ 8 words of one block, blks its
+// digits, returning the surviving bits. Per word it compares all 64 counts
+// with c at once, most significant digit first: gt collects the graphs
+// already decided greater, eq those still equal on every digit seen. (A
+// function of its own, so the word loop keeps gt and eq in registers.)
+func andAtLeastBlock(words []uint64, blks []*block, c int32) (alive uint64) {
+	for j, a := range words {
 		if a == 0 {
 			continue
 		}
 		gt, eq := uint64(0), ^uint64(0)
-		for b := len(cs.slice) - 1; b >= 0; b-- {
-			if digit := cs.slice[b][i]; c>>b&1 != 0 {
+		for b := len(blks) - 1; b >= 0; b-- {
+			if digit := blks[b][j&7]; c>>b&1 != 0 {
 				eq &= digit
 			} else {
 				gt |= eq & digit
@@ -206,32 +358,37 @@ func (cs *countSlices) andAtLeast(acc []uint64, c int32) bool {
 			}
 		}
 		a &= gt | eq
-		acc[i] = a
+		words[j] = a
 		alive |= a
 	}
-	clear(acc[w:])
-	return alive != 0
+	return alive
 }
 
 // andPostings is andAtLeast for the list encoding: ps is sorted by gid, so
 // one pass rewrites acc word by word, clearing the words no posting reaches.
-func andPostings(acc []uint64, ps []posting, c int32) bool {
-	var alive uint64
-	next := 0 // first word of acc not yet rewritten
-	for k := 0; k < len(ps); {
-		wi := int(ps[k].gid >> 6)
-		var keep uint64
-		for ; k < len(ps) && int(ps[k].gid>>6) == wi; k++ {
-			if ps[k].count >= c {
-				keep |= 1 << (ps[k].gid & 63)
-			}
+func andPostings(acc []uint64, ps postingList, c int32) bool {
+	var alive, keep uint64
+	next, wi := 0, 0 // first word of acc not yet rewritten; the word keep gathers
+	var blk *[8]posting
+	for i, n := 0, ps.Len(); i < n; i++ {
+		if i&7 == 0 {
+			blk = ps[i>>3]
 		}
-		clear(acc[next:wi])
-		acc[wi] &= keep
-		alive |= acc[wi]
-		next = wi + 1
+		p := blk[i&7]
+		if w := int(p.gid >> 6); w != wi {
+			clear(acc[next:wi])
+			acc[wi] &= keep
+			alive |= acc[wi]
+			next, wi, keep = wi+1, w, 0
+		}
+		if p.count >= c {
+			keep |= 1 << (p.gid & 63)
+		}
 	}
-	clear(acc[next:])
+	clear(acc[next:wi])
+	acc[wi] &= keep
+	alive |= acc[wi]
+	clear(acc[wi+1:])
 	return alive != 0
 }
 
@@ -349,21 +506,27 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 	}
 	forward := make([][]nodeCount, len(dataset))
 	blooms := make([]uint64, len(dataset))
+	var lists [][]posting // by node id
 	for gid, g := range dataset {
 		if g == nil { // tombstoned id: indexed as empty
 			continue
 		}
 		w := newWalk(g, maxLen, x.nodes, x.root, x.step)
 		forward[gid], blooms[gid] = w.row()
+		for len(lists) < x.nodes {
+			lists = append(lists, nil)
+		}
 		for _, nd := range w.touched { // gids ascend, so every list stays sorted
-			nd.postings = append(nd.postings, posting{int32(gid), w.counts[nd.id]})
+			lists[nd.id] = append(lists[nd.id], posting{int32(gid), w.counts[nd.id]})
 		}
 		w.release()
 	}
 	x.bytes = childBytes * len(x.root.children)
 	x.root.each(func(nd *trieNode) {
-		if cs := encodeSlices(nd.postings); cs != nil {
-			nd.slices, nd.postings = cs, nil
+		if cs := encodeSlices(slices.Values(lists[nd.id])); cs != nil {
+			nd.slices = cs
+		} else {
+			nd.postings = listOf(lists[nd.id])
 		}
 		x.bytes += nodeBytes + childBytes*len(nd.children) + nd.payloadBytes()
 	})
@@ -464,15 +627,13 @@ func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 func (nd *trieNode) addPosting(gid, c int32) {
 	if nd.slices != nil {
 		nd.slices = nd.slices.with(gid, c)
-		if cs := nd.slices; !bitmapSmaller(len(cs.slice), len(cs.slice[0]), cs.graphs) {
+		if cs := nd.slices; !bitmapSmaller(len(cs.slice), cs.words, cs.graphs) {
 			nd.postings, nd.slices = cs.postings(), nil
 		}
 		return
 	}
-	// Full slice expression: the append reallocates instead of scribbling
-	// over a posting array the receiver still exposes.
-	nd.postings = append(nd.postings[:len(nd.postings):len(nd.postings)], posting{gid, c})
-	if cs := encodeSlices(nd.postings); cs != nil {
+	nd.postings = nd.postings.with(posting{gid, c})
+	if cs := encodeSlices(nd.postings.all()); cs != nil {
 		nd.slices, nd.postings = cs, nil
 	}
 }
@@ -501,9 +662,9 @@ const (
 // payloadBytes is the size of the node's postings in their encoding.
 func (nd *trieNode) payloadBytes() int {
 	if nd.slices != nil {
-		return 8 * len(nd.slices.slice) * len(nd.slices.slice[0])
+		return 8 * len(nd.slices.slice) * nd.slices.words
 	}
-	return 8 * len(nd.postings)
+	return 8 * nd.postings.Len()
 }
 
 // Candidates implements Filter. Subgraph: G is a candidate iff

@@ -112,7 +112,7 @@ func (ev *layoutEvents) observe(before, after *GGSX) {
 			ev.bitmapToList = true
 		case old.slices != nil:
 			ev.newSlice = ev.newSlice || len(nd.slices.slice) > len(old.slices.slice)
-			ev.newWord = ev.newWord || len(nd.slices.slice[0]) > len(old.slices.slice[0])
+			ev.newWord = ev.newWord || nd.slices.words > old.slices.words
 		}
 	}
 }

@@ -164,8 +164,9 @@ func (m *Method) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool {
 // position — tombstoned ids are never reused) and publishes a new
 // snapshot whose filter covers the grown dataset, patched through
 // InsertableFilter.WithGraph. Under GGSX that enumerates g's paths and
-// copies the trie nodes they touch (of a bitmap node, each digit slice
-// g's count sets, ⌈n/64⌉ words), and the per-graph arrays of the filter
+// copies the trie nodes they touch (of a bitmap node, one 64-byte block
+// per digit g's count sets; of a list, its last block; plus their
+// directories), and the per-graph arrays of the filter
 // and of the method copy one chunk plus their directory each. It returns
 // the new graph's id, or an error when the method's filter is not an
 // InsertableFilter.
