@@ -7,8 +7,10 @@
 # equivalence tests in internal/core and internal/server only earn
 # their keep with -race armed) and its lock-sensitive core repeated ten
 # times (`race-stress`), the benchmark harness's own smoke test
-# (`harness`), the coverage floor (`cover`) and a short fuzzing pass
-# (`fuzz-smoke`). CI additionally uploads `make profiles` as an artifact.
+# (`harness`), the coverage floor (`cover`), a short fuzzing pass
+# (`fuzz-smoke`) and the profiled benchmarks (`profiles`, which fail when
+# a profiled benchmark calls b.Fatal; CI uploads what they write as an
+# artifact).
 # Performance is measured by `bash benchmark/run.sh` (BENCHMARK.json),
 # not here.
 
@@ -122,15 +124,19 @@ cover:
 # classes (an exact hit, single and parallel, an indexed miss, a
 # sub/super hit and a miss exploiting a dozen hits), of a dataset add and
 # remove on a warm cache (each the Method's copy-on-write mutation, no
-# pass over the entries) and of a window turn (the one stop-the-world
-# pass), a CPU profile of the daemon's handler on an exact hit and on a
+# pass over the entries), of an add followed by every entry's catch-up on
+# it (the containment tests the add leaves for readers) and of a window
+# turn (the one stop-the-world pass), a CPU profile of the daemon's handler on an exact hit and on a
 # miss (decode, parse, probe, encode — no transport), one of the
 # verification stage alone (a bound subgraph query and one-shot VF2 over
 # Method M's candidates on the 5 000-molecule index) and CPU + heap
 # profiles of the filter's copy-on-write insert on that index, from the
 # stock benchmark runner. Inspect with
 # `go tool pprof profiles/core.test profiles/core_cpu.pprof` (narrow with
-# `-focus 'AddGraph|turnWindow'`),
+# `-focus 'AddGraph|turnWindow'`; the removal is in `remove_{cpu,mem}.pprof`,
+# at a fixed 20 000 removals: each one consumes a live graph the
+# benchmark adds back untimed at ~100× a removal's cost, so a b.N sized
+# by time never finishes),
 # `go tool pprof profiles/server.test profiles/server_cpu.pprof`,
 # `go tool pprof profiles/ftv.test profiles/verify_cpu.pprof`,
 # `go tool pprof profiles/ftv.test profiles/insert_cpu.pprof` or, for the
@@ -140,8 +146,11 @@ cover:
 PROFILE_DIR ?= profiles
 profiles:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'Benchmark(Execute(ExactHit(Parallel)?|IndexedMiss|SubSuperHit|ManyHits)|(Add|Remove)GraphWarm|WindowTurn)$$' \
+	$(GO) test -run '^$$' -bench 'Benchmark(Execute(ExactHit(Parallel)?|IndexedMiss|SubSuperHit|ManyHits)|AddGraphWarm|AddThenCatchUp|WindowTurn)$$' \
 		-cpuprofile $(PROFILE_DIR)/core_cpu.pprof -memprofile $(PROFILE_DIR)/core_mem.pprof \
+		-o $(PROFILE_DIR)/core.test ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkRemoveGraphWarm$$' -benchtime 20000x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/remove_cpu.pprof -memprofile $(PROFILE_DIR)/remove_mem.pprof \
 		-o $(PROFILE_DIR)/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkHandleQuery(Exact|Miss)$$' -benchmem \
 		-cpuprofile $(PROFILE_DIR)/server_cpu.pprof -o $(PROFILE_DIR)/server.test ./internal/server/
@@ -167,7 +176,7 @@ loc:
 
 # Short native-fuzzing smoke passes: the persistence v2 parser, the
 # adaptive-bitset differential target (random op sequences vs a naive
-# []bool reference, across every container mix), the GGSX layout
+# []bool reference, across both containers, sparse and dense), the GGSX layout
 # oracle (build + WithGraph chains vs brute-force path counts), the
 # matcher oracle (VF2 against brute-force enumeration, with a test-only
 # Ullmann as second opinion, over all four graph kinds) and the graph
@@ -196,4 +205,4 @@ harness:
 	$(GO) test -C benchmark ./...
 	$(GO) run ./cmd/gclint -C benchmark ./...
 
-ci: vet staticcheck fmt-check lint lint-waivers panics race race-stress harness cover fuzz-smoke
+ci: vet staticcheck fmt-check lint lint-waivers panics race race-stress harness cover fuzz-smoke profiles

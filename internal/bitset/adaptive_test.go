@@ -25,7 +25,7 @@ func denseSet(n int, idx ...int) *Set {
 // payloadFree reports whether the set holds no allocated container
 // payload at all — the O(1) empty representation.
 func payloadFree(s *Set) bool {
-	return s.words == nil && s.sparse == nil && s.runs == nil
+	return s.words == nil && s.sparse == nil
 }
 
 func TestLazyZeroValueBehavior(t *testing.T) {
@@ -60,18 +60,23 @@ func TestLazyZeroValueBehavior(t *testing.T) {
 	}
 }
 
-func TestFullSetIsOneSpan(t *testing.T) {
+func TestFullSetIsDense(t *testing.T) {
 	for _, n := range []int{1, 64, 100000} {
 		s := NewFull(n)
-		if s.mode != modeRun || len(s.runs) != 1 {
-			t.Fatalf("NewFull(%d) not a single span: mode=%d runs=%d", n, s.mode, len(s.runs))
+		if s.mode != modeDense || s.Count() != n {
+			t.Fatalf("NewFull(%d): mode=%d Count=%d", n, s.mode, s.Count())
 		}
-		if s.Count() != n || !s.isFull() {
-			t.Fatalf("NewFull(%d) Count=%d isFull=%v", n, s.Count(), s.isFull())
+		if db := denseSet(n).Bytes(); s.Bytes() != db {
+			t.Fatalf("full set of %d bits costs %d bytes, dense words %d", n, s.Bytes(), db)
 		}
-		if db := denseSet(n).Bytes(); n > 64 && s.Bytes() >= db {
-			t.Fatalf("full span of %d bits costs %d bytes >= dense %d", n, s.Bytes(), db)
-		}
+	}
+	s := FromIndices(100, []int{3, 70})
+	s.SetAll()
+	if s.mode != modeDense || s.sparse != nil || s.Count() != 100 {
+		t.Fatalf("SetAll on a sparse set: mode=%d sparse=%v Count=%d", s.mode, s.sparse, s.Count())
+	}
+	if got := testing.AllocsPerRun(10, s.SetAll); got != 0 {
+		t.Fatalf("SetAll on materialized dense words allocates %.1f/op", got)
 	}
 }
 
@@ -90,21 +95,6 @@ func TestSparseMigratesToDense(t *testing.T) {
 	}
 	if s.Count() != sparseMax(n)+1 || !s.Contains(n-1) || !s.Contains(0) {
 		t.Fatal("migration lost bits")
-	}
-}
-
-func TestRunSplitsMigrateToDense(t *testing.T) {
-	const n = 512 // runMax = 8
-	s := NewFull(n)
-	// Each interior removal splits one span; past runMax the set goes dense.
-	for i := 0; i < runMax(n)+2; i++ {
-		s.Remove(10 + i*20)
-	}
-	if s.mode != modeDense {
-		t.Fatalf("span splits past runMax should migrate to dense, mode=%d", s.mode)
-	}
-	if got := s.Count(); got != n-(runMax(n)+2) {
-		t.Fatalf("Count after splits = %d", got)
 	}
 }
 
@@ -139,8 +129,8 @@ func TestCompactPicksSmallestContainer(t *testing.T) {
 	}
 	nearFull.Remove(5000)
 	nearFull.Compact()
-	if nearFull.mode != modeRun || len(nearFull.runs) != 2 {
-		t.Fatalf("near-full set should compact to 2 spans, mode=%d runs=%d", nearFull.mode, len(nearFull.runs))
+	if nearFull.mode != modeDense {
+		t.Fatalf("near-full set should compact to dense, mode=%d", nearFull.mode)
 	}
 	if nearFull.Count() != n-1 || nearFull.Contains(5000) {
 		t.Fatal("Compact corrupted contents")
@@ -160,17 +150,13 @@ func TestCompactPicksSmallestContainer(t *testing.T) {
 	}
 }
 
-// mixes builds the same logical set in every container representation.
+// mixes builds the same logical set in both container representations.
 func mixes(n int, idx ...int) []*Set {
 	base := FromIndices(n, idx)
 	d := base.Clone()
 	d.toDense()
 	d.materialize()
-	r := base.Clone()
-	if len(idx) > 0 {
-		r.toRun(len(idx)) // worst-case span count is one per bit
-	}
-	return []*Set{base, d, r}
+	return []*Set{base, d}
 }
 
 func TestBinaryOpsAcrossContainerPairs(t *testing.T) {
@@ -407,16 +393,13 @@ func TestRemoveGraphPattern(t *testing.T) {
 	live := NewFull(n)
 	live.Remove(17)
 	live.Remove(400)
-	if live.mode != modeRun || live.Count() != n-2 {
-		t.Fatalf("after removals: mode=%d count=%d", live.mode, live.Count())
+	if live.Count() != n-2 {
+		t.Fatalf("after removals: count=%d", live.Count())
 	}
 	grown := live.Grown(n + 1)
 	grown.Add(n)
 	if grown.Count() != n-1 || !grown.Contains(n) || grown.Contains(400) {
 		t.Fatal("grow+add lost bits")
-	}
-	if grown.mode != modeRun {
-		t.Fatalf("near-full mask should stay in the run container, mode=%d", grown.mode)
 	}
 }
 

@@ -9,13 +9,13 @@ import "testing"
 
 // TestReadPathsAllocBudget: membership, counting, the set relations and
 // the three iterators allocate nothing on any operand pair
-// drawn from every container (sparse, dense, run) and both lazy
+// drawn from both containers (sparse, dense) and both lazy
 // all-zero forms, and neither does Compact on a set already in its
-// smallest container.
+// smaller container.
 func TestReadPathsAllocBudget(t *testing.T) {
 	const n = 1000
 	sets := append(mixes(n, 0, 1, 2, 3, 64, 65, 500, 998, 999), New(n), &Set{mode: modeDense, n: n})
-	names := []string{"sparse", "dense", "run", "lazy", "lazy dense"}
+	names := []string{"sparse", "dense", "lazy", "lazy dense"}
 	visit := func(int) bool { return true }
 	ops := []struct {
 		name string
@@ -46,23 +46,18 @@ func TestReadPathsAllocBudget(t *testing.T) {
 	for i := 0; i < n; i += 3 {
 		idx = append(idx, i)
 	}
-	block := make([]int, 900)
-	for i := range block {
-		block[i] = i
-	}
-	// AllocsPerRun's warm-up call moves each set into its smallest
-	// container: dense, sparse, run and the empty form.
+	// AllocsPerRun's warm-up call moves each set into its smaller
+	// container: dense, sparse and the empty form.
 	for _, c := range []struct {
 		s    *Set
 		mode uint8
 	}{
 		{FromIndices(n, idx), modeDense},
 		{FromIndices(n, []int{5, 300, 700}), modeSparse},
-		{FromIndices(n, block), modeRun},
 		{New(n), modeSparse},
 	} {
 		if got := testing.AllocsPerRun(10, c.s.Compact); got != 0 || c.s.mode != c.mode {
-			t.Errorf("Compact of a %d-bit set in its smallest container (mode %d, want %d) allocates %.1f/op, budget 0",
+			t.Errorf("Compact of a %d-bit set in its smaller container (mode %d, want %d) allocates %.1f/op, budget 0",
 				c.s.Count(), c.s.mode, c.mode, got)
 		}
 	}

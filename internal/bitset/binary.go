@@ -6,17 +6,16 @@ import (
 )
 
 // Binary container encoding, used by the GCS3 snapshot format
-// (internal/core/persist.go). The encoding serializes the Set's CURRENT
-// container verbatim — sparse index lists, run spans and dense words all
+// (internal/core/persist_v3.go). The encoding serializes the Set's
+// CURRENT container verbatim — sparse index lists and dense words both
 // round-trip without re-encoding, so a restored set pays exactly the
 // footprint the writer's set did. Layout (all integers little-endian):
 //
-//	byte  0      container mode (0 sparse, 1 dense, 2 run)
+//	byte  0      container mode (0 sparse, 1 dense; any other is rejected)
 //	bytes 1..9   capacity in bits (uint64)
-//	bytes 9..17  payload element count (uint64): sparse indices,
-//	             dense words, or run spans
-//	bytes 17..   payload: sparse uint32 per index; dense uint64 per
-//	             word; run (uint32 start, uint32 end) per span
+//	bytes 9..17  payload element count (uint64): sparse indices or
+//	             dense words
+//	bytes 17..   payload: sparse uint32 per index; dense uint64 per word
 //
 // A dense set with count 0 is the legacy lazy all-clear form (nil word
 // slice); it round-trips as such. FromBinary re-validates every container
@@ -39,16 +38,10 @@ func (s *Set) AppendBinary(buf []byte) []byte {
 		for _, v := range s.sparse {
 			buf = binary.LittleEndian.AppendUint32(buf, v)
 		}
-	case modeDense:
+	default:
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.words)))
 		for _, w := range s.words {
 			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
-	case modeRun:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.runs)))
-		for _, r := range s.runs {
-			buf = binary.LittleEndian.AppendUint32(buf, r.start)
-			buf = binary.LittleEndian.AppendUint32(buf, r.end)
 		}
 	}
 	return buf
@@ -56,23 +49,19 @@ func (s *Set) AppendBinary(buf []byte) []byte {
 
 // BinarySize returns the exact length AppendBinary would produce.
 func (s *Set) BinarySize() int {
-	switch s.mode {
-	case modeDense:
+	if s.mode == modeDense {
 		return binaryHeaderLen + 8*len(s.words)
-	case modeRun:
-		return binaryHeaderLen + 8*len(s.runs)
-	default:
-		return binaryHeaderLen + 4*len(s.sparse)
 	}
+	return binaryHeaderLen + 4*len(s.sparse)
 }
 
 // FromBinary decodes one set from the front of data, returning the set and
 // the number of bytes consumed. Every container invariant is re-validated:
-// sparse indices must be strictly increasing and in range, run spans
-// sorted, disjoint, non-adjacent, non-empty and in range, dense payloads
+// sparse indices must be strictly increasing and in range, dense payloads
 // exactly ⌈n/64⌉ words (or absent) with the tail bits of the last word
-// clear, and the compact containers are only legal at capacities whose
-// indices fit uint32. Errors describe the first violation.
+// clear, and the sparse container is only legal at capacities whose
+// indices fit uint32. Any mode byte but 0 and 1 is rejected. Errors
+// describe the first violation.
 func FromBinary(data []byte) (*Set, int, error) {
 	if len(data) < binaryHeaderLen {
 		return nil, 0, fmt.Errorf("bitset: binary header truncated: %d bytes", len(data))
@@ -138,38 +127,6 @@ func FromBinary(data []byte) (*Set, int, error) {
 			}
 			s.words = w
 		}
-	case modeRun:
-		if !fits32(n) {
-			return nil, 0, fmt.Errorf("bitset: run container illegal at capacity %d", n)
-		}
-		if count == 0 {
-			return nil, 0, fmt.Errorf("bitset: run container must hold at least one span")
-		}
-		p, err := need(8)
-		if err != nil {
-			return nil, 0, err
-		}
-		rs := make([]span, count)
-		prevEnd := int64(-1)
-		for i := range rs {
-			start := binary.LittleEndian.Uint32(p[8*i:])
-			end := binary.LittleEndian.Uint32(p[8*i+4:])
-			if start >= end {
-				return nil, 0, fmt.Errorf("bitset: empty run span [%d,%d) at element %d", start, end, i)
-			}
-			// Adjacent spans (start == previous end) must have been merged,
-			// or span-count comparisons and Fingerprint would disagree
-			// between equal sets.
-			if int64(start) <= prevEnd {
-				return nil, 0, fmt.Errorf("bitset: run spans overlap or touch at element %d", i)
-			}
-			if uint64(end) > capBits {
-				return nil, 0, fmt.Errorf("bitset: run span end %d exceeds capacity %d", end, n)
-			}
-			prevEnd = int64(end)
-			rs[i] = span{start, end}
-		}
-		s.runs = rs
 	default:
 		return nil, 0, fmt.Errorf("bitset: unknown container mode %d", mode)
 	}

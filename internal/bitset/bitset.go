@@ -7,7 +7,7 @@
 //
 // # Adaptive containers
 //
-// A Set stores its bits in one of three containers and migrates between
+// A Set stores its bits in one of two containers and migrates between
 // them as its population changes, so footprint tracks answer size, not
 // dataset size:
 //
@@ -20,19 +20,18 @@
 //   - dense: the classic []uint64 word array, with word-parallel binary
 //     ops. A nil word slice still means "all clear" (the legacy lazy
 //     representation), so materialization stays a mutation-time event.
-//   - run: sorted, disjoint, non-adjacent half-open [start,end) spans —
-//     the shape NewFull and removal-dominated sets (live masks) take.
-//     A full set is one span regardless of capacity.
+//     NewFull and SetAll build dense words.
 //
-// Migration is container-local: sparse and run sets upgrade to dense when
-// they outgrow their byte break-even (sparseMax, runMax); dense sets
-// downgrade to sparse when an And/AndNot leaves them far below it (the
-// population count is fused into the word loop, so the check is free).
-// Compact re-encodes a set in its smallest container — publication points
-// (entry admission, removals, persistence restore) call it so long-lived
-// sets always pay the minimal footprint. Every binary operation is
-// specialized per container pair: sparse∧sparse costs O(min population),
-// dense∧dense stays word-parallel, and a full-run operand short-circuits.
+// Migration is container-local: sparse sets upgrade to dense when they
+// outgrow their byte break-even (sparseMax); dense sets downgrade to
+// sparse when an And/AndNot leaves them far below it (the population
+// count is fused into the word loop, so the check is free). Compact
+// re-encodes a set in its smaller container — publication points (entry
+// admission, removals, persistence restore) call it so long-lived sets
+// always pay the minimal footprint. Every binary operation is specialized
+// per container pair: sparse∧sparse costs O(min population), a mixed
+// pair iterates the sparse side and probes the dense words, and
+// dense∧dense stays word-parallel.
 //
 // Operations that combine two sets require equal capacity and panic
 // otherwise: mixing sets over different datasets is a programming error,
@@ -53,26 +52,21 @@ const wordBits = 64
 const (
 	modeSparse uint8 = iota // sparse: sorted set indices; nil = empty
 	modeDense               // words: bit array; nil = all clear (lazy)
-	modeRun                 // runs: sorted disjoint non-adjacent spans
 )
 
-// span is a half-open run [start, end) of set bits; start < end always.
-type span struct{ start, end uint32 }
-
-// maxRunCap is the largest capacity whose indices fit the uint32-based
-// sparse and run containers; larger sets stay dense.
-const maxRunCap = uint64(1) << 32
+// maxSparseCap is the largest capacity whose indices fit the uint32-based
+// sparse container; larger sets stay dense.
+const maxSparseCap = uint64(1) << 32
 
 // fits32 reports whether every index of a capacity-n set fits in uint32.
-func fits32(n int) bool { return uint64(n) <= maxRunCap }
+func fits32(n int) bool { return uint64(n) <= maxSparseCap }
 
 // Set is a bitset with a fixed capacity chosen at construction. Exactly
-// one of words/sparse/runs is active, selected by mode; the others are
-// nil. See the package comment for the container invariants.
+// one of words/sparse is active, selected by mode; the other is nil. See
+// the package comment for the container invariants.
 type Set struct {
 	words  []uint64 // modeDense payload; nil means all clear
 	sparse []uint32 // modeSparse payload; sorted, unique; nil/empty = empty set
-	runs   []span   // modeRun payload; sorted, disjoint, non-adjacent, never empty
 	mode   uint8
 	n      int // capacity in bits
 }
@@ -86,13 +80,12 @@ func New(n int) *Set {
 	}
 	s := &Set{n: n}
 	if !fits32(n) {
-		s.mode = modeDense // indices would overflow the compact containers
+		s.mode = modeDense // indices would overflow the sparse container
 	}
 	return s
 }
 
-// NewFull returns a set of capacity n with all n bits set — a single run
-// span, so a full set is O(1) in space and time at any capacity.
+// NewFull returns a set of capacity n with all n bits set, as dense words.
 func NewFull(n int) *Set {
 	s := New(n)
 	s.SetAll()
@@ -163,8 +156,6 @@ func (s *Set) Add(i int) {
 	switch s.mode {
 	case modeSparse:
 		s.addSparse(uint32(i))
-	case modeRun:
-		s.addRun(uint32(i))
 	default:
 		s.materialize()
 		s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
@@ -196,36 +187,6 @@ func (s *Set) addSparse(v uint32) {
 	s.sparse[j] = v
 }
 
-// addRun sets v in the run container: absorb into an adjacent span, merge
-// two spans it bridges, or insert a fresh span (migrating to dense when
-// the span count would pass its break-even).
-func (s *Set) addRun(v uint32) {
-	j := searchRuns(s.runs, v)
-	if j < len(s.runs) && s.runs[j].start <= v {
-		return // already inside a span
-	}
-	prevAdj := j > 0 && s.runs[j-1].end == v
-	nextAdj := j < len(s.runs) && s.runs[j].start == v+1
-	switch {
-	case prevAdj && nextAdj:
-		s.runs[j-1].end = s.runs[j].end
-		s.runs = append(s.runs[:j], s.runs[j+1:]...)
-	case prevAdj:
-		s.runs[j-1].end = v + 1
-	case nextAdj:
-		s.runs[j].start = v
-	default:
-		if len(s.runs) >= runMax(s.n) {
-			s.toDense()
-			s.words[v/wordBits] |= 1 << (v % wordBits)
-			return
-		}
-		s.runs = append(s.runs, span{})
-		copy(s.runs[j+1:], s.runs[j:])
-		s.runs[j] = span{v, v + 1}
-	}
-}
-
 // Remove clears bit i.
 //
 //gclint:mutates
@@ -238,45 +199,11 @@ func (s *Set) Remove(i int) {
 		if j < len(s.sparse) && s.sparse[j] == v {
 			s.sparse = append(s.sparse[:j], s.sparse[j+1:]...)
 		}
-	case modeRun:
-		s.removeRun(uint32(i))
 	default:
 		if s.words == nil {
 			return
 		}
 		s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-	}
-}
-
-// removeRun clears v in the run container: trim a span edge, drop a
-// single-bit span, or split a span in two (migrating to dense when the
-// split would pass the span-count break-even).
-func (s *Set) removeRun(v uint32) {
-	j := searchRuns(s.runs, v)
-	if j >= len(s.runs) || s.runs[j].start > v {
-		return // not inside any span
-	}
-	r := s.runs[j]
-	switch {
-	case r.start == v && r.end == v+1:
-		s.runs = append(s.runs[:j], s.runs[j+1:]...)
-		if len(s.runs) == 0 {
-			s.runs, s.mode = nil, modeSparse
-		}
-	case r.start == v:
-		s.runs[j].start = v + 1
-	case r.end == v+1:
-		s.runs[j].end = v
-	default:
-		if len(s.runs) >= runMax(s.n) {
-			s.toDense()
-			s.words[v/wordBits] &^= 1 << (v % wordBits)
-			return
-		}
-		s.runs[j].end = v
-		s.runs = append(s.runs, span{})
-		copy(s.runs[j+2:], s.runs[j+1:])
-		s.runs[j+1] = span{v + 1, r.end}
 	}
 }
 
@@ -287,9 +214,6 @@ func (s *Set) Contains(i int) bool {
 	case modeSparse:
 		j := searchU32(s.sparse, uint32(i))
 		return j < len(s.sparse) && s.sparse[j] == uint32(i)
-	case modeRun:
-		j := searchRuns(s.runs, uint32(i))
-		return j < len(s.runs) && s.runs[j].start <= uint32(i)
 	default:
 		if s.words == nil {
 			return false
@@ -303,12 +227,6 @@ func (s *Set) Count() int {
 	switch s.mode {
 	case modeSparse:
 		return len(s.sparse)
-	case modeRun:
-		c := 0
-		for _, r := range s.runs {
-			c += int(r.end - r.start)
-		}
-		return c
 	default:
 		c := 0
 		for _, w := range s.words {
@@ -323,8 +241,6 @@ func (s *Set) Empty() bool {
 	switch s.mode {
 	case modeSparse:
 		return len(s.sparse) == 0
-	case modeRun:
-		return len(s.runs) == 0
 	default:
 		for _, w := range s.words {
 			if w != 0 {
@@ -344,8 +260,6 @@ func (s *Set) Clear() {
 	switch s.mode {
 	case modeSparse:
 		s.sparse = s.sparse[:0]
-	case modeRun:
-		s.runs, s.mode = nil, modeSparse
 	default:
 		for i := range s.words {
 			s.words[i] = 0
@@ -353,28 +267,21 @@ func (s *Set) Clear() {
 	}
 }
 
-// SetAll sets every bit in [0, Len()) — a single run span, unless the set
-// is already materialized dense (then the words are filled in place so
-// scratch reuse stays allocation-free) or the capacity exceeds the run
-// container's index range.
+// SetAll sets every bit in [0, Len()) as dense words, filled in place
+// when the set is already materialized dense so scratch reuse stays
+// allocation-free.
 //
 //gclint:mutates
 func (s *Set) SetAll() {
 	if s.n == 0 {
 		return
 	}
-	if !fits32(s.n) || (s.mode == modeDense && s.words != nil) {
-		s.sparse, s.runs, s.mode = nil, nil, modeDense
-		s.materialize()
-		for i := range s.words {
-			s.words[i] = ^uint64(0)
-		}
-		s.trimTail()
-		return
+	s.sparse, s.mode = nil, modeDense
+	s.materialize()
+	for i := range s.words {
+		s.words[i] = ^uint64(0)
 	}
-	s.words, s.sparse = nil, nil
-	s.runs = append(s.runs[:0], span{0, uint32(s.n)})
-	s.mode = modeRun
+	s.trimTail()
 }
 
 // trimTail clears the unused high bits of the last word so Count and
@@ -388,29 +295,15 @@ func (s *Set) trimTail() {
 // Clone returns a deep copy. Cloning an empty set is O(1): the copy
 // shares the lazy nil-payload representation.
 func (s *Set) Clone() *Set {
-	c := &Set{mode: s.mode, n: s.n}
-	switch s.mode {
-	case modeSparse:
-		if len(s.sparse) > 0 {
-			c.sparse = make([]uint32, len(s.sparse))
-			copy(c.sparse, s.sparse)
-		}
-	case modeRun:
-		c.runs = make([]span, len(s.runs))
-		copy(c.runs, s.runs)
-	default:
-		if s.words != nil {
-			c.words = make([]uint64, len(s.words))
-			copy(c.words, s.words)
-		}
-	}
+	c := &Set{n: s.n}
+	c.becomeCopyOf(s)
 	return c
 }
 
 // Grown returns a deep copy of s with capacity n ≥ s.Len(): existing bits
 // keep their positions, new bits start clear. It is how answer sets follow
 // a growing dataset — positions are stable, so growth never remaps ids.
-// Compact containers grow for free: only their capacity field changes.
+// A sparse set grows for free: only its capacity field changes.
 func (s *Set) Grown(n int) *Set {
 	if n < s.n {
 		panic(fmt.Sprintf("bitset: cannot grow capacity %d down to %d", s.n, n))
@@ -422,9 +315,6 @@ func (s *Set) Grown(n int) *Set {
 			c.sparse = make([]uint32, len(s.sparse))
 			copy(c.sparse, s.sparse)
 		}
-	case modeRun:
-		c.runs = make([]span, len(s.runs))
-		copy(c.runs, s.runs)
 	default:
 		if s.words == nil {
 			return c
@@ -464,8 +354,6 @@ func (s *Set) Bytes() int {
 	switch s.mode {
 	case modeSparse:
 		return 4*len(s.sparse) + 24
-	case modeRun:
-		return 8*len(s.runs) + 24
 	default:
 		return 8*len(s.words) + 24
 	}

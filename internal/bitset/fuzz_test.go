@@ -12,8 +12,8 @@ import (
 // counting ops agree — whatever container mix the sequence has migrated
 // the sets into. The byte stream encodes (capacity, then op+operand
 // pairs), so the corpus doubles as a library of migration scenarios:
-// sparse→dense upgrades, run splits, fused-And downgrades, Compact
-// round-trips and cross-container binary ops.
+// sparse→dense upgrades, fused-And downgrades, Compact round-trips and
+// cross-container binary ops.
 
 // refBits is the reference model: one bool per bit, no containers, no
 // laziness, nothing shared with the implementation under test.
@@ -201,7 +201,7 @@ func FuzzBitsetOps(f *testing.F) {
 		ascending = append(ascending, 0, byte(i*6))
 	}
 	f.Add(ascending)
-	full := []byte{255, 8, 0} // SetAll then interior removals: run splits
+	full := []byte{255, 8, 0} // SetAll then interior removals from dense words
 	for i := 0; i < 20; i++ {
 		full = append(full, 1, byte(i*12+5))
 	}

@@ -4,10 +4,9 @@ import "math/bits"
 
 // Binary operations, specialized per container pair. Dense×dense keeps
 // the word-parallel loops (with the population count fused in where a
-// downgrade decision rides on it); every pair involving a compact
-// container routes through the cursor/prober machinery so the cost is
-// O(set payloads), never O(capacity). Full-run operands short-circuit:
-// x ∩ full = x and x ∪ full = full at any capacity.
+// downgrade decision rides on it); every pair involving a sparse set
+// routes through the cursor/prober machinery so the cost is O(sparse
+// payload), never O(capacity).
 
 // quickEmpty reports emptiness without scanning dense words: a nil word
 // slice is the lazy all-clear dense set; a materialized-but-zero dense
@@ -16,48 +15,21 @@ func (s *Set) quickEmpty() bool {
 	switch s.mode {
 	case modeSparse:
 		return len(s.sparse) == 0
-	case modeRun:
-		return len(s.runs) == 0
 	default:
 		return s.words == nil
-	}
-}
-
-// isFull reports whether the set is the single full span [0, n). Dense
-// all-ones sets answer false — only the canonical run form is detected,
-// which is what NewFull and SetAll produce.
-func (s *Set) isFull() bool {
-	return s.mode == modeRun && len(s.runs) == 1 &&
-		s.runs[0].start == 0 && int(s.runs[0].end) == s.n
-}
-
-// iterRank orders containers by iteration cost: the compact containers
-// visit only set bits, dense scans every word. Symmetric operations
-// iterate the lower-ranked operand and probe the other.
-func iterRank(s *Set) int {
-	switch s.mode {
-	case modeSparse:
-		return 0
-	case modeRun:
-		return 1
-	default:
-		return 2
 	}
 }
 
 // becomeCopyOf overwrites s with a deep copy of o's contents.
 func (s *Set) becomeCopyOf(o *Set) {
 	s.mode = o.mode
-	s.words, s.sparse, s.runs = nil, nil, nil
+	s.words, s.sparse = nil, nil
 	switch o.mode {
 	case modeSparse:
 		if len(o.sparse) > 0 {
 			s.sparse = make([]uint32, len(o.sparse))
 			copy(s.sparse, o.sparse)
 		}
-	case modeRun:
-		s.runs = make([]span, len(o.runs))
-		copy(s.runs, o.runs)
 	default:
 		if o.words != nil {
 			s.words = make([]uint64, len(o.words))
@@ -71,19 +43,15 @@ func (s *Set) becomeCopyOf(o *Set) {
 //gclint:mutates
 func (s *Set) And(o *Set) {
 	s.sameCap(o)
-	if s.quickEmpty() || o.isFull() {
+	if s.quickEmpty() {
 		return
 	}
 	if o.quickEmpty() {
 		s.Clear()
 		return
 	}
-	if s.isFull() {
-		s.becomeCopyOf(o)
-		return
-	}
-	switch s.mode {
-	case modeSparse:
+	switch {
+	case s.mode == modeSparse:
 		p := prober{s: o}
 		k := 0
 		for _, v := range s.sparse {
@@ -93,51 +61,22 @@ func (s *Set) And(o *Set) {
 			}
 		}
 		s.sparse = s.sparse[:k]
-	case modeRun:
-		switch o.mode {
-		case modeRun:
-			s.runs = intersectRuns(s.runs, o.runs)
-			s.normRuns()
-		case modeSparse:
-			// The result is a subset of o, so it lands sparse.
-			out := make([]uint32, 0, len(o.sparse))
-			p := prober{s: s}
-			for _, v := range o.sparse {
-				if p.contains(int(v)) {
-					out = append(out, v)
-				}
-			}
-			s.runs, s.sparse, s.mode = nil, out, modeSparse
-		default:
-			s.toDense()
-			s.And(o)
+	case o.mode == modeDense:
+		c := 0
+		for i := range s.words {
+			s.words[i] &= o.words[i]
+			c += bits.OnesCount64(s.words[i])
 		}
+		s.shrinkDense(c)
 	default:
-		switch o.mode {
-		case modeDense:
-			c := 0
-			for i := range s.words {
-				s.words[i] &= o.words[i]
-				c += bits.OnesCount64(s.words[i])
+		// The result is a subset of o, so it lands sparse.
+		out := make([]uint32, 0, len(o.sparse))
+		for _, v := range o.sparse {
+			if s.words[v/wordBits]&(1<<(v%wordBits)) != 0 {
+				out = append(out, v)
 			}
-			s.shrinkDense(c)
-		case modeSparse:
-			out := make([]uint32, 0, len(o.sparse))
-			for _, v := range o.sparse {
-				if s.words[v/wordBits]&(1<<(v%wordBits)) != 0 {
-					out = append(out, v)
-				}
-			}
-			s.words, s.sparse, s.mode = nil, out, modeSparse
-		default:
-			// Zero the gaps between o's spans.
-			prev := uint32(0)
-			for _, r := range o.runs {
-				zeroRange(s.words, prev, r.start)
-				prev = r.end
-			}
-			zeroRange(s.words, prev, uint32(s.n))
 		}
+		s.words, s.sparse, s.mode = nil, out, modeSparse
 	}
 }
 
@@ -149,12 +88,8 @@ func (s *Set) AndNot(o *Set) {
 	if s.quickEmpty() || o.quickEmpty() {
 		return
 	}
-	if o.isFull() {
-		s.Clear()
-		return
-	}
-	switch s.mode {
-	case modeSparse:
+	switch {
+	case s.mode == modeSparse:
 		p := prober{s: o}
 		k := 0
 		for _, v := range s.sparse {
@@ -164,38 +99,16 @@ func (s *Set) AndNot(o *Set) {
 			}
 		}
 		s.sparse = s.sparse[:k]
-	case modeRun:
-		switch o.mode {
-		case modeSparse:
-			// Each removal trims or splits one span; Remove re-dispatches
-			// if a split migrates the receiver to dense mid-loop.
-			for _, v := range o.sparse {
-				s.Remove(int(v))
-			}
-		case modeRun:
-			s.runs = subtractRuns(s.runs, o.runs)
-			s.normRuns()
-		default:
-			s.toDense()
-			s.AndNot(o)
+	case o.mode == modeDense:
+		c := 0
+		for i := range s.words {
+			s.words[i] &^= o.words[i]
+			c += bits.OnesCount64(s.words[i])
 		}
+		s.shrinkDense(c)
 	default:
-		switch o.mode {
-		case modeDense:
-			c := 0
-			for i := range s.words {
-				s.words[i] &^= o.words[i]
-				c += bits.OnesCount64(s.words[i])
-			}
-			s.shrinkDense(c)
-		case modeSparse:
-			for _, v := range o.sparse {
-				s.words[v/wordBits] &^= 1 << (v % wordBits)
-			}
-		default:
-			for _, r := range o.runs {
-				zeroRange(s.words, r.start, r.end)
-			}
+		for _, v := range o.sparse {
+			s.words[v/wordBits] &^= 1 << (v % wordBits)
 		}
 	}
 }
@@ -205,19 +118,14 @@ func (s *Set) AndNot(o *Set) {
 //gclint:mutates
 func (s *Set) Or(o *Set) {
 	s.sameCap(o)
-	if o.quickEmpty() || s.isFull() {
-		return
-	}
-	if o.isFull() {
-		s.SetAll()
+	if o.quickEmpty() {
 		return
 	}
 	if s.quickEmpty() {
 		s.becomeCopyOf(o)
 		return
 	}
-	switch s.mode {
-	case modeSparse:
+	if s.mode == modeSparse {
 		if o.mode == modeSparse {
 			s.sparse = mergeU32(s.sparse, o.sparse)
 			if len(s.sparse) > sparseMax(s.n) {
@@ -226,30 +134,15 @@ func (s *Set) Or(o *Set) {
 			return
 		}
 		s.toDense()
-		s.Or(o)
-	case modeRun:
-		if o.mode == modeRun {
-			s.runs = unionRuns(s.runs, o.runs)
-			s.normRuns()
-			return
+	}
+	if o.mode == modeSparse {
+		for _, v := range o.sparse {
+			s.words[v/wordBits] |= 1 << (v % wordBits)
 		}
-		s.toDense()
-		s.Or(o)
-	default:
-		switch o.mode {
-		case modeSparse:
-			for _, v := range o.sparse {
-				s.words[v/wordBits] |= 1 << (v % wordBits)
-			}
-		case modeRun:
-			for _, r := range o.runs {
-				fillRange(s.words, r.start, r.end)
-			}
-		default:
-			for i := range s.words {
-				s.words[i] |= o.words[i]
-			}
-		}
+		return
+	}
+	for i := range s.words {
+		s.words[i] |= o.words[i]
 	}
 }
 
@@ -289,7 +182,7 @@ func (s *Set) IntersectionCount(o *Set) int {
 		return c
 	}
 	a, b := s, o
-	if iterRank(o) < iterRank(s) {
+	if o.mode == modeSparse { // iterate the sparse operand, probe the other
 		a, b = o, s
 	}
 	var cur cursor
@@ -335,9 +228,6 @@ func (s *Set) DifferenceCount(o *Set) int {
 // SubsetOf reports whether every bit of s is also set in o.
 func (s *Set) SubsetOf(o *Set) bool {
 	s.sameCap(o)
-	if o.isFull() {
-		return true
-	}
 	if s.mode == modeDense && o.mode == modeDense {
 		if s.words == nil {
 			return true
@@ -411,14 +301,6 @@ func (s *Set) ForEach(fn func(i int) bool) {
 				return
 			}
 		}
-	case modeRun:
-		for _, r := range s.runs {
-			for v := r.start; v < r.end; v++ {
-				if !fn(int(v)) {
-					return
-				}
-			}
-		}
 	default:
 		for wi, w := range s.words {
 			for w != 0 {
@@ -454,7 +336,7 @@ func (s *Set) ForEachAnd(o *Set, fn func(i int) bool) {
 		return
 	}
 	a, b := s, o
-	if iterRank(o) < iterRank(s) {
+	if o.mode == modeSparse { // iterate the sparse operand, probe the other
 		a, b = o, s
 	}
 	var cur cursor

@@ -288,6 +288,31 @@ func BenchmarkAddGraphWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkAddThenCatchUp is one AddGraph on the warm cache followed by
+// Entries(), which brings every resident entry forward: the containment
+// tests an addition leaves for the entries' next reads, which
+// BenchmarkAddGraphWarm leaves out, plus Entries' copies of the 1 000
+// entries. The removal and the catch-up on it are untimed, so each
+// timed catch-up starts from entries current at the view before the add.
+func BenchmarkAddThenCatchUp(b *testing.B) {
+	bs, spare := newWarmBench(b, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gid, err := bs.cache.AddGraph(spare[i%len(spare)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bs.cache.Entries()
+		b.StopTimer()
+		if err := bs.cache.RemoveGraph(gid); err != nil {
+			b.Fatal(err)
+		}
+		bs.cache.Entries()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkRemoveGraphWarm is one RemoveGraph of a graph some entries
 // answer with (they drop it at their next read or turn). When the live
 // ids run out the dataset is restocked with the timer stopped.

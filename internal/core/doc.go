@@ -126,10 +126,10 @@
 //     growth amortizes to zero).
 //
 //   - Answer sets are adaptive, one per entry. internal/bitset picks the
-//     smallest of three containers per set (sorted-uint32 sparse, run
-//     spans, dense words) with automatic migration at container-local
-//     thresholds; the read paths dispatch per container pair through
-//     stack cursor structs and allocate nothing. The container
+//     smaller of two containers per set (sorted-uint32 sparse or dense
+//     words) with automatic migration at container-local thresholds;
+//     the read paths dispatch per container pair through stack cursor
+//     structs and allocate nothing. The container
 //     rules: only the OWNER of an unpublished set may mutate or
 //     Compact() it — entryFromSig and withoutRemoved's clone do, right
 //     before publication; a published set is frozen in whatever
@@ -150,7 +150,7 @@
 //     Persistence round-trips compact: the binary v3 snapshot stores
 //     each set's native container encoding verbatim (bitset
 //     AppendBinary/FromBinary), while the legacy v2 text format stores
-//     index lists and re-picks the smallest container at entryFromSig —
+//     index lists and re-picks the smaller container at entryFromSig —
 //     either way a restored set is Compact()ed before publication.
 //
 // The regression fences: BenchmarkExecute* (bench_test.go) report
@@ -172,7 +172,7 @@
 // produces v2). All integers are little-endian; every checksum is
 // FNV-1a 64. The layout (offsets in bytes):
 //
-//	header, 64 B:  magic "GCS3" [0,4)   version=3 u32 [4,8)
+//	header, 64 B:  magic "GCS3" [0,4)   version=4 u32 [4,8)
 //	               dsSize u64 [8,16)    dsEpoch i64 [16,24) (diagnostic)
 //	               entryCount u64 [24,32)
 //	               bodyOff u64 [32,40) = 64 + 136*entryCount
@@ -189,7 +189,7 @@
 //	               in the text codec (graph.WriteGraph), then the answer
 //	               set in its native bitset container encoding
 //	               (bitset.AppendBinary — mode tag + capacity + count +
-//	               sparse/dense/run payload, so a restore preserves the
+//	               sparse/dense payload, so a restore preserves the
 //	               writer's container instead of re-deriving it).
 //
 // Validation is all-or-nothing and covers every byte: headerSum gates

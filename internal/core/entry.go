@@ -154,8 +154,8 @@ func entryFromSig(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.Da
 		q.Bytes() + 12*len(e.Features)
 	// The set is owned here (every caller passes a fresh or cloned set)
 	// and about to be published read-only for the entry's lifetime, so
-	// pay the one-off re-encode into its smallest container now: sparse
-	// for small answer sets, run for near-full ones, dense in between.
+	// pay the one-off re-encode into its smaller container now: sparse
+	// for small answer sets, dense words otherwise.
 	set.Compact()
 	e.ans.p.Store(at(set, view))
 	return e

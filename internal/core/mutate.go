@@ -205,8 +205,8 @@ func (c *Cache) reconcileResident(view ftv.DatasetView) {
 
 // withoutRemoved returns set without the graphs the view removed from
 // its from-th removal on: set itself when it holds none of them, else a
-// copy re-encoded into its smallest container before it is published
-// (removals are where near-full sets shed dense words for run spans).
+// copy re-encoded into its smaller container before it is published
+// (a removal can take a set below the sparse break-even).
 func withoutRemoved(set *bitset.Set, view ftv.DatasetView, from int) *bitset.Set {
 	out := set
 	for gid := range removedFrom(set, view, from) {

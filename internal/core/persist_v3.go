@@ -25,7 +25,8 @@ import (
 //
 //	header (64 bytes, little-endian):
 //	  [0,4)    magic "GCS3"
-//	  [4,8)    version (uint32, = 3)
+//	  [4,8)    version (uint32, = 4; version 3 files could hold the
+//	           retired run container and are refused)
 //	  [8,16)   dataset size (uint64) — must equal the restoring cache's
 //	  [16,24)  dataset epoch at write (int64) — diagnostic only: epochs
 //	           restart with the process, so inequality is normal
@@ -52,7 +53,7 @@ import (
 //	body, per entry, contiguous and in index order:
 //	  graph in the text codec (internal/graph), then the answer set in
 //	  the bitset binary container encoding (internal/bitset) — the set's
-//	  NATIVE container (sparse/run/dense tag + payload), so a round-trip
+//	  NATIVE container (sparse/dense tag + payload), so a round-trip
 //	  preserves the adaptive compression instead of re-encoding index
 //	  lists.
 //
@@ -67,7 +68,7 @@ import (
 
 const (
 	stateMagicV3   = "GCS3"
-	stateVersionV3 = 3
+	stateVersionV3 = 4
 	v3HeaderLen    = 64
 	v3IndexLen     = 136
 )

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -209,6 +210,26 @@ func TestV3CorruptionSweep(t *testing.T) {
 		if c.Len() != 0 || c.WindowLen() != 0 {
 			t.Fatalf("flip at %d left %d entries behind", off, c.Len())
 		}
+	}
+}
+
+// TestV3RefusesVersion3: a version-3 file, whose answer sets could be in
+// the bitset run container (mode tag 2), is refused by its version even
+// with a valid header checksum, and the cache is left empty.
+func TestV3RefusesVersion3(t *testing.T) {
+	src, _ := warmCache(t, 805)
+	raw := v3State(t, src)
+	binary.LittleEndian.PutUint32(raw[4:], 3)
+	binary.LittleEndian.PutUint64(raw[56:], fnv1a(raw[:56]))
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	c := MustNew(src.Method(), cfg)
+	err := c.ReadState(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), "unsupported state version 3") {
+		t.Fatalf("version-3 file: err = %v, want unsupported state version 3", err)
+	}
+	if c.Len() != 0 || c.WindowLen() != 0 || c.Bytes() != 0 {
+		t.Fatalf("refused restore left %d entries, %d in the window, %d bytes", c.Len(), c.WindowLen(), c.Bytes())
 	}
 }
 

@@ -34,8 +34,7 @@ func VF2Verifier(pattern, target *graph.Graph) bool { return iso.SubIso(pattern,
 // never observe a half-applied mutation. The new snapshot shares what the
 // mutation leaves alone: the graphs are a chunked copy-on-write array, so
 // a mutation copies its directory and the one 256-graph chunk it writes,
-// and the live-id set is copied (a span per run of live ids, ⌈n/64⌉
-// words at most). Every mutation bumps the epoch. Every addition appends
+// and the live-id set is copied (⌈n/64⌉ dense words at most). Every mutation bumps the epoch. Every addition appends
 // one id, so a holder of an answer set sized to an older id space
 // reconciles it by verifying the ids past the set's length; removals are
 // listed in order (Removals, Removed, one more chunked array), so it
@@ -99,9 +98,9 @@ func initialState(dataset []*graph.Graph, filter Filter) *methodState {
 			liveCount++
 		}
 	}
-	// A fully (or mostly) live dataset collapses to a handful of run
-	// spans; the mask is immutable once published, so re-encode it into
-	// its smallest container up front.
+	// A fully (or mostly) live dataset is dense words, a mostly dead one
+	// sparse ids; the mask is immutable once published, so re-encode it
+	// into its smaller container up front.
 	live.Compact()
 	return &methodState{
 		dataset:   chunkedOf(dataset),
