@@ -176,7 +176,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	case <-ctx.Done():
 		fmt.Fprintln(stdout, "gcd: shutting down, draining in-flight requests")
-		//gclint:ignore ctxflow -- the received ctx is already cancelled here; the drain deadline must outlive it
+		// ctx is already cancelled here; the drain deadline must outlive it
+		// (TestDaemonShutdownDrainsOpenConnection).
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {

@@ -119,6 +119,28 @@ func TestDaemonBootQueryShutdown(t *testing.T) {
 	}
 }
 
+// TestDaemonShutdownDrainsOpenConnection: the shutdown drain runs on a
+// deadline of its own, not on the signal's context, which is already
+// cancelled when the drain starts. A connection that has sent nothing is
+// not idle for its first five seconds, so a drain bound to the cancelled
+// context gives up on it at once ("context canceled"); the daemon waits
+// it out and exits cleanly.
+func TestDaemonShutdownDrainsOpenConnection(t *testing.T) {
+	base, out, shutdown := bootDaemon(t)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(100 * time.Millisecond) // let the server accept it
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown with a connection open: %v", err)
+	}
+	if s := out.String(); !strings.Contains(s, "bye") {
+		t.Errorf("no shutdown banner in output:\n%s", s)
+	}
+}
+
 // -pprof mounts the profiling endpoints without stealing any API route;
 // without the flag /debug/pprof/ must not exist.
 func TestDaemonPprofFlag(t *testing.T) {

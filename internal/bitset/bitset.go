@@ -149,8 +149,6 @@ func (s *Set) materialize() {
 }
 
 // Add sets bit i.
-//
-//gclint:mutates
 func (s *Set) Add(i int) {
 	s.check(i)
 	switch s.mode {
@@ -188,8 +186,6 @@ func (s *Set) addSparse(v uint32) {
 }
 
 // Remove clears bit i.
-//
-//gclint:mutates
 func (s *Set) Remove(i int) {
 	s.check(i)
 	switch s.mode {
@@ -254,8 +250,6 @@ func (s *Set) Empty() bool {
 // Clear resets all bits. Materialized payloads keep their capacity where
 // the container allows (dense words are zeroed in place, the sparse slice
 // is truncated), so cleared scratch sets rebuild without reallocating.
-//
-//gclint:mutates
 func (s *Set) Clear() {
 	switch s.mode {
 	case modeSparse:
@@ -270,8 +264,6 @@ func (s *Set) Clear() {
 // SetAll sets every bit in [0, Len()) as dense words, filled in place
 // when the set is already materialized dense so scratch reuse stays
 // allocation-free.
-//
-//gclint:mutates
 func (s *Set) SetAll() {
 	if s.n == 0 {
 		return

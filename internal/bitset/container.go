@@ -59,8 +59,6 @@ func (s *Set) toSparse(count int) {
 // persistence restore — call it so every long-lived set pays the minimal
 // footprint; scratch sets skip it and keep their mutation-friendly
 // container. Contents are unchanged.
-//
-//gclint:mutates
 func (s *Set) Compact() {
 	if !fits32(s.n) {
 		return

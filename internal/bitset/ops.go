@@ -39,8 +39,6 @@ func (s *Set) becomeCopyOf(o *Set) {
 }
 
 // And intersects s with o in place (s ∩= o).
-//
-//gclint:mutates
 func (s *Set) And(o *Set) {
 	s.sameCap(o)
 	if s.quickEmpty() {
@@ -81,8 +79,6 @@ func (s *Set) And(o *Set) {
 }
 
 // AndNot removes o's bits from s in place (s \= o).
-//
-//gclint:mutates
 func (s *Set) AndNot(o *Set) {
 	s.sameCap(o)
 	if s.quickEmpty() || o.quickEmpty() {
@@ -114,8 +110,6 @@ func (s *Set) AndNot(o *Set) {
 }
 
 // Or unions o into s in place (s ∪= o).
-//
-//gclint:mutates
 func (s *Set) Or(o *Set) {
 	s.sameCap(o)
 	if o.quickEmpty() {

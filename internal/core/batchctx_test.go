@@ -2,7 +2,14 @@ package core
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/graph"
@@ -106,8 +113,20 @@ func TestStreamContextStopsWorkerDispatch(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	out := c.ExecuteAllStream(ctx, reqs, 2)
-	<-ready // both workers are inside their verifiers
-	<-ready
+	// Both workers are inside their verifiers, unless one is blocked
+	// before its verifier (on a lock the other holds, say): then release
+	// everything and fail rather than hang.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-ready:
+		case <-time.After(5 * time.Second):
+			cancel()
+			close(gate)
+			for range out {
+			}
+			t.Fatalf("%d of 2 workers reached their verifiers; the other is blocked before it", i)
+		}
+	}
 	cancel()
 	close(gate) // release everything that ever blocks
 	n := 0
@@ -119,5 +138,72 @@ func TestStreamContextStopsWorkerDispatch(t *testing.T) {
 	}
 	if got := c.Stats().Queries; got != 2 {
 		t.Fatalf("%d queries executed, want 2", got)
+	}
+}
+
+// TestStreamContextDropsOutcomeNobodyReads: once the consumer has
+// cancelled, a worker whose outcome finds the buffer full drops it rather
+// than wait for a reader, so an abandoned batch never pins its workers.
+// Nothing is read until the one worker has begun the query after the
+// four the buffer holds, the context is cancelled and the pool has
+// exited; then the buffered four are all the channel delivers. A worker
+// that waited for a reader would deliver a fifth.
+func TestStreamContextDropsOutcomeNobodyReads(t *testing.T) {
+	c, reqs := gateCache(t, nil) // default VF2, never blocks
+	idle := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	out := c.ExecuteAllStream(ctx, reqs, 1)
+	buffered := cap(out)
+	for start := time.Now(); c.Stats().Queries <= int64(buffered); time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("the worker never began a query past the full buffer")
+		}
+	}
+	cancel()
+	for start := time.Now(); runtime.NumGoroutine() > idle && time.Since(start) < 5*time.Second; {
+		time.Sleep(time.Millisecond)
+	}
+	n := 0
+	for range out {
+		n++
+	}
+	if n != buffered {
+		t.Fatalf("%d outcomes from a cancelled batch whose buffer of %d was full: the worker waited for a reader", n, buffered)
+	}
+}
+
+// TestNoRootContext: the kernel and the server mint no root context.
+// Every operation that can block or fan out inherits its caller's
+// context, so a client disconnect or a shutdown deadline reaches batch
+// execution. A context.Background or context.TODO in either package's
+// code cuts that chain, sometimes where no behaviour shows it (a select
+// arm that only matters once the context is cancelled), so this test
+// reads the source.
+func TestNoRootContext(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, dir := range []string{".", "../server"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files in %s: %v", dir, err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "context" && (sel.Sel.Name == "Background" || sel.Sel.Name == "TODO") {
+					t.Errorf("%s: context.%s: take the caller's context instead", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+		}
 	}
 }

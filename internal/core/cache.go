@@ -64,12 +64,10 @@ import (
 // choices) depends on goroutine scheduling, but every individual answer
 // set remains exact.
 //
-// The lock hierarchy is machine-checked: the directive below and the
-// //gclint: annotations on fields and functions drive the gclint
-// analyzers (internal/lint), which fail the build on reverse nestings,
-// unmet lock preconditions, and writes to published COW state.
-//
-//gclint:hierarchy mu
+// The lock hierarchy is mu alone, plus the method's leaf mutex. Each
+// function's doc comment says whether it takes mu, needs its caller to
+// hold it (a …Locked name says so too) or takes no lock; doc.go lists
+// the runtime tests that hold each of these contracts.
 type Cache struct {
 	method *ftv.Method
 	cfg    Config
@@ -82,8 +80,6 @@ type Cache struct {
 
 	// published is the readers' view of entries: immutable, replaced
 	// whole by republishLocked, loaded once per probe or scan.
-	//
-	//gclint:snapshot summaries
 	published atomic.Pointer[resident]
 
 	// mu is the cache's lock. It guards the admission window, ID
@@ -95,7 +91,6 @@ type Cache struct {
 	// encoding and restores. Held for an append, a fingerprint comparison
 	// per pending entry or counter arithmetic per hit, except by a turn;
 	// never across iso tests, dataset scans or a snapshot's writes.
-	//gclint:lock mu
 	mu     sync.Mutex
 	window []*Entry
 
@@ -199,8 +194,6 @@ func (c *Cache) Len() int {
 }
 
 // WindowLen returns the number of entries pending admission.
-//
-//gclint:acquires mu
 func (c *Cache) WindowLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -227,9 +220,6 @@ func (c *Cache) Stats() Snapshot { return c.mon.Snapshot() }
 // dataset (reconcileResident, before mu), so Answers is exact for the
 // dataset as of the call. Intended for demonstrators and tests
 // inspecting cache contents.
-//
-//gclint:acquires mu
-//gclint:pins dataset
 func (c *Cache) Entries() []*Entry {
 	view := c.method.View()
 	c.reconcileResident(view)
@@ -251,9 +241,6 @@ func (c *Cache) Entries() []*Entry {
 // (frozen) set, so callers Clone before mutating (see the Result doc
 // comment). Execute is safe to call from any number of goroutines; see
 // the Cache doc comment for what runs in parallel and what serializes.
-//
-//gclint:acquires mu
-//gclint:pins dataset
 func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	if q == nil {
 		return nil, fmt.Errorf("core: nil query graph")
@@ -264,8 +251,6 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 }
 
 // execute is Execute on a pinned dataset view.
-//
-//gclint:acquires mu
 func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	tick := c.tick.Add(1)
 	mon := &c.mon.hot[readSlot()]
@@ -463,10 +448,8 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 // empty set. A hit on a state current for the view returns the state's
 // shared Result (answersAt.exact), which the first such hit builds, so
 // it allocates nothing after that. It returns nil, and credits nothing,
-// when a newer reader has brought e past the view.
-//
-//gclint:nolocks
-//gclint:loads answers e
+// when a newer reader has brought e past the view. Takes no lock, and
+// loads e's answer cell once.
 func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotCounters) *Result {
 	a := e.ans.p.Load()
 	current := a.current(view)
@@ -512,9 +495,8 @@ func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotC
 
 // emptySet returns the cache's frozen empty set of capacity n, rebuilding
 // the memo when the dataset's size moved. Racing rebuilds store equal
-// sets, and every caller gets a set of its own view's size.
-//
-//gclint:nolocks
+// sets, and every caller gets a set of its own view's size. Takes no
+// lock.
 func (c *Cache) emptySet(n int) *bitset.Set {
 	if s := c.empty.Load(); s != nil && s.Len() == n {
 		return s
@@ -527,8 +509,6 @@ func (c *Cache) emptySet(n int) *bitset.Set {
 // foldCreditsLocked drains the entries' exact-hit credit cells into the
 // policy: k > 0 pending hits become ONE event of Count k at the latest
 // hit's tick, priced once (fold points: doc.go).
-//
-//gclint:requires mu
 func (c *Cache) foldCreditsLocked(entries []*Entry) {
 	for _, e := range entries {
 		if e.ans.pendingExact.Load() == 0 {
@@ -597,16 +577,13 @@ func putExecScratch(sc *execScratch) {
 // creditHit delivers one sub/super hit's credit to the policy in ev, the
 // query's one reused event (a policy must not retain it, see
 // Policy.UpdateCacheStaInfo). Caller holds mu.
-//
-//gclint:requires mu
 func (c *Cache) creditHit(ev *HitEvent, cr hitCredit, tick int64) {
 	*ev = HitEvent{Entry: cr.h, Kind: cr.kind, SavedTests: cr.saved, SavedCostNs: cr.cost, Tick: tick}
 	c.policy.UpdateCacheStaInfo(ev)
 }
 
 // estimatedCost reads one graph's cost estimate from its lock-free cell.
-//
-//gclint:nolocks
+// Takes no lock.
 func (c *Cache) estimatedCost(gid int) float64 {
 	if bits := c.costs.load(gid); bits != 0 {
 		return math.Float64frombits(bits)
@@ -659,9 +636,7 @@ func (cc *costCells) cell(gid int) *atomic.Uint64 {
 }
 
 // estimatedMeanCost reads the overall cost estimate from its lock-free
-// cell.
-//
-//gclint:nolocks
+// cell. Takes no lock.
 func (c *Cache) estimatedMeanCost() float64 {
 	if bits := c.globalVal.Load(); bits != 0 {
 		return math.Float64frombits(bits)
@@ -673,9 +648,7 @@ func (c *Cache) estimatedMeanCost() float64 {
 // observation initializes the average directly (0 bits marks an empty
 // cell), later ones blend with factor alpha. Contended updates retry; the
 // arithmetic matches stats.EMA, so sequential streams produce the same
-// estimates the coordinator-locked engine did.
-//
-//gclint:nolocks
+// estimates the coordinator-locked engine did. Takes no lock.
 func emaAdd(cell *atomic.Uint64, alpha, x float64) {
 	for {
 		old := cell.Load()
@@ -703,8 +676,6 @@ type costSample struct {
 // so no sample carries the bind): one test's end is the next one's start,
 // and the last test's end closes the stage. An empty candidate set reads
 // no clock and takes no time.
-//
-//gclint:nolocks
 func (c *Cache) verify(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, cand *bitset.Set, sc *execScratch, start time.Time) (*bitset.Set, []costSample, time.Duration) {
 	out := bitset.New(view.Size())
 	sc.ids = cand.AppendIndices(sc.ids[:0])
@@ -735,8 +706,6 @@ func (c *Cache) verify(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, c
 
 // recordCosts folds measured verification costs into the EMA cells —
 // entirely lock-free (CAS per sample).
-//
-//gclint:nolocks
 func (c *Cache) recordCosts(costs []costSample) {
 	for _, s := range costs {
 		ns := float64(s.dur.Nanoseconds())
@@ -748,8 +717,6 @@ func (c *Cache) recordCosts(costs []costSample) {
 // admit stages the executed query's entry in the admission window, giving
 // it its ID, and, when that fills the window, turns it over the query's
 // view before unlocking (the Window Manager).
-//
-//gclint:acquires mu
 func (c *Cache) admit(e *Entry, view ftv.DatasetView) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -769,8 +736,6 @@ func (c *Cache) admit(e *Entry, view ftv.DatasetView) {
 // mu, under which it staged the entry that filled the window. Removals
 // up to the view are masked from every entry first, so the credits are
 // priced, and the charges trued up, over sets without them.
-//
-//gclint:requires mu
 func (c *Cache) turnWindow(view ftv.DatasetView) {
 	c.mon.windowTurns.Add(1)
 	defer c.mon.endTurn(time.Now())
@@ -816,8 +781,6 @@ func (c *Cache) turnWindow(view ftv.DatasetView) {
 // positions are sanitized defensively against buggy custom policies
 // (duplicates or out-of-range indices are dropped; a shortfall is filled
 // oldest-admitted first, which is ID order). Caller holds mu.
-//
-//gclint:requires mu
 func (c *Cache) markVictims(all []*Entry, x int) []bool {
 	if x > len(all) {
 		x = len(all)
@@ -848,8 +811,6 @@ func (c *Cache) markVictims(all []*Entry, x int) []bool {
 // enforceLimitsLocked evicts until the resident list fits Capacity and,
 // when set, MemoryBudget — keeping at least one entry. Window turns and
 // restores call it after admitting.
-//
-//gclint:requires mu
 func (c *Cache) enforceLimitsLocked() {
 	if excess := len(c.entries) - c.cfg.Capacity; excess > 0 {
 		c.evictLocked(excess)
@@ -862,8 +823,6 @@ func (c *Cache) enforceLimitsLocked() {
 // insertLocked appends e to the resident list and charges its Bytes().
 // Admissions arrive in ascending-ID order (IDs are claimed monotonically
 // under mu as the entry is staged), so appending keeps the list sorted.
-//
-//gclint:requires mu
 func (c *Cache) insertLocked(e *Entry) {
 	c.entries = append(c.entries, e)
 	e.charged = e.Bytes()
@@ -874,8 +833,6 @@ func (c *Cache) insertLocked(e *Entry) {
 // evictLocked removes x entries chosen by the policy from the resident
 // list in one in-place pass, refunding each victim's charge. Caller holds
 // mu (window turns and state restores).
-//
-//gclint:requires mu
 func (c *Cache) evictLocked(x int) {
 	if x <= 0 || len(c.entries) == 0 {
 		return

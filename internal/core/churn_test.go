@@ -464,6 +464,41 @@ func TestRemovalLeavesCurrentAnswersPublished(t *testing.T) {
 	}
 }
 
+// TestTurnMaskLeavesPublishedSetIntact: the window turn masks a removal
+// out of an entry by publishing a new set, never by editing the published
+// one, so a Result that shares it keeps the answers exact for its view.
+func TestTurnMaskLeavesPublishedSetIntact(t *testing.T) {
+	dataset := testDataset(73, 12)
+	c := testCache(t, dataset, func(cfg *Config) {
+		cfg.Window = 1 // every miss turns the window
+	})
+	rng := rand.New(rand.NewSource(74))
+	q := gen.ExtractConnectedSubgraph(rng, dataset[0], 3)
+	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := c.Execute(q, ftv.Subgraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.ExactHit || !hit.Answers.Contains(0) {
+		t.Fatal("expected an exact hit answering graph 0")
+	}
+	want := hit.Answers.Count()
+	if err := c.RemoveGraph(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Execute(gen.ExtractConnectedSubgraph(rng, dataset[1], 5), ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().WindowTurns < 2 {
+		t.Fatal("no turn after the removal")
+	}
+	if got := hit.Answers.Count(); got != want || !hit.Answers.Contains(0) {
+		t.Fatalf("the turn edited a published set: a Result that answered %d graphs, 0 among them, now answers %d", want, got)
+	}
+}
+
 // TestAddGraphExtendsAnswers pins the addition rule: AddGraph itself
 // runs no containment test, and afterwards a cached entry whose pattern is
 // contained in the new graph answers with the new gid, and per-query

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
@@ -269,9 +270,7 @@ func TestReconciliationHoldsNoMu(t *testing.T) {
 	var c *Cache
 	var underMu atomic.Int64
 	verify := func(pattern, target *graph.Graph) bool {
-		if c.mu.TryLock() {
-			c.mu.Unlock()
-		} else {
+		if muHeld(c) {
 			underMu.Add(1)
 		}
 		return iso.SubIso(pattern, target)
@@ -312,6 +311,93 @@ func TestReconciliationHoldsNoMu(t *testing.T) {
 			t.Fatalf("%s: %d maintenance tests ran with mu held", r.name, n)
 		}
 	}
+}
+
+// TestQueryPathHoldsNoMu: a query runs no containment test and no Method
+// M filter under mu — not a miss's verification, not the reconciliation a
+// stale sub/super hit is brought forward by, not the filter. The method's
+// verifier and filter count the calls they get while mu is held; the
+// stream is sequential, so a held mu can only be the query's own.
+func TestQueryPathHoldsNoMu(t *testing.T) {
+	dataset := testDataset(78, 12)
+	var c *Cache
+	var calls, underMu atomic.Int64
+	probe := func() {
+		calls.Add(1)
+		if muHeld(c) {
+			underMu.Add(1)
+		}
+	}
+	verify := func(pattern, target *graph.Graph) bool {
+		probe()
+		return iso.SubIso(pattern, target)
+	}
+	cfg := DefaultConfig()
+	cfg.Window = 1 // every miss is admitted by its own turn
+	c = MustNew(ftv.NewMethod("ggsx/probed", dataset, probedFilter{ftv.NewGGSX(dataset, 3), probe}, verify), cfg)
+	run := func(q *graph.Graph) {
+		t.Helper()
+		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(79))
+	var parts []*graph.Graph
+	for i := 0; i < 6; i++ {
+		whole := gen.ExtractConnectedSubgraph(rng, dataset[i], 6)
+		run(whole) // a miss
+		parts = append(parts, gen.ExtractConnectedSubgraph(rng, whole, 3))
+	}
+	// Copies of dataset graphs: every entry is now behind the view, and
+	// the ones they contain have containment tests to run.
+	for _, g := range dataset[:4] {
+		if _, err := c.AddGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Stats()
+	for _, q := range parts {
+		run(q) // a sub hit on the stale pattern it was cut from
+	}
+	after := c.Stats()
+	if after.SubHits == before.SubHits {
+		t.Fatal("no sub hit: the stream exercised no hit path")
+	}
+	if after.MaintenanceTests == before.MaintenanceTests {
+		t.Fatal("no hit was brought forward on the query path")
+	}
+	if calls.Load() == 0 {
+		t.Fatal("the probed verifier and filter were never called")
+	}
+	if n := underMu.Load(); n > 0 {
+		t.Fatalf("%d of %d containment tests and filter runs happened with mu held", n, calls.Load())
+	}
+}
+
+// muHeld reports whether anyone holds c.mu: the probe of the HoldsNoMu
+// tests, whose readers run alone, so a held mu can only be their own.
+func muHeld(c *Cache) bool {
+	if c.mu.TryLock() {
+		c.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// probedFilter is an insertable filter that calls probe on every
+// Candidates call, and whose inserts are probed too.
+type probedFilter struct {
+	ftv.InsertableFilter
+	probe func()
+}
+
+func (f probedFilter) Candidates(q *graph.Graph, qt ftv.QueryType) *bitset.Set {
+	f.probe()
+	return f.InsertableFilter.Candidates(q, qt)
+}
+
+func (f probedFilter) WithGraph(gid int, g *graph.Graph) ftv.Filter {
+	return probedFilter{f.InsertableFilter.WithGraph(gid, g).(ftv.InsertableFilter), f.probe}
 }
 
 // TestConcurrentExecuteAll drives the batched worker-pool API concurrently

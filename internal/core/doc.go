@@ -209,55 +209,61 @@
 // cannot fail a later query; a bad one is rejected at restore time with
 // an error.
 //
-// # Machine-checked contracts: the gclint annotation grammar
+// # Concurrency contracts and the tests that hold them
 //
-// The locking and publication discipline above is not prose-only:
-// `make lint` runs the repo's own analyzers
-// (cmd/gclint, internal/lint) over every package, driven by `//gclint:`
-// comment directives on the declarations themselves. The grammar, by
-// example (the example lines are indented so they read as code, not as
-// live directives):
+// The locking, publication and context discipline above is held by
+// runtime tests, not by a static analyzer. `make race` and `make
+// race-stress` run the concurrency ones under the race detector, the
+// latter ten times over. Each function's doc comment states its part:
+// "Caller holds mu." (or a …Locked name) or "Takes no lock.". The
+// contracts, each with the tests that fail when a change breaks it:
 //
-//	//gclint:hierarchy mu      (on Cache: the lock order, outermost first)
-//	//gclint:lock mu           (on a field: this is lock "mu" in the hierarchy)
-//	//gclint:leaf              (with lock: rank-exempt, but nothing may be acquired under it;
-//	                            the tree's one leaf is ftv.Method's mutex)
-//	//gclint:acquires mu       (func acquires and releases these internally)
-//	//gclint:requires mu       (func must be called with these held)
-//	//gclint:nolocks           (func must not acquire any lock, directly or via callees)
-//	//gclint:cow               (type: copy-on-write; published values are immutable)
-//	//gclint:cowview           (func returns a published COW value; callers must not write it)
-//	//gclint:mutates           (method writes its receiver; illegal on published COW values)
-//	//gclint:snapshot answers  (on a field/var: an atomically-published snapshot cell)
-//	//gclint:loads answers [p] (func loads the cell; p names the instance-carrying
-//	                            parameter, defaulting to the method receiver)
-//	//gclint:pins dataset      (func is an operation scope: at most one load per
-//	                            cell instance; loads in loops are torn snapshots)
-//	//gclint:view dataset      (type: values are pinned views of the named cell;
-//	                            functions receiving one must not re-load the cell)
-//	//gclint:ctxstrict         (package: context.Background/TODO are diagnostics
-//	                            everywhere in the package)
-//	//gclint:ignore lockorder -- reason   (waive one finding on this or the next line)
+//   - mu is the cache's one lock; the method's mutex is a leaf that
+//     nothing is taken under. Policy and window state (creditHit,
+//     turnWindow and the …Locked helpers) is touched only under mu:
+//     TestConcurrentMixedTraffic, TestConcurrentWindowTurns,
+//     TestConcurrentChurn, TestConcurrentClients,
+//     TestConcurrentExecuteAll (data races; a turn outside mu also
+//     panics TestConcurrentClients).
+//   - An exact hit on an admitted entry, Len, Bytes and Stats take no
+//     lock: TestExactProbeTakesNoLock.
+//   - No filter run and no containment test happens under mu: a query's
+//     own, TestQueryPathHoldsNoMu; those of Entries and the snapshot
+//     writers, TestReconciliationHoldsNoMu; a snapshot's writes,
+//     TestSnapshotWriterHoldsNoLock.
+//   - A mutation takes no cache lock and waits for no query:
+//     TestMutationTakesNoCacheLock, TestMutationWaitsForNoQuery.
+//   - An operation pins one dataset view and sizes, filters, verifies
+//     and reads answers against it alone, and a function that reads a
+//     published value (an entry's answer cell, the resident view) loads
+//     it once: TestStaleViewReaderSkipsAheadEntry,
+//     TestSnapshotWritesEntryAheadOfItsView, the SelfCheck suites
+//     (TestChurnEquivalence), and the swap tests of tornread_test.go,
+//     which re-run a reader while another goroutine replaces what it
+//     reads (TestConcurrentSwapExactHitReadsOneState,
+//     TestConcurrentSwapLiveCountReadsOneState,
+//     TestConcurrentRepublishProbeWalksOneView,
+//     TestEntriesDuringAddsHoldsNoMu,
+//     TestConcurrentMutationDatasetInfoReadsOneView).
+//   - A published value is never written: answer sets
+//     (TestExactMemoFollowsMutations, TestTurnMaskLeavesPublishedSetIntact;
+//     TestConcurrentChurn and TestConcurrentWindowTurns under the race
+//     detector for an in-place Compact), the method's live set
+//     (TestStaleViewReaderSkipsAheadEntry), its chunked arrays
+//     (TestChunkedWith, TestConcurrentAddKeepsViews,
+//     TestInsertSharesUntouchedChunks), GGSX's posting and bitmap blocks
+//     (TestGGSXCandidatesMatchReferenceAcrossBlocks,
+//     TestInsertCopiesOneBlockPerSetDigit).
+//   - Contexts flow: this package and internal/server mint no root
+//     context, and the batch handlers pass the request's context to the
+//     kernel, so a client disconnect or a shutdown deadline stops batch
+//     execution (ExecuteAllStream): TestNoRootContext (a scan of both
+//     packages' source), TestStreamBatchClientDisconnect,
+//     TestBufferedBatchClientDisconnect, TestStreamContextCancelledUpfront,
+//     TestStreamContextDropsOutcomeNobodyReads.
 //
-// Four analyzers consume these, each checking a contract no test
-// observes reliably: lockorder (hierarchy violations, unmet requires,
-// acquisition inside nolocks, anything acquired while a leaf lock is
-// held), cowpublish (writes through cowview/atomic.Pointer-published
-// values, mutates-calls on them), snapshotonce (torn snapshots: a cell
-// loaded twice, in a loop, or fresh where a caller already pinned a
-// view) and ctxflow (handlers that receive a context and then discard
-// it, or that call the context-less sibling of a *Context API pair).
-// Findings are build failures; every waiver needs a reason after `--`.
-// Zero allocations and deterministic output are properties of what the
-// code does at run time, so runtime tests pin them: the alloc_test.go
-// budgets, and the persistence, victim-selection and ranking tests
-// (TestV2V3Equivalence, TestVictimSelectionMatchesFullSort,
+// Zero allocations and deterministic output are pinned the same way: the
+// alloc_test.go budgets, and the persistence, victim-selection and
+// ranking tests (TestV2V3Equivalence, TestVictimSelectionMatchesFullSort,
 // TestRankCandidatesDeterministic, TestChurnDeterministic).
 package core
-
-// The kernel is context-strict: root contexts must not be minted inside
-// this package — every operation that can block or fan out inherits its
-// caller's context, so client disconnects and shutdown deadlines
-// propagate into batch execution (see ExecuteAllStream).
-//
-//gclint:ctxstrict

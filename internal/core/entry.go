@@ -24,7 +24,6 @@ import (
 // count only grow, since nobody publishes over a value other than the
 // one it read.
 type answersCell struct {
-	//gclint:snapshot answers
 	p atomic.Pointer[answersAt]
 
 	// The exact-hit credit cell: serveExact adds one and raises lastHit
@@ -123,11 +122,9 @@ type Entry struct {
 }
 
 // Answers returns the entry's current answer set (see answersAt for the
-// dataset history it is exact for). The returned set is immutable; the cache
-// replaces it whole as it brings the entry forward.
-//
-//gclint:cowview
-//gclint:loads answers
+// dataset history it is exact for), from one load of the entry's answer
+// cell. The returned set is immutable; the cache replaces it whole as it
+// brings the entry forward.
 func (e *Entry) Answers() *bitset.Set { return e.ans.p.Load().set }
 
 // entryFromSig builds an Entry from a precomputed query signature — the

@@ -47,8 +47,6 @@ type indexEntry struct {
 // republishLocked publishes a fresh view of the resident list, built in
 // one pass: walking it backwards leaves each fingerprint mapped to its
 // lowest-ID position with the chain ascending from there.
-//
-//gclint:requires mu
 func (c *Cache) republishLocked() {
 	r := &resident{
 		index: make([]indexEntry, len(c.entries)),
@@ -72,10 +70,8 @@ func (c *Cache) republishLocked() {
 // bloom) refutes most entries before the path-feature dominance merge
 // runs; entries refuted in both directions without a merge are counted as
 // index-pruned. The candidates are appended to sub and super (the
-// caller's reused buffers), which are returned.
-//
-//gclint:nolocks
-//gclint:loads summaries
+// caller's reused buffers), which are returned. Takes no lock, and loads
+// the published view once.
 func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig, sub, super []*Entry) ([]*Entry, []*Entry) {
 	// The scan counts in locals and publishes once: per-entry atomic adds
 	// would be hundreds of RMWs on one shared line per query.

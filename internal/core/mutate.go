@@ -107,8 +107,7 @@ func (c *Cache) editAddSums(edit func(map[int]summary)) {
 // every AddGraph prunes, as does every turn. An entry the floor missed (a
 // window entry, or one an in-flight query holds after its eviction)
 // tests those graphs unscreened: a prune costs tests, never an answer.
-//
-//gclint:loads summaries
+// It loads the published view once.
 func (c *Cache) pruneAddSums(m map[int]summary, view ftv.DatasetView) {
 	floor := math.MaxInt
 	for _, ie := range c.published.Load().index {
@@ -124,9 +123,6 @@ func (c *Cache) pruneAddSums(m map[int]summary, view ftv.DatasetView) {
 // no containment test, ids appended since left untested. An entry at or
 // past the view's removal count has none to take. Caller holds mu (a
 // turn).
-//
-//gclint:requires mu
-//gclint:loads answers e
 func (c *Cache) maskRemovalsLocked(e *Entry, view ftv.DatasetView) {
 	if a := e.ans.p.Load(); a.removals < view.Removals() {
 		e.ans.p.CompareAndSwap(a, at(withoutRemoved(a.set, view, a.removals), view))
@@ -138,8 +134,6 @@ func (c *Cache) maskRemovalsLocked(e *Entry, view ftv.DatasetView) {
 // fresh sets outside mu, where the account is not touched): the account
 // moves by the difference between the entry's Bytes() and its charge.
 // Caller holds mu.
-//
-//gclint:requires mu
 func (c *Cache) rechargeLocked(e *Entry) {
 	if b := e.Bytes(); b != e.charged {
 		c.res.bytes.Add(int64(b - e.charged))
@@ -153,10 +147,8 @@ func (c *Cache) rechargeLocked(e *Entry) {
 // published; nil for one a newer reader has already brought past the
 // view (answersAt). Racing readers of one view compute identical sets,
 // so whichever swap lands is right. The byte account is not touched here
-// (mu is not held); the next turn trues it up.
-//
-//gclint:nolocks
-//gclint:loads answers e
+// (mu is not held); the next turn trues it up. Takes no lock, and loads
+// e's answer cell once: every later step works on that one state.
 func (c *Cache) answersFor(e *Entry, view ftv.DatasetView) *bitset.Set {
 	a := e.ans.p.Load()
 	if a.current(view) {
@@ -175,9 +167,8 @@ func (c *Cache) answersFor(e *Entry, view ftv.DatasetView) *bitset.Set {
 
 // liveCount is the number of graphs in e's answers that the view holds
 // live: what its answer set will count once masked to the view's removals
-// (hit ranking compares entries by it).
-//
-//gclint:loads answers e
+// (hit ranking compares entries by it). It loads e's answer cell once, so
+// the count and the removals it subtracts describe one state.
 func liveCount(e *Entry, view ftv.DatasetView) int {
 	a := e.ans.p.Load()
 	n := a.set.Count()
@@ -192,10 +183,8 @@ func liveCount(e *Entry, view ftv.DatasetView) int {
 // entry current (Entries, WriteState, WriteStateV2). They call it before
 // they take mu, so its containment tests block no miss. An entry that a
 // concurrent turn admits after this pass is brought forward by the
-// reader's own answersFor call, under mu.
-//
-//gclint:nolocks
-//gclint:loads summaries
+// reader's own answersFor call, under mu. Takes no lock, and loads the
+// published view once.
 func (c *Cache) reconcileResident(view ftv.DatasetView) {
 	index := c.published.Load().index
 	for i := range index {
@@ -277,8 +266,6 @@ type DatasetInfo struct {
 }
 
 // DatasetInfo reports the current dataset shape.
-//
-//gclint:pins dataset
 func (c *Cache) DatasetInfo() DatasetInfo {
 	v := c.method.View()
 	return DatasetInfo{Size: v.Size(), Live: v.LiveCount(), Epoch: v.Epoch()}

@@ -55,8 +55,6 @@ const stateVersionV2 = 2
 // records are mutated under it), so it is one consistent snapshot even
 // under concurrent queries and mutations (snapshotState); w is written
 // only after mu is released, so a slow writer stalls no query.
-//
-//gclint:acquires mu
 func (c *Cache) WriteStateV2(w io.Writer) error {
 	var buf bytes.Buffer
 	err := c.snapshotState(func(view ftv.DatasetView, entries []*Entry, sets []*bitset.Set) error {
@@ -94,8 +92,6 @@ func (c *Cache) WriteStateV2(w io.Writer) error {
 // has no set exact for it: the attempt is dropped and repeated on a
 // newer view, so no entry is left out. A retry needs a mutation that
 // landed during the attempt before it.
-//
-//gclint:acquires mu
 func (c *Cache) snapshotState(format func(view ftv.DatasetView, entries []*Entry, sets []*bitset.Set) error) error {
 	for {
 		if done, err := c.trySnapshot(format); done {
@@ -106,9 +102,6 @@ func (c *Cache) snapshotState(format func(view ftv.DatasetView, entries []*Entry
 
 // trySnapshot is one attempt of snapshotState. It reports false, without
 // calling format, when some entry is ahead of the view it pinned.
-//
-//gclint:acquires mu
-//gclint:pins dataset
 func (c *Cache) trySnapshot(format func(view ftv.DatasetView, entries []*Entry, sets []*bitset.Set) error) (bool, error) {
 	view := c.method.View()
 	c.reconcileResident(view)
@@ -158,9 +151,6 @@ func (c *Cache) ReadState(r io.Reader) error {
 }
 
 // readStateV2 parses and restores the v2 text format.
-//
-//gclint:acquires mu
-//gclint:pins dataset
 func (c *Cache) readStateV2(br *bufio.Reader) error {
 	view := c.method.View()
 	lineNo := 1
@@ -352,8 +342,6 @@ parse:
 // shared commit phase of every restore. Stop-the-world under mu, so no
 // admission interleaves, the pending window is cleared, and queries see
 // the old view until the new one is published.
-//
-//gclint:acquires mu
 func (c *Cache) replaceEntries(entries []*Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -90,8 +90,6 @@ func fnv1a(data []byte) uint64 {
 // (snapshotState), and w is written only after mu is released. Answer
 // sets are written in their native containers, so save→restore
 // preserves the adaptive compression byte-for-byte.
-//
-//gclint:acquires mu
 func (c *Cache) WriteState(w io.Writer) error {
 	var secs [3][]byte
 	err := c.snapshotState(func(view ftv.DatasetView, all []*Entry, sets []*bitset.Set) (err error) {
@@ -181,9 +179,6 @@ func v3Error(format string, args ...any) error {
 // readStateV3 parses and restores a v3 snapshot held whole in data.
 // Validation mirrors the writer exactly (see the format comment); nothing
 // is installed until every section, graph and answer set verified.
-//
-//gclint:acquires mu
-//gclint:pins dataset
 func (c *Cache) readStateV3(data []byte) error {
 	view := c.method.View()
 

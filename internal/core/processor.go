@@ -65,9 +65,6 @@ func signatureOf(q *graph.Graph) querySig {
 // queries racing each other, or a probe racing the turn that admits its
 // match, may miss and stage a duplicate — benign: exact-match scans
 // return the first isomorphic entry either way.
-//
-//gclint:acquires mu
-//gclint:loads summaries
 func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint) *Entry {
 	r := c.published.Load()
 	for i, ok := r.byFP[fp]; ok && i >= 0; i = r.index[i].next {
@@ -92,8 +89,7 @@ func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint
 // pattern is matched into q and not q into it: the matcher searches along
 // its first argument's memoized plan, which an entry that has been hit
 // before already carries and a q fresh off the wire would have to build.
-//
-//gclint:nolocks
+// Takes no lock.
 func firstIsomorphic(q *graph.Graph, qt ftv.QueryType, cands []*Entry) *Entry {
 	for _, e := range cands {
 		if e.Type == qt && iso.Isomorphic(e.Graph, q) {
@@ -129,9 +125,7 @@ type hitSet struct {
 // immutable after admission, and a concurrently evicted entry still
 // yields sound savings (its answer set remains exact over the immutable
 // dataset). The benefit ranking breaks ties by ID, so detection is
-// deterministic.
-//
-//gclint:nolocks
+// deterministic. Takes no lock.
 func (c *Cache) detectHits(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, sig querySig, cmCount int, sc *execScratch) hitSet {
 	var hs hitSet
 	maxSub, maxSuper := c.cfg.MaxSubHits, c.cfg.MaxSuperHits
@@ -174,8 +168,6 @@ type rankedCandidate struct {
 // costing one O(set) count per comparison instead of per entry. The
 // counts are staged in buf, which is returned (grown if it had to be,
 // cleared of entry pointers) for the next call.
-//
-//gclint:loads answers cands
 func rankCandidates(view ftv.DatasetView, cands []*Entry, largerFirst bool, buf []rankedCandidate) []rankedCandidate {
 	if len(cands) < 2 {
 		return buf
@@ -205,9 +197,7 @@ func rankCandidates(view ftv.DatasetView, cands []*Entry, largerFirst bool, buf 
 // the accepted hits and the number of q↔h iso tests spent. Each accepted
 // list is a prefix of its candidate list, compacted in place. q is bound
 // once for its "q ⊑ h" probes, as the verification stage binds it for its
-// candidates.
-//
-//gclint:nolocks
+// candidates. Takes no lock.
 func (c *Cache) confirmHits(q *graph.Graph, subCand, superCand []*Entry, maxSub, maxSuper int) (sub, super []*Entry, isoTests int) {
 	opts := iso.Options{MaxRecursions: c.cfg.HitIsoBudget}
 	sub, super = subCand[:0], superCand[:0]

@@ -12,8 +12,6 @@ const (
 // costs ⌈n/256⌉ pointers plus one chunk however long the array is, and a
 // value held by an older snapshot never changes. Entries past n in the
 // last chunk are zero.
-//
-//gclint:cow
 type chunked[T any] struct {
 	dir []*[chunkLen]T
 	n   int

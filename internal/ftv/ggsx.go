@@ -67,7 +67,9 @@ import (
 // chunked arrays: the insert copies their directories and the one chunk
 // its gid lands in. Nothing else is copied, and no other graph's paths are
 // revisited. A published postingList, countSlices or chunk is immutable
-// (cowpublish checks all three), and a snapshot taken before an insert
+// (TestInsertSharesUntouchedChunks, TestInsertCopiesOneBlockPerSetDigit
+// and TestGGSXCandidatesMatchReferenceAcrossBlocks fail on a write to
+// one), and a snapshot taken before an insert
 // never sees the new gid.
 type GGSX struct {
 	maxLen  int
@@ -112,8 +114,6 @@ type nodeCount struct {
 // eight to a block. Every block but the last is full; the last block's
 // unused slots have count 0, which no posting has. Blocks and the
 // directory are never written once published: an insert builds new ones.
-//
-//gclint:cow
 type postingList []*[8]posting
 
 // listOf returns a copy of ps as a list, in one array of blocks.
@@ -190,8 +190,6 @@ func (l postingList) String() string { return fmt.Sprint(slices.Collect(l.all())
 // ⌈words/8⌉ blocks, and the words past words in the last block are
 // zero. Neither a directory nor a block is written once published: an
 // insert builds new ones.
-//
-//gclint:cow
 type countSlices struct {
 	slice  [][]*block // by digit
 	words  int        // wordsFor(largest gid): what the size rule counts

@@ -55,21 +55,16 @@ type Method struct {
 	// and never take it. It is a leaf lock: nothing is acquired under it,
 	// so callers may hold locks of their own (the cache kernel mutates the
 	// method holding none).
-	//gclint:lock methodMu
-	//gclint:leaf
 	mu sync.Mutex
 	// state publishes the dataset snapshot. Operations pin ONE snapshot
 	// (a View) and use it throughout; re-loading mid-operation tears the
-	// epoch (enforced by the snapshotonce analyzer).
-	//
-	//gclint:snapshot dataset
+	// epoch (the cache kernel's stale-view tests and SelfCheck suites
+	// catch a query that does).
 	state atomic.Pointer[methodState]
 }
 
 // methodState is one immutable dataset snapshot. All fields are read-only
 // after publication.
-//
-//gclint:cow
 type methodState struct {
 	dataset   chunked[*graph.Graph] // by stable gid; tombstones are nil
 	filter    Filter
@@ -117,35 +112,23 @@ func (m *Method) Name() string { return m.name }
 // any computation that must be internally consistent (candidate sets,
 // sizes, delta reconciliation); the snapshot stays valid — and exact with
 // respect to its own epoch — forever, even after later mutations.
-//
-//gclint:loads dataset
 func (m *Method) View() DatasetView { return DatasetView{s: m.state.Load(), verify: m.verify} }
 
 // DatasetSize returns the dataset's id space — the number of positions,
 // including tombstones, hence the capacity answer bitsets are sized to.
-//
-//gclint:loads dataset
 func (m *Method) DatasetSize() int { return m.state.Load().dataset.Len() }
 
 // LiveCount returns the number of non-tombstoned dataset graphs.
-//
-//gclint:loads dataset
 func (m *Method) LiveCount() int { return m.state.Load().liveCount }
 
 // Epoch returns the current dataset epoch: 0 at construction, +1 per
 // mutation (addition or removal).
-//
-//gclint:loads dataset
 func (m *Method) Epoch() int64 { return m.state.Load().epoch }
 
 // Filter returns the method's current filter.
-//
-//gclint:loads dataset
 func (m *Method) Filter() Filter { return m.state.Load().filter }
 
 // Candidates runs the filtering stage, returning the candidate set C_M.
-//
-//gclint:pins dataset
 func (m *Method) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
 	return m.View().Candidates(q, qt)
 }
@@ -153,8 +136,6 @@ func (m *Method) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
 // VerifyCandidate runs one sub-iso test between the query and dataset
 // graph gid, oriented by query type: pattern=q for subgraph queries,
 // pattern=dataset graph for supergraph queries.
-//
-//gclint:pins dataset
 func (m *Method) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool {
 	return m.View().VerifyCandidate(q, gid, qt)
 }
@@ -169,9 +150,6 @@ func (m *Method) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool {
 // and of the method copy one chunk plus their directory each. It returns
 // the new graph's id, or an error when the method's filter is not an
 // InsertableFilter.
-//
-//gclint:acquires methodMu
-//gclint:pins dataset
 func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 	if g == nil || g.N() == 0 {
 		return 0, fmt.Errorf("ftv: cannot add an empty graph")
@@ -204,9 +182,6 @@ func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 // kept as-is — its postings for the dead id are masked by the live set —
 // so a removal copies one chunk of the graph array, its directory and the
 // live-id set, and rebuilds no index.
-//
-//gclint:acquires methodMu
-//gclint:pins dataset
 func (m *Method) RemoveGraph(gid int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -234,8 +209,6 @@ func (m *Method) RemoveGraph(gid int) error {
 // with respect to the same epoch, no matter what mutations land after the
 // view was taken. The zero value is unusable; obtain views from
 // Method.View.
-//
-//gclint:view dataset
 type DatasetView struct {
 	s      *methodState
 	verify VerifierFunc
@@ -264,8 +237,6 @@ func (v DatasetView) Removed(i int) int { return v.s.removed.At(i) }
 func (v DatasetView) Graph(gid int) *graph.Graph { return v.s.dataset.At(gid) }
 
 // Live returns the live-id set. Callers must treat it as read-only.
-//
-//gclint:cowview
 func (v DatasetView) Live() *bitset.Set { return v.s.live }
 
 // Candidates runs the filtering stage over the snapshot: the filter's
@@ -359,8 +330,6 @@ func (r *Result) TotalTime() time.Duration { return r.FilterTime + r.VerifyTime 
 
 // Run executes the query with plain filter-then-verify (no cache) over
 // one consistent snapshot of the dataset.
-//
-//gclint:pins dataset
 func (m *Method) Run(q *graph.Graph, qt QueryType) *Result { return m.View().Run(q, qt) }
 
 // Run executes the query with plain filter-then-verify (no cache) over

@@ -41,8 +41,6 @@ func fnvMix64(h, v uint64) uint64 {
 // The fingerprint for the most recently requested round count is memoized
 // on the (immutable) graph, so re-executing a query graph pays the O(n·d)
 // refinement only once.
-//
-//gclint:loads memoFP
 func (g *Graph) WLFingerprint(rounds int) Fingerprint {
 	if m := g.memoFP.Load(); m != nil && m.rounds == rounds {
 		return m.fp

@@ -39,8 +39,6 @@ type PlanStep struct {
 // fewest candidates, grows connected (weakly, for directed graphs), and
 // starts a further component at its rarest label again. The result is
 // memoized on the graph; callers must not modify it.
-//
-//gclint:loads memoPlan
 func (g *Graph) MatchPlan() []PlanStep {
 	if p := g.memoPlan.Load(); p != nil {
 		return *p
@@ -109,10 +107,8 @@ func (g *Graph) MatchPlan() []PlanStep {
 // atomic values must not be copied, so WithID re-shares the already
 // computed pointers instead of copying the struct.
 type memoSet struct {
-	//gclint:snapshot memoPlan
 	memoPlan atomic.Pointer[[]PlanStep]
-	//gclint:snapshot memoFP
-	memoFP atomic.Pointer[fpMemo]
+	memoFP   atomic.Pointer[fpMemo]
 }
 
 // fpMemo caches the WL fingerprint for one round count — the cache keeps
@@ -126,9 +122,6 @@ type fpMemo struct {
 // shareFrom copies the memoized summary pointers from src. Sound only
 // when the receiver describes the same structure as src (labels and
 // adjacency shared), as in WithID.
-//
-//gclint:loads memoPlan src
-//gclint:loads memoFP src
 func (m *memoSet) shareFrom(src *memoSet) {
 	m.memoPlan.Store(src.memoPlan.Load())
 	m.memoFP.Store(src.memoFP.Load())

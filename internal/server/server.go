@@ -36,8 +36,8 @@ package server
 // The server is context-strict: handlers thread r.Context() into the
 // kernel so a disconnected client cancels its own batch; minting a root
 // context here would detach that work from the request lifetime.
-//
-//gclint:ctxstrict
+// TestStreamBatchClientDisconnect and TestBufferedBatchClientDisconnect
+// fail when a batch handler does.
 
 import (
 	"encoding/json"

@@ -76,13 +76,16 @@ func TestBufferedBatchClientDisconnect(t *testing.T) {
 // gatedBatch is a server over a one-graph dataset whose verifier waits
 // for a token on gate, and a batch body of gatedBatchSize distinct
 // queries on one worker. NoFilter means exactly one verification per
-// query, so calls counts the queries that ran.
+// query, so calls counts the queries that ran. reqCtx hands the test the
+// batch request's context, which the server cancels when the client
+// disconnects.
 type gatedBatch struct {
 	ts      *httptest.Server
 	body    string
 	calls   atomic.Int64
 	entered chan struct{}
 	gate    chan struct{}
+	reqCtx  chan context.Context
 	release sync.Once
 }
 
@@ -99,7 +102,7 @@ func newGatedBatch(t *testing.T) *gatedBatch {
 		}
 		return graph.MustNew(labels, edges)
 	}
-	b := &gatedBatch{entered: make(chan struct{}, 64), gate: make(chan struct{}, 64)}
+	b := &gatedBatch{entered: make(chan struct{}, 64), gate: make(chan struct{}, 64), reqCtx: make(chan context.Context, 1)}
 	verify := func(pattern, target *graph.Graph) bool {
 		b.calls.Add(1)
 		b.entered <- struct{}{}
@@ -108,7 +111,11 @@ func newGatedBatch(t *testing.T) *gatedBatch {
 	}
 	dataset := []*graph.Graph{star(9)}
 	method := ftv.NewMethod("gated/vf2", dataset, ftv.NewNoFilter(len(dataset)), verify)
-	b.ts = httptest.NewServer(New(core.MustNew(method, core.DefaultConfig())))
+	api := New(core.MustNew(method, core.DefaultConfig()))
+	b.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b.reqCtx <- r.Context()
+		api.ServeHTTP(w, r)
+	}))
 	// On a failed test, release the verifiers before Close waits for the
 	// handler.
 	t.Cleanup(func() {
@@ -131,18 +138,34 @@ func newGatedBatch(t *testing.T) *gatedBatch {
 
 func (b *gatedBatch) open() { b.release.Do(func() { close(b.gate) }) }
 
-// finish gives the disconnect time to cancel the request context, releases
-// every verifier still waiting, waits for the handler to return, and fails
-// unless the batch stopped short: without the request context reaching
-// the kernel every query would run.
+// finish waits until the server has cancelled the request context,
+// releases every verifier still waiting, waits for the handler to return
+// and for the batch's workers to drain (calls stops moving), and fails
+// unless the batch stopped within one query of the cancellation: the
+// query parked in the verifier, or one that passed its dispatch check
+// just before the cancel. While the gate is shut no further query can
+// start, so a kernel the request context never reached runs on once the
+// gate opens: through the outcome buffer (four per worker) and into a
+// blocked send, or, while the handler still reads, through the batch.
 func (b *gatedBatch) finish(t *testing.T) {
 	t.Helper()
-	time.Sleep(300 * time.Millisecond)
+	select {
+	case <-(<-b.reqCtx).Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the server never cancelled the disconnected request's context")
+	}
+	atCancel := b.calls.Load()
 	b.open()
 	b.ts.Close()
-	if got := b.calls.Load(); got >= gatedBatchSize {
-		t.Fatalf("client disconnected mid-batch but the verifier ran %d/%d times", got, gatedBatchSize)
-	} else {
-		t.Logf("verifier ran %d/%d times after the disconnect", got, gatedBatchSize)
+	got := b.calls.Load()
+	for settled := time.Now(); time.Since(settled) < 300*time.Millisecond; {
+		time.Sleep(20 * time.Millisecond)
+		if n := b.calls.Load(); n != got {
+			got, settled = n, time.Now()
+		}
 	}
+	if got > atCancel+1 {
+		t.Fatalf("client disconnected mid-batch with %d queries begun, but the verifier ran %d/%d times", atCancel, got, gatedBatchSize)
+	}
+	t.Logf("verifier ran %d/%d times; %d had begun at the disconnect", got, gatedBatchSize, atCancel)
 }
