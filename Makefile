@@ -107,9 +107,11 @@ cover:
 # turn (the one stop-the-world pass), a CPU profile of the daemon's handler on an exact hit and on a
 # miss (decode, parse, probe, encode — no transport), one of the
 # verification stage alone (a bound subgraph query and one-shot VF2 over
-# Method M's candidates on the 5 000-molecule index) and CPU + heap
-# profiles of the filter's copy-on-write insert on that index, from the
-# stock benchmark runner. Inspect with
+# Method M's candidates on the 5 000-molecule index), one of the filter's
+# query side (GGSX Candidates for subgraph and supergraph queries on that
+# index: the trie walk, the posting ANDs and the bloom and forward-row
+# scan) and CPU + heap profiles of the filter's copy-on-write insert on
+# that index, from the stock benchmark runner. Inspect with
 # `go tool pprof profiles/core.test profiles/core_cpu.pprof` (narrow with
 # `-focus 'AddGraph|turnWindow'`; the removal is in `remove_{cpu,mem}.pprof`,
 # at a fixed 20 000 removals: each one consumes a live graph the
@@ -117,6 +119,7 @@ cover:
 # by time never finishes),
 # `go tool pprof profiles/server.test profiles/server_cpu.pprof`,
 # `go tool pprof profiles/ftv.test profiles/verify_cpu.pprof`,
+# `go tool pprof profiles/ftv.test profiles/filter_cpu.pprof`,
 # `go tool pprof profiles/ftv.test profiles/insert_cpu.pprof` or, for the
 # bytes an insert allocates,
 # `go tool pprof -sample_index=alloc_space profiles/ftv.test profiles/insert_mem.pprof`;
@@ -134,6 +137,8 @@ profiles:
 		-cpuprofile $(PROFILE_DIR)/server_cpu.pprof -o $(PROFILE_DIR)/server.test ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCandidates$$' -benchtime 1000000x \
 		-cpuprofile $(PROFILE_DIR)/verify_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
+	$(GO) test -run '^$$' -bench 'BenchmarkGGSXCandidates$$' -benchtime 20000x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/filter_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 	$(GO) test -run '^$$' -bench 'BenchmarkGGSXWithGraph$$' -benchtime 4000x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/insert_cpu.pprof -memprofile $(PROFILE_DIR)/insert_mem.pprof \
 		-o $(PROFILE_DIR)/ftv.test ./internal/ftv/

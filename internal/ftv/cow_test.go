@@ -23,10 +23,105 @@ func oracleDataset(rng *rand.Rand, n, kind int) []*graph.Graph {
 }
 
 // The stamp lives in the padding after id; a second word would cost every
-// node of every index 16 bytes.
+// node of every index 16 bytes. A child is its 4-byte key and a pointer,
+// and IndexBytes charges both sizes.
 func TestTrieNodeIs48Bytes(t *testing.T) {
 	if s := unsafe.Sizeof(trieNode{}); s != 48 {
 		t.Errorf("trieNode is %d bytes, want 48", s)
+	}
+	if s := unsafe.Sizeof(kid{}); s != 16 {
+		t.Errorf("kid is %d bytes, want 16", s)
+	}
+}
+
+// layoutDiff returns the first way x differs from built, a build over the
+// same graphs, or "": node count, IndexBytes, and per node its encoding,
+// its postings and, for a list, the digit count the size rule reads.
+func layoutDiff(x, built *GGSX) string {
+	if x.nodes != built.nodes || x.IndexBytes() != built.IndexBytes() {
+		return fmt.Sprintf("%d nodes / %d B, build %d nodes / %d B", x.nodes, x.IndexBytes(), built.nodes, built.IndexBytes())
+	}
+	want := nodesByID(built)
+	for id, nd := range nodesByID(x) {
+		b := want[id]
+		if (nd.slices != nil) != (b.slices != nil) {
+			return fmt.Sprintf("node %d is a bitmap: %v, build %v", id, nd.slices != nil, b.slices != nil)
+		}
+		a, w := nd.postings, b.postings
+		if nd.slices != nil {
+			a, w = nd.slices.postings(), b.slices.postings()
+		} else if a.digits != w.digits {
+			return fmt.Sprintf("node %d list digits %d, build %d", id, a.digits, w.digits)
+		}
+		if a.String() != w.String() {
+			return fmt.Sprintf("node %d postings %v, build %v", id, a, w)
+		}
+	}
+	return ""
+}
+
+// TestInsertChainLayoutMatchesBuild grows a 20-graph index by 620
+// WithGraph inserts, past the 512-graph block boundary, and every 50
+// inserts compares it node by node with a build over the same graphs. An
+// insert decides a list node's encoding from the digit count the list
+// carries, so a count lost or mis-kept on the way shows as a different
+// encoding or digit count here.
+func TestInsertChainLayoutMatchesBuild(t *testing.T) {
+	const inserts = 620
+	rng := rand.New(rand.NewSource(97))
+	ds := oracleDataset(rng, 20, 0)
+	x := NewGGSX(ds, 3)
+	var ev layoutEvents
+	for i := 1; i <= inserts; i++ {
+		g := oracleGraph(rng, 0)
+		x2 := x.WithGraph(len(ds), g).(*GGSX)
+		ds = append(ds, g)
+		ev.observe(x, x2)
+		x = x2
+		if i%50 == 0 || i == inserts {
+			if d := layoutDiff(x, NewGGSX(ds, 3)); d != "" {
+				t.Fatalf("after %d inserts: %s", i, d)
+			}
+		}
+	}
+	if !ev.listToBitmap || !ev.bitmapToList || !ev.newSlice {
+		t.Fatalf("vacuous: the chain's re-encodings %+v", ev)
+	}
+}
+
+// TestListSizeRuleMatchesEncode checks the O(1) size rule addPosting
+// applies to a list, on its digit count, length and last gid, against
+// encodeSlices, which reads every posting: on random lists built at once
+// and on the same lists grown a posting at a time.
+func TestListSizeRuleMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	var bitmaps, lists int
+	for range 2000 {
+		maxCount, gap := int32(1)<<rng.Intn(9), 1+rng.Intn(64)
+		ps := make([]posting, 1+rng.Intn(300))
+		gid := int32(-1)
+		for i := range ps {
+			gid += 1 + int32(rng.Intn(gap))
+			ps[i] = posting{gid, 1 + rng.Int31n(maxCount)}
+		}
+		grown := listOf(ps[:1])
+		for _, p := range ps[1:] {
+			grown = grown.with(p)
+		}
+		for _, l := range []*postingList{listOf(ps), grown} {
+			rule := bitmapSmaller(l.digits, wordsFor(gid), l.Len())
+			if encoded := encodeSlices(l.all()) != nil; rule != encoded {
+				t.Fatalf("%d postings, last gid %d, %d digits: rule says bitmap %v, encodeSlices %v", l.Len(), gid, l.digits, rule, encoded)
+			}
+			if rule {
+				bitmaps++
+			} else {
+				lists++
+			}
+		}
+	}
+	if bitmaps == 0 || lists == 0 {
+		t.Fatalf("vacuous: %d bitmaps, %d lists", bitmaps, lists)
 	}
 }
 
@@ -49,10 +144,13 @@ func TestInsertSharesUntouchedChunks(t *testing.T) {
 		touched[nc.node] = true
 	}
 	var sharedUnderCopy int
-	var walk func(old map[trieKey]*trieNode, nd *trieNode)
-	walk = func(old map[trieKey]*trieNode, nd *trieNode) {
-		for k, c := range nd.children {
-			o := old[k]
+	var walk func(old, nd *trieNode)
+	walk = func(old, nd *trieNode) {
+		for _, kc := range nd.children {
+			c, o := kc.nd, (*trieNode)(nil)
+			if old != nil {
+				o = lookupChild(old, kc.k)
+			}
 			switch {
 			case touched[c.id] && c == o:
 				t.Errorf("node %d lies on g's paths but is the receiver's", c.id)
@@ -62,15 +160,11 @@ func TestInsertSharesUntouchedChunks(t *testing.T) {
 				sharedUnderCopy++
 			}
 			if touched[c.id] { // below a node off the paths all is the receiver's
-				var oldKids map[trieKey]*trieNode
-				if o != nil {
-					oldKids = o.children
-				}
-				walk(oldKids, c)
+				walk(o, c)
 			}
 		}
 	}
-	walk(x.root.children, x2.root)
+	walk(x.root, x2.root)
 	if len(touched) == 0 || sharedUnderCopy == 0 {
 		t.Fatalf("vacuous: %d nodes touched, %d shared below a copy", len(touched), sharedUnderCopy)
 	}
@@ -124,7 +218,7 @@ func TestInsertCopiesOneBlockPerSetDigit(t *testing.T) {
 				}
 			case old.slices == nil && nd.slices == nil:
 				lists++
-				o, l := old.postings, nd.postings
+				o, l := old.postings.blocks, nd.postings.blocks
 				for k := range len(l) - 1 {
 					if l[k] != o[k] {
 						t.Errorf("node %d: list block %d of %d copied", nc.node, k, len(l))

@@ -3,10 +3,10 @@ package ftv
 import (
 	"fmt"
 	"iter"
-	"maps"
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"graphcache/internal/bitset"
 	"graphcache/internal/graph"
@@ -25,11 +25,14 @@ import (
 // evaluated, never the predicate: candidate sets are bit-identical
 // whichever way a node is encoded.
 //
-// Layout. The trie has a node per distinct label-sequence prefix. A node's
+// Layout. The trie has a node per distinct label-sequence prefix, and
+// each node holds its children in one array sorted by key. A node's
 // postings — (graph id, count) for every graph containing the feature —
 // are held in whichever of two encodings is smaller:
 //
-//   - list (postingList): the pairs sorted by gid, 8 bytes each;
+//   - list (postingList): the pairs sorted by gid, 8 bytes each, with the
+//     number of binary digits of the largest count, so that an insert
+//     applies the size rule without reading the list;
 //   - bitmap (countSlices): the counts bit-sliced, one bitmap per binary
 //     digit and ⌈(largest gid+1)/64⌉ words each, so "count ≥ c" is a few
 //     word operations per 64 graphs, ANDed straight into the query's
@@ -42,7 +45,7 @@ import (
 //
 // Both sizes depend on the node's contents alone, so an index grown by
 // WithGraph has exactly the layout, and IndexBytes, of one built from
-// scratch. The rule is internal/bitset's container rule; nobody sets it.
+// scratch (TestInsertChainLayoutMatchesBuild). The rule is internal/bitset's container rule; nobody sets it.
 //
 // A supergraph query asks whether q dominates every feature of G, which is
 // per graph: forward holds each graph's (node, count) row and blooms a
@@ -52,25 +55,27 @@ import (
 //
 // Copy-on-write. WithGraph writes nothing reachable from the receiver. It
 // enumerates the new graph's paths and copies the trie nodes they touch: a
-// touched list gets a new directory and a copy of its last block (or a new
-// block when that one is full); a touched bitmap node gets a new
-// directory that shares every block but one copy per digit the new count
-// has a one in, the block the gid lands in (a gid past the last block
-// lengthens every digit with the one shared zero block, which nothing
-// writes); a node the insert takes across the size rule is re-encoded; a
-// touched node's child map is cloned when a child of it is copied or
-// created. So an insert copies a few 64-byte blocks per touched node, not
-// ⌈n/64⌉ words per digit or 8 bytes per posting. Each index has its own
-// even gen, two above its receiver's, and stamps the nodes it copies or
-// creates with it, so the walk tells a node it already copied from one it
-// shares by the stamp alone. The per-graph forward rows and blooms are
-// chunked arrays: the insert copies their directories and the one chunk
-// its gid lands in. Nothing else is copied, and no other graph's paths are
-// revisited. A published postingList, countSlices or chunk is immutable
+// touched list gets a new directory, a copy of its last block (or a new
+// block when that one is full) and the larger of its digit count and the
+// new count's; a touched bitmap node gets a new directory that shares
+// every block but one copy per digit the new count has a one in, the block
+// the gid lands in (a gid past the last block lengthens every digit with
+// the one shared zero block, which nothing writes); a node the insert
+// takes across the size rule is re-encoded; a touched node's children
+// array is copied, 16 bytes a child, when a child of it is copied or
+// created (never appended to in place: its spare capacity may be the
+// receiver's). So an insert copies a few 64-byte blocks and one small
+// array per touched node, not ⌈n/64⌉ words per digit or 8 bytes per
+// posting. Each index has its own even gen, two above its receiver's, and
+// stamps the nodes it copies or creates with it, so the walk tells a node
+// it already copied from one it shares by the stamp alone. The per-graph
+// forward rows and blooms are chunked arrays: the insert copies their
+// directories and the one chunk its gid lands in. Nothing else is copied,
+// and no other graph's paths are revisited. A published postingList,
+// countSlices, children array or chunk is immutable
 // (TestInsertSharesUntouchedChunks, TestInsertCopiesOneBlockPerSetDigit
 // and TestGGSXCandidatesMatchReferenceAcrossBlocks fail on a write to
-// one), and a snapshot taken before an insert
-// never sees the new gid.
+// one), and a snapshot taken before an insert never sees the new gid.
 type GGSX struct {
 	maxLen  int
 	n       int
@@ -82,13 +87,41 @@ type GGSX struct {
 	bytes   int
 }
 
-// trieNode is 48 bytes: stamp fills the padding after id.
+// trieNode is 48 bytes: stamp fills the padding after id, and each
+// encoding is one pointer.
 type trieNode struct {
 	id       int32
-	stamp    uint32 // gen of the index that made this node, |1 once it owns its child map
-	children map[trieKey]*trieNode
-	postings postingList  // list encoding; nil under the bitmap encoding
+	stamp    uint32       // gen of the index that made this node, |1 once it owns its children array
+	children []kid        // sorted by key
+	postings *postingList // list encoding; nil under the bitmap encoding
 	slices   *countSlices // bitmap encoding; nil under the list encoding
+}
+
+// kid is one child of a trie node: the step's key and the node it leads to.
+type kid struct {
+	k  trieKey
+	nd *trieNode
+}
+
+// child returns where k is in nd's children, or where it would be
+// inserted, and whether it is there: a linear scan over at most eight
+// children, a binary search narrowing larger arrays to eight first.
+func (nd *trieNode) child(k trieKey) (int, bool) {
+	kids, v, i := nd.children, k.ord(), 0
+	for len(kids) > 8 {
+		h := len(kids) / 2
+		if kids[h].k.ord() <= v {
+			kids, i = kids[h:], i+h
+		} else {
+			kids = kids[:h]
+		}
+	}
+	for j, c := range kids {
+		if o := c.k.ord(); o >= v {
+			return i + j, o == v
+		}
+	}
+	return i + len(kids), false
 }
 
 // trieKey is one trie step: the edge label leading to the vertex (0 for
@@ -99,6 +132,9 @@ type trieKey struct {
 	edge   graph.Label
 	vertex graph.Label
 }
+
+// ord is the key's place in a children array: edge label, then vertex label.
+func (k trieKey) ord() uint32 { return uint32(k.edge)<<16 | uint32(k.vertex) }
 
 type posting struct {
 	gid   int32
@@ -111,32 +147,44 @@ type nodeCount struct {
 }
 
 // postingList is the list encoding of a node's postings: sorted by gid,
-// eight to a block. Every block but the last is full; the last block's
-// unused slots have count 0, which no posting has. Blocks and the
-// directory are never written once published: an insert builds new ones.
-type postingList []*[8]posting
+// eight to a block, plus the binary digits of the largest count, which
+// with the length and the last gid is all the size rule asks of a list.
+// Every block but the last is full; the last block's unused slots have
+// count 0, which no posting has. A list, its directory and its blocks are
+// never written once published: an insert builds new ones.
+type postingList struct {
+	blocks []*[8]posting
+	digits int // bits.Len32 of the largest count: the digits a bitmap of the list has
+}
+
+// noPostings is the list of a node step creates, until the walk that
+// created it posts to it: shared by every such node, and never written.
+var noPostings postingList
 
 // listOf returns a copy of ps as a list, in one array of blocks.
-func listOf(ps []posting) postingList {
-	blocks, l := make([][8]posting, (len(ps)+7)>>3), make(postingList, (len(ps)+7)>>3)
-	for k := range l {
+func listOf(ps []posting) *postingList {
+	blocks, l := make([][8]posting, (len(ps)+7)>>3), &postingList{blocks: make([]*[8]posting, (len(ps)+7)>>3)}
+	for k := range l.blocks {
 		copy(blocks[k][:], ps[k<<3:])
-		l[k] = &blocks[k]
+		l.blocks[k] = &blocks[k]
+	}
+	for _, p := range ps {
+		l.digits = max(l.digits, bits.Len32(uint32(p.count)))
 	}
 	return l
 }
 
 // Len returns the number of postings.
-func (l postingList) Len() int {
-	if len(l) == 0 {
+func (l *postingList) Len() int {
+	if len(l.blocks) == 0 {
 		return 0
 	}
-	return (len(l)-1)<<3 + l.tail()
+	return (len(l.blocks)-1)<<3 + l.tail()
 }
 
 // tail is the number of postings in the last block of a non-empty list.
-func (l postingList) tail() int {
-	last := l[len(l)-1]
+func (l *postingList) tail() int {
+	last := l.blocks[len(l.blocks)-1]
 	n := 0
 	for n < 8 && last[n].count != 0 {
 		n++
@@ -145,31 +193,32 @@ func (l postingList) tail() int {
 }
 
 // with returns the list plus p, for a gid above every posted one: a new
-// directory and a copy of the last block, or a new block when it is full.
-// The receiver is not written.
-func (l postingList) with(p posting) postingList {
-	n, t := len(l), 8
+// directory and a copy of the last block, or a new block when it is full,
+// and the digits of the larger of the two largest counts. The receiver is
+// not written.
+func (l *postingList) with(p posting) *postingList {
+	n, t := len(l.blocks), 8
 	if n > 0 {
 		t = l.tail()
 	}
 	blk := new([8]posting)
 	if t < 8 {
 		n--
-		*blk = *l[n]
+		*blk = *l.blocks[n]
 	} else {
 		t = 0
 	}
 	blk[t] = p
-	out := make(postingList, n+1)
-	copy(out, l[:n])
+	out := make([]*[8]posting, n+1)
+	copy(out, l.blocks[:n])
 	out[n] = blk
-	return out
+	return &postingList{out, max(l.digits, bits.Len32(uint32(p.count)))}
 }
 
 // all yields the postings in gid order.
-func (l postingList) all() iter.Seq[posting] {
+func (l *postingList) all() iter.Seq[posting] {
 	return func(yield func(posting) bool) {
-		for _, blk := range l {
+		for _, blk := range l.blocks {
 			for _, p := range blk {
 				if p.count == 0 || !yield(p) {
 					return
@@ -180,7 +229,7 @@ func (l postingList) all() iter.Seq[posting] {
 }
 
 // String prints the postings as a []posting would print.
-func (l postingList) String() string { return fmt.Sprint(slices.Collect(l.all())) }
+func (l *postingList) String() string { return fmt.Sprint(slices.Collect(l.all())) }
 
 // countSlices is the bitmap encoding of a node's postings: bit g of
 // digit b is binary digit b of count_g, and a graph without the feature
@@ -264,7 +313,7 @@ func encodeSlices(ps iter.Seq[posting]) *countSlices {
 }
 
 // postings decodes the bitmap encoding back into the list encoding.
-func (cs *countSlices) postings() postingList {
+func (cs *countSlices) postings() *postingList {
 	out := make([]posting, 0, cs.graphs)
 	for i := range cs.words {
 		k, j := i>>3, i&7
@@ -364,13 +413,13 @@ func andAtLeastBlock(words []uint64, blks []*block, c int32) (alive uint64) {
 
 // andPostings is andAtLeast for the list encoding: ps is sorted by gid, so
 // one pass rewrites acc word by word, clearing the words no posting reaches.
-func andPostings(acc []uint64, ps postingList, c int32) bool {
+func andPostings(acc []uint64, ps *postingList, c int32) bool {
 	var alive, keep uint64
 	next, wi := 0, 0 // first word of acc not yet rewritten; the word keep gathers
 	var blk *[8]posting
 	for i, n := 0, ps.Len(); i < n; i++ {
 		if i&7 == 0 {
-			blk = ps[i>>3]
+			blk = ps.blocks[i>>3]
 		}
 		p := blk[i&7]
 		if w := int(p.gid >> 6); w != wi {
@@ -488,7 +537,12 @@ func (w *pathWalk) release() {
 }
 
 // lookupChild is the query-side step: unseen paths are reported, not created.
-func lookupChild(nd *trieNode, k trieKey) *trieNode { return nd.children[k] }
+func lookupChild(nd *trieNode, k trieKey) *trieNode {
+	if i, ok := nd.child(k); ok {
+		return nd.children[i].nd
+	}
+	return nil
+}
 
 // NewGGSX builds the index over the dataset, indexing label paths with up
 // to maxLen edges (maxLen+1 vertices). maxLen is the "feature size" knob
@@ -500,7 +554,7 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 	x := &GGSX{
 		maxLen: maxLen,
 		n:      len(dataset),
-		root:   &trieNode{id: -1, stamp: 1, children: make(map[trieKey]*trieNode)},
+		root:   &trieNode{id: -1, stamp: 1},
 	}
 	forward := make([][]nodeCount, len(dataset))
 	blooms := make([]uint64, len(dataset))
@@ -538,17 +592,18 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 // each calls fn on every node below nd.
 func (nd *trieNode) each(fn func(*trieNode)) {
 	for _, c := range nd.children {
-		fn(c)
-		c.each(fn)
+		fn(c.nd)
+		c.nd.each(fn)
 	}
 }
 
-// clone returns a copy of the trie below nd with every node stamped 0.
-// Postings and encodings are shared: inserts replace them, never write them.
+// clone returns a copy of the trie below nd with every node stamped 0,
+// each with a children array of its own. Postings and encodings are
+// shared: inserts replace them, never write them.
 func (nd *trieNode) clone() *trieNode {
-	c := &trieNode{id: nd.id, children: make(map[trieKey]*trieNode, len(nd.children)), postings: nd.postings, slices: nd.slices}
-	for k, child := range nd.children {
-		c.children[k] = child.clone()
+	c := &trieNode{id: nd.id, children: slices.Clone(nd.children), postings: nd.postings, slices: nd.slices}
+	for i, k := range c.children {
+		c.children[i].nd = k.nd.clone()
 	}
 	return c
 }
@@ -556,25 +611,32 @@ func (nd *trieNode) clone() *trieNode {
 // step is the writing trie step of a build and of WithGraph: it descends
 // from nd, a node of x's own (stamped x.gen), to x's own child along k. A
 // child stamped by an older index is copied, sharing its postings and
-// child map until they are written; a missing one is created. nd's child
-// map is cloned before its first write, unless nd already owns it (the
-// low bit of its stamp).
+// children array until they are written; a missing one is created and
+// inserted in key order. Unless nd already owns its children array (the
+// low bit of its stamp), the array is copied before its first write: a
+// shared array is never written, not even in its spare capacity.
 func (x *GGSX) step(nd *trieNode, k trieKey) *trieNode {
-	c, ok := nd.children[k]
-	if ok && c.stamp&^1 == x.gen {
-		return c
-	}
+	i, ok := nd.child(k)
+	var c *trieNode
 	if ok {
+		if c = nd.children[i].nd; c.stamp&^1 == x.gen {
+			return c
+		}
 		c = &trieNode{id: c.id, stamp: x.gen, children: c.children, postings: c.postings, slices: c.slices}
+		if nd.stamp&1 == 0 {
+			nd.children = slices.Clone(nd.children)
+		}
+		nd.children[i].nd = c
 	} else {
-		c = &trieNode{id: int32(x.nodes), stamp: x.gen | 1, children: make(map[trieKey]*trieNode)}
+		c = &trieNode{id: int32(x.nodes), stamp: x.gen | 1, postings: &noPostings}
 		x.nodes++
-		x.bytes += nodeBytes + childBytes // node struct + the parent's new map entry
+		x.bytes += nodeBytes + childBytes // node struct + its entry in the parent's array
+		if nd.stamp&1 == 0 {
+			nd.children = slices.Clip(nd.children) // so Insert copies into a new array
+		}
+		nd.children = slices.Insert(nd.children, i, kid{k, c})
 	}
-	if nd.stamp&1 == 0 {
-		nd.children, nd.stamp = maps.Clone(nd.children), nd.stamp|1
-	}
-	nd.children[k] = c
+	nd.stamp |= 1
 	return c
 }
 
@@ -582,7 +644,7 @@ func (x *GGSX) step(nd *trieNode, k trieKey) *trieNode {
 // trie insert. It enumerates g's own label paths (the walk NewGGSX does
 // for one dataset graph), copies the trie nodes they touch and adds the
 // new posting to each, and writes g's forward row and bloom into one
-// chunk each; every untouched node, encoding, child map and chunk is
+// chunk each; every untouched node, encoding, children array and chunk is
 // shared with the receiver (the GGSX comment has the rules). No other
 // dataset graph is revisited, where the factory rebuild re-enumerates the
 // paths of the whole dataset.
@@ -604,7 +666,7 @@ func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 		root, x2.gen = root.clone(), 2
 	}
 	// Every vertex starts a path, so x2 always has a root of its own; it
-	// shares the receiver's child map until the first step clones it.
+	// shares the receiver's children array until the first step copies it.
 	x2.root = &trieNode{id: -1, stamp: x2.gen, children: root.children}
 	w := newWalk(g, x.maxLen, x.nodes, x2.root, x2.step)
 	row, bloom := w.row()
@@ -621,7 +683,9 @@ func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 
 // addPosting records (gid, c) on a node of the inserting index's own, gid
 // above every posted one, and leaves the node in the encoding the size
-// rule picks for its new contents.
+// rule picks for its new contents. Either encoding carries its digit and
+// word counts, so the rule costs O(1); a node is re-encoded only when the
+// rule flips.
 func (nd *trieNode) addPosting(gid, c int32) {
 	if nd.slices != nil {
 		nd.slices = nd.slices.with(gid, c)
@@ -631,8 +695,8 @@ func (nd *trieNode) addPosting(gid, c int32) {
 		return
 	}
 	nd.postings = nd.postings.with(posting{gid, c})
-	if cs := encodeSlices(nd.postings.all()); cs != nil {
-		nd.slices, nd.postings = cs, nil
+	if l := nd.postings; bitmapSmaller(l.digits, wordsFor(gid), l.Len()) { // gid is the largest posted
+		nd.slices, nd.postings = encodeSlices(l.all()), nil
 	}
 }
 
@@ -648,12 +712,13 @@ func (x *GGSX) NodeCount() int { return x.nodes }
 // IndexBytes implements Filter.
 func (x *GGSX) IndexBytes() int { return x.bytes }
 
-// The byte model of IndexBytes: per trie node its struct and map header,
-// per child a map entry, per graph its forward-row header and bloom word;
-// postings and forward entries are 8 bytes each, bitmap words 8.
+// The byte model of IndexBytes: per trie node its struct, per child its
+// entry in the parent's children array, per graph its forward-row header
+// and bloom word; postings and forward entries are 8 bytes each, bitmap
+// words 8.
 const (
-	nodeBytes     = 64
-	childBytes    = 16
+	nodeBytes     = int(unsafe.Sizeof(trieNode{}))
+	childBytes    = int(unsafe.Sizeof(kid{}))
 	perGraphBytes = 24 + 8
 )
 

@@ -37,6 +37,12 @@ var benchIndex = sync.OnceValue(func() (b struct {
 	return b
 })
 
+// benchAdds are the 256 molecules BenchmarkGGSXWithGraph inserts into
+// benchIndex, one chain of WithGraph calls from the base index.
+var benchAdds = sync.OnceValue(func() []*graph.Graph {
+	return gen.Molecules(rand.New(rand.NewSource(2020)), 256, gen.DefaultMoleculeConfig())
+})
+
 // TestGGSXIndexBytes pins the index the benchmark runs on: the all-list
 // layout before the bitmap encoding reported 6 451 600 B for it, and a
 // rule that only ever picks the smaller encoding cannot report more.
@@ -71,8 +77,7 @@ func BenchmarkGGSXCandidates(b *testing.B) {
 // len(adds) inserts the chain restarts from the base index with the timer
 // stopped, so the index an insert lands on does not grow with b.N.
 func BenchmarkGGSXWithGraph(b *testing.B) {
-	bi := benchIndex()
-	adds := gen.Molecules(rand.New(rand.NewSource(2020)), 256, gen.DefaultMoleculeConfig())
+	bi, adds := benchIndex(), benchAdds()
 	var f ftv.Filter
 	var gid int
 	b.ReportAllocs()
