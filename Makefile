@@ -110,8 +110,9 @@ cover:
 # Method M's candidates on the 5 000-molecule index), one of the filter's
 # query side (GGSX Candidates for subgraph and supergraph queries on that
 # index: the trie walk, the posting ANDs and the bloom and forward-row
-# scan) and CPU + heap profiles of the filter's copy-on-write insert on
-# that index, from the stock benchmark runner. Inspect with
+# scan), CPU + heap profiles of the filter's copy-on-write insert on
+# that index and an alloc_space profile of an index build (build_mem.pprof,
+# the bytes the index is made of), from the stock benchmark runner. Inspect with
 # `go tool pprof profiles/core.test profiles/core_cpu.pprof` (narrow with
 # `-focus 'AddGraph|turnWindow'`; the removal is in `remove_{cpu,mem}.pprof`,
 # at a fixed 20 000 removals: each one consumes a live graph the
@@ -122,7 +123,11 @@ cover:
 # `go tool pprof profiles/ftv.test profiles/filter_cpu.pprof`,
 # `go tool pprof profiles/ftv.test profiles/insert_cpu.pprof` or, for the
 # bytes an insert allocates,
-# `go tool pprof -sample_index=alloc_space profiles/ftv.test profiles/insert_mem.pprof`;
+# `go tool pprof -sample_index=alloc_space profiles/ftv.test profiles/insert_mem.pprof`,
+# and, for the bytes an index build allocates (BenchmarkGGSXBuild, every
+# allocation sampled: trie nodes, posting lists and bitmap blocks, the
+# packed forward rows and the walk's scratch),
+# `go tool pprof -sample_index=alloc_space profiles/ftv.test profiles/build_mem.pprof`;
 # a live daemon serves the same through `gcd -pprof`.
 PROFILE_DIR ?= profiles
 profiles:
@@ -141,6 +146,9 @@ profiles:
 		-cpuprofile $(PROFILE_DIR)/filter_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 	$(GO) test -run '^$$' -bench 'BenchmarkGGSXWithGraph$$' -benchtime 4000x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/insert_cpu.pprof -memprofile $(PROFILE_DIR)/insert_mem.pprof \
+		-o $(PROFILE_DIR)/ftv.test ./internal/ftv/
+	$(GO) test -run '^$$' -bench 'BenchmarkGGSXBuild$$' -benchtime 50x -benchmem \
+		-memprofile $(PROFILE_DIR)/build_mem.pprof -memprofilerate 1 \
 		-o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 
 # loc prints the size of the program: lines of non-test Go outside

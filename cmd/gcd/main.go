@@ -128,7 +128,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	// Restore persisted state before accepting traffic. A missing file is a
 	// cold start; a corrupt or mismatched file (either format: ReadState
-	// sniffs it) must never take the daemon down, it just starts empty.
+	// sniffs it) must never take the daemon down, it just starts empty. A
+	// file saved over another dataset — also this dataset file after the
+	// saving daemon removed or added graphs — is mismatched.
 	if *statePath != "" {
 		switch err := restoreState(cache, *statePath); {
 		case err == nil:

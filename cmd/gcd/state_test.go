@@ -166,3 +166,43 @@ func TestDaemonCorruptStateFileIgnored(t *testing.T) {
 		})
 	}
 }
+
+// gcd's ordinary restart after a removal: the daemon reloads its full
+// dataset, in which the removed graph is live again, so the snapshot it
+// saved is not exact for it. The restart must start cold with the
+// "ignoring state file" banner instead of restoring.
+func TestDaemonRestartAfterRemovalStartsCold(t *testing.T) {
+	statePath := filepath.Join(t.TempDir(), "cache.gcstate")
+	base, _, shutdown := bootDaemon(t, "-state", statePath)
+	for _, q := range stateQueries {
+		postStateQuery(t, base, q)
+	}
+	if getStats(t, base)["cachedEntries"].(float64) == 0 {
+		t.Fatal("workload admitted no entries; the restart test needs a warm cache")
+	}
+	req, err := http.NewRequest(http.MethodDelete, base+"/api/dataset/graphs/0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("remove status %d: %s", resp.StatusCode, raw)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	base, out, shutdown := bootDaemon(t, "-state", statePath)
+	defer shutdown()
+	if !strings.Contains(out.String(), "ignoring state file") || !strings.Contains(out.String(), "digest") {
+		t.Fatalf("restart after a removal did not refuse the snapshot:\n%s", out.String())
+	}
+	if got := getStats(t, base)["cachedEntries"].(float64); got != 0 {
+		t.Fatalf("restart after a removal restored %v entries", got)
+	}
+}

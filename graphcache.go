@@ -211,6 +211,14 @@ func SaveState(c *Cache, w io.Writer) error { return c.WriteState(w) }
 // and it is all-or-nothing — any corruption is rejected with an error and
 // the cache is left untouched, so a file that restores cannot fail a
 // later query.
+//
+// A snapshot restores only over the dataset it was saved on: the same
+// size and the same dataset digest, which sums a hash of every live graph
+// at its id. Any other dataset is refused with an error — one of the same
+// size (another generator seed or dataset file), and also the saving
+// process's own base dataset once that process had added or removed
+// graphs. A process that replays the same AddGraph and RemoveGraph calls
+// over the same base dataset reaches the same digest and restores.
 func LoadState(c *Cache, r io.Reader) error { return c.ReadState(r) }
 
 // Bundled replacement policies.

@@ -327,9 +327,9 @@ func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 		t.Fatalf("refusal should blame the dataset size, got: %v", err)
 	}
 
-	// Same-size restores (removals only since the write) stay exact:
-	// nothing was added, and a LATER addition is reconciled from the id
-	// space.
+	// A removal since the write keeps the size but changes the dataset
+	// digest, so that state is refused too; one written after the removal
+	// restores, and a LATER addition is reconciled from the id space.
 	c2 := testCache(t, testDataset(131, 10), func(cfg *Config) {
 		cfg.Window = 1
 	})
@@ -341,6 +341,13 @@ func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c2.RemoveGraph(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.ReadState(bytes.NewReader(state2.Bytes())); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Fatalf("ReadState of a state from before a removal: %v, want a digest refusal", err)
+	}
+	state2.Reset()
+	if err := c2.WriteState(&state2); err != nil {
 		t.Fatal(err)
 	}
 	if err := c2.ReadState(bytes.NewReader(state2.Bytes())); err != nil {

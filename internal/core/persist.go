@@ -29,7 +29,7 @@ import (
 //
 // Format v2 (line-oriented, versioned):
 //
-//	gcstate 2 <dataset-size> <entry-count>
+//	gcstate 2 <dataset-size> <dataset-digest, hex> <entry-count>
 //	entry <type> <vertices> <edges> <baseCandidates> <hits> <savedTests> <savedCostNs>
 //	answers <count> <id> <id> ...
 //	<graph in the text codec>
@@ -58,7 +58,7 @@ const stateVersionV2 = 2
 func (c *Cache) WriteStateV2(w io.Writer) error {
 	var buf bytes.Buffer
 	err := c.snapshotState(func(view ftv.DatasetView, entries []*Entry, sets []*bitset.Set) error {
-		fmt.Fprintf(&buf, "gcstate %d %d %d\n", stateVersionV2, view.Size(), len(entries))
+		fmt.Fprintf(&buf, "gcstate %d %d %016x %d\n", stateVersionV2, view.Size(), view.Digest(), len(entries))
 		for i, e := range entries {
 			fmt.Fprintf(&buf, "entry %d %d %d %d %d %g %g\n",
 				e.Type, e.Graph.N(), e.Graph.M(), e.BaseCandidates, e.Hits, e.SavedTests, e.SavedCostNs)
@@ -124,9 +124,12 @@ func stateError(line int, format string, args ...any) error {
 
 // ReadState restores entries serialized by WriteState (binary v3) or
 // WriteStateV2 (text) into the cache, replacing its current contents; the
-// leading magic selects the parser. The cache's dataset size must match
-// the recorded one; anything else indicates the state belongs to a
-// different deployment.
+// leading magic selects the parser. The cache's dataset size and digest
+// (ftv.DatasetView.Digest) must match the recorded ones: answer sets are
+// dataset positions, so a snapshot is exact only over the very graphs,
+// at the very live ids, it was written on. A different dataset of the
+// same size is refused, and so is the saving process's base dataset once
+// that process had removed or added graphs.
 //
 // Restores are all-or-nothing: the entire stream is parsed and validated —
 // entry counts, per-graph vertex/edge counts, answer-id ranges and
@@ -150,6 +153,17 @@ func (c *Cache) ReadState(r io.Reader) error {
 	return c.readStateV2(br)
 }
 
+// checkDataset refuses a snapshot recorded over another dataset than the
+// view's: both formats give this one error for a size or a digest that
+// differs.
+func checkDataset(view ftv.DatasetView, size, digest uint64) error {
+	if size != uint64(view.Size()) || digest != view.Digest() {
+		return fmt.Errorf("state is for a %d-graph dataset with digest %016x, cache has %d graphs with digest %016x",
+			size, digest, view.Size(), view.Digest())
+	}
+	return nil
+}
+
 // readStateV2 parses and restores the v2 text format.
 func (c *Cache) readStateV2(br *bufio.Reader) error {
 	view := c.method.View()
@@ -162,7 +176,7 @@ func (c *Cache) readStateV2(br *bufio.Reader) error {
 	// different format version gets the actionable "unsupported version"
 	// error rather than a generic header complaint (v1 headers have fewer
 	// fields and would fail the full field-count check outright). The
-	// header must then consist of EXACTLY the four expected fields —
+	// header must then consist of EXACTLY the five expected fields —
 	// fmt.Sscanf would silently accept trailing junk after the entry
 	// count, hiding corruption on the one line that authenticates the
 	// rest of the stream.
@@ -177,16 +191,17 @@ func (c *Cache) readStateV2(br *bufio.Reader) error {
 	if version != stateVersionV2 {
 		return stateError(lineNo, "unsupported state version %d (want %d)", version, stateVersionV2)
 	}
-	if len(hfields) != 4 {
-		return stateError(lineNo, "bad header %q: want 4 fields, got %d", strings.TrimSpace(header), len(hfields))
+	if len(hfields) != 5 {
+		return stateError(lineNo, "bad header %q: want 5 fields, got %d", strings.TrimSpace(header), len(hfields))
 	}
 	dsSize, err1 := strconv.Atoi(hfields[2])
-	entryCount, err2 := strconv.Atoi(hfields[3])
-	if err1 != nil || err2 != nil {
+	digest, err2 := strconv.ParseUint(hfields[3], 16, 64)
+	entryCount, err3 := strconv.Atoi(hfields[4])
+	if err1 != nil || err2 != nil || err3 != nil || dsSize < 0 {
 		return stateError(lineNo, "bad header %q", strings.TrimSpace(header))
 	}
-	if dsSize != view.Size() {
-		return stateError(lineNo, "state is for a %d-graph dataset, cache has %d", dsSize, view.Size())
+	if err := checkDataset(view, uint64(dsSize), digest); err != nil {
+		return stateError(lineNo, "%v", err)
 	}
 	if entryCount < 0 {
 		return stateError(lineNo, "negative entry count %d", entryCount)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -61,10 +62,13 @@ func FuzzReadState(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])                                              // truncated mid-entry
 	f.Add(bytes.Replace(valid, []byte("gcstate 2"), []byte("gcstate 1"), 1)) // version skew
-	f.Add([]byte("gcstate 2 8 0\nend\n"))                                    // empty but well-formed
-	f.Add([]byte("gcstate 2 9999 1\nend\n"))                                 // foreign dataset size
-	f.Add([]byte("entry 0 1 0 0 0 0 0\n"))                                   // entry before header
-	f.Add([]byte(strings.Repeat("answers 1 1\n", 4)))                        // orphan answers lines
+	digest := fuzzStateFixture().View().Digest()
+	f.Add(fmt.Appendf(nil, "gcstate 2 8 %016x 0\nend\n", digest))    // empty but well-formed
+	f.Add(fmt.Appendf(nil, "gcstate 2 9999 %016x 1\nend\n", digest)) // foreign dataset size
+	f.Add(fmt.Appendf(nil, "gcstate 2 8 %016x 0\nend\n", ^digest))   // foreign dataset digest
+	f.Add([]byte("gcstate 2 8 0\nend\n"))                            // a header without a digest
+	f.Add([]byte("entry 0 1 0 0 0 0 0\n"))                           // entry before header
+	f.Add([]byte(strings.Repeat("answers 1 1\n", 4)))                // orphan answers lines
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzStateMu.Lock()

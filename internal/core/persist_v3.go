@@ -25,11 +25,13 @@ import (
 //
 //	header (64 bytes, little-endian):
 //	  [0,4)    magic "GCS3"
-//	  [4,8)    version (uint32, = 4; version 3 files could hold the
-//	           retired run container and are refused)
+//	  [4,8)    version (uint32, = 5; version 3 files could hold the
+//	           retired run container, version 4 files name their
+//	           dataset by size alone, and both are refused)
 //	  [8,16)   dataset size (uint64) — must equal the restoring cache's
-//	  [16,24)  dataset epoch at write (int64) — diagnostic only: epochs
-//	           restart with the process, so inequality is normal
+//	  [16,24)  dataset digest (uint64, ftv.DatasetView.Digest) — must
+//	           equal the restoring cache's: answer sets are dataset
+//	           positions, exact only over the graphs they were computed on
 //	  [24,32)  entry count (uint64)
 //	  [32,40)  body section offset (uint64) = 64 + 136·entryCount
 //	  [40,48)  file size (uint64)
@@ -68,7 +70,7 @@ import (
 
 const (
 	stateMagicV3   = "GCS3"
-	stateVersionV3 = 4
+	stateVersionV3 = 5
 	v3HeaderLen    = 64
 	v3IndexLen     = 136
 )
@@ -146,7 +148,7 @@ func formatStateV3(view ftv.DatasetView, all []*Entry, sets []*bitset.Set) ([3][
 	hdr = append(hdr, stateMagicV3...)
 	hdr = binary.LittleEndian.AppendUint32(hdr, stateVersionV3)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(view.Size()))
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(view.Epoch()))
+	hdr = binary.LittleEndian.AppendUint64(hdr, view.Digest())
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(all)))
 	hdr = binary.LittleEndian.AppendUint64(hdr, bodyOff)
 	hdr = binary.LittleEndian.AppendUint64(hdr, bodyOff+uint64(len(body)))
@@ -196,12 +198,13 @@ func (c *Cache) readStateV3(data []byte) error {
 		return v3Error("unsupported state version %d (want %d)", v, stateVersionV3)
 	}
 	dsSize64 := binary.LittleEndian.Uint64(hdr[8:])
+	digest := binary.LittleEndian.Uint64(hdr[16:])
 	entryCount := binary.LittleEndian.Uint64(hdr[24:])
 	bodyOff := binary.LittleEndian.Uint64(hdr[32:])
 	fileSize := binary.LittleEndian.Uint64(hdr[40:])
 	indexSum := binary.LittleEndian.Uint64(hdr[48:])
-	if dsSize64 != uint64(view.Size()) {
-		return v3Error("state is for a %d-graph dataset, cache has %d", dsSize64, view.Size())
+	if err := checkDataset(view, dsSize64, digest); err != nil {
+		return v3Error("%v", err)
 	}
 	dsSize := int(dsSize64)
 	// From here on every slice is in bounds: the data is exactly fileSize
@@ -296,7 +299,8 @@ func (c *Cache) readStateV3(data []byte) error {
 		if set.Len() != dsSize {
 			return v3Error("entry %d: answer capacity %d, want %d", i, set.Len(), dsSize)
 		}
-		// Ids tombstoned since the snapshot was written are masked out.
+		// The digest matched, so the live ids are the writer's; a set that
+		// names a tombstoned id anyway is masked, never served.
 		set.And(view.Live())
 		e := entryFromSig(gs[0], ftv.QueryType(qt), set, view, int(bc), sig, 0)
 		e.Hits = hits

@@ -132,9 +132,10 @@ func TestV3LazyRestoreServesExactHits(t *testing.T) {
 	}
 }
 
-// Tombstones already in the dataset when a snapshot restores — here one
-// laid after the snapshot was written — are masked out of every restored
-// answer set.
+// Tombstones already in the dataset when a snapshot restores are in no
+// restored answer set. A snapshot written before the tombstone was laid
+// names another dataset digest and is refused; the one written after it
+// restores without the id.
 func TestV3LazyRestoreWithPreexistingTombstones(t *testing.T) {
 	src, _ := warmCache(t, 701)
 	victim := -1
@@ -147,7 +148,7 @@ func TestV3LazyRestoreWithPreexistingTombstones(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no entry has answers")
 	}
-	raw := v3State(t, src)
+	before := v3State(t, src)
 	if err := src.RemoveGraph(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,10 @@ func TestV3LazyRestoreWithPreexistingTombstones(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 2
 	dst := MustNew(src.Method(), cfg)
-	if err := dst.ReadState(bytes.NewReader(raw)); err != nil {
+	if err := dst.ReadState(bytes.NewReader(before)); err == nil || dst.Len() != 0 {
+		t.Fatalf("a snapshot from before the removal restored %d entries (err %v)", dst.Len(), err)
+	}
+	if err := dst.ReadState(bytes.NewReader(v3State(t, src))); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != src.Len() {

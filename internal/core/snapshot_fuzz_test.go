@@ -40,6 +40,11 @@ func FuzzReadSnapshot(f *testing.F) {
 	badVersion := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint32(badVersion[4:], 99)
 	f.Add(badVersion)
+	f.Add(asVersion4(valid)) // checksummed, so the version check refuses it
+	foreign := append([]byte(nil), valid...)
+	foreign[16] ^= 0x01 // another dataset's digest, checksum fixed
+	binary.LittleEndian.PutUint64(foreign[56:], fnv1a(foreign[:56]))
+	f.Add(foreign)
 	f.Add([]byte("GCS3"))                     // bare magic
 	f.Add([]byte("GCS4junkjunkjunkjunkjunk")) // wrong magic falls through to v2
 

@@ -40,10 +40,11 @@ func TestCandidatesAllocBudget(t *testing.T) {
 // over BenchmarkGGSXWithGraph's 256-add chain: the trie nodes on the new
 // graph's paths, their children arrays, postings and bitmap blocks, and
 // one chunk each of the forward rows and blooms. Measured 457.2 allocs
-// and 45 764 B per insert; each budget is that plus ≤ 5 %.
+// and 45 310 B per insert (45 764 B before forward rows were packed);
+// each budget is that plus ≤ 5 %.
 const (
 	allocBudgetInsert = 479
-	byteBudgetInsert  = 48_000
+	byteBudgetInsert  = 47_500
 )
 
 func TestWithGraphAllocBudget(t *testing.T) {

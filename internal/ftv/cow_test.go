@@ -140,7 +140,7 @@ func TestInsertSharesUntouchedChunks(t *testing.T) {
 	sharesAllChunksBut(t, "WithGraph forward", x.forward, x2.forward, len(ds))
 	sharesAllChunksBut(t, "WithGraph blooms", x.blooms, x2.blooms, len(ds))
 	touched := make(map[int32]bool)
-	for _, nc := range x2.forward.At(len(ds)) {
+	for _, nc := range decodeRow(x2.forward.At(len(ds))) {
 		touched[nc.node] = true
 	}
 	var sharedUnderCopy int
@@ -201,7 +201,7 @@ func TestInsertCopiesOneBlockPerSetDigit(t *testing.T) {
 	for i, gid := range []int{600, 601, 1100} { // 1100 starts a third block
 		x2 := x.WithGraph(gid, ds[i]).(*GGSX)
 		before, after := nodesByID(x), nodesByID(x2)
-		for _, nc := range x2.forward.At(gid) {
+		for _, nc := range decodeRow(x2.forward.At(gid)) {
 			if int(nc.node) >= len(before) {
 				continue // created by the insert
 			}

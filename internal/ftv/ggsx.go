@@ -1,6 +1,7 @@
 package ftv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"iter"
 	"math/bits"
@@ -51,7 +52,12 @@ import (
 // per graph: forward holds each graph's (node, count) row and blooms a
 // 64-bit summary of the row's node ids, so the query skips every graph
 // with a feature bit it lacks and checks the rows of the few that remain
-// against a dense per-query count array.
+// against a dense per-query count array. A row is packed: its pairs sorted
+// by descending node id, as uvarints — the first node's id, then the gap
+// down to each next id — each followed by its count, so counts stay exact
+// and ids have no width limit, and nearly every value is one byte.
+// Descending order puts the rarer, later-created features first, where
+// the check stops at the first feature q lacks.
 //
 // Copy-on-write. WithGraph writes nothing reachable from the receiver. It
 // enumerates the new graph's paths and copies the trie nodes they touch: a
@@ -80,10 +86,10 @@ type GGSX struct {
 	maxLen  int
 	n       int
 	root    *trieNode
-	nodes   int                  // trie nodes, excluding the root
-	gen     uint32               // even stamp of the insert that made this index; 0 for a build
-	forward chunked[[]nodeCount] // by gid: the graph's features, in first-visit order
-	blooms  chunked[uint64]      // by gid: OR of featureBit over the forward row
+	nodes   int             // trie nodes, excluding the root
+	gen     uint32          // even stamp of the insert that made this index; 0 for a build
+	forward chunked[[]byte] // by gid: the graph's features, packed (packRow)
+	blooms  chunked[uint64] // by gid: OR of featureBit over the forward row
 	bytes   int
 }
 
@@ -138,11 +144,6 @@ func (k trieKey) ord() uint32 { return uint32(k.edge)<<16 | uint32(k.vertex) }
 
 type posting struct {
 	gid   int32
-	count int32
-}
-
-type nodeCount struct {
-	node  int32
 	count int32
 }
 
@@ -442,14 +443,68 @@ func andPostings(acc []uint64, ps *postingList, c int32) bool {
 // featureBit maps a trie node id to its bit of the per-graph bloom word.
 func featureBit(id int32) uint64 { return 1 << (uint32(id) * 0x9E3779B1 >> 26) }
 
-// dominated reports whether counts covers every (node, count) of the row.
-func dominated(row []nodeCount, counts []int32) bool {
-	for _, nc := range row {
-		if counts[nc.node] < nc.count {
-			return false
+// packRow appends to dst the packed forward row of the (node, count)
+// pairs in keys, each node<<32 | count with distinct nodes, which it sorts:
+// the pairs by descending node, as uvarints — the first node's id, then
+// the gap down to each next id — each followed by its count.
+func packRow(dst []byte, keys []uint64) []byte {
+	slices.Sort(keys)
+	for i := len(keys) - 1; i >= 0; i-- {
+		v := keys[i] >> 32
+		if i < len(keys)-1 {
+			v = keys[i+1]>>32 - v
+		}
+		dst = binary.AppendUvarint(dst, v)
+		dst = binary.AppendUvarint(dst, keys[i]&(1<<32-1))
+	}
+	return dst
+}
+
+// uvarint decodes the uvarint at b[i:], returning it and the index past
+// it.
+func uvarint(b []byte, i int) (uint64, int) {
+	v, n := binary.Uvarint(b[i:])
+	return v, i + n
+}
+
+// dominated reports whether counts covers every (node, count) of the
+// packed row, decoding it in place: the first node's id, then per pair
+// its count and the gap down to the next node. A one-byte value, nearly
+// every value but a row's first id, takes the branch that reads one byte,
+// and a first id below 2¹⁴ the one that reads two.
+func dominated(row []byte, counts []int32) bool {
+	if len(row) == 0 {
+		return true
+	}
+	node, i := uint64(row[0]), 1
+	if node >= 0x80 { // a first id below 2¹⁴ is two bytes
+		if b := uint64(row[1]); b < 0x80 {
+			node, i = node&0x7f|b<<7, 2
+		} else {
+			node, i = uvarint(row, 0)
 		}
 	}
-	return true
+	for {
+		c := uint64(row[i])
+		if c < 0x80 {
+			i++
+		} else {
+			c, i = uvarint(row, i)
+		}
+		if uint64(counts[node]) < c {
+			return false
+		}
+		if i == len(row) {
+			return true
+		}
+		gap := uint64(row[i])
+		if gap < 0x80 {
+			i++
+		} else {
+			gap, i = uvarint(row, i)
+		}
+		node -= gap
+	}
 }
 
 // pathWalk enumerates the directed simple paths of a graph with ≤ maxLen
@@ -468,6 +523,8 @@ type pathWalk struct {
 	touched []*trieNode                             // nodes with counts[id] > 0, in first-visit order
 	inPath  []bool
 	words   []uint64 // candidate words of the query in flight
+	keys    []uint64 // scratch of row: node<<32 | count per touched node
+	packed  []byte   // scratch of row: the packed row before its copy
 }
 
 var walkPool = sync.Pool{New: func() any { return new(pathWalk) }}
@@ -516,14 +573,18 @@ func (w *pathWalk) visit(node *trieNode, k trieKey, v, edges int) {
 	w.inPath[v] = false
 }
 
-// row returns the walked graph's forward row and bloom word.
-func (w *pathWalk) row() (row []nodeCount, bloom uint64) {
-	row = make([]nodeCount, len(w.touched))
-	for i, nd := range w.touched {
-		row[i] = nodeCount{nd.id, w.counts[nd.id]}
+// row returns the walked graph's packed forward row, appended to dst, and
+// its bloom word. The pairs are sorted and packed in the walk's pooled
+// scratch, so a caller that appends to its own buffer allocates nothing
+// here.
+func (w *pathWalk) row(dst []byte) ([]byte, uint64) {
+	var bloom uint64
+	w.keys = w.keys[:0]
+	for _, nd := range w.touched {
+		w.keys = append(w.keys, uint64(nd.id)<<32|uint64(w.counts[nd.id]))
 		bloom |= featureBit(nd.id)
 	}
-	return row, bloom
+	return packRow(dst, w.keys), bloom
 }
 
 // release zeroes what the walk counted and returns it to the pool.
@@ -556,7 +617,6 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 		n:      len(dataset),
 		root:   &trieNode{id: -1, stamp: 1},
 	}
-	forward := make([][]nodeCount, len(dataset))
 	blooms := make([]uint64, len(dataset))
 	var lists [][]posting // by node id
 	for gid, g := range dataset {
@@ -564,12 +624,12 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 			continue
 		}
 		w := newWalk(g, maxLen, x.nodes, x.root, x.step)
-		forward[gid], blooms[gid] = w.row()
 		for len(lists) < x.nodes {
 			lists = append(lists, nil)
 		}
 		for _, nd := range w.touched { // gids ascend, so every list stays sorted
 			lists[nd.id] = append(lists[nd.id], posting{int32(gid), w.counts[nd.id]})
+			blooms[gid] |= featureBit(nd.id)
 		}
 		w.release()
 	}
@@ -582,12 +642,57 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 		}
 		x.bytes += nodeBytes + childBytes*len(nd.children) + nd.payloadBytes()
 	})
-	for _, row := range forward {
-		x.bytes += perGraphBytes + 8*len(row)
-	}
+	forward, rowBytes := forwardRows(lists, len(dataset))
+	x.bytes += perGraphBytes*len(dataset) + rowBytes
 	x.forward, x.blooms = chunkedOf(forward), chunkedOf(blooms)
 	return x
 }
+
+// forwardRows returns the packed forward row (packRow's layout) of each
+// of n graphs, and their bytes, from the posting lists by node id. Taking
+// the nodes in descending id order meets each row's pairs in the order
+// they are packed, so no row is sorted: one pass sizes every row, and a
+// second writes them into one array of exactly their bytes.
+func forwardRows(lists [][]posting, n int) ([][]byte, int) {
+	prev := make([]int64, n) // by gid: the node last packed into the row, -1 before the first
+	each := func(fn func(gid int32, v, c uint64)) {
+		for i := range prev {
+			prev[i] = -1
+		}
+		for node := len(lists) - 1; node >= 0; node-- {
+			for _, p := range lists[node] {
+				v := uint64(node)
+				if last := prev[p.gid]; last >= 0 {
+					v = uint64(last) - v
+				}
+				prev[p.gid] = int64(node)
+				fn(p.gid, v, uint64(p.count))
+			}
+		}
+	}
+	end := make([]int, n) // by gid: the row's length, then where its next byte goes
+	each(func(gid int32, v, c uint64) { end[gid] += uvarintLen(v) + uvarintLen(c) })
+	size := 0
+	for gid, l := range end {
+		size += l
+		end[gid] = size - l
+	}
+	buf := make([]byte, size)
+	each(func(gid int32, v, c uint64) {
+		at := end[gid]
+		at += binary.PutUvarint(buf[at:], v)
+		end[gid] = at + binary.PutUvarint(buf[at:], c)
+	})
+	rows, start := make([][]byte, n), 0
+	for gid, e := range end {
+		rows[gid] = buf[start:e:e]
+		start = e
+	}
+	return rows, size
+}
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // each calls fn on every node below nd.
 func (nd *trieNode) each(fn func(*trieNode)) {
@@ -669,7 +774,9 @@ func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 	// shares the receiver's children array until the first step copies it.
 	x2.root = &trieNode{id: -1, stamp: x2.gen, children: root.children}
 	w := newWalk(g, x.maxLen, x.nodes, x2.root, x2.step)
-	row, bloom := w.row()
+	var bloom uint64
+	w.packed, bloom = w.row(w.packed[:0])
+	row := slices.Clone(w.packed)
 	for _, nd := range w.touched { // every counted node was stepped into, hence x2's own
 		x2.bytes -= nd.payloadBytes()
 		nd.addPosting(int32(gid), w.counts[nd.id])
@@ -677,7 +784,7 @@ func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 	}
 	w.release()
 	x2.forward, x2.blooms = x.forward.With(gid, row), x.blooms.With(gid, bloom)
-	x2.bytes += 8 * len(row)
+	x2.bytes += len(row)
 	return x2
 }
 
@@ -714,8 +821,8 @@ func (x *GGSX) IndexBytes() int { return x.bytes }
 
 // The byte model of IndexBytes: per trie node its struct, per child its
 // entry in the parent's children array, per graph its forward-row header
-// and bloom word; postings and forward entries are 8 bytes each, bitmap
-// words 8.
+// and bloom word; postings are 8 bytes each, bitmap words 8, and a packed
+// forward row its length in bytes.
 const (
 	nodeBytes     = int(unsafe.Sizeof(trieNode{}))
 	childBytes    = int(unsafe.Sizeof(kid{}))
@@ -748,13 +855,24 @@ func (x *GGSX) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
 		for _, nd := range w.touched {
 			qbloom |= featureBit(nd.id)
 		}
+		// Two passes: the bloom screen over every graph, chunk by chunk and
+		// free of calls, so its loop keeps its registers; then the rows of
+		// the few graphs it passed.
 		clear(w.words)
-		for k, blooms := range x.blooms.dir { // chunk by chunk: no per-gid directory lookup
-			rows, base := x.forward.dir[k], k<<chunkBits
-			for j := range min(chunkLen, x.n-base) {
-				if blooms[j]&^qbloom == 0 && dominated(rows[j], w.counts) {
+		for k, blooms := range x.blooms.dir {
+			base := k << chunkBits
+			for j, b := range blooms[:min(chunkLen, x.n-base)] {
+				if b&^qbloom == 0 {
 					gid := base + j
 					w.words[gid>>6] |= 1 << (gid & 63)
+				}
+			}
+		}
+		for i, word := range w.words {
+			for ; word != 0; word &= word - 1 {
+				gid := i<<6 | bits.TrailingZeros64(word)
+				if !dominated(x.forward.At(gid), w.counts) {
+					w.words[i] &^= 1 << (gid & 63)
 				}
 			}
 		}

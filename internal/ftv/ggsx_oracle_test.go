@@ -1,6 +1,7 @@
 package ftv
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -210,6 +211,11 @@ func runGGSXOracle(t *testing.T, seed int64, kind, base, inserts int) layoutEven
 		t.Fatalf("seed %d kind %d: grown index %d B / %d nodes, rebuilt %d B / %d nodes",
 			seed, kind, grown.IndexBytes(), grown.nodes, rebuilt.IndexBytes(), rebuilt.nodes)
 	}
+	for gid := range dataset {
+		if a, b := grown.forward.At(gid), rebuilt.forward.At(gid); !bytes.Equal(a, b) {
+			t.Fatalf("seed %d kind %d: graph %d forward row %v after inserts, %v rebuilt", seed, kind, gid, decodeRow(a), decodeRow(b))
+		}
+	}
 	rebuiltNodes := nodesByID(rebuilt)
 	for id, nd := range nodesByID(grown) {
 		a, b := nd.postings, rebuiltNodes[id].postings
@@ -251,4 +257,84 @@ func FuzzGGSXCandidates(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, kind, base, inserts uint8) {
 		runGGSXOracle(t, seed, int(kind%4), int(base%64), int(inserts%24))
 	})
+}
+
+// TestGGSXCandidatesMatchReferenceWideRows runs the reference over
+// forward rows whose values take one, two and three uvarint bytes: trees
+// over 600 vertex labels push trie ids past 16 383, and a one-label K₇
+// counts 7·6·5·4 = 840 paths of three edges. Both facts are asserted
+// first, so the case cannot pass on one-byte rows; then the candidates of
+// a build, and of a WithGraph chain from its first half, must equal the
+// reference in both directions.
+func TestGGSXCandidatesMatchReferenceWideRows(t *testing.T) {
+	const maxLen = 3
+	rng := rand.New(rand.NewSource(131))
+	tree := func(n int) *graph.Graph {
+		b := graph.NewBuilder(n)
+		for v := 0; v < n; v++ {
+			b.SetLabel(v, graph.Label(rng.Intn(600)))
+			if v > 0 {
+				b.AddEdge(rng.Intn(v), v)
+			}
+		}
+		return b.MustBuild()
+	}
+	k7 := graph.NewBuilder(7)
+	for u := 0; u < 7; u++ {
+		for v := u + 1; v < 7; v++ {
+			k7.AddEdge(u, v)
+		}
+	}
+	var dataset []*graph.Graph
+	for i := 0; i < 400; i++ {
+		dataset = append(dataset, tree(8))
+	}
+	dataset[250] = k7.MustBuild()
+
+	x := NewGGSX(dataset, maxLen)
+	var maxID, maxCount int32
+	for gid := range dataset {
+		for _, nc := range decodeRow(x.forward.At(gid)) {
+			maxID, maxCount = max(maxID, nc.node), max(maxCount, nc.count)
+		}
+	}
+	if maxID < 1<<14 || maxCount < 1<<7 {
+		t.Fatalf("vacuous: largest node id %d (want ≥ %d), largest count %d (want ≥ %d)", maxID, 1<<14, maxCount, 1<<7)
+	}
+
+	counts := make([]map[string]int32, len(dataset))
+	for gid, g := range dataset {
+		counts[gid] = refCounts(g, maxLen)
+	}
+	queries := []*graph.Graph{dataset[250], dataset[3], dataset[199], dataset[399]}
+	for _, src := range []*graph.Graph{dataset[250], dataset[250], dataset[17], dataset[398]} {
+		q, err := src.InducedSubgraph(rng.Perm(src.N())[:2+rng.Intn(src.N()-1)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	queries = append(queries, tree(5), tree(9))
+	check := func(x *GGSX, what string) {
+		t.Helper()
+		for qi, q := range queries {
+			qc := refCounts(q, maxLen)
+			for _, qt := range []QueryType{Subgraph, Supergraph} {
+				if got, want := x.Candidates(q, qt), refCandidates(counts[:x.n], qc, qt); !got.Equal(want) {
+					t.Fatalf("%s, query %d (%s): candidates %v, reference %v", what, qi, qt, got, want)
+				}
+			}
+		}
+	}
+	check(x, "built")
+	grown := NewGGSX(dataset[:200], maxLen)
+	for gid := 200; gid < len(dataset); gid++ {
+		grown = grown.WithGraph(gid, dataset[gid]).(*GGSX)
+	}
+	check(grown, "grown by 200 inserts")
+	for gid := range dataset {
+		if a, b := grown.forward.At(gid), x.forward.At(gid); !bytes.Equal(a, b) {
+			t.Fatalf("graph %d forward row %v after inserts, %v built", gid, decodeRow(a), decodeRow(b))
+		}
+	}
 }
