@@ -172,8 +172,8 @@
 // produces v2). All integers are little-endian; every checksum is
 // FNV-1a 64. The layout (offsets in bytes):
 //
-//	header, 64 B:  magic "GCS3" [0,4)   version=4 u32 [4,8)
-//	               dsSize u64 [8,16)    dsEpoch i64 [16,24) (diagnostic)
+//	header, 64 B:  magic "GCS3" [0,4)   version=5 u32 [4,8)
+//	               dsSize u64 [8,16)    dsDigest u64 [16,24)
 //	               entryCount u64 [24,32)
 //	               bodyOff u64 [32,40) = 64 + 136*entryCount
 //	               fileSize u64 [40,48) indexSum u64 [48,56)
@@ -198,14 +198,17 @@
 // body exactly (record i's bodyOff equals the running offset; the final
 // offset equals fileSize). Like v2, signatures and feature vectors are
 // rebuilt from the parsed graphs and cross-checked against the index —
-// never trusted from disk. A snapshot from a differently-sized dataset
-// is refused (dsSize must equal the current view's id-space size).
+// never trusted from disk. A snapshot from another dataset is refused:
+// dsSize must equal the current view's id-space size and dsDigest its
+// DatasetView.Digest, the sum over live ids of a hash of each id and its
+// graph, so a dataset of the same size, or the same base dataset after
+// removals, does not pass.
 //
 // There is one restore mode. Every graph and answer set is read,
 // verified and decoded before replaceEntries installs anything, and the
-// restored answer sets are exact over the current id space (sound
-// because additions grow it, and the dsSize check refuses a snapshot
-// from before any). A file that restores therefore
+// restored answer sets are exact for the current view (sound because
+// the size and digest checks refuse a snapshot from any other dataset,
+// and the digest moves with every addition and removal). A file that restores therefore
 // cannot fail a later query; a bad one is rejected at restore time with
 // an error.
 //

@@ -1,6 +1,7 @@
 package ftv
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -76,9 +77,9 @@ func TestPackedRowRoundTrip(t *testing.T) {
 		for i, nc := range want {
 			keys[i] = uint64(nc.node)<<32 | uint64(nc.count)
 		}
-		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+		slices.SortFunc(keys, func(a, b uint64) int { return cmp.Compare(b, a) })
 		row := packRow(nil, keys)
-		slices.SortFunc(want, func(a, b nodeCount) int { return int(b.node) - int(a.node) })
+		slices.SortFunc(want, func(a, b nodeCount) int { return cmp.Compare(b.node, a.node) })
 		if got := decodeRow(row); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: packed %v, decoded %v", trial, want, got)
 		}
