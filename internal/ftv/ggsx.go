@@ -468,15 +468,15 @@ func uvarint(b []byte, i int) (uint64, int) {
 
 // dominated reports whether counts covers every (node, count) of the
 // packed row, decoding it in place: the first node's id, then per pair
-// its count and the gap down to the next node. A one-byte value, nearly
-// every value but a row's first id, takes the branch that reads one byte,
-// and a first id below 2¹⁴ the one that reads two.
+// its count and the gap down to the next node. A count and gap of one
+// byte each, nearly every pair, take one test of both bytes; a first id
+// below 2¹⁴ takes the branch that reads two bytes.
 func dominated(row []byte, counts []int32) bool {
 	if len(row) == 0 {
 		return true
 	}
 	node, i := uint64(row[0]), 1
-	if node >= 0x80 { // a first id below 2¹⁴ is two bytes
+	if node >= 0x80 {
 		if b := uint64(row[1]); b < 0x80 {
 			node, i = node&0x7f|b<<7, 2
 		} else {
@@ -484,25 +484,24 @@ func dominated(row []byte, counts []int32) bool {
 		}
 	}
 	for {
-		c := uint64(row[i])
-		if c < 0x80 {
-			i++
-		} else {
-			c, i = uvarint(row, i)
+		if i+1 < len(row) && (row[i]|row[i+1])&0x80 == 0 {
+			if uint64(counts[node]) < uint64(row[i]) {
+				return false
+			}
+			node -= uint64(row[i+1])
+			i += 2
+			continue
 		}
+		c, j := uvarint(row, i)
 		if uint64(counts[node]) < c {
 			return false
 		}
-		if i == len(row) {
+		if j == len(row) {
 			return true
 		}
-		gap := uint64(row[i])
-		if gap < 0x80 {
-			i++
-		} else {
-			gap, i = uvarint(row, i)
-		}
+		gap, k := uvarint(row, j)
 		node -= gap
+		i = k
 	}
 }
 
