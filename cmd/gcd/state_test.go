@@ -2,12 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"graphcache/internal/ftv"
+	"graphcache/internal/gen"
 )
 
 // stateQueries are distinct small patterns over the generated molecule
@@ -139,10 +144,14 @@ func TestDaemonStateSaveEndpoint(t *testing.T) {
 // boots with an empty cache and says why, naming the error of the parser
 // the file's format selects.
 func TestDaemonCorruptStateFileIgnored(t *testing.T) {
+	// The v2 case's header names bootDaemon's dataset, so the file is
+	// refused on its entry line and not on the header.
+	dataset := gen.Molecules(rand.New(rand.NewSource(11)), 30, gen.DefaultMoleculeConfig())
+	digest := ftv.NewGGSXMethod(dataset, 3).View().Digest()
 	for name, tc := range map[string]struct{ contents, why string }{
 		"junk":        {"not a state file at all", "state line"},
 		"bad-binary":  {"GCS3" + strings.Repeat("\x00", 80), "state v3"},
-		"bad-text-v2": {"gcstate 2 30 1\nentry 0 extra junk\n", "state line"},
+		"bad-text-v2": {fmt.Sprintf("gcstate 2 30 %016x 1\nentry 0 extra junk\n", digest), "bad entry line"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			statePath := filepath.Join(t.TempDir(), "cache.gcstate")

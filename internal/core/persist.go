@@ -339,8 +339,8 @@ parse:
 				it.vertices, it.edges, gs[0].N(), gs[0].M())
 		}
 		answers := bitset.FromIndices(dsSize, it.answers)
-		// Ids tombstoned since the state was written are masked out: ids
-		// are never reused, so the remaining bits are still exact.
+		// The digest matched, so the live ids are the writer's; a set that
+		// names a tombstoned id anyway is masked, never served.
 		answers.And(view.Live())
 		e := entryFromSig(gs[0], it.qt, answers, view, it.baseCandidates, signatureOf(gs[0]), 0)
 		e.Hits = it.hits

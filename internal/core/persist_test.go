@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -101,21 +102,25 @@ func TestStateRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []string{
-		"",
-		"not a header\n",
-		"gcstate 99 5\n",
-		"gcstate 1 5\nanswers 1 2\n", // version-1 states are refused
-		"gcstate 1 5\nentry 0 1 0 0 0\nanswers 900\n",
-		"gcstate 1 5\nentry 0 x 0 0 0\n",
-		"gcstate 2 5 0\n",                                        // missing end trailer
-		"gcstate 2 5 1\nend\n",                                   // fewer entries than declared
-		"gcstate 2 5 1\nentry 9 2 1 0 0 0 0\n",                   // unknown query type
-		"gcstate 2 5 1\nentry 0 2 1 0 0 0 0\nanswers 2 1\nend\n", // answers count mismatch
+	// Each case carries a v2 header that passes the size and digest check,
+	// so it fails on the check it names and not on the header.
+	header := fmt.Sprintf("gcstate 2 5 %016x", c.method.View().Digest())
+	cases := []struct{ in, want string }{
+		{"", "reading header"},
+		{"not a header\n", "bad header"},
+		{"gcstate 99 5\n", "unsupported state version 99"},
+		{"gcstate 1 5\nanswers 1 2\n", "unsupported state version 1"}, // version-1 states are refused
+		{"gcstate 1 5\nentry 0 1 0 0 0\nanswers 900\n", "unsupported state version 1"},
+		{"gcstate 1 5\nentry 0 x 0 0 0\n", "unsupported state version 1"},
+		{header + " 0\n", "missing end trailer"},
+		{header + " 1\nend\n", "header declares 1 entries, found 0"},
+		{header + " 1\nentry 9 2 1 0 0 0 0\n", "unknown query type 9"},
+		{header + " 1\nentry 0 2 1 0 0 0 0\nanswers 2 1\nend\n", "declared 2 ids, found 1"},
 	}
-	for i, in := range cases {
-		if err := c.ReadState(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d: garbage state accepted", i)
+	for i, tc := range cases {
+		err := c.ReadState(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: want an error containing %q, got %v", i, tc.want, err)
 		}
 		if c.Len() != 0 {
 			t.Fatalf("case %d: failed restore left %d entries behind", i, c.Len())
@@ -265,7 +270,9 @@ func TestStateFieldCorruptionRejected(t *testing.T) {
 			return false
 		},
 		"header-entry-count": func(ls []string) bool {
-			ls[0] = "gcstate 2 20 99\n"
+			f := strings.Fields(ls[0])
+			f[4] = "99" // size and digest still match: only the count is wrong
+			ls[0] = strings.Join(f, " ") + "\n"
 			return true
 		},
 		"dropped-graph-line": func(ls []string) bool {
@@ -305,6 +312,18 @@ func TestStateFieldCorruptionRejected(t *testing.T) {
 			return false
 		},
 	}
+	// The error each mutation must meet: the check written for it, not
+	// the header or dataset check every case passes.
+	wantErr := map[string]string{
+		"entry-vertex-count":      "declared 99 vertices",
+		"answers-count":           "declared 999 ids",
+		"answer-id-range":         `bad answer id "100000"`,
+		"header-entry-count":      "header declares 99 entries",
+		"dropped-graph-line":      "entry graph",
+		"dropped-edge-line":       "entry graph truncated",
+		"dropped-answers-line":    "entry has no answers line",
+		"duplicated-answers-line": "duplicate answers line",
+	}
 	method := ftv.NewGGSXMethod(testDataset(83, 20), 3)
 	for name, mutate := range mutations {
 		in := corrupt(mutate)
@@ -319,6 +338,9 @@ func TestStateFieldCorruptionRejected(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "line") {
 			t.Errorf("%s: error lacks a line number: %v", name, err)
+		}
+		if want, ok := wantErr[name]; !ok || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: want an error containing %q, got %v", name, want, err)
 		}
 		if c.Len() != 0 {
 			t.Errorf("%s: failed restore left %d entries behind", name, c.Len())

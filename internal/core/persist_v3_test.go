@@ -8,11 +8,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 )
@@ -168,6 +171,77 @@ func TestV3LazyRestoreWithPreexistingTombstones(t *testing.T) {
 	for _, e := range dst.Entries() {
 		if e.Answers().Contains(victim) {
 			t.Fatalf("restored entry still answers tombstoned id %d", victim)
+		}
+	}
+}
+
+// An answer set that names an id tombstoned before the snapshot was
+// written — the writers never record one, but a hand-edited or miswritten
+// file can — restores with the id masked out, in both formats. The v3
+// file is laid out, checksums and all, by the writer itself from a set
+// with the id added; the v2 file has the id spliced into an answers line.
+func TestRestoreMasksTombstonedAnswerId(t *testing.T) {
+	src, _ := warmCache(t, 703)
+	victim := -1
+	for _, e := range src.Entries() {
+		if e.Answers().Count() > 0 {
+			victim = e.Answers().Indices()[0]
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no entry has answers")
+	}
+	if err := src.RemoveGraph(victim); err != nil {
+		t.Fatal(err)
+	}
+
+	var secs [3][]byte
+	err := src.snapshotState(func(view ftv.DatasetView, all []*Entry, sets []*bitset.Set) (err error) {
+		sets = slices.Clone(sets)
+		sets[0] = sets[0].Clone()
+		sets[0].Add(victim)
+		secs, err = formatStateV3(view, all, sets)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := src.WriteStateV2(&v2); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(v2.String(), "\n")
+	for i, l := range lines {
+		if f := strings.Fields(l); len(f) > 0 && f[0] == "answers" {
+			ids := []int{victim}
+			for _, x := range f[2:] {
+				id, _ := strconv.Atoi(x)
+				ids = append(ids, id)
+			}
+			slices.Sort(ids)
+			lines[i] = fmt.Sprintf("answers %d %s\n", len(ids), strings.Trim(fmt.Sprint(ids), "[]"))
+			break
+		}
+	}
+
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	for name, state := range map[string][]byte{
+		"v3": bytes.Join(secs[:], nil),
+		"v2": []byte(strings.Join(lines, "")),
+	} {
+		dst := MustNew(src.Method(), cfg)
+		if err := dst.ReadState(bytes.NewReader(state)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if dst.Len() != src.Len() {
+			t.Fatalf("%s: restored %d entries, want %d", name, dst.Len(), src.Len())
+		}
+		for _, e := range dst.Entries() {
+			if e.Answers().Contains(victim) {
+				t.Fatalf("%s: restored entry %d answers tombstoned id %d", name, e.ID, victim)
+			}
 		}
 	}
 }

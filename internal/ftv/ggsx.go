@@ -469,20 +469,12 @@ func uvarint(b []byte, i int) (uint64, int) {
 // dominated reports whether counts covers every (node, count) of the
 // packed row, decoding it in place: the first node's id, then per pair
 // its count and the gap down to the next node. A count and gap of one
-// byte each, nearly every pair, take one test of both bytes; a first id
-// below 2¹⁴ takes the branch that reads two bytes.
+// byte each, nearly every pair, take one test of both bytes.
 func dominated(row []byte, counts []int32) bool {
 	if len(row) == 0 {
 		return true
 	}
-	node, i := uint64(row[0]), 1
-	if node >= 0x80 {
-		if b := uint64(row[1]); b < 0x80 {
-			node, i = node&0x7f|b<<7, 2
-		} else {
-			node, i = uvarint(row, 0)
-		}
-	}
+	node, i := uvarint(row, 0)
 	for {
 		if i+1 < len(row) && (row[i]|row[i+1])&0x80 == 0 {
 			if uint64(counts[node]) < uint64(row[i]) {
@@ -578,7 +570,8 @@ func (w *pathWalk) visit(node *trieNode, k trieKey, v, edges int) {
 // order without a comparison sort: ⌈nodes/64⌉ words (83 on the harness's
 // trie) where sorting a row took ~4 µs of mispredicted compares.
 // Everything but the row itself is the walk's pooled scratch, so the row
-// is the one allocation, of its exact size.
+// is the one allocation, of its exact size. NewGGSX and WithGraph both
+// write their rows here, so a built and an inserted row are one format.
 func (w *pathWalk) row(nodes int) ([]byte, uint64) {
 	var bloom uint64
 	n := (nodes + 63) >> 6
@@ -634,7 +627,7 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 		n:      len(dataset),
 		root:   &trieNode{id: -1, stamp: 1},
 	}
-	blooms := make([]uint64, len(dataset))
+	forward, blooms := make([][]byte, len(dataset)), make([]uint64, len(dataset))
 	var lists [][]posting // by node id
 	for gid, g := range dataset {
 		if g == nil { // tombstoned id: indexed as empty
@@ -646,8 +639,8 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 		}
 		for _, nd := range w.touched { // gids ascend, so every list stays sorted
 			lists[nd.id] = append(lists[nd.id], posting{int32(gid), w.counts[nd.id]})
-			blooms[gid] |= featureBit(nd.id)
 		}
+		forward[gid], blooms[gid] = w.row(x.nodes)
 		w.release()
 	}
 	x.bytes = childBytes * len(x.root.children)
@@ -659,57 +652,13 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 		}
 		x.bytes += nodeBytes + childBytes*len(nd.children) + nd.payloadBytes()
 	})
-	forward, rowBytes := forwardRows(lists, len(dataset))
-	x.bytes += perGraphBytes*len(dataset) + rowBytes
+	x.bytes += perGraphBytes * len(dataset)
+	for _, row := range forward {
+		x.bytes += len(row)
+	}
 	x.forward, x.blooms = chunkedOf(forward), chunkedOf(blooms)
 	return x
 }
-
-// forwardRows returns the packed forward row (packRow's layout) of each
-// of n graphs, and their bytes, from the posting lists by node id. Taking
-// the nodes in descending id order meets each row's pairs in the order
-// they are packed, so no row is sorted: one pass sizes every row, and a
-// second writes them into one array of exactly their bytes.
-func forwardRows(lists [][]posting, n int) ([][]byte, int) {
-	prev := make([]int64, n) // by gid: the node last packed into the row, -1 before the first
-	each := func(fn func(gid int32, v, c uint64)) {
-		for i := range prev {
-			prev[i] = -1
-		}
-		for node := len(lists) - 1; node >= 0; node-- {
-			for _, p := range lists[node] {
-				v := uint64(node)
-				if last := prev[p.gid]; last >= 0 {
-					v = uint64(last) - v
-				}
-				prev[p.gid] = int64(node)
-				fn(p.gid, v, uint64(p.count))
-			}
-		}
-	}
-	end := make([]int, n) // by gid: the row's length, then where its next byte goes
-	each(func(gid int32, v, c uint64) { end[gid] += uvarintLen(v) + uvarintLen(c) })
-	size := 0
-	for gid, l := range end {
-		size += l
-		end[gid] = size - l
-	}
-	buf := make([]byte, size)
-	each(func(gid int32, v, c uint64) {
-		at := end[gid]
-		at += binary.PutUvarint(buf[at:], v)
-		end[gid] = at + binary.PutUvarint(buf[at:], c)
-	})
-	rows, start := make([][]byte, n), 0
-	for gid, e := range end {
-		rows[gid] = buf[start:e:e]
-		start = e
-	}
-	return rows, size
-}
-
-// uvarintLen is the number of bytes binary.PutUvarint writes for v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // each calls fn on every node below nd.
 func (nd *trieNode) each(fn func(*trieNode)) {
