@@ -125,9 +125,11 @@ cover:
 # bytes an insert allocates,
 # `go tool pprof -sample_index=alloc_space profiles/ftv.test profiles/insert_mem.pprof`,
 # and, for the bytes an index build allocates (BenchmarkGGSXBuild, every
-# allocation sampled: trie nodes, posting lists and bitmap blocks, the
-# packed forward rows and the walk's scratch),
-# `go tool pprof -sample_index=alloc_space profiles/ftv.test profiles/build_mem.pprof`;
+# allocation sampled: trie nodes, packed posting lists and bitmap blocks,
+# the packed forward rows and the walk's scratch),
+# `go tool pprof -sample_index=alloc_space profiles/ftv.test profiles/build_mem.pprof`,
+# or, for the bytes the last index built still holds (the benchmark keeps
+# it in a sink), the same with `-sample_index=inuse_space`;
 # a live daemon serves the same through `gcd -pprof`.
 PROFILE_DIR ?= profiles
 profiles:

@@ -1,10 +1,12 @@
 package ftv
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,8 +37,10 @@ func TestTrieNodeIs48Bytes(t *testing.T) {
 }
 
 // layoutDiff returns the first way x differs from built, a build over the
-// same graphs, or "": node count, IndexBytes, and per node its encoding,
-// its postings and, for a list, the digit count the size rule reads.
+// same graphs, or "": node count, IndexBytes, and per node its encoding
+// and its postings packed, byte for byte — for a list its own bytes,
+// header and all, for a bitmap the list it decodes to — and a bitmap's
+// count of blocks of its own.
 func layoutDiff(x, built *GGSX) string {
 	if x.nodes != built.nodes || x.IndexBytes() != built.IndexBytes() {
 		return fmt.Sprintf("%d nodes / %d B, build %d nodes / %d B", x.nodes, x.IndexBytes(), built.nodes, built.IndexBytes())
@@ -47,14 +51,15 @@ func layoutDiff(x, built *GGSX) string {
 		if (nd.slices != nil) != (b.slices != nil) {
 			return fmt.Sprintf("node %d is a bitmap: %v, build %v", id, nd.slices != nil, b.slices != nil)
 		}
-		a, w := nd.postings, b.postings
+		a, w := nd.list, b.list
 		if nd.slices != nil {
+			if nd.slices.used != b.slices.used {
+				return fmt.Sprintf("node %d bitmap has %d blocks of its own, build %d", id, nd.slices.used, b.slices.used)
+			}
 			a, w = nd.slices.postings(), b.slices.postings()
-		} else if a.digits != w.digits {
-			return fmt.Sprintf("node %d list digits %d, build %d", id, a.digits, w.digits)
 		}
-		if a.String() != w.String() {
-			return fmt.Sprintf("node %d postings %v, build %v", id, a, w)
+		if !bytes.Equal(packedBytes(a), packedBytes(w)) {
+			return fmt.Sprintf("node %d packed list % x, build % x", id, packedBytes(a), packedBytes(w))
 		}
 	}
 	return ""
@@ -90,9 +95,10 @@ func TestInsertChainLayoutMatchesBuild(t *testing.T) {
 }
 
 // TestListSizeRuleMatchesEncode checks the O(1) size rule addPosting
-// applies to a list, on its digit count, length and last gid, against
-// encodeSlices, which reads every posting: on random lists built at once
-// and on the same lists grown a posting at a time.
+// applies to a list, on the digit count, length and last gid its header
+// carries, against encodeSlices, which reads every posting: on random
+// lists built at once and on the same lists grown a posting at a time,
+// packed and read back after each.
 func TestListSizeRuleMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var bitmaps, lists int
@@ -104,14 +110,19 @@ func TestListSizeRuleMatchesEncode(t *testing.T) {
 			gid += 1 + int32(rng.Intn(gap))
 			ps[i] = posting{gid, 1 + rng.Int31n(maxCount)}
 		}
-		grown := listOf(ps[:1])
-		for _, p := range ps[1:] {
-			grown = grown.with(p)
+		var whole postingList
+		var grown *byte
+		for _, p := range ps {
+			whole.add(p.gid, p.count)
+			l := listOf(grown)
+			l.body = slices.Clone(l.body)
+			l.add(p.gid, p.count)
+			grown = l.pack()
 		}
-		for _, l := range []*postingList{listOf(ps), grown} {
-			rule := bitmapSmaller(l.digits, wordsFor(gid), l.Len())
+		for _, l := range []postingList{whole, listOf(grown)} {
+			rule := bitmapSmaller(l.digits, wordsFor(l.last), l.n)
 			if encoded := encodeSlices(l.all()) != nil; rule != encoded {
-				t.Fatalf("%d postings, last gid %d, %d digits: rule says bitmap %v, encodeSlices %v", l.Len(), gid, l.digits, rule, encoded)
+				t.Fatalf("%d postings, last gid %d, %d digits: rule says bitmap %v, encodeSlices %v", l.n, l.last, l.digits, rule, encoded)
 			}
 			if rule {
 				bitmaps++
@@ -192,15 +203,21 @@ func TestInsertSharesUntouchedChunks(t *testing.T) {
 // the new count has a one in, the block the gid lands in, and every other
 // block of its directory is the receiver's at the same place, or the
 // shared zero block where the receiver had none (growth); a list node
-// gets one fresh last block and shares every block before it.
+// gets a packed list of its own, the receiver's plus the new posting,
+// and the receiver's list keeps its bytes.
 func TestInsertCopiesOneBlockPerSetDigit(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	ds := oracleDataset(rng, 600, 0) // two 512-graph blocks
 	x := NewGGSX(ds, 3)
 	var bitmaps, multiDigit, grown, lists int
 	for i, gid := range []int{600, 601, 1100} { // 1100 starts a third block
+		before := nodesByID(x)
+		was := make([][]byte, len(before))
+		for id, nd := range before {
+			was[id] = bytes.Clone(packedBytes(nd.list))
+		}
 		x2 := x.WithGraph(gid, ds[i]).(*GGSX)
-		before, after := nodesByID(x), nodesByID(x2)
+		after := nodesByID(x2)
 		for _, nc := range decodeRow(x2.forward.At(gid)) {
 			if int(nc.node) >= len(before) {
 				continue // created by the insert
@@ -218,15 +235,14 @@ func TestInsertCopiesOneBlockPerSetDigit(t *testing.T) {
 				}
 			case old.slices == nil && nd.slices == nil:
 				lists++
-				o, l := old.postings.blocks, nd.postings.blocks
-				for k := range len(l) - 1 {
-					if l[k] != o[k] {
-						t.Errorf("node %d: list block %d of %d copied", nc.node, k, len(l))
-					}
+				want := listOf(old.list)
+				want.body = bytes.Clone(want.body)
+				want.add(int32(gid), nc.count)
+				if nd.list == old.list || !bytes.Equal(packedBytes(old.list), was[nc.node]) {
+					t.Errorf("node %d: the insert wrote the receiver's list", nc.node)
 				}
-				k := len(l) - 1
-				if shared := k < len(o) && l[k] == o[k]; shared || len(l)-len(o) > 1 {
-					t.Errorf("node %d: list of %d blocks after an insert into %d, last shared %v", nc.node, len(l), len(o), shared)
+				if got := packedBytes(nd.list); !bytes.Equal(got, packedBytes(want.pack())) {
+					t.Errorf("node %d: list % x after an insert into % x", nc.node, got, was[nc.node])
 				}
 			}
 		}
@@ -387,11 +403,11 @@ func TestInsertAfterStampWrap(t *testing.T) {
 	dump := func(x *GGSX) string {
 		var out []byte
 		for _, nd := range nodesByID(x) {
-			ps := nd.postings
+			ps := nd.list
 			if nd.slices != nil {
 				ps = nd.slices.postings()
 			}
-			out = fmt.Appendf(out, "%d %v\n", len(nd.children), ps)
+			out = fmt.Appendf(out, "%d %v\n", len(nd.children), listOf(ps))
 		}
 		return string(out)
 	}

@@ -254,10 +254,15 @@ func TestLabelFilterMetadata(t *testing.T) {
 	}
 }
 
+// buildSink keeps the last index BenchmarkGGSXBuild builds, so that its
+// heap profile read with -sample_index=inuse_space shows the bytes an
+// index holds, not only those a build allocates.
+var buildSink *ftv.GGSX
+
 func BenchmarkGGSXBuild(b *testing.B) {
 	dataset := molecules(20, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ftv.NewGGSX(dataset, 4)
+		buildSink = ftv.NewGGSX(dataset, 4)
 	}
 }

@@ -29,24 +29,31 @@ import (
 // Layout. The trie has a node per distinct label-sequence prefix, and
 // each node holds its children in one array sorted by key. A node's
 // postings — (graph id, count) for every graph containing the feature —
-// are held in whichever of two encodings is smaller:
+// are held in one of two encodings:
 //
-//   - list (postingList): the pairs sorted by gid, 8 bytes each, with the
-//     number of binary digits of the largest count, so that an insert
-//     applies the size rule without reading the list;
+//   - list (postingList): the pairs by ascending gid, packed into one
+//     allocation as uvarints — the gap up from the previous gid (from −1
+//     before the first, so no gap is zero), then the count — behind a
+//     header of the posting count, the last gid and the binary digits of
+//     the largest count, so an insert applies the size rule and writes its
+//     gap without decoding a posting;
 //   - bitmap (countSlices): the counts bit-sliced, one bitmap per binary
-//     digit and ⌈(largest gid+1)/64⌉ words each, so "count ≥ c" is a few
-//     word operations per 64 graphs, ANDed straight into the query's
-//     candidate words. (One bitmap per distinct count would answer with a
-//     single AND, but molecule paths reach counts of 250 over 100 distinct
+//     digit and ⌈(largest gid+1)/64⌉ words each, in 64-byte blocks of 512
+//     graphs behind a directory per digit, so "count ≥ c" is a few word
+//     operations per 64 graphs, ANDed straight into the query's candidate
+//     words. (One bitmap per distinct count would answer with a single
+//     AND, but molecule paths reach counts of 250 over 100 distinct
 //     values: bits.Len(250) = 8 slices beat the list, 100 bitmaps do not.)
 //
-// Both encodings are held in 64-byte blocks behind a directory — eight
-// postings, or 512 graphs of one digit — the unit an insert copies.
-//
-// Both sizes depend on the node's contents alone, so an index grown by
-// WithGraph has exactly the layout, and IndexBytes, of one built from
-// scratch (TestInsertChainLayoutMatchesBuild). The rule is internal/bitset's container rule; nobody sets it.
+// The size rule is a cost rule, kept from when a list posting took 8
+// bytes: a node is a bitmap when digits × words < postings. By bytes,
+// packing would move most bitmap nodes — the dense features every
+// subgraph query ANDs — to lists decoded a posting at a time instead of 64
+// graphs a word. Both sides depend on the node's contents alone, so an
+// index grown by WithGraph has exactly the layout, the packed bytes and
+// the IndexBytes of one built from scratch
+// (TestInsertChainLayoutMatchesBuild). The rule is internal/bitset's
+// container rule; nobody sets it.
 //
 // A supergraph query asks whether q dominates every feature of G, which is
 // per graph: forward holds each graph's (node, count) row and blooms a
@@ -61,23 +68,22 @@ import (
 //
 // Copy-on-write. WithGraph writes nothing reachable from the receiver. It
 // enumerates the new graph's paths and copies the trie nodes they touch: a
-// touched list gets a new directory, a copy of its last block (or a new
-// block when that one is full) and the larger of its digit count and the
-// new count's; a touched bitmap node gets a new directory that shares
+// touched list is packed anew, its bytes plus the new posting in one
+// allocation; a touched bitmap node gets a new directory that shares
 // every block but one copy per digit the new count has a one in, the block
 // the gid lands in (a gid past the last block lengthens every digit with
 // the one shared zero block, which nothing writes); a node the insert
 // takes across the size rule is re-encoded; a touched node's children
 // array is copied, 16 bytes a child, when a child of it is copied or
 // created (never appended to in place: its spare capacity may be the
-// receiver's). So an insert copies a few 64-byte blocks and one small
-// array per touched node, not ⌈n/64⌉ words per digit or 8 bytes per
-// posting. Each index has its own even gen, two above its receiver's, and
+// receiver's). So an insert copies a few short lists, a few 64-byte
+// blocks and one small array per touched node, not ⌈n/64⌉ words per
+// digit. Each index has its own even gen, two above its receiver's, and
 // stamps the nodes it copies or creates with it, so the walk tells a node
 // it already copied from one it shares by the stamp alone. The per-graph
 // forward rows and blooms are chunked arrays: the insert copies their
 // directories and the one chunk its gid lands in. Nothing else is copied,
-// and no other graph's paths are revisited. A published postingList,
+// and no other graph's paths are revisited. A published packed list,
 // countSlices, children array or chunk is immutable
 // (TestInsertSharesUntouchedChunks, TestInsertCopiesOneBlockPerSetDigit
 // and TestGGSXCandidatesMatchReferenceAcrossBlocks fail on a write to
@@ -99,7 +105,7 @@ type trieNode struct {
 	id       int32
 	stamp    uint32       // gen of the index that made this node, |1 once it owns its children array
 	children []kid        // sorted by key
-	postings *postingList // list encoding; nil under the bitmap encoding
+	list     *byte        // list encoding, packed (postingList); nil when empty or under the bitmap encoding
 	slices   *countSlices // bitmap encoding; nil under the list encoding
 }
 
@@ -147,90 +153,109 @@ type posting struct {
 	count int32
 }
 
-// postingList is the list encoding of a node's postings: sorted by gid,
-// eight to a block, plus the binary digits of the largest count, which
-// with the length and the last gid is all the size rule asks of a list.
-// Every block but the last is full; the last block's unused slots have
-// count 0, which no posting has. A list, its directory and its blocks are
-// never written once published: an insert builds new ones.
+// postingList is a list node's postings in the packed format, and the one
+// writer of that format. The postings ascend by gid, each written as
+// uvarint(gid − previous gid) — the previous gid starting at −1, so no
+// gap is zero — then uvarint(count). pack puts a list in one allocation
+// that trieNode.list points at: a header of uvarints — the length of what
+// follows that length, the posting count, the last gid — and the digit
+// count as one byte, then the postings. The header is all the size rule
+// and an insert's gap read, so neither decodes a posting. A packed list is
+// never written once published: an insert packs a new one.
 type postingList struct {
-	blocks []*[8]posting
-	digits int // bits.Len32 of the largest count: the digits a bitmap of the list has
+	n      int    // postings
+	last   int32  // largest gid; unset while n is 0
+	digits int    // bits.Len32 of the largest count: the digits a bitmap of the list has
+	body   []byte // the postings, packed
 }
 
-// noPostings is the list of a node step creates, until the walk that
-// created it posts to it: shared by every such node, and never written.
-var noPostings postingList
-
-// listOf returns a copy of ps as a list, in one array of blocks.
-func listOf(ps []posting) *postingList {
-	blocks, l := make([][8]posting, (len(ps)+7)>>3), &postingList{blocks: make([]*[8]posting, (len(ps)+7)>>3)}
-	for k := range l.blocks {
-		copy(blocks[k][:], ps[k<<3:])
-		l.blocks[k] = &blocks[k]
+// add appends (gid, c), gid above every posted one and c ≥ 1.
+func (l *postingList) add(gid, c int32) {
+	prev := l.last
+	if l.n == 0 {
+		prev = -1
 	}
-	for _, p := range ps {
-		l.digits = max(l.digits, bits.Len32(uint32(p.count)))
-	}
-	return l
+	l.body = binary.AppendUvarint(l.body, uint64(gid-prev))
+	l.body = binary.AppendUvarint(l.body, uint64(c))
+	l.n, l.last, l.digits = l.n+1, gid, max(l.digits, bits.Len32(uint32(c)))
 }
 
-// Len returns the number of postings.
-func (l *postingList) Len() int {
-	if len(l.blocks) == 0 {
-		return 0
+// pack returns the list as one allocation of its exact size, or nil for
+// the empty list.
+func (l *postingList) pack() *byte {
+	if l.n == 0 {
+		return nil
 	}
-	return (len(l.blocks)-1)<<3 + l.tail()
+	var h [2*binary.MaxVarintLen64 + 1]byte
+	hdr := binary.AppendUvarint(h[:0], uint64(l.n))
+	hdr = binary.AppendUvarint(hdr, uint64(l.last))
+	hdr = append(hdr, byte(l.digits))
+	rest := len(hdr) + len(l.body)
+	out := make([]byte, 0, (bits.Len(uint(rest))+6)/7+rest) // a uvarint holds 7 bits a byte
+	out = binary.AppendUvarint(out, uint64(rest))
+	out = append(append(out, hdr...), l.body...)
+	return &out[0]
 }
 
-// tail is the number of postings in the last block of a non-empty list.
-func (l *postingList) tail() int {
-	last := l.blocks[len(l.blocks)-1]
-	n := 0
-	for n < 8 && last[n].count != 0 {
-		n++
+// packedBytes returns the whole allocation of the packed list p points at,
+// nil for the empty list. The leading length is read a byte at a time,
+// since nothing past it is known to be allocated until it is read.
+func packedBytes(p *byte) []byte {
+	if p == nil {
+		return nil
 	}
-	return n
+	rest, k := 0, 0
+	for shift := 0; ; shift += 7 {
+		b := *(*byte)(unsafe.Add(unsafe.Pointer(p), k))
+		rest, k = rest|int(b&0x7f)<<shift, k+1
+		if b < 0x80 {
+			return unsafe.Slice(p, k+rest)
+		}
+	}
 }
 
-// with returns the list plus p, for a gid above every posted one: a new
-// directory and a copy of the last block, or a new block when it is full,
-// and the digits of the larger of the two largest counts. The receiver is
-// not written.
-func (l *postingList) with(p posting) *postingList {
-	n, t := len(l.blocks), 8
-	if n > 0 {
-		t = l.tail()
+// listOf reads the packed list p points at. Its body is the packed
+// allocation itself, at full capacity, so an append to it copies.
+func listOf(p *byte) postingList {
+	b := packedBytes(p)
+	if b == nil {
+		return postingList{}
 	}
-	blk := new([8]posting)
-	if t < 8 {
-		n--
-		*blk = *l.blocks[n]
-	} else {
-		t = 0
-	}
-	blk[t] = p
-	out := make([]*[8]posting, n+1)
-	copy(out, l.blocks[:n])
-	out[n] = blk
-	return &postingList{out, max(l.digits, bits.Len32(uint32(p.count)))}
+	_, i := uvarint(b, 0)
+	n, i := uvarint(b, i)
+	last, i := uvarint(b, i)
+	return postingList{int(n), int32(last), int(b[i]), b[i+1:]}
 }
 
 // all yields the postings in gid order.
-func (l *postingList) all() iter.Seq[posting] {
+func (l postingList) all() iter.Seq[posting] {
 	return func(yield func(posting) bool) {
-		for _, blk := range l.blocks {
-			for _, p := range blk {
-				if p.count == 0 || !yield(p) {
-					return
-				}
+		gid := int32(-1)
+		for i := 0; i < len(l.body); {
+			var gap, c uint64
+			gap, c, i = nextPosting(l.body, i)
+			gid += int32(gap)
+			if !yield(posting{gid, int32(c)}) {
+				return
 			}
 		}
 	}
 }
 
+// nextPosting decodes the posting at body[i:]: its gap, its count and the
+// index past it. A gap and a count of one byte each, nearly every
+// posting, take one test of both bytes.
+func nextPosting(body []byte, i int) (gap, count uint64, next int) {
+	if i+1 < len(body) && (body[i]|body[i+1])&0x80 == 0 {
+		return uint64(body[i]), uint64(body[i+1]), i + 2
+	}
+	gap, i = uvarint(body, i)
+	count, i = uvarint(body, i)
+	return gap, count, i
+}
+
 // String prints the postings as a []posting would print.
-func (l *postingList) String() string { return fmt.Sprint(slices.Collect(l.all())) }
+func (l postingList) String() string { return fmt.Sprint(slices.Collect(l.all())) }
 
 // countSlices is the bitmap encoding of a node's postings: bit g of
 // digit b is binary digit b of count_g, and a graph without the feature
@@ -238,12 +263,14 @@ func (l *postingList) String() string { return fmt.Sprint(slices.Collect(l.all()
 // blocks of 512 graphs: graph g is bit g&63 of word g>>6&7 of block
 // g>>9. Every digit has words = wordsFor(largest gid) words in
 // ⌈words/8⌉ blocks, and the words past words in the last block are
-// zero. Neither a directory nor a block is written once published: an
-// insert builds new ones.
+// zero. A block that holds no bit is zeroBlock; used counts the others.
+// Neither a directory nor a block is written once published: an insert
+// builds new ones.
 type countSlices struct {
 	slice  [][]*block // by digit
 	words  int        // wordsFor(largest gid): what the size rule counts
 	graphs int        // postings encoded
+	used   int        // blocks of their own: every (digit, block) that holds a bit
 }
 
 // block is 512 graphs of one digit: the unit an insert copies.
@@ -263,7 +290,8 @@ func wordsFor(gid int32) int { return int(gid)>>6 + 1 }
 func blocksFor(words int) int { return (words + 7) >> 3 }
 
 // bitmapSmaller is the size rule: digits of the given word count against
-// one 8-byte word per posting.
+// one word per posting, as when a list posting took 8 bytes. It stays a
+// cost rule, not a byte count (the GGSX comment says why).
 func bitmapSmaller(digits, words, postings int) bool { return digits*words < postings }
 
 // encodeSlices returns the bitmap encoding of a non-empty posting list,
@@ -310,12 +338,20 @@ func encodeSlices(ps iter.Seq[posting]) *countSlices {
 			slice[bits.TrailingZeros32(c)][p.gid>>blockBits][p.gid>>6&7] |= 1 << (p.gid & 63)
 		}
 	}
-	return &countSlices{slice, w, n}
+	return &countSlices{slice, w, n, used}
 }
 
-// postings decodes the bitmap encoding back into the list encoding.
-func (cs *countSlices) postings() *postingList {
-	out := make([]posting, 0, cs.graphs)
+// bytes is what the encoding allocates: its header, a directory per digit
+// and the blocks of their own. Every encoding of the same postings has
+// the same count of each, however it was built.
+func (cs *countSlices) bytes() int {
+	dir := int(unsafe.Sizeof([]*block{})) + int(unsafe.Sizeof(&zeroBlock))*blocksFor(cs.words)
+	return int(unsafe.Sizeof(*cs)) + len(cs.slice)*dir + int(unsafe.Sizeof(zeroBlock))*cs.used
+}
+
+// postings decodes the bitmap encoding back into a packed list.
+func (cs *countSlices) postings() *byte {
+	l := postingList{body: make([]byte, 0, 2*cs.graphs)}
 	for i := range cs.words {
 		k, j := i>>3, i&7
 		var present uint64
@@ -328,10 +364,10 @@ func (cs *countSlices) postings() *postingList {
 			for b, dir := range cs.slice {
 				c |= int32(dir[k][j]>>bit&1) << b
 			}
-			out = append(out, posting{int32(i<<6 + bit), c})
+			l.add(int32(i<<6+bit), c)
 		}
 	}
-	return listOf(out)
+	return l.pack()
 }
 
 // with returns the encoding of cs's postings plus (gid, c), for a gid above
@@ -341,7 +377,7 @@ func (cs *countSlices) postings() *postingList {
 func (cs *countSlices) with(gid, c int32) *countSlices {
 	w := wordsFor(gid)
 	nb, k := blocksFor(w), gid>>blockBits
-	slice := make([][]*block, max(len(cs.slice), bits.Len32(uint32(c))))
+	slice, used := make([][]*block, max(len(cs.slice), bits.Len32(uint32(c)))), cs.used
 	for b := range slice {
 		var old []*block
 		if b < len(cs.slice) {
@@ -358,6 +394,9 @@ func (cs *countSlices) with(gid, c int32) *countSlices {
 			dir[i] = &zeroBlock
 		}
 		if one {
+			if dir[k] == &zeroBlock {
+				used++
+			}
 			blk := new(block)
 			*blk = *dir[k]
 			blk[gid>>6&7] |= 1 << (gid & 63)
@@ -365,7 +404,7 @@ func (cs *countSlices) with(gid, c int32) *countSlices {
 		}
 		slice[b] = dir
 	}
-	return &countSlices{slice, w, cs.graphs + 1}
+	return &countSlices{slice, w, cs.graphs + 1, used}
 }
 
 // andAtLeast intersects acc with the graphs whose count is ≥ c (c ≥ 1) and
@@ -412,25 +451,29 @@ func andAtLeastBlock(words []uint64, blks []*block, c int32) (alive uint64) {
 	return alive
 }
 
-// andPostings is andAtLeast for the list encoding: ps is sorted by gid, so
-// one pass rewrites acc word by word, clearing the words no posting reaches.
-func andPostings(acc []uint64, ps *postingList, c int32) bool {
+// andPostings is andAtLeast for the list encoding: the packed list at p
+// ascends by gid, so one pass decoding it in place rewrites acc word by
+// word, clearing the words no posting reaches.
+func andPostings(acc []uint64, p *byte, c int32) bool {
 	var alive, keep uint64
 	next, wi := 0, 0 // first word of acc not yet rewritten; the word keep gathers
-	var blk *[8]posting
-	for i, n := 0, ps.Len(); i < n; i++ {
-		if i&7 == 0 {
-			blk = ps.blocks[i>>3]
+	body, gid := listOf(p).body, -1
+	for i := 0; i < len(body); {
+		var gap, count uint64
+		if i+1 < len(body) && (body[i]|body[i+1])&0x80 == 0 { // nextPosting's fast path, kept inline
+			gap, count, i = uint64(body[i]), uint64(body[i+1]), i+2
+		} else {
+			gap, count, i = nextPosting(body, i)
 		}
-		p := blk[i&7]
-		if w := int(p.gid >> 6); w != wi {
+		gid += int(gap)
+		if w := gid >> 6; w != wi {
 			clear(acc[next:wi])
 			acc[wi] &= keep
 			alive |= acc[wi]
 			next, wi, keep = wi+1, w, 0
 		}
-		if p.count >= c {
-			keep |= 1 << (p.gid & 63)
+		if count >= uint64(c) {
+			keep |= 1 << (gid & 63)
 		}
 	}
 	clear(acc[next:wi])
@@ -515,7 +558,7 @@ type pathWalk struct {
 	words   []uint64 // candidate words of the query in flight
 	seen    []uint64 // scratch of row: a bit per touched node id, zero between uses
 	keys    []uint64 // scratch of row: node<<32 | count per touched node
-	packed  []byte   // scratch of row: the packed row before its copy
+	packed  []byte   // scratch of row: the packed row before its copy; then of addPosting
 }
 
 var walkPool = sync.Pool{New: func() any { return new(pathWalk) }}
@@ -628,33 +671,33 @@ func NewGGSX(dataset []*graph.Graph, maxLen int) *GGSX {
 		root:   &trieNode{id: -1, stamp: 1},
 	}
 	forward, blooms := make([][]byte, len(dataset)), make([]uint64, len(dataset))
-	var lists [][]posting // by node id
+	var lists []postingList // by node id
 	for gid, g := range dataset {
 		if g == nil { // tombstoned id: indexed as empty
 			continue
 		}
 		w := newWalk(g, maxLen, x.nodes, x.root, x.step)
 		for len(lists) < x.nodes {
-			lists = append(lists, nil)
+			lists = append(lists, postingList{})
 		}
-		for _, nd := range w.touched { // gids ascend, so every list stays sorted
-			lists[nd.id] = append(lists[nd.id], posting{int32(gid), w.counts[nd.id]})
+		for _, nd := range w.touched { // gids ascend, as every list must
+			lists[nd.id].add(int32(gid), w.counts[nd.id])
 		}
 		forward[gid], blooms[gid] = w.row(x.nodes)
 		w.release()
 	}
 	x.bytes = childBytes * len(x.root.children)
 	x.root.each(func(nd *trieNode) {
-		if cs := encodeSlices(slices.Values(lists[nd.id])); cs != nil {
-			nd.slices = cs
+		if l := &lists[nd.id]; bitmapSmaller(l.digits, wordsFor(l.last), l.n) {
+			nd.slices = encodeSlices(l.all())
 		} else {
-			nd.postings = listOf(lists[nd.id])
+			nd.list = l.pack()
 		}
 		x.bytes += nodeBytes + childBytes*len(nd.children) + nd.payloadBytes()
 	})
 	x.bytes += perGraphBytes * len(dataset)
 	for _, row := range forward {
-		x.bytes += len(row)
+		x.bytes += cap(row)
 	}
 	x.forward, x.blooms = chunkedOf(forward), chunkedOf(blooms)
 	return x
@@ -672,7 +715,7 @@ func (nd *trieNode) each(fn func(*trieNode)) {
 // each with a children array of its own. Postings and encodings are
 // shared: inserts replace them, never write them.
 func (nd *trieNode) clone() *trieNode {
-	c := &trieNode{id: nd.id, children: slices.Clone(nd.children), postings: nd.postings, slices: nd.slices}
+	c := &trieNode{id: nd.id, children: slices.Clone(nd.children), list: nd.list, slices: nd.slices}
 	for i, k := range c.children {
 		c.children[i].nd = k.nd.clone()
 	}
@@ -693,13 +736,13 @@ func (x *GGSX) step(nd *trieNode, k trieKey) *trieNode {
 		if c = nd.children[i].nd; c.stamp&^1 == x.gen {
 			return c
 		}
-		c = &trieNode{id: c.id, stamp: x.gen, children: c.children, postings: c.postings, slices: c.slices}
+		c = &trieNode{id: c.id, stamp: x.gen, children: c.children, list: c.list, slices: c.slices}
 		if nd.stamp&1 == 0 {
 			nd.children = slices.Clone(nd.children)
 		}
 		nd.children[i].nd = c
 	} else {
-		c = &trieNode{id: int32(x.nodes), stamp: x.gen | 1, postings: &noPostings}
+		c = &trieNode{id: int32(x.nodes), stamp: x.gen | 1}
 		x.nodes++
 		x.bytes += nodeBytes + childBytes // node struct + its entry in the parent's array
 		if nd.stamp&1 == 0 {
@@ -743,12 +786,12 @@ func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 	row, bloom := w.row(x2.nodes)
 	for _, nd := range w.touched { // every counted node was stepped into, hence x2's own
 		x2.bytes -= nd.payloadBytes()
-		nd.addPosting(int32(gid), w.counts[nd.id])
+		w.packed = nd.addPosting(int32(gid), w.counts[nd.id], w.packed) // row is done with it
 		x2.bytes += nd.payloadBytes()
 	}
 	w.release()
 	x2.forward, x2.blooms = x.forward.With(gid, row), x.blooms.With(gid, bloom)
-	x2.bytes += len(row)
+	x2.bytes += cap(row)
 	return x2
 }
 
@@ -756,19 +799,26 @@ func (x *GGSX) WithGraph(gid int, g *graph.Graph) Filter {
 // above every posted one, and leaves the node in the encoding the size
 // rule picks for its new contents. Either encoding carries its digit and
 // word counts, so the rule costs O(1); a node is re-encoded only when the
-// rule flips.
-func (nd *trieNode) addPosting(gid, c int32) {
+// rule flips. A list is copied into scratch, grown by the posting and
+// packed anew, one allocation; scratch, grown as needed, is returned for
+// the next call.
+func (nd *trieNode) addPosting(gid, c int32, scratch []byte) []byte {
 	if nd.slices != nil {
 		nd.slices = nd.slices.with(gid, c)
 		if cs := nd.slices; !bitmapSmaller(len(cs.slice), cs.words, cs.graphs) {
-			nd.postings, nd.slices = cs.postings(), nil
+			nd.list, nd.slices = cs.postings(), nil
 		}
-		return
+		return scratch
 	}
-	nd.postings = nd.postings.with(posting{gid, c})
-	if l := nd.postings; bitmapSmaller(l.digits, wordsFor(gid), l.Len()) { // gid is the largest posted
-		nd.slices, nd.postings = encodeSlices(l.all()), nil
+	l := listOf(nd.list)
+	l.body = append(scratch[:0], l.body...)
+	l.add(gid, c)
+	if bitmapSmaller(l.digits, wordsFor(gid), l.n) { // gid is the largest posted
+		nd.slices, nd.list = encodeSlices(l.all()), nil
+	} else {
+		nd.list = l.pack()
 	}
+	return l.body
 }
 
 // Name implements Filter.
@@ -783,10 +833,10 @@ func (x *GGSX) NodeCount() int { return x.nodes }
 // IndexBytes implements Filter.
 func (x *GGSX) IndexBytes() int { return x.bytes }
 
-// The byte model of IndexBytes: per trie node its struct, per child its
-// entry in the parent's children array, per graph its forward-row header
-// and bloom word; postings are 8 bytes each, bitmap words 8, and a packed
-// forward row its length in bytes.
+// The byte model of IndexBytes charges what is allocated: per trie node
+// its struct, per child its entry in the parent's children array, per
+// graph its forward-row header and bloom word, a packed forward row its
+// capacity, a packed list its length and a bitmap countSlices.bytes.
 const (
 	nodeBytes     = int(unsafe.Sizeof(trieNode{}))
 	childBytes    = int(unsafe.Sizeof(kid{}))
@@ -796,9 +846,9 @@ const (
 // payloadBytes is the size of the node's postings in their encoding.
 func (nd *trieNode) payloadBytes() int {
 	if nd.slices != nil {
-		return 8 * len(nd.slices.slice) * nd.slices.words
+		return nd.slices.bytes()
 	}
-	return 8 * nd.postings.Len()
+	return len(packedBytes(nd.list))
 }
 
 // Candidates implements Filter. Subgraph: G is a candidate iff
@@ -856,7 +906,7 @@ func (x *GGSX) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
 		if nd.slices != nil {
 			alive = nd.slices.andAtLeast(w.words, w.counts[nd.id])
 		} else {
-			alive = andPostings(w.words, nd.postings, w.counts[nd.id])
+			alive = andPostings(w.words, nd.list, w.counts[nd.id])
 		}
 		if !alive {
 			return bitset.New(x.n)
