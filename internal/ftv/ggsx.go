@@ -45,11 +45,11 @@ import (
 //     AND, but molecule paths reach counts of 250 over 100 distinct
 //     values: bits.Len(250) = 8 slices beat the list, 100 bitmaps do not.)
 //
-// The size rule is a cost rule, kept from when a list posting took 8
-// bytes: a node is a bitmap when digits × words < postings. By bytes,
-// packing would move most bitmap nodes — the dense features every
-// subgraph query ANDs — to lists decoded a posting at a time instead of 64
-// graphs a word. Both sides depend on the node's contents alone, so an
+// The size rule is a cost rule, not a byte count: a node is a bitmap when
+// digits × words < postings, a list posting counted as one word. A rule
+// by packed bytes would move most bitmap nodes — the dense features every
+// subgraph query ANDs — to lists decoded a posting at a time instead of
+// 64 graphs a word. Both sides depend on the node's contents alone, so an
 // index grown by WithGraph has exactly the layout, the packed bytes and
 // the IndexBytes of one built from scratch
 // (TestInsertChainLayoutMatchesBuild). The rule is internal/bitset's
@@ -290,8 +290,8 @@ func wordsFor(gid int32) int { return int(gid)>>6 + 1 }
 func blocksFor(words int) int { return (words + 7) >> 3 }
 
 // bitmapSmaller is the size rule: digits of the given word count against
-// one word per posting, as when a list posting took 8 bytes. It stays a
-// cost rule, not a byte count (the GGSX comment says why).
+// one word per posting, a cost rule rather than a byte count (the GGSX
+// comment says why).
 func bitmapSmaller(digits, words, postings int) bool { return digits*words < postings }
 
 // encodeSlices returns the bitmap encoding of a non-empty posting list,
@@ -460,7 +460,7 @@ func andPostings(acc []uint64, p *byte, c int32) bool {
 	body, gid := listOf(p).body, -1
 	for i := 0; i < len(body); {
 		var gap, count uint64
-		if i+1 < len(body) && (body[i]|body[i+1])&0x80 == 0 { // nextPosting's fast path, kept inline
+		if i+1 < len(body) && (body[i]|body[i+1])&0x80 == 0 { // nextPosting's fast path: the call does not inline
 			gap, count, i = uint64(body[i]), uint64(body[i+1]), i+2
 		} else {
 			gap, count, i = nextPosting(body, i)

@@ -191,8 +191,8 @@ func (m *Method) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool {
 // snapshot whose filter covers the grown dataset, patched through
 // InsertableFilter.WithGraph. Under GGSX that enumerates g's paths and
 // copies the trie nodes they touch (of a bitmap node, one 64-byte block
-// per digit g's count sets; of a list, its last block; plus their
-// directories), and the per-graph arrays of the filter
+// per digit g's count sets plus their directories; a list is packed anew
+// with the new posting), and the per-graph arrays of the filter
 // and of the method copy one chunk plus their directory each. It returns
 // the new graph's id, or an error when the method's filter is not an
 // InsertableFilter.
