@@ -43,9 +43,12 @@ race:
 # its view, readers that must load a published value once re-run while
 # another goroutine replaces it (tornread_test.go), and views of Method M
 # read while a writer chains copy-on-write inserts behind them — so every
-# lock or sharing change pays for many interleavings, not one.
+# lock or sharing change pays for many interleavings, not one — and the
+# exact hit's lock-free crediting: hits counted in the caller's stripe
+# (the credit tables, their fallback to the entry's cell and their drain
+# at every fold point) and the stripe picker, so no hit is lost.
 race-stress:
-	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|SnapshotWritesEntryAheadOfItsView|ExactMemo' ./internal/core ./internal/ftv
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|SnapshotWritesEntryAheadOfItsView|ExactMemo|ExactHitCredits|CreditsFold|ReadSlot|CreditTable' ./internal/core ./internal/ftv
 
 vet:
 	$(GO) vet ./...

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +28,8 @@ import (
 // signatures) and on that view.
 //
 // An exact hit on an admitted entry takes no lock: the probe reads the
-// published fingerprint table and the crediting is the entry's credit
-// cell, folded in later by foldCreditsLocked. Every other query takes mu
+// published fingerprint table and the crediting is a word of the caller's
+// Monitor stripe, folded in later by foldCreditsLocked. Every other query takes mu
 // briefly: to compare fingerprints against the pending window after the
 // published probe found nothing, to credit its sub/super hits (counter
 // arithmetic), and — at the end of a path that already cost a filter run
@@ -98,9 +100,12 @@ type Cache struct {
 	// so the window's staging order is ascending in ID.
 	nextID int
 
-	// tick is the global query sequence number (atomic: assigned at query
-	// start, before any lock). Every query writes it, so the padding keeps
-	// it off the cache lines of the fields every query only reads
+	// tick is the global miss sequence number: a query that leaves the
+	// exact path claims the next one (atomic, before any lock). An exact
+	// hit only loads it, and stamps it into its entry's lastHit when a
+	// miss moved it since that stamp, so recency is the last miss before
+	// an entry's latest hit (doc.go). Misses write it, so the padding
+	// keeps it off the cache lines of the fields every query only reads
 	// (method, cfg, published).
 	_    [56]byte
 	tick atomic.Int64
@@ -252,7 +257,6 @@ func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 
 // execute is Execute on a pinned dataset view.
 func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) (*Result, error) {
-	tick := c.tick.Add(1)
 	mon := &c.mon.hot[readSlot()]
 	mon.queries.Add(1)
 	// Stage 0: fingerprint only. The exact-match probe consults nothing
@@ -265,11 +269,12 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 	// read: all it costs is cache overhead, which a clock pair would
 	// dominate. A caller that wants its latency times the call.
 	if e := c.findExact(q, qt, fp); e != nil {
-		if res := c.serveExact(e, view, tick, mon); res != nil {
+		if res := c.serveExact(e, view, mon); res != nil {
 			c.selfCheck(view, q, qt, res)
 			return res, nil
 		}
 	}
+	tick := c.tick.Add(1)
 	sig := signatureOf(q)
 	n := view.Size()
 
@@ -442,7 +447,7 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 }
 
 // serveExact answers a query from the isomorphic entry e: O(1), no clock
-// read, and the only writes are e's credit cell and the caller's Monitor
+// read, and in steady state the only writes are to the caller's Monitor
 // stripe (doc.go, hot-path discipline). Answers and Sure (A = S) are e's
 // published, frozen set itself; Excluded and Survivors the cache's shared
 // empty set. A hit on a state current for the view returns the state's
@@ -450,7 +455,7 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 // it allocates nothing after that. It returns nil, and credits nothing,
 // when a newer reader has brought e past the view. Takes no lock, and
 // loads e's answer cell once.
-func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotCounters) *Result {
+func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, mon *hotCounters) *Result {
 	a := e.ans.p.Load()
 	current := a.current(view)
 	var res *Result
@@ -460,16 +465,21 @@ func (c *Cache) serveExact(e *Entry, view ftv.DatasetView, tick int64, mon *hotC
 	} else if ans = c.answersFor(e, view); ans == nil {
 		return nil
 	}
-	// Tick first (a monotonic max: an older, slower query never rewinds
-	// recency), count second, so a racing fold that sees this hit's count
-	// also sees a lastHit at least as new.
+	// Recency first (a monotonic max, written only when a miss moved the
+	// tick since e's last stamp), count second, so a racing fold that sees
+	// this hit's count also sees a lastHit at least as new. The count goes
+	// to the stripe's credit table, or to e's own cell when e's word there
+	// is taken.
+	tick := c.tick.Load()
 	for {
 		old := e.ans.lastHit.Load()
 		if tick <= old || e.ans.lastHit.CompareAndSwap(old, tick) {
 			break
 		}
 	}
-	e.ans.pendingExact.Add(1)
+	if !mon.credits.add(e.ID) {
+		e.ans.pendingExact.Add(1)
+	}
 	saved := e.BaseCandidates
 	mon.exactHits.Add(1)
 	mon.testsSaved.Add(int64(saved))
@@ -506,33 +516,68 @@ func (c *Cache) emptySet(n int) *bitset.Set {
 	return s
 }
 
-// foldCreditsLocked drains the entries' exact-hit credit cells into the
-// policy: k > 0 pending hits become ONE event of Count k at the latest
-// hit's tick, priced once (fold points: doc.go).
-func (c *Cache) foldCreditsLocked(entries []*Entry) {
-	for _, e := range entries {
-		if e.ans.pendingExact.Load() == 0 {
-			continue // a load, not a swap: clean entries' lines stay shared
+// foldCreditsLocked drains the stripes' credit tables into the entries'
+// credit cells, then the cells of the listed entries into the policy:
+// k > 0 pending hits become ONE event of Count k at the entry's lastHit
+// tick, priced once (fold points: doc.go). Caller holds mu.
+func (c *Cache) foldCreditsLocked(lists ...[]*Entry) {
+	c.drainCreditsLocked()
+	for _, entries := range lists {
+		for _, e := range entries {
+			if e.ans.pendingExact.Load() == 0 {
+				continue // a load, not a swap: clean entries' lines stay shared
+			}
+			k := int(e.ans.pendingExact.Swap(0))
+			ev := &HitEvent{Entry: e, Kind: ExactHit, SavedTests: e.BaseCandidates, Tick: e.ans.lastHit.Load(), Count: k}
+			// Price the savings like the sub/super path does: per-graph cost
+			// estimates over the entry's answer set, the overall mean only for
+			// the remainder of C_M (the candidates that verified negative).
+			// Pricing every saved test at the mean would under-credit entries
+			// whose savings concentrate on expensive graphs, skewing PINC/HD
+			// victim ranking against exactly the entries worth keeping.
+			inAnswers := 0
+			e.Answers().ForEach(func(gid int) bool {
+				inAnswers++
+				ev.SavedCostNs += c.estimatedCost(gid)
+				return true
+			})
+			if rem := ev.SavedTests - inAnswers; rem > 0 {
+				ev.SavedCostNs += float64(rem) * c.estimatedMeanCost()
+			}
+			c.policy.UpdateCacheStaInfo(ev)
 		}
-		k := int(e.ans.pendingExact.Swap(0))
-		ev := &HitEvent{Entry: e, Kind: ExactHit, SavedTests: e.BaseCandidates, Tick: e.ans.lastHit.Load(), Count: k}
-		// Price the savings like the sub/super path does: per-graph cost
-		// estimates over the entry's answer set, the overall mean only for
-		// the remainder of C_M (the candidates that verified negative).
-		// Pricing every saved test at the mean would under-credit entries
-		// whose savings concentrate on expensive graphs, skewing PINC/HD
-		// victim ranking against exactly the entries worth keeping.
-		inAnswers := 0
-		e.Answers().ForEach(func(gid int) bool {
-			inAnswers++
-			ev.SavedCostNs += c.estimatedCost(gid)
-			return true
-		})
-		if rem := ev.SavedTests - inAnswers; rem > 0 {
-			ev.SavedCostNs += float64(rem) * c.estimatedMeanCost()
-		}
-		c.policy.UpdateCacheStaInfo(ev)
 	}
+}
+
+// drainCreditsLocked empties every stripe's credit table into the cells
+// of the entries it counted, each found by ID in the resident list, then
+// in the window. A word whose entry is in neither counted an entry since
+// evicted or replaced by a restore (IDs are never reused): its hits are
+// dropped, as an evicted entry's pending credit is. Caller holds mu.
+func (c *Cache) drainCreditsLocked() {
+	for i := range c.mon.hot {
+		t := &c.mon.hot[i].credits
+		for j := range t {
+			if t[j].Load() == 0 {
+				continue // a load, not a swap: idle words' lines stay shared
+			}
+			w := t[j].Swap(0)
+			if e := c.entryByIDLocked(int(w>>creditCountBits) - 1); e != nil {
+				e.ans.pendingExact.Add(int64(w & creditCountMask))
+			}
+		}
+	}
+}
+
+// entryByIDLocked returns the resident or pending entry with the given
+// ID, or nil: both lists are ID-ordered. Caller holds mu.
+func (c *Cache) entryByIDLocked(id int) *Entry {
+	for _, list := range [2][]*Entry{c.entries, c.window} {
+		if i, ok := slices.BinarySearchFunc(list, id, func(e *Entry, id int) int { return cmp.Compare(e.ID, id) }); ok {
+			return list[i]
+		}
+	}
+	return nil
 }
 
 // hitCredit is one hit's pending policy credit, accumulated lock-free and
@@ -747,8 +792,7 @@ func (c *Cache) turnWindow(view ftv.DatasetView) {
 		}
 	}
 	// Fold exact-hit credits before anything ages or ranks.
-	c.foldCreditsLocked(c.entries)
-	c.foldCreditsLocked(c.window)
+	c.foldCreditsLocked(c.entries, c.window)
 	for _, e := range c.entries {
 		e.age(decayFactor)
 		// True up this entry's charge: readers may have swapped its

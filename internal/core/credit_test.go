@@ -88,8 +88,10 @@ func TestExactHitCreditsPerGraphCosts(t *testing.T) {
 	if ev == nil {
 		t.Fatal("no exact-hit event recorded")
 	}
-	if ev.N() != 1 || ev.Tick != 2 {
-		t.Fatalf("folded event stands for %d hits at tick %d, want 1 hit at tick 2", ev.N(), ev.Tick)
+	// Recency is stamped per miss: the hit claims no tick and stamps the
+	// tick of the miss that admitted the entry.
+	if ev.N() != 1 || ev.Tick != 1 {
+		t.Fatalf("folded event stands for %d hits at tick %d, want 1 hit at tick 1", ev.N(), ev.Tick)
 	}
 	saved := res.BaseCandidates
 	if ev.SavedTests != saved {
@@ -175,9 +177,10 @@ func entryFor(t *testing.T, c *Cache, q *graph.Graph) *Entry {
 }
 
 // TestExactHitCreditsAreConserved hammers three entries with exact hits
-// from eight goroutines: hits only touch the entries' credit cells, and
-// the fold in Entries() must account for every single one — hit counts
-// and saved tests exactly, recency as the latest hit's tick.
+// from eight goroutines: hits only touch the stripes' credit tables and
+// the entries' credit cells, and the fold in Entries() must account for
+// every single one — hit counts and saved tests exactly, recency as the
+// tick of the last miss before the latest hit (hits claim no tick).
 func TestExactHitCreditsAreConserved(t *testing.T) {
 	c, qs := admittedPatterns(t, 3, nil)
 	const goroutines, perGoroutine = 8, 10_000
@@ -203,7 +206,7 @@ func TestExactHitCreditsAreConserved(t *testing.T) {
 			want[(g+i)%len(qs)]++
 		}
 	}
-	lastTick := int64(len(qs) + goroutines*perGoroutine)
+	lastTick := int64(len(qs)) // the admitting misses; no hit moved it
 	var newest int64
 	for i, q := range qs {
 		e := entryFor(t, c, q)
@@ -221,19 +224,19 @@ func TestExactHitCreditsAreConserved(t *testing.T) {
 	if newest != lastTick {
 		t.Errorf("newest LastUsed = %d, want the last query's tick %d", newest, lastTick)
 	}
-	// Sequentially the tick of each hit is known: LastUsed must be it.
+	// Sequentially the tick of each hit is known: the last miss's, which
+	// LastUsed must be.
 	for i, q := range qs {
 		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
 			t.Fatal(err)
 		}
-		lastTick++
 		if e := entryFor(t, c, q); e.LastUsed != lastTick || e.Hits != want[i]+1 {
 			t.Errorf("entry %d: LastUsed/Hits = %d/%d, want %d/%d", i, e.LastUsed, e.Hits, lastTick, want[i]+1)
 		}
 	}
-	if s := c.Stats(); s.ExactHits != int64(goroutines*perGoroutine+len(qs)) || s.Queries != lastTick {
+	if s, queries := c.Stats(), int64(goroutines*perGoroutine+2*len(qs)); s.ExactHits != int64(goroutines*perGoroutine+len(qs)) || s.Queries != queries {
 		t.Errorf("monitor lost counts: %d exact hits over %d queries, want %d over %d",
-			s.ExactHits, s.Queries, goroutines*perGoroutine+len(qs), lastTick)
+			s.ExactHits, s.Queries, goroutines*perGoroutine+len(qs), queries)
 	}
 }
 

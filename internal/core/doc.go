@@ -61,25 +61,38 @@
 // engine scales (allocations are serialized by the allocator and
 // the GC long before any kernel lock contends). The discipline:
 //
-//   - An exact hit writes only its entry's line, its Monitor stripe and
-//     tick, reads no clock, and allocates nothing: its Result (the hit
+//   - An exact hit writes only its Monitor stripe in steady state, reads
+//     no clock, and allocates nothing: its Result (the hit
 //     list inside it, its empty Excluded and Survivors the cache's shared
 //     frozen empty set) belongs to the entry's published answer state
 //     (answersAt.exact), built by the first hit on a state current for
 //     its view and shared, read-only, by every later one. The probe loads
 //     the published view once and walks the fingerprint's chain, taking
 //     no lock (the same *graph.Graph re-issued skips VF2 on pointer
-//     identity). Crediting is the entry's CREDIT CELL —
-//     pendingExact.Add(1) and a monotonic max of the tick into lastHit
-//     — never mu, a HitEvent or an O(|A|) pricing walk.
-//     foldCreditsLocked drains the cells into the policy (one event per
-//     entry, priced once, HitEvent.Count = pending hits) at the FOLD
-//     POINTS, every place a mu holder reads or ages utilities:
-//     the window turn before aging and ranking, Entries(), WriteState
-//     and WriteStateV2. A sequential stream therefore ranks
-//     LRU/FIFO/POP/PIN exactly as per-hit crediting did; PINC/HD price
-//     at fold time. The answer is the entry's published set itself
-//     (Result is a read-only view, see its comment).
+//     identity). Crediting is a word of the stripe's CREDIT TABLE
+//     (monitor.go: 64 words, each an entry ID+1 and a hit count, the
+//     word picked by ID mod 64) — claimed when empty, bumped by CAS when
+//     it holds the entry — never mu, a HitEvent or an O(|A|) pricing
+//     walk. A hit whose word holds another entry or is saturated adds to
+//     the entry's CREDIT CELL (pendingExact) instead.
+//     RECENCY IS STAMPED PER MISS: only a query that leaves the exact
+//     path advances tick; a hit loads it and raises the entry's lastHit
+//     only when a miss moved it since the entry's last stamp, so LRU
+//     orders entries by the last miss before their latest hit, and a
+//     hit stream with no miss writes neither tick nor the entry.
+//     foldCreditsLocked first drains every stripe's table into the
+//     cells, finding each entry by ID (a binary search over the
+//     resident list, then the window; the hits of an ID in neither, an
+//     entry evicted or replaced by a restore, are dropped, as its cell
+//     is), then drains the cells into the policy (one event per entry,
+//     priced once, HitEvent.Count = pending hits, HitEvent.Tick =
+//     lastHit) at the FOLD POINTS, every place a mu holder reads or ages
+//     utilities: the window turn before aging and ranking (resident and
+//     pending entries), Entries() (resident entries; a pending entry's
+//     drained hits wait in its cell for the turn), WriteState and
+//     WriteStateV2. PINC/HD price at fold time. The answer is the
+//     entry's published set itself (Result is a read-only view, see its
+//     comment).
 //
 //   - A sub/super hit adds no allocation: its candidate and accepted
 //     lists and the ranking live in execScratch (an accepted list is a
@@ -93,7 +106,8 @@
 //   - Per-query scratch comes from sync.Pools, never fresh: execScratch
 //     (hit-candidate, ranking, hit-credit, candidate-id and cost-sample
 //     slices and the hit event, cache.go),
-//     featScratch (path-feature counting, features.go) and the VF2 matcher
+//     featScratch (path-feature hashes, sorted and run-length encoded,
+//     features.go) and the VF2 matcher
 //     pool (internal/iso; verify binds one matcher per subgraph query and
 //     runs every candidate through it). Pooled objects are reset — never zero-filled by
 //     reallocation — and anything referencing caller data is nil'd before
@@ -229,7 +243,10 @@
 //     TestConcurrentExecuteAll (data races; a turn outside mu also
 //     panics TestConcurrentClients).
 //   - An exact hit on an admitted entry, Len, Bytes and Stats take no
-//     lock: TestExactProbeTakesNoLock.
+//     lock: TestExactProbeTakesNoLock. Every exact hit is credited once
+//     (TestExactHitCreditsAreConserved, eight goroutines under the race
+//     detector; the CreditTable tests), and in steady state writes no
+//     cell outside its stripe (TestCreditTableHitsWriteNoSharedCell).
 //   - No filter run and no containment test happens under mu: a query's
 //     own, TestQueryPathHoldsNoMu; those of Entries and the snapshot
 //     writers, TestReconciliationHoldsNoMu; a snapshot's writes,

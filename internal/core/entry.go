@@ -9,7 +9,7 @@ import (
 )
 
 // answersCell is the atomic holder of an entry's answer set (and of its
-// exact-hit credit cell). It lives behind a pointer in Entry so Entry
+// exact-hit credit cell and recency stamp). It lives behind a pointer in Entry so Entry
 // values stay copyable (defensive copies share the cell, like they share
 // the immutable Graph).
 //
@@ -26,8 +26,12 @@ import (
 type answersCell struct {
 	p atomic.Pointer[answersAt]
 
-	// The exact-hit credit cell: serveExact adds one and raises lastHit
-	// to its tick, foldCreditsLocked drains it into one policy event.
+	// pendingExact is the exact-hit credit cell: the hits the caller's
+	// stripe could not count (the entry's word there held another entry
+	// or was saturated) and, at a fold, the stripes' counts drained into
+	// it; foldCreditsLocked turns it into one policy event. lastHit is
+	// the recency stamp: a hit raises it to the tick when a miss moved
+	// the tick since, so the steady-state hit writes neither.
 	pendingExact atomic.Int64
 	lastHit      atomic.Int64
 }
@@ -108,7 +112,9 @@ type Entry struct {
 	// Guarded by mu.
 	charged int
 
-	// InsertedAt and LastUsed are query ticks (LRU/FIFO state).
+	// InsertedAt and LastUsed are miss ticks (LRU/FIFO state): an exact
+	// hit claims no tick, so LastUsed is the last miss before the latest
+	// hit (doc.go).
 	InsertedAt int64
 	LastUsed   int64
 	// Hits counts how many queries this entry contributed to (POP).

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"graphcache/internal/graph"
@@ -30,26 +30,24 @@ type featureCount struct {
 }
 
 // featScratch is the reusable working state of one pathFeatures
-// enumeration. The counts map, the path-sequence buffer and the
+// enumeration. The path hashes, the path-sequence buffer and the
 // visited marks never escape — only the final sorted vector does — so
 // they are pooled across queries (hot-path memory discipline, see
 // doc.go).
 type featScratch struct {
-	counts map[uint64]int32
+	hashes []uint64
 	seq    []graph.Label
 	inPath []bool
 }
 
-var featScratchPool = sync.Pool{
-	New: func() any { return &featScratch{counts: make(map[uint64]int32, 64)} },
-}
+var featScratchPool = sync.Pool{New: func() any { return new(featScratch) }}
 
 // pathFeatures enumerates simple paths of g with at most maxLen edges and
-// returns the canonical feature vector.
+// returns the canonical feature vector: every counted path's hash goes
+// into the scratch, which is sorted and run-length encoded.
 func pathFeatures(g *graph.Graph, maxLen int) featureVec {
 	sc := featScratchPool.Get().(*featScratch)
-	clear(sc.counts)
-	counts := sc.counts
+	hashes := sc.hashes[:0]
 	// seq interleaves vertex and edge labels: v0, e01, v1, e12, v2, ...
 	if cap(sc.seq) < 2*maxLen+1 {
 		sc.seq = make([]graph.Label, 0, 2*maxLen+1)
@@ -67,7 +65,7 @@ func pathFeatures(g *graph.Graph, maxLen int) featureVec {
 	var walk func(v, depth int)
 	walk = func(v, depth int) {
 		if directed || canonicalDir(seq) {
-			counts[hashSeq(seq)]++
+			hashes = append(hashes, hashSeq(seq))
 		}
 		if depth < maxLen {
 			inPath[v] = true
@@ -87,12 +85,23 @@ func pathFeatures(g *graph.Graph, maxLen int) featureVec {
 		seq = seq[:0]
 	}
 
-	out := make(featureVec, 0, len(counts))
-	for h, c := range counts {
-		out = append(out, featureCount{h, c})
+	slices.Sort(hashes)
+	distinct := 0
+	for i, h := range hashes {
+		if i == 0 || h != hashes[i-1] {
+			distinct++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].hash < out[j].hash })
-	sc.seq = seq[:0]
+	out := make(featureVec, 0, distinct)
+	for i := 0; i < len(hashes); {
+		j := i + 1
+		for j < len(hashes) && hashes[j] == hashes[i] {
+			j++
+		}
+		out = append(out, featureCount{hashes[i], int32(j - i)})
+		i = j
+	}
+	sc.hashes, sc.seq = hashes[:0], seq[:0]
 	featScratchPool.Put(sc)
 	return out
 }

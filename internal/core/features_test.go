@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphcache/internal/graph"
@@ -159,5 +161,90 @@ func TestHashSeqLengthSensitive(t *testing.T) {
 	b := hashSeq([]graph.Label{1, 1, 1})
 	if a == b {
 		t.Error("hash should distinguish path lengths")
+	}
+}
+
+// mapPathFeatures is the reference pathFeatures: the same enumeration,
+// counted in a map and sorted afterwards.
+func mapPathFeatures(g *graph.Graph, maxLen int) featureVec {
+	counts := map[uint64]int32{}
+	inPath := make([]bool, g.N())
+	var seq []graph.Label
+	var walk func(v, depth int)
+	walk = func(v, depth int) {
+		if g.Directed() || canonicalDir(seq) {
+			counts[hashSeq(seq)]++
+		}
+		if depth == maxLen {
+			return
+		}
+		inPath[v] = true
+		for _, w := range g.OutNeighbors(v) {
+			if !inPath[w] {
+				seq = append(seq, g.EdgeLabel(v, int(w)), g.Label(int(w)))
+				walk(int(w), depth+1)
+				seq = seq[:len(seq)-2]
+			}
+		}
+		inPath[v] = false
+	}
+	for v := 0; v < g.N(); v++ {
+		seq = append(seq[:0], g.Label(v))
+		walk(v, 0)
+	}
+	out := make(featureVec, 0, len(counts))
+	for h, c := range counts {
+		out = append(out, featureCount{h, c})
+	}
+	slices.SortFunc(out, func(a, b featureCount) int { return cmp.Compare(a.hash, b.hash) })
+	return out
+}
+
+// TestPathFeaturesMatchMapReference holds the sort-and-run-length
+// pathFeatures to the map-counting reference over random undirected,
+// directed and edge-labelled graphs (labels from a small alphabet, so
+// paths repeat and palindromes occur), at every path length up to 4.
+func TestPathFeaturesMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(948))
+	kinds := [4]int{} // plain, directed, edge-labelled, both
+	repeated := 0
+	for i := 0; i < 1200; i++ {
+		n := 1 + rng.Intn(12)
+		directed, labelled := i%2 == 1, i%4 >= 2
+		b := graph.NewBuilder(n)
+		if directed {
+			b.Directed()
+		}
+		for v := 0; v < n; v++ {
+			b.SetLabel(v, graph.Label(rng.Intn(3)))
+		}
+		p := 0.15 + 0.5*rng.Float64()
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if u == v || (!directed && v < u) || rng.Float64() >= p {
+					continue
+				}
+				if labelled {
+					b.AddLabeledEdge(u, v, graph.Label(1+rng.Intn(2)))
+				} else {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		g := b.MustBuild()
+		kinds[i%4]++
+		for maxLen := 0; maxLen <= 4; maxLen++ {
+			got, want := pathFeatures(g, maxLen), mapPathFeatures(g, maxLen)
+			if !slices.Equal(got, want) {
+				t.Fatalf("graph %d (directed=%t labelled=%t, %d vertices %d edges), maxLen %d: %d features, reference %d",
+					i, directed, labelled, g.N(), g.M(), maxLen, len(got), len(want))
+			}
+			if slices.ContainsFunc(got, func(fc featureCount) bool { return fc.count > 1 }) {
+				repeated++
+			}
+		}
+	}
+	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 || kinds[3] == 0 || repeated == 0 {
+		t.Fatalf("generator too narrow: kinds %v, %d vectors with a repeated feature", kinds, repeated)
 	}
 }

@@ -14,10 +14,10 @@ import (
 // (each counter is individually consistent, the set is approximate under
 // concurrent load — exact once in-flight queries drain).
 //
-// The three counters every query bumps are striped across padded slots
-// picked by readSlot, so concurrent exact hits write different cache
-// lines (hot-exact, two clients: +17 % q/s, 19 of 20 alternating runs);
-// Snapshot sums them.
+// The three counters every query bumps, and the exact-hit credit table,
+// are striped across padded slots picked by readSlot, so concurrent exact
+// hits write different cache lines; Snapshot sums the counters and
+// drainCreditsLocked empties the tables.
 type Monitor struct {
 	hot              [monitorSlots]hotCounters
 	subHitQueries    atomic.Int64 // queries with ≥1 sub-case hit
@@ -45,12 +45,15 @@ type Monitor struct {
 const monitorSlots = 16
 
 // readSlot picks a Monitor stripe from the calling goroutine's stack
-// address. Goroutine stacks are allocated at least 2KiB apart, so bits 11
-// and up differ between goroutines while staying stable within one —
-// cheap, allocation-free, and spread across slots.
+// address: stable for one call site of one goroutine while its stack
+// stays put, and cheap, allocation-free and spread across slots. The address is hashed
+// (Fibonacci hashing, top bits) rather than masked: a grown stack is
+// aligned to its size, so the low bits of the addresses of goroutines
+// with 32 KiB stacks agree, and bits 11–14 alone put 64 such goroutines
+// on two stripes (TestReadSlotSpreadsGrownStacks).
 func readSlot() int {
 	var probe byte
-	return int((uintptr(unsafe.Pointer(&probe)) >> 11) % monitorSlots)
+	return int(uint64(uintptr(unsafe.Pointer(&probe))>>10) * 0x9E3779B97F4A7C15 >> 60)
 }
 
 // endTurn closes the clock pair a window turn opened.
@@ -59,13 +62,54 @@ func (m *Monitor) endTurn(start time.Time) { m.windowTurnNs.Add(int64(time.Since
 // endMutation closes the clock pair a dataset mutation opened.
 func (m *Monitor) endMutation(start time.Time) { m.mutationHoldNs.Add(int64(time.Since(start))) }
 
-// hotCounters is one stripe, padded to two cache lines so no two stripes'
-// counters share a line at any alignment.
+// hotCounters is one stripe: the three per-query counters and the
+// exact-hit credit table, padded so no two stripes share a cache line at
+// any alignment.
 type hotCounters struct {
 	queries    atomic.Int64
 	exactHits  atomic.Int64 // queries answered purely from cache
 	testsSaved atomic.Int64
+	credits    creditTable
 	_          [104]byte
+}
+
+// creditTable counts exact hits per entry in the caller's stripe, so a
+// hit writes no line of its entry or of the cache. Each word packs an
+// entry ID+1 into its high creditIDBits bits and a hit count into the
+// low creditCountBits; an entry's word is its ID mod creditWords. Words
+// are claimed from zero and emptied only by drainCreditsLocked.
+type creditTable [creditWords]atomic.Uint64
+
+const (
+	creditWords     = 64
+	creditCountBits = 24
+	creditIDBits    = 64 - creditCountBits
+	creditCountMask = 1<<creditCountBits - 1
+)
+
+// add counts one exact hit on the entry with the given ID and reports
+// whether it did: false when the entry's word holds another entry, is
+// saturated, or the ID does not fit, and the caller credits the entry's
+// own cell instead. Takes no lock.
+func (t *creditTable) add(id int) bool {
+	if uint64(id)+1 >= 1<<creditIDBits {
+		return false
+	}
+	key := (uint64(id) + 1) << creditCountBits
+	w := &t[uint64(id)%creditWords]
+	for {
+		old := w.Load()
+		switch {
+		case old == 0:
+			if w.CompareAndSwap(0, key|1) {
+				return true
+			}
+		case old&^creditCountMask != key || old&creditCountMask == creditCountMask:
+			return false
+		case w.CompareAndSwap(old, old+1):
+			return true
+		}
+	}
 }
 
 // Snapshot is an immutable copy of the monitor's counters.

@@ -187,7 +187,8 @@ func norm(v, lo, hi float64) float64 {
 	return (v - lo) / (hi - lo)
 }
 
-// NewLRU returns the least-recently-used policy: utility = last hit tick.
+// NewLRU returns the least-recently-used policy: utility = LastUsed, the
+// tick of the last miss before the entry's latest hit.
 func NewLRU() Policy {
 	return &scorePolicy{
 		name:  "lru",

@@ -45,9 +45,11 @@ type HitEvent struct {
 	// SavedCostNs estimates the cost of those saved tests from the
 	// per-dataset-graph verification-cost EMAs.
 	SavedCostNs float64
-	// Tick is the query sequence number; on a folded event (see Count)
-	// the entry's LATEST exact hit, which can trail a sub/super tick
-	// already delivered — keep the maximum, do not assign.
+	// Tick is the miss sequence number (exact hits claim none, see
+	// doc.go): a sub/super hit's is its query's; a folded event's (see
+	// Count) is the tick of the last miss before the entry's LATEST exact
+	// hit, which can trail a sub/super tick already delivered — keep the
+	// maximum, do not assign.
 	Tick int64
 	// Count is how many identical contributions the event stands for; 0
 	// means 1 (read it through N). Sub/super hits arrive one by one; exact

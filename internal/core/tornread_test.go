@@ -79,7 +79,7 @@ func TestConcurrentSwapExactHitReadsOneState(t *testing.T) {
 	defer stop()
 	mon := &c.mon.hot[0]
 	for start := time.Now(); time.Since(start) < tornReadBudget; {
-		if res := c.serveExact(e, view, 1, mon); res != nil && res.Answers != current {
+		if res := c.serveExact(e, view, mon); res != nil && res.Answers != current {
 			stop()
 			t.Fatalf("an exact hit served a set of %d ids on a view of %d: it read two states", res.Answers.Len(), view.Size())
 		}
