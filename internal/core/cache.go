@@ -28,15 +28,16 @@ import (
 // signatures) and on that view.
 //
 // An exact hit on an admitted entry takes no lock: the probe reads the
-// published fingerprint table and the crediting is a word of the caller's
-// Monitor stripe, folded in later by foldCreditsLocked. Every other query takes mu
-// briefly: to compare fingerprints against the pending window after the
-// published probe found nothing, to credit its sub/super hits (counter
-// arithmetic), and — at the end of a path that already cost a filter run
-// and a verification — to append the executed query to the window under
-// a freshly claimed entry ID. The verification-cost EMAs are lock-free
-// CAS cells. mu guards the window, ID allocation, the resident list, the
-// replacement policy and the per-entry utility fields the policy mutates.
+// published fingerprint table and the crediting is a word of the
+// caller's Monitor stripe, folded in later by foldCreditsLocked. Every
+// other query takes mu briefly: to compare fingerprints against the
+// pending window after the published probe found nothing, to credit its
+// sub/super hits (counter arithmetic), and — at the end of a path that
+// already cost a filter run and a verification — to append the executed
+// query to the window under a freshly claimed entry ID. The
+// verification-cost EMAs are lock-free CAS cells. mu guards the window,
+// ID allocation, the resident list, the replacement policy and the
+// per-entry utility fields the policy mutates.
 //
 // There is one admission window (the paper's Window Manager). When it
 // fills, the staging goroutine turns it stop-the-world: under mu it folds

@@ -222,7 +222,7 @@ func TestExactHitCreditsAreConserved(t *testing.T) {
 		newest = max(newest, e.LastUsed)
 	}
 	if newest != lastTick {
-		t.Errorf("newest LastUsed = %d, want the last query's tick %d", newest, lastTick)
+		t.Errorf("newest LastUsed = %d, want the last miss's tick %d", newest, lastTick)
 	}
 	// Sequentially the tick of each hit is known: the last miss's, which
 	// LastUsed must be.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"graphcache/internal/ftv"
+	"graphcache/internal/graph"
 )
 
 // growStack recurses through depth frames of about 1 KiB each, so the
@@ -83,6 +84,16 @@ func creditWordsOf(c *Cache, id int) int64 {
 	return n
 }
 
+// hitExact issues q n times and fails unless each is an exact hit.
+func hitExact(t *testing.T, c *Cache, q *graph.Graph, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if res, err := c.Execute(q, ftv.Subgraph); err != nil || !res.ExactHit {
+			t.Fatalf("hit %d: exact=%v err=%v", i, res != nil && res.ExactHit, err)
+		}
+	}
+}
+
 // holdStripe keeps the test goroutine on one stripe for the rest of the
 // test: no GC can shrink (and so move) its stack while exact hits, which
 // allocate nothing, run.
@@ -106,9 +117,7 @@ func TestCreditTableCongruentIDsKeepEveryHit(t *testing.T) {
 		if i%2 == 1 && i/2 < hitsSecond {
 			q = qs[creditWords]
 		}
-		if res, err := c.Execute(q, ftv.Subgraph); err != nil || !res.ExactHit {
-			t.Fatalf("hit %d: exact=%v err=%v", i, res != nil && res.ExactHit, err)
-		}
+		hitExact(t, c, q, 1)
 	}
 	if got := creditWordsOf(c, 0); got != hitsFirst || first.ans.pendingExact.Load() != 0 {
 		t.Errorf("entry 0 (word claimed first): %d hits in words, %d in its cell, want %d and 0",
@@ -137,19 +146,13 @@ func TestCreditTableSaturatedWordFallsBack(t *testing.T) {
 	holdStripe(t)
 	e := residentEntry(t, c, 1)
 	before := entryFor(t, c, qs[1]).Hits
-	hit := func() {
-		t.Helper()
-		if res, err := c.Execute(qs[1], ftv.Subgraph); err != nil || !res.ExactHit {
-			t.Fatalf("exact=%v err=%v", res != nil && res.ExactHit, err)
-		}
-	}
-	hit() // claims entry 1's word in the stripe this call site hits from
+	hitExact(t, c, qs[1], 1) // claims entry 1's word in the stripe this call site hits from
 	for i := range c.mon.hot {
 		if w := &c.mon.hot[i].credits[1]; w.Load() != 0 {
 			w.Store(2<<creditCountBits | creditCountMask)
 		}
 	}
-	hit()
+	hitExact(t, c, qs[1], 1)
 	if got := e.ans.pendingExact.Load(); got != 1 {
 		t.Fatalf("the hit on a saturated word left %d in the entry's cell, want 1", got)
 	}
@@ -204,11 +207,7 @@ func TestCreditTableDropsCreditsOfGoneEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		const hits = 5
-		for i := 0; i < hits; i++ {
-			if res, err := c.Execute(qs[0], ftv.Subgraph); err != nil || !res.ExactHit {
-				t.Fatalf("exact=%v err=%v", res != nil && res.ExactHit, err)
-			}
-		}
+		hitExact(t, c, qs[0], hits)
 		if creditWordsOf(c, 0) != hits {
 			t.Fatal("the hits were not counted in credit words")
 		}
@@ -243,11 +242,7 @@ func TestCreditTableHitsWriteNoSharedCell(t *testing.T) {
 	before := entryFor(t, c, qs[1]).Hits // a fold
 	tick, pending, lastHit := c.tick.Load(), e.ans.pendingExact.Load(), e.ans.lastHit.Load()
 	const hits = 50
-	for i := 0; i < hits; i++ {
-		if res, err := c.Execute(qs[1], ftv.Subgraph); err != nil || !res.ExactHit {
-			t.Fatalf("hit %d: exact=%v err=%v", i, res != nil && res.ExactHit, err)
-		}
-	}
+	hitExact(t, c, qs[1], hits)
 	if c.tick.Load() != tick || e.ans.pendingExact.Load() != pending || e.ans.lastHit.Load() != lastHit {
 		t.Errorf("hits wrote shared cells: tick %d→%d, pendingExact %d→%d, lastHit %d→%d",
 			tick, c.tick.Load(), pending, e.ans.pendingExact.Load(), lastHit, e.ans.lastHit.Load())
@@ -269,11 +264,7 @@ func TestCreditTableKeepsPendingEntriesCredits(t *testing.T) {
 		t.Fatal(err)
 	}
 	const hits = 9
-	for i := 0; i < hits; i++ {
-		if res, err := c.Execute(qs[0], ftv.Subgraph); err != nil || !res.ExactHit {
-			t.Fatalf("hit %d: exact=%v err=%v", i, res != nil && res.ExactHit, err)
-		}
-	}
+	hitExact(t, c, qs[0], hits)
 	if n := len(c.Entries()); n != 0 || c.WindowLen() != 1 {
 		t.Fatalf("%d resident, %d pending: want the pattern still pending", n, c.WindowLen())
 	}
@@ -285,5 +276,59 @@ func TestCreditTableKeepsPendingEntriesCredits(t *testing.T) {
 	}
 	if got := entryFor(t, c, qs[0]).Hits; got != hits {
 		t.Errorf("the admitted entry has %d hits, want the %d it took while pending", got, hits)
+	}
+}
+
+// TestCreditTableConcurrentFoldsKeepEveryHit: hitters race a goroutine
+// that folds (Entries) in a loop, on two entries that share every
+// stripe's word and one that does not. Claims, bumps, fallbacks and
+// drains interleave; every hit is credited exactly once.
+func TestCreditTableConcurrentFoldsKeepEveryHit(t *testing.T) {
+	c, qs := admittedPatterns(t, creditWords+1, func(cfg *Config) { cfg.Capacity = 2 * creditWords })
+	hot := []int{0, 1, creditWords}
+	before := map[int]int64{} // sub/super hits among the admitting misses
+	for _, id := range hot {
+		before[id] = entryFor(t, c, qs[id]).Hits
+	}
+	const goroutines, perGoroutine = 4, 3000
+	var hitters sync.WaitGroup
+	stop := make(chan struct{})
+	folded := make(chan struct{})
+	go func() {
+		defer close(folded)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Entries()
+			}
+		}
+	}()
+	for g := range goroutines {
+		hitters.Add(1)
+		go func() {
+			defer hitters.Done()
+			for i := range perGoroutine {
+				if res, err := c.Execute(qs[hot[(g+i)%len(hot)]], ftv.Subgraph); err != nil || !res.ExactHit {
+					t.Errorf("hit %d/%d: exact=%v err=%v", g, i, res != nil && res.ExactHit, err)
+					return
+				}
+			}
+		}()
+	}
+	hitters.Wait()
+	close(stop)
+	<-folded
+	want := map[int]int64{}
+	for g := range goroutines {
+		for i := range perGoroutine {
+			want[hot[(g+i)%len(hot)]]++
+		}
+	}
+	for _, id := range hot {
+		if got := entryFor(t, c, qs[id]).Hits - before[id]; got != want[id] {
+			t.Errorf("entry %d: %d hits credited, want %d", id, got, want[id])
+		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // answersCell is the atomic holder of an entry's answer set (and of its
-// exact-hit credit cell and recency stamp). It lives behind a pointer in Entry so Entry
-// values stay copyable (defensive copies share the cell, like they share
-// the immutable Graph).
+// exact-hit credit cell and recency stamp). It lives behind a pointer in
+// Entry so Entry values stay copyable (defensive copies share the cell,
+// like they share the immutable Graph).
 //
 // Publication rules: a published answers value and its set are never
 // mutated, but for the value's exact-hit Result, which is set once from

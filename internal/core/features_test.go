@@ -2,10 +2,12 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"graphcache/internal/gen"
 	"graphcache/internal/graph"
 	"graphcache/internal/iso"
 )
@@ -246,5 +248,32 @@ func TestPathFeaturesMatchMapReference(t *testing.T) {
 	}
 	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 || kinds[3] == 0 || repeated == 0 {
 		t.Fatalf("generator too narrow: kinds %v, %d vectors with a repeated feature", kinds, repeated)
+	}
+}
+
+// BenchmarkPathFeatures times the feature vector of a subgraph-sized
+// pattern and of a supergraph-sized one, both cut from molecules:
+//
+//	go test ./internal/core -run '^$' -bench PathFeatures -benchmem
+func BenchmarkPathFeatures(b *testing.B) {
+	rng := rand.New(rand.NewSource(950))
+	mols := gen.Molecules(rng, 50, gen.DefaultMoleculeConfig())
+	for _, edges := range []int{6, 40} {
+		var g *graph.Graph
+		for _, m := range mols {
+			if m.M() >= edges {
+				g = gen.ExtractConnectedSubgraph(rng, m, edges)
+				break
+			}
+		}
+		if g == nil {
+			b.Fatalf("no molecule has %d edges", edges)
+		}
+		b.Run(fmt.Sprintf("edges=%d", g.M()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pathFeatures(g, featureLen)
+			}
+		})
 	}
 }

@@ -46,11 +46,11 @@ const monitorSlots = 16
 
 // readSlot picks a Monitor stripe from the calling goroutine's stack
 // address: stable for one call site of one goroutine while its stack
-// stays put, and cheap, allocation-free and spread across slots. The address is hashed
-// (Fibonacci hashing, top bits) rather than masked: a grown stack is
-// aligned to its size, so the low bits of the addresses of goroutines
-// with 32 KiB stacks agree, and bits 11–14 alone put 64 such goroutines
-// on two stripes (TestReadSlotSpreadsGrownStacks).
+// stays put, cheap, allocation-free and spread across slots. The address
+// is hashed (Fibonacci hashing, top bits) rather than masked: a grown
+// stack is aligned to its size, so the low bits of the addresses of
+// goroutines with 32 KiB stacks agree, and bits 11–14 alone put 64 such
+// goroutines on two stripes (TestReadSlotSpreadsGrownStacks).
 func readSlot() int {
 	var probe byte
 	return int(uint64(uintptr(unsafe.Pointer(&probe))>>10) * 0x9E3779B97F4A7C15 >> 60)
