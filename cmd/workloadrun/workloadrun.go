@@ -155,12 +155,14 @@ func RunReplacement(seed int64, policies []string) ([]ReplacementResult, error) 
 				return nil, err
 			}
 		}
-		// Differentiate utilities (exact hits update recency, popularity
-		// and savings without admissions). First every cached entry is
-		// touched once in shuffled order — distinct recency for LRU,
-		// distinct per-entry savings for PIN/PINC (each exact hit credits
-		// that entry's own |C_M|) — then a skewed burst separates
-		// popularity from recency.
+		// Differentiate utilities (exact hits update popularity and
+		// savings without admissions; recency is stamped per miss, so
+		// hits with no miss between them share a tick). First every
+		// cached entry is touched once in shuffled order — distinct
+		// per-entry savings for PIN/PINC (each exact hit credits that
+		// entry's own |C_M|), while LRU sees every touched entry as
+		// equally recent and falls back to ID order — then a skewed
+		// burst separates popularity from recency.
 		rng := newRand(seed + 44)
 		resident := c.Entries()
 		rng.Shuffle(len(resident), func(i, j int) { resident[i], resident[j] = resident[j], resident[i] })
