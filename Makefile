@@ -46,9 +46,11 @@ race:
 # lock or sharing change pays for many interleavings, not one — and the
 # exact hit's lock-free crediting: hits counted in the caller's stripe
 # (the credit tables, their fallback to the entry's cell and their drain
-# at every fold point) and the stripe picker, so no hit is lost.
+# at every fold point) and the stripe picker, so no hit is lost — and the
+# matcher's first plan of a fresh pattern, raced by goroutines that bind
+# it at once and must all search with the one packed plan published.
 race-stress:
-	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|SnapshotWritesEntryAheadOfItsView|ExactMemo|ExactHitCredits|CreditsFold|ReadSlot|CreditTable' ./internal/core ./internal/ftv
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|SnapshotWritesEntryAheadOfItsView|ExactMemo|ExactHitCredits|CreditsFold|ReadSlot|CreditTable' ./internal/core ./internal/ftv ./internal/iso
 
 vet:
 	$(GO) vet ./...
@@ -110,7 +112,9 @@ cover:
 # turn (the one stop-the-world pass), a CPU profile of the daemon's handler on an exact hit and on a
 # miss (decode, parse, probe, encode — no transport), one of the
 # verification stage alone (a bound subgraph query and one-shot VF2 over
-# Method M's candidates on the 5 000-molecule index), one of the filter's
+# Method M's candidates on the 5 000-molecule index), one of a pattern's
+# first match plan (BenchmarkFirstPlan: graph.MatchPlan on fresh copies
+# of those molecules, with B/op and allocs/op), one of the filter's
 # query side (GGSX Candidates for subgraph and supergraph queries on that
 # index: the trie walk, the posting ANDs and the bloom and forward-row
 # scan), CPU + heap profiles of the filter's copy-on-write insert on
@@ -123,6 +127,7 @@ cover:
 # by time never finishes),
 # `go tool pprof profiles/server.test profiles/server_cpu.pprof`,
 # `go tool pprof profiles/ftv.test profiles/verify_cpu.pprof`,
+# `go tool pprof profiles/ftv.test profiles/plan_cpu.pprof`,
 # `go tool pprof profiles/ftv.test profiles/filter_cpu.pprof`,
 # `go tool pprof profiles/ftv.test profiles/insert_cpu.pprof` or, for the
 # bytes an insert allocates,
@@ -147,6 +152,8 @@ profiles:
 		-cpuprofile $(PROFILE_DIR)/server_cpu.pprof -o $(PROFILE_DIR)/server.test ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkVerifyCandidates$$' -benchtime 1000000x \
 		-cpuprofile $(PROFILE_DIR)/verify_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
+	$(GO) test -run '^$$' -bench 'BenchmarkFirstPlan$$' -benchtime 200000x -benchmem \
+		-cpuprofile $(PROFILE_DIR)/plan_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 	$(GO) test -run '^$$' -bench 'BenchmarkGGSXCandidates$$' -benchtime 20000x -benchmem \
 		-cpuprofile $(PROFILE_DIR)/filter_cpu.pprof -o $(PROFILE_DIR)/ftv.test ./internal/ftv/
 	$(GO) test -run '^$$' -bench 'BenchmarkGGSXWithGraph$$' -benchtime 4000x -benchmem \

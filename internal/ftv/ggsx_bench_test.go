@@ -173,3 +173,27 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFirstPlan is what a graph nobody has matched before pays on
+// its first test as a pattern, supergraph verification's dataset graphs
+// among them: graph.MatchPlan on fresh copies of the harness's 5 000
+// molecules (generated here, not taken from benchIndex, whose graphs
+// other benchmarks plan), re-copied with the timer stopped each time
+// every one has been planned. ns/op, B/op and allocs/op are per first
+// plan.
+func BenchmarkFirstPlan(b *testing.B) {
+	mols := gen.Molecules(rand.New(rand.NewSource(2018)), 5000, gen.DefaultMoleculeConfig())
+	fresh := make([]*graph.Graph, len(mols))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(mols) == 0 {
+			b.StopTimer()
+			for j, g := range mols {
+				fresh[j] = g.WithID(g.ID())
+			}
+			b.StartTimer()
+		}
+		fresh[i%len(mols)].MatchPlan()
+	}
+}

@@ -3,6 +3,9 @@
 package graph
 
 import (
+	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -42,6 +45,40 @@ func TestDominatedByAllocBudget(t *testing.T) {
 	}{{"dominated", small, big}, {"refuted", big, small}, {"self", big, big}} {
 		if got := testing.AllocsPerRun(100, func() { tc.v.DominatedBy(tc.o) }); got != 0 {
 			t.Errorf("DominatedBy (%s) allocates %.1f/op, budget 0", tc.name, got)
+		}
+	}
+}
+
+// TestPlanPackedBytes: a first plan allocates its packed steps and
+// nothing else — 2 bytes a step below 128 vertices, 8 from 128 on —
+// read as the heap bytes it adds beyond the copy it is planned on, which
+// may round the exact length up only to the allocator's size class.
+func TestPlanPackedBytes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the scratch pool
+	rng := rand.New(rand.NewSource(52))
+	for _, n := range []int{40, 100, 127, 128, 129, 300} {
+		base := planGraph(rng, n, 3, n%2 == 1, false, func(r *rand.Rand) Label { return Label(r.Intn(5)) })
+		base.WithID(0).MatchPlan()
+		const copies = 64
+		heap := func(plan bool) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < copies; i++ {
+				if g := base.WithID(i); plan {
+					g.MatchPlan()
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		got := int(heap(true)-heap(false)) / copies
+		want := 2 * n
+		if n >= narrowPlan {
+			want = 8 * n
+		}
+		t.Logf("%d vertices: %d B a first plan, %d B packed", n, got, want)
+		if got < want || got > want+want/8+16 {
+			t.Errorf("%d vertices: a first plan allocates %d B, want %d rounded up to a size class", n, got, want)
 		}
 	}
 }

@@ -35,6 +35,177 @@ func buildFrom(labels []Label, edges [][2]int, directed bool) *Graph {
 	return b.MustBuild()
 }
 
+// stepsOf decodes every step of p.
+func stepsOf(p Plan) []PlanStep {
+	out := make([]PlanStep, p.Len())
+	for i := range out {
+		out[i] = p.Step(i)
+	}
+	return out
+}
+
+// referencePlan is the plan as MatchPlan's doc states it, by the O(n²)
+// selection MatchPlan replaced: at every step, a scan of all unordered
+// vertices for the one with the most ordered neighbours, then the rarest
+// label, then the highest degree, then the lowest id.
+func referencePlan(g *Graph) []PlanStep {
+	n := g.N()
+	plan := make([]PlanStep, 0, n)
+	conn, anchor, rare := make([]int, n), make([]int32, n), make([]int, n)
+	counts := g.LabelCounts()
+	for v := range rare {
+		rare[v] = counts[g.Label(v)]
+		anchor[v] = -1
+	}
+	before := func(v, b int) bool {
+		if conn[v] != conn[b] {
+			return conn[v] > conn[b]
+		}
+		if rare[v] != rare[b] {
+			return rare[v] < rare[b]
+		}
+		return g.OutDegree(v)+g.InDegree(v) > g.OutDegree(b)+g.InDegree(b)
+	}
+	touch := func(list []int32, a int32) {
+		for _, w := range list {
+			if anchor[w] < 0 {
+				anchor[w] = a
+			}
+			if conn[w] >= 0 {
+				conn[w]++
+			}
+		}
+	}
+	for len(plan) < n {
+		best := -1
+		for v := 0; v < n; v++ {
+			if conn[v] >= 0 && (best < 0 || before(v, best)) {
+				best = v
+			}
+		}
+		plan = append(plan, PlanStep{int32(best), anchor[best]})
+		conn[best] = -1
+		touch(g.InNeighbors(best), int32(best)<<1|1)
+		if g.directed {
+			touch(g.OutNeighbors(best), int32(best)<<1)
+		}
+	}
+	return plan
+}
+
+// planGraph draws a random graph for the planner tests: n vertices with
+// labels from labelsFrom(rng), roughly deg arcs per vertex (so a small
+// deg leaves it disconnected), directed and edge-labelled as asked.
+func planGraph(rng *rand.Rand, n int, deg float64, directed, elabels bool, labelsFrom func(*rand.Rand) Label) *Graph {
+	b := NewBuilder(n)
+	if directed {
+		b.Directed()
+	}
+	for v := 0; v < n; v++ {
+		b.SetLabel(v, labelsFrom(rng))
+	}
+	if n < 2 {
+		return b.MustBuild()
+	}
+	seen := make(map[[2]int]bool)
+	for i := 0; i < int(deg*float64(n)/2); i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if !directed && u > v {
+			u, v = v, u
+		}
+		if u == v || seen[[2]int{u, v}] {
+			continue
+		}
+		seen[[2]int{u, v}] = true
+		if elabels {
+			b.AddLabeledEdge(u, v, Label(rng.Intn(3)))
+		} else {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestPlanMatchesReference: the one-pass planner orders every graph
+// exactly as referencePlan does — same vertices, same anchors — over
+// undirected, directed and edge-labelled graphs, connected or not, with
+// few labels (many ties), many, and labels past the rarity count's
+// 256-entry table, at sizes on both sides of the 128-vertex boundary
+// between the two encodings.
+func TestPlanMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	alphabets := map[string]func(*rand.Rand) Label{
+		"few":   func(r *rand.Rand) Label { return Label(r.Intn(3)) },
+		"many":  func(r *rand.Rand) Label { return Label(r.Intn(40)) },
+		"large": func(r *rand.Rand) Label { return Label(250 + r.Intn(12)) },
+		"wide":  func(r *rand.Rand) Label { return Label(r.Intn(1 << 16)) },
+	}
+	sizes := []int{0, 1, 2, 3, 5, 8, 13, 35, 126, 127, 128, 129, 300}
+	var graphs, wide, disconnected int
+	for _, n := range sizes {
+		for _, alphabet := range []string{"few", "many", "large", "wide"} {
+			for _, deg := range []float64{0.5, 1.5, 3, 6} {
+				for kind := 0; kind < 3; kind++ {
+					g := planGraph(rng, n, deg, kind == 1, kind == 2, alphabets[alphabet])
+					want, p := referencePlan(g), g.MatchPlan()
+					if got := stepsOf(p); !slices.Equal(got, want) {
+						t.Fatalf("n=%d %s labels, degree %.1f, kind %d: plan differs from the reference\ngot  %v\nwant %v", n, alphabet, deg, kind, got, want)
+					}
+					if p.wide != (n >= narrowPlan) {
+						t.Fatalf("n=%d: wide=%v", n, p.wide)
+					}
+					graphs++
+					if p.wide {
+						wide++
+					}
+					if !g.IsConnected() {
+						disconnected++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d graphs, %d wide, %d disconnected", graphs, wide, disconnected)
+	if wide == 0 || wide == graphs || disconnected == 0 {
+		t.Fatalf("the sample misses a case: %d graphs, %d wide, %d disconnected", graphs, wide, disconnected)
+	}
+}
+
+// TestPlanEncodingRoundTrip: every step put into either encoding comes
+// back from Step unchanged, the narrow encoding's extremes (vertex 126,
+// anchor 253, the unanchored -1) and the wide one's included.
+func TestPlanEncodingRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for _, n := range []int{1, 2, 126, 127, 128, 129, 1000} {
+		p := newPlan(n)
+		want := make([]PlanStep, n)
+		for i := range want {
+			max := int32(n)
+			if n >= narrowPlan && i%2 == 0 {
+				max = 1<<30 - 1 // the wide encoding stores any int32
+			}
+			v := rng.Int31n(max)
+			var anchor int32
+			switch i % 3 {
+			case 0:
+				anchor = -1
+			case 1:
+				anchor = (max-1)<<1 | 1
+			default:
+				anchor = rng.Int31n(max)<<1 | rng.Int31n(2)
+			}
+			if i == 0 {
+				v = max - 1
+			}
+			want[i] = PlanStep{v, anchor}
+			p.put(i, want[i])
+		}
+		if got := stepsOf(p); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: round trip\ngot  %v\nwant %v", n, got, want)
+		}
+	}
+}
+
 // TestPlanDeterministic: the match plan is a function of the graph alone
 // — the same whatever order the builder saw the edges in — it is a valid
 // plan (a permutation whose anchors are earlier-ordered neighbours in the
@@ -45,13 +216,13 @@ func TestPlanDeterministic(t *testing.T) {
 		directed := trial%2 == 1
 		labels, edges := randomEdges(rng, rng.Intn(10), directed)
 		g := buildFrom(labels, edges, directed)
-		plan := g.MatchPlan()
+		plan := stepsOf(g.MatchPlan())
 
 		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-		if again := buildFrom(labels, edges, directed).MatchPlan(); !slices.Equal(plan, again) {
+		if again := stepsOf(buildFrom(labels, edges, directed).MatchPlan()); !slices.Equal(plan, again) {
 			t.Fatalf("trial %d: plan depends on edge insertion order:\n%v\n%v", trial, plan, again)
 		}
-		if c := g.WithID(99); len(plan) > 0 && &c.MatchPlan()[0] != &plan[0] {
+		if c := g.WithID(99); c.MatchPlan().b != g.memoPlan.Load() {
 			t.Fatalf("trial %d: WithID copy rebuilt the plan", trial)
 		}
 

@@ -8,7 +8,9 @@
 // the pattern's match plan (graph.MatchPlan): rooted at a vertex of the
 // pattern's rarest label, grown connected, with the anchor each step draws
 // its candidates from fixed once per pattern, so the inner loop is
-// adjacency probes and nothing else. A target vertex is tried only if its
+// adjacency probes and nothing else. The plan is memoized on the pattern
+// packed, 2 bytes a step below 128 vertices, and each depth of a search
+// decodes its own step from those bytes in place. A target vertex is tried only if its
 // neighbourhood carries at least the labels the pattern vertex's does
 // (graph.SigDominates, one word compare per direction — STwig's star test,
 // applied per candidate vertex), which halves the search on molecule data.

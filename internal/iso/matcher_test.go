@@ -3,6 +3,7 @@ package iso
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"graphcache/internal/graph"
@@ -77,5 +78,70 @@ func TestBoundMatcherReuse(t *testing.T) {
 	t.Logf("%d matches, %d misses, %d aborted, %d targets smaller than the one before", matched, missed, aborted, shrank)
 	if matched < 500 || missed < 500 || aborted < 500 || shrank < 500 {
 		t.Error("the sequences no longer cover every outcome")
+	}
+}
+
+// TestConcurrentFirstPlan: goroutines that bind a pattern nobody has
+// planned yet, all at once, race on its first plan. Each must search
+// with the one packed plan the graph ends up memoizing — losers of the
+// race take the winner's bytes — and reach the verdicts and Stats a
+// sequential search reaches, on narrow and wide plans alike.
+func TestConcurrentFirstPlan(t *testing.T) {
+	const goroutines = 16
+	rng := rand.New(rand.NewSource(51))
+	for round := 0; round < 12; round++ {
+		n := 12 + rng.Intn(30)
+		if round%4 == 3 {
+			n = 128 + rng.Intn(40) // a wide plan
+		}
+		var targets []*graph.Graph
+		for len(targets) < 6 {
+			if round%2 == 0 {
+				targets = append(targets, randomGraph(rng, n+rng.Intn(20), 3, 3/float64(n)))
+			} else {
+				targets = append(targets, randomDigraph(rng, n+rng.Intn(20), 3, 0, 2/float64(n)))
+			}
+		}
+		p, err := targets[0].InducedSubgraph(rng.Perm(targets[0].N())[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{MaxRecursions: 20000}
+		type outcome struct {
+			ok bool
+			st Stats
+		}
+		plans := make([]graph.Plan, goroutines)
+		got := make([][]outcome, goroutines)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				m := Bind(p, opts)
+				plans[g] = m.plan
+				for _, tg := range targets {
+					ok, st := m.Match(tg)
+					got[g] = append(got[g], outcome{ok, st})
+				}
+				m.Release()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		memo := p.MatchPlan()
+		for g := 0; g < goroutines; g++ {
+			if plans[g] != memo {
+				t.Fatalf("round %d: goroutine %d searched with a plan other than the memoized one", round, g)
+			}
+			for i, tg := range targets {
+				ok, st := VF2(p, tg, opts)
+				if got[g][i] != (outcome{ok, st}) {
+					t.Fatalf("round %d: goroutine %d, target %d: %v %+v, sequential %v %+v", round, g, i, got[g][i].ok, got[g][i].st, ok, st)
+				}
+			}
+		}
 	}
 }

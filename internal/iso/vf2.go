@@ -10,8 +10,9 @@ import (
 // bindings, so a steady-state test allocates nothing. Every pooled matcher
 // has both core slices at -1 over their whole capacity: a search undoes
 // each assignment on its way out, so nothing is ever cleared between
-// targets or between patterns. The plan is not pooled — it comes from the
-// pattern's memo cache (graph.MatchPlan) and is shared read-only.
+// targets or between patterns. The plan is not pooled and not copied: a
+// matcher holds the pattern's packed memo (graph.MatchPlan), shared
+// read-only, and decodes one step per depth from it.
 var matcherPool = sync.Pool{New: func() any { return new(Matcher) }}
 
 // Matcher is the VF2 search state with a pattern bound to it: the plan,
@@ -23,7 +24,7 @@ var matcherPool = sync.Pool{New: func() any { return new(Matcher) }}
 type Matcher struct {
 	pg, tg  *graph.Graph // for the edge-label maps only
 	p, t    graph.CSR
-	plan    []graph.PlanStep
+	plan    graph.Plan
 	pCore   []int32 // pattern vertex -> target vertex or -1
 	tCore   []int32 // target vertex -> pattern vertex or -1
 	elabels bool    // either graph carries edge labels
@@ -72,7 +73,7 @@ func growCore(s []int32, n int) []int32 {
 // is false and Stats.Aborted is set. Only directedness and size are
 // screened first: the caller is expected to have filtered its targets.
 func (m *Matcher) Match(t *graph.Graph) (bool, Stats) {
-	if len(m.plan) == 0 {
+	if m.plan.Len() == 0 {
 		return true, Stats{} // the empty pattern embeds everywhere
 	}
 	if m.pg.Directed() != t.Directed() || m.pg.N() > t.N() || m.pg.M() > t.M() {
@@ -127,7 +128,7 @@ func CountEmbeddings(p, t *graph.Graph, limit int) int {
 // returns true when the search can stop (a match was found in decision
 // mode, or the enumeration limit was reached in counting mode).
 func (m *Matcher) match(depth int) bool {
-	if depth == len(m.plan) {
+	if depth == m.plan.Len() {
 		if m.count {
 			m.found++
 			return m.limit > 0 && m.found >= m.limit
@@ -145,7 +146,7 @@ func (m *Matcher) match(depth int) bool {
 	// way screened by label and injectivity before the feasibility rules,
 	// the first of which — tv's neighbourhood must carry the labels pu's
 	// does — is cheap enough to sit here, ahead of the call.
-	step := m.plan[depth]
+	step := m.plan.Step(depth)
 	label, sig := m.p.Labels[step.V], m.p.Sig[step.V]
 	tLabels, tSig := m.t.Labels, m.t.Sig
 	var cands []int32
