@@ -73,7 +73,7 @@ func TestPlanPackedBytes(t *testing.T) {
 		}
 		got := int(heap(true)-heap(false)) / copies
 		want := 2 * n
-		if n >= narrowPlan {
+		if n >= 128 {
 			want = 8 * n
 		}
 		t.Logf("%d vertices: %d B a first plan, %d B packed", n, got, want)

@@ -74,15 +74,18 @@ func (p Plan) put(i int, s PlanStep) {
 	*(*[2]int32)(unsafe.Add(unsafe.Pointer(p.b), 8*i)) = [2]int32{s.V, s.Anchor}
 }
 
+// planOf returns the plan of an n-vertex graph whose packed steps start
+// at b.
+func planOf(b *byte, n int) Plan { return Plan{b, n, n >= narrowPlan} }
+
 // newPlan allocates the packed steps of an n-vertex graph: the one
 // allocation a graph's first plan makes.
 func newPlan(n int) Plan {
-	p := Plan{n: n, wide: n >= narrowPlan}
+	p := planOf(nil, n)
 	switch {
-	case n == 0:
 	case p.wide:
 		p.b = (*byte)(unsafe.Pointer(unsafe.SliceData(make([]int32, 2*n))))
-	default:
+	case n > 0:
 		p.b = unsafe.SliceData(make([]byte, 2*n))
 	}
 	return p
@@ -100,7 +103,7 @@ func newPlan(n int) Plan {
 // vertices with an ordered neighbour) or, when that is empty, the best
 // unordered vertex. The result is memoized on the graph.
 func (g *Graph) MatchPlan() Plan {
-	p := Plan{b: g.memoPlan.Load(), n: g.N(), wide: g.N() >= narrowPlan}
+	p := planOf(g.memoPlan.Load(), g.N())
 	if p.b != nil || p.n == 0 {
 		return p
 	}
@@ -128,9 +131,9 @@ var planPool = sync.Pool{New: func() any { return new(planScratch) }}
 
 // plan writes g's plan into p. Each step scans the frontier, and a step
 // that finds it empty scans every vertex for the next root, so a plan
-// costs O(m + n·(frontier + components)): O(n) passes only on a graph of
-// that many components, never more than the one full scan a step the
-// selection it replaced made.
+// costs O(m + n·(frontier + components)): at worst, on a graph of n
+// components, one full scan a step, which the selection it replaced
+// made on every graph.
 func (s *planScratch) plan(g *Graph, p Plan) {
 	n := g.N()
 	if cap(s.cols) < 3*n {

@@ -151,7 +151,7 @@ func TestPlanMatchesReference(t *testing.T) {
 					if got := stepsOf(p); !slices.Equal(got, want) {
 						t.Fatalf("n=%d %s labels, degree %.1f, kind %d: plan differs from the reference\ngot  %v\nwant %v", n, alphabet, deg, kind, got, want)
 					}
-					if p.wide != (n >= narrowPlan) {
+					if p.wide != (n >= 128) {
 						t.Fatalf("n=%d: wide=%v", n, p.wide)
 					}
 					graphs++
@@ -181,7 +181,7 @@ func TestPlanEncodingRoundTrip(t *testing.T) {
 		want := make([]PlanStep, n)
 		for i := range want {
 			max := int32(n)
-			if n >= narrowPlan && i%2 == 0 {
+			if n >= 128 && i%2 == 0 {
 				max = 1<<30 - 1 // the wide encoding stores any int32
 			}
 			v := rng.Int31n(max)

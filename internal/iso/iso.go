@@ -10,10 +10,11 @@
 // its candidates from fixed once per pattern, so the inner loop is
 // adjacency probes and nothing else. The plan is memoized on the pattern
 // packed, 2 bytes a step below 128 vertices, and each depth of a search
-// decodes its own step from those bytes in place. A target vertex is tried only if its
-// neighbourhood carries at least the labels the pattern vertex's does
-// (graph.SigDominates, one word compare per direction — STwig's star test,
-// applied per candidate vertex), which halves the search on molecule data.
+// decodes its own step from those bytes in place. A target vertex is
+// tried only if its neighbourhood carries at least the labels the
+// pattern vertex's does (graph.SigDominates, one word compare per
+// direction — STwig's star test, applied per candidate vertex), which
+// halves the search on molecule data.
 // That is the matcher's only screen besides directedness and size: the
 // callers screen their pairs first (Method M's filter, the cache's
 // path-feature summaries). One search routine, Matcher.match, serves all
