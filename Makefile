@@ -118,8 +118,11 @@ cover:
 # query side (GGSX Candidates for subgraph and supergraph queries on that
 # index: the trie walk, the posting ANDs and the bloom and forward-row
 # scan), CPU + heap profiles of the filter's copy-on-write insert on
-# that index and an alloc_space profile of an index build (build_mem.pprof,
-# the bytes the index is made of), from the stock benchmark runner. Inspect with
+# that index, an alloc_space profile of an index build (build_mem.pprof,
+# the bytes the index is made of) and a heap profile of the graph layer
+# (BenchmarkBuildMolecules, graph_mem.pprof: one Builder.Build per
+# harness molecule, a header and a block, 2 allocations a graph), from the
+# stock benchmark runner. Inspect with
 # `go tool pprof profiles/core.test profiles/core_cpu.pprof` (narrow with
 # `-focus 'AddGraph|turnWindow'`; the removal is in `remove_{cpu,mem}.pprof`,
 # at a fixed 20 000 removals: each one consumes a live graph the
@@ -137,7 +140,8 @@ cover:
 # the packed forward rows and the walk's scratch),
 # `go tool pprof -sample_index=alloc_space profiles/ftv.test profiles/build_mem.pprof`,
 # or, for the bytes the last index built still holds (the benchmark keeps
-# it in a sink), the same with `-sample_index=inuse_space`;
+# it in a sink), the same with `-sample_index=inuse_space`,
+# `go tool pprof -sample_index=alloc_space profiles/graph.test profiles/graph_mem.pprof`;
 # a live daemon serves the same through `gcd -pprof`.
 PROFILE_DIR ?= profiles
 profiles:
@@ -162,6 +166,8 @@ profiles:
 	$(GO) test -run '^$$' -bench 'BenchmarkGGSXBuild$$' -benchtime 50x -benchmem \
 		-memprofile $(PROFILE_DIR)/build_mem.pprof -memprofilerate 1 \
 		-o $(PROFILE_DIR)/ftv.test ./internal/ftv/
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildMolecules$$' -benchmem \
+		-memprofile $(PROFILE_DIR)/graph_mem.pprof -o $(PROFILE_DIR)/graph.test ./internal/graph/
 
 # loc prints the size of the program: lines of non-test Go outside
 # benchmark/ and testdata, per package directory and in total — the one

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"graphcache/internal/graph"
 )
 
 // syncBuffer is a goroutine-safe writer the daemon's stdout is captured in
@@ -116,6 +118,53 @@ func TestDaemonBootQueryShutdown(t *testing.T) {
 	}
 	if s := out.String(); !strings.Contains(s, "bye") {
 		t.Errorf("no shutdown banner in output:\n%s", s)
+	}
+}
+
+// TestDaemonRefusesOversizeGraphs: a query and a dataset graph of one
+// vertex past graph.MaxVertices are each a 400, the dataset keeps its
+// size, and the daemon goes on answering and shuts down cleanly.
+func TestDaemonRefusesOversizeGraphs(t *testing.T) {
+	base, _, shutdown := bootDaemon(t)
+	var text strings.Builder
+	text.WriteString("t # 0\n")
+	for v := 0; v <= graph.MaxVertices; v++ {
+		fmt.Fprintf(&text, "v %d 1\n", v)
+	}
+	oversize, err := json.Marshal(map[string]string{"graph": text.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+	for _, path := range []string{"/api/query", "/api/dataset/graphs"} {
+		if code, b := post(path, oversize); code != http.StatusBadRequest || !bytes.Contains(b, []byte("more than 65536 vertices")) {
+			t.Errorf("POST %s with %d vertices: status %d: %s", path, graph.MaxVertices+1, code, b)
+		}
+	}
+	if code, b := post("/api/query", []byte(`{"graph": "t # 0\nv 0 1\nv 1 2\ne 0 1\n"}`)); code != http.StatusOK {
+		t.Errorf("query after the refusals: status %d: %s", code, b)
+	}
+	resp, err := http.Get(base + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil || stats["datasetSize"] != float64(30) {
+		t.Errorf("stats after the refusals: datasetSize %v, %v", stats["datasetSize"], err)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

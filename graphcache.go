@@ -115,7 +115,9 @@ func MustNewGraph(labels []Label, edges [][2]int) *Graph {
 	return graph.MustNew(labels, edges)
 }
 
-// NewBuilder returns a builder for an n-vertex graph.
+// NewBuilder returns a builder for an n-vertex graph. A graph holds at
+// most 65 536 vertices (graph.MaxVertices): Build returns an error for
+// more, and ReadDataset refuses a graph's 65 537th vertex line.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 
 // ReadDataset parses graphs in the gSpan-style text format

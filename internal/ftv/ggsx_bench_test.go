@@ -106,11 +106,12 @@ func BenchmarkGGSXWithGraph(b *testing.B) {
 // sub-iso test, run the way the kernel runs it — a subgraph query bound
 // once and matched against each of its candidates, a supergraph query
 // through one-shot VF2 — plus the subgraph pairs through one-shot VF2,
-// which is what binding saves. ns/op is therefore ns per test;
-// recursions/test and checks/test are iso.Stats averaged over the
-// iterations, recursions/match and recursions/miss the same split by
-// verdict. The counts are deterministic: if one moves, the plan order or a
-// pruning rule changed.
+// which is what binding saves. ns/op is therefore ns per test.
+// recursions/test and checks/test are iso.Stats averaged over one untimed
+// pass over the whole pair list after the timed loop, recursions/match
+// and recursions/miss the same split by verdict, so they do not depend on
+// b.N. They are deterministic: if one moves, the plan order or a pruning
+// rule changed.
 func BenchmarkVerifyCandidates(b *testing.B) {
 	bi := benchIndex()
 	for _, mode := range []struct {
@@ -136,25 +137,31 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 				})
 			}
 			b.Logf("%d queries, %.0f tests/query", len(queries), float64(len(pairs))/float64(len(queries)))
-			var rec, checks, matches, matchRec int64
 			var m *iso.Matcher
+			// test runs pair i, binding a new pattern where the bound
+			// mode meets one.
+			test := func(i int) (bool, iso.Stats) {
+				pr := pairs[i%len(pairs)]
+				if !mode.bound {
+					return iso.VF2(pr[0], pr[1], iso.Options{})
+				}
+				if i%len(pairs) == 0 || pr[0] != pairs[i%len(pairs)-1][0] {
+					if m != nil {
+						m.Release()
+					}
+					m = iso.Bind(pr[0], iso.Options{})
+				}
+				return m.Match(pr[1])
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pr := pairs[i%len(pairs)]
-				var ok bool
-				var st iso.Stats
-				if mode.bound {
-					if i%len(pairs) == 0 || pr[0] != pairs[i%len(pairs)-1][0] {
-						if m != nil {
-							m.Release()
-						}
-						m = iso.Bind(pr[0], iso.Options{})
-					}
-					ok, st = m.Match(pr[1])
-				} else {
-					ok, st = iso.VF2(pr[0], pr[1], iso.Options{})
-				}
+				test(i)
+			}
+			b.StopTimer()
+			var rec, checks, matches, matchRec int64
+			for i := range pairs {
+				ok, st := test(i)
 				rec += st.Recursions
 				checks += st.Candidates
 				if ok {
@@ -162,14 +169,14 @@ func BenchmarkVerifyCandidates(b *testing.B) {
 					matchRec += st.Recursions
 				}
 			}
-			b.StopTimer()
 			if m != nil {
 				m.Release()
 			}
-			b.ReportMetric(float64(rec)/float64(b.N), "recursions/test")
-			b.ReportMetric(float64(checks)/float64(b.N), "checks/test")
+			tests := int64(len(pairs))
+			b.ReportMetric(float64(rec)/float64(tests), "recursions/test")
+			b.ReportMetric(float64(checks)/float64(tests), "checks/test")
 			b.ReportMetric(float64(matchRec)/float64(max(matches, 1)), "recursions/match")
-			b.ReportMetric(float64(rec-matchRec)/float64(max(int64(b.N)-matches, 1)), "recursions/miss")
+			b.ReportMetric(float64(rec-matchRec)/float64(max(tests-matches, 1)), "recursions/miss")
 		})
 	}
 }

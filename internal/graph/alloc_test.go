@@ -55,6 +55,7 @@ func TestDominatedByAllocBudget(t *testing.T) {
 // may round the exact length up only to the allocator's size class.
 func TestPlanPackedBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep the scratch pool
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and on the one P that filled it
 	rng := rand.New(rand.NewSource(52))
 	for _, n := range []int{40, 100, 127, 128, 129, 300} {
 		base := planGraph(rng, n, 3, n%2 == 1, false, func(r *rand.Rand) Label { return Label(r.Intn(5)) })

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 )
 
@@ -68,19 +69,31 @@ func (b *Builder) AddEdge(u, v int) *Builder {
 	return b
 }
 
-// Build finalizes the graph. It returns the first recorded error, if any.
+// Build finalizes the graph. It returns the first recorded error, if any,
+// and an error for a graph of more than MaxVertices vertices, or of more
+// neighbour entries than a 32-bit offset reaches.
 func (b *Builder) Build() (*Graph, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
 	n := len(b.labels)
+	if n > MaxVertices {
+		return nil, fmt.Errorf("graph: %d vertices, more than %d", n, MaxVertices)
+	}
 	slices.Sort(b.edges)
 	b.edges = slices.Compact(b.edges)
-	rows := n
-	if b.directed {
-		rows = 2 * n
+	if 2*len(b.edges) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d edges, more than %d", len(b.edges), math.MaxInt32/2)
 	}
-	c := newBlock(n, rows, 2*len(b.edges))
+	g := &Graph{
+		id:       b.id,
+		n:        uint32(n),
+		m:        uint32(len(b.edges)),
+		directed: b.directed,
+	}
+	rows := g.rows()
+	g.block = newBlock(n, rows, 2*len(b.edges))
+	c := g.CSR()
 	copy(c.Labels, b.labels)
 	// Rows are sized, then filled, in place. The first pass leaves each
 	// row's length in Off[row+1] and the running sum turns that into the
@@ -103,7 +116,7 @@ func (b *Builder) Build() (*Graph, error) {
 		start, off[r] = start+off[r+1], start
 	}
 	for _, e := range b.edges {
-		u, v := int32(e>>32), int32(uint32(e))
+		u, v := uint16(e>>32), uint16(e)
 		c.Nbr[off[u]] = v
 		off[u]++
 		c.Nbr[off[in+int(v)]] = u
@@ -116,14 +129,8 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	// Only AddLabeledEdge writes elabels, after its AddEdge succeeded, so
 	// every key is an edge.
-	elabels := maps.Clone(b.elabels)
-	return &Graph{
-		id:       b.id,
-		c:        c,
-		elabels:  elabels,
-		directed: b.directed,
-		m:        len(b.edges),
-	}, nil
+	g.elabels = maps.Clone(b.elabels)
+	return g, nil
 }
 
 // MustBuild is Build that panics on error, for tests and generators whose

@@ -18,7 +18,8 @@ import (
 //	e <u> <v> [edge-label]
 //
 // Vertices must be declared before edges reference them; vertex ids within
-// a graph must be consecutive from 0. Lines starting with "//" and blank
+// a graph must be consecutive from 0 and below MaxVertices (65 536), and
+// labels, vertex and edge, fit 16 bits. Lines starting with "//" and blank
 // lines are ignored. The optional "directed" marker and edge labels carry
 // the generalized graph types; plain files remain fully compatible.
 
@@ -149,6 +150,9 @@ func ReadAll(r io.Reader) ([]*Graph, error) {
 			}
 			if vid != len(b.labels) {
 				return nil, fail("vertex ids must be consecutive from 0; got %d, want %d", vid, len(b.labels))
+			}
+			if vid >= MaxVertices {
+				return nil, fail("more than %d vertices", MaxVertices)
 			}
 			b.labels = append(b.labels, Label(lab))
 		case "e":

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -80,6 +81,7 @@ func TestCodecErrors(t *testing.T) {
 		{"nonconsecutive vid", "t # 0\nv 1 0\n", 2, "vertex ids must be consecutive from 0; got 1, want 0"},
 		{"bad label", "t # 0\nv 0 -2\n", 2, `bad vertex line "v 0 -2"`},
 		{"label overflow", "t # 0\nv 0 70000\n", 2, `bad vertex line "v 0 70000"`},
+		{"vertex overflow", verticesText(MaxVertices + 1), MaxVertices + 2, "more than 65536 vertices"},
 		{"edge undeclared", "t # 0\nv 0 1\ne 0 1\n", 3, "edge {0,1} references undeclared vertex"},
 		{"self loop", "t # 0\nv 0 1\ne 0 0\n", 3, "graph: self-loop at vertex 0"},
 		{"junk directive", "t # 0\nx y z\n", 2, `unknown directive "x"`},
@@ -186,6 +188,7 @@ func FuzzReadAll(f *testing.F) {
 	f.Add("t # 0\nv 0 1\ne 0 0\n")
 	f.Add("t # 0\nv 0 1\nv\u00a01 1\ne 0 1 -1\n")
 	f.Add("t # 99999999999999999999\nv 0 70000\nx\xff\n")
+	f.Add(verticesText(MaxVertices + 1))
 	f.Fuzz(func(t *testing.T, in string) {
 		gs, err := ReadAll(strings.NewReader(in))
 		if err != nil {
@@ -224,6 +227,16 @@ func TestCodecSelfLoopErrorSurfacesFromBuilder(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *ParseError, got %T: %v", err, err)
 	}
+}
+
+// verticesText is a graph of n vertices and no edges in the text format.
+func verticesText(n int) string {
+	var sb strings.Builder
+	sb.WriteString("t # 0\n")
+	for v := 0; v < n; v++ {
+		fmt.Fprintf(&sb, "v %d 1\n", v)
+	}
+	return sb.String()
 }
 
 // patternText renders an n-vertex pattern the shape of the daemon's

@@ -2,17 +2,21 @@ package graph
 
 import "unsafe"
 
+// MaxVertices is the most vertices a graph may have: a neighbour entry is
+// a uint16. Builder.Build and ReadAll refuse a larger graph with an error.
+const MaxVertices = 1 << 16
+
 // CSR is a graph's adjacency as the matcher reads it: every array of the
-// graph's one block, by value, so a search indexes them without going
-// back through the *Graph. Row v is vertex v's sorted out-neighbours (all
-// its neighbours, when undirected); row In+v its in-neighbours — In is 0
-// for an undirected graph, whose in-rows are its out-rows, and N for a
-// directed one. Everything is read-only.
+// graph's one block, worked out from the header by Graph.CSR, so a search
+// indexes them without going back through the *Graph. Row v is vertex v's
+// sorted out-neighbours (all its neighbours, when undirected); row In+v its
+// in-neighbours — In is 0 for an undirected graph, whose in-rows are its
+// out-rows, and N for a directed one. Everything is read-only.
 type CSR struct {
 	Labels []Label
 	// Off has one entry per row plus a sentinel: row r is Nbr[Off[r]:Off[r+1]].
 	Off []int32
-	Nbr []int32
+	Nbr []uint16
 	// Sig is the neighbour-label signature of each row, see SigDominates.
 	Sig []uint64
 	In  int
@@ -20,7 +24,7 @@ type CSR struct {
 
 // Row returns row r, capped at its own length so that an append by a
 // caller reallocates instead of writing into the next row.
-func (c *CSR) Row(r int) []int32 {
+func (c *CSR) Row(r int) []uint16 {
 	lo, hi := c.Off[r], c.Off[r+1]
 	return c.Nbr[lo:hi:hi]
 }
@@ -46,7 +50,7 @@ func SigDominates(t, p uint64) bool {
 }
 
 // signature computes the signature of one row.
-func signature(row []int32, labels []Label) uint64 {
+func signature(row []uint16, labels []Label) uint64 {
 	var s uint64
 	for _, w := range row {
 		shift := uint(labels[w]&15) * 4
@@ -57,30 +61,67 @@ func signature(row []int32, labels []Label) uint64 {
 	return s
 }
 
-// newBlock carves the arrays of a graph with n vertices, the given number
-// of rows (n, or 2n when directed) and arcs neighbour entries out of one
-// allocation, each starting on a word: labels, which a search reads first,
-// then signatures, then offsets and neighbours. All come back zeroed, at
-// exact length and capacity.
-func newBlock(n, rows, arcs int) CSR {
-	ints := rows + 1 + arcs
-	labelWords, intWords := (n+3)/4, (ints+1)/2
-	block := make([]uint64, labelWords+rows+intWords)
-	i32 := unsafe.Slice((*int32)(unsafe.Pointer(&block[labelWords+rows])), ints)
-	c := CSR{
-		Sig: block[labelWords : labelWords+rows : labelWords+rows],
-		Off: i32[: rows+1 : rows+1],
-		Nbr: i32[rows+1:],
-		In:  rows - n,
-	}
-	if n > 0 {
-		c.Labels = unsafe.Slice((*Label)(unsafe.Pointer(&block[0])), n)
-	}
-	return c
+// blockWords is the length in words of the block of a graph with n
+// vertices, the given number of rows (n, or 2n when directed) and arcs
+// neighbour entries. The labels, which a search reads first, start the
+// block, then the signatures; the offsets and the neighbours follow end
+// to end, so that 4 B of offset and 2 B of neighbour share their words.
+// There is always at least the sentinel offset.
+func blockWords(n, rows, arcs int) int {
+	return (n+3)/4 + rows + (4*(rows+1)+2*arcs+7)/8
 }
 
-// blockBytes is the size of the allocation behind c.
-func (c *CSR) blockBytes() int {
-	ints := len(c.Off) + len(c.Nbr)
-	return 8 * (len(c.Sig) + (ints+1)/2 + (len(c.Labels)+3)/4)
+// newBlock allocates the zeroed block of a graph with n vertices, the
+// given number of rows and arcs neighbour entries (see blockWords): the
+// one allocation of a graph besides its header, which keeps only the
+// pointer it returns and works out the four arrays from its counts.
+func newBlock(n, rows, arcs int) *uint64 {
+	return unsafe.SliceData(make([]uint64, blockWords(n, rows, arcs)))
+}
+
+// rows is the number of rows of g's block.
+func (g *Graph) rows() int {
+	if g.directed {
+		return 2 * int(g.n)
+	}
+	return int(g.n)
+}
+
+// ints returns the offsets and neighbours of g's block as one run of
+// uint16s: the offsets are its first 2·(rows+1) entries, two to an int32,
+// and the neighbours the rest. Carving the neighbours out of this slice,
+// rather than pointing at them, keeps an empty row's pointer inside the
+// block.
+func (g *Graph) ints() (off []int32, u16 []uint16) {
+	rows := g.rows()
+	p := unsafe.Add(unsafe.Pointer(g.block), 8*((int(g.n)+3)/4+rows))
+	return unsafe.Slice((*int32)(p), rows+1), unsafe.Slice((*uint16)(p), 2*(rows+1)+2*int(g.m))
+}
+
+// row returns row r of g's block, capped as CSR.Row caps it.
+func (g *Graph) row(r int) []uint16 {
+	off, u16 := g.ints()
+	lo, hi := 2*len(off)+int(off[r]), 2*len(off)+int(off[r+1])
+	return u16[lo:hi:hi]
+}
+
+// CSR returns the graph's arrays, for the matcher, worked out from the
+// block pointer and the counts of the header. Callers must not modify
+// them.
+func (g *Graph) CSR() CSR {
+	n, rows := int(g.n), g.rows()
+	lw := (n + 3) / 4
+	off, u16 := g.ints()
+	return CSR{
+		Labels: unsafe.Slice((*Label)(unsafe.Pointer(g.block)), n),
+		Off:    off,
+		Nbr:    u16[2*len(off):],
+		Sig:    unsafe.Slice(g.block, lw+rows)[lw:],
+		In:     rows - n,
+	}
+}
+
+// blockBytes is the size of the allocation behind g's arrays.
+func (g *Graph) blockBytes() int {
+	return 8 * blockWords(int(g.n), g.rows(), 2*int(g.m))
 }

@@ -3,11 +3,12 @@ package graph
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refSignature counts a neighbour list the slow way: one counter per
 // bucket, clipped at 7 when packed.
-func refSignature(g *Graph, list []int32) uint64 {
+func refSignature(g *Graph, list []uint16) uint64 {
 	var count [16]int
 	for _, w := range list {
 		count[g.Label(int(w))&15]++
@@ -80,10 +81,20 @@ func TestSignatures(t *testing.T) {
 	}
 }
 
+// TestGraphHeaderIs64Bytes: a header is the block pointer, the id, the
+// edge-label map, 32-bit counts and the two memo slots, so it fits the
+// 64-byte size class Bytes charges; four slice headers took it to 152.
+func TestGraphHeaderIs64Bytes(t *testing.T) {
+	if s := unsafe.Sizeof(Graph{}); s > 64 {
+		t.Errorf("Graph is %d bytes, want at most 64", s)
+	}
+}
+
 // TestBytesCountsTheBlock pins the accounting the cache's memory budget
 // runs on: 64 for the header, then the block — per row 8 B of signature
-// and 4 B of offset, 4 B per neighbour entry, 2 B per label, each array
-// rounded up to a word.
+// and 4 B of offset, 2 B per neighbour entry, 2 B per label, the labels
+// rounded up to a word and the offsets and neighbours, which share their
+// words, rounded up together.
 func TestBytesCountsTheBlock(t *testing.T) {
 	ring := func(n int, directed bool) *Graph {
 		b := NewBuilder(n)
@@ -100,10 +111,10 @@ func TestBytesCountsTheBlock(t *testing.T) {
 		g    *Graph
 		want int
 	}{
-		{"empty", NewBuilder(0).MustBuild(), 64 + 8},                                                  // one offset
-		{"12-ring", ring(12, false), 64 + 12*8 + (13+24+1)/2*8 + 3*8},                                 // 336; 472 as slices of slices
-		{"directed 12-ring", ring(12, true), 64 + 24*8 + (25+24+1)/2*8 + 3*8},                         // a second set of rows, the same 24 entries
-		{"edge-labelled", NewBuilder(2).AddLabeledEdge(0, 1, 5).MustBuild(), 64 + 2*8 + 3*8 + 8 + 16}, // 3 offsets + 2 entries; one map entry
+		{"empty", NewBuilder(0).MustBuild(), 64 + 8},                                                            // one offset
+		{"12-ring", ring(12, false), 64 + 12*8 + (13*4+24*2+7)/8*8 + 3*8},                                       // 288; 336 with 4-byte entries, 472 as slices of slices
+		{"directed 12-ring", ring(12, true), 64 + 24*8 + (25*4+24*2+7)/8*8 + 3*8},                               // 432: a second set of rows, the same 24 entries
+		{"edge-labelled", NewBuilder(2).AddLabeledEdge(0, 1, 5).MustBuild(), 64 + 2*8 + (3*4+2*2)/8*8 + 8 + 16}, // 120: 3 offsets + 2 entries in two words; one map entry
 	} {
 		if got := tc.g.Bytes(); got != tc.want {
 			t.Errorf("%s: Bytes = %d, want %d", tc.name, got, tc.want)

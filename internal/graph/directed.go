@@ -42,17 +42,22 @@ func (g *Graph) EdgeLabel(u, v int) Label {
 // OutNeighbors returns the vertices reachable from v by one edge: the
 // out-neighbors of a directed graph, all neighbors of an undirected one.
 // Callers must not modify the slice.
-func (g *Graph) OutNeighbors(v int) []int32 { return g.c.Row(v) }
+func (g *Graph) OutNeighbors(v int) []uint16 { return g.row(v) }
 
 // InNeighbors returns the vertices with an edge into v. For undirected
 // graphs this equals OutNeighbors.
-func (g *Graph) InNeighbors(v int) []int32 { return g.c.Row(g.c.In + v) }
+func (g *Graph) InNeighbors(v int) []uint16 {
+	if g.directed {
+		v += int(g.n)
+	}
+	return g.row(v)
+}
 
 // OutDegree returns len(OutNeighbors(v)).
 func (g *Graph) OutDegree(v int) int { return g.Degree(v) }
 
 // InDegree returns len(InNeighbors(v)).
-func (g *Graph) InDegree(v int) int { return g.Degree(g.c.In + v) }
+func (g *Graph) InDegree(v int) int { return len(g.InNeighbors(v)) }
 
 // EdgeLabelCounts returns occurrences per edge label (absent for graphs
 // without edge labels).

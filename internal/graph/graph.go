@@ -8,17 +8,22 @@
 //
 // # Layout
 //
-// A graph is a small header and one block (see CSR and newBlock): the
-// labels, a neighbour-label signature per vertex, CSR row offsets and the
-// neighbour lists end to end, in one allocation, because a sub-iso test
-// against a dataset graph costs about what fetching the graph costs.
-// The accessors (Neighbors, OutNeighbors, InNeighbors, HasEdge, ...) hide
-// the layout; the matcher alone reads the raw arrays, through Graph.CSR.
+// A graph is a 64-byte header and one block (see CSR and newBlock): the
+// labels, a neighbour-label signature per vertex, 32-bit CSR row offsets
+// and the 16-bit neighbour lists end to end, in one allocation, because a
+// sub-iso test against a dataset graph costs about what fetching the
+// graph costs. A 16-bit neighbour caps a graph at MaxVertices (65 536)
+// vertices. The header keeps the block pointer and the vertex and edge
+// counts, from which every array's place is worked out on each access:
+// it stores no slice. The accessors (Neighbors, OutNeighbors,
+// InNeighbors, HasEdge, ...) hide the layout; the matcher alone reads the
+// raw arrays, through Graph.CSR.
 package graph
 
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // Label is a vertex label. The demo deployment uses atom symbols of the
@@ -27,14 +32,16 @@ type Label uint16
 
 // Graph is a vertex-labelled simple graph — undirected by default, with
 // optional directedness and edge labels (see directed.go). Vertices are
-// the integers [0, N()). Adjacency lists are sorted ascending, enabling
-// binary-search edge tests; they live in the graph's CSR block.
+// the integers [0, N()), at most MaxVertices of them. Adjacency lists are
+// sorted ascending, enabling binary-search edge tests; they live in the
+// graph's block, of which the header keeps one pointer and the counts
+// that locate every array in it (see CSR).
 type Graph struct {
 	id       int
-	c        CSR
+	block    *uint64
 	elabels  map[edgeKey]Label
+	n, m     uint32
 	directed bool
-	m        int
 
 	// memoSet holds lazily-computed structural summaries (see memo.go).
 	// It contains atomics, so Graph values must not be copied wholesale;
@@ -47,43 +54,44 @@ type Graph struct {
 func (g *Graph) ID() int { return g.id }
 
 // N returns the number of vertices.
-func (g *Graph) N() int { return len(g.c.Labels) }
+func (g *Graph) N() int { return int(g.n) }
 
 // M returns the number of (undirected) edges.
-func (g *Graph) M() int { return g.m }
+func (g *Graph) M() int { return int(g.m) }
 
 // Label returns the label of vertex v.
-func (g *Graph) Label(v int) Label { return g.c.Labels[v] }
+func (g *Graph) Label(v int) Label { return g.Labels()[v] }
 
 // Labels returns the label slice. Callers must not modify it.
-func (g *Graph) Labels() []Label { return g.c.Labels }
-
-// CSR returns the graph's raw arrays, for the matcher. Callers must not
-// modify them.
-func (g *Graph) CSR() CSR { return g.c }
+func (g *Graph) Labels() []Label {
+	return unsafe.Slice((*Label)(unsafe.Pointer(g.block)), g.n)
+}
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int { return int(g.c.Off[v+1] - g.c.Off[v]) }
+func (g *Graph) Degree(v int) int {
+	off, _ := g.ints()
+	return int(off[v+1] - off[v])
+}
 
 // Neighbors returns the sorted neighbor list of v. Callers must not
 // modify it.
-func (g *Graph) Neighbors(v int) []int32 { return g.c.Row(v) }
+func (g *Graph) Neighbors(v int) []uint16 { return g.row(v) }
 
 // HasEdge reports whether {u, v} is an edge — for directed graphs, whether
 // the arc u→v exists.
 func (g *Graph) HasEdge(u, v int) bool {
-	a := g.c.Row(u)
+	a := g.row(u)
 	if !g.directed && g.Degree(v) < len(a) {
 		// Undirected: search the shorter list.
-		a, v = g.c.Row(v), u
+		a, v = g.row(v), u
 	}
-	return Contains(a, int32(v))
+	return Contains(a, uint16(v))
 }
 
 // Contains reports whether the ascending list a holds v: a binary search
 // down to 8 entries, then a linear scan, which is all the short lists of
 // sparse graphs ever get. Closure-free: it is the matcher's edge probe.
-func Contains(a []int32, v int32) bool {
+func Contains(a []uint16, v uint16) bool {
 	for len(a) > 8 {
 		h := len(a) / 2
 		if a[h] <= v {
@@ -106,8 +114,8 @@ func Contains(a []int32, v int32) bool {
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.m)
 	for u := 0; u < g.N(); u++ {
-		for _, v := range g.c.Row(u) {
-			if g.directed || int32(u) < v {
+		for _, v := range g.row(u) {
+			if g.directed || u < int(v) {
 				out = append(out, [2]int{u, int(v)})
 			}
 		}
@@ -118,7 +126,7 @@ func (g *Graph) Edges() [][2]int {
 // LabelCounts returns a map from label to its number of occurrences.
 func (g *Graph) LabelCounts() map[Label]int {
 	c := make(map[Label]int, 8)
-	for _, l := range g.c.Labels {
+	for _, l := range g.Labels() {
 		c[l]++
 	}
 	return c
@@ -127,7 +135,7 @@ func (g *Graph) LabelCounts() map[Label]int {
 // MaxLabel returns the largest label value present, or 0 for an empty graph.
 func (g *Graph) MaxLabel() Label {
 	var max Label
-	for _, l := range g.c.Labels {
+	for _, l := range g.Labels() {
 		if l > max {
 			max = l
 		}
@@ -146,11 +154,11 @@ func (g *Graph) DegreeSequence() []int {
 }
 
 // Bytes estimates the heap footprint of the graph in bytes, used by the
-// cache's memory accounting: the header, the block (8 B of signature and
-// 4 B of offset per row, 4 B per neighbour entry, 2 B per label) and the
-// edge-label map.
+// cache's memory accounting: the header's 64 B size class, the block (8 B
+// of signature and 4 B of offset per row, 2 B per neighbour entry, 2 B per
+// label) and the edge-label map.
 func (g *Graph) Bytes() int {
-	return 64 + g.c.blockBytes() + 16*len(g.elabels)
+	return 64 + g.blockBytes() + 16*len(g.elabels)
 }
 
 // String returns a short human-readable summary such as "g17(V=12,E=13)".
@@ -164,10 +172,11 @@ func (g *Graph) String() string {
 func (g *Graph) WithID(id int) *Graph {
 	c := &Graph{
 		id:       id,
-		c:        g.c,
+		block:    g.block,
 		elabels:  g.elabels,
-		directed: g.directed,
+		n:        g.n,
 		m:        g.m,
+		directed: g.directed,
 	}
 	c.shareFrom(&g.memoSet)
 	return c
@@ -181,13 +190,13 @@ func (g *Graph) IsConnected() bool {
 		return true
 	}
 	seen := make([]bool, n)
-	stack := []int32{0}
+	stack := []uint16{0}
 	seen[0] = true
 	count := 1
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, w := range g.c.Row(int(v)) {
+		for _, w := range g.row(int(v)) {
 			if !seen[w] {
 				seen[w] = true
 				count++
@@ -216,13 +225,13 @@ func (g *Graph) ConnectedComponents() [][]int {
 			continue
 		}
 		var comp []int
-		stack := []int32{int32(s)}
+		stack := []uint16{uint16(s)}
 		seen[s] = true
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, int(v))
-			for _, w := range g.c.Row(int(v)) {
+			for _, w := range g.row(int(v)) {
 				if !seen[w] {
 					seen[w] = true
 					stack = append(stack, w)
@@ -263,7 +272,7 @@ func (g *Graph) InducedSubgraph(verts []int) (*Graph, error) {
 		b.SetLabel(i, g.Label(v))
 	}
 	for i, v := range verts {
-		for _, w := range g.c.Row(v) {
+		for _, w := range g.row(v) {
 			j, ok := remap[int(w)]
 			if !ok || (!g.directed && i >= j) {
 				continue

@@ -81,6 +81,35 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuildCapsVertices: a graph of MaxVertices vertices builds, its top
+// vertex ids intact in 16-bit rows, directed or not; one more vertex is an
+// error, not a panic or a wrapped id.
+func TestBuildCapsVertices(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		b := NewBuilder(MaxVertices)
+		if directed {
+			b.Directed()
+		}
+		g, err := b.AddEdge(0, MaxVertices-1).AddEdge(MaxVertices-2, MaxVertices-1).Build()
+		if err != nil {
+			t.Fatalf("directed %v: %d vertices refused: %v", directed, MaxVertices, err)
+		}
+		if !g.HasEdge(0, MaxVertices-1) || !g.HasEdge(MaxVertices-2, MaxVertices-1) || g.HasEdge(1, MaxVertices-1) {
+			t.Errorf("directed %v: the top vertex's edges did not survive", directed)
+		}
+		if in := g.InNeighbors(MaxVertices - 1); len(in) != 2 || in[0] != 0 || in[1] != MaxVertices-2 {
+			t.Errorf("directed %v: in-neighbours of the top vertex %v", directed, in)
+		}
+		b = NewBuilder(MaxVertices + 1)
+		if directed {
+			b.Directed()
+		}
+		if _, err := b.AddEdge(0, MaxVertices).Build(); err == nil {
+			t.Errorf("directed %v: %d vertices not refused", directed, MaxVertices+1)
+		}
+	}
+}
+
 func TestLabelCounts(t *testing.T) {
 	g := MustNew([]Label{5, 5, 7}, [][2]int{{0, 1}})
 	c := g.LabelCounts()

@@ -53,8 +53,8 @@ func (g *Graph) WLFingerprint(rounds int) Fingerprint {
 func (g *Graph) wlFingerprint(rounds int) Fingerprint {
 	n := g.N()
 	colors := make([]uint64, n)
-	for v := 0; v < n; v++ {
-		colors[v] = uint64(g.c.Labels[v]) + 1
+	for v, l := range g.Labels() {
+		colors[v] = uint64(l) + 1
 	}
 	next := make([]uint64, n)
 	neigh := make([]uint64, 0, 16)

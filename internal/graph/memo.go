@@ -146,8 +146,9 @@ func (s *planScratch) plan(g *Graph, p Plan) {
 	// the label count, then the complement of the out+in degree: the
 	// lower key, then the lower id, ranks first.
 	conn, anchor, front, key := s.cols[:n], s.cols[n:2*n], s.cols[2*n:2*n:3*n], s.keys[:n]
-	s.rarity(g.c.Labels, anchor, conn)
-	off, in := g.c.Off, g.c.In
+	c := g.CSR()
+	s.rarity(c.Labels, anchor, conn)
+	off, in := c.Off, c.In
 	for v := range key {
 		deg := off[v+1] - off[v] + off[in+v+1] - off[in+v]
 		key[v] = uint64(anchor[v])<<32 | uint64(^uint32(deg))
@@ -155,13 +156,13 @@ func (s *planScratch) plan(g *Graph, p Plan) {
 	}
 	// touch counts a newly ordered vertex towards its neighbours in list
 	// and becomes the anchor of those it is the first to reach.
-	touch := func(list []int32, a int32) {
+	touch := func(list []uint16, a int32) {
 		for _, w := range list {
 			if anchor[w] < 0 {
 				anchor[w] = a
 			}
 			if conn[w] == 0 {
-				front = append(front, w)
+				front = append(front, int32(w))
 			}
 			if conn[w] >= 0 {
 				conn[w]++

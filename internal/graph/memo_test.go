@@ -66,7 +66,7 @@ func referencePlan(g *Graph) []PlanStep {
 		}
 		return g.OutDegree(v)+g.InDegree(v) > g.OutDegree(b)+g.InDegree(b)
 	}
-	touch := func(list []int32, a int32) {
+	touch := func(list []uint16, a int32) {
 		for _, w := range list {
 			if anchor[w] < 0 {
 				anchor[w] = a
@@ -240,7 +240,7 @@ func TestPlanDeterministic(t *testing.T) {
 		for i, s := range plan {
 			earliest := -1 // earliest-ordered neighbour of s.V, either direction
 			for _, w := range append(slices.Clone(g.OutNeighbors(int(s.V))), g.InNeighbors(int(s.V))...) {
-				if pos[w] < i && (earliest < 0 || pos[w] < pos[int32(earliest)]) {
+				if pos[int32(w)] < i && (earliest < 0 || pos[int32(w)] < pos[int32(earliest)]) {
 					earliest = int(w)
 				}
 			}
@@ -263,7 +263,7 @@ func TestPlanDeterministic(t *testing.T) {
 }
 
 // TestBuildAdjacencyExact: every adjacency list is sorted and holds no
-// spare capacity (Bytes counts 4 B per entry and nothing else), and
+// spare capacity (Bytes counts 2 B per entry and nothing else), and
 // HasEdge agrees with the edge list on lists short enough for its linear
 // scan and long enough for its binary search.
 func TestBuildAdjacencyExact(t *testing.T) {
@@ -280,7 +280,7 @@ func TestBuildAdjacencyExact(t *testing.T) {
 			}
 		}
 		for u := 0; u < g.N(); u++ {
-			for _, list := range [][]int32{g.OutNeighbors(u), g.InNeighbors(u)} {
+			for _, list := range [][]uint16{g.OutNeighbors(u), g.InNeighbors(u)} {
 				if !slices.IsSorted(list) || cap(list) != len(list) {
 					t.Fatalf("trial %d: vertex %d list %v: sorted=%v len=%d cap=%d", trial, u, list, slices.IsSorted(list), len(list), cap(list))
 				}

@@ -22,8 +22,10 @@
 // pattern, match one target and release; a caller with one pattern and
 // many targets (the verification stage of a subgraph query) keeps the
 // Matcher from Bind and pays per target only for the search. Both graphs
-// are read through their graph.CSR arrays, copied into the matcher, never
-// through *graph.Graph.
+// are read through their graph.CSR arrays — slice headers into each
+// graph's block, which graph.CSR works out from the graph's header once
+// per binding and once per target and the matcher keeps — never through
+// *graph.Graph; a neighbour entry is a uint16.
 //
 // Semantics: SubIso(p, t) == true iff there is an injective mapping
 // f: V(p) → V(t) with label(v) == label(f(v)) for every vertex and, for

@@ -149,7 +149,7 @@ func (m *Matcher) match(depth int) bool {
 	step := m.plan.Step(depth)
 	label, sig := m.p.Labels[step.V], m.p.Sig[step.V]
 	tLabels, tSig := m.t.Labels, m.t.Sig
-	var cands []int32
+	var cands []uint16
 	n := len(tLabels)
 	if step.Anchor >= 0 {
 		row := int(m.pCore[step.Anchor>>1])
@@ -162,7 +162,7 @@ func (m *Matcher) match(depth int) bool {
 	for i := 0; i < n; i++ {
 		tv := int32(i)
 		if step.Anchor >= 0 {
-			tv = cands[i]
+			tv = int32(cands[i])
 		}
 		if tLabels[tv] != label || m.tCore[tv] >= 0 {
 			continue
@@ -209,7 +209,7 @@ func (m *Matcher) feasible(step graph.PlanStep, tv int32) bool {
 			pending++
 			continue
 		}
-		if !(pn == anchor && anchorOut) && !graph.Contains(tOut, img) {
+		if !(int32(pn) == anchor && anchorOut) && !graph.Contains(tOut, uint16(img)) {
 			return false
 		}
 		if m.elabels && m.pg.EdgeLabel(pu, int(pn)) != m.tg.EdgeLabel(int(tv), int(img)) {
@@ -235,7 +235,7 @@ func (m *Matcher) feasible(step graph.PlanStep, tv int32) bool {
 			pending++
 			continue
 		}
-		if !(pn == anchor && !anchorOut) && !graph.Contains(tIn, img) {
+		if !(int32(pn) == anchor && !anchorOut) && !graph.Contains(tIn, uint16(img)) {
 			return false
 		}
 		if m.elabels && m.pg.EdgeLabel(int(pn), pu) != m.tg.EdgeLabel(int(img), int(tv)) {
@@ -247,7 +247,7 @@ func (m *Matcher) feasible(step graph.PlanStep, tv int32) bool {
 
 // available reports whether at least need of the target vertices in
 // list are still unmatched.
-func (m *Matcher) available(list []int32, need int) bool {
+func (m *Matcher) available(list []uint16, need int) bool {
 	for _, tn := range list {
 		if need <= 0 {
 			break

@@ -6,7 +6,6 @@ package viz
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"graphcache/internal/graph"
@@ -84,8 +83,7 @@ func ASCII(g *graph.Graph, opts Options) string {
 	}
 	for v := 0; v < g.N(); v++ {
 		fmt.Fprintf(&b, "%d[%s] %s ", v, opts.vertexName(g.Label(v)), dash)
-		ns := append([]int32(nil), g.OutNeighbors(v)...)
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+		ns := g.OutNeighbors(v) // ascending
 		parts := make([]string, 0, len(ns))
 		for _, w := range ns {
 			p := fmt.Sprintf("%d[%s]", w, opts.vertexName(g.Label(int(w))))
