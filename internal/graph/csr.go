@@ -98,11 +98,15 @@ func (g *Graph) ints() (off []int32, u16 []uint16) {
 	return unsafe.Slice((*int32)(p), rows+1), unsafe.Slice((*uint16)(p), 2*(rows+1)+2*int(g.m))
 }
 
-// row returns row r of g's block, capped as CSR.Row caps it.
+// row returns row r of g's block, capped as CSR.Row caps it: a run of
+// uint16s from the offsets to the row's end, resliced from the row's
+// start. It is ints cut short, so that it inlines.
 func (g *Graph) row(r int) []uint16 {
-	off, u16 := g.ints()
-	lo, hi := 2*len(off)+int(off[r]), 2*len(off)+int(off[r+1])
-	return u16[lo:hi:hi]
+	rows := g.rows()
+	p := unsafe.Add(unsafe.Pointer(g.block), 8*((int(g.n)+3)/4+rows))
+	off := unsafe.Slice((*int32)(p), rows+1)
+	k := 2 * (rows + 1)
+	return unsafe.Slice((*uint16)(p), k+int(off[r+1]))[k+int(off[r]):]
 }
 
 // CSR returns the graph's arrays, for the matcher, worked out from the
