@@ -87,20 +87,11 @@ func (g *Graph) rows() int {
 	return int(g.n)
 }
 
-// ints returns the offsets and neighbours of g's block as one run of
-// uint16s: the offsets are its first 2·(rows+1) entries, two to an int32,
-// and the neighbours the rest. Carving the neighbours out of this slice,
-// rather than pointing at them, keeps an empty row's pointer inside the
-// block.
-func (g *Graph) ints() (off []int32, u16 []uint16) {
-	rows := g.rows()
-	p := unsafe.Add(unsafe.Pointer(g.block), 8*((int(g.n)+3)/4+rows))
-	return unsafe.Slice((*int32)(p), rows+1), unsafe.Slice((*uint16)(p), 2*(rows+1)+2*int(g.m))
-}
-
-// row returns row r of g's block, capped as CSR.Row caps it: a run of
-// uint16s from the offsets to the row's end, resliced from the row's
-// start. It is ints cut short, so that it inlines.
+// row returns row r of g's block, capped as CSR.Row caps it. It slices
+// the run of uint16s from the offsets to the row's end, where the offsets
+// are the first 2·(rows+1) entries, two to an int32, and cuts the row's
+// start off that: a pointer to the row itself would leave the block for
+// an empty last row. Written to inline into the accessors.
 func (g *Graph) row(r int) []uint16 {
 	rows := g.rows()
 	p := unsafe.Add(unsafe.Pointer(g.block), 8*((int(g.n)+3)/4+rows))
@@ -115,11 +106,12 @@ func (g *Graph) row(r int) []uint16 {
 func (g *Graph) CSR() CSR {
 	n, rows := int(g.n), g.rows()
 	lw := (n + 3) / 4
-	off, u16 := g.ints()
+	p := unsafe.Add(unsafe.Pointer(g.block), 8*(lw+rows))
+	k := 2 * (rows + 1)
 	return CSR{
 		Labels: unsafe.Slice((*Label)(unsafe.Pointer(g.block)), n),
-		Off:    off,
-		Nbr:    u16[2*len(off):],
+		Off:    unsafe.Slice((*int32)(p), rows+1),
+		Nbr:    unsafe.Slice((*uint16)(p), k+2*int(g.m))[k:],
 		Sig:    unsafe.Slice(g.block, lw+rows)[lw:],
 		In:     rows - n,
 	}

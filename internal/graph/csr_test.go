@@ -83,7 +83,7 @@ func TestSignatures(t *testing.T) {
 
 // TestGraphHeaderIs64Bytes: a header is the block pointer, the id, the
 // edge-label map, 32-bit counts and the two memo slots, so it fits the
-// 64-byte size class Bytes charges; four slice headers took it to 152.
+// 64-byte size class Bytes charges. A slice header in it would not.
 func TestGraphHeaderIs64Bytes(t *testing.T) {
 	if s := unsafe.Sizeof(Graph{}); s > 64 {
 		t.Errorf("Graph is %d bytes, want at most 64", s)

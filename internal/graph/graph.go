@@ -68,10 +68,7 @@ func (g *Graph) Labels() []Label {
 }
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int {
-	off, _ := g.ints()
-	return int(off[v+1] - off[v])
-}
+func (g *Graph) Degree(v int) int { return len(g.row(v)) }
 
 // Neighbors returns the sorted neighbor list of v. Callers must not
 // modify it.
@@ -85,7 +82,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 		// Undirected: search the shorter list.
 		a, v = g.row(v), u
 	}
-	return Contains(a, uint16(v))
+	return uint(v) < uint(g.n) && Contains(a, uint16(v)) // no id past N wraps onto a vertex
 }
 
 // Contains reports whether the ascending list a holds v: a binary search

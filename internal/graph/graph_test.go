@@ -100,6 +100,9 @@ func TestBuildCapsVertices(t *testing.T) {
 		if in := g.InNeighbors(MaxVertices - 1); len(in) != 2 || in[0] != 0 || in[1] != MaxVertices-2 {
 			t.Errorf("directed %v: in-neighbours of the top vertex %v", directed, in)
 		}
+		if directed && g.HasEdge(0, 2*MaxVertices-1) {
+			t.Errorf("HasEdge(0, %d) wraps onto the arc 0→%d", 2*MaxVertices-1, MaxVertices-1)
+		}
 		b = NewBuilder(MaxVertices + 1)
 		if directed {
 			b.Directed()
