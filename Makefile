@@ -186,11 +186,13 @@ loc:
 # Short native-fuzzing smoke passes: the persistence v2 parser, the
 # adaptive-bitset differential target (random op sequences vs a naive
 # []bool reference, across both containers, sparse and dense), the GGSX layout
-# oracle (build + WithGraph chains vs brute-force path counts), the
+# oracle (build + WithGraph chains vs brute-force path counts), the row
+# screens' soundness oracle (rows walked across insert chains that create
+# trie nodes, every contained pair passing both screens), the
 # matcher oracle (VF2 against brute-force enumeration, with a test-only
 # Ullmann as second opinion, over all four graph kinds) and the graph
 # text parser (never panics; what it accepts survives WriteAll and a
-# second parse); the last three have seeds only, no committed corpus.
+# second parse); the last four have seeds only, no committed corpus.
 # The committed corpora under internal/core/testdata/fuzz and
 # internal/bitset/testdata/fuzz replay in every plain `go test`; this
 # target additionally mutates for a few seconds per target so CI keeps
@@ -201,6 +203,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzReadSnapshot$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzBitsetOps$$' -fuzz '^FuzzBitsetOps$$' -fuzztime $(FUZZTIME) ./internal/bitset/
 	$(GO) test -run '^FuzzGGSXCandidates$$' -fuzz '^FuzzGGSXCandidates$$' -fuzztime $(FUZZTIME) ./internal/ftv/
+	$(GO) test -run '^FuzzRowScreens$$' -fuzz '^FuzzRowScreens$$' -fuzztime $(FUZZTIME) ./internal/ftv/
 	$(GO) test -run '^FuzzVF2$$' -fuzz '^FuzzVF2$$' -fuzztime $(FUZZTIME) ./internal/iso/
 	$(GO) test -run '^FuzzReadAll$$' -fuzz '^FuzzReadAll$$' -fuzztime $(FUZZTIME) ./internal/graph/
 

@@ -51,10 +51,11 @@
 //
 // Sub/super hit detection consults the view's feature index: an
 // ID-ordered array of immutable per-entry containment summaries
-// (label/degree feature vectors plus a path-feature bloom) that readers
-// load once and scan lock-free. Entries whose summaries cannot
+// (label/degree feature vectors plus each pattern's row of Method M's
+// trie) that readers load once and scan lock-free against the query's
+// own filter walk. Entries whose summaries cannot
 // contain (or be contained in) the query's are skipped before any
-// dominance merge or iso test — the summaries are necessary conditions
+// iso test — the summaries are necessary conditions
 // for containment, so answers are provably unchanged. QueryAll drives a
 // whole batch through a bounded worker pool, and QueryAllStream delivers
 // outcomes over a channel as workers finish — the pipeline behind the

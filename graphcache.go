@@ -135,10 +135,10 @@ func SubIso(pattern, target *Graph) bool { return iso.SubIso(pattern, target) }
 func Isomorphic(a, b *Graph) bool { return iso.Isomorphic(a, b) }
 
 // NewGGSXMethod builds the demo deployment's Method M: a GraphGrepSX-style
-// label-path index (paths up to featureLen edges) with VF2 verification.
+// label-path index (paths up to maxLen edges) with VF2 verification.
 // Dataset graphs are identified by slice position.
-func NewGGSXMethod(dataset []*Graph, featureLen int) *Method {
-	return ftv.NewGGSXMethod(dataset, featureLen)
+func NewGGSXMethod(dataset []*Graph, maxLen int) *Method {
+	return ftv.NewGGSXMethod(dataset, maxLen)
 }
 
 // NewLabelMethod builds a cheap Method M that filters only by size and

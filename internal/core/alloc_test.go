@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
 	"graphcache/internal/ftv"
+	"graphcache/internal/gen"
 	"graphcache/internal/graph"
 )
 
@@ -150,16 +153,20 @@ func TestManyHitAllocBudget(t *testing.T) {
 
 // TestHelperAllocBudget: the helpers the miss path runs per candidate or
 // per entry allocate nothing — the cost cells read and written around
-// verification, the containment screen in front of every q↔h test, the
-// benefit ranking of the hit candidates and the crediting of each hit.
+// verification, the containment screen in front of every q↔h and
+// catch-up test (an entry's row decoded into pooled scratch), the benefit
+// ranking of the hit candidates and the crediting of each hit.
 func TestHelperAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is distorted under the race detector")
 	}
 	c := &Cache{policy: NewHD()}
 	costs := []costSample{{gid: 1, dur: 500}, {gid: 2, dur: 700}}
-	s := summarize(testDataset(1, 1)[0])
-	same := s
+	view := ftv.NewGGSXMethod(testDataset(1, 1), 3).View()
+	s := summaryOn(view, view.Graph(0))
+	d := s.row.Decode()
+	defer d.Release()
+	p := probe{fv: s.fv, Decoded: &d}
 	cands := make([]*Entry, 32)
 	for i := range cands {
 		cands[i] = rankEntry(len(cands)-i, i%5)
@@ -175,7 +182,8 @@ func TestHelperAllocBudget(t *testing.T) {
 		{"estimatedCost", func() { c.estimatedCost(0); c.estimatedCost(1) }},
 		{"emaAdd", func() { emaAdd(&c.globalVal, globalCostAlpha, 300) }},
 		{"recordCosts", func() { c.recordCosts(costs) }},
-		{"embedsIn", func() { s.embedsIn(&same) }}, // passes the vector and the bloom: runs dominatedBy
+		{"screen", func() { p.in(&s); p.holds(&s) }},                         // passes the vectors and the blooms: reads the row
+		{"Decode", func() { d := s.row.Decode(); d.In(s.row); d.Release() }}, // decodes into pooled scratch
 		{"rankCandidates", func() { ranked = rankCandidates(rankView, cands, true, ranked) }},
 		{"creditHit", func() {
 			c.mu.Lock()
@@ -187,5 +195,39 @@ func TestHelperAllocBudget(t *testing.T) {
 		if got := testing.AllocsPerRun(100, tc.fn); got != 0 {
 			t.Errorf("%s allocates %.1f/op, budget 0", tc.name, got)
 		}
+	}
+}
+
+// TestStarQueryAllocatesLittle: a one-label star with 2 000 leaves, run as
+// a subgraph and as a supergraph query on a GGSX method over 500
+// molecules, allocates under 1 MB in all, though it has ~4 × 10⁶ label
+// paths: the miss enumerates them once, in the filter's walk, which
+// counts into one array by trie node. The two GCs first empty the pools,
+// so pooled scratch that a star would grow counts.
+func TestStarQueryAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is distorted under the race detector")
+	}
+	dataset := gen.Molecules(rand.New(rand.NewSource(2018)), 500, gen.DefaultMoleculeConfig())
+	c := MustNew(ftv.NewGGSXMethod(dataset, 3), DefaultConfig())
+	b := graph.NewBuilder(2001) // every vertex label 0
+	for v := 1; v <= 2000; v++ {
+		b.AddEdge(0, v)
+	}
+	star := b.MustBuild()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, qt := range []ftv.QueryType{ftv.Subgraph, ftv.Supergraph} {
+		if _, err := c.Execute(star, qt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("star queries allocated %d B", got)
+	if got >= 1<<20 {
+		t.Errorf("a 2 000-leaf star allocates %d B over both query types, budget 1 MB", got)
 	}
 }

@@ -120,13 +120,6 @@ type Cache struct {
 	costs     costCells
 	globalVal atomic.Uint64
 
-	// addSums publishes the containment summary of every graph AddGraph
-	// appended that a reader may still test, keyed by gid:
-	// patchedAnswers screens each entry with it before testing. The map
-	// is immutable once published: AddGraph and each turn publish pruned
-	// copies (editAddSums, pruneAddSums), readers load it without a lock.
-	addSums atomic.Pointer[map[int]summary]
-
 	// res tracks cache-wide resident entries/bytes atomically (see
 	// residency).
 	res residency
@@ -172,7 +165,6 @@ func New(method *ftv.Method, cfg Config) (*Cache, error) {
 		cfg.Policy = NewHD()
 	}
 	c := &Cache{method: method, cfg: cfg, policy: cfg.Policy}
-	c.addSums.Store(&map[int]summary{})
 	c.published.Store(&resident{})
 	return c, nil
 }
@@ -261,9 +253,9 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 	mon := &c.mon.hot[readSlot()]
 	mon.queries.Add(1)
 	// Stage 0: fingerprint only. The exact-match probe consults nothing
-	// else, so the expensive half of the signature (path features, feature
-	// vector) is deferred until a miss is certain. The fingerprint itself
-	// is memoized on the immutable query graph.
+	// else, so the containment summary (feature vector, trie row) is
+	// deferred until a miss is certain. The fingerprint itself is memoized
+	// on the immutable query graph.
 	fp := q.WLFingerprint(3)
 
 	// Stage 1: exact-match fast path — zero dataset tests and no clock
@@ -276,7 +268,6 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 		}
 	}
 	tick := c.tick.Add(1)
-	sig := signatureOf(q)
 	n := view.Size()
 
 	// From here on the wall clock is read once: every stage boundary is an
@@ -286,7 +277,9 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 	// Stage 2: Method M filtering (lock-free: the view's filter index is
 	// immutable). The returned set is freshly built for this query, so the
 	// algebra below may consume it in place once its count is captured.
-	cm := view.Candidates(q, qt)
+	// The query's trie walk stays open through hit detection.
+	walk := view.Walk(q)
+	cm := walk.Candidates(qt)
 	filterTime := time.Since(start)
 	cmCount := cm.Count()
 
@@ -294,10 +287,13 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 	defer putExecScratch(sc)
 
 	// Stage 3: sub/super hit detection over a point-in-time snapshot of
-	// the cache, budgeted by cmCount. The iso tests run without any lock;
-	// entries evicted mid-detection stay sound (their answer sets remain
-	// exact over the immutable dataset).
-	hs := c.detectHits(view, q, qt, sig, cmCount, sc)
+	// the cache, budgeted by cmCount, screened against the walk. The iso
+	// tests run without any lock; entries evicted mid-detection stay
+	// sound (their answer sets remain exact over the immutable dataset).
+	p := probe{fv: ftv.ExtractFeatures(q), Decoded: walk.Decoded()}
+	sum := summary{fv: p.fv, row: p.Row}
+	hs := c.detectHits(view, q, qt, p, cmCount, sc)
+	walk.Release()
 	hitTime := time.Since(start) - filterTime
 	c.mon.hitDetectIso.Add(int64(hs.isoTests))
 
@@ -443,7 +439,7 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 	// exact for the view, and a later reader or turn brings them
 	// forward. It is built — answers cloned and compacted — before admit
 	// takes any lock.
-	c.admit(entryFromSig(q, qt, answers.Clone(), view, cmCount, sig, tick), view)
+	c.admit(newEntry(q, qt, answers.Clone(), view, cmCount, fp, sum, tick), view)
 	return res, nil
 }
 
@@ -815,9 +811,6 @@ func (c *Cache) turnWindow(view ftv.DatasetView) {
 	// Publish before mu drops: the next query of a sequential stream
 	// sees exactly the admitted entries.
 	c.republishLocked()
-	if len(*c.addSums.Load()) > 0 {
-		c.editAddSums(func(m map[int]summary) { c.pruneAddSums(m, view) })
-	}
 }
 
 // markVictims marks x distinct positions of the ID-ordered slice all in

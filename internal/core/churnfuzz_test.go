@@ -93,11 +93,10 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 				return fmt.Errorf("op %d: remove %d: %w", i, gid, err)
 			}
 		}
-		// Structural invariants after every op: capacity is strict, the
+		// Structural invariants after every op: capacity is strict, and the
 		// residency account is exact wherever it is owed (after a turn:
 		// queries swap sets outside mu until the next one, so each
-		// mutation is followed by one), and the added-graph summaries
-		// never outgrow the additions.
+		// mutation is followed by one).
 		if c.Len() > cfg.Capacity {
 			return fmt.Errorf("op %d: %d entries resident, capacity %d", i, c.Len(), cfg.Capacity)
 		}
@@ -106,9 +105,6 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 			if err := residencyDrift(c); err != nil {
 				return fmt.Errorf("op %d: %w", i, err)
 			}
-		}
-		if adds := c.Stats().DatasetAdds; int64(addSumsLen(c)) > adds {
-			return fmt.Errorf("op %d: %d added-graph summaries exceed %d adds", i, addSumsLen(c), adds)
 		}
 		if !lazy && op%4 == 2 {
 			if err := reconcileNow(c); err != nil {

@@ -6,10 +6,6 @@ import (
 	"graphcache/internal/ftv"
 )
 
-// featureLen is the path-feature length of the cache's query index (the
-// iGQ-style pre-filter applied before any q↔h iso test).
-const featureLen = 2
-
 // decayFactor ages PIN/PINC utilities at every window turn, keeping the
 // policies workload-adaptive.
 const decayFactor = 0.8

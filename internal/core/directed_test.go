@@ -67,15 +67,25 @@ func TestCacheCorrectnessDirectedCircuits(t *testing.T) {
 	}
 }
 
+// TestDirectedFeaturesDominance: a pattern cut out of a circuit passes
+// the containment screen against the circuit's forward row, in both
+// directions of the screen: the circuit's row dominates the pattern's
+// walk, and the pattern's decoded row is held by the circuit's.
 func TestDirectedFeaturesDominance(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 50; trial++ {
 		c := gen.Circuit(rng, gen.DefaultCircuitConfig())
+		view := ftv.NewGGSXMethod([]*graph.Graph{c}, 2).View()
 		q := gen.ExtractConnectedSubgraph(rng, c, 2+rng.Intn(5))
-		fq := pathFeatures(q, 2)
-		fc := pathFeatures(c, 2)
-		if !fq.dominatedBy(fc) {
-			t.Fatalf("trial %d: directed pattern features not dominated by source's", trial)
+		qs, cs := summaryOn(view, q), summary{fv: ftv.ExtractFeatures(c), row: view.Row(0)}
+		d := qs.row.Decode()
+		in, _ := probe{fv: qs.fv, Decoded: &d}.in(&cs)
+		d.Release()
+		w := view.Walk(c)
+		held, _ := probe{fv: cs.fv, Decoded: w.Decoded()}.holds(&qs)
+		w.Release()
+		if !held || !in {
+			t.Fatalf("trial %d: directed pattern not screened into its source (holds %t, in %t)", trial, held, in)
 		}
 	}
 }

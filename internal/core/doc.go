@@ -106,8 +106,9 @@
 //   - Per-query scratch comes from sync.Pools, never fresh: execScratch
 //     (hit-candidate, ranking, hit-credit, candidate-id and cost-sample
 //     slices and the hit event, cache.go),
-//     featScratch (path-feature hashes, sorted and run-length encoded,
-//     features.go) and the VF2 matcher
+//     Method M's trie walk (internal/ftv: the query's per-node counts and
+//     decoded row, held open from the filter call through hit detection,
+//     so a miss walks q's label paths once) and the VF2 matcher
 //     pool (internal/iso; verify binds one matcher per subgraph query and
 //     runs every candidate through it). Pooled objects are reset — never zero-filled by
 //     reallocation — and anything referencing caller data is nil'd before
@@ -135,7 +136,7 @@
 //
 //   - What MAY allocate: the Result and, on a miss, its sets (they
 //     outlive the call), admission bookkeeping on a miss (the entry, its
-//     feature summary), and slice growth when a candidate set outgrows
+//     packed trie row), and slice growth when a candidate set outgrows
 //     every previous query's (the grown scratch is kept by the pool, so
 //     growth amortizes to zero).
 //
@@ -145,7 +146,7 @@
 //     the read paths dispatch per container pair through stack cursor
 //     structs and allocate nothing. The container
 //     rules: only the OWNER of an unpublished set may mutate or
-//     Compact() it — entryFromSig and withoutRemoved's clone do, right
+//     Compact() it — newEntry and withoutRemoved's clone do, right
 //     before publication; a published set is frozen in whatever
 //     container it had (concurrent readers dispatch on its mode tag, so
 //     migration on a shared set is a data race by construction).
@@ -164,7 +165,7 @@
 //     Persistence round-trips compact: the binary v3 snapshot stores
 //     each set's native container encoding verbatim (bitset
 //     AppendBinary/FromBinary), while the legacy v2 text format stores
-//     index lists and re-picks the smaller container at entryFromSig —
+//     index lists and re-picks the smaller container at newEntry —
 //     either way a restored set is Compact()ed before publication.
 //
 // The regression fences: BenchmarkExecute* (bench_test.go) report
@@ -212,7 +213,8 @@
 // body exactly (record i's bodyOff equals the running offset; the final
 // offset equals fileSize). Like v2, signatures and feature vectors are
 // rebuilt from the parsed graphs and cross-checked against the index —
-// never trusted from disk. A snapshot from another dataset is refused:
+// never trusted from disk — and each pattern's trie row is walked anew on
+// the view the restore pinned. A snapshot from another dataset is refused:
 // dsSize must equal the current view's id-space size and dsDigest its
 // DatasetView.Digest, the sum over live ids of a hash of each id and its
 // graph, so a dataset of the same size, or the same base dataset after

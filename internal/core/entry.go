@@ -82,19 +82,17 @@ type Entry struct {
 	// it through Answers.
 	ans *answersCell
 
-	// Fingerprint and Features index the entry for hit detection:
-	// fingerprint equality pre-filters exact-match candidates; path-feature
-	// dominance pre-filters sub/super candidates before any iso test.
+	// Fingerprint pre-filters exact-match candidates: only an equal one
+	// reaches the iso test.
 	Fingerprint graph.Fingerprint
-	Features    featureVec
 
-	// FV and FeatureBits are the entry's containment summary, computed
-	// once at admission (and rebuilt on state restore) and published in
-	// the cache's hit index: FV is the fixed-size ftv.FeatureVector, and
-	// FeatureBits blooms the path-feature hashes so feature dominance can
-	// be refuted with one mask test. Both are immutable.
-	FV          ftv.FeatureVector
-	FeatureBits uint64
+	// FV and row are the entry's containment summary, published in the
+	// cache's hit index to screen sub/super candidates before any iso
+	// test: the fixed-size ftv.FeatureVector and the pattern's row of
+	// Method M's trie, from the query's own filter walk at admission (and
+	// a re-walk on state restore). Both are immutable.
+	FV  ftv.FeatureVector
+	row ftv.Row
 
 	// BaseCandidates is |C_M| when the query was originally executed —
 	// the number of sub-iso tests an exact-match hit on this entry saves.
@@ -133,28 +131,25 @@ type Entry struct {
 // brings the entry forward.
 func (e *Entry) Answers() *bitset.Set { return e.ans.p.Load().set }
 
-// entryFromSig builds an Entry from a precomputed query signature — the
-// single construction site for cache entries, shared by admission and
-// state restores so the signature-derived fields (fingerprint, path
-// features, feature summaries) can never drift between the two paths. The
-// ID is assigned when the entry is staged (admit) or installed
-// (replaceEntries). The answers are exact for the view. Callers hold no
-// lock: this is where an answer set is compacted.
-func entryFromSig(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.DatasetView, baseCandidates int, sig querySig, tick int64) *Entry {
+// newEntry builds an Entry from q's fingerprint and summary — the single
+// construction site for cache entries, shared by admission and state
+// restores. The ID is assigned when the entry is staged (admit) or
+// installed (replaceEntries). The answers are exact for the view.
+// Callers hold no lock: this is where an answer set is compacted.
+func newEntry(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.DatasetView, baseCandidates int, fp graph.Fingerprint, s summary, tick int64) *Entry {
 	e := &Entry{
 		Graph:          q,
 		Type:           qt,
 		ans:            &answersCell{},
-		Fingerprint:    sig.fp,
-		Features:       sig.features,
-		FV:             sig.fv,
-		FeatureBits:    sig.featBits,
+		Fingerprint:    fp,
+		FV:             s.fv,
+		row:            s.row,
 		BaseCandidates: baseCandidates,
 		InsertedAt:     tick,
 		LastUsed:       tick,
 	}
-	e.staticBytes = 224 + // struct (incl. feature summary) + bookkeeping
-		q.Bytes() + 12*len(e.Features)
+	e.staticBytes = 224 + // struct (incl. summary) + bookkeeping
+		q.Bytes() + s.row.Bytes()
 	// The set is owned here (every caller passes a fresh or cloned set)
 	// and about to be published read-only for the entry's lifetime, so
 	// pay the one-off re-encode into its smaller container now: sparse
@@ -165,9 +160,7 @@ func entryFromSig(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.Da
 }
 
 // summary returns the entry's containment summary.
-func (e *Entry) summary() summary {
-	return summary{fv: e.FV, featBits: e.FeatureBits, features: e.Features}
-}
+func (e *Entry) summary() summary { return summary{fv: e.FV, row: e.row} }
 
 // Bytes estimates the entry's logical resident size: the immutable
 // static part plus the current answer set. O(1). It is what the entry

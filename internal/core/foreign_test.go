@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,114 +13,10 @@ import (
 	"graphcache/internal/graph"
 )
 
-// TestAddSumsWaitForColdestEntry pins the pruning floor rule: the cache
-// keeps the summary of every added graph the coldest (stalest) entry has
-// yet to test, through every addition's and turn's prune, and drops them
-// at the first addition after that entry reconciles — never earlier.
-func TestAddSumsWaitForColdestEntry(t *testing.T) {
-	dataset := testDataset(111, 10)
-	extra := testDataset(112, 4)
-	c := testCache(t, dataset, func(cfg *Config) {
-		cfg.Window = 1 // admit (and turn) on every query
-	})
-	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(113)), dataset[0], 4)
-	if _, err := c.Execute(q, ftv.Subgraph); err != nil { // entry over 10 ids
-		t.Fatal(err)
-	}
-
-	// Three lazy additions: the entry, sized to the first 10 ids, pins
-	// all three summaries through every prune.
-	for i := 0; i < 3; i++ {
-		if _, err := c.AddGraph(extra[i]); err != nil {
-			t.Fatal(err)
-		}
-		turnNow(c)
-		if got := addSumsLen(c); got != i+1 {
-			t.Fatalf("after lazy add %d: %d summaries, want %d (stale entry must pin them)", i, got, i+1)
-		}
-	}
-
-	// An exact hit reconciles the entry to the current id space...
-	res, err := c.Execute(q, ftv.Subgraph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ExactHit {
-		t.Fatal("expected an exact hit on the stale entry")
-	}
-	// ...so the next addition's prune drops everything the entry passed:
-	// the three old summaries go, only the new addition's survives.
-	if _, err := c.AddGraph(extra[3]); err != nil {
-		t.Fatal(err)
-	}
-	if got := addSumsLen(c); got != 1 {
-		t.Fatalf("%d summaries after reconciliation + add, want 1", got)
-	}
-}
-
-// TestAddSumsBoundedUnderSustainedAdds is the boundedness acceptance
-// property for the cache's per-addition records, the added-graph
-// summaries: a sustained add/query stream keeps them at O(1) — every
-// round's queries reconcile the resident entries, so the floor tracks the
-// id space and each addition prunes the tail, though after round 0 every
-// query exact-hits and the window never turns. Runs in both
-// reconcileModes: with lazy=false each add is followed by reconcileNow
-// before the round's queries.
-func TestAddSumsBoundedUnderSustainedAdds(t *testing.T) {
-	for _, lazy := range reconcileModes {
-		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
-			dataset := testDataset(121, 12)
-			stream := testDataset(122, 30)
-			c := testCache(t, dataset, func(cfg *Config) {
-				cfg.Window = 2
-			})
-			rng := rand.New(rand.NewSource(123))
-			pool := make([]*queryCase, 3)
-			for i := range pool {
-				pool[i] = &queryCase{g: gen.ExtractConnectedSubgraph(rng, dataset[i], 4), qt: ftv.Subgraph}
-			}
-			maxSums := 0
-			for round, g := range stream {
-				if _, err := c.AddGraph(g); err != nil {
-					t.Fatal(err)
-				}
-				if !lazy {
-					if err := reconcileNow(c); err != nil {
-						t.Fatalf("round %d: %v", round, err)
-					}
-				}
-				// Touch every pool pattern: first executions admit, later
-				// ones exact-hit and reconcile.
-				for _, p := range pool {
-					if _, err := c.Execute(p.g, p.qt); err != nil {
-						t.Fatal(err)
-					}
-				}
-				n := addSumsLen(c)
-				maxSums = max(maxSums, n)
-				if round > 2 && n > 4 {
-					t.Fatalf("round %d: %d summaries — pruning is not keeping up", round, n)
-				}
-			}
-			snap := c.Stats()
-			if snap.DatasetAdds != int64(len(stream)) {
-				t.Fatalf("adds %d, want %d", snap.DatasetAdds, len(stream))
-			}
-			if maxSums >= len(stream)/2 {
-				t.Fatalf("max %d summaries over %d adds: unbounded growth", maxSums, len(stream))
-			}
-			if addSumsLen(c) == len(stream) {
-				t.Fatal("no summary was ever pruned")
-			}
-		})
-	}
-}
-
 // TestSiblingCacheKeepsAnswersExact: two caches over one method. The
 // first one's entry goes stale across three of its own additions, then a
 // second cache over the same method turns its window and adds a graph
-// the first has no summary of. The stale entry must still reconcile all
-// four additions.
+// too. The stale entry must still reconcile all four additions.
 func TestSiblingCacheKeepsAnswersExact(t *testing.T) {
 	dataset := testDataset(141, 10)
 	a := testCache(t, dataset, func(cfg *Config) {
@@ -145,9 +42,6 @@ func TestSiblingCacheKeepsAnswersExact(t *testing.T) {
 	gid, err := b.AddGraph(dataset[2])
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := (*a.addSums.Load())[gid]; ok {
-		t.Fatal("the first cache holds a summary of the second cache's addition; the scenario did not arm")
 	}
 	res, err := a.Execute(q, ftv.Subgraph)
 	if err != nil {
@@ -263,8 +157,125 @@ func TestForeignAdditionReachesMiss(t *testing.T) {
 	}
 }
 
-// addSumsLen is the number of added-graph summaries c holds.
-func addSumsLen(c *Cache) int { return len(*c.addSums.Load()) }
+// TestForeignAdditionScreened: a stale entry of either query type catches
+// up on the same graphs added through its own cache, through a sibling
+// cache and through the Method itself, and runs the same maintenance
+// tests each time: the screen reads each added graph's row from the view,
+// whoever added it. It refutes most of them, and still answers exactly.
+func TestForeignAdditionScreened(t *testing.T) {
+	dataset := testDataset(171, 10)
+	rng := rand.New(rand.NewSource(172))
+	sub := gen.ExtractConnectedSubgraph(rng, dataset[2], 4)
+	super := dataset[4]
+	// Copies of the graphs the patterns embed in and contain, among
+	// graphs the screen should refute.
+	adds := append(testDataset(173, 12), dataset[2], dataset[2], gen.ExtractConnectedSubgraph(rng, super, 5))
+	adders := []struct {
+		name string
+		add  func(c *Cache, g *graph.Graph) (int, error)
+	}{{"own", (*Cache).AddGraph}}
+	for _, m := range foreignMutators {
+		adders = append(adders, struct {
+			name string
+			add  func(c *Cache, g *graph.Graph) (int, error)
+		}{m.name, m.add})
+	}
+	for _, q := range []queryCase{{sub, ftv.Subgraph}, {super, ftv.Supergraph}} {
+		tests := map[string]int64{}
+		for _, a := range adders {
+			c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
+			if _, err := c.Execute(q.g, q.qt); err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range adds {
+				if _, err := a.add(c, g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := c.Stats().MaintenanceTests
+			res, err := c.Execute(q.g, q.qt) // SelfCheck compares with the uncached method
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.ExactHit {
+				t.Fatalf("%s %s: want an exact hit on the stale entry", q.qt, a.name)
+			}
+			tests[a.name] = c.Stats().MaintenanceTests - before
+		}
+		t.Logf("%s: maintenance tests over %d additions: %v", q.qt, len(adds), tests)
+		for _, a := range adders[1:] {
+			if tests[a.name] != tests["own"] {
+				t.Errorf("%s: %d maintenance tests after additions through %s, %d through its own cache", q.qt, tests[a.name], a.name, tests["own"])
+			}
+		}
+		if n := tests["own"]; n == 0 || n >= int64(len(adds))/2 {
+			t.Errorf("%s: %d maintenance tests for %d additions: want the screen to refute most", q.qt, n, len(adds))
+		}
+	}
+}
+
+// TestRestoreRewalksOnGrownTrie: entries saved by a cache over one trie
+// restore into a cache whose Method holds the same dataset, size and
+// digest over a trie grown with label paths the first never had (a graph
+// of new labels added, then removed). The restore re-walks every pattern
+// on the view it pinned, so the restored entries still exact-hit and
+// sub/super-hit, with answers equal to the uncached Method.
+func TestRestoreRewalksOnGrownTrie(t *testing.T) {
+	dataset := testDataset(181, 20)
+	novel := graph.NewBuilder(3).SetLabels([]graph.Label{40, 41, 40}).AddEdge(0, 1).AddEdge(1, 2).MustBuild()
+	saved := MustNew(ftv.NewGGSXMethod(append(slices.Clone(dataset), nil), 3), DefaultConfig())
+	grown := ftv.NewGGSXMethod(append(slices.Clone(dataset), novel), 3)
+	if err := grown.RemoveGraph(len(dataset)); err != nil {
+		t.Fatal(err)
+	}
+	small, big := saved.Method().Filter().(*ftv.GGSX), grown.Filter().(*ftv.GGSX)
+	if saved.Method().View().Digest() != grown.View().Digest() || big.NodeCount() <= small.NodeCount() {
+		t.Fatalf("digests %x and %x, trie nodes %d and %d: the scenario did not arm",
+			saved.Method().View().Digest(), grown.View().Digest(), small.NodeCount(), big.NodeCount())
+	}
+
+	rng := rand.New(rand.NewSource(182))
+	var pool []queryCase
+	for i := 0; i < 12; i++ {
+		g := gen.ExtractConnectedSubgraph(rng, dataset[i], 6)
+		pool = append(pool, queryCase{g, ftv.Subgraph}, queryCase{g, ftv.Supergraph})
+	}
+	for _, q := range pool {
+		if _, err := saved.Execute(q.g, q.qt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var state bytes.Buffer
+	if err := saved.WriteState(&state); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.SelfCheck = true
+	c := MustNew(grown, cfg)
+	if err := c.ReadState(&state); err != nil {
+		t.Fatal(err)
+	}
+	exact, subSuper := 0, 0
+	for _, q := range pool {
+		for _, g := range []*graph.Graph{q.g, gen.ExtractConnectedSubgraph(rng, q.g, 4)} {
+			res, err := c.Execute(g, q.qt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := grown.Run(g, q.qt).Answers; !res.Answers.Equal(want) {
+				t.Fatalf("%s query: answers %v, uncached %v", q.qt, res.Answers, want)
+			}
+			if res.ExactHit {
+				exact++
+			} else if len(res.Hits) > 0 {
+				subSuper++
+			}
+		}
+	}
+	if exact < len(pool) || subSuper == 0 {
+		t.Fatalf("%d exact and %d sub/super-hit queries after the restore: want every pattern exact and some sub/super hits", exact, subSuper)
+	}
+}
 
 // queryCase pairs a pattern with its semantics for reuse across rounds.
 type queryCase struct {
@@ -279,9 +290,8 @@ type queryCase struct {
 // restore across — they grow the id space, and a size mismatch is
 // refused — so a restored entry can never skip an addition. The test pins
 // both directions: a restore across additions (after the entry that
-// passed them reconciled and the summaries were pruned) is refused, and a
-// same-size restore yields entries that reconcile future additions
-// exactly.
+// passed them reconciled) is refused, and a same-size restore yields
+// entries that reconcile future additions exactly.
 func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 	dataset := testDataset(131, 10)
 	extra := testDataset(132, 3)
@@ -297,9 +307,8 @@ func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Mutate past the written state: two additions, then reconcile the
-	// resident entry (exact hit) so the next addition prunes their
-	// summaries.
+	// Mutate past the written state: two additions, the resident entry
+	// reconciled across them (exact hit), then a third.
 	for i := 0; i < 2; i++ {
 		if _, err := c.AddGraph(extra[i]); err != nil {
 			t.Fatal(err)
@@ -311,14 +320,10 @@ func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 	if _, err := c.AddGraph(extra[2]); err != nil {
 		t.Fatal(err)
 	}
-	if addSumsLen(c) != 1 {
-		t.Fatalf("%d summaries survive the prune, want 1; the regression scenario did not arm", addSumsLen(c))
-	}
 
-	// The state predates the additions whose summaries were pruned:
-	// restoring it would pass its sets off as exact over the grown id
-	// space and silently skip those additions forever. The size check must
-	// refuse it.
+	// The state predates the additions: restoring it would pass its sets
+	// off as exact over the grown id space and silently skip those
+	// additions forever. The size check must refuse it.
 	err := c.ReadState(bytes.NewReader(state.Bytes()))
 	if err == nil {
 		t.Fatal("ReadState accepted a state file from before compacted additions")

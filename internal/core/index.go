@@ -10,12 +10,14 @@ import (
 // fingerprint table over it, stored in one atomic pointer
 // (Cache.published). The exact probe and hit detection read it entirely
 // lock-free — no lock, no snapshot allocation, no per-query sort. The
-// probe walks one fingerprint chain; detection uses the summaries
-// (ftv.FeatureVector plus a path-feature bloom) to discard entries that
-// cannot possibly be sub- or super-hit candidates before the path-feature
-// dominance merge runs. That merge is the last filter before the q↔h iso
-// tests, and it subsumes label-multiset dominance: every vertex's label is
-// a length-0 path feature, counted once per vertex.
+// probe walks one fingerprint chain; detection screens each summary
+// (ftv.FeatureVector plus the pattern's row of Method M's trie) against
+// the query's own filter walk, kept open through the scan: the vectors
+// and the row bloom discard most entries, and one pass over an entry's
+// packed row against the query's decoded walk decides the rest. That
+// pass is the last filter before the q↔h iso tests. A row compares only
+// the nodes below the other side's watermark (ftv.Row), so an entry
+// walked on an older trie still screens a query walked on a newer one.
 //
 // # Publication rules
 //
@@ -65,14 +67,14 @@ func (c *Cache) republishLocked() {
 }
 
 // scanIndex collects sub/super hit candidates from the published
-// summaries, screened by summary.embedsIn in each direction. Its cheap
-// stage (size, label bloom, label-degree bloom, degree tail, path-feature
-// bloom) refutes most entries before the path-feature dominance merge
-// runs; entries refuted in both directions without a merge are counted as
-// index-pruned. The candidates are appended to sub and super (the
-// caller's reused buffers), which are returned. Takes no lock, and loads
-// the published view once.
-func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig, sub, super []*Entry) ([]*Entry, []*Entry) {
+// summaries, screened against the query's probe in each direction (q ⊑ h
+// by probe.in, h ⊑ q by probe.holds). Their cheap stage (size, label
+// bloom, label-degree bloom, degree tail, row bloom) refutes most entries
+// before the row pass runs; entries refuted in both directions without a
+// row pass are counted as index-pruned. The candidates are appended to
+// sub and super (the caller's reused buffers), which are returned. Takes
+// no lock, and loads the published view once.
+func (c *Cache) scanIndex(qt ftv.QueryType, p probe, sub, super []*Entry) ([]*Entry, []*Entry) {
 	// The scan counts in locals and publishes once: per-entry atomic adds
 	// would be hundreds of RMWs on one shared line per query.
 	fullChecks, indexPruned := 0, 0
@@ -83,7 +85,7 @@ func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig, sub, super []*Entry) (
 			continue
 		}
 		// Sub case q ⊑ h.
-		ok, merged := sig.embedsIn(&ie.summary)
+		ok, merged := p.in(&ie.summary)
 		if merged {
 			fullChecks++
 		}
@@ -93,7 +95,7 @@ func (c *Cache) scanIndex(qt ftv.QueryType, sig querySig, sub, super []*Entry) (
 		}
 		pruned := !merged
 		// Super case h ⊑ q.
-		if ok, merged := ie.embedsIn(&sig.summary); merged {
+		if ok, merged := p.holds(&ie.summary); merged {
 			pruned = false
 			fullChecks++
 			if ok {

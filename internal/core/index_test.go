@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestIndexMirrorsAdmittedEntries(t *testing.T) {
 			if ie.e.ID != e.ID {
 				t.Fatalf("index position %d holds entry %d, the resident list entry %d", i, ie.e.ID, e.ID)
 			}
-			if ie.typ != e.Type || ie.fv != e.FV || ie.featBits != e.FeatureBits {
+			if ie.typ != e.Type || !reflect.DeepEqual(ie.summary, e.summary()) {
 				t.Fatalf("entry %d: index summary diverges from entry", e.ID)
 			}
 		}
@@ -119,8 +120,8 @@ func TestEntrySummariesPopulated(t *testing.T) {
 // the unindexed truth: before every query of the equivalence stream,
 // every admitted entry h of the query's type with q ⊑ h must be in
 // scanIndex's sub list, and every one with h ⊑ q (and not q ⊑ h) in its
-// super list — the summaries and the path-feature merge may only ever
-// drop provable non-hits. An entry contained both ways is isomorphic to
+// super list — the summaries and the row pass may only ever drop
+// provable non-hits. An entry contained both ways is isomorphic to
 // q: the scan lists it once, as a sub candidate, and the exact probe
 // serves it before detection runs. SelfCheck holds every answer to the
 // uncached method on the way. Exercised over five workload seeds
@@ -140,7 +141,9 @@ func checkIndexedEquivalentToUnindexed(t *testing.T, seed int64) {
 	})
 	var subs, supers int
 	for i, q := range w.queries {
-		sub, super := c.scanIndex(q.Type, signatureOf(q.G), nil, nil)
+		w := c.method.View().Walk(q.G)
+		sub, super := c.scanIndex(q.Type, probe{fv: ftv.ExtractFeatures(q.G), Decoded: w.Decoded()}, nil, nil)
+		w.Release()
 		listed := func(list []*Entry, h *Entry) bool {
 			for _, e := range list {
 				if e == h {

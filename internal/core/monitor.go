@@ -129,9 +129,9 @@ type Snapshot struct {
 	// the overhead side of the cache's ledger.
 	HitDetectionTests int64
 	// HitScanEntries counts cache entries examined during sub/super hit
-	// detection; HitFullChecks counts the path-feature dominance merges
-	// that actually ran; HitIndexPruned counts entries the feature index
-	// excluded from both hit directions before any merge. Together they
+	// detection; HitFullChecks counts the trie-row passes that actually
+	// ran; HitIndexPruned counts entries the feature index excluded from
+	// both hit directions before any row pass. Together they
 	// show what the index saves: full checks and iso tests shrink, pruned
 	// grows.
 	HitScanEntries, HitFullChecks, HitIndexPruned int64

@@ -2,8 +2,6 @@ package core
 
 import (
 	"iter"
-	"maps"
-	"math"
 	"time"
 
 	"graphcache/internal/bitset"
@@ -17,9 +15,9 @@ import (
 // the dataset; when the dataset itself changes, the cached answer sets are
 // materialized views that must be maintained. A mutation stops nothing:
 // AddGraph and RemoveGraph are the Method's own copy-on-write mutation
-// (one new dataset view per mutation, ftv.Method) plus, for an addition,
-// publishing the added graph's containment summary. They take no cache
-// lock and wait for no query. Readers do the maintenance:
+// (one new dataset view per mutation, ftv.Method) plus a counter. They
+// take no cache lock, wait for no query and keep no per-mutation record.
+// Readers do the maintenance:
 //
 //   - A query pins one dataset view (its one Method.View load) and runs
 //     against it throughout, so its answer is exact for that view.
@@ -30,10 +28,10 @@ import (
 //     is. A reader on a later view brings the entry forward
 //     (answersFor): it masks out the graphs tombstoned since, tests the
 //     ids appended since and publishes the result. A screen of the
-//     entry's summary against each added graph's (computed once per add)
-//     refutes most of those tests; a graph added to the Method behind the
-//     cache's back (by another cache over it, say) has no summary and is
-//     always tested. A reader on an earlier view, meeting an entry a
+//     entry's summary against each added graph's vector and forward row,
+//     read from the view, refutes most of those tests, however the graph
+//     was added: through this cache, another cache over the Method or the
+//     Method itself. A reader on an earlier view, meeting an entry a
 //     newer reader has already brought past it, treats the entry as
 //     absent: an exact hit falls through to the miss path, a sub/super
 //     hit is dropped, a snapshot writer starts over on a newer view.
@@ -41,9 +39,6 @@ import (
 //   - Every window turn masks the pending removals of every resident and
 //     window entry, with no containment test, then trues up the charges,
 //     so the residency account and MemoryBudget are exact at every turn.
-//
-//   - Every addition and every turn prunes the added-graph summaries no
-//     published entry will read again (pruneAddSums).
 //
 // Entries and the snapshot writers need every entry current: they bring
 // the resident list forward before they take mu (reconcileResident), so
@@ -66,12 +61,6 @@ func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 		return 0, err
 	}
 	c.mon.datasetAdds.Add(1)
-	sum := summarize(g)
-	view := c.method.View()
-	c.editAddSums(func(m map[int]summary) {
-		c.pruneAddSums(m, view)
-		m[gid] = sum
-	})
 	return gid, nil
 }
 
@@ -85,37 +74,6 @@ func (c *Cache) RemoveGraph(gid int) error {
 	}
 	c.mon.datasetRemoves.Add(1)
 	return nil
-}
-
-// editAddSums publishes an edited copy of the added-graph summaries.
-// AddGraphs and turns may race, so it retries until its swap lands on
-// the map it copied.
-func (c *Cache) editAddSums(edit func(map[int]summary)) {
-	for {
-		old := c.addSums.Load()
-		m := maps.Clone(*old)
-		edit(m)
-		if c.addSums.CompareAndSwap(old, &m) {
-			return
-		}
-	}
-}
-
-// pruneAddSums drops from m the summaries of graphs the view tombstoned
-// and of graphs below every published entry's answer-set length (readers
-// test only the ids from their set's length up). It takes no lock, so
-// every AddGraph prunes, as does every turn. An entry the floor missed (a
-// window entry, or one an in-flight query holds after its eviction)
-// tests those graphs unscreened: a prune costs tests, never an answer.
-// It loads the published view once.
-func (c *Cache) pruneAddSums(m map[int]summary, view ftv.DatasetView) {
-	floor := math.MaxInt
-	for _, ie := range c.published.Load().index {
-		floor = min(floor, ie.e.Answers().Len())
-	}
-	maps.DeleteFunc(m, func(gid int, _ summary) bool {
-		return gid < floor || gid < view.Size() && view.Graph(gid) == nil
-	})
 }
 
 // maskRemovalsLocked brings e's answers forward to the view's removals
@@ -226,26 +184,31 @@ func removedFrom(set *bitset.Set, view ftv.DatasetView, from int) iter.Seq[int] 
 // old, a set exact over a shorter one: grown, with each graph added since
 // verified for containment. Every addition appends one id, so those are
 // the ids from old.Len() up. Tombstoned additions are skipped — their
-// bits were never set in old and must stay clear. An addition whose
-// summary the cache holds is tested only if the entry's summary admits
-// the containment; one without is always tested.
+// bits were never set in old and must stay clear. An addition is tested
+// only if the screen of e's summary against the added graph's admits the
+// containment: the rows first, then the vectors, so only the graphs the
+// rows pass pay for their vector. e's row is decoded once for the call,
+// and only when some graph gets past the row blooms.
 func (c *Cache) patchedAnswers(e *Entry, old *bitset.Set, view ftv.DatasetView) *bitset.Set {
 	from := old.Len()
 	set := old.Grown(view.Size())
-	es := e.summary()
-	sums := *c.addSums.Load()
+	d := e.row.Decode()
+	defer d.Release()
 	for gid := from; gid < view.Size(); gid++ {
-		if view.Graph(gid) == nil {
+		g := view.Graph(gid)
+		if g == nil {
 			continue // added then removed before this entry caught up
 		}
-		if gs, ok := sums[gid]; ok {
-			pattern, target := &es, &gs
-			if e.Type == ftv.Supergraph {
-				pattern, target = target, pattern
-			}
-			if may, _ := pattern.embedsIn(target); !may {
-				continue
-			}
+		var ok bool
+		if e.Type == ftv.Supergraph {
+			ok, _ = d.Holds(view.Row(gid))
+			ok = ok && ftv.ExtractFeatures(g).ContainedIn(e.FV)
+		} else {
+			ok, _ = d.In(view.Row(gid))
+			ok = ok && e.FV.ContainedIn(ftv.ExtractFeatures(g))
+		}
+		if !ok {
+			continue
 		}
 		c.mon.maintenanceTests.Add(1)
 		if view.VerifyCandidate(e.Graph, gid, e.Type) {

@@ -342,7 +342,7 @@ parse:
 		// The digest matched, so the live ids are the writer's; a set that
 		// names a tombstoned id anyway is masked, never served.
 		answers.And(view.Live())
-		e := entryFromSig(gs[0], it.qt, answers, view, it.baseCandidates, signatureOf(gs[0]), 0)
+		e := newEntry(gs[0], it.qt, answers, view, it.baseCandidates, gs[0].WLFingerprint(3), summaryOn(view, gs[0]), 0)
 		e.Hits = it.hits
 		e.SavedTests = it.savedTests
 		e.SavedCostNs = it.savedCost

@@ -274,14 +274,15 @@ func (c *Cache) readStateV3(data []byte) error {
 			return v3Error("entry %d: want one graph, got %d", i, len(gs))
 		}
 		// Signatures are rebuilt from the parsed graph, never trusted from
-		// disk; the recorded fingerprint and feature vector must then agree
-		// with the rebuilt ones, or the index and body sections describe
-		// different graphs.
-		sig := signatureOf(gs[0])
-		if uint64(sig.fp) != fp {
-			return v3Error("entry %d: fingerprint mismatch (index %#x, graph %#x)", i, fp, uint64(sig.fp))
+		// disk, and its trie row is walked on the pinned view (a row
+		// compares only along the trie it was walked on); the recorded
+		// fingerprint and feature vector must then agree with the rebuilt
+		// ones, or the index and body sections describe different graphs.
+		gfp, sum := gs[0].WLFingerprint(3), summaryOn(view, gs[0])
+		if uint64(gfp) != fp {
+			return v3Error("entry %d: fingerprint mismatch (index %#x, graph %#x)", i, fp, uint64(gfp))
 		}
-		if sig.fv != fv {
+		if sum.fv != fv {
 			return v3Error("entry %d: feature vector mismatch between index and graph", i)
 		}
 
@@ -302,7 +303,7 @@ func (c *Cache) readStateV3(data []byte) error {
 		// The digest matched, so the live ids are the writer's; a set that
 		// names a tombstoned id anyway is masked, never served.
 		set.And(view.Live())
-		e := entryFromSig(gs[0], ftv.QueryType(qt), set, view, int(bc), sig, 0)
+		e := newEntry(gs[0], ftv.QueryType(qt), set, view, int(bc), gfp, sum, 0)
 		e.Hits = hits
 		e.SavedTests = savedTests
 		e.SavedCostNs = savedCost

@@ -10,47 +10,44 @@ import (
 )
 
 // summary is a graph's containment summary: the fixed-size
-// ftv.FeatureVector, a 64-bit bloom of its path-feature hashes, and the
-// path features themselves. Entries carry their admitted pattern's (Entry
-// FV, FeatureBits, Features), the query signature carries q's, and a
-// dataset addition computes the added graph's once (Cache.AddGraph).
+// ftv.FeatureVector and its row of Method M's trie (ftv.Row). An entry's
+// is its pattern's, walked on the query's view (on restore, on the view
+// the restore pinned).
 type summary struct {
-	fv       ftv.FeatureVector
-	featBits uint64
-	features featureVec
+	fv  ftv.FeatureVector
+	row ftv.Row
 }
 
-// summarize computes g's containment summary.
-func summarize(g *graph.Graph) summary {
-	features := pathFeatures(g, featureLen)
-	return summary{fv: ftv.ExtractFeatures(g), featBits: features.bits(), features: features}
+// probe is a miss's summary with its row held open as the query's walk
+// (ftv.Decoded), which every entry's packed summary is screened against.
+type probe struct {
+	fv ftv.FeatureVector
+	*ftv.Decoded
 }
 
-// embedsIn is the cache's one screen in front of a containment test: it
-// reports whether s's graph may be subgraph-isomorphic to o's — a
-// necessary condition, never a sufficient one. The fixed-size vector and
-// the bloom go first; merged reports whether they passed and the
-// path-feature dominance merge ran.
-func (s *summary) embedsIn(o *summary) (ok, merged bool) {
-	if !s.fv.ContainedIn(o.fv) || s.featBits&^o.featBits != 0 {
+// in and holds screen a q↔h containment test, a necessary condition,
+// never a sufficient one: in reports whether p's graph may embed in o's,
+// holds whether o's may embed in p's. The vectors go first; merged
+// reports whether they and the row bloom passed and the rows were read.
+func (p probe) in(o *summary) (ok, merged bool) {
+	if !p.fv.ContainedIn(o.fv) {
 		return false, false
 	}
-	return s.features.dominatedBy(o.features), true
+	return p.In(o.row)
 }
 
-// querySig bundles the per-query signatures computed once and reused by
-// exact-match detection and sub/super candidate pre-filtering.
-type querySig struct {
-	fp graph.Fingerprint
-	summary
+func (p probe) holds(o *summary) (ok, merged bool) {
+	if !o.fv.ContainedIn(p.fv) {
+		return false, false
+	}
+	return p.Holds(o.row)
 }
 
-// signatureOf computes the full query signature. The WL fingerprint is
-// memoized on the graph, so Execute's two-stage flow — fingerprint alone
-// for the exact-match probe, the full signature only after an exact miss
-// — never recomputes it here.
-func signatureOf(q *graph.Graph) querySig {
-	return querySig{fp: q.WLFingerprint(3), summary: summarize(q)}
+// summaryOn walks g down the view's trie for its summary.
+func summaryOn(view ftv.DatasetView, g *graph.Graph) summary {
+	w := view.Walk(g)
+	defer w.Release()
+	return summary{fv: ftv.ExtractFeatures(g), row: w.Decoded().Row}
 }
 
 // findExact returns a cached (or window-pending) entry isomorphic to q
@@ -112,7 +109,7 @@ type hitSet struct {
 // detectHits finds the sub/super hits among the admitted entries of the
 // query's type. Candidates come from the lock-free published index: only
 // entries whose containment summaries are compatible with the query's
-// reach the path-feature dominance merge, and no lock, snapshot
+// reach the row pass against its walk, and no lock, snapshot
 // allocation or sort happens at all (see index.go). They are then ranked
 // by expected benefit and confirmed with budgeted VF2 runs: per direction
 // at most 2× the hit budget of attempts and at most the budget of accepted
@@ -126,7 +123,7 @@ type hitSet struct {
 // yields sound savings (its answer set remains exact over the immutable
 // dataset). The benefit ranking breaks ties by ID, so detection is
 // deterministic. Takes no lock.
-func (c *Cache) detectHits(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, sig querySig, cmCount int, sc *execScratch) hitSet {
+func (c *Cache) detectHits(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, p probe, cmCount int, sc *execScratch) hitSet {
 	var hs hitSet
 	maxSub, maxSuper := c.cfg.MaxSubHits, c.cfg.MaxSuperHits
 	if maxSub == 0 && maxSuper == 0 {
@@ -135,7 +132,7 @@ func (c *Cache) detectHits(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryTyp
 	if cmCount < largeQueryCandidates {
 		maxSub, maxSuper = min(maxSub, smallQueryHitCap), min(maxSuper, smallQueryHitCap)
 	}
-	sc.sub, sc.super = c.scanIndex(qt, sig, sc.sub[:0], sc.super[:0])
+	sc.sub, sc.super = c.scanIndex(qt, p, sc.sub[:0], sc.super[:0])
 
 	// Benefit ranking. Which direction delivers answers vs pruning depends
 	// on the query type, but the proxy is the same either way: for

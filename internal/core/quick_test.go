@@ -107,31 +107,30 @@ func TestQuickReplacedContentWellFormed(t *testing.T) {
 	}
 }
 
-// Property: feature-vector dominance is reflexive and transitive on
-// random graphs, and a subgraph's vector is dominated by its supergraph's.
+// rowIn reports whether a's row screens into b's: a decoded, b packed.
+func rowIn(a, b ftv.Row) bool {
+	d := a.Decode()
+	defer d.Release()
+	ok, _ := d.In(b)
+	return ok
+}
+
+// Property: the row screen is reflexive and transitive on random graphs,
+// and a subgraph's row screens into its supergraph's, walked on a trie
+// built over the supergraph alone.
 func TestQuickFeatureDominanceOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := gen.Molecule(r, gen.MoleculeConfig{MinV: 6, MaxV: 12, RingFrac: 0.1, MaxDegree: 4, Labels: 4})
 		sub := gen.ExtractConnectedSubgraph(r, g, 2+r.Intn(4))
 		subsub := gen.ExtractConnectedSubgraph(r, sub, 1+r.Intn(2))
 
-		fg := pathFeatures(g, 2)
-		fsub := pathFeatures(sub, 2)
-		fss := pathFeatures(subsub, 2)
-		// Reflexive.
-		if !fg.dominatedBy(fg) {
-			return false
-		}
-		// Chain: subsub ⊑ sub ⊑ g.
-		if !fsub.dominatedBy(fg) || !fss.dominatedBy(fsub) {
-			return false
-		}
-		// Transitivity consequence.
-		return fss.dominatedBy(fg)
+		view := ftv.NewGGSXMethod([]*graph.Graph{g}, 2).View()
+		rg, rsub, rss := view.Row(0), summaryOn(view, sub).row, summaryOn(view, subsub).row
+		// Reflexive, the chain subsub ⊑ sub ⊑ g, and its transitive
+		// consequence.
+		return rowIn(rg, rg) && rowIn(rsub, rg) && rowIn(rss, rsub) && rowIn(rss, rg)
 	}
-	_ = rng
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
@@ -174,10 +173,9 @@ func quickPair(seed int64, kind uint8) (p, tg *graph.Graph, err error) {
 	return p, tg, err
 }
 
-// Property, over all four graph kinds: path-feature dominance implies
-// label-multiset dominance, because every vertex's label is a length-0
-// path feature counted once per vertex. Hit detection relies on it to skip
-// a label-vector merge.
+// Property, over all four graph kinds: row dominance implies
+// label-multiset dominance when both graphs are indexed, because every
+// vertex's label is a trie node of one step counted once per vertex.
 func TestQuickPathFeaturesImplyLabelDominance(t *testing.T) {
 	var premises, pairs int
 	f := func(seed int64, kind uint8) bool {
@@ -186,7 +184,8 @@ func TestQuickPathFeaturesImplyLabelDominance(t *testing.T) {
 			return false
 		}
 		pairs++
-		if !pathFeatures(p, featureLen).dominatedBy(pathFeatures(tg, featureLen)) {
+		view := ftv.NewGGSXMethod([]*graph.Graph{tg, p}, 2).View()
+		if !rowIn(view.Row(1), view.Row(0)) {
 			return true
 		}
 		premises++
@@ -195,15 +194,17 @@ func TestQuickPathFeaturesImplyLabelDominance(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d of %d pairs had dominated path features", premises, pairs)
+	t.Logf("%d of %d pairs had dominated rows", premises, pairs)
 	if premises < pairs/4 || premises == pairs {
 		t.Errorf("the premise held for %d of %d pairs: the generator no longer tests the implication", premises, pairs)
 	}
 }
 
 // Property, over all four graph kinds: the containment screen is sound —
-// p ⊑ t implies summary.embedsIn accepts (p's summary, t's summary). Hit
-// detection and the add path both skip the iso test on its refusal.
+// p ⊑ t implies both screens accept, p's walk against t's forward row
+// (probe.in) and t's walk against p's walk (probe.holds), on a trie built
+// over t alone. Hit detection and catch-up both skip the iso test on its
+// refusal.
 func TestQuickSummaryScreenSound(t *testing.T) {
 	var premises, pairs int
 	f := func(seed int64, kind uint8) bool {
@@ -216,9 +217,15 @@ func TestQuickSummaryScreenSound(t *testing.T) {
 			return true
 		}
 		premises++
-		ps, ts := summarize(p), summarize(tg)
-		ok, _ := ps.embedsIn(&ts)
-		return ok
+		view := ftv.NewGGSXMethod([]*graph.Graph{tg}, 3).View()
+		pw, tw := view.Walk(p), view.Walk(tg)
+		defer pw.Release()
+		defer tw.Release()
+		ps := summary{fv: ftv.ExtractFeatures(p), row: pw.Decoded().Row}
+		ts := summary{fv: ftv.ExtractFeatures(tg), row: view.Row(0)}
+		in, _ := probe{fv: ps.fv, Decoded: pw.Decoded()}.in(&ts)
+		held, _ := probe{fv: ts.fv, Decoded: tw.Decoded()}.holds(&ps)
+		return in && held
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

@@ -859,6 +859,11 @@ func (nd *trieNode) payloadBytes() int {
 func (x *GGSX) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
 	w := newWalk(q, x.maxLen, x.nodes, x.root, lookupChild)
 	defer w.release()
+	return x.candidates(w, qt)
+}
+
+// candidates is Candidates on the query's walk.
+func (x *GGSX) candidates(w *pathWalk, qt QueryType) *bitset.Set {
 	if nw := (x.n + 63) / 64; cap(w.words) < nw {
 		w.words = make([]uint64, nw)
 	} else {

@@ -299,9 +299,9 @@ func (v DatasetView) Live() *bitset.Set { return v.s.live }
 // reach verification even when the (removal-surviving) filter still posts
 // them.
 func (v DatasetView) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
-	c := v.s.filter.Candidates(q, qt)
-	c.And(v.s.live)
-	return c
+	w := v.Walk(q)
+	defer w.Release()
+	return w.Candidates(qt)
 }
 
 // VerifyCandidate runs one sub-iso test between the query and dataset

@@ -29,7 +29,10 @@ func DefaultMoleculeConfig() MoleculeConfig {
 // Molecule generates one connected AIDS-like molecule graph: a random
 // degree-capped tree plus a few ring-closing edges, labelled from the
 // skewed atom distribution.
-func Molecule(rng *rand.Rand, cfg MoleculeConfig) *graph.Graph {
+func Molecule(rng *rand.Rand, cfg MoleculeConfig) *graph.Graph { return molecule(rng, cfg, -1) }
+
+// molecule is Molecule, built with the given graph id.
+func molecule(rng *rand.Rand, cfg MoleculeConfig, id int) *graph.Graph {
 	if cfg.MaxV < cfg.MinV {
 		cfg.MaxV = cfg.MinV
 	}
@@ -46,7 +49,7 @@ func Molecule(rng *rand.Rand, cfg MoleculeConfig) *graph.Graph {
 		labels[i] = sampler.Sample(rng)
 	}
 
-	b := graph.NewBuilder(n).SetLabels(labels)
+	b := graph.NewBuilder(n).SetID(id).SetLabels(labels)
 	deg := make([]int, n)
 	// Random tree: attach vertex i to a uniformly chosen earlier vertex
 	// with spare valence (fall back to any earlier vertex if none has).
@@ -80,11 +83,12 @@ func Molecule(rng *rand.Rand, cfg MoleculeConfig) *graph.Graph {
 	return b.MustBuild()
 }
 
-// Molecules generates count molecules with ids 0..count-1.
+// Molecules generates count molecules with ids 0..count-1, each built
+// with its id: one header and one block a graph.
 func Molecules(rng *rand.Rand, count int, cfg MoleculeConfig) []*graph.Graph {
 	out := make([]*graph.Graph, count)
 	for i := range out {
-		out[i] = Molecule(rng, cfg).WithID(i)
+		out[i] = molecule(rng, cfg, i)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphcache/internal/ftv"
@@ -72,6 +73,22 @@ func TestMoleculesIDs(t *testing.T) {
 	for i, m := range ms {
 		if m.ID() != i {
 			t.Fatalf("molecule %d has id %d", i, m.ID())
+		}
+	}
+}
+
+// TestMoleculesBuiltWithIDs: Molecules builds each molecule with its id
+// and draws the same graphs as building each with Molecule and copying
+// it under its id: for seed 2018, every id, label and edge agrees.
+func TestMoleculesBuiltWithIDs(t *testing.T) {
+	cfg := DefaultMoleculeConfig()
+	got := Molecules(rand.New(rand.NewSource(2018)), 500, cfg)
+	rng := rand.New(rand.NewSource(2018))
+	for i, g := range got {
+		want := Molecule(rng, cfg).WithID(i)
+		if g.ID() != want.ID() || !slices.Equal(g.Labels(), want.Labels()) || !slices.Equal(g.Edges(), want.Edges()) {
+			t.Fatalf("molecule %d: %v, labels %v, edges %v; copied under its id: %v, %v, %v",
+				i, g, g.Labels(), g.Edges(), want, want.Labels(), want.Edges())
 		}
 	}
 }

@@ -17,7 +17,7 @@
 // halves the search on molecule data.
 // That is the matcher's only screen besides directedness and size: the
 // callers screen their pairs first (Method M's filter, the cache's
-// path-feature summaries). One search routine, Matcher.match, serves all
+// summaries of Method M's trie rows). One search routine, Matcher.match, serves all
 // four graph kinds and every entry point: VF2 and CountEmbeddings bind a
 // pattern, match one target and release; a caller with one pattern and
 // many targets (the verification stage of a subgraph query) keeps the
