@@ -1,16 +1,19 @@
 package core
 
 import (
-	"cmp"
-	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
-	"graphcache/internal/gen"
+	"graphcache/internal/ftv"
 	"graphcache/internal/graph"
 	"graphcache/internal/iso"
 )
+
+// The path features an entry screens with are its pattern's row of Method
+// M's trie (summary.row): one (node, count) pair per distinct label path
+// of at most maxLen edges, counted once per occurrence. These tests hold
+// that feature space to its definition, through the summaries and probes
+// the cache builds.
 
 func randomLabelled(rng *rand.Rand, n, labels int, p float64) *graph.Graph {
 	ls := make([]graph.Label, n)
@@ -28,52 +31,145 @@ func randomLabelled(rng *rand.Rand, n, labels int, p float64) *graph.Graph {
 	return graph.MustNew(ls, es)
 }
 
+// isolated returns an edgeless graph of the given vertex labels.
+func isolated(labels ...graph.Label) *graph.Graph { return graph.MustNew(labels, nil) }
+
+// mapPathFeatures is the reference for a trie row: the directed simple
+// paths of g with at most maxLen edges (out-edges, so both directions of
+// an undirected edge), each keyed by its vertex and edge labels as the
+// trie keys it, counted in a map.
+func mapPathFeatures(g *graph.Graph, maxLen int) map[string]int32 {
+	counts := map[string]int32{}
+	inPath := make([]bool, g.N())
+	var key []byte
+	var walk func(v, depth int)
+	walk = func(v, depth int) {
+		counts[string(key)]++
+		if depth == maxLen {
+			return
+		}
+		inPath[v] = true
+		for _, w := range g.OutNeighbors(v) {
+			if !inPath[w] {
+				key = append(key, byte(g.EdgeLabel(v, int(w))), byte(g.Label(int(w))))
+				walk(int(w), depth+1)
+				key = key[:len(key)-2]
+			}
+		}
+		inPath[v] = false
+	}
+	for v := 0; v < g.N(); v++ {
+		key = append(key[:0], 0, byte(g.Label(v)))
+		walk(v, 0)
+	}
+	return counts
+}
+
+// mapDominated reports whether every feature of a has at least a's count
+// in b.
+func mapDominated(a, b map[string]int32) bool {
+	for k, c := range a {
+		if b[k] < c {
+			return false
+		}
+	}
+	return true
+}
+
+// walkMatchesForward reports whether g's walk on the view gives the same
+// row as g's forward row gid: the same size, each screening into the other.
+func walkMatchesForward(view ftv.DatasetView, g *graph.Graph, gid int) bool {
+	walked, forward := summaryOn(view, g).row, view.Row(gid)
+	return walked.Bytes() == forward.Bytes() && rowIn(walked, forward) && rowIn(forward, walked)
+}
+
 func TestPathFeaturesSingleEdge(t *testing.T) {
 	g := graph.MustNew([]graph.Label{1, 2}, [][2]int{{0, 1}})
-	fv := pathFeatures(g, 2)
-	// Features: label-1 vertex, label-2 vertex, path 1-2. Three distinct.
-	if len(fv) != 3 {
-		t.Fatalf("feature count = %d, want 3", len(fv))
+	view := ftv.NewGGSXMethod([]*graph.Graph{g}, 2).View()
+	// Features: label-1 vertex, label-2 vertex, path 1→2, path 2→1. Four
+	// distinct, each counted once.
+	ref := mapPathFeatures(g, 2)
+	if len(ref) != 4 {
+		t.Fatalf("reference feature count = %d, want 4", len(ref))
 	}
-	for _, fc := range fv {
-		if fc.count != 1 {
-			t.Errorf("feature count = %d, want 1", fc.count)
+	for k, c := range ref {
+		if c != 1 {
+			t.Errorf("feature %v count = %d, want 1", []byte(k), c)
+		}
+	}
+	// The row packs four (node, count) pairs of one byte each.
+	if !walkMatchesForward(view, g, 0) || view.Row(0).Bytes() != 8 {
+		t.Fatalf("row of %d bytes, want 8, the same walked and inserted", view.Row(0).Bytes())
+	}
+	row := view.Row(0)
+	for _, c := range []struct {
+		g    *graph.Graph
+		want bool
+	}{
+		{isolated(1), true}, {isolated(2), true}, {isolated(1, 2), true},
+		{isolated(1, 1), false}, {isolated(2, 2), false},
+	} {
+		if got := rowIn(summaryOn(view, c.g).row, row); got != c.want {
+			t.Errorf("vertices %v: row in the edge's = %v, want %v", c.g.Labels(), got, c.want)
 		}
 	}
 }
 
 func TestPathFeaturesTriangleCounts(t *testing.T) {
-	g := graph.MustNew([]graph.Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {0, 2}})
-	fv := pathFeatures(g, 1)
-	// Features: single vertex "0" ×3, edge "0-0" ×3 (each undirected edge
-	// once; palindromes counted twice → 6).
-	var vertexCount, edgeCount int32
-	for _, fc := range fv {
-		switch {
-		case fc.count == 3:
-			vertexCount = fc.count
-		case fc.count == 6:
-			edgeCount = fc.count
-		}
+	tri := graph.MustNew([]graph.Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {0, 2}})
+	path3 := graph.MustNew([]graph.Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}})
+	path4 := graph.MustNew([]graph.Label{0, 0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {2, 3}})
+	// Features: single vertex "0" ×3, edge "0-0" ×6 (each undirected edge
+	// in both directions).
+	ref := mapPathFeatures(tri, 1)
+	if len(ref) != 2 || ref[string([]byte{0, 0})] != 3 || ref[string([]byte{0, 0, 0, 0})] != 6 {
+		t.Fatalf("reference features %v, want vertex ×3 and edge ×6", ref)
 	}
-	if vertexCount != 3 {
-		t.Errorf("vertex feature count = %d, want 3", vertexCount)
+	view := ftv.NewGGSXMethod([]*graph.Graph{tri, path3, path4}, 1).View()
+	if !walkMatchesForward(view, tri, 0) || view.Row(0).Bytes() != 4 {
+		t.Fatalf("row of %d bytes, want 4, the same walked and inserted", view.Row(0).Bytes())
 	}
-	if edgeCount != 6 {
-		t.Errorf("palindromic edge count = %d, want 6 (both directions)", edgeCount)
+	// Counts, not shapes: the triangle's 3 vertices and 6 edge ends fit a
+	// 4-path's 4 and 6, not a 3-path's 3 and 4, nor 4 isolated vertices.
+	rTri, rPath3, rPath4 := view.Row(0), view.Row(1), view.Row(2)
+	if !rowIn(rTri, rPath4) {
+		t.Error("triangle's row not in a 4-path's")
+	}
+	if rowIn(rTri, rPath3) {
+		t.Error("triangle's row in a 3-path's: its 6 edge ends exceed 4")
+	}
+	if !rowIn(rPath3, rTri) {
+		t.Error("3-path's row not in the triangle's")
+	}
+	if !rowIn(summaryOn(view, isolated(0, 0, 0)).row, rTri) || rowIn(summaryOn(view, isolated(0, 0, 0, 0)).row, rTri) {
+		t.Error("vertex count 3 is not what the triangle's row holds")
 	}
 }
 
 func TestPathFeaturesZeroLen(t *testing.T) {
 	g := graph.MustNew([]graph.Label{1, 1, 2}, [][2]int{{0, 1}, {1, 2}})
-	fv := pathFeatures(g, 0)
+	view := ftv.NewGGSXMethod([]*graph.Graph{g}, 0).View()
 	// Only vertex labels: "1"×2, "2"×1.
-	if len(fv) != 2 {
-		t.Fatalf("feature count = %d, want 2", len(fv))
+	if ref := mapPathFeatures(g, 0); len(ref) != 2 {
+		t.Fatalf("reference feature count = %d, want 2", len(ref))
+	}
+	if !walkMatchesForward(view, g, 0) || view.Row(0).Bytes() != 4 {
+		t.Fatalf("row of %d bytes, want 4, the same walked and inserted", view.Row(0).Bytes())
+	}
+	// At length 0 the edges are invisible: the edgeless graph of the same
+	// labels has g's row, one more label-1 vertex does not fit.
+	same, more := summaryOn(view, isolated(1, 1, 2)).row, summaryOn(view, isolated(1, 1, 1)).row
+	if !rowIn(same, view.Row(0)) || !rowIn(view.Row(0), same) {
+		t.Error("the edgeless graph of g's labels does not share g's row")
+	}
+	if rowIn(more, view.Row(0)) {
+		t.Error("three label-1 vertices fit g's row")
 	}
 }
 
-// Soundness: if p ⊑ g then features(p) must be dominated by features(g).
+// Soundness: if p ⊑ g then p's summary passes both screens against g's,
+// p's walk against g's forward row and g's walk against p's walk, on a
+// trie built over g alone.
 func TestFeatureDominanceNecessary(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -98,10 +194,16 @@ func TestFeatureDominanceNecessary(t *testing.T) {
 			t.Fatal("test construction broken: p not ⊑ g")
 		}
 		for _, L := range []int{0, 1, 2, 3} {
-			fp := pathFeatures(p, L)
-			fg := pathFeatures(g, L)
-			if !fp.dominatedBy(fg) {
-				t.Fatalf("trial %d L=%d: features of subgraph not dominated", trial, L)
+			view := ftv.NewGGSXMethod([]*graph.Graph{g}, L).View()
+			pw, gw := view.Walk(p), view.Walk(g)
+			ps := summary{fv: ftv.ExtractFeatures(p), row: pw.Decoded().Row}
+			gs := summary{fv: ftv.ExtractFeatures(g), row: view.Row(0)}
+			in, _ := probe{fv: ps.fv, Decoded: pw.Decoded()}.in(&gs)
+			held, _ := probe{fv: gs.fv, Decoded: gw.Decoded()}.holds(&ps)
+			pw.Release()
+			gw.Release()
+			if !in || !held {
+				t.Fatalf("trial %d L=%d: subgraph's summary screened out (in %v, held %v)", trial, L, in, held)
 			}
 		}
 	}
@@ -112,107 +214,67 @@ func TestFeatureDominanceRejects(t *testing.T) {
 	// 0-0-0 with higher count) that a single edge lacks.
 	tri := graph.MustNew([]graph.Label{0, 0, 0}, [][2]int{{0, 1}, {1, 2}, {0, 2}})
 	edge := graph.MustNew([]graph.Label{0, 0}, [][2]int{{0, 1}})
-	ftri := pathFeatures(tri, 2)
-	fedge := pathFeatures(edge, 2)
-	if ftri.dominatedBy(fedge) {
-		t.Error("triangle features should not be dominated by an edge's")
+	view := ftv.NewGGSXMethod([]*graph.Graph{tri, edge}, 2).View()
+	tw, ew := view.Walk(tri), view.Walk(edge)
+	defer tw.Release()
+	defer ew.Release()
+	ts := summary{fv: ftv.ExtractFeatures(tri), row: view.Row(0)}
+	es := summary{fv: ftv.ExtractFeatures(edge), row: view.Row(1)}
+	tp, ep := probe{fv: ts.fv, Decoded: tw.Decoded()}, probe{fv: es.fv, Decoded: ew.Decoded()}
+	if in, _ := tp.in(&es); in {
+		t.Error("triangle's summary should not screen into an edge's")
 	}
-	if !fedge.dominatedBy(ftri) {
-		t.Error("edge features should be dominated by triangle's")
+	if held, _ := ep.holds(&ts); held {
+		t.Error("an edge's walk should not hold a triangle's summary")
+	}
+	if in, _ := ep.in(&ts); !in {
+		t.Error("edge's summary should screen into the triangle's")
+	}
+	if held, _ := tp.holds(&es); !held {
+		t.Error("triangle's walk should hold an edge's summary")
 	}
 }
 
 func TestDominatedBySelf(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomLabelled(rng, 10, 3, 0.3)
-	fv := pathFeatures(g, 2)
-	if !fv.dominatedBy(fv) {
-		t.Error("feature vector must dominate itself")
+	view := ftv.NewGGSXMethod([]*graph.Graph{g}, 2).View()
+	row := view.Row(0)
+	if row.Bytes() == 0 || !rowIn(row, row) || !walkMatchesForward(view, g, 0) {
+		t.Error("a row must screen into itself and equal its walk")
 	}
-	var empty featureVec
-	if !empty.dominatedBy(fv) {
-		t.Error("empty vector dominated by anything")
+	// A graph of labels the trie lacks walks to an empty row below the
+	// trie's watermark: it screens into anything, and nothing non-empty
+	// screens into it.
+	empty := summaryOn(view, isolated(99)).row
+	if empty.Bytes() != 0 {
+		t.Fatalf("walk of an unseen label has a %d-byte row", empty.Bytes())
 	}
-	if len(fv) > 0 && fv.dominatedBy(empty) {
-		t.Error("non-empty vector not dominated by empty")
+	if !rowIn(empty, row) {
+		t.Error("empty row not dominated by anything")
 	}
-}
-
-func TestCanonicalDir(t *testing.T) {
-	cases := []struct {
-		seq  []graph.Label
-		want bool
-	}{
-		{[]graph.Label{1}, true},
-		{[]graph.Label{1, 2}, true},
-		{[]graph.Label{2, 1}, false},
-		{[]graph.Label{1, 1}, true},
-		{[]graph.Label{1, 2, 1}, true},
-		{[]graph.Label{2, 5, 1}, false},
-		{[]graph.Label{1, 5, 2}, true},
+	if rowIn(row, empty) {
+		t.Error("non-empty row dominated by an empty one")
 	}
-	for _, c := range cases {
-		if got := canonicalDir(c.seq); got != c.want {
-			t.Errorf("canonicalDir(%v) = %v, want %v", c.seq, got, c.want)
-		}
+	// Without a trie every row is the zero Row, which every screen passes.
+	var none ftv.Row
+	if !rowIn(row, none) || !rowIn(none, row) {
+		t.Error("the zero Row must pass every screen")
 	}
 }
 
-func TestHashSeqLengthSensitive(t *testing.T) {
-	a := hashSeq([]graph.Label{1, 1})
-	b := hashSeq([]graph.Label{1, 1, 1})
-	if a == b {
-		t.Error("hash should distinguish path lengths")
-	}
-}
-
-// mapPathFeatures is the reference pathFeatures: the same enumeration,
-// counted in a map and sorted afterwards.
-func mapPathFeatures(g *graph.Graph, maxLen int) featureVec {
-	counts := map[uint64]int32{}
-	inPath := make([]bool, g.N())
-	var seq []graph.Label
-	var walk func(v, depth int)
-	walk = func(v, depth int) {
-		if g.Directed() || canonicalDir(seq) {
-			counts[hashSeq(seq)]++
-		}
-		if depth == maxLen {
-			return
-		}
-		inPath[v] = true
-		for _, w := range g.OutNeighbors(v) {
-			if !inPath[w] {
-				seq = append(seq, g.EdgeLabel(v, int(w)), g.Label(int(w)))
-				walk(int(w), depth+1)
-				seq = seq[:len(seq)-2]
-			}
-		}
-		inPath[v] = false
-	}
-	for v := 0; v < g.N(); v++ {
-		seq = append(seq[:0], g.Label(v))
-		walk(v, 0)
-	}
-	out := make(featureVec, 0, len(counts))
-	for h, c := range counts {
-		out = append(out, featureCount{h, c})
-	}
-	slices.SortFunc(out, func(a, b featureCount) int { return cmp.Compare(a.hash, b.hash) })
-	return out
-}
-
-// TestPathFeaturesMatchMapReference holds the sort-and-run-length
-// pathFeatures to the map-counting reference over random undirected,
-// directed and edge-labelled graphs (labels from a small alphabet, so
-// paths repeat and palindromes occur), at every path length up to 4.
+// TestPathFeaturesMatchMapReference holds the row screen to the
+// map-counting reference over random undirected, directed and
+// edge-labelled graph pairs (labels from a small alphabet, so paths repeat
+// and palindromes occur), at every path length up to 4: with both graphs
+// indexed, one row screens into the other exactly when every reference
+// feature's count is dominated, and each graph's walk gives its forward
+// row.
 func TestPathFeaturesMatchMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(948))
 	kinds := [4]int{} // plain, directed, edge-labelled, both
-	repeated := 0
-	for i := 0; i < 1200; i++ {
-		n := 1 + rng.Intn(12)
-		directed, labelled := i%2 == 1, i%4 >= 2
+	repeated, dominated, refuted := 0, 0, 0
+	random := func(n int, directed, labelled bool) *graph.Graph {
 		b := graph.NewBuilder(n)
 		if directed {
 			b.Directed()
@@ -233,47 +295,52 @@ func TestPathFeaturesMatchMapReference(t *testing.T) {
 				}
 			}
 		}
-		g := b.MustBuild()
+		return b.MustBuild()
+	}
+	for i := 0; i < 400; i++ {
+		directed, labelled := i%2 == 1, i%4 >= 2
+		tg := random(1+rng.Intn(10), directed, labelled)
+		p := random(1+rng.Intn(6), directed, labelled)
+		if i%8 >= 4 { // cut from tg, so dominance holds often
+			ind, err := tg.InducedSubgraph(rng.Perm(tg.N())[:1+rng.Intn(tg.N())])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = ind
+		}
 		kinds[i%4]++
 		for maxLen := 0; maxLen <= 4; maxLen++ {
-			got, want := pathFeatures(g, maxLen), mapPathFeatures(g, maxLen)
-			if !slices.Equal(got, want) {
-				t.Fatalf("graph %d (directed=%t labelled=%t, %d vertices %d edges), maxLen %d: %d features, reference %d",
-					i, directed, labelled, g.N(), g.M(), maxLen, len(got), len(want))
+			view := ftv.NewGGSXMethod([]*graph.Graph{tg, p}, maxLen).View()
+			rt, rp := mapPathFeatures(tg, maxLen), mapPathFeatures(p, maxLen)
+			for _, c := range []struct {
+				a, b   ftv.Row
+				ra, rb map[string]int32
+				what   string
+			}{{view.Row(1), view.Row(0), rp, rt, "p in t"}, {view.Row(0), view.Row(1), rt, rp, "t in p"}} {
+				got, want := rowIn(c.a, c.b), mapDominated(c.ra, c.rb)
+				if got != want {
+					t.Fatalf("pair %d (directed=%t labelled=%t, %d and %d vertices), maxLen %d: %s: row screen %v, reference %v",
+						i, directed, labelled, tg.N(), p.N(), maxLen, c.what, got, want)
+				}
+				if want {
+					dominated++
+				} else {
+					refuted++
+				}
 			}
-			if slices.ContainsFunc(got, func(fc featureCount) bool { return fc.count > 1 }) {
-				repeated++
+			if !walkMatchesForward(view, tg, 0) || !walkMatchesForward(view, p, 1) {
+				t.Fatalf("pair %d, maxLen %d: a walk's row differs from its forward row", i, maxLen)
+			}
+			for _, c := range rt {
+				if c > 1 {
+					repeated++
+					break
+				}
 			}
 		}
 	}
-	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 || kinds[3] == 0 || repeated == 0 {
-		t.Fatalf("generator too narrow: kinds %v, %d vectors with a repeated feature", kinds, repeated)
-	}
-}
-
-// BenchmarkPathFeatures times the feature vector of a subgraph-sized
-// pattern and of a supergraph-sized one, both cut from molecules:
-//
-//	go test ./internal/core -run '^$' -bench PathFeatures -benchmem
-func BenchmarkPathFeatures(b *testing.B) {
-	rng := rand.New(rand.NewSource(950))
-	mols := gen.Molecules(rng, 50, gen.DefaultMoleculeConfig())
-	for _, edges := range []int{6, 40} {
-		var g *graph.Graph
-		for _, m := range mols {
-			if m.M() >= edges {
-				g = gen.ExtractConnectedSubgraph(rng, m, edges)
-				break
-			}
-		}
-		if g == nil {
-			b.Fatalf("no molecule has %d edges", edges)
-		}
-		b.Run(fmt.Sprintf("edges=%d", g.M()), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				pathFeatures(g, featureLen)
-			}
-		})
+	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 || kinds[3] == 0 || repeated == 0 || dominated == 0 || refuted == 0 {
+		t.Fatalf("generator too narrow: kinds %v, %d rows with a repeated feature, %d dominated and %d refuted pairs",
+			kinds, repeated, dominated, refuted)
 	}
 }
