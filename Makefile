@@ -1,6 +1,8 @@
 # GraphCache build/test entry points. `make ci` runs the gates CI runs,
 # so it passes locally exactly when CI would: vet + staticcheck + gofmt
-# (`fmt-check`) + the capped kernel panic inventory (`panics`), plus
+# (`fmt-check`) + the capped kernel panic inventory (`panics`) + the
+# capped inventory of exported code under internal/ that only tests call
+# (`unused`), plus
 # the full test suite under the race detector (the concurrency stress and
 # equivalence tests in internal/core and internal/server only earn
 # their keep with -race armed) and its lock-sensitive core repeated ten
@@ -21,7 +23,7 @@ GO ?= go
 # coverage fails CI. Raise it when the real number durably rises.
 COVER_BASELINE ?= 80.0
 
-.PHONY: build test race race-stress vet staticcheck fmt-check panics harness cover fuzz-smoke profiles loc ci
+.PHONY: build test race race-stress vet staticcheck fmt-check panics unused harness cover fuzz-smoke profiles loc ci
 
 build:
 	$(GO) build ./...
@@ -92,6 +94,33 @@ panics:
 	echo "internal/core: $$n panic call(s)"; \
 	if [ "$$n" -gt $(PANIC_CEILING) ]; then \
 		echo "internal/core: $$n panic call(s) exceed the committed ceiling of $(PANIC_CEILING)"; exit 1; \
+	fi
+
+# unused lists every exported function or method declared in a non-test
+# file under internal/ whose name appears on no other non-comment line of
+# a non-test .go file (benchmark/ counts as a caller) — code production
+# carries for its tests alone, which staticcheck's U1000 never reports
+# because it skips exported names — and fails when there are more than
+# UNUSED_CEILING. The scan matches names, not types, so a name that some
+# other declaration's caller shares passes unseen. The two left have
+# reasons: graph.InducedSubgraph extracts test patterns in the tests of
+# core, ftv, graph and iso, and internal/gen cannot host it (gen imports
+# ftv, and through it iso, whose internal tests use it); gen.Molecule is
+# the reference TestMoleculesBuiltWithIDs holds gen.Molecules to. The
+# ceiling only ever comes down.
+UNUSED_CEILING := 2
+unused:
+	@out=$$(git grep -nE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*[[(]' -- 'internal/*.go' ':!*_test.go' | \
+	while IFS= read -r decl; do \
+		name=$$(echo "$$decl" | sed -E 's/^[^:]*:[0-9]+:func (\([^)]*\) )?([A-Za-z0-9_]+).*/\2/'); \
+		git grep -hwe "$$name" -- '*.go' ':!*_test.go' | grep -vE '^[[:space:]]*//' | \
+			sed -E 's/^func (\([^)]*\) )?[A-Za-z0-9_]+//' | grep -qw -e "$$name" || echo "$${decl%%:func*}: $$name"; \
+	done); \
+	echo "$$out"; \
+	n=$$(echo "$$out" | grep -c ':'); \
+	echo "internal/: $$n exported function(s) only tests call"; \
+	if [ "$$n" -gt $(UNUSED_CEILING) ]; then \
+		echo "internal/: $$n exported function(s) only tests call exceed the committed ceiling of $(UNUSED_CEILING)"; exit 1; \
 	fi
 
 # Full-suite coverage with a floor: fails when total statement coverage
@@ -215,4 +244,4 @@ fuzz-smoke:
 harness:
 	$(GO) test -C benchmark ./...
 
-ci: vet staticcheck fmt-check panics race race-stress harness cover fuzz-smoke profiles
+ci: vet staticcheck fmt-check panics unused race race-stress harness cover fuzz-smoke profiles

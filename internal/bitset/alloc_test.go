@@ -7,8 +7,8 @@ import "testing"
 // Allocation budget of the read paths: zero. Excluded under -race, whose
 // instrumentation distorts the accounting.
 
-// TestReadPathsAllocBudget: membership, counting, the set relations and
-// the three iterators allocate nothing on any operand pair
+// TestReadPathsAllocBudget: membership, Count, Empty, Equal and the
+// three iterators allocate nothing on any operand pair
 // drawn from both containers (sparse, dense) and both lazy
 // all-zero forms, and neither does Compact on a set already in its
 // smaller container.
@@ -24,9 +24,6 @@ func TestReadPathsAllocBudget(t *testing.T) {
 		{"Contains", func(a, _ *Set) { a.Contains(998); a.Contains(700) }},
 		{"Count", func(a, _ *Set) { a.Count() }},
 		{"Empty", func(a, _ *Set) { a.Empty() }},
-		{"IntersectionCount", func(a, b *Set) { a.IntersectionCount(b) }},
-		{"DifferenceCount", func(a, b *Set) { a.DifferenceCount(b) }},
-		{"SubsetOf", func(a, b *Set) { a.SubsetOf(b) }},
 		{"Equal", func(a, b *Set) { a.Equal(b) }},
 		{"ForEach", func(a, _ *Set) { a.ForEach(visit) }},
 		{"ForEachAnd", func(a, b *Set) { a.ForEachAnd(b, visit) }},

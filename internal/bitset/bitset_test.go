@@ -102,27 +102,11 @@ func TestBooleanAlgebra(t *testing.T) {
 	if got, want := diff.String(), "{1, 100}"; got != want {
 		t.Errorf("AndNot = %s, want %s", got, want)
 	}
-
-	if got := a.IntersectionCount(b); got != 3 {
-		t.Errorf("IntersectionCount = %d, want 3", got)
-	}
-	if got := a.DifferenceCount(b); got != 2 {
-		t.Errorf("DifferenceCount = %d, want 2", got)
-	}
 }
 
 func TestSubsetEqual(t *testing.T) {
 	a := FromIndices(64, []int{1, 2, 3})
 	b := FromIndices(64, []int{1, 2, 3, 10})
-	if !a.SubsetOf(b) {
-		t.Error("a should be subset of b")
-	}
-	if b.SubsetOf(a) {
-		t.Error("b should not be subset of a")
-	}
-	if !a.SubsetOf(a.Clone()) {
-		t.Error("a should be subset of itself")
-	}
 	if a.Equal(b) {
 		t.Error("a should not equal b")
 	}
@@ -237,28 +221,7 @@ func TestQuickAgainstReference(t *testing.T) {
 				return false
 			}
 		}
-		return and.Count() == a.IntersectionCount(b) &&
-			diff.Count() == a.DifferenceCount(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: SubsetOf is consistent with AndNot emptiness.
-func TestQuickSubset(t *testing.T) {
-	const n = 100
-	f := func(aIdx, bIdx []uint8) bool {
-		a, b := New(n), New(n)
-		for _, v := range aIdx {
-			a.Add(int(v) % n)
-		}
-		for _, v := range bIdx {
-			b.Add(int(v) % n)
-		}
-		d := a.Clone()
-		d.AndNot(b)
-		return a.SubsetOf(b) == d.Empty()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

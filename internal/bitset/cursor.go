@@ -5,7 +5,7 @@ import "math/bits"
 // Ascending iteration and membership probing that work over either
 // container without allocating: cursor and prober are plain struct
 // values the caller keeps on its stack, so the allocation-free read
-// paths (ForEachAnd, SubsetOf, the counting ops; alloc_test.go) can
+// paths (Equal, ForEachAnd, ForEachAndNot; alloc_test.go) can
 // dispatch across container pairs through them instead of materializing
 // a dense copy.
 

@@ -162,91 +162,6 @@ func mergeU32(a, b []uint32) []uint32 {
 	return append(out, b[j:]...)
 }
 
-// IntersectionCount returns |s ∩ o| without allocating.
-func (s *Set) IntersectionCount(o *Set) int {
-	s.sameCap(o)
-	if s.mode == modeDense && o.mode == modeDense {
-		if s.words == nil || o.words == nil {
-			return 0
-		}
-		c := 0
-		for i := range s.words {
-			c += bits.OnesCount64(s.words[i] & o.words[i])
-		}
-		return c
-	}
-	a, b := s, o
-	if o.mode == modeSparse { // iterate the sparse operand, probe the other
-		a, b = o, s
-	}
-	var cur cursor
-	cur.init(a)
-	p := prober{s: b}
-	c := 0
-	for i, ok := cur.next(); ok; i, ok = cur.next() {
-		if p.contains(i) {
-			c++
-		}
-	}
-	return c
-}
-
-// DifferenceCount returns |s \ o| without allocating.
-func (s *Set) DifferenceCount(o *Set) int {
-	s.sameCap(o)
-	if s.mode == modeDense && o.mode == modeDense {
-		if s.words == nil {
-			return 0
-		}
-		if o.words == nil {
-			return s.Count()
-		}
-		c := 0
-		for i := range s.words {
-			c += bits.OnesCount64(s.words[i] &^ o.words[i])
-		}
-		return c
-	}
-	var cur cursor
-	cur.init(s)
-	p := prober{s: o}
-	c := 0
-	for i, ok := cur.next(); ok; i, ok = cur.next() {
-		if !p.contains(i) {
-			c++
-		}
-	}
-	return c
-}
-
-// SubsetOf reports whether every bit of s is also set in o.
-func (s *Set) SubsetOf(o *Set) bool {
-	s.sameCap(o)
-	if s.mode == modeDense && o.mode == modeDense {
-		if s.words == nil {
-			return true
-		}
-		if o.words == nil {
-			return s.Empty()
-		}
-		for i := range s.words {
-			if s.words[i]&^o.words[i] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	var cur cursor
-	cur.init(s)
-	p := prober{s: o}
-	for i, ok := cur.next(); ok; i, ok = cur.next() {
-		if !p.contains(i) {
-			return false
-		}
-	}
-	return true
-}
-
 // Equal reports whether s and o have identical capacity and bits,
 // whatever containers currently hold them.
 func (s *Set) Equal(o *Set) bool {

@@ -13,6 +13,7 @@ import (
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/graph"
+	"graphcache/internal/iso"
 )
 
 // gateStar builds a star graph with the given number of leaves — distinct
@@ -81,7 +82,7 @@ func TestStreamContextStopsSequentialDispatch(t *testing.T) {
 	c, reqs := gateCache(t, func(pattern, target *graph.Graph) bool {
 		ready <- struct{}{}
 		<-gate
-		return ftv.VF2Verifier(pattern, target)
+		return iso.SubIso(pattern, target)
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	out := c.ExecuteAllStream(ctx, reqs, 1)
@@ -109,7 +110,7 @@ func TestStreamContextStopsWorkerDispatch(t *testing.T) {
 	c, reqs := gateCache(t, func(pattern, target *graph.Graph) bool {
 		ready <- struct{}{}
 		<-gate
-		return ftv.VF2Verifier(pattern, target)
+		return iso.SubIso(pattern, target)
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	out := c.ExecuteAllStream(ctx, reqs, 2)

@@ -688,9 +688,9 @@ func (c *Cache) estimatedMeanCost() float64 {
 
 // emaAdd folds one observation into a lock-free EMA cell: the first
 // observation initializes the average directly (0 bits marks an empty
-// cell), later ones blend with factor alpha. Contended updates retry; the
-// arithmetic matches stats.EMA, so sequential streams produce the same
-// estimates the coordinator-locked engine did. Takes no lock.
+// cell), later ones blend with factor alpha. Contended updates retry, so
+// sequential streams produce the same estimates the coordinator-locked
+// engine did. Takes no lock.
 func emaAdd(cell *atomic.Uint64, alpha, x float64) {
 	for {
 		old := cell.Load()

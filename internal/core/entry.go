@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
@@ -148,8 +149,7 @@ func newEntry(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.Datase
 		InsertedAt:     tick,
 		LastUsed:       tick,
 	}
-	e.staticBytes = 224 + // struct (incl. summary) + bookkeeping
-		q.Bytes() + s.row.Bytes()
+	e.staticBytes = entryBytes + q.Bytes() + s.row.Bytes()
 	// The set is owned here (every caller passes a fresh or cloned set)
 	// and about to be published read-only for the entry's lifetime, so
 	// pay the one-off re-encode into its smaller container now: sparse
@@ -158,6 +158,11 @@ func newEntry(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.Datase
 	e.ans.p.Store(at(set, view))
 	return e
 }
+
+// entryBytes is what an entry allocates besides its graph, its trie row
+// and its answer set: the Entry (its summary inline), its answersCell and
+// the first answersAt published in it.
+const entryBytes = int(unsafe.Sizeof(Entry{}) + unsafe.Sizeof(answersCell{}) + unsafe.Sizeof(answersAt{}))
 
 // summary returns the entry's containment summary.
 func (e *Entry) summary() summary { return summary{fv: e.FV, row: e.row} }

@@ -229,9 +229,9 @@ func TestRestoreRewalksOnGrownTrie(t *testing.T) {
 		t.Fatal(err)
 	}
 	small, big := saved.Method().Filter().(*ftv.GGSX), grown.Filter().(*ftv.GGSX)
-	if saved.Method().View().Digest() != grown.View().Digest() || big.NodeCount() <= small.NodeCount() {
-		t.Fatalf("digests %x and %x, trie nodes %d and %d: the scenario did not arm",
-			saved.Method().View().Digest(), grown.View().Digest(), small.NodeCount(), big.NodeCount())
+	if saved.Method().View().Digest() != grown.View().Digest() || big.IndexBytes() <= small.IndexBytes() {
+		t.Fatalf("digests %x and %x, index bytes %d and %d: the scenario did not arm",
+			saved.Method().View().Digest(), grown.View().Digest(), small.IndexBytes(), big.IndexBytes())
 	}
 
 	rng := rand.New(rand.NewSource(182))

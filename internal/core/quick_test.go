@@ -50,7 +50,7 @@ func TestQuickCacheEqualsBase(t *testing.T) {
 			if res.Tests > res.BaseCandidates {
 				return false
 			}
-			if res.Sure.IntersectionCount(res.Excluded) != 0 {
+			if !disjoint(res.Sure, res.Excluded) {
 				return false
 			}
 		}

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 
+	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 )
 
@@ -51,6 +53,33 @@ func checkResidency(t *testing.T, c *Cache, when string) {
 // removals). A mutation swaps no set, so the account stays exact across
 // it. With lazy=false each add is followed by reconcileNow, whose swapped
 // sets the turn after it trues up.
+// TestEntryBytesModel pins what an entry charges for its bookkeeping,
+// beside its graph, trie row and answers: the Entry, its answersCell and
+// the first answersAt, 200 + 24 + 24 B on a 64-bit platform. A field
+// added to any of the three moves Cache.Bytes and MemoryBudget's
+// residency, so it shows here first.
+func TestEntryBytesModel(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the sizes are a 64-bit platform's")
+	}
+	if got := [3]uintptr{unsafe.Sizeof(Entry{}), unsafe.Sizeof(answersCell{}), unsafe.Sizeof(answersAt{})}; got != [3]uintptr{200, 24, 24} || entryBytes != 248 {
+		t.Errorf("Entry, answersCell, answersAt are %v B, entryBytes %d; want [200 24 24] and 248", got, entryBytes)
+	}
+	dataset := testDataset(5, 30)
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
+	if _, err := c.Execute(gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(6)), dataset[0], 4), ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("%d entries admitted, want 1", c.Len())
+	}
+	for _, e := range c.Entries() {
+		if want := entryBytes + e.Graph.Bytes() + e.row.Bytes() + e.Answers().Bytes(); e.Bytes() != want {
+			t.Errorf("entry %d charges %d B, want %d", e.ID, e.Bytes(), want)
+		}
+	}
+}
+
 func TestResidencyAccountAgreement(t *testing.T) {
 	for _, lazy := range reconcileModes {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {

@@ -80,11 +80,6 @@ func (r *Result) TestSpeedup() float64 {
 	return float64(r.BaseCandidates) / float64(r.Tests)
 }
 
-// TotalTime sums the three processing stages: 0 on an exact hit.
-func (r *Result) TotalTime() time.Duration {
-	return r.FilterTime + r.HitTime + r.VerifyTime
-}
-
 // SubHitCount and SuperHitCount count contributions by kind.
 func (r *Result) SubHitCount() int {
 	n := 0

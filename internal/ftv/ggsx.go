@@ -824,12 +824,6 @@ func (nd *trieNode) addPosting(gid, c int32, scratch []byte) []byte {
 // Name implements Filter.
 func (x *GGSX) Name() string { return "ggsx" }
 
-// MaxLen returns the indexed feature size (path length in edges).
-func (x *GGSX) MaxLen() int { return x.maxLen }
-
-// NodeCount returns the number of trie nodes (distinct features).
-func (x *GGSX) NodeCount() int { return x.nodes }
-
 // IndexBytes implements Filter.
 func (x *GGSX) IndexBytes() int { return x.bytes }
 

@@ -17,9 +17,6 @@ import (
 // "pluggable cache" extends down to Method M components).
 type VerifierFunc func(pattern, target *graph.Graph) bool
 
-// VF2Verifier is the default verifier.
-func VF2Verifier(pattern, target *graph.Graph) bool { return iso.SubIso(pattern, target) }
-
 // Method is "Method M" of the paper: a dataset, a Filter and a Verifier.
 // It answers subgraph/supergraph queries exactly, and exposes its filter
 // and verifier so the GraphCache kernel can run the verification stage
@@ -379,9 +376,6 @@ type Result struct {
 	// VerifyTime is the total verification wall time.
 	VerifyTime time.Duration
 }
-
-// TotalTime returns filter plus verification time.
-func (r *Result) TotalTime() time.Duration { return r.FilterTime + r.VerifyTime }
 
 // Run executes the query with plain filter-then-verify (no cache) over
 // one consistent snapshot of the dataset.

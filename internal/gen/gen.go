@@ -107,9 +107,6 @@ func (s *LabelSampler) Sample(rng *rand.Rand) graph.Label {
 	return graph.Label(len(s.cum) - 1)
 }
 
-// Alphabet returns the number of distinct labels the sampler can emit.
-func (s *LabelSampler) Alphabet() int { return len(s.cum) }
-
 // AssignIDs returns the graphs re-tagged with their slice positions as ids,
 // the convention every dataset consumer in this repo relies on.
 func AssignIDs(gs []*graph.Graph) []*graph.Graph {

@@ -24,7 +24,7 @@ func (g *Graph) edgeKeyOf(u, v int) edgeKey {
 }
 
 // Directed reports whether the graph is directed. Undirected graphs treat
-// every edge as bidirectional in HasEdge/Neighbors.
+// every edge as bidirectional in HasEdge/OutNeighbors.
 func (g *Graph) Directed() bool { return g.directed }
 
 // HasEdgeLabels reports whether any edge carries a label.
@@ -58,19 +58,6 @@ func (g *Graph) OutDegree(v int) int { return g.Degree(v) }
 
 // InDegree returns len(InNeighbors(v)).
 func (g *Graph) InDegree(v int) int { return len(g.InNeighbors(v)) }
-
-// EdgeLabelCounts returns occurrences per edge label (absent for graphs
-// without edge labels).
-func (g *Graph) EdgeLabelCounts() map[Label]int {
-	if g.elabels == nil {
-		return nil
-	}
-	out := make(map[Label]int, 8)
-	for _, l := range g.elabels {
-		out[l]++
-	}
-	return out
-}
 
 // Directed marks the builder's graph as directed: AddEdge(u, v) then means
 // the arc u→v, and (u, v)/(v, u) are distinct edges. Must be called before

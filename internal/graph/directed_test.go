@@ -64,24 +64,20 @@ func TestEdgeLabels(t *testing.T) {
 	if !g.HasEdgeLabels() {
 		t.Fatal("edge labels missing")
 	}
-	if g.EdgeLabel(0, 1) != 10 || g.EdgeLabel(2, 3) != 13 {
-		t.Errorf("edge labels wrong: %d %d", g.EdgeLabel(0, 1), g.EdgeLabel(2, 3))
+	if g.EdgeLabel(0, 1) != 10 || g.EdgeLabel(0, 2) != 11 || g.EdgeLabel(1, 3) != 12 || g.EdgeLabel(2, 3) != 13 {
+		t.Errorf("edge labels wrong: %d %d %d %d", g.EdgeLabel(0, 1), g.EdgeLabel(0, 2), g.EdgeLabel(1, 3), g.EdgeLabel(2, 3))
 	}
 	if g.EdgeLabel(1, 0) != 0 {
 		t.Error("reverse arc should report no label")
-	}
-	counts := g.EdgeLabelCounts()
-	if len(counts) != 4 {
-		t.Errorf("EdgeLabelCounts = %v", counts)
 	}
 	// Undirected labelled edge is symmetric.
 	u := NewBuilder(2).SetLabels([]Label{0, 0}).AddLabeledEdge(1, 0, 7).MustBuild()
 	if u.EdgeLabel(0, 1) != 7 || u.EdgeLabel(1, 0) != 7 {
 		t.Error("undirected edge label should be symmetric")
 	}
-	// Unlabelled graphs report 0 and nil counts.
+	// Unlabelled graphs report 0.
 	plain := MustNew([]Label{0, 0}, [][2]int{{0, 1}})
-	if plain.HasEdgeLabels() || plain.EdgeLabel(0, 1) != 0 || plain.EdgeLabelCounts() != nil {
+	if plain.HasEdgeLabels() || plain.EdgeLabel(0, 1) != 0 {
 		t.Error("unlabelled graph misreports edge labels")
 	}
 }

@@ -15,8 +15,8 @@
 // graph costs. A 16-bit neighbour caps a graph at MaxVertices (65 536)
 // vertices. The header keeps the block pointer and the vertex and edge
 // counts, from which every array's place is worked out on each access:
-// it stores no slice. The accessors (Neighbors, OutNeighbors,
-// InNeighbors, HasEdge, ...) hide the layout; the matcher alone reads the
+// it stores no slice. The accessors (OutNeighbors, InNeighbors, Degree,
+// HasEdge, ...) hide the layout; the matcher alone reads the
 // raw arrays, through Graph.CSR.
 package graph
 
@@ -69,10 +69,6 @@ func (g *Graph) Labels() []Label {
 
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int) int { return len(g.row(v)) }
-
-// Neighbors returns the sorted neighbor list of v. Callers must not
-// modify it.
-func (g *Graph) Neighbors(v int) []uint16 { return g.row(v) }
 
 // HasEdge reports whether {u, v} is an edge — for directed graphs, whether
 // the arc u→v exists.
@@ -127,27 +123,6 @@ func (g *Graph) LabelCounts() map[Label]int {
 		c[l]++
 	}
 	return c
-}
-
-// MaxLabel returns the largest label value present, or 0 for an empty graph.
-func (g *Graph) MaxLabel() Label {
-	var max Label
-	for _, l := range g.Labels() {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// DegreeSequence returns vertex degrees sorted descending.
-func (g *Graph) DegreeSequence() []int {
-	d := make([]int, g.N())
-	for v := range d {
-		d[v] = g.Degree(v)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(d)))
-	return d
 }
 
 // Bytes estimates the heap footprint of the graph in bytes, used by the

@@ -30,9 +30,6 @@ func TestBasicAccessors(t *testing.T) {
 	if g.Degree(0) != 2 {
 		t.Errorf("Degree(0) = %d, want 2", g.Degree(0))
 	}
-	if g.MaxLabel() != 3 {
-		t.Errorf("MaxLabel = %d, want 3", g.MaxLabel())
-	}
 	if g.ID() != -1 {
 		t.Errorf("default ID = %d, want -1", g.ID())
 	}
@@ -118,17 +115,6 @@ func TestLabelCounts(t *testing.T) {
 	c := g.LabelCounts()
 	if c[5] != 2 || c[7] != 1 || len(c) != 2 {
 		t.Errorf("LabelCounts = %v", c)
-	}
-}
-
-func TestDegreeSequence(t *testing.T) {
-	g := MustNew([]Label{0, 0, 0, 0}, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	ds := g.DegreeSequence()
-	want := []int{3, 1, 1, 1}
-	for i := range want {
-		if ds[i] != want[i] {
-			t.Fatalf("DegreeSequence = %v, want %v", ds, want)
-		}
 	}
 }
 

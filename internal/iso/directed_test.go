@@ -109,8 +109,8 @@ func TestMixedDirectednessRejected(t *testing.T) {
 	if Isomorphic(und, dir) {
 		t.Error("mixed directedness must not be isomorphic")
 	}
-	// CountEmbeddings screens without Match: an undirected edge would map
-	// onto either arc of a directed 2-cycle, a directed arc onto an edge.
+	// Past Match's screen an undirected edge would map onto either arc of
+	// a directed 2-cycle, a directed arc onto an edge: a count shows it.
 	cycle := graph.NewBuilder(2).Directed().SetLabels([]graph.Label{1, 1}).AddEdge(0, 1).AddEdge(1, 0).MustBuild()
 	for _, pair := range [][2]*graph.Graph{{und, dir}, {dir, und}, {und, cycle}, {cycle, und}} {
 		if n := CountEmbeddings(pair[0], pair[1], 0); n != 0 {

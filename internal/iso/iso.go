@@ -18,8 +18,8 @@
 // That is the matcher's only screen besides directedness and size: the
 // callers screen their pairs first (Method M's filter, the cache's
 // summaries of Method M's trie rows). One search routine, Matcher.match, serves all
-// four graph kinds and every entry point: VF2 and CountEmbeddings bind a
-// pattern, match one target and release; a caller with one pattern and
+// four graph kinds and every entry point: VF2 binds a pattern, matches
+// one target and releases; a caller with one pattern and
 // many targets (the verification stage of a subgraph query) keeps the
 // Matcher from Bind and pays per target only for the search. Both graphs
 // are read through their graph.CSR arrays — slice headers into each

@@ -1,6 +1,7 @@
 package iso
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,6 +18,24 @@ func pathG(labels ...graph.Label) *graph.Graph {
 		edges = append(edges, [2]int{i, i + 1})
 	}
 	return graph.MustNew(labels, edges)
+}
+
+// CountEmbeddings counts the embeddings of p into t, stopping at limit
+// (limit <= 0 counts all): Match, with the matcher's limit raised from
+// the decision search's 0. Symmetric pattern automorphisms count
+// separately, as is standard.
+func CountEmbeddings(p, t *graph.Graph, limit int) int {
+	if p.N() == 0 {
+		return 1 // the empty mapping
+	}
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	m := Bind(p, Options{})
+	defer m.Release()
+	m.limit = limit
+	m.Match(t)
+	return m.found
 }
 
 func randomGraph(rng *rand.Rand, n, labels int, pEdge float64) *graph.Graph {

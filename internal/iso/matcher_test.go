@@ -14,7 +14,11 @@ import (
 // target and then a smaller one, other searches through the pool in
 // between — answers each target as VF2 does on its own: the same
 // verdict and the same Stats, since nothing of one search may reach the
-// next.
+// next. The search in between counts to two embeddings, and the matcher
+// it releases is the one VF2 most likely binds next: Release must hand
+// it back with the zero limit, deciding at the first embedding, or VF2's
+// verdict or Stats part from the bound matcher's on every target that
+// matches.
 func TestBoundMatcherReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var matched, missed, aborted, shrank int
@@ -53,7 +57,7 @@ func TestBoundMatcherReuse(t *testing.T) {
 			rng.Shuffle(len(targets), func(i, j int) { targets[i], targets[j] = targets[j], targets[i] })
 			prevN := 0
 			for _, tg := range targets {
-				CountEmbeddings(p, tg, 1) // through the pool, never through m
+				CountEmbeddings(p, tg, 2) // through the pool, never through m
 				ok, st := m.Match(tg)
 				wantOK, wantSt := VF2(p, tg, opts)
 				if ok != wantOK || st != wantSt {

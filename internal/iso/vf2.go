@@ -32,7 +32,10 @@ type Matcher struct {
 	st      Stats
 	aborted bool
 
-	count bool // enumerate matches
+	// limit is the number of embeddings a search stops at, found the
+	// number reached since Bind. Every matcher Bind hands out has limit
+	// 0 (Release resets it): stop at the first embedding, a decision.
+	// Only the tests count, with a larger limit.
 	limit int
 	found int
 }
@@ -105,35 +108,13 @@ func VF2(p, t *graph.Graph, opts Options) (bool, Stats) {
 	return ok, st
 }
 
-// CountEmbeddings counts embeddings of p into t, stopping at limit
-// (limit <= 0 counts all). Symmetric pattern automorphisms are counted
-// separately, as is standard.
-func CountEmbeddings(p, t *graph.Graph, limit int) int {
-	if p.N() == 0 {
-		return 1
-	}
-	if p.Directed() != t.Directed() || p.N() > t.N() || p.M() > t.M() {
-		return 0
-	}
-	m := Bind(p, Options{})
-	defer m.Release()
-	m.setTarget(t)
-	m.count = true
-	m.limit = limit
-	m.match(0)
-	return m.found
-}
-
 // match extends the partial mapping at the given depth of the plan. It
-// returns true when the search can stop (a match was found in decision
-// mode, or the enumeration limit was reached in counting mode).
+// returns true when the search can stop: the embedding it completed
+// reached the matcher's limit.
 func (m *Matcher) match(depth int) bool {
 	if depth == m.plan.Len() {
-		if m.count {
-			m.found++
-			return m.limit > 0 && m.found >= m.limit
-		}
-		return true
+		m.found++
+		return m.found >= m.limit
 	}
 	m.st.Recursions++
 	if m.opts.MaxRecursions > 0 && m.st.Recursions > m.opts.MaxRecursions {

@@ -15,6 +15,7 @@ import (
 	"graphcache/internal/core"
 	"graphcache/internal/ftv"
 	"graphcache/internal/graph"
+	"graphcache/internal/iso"
 )
 
 // TestStreamBatchClientDisconnect: when an NDJSON batch client drops the
@@ -107,7 +108,7 @@ func newGatedBatch(t *testing.T) *gatedBatch {
 		b.calls.Add(1)
 		b.entered <- struct{}{}
 		<-b.gate
-		return ftv.VF2Verifier(pattern, target)
+		return iso.SubIso(pattern, target)
 	}
 	dataset := []*graph.Graph{star(9)}
 	method := ftv.NewMethod("gated/vf2", dataset, ftv.NewNoFilter(len(dataset)), verify)
