@@ -102,19 +102,18 @@
 //     answers stay exact when the Method is mutated behind the cache's
 //     back: by another cache over the same Method, or directly.
 //   - An addition copies what it inserts: AddGraph patches the filter
-//     index through a copy-on-write insert (InsertableFilter, which every
-//     bundled filter implements). Under GGSX it enumerates the new graph's
-//     paths, copies the trie nodes they touch (of a bitmap node, one
-//     64-byte block per digit the new count sets; of a list, its last
-//     block; plus their directories) and, of each per-graph
-//     array — the filter's rows and blooms, the method's graphs — one
-//     256-entry chunk plus the directory. Everything else is shared with
-//     the previous snapshot, which keeps answering for its own epoch. A
-//     method whose custom filter lacks the capability refuses AddGraph.
-//   - Additions keep no log: the kernel holds one containment summary per
-//     added graph for its screen and, at every window turn, drops those
-//     below the shortest answer set any resident or pending entry still
-//     has — bounded state under unbounded churn.
+//     index through a copy-on-write insert (Filter.WithGraph). Under GGSX
+//     it enumerates the new graph's paths, copies the trie nodes they
+//     touch (of a bitmap node, one 64-byte block per digit the new count
+//     sets plus its directory; a list is packed anew with the new
+//     posting) and, of each per-graph array — the filter's rows and
+//     blooms, the method's graphs — one 256-entry chunk plus the
+//     directory. Everything else is shared with the previous snapshot,
+//     which keeps answering for its own epoch.
+//   - Additions keep no log and no per-graph state in the cache: every
+//     addition appends one id, so an entry whose answer set is shorter
+//     than the id space verifies the ids past it when next read —
+//     bounded state under unbounded churn.
 //
 // Per-graph cost statistics and per-query bitsets grow with the dataset;
 // the HTTP layer surfaces mutations as POST /api/dataset/graphs and
@@ -127,6 +126,8 @@
 // Replacement policies are pluggable (the Figure 2(d) developer interface):
 // implement Policy — UpdateCacheStaInfo, ReplacedContent, OnWindowTurn —
 // and pass it in Config.Policy. Bundled policies: LRU, POP, PIN, PINC, HD
-// (recommended default), FIFO and RAND. Filters implementing Filter can
-// replace GGSX inside Method M, and any VerifierFunc can replace VF2.
+// (recommended default), FIFO and RAND. Method M is either bundled class —
+// GGSX at any path length (filter-then-verify; NewGGSXMethod, or
+// NewGGSXFilter inside NewMethod) or NoFilter (a plain SI algorithm;
+// NewSIMethod) — and any VerifierFunc can replace VF2 inside NewMethod.
 package graphcache

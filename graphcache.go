@@ -29,16 +29,13 @@ type (
 	QueryType = ftv.QueryType
 	// Method is "Method M": dataset + filter + verifier.
 	Method = ftv.Method
-	// Filter prunes the dataset to a sound candidate set.
+	// Filter prunes the dataset to a sound candidate set and takes
+	// additions through a copy-on-write insert that, under GGSX, copies
+	// only the trie nodes the new graph's paths touch and one chunk of
+	// each per-graph array.
 	Filter = ftv.Filter
 	// VerifierFunc tests pattern ⊑ target.
 	VerifierFunc = ftv.VerifierFunc
-	// InsertableFilter is the incremental-maintenance capability: a
-	// method takes AddGraph exactly when its filter implements it, through
-	// a copy-on-write insert that, under GGSX, copies only the trie nodes
-	// the new graph's paths touch and one chunk of each per-graph array.
-	// All bundled filters do.
-	InsertableFilter = ftv.InsertableFilter
 	// DatasetView is one immutable snapshot of a method's live dataset.
 	DatasetView = ftv.DatasetView
 	// MethodResult reports an uncached Method M execution.
@@ -136,24 +133,18 @@ func Isomorphic(a, b *Graph) bool { return iso.Isomorphic(a, b) }
 
 // NewGGSXMethod builds the demo deployment's Method M: a GraphGrepSX-style
 // label-path index (paths up to maxLen edges) with VF2 verification.
-// Dataset graphs are identified by slice position.
+// Dataset graphs are identified by slice position. maxLen 1 is the cheap
+// label-level method: its vertex and edge path counts prune at least as
+// much as label-multiset, |V| and |E| dominance would.
 func NewGGSXMethod(dataset []*Graph, maxLen int) *Method {
 	return ftv.NewGGSXMethod(dataset, maxLen)
 }
 
-// NewLabelMethod builds a cheap Method M that filters only by size and
-// label multiset. Like every bundled method it is dynamic: the dataset
-// takes live AddGraph/RemoveGraph mutations.
-func NewLabelMethod(dataset []*Graph) *Method {
-	return ftv.NewMethod("label/vf2", dataset, ftv.NewLabelFilter(dataset), nil)
-}
-
-// NewGGSXFilter, NewLabelFilter and NewNoFilter expose the bundled
-// filters for custom Method M assembly.
+// NewGGSXFilter and NewNoFilter expose the bundled filters for custom
+// Method M assembly.
 var (
-	NewGGSXFilter  = ftv.NewGGSX
-	NewLabelFilter = ftv.NewLabelFilter
-	NewNoFilter    = ftv.NewNoFilter
+	NewGGSXFilter = ftv.NewGGSX
+	NewNoFilter   = ftv.NewNoFilter
 )
 
 // NewSIMethod builds a filterless Method M — a plain subgraph-isomorphism
@@ -162,10 +153,9 @@ func NewSIMethod(dataset []*Graph) *Method {
 	return ftv.NewMethod("si/vf2", dataset, ftv.NewNoFilter(len(dataset)), nil)
 }
 
-// NewMethod assembles a custom Method M from a filter built over dataset
-// and a verifier (nil verifier means VF2). Cache.RemoveGraph always works;
-// Cache.AddGraph works when the filter implements InsertableFilter, and
-// either way every cached answer set is maintained exactly — also when the
+// NewMethod assembles a custom Method M from a bundled filter built over
+// dataset and a verifier (nil verifier means VF2). Cache.AddGraph and
+// Cache.RemoveGraph keep every cached answer set exact — also when the
 // Method is mutated directly or through another cache over it.
 func NewMethod(name string, dataset []*Graph, filter Filter, verify VerifierFunc) *Method {
 	return ftv.NewMethod(name, dataset, filter, verify)

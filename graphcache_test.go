@@ -94,7 +94,7 @@ func TestPublicPolicies(t *testing.T) {
 	cfg := gc.DefaultConfig()
 	cfg.Policy = gc.NewLRU()
 	dataset := gc.GenerateMolecules(2, 10)
-	cache, err := gc.NewCache(gc.NewLabelMethod(dataset), cfg)
+	cache, err := gc.NewCache(gc.NewGGSXMethod(dataset, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPublicMethodVariants(t *testing.T) {
 	var prev *gc.MethodResult
 	for _, m := range []*gc.Method{
 		gc.NewGGSXMethod(dataset, 3),
-		gc.NewLabelMethod(dataset),
+		gc.NewGGSXMethod(dataset, 1),
 		gc.NewSIMethod(dataset),
 	} {
 		r := m.Run(pattern, gc.Subgraph)
@@ -117,6 +117,43 @@ func TestPublicMethodVariants(t *testing.T) {
 			t.Fatalf("method %s disagrees", m.Name())
 		}
 		prev = r
+	}
+}
+
+// TestPublicCacheHelpsAnyMethod: GC sits in front of either class of
+// Method M, a label-level filter-then-verify method (GGSX at path length
+// 1) or a filterless SI method, and finds sub and super hits over each.
+// The stream nests patterns: a middle one, then one cut out of it (a sub
+// hit on the middle), then the one it was cut out of (a super hit), and
+// SelfCheck holds every answer to the uncached method's.
+func TestPublicCacheHelpsAnyMethod(t *testing.T) {
+	dataset := gc.GenerateMolecules(13, 40)
+	var stream []*gc.Graph
+	for i := 0; i < 6; i++ {
+		big := gc.ExtractPattern(int64(200+i), dataset[i], 9)
+		mid := gc.ExtractPattern(int64(300+i), big, 5)
+		stream = append(stream, mid, gc.ExtractPattern(int64(400+i), mid, 2), big)
+	}
+	for _, m := range []*gc.Method{gc.NewGGSXMethod(dataset, 1), gc.NewSIMethod(dataset)} {
+		cfg := gc.DefaultConfig()
+		cfg.Window = 1
+		cfg.SelfCheck = true
+		cache, err := gc.NewCache(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range stream {
+			res, err := cache.Execute(q, gc.Subgraph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := m.Run(q, gc.Subgraph).Answers; !res.Answers.Equal(want) {
+				t.Fatalf("%s: query %d answers %v, want %v", m.Name(), i, res.Answers, want)
+			}
+		}
+		if s := cache.Stats(); s.SubHits == 0 || s.SuperHits == 0 {
+			t.Errorf("%s: %d sub and %d super hits over the nested stream, want at least one each", m.Name(), s.SubHits, s.SuperHits)
+		}
 	}
 }
 
@@ -168,7 +205,7 @@ func TestPublicCustomPolicy(t *testing.T) {
 	cfg.Policy = custom
 	cfg.Capacity = 3
 	cfg.Window = 2
-	cache, err := gc.NewCache(gc.NewLabelMethod(dataset), cfg)
+	cache, err := gc.NewCache(gc.NewGGSXMethod(dataset, 1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,16 +169,6 @@ func New(method *ftv.Method, cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// MustNew is New that panics on error, for tests and examples with
-// constant configs.
-func MustNew(method *ftv.Method, cfg Config) *Cache {
-	c, err := New(method, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Method returns the underlying Method M.
 func (c *Cache) Method() *ftv.Method { return c.method }
 

@@ -566,24 +566,3 @@ func TestAddGraphExtendsAnswers(t *testing.T) {
 		})
 	}
 }
-
-// staticFilter hides the wrapped filter's WithGraph, so a Method over it
-// is static.
-type staticFilter struct{ ftv.Filter }
-
-// TestAddGraphStaticMethod pins that a method whose filter is not an
-// InsertableFilter rejects additions (but still supports removals).
-func TestAddGraphStaticMethod(t *testing.T) {
-	dataset := testDataset(91, 6)
-	method := ftv.NewMethod("label/vf2", dataset, staticFilter{ftv.NewLabelFilter(dataset)}, nil)
-	c := MustNew(method, DefaultConfig())
-	if _, err := c.AddGraph(dataset[0]); err == nil {
-		t.Error("static method should reject AddGraph")
-	}
-	if err := c.RemoveGraph(0); err != nil {
-		t.Errorf("static method should support RemoveGraph: %v", err)
-	}
-	if got := c.DatasetInfo().Live; got != len(dataset)-1 {
-		t.Errorf("live count %d after removal, want %d", got, len(dataset)-1)
-	}
-}

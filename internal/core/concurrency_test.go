@@ -387,17 +387,17 @@ func muHeld(c *Cache) bool {
 // probedFilter is an insertable filter that calls probe on every
 // Candidates call, and whose inserts are probed too.
 type probedFilter struct {
-	ftv.InsertableFilter
+	ftv.Filter
 	probe func()
 }
 
 func (f probedFilter) Candidates(q *graph.Graph, qt ftv.QueryType) *bitset.Set {
 	f.probe()
-	return f.InsertableFilter.Candidates(q, qt)
+	return f.Filter.Candidates(q, qt)
 }
 
 func (f probedFilter) WithGraph(gid int, g *graph.Graph) ftv.Filter {
-	return probedFilter{f.InsertableFilter.WithGraph(gid, g).(ftv.InsertableFilter), f.probe}
+	return probedFilter{f.Filter.WithGraph(gid, g), f.probe}
 }
 
 // TestConcurrentExecuteAll drives the batched worker-pool API concurrently

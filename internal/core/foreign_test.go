@@ -358,7 +358,7 @@ func TestRestoreAcrossAdditionsRefused(t *testing.T) {
 	if err := c2.ReadState(bytes.NewReader(state2.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	size := c2.Method().DatasetSize()
+	size := c2.Method().View().Size()
 	for _, e := range c2.Entries() {
 		if e.Answers().Len() != size {
 			t.Fatalf("restored entry %d sized to %d ids, want %d", e.ID, e.Answers().Len(), size)

@@ -52,8 +52,7 @@ import (
 
 // AddGraph appends g to the live dataset under a fresh stable id and
 // returns the id. Every cached answer set takes the new graph in when it
-// is next read. The method's filter must support AddGraph (an
-// ftv.InsertableFilter, as every bundled filter is).
+// is next read.
 func (c *Cache) AddGraph(g *graph.Graph) (int, error) {
 	defer c.mon.endMutation(time.Now())
 	gid, err := c.method.AddGraph(g)

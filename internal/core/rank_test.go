@@ -23,7 +23,7 @@ func rankEntry(id int, count int) *Entry {
 
 // rankView is a dataset view with no removal in its history: a bare
 // entry's live answer count is its set's count.
-var rankView = ftv.NewMethod("label/vf2", nil, ftv.NewLabelFilter(nil), nil).View()
+var rankView = ftv.NewMethod("none/vf2", nil, ftv.NewNoFilter(0), nil).View()
 
 // TestRankCandidatesDeterministic is the regression test for the
 // detectHits ranking extraction: the order must be a pure function of the

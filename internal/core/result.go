@@ -66,10 +66,6 @@ type Result struct {
 	hit [1]HitRef
 }
 
-// SavedTests returns |C_M| − Tests, the dataset sub-iso tests the cache
-// avoided for this query.
-func (r *Result) SavedTests() int { return r.BaseCandidates - r.Tests }
-
 // TestSpeedup returns the per-query speedup in test numbers, the figure
 // The Query Journey reports (75/43 = 1.74 in the paper's example).
 // Queries with zero executed tests report base+1 to stay finite.

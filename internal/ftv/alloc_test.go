@@ -54,7 +54,7 @@ func TestWithGraphAllocBudget(t *testing.T) {
 	chain := func() {
 		var f ftv.Filter = bi.index
 		for i, g := range adds {
-			f = f.(ftv.InsertableFilter).WithGraph(len(bi.dataset)+i, g)
+			f = f.WithGraph(len(bi.dataset)+i, g)
 		}
 	}
 	chain() // fills the walk pool

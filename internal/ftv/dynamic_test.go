@@ -35,10 +35,8 @@ func TestDynamicMethodMutations(t *testing.T) {
 	base := molecules(7, 12)
 	extra := molecules(8, 4)
 	builders := map[string]func([]*graph.Graph) *ftv.Method{
-		"ggsx": func(ds []*graph.Graph) *ftv.Method { return ftv.NewGGSXMethod(ds, 3) },
-		"label": func(ds []*graph.Graph) *ftv.Method {
-			return ftv.NewMethod("label/vf2", ds, ftv.NewLabelFilter(ds), nil)
-		},
+		"ggsx":  func(ds []*graph.Graph) *ftv.Method { return ftv.NewGGSXMethod(ds, 3) },
+		"ggsx1": func(ds []*graph.Graph) *ftv.Method { return ftv.NewGGSXMethod(ds, 1) },
 	}
 	queries := make([]*graph.Graph, 6)
 	rng := rand.New(rand.NewSource(9))
@@ -80,16 +78,16 @@ func TestDynamicMethodMutations(t *testing.T) {
 			if gid != len(base) {
 				t.Fatalf("first added gid %d, want %d", gid, len(base))
 			}
-			if m.Epoch() != 1 || m.DatasetSize() != len(base)+1 || m.LiveCount() != len(base)+1 {
-				t.Fatalf("shape after add: epoch %d size %d live %d", m.Epoch(), m.DatasetSize(), m.LiveCount())
+			if m.Epoch() != 1 || m.View().Size() != len(base)+1 || m.LiveCount() != len(base)+1 {
+				t.Fatalf("shape after add: epoch %d size %d live %d", m.Epoch(), m.View().Size(), m.LiveCount())
 			}
 			check("after add")
 
 			if err := m.RemoveGraph(2); err != nil {
 				t.Fatal(err)
 			}
-			if m.Epoch() != 2 || m.DatasetSize() != len(base)+1 || m.LiveCount() != len(base) {
-				t.Fatalf("shape after remove: epoch %d size %d live %d", m.Epoch(), m.DatasetSize(), m.LiveCount())
+			if m.Epoch() != 2 || m.View().Size() != len(base)+1 || m.LiveCount() != len(base) {
+				t.Fatalf("shape after remove: epoch %d size %d live %d", m.Epoch(), m.View().Size(), m.LiveCount())
 			}
 			check("after remove")
 
@@ -110,7 +108,7 @@ func TestDynamicMethodMutations(t *testing.T) {
 			if err := m.RemoveGraph(-1); err == nil {
 				t.Error("negative gid should error")
 			}
-			if err := m.RemoveGraph(m.DatasetSize()); err == nil {
+			if err := m.RemoveGraph(m.View().Size()); err == nil {
 				t.Error("out-of-range gid should error")
 			}
 		})
@@ -160,7 +158,7 @@ func TestFiltersTolerateNilGraphs(t *testing.T) {
 	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(28)), ds[0], 4)
 	methods := []*ftv.Method{
 		ftv.NewMethod("ggsx", ds, ftv.NewGGSX(ds, 3), nil),
-		ftv.NewMethod("label", ds, ftv.NewLabelFilter(ds), nil),
+		ftv.NewMethod("ggsx1", ds, ftv.NewGGSX(ds, 1), nil),
 		ftv.NewMethod("none", ds, ftv.NewNoFilter(len(ds)), nil),
 	}
 	for _, m := range methods {

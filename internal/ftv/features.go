@@ -9,13 +9,13 @@ const DegreeTailLen = 8
 
 // FeatureVector is a fixed-size, containment-safe summary of a graph: the
 // vertex and edge counts, a bloom of the vertex-label set, a bloom of
-// (label, minimum-degree) facts, and an out-degree tail histogram. It is
-// the cheap first stage of containment filtering, sitting in front of the
-// exact (and allocation-heavy) label-multiset and path-feature dominance
-// merges that LabelFilter and GGSX perform: every field is a necessary
-// condition for subgraph isomorphism, so ContainedIn failing proves
-// non-containment while costing a few dozen integer compares and no
-// pointer chasing.
+// (label, minimum-degree) facts, and an out-degree tail histogram. The
+// cache screens entry pairs with it ahead of the path-count dominance of
+// GGSX's trie rows: every field is a necessary condition for subgraph
+// isomorphism, so ContainedIn failing proves non-containment while
+// costing a few dozen integer compares and no pointer chasing. Its degree
+// facts add to what path counts can refute, and for a Method without a trie
+// (NoFilter) it is the only screen.
 //
 // Soundness: a (label-preserving, direction-preserving) embedding of q
 // into G maps each q-vertex v to a G-vertex with the same label and

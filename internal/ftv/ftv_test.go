@@ -53,7 +53,7 @@ func TestNoFilterIsComplete(t *testing.T) {
 	if c.Count() != 7 {
 		t.Errorf("NoFilter candidates = %d, want 7", c.Count())
 	}
-	if f.IndexBytes() != 0 || f.Name() != "none" {
+	if f.IndexBytes() != 0 {
 		t.Error("NoFilter metadata wrong")
 	}
 }
@@ -62,11 +62,11 @@ func TestNoFilterIsComplete(t *testing.T) {
 func TestFiltersSound(t *testing.T) {
 	dataset := molecules(1, 40)
 	rng := rand.New(rand.NewSource(2))
-	filters := []ftv.Filter{
-		ftv.NewLabelFilter(dataset),
-		ftv.NewGGSX(dataset, 3),
-		ftv.NewGGSX(dataset, 4),
-		ftv.NewNoFilter(len(dataset)),
+	filters := map[string]ftv.Filter{
+		"ggsx-L1": ftv.NewGGSX(dataset, 1),
+		"ggsx-L3": ftv.NewGGSX(dataset, 3),
+		"ggsx-L4": ftv.NewGGSX(dataset, 4),
+		"none":    ftv.NewNoFilter(len(dataset)),
 	}
 	sampler := gen.NewAIDSLabelSampler(8)
 	for trial := 0; trial < 25; trial++ {
@@ -74,33 +74,34 @@ func TestFiltersSound(t *testing.T) {
 		sub := gen.ExtractConnectedSubgraph(rng, src, 3+rng.Intn(8))
 		super := gen.Augment(rng, src, 2, 1, sampler)
 
-		for _, f := range filters {
+		for name, f := range filters {
 			subTruth := exactAnswers(dataset, sub, ftv.Subgraph)
 			if !subset(subTruth, f.Candidates(sub, ftv.Subgraph)) {
-				t.Fatalf("filter %s drops subgraph answers (trial %d)", f.Name(), trial)
+				t.Fatalf("filter %s drops subgraph answers (trial %d)", name, trial)
 			}
 			superTruth := exactAnswers(dataset, super, ftv.Supergraph)
 			if !subset(superTruth, f.Candidates(super, ftv.Supergraph)) {
-				t.Fatalf("filter %s drops supergraph answers (trial %d)", f.Name(), trial)
+				t.Fatalf("filter %s drops supergraph answers (trial %d)", name, trial)
 			}
 		}
 	}
 }
 
-// GGSX should filter at least as well as the label filter in aggregate.
+// GGSX at path length 4 should filter at least as well as the label-level
+// length 1 in aggregate.
 func TestGGSXPrunesHarder(t *testing.T) {
 	dataset := molecules(3, 60)
 	rng := rand.New(rand.NewSource(4))
-	lf := ftv.NewLabelFilter(dataset)
-	gg := ftv.NewGGSX(dataset, 4)
-	totalLF, totalGG := 0, 0
+	g1 := ftv.NewGGSX(dataset, 1)
+	g4 := ftv.NewGGSX(dataset, 4)
+	tot1, tot4 := 0, 0
 	for trial := 0; trial < 30; trial++ {
 		q := gen.ExtractConnectedSubgraph(rng, dataset[rng.Intn(len(dataset))], 6)
-		totalLF += lf.Candidates(q, ftv.Subgraph).Count()
-		totalGG += gg.Candidates(q, ftv.Subgraph).Count()
+		tot1 += g1.Candidates(q, ftv.Subgraph).Count()
+		tot4 += g4.Candidates(q, ftv.Subgraph).Count()
 	}
-	if totalGG > totalLF {
-		t.Errorf("GGSX candidates (%d) exceed label-filter candidates (%d)", totalGG, totalLF)
+	if tot4 > tot1 {
+		t.Errorf("L=4 candidates (%d) exceed L=1 candidates (%d)", tot4, tot1)
 	}
 }
 
@@ -173,7 +174,7 @@ func TestMethodRunExactness(t *testing.T) {
 	custom, tests := 0, 0
 	methods := []*ftv.Method{
 		ftv.NewGGSXMethod(dataset, 3),
-		ftv.NewMethod("label/vf2", dataset, ftv.NewLabelFilter(dataset), nil),
+		ftv.NewGGSXMethod(dataset, 1),
 		ftv.NewMethod("none/vf2", dataset, ftv.NewNoFilter(len(dataset)), nil),
 		ftv.NewMethod("ggsx/custom", dataset, ftv.NewGGSX(dataset, 3), func(pattern, target *graph.Graph) bool {
 			custom++
@@ -219,7 +220,7 @@ func TestMethodResultAccounting(t *testing.T) {
 	if !r.Answers.Contains(0) {
 		t.Error("extraction source must be an answer")
 	}
-	if m.DatasetSize() != 20 || m.Filter().Name() != "ggsx" {
+	if m.View().Size() != 20 || m.Name() != "ggsx-L3/vf2" {
 		t.Error("method metadata wrong")
 	}
 }
@@ -241,17 +242,6 @@ func TestVerifyCandidateOrientation(t *testing.T) {
 	// big is not ⊑ small.
 	if m.VerifyCandidate(big, 1, ftv.Subgraph) {
 		t.Error("subgraph orientation inverted")
-	}
-}
-
-func TestLabelFilterMetadata(t *testing.T) {
-	dataset := molecules(13, 10)
-	f := ftv.NewLabelFilter(dataset)
-	if f.Name() != "label" {
-		t.Error("name wrong")
-	}
-	if f.IndexBytes() <= 0 {
-		t.Error("label filter should report positive index bytes")
 	}
 }
 

@@ -754,7 +754,7 @@ func (x *GGSX) step(nd *trieNode, k trieKey) *trieNode {
 	return c
 }
 
-// WithGraph implements InsertableFilter: an incremental, copy-on-write
+// WithGraph implements Filter: an incremental, copy-on-write
 // trie insert. It enumerates g's own label paths (the walk NewGGSX does
 // for one dataset graph), copies the trie nodes they touch and adds the
 // new posting to each, and writes g's forward row and bloom into one
@@ -820,9 +820,6 @@ func (nd *trieNode) addPosting(gid, c int32, scratch []byte) []byte {
 	}
 	return l.body
 }
-
-// Name implements Filter.
-func (x *GGSX) Name() string { return "ggsx" }
 
 // IndexBytes implements Filter.
 func (x *GGSX) IndexBytes() int { return x.bytes }

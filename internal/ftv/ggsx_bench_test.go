@@ -95,7 +95,7 @@ func BenchmarkGGSXWithGraph(b *testing.B) {
 			f, gid = bi.index, len(bi.dataset)
 			b.StartTimer()
 		}
-		f = f.(ftv.InsertableFilter).WithGraph(gid, adds[i%len(adds)])
+		f = f.WithGraph(gid, adds[i%len(adds)])
 		gid++
 	}
 }

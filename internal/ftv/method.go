@@ -39,8 +39,7 @@ type VerifierFunc func(pattern, target *graph.Graph) bool
 // drops exactly the graphs removed since its own snapshot. Removals keep
 // the old filter (its postings for the dead id are masked by the live set
 // — exact, because Candidates intersects with live); additions patch the
-// filter incrementally, so AddGraph needs a filter that is an
-// InsertableFilter (every bundled filter is).
+// filter incrementally through Filter.WithGraph.
 //
 // Readers that need a consistent multi-call view (size, candidates,
 // verification) must take one View and use it throughout; the plain Method
@@ -75,8 +74,7 @@ type methodState struct {
 
 // NewMethod assembles a method from a filter built over dataset. Dataset
 // graphs are identified by slice position throughout (graph ids are not
-// consulted). verify may be nil, defaulting to VF2. The method takes
-// RemoveGraph always and AddGraph when the filter is an InsertableFilter.
+// consulted). verify may be nil, defaulting to VF2.
 func NewMethod(name string, dataset []*graph.Graph, filter Filter, verify VerifierFunc) *Method {
 	m := &Method{name: name, verify: verify}
 	m.state.Store(initialState(dataset, filter))
@@ -157,10 +155,6 @@ func (m *Method) Name() string { return m.name }
 // respect to its own epoch — forever, even after later mutations.
 func (m *Method) View() DatasetView { return DatasetView{s: m.state.Load(), verify: m.verify} }
 
-// DatasetSize returns the dataset's id space — the number of positions,
-// including tombstones, hence the capacity answer bitsets are sized to.
-func (m *Method) DatasetSize() int { return m.state.Load().dataset.Len() }
-
 // LiveCount returns the number of non-tombstoned dataset graphs.
 func (m *Method) LiveCount() int { return m.state.Load().liveCount }
 
@@ -186,13 +180,12 @@ func (m *Method) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool {
 // AddGraph appends g to the dataset under a fresh, stable id (the next
 // position — tombstoned ids are never reused) and publishes a new
 // snapshot whose filter covers the grown dataset, patched through
-// InsertableFilter.WithGraph. Under GGSX that enumerates g's paths and
+// Filter.WithGraph. Under GGSX that enumerates g's paths and
 // copies the trie nodes they touch (of a bitmap node, one 64-byte block
 // per digit g's count sets plus their directories; a list is packed anew
 // with the new posting), and the per-graph arrays of the filter
 // and of the method copy one chunk plus their directory each. It returns
-// the new graph's id, or an error when the method's filter is not an
-// InsertableFilter.
+// the new graph's id.
 func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 	if g == nil || g.N() == 0 {
 		return 0, fmt.Errorf("ftv: cannot add an empty graph")
@@ -200,12 +193,8 @@ func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := m.state.Load()
-	ins, ok := old.filter.(InsertableFilter)
-	if !ok {
-		return 0, fmt.Errorf("ftv: method %q cannot take AddGraph: its %s filter is not an InsertableFilter", m.name, old.filter.Name())
-	}
 	gid := old.dataset.Len()
-	filter := ins.WithGraph(gid, g)
+	filter := old.filter.WithGraph(gid, g)
 	live := old.live.Grown(gid + 1)
 	live.Add(gid)
 	m.state.Store(&methodState{

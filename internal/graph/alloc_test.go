@@ -34,21 +34,6 @@ func TestReadAllAllocBudget(t *testing.T) {
 	}
 }
 
-// TestDominatedByAllocBudget: the label-vector dominance merge allocates
-// nothing, whether it accepts or refutes.
-func TestDominatedByAllocBudget(t *testing.T) {
-	small := LabelVectorOf(path(1, 1, 2))
-	big := LabelVectorOf(MustNew([]Label{1, 1, 1, 2, 3}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}))
-	for _, tc := range []struct {
-		name string
-		v, o LabelVector
-	}{{"dominated", small, big}, {"refuted", big, small}, {"self", big, big}} {
-		if got := testing.AllocsPerRun(100, func() { tc.v.DominatedBy(tc.o) }); got != 0 {
-			t.Errorf("DominatedBy (%s) allocates %.1f/op, budget 0", tc.name, got)
-		}
-	}
-}
-
 // TestPlanPackedBytes: a first plan allocates its packed steps and
 // nothing else — 2 bytes a step below 128 vertices, 8 from 128 on —
 // read as the heap bytes it adds beyond the copy it is planned on, which

@@ -116,15 +116,6 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// LabelCounts returns a map from label to its number of occurrences.
-func (g *Graph) LabelCounts() map[Label]int {
-	c := make(map[Label]int, 8)
-	for _, l := range g.Labels() {
-		c[l]++
-	}
-	return c
-}
-
 // Bytes estimates the heap footprint of the graph in bytes, used by the
 // cache's memory accounting: the header's 64 B size class, the block (8 B
 // of signature and 4 B of offset per row, 2 B per neighbour entry, 2 B per

@@ -110,14 +110,6 @@ func TestBuildCapsVertices(t *testing.T) {
 	}
 }
 
-func TestLabelCounts(t *testing.T) {
-	g := MustNew([]Label{5, 5, 7}, [][2]int{{0, 1}})
-	c := g.LabelCounts()
-	if c[5] != 2 || c[7] != 1 || len(c) != 2 {
-		t.Errorf("LabelCounts = %v", c)
-	}
-}
-
 func TestConnectivity(t *testing.T) {
 	if !triangle(0, 0, 0).IsConnected() {
 		t.Error("triangle should be connected")
@@ -235,24 +227,6 @@ func TestWLFingerprintRandomPermutations(t *testing.T) {
 		if g.WLFingerprint(3) != pg.WLFingerprint(3) {
 			t.Fatalf("trial %d: fingerprint not permutation invariant", trial)
 		}
-	}
-}
-
-func TestLabelVectorDominance(t *testing.T) {
-	small := LabelVectorOf(path(1, 1, 2))
-	big := LabelVectorOf(MustNew([]Label{1, 1, 1, 2, 3}, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}}))
-	if !small.DominatedBy(big) {
-		t.Error("small should be dominated by big")
-	}
-	if big.DominatedBy(small) {
-		t.Error("big should not be dominated by small")
-	}
-	if !small.DominatedBy(small) {
-		t.Error("vector should dominate itself")
-	}
-	other := LabelVectorOf(path(4, 4))
-	if other.DominatedBy(big) {
-		t.Error("disjoint labels should not be dominated")
 	}
 }
 

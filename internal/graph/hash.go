@@ -94,42 +94,3 @@ func (g *Graph) wlFingerprint(rounds int) Fingerprint {
 	}
 	return Fingerprint(h)
 }
-
-// LabelVector is a sorted (label, count) run-length encoding of a graph's
-// label multiset, used for containment pre-filtering: if q's multiset is
-// not dominated by G's, then q cannot be a subgraph of G.
-type LabelVector []LabelCount
-
-// LabelCount is one run of a LabelVector.
-type LabelCount struct {
-	Label Label
-	Count int
-}
-
-// LabelVectorOf returns the graph's LabelVector, computed afresh on each
-// call (the label filter stores the vectors it needs).
-func LabelVectorOf(g *Graph) LabelVector {
-	counts := g.LabelCounts()
-	out := make(LabelVector, 0, len(counts))
-	for l, c := range counts {
-		out = append(out, LabelCount{l, c})
-	}
-	slices.SortFunc(out, func(a, b LabelCount) int { return int(a.Label) - int(b.Label) })
-	return out
-}
-
-// DominatedBy reports whether every label occurs in o at least as many
-// times as in v — a necessary condition for the graph of v to be
-// subgraph-isomorphic to the graph of o.
-func (v LabelVector) DominatedBy(o LabelVector) bool {
-	j := 0
-	for _, lc := range v {
-		for j < len(o) && o[j].Label < lc.Label {
-			j++
-		}
-		if j >= len(o) || o[j].Label != lc.Label || o[j].Count < lc.Count {
-			return false
-		}
-	}
-	return true
-}

@@ -44,6 +44,15 @@ func stepsOf(p Plan) []PlanStep {
 	return out
 }
 
+// labelCounts maps each label of g to its number of vertices.
+func labelCounts(g *Graph) map[Label]int {
+	c := make(map[Label]int)
+	for _, l := range g.Labels() {
+		c[l]++
+	}
+	return c
+}
+
 // referencePlan is the plan as MatchPlan's doc states it, by the O(n²)
 // selection MatchPlan replaced: at every step, a scan of all unordered
 // vertices for the one with the most ordered neighbours, then the rarest
@@ -52,7 +61,7 @@ func referencePlan(g *Graph) []PlanStep {
 	n := g.N()
 	plan := make([]PlanStep, 0, n)
 	conn, anchor, rare := make([]int, n), make([]int32, n), make([]int, n)
-	counts := g.LabelCounts()
+	counts := labelCounts(g)
 	for v := range rare {
 		rare[v] = counts[g.Label(v)]
 		anchor[v] = -1
@@ -236,7 +245,7 @@ func TestPlanDeterministic(t *testing.T) {
 			}
 			pos[s.V] = i
 		}
-		counts := g.LabelCounts()
+		counts := labelCounts(g)
 		for i, s := range plan {
 			earliest := -1 // earliest-ordered neighbour of s.V, either direction
 			for _, w := range append(slices.Clone(g.OutNeighbors(int(s.V))), g.InNeighbors(int(s.V))...) {

@@ -76,40 +76,6 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: LabelVector dominance is a necessary condition for equal-label
-// multisets in both directions (antisymmetry up to multiset equality).
-func TestQuickLabelVectorAntisymmetry(t *testing.T) {
-	f := func(a, b []uint8) bool {
-		la := make([]Label, len(a))
-		for i, x := range a {
-			la[i] = Label(x % 6)
-		}
-		lb := make([]Label, len(b))
-		for i, x := range b {
-			lb[i] = Label(x % 6)
-		}
-		ga := MustNew(la, nil)
-		gb := MustNew(lb, nil)
-		va, vb := LabelVectorOf(ga), LabelVectorOf(gb)
-		if va.DominatedBy(vb) && vb.DominatedBy(va) {
-			// Mutual dominance ⇒ identical label multisets.
-			ca, cb := ga.LabelCounts(), gb.LabelCounts()
-			if len(ca) != len(cb) {
-				return false
-			}
-			for l, c := range ca {
-				if cb[l] != c {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: InducedSubgraph of the full vertex set is the graph itself
 // (same fingerprint), for arbitrary generated graphs.
 func TestQuickInducedIdentity(t *testing.T) {

@@ -515,8 +515,9 @@ func (s *Server) handleDatasetGraphs(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDatasetGraphByID serves DELETE /api/dataset/graphs/{id}: tombstone
-// a live dataset graph. Its bit is cleared from every cached answer set
-// before the call returns.
+// a live dataset graph. No cached answer set is touched before the call
+// returns: a set that holds the id drops it when it is next read, or at
+// the next window turn.
 func (s *Server) handleDatasetGraphByID(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodDelete {
 		s.writeError(w, http.StatusMethodNotAllowed, "DELETE only")

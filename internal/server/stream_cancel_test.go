@@ -112,7 +112,11 @@ func newGatedBatch(t *testing.T) *gatedBatch {
 	}
 	dataset := []*graph.Graph{star(9)}
 	method := ftv.NewMethod("gated/vf2", dataset, ftv.NewNoFilter(len(dataset)), verify)
-	api := New(core.MustNew(method, core.DefaultConfig()))
+	c, err := core.New(method, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := New(c)
 	b.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b.reqCtx <- r.Context()
 		api.ServeHTTP(w, r)
