@@ -56,24 +56,23 @@
 // own filter walk. Entries whose summaries cannot
 // contain (or be contained in) the query's are skipped before any
 // iso test — the summaries are necessary conditions
-// for containment, so answers are provably unchanged. QueryAll drives a
-// whole batch through a bounded worker pool, and QueryAllStream delivers
-// outcomes over a channel as workers finish — the pipeline behind the
-// server's NDJSON batch streaming. Both run to completion; the Cache
-// methods ExecuteAll and ExecuteAllStream take a context that stops
-// dispatching when cancelled, as the server's batch endpoints do when a
-// client disconnects:
+// for containment, so answers are provably unchanged. Cache.ExecuteAll
+// drives a whole batch through a bounded worker pool, and
+// Cache.ExecuteAllStream delivers outcomes over a channel as workers
+// finish — the pipeline behind the server's NDJSON batch streaming. Both
+// take a context that stops dispatching when cancelled, as the server's
+// batch endpoints do when a client disconnects:
 //
-//	outs := graphcache.QueryAll(cache, reqs, 8)
-//	for so := range graphcache.QueryAllStream(cache, reqs, 8) { ... }
+//	outs := cache.ExecuteAll(ctx, reqs, 8)
+//	for so := range cache.ExecuteAllStream(ctx, reqs, 8) { ... }
 //
 // Sequential streams are deterministic — answers, hit classes and cache
 // contents — for timing-independent policies (LRU, FIFO, POP, PIN). PINC
 // and the default HD rank eviction victims by measured verification cost,
 // so their cache contents can differ between physical runs. Concurrent
 // submission keeps every answer set exact but makes
-// admission order scheduling-dependent; QueryAll with one worker runs a
-// batch in submission order. Config.Serialized, SharedWindow and IndexOff
+// admission order scheduling-dependent; ExecuteAll with one worker runs
+// a batch in submission order. Config.Serialized, SharedWindow and IndexOff
 // have no effect: they are declared only for the benchmark harness.
 //
 // # Live dataset mutations
@@ -120,6 +119,17 @@
 // DELETE /api/dataset/graphs/{id}, and /api/stats reports the maintenance
 // ledger (datasetAdds, datasetRemoves, maintenanceTests). Bundled methods
 // are all mutation-capable.
+//
+// # Persistence
+//
+// Cache.WriteState saves the admitted entries — graphs, utility counters
+// and answer sets — in the checksummed binary GCS3 format, and
+// Cache.ReadState restores a GCS3 or legacy v2 text snapshot, replacing
+// the cache's contents. A restore is all-or-nothing: every graph and
+// answer set is read and verified before anything is installed. It is
+// refused over any dataset but the one the snapshot was written on (the
+// same size and dataset digest), so write a new snapshot after a
+// mutation.
 //
 // # Extending
 //

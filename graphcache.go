@@ -1,7 +1,6 @@
 package graphcache
 
 import (
-	"context"
 	"io"
 	"math/rand"
 
@@ -40,13 +39,7 @@ type (
 	DatasetView = ftv.DatasetView
 	// MethodResult reports an uncached Method M execution.
 	MethodResult = ftv.Result
-	// FeatureVector is a fixed-size, containment-safe graph summary; the
-	// cache's hit-detection feature index is built from these.
-	FeatureVector = ftv.FeatureVector
 )
-
-// ExtractFeatures computes a graph's containment-safe FeatureVector.
-func ExtractFeatures(g *Graph) FeatureVector { return ftv.ExtractFeatures(g) }
 
 // Subgraph and Supergraph are the two query semantics.
 const (
@@ -83,12 +76,12 @@ type (
 	HitKind = core.HitKind
 	// HitRef reports one contributing hit inside a Result.
 	HitRef = core.HitRef
-	// Request is one query in a QueryAll batch.
+	// Request is one query in a Cache.ExecuteAll batch.
 	Request = core.Request
 	// Outcome pairs one batch query's Result with its error.
 	Outcome = core.Outcome
-	// StreamOutcome is one QueryAllStream delivery: an Outcome tagged
-	// with its position in the submitted batch.
+	// StreamOutcome is one Cache.ExecuteAllStream delivery: an Outcome
+	// tagged with its position in the submitted batch.
 	StreamOutcome = core.StreamOutcome
 	// DatasetInfo is the live dataset's shape: id space, live graphs and
 	// mutation epoch (Cache.DatasetInfo).
@@ -105,11 +98,6 @@ const (
 // NewGraph constructs a graph from labels and an edge list.
 func NewGraph(labels []Label, edges [][2]int) (*Graph, error) {
 	return graph.New(labels, edges)
-}
-
-// MustNewGraph is NewGraph that panics on error.
-func MustNewGraph(labels []Label, edges [][2]int) *Graph {
-	return graph.MustNew(labels, edges)
 }
 
 // NewBuilder returns a builder for an n-vertex graph. A graph holds at
@@ -170,48 +158,8 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // NewCache builds a cache over the method. The cache is safe for
 // concurrent use: exact hits and the expensive query stages run without
 // holding any lock, so many goroutines can call Execute at once (see
-// QueryAll for a bundled worker pool).
+// Cache.ExecuteAll for a bundled worker pool).
 func NewCache(method *Method, cfg Config) (*Cache, error) { return core.New(method, cfg) }
-
-// QueryAll processes a batch of queries through the cache with a pool of
-// workers goroutines, returning outcomes positionally. workers < 2 runs
-// the batch in submission order, which additionally makes the final cache
-// contents deterministic. The batch cannot be cancelled; Cache.ExecuteAll
-// takes a context.
-func QueryAll(c *Cache, reqs []Request, workers int) []Outcome {
-	return c.ExecuteAll(context.Background(), reqs, workers)
-}
-
-// QueryAllStream processes a batch like QueryAll but delivers each
-// outcome on the returned channel as soon as its query finishes, tagged
-// with the request index; the channel closes when the batch has drained,
-// so the caller must drain it. Cache.ExecuteAllStream takes a context.
-func QueryAllStream(c *Cache, reqs []Request, workers int) <-chan StreamOutcome {
-	return c.ExecuteAllStream(context.Background(), reqs, workers)
-}
-
-// SaveState serializes the cache's admitted entries to w in the binary
-// GCS3 snapshot format: entries, utility counters and answer sets in
-// their native compressed containers, checksummed per section. The
-// snapshot is only restorable into a cache over the same dataset.
-func SaveState(c *Cache, w io.Writer) error { return c.WriteState(w) }
-
-// LoadState restores a snapshot (either the binary GCS3 format or the
-// legacy v2 text format — the header is sniffed) into the cache,
-// replacing its contents. There is one restore mode: every graph and
-// answer set is read, verified and decoded before the restore returns,
-// and it is all-or-nothing — any corruption is rejected with an error and
-// the cache is left untouched, so a file that restores cannot fail a
-// later query.
-//
-// A snapshot restores only over the dataset it was saved on: the same
-// size and the same dataset digest, which sums a hash of every live graph
-// at its id. Any other dataset is refused with an error — one of the same
-// size (another generator seed or dataset file), and also the saving
-// process's own base dataset once that process had added or removed
-// graphs. A process that replays the same AddGraph and RemoveGraph calls
-// over the same base dataset reaches the same digest and restores.
-func LoadState(c *Cache, r io.Reader) error { return c.ReadState(r) }
 
 // Bundled replacement policies.
 var (
@@ -241,8 +189,6 @@ func PolicyNames() []string { return core.PolicyNames() }
 
 // Generator types for examples and experiments.
 type (
-	// MoleculeConfig parameterizes the AIDS-like molecule generator.
-	MoleculeConfig = gen.MoleculeConfig
 	// WorkloadConfig parameterizes workload generation.
 	WorkloadConfig = gen.WorkloadConfig
 	// Workload is a generated query sequence plus its pattern pool.
@@ -256,12 +202,6 @@ type (
 func GenerateMolecules(seed int64, count int) []*Graph {
 	rng := rand.New(rand.NewSource(seed))
 	return gen.Molecules(rng, count, gen.DefaultMoleculeConfig())
-}
-
-// GenerateMoleculesCfg is GenerateMolecules with an explicit config.
-func GenerateMoleculesCfg(seed int64, count int, cfg MoleculeConfig) []*Graph {
-	rng := rand.New(rand.NewSource(seed))
-	return gen.Molecules(rng, count, cfg)
 }
 
 // GenerateSocialGraphs produces count Barabási–Albert graphs (n vertices,

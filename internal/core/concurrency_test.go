@@ -316,61 +316,75 @@ func TestReconciliationHoldsNoMu(t *testing.T) {
 // TestQueryPathHoldsNoMu: a query runs no containment test and no Method
 // M filter under mu — not a miss's verification, not the reconciliation a
 // stale sub/super hit is brought forward by, not the filter. The method's
-// verifier and filter count the calls they get while mu is held; the
-// stream is sequential, so a held mu can only be the query's own.
+// verifier (and, in the probed-filter run, its filter) counts the calls
+// it gets while mu is held; the stream is sequential, so a held mu can
+// only be the query's own. The probed filter is not a *ftv.GGSX, so that
+// run's views have no trie and screen hits by feature vector alone; the
+// ggsx run is the path production takes, trie rows and all.
 func TestQueryPathHoldsNoMu(t *testing.T) {
 	dataset := testDataset(78, 12)
-	var c *Cache
-	var calls, underMu atomic.Int64
-	probe := func() {
-		calls.Add(1)
-		if muHeld(c) {
-			underMu.Add(1)
-		}
-	}
-	verify := func(pattern, target *graph.Graph) bool {
-		probe()
-		return iso.SubIso(pattern, target)
-	}
-	cfg := DefaultConfig()
-	cfg.Window = 1 // every miss is admitted by its own turn
-	c = MustNew(ftv.NewMethod("ggsx/probed", dataset, probedFilter{ftv.NewGGSX(dataset, 3), probe}, verify), cfg)
-	run := func(q *graph.Graph) {
-		t.Helper()
-		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(79))
-	var parts []*graph.Graph
-	for i := 0; i < 6; i++ {
-		whole := gen.ExtractConnectedSubgraph(rng, dataset[i], 6)
-		run(whole) // a miss
-		parts = append(parts, gen.ExtractConnectedSubgraph(rng, whole, 3))
-	}
-	// Copies of dataset graphs: every entry is now behind the view, and
-	// the ones they contain have containment tests to run.
-	for _, g := range dataset[:4] {
-		if _, err := c.AddGraph(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := c.Stats()
-	for _, q := range parts {
-		run(q) // a sub hit on the stale pattern it was cut from
-	}
-	after := c.Stats()
-	if after.SubHits == before.SubHits {
-		t.Fatal("no sub hit: the stream exercised no hit path")
-	}
-	if after.MaintenanceTests == before.MaintenanceTests {
-		t.Fatal("no hit was brought forward on the query path")
-	}
-	if calls.Load() == 0 {
-		t.Fatal("the probed verifier and filter were never called")
-	}
-	if n := underMu.Load(); n > 0 {
-		t.Fatalf("%d of %d containment tests and filter runs happened with mu held", n, calls.Load())
+	for _, filtered := range []struct {
+		name   string
+		filter func(probe func()) ftv.Filter
+	}{
+		{"probed-filter", func(probe func()) ftv.Filter { return probedFilter{ftv.NewGGSX(dataset, 3), probe} }},
+		{"ggsx", func(func()) ftv.Filter { return ftv.NewGGSX(dataset, 3) }},
+	} {
+		t.Run(filtered.name, func(t *testing.T) {
+			var c *Cache
+			var calls, underMu atomic.Int64
+			probe := func() {
+				calls.Add(1)
+				if muHeld(c) {
+					underMu.Add(1)
+				}
+			}
+			verify := func(pattern, target *graph.Graph) bool {
+				probe()
+				return iso.SubIso(pattern, target)
+			}
+			cfg := DefaultConfig()
+			cfg.Window = 1 // every miss is admitted by its own turn
+			c = MustNew(ftv.NewMethod("ggsx/probed", dataset, filtered.filter(probe), verify), cfg)
+			run := func(q *graph.Graph) {
+				t.Helper()
+				if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(79))
+			var parts []*graph.Graph
+			for i := 0; i < 6; i++ {
+				whole := gen.ExtractConnectedSubgraph(rng, dataset[i], 6)
+				run(whole) // a miss
+				parts = append(parts, gen.ExtractConnectedSubgraph(rng, whole, 3))
+			}
+			// Copies of dataset graphs: every entry is now behind the
+			// view, and the ones they contain have containment tests to
+			// run.
+			for _, g := range dataset[:4] {
+				if _, err := c.AddGraph(g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := c.Stats()
+			for _, q := range parts {
+				run(q) // a sub hit on the stale pattern it was cut from
+			}
+			after := c.Stats()
+			if after.SubHits == before.SubHits {
+				t.Fatal("no sub hit: the stream exercised no hit path")
+			}
+			if after.MaintenanceTests == before.MaintenanceTests {
+				t.Fatal("no hit was brought forward on the query path")
+			}
+			if calls.Load() == 0 {
+				t.Fatal("the probed verifier and filter were never called")
+			}
+			if n := underMu.Load(); n > 0 {
+				t.Fatalf("%d of %d containment tests and filter runs happened with mu held", n, calls.Load())
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -164,6 +165,53 @@ func checkDataset(view ftv.DatasetView, size, digest uint64) error {
 	return nil
 }
 
+// entryRecord holds what a format records of an entry besides its graph and answers.
+type entryRecord struct {
+	qt             int64
+	baseCandidates int64
+	hits           int64
+	savedTests     float64
+	savedCost      float64
+}
+
+// check refuses the record values no writer produces, each of which would
+// skew saved-test counts or policy ranks: an unknown query type, negative
+// hits, base candidates outside [0, size] (|C_M| ≤ the id space, which
+// only grows), a NaN, infinite or negative utility.
+func (r entryRecord) check(size int) error {
+	switch {
+	case r.qt != int64(ftv.Subgraph) && r.qt != int64(ftv.Supergraph):
+		return fmt.Errorf("unknown query type %d", r.qt)
+	case r.hits < 0:
+		return fmt.Errorf("negative hit count %d", r.hits)
+	case r.baseCandidates < 0 || r.baseCandidates > int64(size):
+		return fmt.Errorf("base candidates %d outside [0,%d]", r.baseCandidates, size)
+	case !(r.savedTests >= 0 && r.savedCost >= 0) || math.IsInf(r.savedTests, 1) || math.IsInf(r.savedCost, 1):
+		return fmt.Errorf("implausible utility %g/%g", r.savedTests, r.savedCost)
+	}
+	return nil
+}
+
+// restoreEntry is the per-entry tail both formats share: parse the one
+// graph, mask answers to the live ids, rebuild fingerprint and summary on
+// the view (never trusted from disk), build the entry with r's utilities.
+func restoreEntry(view ftv.DatasetView, r entryRecord, graphText io.Reader, answers *bitset.Set) (*Entry, error) {
+	gs, err := graph.ReadAll(graphText)
+	if err != nil {
+		return nil, fmt.Errorf("graph: %v", err)
+	}
+	if len(gs) != 1 {
+		return nil, fmt.Errorf("graph: want one graph, got %d", len(gs))
+	}
+	// The digest matched, so the live ids are the writer's; a set that
+	// names a tombstoned id anyway is masked, never served.
+	answers.And(view.Live())
+	g := gs[0]
+	e := newEntry(g, ftv.QueryType(r.qt), answers, view, int(r.baseCandidates), g.WLFingerprint(3), summaryOn(view, g), 0)
+	e.Hits, e.SavedTests, e.SavedCostNs = r.hits, r.savedTests, r.savedCost
+	return e, nil
+}
+
 // readStateV2 parses and restores the v2 text format.
 func (c *Cache) readStateV2(br *bufio.Reader) error {
 	view := c.method.View()
@@ -172,33 +220,30 @@ func (c *Cache) readStateV2(br *bufio.Reader) error {
 	if err != nil && header == "" {
 		return stateError(lineNo, "reading header: %v", err)
 	}
-	// The version is checked on its own first, so a file written by a
-	// different format version gets the actionable "unsupported version"
-	// error rather than a generic header complaint (v1 headers have fewer
-	// fields and would fail the full field-count check outright). The
-	// header must then consist of EXACTLY the five expected fields —
-	// fmt.Sscanf would silently accept trailing junk after the entry
-	// count, hiding corruption on the one line that authenticates the
-	// rest of the stream.
-	hfields := strings.Fields(strings.TrimSpace(header))
+	// The version is checked first, so a file of another format version
+	// (v1 headers have fewer fields) gets the actionable "unsupported
+	// version" error; the header must then hold exactly five fields, so no
+	// junk hides on the one line that authenticates the rest.
+	header = strings.TrimSpace(header)
+	hfields := strings.Fields(header)
 	if len(hfields) < 2 || hfields[0] != "gcstate" {
-		return stateError(lineNo, "bad header %q", strings.TrimSpace(header))
+		return stateError(lineNo, "bad header %q", header)
 	}
 	version, err := strconv.Atoi(hfields[1])
 	if err != nil {
-		return stateError(lineNo, "bad header %q", strings.TrimSpace(header))
+		return stateError(lineNo, "bad header %q", header)
 	}
 	if version != stateVersionV2 {
 		return stateError(lineNo, "unsupported state version %d (want %d)", version, stateVersionV2)
 	}
 	if len(hfields) != 5 {
-		return stateError(lineNo, "bad header %q: want 5 fields, got %d", strings.TrimSpace(header), len(hfields))
+		return stateError(lineNo, "bad header %q: want 5 fields, got %d", header, len(hfields))
 	}
 	dsSize, err1 := strconv.Atoi(hfields[2])
 	digest, err2 := strconv.ParseUint(hfields[3], 16, 64)
 	entryCount, err3 := strconv.Atoi(hfields[4])
 	if err1 != nil || err2 != nil || err3 != nil || dsSize < 0 {
-		return stateError(lineNo, "bad header %q", strings.TrimSpace(header))
+		return stateError(lineNo, "bad header %q", header)
 	}
 	if err := checkDataset(view, uint64(dsSize), digest); err != nil {
 		return stateError(lineNo, "%v", err)
@@ -208,18 +253,12 @@ func (c *Cache) readStateV2(br *bufio.Reader) error {
 	}
 
 	type pending struct {
-		qt             ftv.QueryType
-		vertices       int
-		edges          int
-		baseCandidates int
-		hits           int64
-		savedTests     float64
-		savedCost      float64
-		answers        []int
-		hasAnswers     bool // exactly one answers line per entry
-		entryLine      int  // line number of the entry line
-		graphStart     int  // line number where the graph text begins
-		graphText      strings.Builder
+		rec             entryRecord
+		vertices, edges int // the graph's declared |V| and |E|
+		answers         []int
+		hasAnswers      bool // exactly one answers line per entry
+		entryLine       int  // line number of the entry line; the graph starts two lines on
+		graphText       strings.Builder
 	}
 	var items []*pending
 	var cur *pending
@@ -244,30 +283,24 @@ parse:
 			if len(fields) != 8 {
 				return stateError(lineNo, "bad entry line %q: want 8 fields, got %d", trimmed, len(fields))
 			}
-			cur = &pending{entryLine: lineNo, graphStart: lineNo + 2} // graph follows the answers line
-			qt, err1 := strconv.Atoi(fields[1])
-			n, err2 := strconv.Atoi(fields[2])
-			m, err3 := strconv.Atoi(fields[3])
-			bc, err4 := strconv.Atoi(fields[4])
-			hits, err5 := strconv.ParseInt(fields[5], 10, 64)
-			st, err6 := strconv.ParseFloat(fields[6], 64)
-			sc, err7 := strconv.ParseFloat(fields[7], 64)
+			cur = &pending{entryLine: lineNo}
+			var err1, err2, err3, err4, err5, err6, err7 error
+			cur.rec.qt, err1 = strconv.ParseInt(fields[1], 10, 64)
+			cur.vertices, err2 = strconv.Atoi(fields[2])
+			cur.edges, err3 = strconv.Atoi(fields[3])
+			cur.rec.baseCandidates, err4 = strconv.ParseInt(fields[4], 10, 64)
+			cur.rec.hits, err5 = strconv.ParseInt(fields[5], 10, 64)
+			cur.rec.savedTests, err6 = strconv.ParseFloat(fields[6], 64)
+			cur.rec.savedCost, err7 = strconv.ParseFloat(fields[7], 64)
 			if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil || err6 != nil || err7 != nil {
 				return stateError(lineNo, "bad entry line %q", trimmed)
 			}
-			if qt != int(ftv.Subgraph) && qt != int(ftv.Supergraph) {
-				return stateError(lineNo, "unknown query type %d", qt)
+			if err := cur.rec.check(dsSize); err != nil {
+				return stateError(lineNo, "%v", err)
 			}
-			if n <= 0 || m < 0 {
-				return stateError(lineNo, "implausible graph size %d/%d", n, m)
+			if cur.vertices <= 0 || cur.edges < 0 {
+				return stateError(lineNo, "implausible graph size %d/%d", cur.vertices, cur.edges)
 			}
-			cur.qt = ftv.QueryType(qt)
-			cur.vertices = n
-			cur.edges = m
-			cur.baseCandidates = bc
-			cur.hits = hits
-			cur.savedTests = st
-			cur.savedCost = sc
 			items = append(items, cur)
 		case len(fields) > 0 && fields[0] == "answers":
 			if cur == nil {
@@ -287,11 +320,9 @@ parse:
 			if got := len(fields) - 2; got != count {
 				return stateError(lineNo, "answers line truncated: declared %d ids, found %d", count, got)
 			}
-			// Ids must be strictly increasing: the writer emits sorted
-			// Indices(), so any duplicate or out-of-order id is corruption.
-			// Without this check a duplicated id ("answers 2 5 5") passes
-			// the declared count yet silently collapses to one bit in
-			// FromIndices below.
+			// Ids must be strictly increasing, as the writer emits them: a
+			// duplicated id ("answers 2 5 5") would pass the declared count
+			// and collapse to one bit in FromIndices.
 			prev := -1
 			for _, f := range fields[2:] {
 				id, err := strconv.Atoi(f)
@@ -326,26 +357,15 @@ parse:
 		if !it.hasAnswers {
 			return stateError(it.entryLine, "entry has no answers line")
 		}
-		gs, err := graph.ReadAll(strings.NewReader(it.graphText.String()))
+		e, err := restoreEntry(view, it.rec, strings.NewReader(it.graphText.String()), bitset.FromIndices(dsSize, it.answers))
 		if err != nil {
-			return stateError(it.graphStart, "entry graph: %v", err)
+			return stateError(it.entryLine+2, "entry %v", err)
 		}
-		if len(gs) != 1 {
-			return stateError(it.graphStart, "entry graph: want one graph, got %d", len(gs))
-		}
-		if gs[0].N() != it.vertices || gs[0].M() != it.edges {
-			return stateError(it.graphStart,
+		if e.Graph.N() != it.vertices || e.Graph.M() != it.edges {
+			return stateError(it.entryLine+2,
 				"entry graph truncated: declared %d vertices / %d edges, parsed %d/%d",
-				it.vertices, it.edges, gs[0].N(), gs[0].M())
+				it.vertices, it.edges, e.Graph.N(), e.Graph.M())
 		}
-		answers := bitset.FromIndices(dsSize, it.answers)
-		// The digest matched, so the live ids are the writer's; a set that
-		// names a tombstoned id anyway is masked, never served.
-		answers.And(view.Live())
-		e := newEntry(gs[0], it.qt, answers, view, it.baseCandidates, gs[0].WLFingerprint(3), summaryOn(view, gs[0]), 0)
-		e.Hits = it.hits
-		e.SavedTests = it.savedTests
-		e.SavedCostNs = it.savedCost
 		entries = append(entries, e)
 	}
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -344,6 +346,83 @@ func TestStateFieldCorruptionRejected(t *testing.T) {
 		}
 		if c.Len() != 0 {
 			t.Errorf("%s: failed restore left %d entries behind", name, c.Len())
+		}
+	}
+}
+
+// A record value no writer produces — a negative or oversized base
+// candidate count, a negative hit count, a NaN, infinite or negative
+// utility — must be refused by both formats, with the record's own
+// error, and leave the cache empty. The first entry of a valid snapshot
+// is edited: in v2 a field of its entry line, in GCS3 a field of its
+// index record under recomputed index and header checksums, so only the
+// record check can refuse it.
+func TestRestoreRefusesUnwrittenRecordValues(t *testing.T) {
+	src, _ := warmCache(t, 907)
+	method := src.Method()
+	size := method.View().Size()
+	states := bothFormats(t, src)
+	cases := []struct {
+		name    string
+		v2Field int    // field of the v2 entry line
+		v2Value string // "" when v2 cannot spell the value
+		v3Off   int    // offset in the GCS3 index record; -1 when GCS3 cannot spell it
+		v3Bits  uint64
+		want    string
+	}{
+		{"negative-base-candidates", 4, "-7", -1, 0, "base candidates -7 outside"},
+		{"base-candidates-above-size", 4, fmt.Sprint(size + 1), 12, uint64(size + 1), fmt.Sprintf("base candidates %d outside", size+1)},
+		{"negative-hits", 5, "-3", 72, uint64(math.MaxUint64 - 2), "negative hit count -3"},
+		{"nan-saved-tests", 6, "NaN", 80, math.Float64bits(math.NaN()), "implausible utility NaN/"},
+		{"inf-saved-tests", 6, "+Inf", 80, math.Float64bits(math.Inf(1)), "implausible utility +Inf/"},
+		{"negative-saved-tests", 6, "-1", 80, math.Float64bits(-1), "implausible utility -1/"},
+		{"minus-inf-saved-cost", 7, "-Inf", 88, math.Float64bits(math.Inf(-1)), "/-Inf"},
+		{"nan-saved-cost", 7, "NaN", 88, math.Float64bits(math.NaN()), "/NaN"},
+	}
+	prefix := map[string]string{"v2": "core: state line ", "gcs3": "core: state v3: entry 0: "}
+	restore := func(raw []byte) (*Cache, error) {
+		c := MustNew(method, DefaultConfig())
+		return c, c.ReadState(bytes.NewReader(raw))
+	}
+	for format, raw := range states {
+		if _, err := restore(raw); err != nil {
+			t.Fatalf("%s: unedited snapshot refused: %v", format, err)
+		}
+	}
+	for _, tc := range cases {
+		edited := map[string][]byte{}
+		if tc.v2Value != "" {
+			lines := strings.SplitAfter(string(states["v2"]), "\n")
+			for i, l := range lines {
+				if f := strings.Fields(l); len(f) == 8 && f[0] == "entry" {
+					f[tc.v2Field] = tc.v2Value
+					lines[i] = strings.Join(f, " ") + "\n"
+					break
+				}
+			}
+			edited["v2"] = []byte(strings.Join(lines, ""))
+		}
+		if tc.v3Off >= 0 {
+			raw := bytes.Clone(states["gcs3"])
+			rec := raw[v3HeaderLen:]
+			if tc.v3Off == 12 { // base candidates are a uint32
+				binary.LittleEndian.PutUint32(rec[tc.v3Off:], uint32(tc.v3Bits))
+			} else {
+				binary.LittleEndian.PutUint64(rec[tc.v3Off:], tc.v3Bits)
+			}
+			bodyOff := binary.LittleEndian.Uint64(raw[32:])
+			binary.LittleEndian.PutUint64(raw[48:], fnv1a(raw[v3HeaderLen:bodyOff]))
+			binary.LittleEndian.PutUint64(raw[56:], fnv1a(raw[:56]))
+			edited["gcs3"] = raw
+		}
+		for format, raw := range edited {
+			c, err := restore(raw)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), prefix[format]) {
+				t.Errorf("%s %s: ReadState returned %v, want %q after %q", format, tc.name, err, tc.want, prefix[format])
+			}
+			if c.Len() != 0 {
+				t.Errorf("%s %s: refused restore left %d entries", format, tc.name, c.Len())
+			}
 		}
 	}
 }

@@ -227,31 +227,26 @@ func (c *Cache) readStateV3(data []byte) error {
 	for i := uint64(0); i < entryCount; i++ {
 		rec := idx[i*v3IndexLen : (i+1)*v3IndexLen]
 		fp := binary.LittleEndian.Uint64(rec[0:])
-		qt := binary.LittleEndian.Uint32(rec[8:])
-		bc := binary.LittleEndian.Uint32(rec[12:])
 		fv, err := ftv.FeatureVectorFromBinary(rec[16:72])
 		if err != nil {
 			return v3Error("entry %d: %v", i, err)
 		}
-		hits := int64(binary.LittleEndian.Uint64(rec[72:]))
-		savedTests := math.Float64frombits(binary.LittleEndian.Uint64(rec[80:]))
-		savedCost := math.Float64frombits(binary.LittleEndian.Uint64(rec[88:]))
+		r := entryRecord{
+			qt:             int64(binary.LittleEndian.Uint32(rec[8:])),
+			baseCandidates: int64(binary.LittleEndian.Uint32(rec[12:])),
+			hits:           int64(binary.LittleEndian.Uint64(rec[72:])),
+			savedTests:     math.Float64frombits(binary.LittleEndian.Uint64(rec[80:])),
+			savedCost:      math.Float64frombits(binary.LittleEndian.Uint64(rec[88:])),
+		}
+		if err := r.check(dsSize); err != nil {
+			return v3Error("entry %d: %v", i, err)
+		}
 		entryOff := binary.LittleEndian.Uint64(rec[96:])
 		graphLen := binary.LittleEndian.Uint64(rec[104:])
 		ansLen := binary.LittleEndian.Uint64(rec[112:])
 		graphSum := binary.LittleEndian.Uint64(rec[120:])
 		ansSum := binary.LittleEndian.Uint64(rec[128:])
 
-		if qt != uint32(ftv.Subgraph) && qt != uint32(ftv.Supergraph) {
-			return v3Error("entry %d: unknown query type %d", i, qt)
-		}
-		if hits < 0 {
-			return v3Error("entry %d: negative hit count %d", i, hits)
-		}
-		if math.IsNaN(savedTests) || math.IsInf(savedTests, 0) || savedTests < 0 ||
-			math.IsNaN(savedCost) || math.IsInf(savedCost, 0) || savedCost < 0 {
-			return v3Error("entry %d: implausible utility %g/%g", i, savedTests, savedCost)
-		}
 		// Records must tile the body section exactly: offsets are derived,
 		// not trusted, so no record can alias or skip another's bytes.
 		if entryOff != expectOff {
@@ -266,26 +261,6 @@ func (c *Cache) readStateV3(data []byte) error {
 		if fnv1a(gb) != graphSum {
 			return v3Error("entry %d: graph checksum mismatch", i)
 		}
-		gs, err := graph.ReadAll(bytes.NewReader(gb))
-		if err != nil {
-			return v3Error("entry %d: graph: %v", i, err)
-		}
-		if len(gs) != 1 {
-			return v3Error("entry %d: want one graph, got %d", i, len(gs))
-		}
-		// Signatures are rebuilt from the parsed graph, never trusted from
-		// disk, and its trie row is walked on the pinned view (a row
-		// compares only along the trie it was walked on); the recorded
-		// fingerprint and feature vector must then agree with the rebuilt
-		// ones, or the index and body sections describe different graphs.
-		gfp, sum := gs[0].WLFingerprint(3), summaryOn(view, gs[0])
-		if uint64(gfp) != fp {
-			return v3Error("entry %d: fingerprint mismatch (index %#x, graph %#x)", i, fp, uint64(gfp))
-		}
-		if sum.fv != fv {
-			return v3Error("entry %d: feature vector mismatch between index and graph", i)
-		}
-
 		ab := data[entryOff+graphLen : expectOff]
 		if fnv1a(ab) != ansSum {
 			return v3Error("entry %d: answer checksum mismatch", i)
@@ -300,13 +275,18 @@ func (c *Cache) readStateV3(data []byte) error {
 		if set.Len() != dsSize {
 			return v3Error("entry %d: answer capacity %d, want %d", i, set.Len(), dsSize)
 		}
-		// The digest matched, so the live ids are the writer's; a set that
-		// names a tombstoned id anyway is masked, never served.
-		set.And(view.Live())
-		e := newEntry(gs[0], ftv.QueryType(qt), set, view, int(bc), gfp, sum, 0)
-		e.Hits = hits
-		e.SavedTests = savedTests
-		e.SavedCostNs = savedCost
+		e, err := restoreEntry(view, r, bytes.NewReader(gb), set)
+		if err != nil {
+			return v3Error("entry %d: %v", i, err)
+		}
+		// A recorded fingerprint or feature vector that disagrees with the
+		// rebuilt one means index and body describe different graphs.
+		if uint64(e.Fingerprint) != fp {
+			return v3Error("entry %d: fingerprint mismatch (index %#x, graph %#x)", i, fp, uint64(e.Fingerprint))
+		}
+		if e.FV != fv {
+			return v3Error("entry %d: feature vector mismatch between index and graph", i)
+		}
 		entries = append(entries, e)
 	}
 	if expectOff != fileSize {

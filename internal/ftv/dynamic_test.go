@@ -78,16 +78,16 @@ func TestDynamicMethodMutations(t *testing.T) {
 			if gid != len(base) {
 				t.Fatalf("first added gid %d, want %d", gid, len(base))
 			}
-			if m.Epoch() != 1 || m.View().Size() != len(base)+1 || m.LiveCount() != len(base)+1 {
-				t.Fatalf("shape after add: epoch %d size %d live %d", m.Epoch(), m.View().Size(), m.LiveCount())
+			if v := m.View(); v.Epoch() != 1 || v.Size() != len(base)+1 || v.LiveCount() != len(base)+1 {
+				t.Fatalf("shape after add: epoch %d size %d live %d", v.Epoch(), v.Size(), v.LiveCount())
 			}
 			check("after add")
 
 			if err := m.RemoveGraph(2); err != nil {
 				t.Fatal(err)
 			}
-			if m.Epoch() != 2 || m.View().Size() != len(base)+1 || m.LiveCount() != len(base) {
-				t.Fatalf("shape after remove: epoch %d size %d live %d", m.Epoch(), m.View().Size(), m.LiveCount())
+			if v := m.View(); v.Epoch() != 2 || v.Size() != len(base)+1 || v.LiveCount() != len(base) {
+				t.Fatalf("shape after remove: epoch %d size %d live %d", v.Epoch(), v.Size(), v.LiveCount())
 			}
 			check("after remove")
 
@@ -162,11 +162,12 @@ func TestFiltersTolerateNilGraphs(t *testing.T) {
 		ftv.NewMethod("none", ds, ftv.NewNoFilter(len(ds)), nil),
 	}
 	for _, m := range methods {
-		if m.LiveCount() != 4 {
-			t.Fatalf("%s: live count %d, want 4", m.Name(), m.LiveCount())
+		v := m.View()
+		if v.LiveCount() != 4 {
+			t.Fatalf("%s: live count %d, want 4", m.Name(), v.LiveCount())
 		}
 		for _, qt := range []ftv.QueryType{ftv.Subgraph, ftv.Supergraph} {
-			m.Candidates(q, qt).ForEach(func(gid int) bool {
+			v.Candidates(q, qt).ForEach(func(gid int) bool {
 				if ds[gid] == nil {
 					t.Fatalf("%s: tombstoned gid %d is a %s candidate", m.Name(), gid, qt)
 				}

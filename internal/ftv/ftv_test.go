@@ -229,18 +229,18 @@ func TestVerifyCandidateOrientation(t *testing.T) {
 	small := graph.MustNew([]graph.Label{1, 2}, [][2]int{{0, 1}})
 	big := graph.MustNew([]graph.Label{1, 2, 3}, [][2]int{{0, 1}, {1, 2}})
 	dataset := []*graph.Graph{big.WithID(0), small.WithID(1)}
-	m := ftv.NewMethod("t", dataset, ftv.NewNoFilter(2), nil)
+	v := ftv.NewMethod("t", dataset, ftv.NewNoFilter(2), nil).View()
 
 	// small ⊑ big: subgraph query small matches dataset graph 0.
-	if !m.VerifyCandidate(small, 0, ftv.Subgraph) {
+	if !v.VerifyCandidate(small, 0, ftv.Subgraph) {
 		t.Error("subgraph orientation broken")
 	}
 	// supergraph query big contains dataset graph 1 (= small).
-	if !m.VerifyCandidate(big, 1, ftv.Supergraph) {
+	if !v.VerifyCandidate(big, 1, ftv.Supergraph) {
 		t.Error("supergraph orientation broken")
 	}
 	// big is not ⊑ small.
-	if m.VerifyCandidate(big, 1, ftv.Subgraph) {
+	if v.VerifyCandidate(big, 1, ftv.Subgraph) {
 		t.Error("subgraph orientation inverted")
 	}
 }

@@ -41,9 +41,9 @@ type VerifierFunc func(pattern, target *graph.Graph) bool
 // — exact, because Candidates intersects with live); additions patch the
 // filter incrementally through Filter.WithGraph.
 //
-// Readers that need a consistent multi-call view (size, candidates,
-// verification) must take one View and use it throughout; the plain Method
-// accessors re-snapshot per call.
+// Readers take one View and use it throughout: size, candidates and
+// verification are DatasetView methods, so every call of an operation
+// answers for the same snapshot. Method.Run takes its own View.
 type Method struct {
 	name   string
 	verify VerifierFunc // nil: VF2
@@ -155,27 +155,8 @@ func (m *Method) Name() string { return m.name }
 // respect to its own epoch — forever, even after later mutations.
 func (m *Method) View() DatasetView { return DatasetView{s: m.state.Load(), verify: m.verify} }
 
-// LiveCount returns the number of non-tombstoned dataset graphs.
-func (m *Method) LiveCount() int { return m.state.Load().liveCount }
-
-// Epoch returns the current dataset epoch: 0 at construction, +1 per
-// mutation (addition or removal).
-func (m *Method) Epoch() int64 { return m.state.Load().epoch }
-
 // Filter returns the method's current filter.
 func (m *Method) Filter() Filter { return m.state.Load().filter }
-
-// Candidates runs the filtering stage, returning the candidate set C_M.
-func (m *Method) Candidates(q *graph.Graph, qt QueryType) *bitset.Set {
-	return m.View().Candidates(q, qt)
-}
-
-// VerifyCandidate runs one sub-iso test between the query and dataset
-// graph gid, oriented by query type: pattern=q for subgraph queries,
-// pattern=dataset graph for supergraph queries.
-func (m *Method) VerifyCandidate(q *graph.Graph, gid int, qt QueryType) bool {
-	return m.View().VerifyCandidate(q, gid, qt)
-}
 
 // AddGraph appends g to the dataset under a fresh, stable id (the next
 // position — tombstoned ids are never reused) and publishes a new
