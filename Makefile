@@ -111,12 +111,12 @@ panics:
 # Candidates, VerifyCandidate, LiveCount and Epoch had only test callers
 # and passed because DatasetView's namesakes are called, until they went;
 # Filter.IndexBytes and Method.Filter have no caller outside tests and
-# stay for the index bytes of the benefit ledger (ROADMAP item 27). The two listed have
-# reasons: graph.InducedSubgraph extracts test patterns in the tests of
-# core, ftv, graph and iso, and internal/gen cannot host it (gen imports
-# ftv, and through it iso, whose internal tests use it); gen.Molecule is
-# the reference TestMoleculesBuiltWithIDs holds gen.Molecules to. The
-# ceiling only ever comes down.
+# stay for the index bytes of the benefit ledger (ROADMAP item 27). The
+# two listed have reasons: graph.InducedSubgraph extracts test patterns
+# in the tests of core, ftv, graph and iso, and internal/gen cannot host
+# it (gen imports ftv, and through it iso, whose internal tests use it);
+# gen.Molecule is the reference TestMoleculesBuiltWithIDs holds
+# gen.Molecules to. The ceiling only ever comes down.
 UNUSED_CEILING := 2
 unused:
 	@out=$$(git grep -nE '^func (\([^)]*\) )?[A-Z][A-Za-z0-9_]*[[(]' -- 'internal/*.go' ':!*_test.go' | \

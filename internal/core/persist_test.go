@@ -364,9 +364,9 @@ func TestRestoreRefusesUnwrittenRecordValues(t *testing.T) {
 	states := bothFormats(t, src)
 	cases := []struct {
 		name    string
-		v2Field int    // field of the v2 entry line
-		v2Value string // "" when v2 cannot spell the value
-		v3Off   int    // offset in the GCS3 index record; -1 when GCS3 cannot spell it
+		v2Field int // field of the v2 entry line
+		v2Value string
+		v3Off   int // offset in the GCS3 index record; -1 when GCS3 cannot spell it
 		v3Bits  uint64
 		want    string
 	}{
@@ -390,18 +390,15 @@ func TestRestoreRefusesUnwrittenRecordValues(t *testing.T) {
 		}
 	}
 	for _, tc := range cases {
-		edited := map[string][]byte{}
-		if tc.v2Value != "" {
-			lines := strings.SplitAfter(string(states["v2"]), "\n")
-			for i, l := range lines {
-				if f := strings.Fields(l); len(f) == 8 && f[0] == "entry" {
-					f[tc.v2Field] = tc.v2Value
-					lines[i] = strings.Join(f, " ") + "\n"
-					break
-				}
+		lines := strings.SplitAfter(string(states["v2"]), "\n")
+		for i, l := range lines {
+			if f := strings.Fields(l); len(f) == 8 && f[0] == "entry" {
+				f[tc.v2Field] = tc.v2Value
+				lines[i] = strings.Join(f, " ") + "\n"
+				break
 			}
-			edited["v2"] = []byte(strings.Join(lines, ""))
 		}
+		edited := map[string][]byte{"v2": []byte(strings.Join(lines, ""))}
 		if tc.v3Off >= 0 {
 			raw := bytes.Clone(states["gcs3"])
 			rec := raw[v3HeaderLen:]
