@@ -2,8 +2,8 @@
 # so it passes locally exactly when CI would: vet + staticcheck + gofmt
 # (`fmt-check`) + the capped kernel panic inventory (`panics`) + the
 # capped inventory of exported code under internal/ that only tests call
-# (`unused`), every program under examples/ run to a zero exit
-# (`examples`), plus
+# (`unused`), the capped count of core.Config's fields (`knobs`), every
+# program under examples/ run to a zero exit (`examples`), plus
 # the full test suite under the race detector (the concurrency stress and
 # equivalence tests in internal/core and internal/server only earn
 # their keep with -race armed) and its lock-sensitive core repeated ten
@@ -24,7 +24,7 @@ GO ?= go
 # coverage fails CI. Raise it when the real number durably rises.
 COVER_BASELINE ?= 80.0
 
-.PHONY: build test race race-stress vet staticcheck fmt-check panics unused examples harness cover fuzz-smoke profiles loc ci
+.PHONY: build test race race-stress vet staticcheck fmt-check panics unused knobs examples harness cover fuzz-smoke profiles loc ci
 
 build:
 	$(GO) build ./...
@@ -139,6 +139,23 @@ unused:
 	echo "internal/: $$n exported function(s) only tests call"; \
 	if [ "$$n" -gt $(UNUSED_CEILING) ]; then \
 		echo "internal/: $$n exported function(s) only tests call exceed the committed ceiling of $(UNUSED_CEILING)"; exit 1; \
+	fi
+
+# knobs lists every field of core.Config — each a way a caller turns the
+# cache, so each owes a caller that sets it, a test and a doc — and fails
+# when there are more than CONFIG_CEILING. A line declaring several names
+# (`Serialized, SharedWindow, IndexOff, LazyReconcile bool`) counts each.
+# The ceiling only ever comes down: ROADMAP item 1(a) takes it to 5 once
+# the four inert fields go with the benchmark rows that assign them.
+CONFIG_CEILING := 9
+knobs:
+	@out=$$(awk '/^type Config struct/ { f = 1; next } f && /^}/ { exit } f && !/^[[:space:]]*(\/\/|$$)/' internal/core/core.go | \
+		sed -E 's/^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*)[[:space:]].*/\1/' | tr ',' '\n' | tr -d ' \t'); \
+	echo "$$out"; \
+	n=$$(echo "$$out" | grep -c .); \
+	echo "core.Config: $$n field(s)"; \
+	if [ "$$n" -gt $(CONFIG_CEILING) ]; then \
+		echo "core.Config: $$n field(s) exceed the committed ceiling of $(CONFIG_CEILING)"; exit 1; \
 	fi
 
 # examples runs every program under examples/ with go run and fails on
@@ -272,4 +289,4 @@ fuzz-smoke:
 harness:
 	$(GO) test -C benchmark ./...
 
-ci: vet staticcheck fmt-check panics unused examples race race-stress harness cover fuzz-smoke profiles
+ci: vet staticcheck fmt-check panics unused knobs examples race race-stress harness cover fuzz-smoke profiles

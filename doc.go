@@ -134,8 +134,9 @@
 // # Extending
 //
 // Replacement policies are pluggable (the Figure 2(d) developer interface):
-// implement Policy — UpdateCacheStaInfo, ReplacedContent, OnWindowTurn —
-// and pass it in Config.Policy. Bundled policies: LRU, POP, PIN, PINC, HD
+// implement Policy — Name, UpdateCacheStaInfo, ReplacedContent — and pass
+// it in Config.Policy; the cache does the replacement and the ageing
+// itself. Bundled policies: LRU, POP, PIN, PINC, HD
 // (recommended default), FIFO and RAND. Method M is either bundled class —
 // GGSX at any path length (filter-then-verify; NewGGSXMethod, or
 // NewGGSXFilter inside NewMethod) or NoFilter (a plain SI algorithm;

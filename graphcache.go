@@ -150,9 +150,8 @@ func NewMethod(name string, dataset []*Graph, filter Filter, verify VerifierFunc
 }
 
 // DefaultConfig mirrors the paper's demo deployment (capacity 50, window
-// 10, HD replacement) and exploits up to 16 sub and 16 super hits per
-// query — 4 each when Method M left it fewer than 128 candidates (see
-// Config.MaxSubHits).
+// 10, HD replacement). Every cache exploits up to 16 sub and 16 super hits
+// per query, 4 each when Method M left it fewer than 128 candidates.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewCache builds a cache over the method. The cache is safe for
@@ -202,13 +201,6 @@ type (
 func GenerateMolecules(seed int64, count int) []*Graph {
 	rng := rand.New(rand.NewSource(seed))
 	return gen.Molecules(rng, count, gen.DefaultMoleculeConfig())
-}
-
-// GenerateSocialGraphs produces count Barabási–Albert graphs (n vertices,
-// m attachments per vertex) — the "social networking" shaped dataset.
-func GenerateSocialGraphs(seed int64, count, n, m int) []*Graph {
-	rng := rand.New(rand.NewSource(seed))
-	return gen.BADataset(rng, count, n, m, 8)
 }
 
 // CircuitConfig parameterizes the directed, edge-labelled circuit

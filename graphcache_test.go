@@ -188,7 +188,6 @@ type publicCustomPolicy struct{ evictions int }
 
 func (p *publicCustomPolicy) Name() string                    { return "custom" }
 func (p *publicCustomPolicy) UpdateCacheStaInfo(*gc.HitEvent) {}
-func (p *publicCustomPolicy) OnWindowTurn()                   {}
 func (p *publicCustomPolicy) ReplacedContent(entries []*gc.Entry, x int) []int {
 	p.evictions += x
 	out := make([]int, 0, x)
@@ -280,18 +279,6 @@ func TestPublicCircuits(t *testing.T) {
 	}
 	if !res.Answers.Contains(0) {
 		t.Error("source circuit missing from answers")
-	}
-}
-
-func TestPublicSocialGraphs(t *testing.T) {
-	ds := gc.GenerateSocialGraphs(8, 5, 60, 2)
-	if len(ds) != 5 {
-		t.Fatal("wrong count")
-	}
-	for _, g := range ds {
-		if !g.IsConnected() {
-			t.Error("social graph disconnected")
-		}
 	}
 }
 

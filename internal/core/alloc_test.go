@@ -123,7 +123,7 @@ func TestSubSuperHitAllocBudget(t *testing.T) {
 // TestManyHitAllocBudget: a miss that exploits a dozen hits on average
 // stays within the sub/super budget — no allocation scales with the
 // hits. The stream's queries all have ≥ largeQueryCandidates candidates,
-// so they run at the full default hit budget.
+// so they run at the large-query hit cap.
 func TestManyHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is distorted under the race detector")

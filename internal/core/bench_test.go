@@ -221,7 +221,7 @@ func newManyHitStream(tb testing.TB, streamLen int) (*Cache, []*graph.Graph) {
 // BenchmarkExecuteManyHits is a miss that exploits many sub and super
 // hits (hits/op, a dozen until the stream wraps into exact hits): the
 // per-hit work — ranking, q↔h probes, crediting, the S/S′ algebra — at
-// the full hit budget.
+// the large-query hit cap.
 func BenchmarkExecuteManyHits(b *testing.B) {
 	c, stream := newManyHitStream(b, 2048)
 	hits := 0

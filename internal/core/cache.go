@@ -771,7 +771,6 @@ func (c *Cache) admit(e *Entry, view ftv.DatasetView) {
 func (c *Cache) turnWindow(view ftv.DatasetView) {
 	c.mon.windowTurns.Add(1)
 	defer c.mon.endTurn(time.Now())
-	c.policy.OnWindowTurn()
 
 	for _, list := range [][]*Entry{c.entries, c.window} {
 		for _, e := range list {

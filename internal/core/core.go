@@ -22,19 +22,6 @@ type Config struct {
 	// Policy is the replacement policy. Nil defaults to HD, the paper's
 	// "when in doubt" recommendation.
 	Policy Policy
-	// MaxSubHits and MaxSuperHits are per-direction ceilings on the hits
-	// a query exploits; 0 disables detection in that direction. Only a
-	// query Method M left at least largeQueryCandidates candidates may
-	// reach them: any other query stops at min(ceiling,
-	// smallQueryHitCap). A q↔h probe costs about four dataset tests and
-	// only about a third confirm, so an accepted hit costs some twelve
-	// tests of probing, and hits beyond the small cap cannot pay that
-	// back on a smaller candidate set.
-	MaxSubHits, MaxSuperHits int
-	// HitIsoBudget caps VF2 recursions per q↔h containment test; 0 means
-	// unlimited. An aborted test is treated as "no hit" (sound: hits only
-	// ever shrink work, never correctness).
-	HitIsoBudget int64
 	// Serialized, SharedWindow, IndexOff and LazyReconcile have no effect:
 	// nothing reads them (dataset additions always reconcile when an entry
 	// is next read, see mutate.go). They stay declared only because the
@@ -50,25 +37,29 @@ type Config struct {
 	SelfCheck bool
 }
 
-// largeQueryCandidates and smallQueryHitCap gate the hit budgets (see
-// Config.MaxSubHits): a query with fewer candidates exploits at most
-// smallQueryHitCap hits per direction.
+// The hit budgets. A query Method M left at least largeQueryCandidates
+// candidates exploits up to largeQueryHitCap sub and largeQueryHitCap
+// super hits; any other query stops at smallQueryHitCap per direction. A
+// q↔h probe costs about four dataset tests and only about a third
+// confirm, so an accepted hit costs some twelve tests of probing, and
+// hits beyond the small cap cannot pay that back on a smaller candidate
+// set. hitIsoBudget caps VF2 recursions per q↔h containment test: an
+// aborted test is treated as "no hit" (sound: hits only ever shrink work,
+// never correctness).
 const (
 	largeQueryCandidates = 128
+	largeQueryHitCap     = 16
 	smallQueryHitCap     = 4
+	hitIsoBudget         = 20000
 )
 
 // DefaultConfig mirrors the demo deployment: a 50-entry cache, a 10-query
-// admission window, HD replacement, and up to 16 sub and 16 super hits
-// per query (4 each below 128 candidates).
+// admission window and HD replacement.
 func DefaultConfig() Config {
 	return Config{
-		Capacity:     50,
-		Window:       10,
-		Policy:       nil, // NewHD() at construction, avoiding shared state
-		MaxSubHits:   16,
-		MaxSuperHits: 16,
-		HitIsoBudget: 20000,
+		Capacity: 50,
+		Window:   10,
+		Policy:   nil, // NewHD() at construction, avoiding shared state
 	}
 }
 
@@ -81,12 +72,6 @@ func (c *Config) validate(method *ftv.Method) error {
 	}
 	if c.Window <= 0 {
 		return fmt.Errorf("core: window must be positive, got %d", c.Window)
-	}
-	if c.MaxSubHits < 0 || c.MaxSuperHits < 0 {
-		return fmt.Errorf("core: hit budgets must be non-negative")
-	}
-	if c.HitIsoBudget < 0 {
-		return fmt.Errorf("core: hit iso budget must be non-negative (0 = unlimited), got %d", c.HitIsoBudget)
 	}
 	if c.MemoryBudget < 0 {
 		return fmt.Errorf("core: memory budget must be non-negative (0 = off), got %d", c.MemoryBudget)

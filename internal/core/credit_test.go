@@ -21,7 +21,6 @@ type recordingPolicy struct {
 
 func (p *recordingPolicy) Name() string                    { return "recording" }
 func (p *recordingPolicy) UpdateCacheStaInfo(ev *HitEvent) { p.events = append(p.events, *ev) }
-func (p *recordingPolicy) OnWindowTurn()                   {}
 func (p *recordingPolicy) ReplacedContent(entries []*Entry, x int) []int {
 	out := make([]int, 0, x)
 	for i := 0; i < x && i < len(entries); i++ {

@@ -44,7 +44,6 @@ type shortPolicy struct{}
 func (shortPolicy) Name() string                            { return "short" }
 func (shortPolicy) UpdateCacheStaInfo(ev *HitEvent)         { ev.Credit() }
 func (shortPolicy) ReplacedContent(_ []*Entry, _ int) []int { return nil }
-func (shortPolicy) OnWindowTurn()                           {}
 
 type goldenStream struct {
 	policy string

@@ -11,10 +11,8 @@ import (
 // deterministic tie-breaking by (LastUsed, ID). All bundled policies
 // except RAND are scorePolicies; they differ only in the score function.
 type scorePolicy struct {
-	name  string
-	score func(e *Entry, ctx *scoreContext) float64
-	// onHit defaults to recording the standard utility fields on the
-	// entry; policies needing extra state can override.
+	name   string
+	score  func(e *Entry, ctx *scoreContext) float64
 	costCV *stats.Agg // observed per-hit saved-cost dispersion (HD)
 }
 
@@ -49,8 +47,6 @@ func (ev *HitEvent) Credit() {
 	e.SavedTests += float64(k * ev.SavedTests)
 	e.SavedCostNs += float64(k) * ev.SavedCostNs
 }
-
-func (p *scorePolicy) OnWindowTurn() {}
 
 // ReplacedContent returns the x lowest-scoring entry positions in
 // ascending (score, LastUsed, ID) order — exactly the first x of a full
@@ -261,8 +257,6 @@ func NewRand(seed int64) Policy {
 func (p *randPolicy) Name() string { return "rand" }
 
 func (p *randPolicy) UpdateCacheStaInfo(ev *HitEvent) { ev.Credit() }
-
-func (p *randPolicy) OnWindowTurn() {}
 
 func (p *randPolicy) ReplacedContent(entries []*Entry, x int) []int {
 	if x >= len(entries) {

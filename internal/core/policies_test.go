@@ -346,7 +346,7 @@ func TestPolicyCompetitionShape(t *testing.T) {
 			method := ftv.NewGGSXMethod(class.dataset, 3)
 			var uncached int64
 			for _, q := range w.Queries {
-				uncached += int64(method.Run(q.G, q.Type).Tests)
+				uncached += int64(method.Run(q.G, q.Type).CandidateCount)
 			}
 			bills := map[string]int64{}
 			best := uncached

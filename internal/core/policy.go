@@ -74,8 +74,8 @@ func (ev *HitEvent) N() int {
 //     (↔ updateCacheItems) using those positions.
 //
 // Implementations may keep private state but must be deterministic given
-// the same event sequence (RAND keeps a seeded generator). OnWindowTurn is
-// called at every admission-window boundary for aging.
+// the same event sequence (RAND keeps a seeded generator). The cache ages
+// the standard utility fields itself at every window turn.
 type Policy interface {
 	// Name identifies the policy in reports ("lru", "hd", ...).
 	Name() string
@@ -92,6 +92,4 @@ type Policy interface {
 	// all indices are returned. The returned indices are distinct.
 	// entries is the cache's own resident list: read it, never modify it.
 	ReplacedContent(entries []*Entry, x int) []int
-	// OnWindowTurn notifies the policy of an admission-window boundary.
-	OnWindowTurn()
 }

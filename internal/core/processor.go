@@ -112,11 +112,10 @@ type hitSet struct {
 // reach the row pass against its walk, and no lock, snapshot
 // allocation or sort happens at all (see index.go). They are then ranked
 // by expected benefit and confirmed with budgeted VF2 runs: per direction
-// at most 2× the hit budget of attempts and at most the budget of accepted
-// hits. The budget is the Config ceiling when Method M left the query
-// cmCount ≥ largeQueryCandidates candidates, else at most
-// smallQueryHitCap. The candidate lists and the accepted hits live in
-// sc's buffers.
+// at most 2× the hit cap of attempts and at most the cap of accepted
+// hits. The cap is largeQueryHitCap when Method M left the query
+// cmCount ≥ largeQueryCandidates candidates, else smallQueryHitCap. The
+// candidate lists and the accepted hits live in sc's buffers.
 //
 // The iso tests run without holding any lock: the consulted fields are
 // immutable after admission, and a concurrently evicted entry still
@@ -125,12 +124,9 @@ type hitSet struct {
 // deterministic. Takes no lock.
 func (c *Cache) detectHits(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, p probe, cmCount int, sc *execScratch) hitSet {
 	var hs hitSet
-	maxSub, maxSuper := c.cfg.MaxSubHits, c.cfg.MaxSuperHits
-	if maxSub == 0 && maxSuper == 0 {
-		return hs
-	}
+	maxHits := largeQueryHitCap
 	if cmCount < largeQueryCandidates {
-		maxSub, maxSuper = min(maxSub, smallQueryHitCap), min(maxSuper, smallQueryHitCap)
+		maxHits = smallQueryHitCap
 	}
 	sc.sub, sc.super = c.scanIndex(qt, p, sc.sub[:0], sc.super[:0])
 
@@ -144,7 +140,7 @@ func (c *Cache) detectHits(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryTyp
 	sc.ranked = rankCandidates(view, sc.sub, answersDeliverIsSub, sc.ranked)
 	sc.ranked = rankCandidates(view, sc.super, !answersDeliverIsSub, sc.ranked)
 
-	hs.sub, hs.super, hs.isoTests = c.confirmHits(q, sc.sub, sc.super, maxSub, maxSuper)
+	hs.sub, hs.super, hs.isoTests = confirmHits(q, sc.sub, sc.super, maxHits)
 	return hs
 }
 
@@ -190,19 +186,19 @@ func rankCandidates(view ftv.DatasetView, cands []*Entry, largerFirst bool, buf 
 }
 
 // confirmHits runs the budgeted VF2 confirmations over the ranked
-// candidate lists, at most maxSub sub and maxSuper super hits, returning
+// candidate lists, at most maxHits hits per direction, returning
 // the accepted hits and the number of q↔h iso tests spent. Each accepted
 // list is a prefix of its candidate list, compacted in place. q is bound
 // once for its "q ⊑ h" probes, as the verification stage binds it for its
 // candidates. Takes no lock.
-func (c *Cache) confirmHits(q *graph.Graph, subCand, superCand []*Entry, maxSub, maxSuper int) (sub, super []*Entry, isoTests int) {
-	opts := iso.Options{MaxRecursions: c.cfg.HitIsoBudget}
+func confirmHits(q *graph.Graph, subCand, superCand []*Entry, maxHits int) (sub, super []*Entry, isoTests int) {
+	opts := iso.Options{MaxRecursions: hitIsoBudget}
 	sub, super = subCand[:0], superCand[:0]
 	attempts := 0
-	if len(subCand) > 0 && maxSub > 0 {
+	if len(subCand) > 0 {
 		m := iso.Bind(q, opts)
 		for _, e := range subCand {
-			if len(sub) >= maxSub || attempts >= 2*maxSub {
+			if len(sub) >= maxHits || attempts >= 2*maxHits {
 				break
 			}
 			attempts++
@@ -215,7 +211,7 @@ func (c *Cache) confirmHits(q *graph.Graph, subCand, superCand []*Entry, maxSub,
 	}
 	attempts = 0
 	for _, e := range superCand {
-		if len(super) >= maxSuper || attempts >= 2*maxSuper {
+		if len(super) >= maxHits || attempts >= 2*maxHits {
 			break
 		}
 		attempts++

@@ -196,7 +196,7 @@ func TestMethodRunExactness(t *testing.T) {
 				t.Fatalf("%s: supergraph answers %v, want %v", m.Name(), gotSuper.Answers, wantSuper)
 			}
 			if i == len(methods)-1 {
-				tests += gotSub.Tests + gotSuper.Tests
+				tests += gotSub.CandidateCount + gotSuper.CandidateCount
 			}
 		}
 	}
@@ -211,9 +211,6 @@ func TestMethodResultAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	q := gen.ExtractConnectedSubgraph(rng, dataset[0], 4)
 	r := m.Run(q, ftv.Subgraph)
-	if r.Tests != r.CandidateCount {
-		t.Errorf("plain FTV run: tests %d != candidates %d", r.Tests, r.CandidateCount)
-	}
 	if r.Answers.Count() > r.CandidateCount {
 		t.Error("more answers than candidates")
 	}

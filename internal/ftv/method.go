@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"graphcache/internal/bitset"
 	"graphcache/internal/graph"
@@ -336,15 +335,9 @@ func (b *BoundQuery) Release() {
 type Result struct {
 	// Answers is the exact answer set as a bitset over dataset positions.
 	Answers *bitset.Set
-	// CandidateCount is |C_M| after filtering.
+	// CandidateCount is |C_M| after filtering, and so the number of
+	// sub-iso tests the run executed.
 	CandidateCount int
-	// Tests is the number of sub-iso tests executed (== CandidateCount for
-	// a plain FTV run; smaller when the cache pruned the candidates).
-	Tests int
-	// FilterTime and VerifyTime split the processing cost.
-	FilterTime time.Duration
-	// VerifyTime is the total verification wall time.
-	VerifyTime time.Duration
 }
 
 // Run executes the query with plain filter-then-verify (no cache) over
@@ -354,27 +347,15 @@ func (m *Method) Run(q *graph.Graph, qt QueryType) *Result { return m.View().Run
 // Run executes the query with plain filter-then-verify (no cache) over
 // the view.
 func (v DatasetView) Run(q *graph.Graph, qt QueryType) *Result {
-	t0 := time.Now()
 	cands := v.Candidates(q, qt)
-	filterTime := time.Since(t0)
-
 	answers := bitset.New(v.Size())
-	tests := 0
-	t1 := time.Now()
 	cands.ForEach(func(gid int) bool {
-		tests++
 		if v.VerifyCandidate(q, gid, qt) {
 			answers.Add(gid)
 		}
 		return true
 	})
-	return &Result{
-		Answers:        answers,
-		CandidateCount: cands.Count(),
-		Tests:          tests,
-		FilterTime:     filterTime,
-		VerifyTime:     time.Since(t1),
-	}
+	return &Result{Answers: answers, CandidateCount: cands.Count()}
 }
 
 // NewGGSXMethod is a convenience constructor for the demo deployment's
