@@ -179,7 +179,9 @@ cover:
 
 # pprof on demand: CPU + heap profiles of the kernel's three query
 # classes (an exact hit, single and parallel, an indexed miss, a
-# sub/super hit and a miss exploiting a dozen hits), of a dataset add and
+# sub/super hit and a miss exploiting a dozen hits), of hit detection's
+# scan alone (BenchmarkScanIndex: 1 000 resident entries, reporting
+# ns/probe and the derefs/probe whose keys pass), of a dataset add and
 # remove on a warm cache (each the Method's copy-on-write mutation, no
 # pass over the entries), of an add followed by every entry's catch-up on
 # it (the containment tests the add leaves for readers) and of a window
@@ -220,7 +222,7 @@ cover:
 PROFILE_DIR ?= profiles
 profiles:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'Benchmark(Execute(ExactHit(Parallel)?|IndexedMiss|SubSuperHit|ManyHits)|AddGraphWarm|AddThenCatchUp|WindowTurn)$$' \
+	$(GO) test -run '^$$' -bench 'Benchmark(Execute(ExactHit(Parallel)?|IndexedMiss|SubSuperHit|ManyHits)|ScanIndex|AddGraphWarm|AddThenCatchUp|WindowTurn)$$' \
 		-cpuprofile $(PROFILE_DIR)/core_cpu.pprof -memprofile $(PROFILE_DIR)/core_mem.pprof \
 		-o $(PROFILE_DIR)/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkRemoveGraphWarm$$' -benchtime 20000x -benchmem \

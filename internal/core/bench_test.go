@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
@@ -364,4 +366,77 @@ func BenchmarkWindowTurn(b *testing.B) {
 		b.StartTimer()
 		turnNow(c)
 	}
+}
+
+// scanBench is BenchmarkScanIndex's fixture: the harness's dataset
+// (gen.Molecules seed 2018 ×5 000, GGSX maxLen 3), a cache holding 1 000
+// resident entries cut from a containment-mix-shaped pool (gen.NewWorkload
+// seed 2019, mixed types, 80 % of it in containment chains, 4–16 edges),
+// and the next 2 000 patterns of the pool as probes, each with its row
+// decoded once as a miss's walk holds it. The entries carry their
+// summaries only: a scan reads nothing else. Built once per test binary.
+var scanBench = sync.OnceValue(func() (b struct {
+	cache  *Cache
+	types  []ftv.QueryType
+	probes []probe
+}) {
+	dataset := gen.Molecules(rand.New(rand.NewSource(2018)), 5000, gen.DefaultMoleculeConfig())
+	method := ftv.NewGGSXMethod(dataset, 3)
+	wl, err := gen.NewWorkload(rand.New(rand.NewSource(2019)), dataset, gen.WorkloadConfig{
+		Size: 1, Mixed: true, PoolSize: 3000,
+		ChainFrac: 0.8, ChainLen: 3, MinEdges: 4, MaxEdges: 16,
+	})
+	if err != nil {
+		panic(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Capacity = 1000
+	b.cache = MustNew(method, cfg)
+	view := method.View()
+	var entries []*Entry
+	for _, q := range wl.Pool[:1000] {
+		s := summaryOn(view, q.G)
+		entries = append(entries, newEntry(q.G, q.Type, bitset.New(view.Size()), view, 0, q.G.WLFingerprint(3), s, 0))
+	}
+	b.cache.replaceEntries(entries)
+	for _, q := range wl.Pool[1000:] {
+		s := summaryOn(view, q.G)
+		d := s.row.Decode()
+		b.types = append(b.types, q.Type)
+		b.probes = append(b.probes, probe{fv: s.fv, Decoded: &d})
+	}
+	return b
+})
+
+// BenchmarkScanIndex is hit detection's scan alone (scanIndex): one probe
+// of the pool against the 1 000 resident entries per op, reported as
+// ns/probe beside derefs/probe, the entries whose screening key passes in
+// some direction and whose summary the scan then reads. The second is a
+// count of the fixture, the same on every machine.
+//
+//	go test -run '^$' -bench ScanIndex -benchmem ./internal/core/
+func BenchmarkScanIndex(b *testing.B) {
+	f := scanBench()
+	c := f.cache
+	if c.Len() != 1000 {
+		b.Fatalf("%d resident entries, want 1000", c.Len())
+	}
+	derefs, r := 0, c.published.Load()
+	for i, p := range f.probes {
+		qk := ftv.NewScreenKey(p.fv, p.Row)
+		for j := range r.keys[f.types[i]] {
+			if k := &r.keys[f.types[i]][j]; qk.In(k) || qk.Holds(k) {
+				derefs++
+			}
+		}
+	}
+	var sub, super []*Entry
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(f.probes)
+		sub, super = c.scanIndex(f.types[j], f.probes[j], sub[:0], super[:0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/probe")
+	b.ReportMetric(float64(derefs)/float64(len(f.probes)), "derefs/probe")
 }

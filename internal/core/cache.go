@@ -20,12 +20,12 @@ import (
 // # Locking discipline
 //
 // Admitted entries live in one ID-ordered resident list guarded by mu,
-// and are published to readers as one immutable view (index.go): the
-// feature index plus a fingerprint table. The expensive stages of a
-// query — Method M filtering, hit-detection iso tests and candidate
-// verification — run without holding any lock at all: they operate on the
-// immutable dataset, on immutable entry fields (Graph, Answers,
-// signatures) and on that view.
+// and are published to readers as one immutable view (index.go): flat
+// arrays of screening keys per query type plus a fingerprint table. The
+// expensive stages of a query — Method M filtering, hit-detection iso
+// tests and candidate verification — run without holding any lock at
+// all: they operate on the immutable dataset, on immutable entry fields
+// (Graph, Answers, signatures) and on that view.
 //
 // An exact hit on an admitted entry takes no lock: the probe reads the
 // published fingerprint table and the crediting is a word of the
@@ -232,6 +232,9 @@ func (c *Cache) Entries() []*Entry {
 func (c *Cache) Execute(q *graph.Graph, qt ftv.QueryType) (*Result, error) {
 	if q == nil {
 		return nil, fmt.Errorf("core: nil query graph")
+	}
+	if qt > ftv.Supergraph {
+		return nil, fmt.Errorf("core: unknown query type %d", qt)
 	}
 	// One view for the whole query: filtering, hit reconciliation,
 	// verification, self-check and admission all see the same epoch.

@@ -11,6 +11,7 @@ import (
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 	"graphcache/internal/graph"
+	"graphcache/internal/iso"
 )
 
 func testDataset(seed int64, count int) []*graph.Graph {
@@ -565,6 +566,57 @@ func TestSmallQueryHitBudget(t *testing.T) {
 	if res.SubHitCount() > smallQueryHitCap || res.SuperHitCount() > smallQueryHitCap {
 		t.Errorf("sub=%d super=%d hits with %d candidates, want ≤ %d per direction",
 			res.SubHitCount(), res.SuperHitCount(), res.BaseCandidates, smallQueryHitCap)
+	}
+}
+
+// TestHitIsoBudgetAbortsHardPair: a q↔h test that needs more than
+// hitIsoBudget recursions is cut off and reads as no hit, though the
+// pair is contained; it still counts as a test spent, and the answers
+// stay exact. The pair is a one-label G(22, 0.45) graph h and a
+// connected half of its edges q, for which VF2 spends 56 454 recursions
+// before it finds q in h.
+func TestHitIsoBudgetAbortsHardPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(9412))
+	h := gen.ErdosRenyi(rng, 22, 0.45, gen.NewUniformLabelSampler(1))
+	q := gen.ExtractConnectedSubgraph(rng, h, h.M()/2)
+	if ok, st := iso.VF2(q, h, iso.Options{}); !ok || st.Recursions <= hitIsoBudget {
+		t.Fatalf("q ⊑ h is %t after %d recursions: the pair no longer needs more than the budget", ok, st.Recursions)
+	}
+	dataset := append(testDataset(43, 20), h)
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
+	if _, err := c.Execute(h, ftv.Subgraph); err != nil {
+		t.Fatal(err)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("%d entries admitted, want h alone", c.Len())
+	}
+	before := c.Stats().HitDetectionTests
+	res, err := c.Execute(q, ftv.Subgraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SubHitCount() != 0 || res.SuperHitCount() != 0 {
+		t.Errorf("%d sub and %d super hits: the budget did not cut the q ⊑ h test off", res.SubHitCount(), res.SuperHitCount())
+	}
+	if spent := c.Stats().HitDetectionTests - before; spent != 1 {
+		t.Errorf("%d q↔h tests counted, want the one aborted", spent)
+	}
+	if want := c.Method().Run(q, ftv.Subgraph).Answers; !res.Answers.Equal(want) {
+		t.Errorf("answers %v, want %v", res.Answers, want)
+	}
+}
+
+// TestExecuteRefusesUnknownQueryType: a query type past Supergraph is an
+// error, and nothing is staged for it: the published view keeps one pair
+// of arrays per known type.
+func TestExecuteRefusesUnknownQueryType(t *testing.T) {
+	dataset := testDataset(45, 10)
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
+	if _, err := c.Execute(dataset[0], ftv.Supergraph+1); err == nil {
+		t.Fatal("query type 2 accepted")
+	}
+	if c.Len() != 0 || c.WindowLen() != 0 {
+		t.Fatalf("%d entries admitted and %d pending after a refused query", c.Len(), c.WindowLen())
 	}
 }
 

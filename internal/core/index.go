@@ -5,19 +5,27 @@ import (
 	"graphcache/internal/graph"
 )
 
-// The published resident view: an immutable, ID-ordered array of
-// per-entry containment summaries (the cache-entry feature index) plus a
-// fingerprint table over it, stored in one atomic pointer
-// (Cache.published). The exact probe and hit detection read it entirely
-// lock-free — no lock, no snapshot allocation, no per-query sort. The
-// probe walks one fingerprint chain; detection screens each summary
-// (ftv.FeatureVector plus the pattern's row of Method M's trie) against
-// the query's own filter walk, kept open through the scan: the vectors
-// and the row bloom discard most entries, and one pass over an entry's
-// packed row against the query's decoded walk decides the rest. That
-// pass is the last filter before the q↔h iso tests. A row compares only
-// the nodes below the other side's watermark (ftv.Row), so an entry
+// The published resident view: immutable flat arrays over the resident
+// list (the cache-entry feature index) plus a fingerprint table, stored
+// in one atomic pointer (Cache.published). The exact probe and hit
+// detection read it entirely lock-free — no lock, no snapshot
+// allocation, no per-query sort.
+//
+// Each query type has its own ID-ordered pair of arrays: a packed,
+// pointer-free ftv.ScreenKey per entry and the entry beside it. The probe
+// walks one fingerprint chain through the ID-ordered array of every
+// entry. Detection tests the query's key against each key of its type in
+// both directions with word compares, and dereferences an entry only
+// when its key passes in some direction. For those it runs the full
+// screen (ftv.FeatureVector plus the pattern's row of Method M's trie)
+// against the query's own filter walk, kept open through the scan: one
+// pass over the entry's packed row against the query's decoded walk.
+// That pass is the last filter before the q↔h iso tests. A row compares
+// only the nodes below the other side's watermark (ftv.Row), so an entry
 // walked on an older trie still screens a query walked on a newer one.
+// The key's screens are implied by the full screen's first stage, so
+// the candidate lists and the scan's counters are what a scan of full
+// screens alone would give.
 //
 // # Publication rules
 //
@@ -26,51 +34,70 @@ import (
 // window turn or a state restore. Readers load the pointer once per probe
 // or scan and work on that point-in-time view; an entry evicted after the
 // load stays sound to use (its graph, answer set and summary are
-// immutable). For a sequential stream the view always exactly mirrors the
-// resident list: it changes only inside mu, and every change republishes
-// before the lock drops.
+// immutable, and a key is a copy of immutable fields). For a sequential
+// stream the view always exactly mirrors the resident list: it changes
+// only inside mu, and every change republishes before the lock drops.
 type resident struct {
-	index []indexEntry
-	// byFP maps a fingerprint to the position in index of its lowest-ID
-	// entry; indexEntry.next chains the rest.
+	// keys[t] and typed[t] hold the entries of query type t, in ID
+	// order: typed[t][i]'s screening key is keys[t][i].
+	keys  [ftv.Supergraph + 1][]ftv.ScreenKey
+	typed [ftv.Supergraph + 1][]*Entry
+	// all holds every entry in ID order. byFP maps a fingerprint to the
+	// position in all of its lowest-ID entry; next[i] is the position of
+	// the next entry with all[i]'s fingerprint, in ascending ID order,
+	// and -1 ends the chain.
+	all  []*Entry
+	next []int32
 	byFP map[graph.Fingerprint]int32
 }
 
-// indexEntry is one admitted entry in the published view.
-type indexEntry struct {
-	typ ftv.QueryType
-	summary
-	e *Entry
-	// next is the position of the next entry with the same fingerprint,
-	// in ascending ID order; -1 ends the chain.
-	next int32
-}
-
-// republishLocked publishes a fresh view of the resident list, built in
-// one pass: walking it backwards leaves each fingerprint mapped to its
-// lowest-ID position with the chain ascending from there.
+// republishLocked publishes a fresh view of the resident list: its
+// arrays are allocated at their exact sizes, from a count of each type,
+// and filled in one backward pass. Walking the list backwards leaves each
+// fingerprint mapped to its lowest-ID position with the chain ascending
+// from there, and fills each type's arrays from their ends down.
 func (c *Cache) republishLocked() {
-	r := &resident{
-		index: make([]indexEntry, len(c.entries)),
-		byFP:  make(map[graph.Fingerprint]int32, len(c.entries)),
+	n := len(c.entries)
+	var ends [ftv.Supergraph + 1]int // where each type's positions end
+	for _, e := range c.entries {
+		ends[e.Type]++
 	}
-	for i := len(c.entries) - 1; i >= 0; i-- {
+	ends[ftv.Supergraph] += ends[ftv.Subgraph]
+	keys := make([]ftv.ScreenKey, n)
+	ptrs := make([]*Entry, 2*n)
+	r := &resident{
+		all:  ptrs[:n],
+		next: make([]int32, n),
+		byFP: make(map[graph.Fingerprint]int32, n),
+	}
+	start := 0
+	for t, end := range ends {
+		r.keys[t], r.typed[t] = keys[start:end:end], ptrs[n+start:n+end:n+end]
+		start = end
+	}
+	for i := n - 1; i >= 0; i-- {
 		e := c.entries[i]
 		next, ok := r.byFP[e.Fingerprint]
 		if !ok {
 			next = -1
 		}
-		r.index[i] = indexEntry{typ: e.Type, summary: e.summary(), e: e, next: next}
+		r.all[i], r.next[i] = e, next
 		r.byFP[e.Fingerprint] = int32(i)
+		t := e.Type
+		ends[t]--
+		keys[ends[t]] = ftv.NewScreenKey(e.FV, e.row)
+		ptrs[n+ends[t]] = e
 	}
 	c.published.Store(r)
 }
 
-// scanIndex collects sub/super hit candidates from the published
-// summaries, screened against the query's probe in each direction (q ⊑ h
-// by probe.in, h ⊑ q by probe.holds). Their cheap stage (size, label
-// bloom, label-degree bloom, degree tail, row bloom) refutes most entries
-// before the row pass runs; entries refuted in both directions without a
+// scanIndex collects sub/super hit candidates among the published
+// entries of the query's type, screened against the query's probe in
+// each direction (q ⊑ h by probe.in, h ⊑ q by probe.holds). The keys
+// refute most entries without reading them; an entry whose key passes in
+// some direction gets the full screens in that direction, whose cheap
+// stage (size, label bloom, label-degree bloom, degree tail, row bloom)
+// goes before the row pass. Entries refuted in both directions without a
 // row pass are counted as index-pruned. The candidates are appended to
 // sub and super (the caller's reused buffers), which are returned. Takes
 // no lock, and loads the published view once.
@@ -78,35 +105,46 @@ func (c *Cache) scanIndex(qt ftv.QueryType, p probe, sub, super []*Entry) ([]*En
 	// The scan counts in locals and publishes once: per-entry atomic adds
 	// would be hundreds of RMWs on one shared line per query.
 	fullChecks, indexPruned := 0, 0
-	entries := c.published.Load().index
-	for i := range entries {
-		ie := &entries[i]
-		if ie.typ != qt {
+	r := c.published.Load()
+	keys, typed := r.keys[qt], r.typed[qt]
+	qk := ftv.NewScreenKey(p.fv, p.Row)
+	for i := range keys {
+		k := &keys[i]
+		inKey, holdsKey := qk.In(k), qk.Holds(k)
+		if !inKey && !holdsKey {
+			indexPruned++
 			continue
 		}
-		// Sub case q ⊑ h.
-		ok, merged := p.in(&ie.summary)
+		e := typed[i]
+		s := e.summary()
+		// Sub case q ⊑ h. A refusing key stands for a refusing cheap stage.
+		var ok, merged bool
+		if inKey {
+			ok, merged = p.in(&s)
+		}
 		if merged {
 			fullChecks++
 		}
 		if ok {
-			sub = append(sub, ie.e)
+			sub = append(sub, e)
 			continue
 		}
 		pruned := !merged
 		// Super case h ⊑ q.
-		if ok, merged := p.holds(&ie.summary); merged {
-			pruned = false
-			fullChecks++
-			if ok {
-				super = append(super, ie.e)
+		if holdsKey {
+			if ok, merged := p.holds(&s); merged {
+				pruned = false
+				fullChecks++
+				if ok {
+					super = append(super, e)
+				}
 			}
 		}
 		if pruned {
 			indexPruned++
 		}
 	}
-	c.mon.hitScanEntries.Add(int64(len(entries)))
+	c.mon.hitScanEntries.Add(int64(len(r.all)))
 	c.mon.hitFullChecks.Add(int64(fullChecks))
 	c.mon.hitIndexPruned.Add(int64(indexPruned))
 	return sub, super

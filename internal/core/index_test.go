@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -26,11 +25,13 @@ func driveQueries(t *testing.T, c *Cache, seed int64, n int) {
 }
 
 // The published view must mirror the resident list exactly after every
-// sequential query: the same entries in the same (ID) order, each summary
-// agreeing with its entry, and every entry reachable from byFP along its
-// fingerprint's chain, in ascending ID order, where the exact probe finds
-// it. Every third query is also issued with the other query type, so
-// isomorphic entries share a fingerprint and chains grow past one.
+// sequential query: every entry in the same (ID) order; each query type's
+// entries, and only those, in ID order in its own arrays, each with the
+// screening key of its own summary; and every entry reachable from byFP
+// along its fingerprint's chain, in ascending ID order, where the exact
+// probe finds it. Every third query is also issued with the other query
+// type, so isomorphic entries share a fingerprint and chains grow past
+// one.
 func TestIndexMirrorsAdmittedEntries(t *testing.T) {
 	dataset := testDataset(91, 20)
 	cfg := DefaultConfig()
@@ -42,23 +43,35 @@ func TestIndexMirrorsAdmittedEntries(t *testing.T) {
 	check := func() {
 		r := c.published.Load()
 		entries := c.Entries()
-		if len(r.index) != len(entries) {
-			t.Fatalf("index has %d entries, cache %d", len(r.index), len(entries))
+		if len(r.all) != len(entries) || len(r.next) != len(entries) {
+			t.Fatalf("index has %d entries and %d links, cache %d", len(r.all), len(r.next), len(entries))
 		}
+		var typed [ftv.Supergraph + 1][]int
 		for i, e := range entries {
-			ie := r.index[i]
-			if ie.e.ID != e.ID {
-				t.Fatalf("index position %d holds entry %d, the resident list entry %d", i, ie.e.ID, e.ID)
+			if r.all[i].ID != e.ID {
+				t.Fatalf("index position %d holds entry %d, the resident list entry %d", i, r.all[i].ID, e.ID)
 			}
-			if ie.typ != e.Type || !reflect.DeepEqual(ie.summary, e.summary()) {
-				t.Fatalf("entry %d: index summary diverges from entry", e.ID)
+			typed[e.Type] = append(typed[e.Type], e.ID)
+		}
+		for qt, ids := range typed {
+			keys, es := r.keys[qt], r.typed[qt]
+			if len(es) != len(ids) || len(keys) != len(ids) {
+				t.Fatalf("%s: %d entries and %d keys published, %d resident", ftv.QueryType(qt), len(es), len(keys), len(ids))
+			}
+			for i, e := range es {
+				if e.ID != ids[i] || e.Type != ftv.QueryType(qt) {
+					t.Fatalf("%s position %d holds %s entry %d, the resident list entry %d", ftv.QueryType(qt), i, e.Type, e.ID, ids[i])
+				}
+				if keys[i] != ftv.NewScreenKey(e.FV, e.row) {
+					t.Fatalf("entry %d: published key diverges from its summary", e.ID)
+				}
 			}
 		}
 		chained := 0
 		for fp, head := range r.byFP {
 			n, prev := 0, -1
-			for i := head; i >= 0; i = r.index[i].next {
-				e := r.index[i].e
+			for i := head; i >= 0; i = r.next[i] {
+				e := r.all[i]
 				if e.Fingerprint != fp || e.ID <= prev {
 					t.Fatalf("entry %d misplaced on the chain of %x", e.ID, fp)
 				}
@@ -70,8 +83,8 @@ func TestIndexMirrorsAdmittedEntries(t *testing.T) {
 			chained += n
 			longest = max(longest, n)
 		}
-		if chained != len(r.index) {
-			t.Fatalf("%d of %d entries reachable through byFP", chained, len(r.index))
+		if chained != len(r.all) {
+			t.Fatalf("%d of %d entries reachable through byFP", chained, len(r.all))
 		}
 	}
 	check() // empty cache: empty index

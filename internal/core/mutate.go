@@ -143,9 +143,8 @@ func liveCount(e *Entry, view ftv.DatasetView) int {
 // reader's own answersFor call, under mu. Takes no lock, and loads the
 // published view once.
 func (c *Cache) reconcileResident(view ftv.DatasetView) {
-	index := c.published.Load().index
-	for i := range index {
-		c.answersFor(index[i].e, view)
+	for _, e := range c.published.Load().all {
+		c.answersFor(e, view)
 	}
 }
 

@@ -439,7 +439,7 @@ func TestStateFailedRestoreLeavesWarmCacheIntact(t *testing.T) {
 		t.Fatalf("failed restore changed the cache: %d entries, had %d", warm.Len(), before)
 	}
 	// The index still mirrors the surviving contents.
-	if indexed := len(warm.published.Load().index); indexed != before {
+	if indexed := len(warm.published.Load().all); indexed != before {
 		t.Fatalf("index has %d entries after failed restore, cache %d", indexed, before)
 	}
 }

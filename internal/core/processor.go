@@ -64,9 +64,9 @@ func summaryOn(view ftv.DatasetView, g *graph.Graph) summary {
 // return the first isomorphic entry either way.
 func (c *Cache) findExact(q *graph.Graph, qt ftv.QueryType, fp graph.Fingerprint) *Entry {
 	r := c.published.Load()
-	for i, ok := r.byFP[fp]; ok && i >= 0; i = r.index[i].next {
-		if ie := &r.index[i]; ie.typ == qt && iso.Isomorphic(ie.e.Graph, q) {
-			return ie.e
+	for i, ok := r.byFP[fp]; ok && i >= 0; i = r.next[i] {
+		if e := r.all[i]; e.Type == qt && iso.Isomorphic(e.Graph, q) {
+			return e
 		}
 	}
 	var buf [8]*Entry // fingerprint collisions are rare: no heap on the probe
@@ -108,9 +108,10 @@ type hitSet struct {
 
 // detectHits finds the sub/super hits among the admitted entries of the
 // query's type. Candidates come from the lock-free published index: only
-// entries whose containment summaries are compatible with the query's
-// reach the row pass against its walk, and no lock, snapshot
-// allocation or sort happens at all (see index.go). They are then ranked
+// entries whose screening keys pass are read, only those whose
+// containment summaries are compatible with the query's reach the row
+// pass against its walk, and no lock, snapshot allocation or sort
+// happens at all (see index.go). They are then ranked
 // by expected benefit and confirmed with budgeted VF2 runs: per direction
 // at most 2× the hit cap of attempts and at most the cap of accepted
 // hits. The cap is largeQueryHitCap when Method M left the query

@@ -53,11 +53,11 @@ func admittedEntry(t *testing.T, c *Cache, q *graph.Graph) *Entry {
 	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
 		t.Fatal(err)
 	}
-	index := c.published.Load().index
-	if len(index) != 1 {
-		t.Fatalf("%d admitted entries, want 1", len(index))
+	all := c.published.Load().all
+	if len(all) != 1 {
+		t.Fatalf("%d admitted entries, want 1", len(all))
 	}
-	return index[0].e
+	return all[0]
 }
 
 // TestConcurrentSwapExactHitReadsOneState: serveExact loads the entry's
@@ -130,13 +130,17 @@ func TestConcurrentRepublishProbeWalksOneView(t *testing.T) {
 	if iso.Isomorphic(q, other) {
 		t.Fatal("the two patterns are isomorphic")
 	}
-	wrongType := indexEntry{typ: ftv.Supergraph, e: &Entry{Graph: q, Type: ftv.Supergraph}}
-	match := indexEntry{typ: ftv.Subgraph, e: &Entry{Graph: q, Type: ftv.Subgraph}}
-	miss := indexEntry{typ: ftv.Subgraph, e: &Entry{Graph: other, Type: ftv.Subgraph}}
+	wrongType := &Entry{Graph: q, Type: ftv.Supergraph}
+	match := &Entry{Graph: q, Type: ftv.Subgraph}
+	miss := &Entry{Graph: other, Type: ftv.Subgraph}
 	const fp = graph.Fingerprint(7)
-	chain := func(first, second, third indexEntry, next int32) *resident {
-		first.next, second.next, third.next = next, -1, -1
-		return &resident{index: []indexEntry{first, second, third}, byFP: map[graph.Fingerprint]int32{fp: 0}}
+	// The chain starts at the first entry and goes on from it to next.
+	chain := func(first, second, third *Entry, next int32) *resident {
+		return &resident{
+			all:  []*Entry{first, second, third},
+			next: []int32{next, -1, -1},
+			byFP: map[graph.Fingerprint]int32{fp: 0},
+		}
 	}
 	one := chain(wrongType, match, miss, 1)
 	two := chain(wrongType, miss, match, 2)
@@ -147,7 +151,7 @@ func TestConcurrentRepublishProbeWalksOneView(t *testing.T) {
 	})
 	defer stop()
 	for start := time.Now(); time.Since(start) < tornReadBudget; {
-		if got := c.findExact(q, ftv.Subgraph, fp); got != match.e {
+		if got := c.findExact(q, ftv.Subgraph, fp); got != match {
 			stop()
 			t.Fatalf("the probe found %v, want the isomorphic entry: it walked two views", got)
 		}

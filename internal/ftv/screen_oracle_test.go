@@ -131,13 +131,23 @@ func runScreenOracle(t *testing.T, seed int64, kind, maxLen, base, inserts int) 
 		items = append(items, screenItem{view.Graph(gid), view.Row(gid), fmt.Sprintf("graph %d's forward row", gid)})
 	}
 
-	var contained, olderIn, olderHeld, unseen int
-	for _, a := range items { // a ⊑ b
-		for _, b := range items {
+	var contained, olderIn, olderHeld, unseen, keyRefused int
+	fvs := make([]FeatureVector, len(items))
+	for i, it := range items {
+		fvs[i] = ExtractFeatures(it.g)
+	}
+	for i, a := range items { // a ⊑ b
+		for j, b := range items {
+			if !keyImplied(t, a, b, fvs[i], fvs[j]) {
+				keyRefused++
+			}
 			if !iso.SubIso(a.g, b.g) {
 				continue
 			}
 			contained++
+			if ka, kb := NewScreenKey(fvs[i], a.row), NewScreenKey(fvs[j], b.row); !ka.In(&kb) || !kb.Holds(&ka) {
+				t.Fatalf("seed %d kind %d maxLen %d: %s ⊑ %s, yet the keys refuse it", seed, kind, maxLen, a.what, b.what)
+			}
 			if a.row.mark < b.row.mark {
 				olderIn++
 			} else if a.row.mark > b.row.mark {
@@ -175,12 +185,37 @@ func runScreenOracle(t *testing.T, seed int64, kind, maxLen, base, inserts int) 
 		w.Release()
 	}
 	if testing.Verbose() {
-		t.Logf("seed %d: %d contained pairs, %d with the contained side older, %d with it newer, %d across nodes one side was walked without",
-			seed, contained, olderIn, olderHeld, unseen)
+		t.Logf("seed %d: %d contained pairs, %d with the contained side older, %d with it newer, %d across nodes one side was walked without; the keys refused %d of %d pairs",
+			seed, contained, olderIn, olderHeld, unseen, keyRefused, len(items)*len(items))
+	}
+	if keyRefused == 0 || keyRefused == len(items)*len(items) {
+		t.Fatalf("seed %d: vacuous: the keys refused %d of %d pairs", seed, keyRefused, len(items)*len(items))
 	}
 	if inserts >= 2 && (olderIn == 0 || olderHeld == 0 || unseen == 0) {
 		t.Fatalf("seed %d: vacuous: %d contained pairs, %d older in, %d older held, %d across unseen nodes", seed, contained, olderIn, olderHeld, unseen)
 	}
+}
+
+// keyImplied checks that the screening keys refuse a ⊑ b only where the
+// full screens' cheap stage refuses it too: the vectors (ContainedIn) or
+// the rows' bloom test, from a's side (In) and from b's (Holds). fa and
+// fb are the items' vectors. It reports whether a's key passes into b's.
+func keyImplied(t *testing.T, a, b screenItem, fa, fb FeatureVector) bool {
+	t.Helper()
+	ka, kb := NewScreenKey(fa, a.row), NewScreenKey(fb, b.row)
+	da, db := a.row.Decode(), b.row.Decode()
+	defer da.Release()
+	defer db.Release()
+	_, inStage := da.In(b.row)
+	_, heldStage := db.Holds(a.row)
+	vectors := fa.ContainedIn(fb)
+	if vectors && inStage && !ka.In(&kb) {
+		t.Fatalf("%s into %s: the vectors and In's bloom stage pass, the key refuses", a.what, b.what)
+	}
+	if vectors && heldStage && !kb.Holds(&ka) {
+		t.Fatalf("%s into %s: the vectors and Holds' bloom stage pass, the key refuses", a.what, b.what)
+	}
+	return ka.In(&kb)
 }
 
 // TestRowScreensSound runs the oracle over the four graph kinds and path
