@@ -107,16 +107,16 @@ type hitSet struct {
 }
 
 // detectHits finds the sub/super hits among the admitted entries of the
-// query's type. Candidates come from the lock-free published index: only
-// entries whose screening keys pass are read, only those whose
-// containment summaries are compatible with the query's reach the row
-// pass against its walk, and no lock, snapshot allocation or sort
-// happens at all (see index.go). They are then ranked
-// by expected benefit and confirmed with budgeted VF2 runs: per direction
-// at most 2× the hit cap of attempts and at most the cap of accepted
-// hits. The cap is largeQueryHitCap when Method M left the query
-// cmCount ≥ largeQueryCandidates candidates, else smallQueryHitCap. The
-// candidate lists and the accepted hits live in sc's buffers.
+// query's type. Candidates come from the lock-free published index: an
+// entry is read only when its screening key passes, and reaches the row
+// pass against the query's walk only when its containment summary is
+// compatible with the query's; no lock, snapshot allocation or sort
+// happens at all (see index.go). They are then ranked by expected
+// benefit and confirmed with budgeted VF2 runs: per direction at most 2×
+// the hit cap of attempts and at most the cap of accepted hits. The cap
+// is largeQueryHitCap when Method M left the query cmCount ≥
+// largeQueryCandidates candidates, else smallQueryHitCap. The candidate
+// lists and the accepted hits live in sc's buffers.
 //
 // The iso tests run without holding any lock: the consulted fields are
 // immutable after admission, and a concurrently evicted entry still
