@@ -39,7 +39,9 @@ race:
 # detector — the concurrency gauntlets, the lock-free exact probe held
 # against a taken mu, the exact hit's shared Result (published by racing
 # first hits, never served across a mutation or to an older view), the
-# snapshot writers blocked outside the locks, reconciliation, a query's
+# snapshot writers blocked outside the locks, a restore whose workers
+# re-run its patterns while mutations and queries land (none outliving
+# ReadState, every entry then answering Method.Run), reconciliation, a query's
 # filter and its containment tests kept out from under mu (the *HoldsNoMu
 # tests), mutations that wait for no query
 # and take no cache lock, a stale-view reader meeting an entry brought past
@@ -53,7 +55,7 @@ race:
 # matcher's first plan of a fresh pattern, raced by goroutines that bind
 # it at once and must all search with the one packed plan published.
 race-stress:
-	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|SnapshotWritesEntryAheadOfItsView|ExactMemo|ExactHitCredits|CreditsFold|ReadSlot|CreditTable' ./internal/core ./internal/ftv ./internal/iso
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|RestoreDuringChurn|ExactMemo|ExactHitCredits|CreditsFold|ReadSlot|CreditTable' ./internal/core ./internal/ftv ./internal/iso
 
 vet:
 	$(GO) vet ./...
@@ -259,7 +261,9 @@ loc:
 			END { printf "%7d total\n", t; \
 				printf "targets: internal/core %d toward %d (%+d), total %d toward %d (%+d)\n", c, tc, c - tc, t, tt, t - tt }'
 
-# Short native-fuzzing smoke passes: the persistence v2 parser, the
+# Short native-fuzzing smoke passes: both state parsers (the text format
+# and GCS3; every state they accept must restore entries that answer what
+# Method.Run answers), the
 # adaptive-bitset differential target (random op sequences vs a naive
 # []bool reference, across both containers, sparse and dense), the GGSX layout
 # oracle (build + WithGraph chains vs brute-force path counts), the row

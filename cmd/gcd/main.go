@@ -21,7 +21,10 @@
 // restored at boot (a missing file is a cold start; a corrupt file is
 // logged and skipped, the daemon starts with an empty cache) and the
 // cache is saved back — atomically, via temp file + rename — on graceful
-// shutdown or on demand through POST /api/state/save.
+// shutdown or on demand through POST /api/state/save. A snapshot holds
+// query patterns and their utilities, not answers: the restore re-runs
+// each pattern on the dataset loaded at boot, so the cache starts warm
+// after a dataset change too.
 //
 // Usage:
 //
@@ -127,10 +130,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	// Restore persisted state before accepting traffic. A missing file is a
-	// cold start; a corrupt or mismatched file (either format: ReadState
-	// sniffs it) must never take the daemon down, it just starts empty. A
-	// file saved over another dataset — also this dataset file after the
-	// saving daemon removed or added graphs — is mismatched.
+	// cold start; a corrupt file or one of an older version (either
+	// format: ReadState sniffs it) must never take the daemon down, it
+	// just starts empty. Any dataset restores: the patterns are re-run on
+	// this one, also after the saving daemon removed or added graphs.
 	if *statePath != "" {
 		switch err := restoreState(cache, *statePath); {
 		case err == nil:
@@ -240,10 +243,11 @@ func restoreState(c *core.Cache, path string) error {
 }
 
 // saveState persists the cache atomically: serialize to a temp file in the
-// destination directory, then rename over the target — a crash mid-save
-// leaves the previous snapshot intact, and a reader never sees a partial
-// file. Concurrent saves (shutdown racing POST /api/state/save) are safe:
-// each writes its own temp file and the cache serializes the snapshots.
+// destination directory, sync it to disk, then rename over the target — a
+// crash mid-save, of the process or of the machine, leaves the previous
+// snapshot intact, and a reader never sees a partial file. Concurrent
+// saves (shutdown racing POST /api/state/save) are safe: each writes its
+// own temp file and the cache serializes the snapshots.
 func saveState(c *core.Cache, path string) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".gcstate-*")
@@ -252,6 +256,10 @@ func saveState(c *core.Cache, path string) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if err := c.WriteState(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}

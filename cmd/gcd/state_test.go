@@ -4,15 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"graphcache/internal/ftv"
-	"graphcache/internal/gen"
 )
 
 // stateQueries are distinct small patterns over the generated molecule
@@ -144,14 +140,12 @@ func TestDaemonStateSaveEndpoint(t *testing.T) {
 // boots with an empty cache and says why, naming the error of the parser
 // the file's format selects.
 func TestDaemonCorruptStateFileIgnored(t *testing.T) {
-	// The v2 case's header names bootDaemon's dataset, so the file is
-	// refused on its entry line and not on the header.
-	dataset := gen.Molecules(rand.New(rand.NewSource(11)), 30, gen.DefaultMoleculeConfig())
-	digest := ftv.NewGGSXMethod(dataset, 3).View().Digest()
+	// The text case's header is well formed, so the file is refused on
+	// its entry line and not on the header.
 	for name, tc := range map[string]struct{ contents, why string }{
 		"junk":        {"not a state file at all", "state line"},
 		"bad-binary":  {"GCS3" + strings.Repeat("\x00", 80), "state v3"},
-		"bad-text-v2": {fmt.Sprintf("gcstate 2 30 %016x 1\nentry 0 extra junk\n", digest), "bad entry line"},
+		"bad-text-v2": {"gcstate 3 1\nentry 0 extra junk\n", "bad entry line"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			statePath := filepath.Join(t.TempDir(), "cache.gcstate")
@@ -177,19 +171,23 @@ func TestDaemonCorruptStateFileIgnored(t *testing.T) {
 }
 
 // gcd's ordinary restart after a removal: the daemon reloads its full
-// dataset, in which the removed graph is live again, so the snapshot it
-// saved is not exact for it. The restart must start cold with the
-// "ignoring state file" banner instead of restoring.
-func TestDaemonRestartAfterRemovalStartsCold(t *testing.T) {
+// dataset, in which the removed graph is live again. The snapshot holds
+// patterns, not answers, so the restart restores warm, and a restored
+// entry answers for the reloaded dataset: what it answered before the
+// removal.
+func TestDaemonRestartAfterRemovalRestoresWarm(t *testing.T) {
 	statePath := filepath.Join(t.TempDir(), "cache.gcstate")
 	base, _, shutdown := bootDaemon(t, "-state", statePath)
 	for _, q := range stateQueries {
 		postStateQuery(t, base, q)
 	}
-	if getStats(t, base)["cachedEntries"].(float64) == 0 {
+	warmEntries := getStats(t, base)["cachedEntries"].(float64)
+	if warmEntries == 0 {
 		t.Fatal("workload admitted no entries; the restart test needs a warm cache")
 	}
-	req, err := http.NewRequest(http.MethodDelete, base+"/api/dataset/graphs/0", nil)
+	before := postStateQuery(t, base, stateQueries[0])
+	removed := before["answers"].([]any)[0].(float64)
+	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/api/dataset/graphs/%d", base, int(removed)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +206,17 @@ func TestDaemonRestartAfterRemovalStartsCold(t *testing.T) {
 
 	base, out, shutdown := bootDaemon(t, "-state", statePath)
 	defer shutdown()
-	if !strings.Contains(out.String(), "ignoring state file") || !strings.Contains(out.String(), "digest") {
-		t.Fatalf("restart after a removal did not refuse the snapshot:\n%s", out.String())
+	if !strings.Contains(out.String(), "restored") {
+		t.Fatalf("restart after a removal did not restore:\n%s", out.String())
 	}
-	if got := getStats(t, base)["cachedEntries"].(float64); got != 0 {
-		t.Fatalf("restart after a removal restored %v entries", got)
+	if got := getStats(t, base)["cachedEntries"].(float64); got != warmEntries {
+		t.Fatalf("restart after a removal restored %v entries, want %v", got, warmEntries)
+	}
+	after := postStateQuery(t, base, stateQueries[0])
+	if !after["exactHit"].(bool) {
+		t.Fatal("restored entry did not produce an exact hit")
+	}
+	if fmt.Sprint(after["answers"]) != fmt.Sprint(before["answers"]) {
+		t.Fatalf("restored entry answers %v, want the reloaded dataset's %v", after["answers"], before["answers"])
 	}
 }

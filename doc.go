@@ -122,14 +122,13 @@
 //
 // # Persistence
 //
-// Cache.WriteState saves the admitted entries — graphs, utility counters
-// and answer sets — in the checksummed binary GCS3 format, and
-// Cache.ReadState restores a GCS3 or legacy v2 text snapshot, replacing
-// the cache's contents. A restore is all-or-nothing: every graph and
-// answer set is read and verified before anything is installed. It is
-// refused over any dataset but the one the snapshot was written on (the
-// same size and dataset digest), so write a new snapshot after a
-// mutation.
+// Cache.WriteState saves the admitted entries — query graphs, query types
+// and utility counters, not answer sets — in the checksummed binary GCS3
+// format, and Cache.ReadState restores a GCS3 or text snapshot, replacing
+// the cache's contents. A restore is all-or-nothing: every record is read
+// and verified before anything is installed. It then re-runs each query
+// with Method M on the current dataset, so a snapshot restores over any
+// dataset, including the one it was written on after mutations.
 //
 // # Extending
 //

@@ -70,7 +70,7 @@ func TestFullSetIsDense(t *testing.T) {
 			t.Fatalf("full set of %d bits costs %d bytes, dense words %d", n, s.Bytes(), db)
 		}
 	}
-	s := FromIndices(100, []int{3, 70})
+	s := fromIndices(100, []int{3, 70})
 	s.SetAll()
 	if s.mode != modeDense || s.sparse != nil || s.Count() != 100 {
 		t.Fatalf("SetAll on a sparse set: mode=%d sparse=%v Count=%d", s.mode, s.sparse, s.Count())
@@ -152,7 +152,7 @@ func TestCompactPicksSmallestContainer(t *testing.T) {
 
 // mixes builds the same logical set in both container representations.
 func mixes(n int, idx ...int) []*Set {
-	base := FromIndices(n, idx)
+	base := fromIndices(n, idx)
 	d := base.Clone()
 	d.toDense()
 	d.materialize()
@@ -315,7 +315,7 @@ func TestForEachAndAndNot(t *testing.T) {
 }
 
 func TestAppendIndicesReusesBuffer(t *testing.T) {
-	s := FromIndices(100, []int{3, 50, 99})
+	s := fromIndices(100, []int{3, 50, 99})
 	buf := make([]int, 0, 8)
 	out := s.AppendIndices(buf)
 	if len(out) != 3 || out[0] != 3 || out[1] != 50 || out[2] != 99 {

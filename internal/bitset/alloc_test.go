@@ -49,8 +49,8 @@ func TestReadPathsAllocBudget(t *testing.T) {
 		s    *Set
 		mode uint8
 	}{
-		{FromIndices(n, idx), modeDense},
-		{FromIndices(n, []int{5, 300, 700}), modeSparse},
+		{fromIndices(n, idx), modeDense},
+		{fromIndices(n, []int{5, 300, 700}), modeSparse},
 		{New(n), modeSparse},
 	} {
 		if got := testing.AllocsPerRun(10, c.s.Compact); got != 0 || c.s.mode != c.mode {

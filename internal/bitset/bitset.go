@@ -92,20 +92,6 @@ func NewFull(n int) *Set {
 	return s
 }
 
-// FromIndices returns a set of capacity n with exactly the given bits set.
-// Inputs above the sparse break-even build directly in the dense container
-// so unsorted index lists never pay quadratic sparse insertion.
-func FromIndices(n int, idx []int) *Set {
-	s := New(n)
-	if len(idx) > sparseMax(n) {
-		s.mode = modeDense
-	}
-	for _, i := range idx {
-		s.Add(i)
-	}
-	return s
-}
-
 // FromWords returns a set of capacity n with exactly the bits of words set:
 // bit i%64 of words[i/64] is bit i, and no bit at or beyond n may be set.
 // The words are read, never kept, so a caller can run word-parallel loops

@@ -84,8 +84,8 @@ func TestSetAllAndTrim(t *testing.T) {
 }
 
 func TestBooleanAlgebra(t *testing.T) {
-	a := FromIndices(200, []int{1, 5, 64, 100, 150})
-	b := FromIndices(200, []int{5, 64, 99, 150, 199})
+	a := fromIndices(200, []int{1, 5, 64, 100, 150})
+	b := fromIndices(200, []int{5, 64, 99, 150, 199})
 
 	and := a.Clone()
 	and.And(b)
@@ -105,8 +105,8 @@ func TestBooleanAlgebra(t *testing.T) {
 }
 
 func TestSubsetEqual(t *testing.T) {
-	a := FromIndices(64, []int{1, 2, 3})
-	b := FromIndices(64, []int{1, 2, 3, 10})
+	a := fromIndices(64, []int{1, 2, 3})
+	b := fromIndices(64, []int{1, 2, 3, 10})
 	if a.Equal(b) {
 		t.Error("a should not equal b")
 	}
@@ -119,7 +119,7 @@ func TestSubsetEqual(t *testing.T) {
 }
 
 func TestForEachOrderAndEarlyStop(t *testing.T) {
-	s := FromIndices(300, []int{7, 70, 200, 299})
+	s := fromIndices(300, []int{7, 70, 200, 299})
 	var seen []int
 	s.ForEach(func(i int) bool {
 		seen = append(seen, i)
@@ -147,7 +147,7 @@ func TestForEachOrderAndEarlyStop(t *testing.T) {
 
 func TestIndicesRoundTrip(t *testing.T) {
 	idx := []int{0, 63, 64, 127, 128}
-	s := FromIndices(129, idx)
+	s := fromIndices(129, idx)
 	got := s.Indices()
 	if len(got) != len(idx) {
 		t.Fatalf("Indices = %v, want %v", got, idx)
@@ -160,7 +160,7 @@ func TestIndicesRoundTrip(t *testing.T) {
 }
 
 func TestClearAndClone(t *testing.T) {
-	s := FromIndices(70, []int{3, 69})
+	s := fromIndices(70, []int{3, 69})
 	c := s.Clone()
 	s.Clear()
 	if !s.Empty() {
@@ -240,4 +240,18 @@ func BenchmarkBitsetAnd(b *testing.B) {
 		z := x.Clone()
 		z.And(y)
 	}
+}
+
+// fromIndices returns a set of capacity n with exactly the given bits set.
+// Inputs above the sparse break-even build directly in the dense container
+// so unsorted index lists never pay quadratic sparse insertion.
+func fromIndices(n int, idx []int) *Set {
+	s := New(n)
+	if len(idx) > sparseMax(n) {
+		s.mode = modeDense
+	}
+	for _, i := range idx {
+		s.Add(i)
+	}
+	return s
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -261,18 +262,24 @@ func TestExactProbeTakesNoLock(t *testing.T) {
 	}
 }
 
-// TestReconciliationHoldsNoMu: the readers that need every entry current
-// — WriteState, WriteStateV2 and Entries — reconcile stale entries before
-// they take mu, so no maintenance test runs while every miss is blocked.
-// The method's verifier counts the tests it is called for with mu held.
+// TestReconciliationHoldsNoMu: Entries, the reader that needs every
+// entry current, reconciles stale entries before it takes mu, and a
+// restore re-runs its patterns before it does, so no containment test
+// runs while every miss is blocked; the snapshot writers record no
+// answers and run no test at all. The method's verifier counts the tests
+// it is called for, and those it is called for with mu held.
 func TestReconciliationHoldsNoMu(t *testing.T) {
 	dataset := testDataset(76, 12)
 	var c *Cache
-	var underMu atomic.Int64
+	var tests, underMu atomic.Int64
+	var probe sync.Mutex // a restore's workers probe at once: one's TryLock must not read as another's held mu
 	verify := func(pattern, target *graph.Graph) bool {
+		tests.Add(1)
+		probe.Lock()
 		if muHeld(c) {
 			underMu.Add(1)
 		}
+		probe.Unlock()
 		return iso.SubIso(pattern, target)
 	}
 	cfg := DefaultConfig()
@@ -285,30 +292,33 @@ func TestReconciliationHoldsNoMu(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var state bytes.Buffer
 	for i, r := range []struct {
-		name string
-		read func() error
+		name  string
+		tests bool // whether the read owes containment tests
+		read  func() error
 	}{
-		{"WriteState", func() error { return c.WriteState(io.Discard) }},
-		{"WriteStateV2", func() error { return c.WriteStateV2(io.Discard) }},
-		{"Entries", func() error { c.Entries(); return nil }},
+		{"WriteState", false, func() error { return c.WriteState(&state) }},
+		{"WriteStateV2", false, func() error { return c.WriteStateV2(io.Discard) }},
+		{"Entries", true, func() error { c.Entries(); return nil }},
+		{"ReadState", true, func() error { return c.ReadState(&state) }},
 	} {
 		// Copies of two patterns' source graphs: those entries pass their
-		// screens, so the read has containment tests to run.
+		// screens, so a reader that brings them forward has tests to run.
 		for _, g := range dataset[2*i : 2*i+2] {
 			if _, err := c.AddGraph(g); err != nil {
 				t.Fatal(err)
 			}
 		}
-		before := c.Stats().MaintenanceTests
+		before := tests.Load()
 		if err := r.read(); err != nil {
 			t.Fatal(err)
 		}
-		if c.Stats().MaintenanceTests == before {
-			t.Fatalf("%s ran no maintenance test: nothing was stale", r.name)
+		if ran := tests.Load() > before; ran != r.tests {
+			t.Fatalf("%s ran containment tests: %v, want %v", r.name, ran, r.tests)
 		}
 		if n := underMu.Load(); n > 0 {
-			t.Fatalf("%s: %d maintenance tests ran with mu held", r.name, n)
+			t.Fatalf("%s: %d containment tests ran with mu held", r.name, n)
 		}
 	}
 }
@@ -652,59 +662,116 @@ func TestTurnMaskServesOlderView(t *testing.T) {
 	}
 }
 
-// TestSnapshotWritesEntryAheadOfItsView: a snapshot writer pins its view,
-// and before it takes mu an addition lands and an exact hit brings the
-// resident entry past that view. The writer still writes the entry: it
-// retries on the newer view.
-func TestSnapshotWritesEntryAheadOfItsView(t *testing.T) {
-	dataset := testDataset(165, 12)
-	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
-	q := gen.ExtractConnectedSubgraph(rand.New(rand.NewSource(166)), dataset[5], 4)
-	if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-		t.Fatal(err)
+// TestRestoreDuringChurn: a restore runs while AddGraph, RemoveGraph and
+// queries do (SelfCheck holds every query to Method.Run). The restore
+// re-runs its patterns on its own workers, none of which is still testing
+// once ReadState returns, and afterwards every entry answers what
+// Method.Run answers on the current view. The verifier tells a restore
+// worker's tests by the worker's frame on the calling goroutine's stack,
+// and slows them, so a worker left running would be seen.
+func TestRestoreDuringChurn(t *testing.T) {
+	dataset := testDataset(171, 24)
+	var inRestore, restoreTests atomic.Int64
+	verify := func(pattern, target *graph.Graph) bool {
+		buf := make([]byte, 8192)
+		if bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("(*Cache).restore.func")) {
+			inRestore.Add(1)
+			defer inRestore.Add(-1)
+			restoreTests.Add(1)
+			time.Sleep(20 * time.Microsecond)
+		}
+		return iso.SubIso(pattern, target)
 	}
-	e := c.Entries()[0]
-	// A removal puts the entry behind, so the writer's pass over the
-	// resident entries republishes it once the writer has pinned its view.
-	if err := c.RemoveGraph(0); err != nil {
-		t.Fatal(err)
-	}
-	stale := e.ans.p.Load()
-
-	c.mu.Lock()
-	var state bytes.Buffer
-	written := make(chan error, 1)
-	go func() { written <- c.WriteState(&state) }()
-	for deadline := time.Now().Add(10 * time.Second); e.ans.p.Load() == stale; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			c.mu.Unlock()
-			t.Fatal("the writer never brought the entry forward to its view")
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	cfg.SelfCheck = true
+	c := MustNew(ftv.NewMethod("ggsx/restore-probe", dataset, ftv.NewGGSX(dataset, 3), verify), cfg)
+	rng := rand.New(rand.NewSource(172))
+	var pool []*graph.Graph
+	for i := 0; i < 16; i++ {
+		q := gen.ExtractConnectedSubgraph(rng, dataset[i], 3+i%4)
+		pool = append(pool, q)
+		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := c.AddGraph(dataset[5]); err != nil {
-		c.mu.Unlock()
+	var state bytes.Buffer
+	if err := c.WriteState(&state); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Execute(q, ftv.Subgraph) // brings the entry past the writer's view
-	c.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ExactHit || e.Answers().Len() != c.DatasetInfo().Size {
-		t.Fatal("the exact hit did not bring the entry past the writer's view; the scenario did not arm")
-	}
-	if err := <-written; err != nil {
-		t.Fatal(err)
+	if c.Len() == 0 {
+		t.Fatal("no admitted entries to restore")
 	}
 
-	r := MustNew(c.Method(), DefaultConfig())
-	if err := r.ReadState(&state); err != nil {
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		r := rand.New(rand.NewSource(173))
+		for i := 0; i < 400; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+			if _, err := c.AddGraph(dataset[r.Intn(len(dataset))]); err != nil {
+				errs <- err
+				return
+			}
+			if view := c.Method().View(); view.LiveCount() > len(dataset)/2 {
+				if gid := r.Intn(view.Size()); view.Graph(gid) != nil {
+					if err := c.RemoveGraph(gid); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}
+	}()
+	for w := range 2 {
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(174 + int64(w)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.Execute(pool[r.Intn(len(pool))], ftv.QueryType(r.Intn(2))); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for round := 0; round < 3; round++ {
+		before := restoreTests.Load()
+		err := c.ReadState(bytes.NewReader(state.Bytes()))
+		running, ran := inRestore.Load(), restoreTests.Load()
+		time.Sleep(5 * time.Millisecond)
+		switch {
+		case err != nil:
+			t.Error(err)
+		case ran == before:
+			t.Error("the restore ran no containment test: the probe did not arm")
+		case running != 0 || restoreTests.Load() != ran:
+			t.Errorf("restore workers still testing after ReadState returned (%d in flight)", running)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
 		t.Fatal(err)
+	default:
 	}
-	if r.Len() != 1 {
-		t.Fatalf("the snapshot holds %d entries, want the resident 1", r.Len())
-	}
-	if got := r.Entries()[0].Answers(); !got.Equal(e.Answers()) {
-		t.Fatalf("restored answers %v, want %v", got, e.Answers())
+	view := c.Method().View()
+	for _, e := range c.Entries() {
+		if want := view.Run(e.Graph, e.Type).Answers; !e.Answers().Equal(want) {
+			t.Fatalf("entry %d answers %v, Method.Run %v", e.ID, e.Answers(), want)
+		}
 	}
 }

@@ -162,11 +162,8 @@
 //     bounded heap over the ID-ordered resident list, and trues up a
 //     charge with one O(1) Bytes() per entry. A dataset mutation stops
 //     nothing at all.
-//     Persistence round-trips compact: the binary v3 snapshot stores
-//     each set's native container encoding verbatim (bitset
-//     AppendBinary/FromBinary), while the legacy v2 text format stores
-//     index lists and re-picks the smaller container at newEntry —
-//     either way a restored set is Compact()ed before publication.
+//     A snapshot stores no answer sets: a restore re-runs each pattern
+//     and newEntry Compact()s the fresh set before publication.
 //
 // The regression fences: BenchmarkExecute* (bench_test.go) report
 // allocs/op for the exact-hit, indexed-miss and sub/super-hit classes,
@@ -179,54 +176,49 @@
 // mix against a naive reference, and the benchmark harness's
 // core.bytes_per_entry metric tracks resident bytes per cached query.
 //
-// # Snapshot persistence: the GCS3 binary format
+// # Snapshot persistence: patterns and utilities, in GCS3
 //
-// WriteState serializes the cache in the binary state format v3
-// ("GCS3"); ReadState sniffs the magic and dispatches to the v3 reader or
-// falls through to the legacy v2 text parser (WriteStateV2 still
-// produces v2). All integers are little-endian; every checksum is
-// FNV-1a 64. The layout (offsets in bytes):
+// An entry's answer set is a materialised view — a function of its
+// pattern, its query type and the dataset — so a snapshot records each
+// admitted entry's pattern, query type, admission-time base candidates
+// |C_M| and policy utilities (hits, saved tests, saved cost), and no
+// answers. WriteState serializes them in the binary format "GCS3";
+// ReadState sniffs the magic and dispatches to the GCS3 reader or falls
+// through to the text parser (WriteStateV2 produces the text format).
+// All integers are little-endian; every checksum is FNV-1a 64. The
+// layout (offsets in bytes):
 //
-//	header, 64 B:  magic "GCS3" [0,4)   version=5 u32 [4,8)
-//	               dsSize u64 [8,16)    dsDigest u64 [16,24)
-//	               entryCount u64 [24,32)
-//	               bodyOff u64 [32,40) = 64 + 136*entryCount
-//	               fileSize u64 [40,48) indexSum u64 [48,56)
-//	               headerSum u64 [56,64) over bytes [0,56)
-//	index, 136 B/entry (fixed size, so record i is addressable without
+//	header, 48 B:  magic "GCS3" [0,4)   version=6 u32 [4,8)
+//	               entryCount u64 [8,16)
+//	               bodyOff u64 [16,24) = 48 + 64*entryCount
+//	               fileSize u64 [24,32) indexSum u64 [32,40)
+//	               headerSum u64 [40,48) over bytes [0,40)
+//	index, 64 B/entry (fixed size, so record i is addressable without
 //	parsing records 0..i-1):
-//	               fp u64, queryType u32, baseCandidates u32,
-//	               feature vector 56 B (ftv FV codec), hits i64,
+//	               fp u64, queryType u32, baseCandidates u32, hits i64,
 //	               savedTests f64, savedCostNs f64,
-//	               bodyOff u64, graphLen u64, ansLen u64,
-//	               graphSum u64, ansSum u64
+//	               bodyOff u64, graphLen u64, graphSum u64
 //	body:          per entry, contiguous and in index order: the graph
-//	               in the text codec (graph.WriteGraph), then the answer
-//	               set in its native bitset container encoding
-//	               (bitset.AppendBinary — mode tag + capacity + count +
-//	               sparse/dense payload, so a restore preserves the
-//	               writer's container instead of re-deriving it).
+//	               in the text codec (graph.WriteGraph).
 //
-// Validation is all-or-nothing and covers every byte: headerSum gates
-// the header, indexSum gates the whole index section, per-entry
-// graphSum/ansSum gate each body segment, and the records must tile the
-// body exactly (record i's bodyOff equals the running offset; the final
-// offset equals fileSize). Like v2, signatures and feature vectors are
-// rebuilt from the parsed graphs and cross-checked against the index —
-// never trusted from disk — and each pattern's trie row is walked anew on
-// the view the restore pinned. A snapshot from another dataset is refused:
-// dsSize must equal the current view's id-space size and dsDigest its
-// DatasetView.Digest, the sum over live ids of a hash of each id and its
-// graph, so a dataset of the same size, or the same base dataset after
-// removals, does not pass.
+// Validation is all-or-nothing and covers every byte: an older version
+// is refused first (versions 3 to 5 carried answer sets), headerSum gates
+// the header, indexSum the whole index section, per-entry graphSum each
+// body segment, and the records must tile the body exactly (record i's
+// bodyOff equals the running offset; the final offset equals fileSize).
+// The fingerprint rebuilt from each parsed graph must equal its record's.
 //
-// There is one restore mode. Every graph and answer set is read,
-// verified and decoded before replaceEntries installs anything, and the
-// restored answer sets are exact for the current view (sound because
-// the size and digest checks refuse a snapshot from any other dataset,
-// and the digest moves with every addition and removal). A file that restores therefore
-// cannot fail a later query; a bad one is rejected at restore time with
-// an error.
+// There is one restore mode. Every record is parsed and checked first;
+// then the restore pins one dataset view, re-runs each pattern with
+// DatasetView.Run on runtime.GOMAXPROCS(0) workers (touching no Monitor
+// counter), walks each pattern's trie row on that view, and installs the
+// entries under mu in one step (replaceEntries). The restored answers are
+// exact for that view whatever dataset the snapshot was written on, and a
+// mutation landing during the restore is brought in by the entries' next
+// readers. BaseCandidates stays the recorded |C_M| — history, like Hits —
+// capped at the view's id space. The writers copy the records under mu
+// after folding the pending credits, and format and write them once mu
+// is released.
 //
 // # Concurrency contracts and the tests that hold them
 //
@@ -250,16 +242,18 @@
 //     detector; the CreditTable tests), and in steady state writes no
 //     cell outside its stripe (TestCreditTableHitsWriteNoSharedCell).
 //   - No filter run and no containment test happens under mu: a query's
-//     own, TestQueryPathHoldsNoMu; those of Entries and the snapshot
-//     writers, TestReconciliationHoldsNoMu; a snapshot's writes,
-//     TestSnapshotWriterHoldsNoLock.
+//     own, TestQueryPathHoldsNoMu; those of Entries and of a restore's
+//     re-runs (the snapshot writers run none), TestReconciliationHoldsNoMu;
+//     a snapshot's writes, TestSnapshotWriterHoldsNoLock. A restore's
+//     workers are all done when ReadState returns, and its entries answer
+//     Method.Run after mutations and queries raced it:
+//     TestRestoreDuringChurn.
 //   - A mutation takes no cache lock and waits for no query:
 //     TestMutationTakesNoCacheLock, TestMutationWaitsForNoQuery.
 //   - An operation pins one dataset view and sizes, filters, verifies
 //     and reads answers against it alone, and a function that reads a
 //     published value (an entry's answer cell, the resident view) loads
-//     it once: TestStaleViewReaderSkipsAheadEntry,
-//     TestSnapshotWritesEntryAheadOfItsView, the SelfCheck suites
+//     it once: TestStaleViewReaderSkipsAheadEntry, the SelfCheck suites
 //     (TestChurnEquivalence), and the swap tests of tornread_test.go,
 //     which re-run a reader while another goroutine replaces what it
 //     reads (TestConcurrentSwapExactHitReadsOneState,

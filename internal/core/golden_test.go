@@ -225,20 +225,20 @@ func goldenTranscript(t *testing.T, s goldenStream) []byte {
 }
 
 // canonicalGCS3 zeroes the parts of a GCS3 snapshot that vary run to run:
-// each index record's saved cost ns ([88,96) of the record), which prices
+// each index record's saved cost ns ([32,40) of the record), which prices
 // savings with wall-clock cost estimates, and the index and header
-// checksums ([48,64) of the header) that cover it.
+// checksums ([32,48) of the header) that cover it.
 func canonicalGCS3(t *testing.T, data []byte) []byte {
 	t.Helper()
 	if len(data) < v3HeaderLen {
 		t.Fatalf("snapshot of %d bytes has no header", len(data))
 	}
 	data = bytes.Clone(data)
-	clear(data[48:64])
-	n := int(binary.LittleEndian.Uint64(data[24:32]))
+	clear(data[32:48])
+	n := int(binary.LittleEndian.Uint64(data[8:16]))
 	for i := 0; i < n; i++ {
 		rec := v3HeaderLen + i*v3IndexLen
-		clear(data[rec+88 : rec+96])
+		clear(data[rec+32 : rec+40])
 	}
 	return data
 }

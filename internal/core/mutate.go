@@ -34,15 +34,15 @@ import (
 //     Method itself. A reader on an earlier view, meeting an entry a
 //     newer reader has already brought past it, treats the entry as
 //     absent: an exact hit falls through to the miss path, a sub/super
-//     hit is dropped, a snapshot writer starts over on a newer view.
+//     hit is dropped.
 //
 //   - Every window turn masks the pending removals of every resident and
 //     window entry, with no containment test, then trues up the charges,
 //     so the residency account and MemoryBudget are exact at every turn.
 //
-// Entries and the snapshot writers need every entry current: they bring
-// the resident list forward before they take mu (reconcileResident), so
-// their containment tests block no miss.
+// Entries needs every entry current: it brings the resident list forward
+// before it takes mu (reconcileResident), so its containment tests block
+// no miss. The snapshot writers record no answers and test nothing.
 //
 // Every answer set returned by Execute is exact for the query's view —
 // the SelfCheck oracle and the churn suites assert byte-identical answers
@@ -136,11 +136,10 @@ func liveCount(e *Entry, view ftv.DatasetView) int {
 }
 
 // reconcileResident brings every entry of the published view forward to
-// the dataset view: "reconcile all now", for the readers that need every
-// entry current (Entries, WriteState, WriteStateV2). They call it before
-// they take mu, so its containment tests block no miss. An entry that a
-// concurrent turn admits after this pass is brought forward by the
-// reader's own answersFor call, under mu. Takes no lock, and loads the
+// the dataset view: "reconcile all now", for Entries, which needs every
+// entry current. It runs before Entries takes mu, so its containment
+// tests block no miss. An entry that a concurrent turn admits after this
+// pass is brought forward by Entries' own answersFor call, under mu. Takes no lock, and loads the
 // published view once.
 func (c *Cache) reconcileResident(view ftv.DatasetView) {
 	for _, e := range c.published.Load().all {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -78,35 +77,12 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStateRejectsMismatchedDataset(t *testing.T) {
-	datasetA := testDataset(73, 10)
-	datasetB := testDataset(74, 12)
-	a, err := New(ftv.NewGGSXMethod(datasetA, 2), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(ftv.NewGGSXMethod(datasetB, 2), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := a.WriteState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ReadState(&buf); err == nil {
-		t.Error("mismatched dataset size should be rejected")
-	}
-}
-
 func TestStateRejectsGarbage(t *testing.T) {
 	dataset := testDataset(75, 5)
 	c, err := New(ftv.NewGGSXMethod(dataset, 2), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each case carries a v2 header that passes the size and digest check,
-	// so it fails on the check it names and not on the header.
-	header := fmt.Sprintf("gcstate 2 5 %016x", c.method.View().Digest())
 	cases := []struct{ in, want string }{
 		{"", "reading header"},
 		{"not a header\n", "bad header"},
@@ -114,10 +90,13 @@ func TestStateRejectsGarbage(t *testing.T) {
 		{"gcstate 1 5\nanswers 1 2\n", "unsupported state version 1"}, // version-1 states are refused
 		{"gcstate 1 5\nentry 0 1 0 0 0\nanswers 900\n", "unsupported state version 1"},
 		{"gcstate 1 5\nentry 0 x 0 0 0\n", "unsupported state version 1"},
-		{header + " 0\n", "missing end trailer"},
-		{header + " 1\nend\n", "header declares 1 entries, found 0"},
-		{header + " 1\nentry 9 2 1 0 0 0 0\n", "unknown query type 9"},
-		{header + " 1\nentry 0 2 1 0 0 0 0\nanswers 2 1\nend\n", "declared 2 ids, found 1"},
+		// Version 2 recorded answers and named its dataset by size and digest.
+		{"gcstate 2 5 0123456789abcdef 1\nentry 0 2 1 0 0 0 0\nanswers 1 3\n", "unsupported state version 2"},
+		{"gcstate 3 5 1\nend\n", "want 3 fields, got 4"},
+		{"gcstate 3 0\n", "missing end trailer"},
+		{"gcstate 3 1\nend\n", "header declares 1 entries, found 0"},
+		{"gcstate 3 1\nentry 9 2 1 0 0 0 0\n", "unknown query type 9"},
+		{"gcstate 3 1\nentry 0 2 1 0 0 0 0\nanswers 2 1\nend\n", "entry graph"},
 	}
 	for i, tc := range cases {
 		err := c.ReadState(strings.NewReader(tc.in))
@@ -225,8 +204,8 @@ func tail(s string) string {
 	return s
 }
 
-// Field-level corruption — flipped digits, wrong counts, out-of-range ids —
-// must be rejected with the offending line identified.
+// Field-level corruption — flipped digits, wrong counts, a version-2
+// answers line — must be rejected with the offending line identified.
 func TestStateFieldCorruptionRejected(t *testing.T) {
 	state, _ := validState(t, 83)
 	lines := strings.SplitAfter(state, "\n")
@@ -249,31 +228,9 @@ func TestStateFieldCorruptionRejected(t *testing.T) {
 			}
 			return false
 		},
-		"answers-count": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "answers ") {
-					f := strings.Fields(l)
-					f[1] = "999"
-					ls[i] = strings.Join(f, " ") + "\n"
-					return true
-				}
-			}
-			return false
-		},
-		"answer-id-range": func(ls []string) bool {
-			for i, l := range ls {
-				f := strings.Fields(l)
-				if len(f) >= 3 && f[0] == "answers" {
-					f[2] = "100000"
-					ls[i] = strings.Join(f, " ") + "\n"
-					return true
-				}
-			}
-			return false
-		},
 		"header-entry-count": func(ls []string) bool {
 			f := strings.Fields(ls[0])
-			f[4] = "99" // size and digest still match: only the count is wrong
+			f[2] = "99" // only the count is wrong
 			ls[0] = strings.Join(f, " ") + "\n"
 			return true
 		},
@@ -281,6 +238,15 @@ func TestStateFieldCorruptionRejected(t *testing.T) {
 			for i, l := range ls {
 				if strings.HasPrefix(l, "v ") {
 					ls[i] = ""
+					return true
+				}
+			}
+			return false
+		},
+		"stray-answers-line": func(ls []string) bool {
+			for i, l := range ls {
+				if strings.HasPrefix(l, "entry ") {
+					ls[i] = l + "answers 1 0\n" // what version 2 wrote there
 					return true
 				}
 			}
@@ -295,36 +261,15 @@ func TestStateFieldCorruptionRejected(t *testing.T) {
 			}
 			return false
 		},
-		"dropped-answers-line": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "answers ") {
-					ls[i] = ""
-					return true
-				}
-			}
-			return false
-		},
-		"duplicated-answers-line": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "answers ") {
-					ls[i] = l + l
-					return true
-				}
-			}
-			return false
-		},
 	}
 	// The error each mutation must meet: the check written for it, not
-	// the header or dataset check every case passes.
+	// the header check every case passes.
 	wantErr := map[string]string{
-		"entry-vertex-count":      "declared 99 vertices",
-		"answers-count":           "declared 999 ids",
-		"answer-id-range":         `bad answer id "100000"`,
-		"header-entry-count":      "header declares 99 entries",
-		"dropped-graph-line":      "entry graph",
-		"dropped-edge-line":       "entry graph truncated",
-		"dropped-answers-line":    "entry has no answers line",
-		"duplicated-answers-line": "duplicate answers line",
+		"entry-vertex-count": "declared 99 vertices",
+		"header-entry-count": "header declares 99 entries",
+		"dropped-graph-line": "entry graph",
+		"stray-answers-line": "entry graph",
+		"dropped-edge-line":  "entry graph truncated",
 	}
 	method := ftv.NewGGSXMethod(testDataset(83, 20), 3)
 	for name, mutate := range mutations {
@@ -350,9 +295,9 @@ func TestStateFieldCorruptionRejected(t *testing.T) {
 	}
 }
 
-// A record value no writer produces — a negative or oversized base
-// candidate count, a negative hit count, a NaN, infinite or negative
-// utility — must be refused by both formats, with the record's own
+// A record value no writer produces — a negative base candidate count, a
+// negative hit count, a NaN, infinite or negative utility — must be
+// refused by both formats, with the record's own
 // error, and leave the cache empty. The first entry of a valid snapshot
 // is edited: in v2 a field of its entry line, in GCS3 a field of its
 // index record under recomputed index and header checksums, so only the
@@ -360,7 +305,6 @@ func TestStateFieldCorruptionRejected(t *testing.T) {
 func TestRestoreRefusesUnwrittenRecordValues(t *testing.T) {
 	src, _ := warmCache(t, 907)
 	method := src.Method()
-	size := method.View().Size()
 	states := bothFormats(t, src)
 	cases := []struct {
 		name    string
@@ -370,14 +314,13 @@ func TestRestoreRefusesUnwrittenRecordValues(t *testing.T) {
 		v3Bits  uint64
 		want    string
 	}{
-		{"negative-base-candidates", 4, "-7", -1, 0, "base candidates -7 outside"},
-		{"base-candidates-above-size", 4, fmt.Sprint(size + 1), 12, uint64(size + 1), fmt.Sprintf("base candidates %d outside", size+1)},
-		{"negative-hits", 5, "-3", 72, uint64(math.MaxUint64 - 2), "negative hit count -3"},
-		{"nan-saved-tests", 6, "NaN", 80, math.Float64bits(math.NaN()), "implausible utility NaN/"},
-		{"inf-saved-tests", 6, "+Inf", 80, math.Float64bits(math.Inf(1)), "implausible utility +Inf/"},
-		{"negative-saved-tests", 6, "-1", 80, math.Float64bits(-1), "implausible utility -1/"},
-		{"minus-inf-saved-cost", 7, "-Inf", 88, math.Float64bits(math.Inf(-1)), "/-Inf"},
-		{"nan-saved-cost", 7, "NaN", 88, math.Float64bits(math.NaN()), "/NaN"},
+		{"negative-base-candidates", 4, "-7", -1, 0, "negative base candidates -7"},
+		{"negative-hits", 5, "-3", 16, uint64(math.MaxUint64 - 2), "negative hit count -3"},
+		{"nan-saved-tests", 6, "NaN", 24, math.Float64bits(math.NaN()), "implausible utility NaN/"},
+		{"inf-saved-tests", 6, "+Inf", 24, math.Float64bits(math.Inf(1)), "implausible utility +Inf/"},
+		{"negative-saved-tests", 6, "-1", 24, math.Float64bits(-1), "implausible utility -1/"},
+		{"minus-inf-saved-cost", 7, "-Inf", 32, math.Float64bits(math.Inf(-1)), "/-Inf"},
+		{"nan-saved-cost", 7, "NaN", 32, math.Float64bits(math.NaN()), "/NaN"},
 	}
 	prefix := map[string]string{"v2": "core: state line ", "gcs3": "core: state v3: entry 0: "}
 	restore := func(raw []byte) (*Cache, error) {
@@ -401,15 +344,10 @@ func TestRestoreRefusesUnwrittenRecordValues(t *testing.T) {
 		edited := map[string][]byte{"v2": []byte(strings.Join(lines, ""))}
 		if tc.v3Off >= 0 {
 			raw := bytes.Clone(states["gcs3"])
-			rec := raw[v3HeaderLen:]
-			if tc.v3Off == 12 { // base candidates are a uint32
-				binary.LittleEndian.PutUint32(rec[tc.v3Off:], uint32(tc.v3Bits))
-			} else {
-				binary.LittleEndian.PutUint64(rec[tc.v3Off:], tc.v3Bits)
-			}
-			bodyOff := binary.LittleEndian.Uint64(raw[32:])
-			binary.LittleEndian.PutUint64(raw[48:], fnv1a(raw[v3HeaderLen:bodyOff]))
-			binary.LittleEndian.PutUint64(raw[56:], fnv1a(raw[:56]))
+			binary.LittleEndian.PutUint64(raw[v3HeaderLen+tc.v3Off:], tc.v3Bits)
+			bodyOff := binary.LittleEndian.Uint64(raw[16:])
+			binary.LittleEndian.PutUint64(raw[32:], fnv1a(raw[v3HeaderLen:bodyOff]))
+			binary.LittleEndian.PutUint64(raw[40:], fnv1a(raw[:40]))
 			edited["gcs3"] = raw
 		}
 		for format, raw := range edited {

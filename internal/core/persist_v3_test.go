@@ -8,14 +8,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"graphcache/internal/bitset"
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
 )
@@ -136,9 +133,8 @@ func TestV3LazyRestoreServesExactHits(t *testing.T) {
 }
 
 // Tombstones already in the dataset when a snapshot restores are in no
-// restored answer set. A snapshot written before the tombstone was laid
-// names another dataset digest and is refused; the one written after it
-// restores without the id.
+// restored answer set: neither a snapshot written before the tombstone
+// was laid, whose entries answered with the id, nor one written after it.
 func TestV3LazyRestoreWithPreexistingTombstones(t *testing.T) {
 	src, _ := warmCache(t, 701)
 	victim := -1
@@ -158,79 +154,7 @@ func TestV3LazyRestoreWithPreexistingTombstones(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Window = 2
-	dst := MustNew(src.Method(), cfg)
-	if err := dst.ReadState(bytes.NewReader(before)); err == nil || dst.Len() != 0 {
-		t.Fatalf("a snapshot from before the removal restored %d entries (err %v)", dst.Len(), err)
-	}
-	if err := dst.ReadState(bytes.NewReader(v3State(t, src))); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Len() != src.Len() {
-		t.Fatalf("restored %d entries, want %d", dst.Len(), src.Len())
-	}
-	for _, e := range dst.Entries() {
-		if e.Answers().Contains(victim) {
-			t.Fatalf("restored entry still answers tombstoned id %d", victim)
-		}
-	}
-}
-
-// An answer set that names an id tombstoned before the snapshot was
-// written — the writers never record one, but a hand-edited or miswritten
-// file can — restores with the id masked out, in both formats. The v3
-// file is laid out, checksums and all, by the writer itself from a set
-// with the id added; the v2 file has the id spliced into an answers line.
-func TestRestoreMasksTombstonedAnswerId(t *testing.T) {
-	src, _ := warmCache(t, 703)
-	victim := -1
-	for _, e := range src.Entries() {
-		if e.Answers().Count() > 0 {
-			victim = e.Answers().Indices()[0]
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("no entry has answers")
-	}
-	if err := src.RemoveGraph(victim); err != nil {
-		t.Fatal(err)
-	}
-
-	var secs [3][]byte
-	err := src.snapshotState(func(view ftv.DatasetView, all []*Entry, sets []*bitset.Set) (err error) {
-		sets = slices.Clone(sets)
-		sets[0] = sets[0].Clone()
-		sets[0].Add(victim)
-		secs, err = formatStateV3(view, all, sets)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := src.WriteStateV2(&v2); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(v2.String(), "\n")
-	for i, l := range lines {
-		if f := strings.Fields(l); len(f) > 0 && f[0] == "answers" {
-			ids := []int{victim}
-			for _, x := range f[2:] {
-				id, _ := strconv.Atoi(x)
-				ids = append(ids, id)
-			}
-			slices.Sort(ids)
-			lines[i] = fmt.Sprintf("answers %d %s\n", len(ids), strings.Trim(fmt.Sprint(ids), "[]"))
-			break
-		}
-	}
-
-	cfg := DefaultConfig()
-	cfg.Window = 2
-	for name, state := range map[string][]byte{
-		"v3": bytes.Join(secs[:], nil),
-		"v2": []byte(strings.Join(lines, "")),
-	} {
+	for name, state := range map[string][]byte{"before": before, "after": v3State(t, src)} {
 		dst := MustNew(src.Method(), cfg)
 		if err := dst.ReadState(bytes.NewReader(state)); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -240,7 +164,7 @@ func TestRestoreMasksTombstonedAnswerId(t *testing.T) {
 		}
 		for _, e := range dst.Entries() {
 			if e.Answers().Contains(victim) {
-				t.Fatalf("%s: restored entry %d answers tombstoned id %d", name, e.ID, victim)
+				t.Fatalf("%s: restored entry %d still answers tombstoned id %d", name, e.ID, victim)
 			}
 		}
 	}
@@ -256,7 +180,7 @@ func TestV3CorruptionSweep(t *testing.T) {
 	cfg.Window = 2
 	method := src.Method()
 
-	bodyOff := int(binary.LittleEndian.Uint64(raw[32:]))
+	bodyOff := int(binary.LittleEndian.Uint64(raw[16:]))
 	cuts := []int{0, 3, 4, 8, v3HeaderLen - 1, v3HeaderLen, v3HeaderLen + v3IndexLen/2, bodyOff - 1, bodyOff, bodyOff + 1, len(raw) - 1}
 	for off := 0; off < len(raw); off += 97 {
 		cuts = append(cuts, off)
@@ -292,13 +216,11 @@ func TestV3CorruptionSweep(t *testing.T) {
 }
 
 // TestV3RefusesVersion3: a version-3 file, whose answer sets could be in
-// the bitset run container (mode tag 2), is refused by its version even
-// with a valid header checksum, and the cache is left empty.
+// the bitset run container, is refused by its version even with a valid
+// header checksum, and the cache is left empty.
 func TestV3RefusesVersion3(t *testing.T) {
 	src, _ := warmCache(t, 805)
-	raw := v3State(t, src)
-	binary.LittleEndian.PutUint32(raw[4:], 3)
-	binary.LittleEndian.PutUint64(raw[56:], fnv1a(raw[:56]))
+	raw := withVersion(v3State(t, src), 3)
 	cfg := DefaultConfig()
 	cfg.Window = 2
 	c := MustNew(src.Method(), cfg)

@@ -13,11 +13,11 @@ import (
 // rankEntry builds a bare entry whose answer set has exactly count bits.
 func rankEntry(id int, count int) *Entry {
 	e := &Entry{ID: id, ans: &answersCell{}}
-	idx := make([]int, count)
-	for i := range idx {
-		idx[i] = i
+	set := bitset.New(count + 1)
+	for i := range count {
+		set.Add(i)
 	}
-	e.ans.p.Store(&answersAt{set: bitset.FromIndices(count+1, idx)})
+	e.ans.p.Store(&answersAt{set: set})
 	return e
 }
 
@@ -87,7 +87,9 @@ func TestRankCandidatesConcurrentSwap(t *testing.T) {
 		defer wg.Done()
 		for k := 0; !stop.Load(); k++ {
 			e := cands[k%n]
-			e.ans.p.Store(&answersAt{set: bitset.FromIndices(16, []int{k % 16})})
+			set := bitset.New(16)
+			set.Add(k % 16)
+			e.ans.p.Store(&answersAt{set: set})
 		}
 	}()
 	for trial := 0; trial < 50; trial++ {

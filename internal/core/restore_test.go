@@ -1,0 +1,175 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"strings"
+	"testing"
+
+	"graphcache/internal/ftv"
+	"graphcache/internal/graph"
+)
+
+// A snapshot holds patterns and utilities, not answers: ReadState re-runs
+// every pattern on the view it pins, so it restores over any dataset and
+// every restored entry answers what Method.Run answers there.
+
+// bothFormats returns the cache's snapshot in GCS3 and in the text format.
+func bothFormats(t *testing.T, c *Cache) map[string][]byte {
+	t.Helper()
+	var v3, v2 bytes.Buffer
+	if err := c.WriteState(&v3); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteStateV2(&v2); err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{"gcs3": v3.Bytes(), "v2": v2.Bytes()}
+}
+
+// restoresAsRun restores every snapshot in states into a fresh cache over
+// method and asserts what a restore owes: the saved entries in their
+// order, each answering Method.Run on the restore's view, with the saved
+// hits and utilities, and base candidates capped at the view's id space.
+func restoresAsRun(t *testing.T, src *Cache, method *ftv.Method, states map[string][]byte) {
+	t.Helper()
+	saved := src.Entries()
+	for format, raw := range states {
+		c := MustNew(method, DefaultConfig())
+		if err := c.ReadState(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		view := method.View()
+		got := c.Entries()
+		if len(got) != len(saved) {
+			t.Fatalf("%s: restored %d entries, want %d", format, len(got), len(saved))
+		}
+		for i, e := range got {
+			s := saved[i]
+			if e.Fingerprint != s.Fingerprint || e.Type != s.Type {
+				t.Fatalf("%s: entry %d restored out of order", format, i)
+			}
+			if want := view.Run(e.Graph, e.Type).Answers; !e.Answers().Equal(want) {
+				t.Fatalf("%s: entry %d answers %v, Method.Run %v", format, i, e.Answers(), want)
+			}
+			if e.Hits != s.Hits || e.SavedTests != s.SavedTests || e.SavedCostNs != s.SavedCostNs {
+				t.Fatalf("%s: entry %d utilities %d/%g/%g, saved %d/%g/%g", format, i,
+					e.Hits, e.SavedTests, e.SavedCostNs, s.Hits, s.SavedTests, s.SavedCostNs)
+			}
+			if want := min(s.BaseCandidates, view.Size()); e.BaseCandidates != want {
+				t.Fatalf("%s: entry %d base candidates %d, want %d", format, i, e.BaseCandidates, want)
+			}
+		}
+	}
+}
+
+// TestRestoreOverOtherDataset: a snapshot restores over a dataset it was
+// not written on — a smaller one, so some recorded base candidate counts
+// exceed its id space and are capped — and every entry answers as
+// Method.Run does there.
+func TestRestoreOverOtherDataset(t *testing.T) {
+	src, queries := warmCache(t, 911)
+	// Exact hits give the entries utilities worth carrying over.
+	for _, q := range queries[:8] {
+		if _, err := src.Execute(q.G, q.Type); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := ftv.NewGGSXMethod(testDataset(912, 6), 3)
+	capped := false
+	for _, e := range src.Entries() {
+		capped = capped || e.BaseCandidates > other.View().Size()
+	}
+	if !capped {
+		t.Fatal("no saved base candidate count exceeds the other dataset: the cap is not exercised")
+	}
+	restoresAsRun(t, src, other, bothFormats(t, src))
+}
+
+// TestRestoreOverBaseDatasetAfterMutations: the saving process removed
+// and added graphs; the restoring one loads the base dataset again, in
+// which the removed graphs are live and the added ones absent.
+func TestRestoreOverBaseDatasetAfterMutations(t *testing.T) {
+	src, _ := warmCache(t, 921)
+	for _, gid := range []int{0, 7, 19} {
+		if err := src.RemoveGraph(gid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range testDataset(922, 3) {
+		if _, err := src.AddGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restoresAsRun(t, src, ftv.NewGGSXMethod(testDataset(921, 40), 3), bothFormats(t, src))
+}
+
+// A Method that replayed the saver's AddGraph and RemoveGraph calls holds
+// the same graphs at the same live ids: the snapshot restores, and every
+// restored query is an exact hit answering what Method.Run answers.
+func TestRestoreAcceptedAfterReplayedMutations(t *testing.T) {
+	src, queries := warmCache(t, 931)
+	extra := testDataset(932, 3)
+	mutate := func(m interface {
+		AddGraph(g *graph.Graph) (int, error)
+		RemoveGraph(gid int) error
+	}) {
+		t.Helper()
+		for i, g := range extra {
+			if _, err := m.AddGraph(g); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RemoveGraph(3 * i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mutate(src)
+	states := bothFormats(t, src)
+	replayed := ftv.NewGGSXMethod(testDataset(931, 40), 3)
+	mutate(replayed)
+	restoresAsRun(t, src, replayed, states)
+	for format, raw := range states {
+		c := MustNew(replayed, DefaultConfig())
+		if err := c.ReadState(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		exact := 0
+		for _, q := range queries {
+			res, err := c.Execute(q.G, q.Type)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ExactHit {
+				exact++
+			}
+			if want := replayed.Run(q.G, q.Type).Answers; !res.Answers.Equal(want) {
+				t.Fatalf("%s: answers %v, Method.Run %v", format, res.Answers, want)
+			}
+		}
+		if exact == 0 {
+			t.Fatalf("%s: no query was an exact hit on the restored entries", format)
+		}
+	}
+}
+
+// withVersion returns a copy of a GCS3 snapshot claiming version v, its
+// header checksum recomputed, so only the version check can refuse it.
+func withVersion(snapshot []byte, v uint32) []byte {
+	out := bytes.Clone(snapshot)
+	binary.LittleEndian.PutUint32(out[4:], v)
+	binary.LittleEndian.PutUint64(out[40:], fnv1a(out[:40]))
+	return out
+}
+
+func TestRestoreRefusesVersion4Snapshot(t *testing.T) {
+	src, _ := warmCache(t, 941)
+	c := MustNew(src.Method(), DefaultConfig())
+	err := c.ReadState(bytes.NewReader(withVersion(v3State(t, src), 4)))
+	if err == nil || !strings.Contains(err.Error(), "unsupported state version 4") {
+		t.Fatalf("ReadState of a version-4 snapshot returned %v", err)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("a refused restore left %d entries", c.Len())
+	}
+}

@@ -2,7 +2,6 @@ package ftv
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -68,7 +67,6 @@ type methodState struct {
 	liveCount int
 	epoch     int64
 	removed   chunked[int] // the tombstoned ids in removal order
-	digest    uint64       // Σ datasetTerm over the live ids, wrapping
 }
 
 // NewMethod assembles a method from a filter built over dataset. Dataset
@@ -83,12 +81,10 @@ func NewMethod(name string, dataset []*graph.Graph, filter Filter, verify Verifi
 func initialState(dataset []*graph.Graph, filter Filter) *methodState {
 	live := bitset.New(len(dataset))
 	liveCount := 0
-	var digest uint64
 	for i, g := range dataset {
 		if g != nil {
 			live.Add(i)
 			liveCount++
-			digest += datasetTerm(i, g)
 		}
 	}
 	// A fully (or mostly) live dataset is dense words, a mostly dead one
@@ -100,49 +96,7 @@ func initialState(dataset []*graph.Graph, filter Filter) *methodState {
 		filter:    filter,
 		live:      live,
 		liveCount: liveCount,
-		digest:    digest,
 	}
-}
-
-// datasetTerm is graph g's term of a dataset digest at position gid: a
-// mix of the position and a hash of the graph's own arrays — labels, row
-// offsets, neighbours and, when it has them, edge labels — so that the
-// same graph at the same position, and up to collisions nothing else,
-// gives the same term. A digest sums the terms of the live ids, so an
-// addition adds one term and a removal subtracts one.
-func datasetTerm(gid int, g *graph.Graph) uint64 {
-	c := g.CSR()
-	h := uint64(len(c.Labels))<<33 | uint64(len(c.Nbr))<<1
-	if g.Directed() {
-		h |= 1
-	}
-	for _, l := range c.Labels {
-		h = hashStep(h, uint64(l))
-	}
-	for _, o := range c.Off {
-		h = hashStep(h, uint64(o))
-	}
-	for _, v := range c.Nbr {
-		h = hashStep(h, uint64(v))
-	}
-	if g.HasEdgeLabels() {
-		for v := range g.N() {
-			for _, u := range g.OutNeighbors(v) {
-				h = hashStep(h, uint64(g.EdgeLabel(v, int(u))))
-			}
-		}
-	}
-	return mix64(hashStep(h, uint64(gid)))
-}
-
-// hashStep folds v into the running hash h.
-func hashStep(h, v uint64) uint64 { return bits.RotateLeft64((h^v)*0x9E3779B97F4A7C15, 31) }
-
-// mix64 is SplitMix64's finalizer: every input bit reaches every output bit.
-func mix64(h uint64) uint64 {
-	h = (h ^ h>>30) * 0xBF58476D1CE4E5B9
-	h = (h ^ h>>27) * 0x94D049BB133111EB
-	return h ^ h>>31
 }
 
 // Name returns the method's report name, e.g. "ggsx-L4/vf2".
@@ -184,7 +138,6 @@ func (m *Method) AddGraph(g *graph.Graph) (int, error) {
 		liveCount: old.liveCount + 1,
 		epoch:     old.epoch + 1,
 		removed:   old.removed,
-		digest:    old.digest + datasetTerm(gid, g),
 	})
 	return gid, nil
 }
@@ -214,7 +167,6 @@ func (m *Method) RemoveGraph(gid int) error {
 		liveCount: old.liveCount - 1,
 		epoch:     old.epoch + 1,
 		removed:   old.removed.With(old.removed.Len(), gid),
-		digest:    old.digest - datasetTerm(gid, old.dataset.At(gid)),
 	})
 	return nil
 }
@@ -237,13 +189,6 @@ func (v DatasetView) LiveCount() int { return v.s.liveCount }
 
 // Epoch returns the snapshot's dataset epoch.
 func (v DatasetView) Epoch() int64 { return v.s.epoch }
-
-// Digest returns the snapshot's dataset digest: a 64-bit sum over the
-// live ids of a mix of each id and a hash of its graph's arrays. Two
-// snapshots with the same digest hold, up to hash collisions, the same
-// graphs at the same live ids, so answer sets exact for one are exact for
-// the other; it is what a cache snapshot names its dataset by.
-func (v DatasetView) Digest() uint64 { return v.s.digest }
 
 // Removals returns how many graphs the snapshot's history removed, and
 // Removed(i) the i-th of them, oldest first: a set exact for a snapshot
