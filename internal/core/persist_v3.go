@@ -79,18 +79,18 @@ func (c *Cache) WriteState(w io.Writer) error {
 	var body bytes.Buffer
 	bodyOff := uint64(v3HeaderLen + len(recs)*v3IndexLen)
 	for _, r := range recs {
-		entryOff := bodyOff + uint64(body.Len())
+		start := body.Len()
 		if err := graph.WriteGraph(&body, r.g); err != nil {
 			return err
 		}
-		gb := body.Bytes()[entryOff-bodyOff:]
+		gb := body.Bytes()[start:]
 		index = binary.LittleEndian.AppendUint64(index, uint64(r.fp))
 		index = binary.LittleEndian.AppendUint32(index, uint32(r.qt))
 		index = binary.LittleEndian.AppendUint32(index, uint32(r.baseCandidates))
 		index = binary.LittleEndian.AppendUint64(index, uint64(r.hits))
 		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(r.savedTests))
 		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(r.savedCost))
-		index = binary.LittleEndian.AppendUint64(index, entryOff)
+		index = binary.LittleEndian.AppendUint64(index, bodyOff+uint64(start))
 		index = binary.LittleEndian.AppendUint64(index, uint64(len(gb)))
 		index = binary.LittleEndian.AppendUint64(index, fnv1a(gb))
 	}
