@@ -39,7 +39,7 @@ race:
 # detector — the concurrency gauntlets, the lock-free exact probe held
 # against a taken mu, the exact hit's shared Result (published by racing
 # first hits, never served across a mutation or to an older view), the
-# snapshot writers blocked outside the locks, a restore whose workers
+# snapshot writer blocked outside the locks, a restore whose workers
 # re-run its patterns while mutations and queries land (none outliving
 # ReadState, every entry then answering Method.Run), reconciliation, a query's
 # filter and its containment tests kept out from under mu (the *HoldsNoMu
@@ -261,10 +261,9 @@ loc:
 			END { printf "%7d total\n", t; \
 				printf "targets: internal/core %d toward %d (%+d), total %d toward %d (%+d)\n", c, tc, c - tc, t, tt, t - tt }'
 
-# Short native-fuzzing smoke passes: both state parsers (the text format
-# and GCS3; every state they accept must restore entries that answer what
-# Method.Run answers), the
-# adaptive-bitset differential target (random op sequences vs a naive
+# Short native-fuzzing smoke passes: the snapshot reader (every snapshot
+# it accepts must restore entries that answer what Method.Run answers),
+# the adaptive-bitset differential target (random op sequences vs a naive
 # []bool reference, across both containers, sparse and dense), the GGSX layout
 # oracle (build + WithGraph chains vs brute-force path counts), the row
 # screens' soundness oracle (rows walked across insert chains that create
@@ -279,7 +278,6 @@ loc:
 # probing fresh inputs.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^FuzzReadState$$' -fuzz '^FuzzReadState$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzReadSnapshot$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^FuzzBitsetOps$$' -fuzz '^FuzzBitsetOps$$' -fuzztime $(FUZZTIME) ./internal/bitset/
 	$(GO) test -run '^FuzzGGSXCandidates$$' -fuzz '^FuzzGGSXCandidates$$' -fuzztime $(FUZZTIME) ./internal/ftv/

@@ -130,10 +130,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	// Restore persisted state before accepting traffic. A missing file is a
-	// cold start; a corrupt file or one of an older version (either
-	// format: ReadState sniffs it) must never take the daemon down, it
-	// just starts empty. Any dataset restores: the patterns are re-run on
-	// this one, also after the saving daemon removed or added graphs.
+	// cold start; a corrupt file, a foreign one or one of an older version
+	// must never take the daemon down, it just starts empty. Any dataset
+	// restores: the patterns are re-run on this one, also after the saving
+	// daemon removed or added graphs.
 	if *statePath != "" {
 		switch err := restoreState(cache, *statePath); {
 		case err == nil:
@@ -231,8 +231,7 @@ func newHTTPServer(handler http.Handler) *http.Server {
 	}
 }
 
-// restoreState restores the state file at path (v3 binary or legacy v2
-// text; ReadState sniffs the format).
+// restoreState restores the snapshot file at path (core.Cache.ReadState).
 func restoreState(c *core.Cache, path string) error {
 	f, err := os.Open(path)
 	if err != nil {

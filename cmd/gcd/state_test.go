@@ -137,15 +137,13 @@ func TestDaemonStateSaveEndpoint(t *testing.T) {
 }
 
 // A corrupt (or foreign) state file must never take the daemon down: it
-// boots with an empty cache and says why, naming the error of the parser
-// the file's format selects.
+// boots with an empty cache and says why. A file that is no snapshot —
+// junk, or a text state of the retired format — is refused by its magic.
 func TestDaemonCorruptStateFileIgnored(t *testing.T) {
-	// The text case's header is well formed, so the file is refused on
-	// its entry line and not on the header.
 	for name, tc := range map[string]struct{ contents, why string }{
-		"junk":        {"not a state file at all", "state line"},
-		"bad-binary":  {"GCS3" + strings.Repeat("\x00", 80), "state v3"},
-		"bad-text-v2": {"gcstate 3 1\nentry 0 extra junk\n", "bad entry line"},
+		"junk":        {"not a state file at all", `bad magic "not "`},
+		"bad-binary":  {"GCS3" + strings.Repeat("\x00", 80), "unsupported state version 0"},
+		"bad-text-v2": {"gcstate 3 1\nentry 0 extra junk\n", `bad magic "gcst"`},
 	} {
 		t.Run(name, func(t *testing.T) {
 			statePath := filepath.Join(t.TempDir(), "cache.gcstate")

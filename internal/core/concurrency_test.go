@@ -265,8 +265,8 @@ func TestExactProbeTakesNoLock(t *testing.T) {
 // TestReconciliationHoldsNoMu: Entries, the reader that needs every
 // entry current, reconciles stale entries before it takes mu, and a
 // restore re-runs its patterns before it does, so no containment test
-// runs while every miss is blocked; the snapshot writers record no
-// answers and run no test at all. The method's verifier counts the tests
+// runs while every miss is blocked; the snapshot writer records no
+// answers and runs no test at all. The method's verifier counts the tests
 // it is called for, and those it is called for with mu held.
 func TestReconciliationHoldsNoMu(t *testing.T) {
 	dataset := testDataset(76, 12)
@@ -299,7 +299,6 @@ func TestReconciliationHoldsNoMu(t *testing.T) {
 		read  func() error
 	}{
 		{"WriteState", false, func() error { return c.WriteState(&state) }},
-		{"WriteStateV2", false, func() error { return c.WriteStateV2(io.Discard) }},
 		{"Entries", true, func() error { c.Entries(); return nil }},
 		{"ReadState", true, func() error { return c.ReadState(&state) }},
 	} {

@@ -241,44 +241,38 @@ func TestExactHitCreditsAreConserved(t *testing.T) {
 
 // TestCreditsFoldBeforeEveryRead: with no window turn in between, pending
 // exact-hit credits must be visible through Entries() and written by
-// WriteState/WriteStateV2 — every reader of utilities folds first.
+// WriteState — every reader of utilities folds first.
 func TestCreditsFoldBeforeEveryRead(t *testing.T) {
-	for _, format := range []string{"v3", "v2"} {
-		c, qs := admittedPatterns(t, 2, nil)
-		const hits = 7
-		for i := 0; i < hits; i++ {
-			if _, err := c.Execute(qs[0], ftv.Subgraph); err != nil {
-				t.Fatal(err)
-			}
-		}
-		turns := c.Stats().WindowTurns
-		var buf bytes.Buffer
-		write := c.WriteState
-		if format == "v2" {
-			write = c.WriteStateV2
-		}
-		if err := write(&buf); err != nil { // the first fold point reached
+	c, qs := admittedPatterns(t, 2, nil)
+	const hits = 7
+	for i := 0; i < hits; i++ {
+		if _, err := c.Execute(qs[0], ftv.Subgraph); err != nil {
 			t.Fatal(err)
 		}
-		restored := testCache(t, testDataset(131, 20), func(cfg *Config) { cfg.SelfCheck = false })
-		if err := restored.ReadState(&buf); err != nil {
-			t.Fatal(err)
-		}
-		for _, cache := range []*Cache{restored, c} {
-			for _, e := range cache.Entries() {
-				wantHits := int64(0)
-				if e.Fingerprint == qs[0].WLFingerprint(3) {
-					wantHits = hits
-				}
-				if e.Hits != wantHits || e.SavedTests != float64(wantHits)*float64(e.BaseCandidates) {
-					t.Errorf("%s: entry %d has Hits/SavedTests %d/%v, want %d/%v", format,
-						e.ID, e.Hits, e.SavedTests, wantHits, float64(wantHits)*float64(e.BaseCandidates))
-				}
+	}
+	turns := c.Stats().WindowTurns
+	var buf bytes.Buffer
+	if err := c.WriteState(&buf); err != nil { // the first fold point reached
+		t.Fatal(err)
+	}
+	restored := testCache(t, testDataset(131, 20), func(cfg *Config) { cfg.SelfCheck = false })
+	if err := restored.ReadState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, cache := range []*Cache{restored, c} {
+		for _, e := range cache.Entries() {
+			wantHits := int64(0)
+			if e.Fingerprint == qs[0].WLFingerprint(3) {
+				wantHits = hits
+			}
+			if e.Hits != wantHits || e.SavedTests != float64(wantHits)*float64(e.BaseCandidates) {
+				t.Errorf("entry %d has Hits/SavedTests %d/%v, want %d/%v",
+					e.ID, e.Hits, e.SavedTests, wantHits, float64(wantHits)*float64(e.BaseCandidates))
 			}
 		}
-		if got := c.Stats().WindowTurns; got != turns {
-			t.Fatalf("%s: a window turn (%d → %d) folded the credits, not the readers", format, turns, got)
-		}
+	}
+	if got := c.Stats().WindowTurns; got != turns {
+		t.Fatalf("a window turn (%d → %d) folded the credits, not the readers", turns, got)
 	}
 }
 

@@ -89,10 +89,9 @@
 //     lastHit) at the FOLD POINTS, every place a mu holder reads or ages
 //     utilities: the window turn before aging and ranking (resident and
 //     pending entries), Entries() (resident entries; a pending entry's
-//     drained hits wait in its cell for the turn), WriteState and
-//     WriteStateV2. PINC/HD price at fold time. The answer is the
-//     entry's published set itself (Result is a read-only view, see its
-//     comment).
+//     drained hits wait in its cell for the turn) and WriteState.
+//     PINC/HD price at fold time. The answer is the entry's published
+//     set itself (Result is a read-only view, see its comment).
 //
 //   - A sub/super hit adds no allocation: its candidate and accepted
 //     lists and the ranking live in execScratch (an accepted list is a
@@ -182,11 +181,11 @@
 // pattern, its query type and the dataset — so a snapshot records each
 // admitted entry's pattern, query type, admission-time base candidates
 // |C_M| and policy utilities (hits, saved tests, saved cost), and no
-// answers. WriteState serializes them in the binary format "GCS3";
-// ReadState sniffs the magic and dispatches to the GCS3 reader or falls
-// through to the text parser (WriteStateV2 produces the text format).
-// All integers are little-endian; every checksum is FNV-1a 64. The
-// layout (offsets in bytes):
+// answers. WriteState serializes them in the one snapshot format,
+// "GCS3", and ReadState reads it; any other input, a text state of the
+// retired format included, is refused by its magic. All integers are
+// little-endian; every checksum is FNV-1a 64. The layout (offsets in
+// bytes):
 //
 //	header, 48 B:  magic "GCS3" [0,4)   version=6 u32 [4,8)
 //	               entryCount u64 [8,16)
@@ -216,9 +215,9 @@
 // exact for that view whatever dataset the snapshot was written on, and a
 // mutation landing during the restore is brought in by the entries' next
 // readers. BaseCandidates stays the recorded |C_M| — history, like Hits —
-// capped at the view's id space. The writers copy the records under mu
-// after folding the pending credits, and format and write them once mu
-// is released.
+// capped at the view's id space. WriteState copies the records under mu
+// after folding the pending credits, and lays them out and writes them
+// once mu is released.
 //
 // # Concurrency contracts and the tests that hold them
 //
@@ -243,7 +242,7 @@
 //     cell outside its stripe (TestCreditTableHitsWriteNoSharedCell).
 //   - No filter run and no containment test happens under mu: a query's
 //     own, TestQueryPathHoldsNoMu; those of Entries and of a restore's
-//     re-runs (the snapshot writers run none), TestReconciliationHoldsNoMu;
+//     re-runs (the snapshot writer runs none), TestReconciliationHoldsNoMu;
 //     a snapshot's writes, TestSnapshotWriterHoldsNoLock. A restore's
 //     workers are all done when ReadState returns, and its entries answer
 //     Method.Run after mutations and queries raced it:
@@ -280,6 +279,7 @@
 //
 // Zero allocations and deterministic output are pinned the same way: the
 // alloc_test.go budgets, and the persistence, victim-selection and
-// ranking tests (TestV2V3Equivalence, TestVictimSelectionMatchesFullSort,
-// TestRankCandidatesDeterministic, TestChurnDeterministic).
+// ranking tests (TestStateRewritesIdentically,
+// TestVictimSelectionMatchesFullSort, TestRankCandidatesDeterministic,
+// TestChurnDeterministic).
 package core

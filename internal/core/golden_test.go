@@ -230,14 +230,14 @@ func goldenTranscript(t *testing.T, s goldenStream) []byte {
 // checksums ([32,48) of the header) that cover it.
 func canonicalGCS3(t *testing.T, data []byte) []byte {
 	t.Helper()
-	if len(data) < v3HeaderLen {
+	if len(data) < headerLen {
 		t.Fatalf("snapshot of %d bytes has no header", len(data))
 	}
 	data = bytes.Clone(data)
 	clear(data[32:48])
 	n := int(binary.LittleEndian.Uint64(data[8:16]))
 	for i := 0; i < n; i++ {
-		rec := v3HeaderLen + i*v3IndexLen
+		rec := headerLen + i*indexLen
 		clear(data[rec+32 : rec+40])
 	}
 	return data

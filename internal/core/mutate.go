@@ -42,7 +42,7 @@ import (
 //
 // Entries needs every entry current: it brings the resident list forward
 // before it takes mu (reconcileResident), so its containment tests block
-// no miss. The snapshot writers record no answers and test nothing.
+// no miss. The snapshot writer records no answers and tests nothing.
 //
 // Every answer set returned by Execute is exact for the query's view —
 // the SelfCheck oracle and the churn suites assert byte-identical answers

@@ -3,12 +3,12 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -27,48 +27,109 @@ import (
 // A snapshot therefore restores over any dataset: the one it was written
 // on, that one after additions and removals, or another.
 //
-// Two formats exist. WriteState writes the binary format ("GCS3",
-// persist_v3.go): fixed header, fixed-size per-entry index records and
-// checksummed graph bodies. WriteStateV2 keeps the line-oriented text
-// format below; ReadState sniffs the leading magic and accepts either.
+// The format, "GCS3", splits a snapshot into a fixed-size header, a
+// fixed-size per-entry INDEX section and a variable BODY section, so
+// every record is addressable without parsing the ones before it:
 //
-// The text format (header version 3, the first without answers):
+//	header (48 bytes, little-endian):
+//	  [0,4)    magic "GCS3"
+//	  [4,8)    version (uint32, = 6; versions 3 to 5 carried answer
+//	           sets and are refused)
+//	  [8,16)   entry count (uint64)
+//	  [16,24)  body section offset (uint64) = 48 + 64·entryCount
+//	  [24,32)  file size (uint64)
+//	  [32,40)  FNV-1a of the index section (uint64)
+//	  [40,48)  FNV-1a of header bytes [0,40) (uint64)
 //
-//	gcstate 3 <entry-count>
-//	entry <type> <vertices> <edges> <baseCandidates> <hits> <savedTests> <savedCostNs>
-//	<graph in the text codec>
-//	...
-//	end
+//	index record (64 bytes per entry, little-endian):
+//	  [0,8)    graph fingerprint (uint64)
+//	  [8,12)   query type (uint32)
+//	  [12,16)  base candidates |C_M| (uint32)
+//	  [16,24)  hits (int64)
+//	  [24,32)  saved tests (float64 bits)
+//	  [32,40)  saved cost ns (float64 bits)
+//	  [40,48)  absolute offset of the entry's body (uint64)
+//	  [48,56)  graph byte length (uint64)
+//	  [56,64)  FNV-1a of the graph bytes (uint64)
 //
-// Corruption is detectable everywhere a file could be silently truncated:
-// the header carries the entry count, each entry line carries the graph's
-// vertex/edge counts (validated against the parsed graph), and the stream
-// must close with an "end" trailer. Older versions are refused.
-// Recency/insertion ticks are reset on load (the new process has its own
-// clock); utility counters survive. Answers, feature vectors,
-// fingerprints and the hit index are rebuilt on the restoring view,
-// never trusted from disk.
+//	body, per entry, contiguous and in index order: the graph in the
+//	text codec (internal/graph).
+//
+// Corruption detection is all-or-nothing: the header checksum covers the
+// section geometry, the index checksum covers every record, record
+// offsets must tile the body section exactly to the recorded file size,
+// each graph carries its own checksum, and the fingerprint rebuilt from a
+// graph must equal its record's — a single flipped or truncated byte
+// anywhere fails the restore with a descriptive error and leaves the
+// cache untouched. Recency/insertion ticks are reset on load (the new
+// process has its own clock); utility counters survive. Answers, feature
+// vectors and the hit index are rebuilt on the restoring view, never
+// trusted from disk.
 
-const stateVersionText = 3
+const (
+	stateMagic   = "GCS3"
+	stateVersion = 6
+	headerLen    = 48
+	indexLen     = 64
+)
 
-// WriteStateV2 serializes the cache's admitted entries to w in the text
-// format. The records are copied under mu (records), formatted after it
-// is released and written to w last, so a slow writer stalls no query.
-func (c *Cache) WriteStateV2(w io.Writer) error {
+// fnv1a is the 64-bit FNV-1a hash of data — the checksum used by every
+// snapshot section. Not cryptographic: it detects corruption, not
+// tampering.
+func fnv1a(data []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range data {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// WriteState serializes the cache's admitted entries to w. The records
+// are copied under mu (records), laid out after it is released and
+// written to w last, so a slow writer stalls no query.
+func (c *Cache) WriteState(w io.Writer) error {
 	recs := c.records()
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "gcstate %d %d\n", stateVersionText, len(recs))
+	index := make([]byte, 0, len(recs)*indexLen)
+	var body bytes.Buffer
+	bodyOff := uint64(headerLen + len(recs)*indexLen)
 	for _, r := range recs {
-		fmt.Fprintf(&buf, "entry %d %d %d %d %d %g %g\n",
-			r.qt, r.g.N(), r.g.M(), r.baseCandidates, r.hits, r.savedTests, r.savedCost)
-		if err := graph.WriteGraph(&buf, r.g); err != nil {
+		start := body.Len()
+		if err := graph.WriteGraph(&body, r.g); err != nil {
+			return err
+		}
+		gb := body.Bytes()[start:]
+		index = binary.LittleEndian.AppendUint64(index, uint64(r.fp))
+		index = binary.LittleEndian.AppendUint32(index, uint32(r.qt))
+		index = binary.LittleEndian.AppendUint32(index, uint32(r.baseCandidates))
+		index = binary.LittleEndian.AppendUint64(index, uint64(r.hits))
+		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(r.savedTests))
+		index = binary.LittleEndian.AppendUint64(index, math.Float64bits(r.savedCost))
+		index = binary.LittleEndian.AppendUint64(index, bodyOff+uint64(start))
+		index = binary.LittleEndian.AppendUint64(index, uint64(len(gb)))
+		index = binary.LittleEndian.AppendUint64(index, fnv1a(gb))
+	}
+
+	hdr := make([]byte, 0, headerLen)
+	hdr = append(hdr, stateMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, stateVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(recs)))
+	hdr = binary.LittleEndian.AppendUint64(hdr, bodyOff)
+	hdr = binary.LittleEndian.AppendUint64(hdr, bodyOff+uint64(body.Len()))
+	hdr = binary.LittleEndian.AppendUint64(hdr, fnv1a(index))
+	hdr = binary.LittleEndian.AppendUint64(hdr, fnv1a(hdr))
+	bw := bufio.NewWriter(w)
+	for _, sec := range [][]byte{hdr, index, body.Bytes()} {
+		if _, err := bw.Write(sec); err != nil {
 			return err
 		}
 	}
-	buf.WriteString("end\n")
-	_, err := buf.WriteTo(w)
-	return err
+	return bw.Flush()
 }
+
+// WriteStateV2 is WriteState: the method stays only because the
+// benchmark harness calls it, and goes with ROADMAP item 1(a).
+func (c *Cache) WriteStateV2(w io.Writer) error { return c.WriteState(w) }
 
 // entryRecord is what a snapshot records of an entry: its pattern (and
 // the pattern's fingerprint), its query type, the base candidate count
@@ -104,15 +165,14 @@ func (c *Cache) records() []entryRecord {
 
 // check refuses the record values no writer produces, each of which would
 // skew saved-test counts or policy ranks: an unknown query type, negative
-// hits or base candidates, a NaN, infinite or negative utility.
+// hits, a NaN, infinite or negative utility. (Base candidates are stored
+// unsigned, so none reads back negative.)
 func (r entryRecord) check() error {
 	switch {
 	case r.qt != int64(ftv.Subgraph) && r.qt != int64(ftv.Supergraph):
 		return fmt.Errorf("unknown query type %d", r.qt)
 	case r.hits < 0:
 		return fmt.Errorf("negative hit count %d", r.hits)
-	case r.baseCandidates < 0:
-		return fmt.Errorf("negative base candidates %d", r.baseCandidates)
 	case !(r.savedTests >= 0 && r.savedCost >= 0) || math.IsInf(r.savedTests, 1) || math.IsInf(r.savedCost, 1):
 		return fmt.Errorf("implausible utility %g/%g", r.savedTests, r.savedCost)
 	}
@@ -146,12 +206,12 @@ func (r entryRecord) entry(view ftv.DatasetView) *Entry {
 	return e
 }
 
-// restore is the commit phase both formats share, called once every
-// record is parsed and checked: it pins one dataset view, re-runs every
-// pattern on it over runtime.GOMAXPROCS(0) workers, all of which are
-// done before it returns, and installs the entries in one step
-// (replaceEntries). The answers are exact for the pinned view, so a
-// mutation landing meanwhile is brought in by the entries' next readers.
+// restore is the commit phase of a restore, called once every record is
+// parsed and checked: it pins one dataset view, re-runs every pattern on
+// it over runtime.GOMAXPROCS(0) workers, all of which are done before it
+// returns, and installs the entries in one step (replaceEntries). The
+// answers are exact for the pinned view, so a mutation landing meanwhile
+// is brought in by the entries' next readers.
 func (c *Cache) restore(recs []entryRecord) {
 	view := c.method.View()
 	entries := make([]*Entry, len(recs))
@@ -170,148 +230,129 @@ func (c *Cache) restore(recs []entryRecord) {
 	c.replaceEntries(entries)
 }
 
-// stateError builds a line-numbered restore error.
-func stateError(line int, format string, args ...any) error {
-	return fmt.Errorf("core: state line %d: %s", line, fmt.Sprintf(format, args...))
+// stateError builds a restore error.
+func stateError(format string, args ...any) error {
+	return fmt.Errorf("core: state: %s", fmt.Sprintf(format, args...))
 }
 
-// ReadState restores entries serialized by WriteState (binary) or
-// WriteStateV2 (text) into the cache, replacing its current contents; the
-// leading magic selects the parser. Any dataset will do: each recorded
+// ReadState restores a snapshot written by WriteState into the cache,
+// replacing its current contents. Any dataset will do: each recorded
 // pattern is re-run by Method M on the view the restore pins (restore).
 //
-// Restores are all-or-nothing: the entire stream is parsed and validated —
-// entry counts, per-graph vertex/edge counts and record values, checksums
-// and section bounds in GCS3, the end trailer in the text format — before
-// any pattern is re-run, so a truncated or corrupt state file fails with a
-// descriptive error and leaves the cache exactly as it was (empty, when
-// the load happens at boot). On success the feature index is rebuilt
-// before mu drops.
+// Restores are all-or-nothing: the entire snapshot is read and validated
+// — magic, version, checksums, section bounds and record values — before
+// any pattern is re-run, so a truncated, corrupt or foreign file fails
+// with a descriptive error and leaves the cache exactly as it was (empty,
+// when the load happens at boot). On success the feature index is
+// rebuilt before mu drops.
 func (c *Cache) ReadState(r io.Reader) error {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(stateMagicV3)); err == nil && string(magic) == stateMagicV3 {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return fmt.Errorf("core: reading state: %w", err)
-		}
-		return c.readStateV3(data)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("core: reading state: %w", err)
 	}
-	return c.readStateV2(br)
+	return c.readState(data)
 }
 
-// readStateV2 parses and restores the text format.
-func (c *Cache) readStateV2(br *bufio.Reader) error {
-	lineNo := 1
-	header, err := br.ReadString('\n')
-	if err != nil && header == "" {
-		return stateError(lineNo, "reading header: %v", err)
+// readState parses and restores a snapshot held whole in data.
+// Validation mirrors the writer exactly (see the format comment); no
+// pattern is re-run until every section and graph verified.
+func (c *Cache) readState(data []byte) error {
+	// The magic comes before the length, so a file of another kind is
+	// refused as such however short it is.
+	if len(data) >= len(stateMagic) && string(data[:len(stateMagic)]) != stateMagic {
+		return stateError("bad magic %q", data[:len(stateMagic)])
 	}
-	// The version is checked first, so a file of another format version
-	// gets the actionable "unsupported version" error; the header must
-	// then hold exactly three fields, so no junk hides on the one line
-	// that authenticates the rest.
-	header = strings.TrimSpace(header)
-	hfields := strings.Fields(header)
-	if len(hfields) < 2 || hfields[0] != "gcstate" {
-		return stateError(lineNo, "bad header %q", header)
+	if len(data) < headerLen {
+		return stateError("header truncated: %d of %d bytes", len(data), headerLen)
 	}
-	version, err := strconv.Atoi(hfields[1])
-	if err != nil {
-		return stateError(lineNo, "bad header %q", header)
+	hdr := data[:headerLen]
+	// The version comes before the checksum: an older version laid its
+	// header out differently, and gets the actionable version error.
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != stateVersion {
+		return stateError("unsupported state version %d (want %d)", v, stateVersion)
 	}
-	if version != stateVersionText {
-		return stateError(lineNo, "unsupported state version %d (want %d)", version, stateVersionText)
+	if got, want := fnv1a(hdr[:40]), binary.LittleEndian.Uint64(hdr[40:]); got != want {
+		return stateError("header checksum mismatch")
 	}
-	if len(hfields) != 3 {
-		return stateError(lineNo, "bad header %q: want 3 fields, got %d", header, len(hfields))
+	entryCount := binary.LittleEndian.Uint64(hdr[8:])
+	bodyOff := binary.LittleEndian.Uint64(hdr[16:])
+	fileSize := binary.LittleEndian.Uint64(hdr[24:])
+	indexSum := binary.LittleEndian.Uint64(hdr[32:])
+	// From here on every slice is in bounds: the data is exactly fileSize
+	// bytes, the index ends at bodyOff ≤ fileSize, and each record's body
+	// is checked against fileSize before it is sliced.
+	if fileSize != uint64(len(data)) {
+		return stateError("file size %d, header declares %d", len(data), fileSize)
 	}
-	entryCount, err := strconv.Atoi(hfields[2])
-	if err != nil {
-		return stateError(lineNo, "bad header %q", header)
+	if entryCount > (fileSize-headerLen)/indexLen+1 ||
+		bodyOff != headerLen+entryCount*indexLen || bodyOff > fileSize {
+		return stateError("section geometry: %d entries, body at %d, file size %d", entryCount, bodyOff, fileSize)
 	}
-	if entryCount < 0 {
-		return stateError(lineNo, "negative entry count %d", entryCount)
-	}
-
-	type pending struct {
-		rec             entryRecord
-		vertices, edges int // the graph's declared |V| and |E|
-		entryLine       int // line number of the entry line; the graph starts on the next
-		graphText       strings.Builder
-	}
-	var items []*pending
-	var cur *pending
-	sawEnd := false
-parse:
-	for {
-		line, err := br.ReadString('\n')
-		if line == "" && err != nil {
-			if err == io.EOF {
-				break
-			}
-			return stateError(lineNo+1, "reading state: %v", err)
-		}
-		lineNo++
-		trimmed := strings.TrimSpace(line)
-		fields := strings.Fields(trimmed)
-		switch {
-		case len(fields) == 1 && fields[0] == "end":
-			sawEnd = true
-			break parse
-		case len(fields) > 0 && fields[0] == "entry":
-			if len(fields) != 8 {
-				return stateError(lineNo, "bad entry line %q: want 8 fields, got %d", trimmed, len(fields))
-			}
-			cur = &pending{entryLine: lineNo}
-			var err1, err2, err3, err4, err5, err6, err7 error
-			cur.rec.qt, err1 = strconv.ParseInt(fields[1], 10, 64)
-			cur.vertices, err2 = strconv.Atoi(fields[2])
-			cur.edges, err3 = strconv.Atoi(fields[3])
-			cur.rec.baseCandidates, err4 = strconv.ParseInt(fields[4], 10, 64)
-			cur.rec.hits, err5 = strconv.ParseInt(fields[5], 10, 64)
-			cur.rec.savedTests, err6 = strconv.ParseFloat(fields[6], 64)
-			cur.rec.savedCost, err7 = strconv.ParseFloat(fields[7], 64)
-			if err1 != nil || err2 != nil || err3 != nil || err4 != nil || err5 != nil || err6 != nil || err7 != nil {
-				return stateError(lineNo, "bad entry line %q", trimmed)
-			}
-			if err := cur.rec.check(); err != nil {
-				return stateError(lineNo, "%v", err)
-			}
-			if cur.vertices <= 0 || cur.edges < 0 {
-				return stateError(lineNo, "implausible graph size %d/%d", cur.vertices, cur.edges)
-			}
-			items = append(items, cur)
-		default:
-			if cur == nil {
-				return stateError(lineNo, "graph text before entry line: %q", trimmed)
-			}
-			cur.graphText.WriteString(line)
-		}
-		if err == io.EOF {
-			break
-		}
-	}
-	if !sawEnd {
-		return stateError(lineNo, "state truncated: missing end trailer")
-	}
-	if len(items) != entryCount {
-		return stateError(lineNo, "state truncated: header declares %d entries, found %d", entryCount, len(items))
+	idx := data[headerLen:bodyOff]
+	if fnv1a(idx) != indexSum {
+		return stateError("index checksum mismatch")
 	}
 
-	recs := make([]entryRecord, len(items))
-	for i, it := range items {
-		if err := it.rec.parseGraph(strings.NewReader(it.graphText.String())); err != nil {
-			return stateError(it.entryLine+1, "entry %v", err)
+	recs := make([]entryRecord, entryCount)
+	expectOff := bodyOff
+	for i := range recs {
+		rec := idx[i*indexLen : (i+1)*indexLen]
+		r := &recs[i]
+		r.qt = int64(binary.LittleEndian.Uint32(rec[8:]))
+		r.baseCandidates = int64(binary.LittleEndian.Uint32(rec[12:]))
+		r.hits = int64(binary.LittleEndian.Uint64(rec[16:]))
+		r.savedTests = math.Float64frombits(binary.LittleEndian.Uint64(rec[24:]))
+		r.savedCost = math.Float64frombits(binary.LittleEndian.Uint64(rec[32:]))
+		if err := r.check(); err != nil {
+			return stateError("entry %d: %v", i, err)
 		}
-		if g := it.rec.g; g.N() != it.vertices || g.M() != it.edges {
-			return stateError(it.entryLine+1,
-				"entry graph truncated: declared %d vertices / %d edges, parsed %d/%d",
-				it.vertices, it.edges, g.N(), g.M())
+		entryOff := binary.LittleEndian.Uint64(rec[40:])
+		graphLen := binary.LittleEndian.Uint64(rec[48:])
+
+		// Records must tile the body section exactly: offsets are derived,
+		// not trusted, so no record can alias or skip another's bytes.
+		if entryOff != expectOff {
+			return stateError("entry %d: body offset %d, want %d", i, entryOff, expectOff)
 		}
-		recs[i] = it.rec
+		if graphLen > fileSize || expectOff+graphLen > fileSize {
+			return stateError("entry %d: body [%d,+%d) exceeds file size %d", i, entryOff, graphLen, fileSize)
+		}
+		expectOff += graphLen
+
+		gb := data[entryOff:expectOff]
+		if fnv1a(gb) != binary.LittleEndian.Uint64(rec[56:]) {
+			return stateError("entry %d: graph checksum mismatch", i)
+		}
+		if err := r.parseGraph(bytes.NewReader(gb)); err != nil {
+			return stateError("entry %d: %v", i, err)
+		}
+		// A recorded fingerprint that disagrees with the rebuilt one means
+		// index and body describe different graphs.
+		if fp := binary.LittleEndian.Uint64(rec[0:]); uint64(r.fp) != fp {
+			return stateError("entry %d: fingerprint mismatch (index %#x, graph %#x)", i, fp, uint64(r.fp))
+		}
+	}
+	if expectOff != fileSize {
+		return stateError("body section ends at %d, file size %d", expectOff, fileSize)
 	}
 	c.restore(recs)
 	return nil
+}
+
+// RestoreStateLazy restores the snapshot file at path. Despite its name
+// the restore is eager and all-or-nothing, exactly ReadState, and the
+// returned closer is a no-op: the method stays only because the
+// benchmark harness calls it, and goes with ROADMAP item 1.
+func (c *Cache) RestoreStateLazy(path string) (io.Closer, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if err := c.ReadState(f); err != nil {
+		return nil, err
+	}
+	return io.NopCloser(nil), nil
 }
 
 // replaceEntries installs entries as the cache's entire content — the

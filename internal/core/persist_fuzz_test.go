@@ -2,9 +2,8 @@ package core
 
 import (
 	"bytes"
-	"io"
+	"encoding/binary"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -12,16 +11,16 @@ import (
 	"graphcache/internal/gen"
 )
 
-// Native fuzz target for the text-format state parser. ReadState
-// consumes untrusted bytes (a state file is just a file on disk), so the
-// parser must never panic, never partially apply a bad restore, and every
-// state it accepts must restore entries that answer exactly what
-// Method.Run answers on the restore's view — no stored byte can make an
-// answer wrong — and survive a write→read roundtrip. The committed seed
-// corpus under testdata/fuzz/FuzzReadState pins a valid state, one
-// written over another dataset, the corruption shapes the hand-written
-// persist tests cover and the refused older versions; `make ci` runs a
-// short -fuzz smoke pass on top of the regular regression replay.
+// Native fuzz target for the snapshot reader. ReadState consumes
+// untrusted bytes (a snapshot is just a file on disk), so the parser must
+// never panic, must reject corruption all-or-nothing, and every snapshot
+// it accepts must restore entries that answer exactly what Method.Run
+// answers on the restore's view — no stored byte can make an answer
+// wrong — and survive a write→read roundtrip. The committed seed corpus
+// under testdata/fuzz/FuzzReadSnapshot pins a valid snapshot, one written
+// over another dataset, the truncation/flip shapes TestStateCorruptionSweep
+// covers and the refused older versions; `make ci` runs a short -fuzz
+// smoke pass on top of the regular regression replay.
 
 // fuzzStateMu serializes fuzz executions against the shared fixture
 // below (the fuzzing engine may run the seed corpus on parallel
@@ -41,9 +40,9 @@ func fuzzStateCache(method *ftv.Method) *Cache {
 	return MustNew(method, cfg)
 }
 
-// warmFuzzState serializes, with write, a cache over method warmed by
-// three patterns of its first graphs — the well-formed corpus seeds.
-func warmFuzzState(tb testing.TB, method *ftv.Method, write func(*Cache, io.Writer) error) []byte {
+// warmFuzzState serializes a cache over method warmed by three patterns
+// of its first graphs — the well-formed corpus seeds.
+func warmFuzzState(tb testing.TB, method *ftv.Method) []byte {
 	c := fuzzStateCache(method)
 	rng := rand.New(rand.NewSource(162))
 	v := c.Method().View()
@@ -54,19 +53,19 @@ func warmFuzzState(tb testing.TB, method *ftv.Method, write func(*Cache, io.Writ
 		}
 	}
 	var buf bytes.Buffer
-	if err := write(c, &buf); err != nil {
+	if err := c.WriteState(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// foreignFuzzMethod is a dataset the fixture's states were not written on.
+// foreignFuzzMethod is a dataset the fixture's snapshots were not written on.
 func foreignFuzzMethod() *ftv.Method { return ftv.NewGGSXMethod(testDataset(163, 5), 3) }
 
-// checkFuzzRestore is both fuzz targets' body: a refused input leaves the
+// checkFuzzRestore is the fuzz target's body: a refused input leaves the
 // cache empty; an accepted one restores at most Capacity entries, each
-// answering what Method.Run answers, and round-trips through write.
-func checkFuzzRestore(t *testing.T, data []byte, write func(*Cache, io.Writer) error) {
+// answering what Method.Run answers, and round-trips through WriteState.
+func checkFuzzRestore(t *testing.T, data []byte) {
 	fuzzStateMu.Lock()
 	defer fuzzStateMu.Unlock()
 	c := fuzzStateCache(fuzzStateFixture())
@@ -87,29 +86,34 @@ func checkFuzzRestore(t *testing.T, data []byte, write func(*Cache, io.Writer) e
 		}
 	}
 	var buf bytes.Buffer
-	if err := write(c, &buf); err != nil {
-		t.Fatalf("re-serializing an accepted state: %v", err)
+	if err := c.WriteState(&buf); err != nil {
+		t.Fatalf("re-serializing an accepted snapshot: %v", err)
 	}
 	c2 := fuzzStateCache(fuzzStateFixture())
 	if err := c2.ReadState(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("roundtrip of an accepted state was rejected: %v", err)
+		t.Fatalf("roundtrip of an accepted snapshot was rejected: %v", err)
 	}
 	if c2.Len() != c.Len() {
 		t.Fatalf("roundtrip entry count %d, want %d", c2.Len(), c.Len())
 	}
 }
 
-func FuzzReadState(f *testing.F) {
-	valid := warmFuzzState(f, fuzzStateFixture(), (*Cache).WriteStateV2)
+func FuzzReadSnapshot(f *testing.F) {
+	valid := warmFuzzState(f, fuzzStateFixture())
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                                              // truncated mid-entry
-	f.Add(bytes.Replace(valid, []byte("gcstate 3"), []byte("gcstate 2"), 1)) // version skew
-	f.Add([]byte("gcstate 3 0\nend\n"))                                      // empty but well-formed
-	f.Add(warmFuzzState(f, foreignFuzzMethod(), (*Cache).WriteStateV2))      // written over another dataset
-	f.Add([]byte("gcstate 3 1\nend\n"))                                      // an entry short
-	f.Add([]byte("gcstate 2 8 97df7316297bc050 0\nend\n"))                   // version 2: size and digest
-	f.Add([]byte("entry 0 1 0 0 0 0 0\n"))                                   // entry before header
-	f.Add([]byte(strings.Repeat("answers 1 1\n", 4)))                        // orphan version-2 answers lines
+	f.Add(valid[:len(valid)/2]) // truncated mid-body
+	f.Add(valid[:headerLen])    // header only
+	flipped := append([]byte(nil), valid...)
+	flipped[headerLen+8] ^= 0x01 // one index bit
+	f.Add(flipped)
+	badVersion := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(badVersion[4:], 99)
+	f.Add(badVersion)
+	f.Add(withVersion(valid, 5))                 // checksummed, so the version check refuses it
+	f.Add(warmFuzzState(f, foreignFuzzMethod())) // written over another dataset
+	f.Add([]byte("GCS3"))                        // bare magic
+	f.Add([]byte("GCS4junkjunkjunkjunkjunk"))    // wrong magic
+	f.Add([]byte("gcstate 3 0\nend\n"))          // a text state of the retired format: bad magic
 
-	f.Fuzz(func(t *testing.T, data []byte) { checkFuzzRestore(t, data, (*Cache).WriteStateV2) })
+	f.Fuzz(checkFuzzRestore)
 }

@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
@@ -77,287 +82,82 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
+// Inputs that are no snapshot, or one of a version this build does not
+// read, are each refused with their own error and leave the cache empty.
+// A text state of the retired format is refused by its magic.
 func TestStateRejectsGarbage(t *testing.T) {
-	dataset := testDataset(75, 5)
-	c, err := New(ftv.NewGGSXMethod(dataset, 2), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	c := MustNew(ftv.NewGGSXMethod(testDataset(75, 5), 2), DefaultConfig())
+	empty := snapshotOf(t, c)
+	wrongMagic := bytes.Clone(empty)
+	copy(wrongMagic, "GCS4")
+	cases := []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"empty", nil, "header truncated: 0 of 48 bytes"},
+		{"3-bytes", []byte("GCS"), "header truncated: 3 of 48 bytes"},
+		{"text-header", []byte("gcstate 3 0\nend\n"), `bad magic "gcst"`},
+		{"wrong-magic", wrongMagic, `bad magic "GCS4"`},
+		{"version-99", withVersion(empty, 99), "unsupported state version 99 (want 6)"},
 	}
-	cases := []struct{ in, want string }{
-		{"", "reading header"},
-		{"not a header\n", "bad header"},
-		{"gcstate 99 5\n", "unsupported state version 99"},
-		{"gcstate 1 5\nanswers 1 2\n", "unsupported state version 1"}, // version-1 states are refused
-		{"gcstate 1 5\nentry 0 1 0 0 0\nanswers 900\n", "unsupported state version 1"},
-		{"gcstate 1 5\nentry 0 x 0 0 0\n", "unsupported state version 1"},
-		// Version 2 recorded answers and named its dataset by size and digest.
-		{"gcstate 2 5 0123456789abcdef 1\nentry 0 2 1 0 0 0 0\nanswers 1 3\n", "unsupported state version 2"},
-		{"gcstate 3 5 1\nend\n", "want 3 fields, got 4"},
-		{"gcstate 3 0\n", "missing end trailer"},
-		{"gcstate 3 1\nend\n", "header declares 1 entries, found 0"},
-		{"gcstate 3 1\nentry 9 2 1 0 0 0 0\n", "unknown query type 9"},
-		{"gcstate 3 1\nentry 0 2 1 0 0 0 0\nanswers 2 1\nend\n", "entry graph"},
-	}
-	for i, tc := range cases {
-		err := c.ReadState(strings.NewReader(tc.in))
+	for _, tc := range cases {
+		err := c.ReadState(bytes.NewReader(tc.in))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("case %d: want an error containing %q, got %v", i, tc.want, err)
+			t.Errorf("%s: want an error containing %q, got %v", tc.name, tc.want, err)
 		}
 		if c.Len() != 0 {
-			t.Fatalf("case %d: failed restore left %d entries behind", i, c.Len())
+			t.Fatalf("%s: failed restore left %d entries behind", tc.name, c.Len())
 		}
 	}
-
-	// Old-format files must get the actionable version diagnostic, not a
-	// generic header complaint.
-	err = c.ReadState(strings.NewReader("gcstate 1 5\nentry 0 1 0 0 0\n"))
-	if err == nil || !strings.Contains(err.Error(), "unsupported state version 1") {
-		t.Errorf("version-1 state: want version error, got %v", err)
+	if err := c.ReadState(bytes.NewReader(empty)); err != nil {
+		t.Fatalf("the unedited empty snapshot was refused: %v", err)
 	}
 }
 
-// validState builds a warm cache and returns its serialized state along
-// with the cache (for content comparisons).
-func validState(t *testing.T, seed int64) (string, *Cache) {
-	t.Helper()
-	dataset := testDataset(seed, 20)
-	method := ftv.NewGGSXMethod(dataset, 3)
-	cfg := DefaultConfig()
-	cfg.Window = 2
-	c, err := New(method, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed + 1))
-	for i := 0; i < 10; i++ {
-		q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 3+i%4)
-		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Len() < 3 {
-		t.Fatalf("only %d admitted entries; corruption sweep needs more", c.Len())
-	}
-	var buf bytes.Buffer
-	if err := c.WriteStateV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String(), c
-}
-
-// Every proper prefix of a valid state — cut at line boundaries and at
-// arbitrary byte offsets — must be rejected with a line-numbered error and
-// leave the cache empty, never partially populated.
-func TestStateTruncationRejectedEverywhere(t *testing.T) {
-	state, src := validState(t, 81)
-	method := src.Method()
-	fresh := func() *Cache {
-		cfg := DefaultConfig()
-		cfg.Window = 2
-		return MustNew(method, cfg)
-	}
-
-	var cuts []int
-	for i, ch := range state {
-		if ch == '\n' {
-			cuts = append(cuts, i, i+1) // just before and just after each newline
-		}
-	}
-	for off := 0; off < len(state); off += 37 { // arbitrary mid-line offsets
-		cuts = append(cuts, off)
-	}
-	full := strings.TrimSuffix(state, "\n")
-	for _, cut := range cuts {
-		if cut >= len(state) {
-			continue
-		}
-		if state[:cut] == full {
-			continue // only the final newline is missing: content is complete
-		}
-		c := fresh()
-		err := c.ReadState(strings.NewReader(state[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at byte %d/%d accepted:\n%q", cut, len(state), tail(state[:cut]))
-		}
-		if !strings.Contains(err.Error(), "line") {
-			t.Errorf("truncation at byte %d: error lacks a line number: %v", cut, err)
-		}
-		if c.Len() != 0 || c.WindowLen() != 0 {
-			t.Fatalf("truncation at byte %d: cache partially populated (%d entries)", cut, c.Len())
-		}
-	}
-	// The full state still loads.
-	c := fresh()
-	if err := c.ReadState(strings.NewReader(state)); err != nil {
-		t.Fatalf("uncorrupted state rejected: %v", err)
-	}
-	if c.Len() != src.Len() {
-		t.Fatalf("restored %d entries, want %d", c.Len(), src.Len())
-	}
-}
-
-// tail returns the last ~2 lines of s for failure messages.
-func tail(s string) string {
-	if len(s) > 80 {
-		s = s[len(s)-80:]
-	}
-	return s
-}
-
-// Field-level corruption — flipped digits, wrong counts, a version-2
-// answers line — must be rejected with the offending line identified.
-func TestStateFieldCorruptionRejected(t *testing.T) {
-	state, _ := validState(t, 83)
-	lines := strings.SplitAfter(state, "\n")
-	corrupt := func(mutate func([]string) bool) string {
-		ls := append([]string(nil), lines...)
-		if !mutate(ls) {
-			return ""
-		}
-		return strings.Join(ls, "")
-	}
-	mutations := map[string]func([]string) bool{
-		"entry-vertex-count": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "entry ") {
-					f := strings.Fields(l)
-					f[2] = "99" // declared vertices no longer match the graph
-					ls[i] = strings.Join(f, " ") + "\n"
-					return true
-				}
-			}
-			return false
-		},
-		"header-entry-count": func(ls []string) bool {
-			f := strings.Fields(ls[0])
-			f[2] = "99" // only the count is wrong
-			ls[0] = strings.Join(f, " ") + "\n"
-			return true
-		},
-		"dropped-graph-line": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "v ") {
-					ls[i] = ""
-					return true
-				}
-			}
-			return false
-		},
-		"stray-answers-line": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "entry ") {
-					ls[i] = l + "answers 1 0\n" // what version 2 wrote there
-					return true
-				}
-			}
-			return false
-		},
-		"dropped-edge-line": func(ls []string) bool {
-			for i, l := range ls {
-				if strings.HasPrefix(l, "e ") {
-					ls[i] = ""
-					return true
-				}
-			}
-			return false
-		},
-	}
-	// The error each mutation must meet: the check written for it, not
-	// the header check every case passes.
-	wantErr := map[string]string{
-		"entry-vertex-count": "declared 99 vertices",
-		"header-entry-count": "header declares 99 entries",
-		"dropped-graph-line": "entry graph",
-		"stray-answers-line": "entry graph",
-		"dropped-edge-line":  "entry graph truncated",
-	}
-	method := ftv.NewGGSXMethod(testDataset(83, 20), 3)
-	for name, mutate := range mutations {
-		in := corrupt(mutate)
-		if in == "" {
-			t.Fatalf("%s: mutation found nothing to corrupt", name)
-		}
-		c := MustNew(method, DefaultConfig())
-		err := c.ReadState(strings.NewReader(in))
-		if err == nil {
-			t.Errorf("%s: corrupt state accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "line") {
-			t.Errorf("%s: error lacks a line number: %v", name, err)
-		}
-		if want, ok := wantErr[name]; !ok || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: want an error containing %q, got %v", name, want, err)
-		}
-		if c.Len() != 0 {
-			t.Errorf("%s: failed restore left %d entries behind", name, c.Len())
-		}
-	}
-}
-
-// A record value no writer produces — a negative base candidate count, a
-// negative hit count, a NaN, infinite or negative utility — must be
-// refused by both formats, with the record's own
-// error, and leave the cache empty. The first entry of a valid snapshot
-// is edited: in v2 a field of its entry line, in GCS3 a field of its
-// index record under recomputed index and header checksums, so only the
-// record check can refuse it.
+// A record value no writer produces — a negative hit count, a NaN,
+// infinite or negative utility — must be refused with the record's own
+// error, and leave the cache empty. A field of the first index record of
+// a valid snapshot is edited under recomputed index and header checksums,
+// so only the record check can refuse it. A negative base candidate count
+// cannot be spelled: the field is unsigned.
 func TestRestoreRefusesUnwrittenRecordValues(t *testing.T) {
 	src, _ := warmCache(t, 907)
 	method := src.Method()
-	states := bothFormats(t, src)
-	cases := []struct {
-		name    string
-		v2Field int // field of the v2 entry line
-		v2Value string
-		v3Off   int // offset in the GCS3 index record; -1 when GCS3 cannot spell it
-		v3Bits  uint64
-		want    string
-	}{
-		{"negative-base-candidates", 4, "-7", -1, 0, "negative base candidates -7"},
-		{"negative-hits", 5, "-3", 16, uint64(math.MaxUint64 - 2), "negative hit count -3"},
-		{"nan-saved-tests", 6, "NaN", 24, math.Float64bits(math.NaN()), "implausible utility NaN/"},
-		{"inf-saved-tests", 6, "+Inf", 24, math.Float64bits(math.Inf(1)), "implausible utility +Inf/"},
-		{"negative-saved-tests", 6, "-1", 24, math.Float64bits(-1), "implausible utility -1/"},
-		{"minus-inf-saved-cost", 7, "-Inf", 32, math.Float64bits(math.Inf(-1)), "/-Inf"},
-		{"nan-saved-cost", 7, "NaN", 32, math.Float64bits(math.NaN()), "/NaN"},
-	}
-	prefix := map[string]string{"v2": "core: state line ", "gcs3": "core: state v3: entry 0: "}
+	state := snapshotOf(t, src)
 	restore := func(raw []byte) (*Cache, error) {
 		c := MustNew(method, DefaultConfig())
 		return c, c.ReadState(bytes.NewReader(raw))
 	}
-	for format, raw := range states {
-		if _, err := restore(raw); err != nil {
-			t.Fatalf("%s: unedited snapshot refused: %v", format, err)
-		}
+	if _, err := restore(state); err != nil {
+		t.Fatalf("unedited snapshot refused: %v", err)
 	}
+	cases := []struct {
+		name string
+		off  int // offset in the index record
+		bits uint64
+		want string
+	}{
+		{"negative-hits", 16, uint64(math.MaxUint64 - 2), "negative hit count -3"},
+		{"nan-saved-tests", 24, math.Float64bits(math.NaN()), "implausible utility NaN/"},
+		{"inf-saved-tests", 24, math.Float64bits(math.Inf(1)), "implausible utility +Inf/"},
+		{"negative-saved-tests", 24, math.Float64bits(-1), "implausible utility -1/"},
+		{"minus-inf-saved-cost", 32, math.Float64bits(math.Inf(-1)), "/-Inf"},
+		{"nan-saved-cost", 32, math.Float64bits(math.NaN()), "/NaN"},
+	}
+	const prefix = "core: state: entry 0: "
 	for _, tc := range cases {
-		lines := strings.SplitAfter(string(states["v2"]), "\n")
-		for i, l := range lines {
-			if f := strings.Fields(l); len(f) == 8 && f[0] == "entry" {
-				f[tc.v2Field] = tc.v2Value
-				lines[i] = strings.Join(f, " ") + "\n"
-				break
-			}
+		raw := bytes.Clone(state)
+		binary.LittleEndian.PutUint64(raw[headerLen+tc.off:], tc.bits)
+		bodyOff := binary.LittleEndian.Uint64(raw[16:])
+		binary.LittleEndian.PutUint64(raw[32:], fnv1a(raw[headerLen:bodyOff]))
+		binary.LittleEndian.PutUint64(raw[40:], fnv1a(raw[:40]))
+		c, err := restore(raw)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), prefix) {
+			t.Errorf("%s: ReadState returned %v, want %q after %q", tc.name, err, tc.want, prefix)
 		}
-		edited := map[string][]byte{"v2": []byte(strings.Join(lines, ""))}
-		if tc.v3Off >= 0 {
-			raw := bytes.Clone(states["gcs3"])
-			binary.LittleEndian.PutUint64(raw[v3HeaderLen+tc.v3Off:], tc.v3Bits)
-			bodyOff := binary.LittleEndian.Uint64(raw[16:])
-			binary.LittleEndian.PutUint64(raw[32:], fnv1a(raw[v3HeaderLen:bodyOff]))
-			binary.LittleEndian.PutUint64(raw[40:], fnv1a(raw[:40]))
-			edited["gcs3"] = raw
-		}
-		for format, raw := range edited {
-			c, err := restore(raw)
-			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.HasPrefix(err.Error(), prefix[format]) {
-				t.Errorf("%s %s: ReadState returned %v, want %q after %q", format, tc.name, err, tc.want, prefix[format])
-			}
-			if c.Len() != 0 {
-				t.Errorf("%s %s: refused restore left %d entries", format, tc.name, c.Len())
-			}
+		if c.Len() != 0 {
+			t.Errorf("%s: refused restore left %d entries", tc.name, c.Len())
 		}
 	}
 }
@@ -365,12 +165,10 @@ func TestRestoreRefusesUnwrittenRecordValues(t *testing.T) {
 // A failed restore into a WARM cache must leave its previous contents
 // untouched (all-or-nothing semantics).
 func TestStateFailedRestoreLeavesWarmCacheIntact(t *testing.T) {
-	state, warm := validState(t, 85)
+	warm, _ := warmCache(t, 85)
+	state := snapshotOf(t, warm)
 	before := warm.Len()
-	if before == 0 {
-		t.Fatal("warm cache empty")
-	}
-	if err := warm.ReadState(strings.NewReader(state[:len(state)/2])); err == nil {
+	if err := warm.ReadState(bytes.NewReader(state[:len(state)/2])); err == nil {
 		t.Fatal("truncated state accepted")
 	}
 	if warm.Len() != before {
@@ -449,5 +247,285 @@ func TestStateDirectedEntries(t *testing.T) {
 	}
 	if !res.ExactHit {
 		t.Error("directed entry lost through persistence")
+	}
+}
+
+// warmCache builds a cache over a fresh dataset and runs a workload
+// through it, returning the cache and its executed queries.
+func warmCache(t *testing.T, seed int64) (*Cache, []gen.Query) {
+	t.Helper()
+	dataset := testDataset(seed, 40)
+	method := ftv.NewGGSXMethod(dataset, 3)
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	c := MustNew(method, cfg)
+	rng := rand.New(rand.NewSource(seed + 1))
+	var queries []gen.Query
+	for i := 0; i < 25; i++ {
+		q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 3+i%5)
+		queries = append(queries, gen.Query{G: q, Type: ftv.Subgraph})
+		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Len() < 3 {
+		t.Fatalf("only %d admitted entries", c.Len())
+	}
+	return c, queries
+}
+
+// snapshotOf serializes c with WriteState.
+func snapshotOf(t *testing.T, c *Cache) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := c.WriteState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// A cache restored from a snapshot writes that snapshot again, byte for
+// byte, which pins patterns, fingerprints, query types, utilities and
+// admission order all at once. Exercised over three warm-up seeds.
+func TestStateRewritesIdentically(t *testing.T) {
+	for _, seed := range []int64{302, 305, 333} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			src, _ := warmCache(t, seed)
+			state := snapshotOf(t, src)
+			cfg := DefaultConfig()
+			cfg.Window = 2
+			dst := MustNew(src.Method(), cfg)
+			if err := dst.ReadState(bytes.NewReader(state)); err != nil {
+				t.Fatal(err)
+			}
+			if dst.Len() != src.Len() {
+				t.Fatalf("restored %d entries, want %d", dst.Len(), src.Len())
+			}
+			if !bytes.Equal(snapshotOf(t, dst), state) {
+				t.Fatal("the restored cache writes a snapshot that differs from the one it restored")
+			}
+		})
+	}
+}
+
+// A snapshot round-trips through a file (the RestoreStateLazy wrapper,
+// which restores eagerly) and every entry resident at the save is an
+// exact hit on the restored cache, with identical answers.
+func TestRestoreFromFileServesExactHits(t *testing.T) {
+	src, _ := warmCache(t, 401)
+	path := filepath.Join(t.TempDir(), "state.gcs3")
+	if err := os.WriteFile(path, snapshotOf(t, src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	dst := MustNew(src.Method(), cfg)
+	closer, err := dst.RestoreStateLazy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	saved := src.Entries()
+	if dst.Len() != len(saved) {
+		t.Fatalf("restored %d entries, want %d", dst.Len(), len(saved))
+	}
+	for _, e := range saved {
+		res, err := dst.Execute(e.Graph, e.Type)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.ExactHit {
+			t.Fatalf("entry %d is no exact hit after the restore", e.ID)
+		}
+		if !res.Answers.Equal(e.Answers()) {
+			t.Fatalf("entry %d: restored answers differ", e.ID)
+		}
+	}
+}
+
+// Tombstones already in the dataset when a snapshot restores are in no
+// restored answer set: neither a snapshot written before the tombstone
+// was laid, whose entries answered with the id, nor one written after it.
+func TestRestoreWithPreexistingTombstones(t *testing.T) {
+	src, _ := warmCache(t, 701)
+	victim := -1
+	for _, e := range src.Entries() {
+		if e.Answers().Count() > 0 {
+			victim = e.Answers().Indices()[0]
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no entry has answers")
+	}
+	before := snapshotOf(t, src)
+	if err := src.RemoveGraph(victim); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	for name, state := range map[string][]byte{"before": before, "after": snapshotOf(t, src)} {
+		dst := MustNew(src.Method(), cfg)
+		if err := dst.ReadState(bytes.NewReader(state)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if dst.Len() != src.Len() {
+			t.Fatalf("%s: restored %d entries, want %d", name, dst.Len(), src.Len())
+		}
+		for _, e := range dst.Entries() {
+			if e.Answers().Contains(victim) {
+				t.Fatalf("%s: restored entry %d still answers tombstoned id %d", name, e.ID, victim)
+			}
+		}
+	}
+}
+
+// Corruption sweep: truncations at every byte of the header and the first
+// index record, at every section boundary and every 37th byte after, and
+// single-byte flips everywhere — each must be rejected all-or-nothing.
+func TestStateCorruptionSweep(t *testing.T) {
+	src, _ := warmCache(t, 801)
+	raw := snapshotOf(t, src)
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	method := src.Method()
+
+	bodyOff := int(binary.LittleEndian.Uint64(raw[16:]))
+	cuts := []int{bodyOff - 1, bodyOff, bodyOff + 1, len(raw) - 1}
+	for cut := 0; cut < headerLen+indexLen; cut++ {
+		cuts = append(cuts, cut)
+	}
+	for cut := headerLen + indexLen; cut < len(raw); cut += 37 {
+		cuts = append(cuts, cut)
+	}
+	for _, cut := range cuts {
+		c := MustNew(method, cfg)
+		if err := c.ReadState(bytes.NewReader(raw[:cut])); err == nil {
+			t.Fatalf("truncation at %d/%d accepted", cut, len(raw))
+		}
+		if c.Len() != 0 || c.WindowLen() != 0 {
+			t.Fatalf("truncation at %d left %d entries behind", cut, c.Len())
+		}
+	}
+
+	flips := []int{0, 4, 9, 17, 25, 33, 41, 49, 57, headerLen, headerLen + 20, headerLen + 100, bodyOff, bodyOff + 1, len(raw) - 1}
+	for off := 0; off < len(raw); off += 131 {
+		flips = append(flips, off)
+	}
+	for _, off := range flips {
+		if off >= len(raw) {
+			continue
+		}
+		mut := append([]byte(nil), raw...)
+		mut[off] ^= 0x40
+		c := MustNew(method, cfg)
+		if err := c.ReadState(bytes.NewReader(mut)); err == nil {
+			t.Fatalf("flipped byte at %d/%d accepted", off, len(raw))
+		}
+		if c.Len() != 0 || c.WindowLen() != 0 {
+			t.Fatalf("flip at %d left %d entries behind", off, c.Len())
+		}
+	}
+}
+
+// TestStateRefusesVersion3: a version-3 file, whose answer sets could be
+// in the bitset run container, is refused by its version even with a
+// valid header checksum, and the cache is left empty.
+func TestStateRefusesVersion3(t *testing.T) {
+	src, _ := warmCache(t, 805)
+	raw := withVersion(snapshotOf(t, src), 3)
+	cfg := DefaultConfig()
+	cfg.Window = 2
+	c := MustNew(src.Method(), cfg)
+	err := c.ReadState(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), "unsupported state version 3") {
+		t.Fatalf("version-3 file: err = %v, want unsupported state version 3", err)
+	}
+	if c.Len() != 0 || c.WindowLen() != 0 || c.Bytes() != 0 {
+		t.Fatalf("refused restore left %d entries, %d in the window, %d bytes", c.Len(), c.WindowLen(), c.Bytes())
+	}
+}
+
+// blockingWriter blocks every Write until release is closed, signalling
+// started on the first.
+type blockingWriter struct {
+	started, release chan struct{}
+	once             sync.Once
+	buf              bytes.Buffer
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return w.buf.Write(p)
+}
+
+// TestSnapshotWriterHoldsNoLock: WriteState builds the snapshot under the
+// locks and writes it after releasing them, so a writer stalled inside
+// its io.Writer stalls no query. While it blocks, a credited sub/super
+// hit (mu) and a window's worth of misses (a turn) must complete; once
+// released, the snapshot restores the entries resident when it was taken.
+func TestSnapshotWriterHoldsNoLock(t *testing.T) {
+	const window = 4
+	dataset := testDataset(821, 30)
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = window })
+	rng := rand.New(rand.NewSource(822))
+	patterns := distinctPatterns(t, rng, dataset, 2*window)
+	big := gen.ExtractConnectedSubgraph(rng, dataset[0], 10)
+	for _, q := range append(patterns[:window-1:window-1], big) {
+		if _, err := c.Execute(q, ftv.Subgraph); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resident := c.Len()
+	if resident != window {
+		t.Fatalf("%d entries admitted, want %d", resident, window)
+	}
+	small := gen.ExtractConnectedSubgraph(rng, big, 2)
+
+	w := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
+	saved := make(chan error, 1)
+	go func() { saved <- c.WriteState(w) }()
+	<-w.started
+
+	done := make(chan error, 1)
+	go func() {
+		res, err := c.Execute(small, ftv.Subgraph)
+		if err == nil && (res.ExactHit || len(res.Hits) == 0) {
+			err = fmt.Errorf("setup: the pattern of %v was no sub/super hit", small)
+		}
+		turns := c.Stats().WindowTurns
+		for _, q := range patterns[window-1:] {
+			if err == nil {
+				_, err = c.Execute(q, ftv.Subgraph)
+			}
+		}
+		if err == nil && c.Stats().WindowTurns == turns {
+			err = fmt.Errorf("setup: %d misses turned no window", len(patterns)-window+1)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		close(w.release)
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(w.release)
+		<-done
+		t.Fatal("queries wedged behind a snapshot writer blocked in its io.Writer")
+	}
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	restored := MustNew(c.Method(), DefaultConfig())
+	if err := restored.ReadState(&w.buf); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Len() != resident {
+		t.Fatalf("snapshot restored %d entries, %d were resident when it was taken", restored.Len(), resident)
 	}
 }

@@ -162,7 +162,7 @@ func TestResidencyAccountAgreement(t *testing.T) {
 func TestRestoreEnforcesMemoryBudget(t *testing.T) {
 	src, _ := warmCache(t, 811)
 	path := filepath.Join(t.TempDir(), "state.gcs3")
-	if err := os.WriteFile(path, v3State(t, src), 0o644); err != nil {
+	if err := os.WriteFile(path, snapshotOf(t, src), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	budget := src.Bytes() / 2

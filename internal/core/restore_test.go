@@ -14,53 +14,40 @@ import (
 // every pattern on the view it pins, so it restores over any dataset and
 // every restored entry answers what Method.Run answers there.
 
-// bothFormats returns the cache's snapshot in GCS3 and in the text format.
-func bothFormats(t *testing.T, c *Cache) map[string][]byte {
-	t.Helper()
-	var v3, v2 bytes.Buffer
-	if err := c.WriteState(&v3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteStateV2(&v2); err != nil {
-		t.Fatal(err)
-	}
-	return map[string][]byte{"gcs3": v3.Bytes(), "v2": v2.Bytes()}
-}
-
-// restoresAsRun restores every snapshot in states into a fresh cache over
-// method and asserts what a restore owes: the saved entries in their
-// order, each answering Method.Run on the restore's view, with the saved
-// hits and utilities, and base candidates capped at the view's id space.
-func restoresAsRun(t *testing.T, src *Cache, method *ftv.Method, states map[string][]byte) {
+// restoresAsRun restores the snapshot raw into a fresh cache over method
+// and asserts what a restore owes: the saved entries in their order, each
+// answering Method.Run on the restore's view, with the saved hits and
+// utilities, and base candidates capped at the view's id space. It
+// returns the restored cache.
+func restoresAsRun(t *testing.T, src *Cache, method *ftv.Method, raw []byte) *Cache {
 	t.Helper()
 	saved := src.Entries()
-	for format, raw := range states {
-		c := MustNew(method, DefaultConfig())
-		if err := c.ReadState(bytes.NewReader(raw)); err != nil {
-			t.Fatalf("%s: %v", format, err)
+	c := MustNew(method, DefaultConfig())
+	if err := c.ReadState(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	view := method.View()
+	got := c.Entries()
+	if len(got) != len(saved) {
+		t.Fatalf("restored %d entries, want %d", len(got), len(saved))
+	}
+	for i, e := range got {
+		s := saved[i]
+		if e.Fingerprint != s.Fingerprint || e.Type != s.Type {
+			t.Fatalf("entry %d restored out of order", i)
 		}
-		view := method.View()
-		got := c.Entries()
-		if len(got) != len(saved) {
-			t.Fatalf("%s: restored %d entries, want %d", format, len(got), len(saved))
+		if want := view.Run(e.Graph, e.Type).Answers; !e.Answers().Equal(want) {
+			t.Fatalf("entry %d answers %v, Method.Run %v", i, e.Answers(), want)
 		}
-		for i, e := range got {
-			s := saved[i]
-			if e.Fingerprint != s.Fingerprint || e.Type != s.Type {
-				t.Fatalf("%s: entry %d restored out of order", format, i)
-			}
-			if want := view.Run(e.Graph, e.Type).Answers; !e.Answers().Equal(want) {
-				t.Fatalf("%s: entry %d answers %v, Method.Run %v", format, i, e.Answers(), want)
-			}
-			if e.Hits != s.Hits || e.SavedTests != s.SavedTests || e.SavedCostNs != s.SavedCostNs {
-				t.Fatalf("%s: entry %d utilities %d/%g/%g, saved %d/%g/%g", format, i,
-					e.Hits, e.SavedTests, e.SavedCostNs, s.Hits, s.SavedTests, s.SavedCostNs)
-			}
-			if want := min(s.BaseCandidates, view.Size()); e.BaseCandidates != want {
-				t.Fatalf("%s: entry %d base candidates %d, want %d", format, i, e.BaseCandidates, want)
-			}
+		if e.Hits != s.Hits || e.SavedTests != s.SavedTests || e.SavedCostNs != s.SavedCostNs {
+			t.Fatalf("entry %d utilities %d/%g/%g, saved %d/%g/%g", i,
+				e.Hits, e.SavedTests, e.SavedCostNs, s.Hits, s.SavedTests, s.SavedCostNs)
+		}
+		if want := min(s.BaseCandidates, view.Size()); e.BaseCandidates != want {
+			t.Fatalf("entry %d base candidates %d, want %d", i, e.BaseCandidates, want)
 		}
 	}
+	return c
 }
 
 // TestRestoreOverOtherDataset: a snapshot restores over a dataset it was
@@ -83,7 +70,7 @@ func TestRestoreOverOtherDataset(t *testing.T) {
 	if !capped {
 		t.Fatal("no saved base candidate count exceeds the other dataset: the cap is not exercised")
 	}
-	restoresAsRun(t, src, other, bothFormats(t, src))
+	restoresAsRun(t, src, other, snapshotOf(t, src))
 }
 
 // TestRestoreOverBaseDatasetAfterMutations: the saving process removed
@@ -101,7 +88,7 @@ func TestRestoreOverBaseDatasetAfterMutations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	restoresAsRun(t, src, ftv.NewGGSXMethod(testDataset(921, 40), 3), bothFormats(t, src))
+	restoresAsRun(t, src, ftv.NewGGSXMethod(testDataset(921, 40), 3), snapshotOf(t, src))
 }
 
 // A Method that replayed the saver's AddGraph and RemoveGraph calls holds
@@ -125,31 +112,25 @@ func TestRestoreAcceptedAfterReplayedMutations(t *testing.T) {
 		}
 	}
 	mutate(src)
-	states := bothFormats(t, src)
+	state := snapshotOf(t, src)
 	replayed := ftv.NewGGSXMethod(testDataset(931, 40), 3)
 	mutate(replayed)
-	restoresAsRun(t, src, replayed, states)
-	for format, raw := range states {
-		c := MustNew(replayed, DefaultConfig())
-		if err := c.ReadState(bytes.NewReader(raw)); err != nil {
-			t.Fatalf("%s: %v", format, err)
+	c := restoresAsRun(t, src, replayed, state)
+	exact := 0
+	for _, q := range queries {
+		res, err := c.Execute(q.G, q.Type)
+		if err != nil {
+			t.Fatal(err)
 		}
-		exact := 0
-		for _, q := range queries {
-			res, err := c.Execute(q.G, q.Type)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.ExactHit {
-				exact++
-			}
-			if want := replayed.Run(q.G, q.Type).Answers; !res.Answers.Equal(want) {
-				t.Fatalf("%s: answers %v, Method.Run %v", format, res.Answers, want)
-			}
+		if res.ExactHit {
+			exact++
 		}
-		if exact == 0 {
-			t.Fatalf("%s: no query was an exact hit on the restored entries", format)
+		if want := replayed.Run(q.G, q.Type).Answers; !res.Answers.Equal(want) {
+			t.Fatalf("answers %v, Method.Run %v", res.Answers, want)
 		}
+	}
+	if exact == 0 {
+		t.Fatal("no query was an exact hit on the restored entries")
 	}
 }
 
@@ -165,7 +146,7 @@ func withVersion(snapshot []byte, v uint32) []byte {
 func TestRestoreRefusesVersion4Snapshot(t *testing.T) {
 	src, _ := warmCache(t, 941)
 	c := MustNew(src.Method(), DefaultConfig())
-	err := c.ReadState(bytes.NewReader(withVersion(v3State(t, src), 4)))
+	err := c.ReadState(bytes.NewReader(withVersion(snapshotOf(t, src), 4)))
 	if err == nil || !strings.Contains(err.Error(), "unsupported state version 4") {
 		t.Fatalf("ReadState of a version-4 snapshot returned %v", err)
 	}
