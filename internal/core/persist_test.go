@@ -467,7 +467,12 @@ func (w *blockingWriter) Write(p []byte) (int, error) {
 // its io.Writer stalls no query. While it blocks, a credited sub/super
 // hit (mu) and a window's worth of misses (a turn) must complete; once
 // released, the snapshot restores the entries resident when it was taken.
+// The subtest is named for the format the writer emits, GCS3.
 func TestSnapshotWriterHoldsNoLock(t *testing.T) {
+	t.Run("v3", checkSnapshotWriterHoldsNoLock)
+}
+
+func checkSnapshotWriterHoldsNoLock(t *testing.T) {
 	const window = 4
 	dataset := testDataset(821, 30)
 	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = window })
