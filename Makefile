@@ -53,9 +53,12 @@ race:
 # (the credit tables, their fallback to the entry's cell and their drain
 # at every fold point) and the stripe picker, so no hit is lost — and the
 # matcher's first plan of a fresh pattern, raced by goroutines that bind
-# it at once and must all search with the one packed plan published.
+# it at once and must all search with the one packed plan published — and
+# a graph's first feature vector, raced by goroutines that must all read
+# the one vector catch-up memoizes (TestConcurrentFirstFeatures, in
+# internal/graph, which the regex's Concurrent names).
 race-stress:
-	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|RestoreDuringChurn|ExactMemo|ExactHitCredits|CreditsFold|ReadSlot|CreditTable' ./internal/core ./internal/ftv ./internal/iso
+	$(GO) test -race -count=10 -run 'Concurrent|ExactProbeTakesNoLock|SnapshotWriterHoldsNoLock|HoldsNoMu|MutationWaitsForNoQuery|MutationTakesNoCacheLock|StaleViewReaderSkipsAheadEntry|RestoreDuringChurn|ExactMemo|ExactHitCredits|CreditsFold|ReadSlot|CreditTable' ./internal/core ./internal/ftv ./internal/iso ./internal/graph
 
 vet:
 	$(GO) vet ./...

@@ -163,10 +163,10 @@ func TestHelperAllocBudget(t *testing.T) {
 	c := &Cache{policy: NewHD()}
 	costs := []costSample{{gid: 1, dur: 500}, {gid: 2, dur: 700}}
 	view := ftv.NewGGSXMethod(testDataset(1, 1), 3).View()
-	s := summaryOn(view, view.Graph(0))
-	d := s.row.Decode()
+	g := view.Graph(0)
+	row := rowOn(view, g)
+	d := row.Decode()
 	defer d.Release()
-	p := probe{fv: s.fv, Decoded: &d}
 	cands := make([]*Entry, 32)
 	for i := range cands {
 		cands[i] = rankEntry(len(cands)-i, i%5)
@@ -182,8 +182,8 @@ func TestHelperAllocBudget(t *testing.T) {
 		{"estimatedCost", func() { c.estimatedCost(0); c.estimatedCost(1) }},
 		{"emaAdd", func() { emaAdd(&c.globalVal, globalCostAlpha, 300) }},
 		{"recordCosts", func() { c.recordCosts(costs) }},
-		{"screen", func() { p.in(&s); p.holds(&s) }},                         // passes the vectors and the blooms: reads the row
-		{"Decode", func() { d := s.row.Decode(); d.In(s.row); d.Release() }}, // decodes into pooled scratch
+		{"screen", func() { screenIn(g, &d, g, row); screenHolds(g, &d, g, row) }}, // passes the key and the tail: reads the row
+		{"Decode", func() { d := row.Decode(); d.In(row); d.Release() }},           // decodes into pooled scratch
 		{"rankCandidates", func() { ranked = rankCandidates(rankView, cands, true, ranked) }},
 		{"creditHit", func() {
 			c.mu.Lock()

@@ -268,11 +268,10 @@ func newWarmBench(b *testing.B, window int) (*benchStreams, []*graph.Graph) {
 }
 
 // BenchmarkAddGraphWarm is one AddGraph on a warm cache: a COW filter
-// insert, then a summary prune and the publication of the added graph's
-// summary (the containment tests wait for each entry's next read). Each
-// added graph is removed again with the timer stopped, as the benchmark
-// harness's mutation burst does, so the next add prunes its summary and
-// the summaries do not pile up with b.N.
+// insert and a counter (the containment tests wait for each entry's next
+// read). Each added graph is removed again with the timer stopped, as the
+// benchmark harness's mutation burst does, so the dataset does not grow
+// with b.N.
 func BenchmarkAddGraphWarm(b *testing.B) {
 	bs, spare := newWarmBench(b, 10)
 	b.ReportAllocs()
@@ -296,8 +295,12 @@ func BenchmarkAddGraphWarm(b *testing.B) {
 // BenchmarkAddGraphWarm leaves out, plus Entries' copies of the 1 000
 // entries. The removal and the catch-up on it are untimed, so each
 // timed catch-up starts from entries current at the view before the add.
+// tests/op is the maintenance tests a catch-up runs, the entries the
+// containment screen passed: a count of the fixture, the same on every
+// machine.
 func BenchmarkAddThenCatchUp(b *testing.B) {
 	bs, spare := newWarmBench(b, 10)
+	tests := bs.cache.Stats().MaintenanceTests
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -313,6 +316,7 @@ func BenchmarkAddThenCatchUp(b *testing.B) {
 		bs.cache.Entries()
 		b.StartTimer()
 	}
+	b.ReportMetric(float64(bs.cache.Stats().MaintenanceTests-tests)/float64(b.N), "tests/op")
 }
 
 // BenchmarkRemoveGraphWarm is one RemoveGraph of a graph some entries
@@ -374,11 +378,13 @@ func BenchmarkWindowTurn(b *testing.B) {
 // seed 2019, mixed types, 80 % of it in containment chains, 4–16 edges),
 // and the next 2 000 patterns of the pool as probes, each with its row
 // decoded once as a miss's walk holds it. The entries carry their
-// summaries only: a scan reads nothing else. Built once per test binary.
+// vectors and rows only: a scan reads nothing else. Built once per test
+// binary.
 var scanBench = sync.OnceValue(func() (b struct {
-	cache  *Cache
-	types  []ftv.QueryType
-	probes []probe
+	cache *Cache
+	types []ftv.QueryType
+	fvs   []graph.FeatureVector
+	rows  []*ftv.Decoded
 }) {
 	dataset := gen.Molecules(rand.New(rand.NewSource(2018)), 5000, gen.DefaultMoleculeConfig())
 	method := ftv.NewGGSXMethod(dataset, 3)
@@ -395,15 +401,15 @@ var scanBench = sync.OnceValue(func() (b struct {
 	view := method.View()
 	var entries []*Entry
 	for _, q := range wl.Pool[:1000] {
-		s := summaryOn(view, q.G)
-		entries = append(entries, newEntry(q.G, q.Type, bitset.New(view.Size()), view, 0, q.G.WLFingerprint(3), s, 0))
+		entries = append(entries, newEntry(q.G, q.Type, bitset.New(view.Size()), view, 0, q.G.WLFingerprint(3),
+			graph.ExtractFeatures(q.G), rowOn(view, q.G), 0))
 	}
 	b.cache.replaceEntries(entries)
 	for _, q := range wl.Pool[1000:] {
-		s := summaryOn(view, q.G)
-		d := s.row.Decode()
+		d := rowOn(view, q.G).Decode()
 		b.types = append(b.types, q.Type)
-		b.probes = append(b.probes, probe{fv: s.fv, Decoded: &d})
+		b.fvs = append(b.fvs, graph.ExtractFeatures(q.G))
+		b.rows = append(b.rows, &d)
 	}
 	return b
 })
@@ -411,7 +417,7 @@ var scanBench = sync.OnceValue(func() (b struct {
 // BenchmarkScanIndex is hit detection's scan alone (scanIndex): one probe
 // of the pool against the 1 000 resident entries per op, reported as
 // ns/probe beside derefs/probe, the entries whose screening key passes in
-// some direction and whose summary the scan then reads. The second is a
+// some direction and whose fields the scan then reads. The second is a
 // count of the fixture, the same on every machine.
 //
 //	go test -run '^$' -bench ScanIndex -benchmem ./internal/core/
@@ -422,8 +428,8 @@ func BenchmarkScanIndex(b *testing.B) {
 		b.Fatalf("%d resident entries, want 1000", c.Len())
 	}
 	derefs, r := 0, c.published.Load()
-	for i, p := range f.probes {
-		qk := ftv.NewScreenKey(p.fv, p.Row)
+	for i, d := range f.rows {
+		qk := ftv.NewScreenKey(f.fvs[i], d.Row)
 		for j := range r.keys[f.types[i]] {
 			if k := &r.keys[f.types[i]][j]; qk.In(k) || qk.Holds(k) {
 				derefs++
@@ -434,9 +440,9 @@ func BenchmarkScanIndex(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % len(f.probes)
-		sub, super = c.scanIndex(f.types[j], f.probes[j], sub[:0], super[:0])
+		j := i % len(f.rows)
+		sub, super = c.scanIndex(f.types[j], f.fvs[j], f.rows[j], sub[:0], super[:0])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/probe")
-	b.ReportMetric(float64(derefs)/float64(len(f.probes)), "derefs/probe")
+	b.ReportMetric(float64(derefs)/float64(len(f.rows)), "derefs/probe")
 }

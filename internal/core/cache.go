@@ -283,9 +283,9 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 	// the cache, budgeted by cmCount, screened against the walk. The iso
 	// tests run without any lock; entries evicted mid-detection stay
 	// sound (their answer sets remain exact over the immutable dataset).
-	p := probe{fv: ftv.ExtractFeatures(q), Decoded: walk.Decoded()}
-	sum := summary{fv: p.fv, row: p.Row}
-	hs := c.detectHits(view, q, qt, p, cmCount, sc)
+	fv, d := graph.ExtractFeatures(q), walk.Decoded()
+	hs := c.detectHits(view, q, qt, fv, d, cmCount, sc)
+	row := d.Row
 	walk.Release()
 	hitTime := time.Since(start) - filterTime
 	c.mon.hitDetectIso.Add(int64(hs.isoTests))
@@ -432,7 +432,7 @@ func (c *Cache) execute(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType) 
 	// exact for the view, and a later reader or turn brings them
 	// forward. It is built — answers cloned and compacted — before admit
 	// takes any lock.
-	c.admit(newEntry(q, qt, answers.Clone(), view, cmCount, fp, sum, tick), view)
+	c.admit(newEntry(q, qt, answers.Clone(), view, cmCount, fp, fv, row, tick), view)
 	return res, nil
 }
 

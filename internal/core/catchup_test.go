@@ -3,10 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
+	"graphcache/internal/graph"
 )
 
 // The cache keeps no record per addition: a stale entry catches up when
@@ -126,5 +129,56 @@ func TestAddSumsBoundedUnderSustainedAdds(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCatchUpComputesEachVectorOnce: catch-up reads an added graph's
+// vector through the graph's memo (graph.Graph.Features), so the first
+// entry to catch up over an addition computes it — the memo's one
+// allocation — and a second entry's catch-up over the same addition
+// computes none: it allocates exactly what a repeat of it allocates. The
+// addition is a lone vertex, which every entry's key refutes, so a
+// catch-up allocates its grown answer set and, the first time, the vector.
+func TestCatchUpComputesEachVectorOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is distorted under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dataset := testDataset(121, 10)
+	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
+	rng := rand.New(rand.NewSource(122))
+	for i := 0; i < 2; i++ {
+		if _, err := c.Execute(gen.ExtractConnectedSubgraph(rng, dataset[i], 4), ftv.Subgraph); err != nil {
+			t.Fatal(err)
+		}
+	}
+	turnNow(c)
+	entries := c.published.Load().all
+	if len(entries) != 2 {
+		t.Fatalf("%d resident entries, want 2", len(entries))
+	}
+	if _, err := c.AddGraph(graph.MustNew([]graph.Label{0}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	view := c.method.View()
+	mallocs := func(e *Entry) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.patchedAnswers(e, e.Answers(), view)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	first, firstAgain := mallocs(entries[0]), mallocs(entries[0])
+	second, secondAgain := mallocs(entries[1]), mallocs(entries[1])
+	t.Logf("first entry's catch-up %d allocs, then %d; second entry's %d, then %d", first, firstAgain, second, secondAgain)
+	if first != firstAgain+1 {
+		t.Errorf("the first catch-up over the addition allocates %d more than its repeat, want 1 (the vector)", first-firstAgain)
+	}
+	if second != secondAgain {
+		t.Errorf("the second entry's catch-up allocates %d, its repeat %d: it computed the vector again", second, secondAgain)
+	}
+	if got := c.Stats().MaintenanceTests; got != 0 {
+		t.Errorf("%d maintenance tests, want 0: the keys refute a lone vertex", got)
 	}
 }

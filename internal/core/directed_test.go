@@ -77,12 +77,12 @@ func TestDirectedFeaturesDominance(t *testing.T) {
 		c := gen.Circuit(rng, gen.DefaultCircuitConfig())
 		view := ftv.NewGGSXMethod([]*graph.Graph{c}, 2).View()
 		q := gen.ExtractConnectedSubgraph(rng, c, 2+rng.Intn(5))
-		qs, cs := summaryOn(view, q), summary{fv: ftv.ExtractFeatures(c), row: view.Row(0)}
-		d := qs.row.Decode()
-		in, _ := probe{fv: qs.fv, Decoded: &d}.in(&cs)
+		qrow := rowOn(view, q)
+		d := qrow.Decode()
+		in := screenIn(q, &d, c, view.Row(0))
 		d.Release()
 		w := view.Walk(c)
-		held, _ := probe{fv: cs.fv, Decoded: w.Decoded()}.holds(&qs)
+		held := screenHolds(c, w.Decoded(), q, qrow)
 		w.Release()
 		if !held || !in {
 			t.Fatalf("trial %d: directed pattern not screened into its source (holds %t, in %t)", trial, held, in)

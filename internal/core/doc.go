@@ -169,7 +169,7 @@
 // and alloc_test.go pins hard per-path budgets via testing.AllocsPerRun
 // — a returning O(n) clone fails CI, not a profile nobody reads. The
 // helpers those paths call that must allocate nothing at all (cost
-// cells, summary screens, bitset reads, VF2, GGSX's count merges) are
+// cells, containment screens, bitset reads, VF2, GGSX's count merges) are
 // held to a budget of zero by table tests in their own packages.
 // FuzzBitsetOps (internal/bitset) differentially fuzzes every container
 // mix against a naive reference, and the benchmark harness's
@@ -183,28 +183,19 @@
 // |C_M| and policy utilities (hits, saved tests, saved cost), and no
 // answers. WriteState serializes them in the one snapshot format,
 // "GCS3", and ReadState reads it; any other input, a text state of the
-// retired format included, is refused by its magic. All integers are
-// little-endian; every checksum is FNV-1a 64. The layout (offsets in
-// bytes):
-//
-//	header, 48 B:  magic "GCS3" [0,4)   version=6 u32 [4,8)
-//	               entryCount u64 [8,16)
-//	               bodyOff u64 [16,24) = 48 + 64*entryCount
-//	               fileSize u64 [24,32) indexSum u64 [32,40)
-//	               headerSum u64 [40,48) over bytes [0,40)
-//	index, 64 B/entry (fixed size, so record i is addressable without
-//	parsing records 0..i-1):
-//	               fp u64, queryType u32, baseCandidates u32, hits i64,
-//	               savedTests f64, savedCostNs f64,
-//	               bodyOff u64, graphLen u64, graphSum u64
-//	body:          per entry, contiguous and in index order: the graph
-//	               in the text codec (graph.WriteGraph).
+// retired format included, is refused by its magic. A snapshot is a
+// fixed-size header, a fixed-size index record per entry (so record i is
+// addressable without parsing the ones before it) and a body holding each
+// entry's graph in the text codec. All integers are little-endian; every
+// checksum is FNV-1a 64. The layout, byte by byte, is stated once, in the
+// comment at the top of persist.go.
 //
 // Validation is all-or-nothing and covers every byte: an older version
-// is refused first (versions 3 to 5 carried answer sets), headerSum gates
-// the header, indexSum the whole index section, per-entry graphSum each
-// body segment, and the records must tile the body exactly (record i's
-// bodyOff equals the running offset; the final offset equals fileSize).
+// is refused first (versions 3 to 5 carried answer sets), the header
+// checksum gates the header, the index checksum the whole index section,
+// each graph's checksum its body segment, and the records must tile the
+// body exactly (each record's body offset equals the running offset; the
+// final offset equals the file size).
 // The fingerprint rebuilt from each parsed graph must equal its record's.
 //
 // There is one restore mode. Every record is parsed and checked first;

@@ -87,12 +87,12 @@ type Entry struct {
 	// reaches the iso test.
 	Fingerprint graph.Fingerprint
 
-	// FV and row are the entry's containment summary, published in the
-	// cache's hit index to screen sub/super candidates before any iso
-	// test: the fixed-size ftv.FeatureVector and the pattern's row of
-	// Method M's trie, from the query's own filter walk at admission (and
-	// a re-walk on state restore). Both are immutable.
-	FV  ftv.FeatureVector
+	// FV and row are what the containment screen reads of the entry
+	// (ftv.ScreenKey), the hit index's and catch-up's alike: the
+	// fixed-size graph.FeatureVector and the pattern's row of Method M's
+	// trie, from the query's own filter walk at admission (and a re-walk
+	// on state restore). Both are immutable.
+	FV  graph.FeatureVector
 	row ftv.Row
 
 	// BaseCandidates is |C_M| when the query was originally executed —
@@ -132,24 +132,24 @@ type Entry struct {
 // brings the entry forward.
 func (e *Entry) Answers() *bitset.Set { return e.ans.p.Load().set }
 
-// newEntry builds an Entry from q's fingerprint and summary — the single
-// construction site for cache entries, shared by admission and state
-// restores. The ID is assigned when the entry is staged (admit) or
+// newEntry builds an Entry from q's fingerprint, vector and row — the
+// single construction site for cache entries, shared by admission and
+// state restores. The ID is assigned when the entry is staged (admit) or
 // installed (replaceEntries). The answers are exact for the view.
 // Callers hold no lock: this is where an answer set is compacted.
-func newEntry(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.DatasetView, baseCandidates int, fp graph.Fingerprint, s summary, tick int64) *Entry {
+func newEntry(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.DatasetView, baseCandidates int, fp graph.Fingerprint, fv graph.FeatureVector, row ftv.Row, tick int64) *Entry {
 	e := &Entry{
 		Graph:          q,
 		Type:           qt,
 		ans:            &answersCell{},
 		Fingerprint:    fp,
-		FV:             s.fv,
-		row:            s.row,
+		FV:             fv,
+		row:            row,
 		BaseCandidates: baseCandidates,
 		InsertedAt:     tick,
 		LastUsed:       tick,
 	}
-	e.staticBytes = entryBytes + q.Bytes() + s.row.Bytes()
+	e.staticBytes = entryBytes + q.Bytes() + row.Bytes()
 	// The set is owned here (every caller passes a fresh or cloned set)
 	// and about to be published read-only for the entry's lifetime, so
 	// pay the one-off re-encode into its smaller container now: sparse
@@ -160,12 +160,9 @@ func newEntry(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.Datase
 }
 
 // entryBytes is what an entry allocates besides its graph, its trie row
-// and its answer set: the Entry (its summary inline), its answersCell and
+// and its answer set: the Entry (its vector inline), its answersCell and
 // the first answersAt published in it.
 const entryBytes = int(unsafe.Sizeof(Entry{}) + unsafe.Sizeof(answersCell{}) + unsafe.Sizeof(answersAt{}))
-
-// summary returns the entry's containment summary.
-func (e *Entry) summary() summary { return summary{fv: e.FV, row: e.row} }
 
 // Bytes estimates the entry's logical resident size: the immutable
 // static part plus the current answer set. O(1). It is what the entry

@@ -79,7 +79,7 @@ func mapDominated(a, b map[string]int32) bool {
 // walkMatchesForward reports whether g's walk on the view gives the same
 // row as g's forward row gid: the same size, each screening into the other.
 func walkMatchesForward(view ftv.DatasetView, g *graph.Graph, gid int) bool {
-	walked, forward := summaryOn(view, g).row, view.Row(gid)
+	walked, forward := rowOn(view, g), view.Row(gid)
 	return walked.Bytes() == forward.Bytes() && rowIn(walked, forward) && rowIn(forward, walked)
 }
 
@@ -109,7 +109,7 @@ func TestPathFeaturesSingleEdge(t *testing.T) {
 		{isolated(1), true}, {isolated(2), true}, {isolated(1, 2), true},
 		{isolated(1, 1), false}, {isolated(2, 2), false},
 	} {
-		if got := rowIn(summaryOn(view, c.g).row, row); got != c.want {
+		if got := rowIn(rowOn(view, c.g), row); got != c.want {
 			t.Errorf("vertices %v: row in the edge's = %v, want %v", c.g.Labels(), got, c.want)
 		}
 	}
@@ -141,7 +141,7 @@ func TestPathFeaturesTriangleCounts(t *testing.T) {
 	if !rowIn(rPath3, rTri) {
 		t.Error("3-path's row not in the triangle's")
 	}
-	if !rowIn(summaryOn(view, isolated(0, 0, 0)).row, rTri) || rowIn(summaryOn(view, isolated(0, 0, 0, 0)).row, rTri) {
+	if !rowIn(rowOn(view, isolated(0, 0, 0)), rTri) || rowIn(rowOn(view, isolated(0, 0, 0, 0)), rTri) {
 		t.Error("vertex count 3 is not what the triangle's row holds")
 	}
 }
@@ -158,7 +158,7 @@ func TestPathFeaturesZeroLen(t *testing.T) {
 	}
 	// At length 0 the edges are invisible: the edgeless graph of the same
 	// labels has g's row, one more label-1 vertex does not fit.
-	same, more := summaryOn(view, isolated(1, 1, 2)).row, summaryOn(view, isolated(1, 1, 1)).row
+	same, more := rowOn(view, isolated(1, 1, 2)), rowOn(view, isolated(1, 1, 1))
 	if !rowIn(same, view.Row(0)) || !rowIn(view.Row(0), same) {
 		t.Error("the edgeless graph of g's labels does not share g's row")
 	}
@@ -167,7 +167,23 @@ func TestPathFeaturesZeroLen(t *testing.T) {
 	}
 }
 
-// Soundness: if p ⊑ g then p's summary passes both screens against g's,
+// screenIn runs the containment screen for a ⊑ b in the order hit
+// detection and catch-up run it (ftv.ScreenKey): the keys, the degree
+// tails, then a's decoded row d against b's row r.
+func screenIn(a *graph.Graph, d *ftv.Decoded, b *graph.Graph, r ftv.Row) bool {
+	fa, fb := graph.ExtractFeatures(a), graph.ExtractFeatures(b)
+	ka, kb := ftv.NewScreenKey(fa, d.Row), ftv.NewScreenKey(fb, r)
+	return ka.In(&kb) && fa.TailIn(&fb) && d.In(r)
+}
+
+// screenHolds is screenIn for b ⊑ a, from a's decoded row d.
+func screenHolds(a *graph.Graph, d *ftv.Decoded, b *graph.Graph, r ftv.Row) bool {
+	fa, fb := graph.ExtractFeatures(a), graph.ExtractFeatures(b)
+	ka, kb := ftv.NewScreenKey(fa, d.Row), ftv.NewScreenKey(fb, r)
+	return ka.Holds(&kb) && fb.TailIn(&fa) && d.Holds(r)
+}
+
+// Soundness: if p ⊑ g then p passes the containment screen into g,
 // p's walk against g's forward row and g's walk against p's walk, on a
 // trie built over g alone.
 func TestFeatureDominanceNecessary(t *testing.T) {
@@ -196,10 +212,8 @@ func TestFeatureDominanceNecessary(t *testing.T) {
 		for _, L := range []int{0, 1, 2, 3} {
 			view := ftv.NewGGSXMethod([]*graph.Graph{g}, L).View()
 			pw, gw := view.Walk(p), view.Walk(g)
-			ps := summary{fv: ftv.ExtractFeatures(p), row: pw.Decoded().Row}
-			gs := summary{fv: ftv.ExtractFeatures(g), row: view.Row(0)}
-			in, _ := probe{fv: ps.fv, Decoded: pw.Decoded()}.in(&gs)
-			held, _ := probe{fv: gs.fv, Decoded: gw.Decoded()}.holds(&ps)
+			in := screenIn(p, pw.Decoded(), g, view.Row(0))
+			held := screenHolds(g, gw.Decoded(), p, pw.Decoded().Row)
 			pw.Release()
 			gw.Release()
 			if !in || !held {
@@ -218,19 +232,16 @@ func TestFeatureDominanceRejects(t *testing.T) {
 	tw, ew := view.Walk(tri), view.Walk(edge)
 	defer tw.Release()
 	defer ew.Release()
-	ts := summary{fv: ftv.ExtractFeatures(tri), row: view.Row(0)}
-	es := summary{fv: ftv.ExtractFeatures(edge), row: view.Row(1)}
-	tp, ep := probe{fv: ts.fv, Decoded: tw.Decoded()}, probe{fv: es.fv, Decoded: ew.Decoded()}
-	if in, _ := tp.in(&es); in {
+	if screenIn(tri, tw.Decoded(), edge, view.Row(1)) {
 		t.Error("triangle's summary should not screen into an edge's")
 	}
-	if held, _ := ep.holds(&ts); held {
+	if screenHolds(edge, ew.Decoded(), tri, view.Row(0)) {
 		t.Error("an edge's walk should not hold a triangle's summary")
 	}
-	if in, _ := ep.in(&ts); !in {
+	if !screenIn(edge, ew.Decoded(), tri, view.Row(0)) {
 		t.Error("edge's summary should screen into the triangle's")
 	}
-	if held, _ := tp.holds(&es); !held {
+	if !screenHolds(tri, tw.Decoded(), edge, view.Row(1)) {
 		t.Error("triangle's walk should hold an edge's summary")
 	}
 }
@@ -246,7 +257,7 @@ func TestDominatedBySelf(t *testing.T) {
 	// A graph of labels the trie lacks walks to an empty row below the
 	// trie's watermark: it screens into anything, and nothing non-empty
 	// screens into it.
-	empty := summaryOn(view, isolated(99)).row
+	empty := rowOn(view, isolated(99))
 	if empty.Bytes() != 0 {
 		t.Fatalf("walk of an unseen label has a %d-byte row", empty.Bytes())
 	}

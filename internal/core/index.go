@@ -16,16 +16,13 @@ import (
 // walks one fingerprint chain through the ID-ordered array of every
 // entry. Detection tests the query's key against each key of its type in
 // both directions with word compares, and dereferences an entry only
-// when its key passes in some direction. For those it runs the full
-// screen (ftv.FeatureVector plus the pattern's row of Method M's trie)
-// against the query's own filter walk, kept open through the scan: one
-// pass over the entry's packed row against the query's decoded walk.
+// when its key passes in some direction. For those it tests the degree
+// tail of the entry's graph.FeatureVector, then runs one pass over the
+// entry's packed row of Method M's trie against the query's own filter
+// walk, kept open through the scan (the screen order is ftv.ScreenKey's).
 // That pass is the last filter before the q↔h iso tests. A row compares
 // only the nodes below the other side's watermark (ftv.Row), so an entry
 // walked on an older trie still screens a query walked on a newer one.
-// The key's screens are implied by the full screen's first stage, so
-// the candidate lists and the scan's counters are what a scan of full
-// screens alone would give.
 //
 // # Publication rules
 //
@@ -33,7 +30,7 @@ import (
 // republishLocked — under mu — whenever the resident list changes: a
 // window turn or a state restore. Readers load the pointer once per probe
 // or scan and work on that point-in-time view; an entry evicted after the
-// load stays sound to use (its graph, answer set and summary are
+// load stays sound to use (its graph, answer set, vector and row are
 // immutable, and a key is a copy of immutable fields). For a sequential
 // stream the view always exactly mirrors the resident list: it changes
 // only inside mu, and every change republishes before the lock drops.
@@ -92,56 +89,48 @@ func (c *Cache) republishLocked() {
 }
 
 // scanIndex collects sub/super hit candidates among the published
-// entries of the query's type, screened against the query's probe in
-// each direction (q ⊑ h by probe.in, h ⊑ q by probe.holds). The keys
-// refute most entries without reading them; an entry whose key passes in
-// some direction gets the full screens in that direction, whose cheap
-// stage (size, label bloom, label-degree bloom, degree tail, row bloom)
-// goes before the row pass. Entries refuted in both directions without a
-// row pass are counted as index-pruned. The candidates are appended to
-// sub and super (the caller's reused buffers), which are returned. Takes
-// no lock, and loads the published view once.
-func (c *Cache) scanIndex(qt ftv.QueryType, p probe, sub, super []*Entry) ([]*Entry, []*Entry) {
+// entries of the query's type: q ⊑ h into sub, h ⊑ q into super. fv is
+// q's vector and d its walk's row. Each entry gets the containment screen
+// in the order ftv.ScreenKey states, on its published key and its own
+// fields in place: the keys refute most entries without reading them, the
+// degree tail goes next, and the row pass against q's walk last. An entry
+// refuted in both directions without a row pass is counted as
+// index-pruned. The candidates are appended to sub and super (the
+// caller's reused buffers), which are returned. Takes no lock, and loads
+// the published view once.
+func (c *Cache) scanIndex(qt ftv.QueryType, fv graph.FeatureVector, d *ftv.Decoded, sub, super []*Entry) ([]*Entry, []*Entry) {
 	// The scan counts in locals and publishes once: per-entry atomic adds
 	// would be hundreds of RMWs on one shared line per query.
 	fullChecks, indexPruned := 0, 0
 	r := c.published.Load()
 	keys, typed := r.keys[qt], r.typed[qt]
-	qk := ftv.NewScreenKey(p.fv, p.Row)
+	qk := ftv.NewScreenKey(fv, d.Row)
 	for i := range keys {
 		k := &keys[i]
-		inKey, holdsKey := qk.In(k), qk.Holds(k)
-		if !inKey && !holdsKey {
+		in, holds := qk.In(k), qk.Holds(k)
+		if !in && !holds {
 			indexPruned++
 			continue
 		}
 		e := typed[i]
-		s := e.summary()
-		// Sub case q ⊑ h. A refusing key stands for a refusing cheap stage.
-		var ok, merged bool
-		if inKey {
-			ok, merged = p.in(&s)
-		}
-		if merged {
-			fullChecks++
-		}
-		if ok {
-			sub = append(sub, e)
+		in = in && fv.TailIn(&e.FV)
+		holds = holds && e.FV.TailIn(&fv)
+		if !in && !holds {
+			indexPruned++
 			continue
 		}
-		pruned := !merged
-		// Super case h ⊑ q.
-		if holdsKey {
-			if ok, merged := p.holds(&s); merged {
-				pruned = false
-				fullChecks++
-				if ok {
-					super = append(super, e)
-				}
+		if in {
+			fullChecks++
+			if d.In(e.row) {
+				sub = append(sub, e)
+				continue
 			}
 		}
-		if pruned {
-			indexPruned++
+		if holds {
+			fullChecks++
+			if d.Holds(e.row) {
+				super = append(super, e)
+			}
 		}
 	}
 	c.mon.hitScanEntries.Add(int64(len(r.all)))

@@ -8,6 +8,7 @@ import (
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/gen"
+	"graphcache/internal/graph"
 	"graphcache/internal/iso"
 )
 
@@ -120,7 +121,7 @@ func TestEntrySummariesPopulated(t *testing.T) {
 		t.Fatal("nothing admitted")
 	}
 	for _, e := range entries {
-		if e.FV != ftv.ExtractFeatures(e.Graph) {
+		if e.FV != graph.ExtractFeatures(e.Graph) {
 			t.Errorf("entry %d: stored feature vector diverges from its graph", e.ID)
 		}
 		if e.FV.Vertices == 0 || e.FV.LabelBits == 0 {
@@ -155,7 +156,7 @@ func checkIndexedEquivalentToUnindexed(t *testing.T, seed int64) {
 	var subs, supers int
 	for i, q := range w.queries {
 		w := c.method.View().Walk(q.G)
-		sub, super := c.scanIndex(q.Type, probe{fv: ftv.ExtractFeatures(q.G), Decoded: w.Decoded()}, nil, nil)
+		sub, super := c.scanIndex(q.Type, graph.ExtractFeatures(q.G), w.Decoded(), nil, nil)
 		w.Release()
 		listed := func(list []*Entry, h *Entry) bool {
 			for _, e := range list {

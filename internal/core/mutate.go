@@ -27,14 +27,14 @@ import (
 //     reader on a view of that size and removal count uses the set as it
 //     is. A reader on a later view brings the entry forward
 //     (answersFor): it masks out the graphs tombstoned since, tests the
-//     ids appended since and publishes the result. A screen of the
-//     entry's summary against each added graph's vector and forward row,
-//     read from the view, refutes most of those tests, however the graph
-//     was added: through this cache, another cache over the Method or the
-//     Method itself. A reader on an earlier view, meeting an entry a
-//     newer reader has already brought past it, treats the entry as
-//     absent: an exact hit falls through to the miss path, a sub/super
-//     hit is dropped.
+//     ids appended since and publishes the result. The containment
+//     screen hit detection runs (ftv.ScreenKey), of the entry's vector
+//     and row against each added graph's vector and forward row, refutes
+//     most of those tests, however the graph was added: through this
+//     cache, another cache over the Method or the Method itself. A
+//     reader on an earlier view, meeting an entry a newer reader has
+//     already brought past it, treats the entry as absent: an exact hit
+//     falls through to the miss path, a sub/super hit is dropped.
 //
 //   - Every window turn masks the pending removals of every resident and
 //     window entry, with no containment test, then trues up the charges,
@@ -182,13 +182,16 @@ func removedFrom(set *bitset.Set, view ftv.DatasetView, from int) iter.Seq[int] 
 // verified for containment. Every addition appends one id, so those are
 // the ids from old.Len() up. Tombstoned additions are skipped — their
 // bits were never set in old and must stay clear. An addition is tested
-// only if the screen of e's summary against the added graph's admits the
-// containment: the rows first, then the vectors, so only the graphs the
-// rows pass pay for their vector. e's row is decoded once for the call,
-// and only when some graph gets past the row blooms.
+// only if the containment screen passes, in ftv.ScreenKey's order: e's
+// key, built once for the call, against the added graph's, built from
+// its memoized vector (graph.Graph.Features, computed once however many
+// entries catch up over it) and its forward row; then the degree tails;
+// then the row pass. e's row is decoded once for the call, at its first
+// row pass.
 func (c *Cache) patchedAnswers(e *Entry, old *bitset.Set, view ftv.DatasetView) *bitset.Set {
 	from := old.Len()
 	set := old.Grown(view.Size())
+	ek := ftv.NewScreenKey(e.FV, e.row)
 	d := e.row.Decode()
 	defer d.Release()
 	for gid := from; gid < view.Size(); gid++ {
@@ -196,13 +199,13 @@ func (c *Cache) patchedAnswers(e *Entry, old *bitset.Set, view ftv.DatasetView) 
 		if g == nil {
 			continue // added then removed before this entry caught up
 		}
+		fv, row := g.Features(), view.Row(gid)
+		gk := ftv.NewScreenKey(fv, row)
 		var ok bool
 		if e.Type == ftv.Supergraph {
-			ok, _ = d.Holds(view.Row(gid))
-			ok = ok && ftv.ExtractFeatures(g).ContainedIn(e.FV)
+			ok = ek.Holds(&gk) && fv.TailIn(&e.FV) && d.Holds(row)
 		} else {
-			ok, _ = d.In(view.Row(gid))
-			ok = ok && e.FV.ContainedIn(ftv.ExtractFeatures(g))
+			ok = ek.In(&gk) && e.FV.TailIn(&fv) && d.In(row)
 		}
 		if !ok {
 			continue

@@ -194,14 +194,14 @@ func (r *entryRecord) parseGraph(text io.Reader) error {
 }
 
 // entry builds the record's entry over the view: its answers re-run by
-// Method M, its summary walked on the view, its utilities the record's.
+// Method M, its row walked on the view, its utilities the record's.
 // BaseCandidates stays the recorded admission-time |C_M| — history, like
 // Hits — capped at the view's id space. Takes no lock and touches no
 // Monitor counter.
 func (r entryRecord) entry(view ftv.DatasetView) *Entry {
 	qt := ftv.QueryType(r.qt)
 	e := newEntry(r.g, qt, view.Run(r.g, qt).Answers, view, int(min(r.baseCandidates, int64(view.Size()))),
-		r.fp, summaryOn(view, r.g), 0)
+		r.fp, graph.ExtractFeatures(r.g), rowOn(view, r.g), 0)
 	e.Hits, e.SavedTests, e.SavedCostNs = r.hits, r.savedTests, r.savedCost
 	return e
 }

@@ -84,10 +84,16 @@ func TestStateRoundTrip(t *testing.T) {
 
 // Inputs that are no snapshot, or one of a version this build does not
 // read, are each refused with their own error and leave the cache empty.
-// A text state of the retired format is refused by its magic.
+// A text state of the retired format is refused by its magic. The
+// version rows claim their version under a valid header checksum
+// (withVersion), so only the version check can refuse them; versions 3
+// to 5 carried answer sets (3 possibly in the bitset run container), and
+// their rows edit a warm snapshot.
 func TestStateRejectsGarbage(t *testing.T) {
 	c := MustNew(ftv.NewGGSXMethod(testDataset(75, 5), 2), DefaultConfig())
 	empty := snapshotOf(t, c)
+	src, _ := warmCache(t, 805)
+	warm := snapshotOf(t, src)
 	wrongMagic := bytes.Clone(empty)
 	copy(wrongMagic, "GCS4")
 	cases := []struct {
@@ -99,20 +105,33 @@ func TestStateRejectsGarbage(t *testing.T) {
 		{"3-bytes", []byte("GCS"), "header truncated: 3 of 48 bytes"},
 		{"text-header", []byte("gcstate 3 0\nend\n"), `bad magic "gcst"`},
 		{"wrong-magic", wrongMagic, `bad magic "GCS4"`},
+		{"version-3", withVersion(warm, 3), "unsupported state version 3 (want 6)"},
+		{"version-4", withVersion(warm, 4), "unsupported state version 4 (want 6)"},
 		{"version-99", withVersion(empty, 99), "unsupported state version 99 (want 6)"},
 	}
 	for _, tc := range cases {
-		err := c.ReadState(bytes.NewReader(tc.in))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: want an error containing %q, got %v", tc.name, tc.want, err)
-		}
-		if c.Len() != 0 {
-			t.Fatalf("%s: failed restore left %d entries behind", tc.name, c.Len())
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			err := c.ReadState(bytes.NewReader(tc.in))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("want an error containing %q, got %v", tc.want, err)
+			}
+			if c.Len() != 0 || c.WindowLen() != 0 || c.Bytes() != 0 {
+				t.Fatalf("failed restore left %d entries, %d in the window, %d bytes", c.Len(), c.WindowLen(), c.Bytes())
+			}
+		})
 	}
 	if err := c.ReadState(bytes.NewReader(empty)); err != nil {
 		t.Fatalf("the unedited empty snapshot was refused: %v", err)
 	}
+}
+
+// withVersion returns a copy of a GCS3 snapshot claiming version v, its
+// header checksum recomputed, so only the version check can refuse it.
+func withVersion(snapshot []byte, v uint32) []byte {
+	out := bytes.Clone(snapshot)
+	binary.LittleEndian.PutUint32(out[4:], v)
+	binary.LittleEndian.PutUint64(out[40:], fnv1a(out[:40]))
+	return out
 }
 
 // A record value no writer produces — a negative hit count, a NaN,
@@ -427,24 +446,6 @@ func TestStateCorruptionSweep(t *testing.T) {
 		if c.Len() != 0 || c.WindowLen() != 0 {
 			t.Fatalf("flip at %d left %d entries behind", off, c.Len())
 		}
-	}
-}
-
-// TestStateRefusesVersion3: a version-3 file, whose answer sets could be
-// in the bitset run container, is refused by its version even with a
-// valid header checksum, and the cache is left empty.
-func TestStateRefusesVersion3(t *testing.T) {
-	src, _ := warmCache(t, 805)
-	raw := withVersion(snapshotOf(t, src), 3)
-	cfg := DefaultConfig()
-	cfg.Window = 2
-	c := MustNew(src.Method(), cfg)
-	err := c.ReadState(bytes.NewReader(raw))
-	if err == nil || !strings.Contains(err.Error(), "unsupported state version 3") {
-		t.Fatalf("version-3 file: err = %v, want unsupported state version 3", err)
-	}
-	if c.Len() != 0 || c.WindowLen() != 0 || c.Bytes() != 0 {
-		t.Fatalf("refused restore left %d entries, %d in the window, %d bytes", c.Len(), c.WindowLen(), c.Bytes())
 	}
 }
 

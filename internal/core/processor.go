@@ -9,45 +9,11 @@ import (
 	"graphcache/internal/iso"
 )
 
-// summary is a graph's containment summary: the fixed-size
-// ftv.FeatureVector and its row of Method M's trie (ftv.Row). An entry's
-// is its pattern's, walked on the query's view (on restore, on the view
-// the restore pinned).
-type summary struct {
-	fv  ftv.FeatureVector
-	row ftv.Row
-}
-
-// probe is a miss's summary with its row held open as the query's walk
-// (ftv.Decoded), which every entry's packed summary is screened against.
-type probe struct {
-	fv ftv.FeatureVector
-	*ftv.Decoded
-}
-
-// in and holds screen a q↔h containment test, a necessary condition,
-// never a sufficient one: in reports whether p's graph may embed in o's,
-// holds whether o's may embed in p's. The vectors go first; merged
-// reports whether they and the row bloom passed and the rows were read.
-func (p probe) in(o *summary) (ok, merged bool) {
-	if !p.fv.ContainedIn(o.fv) {
-		return false, false
-	}
-	return p.In(o.row)
-}
-
-func (p probe) holds(o *summary) (ok, merged bool) {
-	if !o.fv.ContainedIn(p.fv) {
-		return false, false
-	}
-	return p.Holds(o.row)
-}
-
-// summaryOn walks g down the view's trie for its summary.
-func summaryOn(view ftv.DatasetView, g *graph.Graph) summary {
+// rowOn walks g down the view's trie for its row.
+func rowOn(view ftv.DatasetView, g *graph.Graph) ftv.Row {
 	w := view.Walk(g)
 	defer w.Release()
-	return summary{fv: ftv.ExtractFeatures(g), row: w.Decoded().Row}
+	return w.Decoded().Row
 }
 
 // findExact returns a cached (or window-pending) entry isomorphic to q
@@ -107,11 +73,11 @@ type hitSet struct {
 }
 
 // detectHits finds the sub/super hits among the admitted entries of the
-// query's type. Candidates come from the lock-free published index: an
-// entry is read only when its screening key passes, and reaches the row
-// pass against the query's walk only when its containment summary is
-// compatible with the query's; no lock, snapshot allocation or sort
-// happens at all (see index.go). They are then ranked by expected
+// query's type, q's vector being fv and its walk's row d. Candidates
+// come from the lock-free published index: an entry is read only when
+// its screening key passes, and reaches the row pass against the query's
+// walk only when its degree tail passes too; no lock, snapshot
+// allocation or sort happens at all (see index.go). They are then ranked by expected
 // benefit and confirmed with budgeted VF2 runs: per direction at most 2×
 // the hit cap of attempts and at most the cap of accepted hits. The cap
 // is largeQueryHitCap when Method M left the query cmCount ≥
@@ -123,13 +89,13 @@ type hitSet struct {
 // yields sound savings (its answer set remains exact over the immutable
 // dataset). The benefit ranking breaks ties by ID, so detection is
 // deterministic. Takes no lock.
-func (c *Cache) detectHits(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, p probe, cmCount int, sc *execScratch) hitSet {
+func (c *Cache) detectHits(view ftv.DatasetView, q *graph.Graph, qt ftv.QueryType, fv graph.FeatureVector, d *ftv.Decoded, cmCount int, sc *execScratch) hitSet {
 	var hs hitSet
 	maxHits := largeQueryHitCap
 	if cmCount < largeQueryCandidates {
 		maxHits = smallQueryHitCap
 	}
-	sc.sub, sc.super = c.scanIndex(qt, p, sc.sub[:0], sc.super[:0])
+	sc.sub, sc.super = c.scanIndex(qt, fv, d, sc.sub[:0], sc.super[:0])
 
 	// Benefit ranking. Which direction delivers answers vs pruning depends
 	// on the query type, but the proxy is the same either way: for

@@ -111,7 +111,7 @@ func TestQuickReplacedContentWellFormed(t *testing.T) {
 func rowIn(a, b ftv.Row) bool {
 	d := a.Decode()
 	defer d.Release()
-	ok, _ := d.In(b)
+	ok := d.In(b)
 	return ok
 }
 
@@ -126,7 +126,7 @@ func TestQuickFeatureDominanceOrder(t *testing.T) {
 		subsub := gen.ExtractConnectedSubgraph(r, sub, 1+r.Intn(2))
 
 		view := ftv.NewGGSXMethod([]*graph.Graph{g}, 2).View()
-		rg, rsub, rss := view.Row(0), summaryOn(view, sub).row, summaryOn(view, subsub).row
+		rg, rsub, rss := view.Row(0), rowOn(view, sub), rowOn(view, subsub)
 		// Reflexive, the chain subsub ⊑ sub ⊑ g, and its transitive
 		// consequence.
 		return rowIn(rg, rg) && rowIn(rsub, rg) && rowIn(rss, rsub) && rowIn(rss, rg)
@@ -236,11 +236,7 @@ func TestQuickSummaryScreenSound(t *testing.T) {
 		pw, tw := view.Walk(p), view.Walk(tg)
 		defer pw.Release()
 		defer tw.Release()
-		ps := summary{fv: ftv.ExtractFeatures(p), row: pw.Decoded().Row}
-		ts := summary{fv: ftv.ExtractFeatures(tg), row: view.Row(0)}
-		in, _ := probe{fv: ps.fv, Decoded: pw.Decoded()}.in(&ts)
-		held, _ := probe{fv: ts.fv, Decoded: tw.Decoded()}.holds(&ps)
-		return in && held
+		return screenIn(p, pw.Decoded(), tg, view.Row(0)) && screenHolds(tg, tw.Decoded(), p, pw.Decoded().Row)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

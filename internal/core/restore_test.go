@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"strings"
 	"testing"
 
 	"graphcache/internal/ftv"
@@ -131,26 +129,5 @@ func TestRestoreAcceptedAfterReplayedMutations(t *testing.T) {
 	}
 	if exact == 0 {
 		t.Fatal("no query was an exact hit on the restored entries")
-	}
-}
-
-// withVersion returns a copy of a GCS3 snapshot claiming version v, its
-// header checksum recomputed, so only the version check can refuse it.
-func withVersion(snapshot []byte, v uint32) []byte {
-	out := bytes.Clone(snapshot)
-	binary.LittleEndian.PutUint32(out[4:], v)
-	binary.LittleEndian.PutUint64(out[40:], fnv1a(out[:40]))
-	return out
-}
-
-func TestRestoreRefusesVersion4Snapshot(t *testing.T) {
-	src, _ := warmCache(t, 941)
-	c := MustNew(src.Method(), DefaultConfig())
-	err := c.ReadState(bytes.NewReader(withVersion(snapshotOf(t, src), 4)))
-	if err == nil || !strings.Contains(err.Error(), "unsupported state version 4") {
-		t.Fatalf("ReadState of a version-4 snapshot returned %v", err)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("a refused restore left %d entries", c.Len())
 	}
 }

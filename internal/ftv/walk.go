@@ -38,8 +38,8 @@ type Decoded struct {
 
 var decodePool = sync.Pool{New: func() any { return new([]uint64) }}
 
-// Decode returns r to be decoded, into pooled scratch, by the first
-// screen that gets past the blooms; Release returns the scratch.
+// Decode returns r to be decoded, into pooled scratch, by its first row
+// pass; Release returns the scratch.
 func (r Row) Decode() Decoded { return Decoded{Row: r, lazy: true} }
 
 // load decodes a lazy Decoded.
@@ -73,12 +73,8 @@ func (d *Decoded) Release() {
 
 // Holds reports whether r's graph may embed in d's, a necessary
 // condition: each node of r below d's watermark must have at least r's
-// count in d. r's bloom goes first when all of r is below that
-// watermark; merged reports whether it passed and the rows were read.
-func (d *Decoded) Holds(r Row) (ok, merged bool) {
-	if r.top < d.mark && r.bloom&^d.bloom != 0 {
-		return false, false
-	}
+// count in d. It is the row pass of the containment screen (ScreenKey).
+func (d *Decoded) Holds(r Row) bool {
 	d.load()
 	row, keys, node := r.packed, d.keys, uint64(0)
 	for i := 0; i < len(row); {
@@ -95,21 +91,17 @@ func (d *Decoded) Holds(r Row) (ok, merged bool) {
 			keys = keys[1:]
 		}
 		if len(keys) == 0 || keys[0]>>32 != node || keys[0]&(1<<32-1) < c {
-			return false, true
+			return false
 		}
 		keys = keys[1:]
 	}
-	return true, true
+	return true
 }
 
 // In reports whether d's graph may embed in r's, a necessary condition:
 // each node of d below r's watermark must have at least d's count in r.
-// d's bloom goes first when all of d is below that watermark; merged
-// reports whether it passed and the rows were read.
-func (d *Decoded) In(r Row) (ok, merged bool) {
-	if d.top < r.mark && d.bloom&^r.bloom != 0 {
-		return false, false
-	}
+// It is the row pass of the containment screen (ScreenKey).
+func (d *Decoded) In(r Row) bool {
 	d.load()
 	keys := d.keys
 	for len(keys) > 0 && keys[0]>>32 >= uint64(r.mark) { // the nodes r was walked without
@@ -118,7 +110,7 @@ func (d *Decoded) In(r Row) (ok, merged bool) {
 	row, node := r.packed, uint64(0)
 	for i := 0; len(keys) > 0; {
 		if i == len(row) {
-			return false, true
+			return false
 		}
 		v, c, j := nextPosting(row, i) // a pair is a posting's two uvarints
 		if i == 0 {
@@ -130,11 +122,11 @@ func (d *Decoded) In(r Row) (ok, merged bool) {
 		if want := keys[0] >> 32; node > want {
 			continue
 		} else if node < want || c < keys[0]&(1<<32-1) {
-			return false, true
+			return false
 		}
 		keys = keys[1:]
 	}
-	return true, true
+	return true
 }
 
 // Walk is one graph's walk down a view's GGSX trie. The filter stage

@@ -82,7 +82,7 @@ func TestSignatures(t *testing.T) {
 }
 
 // TestGraphHeaderIs64Bytes: a header is the block pointer, the id, the
-// edge-label map, 32-bit counts and the two memo slots, so it fits the
+// edge-label map, 32-bit counts and the three memo slots, so it fits the
 // 64-byte size class Bytes charges. A slice header in it would not.
 func TestGraphHeaderIs64Bytes(t *testing.T) {
 	if s := unsafe.Sizeof(Graph{}); s > 64 {

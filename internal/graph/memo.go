@@ -10,8 +10,8 @@ import (
 // Memoized derived summaries.
 //
 // Graphs are immutable after Build, so summaries that depend only on the
-// structure — the matcher's plan, the WL fingerprint — can be computed
-// once and shared by every reader. The subgraph-isomorphism hot path
+// structure — the matcher's plan, the WL fingerprint, the feature vector
+// — can be computed once and shared by every reader. The subgraph-isomorphism hot path
 // recomputed these on every invocation, which made them the dominant
 // allocation sites of query execution; the memoized accessors below make
 // every invocation after the first allocation-free.
@@ -24,8 +24,9 @@ import (
 // or more), its length implied by N, no slice header. Two goroutines
 // racing on a first plan may both compute it, but only the first to
 // publish wins and both return its bytes; a fingerprint race keeps
-// whichever lands last, the values being identical. Callers must treat
-// every returned slice and map as read-only.
+// whichever lands last, the values being identical, and so does a race
+// on the first feature vector. Callers must treat every returned slice
+// and map as read-only.
 
 // PlanStep is one depth of a match plan: the pattern vertex V matched
 // there and its anchor, the earliest-ordered neighbour of V. Anchor is -1
@@ -229,13 +230,27 @@ func (s *planScratch) rarity(labels []Label, rare, sorted []int32) {
 	}
 }
 
-// memoSet is the pair of lazily-computed summary slots embedded in
+// Features returns ExtractFeatures(g), memoized on the graph: the one
+// allocation is the vector of a graph's first call. Catch-up screens each
+// added dataset graph against every entry that reads it, so the vector is
+// worth keeping; a query graph, screened once, takes ExtractFeatures.
+func (g *Graph) Features() FeatureVector {
+	if fv := g.memoFV.Load(); fv != nil {
+		return *fv
+	}
+	fv := ExtractFeatures(g)
+	g.memoFV.Store(&fv)
+	return fv
+}
+
+// memoSet holds the three lazily-computed summary slots embedded in
 // Graph. It is excluded from WithID's shallow copy semantics manually:
 // atomic values must not be copied, so WithID re-shares the already
 // computed pointers instead of copying the struct.
 type memoSet struct {
 	memoPlan atomic.Pointer[byte] // the packed steps, see Plan
 	memoFP   atomic.Pointer[fpMemo]
+	memoFV   atomic.Pointer[FeatureVector]
 }
 
 // fpMemo caches the WL fingerprint for one round count — the cache keeps
@@ -252,4 +267,5 @@ type fpMemo struct {
 func (m *memoSet) shareFrom(src *memoSet) {
 	m.memoPlan.Store(src.memoPlan.Load())
 	m.memoFP.Store(src.memoFP.Load())
+	m.memoFV.Store(src.memoFV.Load())
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -299,6 +300,47 @@ func TestBuildAdjacencyExact(t *testing.T) {
 					t.Fatalf("trial %d: HasEdge(%d,%d) = %v", trial, u, v, g.HasEdge(u, v))
 				}
 			}
+		}
+	}
+}
+
+// TestConcurrentFirstFeatures: goroutines that ask a graph nobody has
+// summarized yet for its feature vector, all at once, race on its first
+// vector. Each must read the vector ExtractFeatures computes, the graph
+// must end up holding that one vector, and a copy made by WithID must
+// share it.
+func TestConcurrentFirstFeatures(t *testing.T) {
+	const goroutines = 16
+	rng := rand.New(rand.NewSource(61))
+	for round := 0; round < 12; round++ {
+		directed := round%2 == 1
+		labels, edges := randomEdges(rng, 4+rng.Intn(40), directed)
+		g := buildFrom(labels, edges, directed)
+		want := ExtractFeatures(g)
+		got := make([]FeatureVector, goroutines)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[i] = g.Features()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, fv := range got {
+			if fv != want {
+				t.Fatalf("round %d: goroutine %d read %+v, want %+v", round, i, fv, want)
+			}
+		}
+		memo := g.memoFV.Load()
+		if memo == nil || *memo != want {
+			t.Fatalf("round %d: the graph holds %v, want %+v", round, memo, want)
+		}
+		if c := g.WithID(7); c.memoFV.Load() != memo || c.Features() != want {
+			t.Fatalf("round %d: a WithID copy does not share the memoized vector", round)
 		}
 	}
 }
