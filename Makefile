@@ -150,9 +150,10 @@ unused:
 # cache, so each owes a caller that sets it, a test and a doc — and fails
 # when there are more than CONFIG_CEILING. A line declaring several names
 # (`Serialized, SharedWindow, IndexOff, LazyReconcile bool`) counts each.
-# The ceiling only ever comes down: ROADMAP item 1(a) takes it to 5 once
-# the four inert fields go with the benchmark rows that assign them.
-CONFIG_CEILING := 9
+# The ceiling only ever comes down: ROADMAP item 1(a) takes it to 4
+# (Capacity, Window, Policy, SelfCheck) once the four inert fields go
+# with the benchmark rows that assign them.
+CONFIG_CEILING := 8
 knobs:
 	@out=$$(awk '/^type Config struct/ { f = 1; next } f && /^}/ { exit } f && !/^[[:space:]]*(\/\/|$$)/' internal/core/core.go | \
 		sed -E 's/^[[:space:]]*([A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*)[[:space:]].*/\1/' | tr ',' '\n' | tr -d ' \t'); \

@@ -96,7 +96,7 @@
 //     are the ids past the set's length. A query on an earlier snapshot
 //     than the entry's treats the entry as absent.
 //   - Every window turn masks the pending removals of all cached
-//     entries, so the memory account is exact at every turn.
+//     entries, so Cache.Bytes is exact at every turn.
 //   - Because the maintenance keys on the snapshot, not on the caller,
 //     answers stay exact when the Method is mutated behind the cache's
 //     back: by another cache over the same Method, or directly.

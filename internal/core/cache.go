@@ -19,9 +19,9 @@ import (
 //
 // # Locking discipline
 //
-// Admitted entries live in one ID-ordered resident list guarded by mu,
-// and are published to readers as one immutable view (index.go): flat
-// arrays of screening keys per query type plus a fingerprint table. The
+// Admitted entries live in one ID-ordered resident list, published to
+// readers as one immutable view (index.go) with flat arrays of screening
+// keys per query type and a fingerprint table. The
 // expensive stages of a query — Method M filtering, hit-detection iso
 // tests and candidate verification — run without holding any lock at
 // all: they operate on the immutable dataset, on immutable entry fields
@@ -76,13 +76,10 @@ type Cache struct {
 	cfg    Config
 	policy Policy
 
-	// entries is the resident list: every admitted entry, in ascending ID
-	// (admission) order — the order the policy ranks and the view
-	// publishes. Guarded by mu.
-	entries []*Entry
-
-	// published is the readers' view of entries: immutable, replaced
-	// whole by republishLocked, loaded once per probe or scan.
+	// published is the resident list: every admitted entry, in ascending
+	// ID (admission) order — the order the policy ranks — with the index
+	// over it. Immutable, replaced whole by publishLocked under mu, loaded
+	// once per probe or scan.
 	published atomic.Pointer[resident]
 
 	// mu is the cache's lock. It guards the admission window, ID
@@ -120,10 +117,6 @@ type Cache struct {
 	costs     costCells
 	globalVal atomic.Uint64
 
-	// res tracks cache-wide resident entries/bytes atomically (see
-	// residency).
-	res residency
-
 	// victim is evictLocked's reusable mark-per-position scratch, all
 	// false between evictions. Guarded by mu.
 	victim []bool
@@ -133,16 +126,6 @@ type Cache struct {
 	empty atomic.Pointer[bitset.Set]
 
 	mon Monitor
-}
-
-// residency is the resident-entry account: entry and byte counts
-// maintained atomically by every admission and eviction, so Len and Bytes
-// read them without a lock. bytes is the sum of the resident entries'
-// charged footprints (Entry.charged): Σ Entry.Bytes() at every window
-// turn, which trues the charges up, and restore.
-type residency struct {
-	entries atomic.Int64
-	bytes   atomic.Int64
 }
 
 // defaultCostNs seeds cost estimates before any verification ran.
@@ -175,10 +158,10 @@ func (c *Cache) Method() *ftv.Method { return c.method }
 // PolicyName returns the active replacement policy's name.
 func (c *Cache) PolicyName() string { return c.policy.Name() }
 
-// Len returns the number of admitted entries (excluding the window). It
-// reads the atomic residency account instead of taking mu.
+// Len returns the number of admitted entries (excluding the window): the
+// length of the published resident list. Takes no lock.
 func (c *Cache) Len() int {
-	return int(c.res.entries.Load())
+	return len(c.published.Load().all)
 }
 
 // WindowLen returns the number of entries pending admission.
@@ -188,12 +171,12 @@ func (c *Cache) WindowLen() int {
 	return len(c.window)
 }
 
-// Bytes returns the estimated resident size of admitted entries from the
-// atomic residency account: Σ Entry.Bytes() over the resident list as of
-// the last window turn or restore (asserted by
-// TestResidencyAccountAgreement).
+// Bytes returns the estimated resident size of admitted entries, the
+// total the published view carries: Σ Entry.Bytes() over the resident
+// list as of the last window turn or restore (asserted by
+// TestResidencyAccountAgreement). Takes no lock.
 func (c *Cache) Bytes() int {
-	return int(c.res.bytes.Load())
+	return c.published.Load().bytes
 }
 
 // Stats returns a snapshot of the operational counters.
@@ -213,9 +196,10 @@ func (c *Cache) Entries() []*Entry {
 	c.reconcileResident(view)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.foldCreditsLocked(c.entries)
-	out := make([]*Entry, len(c.entries))
-	for i, e := range c.entries {
+	all := c.published.Load().all
+	c.foldCreditsLocked(all)
+	out := make([]*Entry, len(all))
+	for i, e := range all {
 		c.answersFor(e, view) // a load, unless a turn admitted e since the pass
 		cp := *e
 		out[i] = &cp
@@ -562,7 +546,7 @@ func (c *Cache) drainCreditsLocked() {
 // entryByIDLocked returns the resident or pending entry with the given
 // ID, or nil: both lists are ID-ordered. Caller holds mu.
 func (c *Cache) entryByIDLocked(id int) *Entry {
-	for _, list := range [2][]*Entry{c.entries, c.window} {
+	for _, list := range [2][]*Entry{c.published.Load().all, c.window} {
 		if i, ok := slices.BinarySearchFunc(list, id, func(e *Entry, id int) int { return cmp.Compare(e.ID, id) }); ok {
 			return list[i]
 		}
@@ -770,39 +754,34 @@ func (c *Cache) admit(e *Entry, view ftv.DatasetView) {
 // the newcomers, whose utilities are necessarily still zero. Caller holds
 // mu, under which it staged the entry that filled the window. Removals
 // up to the view are masked from every entry first, so the credits are
-// priced, and the charges trued up, over sets without them.
+// priced, and the bytes tallied, over sets without them. The next list
+// is a fresh slice: a reader holding the old view keeps its list.
 func (c *Cache) turnWindow(view ftv.DatasetView) {
 	c.mon.windowTurns.Add(1)
 	defer c.mon.endTurn(time.Now())
 
-	for _, list := range [][]*Entry{c.entries, c.window} {
+	all := c.published.Load().all
+	bytes := 0
+	for _, list := range [][]*Entry{all, c.window} {
 		for _, e := range list {
-			c.maskRemovalsLocked(e, view)
+			bytes += c.maskRemovalsLocked(e, view)
 		}
 	}
 	// Fold exact-hit credits before anything ages or ranks.
-	c.foldCreditsLocked(c.entries, c.window)
-	for _, e := range c.entries {
+	c.foldCreditsLocked(all, c.window)
+	for _, e := range all {
 		e.age(decayFactor)
-		// True up this entry's charge: readers may have swapped its
-		// answer set on the query path, where the account is not
-		// touched. Keeps the memory-budget enforcement below honest.
-		c.rechargeLocked(e)
 	}
-	if excess := len(c.entries) + len(c.window) - c.cfg.Capacity; excess > 0 {
-		c.evictLocked(excess)
-	}
-	for _, e := range c.window {
-		c.insertLocked(e)
-		c.mon.admissions.Add(1)
-	}
+	excess := len(all) + len(c.window) - c.cfg.Capacity
+	next, freed := c.evictLocked(make([]*Entry, 0, min(len(all)+len(c.window), c.cfg.Capacity)), all, excess)
+	// A window larger than the whole capacity evicts from itself too.
+	next, overflow := c.evictLocked(next, c.window, excess-len(all))
+	c.mon.admissions.Add(int64(len(c.window)))
 	c.window = c.window[:0]
-	// A window larger than the whole capacity can still overflow.
-	c.enforceLimitsLocked()
 
 	// Publish before mu drops: the next query of a sequential stream
 	// sees exactly the admitted entries.
-	c.republishLocked()
+	c.publishLocked(next, bytes-freed-overflow)
 }
 
 // markVictims marks x distinct positions of the ID-ordered slice all in
@@ -838,50 +817,26 @@ func (c *Cache) markVictims(all []*Entry, x int) []bool {
 	return marks
 }
 
-// enforceLimitsLocked evicts until the resident list fits Capacity and,
-// when set, MemoryBudget — keeping at least one entry. Window turns and
-// restores call it after admitting.
-func (c *Cache) enforceLimitsLocked() {
-	if excess := len(c.entries) - c.cfg.Capacity; excess > 0 {
-		c.evictLocked(excess)
+// evictLocked appends to dst the entries of the ID-ordered list that
+// survive the eviction of x of them, chosen by the policy, and returns
+// dst and the victims' Bytes(). It only reads list, which may be the
+// published one. Caller holds mu (window turns and state restores).
+func (c *Cache) evictLocked(dst, list []*Entry, x int) ([]*Entry, int) {
+	if x <= 0 {
+		return append(dst, list...), 0
 	}
-	for c.cfg.MemoryBudget > 0 && c.Bytes() > c.cfg.MemoryBudget && len(c.entries) > 1 {
-		c.evictLocked(1)
-	}
-}
-
-// insertLocked appends e to the resident list and charges its Bytes().
-// Admissions arrive in ascending-ID order (IDs are claimed monotonically
-// under mu as the entry is staged), so appending keeps the list sorted.
-func (c *Cache) insertLocked(e *Entry) {
-	c.entries = append(c.entries, e)
-	e.charged = e.Bytes()
-	c.res.entries.Add(1)
-	c.res.bytes.Add(int64(e.charged))
-}
-
-// evictLocked removes x entries chosen by the policy from the resident
-// list in one in-place pass, refunding each victim's charge. Caller holds
-// mu (window turns and state restores).
-func (c *Cache) evictLocked(x int) {
-	if x <= 0 || len(c.entries) == 0 {
-		return
-	}
-	marks := c.markVictims(c.entries, x)
-	kept := c.entries[:0]
-	for i, e := range c.entries {
+	marks := c.markVictims(list, x)
+	freed := 0
+	for i, e := range list {
 		if !marks[i] {
-			kept = append(kept, e)
+			dst = append(dst, e)
 			continue
 		}
 		marks[i] = false
-		c.res.entries.Add(-1)
-		c.res.bytes.Add(int64(-e.charged))
+		freed += e.Bytes()
 		c.mon.evictions.Add(1)
 	}
-	// Zero the tail so evicted entries are collectable.
-	clear(c.entries[len(kept):])
-	c.entries = kept
+	return dst, freed
 }
 
 // selfCheck cross-validates a result against the uncached method on the

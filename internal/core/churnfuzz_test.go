@@ -94,7 +94,7 @@ func runChurnOps(ops []byte, lazy bool) (err error) {
 			}
 		}
 		// Structural invariants after every op: capacity is strict, and the
-		// residency account is exact wherever it is owed (after a turn:
+		// byte total is exact wherever it is owed (after a turn:
 		// queries swap sets outside mu until the next one, so each
 		// mutation is followed by one).
 		if c.Len() > cfg.Capacity {

@@ -28,10 +28,6 @@ type Config struct {
 	// benchmark harness assigns them in its serialized, shared_window,
 	// index_off and lazy_reconcile sweep rows.
 	Serialized, SharedWindow, IndexOff, LazyReconcile bool
-	// MemoryBudget, when positive, caps the estimated resident bytes of
-	// cached entries (graphs + answer sets); eviction triggers on overflow
-	// even below Capacity.
-	MemoryBudget int
 	// SelfCheck re-executes every query on the base method and panics on
 	// any answer mismatch. For tests and demos only.
 	SelfCheck bool
@@ -72,9 +68,6 @@ func (c *Config) validate(method *ftv.Method) error {
 	}
 	if c.Window <= 0 {
 		return fmt.Errorf("core: window must be positive, got %d", c.Window)
-	}
-	if c.MemoryBudget < 0 {
-		return fmt.Errorf("core: memory budget must be non-negative (0 = off), got %d", c.MemoryBudget)
 	}
 	return nil
 }

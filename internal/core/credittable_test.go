@@ -178,8 +178,8 @@ func TestCreditTableDropsCreditsOfGoneEntries(t *testing.T) {
 		// Evict entry 0 (the policy names the oldest) as a turn would; a
 		// reader that loaded the view before the turn still hits it.
 		c.mu.Lock()
-		c.evictLocked(1)
-		c.republishLocked()
+		kept, freed := c.evictLocked(nil, c.published.Load().all, 1)
+		c.publishLocked(kept, c.Bytes()-freed)
 		c.mu.Unlock()
 		if c.serveExact(gone, view, &c.mon.hot[readSlot()]) == nil {
 			t.Fatal("no hit on the evicted entry")

@@ -149,18 +149,16 @@
 //     before publication; a published set is frozen in whatever
 //     container it had (concurrent readers dispatch on its mode tag, so
 //     migration on a shared set is a data race by construction).
-//     Sets are not shared across entries: each entry charges its own
-//     Bytes() to the residency account (Entry.charged, trued up by
-//     rechargeLocked at every window turn), so Cache.Bytes is
-//     Σ Entry.Bytes() at every turn.
+//     Sets are not shared across entries: each entry's Bytes() counts
+//     its own, and Cache.Bytes is Σ Entry.Bytes() at every turn.
 //
-//   - The one stop-the-world pass, the window turn, neither sorts nor
-//     copies the resident set: it masks pending removals by cloning only
-//     the sets that hold a removed graph (an entry with no removal since
-//     its set was published costs one comparison), selects its victims with a
-//     bounded heap over the ID-ordered resident list, and trues up a
-//     charge with one O(1) Bytes() per entry. A dataset mutation stops
-//     nothing at all.
+//   - The one stop-the-world pass, the window turn, sorts nothing: it
+//     masks pending removals by cloning only the sets that hold a removed
+//     graph (an entry with no removal since its set was published costs
+//     one comparison), tallying one O(1) Bytes() per entry as it goes,
+//     selects its victims with a bounded heap over the ID-ordered
+//     resident list and copies the survivors' pointers into the next
+//     list. A dataset mutation stops nothing at all.
 //     A snapshot stores no answer sets: a restore re-runs each pattern
 //     and newEntry Compact()s the fresh set before publication.
 //
@@ -251,7 +249,8 @@
 //     TestConcurrentRepublishProbeWalksOneView,
 //     TestEntriesDuringAddsHoldsNoMu,
 //     TestConcurrentMutationDatasetInfoReadsOneView).
-//   - A published value is never written: answer sets
+//   - A published value is never written: the resident list
+//     (TestTurnLeavesPublishedListUnchanged), answer sets
 //     (TestExactMemoFollowsMutations, TestTurnMaskLeavesPublishedSetIntact;
 //     TestConcurrentChurn and TestConcurrentWindowTurns under the race
 //     detector for an in-place Compact), the method's live set

@@ -105,12 +105,6 @@ type Entry struct {
 	// set is swapped. Immutable.
 	staticBytes int
 
-	// charged is the Bytes() the residency account holds for this entry:
-	// set at admission, trued up by rechargeLocked at window turns
-	// (readers swap sets outside mu, where the account is not touched).
-	// Guarded by mu.
-	charged int
-
 	// InsertedAt and LastUsed are miss ticks (LRU/FIFO state): an exact
 	// hit claims no tick, so LastUsed is the last miss before the latest
 	// hit (doc.go).
@@ -165,8 +159,8 @@ func newEntry(q *graph.Graph, qt ftv.QueryType, set *bitset.Set, view ftv.Datase
 const entryBytes = int(unsafe.Sizeof(Entry{}) + unsafe.Sizeof(answersCell{}) + unsafe.Sizeof(answersAt{}))
 
 // Bytes estimates the entry's logical resident size: the immutable
-// static part plus the current answer set. O(1). It is what the entry
-// charges to the residency account (Cache.Bytes).
+// static part plus the current answer set. O(1). Cache.Bytes sums it
+// over the resident list.
 func (e *Entry) Bytes() int { return e.staticBytes + e.Answers().Bytes() }
 
 // age decays the adaptive utilities by factor.

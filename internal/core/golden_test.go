@@ -48,20 +48,17 @@ func (shortPolicy) ReplacedContent(_ []*Entry, _ int) []int { return nil }
 type goldenStream struct {
 	policy string
 	seed   int64
-	budget int
 }
 
 func (s goldenStream) String() string {
-	return fmt.Sprintf("%s-seed%d-budget%d", s.policy, s.seed, s.budget)
+	return fmt.Sprintf("%s-seed%d", s.policy, s.seed)
 }
 
 func goldenStreams() []goldenStream {
 	var out []goldenStream
 	for _, policy := range []string{"pin", "lru", "fifo", "pop", "short"} {
 		for _, seed := range []int64{11, 22, 33} {
-			for _, budget := range []int{0, 20000, 6000} {
-				out = append(out, goldenStream{policy, seed, budget})
-			}
+			out = append(out, goldenStream{policy, seed})
 		}
 	}
 	return out
@@ -161,7 +158,6 @@ func goldenTranscript(t *testing.T, s goldenStream) []byte {
 	cfg := DefaultConfig()
 	cfg.Capacity = 20
 	cfg.Window = 4
-	cfg.MemoryBudget = s.budget
 	cfg.Policy = p
 	cfg.SelfCheck = true
 	c := MustNew(ftv.NewGGSXMethod(dataset, 3), cfg)

@@ -5,9 +5,9 @@ import (
 	"graphcache/internal/graph"
 )
 
-// The published resident view: immutable flat arrays over the resident
-// list (the cache-entry feature index) plus a fingerprint table, stored
-// in one atomic pointer (Cache.published). The exact probe and hit
+// The published resident view: the resident list itself, immutable flat
+// arrays over it (the cache-entry feature index) and a fingerprint table,
+// stored in one atomic pointer (Cache.published). The exact probe and hit
 // detection read it entirely lock-free — no lock, no snapshot
 // allocation, no per-query sort.
 //
@@ -26,14 +26,15 @@ import (
 //
 // # Publication rules
 //
-// Writers never mutate a published view. It is replaced whole by
-// republishLocked — under mu — whenever the resident list changes: a
-// window turn or a state restore. Readers load the pointer once per probe
+// Writers never mutate a published view, its list included. It is
+// replaced whole by publishLocked — under mu — whenever the resident list
+// changes: a window turn or a state restore, each of which builds the
+// next list in a fresh slice. Readers load the pointer once per probe
 // or scan and work on that point-in-time view; an entry evicted after the
 // load stays sound to use (its graph, answer set, vector and row are
 // immutable, and a key is a copy of immutable fields). For a sequential
-// stream the view always exactly mirrors the resident list: it changes
-// only inside mu, and every change republishes before the lock drops.
+// stream the view is always the current resident list: it changes only
+// inside mu, and every change publishes before the lock drops.
 type resident struct {
 	// keys[t] and typed[t] hold the entries of query type t, in ID
 	// order: typed[t][i]'s screening key is keys[t][i].
@@ -43,47 +44,51 @@ type resident struct {
 	// position in all of its lowest-ID entry; next[i] is the position of
 	// the next entry with all[i]'s fingerprint, in ascending ID order,
 	// and -1 ends the chain.
-	all  []*Entry
-	next []int32
-	byFP map[graph.Fingerprint]int32
+	all   []*Entry
+	next  []int32
+	byFP  map[graph.Fingerprint]int32
+	bytes int // Σ Entry.Bytes() over all, as tallied by a turn or restore
 }
 
-// republishLocked publishes a fresh view of the resident list: its
-// arrays are allocated at their exact sizes, from a count of each type,
-// and filled in one backward pass. Walking the list backwards leaves each
-// fingerprint mapped to its lowest-ID position with the chain ascending
-// from there, and fills each type's arrays from their ends down.
-func (c *Cache) republishLocked() {
-	n := len(c.entries)
+// publishLocked publishes all, a fresh ID-ordered resident list that is
+// never written again, with its byte total. The index arrays are
+// allocated at their exact sizes, from a count of each type, and filled
+// in one backward pass.
+// Walking the list backwards leaves each fingerprint mapped to its
+// lowest-ID position with the chain ascending from there, and fills each
+// type's arrays from their ends down. Caller holds mu.
+func (c *Cache) publishLocked(all []*Entry, bytes int) {
+	n := len(all)
 	var ends [ftv.Supergraph + 1]int // where each type's positions end
-	for _, e := range c.entries {
+	for _, e := range all {
 		ends[e.Type]++
 	}
 	ends[ftv.Supergraph] += ends[ftv.Subgraph]
 	keys := make([]ftv.ScreenKey, n)
-	ptrs := make([]*Entry, 2*n)
+	typed := make([]*Entry, n)
 	r := &resident{
-		all:  ptrs[:n],
-		next: make([]int32, n),
-		byFP: make(map[graph.Fingerprint]int32, n),
+		all:   all,
+		next:  make([]int32, n),
+		byFP:  make(map[graph.Fingerprint]int32, n),
+		bytes: bytes,
 	}
 	start := 0
 	for t, end := range ends {
-		r.keys[t], r.typed[t] = keys[start:end:end], ptrs[n+start:n+end:n+end]
+		r.keys[t], r.typed[t] = keys[start:end:end], typed[start:end:end]
 		start = end
 	}
 	for i := n - 1; i >= 0; i-- {
-		e := c.entries[i]
+		e := all[i]
 		next, ok := r.byFP[e.Fingerprint]
 		if !ok {
 			next = -1
 		}
-		r.all[i], r.next[i] = e, next
+		r.next[i] = next
 		r.byFP[e.Fingerprint] = int32(i)
 		t := e.Type
 		ends[t]--
 		keys[ends[t]] = ftv.NewScreenKey(e.FV, e.row)
-		ptrs[n+ends[t]] = e
+		typed[ends[t]] = e
 	}
 	c.published.Store(r)
 }

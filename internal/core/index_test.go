@@ -25,8 +25,9 @@ func driveQueries(t *testing.T, c *Cache, seed int64, n int) {
 	}
 }
 
-// The published view must mirror the resident list exactly after every
-// sequential query: every entry in the same (ID) order; each query type's
+// The published index must mirror the resident list it publishes exactly
+// after every sequential query: every entry in the same (ID) order as
+// Entries(); each query type's
 // entries, and only those, in ID order in its own arrays, each with the
 // screening key of its own summary; and every entry reachable from byFP
 // along its fingerprint's chain, in ascending ID order, where the exact
@@ -108,6 +109,43 @@ func TestIndexMirrorsAdmittedEntries(t *testing.T) {
 	}
 }
 
+// TestTurnLeavesPublishedListUnchanged: the published list is the
+// resident list, and lock-free readers hold it, so a window turn builds
+// the next list in a fresh slice. A view loaded before a turn that
+// evicts keeps the same entries, by pointer and by ID, in the same
+// order. FIFO evicts the oldest entries, the head of the list, so a turn
+// that compacted the list in place would overwrite every position.
+func TestTurnLeavesPublishedListUnchanged(t *testing.T) {
+	c := testCache(t, testDataset(95, 20), func(cfg *Config) {
+		cfg.Capacity = 6
+		cfg.Window = 3
+		cfg.Policy = NewFIFO()
+	})
+	driveQueries(t, c, 96, 6)
+	r := c.published.Load()
+	if len(r.all) != 6 {
+		t.Fatalf("%d resident entries, want a full cache of 6", len(r.all))
+	}
+	held, ids := slices.Clone(r.all), make([]int, len(r.all))
+	for i, e := range r.all {
+		ids[i] = e.ID
+	}
+	turns, evictions := c.Stats().WindowTurns, c.Stats().Evictions
+	driveQueries(t, c, 97, 3)
+	if st := c.Stats(); st.WindowTurns == turns || st.Evictions == evictions {
+		t.Fatalf("no turn evicted: %d turns, %d evictions since the view was loaded", st.WindowTurns-turns, st.Evictions-evictions)
+	}
+	if c.published.Load() == r {
+		t.Fatal("the turn published no new view")
+	}
+	for i, e := range r.all {
+		if e != held[i] || e.ID != ids[i] {
+			t.Fatalf("position %d of the held view: entry %d, was entry %d", i, e.ID, ids[i])
+		}
+	}
+	checkResidency(t, c, "after the turn")
+}
+
 // Admitted entries must carry their immutable feature summaries, and the
 // summaries must agree with recomputation from the pattern graph.
 func TestEntrySummariesPopulated(t *testing.T) {
@@ -166,10 +204,7 @@ func checkIndexedEquivalentToUnindexed(t *testing.T, seed int64) {
 			}
 			return false
 		}
-		c.mu.Lock()
-		resident := slices.Clone(c.entries)
-		c.mu.Unlock()
-		for _, h := range resident {
+		for _, h := range c.published.Load().all {
 			if h.Type != q.Type {
 				continue
 			}

@@ -37,8 +37,8 @@ import (
 //     falls through to the miss path, a sub/super hit is dropped.
 //
 //   - Every window turn masks the pending removals of every resident and
-//     window entry, with no containment test, then trues up the charges,
-//     so the residency account and MemoryBudget are exact at every turn.
+//     window entry, with no containment test, and tallies their Bytes()
+//     as it goes, so Cache.Bytes is exact at every turn.
 //
 // Entries needs every entry current: it brings the resident list forward
 // before it takes mu (reconcileResident), so its containment tests block
@@ -78,24 +78,16 @@ func (c *Cache) RemoveGraph(gid int) error {
 // maskRemovalsLocked brings e's answers forward to the view's removals
 // when any landed since e's set was published: the turn's maintenance,
 // no containment test, ids appended since left untested. An entry at or
-// past the view's removal count has none to take. Caller holds mu (a
-// turn).
-func (c *Cache) maskRemovalsLocked(e *Entry, view ftv.DatasetView) {
-	if a := e.ans.p.Load(); a.removals < view.Removals() {
-		e.ans.p.CompareAndSwap(a, at(withoutRemoved(a.set, view, a.removals), view))
+// past the view's removal count has none to take. It returns e's Bytes()
+// over the set it leaves, from its one load of e's cell. Caller holds mu.
+func (c *Cache) maskRemovalsLocked(e *Entry, view ftv.DatasetView) int {
+	a := e.ans.p.Load()
+	set := a.set
+	if a.removals < view.Removals() {
+		set = withoutRemoved(a.set, view, a.removals)
+		e.ans.p.CompareAndSwap(a, at(set, view))
 	}
-}
-
-// rechargeLocked trues up the residency charge of an admitted entry whose
-// answer set may have been swapped since the last turn (readers publish
-// fresh sets outside mu, where the account is not touched): the account
-// moves by the difference between the entry's Bytes() and its charge.
-// Caller holds mu.
-func (c *Cache) rechargeLocked(e *Entry) {
-	if b := e.Bytes(); b != e.charged {
-		c.res.bytes.Add(int64(b - e.charged))
-		e.charged = b
-	}
+	return e.staticBytes + set.Bytes()
 }
 
 // answersFor returns e's answer set exact for the view: one atomic load
@@ -103,8 +95,8 @@ func (c *Cache) rechargeLocked(e *Entry) {
 // the set brought forward (removals masked, then additions tested) and
 // published; nil for one a newer reader has already brought past the
 // view (answersAt). Racing readers of one view compute identical sets,
-// so whichever swap lands is right. The byte account is not touched here
-// (mu is not held); the next turn trues it up. Takes no lock, and loads
+// so whichever swap lands is right. Cache.Bytes does not see the swap
+// until the next turn tallies it. Takes no lock, and loads
 // e's answer cell once: every later step works on that one state.
 func (c *Cache) answersFor(e *Entry, view ftv.DatasetView) *bitset.Set {
 	a := e.ans.p.Load()

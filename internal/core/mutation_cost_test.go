@@ -12,7 +12,7 @@ import (
 )
 
 // Mutations stop nothing, and the window turns that mask their removals
-// leave the residency account exact (mutate.go).
+// leave Len and Bytes exact (mutate.go).
 
 // distinctPatterns extracts n pairwise non-isomorphic (by WL fingerprint)
 // patterns from the dataset, so executing them in order is n misses.
@@ -44,8 +44,8 @@ func turnNow(c *Cache) {
 
 // TestMutationsKeepResidency: on a warm 200-entry cache, 20 add/remove
 // pairs with a forced window turn after each, then 20 turns driven by
-// queries, are all counted and timed, and the residency account equals
-// Σ Entry.Bytes() after each phase. In both reconcileModes: with
+// queries, are all counted and timed, and Bytes() equals Σ Entry.Bytes()
+// over the resident list after each phase. In both reconcileModes: with
 // lazy=true the mutation phase runs no maintenance test (the turns mask
 // removals without one); with lazy=false reconcileNow after each add
 // runs them, so the saving is not skipped work.

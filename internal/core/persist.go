@@ -152,9 +152,10 @@ type entryRecord struct {
 func (c *Cache) records() []entryRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.foldCreditsLocked(c.entries)
-	recs := make([]entryRecord, len(c.entries))
-	for i, e := range c.entries {
+	all := c.published.Load().all
+	c.foldCreditsLocked(all)
+	recs := make([]entryRecord, len(all))
+	for i, e := range all {
 		recs[i] = entryRecord{
 			g: e.Graph, fp: e.Fingerprint, qt: int64(e.Type), baseCandidates: int64(e.BaseCandidates),
 			hits: e.Hits, savedTests: e.SavedTests, savedCost: e.SavedCostNs,
@@ -355,28 +356,23 @@ func (c *Cache) RestoreStateLazy(path string) (io.Closer, error) {
 	return io.NopCloser(nil), nil
 }
 
-// replaceEntries installs entries as the cache's entire content — the
-// last step of every restore. Stop-the-world under mu, so no
-// admission interleaves, the pending window is cleared, and queries see
-// the old view until the new one is published.
+// replaceEntries installs entries as the cache's entire content, evicted
+// down to Capacity — the last step of every restore. Stop-the-world under
+// mu, so no admission interleaves, the pending window is cleared, and
+// queries see the old view until the new one is published.
 func (c *Cache) replaceEntries(entries []*Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// The resident list is dropped whole, bypassing evictLocked: reset the
-	// residency account to match before insertLocked re-adds the restored
-	// entries (a warm-cache restore would otherwise double-count forever).
-	c.entries = nil
-	c.res.entries.Store(0)
-	c.res.bytes.Store(0)
 	c.window = c.window[:0]
 	tick := c.tick.Load()
+	bytes := 0
 	for _, e := range entries {
 		e.ID = c.nextID
 		c.nextID++
 		e.InsertedAt = tick
 		e.LastUsed = tick
-		c.insertLocked(e)
+		bytes += e.Bytes()
 	}
-	c.enforceLimitsLocked()
-	c.republishLocked()
+	kept, freed := c.evictLocked(make([]*Entry, 0, min(len(entries), c.cfg.Capacity)), entries, len(entries)-c.cfg.Capacity)
+	c.publishLocked(kept, bytes-freed)
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"unsafe"
 
@@ -13,20 +11,21 @@ import (
 	"graphcache/internal/gen"
 )
 
-// residencyDrift returns an error unless the residency account agrees
-// with the resident list: Len is its length, the list is ID-ordered and
+// residencyDrift returns an error unless Len and Bytes agree with the
+// published resident list: Len is its length, the list is ID-ordered and
 // Bytes is Σ Entry.Bytes() over it. The sum is owed at the points that
-// true charges up — window turns and restores — not between them, where
+// tally it — window turns and restores — not between them, where
 // readers swap sets on the query path.
 func residencyDrift(c *Cache) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if got := c.Len(); got != len(c.entries) {
-		return fmt.Errorf("Len() %d, resident list %d", got, len(c.entries))
+	all := c.published.Load().all
+	if got := c.Len(); got != len(all) {
+		return fmt.Errorf("Len() %d, resident list %d", got, len(all))
 	}
 	sum := 0
-	for i, e := range c.entries {
-		if i > 0 && e.ID <= c.entries[i-1].ID {
+	for i, e := range all {
+		if i > 0 && e.ID <= all[i-1].ID {
 			return fmt.Errorf("resident list not ID-ordered at %d", i)
 		}
 		sum += e.Bytes()
@@ -45,25 +44,16 @@ func checkResidency(t *testing.T, c *Cache, when string) {
 	}
 }
 
-// TestResidencyAccountAgreement asserts that the atomic residency account
-// (backing Cache.Len and Cache.Bytes) equals Σ Entry.Bytes() over the
-// resident list after window turns, evictions, live dataset mutations
-// and a state restore, in both reconcileModes, with answer sets migrating
-// containers throughout (Compact at admission, clone-and-compact on
-// removals). A mutation swaps no set, so the account stays exact across
-// it. With lazy=false each add is followed by reconcileNow, whose swapped
-// sets the turn after it trues up.
 // TestEntryBytesModel pins what an entry charges for its bookkeeping,
 // beside its graph, trie row and answers: the Entry, its answersCell and
-// the first answersAt, 200 + 24 + 24 B on a 64-bit platform. A field
-// added to any of the three moves Cache.Bytes and MemoryBudget's
-// residency, so it shows here first.
+// the first answersAt, 192 + 24 + 24 B on a 64-bit platform. A field
+// added to any of the three moves Cache.Bytes, so it shows here first.
 func TestEntryBytesModel(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the sizes are a 64-bit platform's")
 	}
-	if got := [3]uintptr{unsafe.Sizeof(Entry{}), unsafe.Sizeof(answersCell{}), unsafe.Sizeof(answersAt{})}; got != [3]uintptr{200, 24, 24} || entryBytes != 248 {
-		t.Errorf("Entry, answersCell, answersAt are %v B, entryBytes %d; want [200 24 24] and 248", got, entryBytes)
+	if got := [3]uintptr{unsafe.Sizeof(Entry{}), unsafe.Sizeof(answersCell{}), unsafe.Sizeof(answersAt{})}; got != [3]uintptr{192, 24, 24} || entryBytes != 240 {
+		t.Errorf("Entry, answersCell, answersAt are %v B, entryBytes %d; want [192 24 24] and 240", got, entryBytes)
 	}
 	dataset := testDataset(5, 30)
 	c := testCache(t, dataset, func(cfg *Config) { cfg.Window = 1 })
@@ -80,6 +70,14 @@ func TestEntryBytesModel(t *testing.T) {
 	}
 }
 
+// TestResidencyAccountAgreement asserts that Cache.Len and Cache.Bytes,
+// both read off the published view, agree with its resident list — its
+// length and Σ Entry.Bytes() over it — after window turns, evictions,
+// live dataset mutations and a state restore, in both reconcileModes,
+// with answer sets migrating containers throughout (Compact at
+// admission, clone-and-compact on removals). A mutation swaps no set, so
+// the total stays exact across it. With lazy=false each add is followed
+// by reconcileNow, whose swapped sets the turn after it tallies.
 func TestResidencyAccountAgreement(t *testing.T) {
 	for _, lazy := range reconcileModes {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
@@ -130,7 +128,7 @@ func TestResidencyAccountAgreement(t *testing.T) {
 			}
 			checkResidency(t, c, "after remove")
 			// Touch entries so reconciliation swaps answer sets outside mu;
-			// the next turn trues the charges up.
+			// the next turn tallies the swapped sets.
 			for _, e := range c.Entries() {
 				if _, err := c.Execute(e.Graph, e.Type); err != nil {
 					t.Fatal(err)
@@ -139,7 +137,7 @@ func TestResidencyAccountAgreement(t *testing.T) {
 			turnNow(c)
 			checkResidency(t, c, "after reconciling hits and a turn")
 
-			// Save/restore resets and rebuilds the account.
+			// Save/restore replaces the list and its total.
 			var buf bytes.Buffer
 			if err := c.WriteState(&buf); err != nil {
 				t.Fatal(err)
@@ -152,34 +150,5 @@ func TestResidencyAccountAgreement(t *testing.T) {
 				t.Fatal("restore left the cache empty")
 			}
 		})
-	}
-}
-
-// TestRestoreEnforcesMemoryBudget: a restore into a cache whose
-// MemoryBudget is half the snapshot's footprint evicts down to the
-// budget, keeping some entries but not all. The restore goes through the
-// file wrapper RestoreStateLazy, which despite its name is eager.
-func TestRestoreEnforcesMemoryBudget(t *testing.T) {
-	src, _ := warmCache(t, 811)
-	path := filepath.Join(t.TempDir(), "state.gcs3")
-	if err := os.WriteFile(path, snapshotOf(t, src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	budget := src.Bytes() / 2
-	cfg := DefaultConfig()
-	cfg.Window = 2
-	cfg.MemoryBudget = budget
-	c := MustNew(src.Method(), cfg)
-	closer, err := c.RestoreStateLazy(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	checkResidency(t, c, "after restore")
-	if got := c.Bytes(); got > budget {
-		t.Fatalf("Bytes() %d after restore, budget %d", got, budget)
-	}
-	if c.Len() == 0 || c.Len() >= src.Len() {
-		t.Fatalf("%d of %d entries restored: the budget should evict some, not all", c.Len(), src.Len())
 	}
 }
