@@ -367,8 +367,8 @@ func BenchmarkRemoveGraphWarm(b *testing.B) {
 
 // BenchmarkWindowTurn is one turn of a ten-entry window on the full
 // cache: mask and tally bytes, fold, age, choose and evict ten victims
-// among 1 000, admit ten, publish the next list and its index. The misses that stage the window run
-// with the timer stopped.
+// among 1 000, admit ten, publish the next list and its index. The
+// misses that stage the window run with the timer stopped.
 func BenchmarkWindowTurn(b *testing.B) {
 	bs, _ := newWarmBench(b, 11) // never fills on its own at ten pending
 	c, next := bs.cache, 0

@@ -87,6 +87,12 @@ type Entry struct {
 	// reaches the iso test.
 	Fingerprint graph.Fingerprint
 
+	// BaseCandidates is |C_M| when the query was originally executed —
+	// the number of sub-iso tests an exact-match hit on this entry saves.
+	// It sits with the fields before it, so an exact hit reads one cache
+	// line of its entry (an Entry is 192 B, three lines).
+	BaseCandidates int
+
 	// FV and row are what the containment screen reads of the entry
 	// (ftv.ScreenKey), the hit index's and catch-up's alike: the
 	// fixed-size graph.FeatureVector and the pattern's row of Method M's
@@ -94,10 +100,6 @@ type Entry struct {
 	// on state restore). Both are immutable.
 	FV  graph.FeatureVector
 	row ftv.Row
-
-	// BaseCandidates is |C_M| when the query was originally executed —
-	// the number of sub-iso tests an exact-match hit on this entry saves.
-	BaseCandidates int
 
 	// staticBytes is the size of everything but the answer set — graph,
 	// signatures, struct overhead — computed once at construction so

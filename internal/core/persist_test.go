@@ -230,9 +230,11 @@ func TestStateCapacityEnforcedOnLoad(t *testing.T) {
 	if err := small.ReadState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if small.Len() > 3 {
-		t.Errorf("restored cache exceeds capacity: %d", small.Len())
+	if small.Len() != 3 {
+		t.Errorf("restored cache holds %d entries, want its capacity 3", small.Len())
 	}
+	// The restore evicted down to capacity: Bytes counts the kept entries alone.
+	checkResidency(t, small, "after a restore that evicts")
 }
 
 func TestStateDirectedEntries(t *testing.T) {

@@ -90,7 +90,7 @@ func TestGraphHeaderIs64Bytes(t *testing.T) {
 	}
 }
 
-// TestBytesCountsTheBlock pins the accounting the cache's memory budget
+// TestBytesCountsTheBlock pins the accounting the cache's byte total
 // runs on: 64 for the header, then the block — per row 8 B of signature
 // and 4 B of offset, 2 B per neighbour entry, 2 B per label, the labels
 // rounded up to a word and the offsets and neighbours, which share their
