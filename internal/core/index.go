@@ -53,10 +53,10 @@ type resident struct {
 // publishLocked publishes all, a fresh ID-ordered resident list that is
 // never written again, with its byte total. The index arrays are
 // allocated at their exact sizes, from a count of each type, and filled
-// in one backward pass.
-// Walking the list backwards leaves each fingerprint mapped to its
-// lowest-ID position with the chain ascending from there, and fills each
-// type's arrays from their ends down. Caller holds mu.
+// in one backward pass. Walking the list backwards leaves each
+// fingerprint mapped to its lowest-ID position with the chain ascending
+// from there, and fills each type's arrays from their ends down. Caller
+// holds mu.
 func (c *Cache) publishLocked(all []*Entry, bytes int) {
 	n := len(all)
 	var ends [ftv.Supergraph + 1]int // where each type's positions end

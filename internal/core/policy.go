@@ -90,7 +90,8 @@ type Policy interface {
 	// ReplacedContent returns the indices (positions into entries) of the
 	// x entries with least utility, the ones to evict. If x ≥ len(entries)
 	// all indices are returned. The returned indices are distinct.
-	// entries is the cache's published resident list, which lock-free
-	// readers hold while the policy ranks it: read it, never modify it.
+	// entries is, at a window turn, the published resident list, which
+	// lock-free readers hold while the policy ranks it: read it, never
+	// modify it.
 	ReplacedContent(entries []*Entry, x int) []int
 }
