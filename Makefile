@@ -190,8 +190,9 @@ cover:
 # ns/probe and the derefs/probe whose keys pass), of a dataset add and
 # remove on a warm cache (each the Method's copy-on-write mutation, no
 # pass over the entries), of an add followed by every entry's catch-up on
-# it (the containment tests the add leaves for readers) and of a window
-# turn (the one stop-the-world pass), a CPU profile of the daemon's handler on an exact hit and on a
+# it (the containment tests the add leaves for readers), of a window
+# turn (the one stop-the-world pass) and of a snapshot restore
+# (BenchmarkReadState: 1 000 patterns re-run into a fresh cache), a CPU profile of the daemon's handler on an exact hit and on a
 # miss (decode, parse, probe, encode — no transport), one of the
 # verification stage alone (a bound subgraph query and one-shot VF2 over
 # Method M's candidates on the 5 000-molecule index), one of a pattern's
@@ -228,7 +229,7 @@ cover:
 PROFILE_DIR ?= profiles
 profiles:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'Benchmark(Execute(ExactHit(Parallel)?|IndexedMiss|SubSuperHit|ManyHits)|ScanIndex|AddGraphWarm|AddThenCatchUp|WindowTurn)$$' \
+	$(GO) test -run '^$$' -bench 'Benchmark(Execute(ExactHit(Parallel)?|IndexedMiss|SubSuperHit|ManyHits)|ScanIndex|AddGraphWarm|AddThenCatchUp|WindowTurn|ReadState)$$' \
 		-cpuprofile $(PROFILE_DIR)/core_cpu.pprof -memprofile $(PROFILE_DIR)/core_mem.pprof \
 		-o $(PROFILE_DIR)/core.test ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkRemoveGraphWarm$$' -benchtime 20000x -benchmem \

@@ -124,8 +124,8 @@
 //
 // Cache.WriteState saves the admitted entries — query graphs, query types
 // and utility counters, not answer sets — in the checksummed binary GCS3
-// format, and Cache.ReadState restores a GCS3 or text snapshot, replacing
-// the cache's contents. A restore is all-or-nothing: every record is read
+// format, and Cache.ReadState restores a GCS3 snapshot, replacing the
+// cache's contents. A restore is all-or-nothing: every record is read
 // and verified before anything is installed. It then re-runs each query
 // with Method M on the current dataset, so a snapshot restores over any
 // dataset, including the one it was written on after mutations.

@@ -164,7 +164,7 @@ func TestHelperAllocBudget(t *testing.T) {
 	costs := []costSample{{gid: 1, dur: 500}, {gid: 2, dur: 700}}
 	view := ftv.NewGGSXMethod(testDataset(1, 1), 3).View()
 	g := view.Graph(0)
-	row := rowOn(view, g)
+	row := walkedRow(view, g)
 	d := row.Decode()
 	defer d.Release()
 	cands := make([]*Entry, 32)

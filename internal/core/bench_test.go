@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -270,13 +271,20 @@ func newWarmBench(b *testing.B, window int) (*benchStreams, []*graph.Graph) {
 // BenchmarkAddGraphWarm is one AddGraph on a warm cache: a COW filter
 // insert and a counter (the containment tests wait for each entry's next
 // read). Each added graph is removed again with the timer stopped, as the
-// benchmark harness's mutation burst does, so the dataset does not grow
-// with b.N.
+// benchmark harness's mutation burst does. A removal leaves a tombstone,
+// which grows the id space, the answer sets and the filter's lists, so
+// the fixture is rebuilt with the timer stopped after every full cycle
+// over the spares: every cycle does the same work, at any b.N.
 func BenchmarkAddGraphWarm(b *testing.B) {
 	bs, spare := newWarmBench(b, 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(spare) == 0 {
+			b.StopTimer()
+			bs, _ = newWarmBench(b, 10)
+			b.StartTimer()
+		}
 		gid, err := bs.cache.AddGraph(spare[i%len(spare)])
 		if err != nil {
 			b.Fatal(err)
@@ -297,6 +305,8 @@ func BenchmarkAddGraphWarm(b *testing.B) {
 // stopped, so every op computes the added graph's vector as a new graph
 // does. The removal and the catch-up on it are untimed, so each timed
 // catch-up starts from entries current at the view before the add.
+// Tombstones grow the fixture as in BenchmarkAddGraphWarm, so it is
+// rebuilt with the timer stopped before every full cycle over the spares.
 // tests/op is the maintenance tests a catch-up runs, the entries the
 // containment screen passed, averaged over the spares in one untimed
 // pass: a count of the fixture, the same on every machine and at every
@@ -326,6 +336,10 @@ func BenchmarkAddThenCatchUp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		if i%len(spare) == 0 {
+			bs, _ = newWarmBench(b, 10)
+			c = bs.cache
+		}
 		g := spare[i%len(spare)]
 		fresh := graph.MustNew(g.Labels(), g.Edges())
 		b.StartTimer()
@@ -387,6 +401,33 @@ func BenchmarkWindowTurn(b *testing.B) {
 	}
 }
 
+// BenchmarkReadState is one ReadState of the warm cache's snapshot, 1 000
+// entries, into a fresh cache over the same Method, built with the timer
+// stopped: every record parsed and checked, then every pattern re-run as
+// a miss runs it, on GOMAXPROCS workers.
+func BenchmarkReadState(b *testing.B) {
+	bs, _ := newWarmBench(b, 10)
+	var snap bytes.Buffer
+	if err := bs.cache.WriteState(&snap); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Capacity = 1000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := MustNew(bs.cache.Method(), cfg)
+		b.StartTimer()
+		if err := c.ReadState(bytes.NewReader(snap.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+		if c.Len() != 1000 {
+			b.Fatalf("restored %d entries, want 1000", c.Len())
+		}
+	}
+}
+
 // scanBench is BenchmarkScanIndex's fixture: the harness's dataset
 // (gen.Molecules seed 2018 ×5 000, GGSX maxLen 3), a cache holding 1 000
 // resident entries cut from a containment-mix-shaped pool (gen.NewWorkload
@@ -417,11 +458,11 @@ var scanBench = sync.OnceValue(func() (b struct {
 	var entries []*Entry
 	for _, q := range wl.Pool[:1000] {
 		entries = append(entries, newEntry(q.G, q.Type, bitset.New(view.Size()), view, 0, q.G.WLFingerprint(3),
-			graph.ExtractFeatures(q.G), rowOn(view, q.G), 0))
+			graph.ExtractFeatures(q.G), walkedRow(view, q.G), 0))
 	}
 	b.cache.replaceEntries(entries)
 	for _, q := range wl.Pool[1000:] {
-		d := rowOn(view, q.G).Decode()
+		d := walkedRow(view, q.G).Decode()
 		b.types = append(b.types, q.Type)
 		b.fvs = append(b.fvs, graph.ExtractFeatures(q.G))
 		b.rows = append(b.rows, &d)

@@ -77,7 +77,7 @@ func TestDirectedFeaturesDominance(t *testing.T) {
 		c := gen.Circuit(rng, gen.DefaultCircuitConfig())
 		view := ftv.NewGGSXMethod([]*graph.Graph{c}, 2).View()
 		q := gen.ExtractConnectedSubgraph(rng, c, 2+rng.Intn(5))
-		qrow := rowOn(view, q)
+		qrow := walkedRow(view, q)
 		d := qrow.Decode()
 		in := screenIn(q, &d, c, view.Row(0))
 		d.Release()

@@ -197,16 +197,16 @@
 // The fingerprint rebuilt from each parsed graph must equal its record's.
 //
 // There is one restore mode. Every record is parsed and checked first;
-// then the restore pins one dataset view, re-runs each pattern with
-// DatasetView.Run on runtime.GOMAXPROCS(0) workers (touching no Monitor
-// counter), walks each pattern's trie row on that view, and installs the
-// entries under mu in one step (replaceEntries). The restored answers are
-// exact for that view whatever dataset the snapshot was written on, and a
-// mutation landing during the restore is brought in by the entries' next
-// readers. BaseCandidates stays the recorded |C_M| — history, like Hits —
-// capped at the view's id space. WriteState copies the records under mu
-// after folding the pending credits, and lays them out and writes them
-// once mu is released.
+// then the restore pins one dataset view and, on runtime.GOMAXPROCS(0)
+// workers, re-runs each pattern as a miss does: one trie walk for C_M and
+// the row, then verify with the pattern bound once, moving no Monitor
+// counter or cost cell. It installs the entries under mu in one step
+// (replaceEntries). The restored answers are exact for that view whatever
+// dataset the snapshot was written on, and a mutation landing during the
+// restore is brought in by the entries' next readers. BaseCandidates
+// stays the recorded |C_M| — history, like Hits — capped at the view's id
+// space. WriteState copies the records under mu after folding the
+// pending credits, and lays them out and writes them once mu is released.
 //
 // # Concurrency contracts and the tests that hold them
 //

@@ -79,7 +79,7 @@ func mapDominated(a, b map[string]int32) bool {
 // walkMatchesForward reports whether g's walk on the view gives the same
 // row as g's forward row gid: the same size, each screening into the other.
 func walkMatchesForward(view ftv.DatasetView, g *graph.Graph, gid int) bool {
-	walked, forward := rowOn(view, g), view.Row(gid)
+	walked, forward := walkedRow(view, g), view.Row(gid)
 	return walked.Bytes() == forward.Bytes() && rowIn(walked, forward) && rowIn(forward, walked)
 }
 
@@ -109,7 +109,7 @@ func TestPathFeaturesSingleEdge(t *testing.T) {
 		{isolated(1), true}, {isolated(2), true}, {isolated(1, 2), true},
 		{isolated(1, 1), false}, {isolated(2, 2), false},
 	} {
-		if got := rowIn(rowOn(view, c.g), row); got != c.want {
+		if got := rowIn(walkedRow(view, c.g), row); got != c.want {
 			t.Errorf("vertices %v: row in the edge's = %v, want %v", c.g.Labels(), got, c.want)
 		}
 	}
@@ -141,7 +141,7 @@ func TestPathFeaturesTriangleCounts(t *testing.T) {
 	if !rowIn(rPath3, rTri) {
 		t.Error("3-path's row not in the triangle's")
 	}
-	if !rowIn(rowOn(view, isolated(0, 0, 0)), rTri) || rowIn(rowOn(view, isolated(0, 0, 0, 0)), rTri) {
+	if !rowIn(walkedRow(view, isolated(0, 0, 0)), rTri) || rowIn(walkedRow(view, isolated(0, 0, 0, 0)), rTri) {
 		t.Error("vertex count 3 is not what the triangle's row holds")
 	}
 }
@@ -158,7 +158,7 @@ func TestPathFeaturesZeroLen(t *testing.T) {
 	}
 	// At length 0 the edges are invisible: the edgeless graph of the same
 	// labels has g's row, one more label-1 vertex does not fit.
-	same, more := rowOn(view, isolated(1, 1, 2)), rowOn(view, isolated(1, 1, 1))
+	same, more := walkedRow(view, isolated(1, 1, 2)), walkedRow(view, isolated(1, 1, 1))
 	if !rowIn(same, view.Row(0)) || !rowIn(view.Row(0), same) {
 		t.Error("the edgeless graph of g's labels does not share g's row")
 	}
@@ -257,7 +257,7 @@ func TestDominatedBySelf(t *testing.T) {
 	// A graph of labels the trie lacks walks to an empty row below the
 	// trie's watermark: it screens into anything, and nothing non-empty
 	// screens into it.
-	empty := rowOn(view, isolated(99))
+	empty := walkedRow(view, isolated(99))
 	if empty.Bytes() != 0 {
 		t.Fatalf("walk of an unseen label has a %d-byte row", empty.Bytes())
 	}

@@ -25,33 +25,63 @@ func driveQueries(t *testing.T, c *Cache, seed int64, n int) {
 	}
 }
 
-// The published index must mirror the resident list it publishes exactly
-// after every sequential query: every entry in the same (ID) order as
-// Entries(); each query type's
-// entries, and only those, in ID order in its own arrays, each with the
-// screening key of its own summary; and every entry reachable from byFP
-// along its fingerprint's chain, in ascending ID order, where the exact
-// probe finds it. Every third query is also issued with the other query
-// type, so isomorphic entries share a fingerprint and chains grow past
-// one.
+// victimLog is a policy that logs the pattern of every victim it picks:
+// with the queries that staged entries, an account of what should be
+// resident that does not read the cache's list.
+type victimLog struct {
+	Policy
+	victims map[pattern]bool
+}
+
+// pattern names a staged entry by its query graph and type.
+type pattern struct {
+	g  *graph.Graph
+	qt ftv.QueryType
+}
+
+func (p *victimLog) ReplacedContent(entries []*Entry, x int) []int {
+	out := p.Policy.ReplacedContent(entries, x)
+	for _, i := range out[:min(x, len(out))] {
+		p.victims[pattern{entries[i].Graph, entries[i].Type}] = true
+	}
+	return out
+}
+
+// The published index must mirror the resident list after every
+// sequential query: the list holds, in ID order, the entries the queries'
+// misses staged and a window turn admitted, less the policy's victims
+// (victimLog); each query type's entries, and only those, are in ID
+// order in its own arrays, each with the screening key of its own
+// summary; and every entry is reachable from byFP along its
+// fingerprint's chain, in ascending ID order, where the exact probe finds
+// it. Every third query is also issued with the other query type, so
+// isomorphic entries share a fingerprint and chains grow past one.
 func TestIndexMirrorsAdmittedEntries(t *testing.T) {
 	dataset := testDataset(91, 20)
 	cfg := DefaultConfig()
 	cfg.Capacity = 8 // force evictions
 	cfg.Window = 3
+	rec := &victimLog{Policy: NewHD(), victims: map[pattern]bool{}}
+	cfg.Policy = rec
 	c := MustNew(ftv.NewGGSXMethod(dataset, 3), cfg)
 
+	var admitted, pending []pattern
 	longest := 0
 	check := func() {
 		r := c.published.Load()
-		entries := c.Entries()
-		if len(r.all) != len(entries) || len(r.next) != len(entries) {
-			t.Fatalf("index has %d entries and %d links, cache %d", len(r.all), len(r.next), len(entries))
+		var want []pattern
+		for _, p := range admitted {
+			if !rec.victims[p] {
+				want = append(want, p)
+			}
+		}
+		if len(r.all) != len(want) || len(r.next) != len(want) {
+			t.Fatalf("index has %d entries and %d links, %d admitted and not evicted", len(r.all), len(r.next), len(want))
 		}
 		var typed [ftv.Supergraph + 1][]int
-		for i, e := range entries {
-			if r.all[i].ID != e.ID {
-				t.Fatalf("index position %d holds entry %d, the resident list entry %d", i, r.all[i].ID, e.ID)
+		for i, e := range r.all {
+			if e.Graph != want[i].g || e.Type != want[i].qt || (i > 0 && e.ID <= r.all[i-1].ID) {
+				t.Fatalf("index position %d holds entry %d, not the %d-th entry admitted and not evicted", i, e.ID, i)
 			}
 			typed[e.Type] = append(typed[e.Type], e.ID)
 		}
@@ -98,8 +128,16 @@ func TestIndexMirrorsAdmittedEntries(t *testing.T) {
 			types = append(types, ftv.Supergraph)
 		}
 		for _, qt := range types {
-			if _, err := c.Execute(q, qt); err != nil {
+			turns := c.Stats().WindowTurns
+			res, err := c.Execute(q, qt)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if !res.ExactHit {
+				pending = append(pending, pattern{q, qt})
+			}
+			if c.Stats().WindowTurns > turns {
+				admitted, pending = append(admitted, pending...), nil
 			}
 			check()
 		}

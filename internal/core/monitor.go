@@ -140,13 +140,12 @@ type Snapshot struct {
 	// DatasetAdds / DatasetRemoves count live dataset mutations;
 	// MaintenanceTests counts the containment tests spent reconciling
 	// cached answer sets after additions (when a stale entry is next read:
-	// at a hit, in Entries or in a snapshot save) — the maintenance side
-	// of the churn ledger.
+	// at a hit or in Entries) — the maintenance side of the churn ledger.
 	DatasetAdds, DatasetRemoves, MaintenanceTests int64
 	// InternHits and InternMisses are always zero: answer sets are never
 	// shared across entries. They stay declared only because the
 	// benchmark harness reads them (benchmark/run.go:361) until ROADMAP
-	// item 1 re-bases it, like Config's three inert fields.
+	// item 1 re-bases it, like Config's four inert fields.
 	InternHits, InternMisses int64
 	// FilterTime, HitTime and VerifyTime split where the time of the
 	// non-exact queries went (Result's three stage times, summed). An

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"graphcache/internal/ftv"
 	"graphcache/internal/graph"
@@ -194,25 +195,28 @@ func (r *entryRecord) parseGraph(text io.Reader) error {
 	return nil
 }
 
-// entry builds the record's entry over the view: its answers re-run by
-// Method M, its row walked on the view, its utilities the record's.
-// BaseCandidates stays the recorded admission-time |C_M| — history, like
-// Hits — capped at the view's id space. Takes no lock and touches no
-// Monitor counter.
-func (r entryRecord) entry(view ftv.DatasetView) *Entry {
+// entry builds r's entry over the view with the miss path's stages: one
+// walk gives C_M and the row, and verify tests C_M with the pattern bound
+// once, in sc; its cost samples are dropped. BaseCandidates stays the
+// recorded |C_M| — history, like Hits — capped at the view's id space.
+// Takes no lock and moves no Monitor counter or cost cell.
+func (c *Cache) entry(r entryRecord, view ftv.DatasetView, sc *execScratch) *Entry {
 	qt := ftv.QueryType(r.qt)
-	e := newEntry(r.g, qt, view.Run(r.g, qt).Answers, view, int(min(r.baseCandidates, int64(view.Size()))),
-		r.fp, graph.ExtractFeatures(r.g), rowOn(view, r.g), 0)
+	walk := view.Walk(r.g)
+	cm, row := walk.Candidates(qt), walk.Decoded().Row
+	walk.Release()
+	answers, _, _ := c.verify(view, r.g, qt, cm, sc, time.Now())
+	e := newEntry(r.g, qt, answers, view, int(min(r.baseCandidates, int64(view.Size()))),
+		r.fp, graph.ExtractFeatures(r.g), row, 0)
 	e.Hits, e.SavedTests, e.SavedCostNs = r.hits, r.savedTests, r.savedCost
 	return e
 }
 
 // restore is the commit phase of a restore, called once every record is
-// parsed and checked: it pins one dataset view, re-runs every pattern on
-// it over runtime.GOMAXPROCS(0) workers, all of which are done before it
-// returns, and installs the entries in one step (replaceEntries). The
-// answers are exact for the pinned view, so a mutation landing meanwhile
-// is brought in by the entries' next readers.
+// parsed and checked: it pins one dataset view, builds every entry on it
+// over runtime.GOMAXPROCS(0) workers, each with one pooled scratch, all
+// done before it returns, and installs them in one step (replaceEntries).
+// A mutation landing meanwhile is brought in by the entries' next readers.
 func (c *Cache) restore(recs []entryRecord) {
 	view := c.method.View()
 	entries := make([]*Entry, len(recs))
@@ -222,8 +226,10 @@ func (c *Cache) restore(recs []entryRecord) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := getExecScratch()
+			defer putExecScratch(sc)
 			for i := next.Add(1) - 1; i < int64(len(recs)); i = next.Add(1) - 1 {
-				entries[i] = recs[i].entry(view)
+				entries[i] = c.entry(recs[i], view, sc)
 			}
 		}()
 	}

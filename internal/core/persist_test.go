@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -34,6 +35,17 @@ func TestStateRoundTrip(t *testing.T) {
 		if _, err := src.Execute(q, ftv.Subgraph); err != nil {
 			t.Fatal(err)
 		}
+		// Every third query is also issued as a supergraph query, on the
+		// molecule it was cut from, which holds at least itself: an
+		// extracted pattern holds no molecule, so its supergraph answers,
+		// and a restore's, would be empty.
+		if i%3 == 0 {
+			g := dataset[i%len(dataset)]
+			queries = append(queries, gen.Query{G: g, Type: ftv.Supergraph})
+			if _, err := src.Execute(g, ftv.Supergraph); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if src.Len() == 0 {
 		t.Fatal("no admitted entries to persist")
@@ -54,10 +66,38 @@ func TestStateRoundTrip(t *testing.T) {
 	if dst.Len() != src.Len() {
 		t.Fatalf("restored %d entries, want %d", dst.Len(), src.Len())
 	}
+	// A restore runs no query: it moves no Monitor counter and writes no
+	// cost cell.
+	if st := dst.Stats(); st != (Snapshot{}) {
+		t.Fatalf("restore moved Monitor counters: %+v", st)
+	}
+	if dst.costs.dir.Load() != nil || dst.globalVal.Load() != 0 {
+		t.Fatal("restore wrote a cost cell")
+	}
+
+	// Each restored entry rebuilds its source's row, vector and answers,
+	// field for field: the row's packed bytes, bloom, top node and
+	// watermark.
+	srcEntries := src.Entries()
+	var supers int
+	for i, d := range dst.Entries() {
+		s := srcEntries[i]
+		if d.Fingerprint != s.Fingerprint || d.Type != s.Type {
+			t.Fatalf("restored entry %d is not source entry %d", d.ID, s.ID)
+		}
+		if !reflect.DeepEqual(d.row, s.row) || !reflect.DeepEqual(d.FV, s.FV) || !reflect.DeepEqual(d.Answers(), s.Answers()) {
+			t.Fatalf("restored entry %d differs from source entry %d: row %+v, want %+v", d.ID, s.ID, d.row, s.row)
+		}
+		if d.Type == ftv.Supergraph && !d.Answers().Empty() {
+			supers++
+		}
+	}
+	if supers == 0 {
+		t.Fatal("no supergraph entry with answers restored")
+	}
 
 	// Every admitted query must now exact-hit on the restored cache with
 	// identical answers.
-	srcEntries := src.Entries()
 	for _, e := range srcEntries {
 		res, err := dst.Execute(e.Graph, e.Type)
 		if err != nil {

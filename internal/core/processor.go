@@ -9,13 +9,6 @@ import (
 	"graphcache/internal/iso"
 )
 
-// rowOn walks g down the view's trie for its row.
-func rowOn(view ftv.DatasetView, g *graph.Graph) ftv.Row {
-	w := view.Walk(g)
-	defer w.Release()
-	return w.Decoded().Row
-}
-
 // findExact returns a cached (or window-pending) entry isomorphic to q
 // with the same query type, or nil. Fingerprint equality pre-filters;
 // VF2 confirms (fingerprints can collide, never the reverse).
