@@ -28,10 +28,8 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(72))
-	var queries []gen.Query
 	for i := 0; i < 12; i++ {
 		q := gen.ExtractConnectedSubgraph(rng, dataset[i%len(dataset)], 3+i%5)
-		queries = append(queries, gen.Query{G: q, Type: ftv.Subgraph})
 		if _, err := src.Execute(q, ftv.Subgraph); err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +39,6 @@ func TestStateRoundTrip(t *testing.T) {
 		// and a restore's, would be empty.
 		if i%3 == 0 {
 			g := dataset[i%len(dataset)]
-			queries = append(queries, gen.Query{G: g, Type: ftv.Supergraph})
 			if _, err := src.Execute(g, ftv.Supergraph); err != nil {
 				t.Fatal(err)
 			}
